@@ -25,22 +25,15 @@ import (
 	"time"
 
 	"repro/internal/exp"
-	"repro/internal/stream"
 )
 
 func main() {
 	fig := flag.String("fig", "all", "figure to run: 10..17 or 'all'")
 	scale := flag.Float64("scale", 0.02, "horizon scale relative to the paper's 5 hours")
 	size := flag.Float64("size", 1.0, "window/domain size scale (1 = paper-exact)")
-	seed := flag.Int64("seed", 1, "workload seed")
 	ablation := flag.Bool("ablation", false, "include DOE and Bloom-JIT modes")
-	indexed := flag.Bool("indexed", false, "hash-indexed join states instead of the paper's linear scans")
 	shards := flag.Int("shards", 1, "run every point across key-partitioned engine replicas (scaling mode, not paper-comparable; DESIGN.md §5)")
-	zipf := flag.Float64("zipf", 0, "Zipf-skew value domains with this exponent (> 1; 0 = uniform; hostile mode, DESIGN.md §8)")
-	burst := flag.Float64("burst", 0, "burst factor: multiply every source's rate by this during the first half of each burst period (> 1; 0 = stationary)")
-	burstPeriod := flag.Float64("burst-period", 0, "burst cycle length in minutes (0 = one window)")
-	disorder := flag.Float64("disorder", 0, "deliver every point's stream out of timestamp order with delays up to this many seconds (DESIGN.md §8)")
-	band := flag.Int64("band", 0, "replace every equi-join predicate with the band predicate |l-r| <= band (DESIGN.md §8)")
+	workload := exp.BindWorkloadFlags(flag.CommandLine, true, 0)
 	flag.Parse()
 
 	fail := func(format string, args ...interface{}) {
@@ -57,26 +50,17 @@ func main() {
 		fail("-size must be in (0,1], got %g", *size)
 	case *shards < 1:
 		fail("-shards must be at least 1, got %d", *shards)
-	case *zipf != 0 && *zipf <= 1:
-		fail("-zipf exponent must exceed 1, got %g", *zipf)
-	case *burst < 0 || (*burst > 0 && *burst < 1):
-		fail("-burst factor must be at least 1, got %g", *burst)
-	case *burstPeriod < 0:
-		fail("-burst-period cannot be negative, got %g", *burstPeriod)
-	case *burstPeriod > 0 && *burst <= 1:
-		fail("-burst-period set but the burst factor is off (set -burst > 1)")
-	case *disorder < 0:
-		fail("-disorder cannot be negative, got %g", *disorder)
-	case *band < 0:
-		fail("-band cannot be negative, got %d", *band)
 	}
-
-	cfg := exp.Config{Scale: *scale, SizeScale: *size, Seed: *seed, Indexed: *indexed, Shards: *shards, Modes: exp.DefaultModes()}
-	cfg.Zipf = *zipf
-	cfg.Burst = *burst
-	cfg.BurstPeriod = stream.Time(*burstPeriod * float64(stream.Minute))
-	cfg.Disorder = stream.Time(*disorder * float64(stream.Second))
-	cfg.Band = stream.Value(*band)
+	// Every point of the sweep runs under the same workload flags.
+	var p exp.Params
+	if err := workload.Apply(&p); err != nil {
+		fail("%v", err)
+	}
+	cfg := exp.Config{
+		Scale: *scale, SizeScale: *size, Shards: *shards, Modes: exp.DefaultModes(),
+		Seed: p.Seed, Indexed: p.Indexed,
+		Zipf: p.Zipf, Burst: p.Burst, BurstPeriod: p.BurstPeriod, Disorder: p.Disorder, Band: p.Band,
+	}
 	if *ablation {
 		cfg.Modes = exp.AblationModes()
 	}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/exp"
 	"repro/internal/predicate"
 	"repro/internal/source"
 	"repro/internal/stream"
@@ -20,11 +21,8 @@ func main() {
 	dmax := flag.Int64("dmax", 200, "value domain upper bound")
 	horizon := flag.Duration("horizon", 0, "application time horizon (e.g. 30m)")
 	minutes := flag.Float64("minutes", 30, "horizon in minutes when -horizon unset")
-	seed := flag.Int64("seed", 1, "random seed")
-	zipf := flag.Float64("zipf", 0, "Zipf-skew value domains with this exponent (> 1; 0 = uniform; DESIGN.md §8)")
-	burst := flag.Float64("burst", 0, "burst factor: multiply each source's rate by this during the first half of every burst period (> 1; 0 = stationary)")
-	burstPeriod := flag.Float64("burst-period", 5, "burst cycle length in minutes")
-	disorder := flag.Float64("disorder", 0, "emit the trace out of timestamp order with delays up to this many seconds (DESIGN.md §8)")
+	// A trace has no window for the burst cycle to default to: 5 minutes.
+	workload := exp.BindWorkloadFlags(flag.CommandLine, false, 5)
 	flag.Parse()
 
 	fail := func(format string, args ...interface{}) {
@@ -44,30 +42,18 @@ func main() {
 		fail("-dmax must be at least 1, got %d", *dmax)
 	case h <= 0:
 		fail("horizon must be positive (got %v)", h)
-	case *zipf != 0 && *zipf <= 1:
-		fail("-zipf exponent must exceed 1, got %g", *zipf)
-	case *burst < 0 || (*burst > 0 && *burst < 1):
-		fail("-burst factor must be at least 1, got %g", *burst)
-	case *burst > 1 && *burstPeriod <= 0:
-		fail("-burst needs a positive -burst-period, got %g", *burstPeriod)
-	case *disorder < 0:
-		fail("-disorder cannot be negative, got %g", *disorder)
+	case workload.Burst > 1 && workload.BurstPeriod <= 0:
+		fail("-burst needs a positive -burst-period, got %g", workload.BurstPeriod)
+	}
+	if workload.Burst <= 1 {
+		workload.BurstPeriod = 0 // the default cycle applies only when bursting
+	}
+	p := exp.Params{N: *n, Rate: *rate, DMax: *dmax, Horizon: h}
+	if err := workload.Apply(&p); err != nil {
+		fail("%v", err)
 	}
 	cat, _ := predicate.Clique(*n)
-	cfg := source.UniformConfig(*n, *rate, *dmax, h, *seed)
-	for i := range cfg.Specs {
-		if *zipf > 1 {
-			cfg.Specs[i].Zipf = *zipf
-		}
-		if *burst > 1 {
-			cfg.Specs[i].BurstFactor = *burst
-			cfg.Specs[i].BurstPeriod = stream.Time(*burstPeriod * float64(stream.Minute))
-		}
-	}
-	if *disorder > 0 {
-		cfg.Disorder = stream.Time(*disorder * float64(stream.Second))
-	}
-	arrivals := source.Generate(cat, cfg)
+	arrivals := source.Generate(cat, p.SourceConfig())
 
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()

@@ -26,19 +26,13 @@ func main() {
 	dmax := flag.Int64("dmax", 200, "value domain upper bound")
 	window := flag.Float64("window", 5, "window size in minutes")
 	minutes := flag.Float64("minutes", 15, "horizon in minutes")
-	seed := flag.Int64("seed", 1, "random seed")
 	mode := flag.String("mode", "jit", "execution mode: jit, ref, doe, bloom")
-	indexed := flag.Bool("indexed", false, "hash-indexed join states instead of the paper's linear scans (DESIGN.md §3)")
 	drain := flag.Bool("drain", false, "after the last arrival, keep firing timer deadlines so suspended results still resume or expire (end-of-stream drain, DESIGN.md §4)")
 	drainHorizon := flag.Float64("drain-horizon", 0, "cap the drain at this application time in minutes (0 = last arrival + window)")
 	shards := flag.Int("shards", 1, "run across this many key-partitioned engine replicas (forces drain; DESIGN.md §5)")
 	adapt := flag.Bool("adapt", false, "adaptive re-optimization: migrate between bushy and left-deep mid-run on observed feedback (forces drain; DESIGN.md §7)")
 	adaptEpoch := flag.Float64("adapt-epoch", 0, "re-optimization decision epoch in minutes (0 = one window)")
-	zipf := flag.Float64("zipf", 0, "Zipf-skew value domains with this exponent (> 1; 0 = uniform; DESIGN.md §8)")
-	burst := flag.Float64("burst", 0, "burst factor: multiply each source's rate by this during the first half of every burst period (> 1; 0 = stationary)")
-	burstPeriod := flag.Float64("burst-period", 0, "burst cycle length in minutes (0 = one window)")
-	disorder := flag.Float64("disorder", 0, "deliver the stream out of timestamp order with delays up to this many seconds; the engine's watermark admits them exactly (DESIGN.md §8)")
-	band := flag.Int64("band", 0, "replace every equi-join predicate with the band predicate |l-r| <= band (defeats hash keying and key sharding; DESIGN.md §8)")
+	workload := exp.BindWorkloadFlags(flag.CommandLine, true, 0)
 	stats := flag.Bool("stats", false, "print the per-operator stats table at exit (probes, MNS detections, suspensions, suppressed pairs)")
 	obsAddr := flag.String("obs-addr", "", "serve the live ops endpoint on this address during the run: Prometheus /metrics, NDJSON /trace, /debug/pprof (DESIGN.md §9)")
 	obsAggregate := flag.Bool("obs-aggregate", false, "with -shards, aggregate per-replica series on the ops endpoint (one tracer per replica, per-shard labels)")
@@ -118,9 +112,7 @@ func main() {
 		Rate:    *rate,
 		DMax:    *dmax,
 		Horizon: stream.Time(*minutes * float64(stream.Minute)),
-		Seed:    *seed,
 		Mode:    m,
-		Indexed: *indexed,
 		Drain:   *drain,
 		Adapt:   *adapt,
 	}
@@ -137,19 +129,9 @@ func main() {
 	if *adaptEpoch > 0 {
 		p.AdaptEpoch = stream.Time(*adaptEpoch * float64(stream.Minute))
 	}
-	p.Zipf = *zipf
-	p.Burst = *burst
-	if *burstPeriod > 0 {
-		p.BurstPeriod = stream.Time(*burstPeriod * float64(stream.Minute))
-	} else if *burstPeriod < 0 {
-		fail("-burst-period cannot be negative, got %g", *burstPeriod)
+	if err := workload.Apply(&p); err != nil {
+		fail("%v", err)
 	}
-	if *disorder > 0 {
-		p.Disorder = stream.Time(*disorder * float64(stream.Second))
-	} else if *disorder < 0 {
-		fail("-disorder cannot be negative, got %g", *disorder)
-	}
-	p.Band = stream.Value(*band)
 	if p.Adapt {
 		p.AdaptLog = os.Stdout
 	}

@@ -79,7 +79,7 @@ func (j *JoinOp) suspendTotal(m *feedback.MNS) {
 		// Mark any in-flight probing input on this port for deferred
 		// parking: Ø covers everything.
 		for _, f := range j.frames {
-			if f.parked || f.parkEntry != nil || f.port != p {
+			if f.parkEntry != nil || f.port != p {
 				continue
 			}
 			f.parkEntry = entry
@@ -116,7 +116,7 @@ func (j *JoinOp) suspendTypeI(s *side, m *feedback.MNS) {
 	// s, t is also inserted to BL" (Sec. IV-B). Parking is deferred until
 	// the input's current probe completes (see probeFrame.parkEntry).
 	for _, f := range j.frames {
-		if f.parked || f.parkEntry != nil || f.port != s.port {
+		if f.parkEntry != nil || f.port != s.port {
 			continue
 		}
 		if j.mnsMatches(m, f.input) {
@@ -198,7 +198,7 @@ func (j *JoinOp) markScan(e *feedback.OriginEntry, s *side, sig feedback.Signatu
 		}
 	}
 	for _, f := range j.frames {
-		if f.parked || f.port != s.port {
+		if f.port != s.port {
 			continue
 		}
 		j.ctr.Comparisons += uint64(len(sig))
@@ -263,57 +263,57 @@ func (j *JoinOp) resumeTypeI(s *side, m *feedback.MNS, out *[]*stream.Composite)
 
 // processUpstream feeds inputs returned by an upstream resumption through
 // normal processing (diversion check, probe, insert), collecting results.
+// The legacy path drops a composite that expired while suspended upstream;
+// in exact mode it may be past its own window here — pairValid inside the
+// probes admits exactly the REF-formed pairs, and the expired composite
+// stays ephemeral (probe-only).
 func (j *JoinOp) processUpstream(s *side, ups []*stream.Composite, out *[]*stream.Composite) {
 	for _, u := range ups {
-		if j.exact {
-			// The composite may be past its own window here; pairValid
-			// inside the probes admits exactly the REF-formed pairs, and an
-			// expired composite stays ephemeral (probe-only).
-			j.activate(activation{c: u, port: s.port, collect: out,
-				divertCheck: true, ephemeral: u.MinTS+j.window <= j.now})
+		expired := u.MinTS+j.window <= j.now
+		if !j.exact && (expired || j.divert(u, s.port, 0)) {
 			continue
 		}
-		if u.MinTS+j.window <= j.now {
-			continue
-		}
-		if j.divert(u, s.port) {
-			continue
-		}
-		j.activate(activation{c: u, port: s.port, collect: out})
+		j.activate(activation{c: u, port: s.port, collect: out, divertCheck: j.exact, ephemeral: expired})
 	}
 }
 
-// reactivate returns an entry's surviving tuples to the active state,
-// performing the exactly-once catch-up join (opposite sequence beyond each
-// tuple's cursor, over both the opposite state and blacklists).
+// reactivate returns an entry's surviving tuples to the active state. A
+// tuple that expired while suspended is dropped on the legacy path (its
+// results were never demanded) and resumed as an ephemeral in exact mode.
 func (j *JoinOp) reactivate(s *side, e *feedback.Entry, out *[]*stream.Composite) {
 	s.black.ReleaseTuples(e)
 	for _, susp := range e.Tuples {
-		if !j.exact && susp.E.C.MinTS+j.window <= j.now {
-			continue // expired while suspended; its results were never demanded
+		expired := susp.E.C.MinTS+j.window <= j.now
+		if !expired || j.exact {
+			j.resume(s, susp, out, expired)
 		}
-		j.ctr.Resumed++
-		j.trace.Resume(j.name, 1)
-		ephemeral := susp.E.C.MinTS+j.window <= j.now
-		j.activate(activation{
-			c:         susp.E.C,
-			port:      s.port,
-			seq:       susp.E.Seq,
-			reuse:     true,
-			cursor:    susp.Cursor,
-			scanBlack: true,
-			collect:   out,
-			done:      susp.Done,
-			pending:   susp.Pending,
-			ephemeral: ephemeral,
-		})
-		if ephemeral && j.exact {
-			// An ephemeral recovery vanishes from the live structures, but a
-			// later recovery emission on the opposite side may still form a
-			// REF-valid pair with it — retire it to the graveyard, like a
-			// state entry purged at window close (probeGrave).
-			s.retire(state.Entry{C: susp.E.C, Seq: susp.E.Seq})
-		}
+	}
+}
+
+// resume takes one parked tuple through the exactly-once catch-up join
+// (opposite sequence beyond its cursor, over both the opposite state and
+// blacklists) and back into the active state. An ephemeral recovery instead
+// vanishes from the live structures once its catch-up is complete, but a
+// later recovery emission on the opposite side may still form a REF-valid
+// pair with it — it retires to the graveyard, like a state entry purged at
+// window close (probeGrave).
+func (j *JoinOp) resume(s *side, susp feedback.Suspended, out *[]*stream.Composite, ephemeral bool) {
+	j.ctr.Resumed++
+	j.trace.Resume(j.name, 1)
+	j.activate(activation{
+		c:         susp.E.C,
+		port:      s.port,
+		seq:       susp.E.Seq,
+		reuse:     true,
+		cursor:    susp.Cursor,
+		scanBlack: true,
+		collect:   out,
+		done:      susp.Done,
+		pending:   susp.Pending,
+		ephemeral: ephemeral,
+	})
+	if ephemeral {
+		s.grave.Reinsert(susp.E)
 	}
 }
 
@@ -407,11 +407,16 @@ func (j *JoinOp) unmarkCatchup(e *feedback.OriginEntry, out *[]*stream.Composite
 	}
 }
 
-// Sweep is called by the engine before each arrival: expired MNS anchors
-// release their surviving suspended tuples (which re-enter processing and,
-// if still unmatched, are re-suspended under fresh anchors by the
-// downstream consumer), and expired mark entries run their unmark catch-up.
-// See DESIGN.md §2 (expiry sweep).
+// Sweep is called by the engine when the operator's deadline is due (or
+// before each arrival): expired mark entries run their unmark catch-up, and
+// expired MNS anchors release their surviving suspended tuples (which
+// re-enter processing and, if still unmatched, are re-suspended under fresh
+// anchors by the downstream consumer). See DESIGN.md §2 (expiry sweep).
+//
+// The legacy sweep garbage-collects first. The exact-delivery sweep
+// (DESIGN.md §4) runs the recoveries before purging, so pairs whose
+// generation was deferred to an expiry boundary are produced while their
+// partners are still reachable, and adds a last gasp between the two.
 func (j *JoinOp) Sweep(now stream.Time) {
 	if now > j.now {
 		j.now = now
@@ -419,72 +424,33 @@ func (j *JoinOp) Sweep(now stream.Time) {
 	if !j.mode.enabled() {
 		return
 	}
-	if j.exact {
-		j.sweepExact()
+	if !j.exact {
+		j.purge()
+	}
+	if !j.marks.Empty() {
+		j.marks.PurgeRelays(j.now)
+		if j.marks.HasExpired(j.now) {
+			for _, e := range j.marks.TakeExpiredOrigins(j.now) {
+				var out []*stream.Composite
+				j.propagateUnmark(e.MNS)
+				j.unmarkCatchup(e, &out)
+				j.emitAll(out)
+			}
+		}
+	}
+	for p := operator.Port(0); p < 2; p++ {
+		s := j.in[p]
+		if !s.black.HasExpired(j.now) {
+			continue
+		}
+		for _, e := range s.black.TakeExpired(j.now) {
+			var out []*stream.Composite
+			j.reactivate(s, e, &out)
+			j.emitAll(out)
+		}
+	}
+	if !j.exact {
 		return
-	}
-	j.purge()
-	if !j.marks.Empty() {
-		j.marks.PurgeRelays(j.now)
-		if j.marks.HasExpired(j.now) {
-			for _, e := range j.marks.TakeExpiredOrigins(j.now) {
-				var out []*stream.Composite
-				j.propagateUnmark(e.MNS)
-				j.unmarkCatchup(e, &out)
-				for _, r := range out {
-					j.emit(r)
-				}
-			}
-		}
-	}
-	for p := operator.Port(0); p < 2; p++ {
-		s := j.in[p]
-		if !s.black.HasExpired(j.now) {
-			continue
-		}
-		for _, e := range s.black.TakeExpired(j.now) {
-			var out []*stream.Composite
-			j.reactivate(s, e, &out)
-			for _, r := range out {
-				j.emit(r)
-			}
-		}
-	}
-}
-
-// sweepExact is the exact-delivery sweep (DESIGN.md §4): recoveries run
-// before purging, so pairs whose generation was deferred to an expiry
-// boundary are produced while their partners are still reachable. Order:
-// expired mark entries run their unmark catch-up, expired blacklist anchors
-// reactivate their entries, parked tuples whose own window closed get a
-// last-gasp catch-up (generating the pairs REF formed live while they were
-// suspended), and only then does window expiry garbage-collect the states.
-func (j *JoinOp) sweepExact() {
-	if !j.marks.Empty() {
-		j.marks.PurgeRelays(j.now)
-		if j.marks.HasExpired(j.now) {
-			for _, e := range j.marks.TakeExpiredOrigins(j.now) {
-				var out []*stream.Composite
-				j.propagateUnmark(e.MNS)
-				j.unmarkCatchup(e, &out)
-				for _, r := range out {
-					j.emit(r)
-				}
-			}
-		}
-	}
-	for p := operator.Port(0); p < 2; p++ {
-		s := j.in[p]
-		if !s.black.HasExpired(j.now) {
-			continue
-		}
-		for _, e := range s.black.TakeExpired(j.now) {
-			var out []*stream.Composite
-			j.reactivate(s, e, &out)
-			for _, r := range out {
-				j.emit(r)
-			}
-		}
 	}
 	// Last gasp: a parked tuple whose own window closes under a still-live
 	// anchor can never be demanded again (any future pair would violate the
@@ -494,31 +460,18 @@ func (j *JoinOp) sweepExact() {
 		s := j.in[p]
 		for _, susp := range s.black.TakeExpiredTuples(j.now, j.window) {
 			j.ctr.Purged++
-			j.ctr.Resumed++
-			j.trace.Resume(j.name, 1)
 			var out []*stream.Composite
-			j.activate(activation{
-				c:         susp.E.C,
-				port:      s.port,
-				seq:       susp.E.Seq,
-				reuse:     true,
-				cursor:    susp.Cursor,
-				scanBlack: true,
-				collect:   &out,
-				done:      susp.Done,
-				pending:   susp.Pending,
-				ephemeral: true,
-			})
-			// Retire the tuple to the graveyard (see reactivate): its own
-			// catch-up is complete, but it can still be the partner of a
-			// late recovery emission on the opposite side.
-			s.retire(state.Entry{C: susp.E.C, Seq: susp.E.Seq})
-			for _, r := range out {
-				j.emit(r)
-			}
+			j.resume(s, susp, &out, true)
+			j.emitAll(out)
 		}
 	}
 	j.purge()
+}
+
+func (j *JoinOp) emitAll(out []*stream.Composite) {
+	for _, r := range out {
+		j.emit(r)
+	}
 }
 
 // NoDeadline is the sentinel NextDeadline returns when the operator has no
@@ -611,7 +564,7 @@ func (j *JoinOp) mnsMatches(m *feedback.MNS, c *stream.Composite) bool {
 // position (lastPartner) determines which pairs it will still produce live.
 func (j *JoinOp) frameOf(c *stream.Composite) *probeFrame {
 	for i := len(j.frames) - 1; i >= 0; i-- {
-		if j.frames[i].input == c && !j.frames[i].parked {
+		if j.frames[i].input == c {
 			return j.frames[i]
 		}
 	}
@@ -621,7 +574,7 @@ func (j *JoinOp) frameOf(c *stream.Composite) *probeFrame {
 // topFrameOn returns the innermost in-flight probe frame on the given port.
 func (j *JoinOp) topFrameOn(p operator.Port) *probeFrame {
 	for i := len(j.frames) - 1; i >= 0; i-- {
-		if j.frames[i].port == p && !j.frames[i].parked {
+		if j.frames[i].port == p {
 			return j.frames[i]
 		}
 	}

@@ -69,39 +69,14 @@ type side struct {
 	// Bloom filters over THIS side's state values, keyed by attribute;
 	// queried when detecting MNSs on the opposite side's inputs.
 	blooms *bloomSet
-	// Exact-mode graveyard: entries purged from st, retained because a
-	// late recovery emission (an upstream resumption's catch-up result)
-	// may still form pairs REF formed live with them. Only inputs with
-	// TS < now scan it — an in-order arrival fails pairValid against
-	// every retired entry by construction. Nil outside exact mode.
-	// graveIdx buckets entries by equi-key hash so probeGrave scans one
-	// bucket instead of the whole yard (mirroring the live state index);
-	// graveNoKey lists entries whose key doesn't hash (scanned on every
-	// probe, like unindexed live entries); graveSeq resolves a parked
-	// pending sequence to its entry in O(1) for the probePending fallback.
-	grave      []state.Entry
-	graveIdx   map[uint64][]int32
-	graveNoKey []int32
-	graveSeq   map[uint64]int32
-}
-
-// retire moves a tuple leaving the live structures into the exact-mode
-// graveyard, maintaining the hash-bucket and sequence indexes.
-func (s *side) retire(e state.Entry) {
-	i := int32(len(s.grave))
-	s.grave = append(s.grave, e)
-	if s.graveSeq == nil {
-		s.graveSeq = make(map[uint64]int32)
-		s.graveIdx = make(map[uint64][]int32)
-	}
-	s.graveSeq[e.Seq] = i
-	if len(s.key) > 0 {
-		if h, ok := s.key.Hash(e.C); ok {
-			s.graveIdx[h] = append(s.graveIdx[h], i)
-			return
-		}
-	}
-	s.graveNoKey = append(s.graveNoKey, i)
+	// grave is the exact-mode graveyard: entries purged from st, retained
+	// because a late recovery emission (an upstream resumption's catch-up
+	// result) may still form pairs REF formed live with them. It is a second
+	// window store on the side's key and sequence space, filled by Reinsert
+	// in expiry order and never charged to the plan account. Only inputs
+	// with TS < now probe it — an in-order arrival fails pairValid against
+	// every retired entry by construction. Empty outside exact mode.
+	grave *state.State
 }
 
 // probeFrame tracks one in-progress probe so that re-entrant suspension
@@ -111,7 +86,6 @@ type probeFrame struct {
 	port        operator.Port
 	seq         uint64
 	lastPartner uint64 // sequence of the last opposite entry processed
-	parked      bool
 	fullMatch   bool
 	// parkEntry, when set by a suspension received mid-probe, defers the
 	// parking of this input until its current probe completes: aborting the
@@ -194,8 +168,10 @@ func NewJoin(cfg Config) *JoinOp {
 			black:   feedback.NewBlacklist(fmt.Sprintf("B_%s.%s", cfg.Name, port), cfg.Account),
 			buf:     feedback.NewBuffer(fmt.Sprintf("NB_%s.%s", cfg.Name, port), cfg.Account),
 			key:     state.Key(key),
+			grave:   state.New(fmt.Sprintf("G_%s.%s", cfg.Name, port), seq, new(metrics.Account)),
 		}
 		s.st.SetKey(s.key)
+		s.grave.SetKey(s.key)
 		s.atoms = cfg.Preds.SourcesLinkedTo(srcs, other)
 		for _, src := range s.atoms {
 			s.atomPreds = append(s.atomPreds, cfg.Preds.TouchingAcross(src, other))
@@ -320,28 +296,14 @@ func (j *JoinOp) Consume(c *stream.Composite, port operator.Port) {
 		j.now = c.TS
 	}
 	j.purge()
-	s := j.in[port]
-	if j.exact {
-		// Exact mode follows the paper's Process_Input order: the MNS
-		// buffer probe (resumption trigger) comes first, so an arrival that
-		// both satisfies a pending demand and matches a blacklist signature
-		// still fires the resumption before it is diverted (divertCheck).
-		j.activate(activation{c: c, port: port, detect: true, divertCheck: true})
+	// Exact mode follows the paper's Process_Input order: the MNS buffer
+	// probe (resumption trigger) comes first, so an arrival that both
+	// satisfies a pending demand and matches a blacklist signature still
+	// fires the resumption before it is diverted (divertCheck).
+	if !j.exact && j.divert(c, port, 0) {
 		return
 	}
-	if j.mode.enabled() && !j.mode.IgnoreFeedback && s.black.Len() > 0 {
-		e, n := s.black.MatchArrival(c, j.now, j.mode.Generalize)
-		j.ctr.Comparisons += uint64(n)
-		if e != nil {
-			seq := s.seq.Next()
-			s.black.Park(e, feedback.Suspended{E: state.Entry{C: c, Seq: seq}, Cursor: 0})
-			j.ctr.Suspended++
-			j.stats.Suspended++
-			j.trace.Suspend(j.name, 1)
-			return
-		}
-	}
-	j.activate(activation{c: c, port: port, detect: true})
+	j.activate(activation{c: c, port: port, detect: true, divertCheck: j.exact})
 }
 
 // activation describes one tuple entering (or re-entering) a side.
@@ -402,42 +364,17 @@ func (j *JoinOp) activate(a activation) {
 	// trigger always fires first, Process_Input lines 1-9), parking the
 	// input without a probe when it matches a blacklist signature. The
 	// demanded upstream results below are processed either way.
-	diverted := false
-	if a.divertCheck && !a.ephemeral && j.mode.enabled() && !j.mode.IgnoreFeedback && s.black.Len() > 0 {
-		e, n := s.black.MatchArrival(a.c, j.now, j.mode.Generalize)
-		j.ctr.Comparisons += uint64(n)
-		if e != nil {
-			s.black.Park(e, feedback.Suspended{E: state.Entry{C: a.c, Seq: a.seq}, Cursor: 0})
-			j.ctr.Suspended++
-			j.stats.Suspended++
-			j.trace.Suspend(j.name, 1)
-			diverted = true
-		}
-	}
-	if !diverted {
+	if !a.divertCheck || a.ephemeral || !j.divert(a.c, a.port, a.seq) {
 		j.probeInsert(a, s, o)
 	}
 
 	// Process S_Π: the demanded partial results returned by the producer.
 	// Each is a brand-new input on the opposite side; by the resumption
 	// argument (DESIGN.md §2) only the current input can match them, so the
-	// full probe below performs exactly the paper's "join t with S_Π" plus
-	// cheap failing comparisons, while keeping cascaded resumption and mark
+	// full probe performs exactly the paper's "join t with S_Π" plus cheap
+	// failing comparisons, while keeping cascaded resumption and mark
 	// bookkeeping uniform.
-	for _, u := range spi {
-		if !j.exact && u.MinTS+j.window <= j.now {
-			continue // expired while suspended upstream
-		}
-		if j.exact {
-			j.activate(activation{c: u, port: a.port.Opposite(), collect: a.collect,
-				divertCheck: true, ephemeral: u.MinTS+j.window <= j.now})
-			continue
-		}
-		if j.divert(u, a.port.Opposite()) {
-			continue
-		}
-		j.activate(activation{c: u, port: a.port.Opposite(), collect: a.collect})
-	}
+	j.processUpstream(o, spi, a.collect)
 }
 
 // probeInsert is the probe-and-insert body of activate: pre-probe marking,
@@ -474,16 +411,14 @@ func (j *JoinOp) probeInsert(a activation, s, o *side) {
 	f := &probeFrame{input: a.c, port: a.port, seq: a.seq, lastPartner: a.cursor, done: a.done}
 	j.frames = append(j.frames, f)
 	j.probeState(f, s, o, det, a.collect, a.cursor == 0 && !a.scanBlack)
-	if a.scanBlack && !f.parked {
+	if a.scanBlack {
 		j.probeBlacklists(f, o, a.cursor, a.collect)
 	}
-	if len(a.pending) > 0 && !f.parked {
-		j.probePending(f, o, a.pending, a.collect)
-	}
-	if j.exact && !f.parked && len(o.grave) > 0 && a.c.TS < j.now {
+	j.probePending(f, o, a.pending, a.collect)
+	if j.exact && !o.grave.Empty() && a.c.TS < j.now {
 		j.probeGrave(f, o, a.cursor, a.collect)
 	}
-	if a.reuse && !f.parked {
+	if a.reuse {
 		// A reactivation can happen re-entrantly while an opposite input is
 		// mid-probe (a resumption cascade triggered from that input's own
 		// emission chain). If the in-flight scan has already passed this
@@ -496,7 +431,7 @@ func (j *JoinOp) probeInsert(a activation, s, o *side) {
 	// Identify_MNS and suspension feedback. A full match means no node of
 	// the lattice can be alive, so detection is skipped (Fig. 8 semantics
 	// at zero cost).
-	if det != nil && !f.parked && !f.fullMatch {
+	if det != nil && !f.fullMatch {
 		j.reportMNS(f, s, o, det)
 	}
 
@@ -508,7 +443,8 @@ func (j *JoinOp) probeInsert(a activation, s, o *side) {
 	if a.ephemeral {
 		return
 	}
-	if !f.parked && f.parkEntry != nil {
+	parked := false
+	if f.parkEntry != nil {
 		if cur, ok := s.black.Entry(f.parkEntry.MNS.Key()); ok && cur == f.parkEntry {
 			var pending []uint64
 			cursor := o.seq.Watermark()
@@ -526,13 +462,13 @@ func (j *JoinOp) probeInsert(a activation, s, o *side) {
 			j.ctr.Suspended++
 			j.stats.Suspended++
 			j.trace.Suspend(j.name, 1)
-			f.parked = true
+			parked = true
 		}
 	}
 
 	// Insert the input into its state — unless a re-entrant suspension
 	// parked it mid-probe, in which case it already sits in a blacklist.
-	if !f.parked {
+	if !parked {
 		se := state.Entry{C: a.c, Seq: a.seq}
 		s.st.Reinsert(se)
 		j.ctr.Inserted++
@@ -544,8 +480,10 @@ func (j *JoinOp) probeInsert(a activation, s, o *side) {
 }
 
 // divert checks an arrival against the side's blacklist signatures and
-// parks it on a hit; returns true when the tuple was diverted.
-func (j *JoinOp) divert(c *stream.Composite, port operator.Port) bool {
+// parks it on a hit (the a2 fast path, Sec. IV-B); it reports whether the
+// tuple was diverted. seq is the input's pre-drawn sequence number, or 0 to
+// draw one on a hit.
+func (j *JoinOp) divert(c *stream.Composite, port operator.Port, seq uint64) bool {
 	s := j.in[port]
 	if !j.mode.enabled() || j.mode.IgnoreFeedback || s.black.Len() == 0 {
 		return false
@@ -555,7 +493,9 @@ func (j *JoinOp) divert(c *stream.Composite, port operator.Port) bool {
 	if e == nil {
 		return false
 	}
-	seq := s.seq.Next()
+	if seq == 0 {
+		seq = s.seq.Next()
+	}
 	s.black.Park(e, feedback.Suspended{E: state.Entry{C: c, Seq: seq}, Cursor: 0})
 	j.ctr.Suspended++
 	j.stats.Suspended++
@@ -598,11 +538,9 @@ const (
 // linear observation pass below runs only for inputs with no live partner —
 // exactly the inputs whose suspension the observations then pay for.
 //
-// The linear loop is resilient to re-entrant state mutations (suspension
-// feedback triggered by emitted results): it snapshots the state version
-// and re-synchronizes on the last processed sequence number when it
-// changes. The indexed path gets the same resilience for free, because
-// ProbeNext re-reads the index on every call.
+// Either walk is resilient to re-entrant state mutations (suspension
+// feedback triggered by emitted results): state.Walk resumes after the last
+// sequence visited.
 func (j *JoinOp) probeState(f *probeFrame, s, o *side, det *detectCtx, collect *[]*stream.Composite, fresh bool) {
 	j.ctr.Probes++
 	j.stats.Probes++
@@ -613,8 +551,12 @@ func (j *JoinOp) probeState(f *probeFrame, s, o *side, det *detectCtx, collect *
 	if len(s.key) > 0 && o.st.Indexed() {
 		if h, ok := s.key.Hash(f.input); ok {
 			start := f.lastPartner
-			j.probeIndexed(f, s, o, h, det != nil, collect, fresh)
-			if det == nil || f.parked || f.fullMatch {
+			phase := phaseFull
+			if det != nil {
+				phase = phaseExist
+			}
+			j.probeLive(f, s, o, true, h, nil, collect, fresh, phase)
+			if det == nil || f.fullMatch {
 				return
 			}
 			// No full match exists: rewind and rescan linearly so the
@@ -624,59 +566,30 @@ func (j *JoinOp) probeState(f *probeFrame, s, o *side, det *detectCtx, collect *
 			// run and the state is exactly as it was; its bookkeeping for
 			// suppressed pairs is complete, so the rescan only observes.
 			f.lastPartner = start
-			j.probeLinear(f, s, o, det, collect, fresh, phaseObserve)
+			j.probeLive(f, s, o, false, 0, det, collect, fresh, phaseObserve)
 			return
 		}
 	}
-	j.probeLinear(f, s, o, det, collect, fresh, phaseFull)
+	j.probeLive(f, s, o, false, 0, det, collect, fresh, phaseFull)
 }
 
-// probeLinear is the sequential scan of probeState, over every live entry
-// beyond the frame's cursor.
-func (j *JoinOp) probeLinear(f *probeFrame, s, o *side, det *detectCtx, collect *[]*stream.Composite, fresh bool, phase probePhase) {
-	ver := o.st.Version()
-	i := o.st.IndexAfter(f.lastPartner)
-	for !f.parked {
-		if ver != o.st.Version() {
-			ver = o.st.Version()
-			i = o.st.IndexAfter(f.lastPartner)
-		}
-		if i >= o.st.Len() {
-			break
-		}
-		e := o.st.At(i)
-		i++
+// probeLive walks the opposite state beyond the frame's cursor, in
+// ascending sequence order: every live entry, or — keyed — only the
+// partners sharing the input's key hash h (plus unkeyable entries). Hash
+// collisions are rejected by the predicate evaluation inside joinPair. When
+// the keyed walk fronts a detection probe (phaseExist), suppressed pairs are
+// recorded only if they fully match, mirroring the bookkeeping the baseline
+// detection scan would do — the observation pass that may follow does none.
+func (j *JoinOp) probeLive(f *probeFrame, s, o *side, keyed bool, h uint64, det *detectCtx, collect *[]*stream.Composite, fresh bool, phase probePhase) {
+	o.st.Walk(keyed, h, f.lastPartner, func(e state.Entry) bool {
 		f.lastPartner = e.Seq
-		if f.done != nil && f.done[e.Seq] {
-			continue // pair already generated during this tuple's suspension
+		// f.done lists pairs generated during this tuple's suspension; the
+		// nil test spares fresh inputs a map call per partner.
+		if f.done == nil || !f.done[e.Seq] {
+			j.joinPair(f, s, e, det, collect, fresh, phase)
 		}
-		j.joinPair(f, s, e, det, collect, fresh, phase)
-	}
-}
-
-// probeIndexed is the bucket walk of probeState: partners sharing the
-// input's key hash (plus loose entries), in ascending sequence order,
-// starting after the frame's cursor. Hash collisions are rejected by the
-// predicate evaluation inside joinPair. When the walk fronts a detection
-// probe (detecting), suppressed pairs are recorded only if they fully
-// match, mirroring the bookkeeping the baseline detection scan would do —
-// the observation pass that may follow does none.
-func (j *JoinOp) probeIndexed(f *probeFrame, s, o *side, h uint64, detecting bool, collect *[]*stream.Composite, fresh bool) {
-	for !f.parked {
-		e, ok := o.st.ProbeNext(h, f.lastPartner)
-		if !ok {
-			break
-		}
-		f.lastPartner = e.Seq
-		if f.done != nil && f.done[e.Seq] {
-			continue // pair already generated during this tuple's suspension
-		}
-		phase := phaseFull
-		if detecting {
-			phase = phaseExist
-		}
-		j.joinPair(f, s, e, nil, collect, fresh, phase)
-	}
+		return true
+	})
 }
 
 // probeBlacklists performs the catch-up part of resumption: suspended
@@ -692,20 +605,17 @@ func (j *JoinOp) probeBlacklists(f *probeFrame, o *side, cursor uint64, collect 
 		}
 		for i := range entry.Tuples {
 			susp := &entry.Tuples[i]
-			if f.parked {
-				return
-			}
 			if susp.E.Seq <= cursor {
 				continue
 			}
 			if !j.exact && susp.E.C.MinTS+j.window <= j.now {
 				continue // exact mode: joinPair's pairValid decides instead
 			}
-			if f.done != nil && f.done[susp.E.Seq] {
+			if f.done[susp.E.Seq] {
 				continue
 			}
 			j.ctr.CatchUpJoins++
-			if j.joinPair(f, j.in[f.port], susp.E, nil, collect, false, phaseFull) {
+			if j.joinPair(f, s, susp.E, nil, collect, false, phaseFull) {
 				// The pair is produced now, while the partner is still
 				// suspended; its own resumption must not regenerate it.
 				susp.MarkDone(f.seq)
@@ -764,23 +674,18 @@ func (j *JoinOp) recordSuppressed(f *probeFrame, e state.Entry, id uint64) {
 // blacklists (it may have resumed, still be suspended, or be gone) and join
 // it, respecting the Done dedup in both directions.
 func (j *JoinOp) probePending(f *probeFrame, o *side, pending []uint64, collect *[]*stream.Composite) {
+	s := j.in[f.port]
 	for _, seq := range pending {
-		if f.parked {
-			return
-		}
-		if f.done != nil && f.done[seq] {
+		if f.done[seq] {
 			continue
 		}
 		// Look in the active state first.
-		i := o.st.IndexAfter(seq - 1)
-		if i < o.st.Len() {
-			if e := o.st.At(i); e.Seq == seq {
-				if j.exact || e.C.MinTS+j.window > j.now {
-					j.ctr.CatchUpJoins++
-					j.joinPair(f, j.in[f.port], e, nil, collect, false, phaseFull)
-				}
-				continue
+		if e, ok := o.st.BySeq(seq); ok {
+			if j.exact || e.C.MinTS+j.window > j.now {
+				j.ctr.CatchUpJoins++
+				j.joinPair(f, s, e, nil, collect, false, phaseFull)
 			}
+			continue
 		}
 		// Then in the blacklists.
 		found := false
@@ -795,7 +700,7 @@ func (j *JoinOp) probePending(f *probeFrame, o *side, pending []uint64, collect 
 					break
 				}
 				j.ctr.CatchUpJoins++
-				if j.joinPair(f, j.in[f.port], susp.E, nil, collect, false, phaseFull) {
+				if j.joinPair(f, s, susp.E, nil, collect, false, phaseFull) {
 					susp.MarkDone(f.seq)
 				}
 				break
@@ -808,9 +713,9 @@ func (j *JoinOp) probePending(f *probeFrame, o *side, pending []uint64, collect 
 		// retired from the state while this tuple was parked; pairValid
 		// inside joinPair decides whether REF formed the pair.
 		if !found && j.exact {
-			if i, ok := o.graveSeq[seq]; ok {
+			if e, ok := o.grave.BySeq(seq); ok {
 				j.ctr.CatchUpJoins++
-				j.joinPair(f, j.in[f.port], o.grave[i], nil, collect, false, phaseFull)
+				j.joinPair(f, s, e, nil, collect, false, phaseFull)
 			}
 		}
 	}
@@ -824,57 +729,24 @@ func (j *JoinOp) probePending(f *probeFrame, o *side, pending []uint64, collect 
 // pairValid against every retired entry, since retirement implies
 // MinTS + window <= now <= input.TS), and pairValid inside joinPair admits
 // exactly the pairs REF formed. Sequences at or below the park-time cursor
-// are covered by the live probe or the pending list and are skipped.
+// are covered by the live probe or the pending list, so the walk starts
+// after it; like the live probe, a keyed input visits only its own hash
+// bucket plus the unhashable entries.
 func (j *JoinOp) probeGrave(f *probeFrame, o *side, cursor uint64, collect *[]*stream.Composite) {
 	s := j.in[f.port]
-	try := func(e state.Entry) bool {
-		if f.parked {
-			return false
+	h, keyed := uint64(0), false
+	if o.grave.Indexed() {
+		h, keyed = s.key.Hash(f.input)
+	}
+	o.grave.Walk(keyed, h, cursor, func(e state.Entry) bool {
+		// Outside the window span REF never formed the pair: not recovery
+		// work, so not charged as a catch-up join either.
+		if j.pairValid(f.input, e.C) && !f.done[e.Seq] {
+			j.ctr.CatchUpJoins++
+			j.joinPair(f, s, e, nil, collect, false, phaseFull)
 		}
-		if e.Seq <= cursor {
-			return true
-		}
-		if !j.pairValid(f.input, e.C) {
-			return true // REF never formed this pair; not recovery work
-		}
-		if f.done != nil && f.done[e.Seq] {
-			return true
-		}
-		j.ctr.CatchUpJoins++
-		j.joinPair(f, s, e, nil, collect, false, phaseFull)
 		return true
-	}
-	// Mirror the indexed live probe's bucket filter: a keyed input scans
-	// only its own hash bucket plus the unhashable entries — exactly the
-	// set the flat scan would keep after the per-entry key comparison —
-	// merged by grave index to preserve retirement order.
-	inHash, inKeyed := uint64(0), false
-	if len(s.key) > 0 {
-		inHash, inKeyed = s.key.Hash(f.input)
-	}
-	if inKeyed {
-		bucket, nokey := o.graveIdx[inHash], o.graveNoKey
-		bi, ni := 0, 0
-		for bi < len(bucket) || ni < len(nokey) {
-			var i int32
-			if ni >= len(nokey) || (bi < len(bucket) && bucket[bi] < nokey[ni]) {
-				i = bucket[bi]
-				bi++
-			} else {
-				i = nokey[ni]
-				ni++
-			}
-			if !try(o.grave[i]) {
-				return
-			}
-		}
-		return
-	}
-	for i := range o.grave {
-		if !try(o.grave[i]) {
-			return
-		}
-	}
+	})
 }
 
 // probeInFlight joins a reactivated tuple with in-flight opposite inputs
@@ -882,7 +754,7 @@ func (j *JoinOp) probeGrave(f *probeFrame, o *side, cursor uint64, collect *[]*s
 // IndexAfter and would otherwise skip the reinserted tuple forever).
 func (j *JoinOp) probeInFlight(f *probeFrame, o *side, cursor uint64, collect *[]*stream.Composite) {
 	for _, g := range j.frames {
-		if g == f || g.parked || g.port != o.port {
+		if g == f || g.port != o.port {
 			continue
 		}
 		if g.seq <= cursor || g.lastPartner < f.seq {
@@ -890,10 +762,7 @@ func (j *JoinOp) probeInFlight(f *probeFrame, o *side, cursor uint64, collect *[
 			// reached this tuple's slot yet and will see it in the state.
 			continue
 		}
-		if f.done != nil && f.done[g.seq] {
-			continue
-		}
-		if g.done != nil && g.done[f.seq] {
+		if f.done[g.seq] || g.done[f.seq] {
 			continue
 		}
 		j.ctr.CatchUpJoins++
@@ -1009,20 +878,20 @@ func (j *JoinOp) evalAtoms(c *stream.Composite, s *side, v *stream.Composite, de
 func (j *JoinOp) purge() {
 	for p := 0; p < 2; p++ {
 		s := j.in[p]
-		var purged int
+		purged := s.st.Purge(j.now, j.window)
 		if j.exact {
 			// Retire rather than drop: a parked tuple elsewhere in the plan
 			// can still release a late composite whose REF-valid partners
 			// expired here first. The graveyard keeps them reachable for
 			// probeGrave (memory is unbounded by the window, but exact mode
 			// only runs on drained, horizon-bounded streams).
-			purged = s.st.PurgeRetired(j.now, j.window, s.retire)
-		} else {
-			purged = s.st.Purge(j.now, j.window)
+			for _, e := range purged {
+				s.grave.Reinsert(e)
+			}
 		}
-		j.ctr.Purged += uint64(purged)
-		if purged > 0 && s.blooms != nil {
-			j.bloomNoteDeletes(s, purged)
+		j.ctr.Purged += uint64(len(purged))
+		if len(purged) > 0 && s.blooms != nil {
+			j.bloomNoteDeletes(s, len(purged))
 		}
 		if j.mode.enabled() {
 			if !j.exact {
@@ -1030,7 +899,7 @@ func (j *JoinOp) purge() {
 				// catch-up at each parked tuple's window close (Sweep), and
 				// keeps pending suppressed pairs until their mark unmarks —
 				// both were formed live and stay deliverable (pairValid).
-				j.ctr.Purged += uint64(s.black.PurgeTuples(j.now, j.window))
+				j.ctr.Purged += uint64(len(s.black.TakeExpiredTuples(j.now, j.window)))
 			}
 			s.buf.Purge(j.now)
 		}

@@ -161,6 +161,19 @@ func (p Params) Validate() error {
 		return fmt.Errorf("adapt epoch cannot be negative (%v)", p.AdaptEpoch)
 	case p.AdaptEpoch > 0 && !p.Adapt:
 		return fmt.Errorf("adapt epoch set but adaptation is off (enable -adapt)")
+	case p.ObsAggregate && p.ObsAddr == "":
+		return fmt.Errorf("replica aggregation set but the ops endpoint is off (set -obs-addr)")
+	case p.ObsAddr != "" && p.Shards > 1 && !p.ObsAggregate:
+		return fmt.Errorf("ops endpoint on a sharded run requires replica aggregation (enable -obs-aggregate)")
+	}
+	return p.validateMutators()
+}
+
+// validateMutators range-checks the hostile-stream mutators — the part of
+// Validate that WorkloadFlags.Apply also runs for the commands that never
+// assemble a whole Params (jitbench sweeps a Config, jitgen has no plan).
+func (p Params) validateMutators() error {
+	switch {
 	case p.Zipf != 0 && p.Zipf <= 1:
 		return fmt.Errorf("zipf exponent must exceed 1 (zipf=%g)", p.Zipf)
 	case p.Burst < 0 || (p.Burst > 0 && p.Burst < 1):
@@ -173,10 +186,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("disorder bound cannot be negative (%v)", p.Disorder)
 	case p.Band < 0:
 		return fmt.Errorf("band tolerance cannot be negative (%d)", p.Band)
-	case p.ObsAggregate && p.ObsAddr == "":
-		return fmt.Errorf("replica aggregation set but the ops endpoint is off (set -obs-addr)")
-	case p.ObsAddr != "" && p.Shards > 1 && !p.ObsAggregate:
-		return fmt.Errorf("ops endpoint on a sharded run requires replica aggregation (enable -obs-aggregate)")
 	}
 	return nil
 }
@@ -262,14 +271,10 @@ func (p Params) RunSharded() shard.Result {
 	return runner.RunStream(source.Stream(cat, cfg))
 }
 
-// build constructs the workload config and plan for the configuration,
-// applying the hostile-stream mutators (Zipf, Burst, Disorder, Band) on top
-// of the paper's uniform clique workload.
-func (p Params) build() (*stream.Catalog, source.Config, *plan.Built) {
-	cat, conj := predicate.Clique(p.N)
-	if p.Band > 0 {
-		conj = conj.WithTol(p.Band)
-	}
+// SourceConfig is the configuration's workload: the paper's uniform clique
+// traffic with the hostile-stream mutators (Zipf, Burst, Disorder) applied
+// on top. cmd/jitgen emits it as a trace; every run generates from it.
+func (p Params) SourceConfig() source.Config {
 	cfg := source.UniformConfig(p.N, p.Rate, p.DMax, p.Horizon, p.Seed)
 	if p.Zipf > 1 || p.Burst > 1 {
 		period := p.BurstPeriod
@@ -296,6 +301,17 @@ func (p Params) build() (*stream.Catalog, source.Config, *plan.Built) {
 		}
 		cfg.Specs[last] = spec
 	}
+	return cfg
+}
+
+// build constructs the workload config and plan for the configuration; the
+// Band mutator turns the clique's equi predicates into band predicates.
+func (p Params) build() (*stream.Catalog, source.Config, *plan.Built) {
+	cat, conj := predicate.Clique(p.N)
+	if p.Band > 0 {
+		conj = conj.WithTol(p.Band)
+	}
+	cfg := p.SourceConfig()
 	var shape *plan.Node
 	if p.Bushy {
 		shape = plan.Bushy(p.N)

@@ -1,8 +1,7 @@
 package feedback
 
 import (
-	"fmt"
-	"strings"
+	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/predicate"
@@ -57,81 +56,40 @@ type Entry struct {
 type Blacklist struct {
 	name    string
 	acct    *metrics.Account
-	entries []*Entry
-	byKey   map[string]*Entry
-	// groups index entries by their signature's attribute set, with a hash
-	// on the value fingerprint inside each group, so MatchArrival is O(#
-	// attribute sets) instead of O(# entries) — the hash-table organization
-	// the paper prescribes for the blacklist (Sec. IV-B). groupList holds
-	// the same groups in creation order: probes iterate the slice, never
-	// the map, so run behaviour is deterministic (DESIGN.md §2).
-	groups    map[string]*sigGroup
-	groupList []*sigGroup
-	empty     *Entry // the Ø entry, matching every arrival
+	entries table[*Entry]
+	// bySig finds the entry an arrival's values fall under, making
+	// MatchArrival O(# attribute sets) instead of O(# entries).
+	bySig fpIndex[*Entry]
 	// Deadline caches (DESIGN.md §4): the earliest anchor expiry among
-	// entries and the earliest MinTS among parked tuples, maintained exactly
-	// on insertion and recomputed lazily after mutations that can raise them.
-	// A stale cache is always a lower bound, so deadlines fire early (a
-	// no-op sweep), never late.
-	anchorMin   stream.Time
-	anchorDirty bool
-	parkMin     stream.Time
-	parkHas     bool
-	parkDirty   bool
+	// entries and the earliest MinTS among parked tuples.
+	anchorMin state.MinCache
+	parkMin   state.MinCache
 }
 
-// sigGroup is the per-attribute-set hash of entries.
-type sigGroup struct {
-	attrs []predicate.Attr
-	byVal map[string]*Entry
-}
-
-// groupKeyOf renders an attribute set canonically.
-func groupKeyOf(sig Signature) string {
-	parts := make([]string, len(sig))
-	for i, e := range sig {
-		parts[i] = fmt.Sprintf("%d.%d", e.Attr.Source, e.Attr.Col)
+// sigKey splits an entry's signature into the attribute set it constrains
+// and the values it expects there — its place in the fingerprint index.
+func sigKey(e *Entry) (attrs []predicate.Attr, vals []stream.Value) {
+	for _, se := range e.MNS.Sig {
+		attrs = append(attrs, se.Attr)
+		vals = append(vals, se.Val)
 	}
-	return strings.Join(parts, ";")
-}
-
-// valKeyOf renders the value fingerprint of a composite on the group's
-// attribute set; ok is false when the composite lacks one of the sources.
-func valKeyOf(attrs []predicate.Attr, c *stream.Composite) (string, bool) {
-	var b strings.Builder
-	for i, a := range attrs {
-		t := c.Comp(a.Source)
-		if t == nil {
-			return "", false
-		}
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		fmt.Fprintf(&b, "%d", t.Vals[a.Col])
-	}
-	return b.String(), true
-}
-
-func sigValKey(sig Signature) string {
-	parts := make([]string, len(sig))
-	for i, e := range sig {
-		parts[i] = fmt.Sprintf("%d", e.Val)
-	}
-	return strings.Join(parts, ";")
+	return attrs, vals
 }
 
 // NewBlacklist creates an empty blacklist charging memory to acct.
 func NewBlacklist(name string, acct *metrics.Account) *Blacklist {
-	return &Blacklist{name: name, acct: acct, byKey: make(map[string]*Entry), groups: make(map[string]*sigGroup)}
+	b := &Blacklist{name: name, acct: acct, bySig: newFPIndex(sigKey)}
+	b.entries = newTable[*Entry](acct, &b.anchorMin)
+	return b
 }
 
 // Len returns the number of entries.
-func (b *Blacklist) Len() int { return len(b.entries) }
+func (b *Blacklist) Len() int { return len(b.entries.list) }
 
 // NumSuspended returns the total number of parked tuples.
 func (b *Blacklist) NumSuspended() int {
 	n := 0
-	for _, e := range b.entries {
+	for _, e := range b.entries.list {
 		n += len(e.Tuples)
 	}
 	return n
@@ -139,7 +97,7 @@ func (b *Blacklist) NumSuspended() int {
 
 // Entry returns the entry covering the given signature key, if any.
 func (b *Blacklist) Entry(key string) (*Entry, bool) {
-	e, ok := b.byKey[key]
+	e, ok := b.entries.byKey[key]
 	return e, ok
 }
 
@@ -148,64 +106,18 @@ func (b *Blacklist) Entry(key string) (*Entry, bool) {
 // the producer "simply ignores" duplicate suspensions (Sec. III-B) but must
 // not forget the anchor.
 func (b *Blacklist) Ensure(m *MNS) (e *Entry, created bool) {
-	if old, ok := b.byKey[m.Key()]; ok {
-		if m.Expiry > old.MNS.Expiry {
-			old.MNS.Expiry = m.Expiry
-			b.anchorDirty = true // the raised expiry may have been the min
-		}
+	if old, ok := b.entries.extend(m); ok {
 		return old, false
 	}
 	e = &Entry{MNS: m}
-	if len(b.entries) == 0 {
-		b.anchorMin, b.anchorDirty = m.Expiry, false
-	} else if !b.anchorDirty && m.Expiry < b.anchorMin {
-		b.anchorMin = m.Expiry
-	}
-	b.entries = append(b.entries, e)
-	b.byKey[m.Key()] = e
-	b.index(e)
-	b.acct.Alloc(m.SizeBytes())
+	b.entries.insert(e)
+	b.bySig.add(e)
 	return e, true
-}
-
-func (b *Blacklist) index(e *Entry) {
-	if e.MNS.IsEmpty() {
-		b.empty = e
-		return
-	}
-	gk := groupKeyOf(e.MNS.Sig)
-	g := b.groups[gk]
-	if g == nil {
-		attrs := make([]predicate.Attr, len(e.MNS.Sig))
-		for i, s := range e.MNS.Sig {
-			attrs[i] = s.Attr
-		}
-		g = &sigGroup{attrs: attrs, byVal: make(map[string]*Entry)}
-		b.groups[gk] = g
-		b.groupList = append(b.groupList, g)
-	}
-	g.byVal[sigValKey(e.MNS.Sig)] = e
-}
-
-func (b *Blacklist) unindex(e *Entry) {
-	if e.MNS.IsEmpty() {
-		if b.empty == e {
-			b.empty = nil
-		}
-		return
-	}
-	if g := b.groups[groupKeyOf(e.MNS.Sig)]; g != nil {
-		delete(g.byVal, sigValKey(e.MNS.Sig))
-	}
 }
 
 // Park adds a suspended tuple under entry e, charging its storage.
 func (b *Blacklist) Park(e *Entry, s Suspended) {
-	if !b.parkHas {
-		b.parkMin, b.parkHas, b.parkDirty = s.E.C.MinTS, true, false
-	} else if !b.parkDirty && s.E.C.MinTS < b.parkMin {
-		b.parkMin = s.E.C.MinTS
-	}
+	b.parkMin.Add(s.E.C.MinTS)
 	e.Tuples = append(e.Tuples, s)
 	b.acct.Alloc(s.E.C.DeepSizeBytes())
 }
@@ -215,19 +127,7 @@ func (b *Blacklist) Park(e *Entry, s Suspended) {
 // entry). This is the blacklist's contribution to the operator's sweep
 // deadline (DESIGN.md §4).
 func (b *Blacklist) NextAnchorExpiry() stream.Time {
-	if len(b.entries) == 0 {
-		return NoExpiry
-	}
-	if b.anchorDirty {
-		b.anchorDirty = false
-		b.anchorMin = NoExpiry
-		for _, e := range b.entries {
-			if e.MNS.Expiry < b.anchorMin {
-				b.anchorMin = e.MNS.Expiry
-			}
-		}
-	}
-	return b.anchorMin
+	return nextExpiry(&b.anchorMin, b.entries.expiries)
 }
 
 // InvalidateMinCaches forces the next NextAnchorExpiry / NextTupleMinTS
@@ -237,113 +137,76 @@ func (b *Blacklist) NextAnchorExpiry() stream.Time {
 // stale-low without its dirty flags set; the engine flushes before trusting
 // a deadline that refuses to advance (DESIGN.md §4).
 func (b *Blacklist) InvalidateMinCaches() {
-	b.anchorDirty = true
-	b.parkDirty = true
+	b.anchorMin.Invalidate()
+	b.parkMin.Invalidate()
 }
 
 // NextTupleMinTS returns the earliest MinTS among parked tuples; ok is false
 // when nothing is parked. The earliest parked-tuple purge deadline is
 // MinTS + window.
 func (b *Blacklist) NextTupleMinTS() (stream.Time, bool) {
-	if b.parkDirty {
-		b.parkDirty, b.parkHas = false, false
-		for _, e := range b.entries {
+	return b.parkMin.Get(func(add func(stream.Time)) {
+		for _, e := range b.entries.list {
 			for i := range e.Tuples {
-				ts := e.Tuples[i].E.C.MinTS
-				if !b.parkHas || ts < b.parkMin {
-					b.parkMin, b.parkHas = ts, true
-				}
+				add(e.Tuples[i].E.C.MinTS)
 			}
 		}
-	}
-	return b.parkMin, b.parkHas
+	})
 }
 
 // MatchArrival checks a freshly arriving composite against every entry.
 // On a hit the arrival should be diverted straight into that entry (the a2
 // fast path); comparisons are reported for cost accounting. With generalize
 // set, matching is by value signature (any tuple with the same join
-// attributes); otherwise only exact super-tuples of the anchor match.
-// Entries whose anchor has expired are skipped (they are about to be
-// reactivated by the sweep).
+// attributes); otherwise only exact super-tuples of the anchor match (Ø
+// matches everything either way). Entries whose anchor has expired are
+// skipped (they are about to be reactivated by the sweep).
 func (b *Blacklist) MatchArrival(c *stream.Composite, now stream.Time, generalize bool) (hit *Entry, comparisons int) {
-	if b.empty != nil && b.empty.MNS.Expiry > now {
-		return b.empty, comparisons
-	}
-	for _, g := range b.groupList {
-		comparisons += len(g.attrs)
-		key, ok := valKeyOf(g.attrs, c)
-		if !ok {
-			continue
+	comparisons = b.bySig.match(c, func(e *Entry) bool {
+		m := e.MNS
+		if m.Expiry <= now || (!generalize && !m.IsEmpty() && (m.Anchor == nil || !m.Anchor.IsSubTuple(c))) {
+			return true
 		}
-		e := g.byVal[key]
-		if e == nil || e.MNS.Expiry <= now {
-			continue
-		}
-		if !generalize && (e.MNS.Anchor == nil || !e.MNS.Anchor.IsSubTuple(c)) {
-			continue
-		}
-		return e, comparisons
-	}
-	return nil, comparisons
+		hit = e
+		return false
+	})
+	return hit, comparisons
 }
 
 // Take removes and returns the entry with the given signature key (resume).
 func (b *Blacklist) Take(key string) (*Entry, bool) {
-	e, ok := b.byKey[key]
-	if !ok {
-		return nil, false
+	e, ok := b.entries.take(key)
+	if ok {
+		b.dropped(e)
 	}
-	b.remove(e)
-	return e, true
+	return e, ok
 }
 
 // TakeExpired removes and returns every entry whose anchor MNS has expired.
 // Callers must reactivate the surviving tuples (DESIGN.md: expiry sweep).
 func (b *Blacklist) TakeExpired(now stream.Time) []*Entry {
-	var out []*Entry
-	for _, e := range append([]*Entry(nil), b.entries...) {
-		if e.MNS.Expiry <= now {
-			b.remove(e)
-			out = append(out, e)
-		}
+	out := b.entries.takeExpired(now, false)
+	for _, e := range out {
+		b.dropped(e)
 	}
 	return out
 }
 
-// PurgeTuples drops expired tuples inside every entry and returns the count.
-func (b *Blacklist) PurgeTuples(now, window stream.Time) int {
-	n := 0
-	b.parkDirty, b.parkHas = false, false
-	for _, e := range b.entries {
-		kept := e.Tuples[:0]
-		for _, s := range e.Tuples {
-			if s.E.C.MinTS+window <= now {
-				b.acct.Free(s.E.C.DeepSizeBytes())
-				n++
-				continue
-			}
-			if !b.parkHas || s.E.C.MinTS < b.parkMin {
-				b.parkMin, b.parkHas = s.E.C.MinTS, true
-			}
-			kept = append(kept, s)
-		}
-		for i := len(kept); i < len(e.Tuples); i++ {
-			e.Tuples[i] = Suspended{}
-		}
-		e.Tuples = kept
-	}
-	return n
+// dropped finishes the removal of an entry from the table: its tuples leave
+// with it, and arrivals no longer divert to it.
+func (b *Blacklist) dropped(e *Entry) {
+	b.parkMin.Remove(len(e.Tuples))
+	b.bySig.remove(e)
 }
 
 // TakeExpiredTuples removes and returns the parked tuples whose own window
-// has closed, in entry-insertion then park order (deterministic). The
-// exact-delivery sweep gives each a last-gasp catch-up before it is
-// forgotten; storage is uncharged here, mirroring PurgeTuples.
+// has closed, in entry-insertion then park order (deterministic), and
+// uncharges their storage. The legacy sweep drops them; the exact-delivery
+// sweep gives each a last-gasp catch-up first (DESIGN.md §4).
 func (b *Blacklist) TakeExpiredTuples(now, window stream.Time) []Suspended {
 	var taken []Suspended
-	b.parkDirty, b.parkHas = false, false
-	for _, e := range b.entries {
+	b.parkMin = state.MinCache{}
+	for _, e := range b.entries.list {
 		kept := e.Tuples[:0]
 		for _, s := range e.Tuples {
 			if s.E.C.MinTS+window <= now {
@@ -351,14 +214,10 @@ func (b *Blacklist) TakeExpiredTuples(now, window stream.Time) []Suspended {
 				taken = append(taken, s)
 				continue
 			}
-			if !b.parkHas || s.E.C.MinTS < b.parkMin {
-				b.parkMin, b.parkHas = s.E.C.MinTS, true
-			}
+			b.parkMin.Add(s.E.C.MinTS)
 			kept = append(kept, s)
 		}
-		for i := len(kept); i < len(e.Tuples); i++ {
-			e.Tuples[i] = Suspended{}
-		}
+		clear(e.Tuples[len(kept):])
 		e.Tuples = kept
 	}
 	return taken
@@ -374,32 +233,8 @@ func (b *Blacklist) ReleaseTuples(e *Entry) {
 
 // HasExpired reports whether any entry's anchor has expired — a cheap check
 // the expiry sweep uses before doing real work.
-func (b *Blacklist) HasExpired(now stream.Time) bool {
-	for _, e := range b.entries {
-		if e.MNS.Expiry <= now {
-			return true
-		}
-	}
-	return false
-}
+func (b *Blacklist) HasExpired(now stream.Time) bool { return b.entries.hasExpired(now) }
 
-// Entries returns a snapshot of the entries, for tests.
-func (b *Blacklist) Entries() []*Entry { return append([]*Entry(nil), b.entries...) }
-
-func (b *Blacklist) remove(e *Entry) {
-	b.anchorDirty = true
-	if len(e.Tuples) > 0 {
-		b.parkDirty = true
-	}
-	b.unindex(e)
-	delete(b.byKey, e.MNS.Key())
-	b.acct.Free(e.MNS.SizeBytes())
-	for i, x := range b.entries {
-		if x == e {
-			copy(b.entries[i:], b.entries[i+1:])
-			b.entries[len(b.entries)-1] = nil
-			b.entries = b.entries[:len(b.entries)-1]
-			return
-		}
-	}
-}
+// Entries returns a snapshot of the entries: callers iterate it while
+// re-entrant feedback adds and removes entries underneath them.
+func (b *Blacklist) Entries() []*Entry { return slices.Clone(b.entries.list) }

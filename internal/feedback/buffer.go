@@ -1,12 +1,12 @@
 package feedback
 
 import (
-	"fmt"
+	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/metrics"
 	"repro/internal/predicate"
+	"repro/internal/state"
 	"repro/internal/stream"
 )
 
@@ -17,29 +17,15 @@ import (
 // One Buffer exists per join input side; it stores MNSs detected on inputs
 // of that side and is probed by arrivals on the opposite side.
 type Buffer struct {
-	name    string
-	acct    *metrics.Account
-	entries []*MNS
-	byKey   map[string]*MNS
-	// groups index MNSs by the opposite-side attributes their predicates
-	// test, hashing the expected values, so probing an arrival is O(#
-	// attribute sets) — the hash organization the paper suggests for the
-	// MNS buffer (Sec. III-A). groupList mirrors the map in creation
-	// order: probes iterate the slice so the set AND order of resumed
-	// MNSs is deterministic (DESIGN.md §2).
-	groups    map[string]*probeGroup
-	groupList []*probeGroup
-	empty     *MNS // Ø, matched by every opposite arrival
-	// Deadline cache (DESIGN.md §4): earliest expiry among buffered MNSs,
-	// exact on insertion, lazily recomputed after removals and extensions.
-	expiryMin   stream.Time
-	expiryDirty bool
-}
-
-// probeGroup hashes MNSs sharing one opposite-attribute set.
-type probeGroup struct {
-	attrs []predicate.Attr // opposite-side attributes, probe key order
-	byVal map[string][]*MNS
+	name string
+	mnss table[*MNS]
+	// byProbe finds the MNSs an opposite arrival satisfies, by the opposite-
+	// side attributes their predicates test and the values expected there, so
+	// probing an arrival is O(# attribute sets).
+	byProbe fpIndex[*MNS]
+	// expiryMin is the deadline cache (DESIGN.md §4): earliest expiry among
+	// buffered MNSs.
+	expiryMin state.MinCache
 }
 
 // probeKey derives the opposite attributes and expected values of an MNS
@@ -77,35 +63,21 @@ func probeKey(m *MNS) (attrs []predicate.Attr, vals []stream.Value) {
 	return attrs, vals
 }
 
-func attrsKey(attrs []predicate.Attr) string {
-	parts := make([]string, len(attrs))
-	for i, a := range attrs {
-		parts[i] = fmt.Sprintf("%d.%d", a.Source, a.Col)
-	}
-	return strings.Join(parts, ";")
-}
-
-func valsKey(vals []stream.Value) string {
-	parts := make([]string, len(vals))
-	for i, v := range vals {
-		parts[i] = fmt.Sprintf("%d", v)
-	}
-	return strings.Join(parts, ";")
-}
-
 // NewBuffer creates an empty MNS buffer charging memory to acct.
 func NewBuffer(name string, acct *metrics.Account) *Buffer {
-	return &Buffer{name: name, acct: acct, byKey: make(map[string]*MNS), groups: make(map[string]*probeGroup)}
+	b := &Buffer{name: name, byProbe: newFPIndex(probeKey)}
+	b.mnss = newTable[*MNS](acct, &b.expiryMin)
+	return b
 }
 
 // Len returns the number of buffered MNSs.
-func (b *Buffer) Len() int { return len(b.entries) }
+func (b *Buffer) Len() int { return len(b.mnss.list) }
 
 // Has reports whether an MNS with the same signature is already buffered —
 // used by the consumer to avoid re-sending suspension feedback for
 // sub-tuples that are already covered (queued super-tuples, Sec. III-B).
 func (b *Buffer) Has(key string) bool {
-	_, ok := b.byKey[key]
+	_, ok := b.mnss.byKey[key]
 	return ok
 }
 
@@ -113,177 +85,49 @@ func (b *Buffer) Has(key string) bool {
 // with the later expiry wins and the other is dropped; the retained
 // descriptor is returned along with whether the buffer changed.
 func (b *Buffer) Add(m *MNS) (kept *MNS, added bool) {
-	if old, ok := b.byKey[m.Key()]; ok {
-		if m.Expiry > old.Expiry {
-			old.Expiry = m.Expiry
-			b.expiryDirty = true // the raised expiry may have been the min
-		}
+	if old, ok := b.mnss.extend(m); ok {
 		return old, false
 	}
-	if len(b.entries) == 0 {
-		b.expiryMin, b.expiryDirty = m.Expiry, false
-	} else if !b.expiryDirty && m.Expiry < b.expiryMin {
-		b.expiryMin = m.Expiry
-	}
-	b.entries = append(b.entries, m)
-	b.byKey[m.Key()] = m
-	b.index(m)
-	b.acct.Alloc(m.SizeBytes())
+	b.mnss.insert(m)
+	b.byProbe.add(m)
 	return m, true
-}
-
-func (b *Buffer) index(m *MNS) {
-	if m.IsEmpty() {
-		b.empty = m
-		return
-	}
-	attrs, vals := probeKey(m)
-	gk := attrsKey(attrs)
-	g := b.groups[gk]
-	if g == nil {
-		g = &probeGroup{attrs: attrs, byVal: make(map[string][]*MNS)}
-		b.groups[gk] = g
-		b.groupList = append(b.groupList, g)
-	}
-	vk := valsKey(vals)
-	g.byVal[vk] = append(g.byVal[vk], m)
-}
-
-func (b *Buffer) unindex(m *MNS) {
-	if m.IsEmpty() {
-		if b.empty == m {
-			b.empty = nil
-		}
-		return
-	}
-	attrs, vals := probeKey(m)
-	g := b.groups[attrsKey(attrs)]
-	if g == nil {
-		return
-	}
-	vk := valsKey(vals)
-	list := g.byVal[vk]
-	for i, x := range list {
-		if x == m {
-			list = append(list[:i], list[i+1:]...)
-			break
-		}
-	}
-	if len(list) == 0 {
-		delete(g.byVal, vk)
-	} else {
-		g.byVal[vk] = list
-	}
 }
 
 // InvalidateMinCaches forces the next NextExpiry read to recompute exactly
 // (see Blacklist.InvalidateMinCaches for why shared MNS descriptors make
 // this necessary).
-func (b *Buffer) InvalidateMinCaches() { b.expiryDirty = len(b.entries) > 0 }
+func (b *Buffer) InvalidateMinCaches() { b.expiryMin.Invalidate() }
 
 // NextExpiry returns the earliest expiry among buffered MNSs, or NoExpiry
 // when the buffer holds nothing that can expire — its contribution to the
 // operator's sweep deadline (DESIGN.md §4).
-func (b *Buffer) NextExpiry() stream.Time {
-	if len(b.entries) == 0 {
-		return NoExpiry
-	}
-	if b.expiryDirty {
-		b.expiryDirty = false
-		b.expiryMin = NoExpiry
-		for _, m := range b.entries {
-			if m.Expiry < b.expiryMin {
-				b.expiryMin = m.Expiry
-			}
-		}
-	}
-	return b.expiryMin
-}
+func (b *Buffer) NextExpiry() stream.Time { return nextExpiry(&b.expiryMin, b.mnss.expiries) }
 
-// Purge drops expired MNSs and returns how many were removed.
+// Purge drops expired MNSs and returns how many were removed. It runs on
+// every arrival and sweep of the operator, and leaves the deadline cache
+// exact.
 func (b *Buffer) Purge(now stream.Time) int {
-	kept := b.entries[:0]
-	n := 0
-	b.expiryDirty = false
-	for _, m := range b.entries {
-		if m.Expiry <= now {
-			delete(b.byKey, m.Key())
-			b.unindex(m)
-			b.acct.Free(m.SizeBytes())
-			n++
-			continue
-		}
-		if len(kept) == 0 || m.Expiry < b.expiryMin {
-			b.expiryMin = m.Expiry
-		}
-		kept = append(kept, m)
+	expired := b.mnss.takeExpired(now, true)
+	for _, m := range expired {
+		b.byProbe.remove(m)
 	}
-	for i := len(kept); i < len(b.entries); i++ {
-		b.entries[i] = nil
-	}
-	b.entries = kept
-	return n
+	return len(expired)
 }
 
 // Probe finds every buffered MNS matched by the arriving opposite-side
 // composite t, removes them from the buffer, and returns them (the Π set of
 // Process_Input). The comparison count is returned for cost accounting.
 func (b *Buffer) Probe(t *stream.Composite) (matched []*MNS, comparisons int) {
-	if b.empty != nil {
-		matched = append(matched, b.empty)
-	}
-	for _, g := range b.groupList {
-		comparisons += len(g.attrs)
-		key, ok := compositeValsKey(g.attrs, t)
-		if !ok {
-			continue
-		}
-		matched = append(matched, g.byVal[key]...)
-	}
-	if len(matched) == 0 {
-		return nil, comparisons
-	}
-	b.expiryDirty = true
+	comparisons = b.byProbe.match(t, func(m *MNS) bool {
+		matched = append(matched, m)
+		return true
+	})
 	for _, m := range matched {
-		delete(b.byKey, m.Key())
-		b.unindex(m)
-		b.acct.Free(m.SizeBytes())
+		b.mnss.remove(m)
+		b.byProbe.remove(m)
 	}
-	kept := b.entries[:0]
-	taken := make(map[*MNS]bool, len(matched))
-	for _, m := range matched {
-		taken[m] = true
-	}
-	for _, m := range b.entries {
-		if taken[m] {
-			continue
-		}
-		kept = append(kept, m)
-	}
-	for i := len(kept); i < len(b.entries); i++ {
-		b.entries[i] = nil
-	}
-	b.entries = kept
 	return matched, comparisons
 }
 
-// compositeValsKey renders t's values at the given attributes; ok is false
-// when t lacks one of the sources (the predicate cannot be confirmed, so
-// the MNS is not matched — same semantics as MNS.MatchedByOpposite).
-func compositeValsKey(attrs []predicate.Attr, t *stream.Composite) (string, bool) {
-	var sb strings.Builder
-	for i, a := range attrs {
-		c := t.Comp(a.Source)
-		if c == nil {
-			return "", false
-		}
-		if i > 0 {
-			sb.WriteByte(';')
-		}
-		fmt.Fprintf(&sb, "%d", c.Vals[a.Col])
-	}
-	return sb.String(), true
-}
-
 // Snapshot returns the buffered MNSs, for tests.
-func (b *Buffer) Snapshot() []*MNS { return append([]*MNS(nil), b.entries...) }
+func (b *Buffer) Snapshot() []*MNS { return slices.Clone(b.mnss.list) }

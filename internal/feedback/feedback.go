@@ -3,13 +3,14 @@
 // signatures, feedback messages (suspend / resume / mark / unmark), the
 // consumer-side MNS buffer, and the producer-side blacklist and mark table.
 //
-// Layout: feedback.go holds the descriptors and messages; buffer.go the
-// consumer-side MNS buffer (attribute-set groups probed on every arrival
-// to detect resumption triggers); blacklist.go the producer-side Type I
-// structures (parked tuples under anchor entries, signature
-// generalization, cursor/Pending/Done exactly-once bookkeeping); marks.go
-// the Type II mark table (suppressed pairs recorded under origin marks,
-// unmark catch-up). The exactly-once and expiry discipline these
+// Layout: feedback.go holds the descriptors and messages; table.go the one
+// MNS-keyed expiring table and the one value-fingerprint index the other
+// three are built on; buffer.go the consumer-side MNS buffer (probed on
+// every arrival to detect resumption triggers); blacklist.go the
+// producer-side Type I structures (parked tuples under anchor entries,
+// signature generalization, cursor/Pending/Done exactly-once bookkeeping);
+// marks.go the Type II mark table (suppressed pairs recorded under origin
+// marks, unmark catch-up). The exactly-once and expiry discipline these
 // structures jointly enforce is specified in DESIGN.md §2; their
 // min-deadline caches feed the engine's timer heap (DESIGN.md §4).
 package feedback
@@ -169,40 +170,8 @@ func (m *MNS) IsEmpty() bool { return m.Sources.Empty() }
 // Key returns the canonical dedup key (signature-based; Ø has the empty key).
 func (m *MNS) Key() string { return m.Sig.Canon() }
 
-// MatchedByOpposite reports whether an arriving opposite-side composite t
-// satisfies every predicate linking the MNS to the opposite input — the MNS
-// buffer probe. Ø is matched by anything.
-func (m *MNS) MatchedByOpposite(t *stream.Composite) (ok bool, comparisons int) {
-	if m.IsEmpty() {
-		return true, 0
-	}
-	for _, p := range m.Preds {
-		// Resolve the MNS-side value from the signature and the opposite
-		// value from t.
-		var sigAttr predicate.Attr
-		var oppAttr predicate.Attr
-		if m.Sources.Has(p.Left) {
-			sigAttr = predicate.Attr{Source: p.Left, Col: p.LCol}
-			oppAttr = predicate.Attr{Source: p.Right, Col: p.RCol}
-		} else {
-			sigAttr = predicate.Attr{Source: p.Right, Col: p.RCol}
-			oppAttr = predicate.Attr{Source: p.Left, Col: p.LCol}
-		}
-		ot := t.Comp(oppAttr.Source)
-		if ot == nil {
-			// The opposite input does not carry this source (possible in
-			// half-join paths); the predicate cannot be confirmed yet, so
-			// the MNS is not considered matched.
-			return false, comparisons
-		}
-		comparisons++
-		if ot.Vals[oppAttr.Col] != m.sigVal(sigAttr) {
-			return false, comparisons
-		}
-	}
-	return true, comparisons
-}
-
+// sigVal returns the signature's value at a, the MNS-side endpoint of one
+// of its predicates.
 func (m *MNS) sigVal(a predicate.Attr) stream.Value {
 	for _, e := range m.Sig {
 		if e.Attr == a {

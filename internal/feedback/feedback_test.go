@@ -1,6 +1,7 @@
 package feedback
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/metrics"
@@ -48,26 +49,93 @@ func TestSignatureMatching(t *testing.T) {
 	}
 }
 
-func TestMNSMatchedByOpposite(t *testing.T) {
-	m := mnsA(100, 1000)
-	hit := comp(3, tpl(2, 7, 100))
-	miss := comp(3, tpl(2, 7, 50))
-	if ok, _ := m.MatchedByOpposite(hit); !ok {
-		t.Fatal("partner should match")
-	}
-	if ok, _ := m.MatchedByOpposite(miss); ok {
-		t.Fatal("non-partner matched")
-	}
-	// Missing opposite source → not matched.
-	noSrc := comp(3, tpl(1, 7, 100))
-	if ok, _ := m.MatchedByOpposite(noSrc); ok {
-		t.Fatal("missing source must not match")
-	}
-	// Ø matches anything.
-	empty := &MNS{ID: 9, Expiry: NoExpiry}
-	if ok, _ := empty.MatchedByOpposite(noSrc); !ok {
-		t.Fatal("Ø must match everything")
-	}
+// testTable drives one instantiation of the shared MNS table: add-or-extend
+// keeps the later expiry and dirties the min; take and takeExpired preserve
+// creation order; the min is exact after Invalidate even when a descriptor
+// was extended behind the table's back.
+func testTable[E holder](t *testing.T, name string, tab *table[E], wrap func(*MNS) E) {
+	t.Run(name, func(t *testing.T) {
+		next := func() stream.Time { return nextExpiry(tab.min, tab.expiries) }
+		order := func() (vals []stream.Value) {
+			for _, e := range tab.list {
+				vals = append(vals, e.mns().Sig[0].Val)
+			}
+			return vals
+		}
+		if next() != NoExpiry {
+			t.Fatal("empty table has a deadline")
+		}
+		ms := []*MNS{mnsA(1, 300), mnsA(2, 100), mnsA(3, 200), mnsA(4, 400)}
+		for _, m := range ms {
+			if _, ok := tab.extend(m); ok {
+				t.Fatalf("fresh key %s found", m.Key())
+			}
+			tab.insert(wrap(m))
+		}
+		if next() != 100 {
+			t.Fatalf("min after inserts: %d", next())
+		}
+		// A duplicate with an earlier expiry changes nothing; a later one
+		// raises the held descriptor, and the min follows.
+		if old, ok := tab.extend(mnsA(2, 50)); !ok || old.mns() != ms[1] || ms[1].Expiry != 100 {
+			t.Fatal("earlier duplicate must leave the held descriptor alone")
+		}
+		if _, ok := tab.extend(mnsA(2, 500)); !ok || ms[1].Expiry != 500 || len(tab.list) != 4 {
+			t.Fatal("later duplicate must extend, not add")
+		}
+		if next() != 200 {
+			t.Fatalf("min after extension: %d", next())
+		}
+		// Extended through a shared pointer: stale-low until invalidated.
+		ms[2].Expiry = 350
+		if next() != 200 {
+			t.Fatalf("cache should still read the stale minimum, got %d", next())
+		}
+		tab.min.Invalidate()
+		if next() != 300 {
+			t.Fatalf("min after invalidate: %d", next())
+		}
+		// A refreshing takeExpired repairs the same staleness on its way.
+		ms[0].Expiry = 320
+		if out := tab.takeExpired(0, true); len(out) != 0 || next() != 320 {
+			t.Fatalf("refresh: took %d, min %d", len(out), next())
+		}
+		if e, ok := tab.take(ms[2].Key()); !ok || e.mns() != ms[2] {
+			t.Fatal("take failed")
+		}
+		if _, ok := tab.take(ms[2].Key()); ok {
+			t.Fatal("double take")
+		}
+		if got := order(); !slices.Equal(got, []stream.Value{1, 2, 4}) {
+			t.Fatalf("order after take: %v", got)
+		}
+		if !tab.hasExpired(400) || tab.hasExpired(319) {
+			t.Fatal("hasExpired wrong")
+		}
+		exp := tab.takeExpired(400, false)
+		if len(exp) != 2 || exp[0].mns() != ms[0] || exp[1].mns() != ms[3] {
+			t.Fatalf("takeExpired must return creation order, got %v", exp)
+		}
+		if got := order(); !slices.Equal(got, []stream.Value{2}) || next() != 500 {
+			t.Fatalf("after takeExpired: order %v min %d", got, next())
+		}
+		tab.take(ms[1].Key())
+		if tab.acct.Live() != 0 || next() != NoExpiry {
+			t.Fatalf("emptied table: live=%d next=%d", tab.acct.Live(), next())
+		}
+	})
+}
+
+// TestMNSTable runs the table contract over its four instantiations: the
+// blacklist's entries, the MNS buffer, and the mark table's origins and
+// relays (which share one deadline cache).
+func TestMNSTable(t *testing.T) {
+	acct := &metrics.Account{}
+	testTable(t, "blacklist", &NewBlacklist("B", acct).entries, func(m *MNS) *Entry { return &Entry{MNS: m} })
+	testTable(t, "buffer", &NewBuffer("NB", acct).mnss, func(m *MNS) *MNS { return m })
+	mt := NewMarkTable(acct)
+	testTable(t, "origins", &mt.origins, func(m *MNS) *OriginEntry { return &OriginEntry{MNS: m} })
+	testTable(t, "relays", &mt.relays, func(m *MNS) *MNS { return m })
 }
 
 func TestBufferAddDedupPurgeProbe(t *testing.T) {
@@ -78,11 +146,8 @@ func TestBufferAddDedupPurgeProbe(t *testing.T) {
 	if !added || kept != m1 || b.Len() != 1 {
 		t.Fatal("first add failed")
 	}
-	// Same signature, later expiry → dedup with extension.
-	m2 := mnsA(100, 2000)
-	kept, added = b.Add(m2)
-	if added || kept != m1 || m1.Expiry != 2000 {
-		t.Fatal("dedup/extension failed")
+	if kept, added = b.Add(mnsA(100, 2000)); added || kept != m1 {
+		t.Fatal("duplicate signature must return the held MNS")
 	}
 	if !b.Has(m1.Key()) {
 		t.Fatal("Has failed")
@@ -106,9 +171,18 @@ func TestBufferAddDedupPurgeProbe(t *testing.T) {
 func TestBufferProbeMisses(t *testing.T) {
 	b := NewBuffer("NB", &metrics.Account{})
 	b.Add(mnsA(100, 1000))
-	miss := comp(3, tpl(2, 7, 51))
-	if matched, _ := b.Probe(miss); len(matched) != 0 || b.Len() != 1 {
-		t.Fatal("miss must keep the MNS")
+	// Neither a different value nor an arrival lacking the tested source
+	// confirms the MNS's predicate.
+	for _, miss := range []*stream.Composite{comp(3, tpl(2, 7, 51)), comp(3, tpl(1, 7, 100))} {
+		if matched, _ := b.Probe(miss); len(matched) != 0 || b.Len() != 1 {
+			t.Fatal("miss must keep the MNS")
+		}
+	}
+	// Ø is matched by any opposite arrival, ahead of the keyed MNSs.
+	empty := &MNS{ID: 9, Expiry: NoExpiry}
+	b.Add(empty)
+	if matched, n := b.Probe(comp(3, tpl(2, 8, 100))); len(matched) != 2 || matched[0] != empty || n != 1 || b.Len() != 0 {
+		t.Fatalf("Ø + keyed probe: matched %v after %d comparisons", matched, n)
 	}
 }
 
@@ -120,11 +194,8 @@ func TestBlacklistLifecycle(t *testing.T) {
 	if !created || bl.Len() != 1 {
 		t.Fatal("ensure failed")
 	}
-	if _, created := bl.Ensure(mnsA(100, 3000)); created {
-		t.Fatal("duplicate sig must not create")
-	}
-	if m.Expiry != 3000 {
-		t.Fatal("expiry not extended")
+	if old, created := bl.Ensure(mnsA(100, 900)); created || old != e {
+		t.Fatal("duplicate sig must return the held entry")
 	}
 	// Park tuples, including a same-signature generalization.
 	a1 := comp(3, tpl(0, 10, 1, 100))
@@ -169,15 +240,25 @@ func TestBlacklistTakeAndPurge(t *testing.T) {
 	bl.Park(e, Suspended{E: state.Entry{C: old, Seq: 1}})
 	bl.Park(e, Suspended{E: state.Entry{C: young, Seq: 2}})
 	// window 100 at now 200: old (ts10) expires.
-	if n := bl.PurgeTuples(200, 100); n != 1 || bl.NumSuspended() != 1 {
-		t.Fatalf("purge tuples: %d", n)
+	if ts, ok := bl.NextTupleMinTS(); !ok || ts != 10 {
+		t.Fatalf("parked min: %d %v", ts, ok)
 	}
+	if out := bl.TakeExpiredTuples(200, 100); len(out) != 1 || out[0].E.C != old || bl.NumSuspended() != 1 {
+		t.Fatalf("take expired tuples: %v", out)
+	}
+	if ts, ok := bl.NextTupleMinTS(); !ok || ts != 500 {
+		t.Fatalf("parked min after purge: %d %v", ts, ok)
+	}
+	// The entry leaves with its tuples and stops diverting arrivals.
 	got, ok := bl.Take(m.Key())
 	if !ok || len(got.Tuples) != 1 {
 		t.Fatal("take failed")
 	}
-	if _, ok := bl.Take(m.Key()); ok {
-		t.Fatal("double take")
+	if _, ok := bl.NextTupleMinTS(); ok {
+		t.Fatal("taken entry's tuples still counted")
+	}
+	if hit, _ := bl.MatchArrival(young, 0, true); hit != nil {
+		t.Fatal("taken entry still diverts")
 	}
 }
 
@@ -213,7 +294,7 @@ func TestMarkTable(t *testing.T) {
 	if e == nil || len(e.SigL) != 1 || len(e.SigR) != 1 {
 		t.Fatal("activation/decomposition wrong")
 	}
-	if mt.ActivateOrigin(m, left, right) != nil {
+	if mt.ActivateOrigin(m, left, right) != nil || mt.EntryByID(7) != e {
 		t.Fatal("duplicate origin accepted")
 	}
 	l := comp(3, tpl(0, 10, 5))
@@ -226,7 +307,7 @@ func TestMarkTable(t *testing.T) {
 	if mt.Enroll(e, true, state.Entry{C: l, Seq: 1}) {
 		t.Fatal("re-enrollment accepted")
 	}
-	if !mt.Suppressed(l, r, 0) || mt.Suppressed(l, r, 7) {
+	if mt.SuppressedBy(l, r, 0) != 7 || mt.SuppressedBy(l, r, 7) != 0 {
 		t.Fatal("suppression check wrong")
 	}
 	mt.RecordSuppressed(e, state.Entry{C: l, Seq: 1}, state.Entry{C: r, Seq: 2})
@@ -237,7 +318,7 @@ func TestMarkTable(t *testing.T) {
 	if !ok || got != e || mt.NumOrigins() != 0 {
 		t.Fatal("take origin failed")
 	}
-	if mt.Suppressed(l, r, 0) {
+	if mt.SuppressedBy(l, r, 0) != 0 {
 		t.Fatal("suppression survives dissolution")
 	}
 	mt.ReleasePending(got)

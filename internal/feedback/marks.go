@@ -37,55 +37,45 @@ type OriginEntry struct {
 	seen map[*stream.Composite]bool // dedups enrollment
 }
 
-// RelayEntry lives at an upstream operator that received a mark-result
-// feedback: it stamps every produced output matching the signature with the
-// mark id so the origin operator can recognise it.
-type RelayEntry struct {
-	MNS *MNS
-}
-
-// MarkTable holds the Type II machinery of one operator.
+// MarkTable holds the Type II machinery of one operator: the origin entries
+// of MNSs suspended here, and the relay descriptors of upstream operators
+// that received a mark-result feedback — they stamp every produced output
+// matching the descriptor's signature with its mark id so the origin
+// operator can recognise it.
 type MarkTable struct {
 	acct    *metrics.Account
-	origins []*OriginEntry
-	byKey   map[string]*OriginEntry
-	relays  []*RelayEntry
-	relayBy map[string]*RelayEntry
+	origins table[*OriginEntry]
+	relays  table[*MNS]
 	active  map[uint64]*OriginEntry // origin mark ids currently suppressing
 	// Deadline caches (DESIGN.md §4): earliest expiry among origin and relay
-	// entries, and earliest endpoint MinTS among pending suppressed pairs.
-	// Exact on insertion, lazily recomputed after removals and extensions.
-	expiryMin   stream.Time
-	expiryDirty bool
-	pendMin     stream.Time
-	pendHas     bool
-	pendDirty   bool
+	// entries together, and earliest endpoint MinTS among pending suppressed
+	// pairs.
+	expiryMin state.MinCache
+	pendMin   state.MinCache
 }
 
 // NewMarkTable creates an empty table.
 func NewMarkTable(acct *metrics.Account) *MarkTable {
-	return &MarkTable{
-		acct:    acct,
-		byKey:   make(map[string]*OriginEntry),
-		relayBy: make(map[string]*RelayEntry),
-		active:  make(map[uint64]*OriginEntry),
-	}
+	t := &MarkTable{acct: acct, active: make(map[uint64]*OriginEntry)}
+	t.origins = newTable[*OriginEntry](acct, &t.expiryMin)
+	t.relays = newTable[*MNS](acct, &t.expiryMin)
+	return t
 }
 
 // Empty reports whether the table has no active entries of either kind,
 // letting operators skip all Type II work on the hot path.
-func (t *MarkTable) Empty() bool { return len(t.origins) == 0 && len(t.relays) == 0 }
+func (t *MarkTable) Empty() bool { return len(t.origins.list) == 0 && len(t.relays.list) == 0 }
 
 // NumOrigins returns the number of active origin entries.
-func (t *MarkTable) NumOrigins() int { return len(t.origins) }
+func (t *MarkTable) NumOrigins() int { return len(t.origins.list) }
 
 // NumRelays returns the number of active relay entries.
-func (t *MarkTable) NumRelays() int { return len(t.relays) }
+func (t *MarkTable) NumRelays() int { return len(t.relays.list) }
 
 // NumPending returns the total number of suppressed pairs currently parked.
 func (t *MarkTable) NumPending() int {
 	n := 0
-	for _, e := range t.origins {
+	for _, e := range t.origins.list {
 		n += len(e.Pending)
 	}
 	return n
@@ -95,24 +85,17 @@ func (t *MarkTable) NumPending() int {
 // if an entry with the same signature is already active (duplicate
 // suspensions are ignored, with the anchor expiry extended).
 func (t *MarkTable) ActivateOrigin(m *MNS, leftSources, rightSources stream.SourceSet) *OriginEntry {
-	if old, ok := t.byKey[m.Key()]; ok {
-		if m.Expiry > old.MNS.Expiry {
-			old.MNS.Expiry = m.Expiry
-			t.expiryDirty = true // the raised expiry may have been the min
-		}
+	if _, ok := t.origins.extend(m); ok {
 		return nil
 	}
-	t.noteExpiry(m.Expiry)
 	e := &OriginEntry{
 		MNS:  m,
 		SigL: m.Sig.Restrict(leftSources),
 		SigR: m.Sig.Restrict(rightSources),
 		seen: make(map[*stream.Composite]bool),
 	}
-	t.origins = append(t.origins, e)
-	t.byKey[m.Key()] = e
+	t.origins.insert(e)
 	t.active[m.ID] = e
-	t.acct.Alloc(m.SizeBytes())
 	return e
 }
 
@@ -135,101 +118,57 @@ func (t *MarkTable) Enroll(e *OriginEntry, left bool, se state.Entry) bool {
 // RecordSuppressed parks a suppressed pair under entry e, charging its
 // bookkeeping storage.
 func (t *MarkTable) RecordSuppressed(e *OriginEntry, l, r state.Entry) {
-	ts := l.C.MinTS
-	if r.C.MinTS < ts {
-		ts = r.C.MinTS
-	}
-	if !t.pendHas {
-		t.pendMin, t.pendHas, t.pendDirty = ts, true, false
-	} else if !t.pendDirty && ts < t.pendMin {
-		t.pendMin = ts
-	}
-	e.Pending = append(e.Pending, PendingPair{L: l, R: r})
+	p := PendingPair{L: l, R: r}
+	t.pendMin.Add(p.minTS())
+	e.Pending = append(e.Pending, p)
 	t.acct.Alloc(pendingPairBytes)
 }
 
-// noteExpiry folds a freshly installed entry's expiry into the cache.
-func (t *MarkTable) noteExpiry(expiry stream.Time) {
-	if len(t.origins)+len(t.relays) == 0 {
-		t.expiryMin, t.expiryDirty = expiry, false
-	} else if !t.expiryDirty && expiry < t.expiryMin {
-		t.expiryMin = expiry
-	}
-}
+// minTS is the pair's older endpoint: the pair is fruitless once it expires.
+func (p PendingPair) minTS() stream.Time { return min(p.L.C.MinTS, p.R.C.MinTS) }
 
 // InvalidateMinCaches forces the next NextExpiry / NextPendingMinTS reads
 // to recompute exactly (see Blacklist.InvalidateMinCaches).
 func (t *MarkTable) InvalidateMinCaches() {
-	t.expiryDirty = true
-	t.pendDirty = true
+	t.expiryMin.Invalidate()
+	t.pendMin.Invalidate()
 }
 
 // NextExpiry returns the earliest expiry among origin and relay entries, or
 // NoExpiry when the table holds none — the mark machinery's contribution to
 // the operator's sweep deadline (DESIGN.md §4).
 func (t *MarkTable) NextExpiry() stream.Time {
-	if len(t.origins)+len(t.relays) == 0 {
-		return NoExpiry
-	}
-	if t.expiryDirty {
-		t.expiryDirty = false
-		t.expiryMin = NoExpiry
-		for _, e := range t.origins {
-			if e.MNS.Expiry < t.expiryMin {
-				t.expiryMin = e.MNS.Expiry
-			}
-		}
-		for _, r := range t.relays {
-			if r.MNS.Expiry < t.expiryMin {
-				t.expiryMin = r.MNS.Expiry
-			}
-		}
-	}
-	return t.expiryMin
+	return nextExpiry(&t.expiryMin, func(add func(stream.Time)) {
+		t.origins.expiries(add)
+		t.relays.expiries(add)
+	})
 }
 
 // NextPendingMinTS returns the earliest endpoint MinTS among pending
 // suppressed pairs; ok is false when no pair is parked. The earliest pending
 // purge deadline is MinTS + window.
 func (t *MarkTable) NextPendingMinTS() (stream.Time, bool) {
-	if t.pendDirty {
-		t.pendDirty, t.pendHas = false, false
-		for _, e := range t.origins {
+	return t.pendMin.Get(func(add func(stream.Time)) {
+		for _, e := range t.origins.list {
 			for _, p := range e.Pending {
-				ts := p.L.C.MinTS
-				if p.R.C.MinTS < ts {
-					ts = p.R.C.MinTS
-				}
-				if !t.pendHas || ts < t.pendMin {
-					t.pendMin, t.pendHas = ts, true
-				}
+				add(p.minTS())
 			}
 		}
-	}
-	return t.pendMin, t.pendHas
+	})
 }
 
 const pendingPairBytes = 48
-
-// IsActive reports whether mark id is an active origin mark here.
-func (t *MarkTable) IsActive(id uint64) bool { return t.active[id] != nil }
 
 // EntryByID returns the active origin entry with the given mark id.
 func (t *MarkTable) EntryByID(id uint64) *OriginEntry { return t.active[id] }
 
 // Origins returns the active origin entries (shared slice; callers must not
 // mutate).
-func (t *MarkTable) Origins() []*OriginEntry { return t.origins }
+func (t *MarkTable) Origins() []*OriginEntry { return t.origins.list }
 
-// Suppressed reports whether the pair (a, b) shares an active origin mark
-// at this operator and must therefore not be joined now. The exclude id
-// allows unmark processing to ignore the entry being dissolved.
-func (t *MarkTable) Suppressed(a, b *stream.Composite, exclude uint64) bool {
-	return t.SuppressedBy(a, b, exclude) != 0
-}
-
-// SuppressedBy returns the id of an active origin mark shared by a and b
-// (excluding the given id), or 0 when the pair is not suppressed.
+// SuppressedBy returns the id of an active origin mark shared by a and b,
+// or 0 when the pair is not suppressed and may be joined now. The exclude id
+// lets unmark processing ignore the entry being dissolved.
 func (t *MarkTable) SuppressedBy(a, b *stream.Composite, exclude uint64) uint64 {
 	if len(a.Marks) == 0 || len(b.Marks) == 0 {
 		return 0
@@ -254,67 +193,52 @@ func (t *MarkTable) SuppressedBy(a, b *stream.Composite, exclude uint64) uint64 
 // TakeOrigin removes and returns the origin entry for the signature key.
 // The caller generates the entry's pending pairs and clears its marks.
 func (t *MarkTable) TakeOrigin(key string) (*OriginEntry, bool) {
-	e, ok := t.byKey[key]
-	if !ok {
-		return nil, false
+	e, ok := t.origins.take(key)
+	if ok {
+		t.dropped(e)
 	}
-	t.removeOrigin(e)
-	return e, true
+	return e, ok
 }
 
 // TakeExpiredOrigins removes and returns every origin entry whose anchor
 // expired; the operator must generate their pending pairs.
 func (t *MarkTable) TakeExpiredOrigins(now stream.Time) []*OriginEntry {
-	var out []*OriginEntry
-	for _, e := range append([]*OriginEntry(nil), t.origins...) {
-		if e.MNS.Expiry <= now {
-			t.removeOrigin(e)
-			out = append(out, e)
-		}
+	out := t.origins.takeExpired(now, false)
+	for _, e := range out {
+		t.dropped(e)
 	}
 	return out
 }
 
+// dropped finishes the removal of an origin entry from the table: its mark
+// stops suppressing and its pending pairs leave with it.
+func (t *MarkTable) dropped(e *OriginEntry) {
+	delete(t.active, e.MNS.ID)
+	t.pendMin.Remove(len(e.Pending))
+}
+
 // HasExpired reports whether any origin or relay entry has expired.
 func (t *MarkTable) HasExpired(now stream.Time) bool {
-	for _, e := range t.origins {
-		if e.MNS.Expiry <= now {
-			return true
-		}
-	}
-	for _, r := range t.relays {
-		if r.MNS.Expiry <= now {
-			return true
-		}
-	}
-	return false
+	return t.origins.hasExpired(now) || t.relays.hasExpired(now)
 }
 
 // PurgePending drops pending pairs with an expired endpoint — their results
 // can never contribute to output (fruitless partial results).
 func (t *MarkTable) PurgePending(now, window stream.Time) int {
 	n := 0
-	t.pendDirty, t.pendHas = false, false
-	for _, e := range t.origins {
+	t.pendMin = state.MinCache{}
+	for _, e := range t.origins.list {
 		kept := e.Pending[:0]
 		for _, p := range e.Pending {
-			if p.L.C.MinTS+window <= now || p.R.C.MinTS+window <= now {
+			if p.minTS()+window <= now {
 				t.acct.Free(pendingPairBytes)
 				n++
 				continue
 			}
-			ts := p.L.C.MinTS
-			if p.R.C.MinTS < ts {
-				ts = p.R.C.MinTS
-			}
-			if !t.pendHas || ts < t.pendMin {
-				t.pendMin, t.pendHas = ts, true
-			}
+			t.pendMin.Add(p.minTS())
 			kept = append(kept, p)
 		}
-		for i := len(kept); i < len(e.Pending); i++ {
-			e.Pending[i] = PendingPair{}
-		}
+		clear(e.Pending[len(kept):])
 		e.Pending = kept
 	}
 	return n
@@ -322,88 +246,36 @@ func (t *MarkTable) PurgePending(now, window stream.Time) int {
 
 // ReleasePending uncharges the pending-pair storage of a dissolved entry.
 func (t *MarkTable) ReleasePending(e *OriginEntry) {
-	if len(e.Pending) > 0 {
-		t.pendDirty = true
-	}
 	t.acct.Free(int64(len(e.Pending)) * pendingPairBytes)
 }
 
-func (t *MarkTable) removeOrigin(e *OriginEntry) {
-	t.expiryDirty = true
-	if len(e.Pending) > 0 {
-		t.pendDirty = true
-	}
-	delete(t.byKey, e.MNS.Key())
-	delete(t.active, e.MNS.ID)
-	t.acct.Free(e.MNS.SizeBytes())
-	for i, x := range t.origins {
-		if x == e {
-			copy(t.origins[i:], t.origins[i+1:])
-			t.origins[len(t.origins)-1] = nil
-			t.origins = t.origins[:len(t.origins)-1]
-			return
-		}
-	}
-}
-
-// AddRelay installs (or extends) a relay entry stamping outputs that match
-// the MNS signature. Returns true when a new entry was created.
+// AddRelay installs (or extends) a relay descriptor stamping outputs that
+// match the MNS signature. Returns true when a new one was installed.
 func (t *MarkTable) AddRelay(m *MNS) bool {
-	if old, ok := t.relayBy[m.Key()]; ok {
-		if m.Expiry > old.MNS.Expiry {
-			old.MNS.Expiry = m.Expiry
-			t.expiryDirty = true // the raised expiry may have been the min
-		}
-		return false
-	}
-	t.noteExpiry(m.Expiry)
-	r := &RelayEntry{MNS: m}
-	t.relays = append(t.relays, r)
-	t.relayBy[m.Key()] = r
-	t.acct.Alloc(m.SizeBytes())
-	return true
-}
-
-// RemoveRelay drops the relay entry for the key, if present.
-func (t *MarkTable) RemoveRelay(key string) bool {
-	r, ok := t.relayBy[key]
+	_, ok := t.relays.extend(m)
 	if !ok {
-		return false
+		t.relays.insert(m)
 	}
-	t.expiryDirty = true
-	delete(t.relayBy, key)
-	t.acct.Free(r.MNS.SizeBytes())
-	for i, x := range t.relays {
-		if x == r {
-			copy(t.relays[i:], t.relays[i+1:])
-			t.relays[len(t.relays)-1] = nil
-			t.relays = t.relays[:len(t.relays)-1]
-			break
-		}
-	}
-	return true
+	return !ok
 }
 
-// PurgeRelays drops expired relay entries.
-func (t *MarkTable) PurgeRelays(now stream.Time) int {
-	n := 0
-	for _, r := range append([]*RelayEntry(nil), t.relays...) {
-		if r.MNS.Expiry <= now {
-			t.RemoveRelay(r.MNS.Key())
-			n++
-		}
-	}
-	return n
+// RemoveRelay drops the relay descriptor for the key, if present.
+func (t *MarkTable) RemoveRelay(key string) bool {
+	_, ok := t.relays.take(key)
+	return ok
 }
+
+// PurgeRelays drops expired relay descriptors.
+func (t *MarkTable) PurgeRelays(now stream.Time) int { return len(t.relays.takeExpired(now, false)) }
 
 // StampOutput tags a freshly produced composite with every relay mark whose
 // signature it matches; returns the number of signature checks for cost
 // accounting.
 func (t *MarkTable) StampOutput(c *stream.Composite) (checks int) {
-	for _, r := range t.relays {
-		checks += len(r.MNS.Sig)
-		if r.MNS.Sig.MatchedBy(c) {
-			c.AddMark(r.MNS.ID)
+	for _, m := range t.relays.list {
+		checks += len(m.Sig)
+		if m.Sig.MatchedBy(c) {
+			c.AddMark(m.ID)
 		}
 	}
 	return checks

@@ -1,0 +1,237 @@
+package feedback
+
+import (
+	"fmt"
+	"slices"
+	"strconv"
+	"strings"
+
+	"repro/internal/metrics"
+	"repro/internal/predicate"
+	"repro/internal/state"
+	"repro/internal/stream"
+)
+
+// holder is an element of a table: something filed under one MNS descriptor.
+type holder interface {
+	comparable
+	mns() *MNS
+}
+
+func (m *MNS) mns() *MNS         { return m }
+func (e *Entry) mns() *MNS       { return e.MNS }
+func (e *OriginEntry) mns() *MNS { return e.MNS }
+
+// table is the MNS-keyed expiring collection behind the blacklist's entries,
+// the MNS buffer and the mark table's origins and relays — the one hash
+// organisation the paper prescribes for producer-side blacklists (Sec. IV-B)
+// and consumer-side MNS buffers (Sec. III-A). Elements sit in creation
+// order, at most one per MNS.Key(); a duplicate descriptor extends the held
+// one's expiry instead of adding an element. Iteration is always over the
+// creation-ordered list, never the map, so runs are deterministic (DESIGN.md
+// §2). min caches the earliest expiry for the operator's sweep deadline
+// (DESIGN.md §4); the mark table's two tables share one.
+type table[E holder] struct {
+	acct  *metrics.Account
+	list  []E
+	byKey map[string]E
+	min   *state.MinCache
+}
+
+func newTable[E holder](acct *metrics.Account, min *state.MinCache) table[E] {
+	return table[E]{acct: acct, byKey: make(map[string]E), min: min}
+}
+
+// extend looks up the element filed under m's key. When one exists and m
+// expires later, the held descriptor's expiry is raised: duplicates are
+// ignored (Sec. III-B) but the anchor must not be forgotten early.
+func (t *table[E]) extend(m *MNS) (E, bool) {
+	old, ok := t.byKey[m.Key()]
+	if ok && m.Expiry > old.mns().Expiry {
+		old.mns().Expiry = m.Expiry
+		t.min.Invalidate() // the raised expiry may have been the min
+	}
+	return old, ok
+}
+
+// insert appends e, charging its descriptor. The caller has checked with
+// extend that the key is free.
+func (t *table[E]) insert(e E) {
+	m := e.mns()
+	t.min.Add(m.Expiry)
+	t.list = append(t.list, e)
+	t.byKey[m.Key()] = e
+	t.acct.Alloc(m.SizeBytes())
+}
+
+func (t *table[E]) remove(e E) {
+	m := e.mns()
+	t.min.Remove(1)
+	delete(t.byKey, m.Key())
+	t.acct.Free(m.SizeBytes())
+	i := slices.Index(t.list, e)
+	t.list = slices.Delete(t.list, i, i+1)
+}
+
+// take removes and returns the element filed under key.
+func (t *table[E]) take(key string) (E, bool) {
+	e, ok := t.byKey[key]
+	if ok {
+		t.remove(e)
+	}
+	return e, ok
+}
+
+// takeExpired removes and returns, in creation order, every element whose
+// descriptor has expired. With refresh the min cache is rebuilt over the
+// survivors on the way, leaving it exact whatever was done to a shared
+// descriptor since; without, it is merely invalidated if anything left.
+func (t *table[E]) takeExpired(now stream.Time, refresh bool) []E {
+	var out []E
+	var fresh state.MinCache
+	kept := t.list[:0]
+	for _, e := range t.list {
+		m := e.mns()
+		if m.Expiry > now {
+			fresh.Add(m.Expiry)
+			kept = append(kept, e)
+			continue
+		}
+		delete(t.byKey, m.Key())
+		t.acct.Free(m.SizeBytes())
+		out = append(out, e)
+	}
+	clear(t.list[len(kept):])
+	t.list = kept
+	if refresh {
+		*t.min = fresh
+	} else {
+		t.min.Remove(len(out))
+	}
+	return out
+}
+
+// hasExpired is the cheap check sweeps make before doing real work.
+func (t *table[E]) hasExpired(now stream.Time) bool {
+	return slices.ContainsFunc(t.list, func(e E) bool { return e.mns().Expiry <= now })
+}
+
+// expiries feeds every element's expiry to add (state.MinCache.Get).
+func (t *table[E]) expiries(add func(stream.Time)) {
+	for _, e := range t.list {
+		add(e.mns().Expiry)
+	}
+}
+
+// nextExpiry returns the earliest expiry the min cache covers, or NoExpiry
+// when it covers nothing.
+func nextExpiry(min *state.MinCache, each func(add func(stream.Time))) stream.Time {
+	if ts, ok := min.Get(each); ok {
+		return ts
+	}
+	return NoExpiry
+}
+
+// fpIndex finds elements by value fingerprint: elements are grouped by the
+// attribute set they constrain, and hashed inside each group on the values
+// they expect there, so matching a composite costs one lookup per attribute
+// set rather than one comparison per element. Groups are visited in
+// creation order (determinism, DESIGN.md §2) and are never dropped, so the
+// comparisons a match charges depend only on the attribute sets seen so far.
+// Elements constraining nothing (the Ø MNS) form the group of the empty
+// attribute set, which is kept out of the visiting order: it matches every
+// composite, first and for free.
+type fpIndex[E comparable] struct {
+	// key gives an element's place: the attribute set it constrains and the
+	// values it expects there.
+	key     func(E) ([]predicate.Attr, []stream.Value)
+	groups  []*fpGroup[E]
+	byAttrs map[string]*fpGroup[E]
+}
+
+type fpGroup[E comparable] struct {
+	attrs []predicate.Attr
+	byVal map[string][]E
+}
+
+func newFPIndex[E comparable](key func(E) ([]predicate.Attr, []stream.Value)) fpIndex[E] {
+	return fpIndex[E]{key: key, byAttrs: make(map[string]*fpGroup[E])}
+}
+
+// locate returns the group of e's attribute set, creating it on first use,
+// and the fingerprint of the values e expects there.
+func (x *fpIndex[E]) locate(e E) (*fpGroup[E], string) {
+	attrs, vals := x.key(e)
+	parts := make([]string, len(attrs))
+	for i, a := range attrs {
+		parts[i] = fmt.Sprintf("%d.%d", a.Source, a.Col)
+	}
+	gk := strings.Join(parts, ";")
+	g := x.byAttrs[gk]
+	if g == nil {
+		g = &fpGroup[E]{attrs: attrs, byVal: make(map[string][]E)}
+		x.byAttrs[gk] = g
+		if len(attrs) > 0 {
+			x.groups = append(x.groups, g)
+		}
+	}
+	var fp []byte
+	for _, v := range vals {
+		fp = appendValue(fp, v)
+	}
+	return g, string(fp)
+}
+
+func (x *fpIndex[E]) add(e E) {
+	g, fp := x.locate(e)
+	g.byVal[fp] = append(g.byVal[fp], e)
+}
+
+func (x *fpIndex[E]) remove(e E) {
+	g, fp := x.locate(e)
+	if i := slices.Index(g.byVal[fp], e); i >= 0 {
+		g.byVal[fp] = slices.Delete(g.byVal[fp], i, i+1)
+	}
+}
+
+// match visits the Ø slot and then, group by group, the elements whose
+// expected values c carries, until visit returns false. It returns the
+// attribute comparisons to charge: one per attribute of every group reached.
+func (x *fpIndex[E]) match(c *stream.Composite, visit func(E) bool) (comparisons int) {
+	if g := x.byAttrs[""]; g != nil {
+		for _, e := range g.byVal[""] {
+			if !visit(e) {
+				return 0
+			}
+		}
+	}
+	var fp []byte
+groups:
+	for _, g := range x.groups {
+		comparisons += len(g.attrs)
+		fp = fp[:0]
+		for _, a := range g.attrs {
+			t := c.Comp(a.Source)
+			if t == nil {
+				// c lacks the source: the constraint cannot be confirmed, so
+				// nothing in the group matches.
+				continue groups
+			}
+			fp = appendValue(fp, t.Vals[a.Col])
+		}
+		for _, e := range g.byVal[string(fp)] {
+			if !visit(e) {
+				return comparisons
+			}
+		}
+	}
+	return comparisons
+}
+
+// appendValue renders one more value of a fingerprint.
+func appendValue(fp []byte, v stream.Value) []byte {
+	if len(fp) > 0 {
+		fp = append(fp, ';')
+	}
+	return strconv.AppendInt(fp, int64(v), 10)
+}

@@ -8,8 +8,8 @@
 // test — and an attached tracer only ever *reads* the measurement substrate
 // (metrics.Counters, metrics.Account, core.JoinOp.Stats); it never writes any
 // quantity the engine measures. The transparency test in this package pins
-// that byte-identical Counters come out of traced and untraced runs, and the
-// root-level BenchmarkObs records the residual per-arrival overhead.
+// that byte-identical Counters come out of traced and untraced runs, and
+// jitperf's traced run (bench/README.md) measures the residual overhead.
 //
 // Determinism: every event and every sample is stamped with *stream* time,
 // never wall time, so trace files and sampled series are golden-testable and

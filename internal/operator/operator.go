@@ -1,7 +1,6 @@
 // Package operator defines the operator abstractions of the execution plan
 // — the producer/consumer contract, feedback routing, and the simple
-// (non-join) operators: sinks, selections, projections and static-relation
-// joins (Sec. V).
+// (non-join) operators: sinks and selections (Sec. V).
 package operator
 
 import (
@@ -59,41 +58,4 @@ type Op interface {
 	Consumer
 	Name() string
 	OutSources() stream.SourceSet
-}
-
-// FanOut duplicates a stream to several consumers; used by Eddy-style plans
-// and test rigs. It is not a Producer — feedback does not traverse it.
-type FanOut struct {
-	name string
-	outs []struct {
-		c    Consumer
-		port Port
-	}
-	sources stream.SourceSet
-}
-
-// NewFanOut creates a fan-out node covering the given sources.
-func NewFanOut(name string, sources stream.SourceSet) *FanOut {
-	return &FanOut{name: name, sources: sources}
-}
-
-// Name implements Op.
-func (f *FanOut) Name() string { return f.name }
-
-// OutSources implements Op.
-func (f *FanOut) OutSources() stream.SourceSet { return f.sources }
-
-// AddConsumer registers a downstream consumer.
-func (f *FanOut) AddConsumer(c Consumer, port Port) {
-	f.outs = append(f.outs, struct {
-		c    Consumer
-		port Port
-	}{c, port})
-}
-
-// Consume forwards the composite to every registered consumer.
-func (f *FanOut) Consume(c *stream.Composite, _ Port) {
-	for _, o := range f.outs {
-		o.c.Consume(c, o.port)
-	}
 }

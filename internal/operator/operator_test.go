@@ -83,69 +83,6 @@ func TestSelectionFilterAndFeedback(t *testing.T) {
 	}
 }
 
-func TestProjectionRelay(t *testing.T) {
-	prod := &captureProducer{}
-	p := NewProjection("π", prod)
-	sink := &captureConsumer{}
-	p.SetConsumer(sink, Right)
-	c := stream.NewComposite(1, tpl(0, 1, 5))
-	p.Consume(c, Left)
-	if len(sink.got) != 1 {
-		t.Fatal("projection must pass through")
-	}
-	p.Feedback(feedback.Message{Cmd: feedback.Suspend})
-	if len(prod.msgs) != 1 {
-		t.Fatal("projection must relay feedback")
-	}
-}
-
-func TestStaticJoin(t *testing.T) {
-	cat := stream.NewCatalog()
-	cat.MustAdd(stream.NewSchema("A", "y"))
-	cat.MustAdd(stream.NewSchema("R", "y"))
-	conj := predicate.Conj{{Left: 0, LCol: 0, Right: 1, RCol: 0}}
-	relation := []*stream.Tuple{tpl(1, 0, 100), tpl(1, 0, 200)}
-	ctr := &metrics.Counters{}
-	prod := &captureProducer{}
-	var id uint64
-	sj := NewStaticJoin("⋈R", 1, relation, conj, prod, ctr, true,
-		func() uint64 { id++; return id }, stream.Minute, 2)
-	sink := &captureConsumer{}
-	sj.SetConsumer(sink, Left)
-
-	hit := stream.NewComposite(2, tpl(0, 1, 100))
-	sj.Consume(hit, Left)
-	if len(sink.got) != 1 {
-		t.Fatalf("static join should emit 1 result, got %d", len(sink.got))
-	}
-	miss := stream.NewComposite(2, tpl(0, 2, 999))
-	sj.Consume(miss, Left)
-	if len(prod.msgs) != 1 || prod.msgs[0].Cmd != feedback.Suspend {
-		t.Fatal("miss must suspend upstream")
-	}
-	// Same-signature miss must not re-send (the relation never changes).
-	miss2 := stream.NewComposite(2, tpl(0, 3, 999))
-	sj.Consume(miss2, Left)
-	if len(prod.msgs) != 1 {
-		t.Fatal("duplicate permanent suspension sent")
-	}
-}
-
-func TestFanOut(t *testing.T) {
-	f := NewFanOut("dup", stream.SourceSet(0).Add(0))
-	a, b := &captureConsumer{}, &captureConsumer{}
-	f.AddConsumer(a, Left)
-	f.AddConsumer(b, Right)
-	c := stream.NewComposite(1, tpl(0, 1, 1))
-	f.Consume(c, Left)
-	if len(a.got) != 1 || len(b.got) != 1 {
-		t.Fatal("fan-out failed")
-	}
-	if f.Name() != "dup" || f.OutSources().Count() != 1 {
-		t.Fatal("metadata wrong")
-	}
-}
-
 func TestPortOpposite(t *testing.T) {
 	if Left.Opposite() != Right || Right.Opposite() != Left {
 		t.Fatal("opposite wrong")

@@ -1,8 +1,6 @@
 package operator
 
 import (
-	"fmt"
-
 	"repro/internal/feedback"
 	"repro/internal/metrics"
 	"repro/internal/predicate"
@@ -105,54 +103,3 @@ func (s *Selection) Consume(c *stream.Composite, _ Port) {
 	s.ctr.Feedbacks++
 	s.prod.Feedback(feedback.Message{Cmd: feedback.Suspend, MNS: []*feedback.MNS{m}})
 }
-
-// Projection is a pass-through relay. The composite data model retains all
-// components (column pruning would happen at output formatting), so the
-// operator's role here is plan-structural: it relays data downstream and
-// feedback upstream, demonstrating Sec. V's "OP is not a join" case.
-type Projection struct {
-	name     string
-	prod     Producer
-	consumer Consumer
-	outPort  Port
-}
-
-// NewProjection creates a projection relay over the given producer.
-func NewProjection(name string, prod Producer) *Projection {
-	return &Projection{name: name, prod: prod}
-}
-
-// SetConsumer wires the downstream consumer.
-func (p *Projection) SetConsumer(c Consumer, port Port) { p.consumer, p.outPort = c, port }
-
-// Name implements Op.
-func (p *Projection) Name() string { return p.name }
-
-// OutSources implements Op.
-func (p *Projection) OutSources() stream.SourceSet {
-	if p.prod != nil {
-		return p.prod.OutSources()
-	}
-	return 0
-}
-
-// CanSuspend implements Producer.
-func (p *Projection) CanSuspend() bool { return p.prod != nil && p.prod.CanSuspend() }
-
-// Feedback implements Producer by pure relay.
-func (p *Projection) Feedback(msg feedback.Message) []*stream.Composite {
-	if p.prod == nil {
-		return nil
-	}
-	return p.prod.Feedback(msg)
-}
-
-// Consume implements Consumer.
-func (p *Projection) Consume(c *stream.Composite, _ Port) {
-	if p.consumer != nil {
-		p.consumer.Consume(c, p.outPort)
-	}
-}
-
-// String renders the operator.
-func (p *Projection) String() string { return fmt.Sprintf("π(%s)", p.name) }

@@ -72,11 +72,8 @@ func (r *Report) preamble(b *strings.Builder) {
 	}
 
 	b.WriteString("Companion artifacts: machine-readable [`RESULTS.json`](RESULTS.json), SVG\n" +
-		"trend plots under [`results/`](results/), historical micro-benchmarks in\n" +
-		"[`BENCH_engine.json`](BENCH_engine.json) (sweep scheduling),\n" +
-		"[`BENCH_shard.json`](BENCH_shard.json) (shard scaling),\n" +
-		"[`BENCH_hostile.json`](BENCH_hostile.json) (hostile-stream overheads) and\n" +
-		"[`BENCH_obs.json`](BENCH_obs.json) (observability overhead).\n\n")
+		"trend plots under [`results/`](results/); wall-clock performance is measured\n" +
+		"by the one served-path benchmark, [`bench/README.md`](bench/README.md).\n\n")
 }
 
 func (r *Report) table(b *strings.Builder, i int) {
@@ -184,7 +181,7 @@ func (r *Report) extensions(b *strings.Builder) {
 		"one equi-class per source pair, so two sources route and the rest broadcast:\n" +
 		"per-shard state pruning still trims the summed scan cost, but broadcast\n" +
 		"duplication bounds the win far below the fully partitionable chain workload,\n" +
-		"whose scaling curve lives in `BENCH_shard.json`.\n\n")
+		"whose scaling curve is quoted in DESIGN.md §5.\n\n")
 
 	b.WriteString("### Hostile streams (DESIGN.md §8)\n\n")
 	b.WriteString("| Scenario | mutators | REF finals | JIT finals | JIT/REF cost | late dropped | multiset equal |\n")
@@ -206,8 +203,8 @@ func (r *Report) extensions(b *strings.Builder) {
 			"exactly REF's final-result multiset** (not just the count: the delivery logs\n" +
 			"match key for key). Rows use the scenario suite's quick sizes; the nightly\n" +
 			"matrix in `internal/scenario` crosses the same stacks with every topology,\n" +
-			"mode, shard count and adaptive setting, and `BENCH_hostile.json` records\n" +
-			"each mutator's measured overhead.\n")
+			"mode, shard count and adaptive setting; DESIGN.md §8 quotes each mutator's\n" +
+			"measured overhead.\n")
 	} else {
 		b.WriteString("\n**Divergence: a hostile scenario broke JIT/REF multiset equality** — the\n" +
 			"DESIGN.md §8 equivalence contract is violated; run the internal/scenario\n" +

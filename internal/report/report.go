@@ -289,7 +289,7 @@ func runExtensions(o Options) Extensions {
 	// Hostile scenarios always run at the scenario suite's short sizes:
 	// the appendix is an equivalence record, not a performance sweep, and
 	// the full-size mutator stacks belong to internal/scenario's nightly
-	// matrix and BenchmarkHostile.
+	// matrix.
 	hostileBase := scenario.Base(true)
 	hostileBase.Seed = o.seed()
 	for _, sc := range scenario.Suite(true) {

@@ -9,9 +9,9 @@
 //
 // The paper evaluates only friendly traffic: in-order, uniform-domain,
 // stationary Poisson equi-joins. This package is where every post-paper
-// robustness claim is pinned; the tests live in scenario_test.go and the
-// measured trajectory in BENCH_hostile.json (recorded from the root-level
-// BenchmarkHostile sweep).
+// robustness claim is pinned; the tests live in scenario_test.go. What the
+// mutators cost was measured once (DESIGN.md §8 quotes it); wall-clock
+// performance is bench/README.md's business.
 package scenario
 
 import (

@@ -152,8 +152,10 @@ func (s *Server) serveIngest(sc *bufio.Scanner, w *bufio.Writer) {
 		}
 		switch f.Cmd {
 		case "eos":
-			s.closeIngest()
+			// Ack first: once the channel closes the engine can finish, and
+			// the owner's Shutdown then closes this connection under us.
 			writeLine(w, ackLine{OK: true, Ingested: ingested, Skipped: sess.skipped}) //nolint:errcheck // conn is closing
+			s.closeIngest()
 			return
 		case "":
 			// A tuple frame.

@@ -269,6 +269,37 @@ func TestServeMatchesEngine(t *testing.T) {
 	}
 }
 
+// TestEOSAckSurvivesShutdown runs many short ingest sessions to eos against
+// servers whose owner shuts down the moment the run ends (as cmd/jitserver
+// does): the {"ok":true,"ingested":N} ack must arrive every time, never
+// losing the race against Shutdown closing the ingest connection.
+func TestEOSAckSurvivesShutdown(t *testing.T) {
+	cfg, base := testParams(core.REF())
+	tuples := workload(base)[:5]
+	for i := 0; i < 60; i++ {
+		s, err := Open(cfg)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		stopped := make(chan struct{})
+		go func() {
+			s.Wait() //nolint:errcheck // only the end of the run matters here
+			s.Shutdown()
+			close(stopped)
+		}()
+		c, _ := ingestGreet(t, s.Addr())
+		for _, tp := range tuples {
+			c.send(tupleFrame(tp))
+		}
+		c.send(Frame{Cmd: "eos"})
+		if ack := c.recv(); ack["ok"] != true || ack["ingested"] != float64(len(tuples)) {
+			t.Fatalf("session %d: eos ack %v, want ok with ingested=%d", i, ack, len(tuples))
+		}
+		c.close()
+		<-stopped
+	}
+}
+
 // TestRejectedFramesDoNotPerturbRun interleaves every rejection class with
 // valid traffic — each rejection kills its connection, the client reconnects
 // and re-sends (the server skips covered IDs) — and requires the delivered

@@ -16,8 +16,8 @@ import (
 // (w=2min, h=3min). The tests run λ=3, dmax=30 — the same ~10 join
 // partners per tuple per predicate as the dense λ=8, dmax=100 roadmap
 // point, at a fraction of the arrivals, with ~60 finals to compare; the
-// λ=8 point itself is exercised by the root shard benchmarks
-// (BENCH_shard.json).
+// λ=8 point itself gave the scaling curve DESIGN.md §5 quotes (for today's
+// performance harness see bench/README.md).
 func cliqueWorkload(rate float64, dmax, seed int64) (*stream.Catalog, predicate.Conj, []*stream.Tuple) {
 	cat, conj := predicate.Clique(4)
 	arrivals := source.Generate(cat, source.UniformConfig(4, rate, dmax, 3*stream.Minute, seed))

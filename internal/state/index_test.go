@@ -2,6 +2,7 @@ package state
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/metrics"
@@ -24,9 +25,11 @@ func otherComp(id uint64, ts stream.Time) *stream.Composite {
 func key0() Key { return Key{{Source: 0, Col: 0}} }
 
 // probeAll drains ProbeNext from cursor 0 and returns the visited seqs.
-func probeAll(st *State, h uint64) []uint64 {
+func probeAll(st *State, h uint64) []uint64 { return probeFrom(st, h, 0) }
+
+// probeFrom drains ProbeNext from the given cursor.
+func probeFrom(st *State, h uint64, after uint64) []uint64 {
 	var seqs []uint64
-	after := uint64(0)
 	for {
 		e, ok := st.ProbeNext(h, after)
 		if !ok {
@@ -114,10 +117,13 @@ func TestIndexMaintenanceOnRemovePurgeReinsert(t *testing.T) {
 	}
 }
 
-// TestIndexMatchesScan cross-checks ProbeNext against a filtered ScanAfter
+// TestIndexMatchesScan cross-checks ProbeNext against a filtered linear walk
 // under randomized insert / remove / purge / reinsert traffic: for every
 // key value, the indexed walk must visit exactly the entries a linear scan
-// would match, in the same order.
+// would match, in the same order — from cursor 0 (the live probe) and from
+// a mid-store cursor after out-of-sequence reinsertion (the access pattern
+// of core's exact-mode graveyard, which retires in expiry order and probes
+// from a park-time cursor).
 func TestIndexMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	st := New("S", &Side{}, &metrics.Account{})
@@ -142,9 +148,12 @@ func TestIndexMatchesScan(t *testing.T) {
 			})
 			parked = append(parked, removed...)
 		case 4:
+			// Reinsert from a random position: sequence order must be
+			// restored whatever order entries come back in.
 			for len(parked) > 0 {
-				e := parked[len(parked)-1]
-				parked = parked[:len(parked)-1]
+				k := rng.Intn(len(parked))
+				e := parked[k]
+				parked = append(parked[:k], parked[k+1:]...)
 				if e.C.MinTS+40 > now {
 					st.Reinsert(e)
 					break
@@ -176,6 +185,31 @@ func TestIndexMatchesScan(t *testing.T) {
 				if got[k] != want[k] {
 					t.Fatalf("step %d v=%d: order diverged: got %v want %v", i, v, got, want)
 				}
+			}
+			if len(want) == 0 {
+				continue
+			}
+			cursor := want[rng.Intn(len(want))]
+			var tail []uint64
+			for at := st.IndexAfter(cursor); at < st.Len(); at++ {
+				if c := st.At(at).C.Comp(0); c == nil || c.Vals[0] == v {
+					tail = append(tail, st.At(at).Seq)
+				}
+			}
+			if from := probeFrom(st, h, cursor); !slices.Equal(from, tail) {
+				t.Fatalf("step %d v=%d cursor %d: got %v want %v", i, v, cursor, from, tail)
+			}
+		}
+		if ts, ok := st.MinTS(); ok {
+			min := st.At(0).C.MinTS
+			st.Scan(func(e Entry) bool {
+				if e.C.MinTS < min {
+					min = e.C.MinTS
+				}
+				return true
+			})
+			if ts != min {
+				t.Fatalf("step %d: cached MinTS %d, exact %d", i, ts, min)
 			}
 		}
 	}

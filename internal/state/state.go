@@ -29,12 +29,13 @@
 // candidate set and the caller's full predicate evaluation (band atoms
 // included) does the final filtering — while a pure-band conjunction yields
 // no key at all, leaving the state scan-only. Correctness is unaffected
-// either way; only the probe's candidate count degrades, which is exactly
-// the degradation BENCH_hostile.json measures.
+// either way; only the probe's candidate count degrades (measured in
+// DESIGN.md §8; today's performance harness is bench/README.md).
 package state
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/metrics"
 	"repro/internal/predicate"
@@ -105,6 +106,53 @@ func (s *Side) Next() uint64 {
 // Watermark returns the highest sequence number issued so far.
 func (s *Side) Watermark() uint64 { return s.seq }
 
+// MinCache caches the minimum of a changing multiset of times — the one
+// implementation behind every deadline cache NextDeadline reads (state
+// MinTS, blacklist anchors and parked tuples, MNS buffer, mark table;
+// DESIGN.md §4). The owner reports each insertion (Add) and removal
+// (Remove); the minimum is exact while values are only added and is
+// recomputed on the next Get after anything that can raise it. A value
+// raised behind the owner's back (MNS descriptors are shared, so another
+// structure can extend an expiry in place) leaves the cache stale-low until
+// Invalidate: a deadline then fires early — a no-op sweep — never late.
+type MinCache struct {
+	min   stream.Time
+	n     int
+	dirty bool
+}
+
+// Add folds a newly inserted value into the cache.
+func (c *MinCache) Add(t stream.Time) {
+	if c.n == 0 {
+		c.min, c.dirty = t, false
+	} else if !c.dirty && t < c.min {
+		c.min = t
+	}
+	c.n++
+}
+
+// Remove notes that k cached values left the multiset.
+func (c *MinCache) Remove(k int) {
+	if k > 0 {
+		c.n -= k
+		c.dirty = true
+	}
+}
+
+// Invalidate forces the next Get to recompute.
+func (c *MinCache) Invalidate() { c.dirty = true }
+
+// Get returns the minimum; ok is false when the multiset is empty. A stale
+// cache is rebuilt first from each, which must call add once per current
+// value.
+func (c *MinCache) Get(each func(add func(stream.Time))) (min stream.Time, ok bool) {
+	if c.n > 0 && c.dirty {
+		c.n = 0
+		each(c.Add)
+	}
+	return c.min, c.n > 0
+}
+
 // State is one sliding-window operator state.
 type State struct {
 	name    string
@@ -118,13 +166,10 @@ type State struct {
 	key     Key
 	buckets map[uint64][]Entry
 	loose   []Entry // entries whose composite lacks a key component
-	// Min-expiry tracking (DESIGN.md §4): minTS caches the smallest MinTS
-	// among live entries so the engine's deadline scheduler can ask "when
-	// does the next tuple expire" in O(1). The cache is maintained exactly on
-	// insertion and recomputed lazily (minDirty) after removals, which only
-	// ever raise the true minimum — a stale cache is a safe lower bound.
-	minTS    stream.Time
-	minDirty bool
+	// min caches the smallest MinTS among live entries so the engine's
+	// deadline scheduler can ask "when does the next tuple expire" in O(1)
+	// (DESIGN.md §4).
+	min MinCache
 }
 
 // New creates a state drawing sequence numbers from side and charging
@@ -168,67 +213,35 @@ func (s *State) Empty() bool { return len(s.entries) == 0 }
 // Insert appends a fresh composite, drawing a new sequence number.
 func (s *State) Insert(c *stream.Composite) Entry {
 	e := Entry{C: c, Seq: s.side.Next()}
-	s.version++
-	s.noteInsert(e)
-	s.entries = append(s.entries, e)
-	s.indexInsert(e)
-	s.acct.Alloc(c.DeepSizeBytes())
+	s.Reinsert(e)
 	return e
 }
 
 // InvalidateMinCache forces the next MinTS read to recompute exactly (see
 // feedback.Blacklist.InvalidateMinCaches for the shared-descriptor rationale
 // behind deadline-cache flushing).
-func (s *State) InvalidateMinCache() { s.minDirty = len(s.entries) > 0 }
+func (s *State) InvalidateMinCache() { s.min.Invalidate() }
 
 // MinTS returns the smallest MinTS among live entries; ok is false when the
 // state is empty. The earliest window-expiry deadline of the state is
 // MinTS() + window (see JoinOp.NextDeadline, DESIGN.md §4).
 func (s *State) MinTS() (stream.Time, bool) {
-	if len(s.entries) == 0 {
-		return 0, false
-	}
-	if s.minDirty {
-		s.recomputeMin()
-	}
-	return s.minTS, true
-}
-
-// noteInsert folds a new entry into the min cache.
-func (s *State) noteInsert(e Entry) {
-	if len(s.entries) == 0 {
-		s.minTS, s.minDirty = e.C.MinTS, false
-		return
-	}
-	if !s.minDirty && e.C.MinTS < s.minTS {
-		s.minTS = e.C.MinTS
-	}
-}
-
-// noteRemove invalidates the min cache when the removed entry could be the
-// minimum.
-func (s *State) noteRemove(e Entry) {
-	if !s.minDirty && e.C.MinTS <= s.minTS {
-		s.minDirty = true
-	}
-}
-
-func (s *State) recomputeMin() {
-	s.minDirty = false
-	for i, e := range s.entries {
-		if i == 0 || e.C.MinTS < s.minTS {
-			s.minTS = e.C.MinTS
+	return s.min.Get(func(add func(stream.Time)) {
+		for _, e := range s.entries {
+			add(e.C.MinTS)
 		}
-	}
+	})
 }
 
 // Reinsert places an entry with a pre-drawn sequence number into the state,
-// preserving ascending-seq order. Used both for fresh inputs (whose sequence
-// is drawn at probe start, before insertion) and for tuples reactivated out
-// of a blacklist (which keep their original sequence for life).
+// preserving ascending-seq order. Used for fresh inputs (whose sequence is
+// drawn at probe start, before insertion), for tuples reactivated out of a
+// blacklist (which keep their original sequence for life), and for entries
+// retired to core's exact-mode graveyard, which arrive in expiry order
+// rather than sequence order (DESIGN.md §4).
 func (s *State) Reinsert(e Entry) {
 	s.version++
-	s.noteInsert(e)
+	s.min.Add(e.C.MinTS)
 	s.acct.Alloc(e.C.DeepSizeBytes())
 	s.entries = insertBySeq(s.entries, e)
 	s.indexInsert(e)
@@ -329,93 +342,95 @@ func (s *State) ProbeNext(h uint64, after uint64) (Entry, bool) {
 	return best, found
 }
 
-// Purge removes entries whose oldest component has expired: MinTS + w <= now.
-// It returns the number purged. Entries are in arrival order but MinTS is
-// not monotone in general (a composite's MinTS can predate its arrival), so
-// the scan filters rather than truncates a prefix.
-func (s *State) Purge(now, window stream.Time) int {
-	return s.PurgeRetired(now, window, nil)
+// Walk visits, in ascending sequence order, the entries with sequence
+// strictly greater than after, until visit returns false: every entry, or —
+// keyed — only those ProbeNext yields for key hash h. It is the one probe
+// loop of core's live and graveyard probes, and tolerates visit mutating the
+// state re-entrantly (suspension feedback triggered by an emitted result):
+// the walk then resumes after the last sequence visited.
+func (s *State) Walk(keyed bool, h, after uint64, visit func(Entry) bool) {
+	if keyed {
+		for e, ok := s.ProbeNext(h, after); ok && visit(e); e, ok = s.ProbeNext(h, e.Seq) {
+		}
+		return
+	}
+	ver, i := s.version, seqIndexAfter(s.entries, after)
+	for i < len(s.entries) {
+		e := s.entries[i]
+		if !visit(e) {
+			return
+		}
+		if i++; ver != s.version {
+			ver, i = s.version, seqIndexAfter(s.entries, e.Seq)
+		}
+	}
 }
 
-// PurgeRetired is Purge with a retirement hook: each removed entry is passed
-// to retire (when non-nil) before it is dropped. core's exact-delivery mode
-// uses it to keep expired entries reachable for late recovery probes — a
-// composite released by an upstream resumption can still form pairs REF
-// formed live with partners this state has already expired (DESIGN.md §4).
-func (s *State) PurgeRetired(now, window stream.Time, retire func(Entry)) int {
-	kept := s.entries[:0]
-	purged := 0
-	s.minDirty = false
-	for _, e := range s.entries {
-		if e.C.MinTS+window <= now {
-			if retire != nil {
-				retire(e)
-			}
-			s.acct.Free(e.C.DeepSizeBytes())
-			s.indexRemove(e)
-			purged++
-			continue
-		}
-		if len(kept) == 0 || e.C.MinTS < s.minTS {
-			s.minTS = e.C.MinTS
-		}
-		kept = append(kept, e)
+// BySeq returns the entry holding the given sequence number, if present.
+func (s *State) BySeq(seq uint64) (Entry, bool) {
+	if i := seqIndexAfter(s.entries, seq-1); i < len(s.entries) && s.entries[i].Seq == seq {
+		return s.entries[i], true
 	}
-	if purged > 0 {
-		s.version++
+	return Entry{}, false
+}
+
+// Purge removes and returns the entries whose oldest component has expired:
+// MinTS + w <= now. It runs on every arrival, so the cached minimum spares
+// the scan when nothing is due.
+func (s *State) Purge(now, window stream.Time) []Entry {
+	if ts, ok := s.MinTS(); !ok || ts+window > now {
+		return nil
 	}
-	// Zero the tail so purged composites are collectable.
-	for i := len(kept); i < len(s.entries); i++ {
-		s.entries[i] = Entry{}
-	}
-	s.entries = kept
-	return purged
+	return s.extract(now-window, nil)
 }
 
 // Remove deletes the entry holding exactly this composite and returns it
 // (with its sequence number) for transfer into a blacklist. The boolean is
 // false when the composite is not present.
 func (s *State) Remove(c *stream.Composite) (Entry, bool) {
-	for i, e := range s.entries {
-		if e.C == c {
-			s.version++
-			s.noteRemove(e)
-			s.acct.Free(c.DeepSizeBytes())
-			s.indexRemove(e)
-			copy(s.entries[i:], s.entries[i+1:])
-			s.entries[len(s.entries)-1] = Entry{}
-			s.entries = s.entries[:len(s.entries)-1]
-			return e, true
-		}
+	removed := s.RemoveIf(func(x *stream.Composite) bool { return x == c })
+	if len(removed) == 0 {
+		return Entry{}, false
 	}
-	return Entry{}, false
+	return removed[0], true
 }
 
-// RemoveIf extracts every entry for which pred returns true, preserving
-// order among both kept and removed entries.
+// RemoveIf removes and returns every entry for which pred returns true
+// (core moves a suspended signature's matches into a blacklist).
 func (s *State) RemoveIf(pred func(*stream.Composite) bool) []Entry {
+	return s.extract(math.MinInt64, pred)
+}
+
+// extract is the one filter loop behind window expiry and RemoveIf: it
+// removes every entry whose MinTS is at or below expired or that pred (when
+// given) selects, preserving order among both kept and removed entries.
+// Expiry is a field comparison rather than a pred because it runs over both
+// states of an operator on every arrival. Entries are in arrival order but
+// MinTS is not monotone in general (a composite's MinTS can predate its
+// arrival), so expiry filters rather than truncates a prefix.
+func (s *State) extract(expired stream.Time, pred func(*stream.Composite) bool) []Entry {
 	var removed []Entry
 	kept := s.entries[:0]
-	s.minDirty = false
+	var min stream.Time
 	for _, e := range s.entries {
-		if pred(e.C) {
+		if e.C.MinTS <= expired || (pred != nil && pred(e.C)) {
 			removed = append(removed, e)
 			s.acct.Free(e.C.DeepSizeBytes())
 			s.indexRemove(e)
 			continue
 		}
-		if len(kept) == 0 || e.C.MinTS < s.minTS {
-			s.minTS = e.C.MinTS
+		if len(kept) == 0 || e.C.MinTS < min {
+			min = e.C.MinTS
 		}
 		kept = append(kept, e)
 	}
 	if len(removed) > 0 {
 		s.version++
 	}
-	for i := len(kept); i < len(s.entries); i++ {
-		s.entries[i] = Entry{}
-	}
+	// Zero the tail so removed composites are collectable.
+	clear(s.entries[len(kept):])
 	s.entries = kept
+	s.min = MinCache{min: min, n: len(kept)}
 	return removed
 }
 
@@ -424,19 +439,6 @@ func (s *State) RemoveIf(pred func(*stream.Composite) bool) []Entry {
 // probe, Sec. III-B).
 func (s *State) Scan(visit func(Entry) bool) {
 	for _, e := range s.entries {
-		if !visit(e) {
-			return
-		}
-	}
-}
-
-// ScanAfter visits live entries with sequence numbers strictly greater than
-// cursor, in arrival order — the resumption catch-up scan.
-func (s *State) ScanAfter(cursor uint64, visit func(Entry) bool) {
-	for _, e := range s.entries {
-		if e.Seq <= cursor {
-			continue
-		}
 		if !visit(e) {
 			return
 		}
