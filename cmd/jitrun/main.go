@@ -16,6 +16,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/stream"
 )
 
@@ -48,18 +49,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	var m core.Mode
-	switch *mode {
-	case "jit":
-		m = core.JIT()
-	case "ref":
-		m = core.REF()
-	case "doe":
-		m = core.DOE()
-	case "bloom":
-		m = core.BloomJIT()
-	default:
-		fail("unknown mode %q (want jit, ref, doe or bloom)", *mode)
+	m, err := core.ParseMode(*mode)
+	if err != nil {
+		fail("%v", err)
 	}
 
 	// Flag-combination checks: both -shards and -adapt force the end-of-
@@ -204,7 +196,7 @@ func main() {
 		s := p.RunSharded()
 		r := s.Merged
 		fmt.Printf("mode=%s plan=%s N=%d w=%v λ=%.2f dmax=%d horizon=%v shards=%d adapt=%v\n",
-			*mode, planName(*bushy), *n, p.Window, *rate, *dmax, p.Horizon, len(s.Shards), *adapt)
+			*mode, plan.ShapeName(*bushy), *n, p.Window, *rate, *dmax, p.Horizon, len(s.Shards), *adapt)
 		if h := hostileDesc(p); h != "" {
 			fmt.Println(h)
 		}
@@ -228,7 +220,7 @@ func main() {
 	}
 	r := p.Run()
 	fmt.Printf("mode=%s plan=%s N=%d w=%v λ=%.2f dmax=%d horizon=%v drain=%v adapt=%v\n",
-		*mode, planName(*bushy), *n, p.Window, *rate, *dmax, p.Horizon, *drain || p.Adapt, *adapt)
+		*mode, plan.ShapeName(*bushy), *n, p.Window, *rate, *dmax, p.Horizon, *drain || p.Adapt, *adapt)
 	if h := hostileDesc(p); h != "" {
 		fmt.Println(h)
 	}
@@ -276,13 +268,6 @@ func obsEpilogue(tracers []*obs.Tracer, mems []*obs.MemorySink, traceOut string)
 		os.Exit(1)
 	}
 	fmt.Printf("trace: wrote %d events to %s\n", len(evs), traceOut)
-}
-
-func planName(bushy bool) string {
-	if bushy {
-		return "bushy"
-	}
-	return "left-deep"
 }
 
 // hostileDesc summarizes the active hostile-stream mutators, or "" when the

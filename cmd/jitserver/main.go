@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/serve"
 	"repro/internal/stream"
 )
@@ -51,18 +52,9 @@ func main() {
 	obsSample := flag.Float64("obs-sample", 0, "deterministic sampling interval for the obs time series, in seconds of stream time (0 = one window)")
 	flag.Parse()
 
-	var m core.Mode
-	switch *mode {
-	case "jit":
-		m = core.JIT()
-	case "ref":
-		m = core.REF()
-	case "doe":
-		m = core.DOE()
-	case "bloom":
-		m = core.BloomJIT()
-	default:
-		fail("unknown mode %q (want jit, ref, doe or bloom)", *mode)
+	m, err := core.ParseMode(*mode)
+	if err != nil {
+		fail("%v", err)
 	}
 
 	var pol serve.SubPolicy
@@ -129,7 +121,7 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	fmt.Fprintf(os.Stderr, "jitserver: serving %s mode=%s on %s\n", planName(*bushy), *mode, s.Addr())
+	fmt.Fprintf(os.Stderr, "jitserver: serving %s mode=%s on %s\n", plan.ShapeName(*bushy), *mode, s.Addr())
 	if r := s.Recovery(); r != nil {
 		fmt.Fprintf(os.Stderr, "jitserver: recovered %s: cut=%v rows=%d keys=%d tail=%d ingest_hwm=%d delivered=%d in %v\n",
 			r.Path, r.Cut, r.Rows, r.Keys, r.Tail, r.IngestHWM, r.Delivered, r.Elapsed)
@@ -164,11 +156,4 @@ func main() {
 	if st.SaveErr != nil {
 		fail("checkpoint save failed during the run: %v", st.SaveErr)
 	}
-}
-
-func planName(bushy bool) string {
-	if bushy {
-		return "bushy"
-	}
-	return "left-deep"
 }

@@ -31,19 +31,20 @@
 //
 // # Why no result is lost or duplicated
 //
-// The run keeps a single sink across plan instances, fronted by a dedup tap
-// keyed on the canonical result identity (stream.Composite.Key). Exact-once
+// The run keeps a single sink across plan instances, fronted by the dedup
+// gate (operator.Dedup) keyed on the canonical result identity
+// (stream.Composite.Key). Exact-once
 // delivery across the handoff follows from exact-delivery mode (required:
 // the engine rejects Reopt without Drain):
 //
 //   - nothing is lost: draining the outgoing plan to the cut delivers every
 //     result whose window closes by the cut; any result still undelivered
 //     has all constituents inside the snapshot window, so the successor plan
-//     regenerates it — live during replay (delivered through the tap) or
+//     regenerates it — live during replay (delivered through the gate) or
 //     suspended, to be delivered by a later resume, sweep or the end-of-run
 //     drain;
 //   - nothing is duplicated: a result the outgoing plan already delivered
-//     and the successor regenerates is absorbed by the tap
+//     and the successor regenerates is absorbed by the gate
 //     (Counters.MigrationDups counts these).
 //
 // Determinism is preserved: the cut point, the snapshot order (tuple IDs are
@@ -75,25 +76,6 @@ type Config struct {
 	// Patience is the number of consecutive winning epochs the same
 	// candidate needs before the migration fires. Zero means 2.
 	Patience int
-	// Candidates are the shapes considered. Nil means the bushy and
-	// left-deep shapes of Table II over the plan's source count.
-	Candidates []*plan.Node
-	// MinEpochCost skips scoring for near-idle epochs (observed cost-unit
-	// delta below the threshold). Zero means 1024.
-	MinEpochCost uint64
-	// Rise is the regime-shift trigger: shadow scoring runs only in epochs
-	// where a watched signal layer — the observed cost delta, or the
-	// per-operator feedback-pressure delta (MNSDetected + Suspended +
-	// SuppressedPairs over core.JoinOp.Stats) — exceeds Rise × the previous
-	// epoch's, or while a hysteresis streak is pending. Steady-state epochs
-	// therefore cost no scoring overhead at all — the shape question is
-	// reopened when the observed feedback says the workload changed. Zero
-	// means 1.5; values at or below 1 effectively score every non-idle
-	// epoch.
-	Rise float64
-	// MaxMigrations caps how many migrations a run may perform; zero means
-	// unlimited.
-	MaxMigrations int
 	// Log, when non-nil, receives one line per epoch decision and per
 	// migration.
 	Log io.Writer
@@ -119,26 +101,65 @@ func (c Config) patience() int {
 	return c.Patience
 }
 
-func (c Config) minEpochCost() uint64 {
-	if c.MinEpochCost == 0 {
-		return 1024
-	}
-	return c.MinEpochCost
-}
+// minEpochCost skips scoring for near-idle epochs: an observed cost-unit
+// delta below it carries no shape signal.
+const minEpochCost = 1024
 
-func (c Config) rise() float64 {
-	if c.Rise <= 0 {
-		return 1.5
-	}
-	return c.Rise
-}
+// rise is the regime-shift trigger: shadow scoring runs only in epochs where
+// a watched signal layer — the observed cost delta, or the per-operator
+// feedback-pressure delta (MNSDetected + Suspended + SuppressedPairs over
+// core.JoinOp.Stats) — exceeds rise × the previous epoch's, or while a
+// hysteresis streak is pending. Steady-state epochs therefore cost no
+// scoring overhead at all — the shape question is reopened when the observed
+// feedback says the workload changed.
+const rise = 1.5
 
-// candidatesFor resolves the candidate set for an n-source plan.
-func (c Config) candidatesFor(n int) []*plan.Node {
-	if c.Candidates != nil {
-		return c.Candidates
-	}
+// candidates are the shapes considered for an n-source plan: the bushy and
+// left-deep shapes of Table II.
+func candidates(n int) []*plan.Node {
 	return []*plan.Node{plan.Bushy(n), plan.LeftDeep(n)}
+}
+
+// streak is the one margin-and-patience decision, shared by the single-engine
+// controller and the fleet coordinator: how many consecutive scored rounds
+// the same candidate has beaten the current shape by the hysteresis margin.
+type streak struct {
+	wins   int
+	winner string
+}
+
+// decide folds one scored round into the streak. The challenger is the
+// cheapest candidate other than current (ties keep candidate order); it wins
+// the round iff scores[current] > its score × Margin. Patience consecutive
+// wins by the same challenger fire: the target is returned and the streak
+// closes. wins is the streak length this round reached, before any firing.
+func (s *streak) decide(cfg Config, current string, cands []*plan.Node, scores map[string]uint64) (target *plan.Node, wins int) {
+	var best *plan.Node
+	var bestCost uint64
+	for _, cand := range cands {
+		k := cand.Canonical()
+		if k == current {
+			continue
+		}
+		if v, ok := scores[k]; ok && (best == nil || v < bestCost) {
+			best, bestCost = cand, v
+		}
+	}
+	if best == nil || float64(scores[current]) <= float64(bestCost)*cfg.margin() {
+		*s = streak{}
+		return nil, 0
+	}
+	if k := best.Canonical(); s.winner == k {
+		s.wins++
+	} else {
+		s.winner, s.wins = k, 1
+	}
+	wins = s.wins
+	if wins < cfg.patience() {
+		return nil, wins
+	}
+	*s = streak{}
+	return best, wins
 }
 
 // Controller is the engine-facing re-optimizer (engine.Reoptimizer). One
@@ -152,10 +173,9 @@ type Controller struct {
 	shape *plan.Node
 	cands []*plan.Node
 	sink  *operator.Sink
-	tap   *tap
+	gate  *operator.Dedup
 
-	started   bool
-	nextEpoch stream.Time
+	clock     stream.EpochClock
 	epochBuf  []*stream.Tuple
 	lastCost  uint64
 	lastStats []metrics.OpStats
@@ -166,35 +186,33 @@ type Controller struct {
 	prevObserved uint64
 	prevPressure uint64
 	noBaseline   bool
-	wins         int
-	winner       string
+	streak       streak
 	pending      *plan.Node
-	migrations   int
 	forced       bool
 }
 
 // New creates a self-deciding controller (single-engine runs).
-func New(cfg Config) *Controller { return &Controller{cfg: cfg} }
+func New(cfg Config) *Controller { return NewCoordinated(cfg, nil) }
 
 // NewCoordinated creates a controller whose epoch decisions are made
 // fleet-wide by the coordinator; local epoch boundaries are ignored and the
 // shard runner's barrier markers drive AtBarrier instead.
 func NewCoordinated(cfg Config, coord *Coordinator) *Controller {
-	return &Controller{cfg: cfg, coord: coord}
+	return &Controller{cfg: cfg, coord: coord, clock: stream.EpochClock{Period: cfg.Epoch}}
 }
 
 // Attach implements engine.Reoptimizer: it binds the controller to the
-// run's initial plan and splices the dedup tap between the plan root and
+// run's initial plan and splices the dedup gate between the plan root and
 // the sink, so every delivery of the run is recorded from the first arrival
-// on. The tap's seen-set grows with the run's final-result count — the
+// on. The gate's seen-set grows with the run's final-result count — the
 // price of exactly-once delivery across handoffs.
 func (c *Controller) Attach(b *plan.Built) {
 	c.b = b
 	c.shape = b.Shape()
 	c.sink = b.Sink
-	c.cands = c.cfg.candidatesFor(b.Catalog.NumSources())
-	c.tap = &tap{sink: b.Sink, seen: make(map[string]bool), ctr: b.Counters}
-	b.RootJoin().SetConsumer(c.tap, operator.Left)
+	c.cands = candidates(b.Catalog.NumSources())
+	c.gate = operator.NewDedup(b.Sink, &b.Counters.MigrationDups)
+	b.RootJoin().SetConsumer(c.gate, operator.Left)
 	c.lastCost = b.Counters.CostUnits()
 	c.noBaseline = true
 	c.snapStats()
@@ -204,21 +222,16 @@ func (c *Controller) Attach(b *plan.Built) {
 // buffer, runs the epoch evaluation at boundaries (uncoordinated mode), and
 // reports whether a migration is due at this arrival's timestamp.
 func (c *Controller) Decide(t *stream.Tuple, b *plan.Built) bool {
-	if !c.started {
-		c.started = true
-		c.nextEpoch = t.TS + c.cfg.Epoch
-	}
+	due := c.clock.Due(t.TS) // the first arrival arms the clock
 	if c.cfg.ForceTo != nil && !c.forced && t.TS >= c.cfg.ForceAt {
 		c.forced = true
 		if c.cfg.ForceTo.Canonical() != c.shape.Canonical() {
 			c.pending = c.cfg.ForceTo
 		}
 	}
-	if c.pending == nil && c.coord == nil && c.cfg.Epoch > 0 && t.TS >= c.nextEpoch {
+	if c.pending == nil && c.coord == nil && c.cfg.Epoch > 0 && due {
 		c.evaluateEpoch(t.TS)
-		for c.nextEpoch <= t.TS {
-			c.nextEpoch += c.cfg.Epoch
-		}
+		c.clock.Advance(t.TS)
 	}
 	// The epoch buffer feeds shadow scoring and is trimmed at each epoch
 	// close (resetEpoch); with the epoch policy disabled (Epoch 0,
@@ -251,9 +264,9 @@ func (c *Controller) AtBarrier() {
 	// requires every replica's scores, so a chronically idle shard —
 	// extreme key skew — conservatively holds migrations; its signal would
 	// be meaningless anyway).
-	if observed >= c.cfg.minEpochCost() && (c.reopened(observed) || c.coord.StreakOpen()) {
+	if observed >= minEpochCost && (c.reopened(observed) || c.coord.StreakOpen()) {
 		scores = c.scoreShapes()
-	} else if observed < c.cfg.minEpochCost() {
+	} else if observed < minEpochCost {
 		c.reopened(observed) // advance the baselines regardless
 	}
 	if target := c.coord.Exchange(observed, scores); target != nil &&
@@ -273,14 +286,11 @@ func (c *Controller) Leave() {
 
 // Migrate implements engine.Reoptimizer: snapshot the outgoing plan at the
 // cut, rebuild under the target shape, replay the snapshot through the
-// dedup tap, and hand the merged measurement substrate to the successor.
+// dedup gate, and hand the merged measurement substrate to the successor.
 func (c *Controller) Migrate(cut stream.Time, b *plan.Built) *plan.Built {
 	target := c.pending
 	c.pending = nil
 	if target == nil {
-		return nil
-	}
-	if c.cfg.MaxMigrations > 0 && c.migrations >= c.cfg.MaxMigrations {
 		return nil
 	}
 	note := c.shape.Canonical() + " -> " + target.Canonical()
@@ -293,7 +303,7 @@ func (c *Controller) Migrate(cut stream.Time, b *plan.Built) *plan.Built {
 	// The run's one sink spans the handoff; the successor's own sink is
 	// discarded before anything reaches it.
 	nb.Sink = c.sink
-	nb.RootJoin().SetConsumer(c.tap, operator.Left)
+	nb.RootJoin().SetConsumer(c.gate, operator.Left)
 	// The successor inherits the run's tracer before the replay, so replay
 	// probes and suspensions are visible in the trace, attributed to the new
 	// plan's operators (DESIGN.md §9).
@@ -310,13 +320,12 @@ func (c *Controller) Migrate(cut stream.Time, b *plan.Built) *plan.Built {
 	nb.Counters.Add(b.Counters)
 	nb.Counters.Migrations++
 	c.sink.SetCounters(nb.Counters)
-	c.tap.ctr = nb.Counters
+	c.gate.CountInto(&nb.Counters.MigrationDups)
 	nb.Trace.MigrationDone(cut, nb.Counters.MigrationDups, note)
 	c.logf("adapt: t=%v migrate %s -> %s (replayed %d in-window arrivals, %d dups absorbed so far)",
 		cut, c.shape.Canonical(), target.Canonical(), len(snap), nb.Counters.MigrationDups)
 	c.shape = target
 	c.b = nb
-	c.migrations++
 	c.lastCost = nb.Counters.CostUnits()
 	c.noBaseline = true // the successor re-baselines its steady state
 	c.snapStats()
@@ -331,54 +340,30 @@ func (c *Controller) evaluateEpoch(now stream.Time) {
 	c.b.Trace.Epoch(now, observed)
 	mns, susp, suppr := c.statDeltas()
 	prev := c.prevObserved
-	if observed < c.cfg.minEpochCost() {
+	if observed < minEpochCost {
 		c.prevObserved, c.prevPressure, c.noBaseline = observed, mns+susp+suppr, false
 		c.logf("adapt: epoch t=%v idle (cost=%d mns=%d susp=%d suppressed=%d) — skip scoring",
 			now, observed, mns, susp, suppr)
-		c.wins, c.winner = 0, ""
+		c.streak = streak{}
 		c.resetEpoch()
 		return
 	}
 	// Regime-shift gate: in steady state the shape question stays closed and
 	// epochs cost nothing. Scoring reopens when either watched signal layer
-	// jumps (Rise ×) against the previous epoch — the observed cost, or the
+	// jumps (rise ×) against the previous epoch — the observed cost, or the
 	// per-operator feedback pressure — and stays open while a hysteresis
 	// streak is pending. The first epoch only establishes the baselines.
-	if !c.reopened(observed) && c.wins == 0 {
+	if !c.reopened(observed) && c.streak.wins == 0 {
 		c.logf("adapt: epoch t=%v steady (cost=%d prev=%d mns=%d susp=%d suppressed=%d) — keep %s",
 			now, observed, prev, mns, susp, suppr, c.shape.Canonical())
 		c.resetEpoch()
 		return
 	}
 	scores := c.scoreShapes()
-	curr := scores[c.shape.Canonical()]
-	var best *plan.Node
-	var bestCost uint64
-	for _, cand := range c.cands {
-		k := cand.Canonical()
-		if k == c.shape.Canonical() {
-			continue
-		}
-		if s, ok := scores[k]; ok && (best == nil || s < bestCost) {
-			best, bestCost = cand, s
-		}
-	}
-	if best != nil && float64(curr) > float64(bestCost)*c.cfg.margin() {
-		if c.winner == best.Canonical() {
-			c.wins++
-		} else {
-			c.winner, c.wins = best.Canonical(), 1
-		}
-	} else {
-		c.wins, c.winner = 0, ""
-	}
+	target, wins := c.streak.decide(c.cfg, c.shape.Canonical(), c.cands, scores)
 	c.logf("adapt: epoch t=%v cost=%d mns=%d susp=%d suppressed=%d scores=%s wins=%d/%d",
-		now, observed, mns, susp, suppr, renderScores(scores), c.wins, c.cfg.patience())
-	if c.wins >= c.cfg.patience() &&
-		(c.cfg.MaxMigrations == 0 || c.migrations < c.cfg.MaxMigrations) {
-		c.pending = best
-		c.wins, c.winner = 0, ""
-	}
+		now, observed, mns, susp, suppr, renderScores(scores), wins, c.cfg.patience())
+	c.pending = target
 	c.resetEpoch()
 }
 
@@ -405,12 +390,7 @@ func (c *Controller) scoreShapes() map[string]uint64 {
 			continue
 		}
 		sb := plan.BuildTree(c.b.Catalog, c.b.Preds(), sh, opts)
-		n := sb.Catalog.NumSources()
-		for _, t := range c.epochBuf {
-			sb.Sweep(t.TS)
-			f := sb.Feeds[t.Source]
-			f.Op.Consume(stream.NewComposite(n, t), f.Port)
-		}
+		sb.ReplayInWindow(c.epochBuf)
 		out[k] = sb.Counters.CostUnits()
 		c.b.Counters.AdaptUnits += sb.Counters.CostUnits()
 	}
@@ -422,7 +402,7 @@ func (c *Controller) scoreShapes() map[string]uint64 {
 // per-operator feedback-pressure delta (summed MNSDetected + Suspended +
 // SuppressedPairs over core.JoinOp.Stats) — against the previous epoch's
 // baselines, updates the baselines, and reports whether either jumped by
-// the Rise factor. The first epoch only establishes the baselines. At most
+// the rise factor. The first epoch only establishes the baselines. At most
 // one call per epoch close (baselines advance on every call).
 func (c *Controller) reopened(observed uint64) bool {
 	mns, susp, suppr := c.statDeltas()
@@ -432,7 +412,6 @@ func (c *Controller) reopened(observed uint64) bool {
 	if first {
 		return false
 	}
-	rise := c.cfg.rise()
 	return float64(observed) > rise*float64(prevCost) ||
 		(pressure > 0 && float64(pressure) > rise*float64(prevPressure))
 }
@@ -489,24 +468,4 @@ func renderScores(scores map[string]uint64) string {
 		s += fmt.Sprintf("%s:%d", k, scores[k])
 	}
 	return s + "}"
-}
-
-// tap is the migration dedup filter: the single delivery gate the run's
-// plans share. A composite whose canonical key was already delivered is
-// absorbed (a replay regeneration); everything else passes to the sink.
-type tap struct {
-	sink operator.Consumer
-	seen map[string]bool
-	ctr  *metrics.Counters
-}
-
-// Consume implements operator.Consumer.
-func (t *tap) Consume(c *stream.Composite, p operator.Port) {
-	k := c.Key()
-	if t.seen[k] {
-		t.ctr.MigrationDups++
-		return
-	}
-	t.seen[k] = true
-	t.sink.Consume(c, p)
 }

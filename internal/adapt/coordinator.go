@@ -26,9 +26,9 @@ type Coordinator struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	cfg  Config
-	// byCanon resolves a decided canonical shape back to its Node; shapes
-	// are immutable, so sharing them across replicas is safe.
-	byCanon map[string]*plan.Node
+	// cands are the candidate shapes; shapes are immutable, so sharing them
+	// across replicas is safe.
+	cands []*plan.Node
 	// committed is the canonical shape the fleet currently runs (replicas
 	// apply decisions lazily, at their next arrival, but decisions are
 	// always made relative to the last committed shape).
@@ -39,27 +39,21 @@ type Coordinator struct {
 	round       int
 	sumObserved uint64
 	sums        map[string]uint64
-	wins        int
-	winner      string
+	streak      streak
 	decision    *plan.Node
-	migrations  int
 }
 
 // NewCoordinator creates a coordinator for n replicas of a plan whose
-// current shape is base. Candidates default as in Config.
+// current shape is base.
 func NewCoordinator(n int, base *plan.Node, numSources int, cfg Config) *Coordinator {
 	c := &Coordinator{
 		cfg:       cfg,
 		n:         n,
-		byCanon:   make(map[string]*plan.Node),
+		cands:     candidates(numSources),
 		committed: base.Canonical(),
 		sums:      make(map[string]uint64),
 	}
 	c.cond = sync.NewCond(&c.mu)
-	c.byCanon[c.committed] = base
-	for _, cand := range cfg.candidatesFor(numSources) {
-		c.byCanon[cand.Canonical()] = cand
-	}
 	return c
 }
 
@@ -68,7 +62,7 @@ func NewCoordinator(n int, base *plan.Node, numSources int, cfg Config) *Coordin
 func (c *Coordinator) StreakOpen() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.wins > 0
+	return c.streak.wins > 0
 }
 
 // Exchange reports one replica's observed epoch cost — with shadow scores
@@ -117,38 +111,16 @@ func (c *Coordinator) Leave() {
 func (c *Coordinator) finalizeLocked() {
 	c.decision = nil
 	allScored := c.scored == c.arrived && c.scored > 0
-	curr, haveCurr := c.sums[c.committed]
-	if allScored && c.sumObserved >= c.cfg.minEpochCost() && haveCurr {
-		var best string
-		var bestCost uint64
-		for k, v := range c.sums {
-			if k == c.committed || c.byCanon[k] == nil {
-				continue
-			}
-			if best == "" || v < bestCost || (v == bestCost && k < best) {
-				best, bestCost = k, v
-			}
-		}
-		if best != "" && float64(curr) > float64(bestCost)*c.cfg.margin() {
-			if c.winner == best {
-				c.wins++
-			} else {
-				c.winner, c.wins = best, 1
-			}
-		} else {
-			c.wins, c.winner = 0, ""
-		}
-		if c.wins >= c.cfg.patience() &&
-			(c.cfg.MaxMigrations == 0 || c.migrations < c.cfg.MaxMigrations) {
-			c.decision = c.byCanon[best]
-			c.committed = best
-			c.migrations++
-			c.wins, c.winner = 0, ""
+	_, haveCurr := c.sums[c.committed]
+	if allScored && c.sumObserved >= minEpochCost && haveCurr {
+		if target, _ := c.streak.decide(c.cfg, c.committed, c.cands, c.sums); target != nil {
+			c.decision = target
+			c.committed = target.Canonical()
 		}
 	} else if allScored {
 		// A complete round whose gates failed closes the streak; a partial
 		// round carries no information either way.
-		c.wins, c.winner = 0, ""
+		c.streak = streak{}
 	}
 	c.sumObserved = 0
 	c.sums = make(map[string]uint64)

@@ -64,11 +64,13 @@ type DeliveredKey struct {
 // subscriber that had not yet read a committed delivery when the process was
 // killed re-read it from the restarted server — without it, a SIGKILL
 // between publish and the subscriber's socket read would lose the delivery
-// forever (committed in the checkpoint, never received by anyone).
+// forever (committed in the checkpoint, never received by anyone). The same
+// record is the server's in-memory delivery (serve.Delivery) and, through the
+// json tags, the delivery line of the wire protocol.
 type TailEntry struct {
-	Seq uint64
-	TS  stream.Time
-	Key string
+	Seq uint64      `json:"seq"`
+	TS  stream.Time `json:"ts"`
+	Key string      `json:"key"`
 }
 
 // Checkpoint is one durable snapshot cut.

@@ -75,7 +75,8 @@ type side struct {
 	// window store on the side's key and sequence space, filled by Reinsert
 	// in expiry order and never charged to the plan account. Only inputs
 	// with TS < now probe it — an in-order arrival fails pairValid against
-	// every retired entry by construction. Empty outside exact mode.
+	// every retired entry by construction. Empty outside exact mode and in
+	// modes without feedback (REF), where no input is ever late.
 	grave *state.State
 }
 
@@ -879,12 +880,15 @@ func (j *JoinOp) purge() {
 	for p := 0; p < 2; p++ {
 		s := j.in[p]
 		purged := s.st.Purge(j.now, j.window)
-		if j.exact {
+		if j.exact && j.mode.enabled() {
 			// Retire rather than drop: a parked tuple elsewhere in the plan
 			// can still release a late composite whose REF-valid partners
 			// expired here first. The graveyard keeps them reachable for
 			// probeGrave (memory is unbounded by the window, but exact mode
-			// only runs on drained, horizon-bounded streams).
+			// only runs on drained, horizon-bounded streams). Without
+			// feedback nothing is ever parked, every input arrives at the
+			// operator clock, and no reader could reach a retired entry: REF
+			// state stays bounded by the window.
 			for _, e := range purged {
 				s.grave.Reinsert(e)
 			}

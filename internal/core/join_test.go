@@ -150,13 +150,7 @@ func runClique(t *testing.T, n int, bushy bool, rate float64, dmax int64, window
 	arrivals := source.Generate(cat, cfg)
 	var out [][]string
 	for _, m := range modes {
-		var shape *plan.Node
-		if bushy {
-			shape = plan.Bushy(n)
-		} else {
-			shape = plan.LeftDeep(n)
-		}
-		b := plan.BuildTree(cat, conj, shape, plan.Options{Window: window, Mode: m, KeepResults: true})
+		b := plan.BuildTree(cat, conj, plan.TableII(n, bushy), plan.Options{Window: window, Mode: m, KeepResults: true})
 		engine.New(b).Run(arrivals)
 		out = append(out, resultMultiset(b))
 	}
@@ -231,6 +225,37 @@ func TestJITNeverCostsMoreResults(t *testing.T) {
 			t.Errorf("seed %d: result counts differ JIT=%d REF=%d", seed, jit.Sink.Count(), ref.Sink.Count())
 		}
 	}
+}
+
+// TestREFKeepsNoGraveyard pins the window bound of the REF baseline in exact
+// (drained) mode: the graveyard exists for late recoveries, which only
+// feedback-enabled modes produce, so a REF plan that has purged ten windows of
+// state must have retired none of it — while JIT on the same stream does
+// retire, and still delivers REF's multiset.
+func TestREFKeepsNoGraveyard(t *testing.T) {
+	const window = 30 * stream.Second
+	cat, conj := predicate.Clique(4)
+	arrivals := source.Generate(cat, source.UniformConfig(4, 0.8, 6, 10*window, 1))
+	run := func(m core.Mode) *plan.Built {
+		b := plan.BuildTree(cat, conj, plan.Bushy(4), plan.Options{Window: window, Mode: m, KeepResults: true})
+		engine.NewWithOptions(b, engine.Options{Drain: true}).Run(arrivals)
+		return b
+	}
+	ref, jit := run(core.REF()), run(core.JIT())
+	if ref.Counters.Purged == 0 {
+		t.Fatal("degenerate run: REF purged nothing")
+	}
+	jitRetired := false
+	for i, j := range ref.Joins {
+		if !j.GraveEmpty() {
+			t.Errorf("REF operator %s retired purged entries nothing can read", j.Name())
+		}
+		jitRetired = jitRetired || !jit.Joins[i].GraveEmpty()
+	}
+	if !jitRetired {
+		t.Error("JIT retired nothing: the graveyard check above is vacuous")
+	}
+	diffMultisets(t, "JIT", resultMultiset(ref), resultMultiset(jit))
 }
 
 // TestFeedbackDisabledConfigs exercises the paper's flexibility claims:

@@ -4,6 +4,8 @@
 // REF / DOE baselines obtained by disabling parts of the mechanism.
 package core
 
+import "fmt"
+
 // DetectKind selects the consumer-side MNS detection strategy.
 type DetectKind int
 
@@ -74,9 +76,21 @@ func BloomJIT() Mode {
 	return Mode{Detect: DetectBloom, TypeII: false, Generalize: true, Propagate: true, MaxAtoms: 12}
 }
 
+// ParseMode resolves the command-line name of an execution mode (the -mode
+// flag of jitrun and jitserver).
+func ParseMode(name string) (Mode, error) {
+	switch name {
+	case "jit":
+		return JIT(), nil
+	case "ref":
+		return REF(), nil
+	case "doe":
+		return DOE(), nil
+	case "bloom":
+		return BloomJIT(), nil
+	}
+	return Mode{}, fmt.Errorf("unknown mode %q (want jit, ref, doe or bloom)", name)
+}
+
 // enabled reports whether any feedback machinery is active.
 func (m Mode) enabled() bool { return m.Detect != DetectNone }
-
-// Trace, when non-nil, receives debug events from join operators. Used only
-// by tests chasing protocol issues; nil in production.
-var Trace func(format string, args ...interface{})

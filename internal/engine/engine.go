@@ -31,6 +31,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/minheap"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/stream"
@@ -149,15 +150,21 @@ func (e *Engine) Built() *plan.Built { return e.built }
 // Run processes a materialized arrival slice — a convenience wrapper around
 // RunStream for tests and hand-built traces.
 func (e *Engine) Run(arrivals []*stream.Tuple) Result {
+	return e.RunStream(SliceSource(arrivals))
+}
+
+// SliceSource adapts a materialized arrival slice to the pull iterator
+// RunStream consumes.
+func SliceSource(arrivals []*stream.Tuple) func() (*stream.Tuple, bool) {
 	i := 0
-	return e.RunStream(func() (*stream.Tuple, bool) {
+	return func() (*stream.Tuple, bool) {
 		if i >= len(arrivals) {
 			return nil, false
 		}
 		t := arrivals[i]
 		i++
 		return t, true
-	})
+	}
 }
 
 // ChanSource adapts a channel of tuples to the pull iterator RunStream
@@ -291,54 +298,19 @@ func (e *Engine) RunStream(next func() (*stream.Tuple, bool)) Result {
 // remaining buffer flushes in (TS, ID) order, ahead of the engine's drain
 // phase, so the drain cut stays exact.
 func reorderSource(next func() (*stream.Tuple, bool), bound stream.Time, late *uint64, tr *obs.Tracer) func() (*stream.Tuple, bool) {
-	var h []*stream.Tuple // binary min-heap on (TS, ID)
-	less := func(a, b *stream.Tuple) bool {
+	h := minheap.Heap[*stream.Tuple]{Less: func(a, b *stream.Tuple) bool {
 		if a.TS != b.TS {
 			return a.TS < b.TS
 		}
 		return a.ID < b.ID
-	}
-	push := func(t *stream.Tuple) {
-		h = append(h, t)
-		for i := len(h) - 1; i > 0; {
-			p := (i - 1) / 2
-			if !less(h[i], h[p]) {
-				break
-			}
-			h[i], h[p] = h[p], h[i]
-			i = p
-		}
-	}
-	pop := func() *stream.Tuple {
-		top := h[0]
-		last := len(h) - 1
-		h[0] = h[last]
-		h[last] = nil
-		h = h[:last]
-		for i := 0; ; {
-			l, r := 2*i+1, 2*i+2
-			m := i
-			if l < len(h) && less(h[l], h[m]) {
-				m = l
-			}
-			if r < len(h) && less(h[r], h[m]) {
-				m = r
-			}
-			if m == i {
-				break
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
-		}
-		return top
-	}
+	}}
 	var maxSeen stream.Time
 	var lastOut stream.Time
 	done := false
 	return func() (*stream.Tuple, bool) {
 		for {
-			if len(h) > 0 && (done || h[0].TS < maxSeen-bound) {
-				t := pop()
+			if h.Len() > 0 && (done || h.Min().TS < maxSeen-bound) {
+				t := h.Pop()
 				// Internal watermark-monotonicity invariant: the released
 				// sequence must be in timestamp order, or every downstream
 				// exactness argument collapses.
@@ -365,7 +337,7 @@ func reorderSource(next func() (*stream.Tuple, bool), bound stream.Time, late *u
 				tr.LateDrop(t, maxSeen-bound)
 				continue
 			}
-			push(t)
+			h.Push(t)
 		}
 	}
 }
@@ -383,11 +355,18 @@ type timerEvent struct {
 type scheduler struct {
 	joins     []*core.JoinOp
 	deadlines []stream.Time // current NextDeadline per operator
-	heap      []timerEvent  // min-heap on (at, idx)
+	heap      minheap.Heap[timerEvent]
 }
 
 func newScheduler(joins []*core.JoinOp) *scheduler {
 	s := &scheduler{joins: joins, deadlines: make([]stream.Time, len(joins))}
+	// Ties on time break by plan position, so heap behaviour is deterministic.
+	s.heap.Less = func(a, b timerEvent) bool {
+		if a.at != b.at {
+			return a.at < b.at
+		}
+		return a.idx < b.idx
+	}
 	for i := range s.deadlines {
 		s.deadlines[i] = core.NoDeadline
 	}
@@ -402,7 +381,7 @@ func (s *scheduler) refresh() {
 		if d != s.deadlines[i] {
 			s.deadlines[i] = d
 			if d < core.NoDeadline {
-				s.push(timerEvent{at: d, idx: i})
+				s.heap.Push(timerEvent{at: d, idx: i})
 			}
 		}
 	}
@@ -411,10 +390,10 @@ func (s *scheduler) refresh() {
 // peek returns the earliest live deadline, skipping and discarding stale
 // heap entries; ok is false when no timer is scheduled.
 func (s *scheduler) peek() (stream.Time, bool) {
-	for len(s.heap) > 0 {
-		ev := s.heap[0]
+	for s.heap.Len() > 0 {
+		ev := s.heap.Min()
 		if ev.at != s.deadlines[ev.idx] {
-			s.pop()
+			s.heap.Pop()
 			continue
 		}
 		return ev.at, true
@@ -475,7 +454,7 @@ func (s *scheduler) drain(horizon stream.Time, ctr *metrics.Counters, tr *obs.Tr
 				// event. The operator re-enters the heap only when its
 				// reported deadline moves, and it still gets swept whenever
 				// any later deadline fires, so no real work is lost.
-				s.pop()
+				s.heap.Pop()
 				prev, stuck = -1, 0
 				continue
 			}
@@ -490,50 +469,4 @@ func (s *scheduler) drain(horizon stream.Time, ctr *metrics.Counters, tr *obs.Tr
 		}
 		s.refresh()
 	}
-}
-
-// push inserts a timer event, sifting up.
-func (s *scheduler) push(ev timerEvent) {
-	s.heap = append(s.heap, ev)
-	i := len(s.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !s.less(i, p) {
-			break
-		}
-		s.heap[i], s.heap[p] = s.heap[p], s.heap[i]
-		i = p
-	}
-}
-
-// pop removes the top event, sifting down.
-func (s *scheduler) pop() {
-	last := len(s.heap) - 1
-	s.heap[0] = s.heap[last]
-	s.heap = s.heap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < last && s.less(l, m) {
-			m = l
-		}
-		if r < last && s.less(r, m) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		s.heap[i], s.heap[m] = s.heap[m], s.heap[i]
-		i = m
-	}
-}
-
-// less orders events by time, breaking ties by plan position so heap
-// behaviour is deterministic.
-func (s *scheduler) less(i, j int) bool {
-	if s.heap[i].at != s.heap[j].at {
-		return s.heap[i].at < s.heap[j].at
-	}
-	return s.heap[i].idx < s.heap[j].idx
 }

@@ -312,13 +312,7 @@ func (p Params) build() (*stream.Catalog, source.Config, *plan.Built) {
 		conj = conj.WithTol(p.Band)
 	}
 	cfg := p.SourceConfig()
-	var shape *plan.Node
-	if p.Bushy {
-		shape = plan.Bushy(p.N)
-	} else {
-		shape = plan.LeftDeep(p.N)
-	}
-	b := plan.BuildTree(cat, conj, shape, plan.Options{
+	b := plan.BuildTree(cat, conj, plan.TableII(p.N, p.Bushy), plan.Options{
 		Window: p.Window, Mode: p.Mode, NoStateIndex: !p.Indexed,
 		KeepResults: p.KeepResults,
 	})

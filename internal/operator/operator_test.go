@@ -3,6 +3,7 @@ package operator
 import (
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/feedback"
 	"repro/internal/metrics"
 	"repro/internal/predicate"
@@ -89,5 +90,57 @@ func TestPortOpposite(t *testing.T) {
 	}
 	if Left.String() != "L" || Right.String() != "R" {
 		t.Fatal("render wrong")
+	}
+}
+
+// TestDedupGate pins the one delivery gate adapt and serve share: a repeated
+// key is absorbed and counted, Prune drops exactly the entries whose oldest
+// constituent left the window by the cut, and the survivors — carried through
+// a checkpoint — make a fresh gate absorb the same regenerations.
+func TestDedupGate(t *testing.T) {
+	sink := &captureConsumer{}
+	var dups uint64
+	g := NewDedup(sink, &dups)
+	a := stream.NewComposite(1, tpl(0, 10, 1))
+	b := stream.NewComposite(1, tpl(0, 20, 2))
+	c := stream.NewComposite(1, tpl(0, 30, 3))
+	for _, x := range []*stream.Composite{a, b, c} {
+		g.Consume(x, Left)
+	}
+	g.Consume(stream.NewComposite(1, tpl(0, 20, 2)), Left) // b regenerated by a replay
+	if len(sink.got) != 3 || dups != 1 {
+		t.Fatalf("forwarded %d, absorbed %d; want 3 and 1", len(sink.got), dups)
+	}
+	var moved uint64
+	g.CountInto(&moved)
+	g.Consume(a, Left)
+	if len(sink.got) != 3 || dups != 1 || moved != 1 {
+		t.Fatalf("after CountInto: forwarded %d, dups %d, moved %d", len(sink.got), dups, moved)
+	}
+
+	// window 15, cut 35: a (10+15) and b (20+15, boundary inclusive) age out.
+	var keys []checkpoint.DeliveredKey
+	g.Prune(35, 15, func(key string, minTS stream.Time) {
+		keys = append(keys, checkpoint.DeliveredKey{MinTS: minTS, Key: key})
+	})
+	if len(keys) != 1 || keys[0] != (checkpoint.DeliveredKey{MinTS: 30, Key: c.Key()}) {
+		t.Fatalf("survivors %v, want only %s", keys, c.Key())
+	}
+	g.Consume(a, Left) // pruned: no longer remembered
+	if len(sink.got) != 4 {
+		t.Fatal("pruned key still absorbed")
+	}
+
+	ck, err := checkpoint.Decode(checkpoint.Encode(&checkpoint.Checkpoint{Cut: 35, Keys: keys}))
+	if err != nil {
+		t.Fatalf("round trip: %v", err)
+	}
+	restored := NewDedup(sink, &dups)
+	for _, k := range ck.Keys {
+		restored.Seed(k.Key, k.MinTS)
+	}
+	restored.Consume(c, Left)
+	if len(sink.got) != 4 || dups != 2 {
+		t.Fatalf("restored gate forwarded a committed delivery (forwarded %d, dups %d)", len(sink.got), dups)
 	}
 }

@@ -107,6 +107,23 @@ func Bushy(n int) *Node {
 	return nodes[0]
 }
 
+// TableII resolves the bushy/left-deep choice every front end exposes (the
+// -bushy flag, exp.Params.Bushy, serve.Config.Bushy) to its Table II shape.
+func TableII(n int, bushy bool) *Node {
+	if bushy {
+		return Bushy(n)
+	}
+	return LeftDeep(n)
+}
+
+// ShapeName is the display name of the same choice.
+func ShapeName(bushy bool) string {
+	if bushy {
+		return "bushy"
+	}
+	return "left-deep"
+}
+
 // Feed tells the engine where a source's arrivals enter the plan.
 type Feed struct {
 	Op   operator.Consumer

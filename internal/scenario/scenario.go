@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exp"
+	"repro/internal/plan"
 	"repro/internal/stream"
 )
 
@@ -125,10 +126,8 @@ type Cell struct {
 }
 
 func (c Cell) String() string {
-	topo := "leftdeep"
-	if c.Bushy {
-		topo = "bushy"
-	}
+	// Cell names are subtest names; they spell the shape without the hyphen.
+	topo := strings.ReplaceAll(plan.ShapeName(c.Bushy), "-", "")
 	adapt := ""
 	if c.Adapt {
 		adapt = "+adapt"

@@ -4,12 +4,13 @@ import (
 	"fmt"
 
 	"repro/internal/checkpoint"
+	"repro/internal/operator"
 	"repro/internal/plan"
 	"repro/internal/stream"
 )
 
-// errCrash is the in-process crash sentinel: the kill-point harness arms a
-// crash hook, the checkpointer panics with this value at the armed point, and
+// errCrash is the in-process crash sentinel: the kill-point harness arms
+// Config.killPoint, the checkpointer panics with this value where it fires, and
 // the server's run loop recovers it into a crashed (non-eos) shutdown — the
 // fast, race-detectable stand-in for SIGKILL (the subprocess harness covers
 // the real signal).
@@ -30,24 +31,19 @@ var errCrash = fmt.Errorf("serve: armed crash point reached")
 // recovered HWM).
 type checkpointer struct {
 	st     *checkpoint.Store
-	tap    *tap
-	every  stream.Time
+	out    *deliverer
+	gate   *operator.Dedup
 	window stream.Time
 	config string
 
-	started  bool
-	next     stream.Time
-	hwm      uint64 // last arrival fully processed by the engine
-	pending  uint64 // arrival currently being processed
-	lastTS   stream.Time
-	arrivals uint64 // arrivals observed this incarnation
-	saved    int    // checkpoints written this incarnation
-	err      error  // first save failure (durability stalls, run continues)
+	clock   stream.EpochClock // checkpoint cadence
+	hwm     uint64            // last arrival fully processed by the engine
+	pending uint64            // arrival currently being processed
+	lastTS  stream.Time
+	saved   int   // checkpoints written this incarnation
+	err     error // first save failure (durability stalls, run continues)
 
-	// Kill-point hooks (tests): panic with errCrash after the Nth checkpoint
-	// of this incarnation, or on the Nth arrival of this incarnation.
-	crashAfterCheckpoints int
-	crashAfterArrivals    uint64
+	kill func(arriving uint64, checkpoints int) bool // Config.killPoint; nil outside the crash harness
 }
 
 // Attach implements engine.Reoptimizer.
@@ -59,28 +55,23 @@ func (c *checkpointer) Decide(t *stream.Tuple, _ *plan.Built) bool {
 	c.hwm = c.pending // the previous arrival is fully inside the plan now
 	c.pending = t.ID
 	c.lastTS = t.TS
-	c.arrivals++
-	if c.crashAfterArrivals > 0 && c.arrivals >= c.crashAfterArrivals {
+	c.killCheck()
+	return c.clock.Due(t.TS)
+}
+
+// killCheck dies at an armed kill point (crash harness only).
+func (c *checkpointer) killCheck() {
+	if c.kill != nil && c.kill(c.pending, c.saved) {
 		panic(errCrash)
 	}
-	if !c.started {
-		c.started = true
-		c.next = t.TS + c.every
-		return false
-	}
-	return t.TS >= c.next
 }
 
 // Migrate implements engine.Reoptimizer: the engine has drained deadlines to
 // the cut; write the checkpoint and keep the plan (nil return).
 func (c *checkpointer) Migrate(cut stream.Time, b *plan.Built) *plan.Built {
 	c.save(cut, b)
-	for c.next <= cut {
-		c.next += c.every
-	}
-	if c.crashAfterCheckpoints > 0 && c.saved >= c.crashAfterCheckpoints {
-		panic(errCrash)
-	}
+	c.clock.Advance(cut)
+	c.killCheck()
 	return nil
 }
 
@@ -97,18 +88,17 @@ func (c *checkpointer) finish(b *plan.Built) {
 // error wins) and durability stops advancing, but the run itself continues —
 // losing freshness is strictly better than killing a live stream.
 func (c *checkpointer) save(cut stream.Time, b *plan.Built) {
-	tail := c.tap.hub.tailSnapshot()
-	entries := make([]checkpoint.TailEntry, len(tail))
-	for i, d := range tail {
-		entries[i] = checkpoint.TailEntry{Seq: d.Seq, TS: d.TS, Key: d.Key}
-	}
+	var keys []checkpoint.DeliveredKey
+	c.gate.Prune(cut, c.window, func(key string, minTS stream.Time) {
+		keys = append(keys, checkpoint.DeliveredKey{MinTS: minTS, Key: key})
+	})
 	ck := &checkpoint.Checkpoint{
 		Cut:       cut,
 		IngestHWM: c.hwm,
-		Delivered: c.tap.seq,
+		Delivered: c.out.seq,
 		Config:    c.config,
-		Keys:      c.tap.seed(cut, c.window),
-		Tail:      entries,
+		Keys:      keys,
+		Tail:      c.out.hub.tailSnapshot(),
 		Rows:      b.SnapshotInWindow(cut),
 	}
 	if _, err := c.st.Save(ck); err != nil && c.err == nil {

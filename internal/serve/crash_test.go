@@ -174,7 +174,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 				k := k
 				points = append(points, killPoint{
 					name:   fmt.Sprintf("boundary-%d", k),
-					arm:    func(c *Config) { c.crashAfterCheckpoints = k },
+					arm:    func(c *Config) { c.killPoint = func(_ uint64, saved int) bool { return saved >= k } },
 					needCk: true,
 				})
 			}
@@ -191,7 +191,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 				p := p
 				points = append(points, killPoint{
 					name: p.name,
-					arm:  func(c *Config) { c.crashAfterArrivals = p.at },
+					arm:  func(c *Config) { c.killPoint = func(id uint64, _ int) bool { return id >= p.at } },
 				})
 			}
 
@@ -257,7 +257,7 @@ func TestCrashChainedAtEveryBoundary(t *testing.T) {
 		}
 		armed := cfg
 		armed.Dir = dir
-		armed.crashAfterCheckpoints = 1 // the next boundary this incarnation reaches
+		armed.killPoint = func(_ uint64, saved int) bool { return saved >= 1 } // the next boundary this incarnation reaches
 		inc := runIncarnation(t, armed, tuples)
 		incs = append(incs, inc)
 		if !inc.crashed {

@@ -25,12 +25,11 @@ type sessionState struct {
 	lastID  uint64
 	maxTS   stream.Time
 	started bool
-	closed  bool
 	skipped uint64
 }
 
 func snapshotSession(s *session) sessionState {
-	return sessionState{s.lastID, s.maxTS, s.started, s.closed, s.skipped}
+	return sessionState{s.lastID, s.maxTS, s.started, s.skipped}
 }
 
 // FuzzIngestFrame is satellite 1: any byte sequence — malformed JSON,

@@ -4,17 +4,14 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/stream"
+	"repro/internal/checkpoint"
 )
 
 // Delivery is one final result as seen by subscribers: a monotone sequence
 // number (the delivery high-water mark's unit), the result timestamp, and
-// the canonical result key.
-type Delivery struct {
-	Seq uint64
-	TS  stream.Time
-	Key string
-}
+// the canonical result key — the record a checkpoint persists as its ring
+// tail and the wire protocol renders as a delivery line.
+type Delivery = checkpoint.TailEntry
 
 // SubPolicy decides what happens when a subscriber cannot keep up with the
 // delivery rate.

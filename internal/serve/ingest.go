@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-
-	"repro/internal/stream"
 )
 
 // Wire response lines (see the protocol comment in protocol.go).
@@ -25,12 +23,6 @@ type ackLine struct {
 
 type errLine struct {
 	Error string `json:"error"`
-}
-
-type deliveryLine struct {
-	Seq uint64 `json:"seq"`
-	TS  int64  `json:"ts"`
-	Key string `json:"key"`
 }
 
 type eosLine struct {
@@ -122,16 +114,11 @@ func (s *Server) serveIngest(sc *bufio.Scanner, w *bufio.Writer) {
 		return
 	}
 	s.ingestActive = true
-	sess := &session{
-		numSources: s.b.Catalog.NumSources(),
-		arity:      func(id stream.SourceID) int { return s.b.Catalog.Source(id).NumCols() },
-		resumeHWM:  s.ingestHWM,
-		disorder:   s.cfg.Disorder,
-		lastID:     s.ingestHWM,
-		maxTS:      s.ingestMaxTS,
-		started:    s.ingestSeen,
-	}
-	hwm := s.ingestHWM
+	// Borrow the server's session: everything admitted so far is a recovery
+	// replay to this writer.
+	sess := &s.sess
+	sess.resumeHWM, sess.skipped = sess.lastID, 0
+	hwm := sess.lastID
 	s.mu.Unlock()
 	defer func() {
 		s.mu.Lock()
@@ -177,9 +164,7 @@ func (s *Server) serveIngest(sc *bufio.Scanner, w *bufio.Writer) {
 			writeErr(w, fmt.Errorf("serve: engine stopped"))
 			return
 		}
-		s.mu.Lock()
-		s.ingestHWM, s.ingestMaxTS, s.ingestSeen = t.ID, sess.maxTS, true
-		s.mu.Unlock()
+		s.hwm.Store(t.ID)
 		ingested++
 	}
 	if err := sc.Err(); err != nil {
@@ -214,7 +199,7 @@ func (s *Server) serveSubscribe(w *bufio.Writer, from uint64) {
 			writeLine(w, eosLine{EOS: true, Delivered: s.hub.delivered()}) //nolint:errcheck // conn is closing
 			return
 		}
-		if err := writeLine(w, deliveryLine{Seq: d.Seq, TS: int64(d.TS), Key: d.Key}); err != nil {
+		if err := writeLine(w, d); err != nil {
 			return
 		}
 	}

@@ -103,7 +103,8 @@ func DecodeFrame(line []byte) (Frame, error) {
 	return f, nil
 }
 
-// session validates the ordered tuple stream of one ingest connection
+// session validates the server's ordered tuple stream — one ingest connection
+// at a time, each borrowing it where the last left off (serveIngest) —
 // against the catalog and the resume high-water mark. It owns no engine
 // state: apply either returns a tuple ready for the ingest channel, or
 // (nil, nil) for a harmless skip (recovery replay of an already-ingested
@@ -118,15 +119,11 @@ type session struct {
 	lastID     uint64
 	maxTS      stream.Time
 	started    bool
-	closed     bool
-	skipped    uint64 // recovery replays skipped
+	skipped    uint64 // recovery replays skipped by the current connection
 }
 
 // apply validates one decoded tuple frame in session order.
 func (s *session) apply(f Frame) (*stream.Tuple, error) {
-	if s.closed {
-		return nil, ErrStreamClosed
-	}
 	if f.Source < 0 || f.Source >= s.numSources {
 		return nil, fmt.Errorf("%w: source %d of %d", ErrUnknownSource, f.Source, s.numSources)
 	}

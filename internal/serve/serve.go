@@ -11,8 +11,9 @@
 //
 // Open loads the newest valid checkpoint (corrupt files fall back to their
 // predecessor), refuses it if its config identity differs from the server's,
-// rebuilds the plan, seeds the delivery tap with the checkpoint's dedup keys
-// and delivery sequence, replays the checkpoint rows (plan.ReplayInWindow),
+// rebuilds the plan, seeds the dedup gate with the checkpoint's delivered keys
+// and the deliverer with its delivery sequence, replays the checkpoint rows
+// (plan.ReplayInWindow),
 // and starts the engine with the ingest HWM as the resume mark. The ingest
 // greeting then tells the client to resume past the HWM (re-sent IDs at or
 // below it are skipped as recovery replays), and the subscriber greeting
@@ -31,6 +32,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -91,10 +93,11 @@ type Config struct {
 	// hang off it. Nil leaves observation disabled.
 	Trace *obs.Tracer
 
-	// Kill-point hooks for the in-process crash harness (tests only): panic
-	// at the Nth checkpoint / arrival of this incarnation. Require Dir.
-	crashAfterCheckpoints int
-	crashAfterArrivals    uint64
+	// killPoint is the in-process crash harness's hook, set only by
+	// crash_test.go: the checkpointer consults it at every arrival and after
+	// every checkpoint, with the arriving tuple's ID and the number of
+	// checkpoints this incarnation has written, and dies when it says so.
+	killPoint func(arriving uint64, checkpoints int) bool
 }
 
 // Validate rejects configurations the server cannot serve correctly.
@@ -120,19 +123,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("serve: ingest buffer cannot be negative (%d)", c.MaxPending)
 	case c.Retain < 0:
 		return fmt.Errorf("serve: delivery ring size cannot be negative (%d)", c.Retain)
-	case (c.crashAfterCheckpoints > 0 || c.crashAfterArrivals > 0) && c.Dir == "":
-		return fmt.Errorf("serve: crash hooks require a checkpoint dir")
 	}
 	return nil
 }
 
 // shape resolves the plan shape.
-func (c Config) shape() *plan.Node {
-	if c.Bushy {
-		return plan.Bushy(c.N)
-	}
-	return plan.LeftDeep(c.N)
-}
+func (c Config) shape() *plan.Node { return plan.TableII(c.N, c.Bushy) }
 
 // identity is the config string stored in checkpoints: restore refuses a
 // checkpoint taken under a different query — replaying its rows into this
@@ -157,7 +153,7 @@ type RecoveryInfo struct {
 // Stats is a post-run summary (valid after Wait returns).
 type Stats struct {
 	Delivered   uint64 // total deliveries, committed prefix included
-	ReplayDups  uint64 // recovery regenerations absorbed by the tap
+	ReplayDups  uint64 // recovery regenerations absorbed by the dedup gate
 	Checkpoints int    // checkpoints written this incarnation
 	Skipped     uint64 // recovery replay frames skipped by ingest sessions
 	SaveErr     error  // first checkpoint save failure, if any
@@ -169,10 +165,14 @@ type Server struct {
 	b   *plan.Built
 	lis net.Listener
 	hub *hub
-	tap *tap
-	st  *checkpoint.Store
-	ckp *checkpointer
-	ch  chan *stream.Tuple
+	out *deliverer
+	// gate is the recovery dedup gate in front of out; nil without a
+	// checkpoint directory, where nothing can be replayed.
+	gate *operator.Dedup
+	dups uint64 // recovery regenerations the gate absorbed
+	st   *checkpoint.Store
+	ckp  *checkpointer
+	ch   chan *stream.Tuple
 
 	recovery *RecoveryInfo
 	done     chan struct{}
@@ -183,13 +183,18 @@ type Server struct {
 	conns        map[net.Conn]connRole
 	stopping     bool
 	ingestActive bool
-	ingestHWM    uint64
-	ingestMaxTS  stream.Time
-	ingestSeen   bool
-	skipped      uint64
+	skipped      uint64 // recovery replays skipped, summed at each session's release
 	eosSeen      bool
 	crashed      bool
 	res          engine.Result
+
+	// sess is the one ingest session of the server's lifetime: the connection
+	// that holds ingestActive borrows it, so the ID and timestamp watermarks
+	// carry over from one writer to the next without being copied.
+	sess session
+	// hwm publishes sess.lastID — the highest tuple ID admitted to the engine
+	// — to readers outside the borrowing connection.
+	hwm atomic.Uint64
 }
 
 // connRole tracks what a connection declared itself to be; Shutdown kicks
@@ -222,6 +227,11 @@ func Open(cfg Config) (*Server, error) {
 		b:     b,
 		done:  make(chan struct{}),
 		conns: make(map[net.Conn]connRole),
+		sess: session{
+			numSources: cat.NumSources(),
+			arity:      func(id stream.SourceID) int { return cat.Source(id).NumCols() },
+			disorder:   cfg.Disorder,
+		},
 	}
 	s.cond = sync.NewCond(&s.mu)
 	var ck *checkpoint.Checkpoint
@@ -244,22 +254,30 @@ func Open(cfg Config) (*Server, error) {
 	var seed []checkpoint.DeliveredKey
 	var tail []Delivery
 	if ck != nil {
-		resumeID, resumeSeq, seed = ck.IngestHWM, ck.Delivered, ck.Keys
+		resumeID, resumeSeq, seed, tail = ck.IngestHWM, ck.Delivered, ck.Keys, ck.Tail
 		// The restored delivery tail must be contiguous and end exactly at
 		// the committed mark, or the ring seed would lie about sequence
 		// numbers.
-		base := resumeSeq - uint64(len(ck.Tail))
-		tail = make([]Delivery, len(ck.Tail))
-		for i, d := range ck.Tail {
+		base := resumeSeq - uint64(len(tail))
+		for i, d := range tail {
 			if d.Seq != base+uint64(i)+1 {
 				return nil, fmt.Errorf("serve: checkpoint %s delivery tail is not contiguous at seq %d", ckPath, d.Seq)
 			}
-			tail[i] = Delivery{Seq: d.Seq, TS: d.TS, Key: d.Key}
 		}
 	}
 	s.hub = newHub(cfg.Retain, cfg.Policy, resumeSeq, tail)
-	s.tap = newTap(b.Sink, s.hub, resumeSeq, seed)
-	b.RootJoin().SetConsumer(s.tap, operator.Left)
+	s.out = &deliverer{sink: b.Sink, hub: s.hub, seq: resumeSeq}
+	var root operator.Consumer = s.out
+	if s.st != nil {
+		// Only a checkpoint recovery replays rows under the deliverer; with
+		// no store there is nothing a delivered key could ever absorb.
+		s.gate = operator.NewDedup(s.out, &s.dups)
+		for _, k := range seed {
+			s.gate.Seed(k.Key, k.MinTS)
+		}
+		root = s.gate
+	}
+	b.RootJoin().SetConsumer(root, operator.Left)
 	if cfg.Trace != nil {
 		// Attached before the replay, so recovery work is visible in the
 		// trace like migration replays are (DESIGN.md §9).
@@ -279,14 +297,15 @@ func Open(cfg Config) (*Server, error) {
 			Elapsed: time.Since(start), //jitlint:allow wallclock RecoveryInfo.Elapsed is an operator-facing latency report; replayed state is clock-independent
 		}
 		// Every delivery the replay regenerated was committed pre-crash and
-		// absorbed by the seeded tap; the sequence must not have advanced.
-		if s.tap.seq != resumeSeq {
+		// absorbed by the seeded gate; the sequence must not have advanced.
+		if s.out.seq != resumeSeq {
 			return nil, fmt.Errorf("serve: recovery replay delivered %d uncommitted results — checkpoint %s is inconsistent",
-				s.tap.seq-resumeSeq, ckPath)
+				s.out.seq-resumeSeq, ckPath)
 		}
-		s.ingestMaxTS, s.ingestSeen = ck.Cut, true
+		s.sess.maxTS, s.sess.started = ck.Cut, true
 	}
-	s.ingestHWM = resumeID
+	s.sess.lastID = resumeID
+	s.hwm.Store(resumeID)
 	pending := cfg.MaxPending
 	if pending == 0 {
 		pending = 1024
@@ -299,11 +318,11 @@ func Open(cfg Config) (*Server, error) {
 			every = cfg.Window
 		}
 		s.ckp = &checkpointer{
-			st: s.st, tap: s.tap, every: every, window: cfg.Window,
+			st: s.st, out: s.out, gate: s.gate, window: cfg.Window,
+			clock:  stream.EpochClock{Period: every},
 			config: cfg.identity(), hwm: resumeID, pending: resumeID,
-			lastTS:                resumeID2TS(ck),
-			crashAfterCheckpoints: cfg.crashAfterCheckpoints,
-			crashAfterArrivals:    cfg.crashAfterArrivals,
+			lastTS: resumeID2TS(ck),
+			kill:   cfg.killPoint,
 		}
 		opts.Reopt = s.ckp
 	}
@@ -360,7 +379,7 @@ func (s *Server) runLoop(eng *engine.Engine) {
 	s.mu.Lock()
 	s.res = res
 	s.mu.Unlock()
-	s.hub.close(true, s.tap.seq)
+	s.hub.close(true, s.out.seq)
 }
 
 // acceptLoop hands each connection to its own goroutine until the listener
@@ -393,7 +412,7 @@ func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	skipped := s.skipped
 	s.mu.Unlock()
-	st := Stats{Delivered: s.tap.seq, ReplayDups: s.tap.dups, Skipped: skipped}
+	st := Stats{Delivered: s.out.seq, ReplayDups: s.dups, Skipped: skipped}
 	if s.ckp != nil {
 		st.Checkpoints = s.ckp.saved
 		st.SaveErr = s.ckp.err
@@ -406,11 +425,7 @@ func (s *Server) Sink() *operator.Sink { return s.b.Sink }
 
 // IngestHWM returns the highest tuple ID admitted to the engine so far (the
 // mark a new ingest session's greeting would carry).
-func (s *Server) IngestHWM() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ingestHWM
-}
+func (s *Server) IngestHWM() uint64 { return s.hwm.Load() }
 
 // Shutdown stops the server: the listener closes, pending and ingest
 // connections are kicked (tuples already admitted stay admitted), the ingest

@@ -365,7 +365,13 @@ func TestRejectedFramesDoNotPerturbRun(t *testing.T) {
 			t.Fatalf("%s: error %q does not mention %q", p.name, e, p.wantErr)
 		}
 		c.close()
-		c, _ = ingestGreet(t, s.Addr())
+		// The server's one session outlives the dropped connection: the next
+		// writer is greeted with — and IngestHWM reports — the last admitted ID.
+		var resume uint64
+		c, resume = ingestGreet(t, s.Addr())
+		if resume != last.ID || s.IngestHWM() != last.ID {
+			t.Fatalf("%s: reconnect resumes at %d (IngestHWM %d), last admitted ID is %d", p.name, resume, s.IngestHWM(), last.ID)
+		}
 		for _, tp := range tuples[:half] {
 			c.send(tupleFrame(tp))
 		}
@@ -397,6 +403,14 @@ func TestRejectedFramesDoNotPerturbRun(t *testing.T) {
 	st := s.Stats()
 	if st.Skipped == 0 {
 		t.Fatalf("expected skipped resume replays, got none")
+	}
+	// No checkpoint directory, so nothing can ever be replayed: the run
+	// reached eos without a dedup gate or a delivered-key map.
+	if s.gate != nil || st.ReplayDups != 0 {
+		t.Fatalf("server without Dir spliced a dedup gate (%v) or absorbed %d dups", s.gate != nil, st.ReplayDups)
+	}
+	if got := s.IngestHWM(); got != tuples[len(tuples)-1].ID {
+		t.Fatalf("IngestHWM %d at eos, last admitted ID is %d", got, tuples[len(tuples)-1].ID)
 	}
 }
 

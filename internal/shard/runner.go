@@ -23,8 +23,6 @@ type Options struct {
 	// guarantees the slice delivers its REF-equal finals (DESIGN.md §4), so
 	// the union over shards equals the single-engine multiset (§5).
 	Engine engine.Options
-	// BufferSize is the per-shard dispatch channel depth; zero means 256.
-	BufferSize int
 	// Adapt, when non-nil, runs the fleet under adaptive re-optimization
 	// (internal/adapt, DESIGN.md §7) with lockstep migrations: the
 	// dispatcher broadcasts an epoch-barrier marker into every replica
@@ -95,6 +93,11 @@ func (r *Result) Imbalance() float64 {
 	return float64(hot) * float64(len(r.Shards)) / float64(r.Routed)
 }
 
+// dispatchDepth is the per-shard dispatch channel depth: deep enough that the
+// dispatcher rarely blocks on one busy replica while the others sit idle,
+// small enough that in-flight tuples stay a negligible share of memory.
+const dispatchDepth = 256
+
 // Runner executes one plan across key-partitioned engine replicas.
 type Runner struct {
 	base   *plan.Built
@@ -127,15 +130,7 @@ func (r *Runner) Key() (Key, bool) { return r.key, r.keyed }
 
 // Run adapts a materialized arrival slice to RunStream.
 func (r *Runner) Run(arrivals []*stream.Tuple) Result {
-	i := 0
-	return r.RunStream(func() (*stream.Tuple, bool) {
-		if i >= len(arrivals) {
-			return nil, false
-		}
-		t := arrivals[i]
-		i++
-		return t, true
-	})
+	return r.RunStream(engine.SliceSource(arrivals))
 }
 
 // RunStream splits the stream across the replicas and merges the results.
@@ -167,10 +162,6 @@ func (r *Runner) Run(arrivals []*stream.Tuple) Result {
 // needed to release anyone.
 func (r *Runner) RunStream(next func() (*stream.Tuple, bool)) Result {
 	n := r.shards
-	buf := r.opt.BufferSize
-	if buf <= 0 {
-		buf = 256
-	}
 	var cfg adapt.Config
 	var coord *adapt.Coordinator
 	var ctrls []*adapt.Controller
@@ -190,7 +181,7 @@ func (r *Runner) RunStream(next func() (*stream.Tuple, bool)) Result {
 	chans := make([]chan *stream.Tuple, n)
 	for i := range replicas {
 		replicas[i] = r.base.Replicate()
-		chans[i] = make(chan *stream.Tuple, buf)
+		chans[i] = make(chan *stream.Tuple, dispatchDepth)
 		if r.opt.TraceFor != nil {
 			replicas[i].SetTrace(r.opt.TraceFor(i))
 		}
@@ -229,26 +220,17 @@ func (r *Runner) RunStream(next func() (*stream.Tuple, bool)) Result {
 	}
 
 	res := Result{Key: r.key, Fallback: !r.keyed}
-	started := false
-	var nextBarrier stream.Time
+	barrier := stream.EpochClock{Period: cfg.Epoch}
 	for {
 		t, ok := next()
 		if !ok {
 			break
 		}
-		if coord != nil && cfg.Epoch > 0 {
-			if !started {
-				started = true
-				nextBarrier = t.TS + cfg.Epoch
+		if coord != nil && cfg.Epoch > 0 && barrier.Due(t.TS) {
+			for _, ch := range chans {
+				ch <- nil // barrier marker, before any post-boundary tuple
 			}
-			if t.TS >= nextBarrier {
-				for _, ch := range chans {
-					ch <- nil // barrier marker, before any post-boundary tuple
-				}
-				for nextBarrier <= t.TS {
-					nextBarrier += cfg.Epoch
-				}
-			}
+			barrier.Advance(t.TS)
 		}
 		if n == 1 {
 			res.Routed++

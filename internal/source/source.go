@@ -19,6 +19,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/minheap"
 	"repro/internal/stream"
 )
 
@@ -226,61 +227,26 @@ func Disordered(next func() (*stream.Tuple, bool), bound stream.Time, seed int64
 		return next
 	}
 	rng := rand.New(rand.NewSource(seed))
-	var h []delayed // binary min-heap on (delivery, ID)
-	less := func(a, b delayed) bool {
+	h := minheap.Heap[delayed]{Less: func(a, b delayed) bool {
 		if a.delivery != b.delivery {
 			return a.delivery < b.delivery
 		}
 		return a.t.ID < b.t.ID
-	}
-	push := func(d delayed) {
-		h = append(h, d)
-		for i := len(h) - 1; i > 0; {
-			p := (i - 1) / 2
-			if !less(h[i], h[p]) {
-				break
-			}
-			h[i], h[p] = h[p], h[i]
-			i = p
-		}
-	}
-	pop := func() delayed {
-		top := h[0]
-		last := len(h) - 1
-		h[0] = h[last]
-		h[last] = delayed{}
-		h = h[:last]
-		for i := 0; ; {
-			l, r := 2*i+1, 2*i+2
-			m := i
-			if l < len(h) && less(h[l], h[m]) {
-				m = l
-			}
-			if r < len(h) && less(h[r], h[m]) {
-				m = r
-			}
-			if m == i {
-				break
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
-		}
-		return top
-	}
+	}}
 	head, headOK := next()
 	return func() (*stream.Tuple, bool) {
 		// Admit source tuples until the next one can no longer precede the
 		// current heap minimum. Any future tuple f satisfies
 		// delivery(f) >= f.TS >= head.TS, so once head.TS exceeds the heap
 		// minimum's delivery, that minimum is globally next.
-		for headOK && (len(h) == 0 || head.TS <= h[0].delivery) {
-			push(delayed{t: head, delivery: head.TS + stream.Time(rng.Int63n(int64(bound)+1))})
+		for headOK && (h.Len() == 0 || head.TS <= h.Min().delivery) {
+			h.Push(delayed{t: head, delivery: head.TS + stream.Time(rng.Int63n(int64(bound)+1))})
 			head, headOK = next()
 		}
-		if len(h) == 0 {
+		if h.Len() == 0 {
 			return nil, false
 		}
-		return pop().t, true
+		return h.Pop().t, true
 	}
 }
 

@@ -20,6 +20,7 @@ package stream
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -43,6 +44,35 @@ func (t Time) String() string {
 		return fmt.Sprintf("%ds", int64(t/Second))
 	}
 	return fmt.Sprintf("%dms", int64(t))
+}
+
+// EpochClock is the periodic application-time clock shared by the adaptive
+// controller's decision epochs, the shard dispatcher's barriers and the
+// server's checkpoint cadence: the first observed timestamp arms it one
+// period ahead, a boundary is due once a timestamp reaches it (inclusive),
+// and Advance then moves the boundary past that timestamp in whole periods,
+// so a quiet stretch spanning several periods yields one tick, not several.
+type EpochClock struct {
+	Period Time // must be positive before Advance is called
+	next   Time
+	armed  bool
+}
+
+// Due arms the clock on its first call and reports whether ts has reached
+// the current boundary.
+func (k *EpochClock) Due(ts Time) bool {
+	if !k.armed {
+		k.armed, k.next = true, ts+k.Period
+		return false
+	}
+	return ts >= k.next
+}
+
+// Advance moves the boundary strictly past ts.
+func (k *EpochClock) Advance(ts Time) {
+	for k.next <= ts {
+		k.next += k.Period
+	}
 }
 
 // Value is a column value. The paper's workloads use integer domains
@@ -348,11 +378,16 @@ func (c *Composite) Project(set SourceSet) *Composite {
 // Key returns a canonical identity for the composite based on component
 // tuple IDs, usable as a map key for result-set comparison in tests.
 func (c *Composite) Key() string {
-	ids := make([]string, 0, c.Sources.Count())
-	for _, sid := range c.Sources.IDs() {
-		ids = append(ids, fmt.Sprintf("%d:%d", sid, c.Comps[sid].ID))
+	b := make([]byte, 0, 64)
+	for i, sid := range c.Sources.IDs() {
+		if i > 0 {
+			b = append(b, '|')
+		}
+		b = strconv.AppendInt(b, int64(sid), 10)
+		b = append(b, ':')
+		b = strconv.AppendUint(b, c.Comps[sid].ID, 10)
 	}
-	return strings.Join(ids, "|")
+	return string(b)
 }
 
 // SizeBytes estimates the memory footprint of the composite itself

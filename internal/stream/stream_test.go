@@ -176,3 +176,31 @@ func TestTimeString(t *testing.T) {
 		t.Fatalf("time rendering: %v %v", (2 * Minute).String(), (3 * Second).String())
 	}
 }
+
+// TestEpochClock pins the clock shared by adapt, shard and serve: the first
+// timestamp arms it and is never due, the boundary is inclusive, and one
+// Advance skips every period a quiet stretch jumped over.
+func TestEpochClock(t *testing.T) {
+	k := EpochClock{Period: 10}
+	for i, step := range []struct {
+		ts  Time
+		due bool
+	}{
+		{3, false},  // arms: boundary 13
+		{12, false}, // below the boundary
+		{13, true},  // boundary inclusive; advances to 23
+		{14, false},
+		{22, false},
+		{57, true}, // multi-period jump: one tick, boundary 63
+		{62, false},
+		{63, true},
+	} {
+		got := k.Due(step.ts)
+		if got != step.due {
+			t.Fatalf("step %d: Due(%d) = %v, want %v", i, step.ts, got, step.due)
+		}
+		if got {
+			k.Advance(step.ts)
+		}
+	}
+}
