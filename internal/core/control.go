@@ -137,26 +137,31 @@ func (j *JoinOp) suspendTypeI(s *side, m *feedback.MNS) {
 			// exclude it from the "already joined" claim.
 			cursor = opFrame.seq - 1
 		}
-		// The watermark claim is false for opposite tuples that are
-		// currently suspended with scan cursors short of this tuple: their
-		// aborted or never-started probes never reached it. Record those
-		// pairs explicitly so resumption can generate them (deduplicated
-		// against Done if the other side resumes first) — without this,
-		// mutually suspended partners across operators deadlock and lose
-		// results (DESIGN.md §2).
-		var pending []uint64
-		for _, oe := range o.black.Entries() {
-			for i := range oe.Tuples {
-				w := &oe.Tuples[i]
-				if w.Cursor < se.Seq && w.E.Seq <= cursor && !w.IsDone(se.Seq) {
-					pending = append(pending, w.E.Seq)
-				}
-			}
-		}
-		s.black.Park(entry, feedback.Suspended{E: se, Cursor: cursor, Pending: pending})
+		s.black.Park(entry, feedback.Suspended{E: se, Cursor: cursor, Pending: uncovered(o, se.Seq, cursor)})
 		j.ctr.Suspended++
 		j.trace.Suspend(j.name, 1)
 	}
+}
+
+// uncovered lists the pairs a tuple parked on the opposite side of o with the
+// given sequence and cursor owes despite its cursor claim. The watermark
+// claim is false for o's tuples that are currently suspended with scan
+// cursors short of the parked tuple: their aborted or never-started probes
+// never reached it. Recording those pairs explicitly lets resumption generate
+// them (deduplicated against Done if the other side resumes first) — without
+// this, mutually suspended partners across operators deadlock and lose
+// results (DESIGN.md §2).
+func uncovered(o *side, seq, cursor uint64) []state.Entry {
+	var pending []state.Entry
+	for _, oe := range o.black.List() {
+		for i := range oe.Tuples {
+			w := &oe.Tuples[i]
+			if w.Cursor < seq && w.E.Seq <= cursor && !w.IsDone(seq) {
+				pending = append(pending, w.E)
+			}
+		}
+	}
+	return pending
 }
 
 // suspendTypeII implements the mark-result protocol of Sec. IV-B: the MNS
@@ -168,16 +173,10 @@ func (j *JoinOp) suspendTypeII(m *feedback.MNS) {
 		return // explicitly permitted: implementations may skip Type II
 	}
 	L, R := j.in[operator.Left], j.in[operator.Right]
-	mL, mR := restrictMNS(m, L.sources), restrictMNS(m, R.sources)
-	if j.mode.Propagate && L.prod != nil && L.prod.CanSuspend() && len(mL.Sig) > 0 {
-		j.ctr.Feedbacks++
-		L.prod.Feedback(feedback.Message{Cmd: feedback.Mark, MNS: []*feedback.MNS{mL}})
-	}
-	if j.mode.Propagate && R.prod != nil && R.prod.CanSuspend() && len(mR.Sig) > 0 {
-		j.ctr.Feedbacks++
-		R.prod.Feedback(feedback.Message{Cmd: feedback.Mark, MNS: []*feedback.MNS{mR}})
-	}
-	e := j.marks.ActivateOrigin(m, L.sources, R.sources)
+	sigL, sigR := m.Sig.Restrict(L.sources), m.Sig.Restrict(R.sources)
+	j.relayMark(feedback.Mark, m, L, sigL)
+	j.relayMark(feedback.Mark, m, R, sigR)
+	e := j.marks.ActivateOrigin(m, sigL, sigR)
 	if e == nil {
 		return // duplicate; expiry extended
 	}
@@ -191,12 +190,15 @@ func (j *JoinOp) markScan(e *feedback.OriginEntry, s *side, sig feedback.Signatu
 	if len(sig) == 0 {
 		return
 	}
-	for _, se := range s.st.Entries() {
+	// Enroll touches the mark table and the composite's marks, never the
+	// state, so the scan runs in place.
+	s.st.Scan(func(se state.Entry) bool {
 		j.ctr.Comparisons += uint64(len(sig))
 		if sig.MatchedBy(se.C) {
 			j.marks.Enroll(e, s.port == operator.Left, se)
 		}
-	}
+		return true
+	})
 	for _, f := range j.frames {
 		if f.port != s.port {
 			continue
@@ -328,22 +330,28 @@ func (j *JoinOp) resumeTypeII(m *feedback.MNS, out *[]*stream.Composite) {
 	if !ok {
 		return
 	}
-	j.propagateUnmark(e.MNS)
+	j.propagateUnmark(e)
 	j.unmarkCatchup(e, out)
 }
 
-// propagateUnmark tells upstream relays to stop stamping for this MNS.
-func (j *JoinOp) propagateUnmark(m *feedback.MNS) {
-	L, R := j.in[operator.Left], j.in[operator.Right]
-	mL, mR := restrictMNS(m, L.sources), restrictMNS(m, R.sources)
-	if j.mode.Propagate && L.prod != nil && L.prod.CanSuspend() && len(mL.Sig) > 0 {
-		j.ctr.Feedbacks++
-		L.prod.Feedback(feedback.Message{Cmd: feedback.Unmark, MNS: []*feedback.MNS{mL}})
+// propagateUnmark tells upstream relays to stop stamping for a dissolved
+// origin entry.
+func (j *JoinOp) propagateUnmark(e *feedback.OriginEntry) {
+	j.relayMark(feedback.Unmark, e.MNS, j.in[operator.Left], e.SigL)
+	j.relayMark(feedback.Unmark, e.MNS, j.in[operator.Right], e.SigR)
+}
+
+// relayMark sends the projection of a Type II MNS onto one input side — its
+// sources and signature there, under the shared mark id, so stamped outputs
+// are recognised — to that side's producer as a mark or unmark.
+func (j *JoinOp) relayMark(cmd feedback.Command, m *feedback.MNS, s *side, sig feedback.Signature) {
+	if !j.mode.Propagate || s.prod == nil || !s.prod.CanSuspend() || len(sig) == 0 {
+		return
 	}
-	if j.mode.Propagate && R.prod != nil && R.prod.CanSuspend() && len(mR.Sig) > 0 {
-		j.ctr.Feedbacks++
-		R.prod.Feedback(feedback.Message{Cmd: feedback.Unmark, MNS: []*feedback.MNS{mR}})
-	}
+	j.ctr.Feedbacks++
+	s.prod.Feedback(feedback.Message{Cmd: cmd, MNS: []*feedback.MNS{{
+		ID: m.ID, Sources: m.Sources & s.sources, Sig: sig, Expiry: m.Expiry,
+	}}})
 }
 
 // unmarkCatchup generates the pairs that were suppressed while the mark was
@@ -432,7 +440,7 @@ func (j *JoinOp) Sweep(now stream.Time) {
 		if j.marks.HasExpired(j.now) {
 			for _, e := range j.marks.TakeExpiredOrigins(j.now) {
 				var out []*stream.Composite
-				j.propagateUnmark(e.MNS)
+				j.propagateUnmark(e)
 				j.unmarkCatchup(e, &out)
 				j.emitAll(out)
 			}
@@ -466,6 +474,51 @@ func (j *JoinOp) Sweep(now stream.Time) {
 		}
 	}
 	j.purge()
+	j.expireGrave()
+}
+
+// expireGrave drops the retired entries nothing can reach any more. A
+// graveyard entry e on one side is read only by a late input c on the other
+// that passes pairValid, which needs c.TS < e.MinTS + w; and a composite all
+// of whose constituents have arrived reaches this operator late only because
+// a sub-composite of it sits deferred — parked or recorded as a suppressed
+// pair — on that input's way here, so its timestamp is at least that item's
+// MinTS. Once every deferred item on the way into a port has MinTS at or past
+// e.MinTS + w, no reader of e is left, now or later: whatever arrives from
+// then on carries a newer timestamp still (DESIGN.md §4 has the full
+// argument). It runs at the end of Sweep only: the engine calls Sweep with
+// no operator on the stack, so nothing is in transit between a blacklist and
+// its consumer, which is what makes the floor complete.
+func (j *JoinOp) expireGrave() {
+	for p := operator.Port(0); p < 2; p++ {
+		if g := j.in[p.Opposite()].grave; !g.Empty() {
+			g.Purge(j.inputFloor(j.in[p]), j.window)
+		}
+	}
+}
+
+// inputFloor is the oldest MinTS among the results still owed to one input
+// port: the tuples parked on it here and whatever its producer defers.
+func (j *JoinOp) inputFloor(s *side) stream.Time {
+	f := NoDeadline
+	if ts, ok := s.black.OldestOwed(); ok {
+		f = ts
+	}
+	if s.prod != nil {
+		f = min(f, s.prod.DeferredFloor())
+	}
+	return f
+}
+
+// DeferredFloor implements operator.Producer: the oldest MinTS among the
+// tuples parked on either input, the pairs suppressed under this operator's
+// marks, and everything deferred further upstream.
+func (j *JoinOp) DeferredFloor() stream.Time {
+	f := min(j.inputFloor(j.in[operator.Left]), j.inputFloor(j.in[operator.Right]))
+	if ts, ok := j.marks.NextPendingMinTS(); ok {
+		f = min(f, ts)
+	}
+	return f
 }
 
 func (j *JoinOp) emitAll(out []*stream.Composite) {
@@ -579,17 +632,6 @@ func (j *JoinOp) topFrameOn(p operator.Port) *probeFrame {
 		}
 	}
 	return nil
-}
-
-// restrictMNS projects an MNS onto one input side's sources (Type II
-// decomposition); the mark id is shared so stamped outputs are recognised.
-func restrictMNS(m *feedback.MNS, set stream.SourceSet) *feedback.MNS {
-	return &feedback.MNS{
-		ID:      m.ID,
-		Sources: m.Sources & set,
-		Sig:     m.Sig.Restrict(set),
-		Expiry:  m.Expiry,
-	}
 }
 
 func stateEntryOf(f *probeFrame) state.Entry {

@@ -21,13 +21,20 @@ type detectCtx struct {
 	atoms int
 }
 
-// newDetect prepares a detection context for one fresh input on side s.
+// newDetect prepares the side's detection context for one fresh input. The
+// context and its lattice are reused from input to input: only Consume
+// detects, and an operator's Consume never runs while one of its own probes
+// is on the stack — what comes back up from a probe's emission is feedback,
+// whose resumptions collect their results instead of emitting them.
 func (j *JoinOp) newDetect(s *side) *detectCtx {
 	if j.mode.Detect != DetectLattice || len(s.atoms) == 0 {
 		return nil
 	}
-	d := &detectCtx{atoms: len(s.atoms)}
-	if !s.level1Only {
+	d := &s.det
+	d.ever, d.atoms = 0, len(s.atoms)
+	if d.lat != nil {
+		d.lat.Reset()
+	} else if !s.level1Only {
 		d.lat = lattice.New(len(s.atoms))
 	}
 	return d
@@ -111,8 +118,9 @@ func (j *JoinOp) reportMNS(f *probeFrame, s, o *side, det *detectCtx) {
 
 // buildMNS materializes the MNS for an atom mask of input c: the spanned
 // sources, the value signature over the consumer's join attributes, the
-// crossing predicates (for buffer probing), the anchor sub-tuple, and the
-// expiry (when the anchor's oldest component leaves the window).
+// crossing predicates (for buffer probing), the expiry (when the oldest
+// spanned component leaves the window) and — only when arrivals are matched
+// by identity rather than by signature — the anchor sub-tuple.
 //
 // Atoms whose crossing predicates include a band predicate (Tol != 0) are
 // never reported: the MNS buffer reactivates on exact opposite-value
@@ -123,6 +131,7 @@ func (j *JoinOp) reportMNS(f *probeFrame, s, o *side, det *detectCtx) {
 func (j *JoinOp) buildMNS(c *stream.Composite, s, o *side, mask uint32) *feedback.MNS {
 	var srcSet stream.SourceSet
 	var preds predicate.Conj
+	attrs := s.attrBuf[:0]
 	minTS := stream.Time(1) << 61
 	for k, src := range s.atoms {
 		if mask&(1<<uint(k)) == 0 {
@@ -132,33 +141,38 @@ func (j *JoinOp) buildMNS(c *stream.Composite, s, o *side, mask uint32) *feedbac
 		if comp == nil {
 			return nil
 		}
-		srcSet = srcSet.Add(src)
 		for _, p := range s.atomPreds[k] {
 			if p.IsBand() {
 				return nil
 			}
 		}
-		preds = append(preds, s.atomPreds[k]...)
+		if srcSet.Empty() {
+			// The common single-atom MNS shares the side's predicate list.
+			preds = s.atomPreds[k][:len(s.atomPreds[k]):len(s.atomPreds[k])]
+		} else {
+			preds = append(preds, s.atomPreds[k]...)
+		}
+		srcSet = srcSet.Add(src)
+		attrs = append(attrs, s.atomAttrs[k]...)
 		if comp.TS < minTS {
 			minTS = comp.TS
 		}
 	}
+	s.attrBuf = attrs
 	if srcSet.Empty() {
 		return nil
 	}
-	var attrs []predicate.Attr
-	for _, src := range srcSet.IDs() {
-		attrs = append(attrs, j.preds.JoinAttrs(src, o.sources)...)
-	}
-	sig := feedback.MakeSignature(attrs, c.Comp)
-	return &feedback.MNS{
+	m := &feedback.MNS{
 		ID:      j.nextMNS(),
 		Sources: srcSet,
-		Sig:     sig,
+		Sig:     feedback.MakeSignature(attrs, c.Comp),
 		Preds:   preds,
 		Expiry:  minTS + j.window,
-		Anchor:  c.Project(srcSet),
 	}
+	if !j.mode.Generalize {
+		m.Anchor = c.Project(srcSet)
+	}
+	return m
 }
 
 // bloomAtomAbsent reports whether the Bloom filters over the opposite state

@@ -1,0 +1,171 @@
+package core_test
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/feedback"
+	"repro/internal/metrics"
+	"repro/internal/operator"
+	"repro/internal/plan"
+	"repro/internal/predicate"
+	"repro/internal/source"
+	"repro/internal/stream"
+)
+
+// collector is a consumer that keeps what it is handed.
+type collector struct{ got []*stream.Composite }
+
+func (c *collector) Consume(r *stream.Composite, _ operator.Port) { c.got = append(c.got, r) }
+
+// TestGraveyardHorizon pins the retention rule of DESIGN.md §4 on one
+// operator, white-box: an entry retired at MinTS+w stays findable while a
+// parked tuple old enough to pair with it is still owed its catch-up, is
+// found by that tuple's last gasp at MinTS+2w−1 — the latest moment a valid
+// partner's own window can close — and is gone when that sweep returns; an
+// entry nothing deferred can reach is not kept at all. Both ports, hash-
+// indexed and linear.
+func TestGraveyardHorizon(t *testing.T) {
+	const w = 100
+	for _, indexed := range []bool{false, true} {
+		for _, stored := range []operator.Port{operator.Left, operator.Right} {
+			t.Run(fmt.Sprintf("stored=%v/indexed=%t", stored, indexed), func(t *testing.T) {
+				parked := stored.Opposite()
+				cfg := core.Config{
+					Name: "X", NumSources: 2, Window: w, Mode: core.JIT(),
+					Preds:    predicate.Conj{{Left: 0, LCol: 0, Right: 1, RCol: 0}},
+					Counters: &metrics.Counters{}, Account: &metrics.Account{},
+					NextMNS:     func() uint64 { return 1 },
+					LeftSources: stream.SourceSet(0).Add(0), RightSources: stream.SourceSet(0).Add(1),
+				}
+				if indexed {
+					cfg.LeftKey = []predicate.Attr{{Source: 0, Col: 0}}
+					cfg.RightKey = []predicate.Attr{{Source: 1, Col: 0}}
+				}
+				x := core.NewJoin(cfg)
+				x.SetExact(true)
+				out := &collector{}
+				x.SetConsumer(out, operator.Left)
+				tuple := func(id uint64, p operator.Port, ts stream.Time, v stream.Value) *stream.Composite {
+					return stream.NewComposite(2, &stream.Tuple{ID: id, Source: stream.SourceID(p), TS: ts, Vals: []stream.Value{v}})
+				}
+
+				// e (value 7) and a bystander (value 8) are stored at t=0. The
+				// consumer then declares value 7 on the other side undemanded,
+				// so p — which arrives at w−1, in e's window by one tick — is
+				// parked without ever probing.
+				x.Consume(tuple(1, stored, 0, 7), stored)
+				x.Consume(tuple(2, stored, 0, 8), stored)
+				undemanded := &feedback.MNS{
+					ID: 9, Sources: stream.SourceSet(0).Add(stream.SourceID(parked)),
+					Sig:    feedback.Signature{{Attr: predicate.Attr{Source: stream.SourceID(parked)}, Val: 7}},
+					Expiry: 10 * w,
+				}
+				x.Feedback(feedback.Message{Cmd: feedback.Suspend, MNS: []*feedback.MNS{undemanded}})
+				x.Consume(tuple(3, parked, w-1, 7), parked)
+				if _, black, _ := x.Side(parked); black.NumSuspended() != 1 || len(out.got) != 0 {
+					t.Fatalf("p not parked: %d suspended, %d results", black.NumSuspended(), len(out.got))
+				}
+
+				// Both entries retire at MinTS+w. The bystander pairs with
+				// nothing deferred, but retention goes by age, not by value:
+				// p (MinTS w−1) could pair with anything younger than 2w−1.
+				x.Sweep(w)
+				if st, _, _ := x.Side(stored); st.Len() != 0 || x.GraveLen(stored) != 2 {
+					t.Fatalf("after retirement: %d live, %d retired", st.Len(), x.GraveLen(stored))
+				}
+				x.Sweep(2*w - 2)
+				if x.GraveLen(stored) != 2 || len(out.got) != 0 {
+					t.Fatalf("before p's window closes: %d retired, %d results", x.GraveLen(stored), len(out.got))
+				}
+
+				// p's own window closes at MinTS(e)+2w−1: its last gasp finds
+				// e in the graveyard, and with p gone nothing is owed any more.
+				x.Sweep(2*w - 1)
+				want := "0:1|1:3" // source:tuple id — e is tuple 1, p tuple 3
+				if stored == operator.Right {
+					want = "0:3|1:1"
+				}
+				if len(out.got) != 1 || out.got[0].Key() != want {
+					t.Fatalf("last gasp delivered %v, want %s", out.got, want)
+				}
+				if !x.GraveEmpty() {
+					t.Fatalf("graveyards not emptied: %d and %d retired", x.GraveLen(operator.Left), x.GraveLen(operator.Right))
+				}
+				if live := cfg.Account.Live(); live != undemanded.SizeBytes() {
+					t.Fatalf("account holds %d bytes with only the blacklist entry (%d) left", live, undemanded.SizeBytes())
+				}
+
+				// With nothing deferred, a retired entry is not kept at all.
+				x.Consume(tuple(4, stored, 3*w, 7), stored)
+				x.Sweep(4 * w)
+				if st, _, _ := x.Side(stored); st.Len() != 0 || !x.GraveEmpty() {
+					t.Fatalf("unreachable entry kept: %d live, %d retired", st.Len(), x.GraveLen(stored))
+				}
+			})
+		}
+	}
+}
+
+// TestJITStateWindowBounded drives one exact JIT plan through tens of windows
+// and compares what it holds late in the run with what it held a third of
+// the way in: accounted live bytes, both graveyards of every operator, every
+// fingerprint-index bucket and the heap in use after a collection are
+// functions of the window, not of how long the stream has run. Before the
+// retention rule of DESIGN.md §4 the graveyards alone grew 3× over the span.
+func TestJITStateWindowBounded(t *testing.T) {
+	const window = 30 * stream.Second
+	early, late := stream.Time(10*window), stream.Time(30*window)
+	if testing.Short() {
+		early, late = 5*window, 15*window
+	}
+	cat, conj := predicate.Clique(4)
+	b := plan.BuildTree(cat, conj, plan.Bushy(4), plan.Options{Window: window, Mode: core.JIT(), NoStateIndex: true})
+	gen := source.Stream(cat, source.UniformConfig(4, 2.5, 16, late+window, 1))
+
+	type sample struct{ live, retired, buckets, heap float64 }
+	measure := func() (s sample) {
+		s.live = float64(b.Account.Live())
+		for _, j := range b.Joins {
+			for p := operator.Port(0); p < 2; p++ {
+				_, black, buf := j.Side(p)
+				s.retired += float64(j.GraveLen(p))
+				s.buckets += float64(black.Buckets() + buf.Buckets())
+			}
+		}
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		s.heap = float64(m.HeapInuse)
+		return s
+	}
+	var at []sample
+	marks := []stream.Time{early, late}
+	engine.NewWithOptions(b, engine.Options{Drain: true}).RunStream(func() (*stream.Tuple, bool) {
+		tp, ok := gen()
+		if ok && len(at) < len(marks) && tp.TS >= marks[len(at)] {
+			at = append(at, measure())
+		}
+		return tp, ok
+	})
+	if len(at) != 2 {
+		t.Fatalf("stream ended after %d of 2 samples", len(at))
+	}
+	t.Logf("at %d windows: %+v", early/window, at[0])
+	t.Logf("at %d windows: %+v", late/window, at[1])
+	if at[0].retired == 0 || at[0].buckets == 0 {
+		t.Fatalf("degenerate run: nothing retired or nothing indexed at the first sample: %+v", at[0])
+	}
+	check := func(what string, a, b float64) {
+		if b > 1.25*a {
+			t.Errorf("%s grew with the run: %.0f at %d windows, %.0f at %d", what, a, early/window, b, late/window)
+		}
+	}
+	check("accounted live bytes", at[0].live, at[1].live)
+	check("retired entries", at[0].retired, at[1].retired)
+	check("fingerprint buckets", at[0].buckets, at[1].buckets)
+	check("heap in use", at[0].heap, at[1].heap)
+}

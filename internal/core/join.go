@@ -62,8 +62,13 @@ type side struct {
 	// Lattice atoms for inputs arriving on this side: the input's
 	// components that participate in predicates crossing to the opposite
 	// side, with the per-atom predicate lists.
-	atoms      []stream.SourceID
-	atomPreds  []predicate.Conj
+	atoms     []stream.SourceID
+	atomPreds []predicate.Conj
+	// atomAttrs[k] are atom k's own columns in those predicates — the
+	// signature attributes an MNS over the atom constrains; attrBuf is
+	// buildMNS's scratch for their concatenation.
+	atomAttrs  [][]predicate.Attr
+	attrBuf    []predicate.Attr
 	level1Only bool
 	detectable bool
 	// Bloom filters over THIS side's state values, keyed by attribute;
@@ -73,11 +78,15 @@ type side struct {
 	// because a late recovery emission (an upstream resumption's catch-up
 	// result) may still form pairs REF formed live with them. It is a second
 	// window store on the side's key and sequence space, filled by Reinsert
-	// in expiry order and never charged to the plan account. Only inputs
+	// in expiry order, charged to the plan account, and emptied by
+	// expireGrave of what no deferred result can reach any more. Only inputs
 	// with TS < now probe it — an in-order arrival fails pairValid against
 	// every retired entry by construction. Empty outside exact mode and in
 	// modes without feedback (REF), where no input is ever late.
 	grave *state.State
+	// det is the detection context of the input being probed on this side;
+	// fresh inputs never nest on one side (see newDetect), so one serves all.
+	det detectCtx
 }
 
 // probeFrame tracks one in-progress probe so that re-entrant suspension
@@ -169,13 +178,14 @@ func NewJoin(cfg Config) *JoinOp {
 			black:   feedback.NewBlacklist(fmt.Sprintf("B_%s.%s", cfg.Name, port), cfg.Account),
 			buf:     feedback.NewBuffer(fmt.Sprintf("NB_%s.%s", cfg.Name, port), cfg.Account),
 			key:     state.Key(key),
-			grave:   state.New(fmt.Sprintf("G_%s.%s", cfg.Name, port), seq, new(metrics.Account)),
+			grave:   state.New(fmt.Sprintf("G_%s.%s", cfg.Name, port), seq, cfg.Account),
 		}
 		s.st.SetKey(s.key)
 		s.grave.SetKey(s.key)
 		s.atoms = cfg.Preds.SourcesLinkedTo(srcs, other)
 		for _, src := range s.atoms {
 			s.atomPreds = append(s.atomPreds, cfg.Preds.TouchingAcross(src, other))
+			s.atomAttrs = append(s.atomAttrs, cfg.Preds.JoinAttrs(src, other))
 		}
 		s.level1Only = len(s.atoms) > j.mode.MaxAtoms || len(s.atoms) > lattice.MaxAtoms
 		s.detectable = j.mode.enabled() && prod != nil && prod.CanSuspend() && len(s.atoms) > 0
@@ -280,7 +290,7 @@ func (j *JoinOp) SnapshotBase(p operator.Port, cut stream.Time) []*stream.Tuple 
 	for _, e := range s.st.SnapshotLive(cut, j.window) {
 		add(e.C)
 	}
-	for _, entry := range s.black.Entries() {
+	for _, entry := range s.black.List() {
 		for i := range entry.Tuples {
 			add(entry.Tuples[i].E.C)
 		}
@@ -326,9 +336,9 @@ type activation struct {
 	// done lists opposite sequences whose pairs were already generated
 	// while this tuple was suspended (see feedback.Suspended.Done).
 	done map[uint64]bool
-	// pending lists opposite sequences at or below cursor whose pairs were
+	// pending lists opposite tuples at or below cursor whose pairs were
 	// never joined (see feedback.Suspended.Pending).
-	pending []uint64
+	pending []state.Entry
 	// divertCheck runs the blacklist diversion check after the MNS buffer
 	// probe (exact mode): a diverted input skips probe and insertion but
 	// demanded upstream results are still processed.
@@ -447,18 +457,9 @@ func (j *JoinOp) probeInsert(a activation, s, o *side) {
 	parked := false
 	if f.parkEntry != nil {
 		if cur, ok := s.black.Entry(f.parkEntry.MNS.Key()); ok && cur == f.parkEntry {
-			var pending []uint64
 			cursor := o.seq.Watermark()
-			for _, oe := range o.black.Entries() {
-				for i := range oe.Tuples {
-					w := &oe.Tuples[i]
-					if w.Cursor < f.seq && w.E.Seq <= cursor && !w.IsDone(f.seq) {
-						pending = append(pending, w.E.Seq)
-					}
-				}
-			}
 			s.black.Park(f.parkEntry, feedback.Suspended{
-				E: state.Entry{C: a.c, Seq: a.seq}, Cursor: cursor, Pending: pending,
+				E: state.Entry{C: a.c, Seq: a.seq}, Cursor: cursor, Pending: uncovered(o, f.seq, cursor),
 			})
 			j.ctr.Suspended++
 			j.stats.Suspended++
@@ -600,9 +601,9 @@ func (j *JoinOp) probeLive(f *probeFrame, s, o *side, keyed bool, h uint64, det 
 // (entrySkip), the blacklist leg of the indexed probing of DESIGN.md §3.
 func (j *JoinOp) probeBlacklists(f *probeFrame, o *side, cursor uint64, collect *[]*stream.Composite) {
 	s := j.in[f.port]
-	for _, entry := range o.black.Entries() {
+	o.black.Walk(func(entry *feedback.Entry) {
 		if j.entrySkip(f, s, o, entry) {
-			continue
+			return
 		}
 		for i := range entry.Tuples {
 			susp := &entry.Tuples[i]
@@ -622,7 +623,7 @@ func (j *JoinOp) probeBlacklists(f *probeFrame, o *side, cursor uint64, collect 
 				susp.MarkDone(f.seq)
 			}
 		}
-	}
+	})
 }
 
 // entrySkip reports whether every tuple parked under the blacklist entry is
@@ -674,9 +675,10 @@ func (j *JoinOp) recordSuppressed(f *probeFrame, e state.Entry, id uint64) {
 // each pending opposite sequence, locate the tuple in the opposite state or
 // blacklists (it may have resumed, still be suspended, or be gone) and join
 // it, respecting the Done dedup in both directions.
-func (j *JoinOp) probePending(f *probeFrame, o *side, pending []uint64, collect *[]*stream.Composite) {
+func (j *JoinOp) probePending(f *probeFrame, o *side, pending []state.Entry, collect *[]*stream.Composite) {
 	s := j.in[f.port]
-	for _, seq := range pending {
+	for _, p := range pending {
+		seq := p.Seq
 		if f.done[seq] {
 			continue
 		}
@@ -689,31 +691,19 @@ func (j *JoinOp) probePending(f *probeFrame, o *side, pending []uint64, collect 
 			continue
 		}
 		// Then in the blacklists.
-		found := false
-		for _, entry := range o.black.Entries() {
-			for k := range entry.Tuples {
-				susp := &entry.Tuples[k]
-				if susp.E.Seq != seq {
-					continue
-				}
-				found = true
-				if susp.IsDone(f.seq) || (!j.exact && susp.E.C.MinTS+j.window <= j.now) {
-					break
-				}
+		if susp := o.black.BySeq(seq); susp != nil {
+			if !susp.IsDone(f.seq) && (j.exact || susp.E.C.MinTS+j.window > j.now) {
 				j.ctr.CatchUpJoins++
 				if j.joinPair(f, s, susp.E, nil, collect, false, phaseFull) {
 					susp.MarkDone(f.seq)
 				}
-				break
 			}
-			if found {
-				break
-			}
+			continue
 		}
 		// Finally the graveyard: in exact mode the partner may have been
 		// retired from the state while this tuple was parked; pairValid
 		// inside joinPair decides whether REF formed the pair.
-		if !found && j.exact {
+		if j.exact {
 			if e, ok := o.grave.BySeq(seq); ok {
 				j.ctr.CatchUpJoins++
 				j.joinPair(f, s, e, nil, collect, false, phaseFull)
@@ -884,11 +874,10 @@ func (j *JoinOp) purge() {
 			// Retire rather than drop: a parked tuple elsewhere in the plan
 			// can still release a late composite whose REF-valid partners
 			// expired here first. The graveyard keeps them reachable for
-			// probeGrave (memory is unbounded by the window, but exact mode
-			// only runs on drained, horizon-bounded streams). Without
-			// feedback nothing is ever parked, every input arrives at the
-			// operator clock, and no reader could reach a retired entry: REF
-			// state stays bounded by the window.
+			// probeGrave until expireGrave proves nothing deferred can pair
+			// with them. Without feedback nothing is ever parked, every
+			// input arrives at the operator clock, and no reader could reach
+			// a retired entry: REF state stays bounded by the window.
 			for _, e := range purged {
 				s.grave.Reinsert(e)
 			}

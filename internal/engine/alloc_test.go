@@ -1,0 +1,66 @@
+package engine
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/plan"
+	"repro/internal/predicate"
+	"repro/internal/source"
+	"repro/internal/stream"
+)
+
+// cliqueJIT builds the plan and arrival iterator of the benchmark's
+// clique_jit workload (bench/jitperf/workload.go): the N=4 bushy clique
+// under a 60 s window, λ=2.5 per source, dmax=16, linear-scan states, full
+// JIT. The iterator yields the first n arrivals of the seed's stream.
+func cliqueJIT(seed int64, n int) (*plan.Built, func() (*stream.Tuple, bool)) {
+	cat, conj := predicate.Clique(4)
+	b := plan.BuildTree(cat, conj, plan.Bushy(4), plan.Options{
+		Window: stream.Minute, Mode: core.JIT(), NoStateIndex: true,
+	})
+	gen := source.Stream(cat, source.UniformConfig(4, 2.5, 16, 1<<40, seed))
+	return b, func() (*stream.Tuple, bool) {
+		if n == 0 {
+			return nil, false
+		}
+		n--
+		return gen()
+	}
+}
+
+// TestJITAllocBudget is the allocation gate of ROADMAP item 1: the first
+// 1 200 arrivals of clique_jit (two full windows), exact and drained, must
+// stay inside a per-arrival budget of heap bytes and objects. Both figures
+// repeat to within a few bytes from run to run (and under -race), so the
+// budget sits a third above the values measured when it was set — 15 020 B
+// and 169 mallocs, against 57 600 B and 841 at PR 14 — and the test prints
+// what it measures: the next allocation PR tightens the budget from the log.
+func TestJITAllocBudget(t *testing.T) {
+	const (
+		arrivals   = 1200
+		maxBytes   = 20000
+		maxMallocs = 250
+	)
+	b, next := cliqueJIT(1, arrivals)
+	eng := NewWithOptions(b, Options{Drain: true})
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	res := eng.RunStream(next)
+	runtime.ReadMemStats(&m1)
+	if res.Arrivals != arrivals || res.Counters.Suspended == 0 {
+		t.Fatalf("degenerate run: %d arrivals, %d suspensions", res.Arrivals, res.Counters.Suspended)
+	}
+	bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / arrivals
+	mallocs := float64(m1.Mallocs-m0.Mallocs) / arrivals
+	t.Logf("clique_jit, %d arrivals: %.0f B/arrival (budget %d), %.1f mallocs/arrival (budget %d)",
+		arrivals, bytes, maxBytes, mallocs, maxMallocs)
+	if bytes > maxBytes {
+		t.Errorf("allocated %.0f B/arrival, budget %d", bytes, maxBytes)
+	}
+	if mallocs > maxMallocs {
+		t.Errorf("%.1f mallocs/arrival, budget %d", mallocs, maxMallocs)
+	}
+}

@@ -1,10 +1,10 @@
 package feedback
 
 import (
+	"cmp"
 	"slices"
 
 	"repro/internal/metrics"
-	"repro/internal/predicate"
 	"repro/internal/state"
 	"repro/internal/stream"
 )
@@ -22,12 +22,23 @@ type Suspended struct {
 	// tuple's resumption catch-up scans the blacklists and joins this one,
 	// the pair must not be regenerated at this tuple's own resumption.
 	Done map[uint64]bool
-	// Pending lists opposite-side sequence numbers at or below Cursor whose
-	// pairs were NOT actually joined despite the cursor claim: opposite
-	// tuples that were suspended (with their own scans short of this tuple)
-	// when this tuple was parked from the state. Resumption processes them
-	// explicitly, deduplicated against Done.
-	Pending []uint64
+	// Pending lists the opposite-side tuples at or below Cursor whose pairs
+	// were NOT actually joined despite the cursor claim: opposite tuples
+	// that were suspended (with their own scans short of this tuple) when
+	// this tuple was parked from the state. Resumption looks each up by
+	// sequence number — it may have resumed, still be suspended, or have
+	// retired — and processes it explicitly, deduplicated against Done.
+	Pending []state.Entry
+}
+
+// oldest is the earliest MinTS among the tuple and the partners it still owes
+// a pair: while it is parked, nothing that young may be forgotten.
+func (s *Suspended) oldest() stream.Time {
+	t := s.E.C.MinTS
+	for _, p := range s.Pending {
+		t = min(t, p.C.MinTS)
+	}
+	return t
 }
 
 // MarkDone records that the pair with the given opposite sequence was
@@ -48,6 +59,10 @@ func (s *Suspended) IsDone(oppSeq uint64) bool { return s.Done != nil && s.Done[
 type Entry struct {
 	MNS    *MNS
 	Tuples []Suspended
+	// ord is the entry's creation ordinal within its blacklist: the entry
+	// list is ascending in it, which is what lets Walk find its place again
+	// after the list changed under it.
+	ord uint64
 }
 
 // Blacklist is the producer-side store of suspended tuples for one input
@@ -60,25 +75,27 @@ type Blacklist struct {
 	// bySig finds the entry an arrival's values fall under, making
 	// MatchArrival O(# attribute sets) instead of O(# entries).
 	bySig fpIndex[*Entry]
+	// bySeq finds the entry a parked sequence number sits under, so a
+	// resumption's pending pairs are looked up, not searched for.
+	bySeq map[uint64]*Entry
+	// created counts the entries ever made: the newest entry's ord.
+	created uint64
 	// Deadline caches (DESIGN.md §4): the earliest anchor expiry among
 	// entries and the earliest MinTS among parked tuples.
 	anchorMin state.MinCache
 	parkMin   state.MinCache
+	// oweMin caches the earliest Suspended.oldest: how far back the parked
+	// tuples' resumptions can still reach (OldestOwed).
+	oweMin state.MinCache
 }
 
-// sigKey splits an entry's signature into the attribute set it constrains
-// and the values it expects there — its place in the fingerprint index.
-func sigKey(e *Entry) (attrs []predicate.Attr, vals []stream.Value) {
-	for _, se := range e.MNS.Sig {
-		attrs = append(attrs, se.Attr)
-		vals = append(vals, se.Val)
-	}
-	return attrs, vals
-}
+// sigKey appends an entry's place in the fingerprint index: the attributes
+// its signature constrains and the values it expects there.
+func sigKey(e *Entry, buf []SigEntry) []SigEntry { return append(buf, e.MNS.Sig...) }
 
 // NewBlacklist creates an empty blacklist charging memory to acct.
 func NewBlacklist(name string, acct *metrics.Account) *Blacklist {
-	b := &Blacklist{name: name, acct: acct, bySig: newFPIndex(sigKey)}
+	b := &Blacklist{name: name, acct: acct, bySig: newFPIndex(sigKey), bySeq: make(map[uint64]*Entry)}
 	b.entries = newTable[*Entry](acct, &b.anchorMin)
 	return b
 }
@@ -109,7 +126,8 @@ func (b *Blacklist) Ensure(m *MNS) (e *Entry, created bool) {
 	if old, ok := b.entries.extend(m); ok {
 		return old, false
 	}
-	e = &Entry{MNS: m}
+	b.created++
+	e = &Entry{MNS: m, ord: b.created}
 	b.entries.insert(e)
 	b.bySig.add(e)
 	return e, true
@@ -118,8 +136,23 @@ func (b *Blacklist) Ensure(m *MNS) (e *Entry, created bool) {
 // Park adds a suspended tuple under entry e, charging its storage.
 func (b *Blacklist) Park(e *Entry, s Suspended) {
 	b.parkMin.Add(s.E.C.MinTS)
+	b.oweMin.Add(s.oldest())
 	e.Tuples = append(e.Tuples, s)
+	b.bySeq[s.E.Seq] = e
 	b.acct.Alloc(s.E.C.DeepSizeBytes())
+}
+
+// BySeq returns the parked tuple holding the given sequence number, or nil.
+// The pointer is valid until the blacklist next changes.
+func (b *Blacklist) BySeq(seq uint64) *Suspended {
+	if e := b.bySeq[seq]; e != nil {
+		for i := range e.Tuples {
+			if e.Tuples[i].E.Seq == seq {
+				return &e.Tuples[i]
+			}
+		}
+	}
+	return nil
 }
 
 // NextAnchorExpiry returns the earliest anchor expiry among entries, or
@@ -149,6 +182,20 @@ func (b *Blacklist) NextTupleMinTS() (stream.Time, bool) {
 		for _, e := range b.entries.list {
 			for i := range e.Tuples {
 				add(e.Tuples[i].E.C.MinTS)
+			}
+		}
+	})
+}
+
+// OldestOwed returns the earliest MinTS among the parked tuples and the
+// partners their Pending lists name; ok is false when nothing is parked. No
+// result a resumption here can still produce has a constituent older than
+// that, which is what lets core forget retired state entries (DESIGN.md §4).
+func (b *Blacklist) OldestOwed() (stream.Time, bool) {
+	return b.oweMin.Get(func(add func(stream.Time)) {
+		for _, e := range b.entries.list {
+			for i := range e.Tuples {
+				add(e.Tuples[i].oldest())
 			}
 		}
 	})
@@ -196,6 +243,10 @@ func (b *Blacklist) TakeExpired(now stream.Time) []*Entry {
 // with it, and arrivals no longer divert to it.
 func (b *Blacklist) dropped(e *Entry) {
 	b.parkMin.Remove(len(e.Tuples))
+	b.oweMin.Remove(len(e.Tuples))
+	for i := range e.Tuples {
+		delete(b.bySeq, e.Tuples[i].E.Seq)
+	}
 	b.bySig.remove(e)
 }
 
@@ -205,16 +256,18 @@ func (b *Blacklist) dropped(e *Entry) {
 // sweep gives each a last-gasp catch-up first (DESIGN.md §4).
 func (b *Blacklist) TakeExpiredTuples(now, window stream.Time) []Suspended {
 	var taken []Suspended
-	b.parkMin = state.MinCache{}
+	b.parkMin, b.oweMin = state.MinCache{}, state.MinCache{}
 	for _, e := range b.entries.list {
 		kept := e.Tuples[:0]
 		for _, s := range e.Tuples {
 			if s.E.C.MinTS+window <= now {
 				b.acct.Free(s.E.C.DeepSizeBytes())
+				delete(b.bySeq, s.E.Seq)
 				taken = append(taken, s)
 				continue
 			}
 			b.parkMin.Add(s.E.C.MinTS)
+			b.oweMin.Add(s.oldest())
 			kept = append(kept, s)
 		}
 		clear(e.Tuples[len(kept):])
@@ -235,6 +288,32 @@ func (b *Blacklist) ReleaseTuples(e *Entry) {
 // the expiry sweep uses before doing real work.
 func (b *Blacklist) HasExpired(now stream.Time) bool { return b.entries.hasExpired(now) }
 
-// Entries returns a snapshot of the entries: callers iterate it while
-// re-entrant feedback adds and removes entries underneath them.
-func (b *Blacklist) Entries() []*Entry { return slices.Clone(b.entries.list) }
+// Buckets returns the number of value fingerprints the arrival index holds —
+// for tests and diagnostics: it is bounded by Len.
+func (b *Blacklist) Buckets() int { return b.bySig.buckets() }
+
+// List returns the entries in creation order. The slice is the blacklist's
+// own: callers must not change it, and must not park, resume or suspend
+// anything while ranging over it — a loop whose body can is a Walk.
+func (b *Blacklist) List() []*Entry { return b.entries.list }
+
+// Walk visits, in creation order, the entries that exist now and still exist
+// when their turn comes. visit may change the blacklist re-entrantly (a join
+// it performs can emit a result whose consumer answers with feedback): the
+// walk then finds its place again by creation ordinal, as state.State.Walk
+// does by sequence number. Entries created meanwhile are not visited — their
+// tuples were reachable elsewhere when the walk began.
+func (b *Blacklist) Walk(visit func(*Entry)) {
+	last := b.created
+	for i := 0; i < len(b.entries.list) && b.entries.list[i].ord <= last; {
+		e := b.entries.list[i]
+		visit(e)
+		if i < len(b.entries.list) && b.entries.list[i] == e {
+			i++ // nothing at or before e left the list
+			continue
+		}
+		i, _ = slices.BinarySearchFunc(b.entries.list, e.ord+1, func(x *Entry, ord uint64) int {
+			return cmp.Compare(x.ord, ord)
+		})
+	}
+}

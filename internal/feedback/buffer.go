@@ -1,8 +1,8 @@
 package feedback
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"repro/internal/metrics"
 	"repro/internal/predicate"
@@ -28,14 +28,9 @@ type Buffer struct {
 	expiryMin state.MinCache
 }
 
-// probeKey derives the opposite attributes and expected values of an MNS
-// from its predicates, in canonical order.
-func probeKey(m *MNS) (attrs []predicate.Attr, vals []stream.Value) {
-	type av struct {
-		a predicate.Attr
-		v stream.Value
-	}
-	list := make([]av, 0, len(m.Preds))
+// probeKey appends the opposite attributes an MNS's predicates test and the
+// values expected there, in canonical order.
+func probeKey(m *MNS, buf []SigEntry) []SigEntry {
 	for _, p := range m.Preds {
 		var sigAttr, oppAttr predicate.Attr
 		if m.Sources.Has(p.Left) {
@@ -45,22 +40,15 @@ func probeKey(m *MNS) (attrs []predicate.Attr, vals []stream.Value) {
 			sigAttr = predicate.Attr{Source: p.Right, Col: p.RCol}
 			oppAttr = predicate.Attr{Source: p.Left, Col: p.LCol}
 		}
-		list = append(list, av{oppAttr, m.sigVal(sigAttr)})
+		buf = append(buf, SigEntry{Attr: oppAttr, Val: m.sigVal(sigAttr)})
 	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].a.Source != list[j].a.Source {
-			return list[i].a.Source < list[j].a.Source
+	slices.SortFunc(buf, func(a, b SigEntry) int {
+		if c := a.Attr.Compare(b.Attr); c != 0 {
+			return c
 		}
-		if list[i].a.Col != list[j].a.Col {
-			return list[i].a.Col < list[j].a.Col
-		}
-		return list[i].v < list[j].v
+		return cmp.Compare(a.Val, b.Val)
 	})
-	for _, e := range list {
-		attrs = append(attrs, e.a)
-		vals = append(vals, e.v)
-	}
-	return attrs, vals
+	return buf
 }
 
 // NewBuffer creates an empty MNS buffer charging memory to acct.
@@ -122,12 +110,16 @@ func (b *Buffer) Probe(t *stream.Composite) (matched []*MNS, comparisons int) {
 		matched = append(matched, m)
 		return true
 	})
+	b.mnss.remove(matched...)
 	for _, m := range matched {
-		b.mnss.remove(m)
 		b.byProbe.remove(m)
 	}
 	return matched, comparisons
 }
+
+// Buckets returns the number of value fingerprints the probe index holds —
+// for tests and diagnostics: it is bounded by Len.
+func (b *Buffer) Buckets() int { return b.byProbe.buckets() }
 
 // Snapshot returns the buffered MNSs, for tests.
 func (b *Buffer) Snapshot() []*MNS { return slices.Clone(b.mnss.list) }

@@ -17,7 +17,8 @@ package feedback
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/predicate"
@@ -64,13 +65,28 @@ type SigEntry struct {
 type Signature []SigEntry
 
 // Canon returns a canonical string form, used to deduplicate MNSs that
-// cover the same value pattern.
+// cover the same value pattern: "source.col=val" per entry, joined by ";".
 func (s Signature) Canon() string {
-	parts := make([]string, len(s))
-	for i, e := range s {
-		parts[i] = fmt.Sprintf("%d.%d=%d", e.Attr.Source, e.Attr.Col, e.Val)
+	if len(s) == 0 {
+		return ""
 	}
-	return strings.Join(parts, ";")
+	b := make([]byte, 0, 12*len(s))
+	for i, e := range s {
+		if i > 0 {
+			b = append(b, ';')
+		}
+		b = appendAttr(b, e.Attr)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, int64(e.Val), 10)
+	}
+	return string(b)
+}
+
+// appendAttr renders an attribute as "source.col".
+func appendAttr(b []byte, a predicate.Attr) []byte {
+	b = strconv.AppendInt(b, int64(a.Source), 10)
+	b = append(b, '.')
+	return strconv.AppendInt(b, int64(a.Col), 10)
 }
 
 // MatchedBy reports whether composite c contains a sub-tuple with this
@@ -109,7 +125,7 @@ func (s Signature) Sources() stream.SourceSet {
 
 // Restrict returns the sub-signature whose sources lie in set.
 func (s Signature) Restrict(set stream.SourceSet) Signature {
-	var out Signature
+	out := make(Signature, 0, len(s))
 	for _, e := range s {
 		if set.Has(e.Attr.Source) {
 			out = append(out, e)
@@ -132,12 +148,7 @@ func MakeSignature(attrs []predicate.Attr, comp func(stream.SourceID) *stream.Tu
 		}
 		sig = append(sig, SigEntry{Attr: a, Val: t.Vals[a.Col]})
 	}
-	sort.Slice(sig, func(i, j int) bool {
-		if sig[i].Attr.Source != sig[j].Attr.Source {
-			return sig[i].Attr.Source < sig[j].Attr.Source
-		}
-		return sig[i].Attr.Col < sig[j].Attr.Col
-	})
+	slices.SortFunc(sig, func(a, b SigEntry) int { return a.Attr.Compare(b.Attr) })
 	return sig
 }
 
@@ -159,16 +170,25 @@ type MNS struct {
 	// consumer forgets the MNS and the producer must reactivate survivors.
 	Expiry stream.Time
 	// Anchor is the concrete sub-tuple the MNS was detected on; used for
-	// exact (identity) matching when signature generalization is disabled.
-	// Nil for Ø.
+	// exact (identity) matching when signature generalization is disabled,
+	// and only built then. Nil for Ø.
 	Anchor *stream.Composite
+
+	// key caches Sig.Canon(): every table operation files the descriptor
+	// under it, and Sig never changes after construction.
+	key string
 }
 
 // IsEmpty reports whether this is the empty MNS Ø (total suspension / DOE).
 func (m *MNS) IsEmpty() bool { return m.Sources.Empty() }
 
 // Key returns the canonical dedup key (signature-based; Ø has the empty key).
-func (m *MNS) Key() string { return m.Sig.Canon() }
+func (m *MNS) Key() string {
+	if m.key == "" && len(m.Sig) > 0 {
+		m.key = m.Sig.Canon()
+	}
+	return m.key
+}
 
 // sigVal returns the signature's value at a, the MNS-side endpoint of one
 // of its predicates.

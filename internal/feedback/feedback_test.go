@@ -288,8 +288,8 @@ func TestMarkTable(t *testing.T) {
 		},
 		Expiry: 1000,
 	}
-	left := stream.SourceSet(0).Add(0).Add(1)
-	right := stream.SourceSet(0).Add(2)
+	left := m.Sig.Restrict(stream.SourceSet(0).Add(0).Add(1))
+	right := m.Sig.Restrict(stream.SourceSet(0).Add(2))
 	e := mt.ActivateOrigin(m, left, right)
 	if e == nil || len(e.SigL) != 1 || len(e.SigR) != 1 {
 		t.Fatal("activation/decomposition wrong")
@@ -364,11 +364,106 @@ func TestPurgePending(t *testing.T) {
 			{Attr: predicate.Attr{Source: 0, Col: 0}, Val: 5},
 			{Attr: predicate.Attr{Source: 2, Col: 0}, Val: 9},
 		}, Expiry: 10000}
-	e := mt.ActivateOrigin(m, stream.SourceSet(0).Add(0), stream.SourceSet(0).Add(2))
+	e := mt.ActivateOrigin(m, m.Sig[:1], m.Sig[1:])
 	old := comp(3, tpl(0, 10, 5))
 	young := comp(3, tpl(2, 900, 9))
 	mt.RecordSuppressed(e, state.Entry{C: old, Seq: 1}, state.Entry{C: young, Seq: 2})
 	if n := mt.PurgePending(1000, 100); n != 1 || mt.NumPending() != 0 {
 		t.Fatalf("pending purge: %d", n)
+	}
+}
+
+// TestFPIndexDropsEmptyBuckets pins the index's memory bound: a fingerprint's
+// bucket lives exactly as long as it holds an element, so a buffer and a
+// blacklist that have seen thousands of distinct value patterns hold buckets
+// only for the ones present — while the attribute-set groups, whose visiting
+// order fixes the comparisons a match charges, stay.
+func TestFPIndexDropsEmptyBuckets(t *testing.T) {
+	acct := &metrics.Account{}
+	buf := NewBuffer("NB", acct)
+	bl := NewBlacklist("B", acct)
+	for v := stream.Value(1); v <= 2000; v++ {
+		m := mnsA(v, 100)
+		buf.Add(m)
+		bl.Ensure(m)
+		// A second element under the same fingerprint: the bucket must
+		// survive the first removal and go with the second.
+		twin := mnsA(v, 100)
+		buf.byProbe.add(twin)
+		if buf.Buckets() != 1 || bl.Buckets() != 1 {
+			t.Fatalf("value %d: %d buffer and %d blacklist buckets for one pattern", v, buf.Buckets(), bl.Buckets())
+		}
+		buf.byProbe.remove(twin)
+		if buf.Buckets() != 1 {
+			t.Fatalf("value %d: bucket dropped while it still held an element", v)
+		}
+		switch v % 3 {
+		case 0: // leaves by expiry
+			buf.Purge(100)
+			bl.TakeExpired(100)
+		case 1: // leaves by demand
+			buf.byProbe.remove(m)
+			buf.mnss.remove(m)
+			bl.Take(m.Key())
+		default: // leaves through Probe, which has to find it first
+			if matched, _ := buf.Probe(comp(3, tpl(2, 5, v))); len(matched) != 1 || matched[0] != m {
+				t.Fatalf("value %d: probe matched %v", v, matched)
+			}
+			bl.Take(m.Key())
+		}
+		if buf.Buckets() != 0 || bl.Buckets() != 0 || buf.Len() != 0 || bl.Len() != 0 {
+			t.Fatalf("value %d: %d/%d buckets, %d/%d elements left", v, buf.Buckets(), bl.Buckets(), buf.Len(), bl.Len())
+		}
+	}
+	if len(buf.byProbe.groups) != 1 || len(bl.bySig.groups) != 1 {
+		t.Fatalf("groups must persist: %d buffer, %d blacklist", len(buf.byProbe.groups), len(bl.bySig.groups))
+	}
+	// The index still works after all that churn.
+	buf.Add(mnsA(1, 100))
+	if matched, n := buf.Probe(comp(3, tpl(2, 5, 1))); len(matched) != 1 || n != 1 {
+		t.Fatalf("probe after churn: %d matched, %d comparisons", len(matched), n)
+	}
+	if acct.Live() != 0 {
+		t.Fatalf("leaked %d bytes", acct.Live())
+	}
+}
+
+// TestBlacklistWalkAndBySeq covers the two in-place access paths core's
+// resumption catch-up uses: Walk keeps its place, and visits neither removed
+// nor new entries, when the visitor changes the blacklist under it; BySeq
+// finds a parked tuple exactly while it is parked.
+func TestBlacklistWalkAndBySeq(t *testing.T) {
+	bl := NewBlacklist("B", &metrics.Account{})
+	var es []*Entry
+	for v := stream.Value(1); v <= 5; v++ {
+		e, _ := bl.Ensure(mnsA(v, 100*stream.Time(v)))
+		bl.Park(e, Suspended{E: state.Entry{C: comp(3, tpl(0, stream.Time(v), 0, v)), Seq: uint64(10 * v)}})
+		es = append(es, e)
+	}
+	var visited []stream.Value
+	bl.Walk(func(e *Entry) {
+		v := e.MNS.Sig[0].Val
+		visited = append(visited, v)
+		if v == 2 {
+			bl.Take(es[0].MNS.Key()) // behind the walk
+			bl.Take(es[2].MNS.Key()) // ahead of it
+			bl.Ensure(mnsA(6, 600))  // new: not this walk's business
+		}
+	})
+	if !slices.Equal(visited, []stream.Value{1, 2, 4, 5}) {
+		t.Fatalf("walk visited %v", visited)
+	}
+	if s := bl.BySeq(40); s == nil || s.E.Seq != 40 {
+		t.Fatalf("BySeq(40) = %v", s)
+	}
+	if bl.BySeq(30) != nil || bl.BySeq(41) != nil {
+		t.Fatal("BySeq found a tuple that left with its entry, or never was")
+	}
+	// Tuple 4 (MinTS 4) leaves by its own window; tuple 5 stays.
+	if taken := bl.TakeExpiredTuples(14, 10); len(taken) != 2 || bl.BySeq(40) != nil || bl.BySeq(50) == nil {
+		t.Fatalf("after expiry: took %d, 40→%v, 50→%v", len(taken), bl.BySeq(40), bl.BySeq(50))
+	}
+	if ts, ok := bl.OldestOwed(); !ok || ts != 5 {
+		t.Fatalf("OldestOwed = %d, %t", ts, ok)
 	}
 }

@@ -81,17 +81,18 @@ func (t *MarkTable) NumPending() int {
 	return n
 }
 
-// ActivateOrigin installs an origin entry for a Type II MNS, returning nil
-// if an entry with the same signature is already active (duplicate
-// suspensions are ignored, with the anchor expiry extended).
-func (t *MarkTable) ActivateOrigin(m *MNS, leftSources, rightSources stream.SourceSet) *OriginEntry {
+// ActivateOrigin installs an origin entry for a Type II MNS whose signature
+// splits into sigL and sigR over the operator's two inputs, returning nil if
+// an entry with the same signature is already active (duplicate suspensions
+// are ignored, with the anchor expiry extended).
+func (t *MarkTable) ActivateOrigin(m *MNS, sigL, sigR Signature) *OriginEntry {
 	if _, ok := t.origins.extend(m); ok {
 		return nil
 	}
 	e := &OriginEntry{
 		MNS:  m,
-		SigL: m.Sig.Restrict(leftSources),
-		SigR: m.Sig.Restrict(rightSources),
+		SigL: sigL,
+		SigR: sigR,
 		seen: make(map[*stream.Composite]bool),
 	}
 	t.origins.insert(e)

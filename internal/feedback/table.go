@@ -1,10 +1,8 @@
 package feedback
 
 import (
-	"fmt"
 	"slices"
 	"strconv"
-	"strings"
 
 	"repro/internal/metrics"
 	"repro/internal/predicate"
@@ -64,13 +62,22 @@ func (t *table[E]) insert(e E) {
 	t.acct.Alloc(m.SizeBytes())
 }
 
-func (t *table[E]) remove(e E) {
-	m := e.mns()
-	t.min.Remove(1)
-	delete(t.byKey, m.Key())
-	t.acct.Free(m.SizeBytes())
-	i := slices.Index(t.list, e)
-	t.list = slices.Delete(t.list, i, i+1)
+// remove deletes the given held elements in one pass that keeps list order.
+func (t *table[E]) remove(es ...E) {
+	for _, e := range es {
+		m := e.mns()
+		delete(t.byKey, m.Key())
+		t.acct.Free(m.SizeBytes())
+	}
+	t.min.Remove(len(es))
+	left := len(es)
+	t.list = slices.DeleteFunc(t.list, func(e E) bool {
+		if left == 0 || !slices.Contains(es, e) {
+			return false
+		}
+		left--
+		return true
+	})
 }
 
 // take removes and returns the element filed under key.
@@ -87,6 +94,9 @@ func (t *table[E]) take(key string) (E, bool) {
 // survivors on the way, leaving it exact whatever was done to a shared
 // descriptor since; without, it is merely invalidated if anything left.
 func (t *table[E]) takeExpired(now stream.Time, refresh bool) []E {
+	if !refresh && !t.mayHaveExpired(now) {
+		return nil
+	}
 	var out []E
 	var fresh state.MinCache
 	kept := t.list[:0]
@@ -111,9 +121,23 @@ func (t *table[E]) takeExpired(now stream.Time, refresh bool) []E {
 	return out
 }
 
+// mayHaveExpired is false when the min cache proves nothing has: a clean
+// cache holds a lower bound on every expiry it covers (exact, or stale-low
+// after an in-place extension), so one above now rules expiry out without a
+// scan. A dirty cache is not rebuilt here — when that happens is observable
+// through NextDeadline — and answers "maybe".
+func (t *table[E]) mayHaveExpired(now stream.Time) bool {
+	if len(t.list) == 0 {
+		return false
+	}
+	min, clean := t.min.Peek()
+	return !clean || min <= now
+}
+
 // hasExpired is the cheap check sweeps make before doing real work.
 func (t *table[E]) hasExpired(now stream.Time) bool {
-	return slices.ContainsFunc(t.list, func(e E) bool { return e.mns().Expiry <= now })
+	return t.mayHaveExpired(now) &&
+		slices.ContainsFunc(t.list, func(e E) bool { return e.mns().Expiry <= now })
 }
 
 // expiries feeds every element's expiry to add (state.MinCache.Get).
@@ -137,16 +161,21 @@ func nextExpiry(min *state.MinCache, each func(add func(stream.Time))) stream.Ti
 // they expect there, so matching a composite costs one lookup per attribute
 // set rather than one comparison per element. Groups are visited in
 // creation order (determinism, DESIGN.md §2) and are never dropped, so the
-// comparisons a match charges depend only on the attribute sets seen so far.
-// Elements constraining nothing (the Ø MNS) form the group of the empty
-// attribute set, which is kept out of the visiting order: it matches every
-// composite, first and for free.
+// comparisons a match charges depend only on the attribute sets seen so far;
+// inside a group a bucket lives exactly as long as it holds an element, so
+// the index is bounded by what it currently holds. Elements constraining
+// nothing (the Ø MNS) form the group of the empty attribute set, which is
+// kept out of the visiting order: it matches every composite, first and for
+// free.
 type fpIndex[E comparable] struct {
-	// key gives an element's place: the attribute set it constrains and the
-	// values it expects there.
-	key     func(E) ([]predicate.Attr, []stream.Value)
+	// key appends an element's place to buf, in canonical order: the
+	// attributes it constrains and the values it expects there.
+	key     func(e E, buf []SigEntry) []SigEntry
 	groups  []*fpGroup[E]
 	byAttrs map[string]*fpGroup[E]
+	// Scratch for locate and match; neither runs inside the other.
+	place []SigEntry
+	buf   []byte
 }
 
 type fpGroup[E comparable] struct {
@@ -154,44 +183,67 @@ type fpGroup[E comparable] struct {
 	byVal map[string][]E
 }
 
-func newFPIndex[E comparable](key func(E) ([]predicate.Attr, []stream.Value)) fpIndex[E] {
+func newFPIndex[E comparable](key func(E, []SigEntry) []SigEntry) fpIndex[E] {
 	return fpIndex[E]{key: key, byAttrs: make(map[string]*fpGroup[E])}
 }
 
 // locate returns the group of e's attribute set, creating it on first use,
-// and the fingerprint of the values e expects there.
-func (x *fpIndex[E]) locate(e E) (*fpGroup[E], string) {
-	attrs, vals := x.key(e)
-	parts := make([]string, len(attrs))
-	for i, a := range attrs {
-		parts[i] = fmt.Sprintf("%d.%d", a.Source, a.Col)
+// and the fingerprint of the values e expects there (scratch, valid until
+// the next locate or match).
+func (x *fpIndex[E]) locate(e E) (*fpGroup[E], []byte) {
+	x.place = x.key(e, x.place[:0])
+	gk := x.buf[:0]
+	for i, p := range x.place {
+		if i > 0 {
+			gk = append(gk, ';')
+		}
+		gk = appendAttr(gk, p.Attr)
 	}
-	gk := strings.Join(parts, ";")
-	g := x.byAttrs[gk]
+	g := x.byAttrs[string(gk)]
 	if g == nil {
-		g = &fpGroup[E]{attrs: attrs, byVal: make(map[string][]E)}
-		x.byAttrs[gk] = g
-		if len(attrs) > 0 {
+		g = &fpGroup[E]{attrs: make([]predicate.Attr, len(x.place)), byVal: make(map[string][]E)}
+		for i, p := range x.place {
+			g.attrs[i] = p.Attr
+		}
+		x.byAttrs[string(gk)] = g
+		if len(g.attrs) > 0 {
 			x.groups = append(x.groups, g)
 		}
 	}
-	var fp []byte
-	for _, v := range vals {
-		fp = appendValue(fp, v)
+	fp := gk[:0] // the group key has served: the fingerprint reuses its bytes
+	for _, p := range x.place {
+		fp = appendValue(fp, p.Val)
 	}
-	return g, string(fp)
+	x.buf = fp
+	return g, fp
 }
 
 func (x *fpIndex[E]) add(e E) {
 	g, fp := x.locate(e)
-	g.byVal[fp] = append(g.byVal[fp], e)
+	g.byVal[string(fp)] = append(g.byVal[string(fp)], e)
 }
 
 func (x *fpIndex[E]) remove(e E) {
 	g, fp := x.locate(e)
-	if i := slices.Index(g.byVal[fp], e); i >= 0 {
-		g.byVal[fp] = slices.Delete(g.byVal[fp], i, i+1)
+	b := g.byVal[string(fp)]
+	i := slices.Index(b, e)
+	if i < 0 {
+		return
 	}
+	if len(b) == 1 {
+		delete(g.byVal, string(fp))
+		return
+	}
+	g.byVal[string(fp)] = slices.Delete(b, i, i+1)
+}
+
+// buckets counts the fingerprints currently filed, over all groups.
+func (x *fpIndex[E]) buckets() int {
+	n := 0
+	for _, g := range x.byAttrs {
+		n += len(g.byVal)
+	}
+	return n
 }
 
 // match visits the Ø slot and then, group by group, the elements whose
@@ -205,7 +257,7 @@ func (x *fpIndex[E]) match(c *stream.Composite, visit func(E) bool) (comparisons
 			}
 		}
 	}
-	var fp []byte
+	fp := x.buf
 groups:
 	for _, g := range x.groups {
 		comparisons += len(g.attrs)
@@ -221,10 +273,11 @@ groups:
 		}
 		for _, e := range g.byVal[string(fp)] {
 			if !visit(e) {
-				return comparisons
+				break groups
 			}
 		}
 	}
+	x.buf = fp
 	return comparisons
 }
 

@@ -22,10 +22,17 @@ package lattice
 const MaxAtoms = 16
 
 // Lattice tracks dead/alive status for every non-empty subset of m atoms.
+// One lattice serves any number of inputs in turn: Reset starts the next.
 type Lattice struct {
 	m    int
 	dead []bool // indexed by mask 1..(1<<m)-1; index 0 unused
 	ops  uint64 // node evaluations performed (cost accounting)
+	// byLevel lists the masks of each level in ascending order — the walk
+	// order of MNSes, a function of m alone.
+	byLevel [][]uint32
+	// Scratch of MNSes, sized like dead.
+	isMNS, nonMin []bool
+	out           []uint32
 }
 
 // New creates a lattice over m atoms (1 <= m <= MaxAtoms).
@@ -33,8 +40,21 @@ func New(m int) *Lattice {
 	if m < 1 || m > MaxAtoms {
 		panic("lattice: atom count out of range")
 	}
-	return &Lattice{m: m, dead: make([]bool, 1<<uint(m))}
+	n := 1 << uint(m)
+	l := &Lattice{
+		m: m, dead: make([]bool, n), byLevel: make([][]uint32, m+1),
+		isMNS: make([]bool, n), nonMin: make([]bool, n),
+	}
+	for mask := uint32(1); mask < uint32(n); mask++ {
+		lv := popcount(mask)
+		l.byLevel[lv] = append(l.byLevel[lv], mask)
+	}
+	return l
 }
+
+// Reset revives every node for the next input. Ops keeps counting: callers
+// charge differences.
+func (l *Lattice) Reset() { clear(l.dead) }
 
 // Atoms returns the number of atoms.
 func (l *Lattice) Atoms() int { return l.m }
@@ -67,18 +87,13 @@ func (l *Lattice) ObserveAllDead() {
 // MNSes runs Fig. 8 lines 11-14: report alive Level-1 nodes as MNSs, then
 // walk higher levels in order, reporting an alive node as MNS unless one of
 // its children is an MNS or non-minimal. Returned masks are in ascending
-// level, then ascending mask, order.
+// level, then ascending mask, order; the slice is the lattice's own and is
+// overwritten by the next call.
 func (l *Lattice) MNSes() []uint32 {
-	full := uint32(1)<<uint(l.m) - 1
-	isMNS := make([]bool, full+1)
-	nonMin := make([]bool, full+1)
-	var out []uint32
-
-	byLevel := make([][]uint32, l.m+1)
-	for mask := uint32(1); mask <= full; mask++ {
-		lv := popcount(mask)
-		byLevel[lv] = append(byLevel[lv], mask)
-	}
+	isMNS, nonMin, byLevel := l.isMNS, l.nonMin, l.byLevel
+	clear(isMNS)
+	clear(nonMin)
+	out := l.out[:0]
 
 	for _, mask := range byLevel[1] {
 		l.ops++
@@ -109,6 +124,7 @@ func (l *Lattice) MNSes() []uint32 {
 			}
 		}
 	}
+	l.out = out
 	return out
 }
 

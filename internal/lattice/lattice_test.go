@@ -145,3 +145,33 @@ func TestBoundsPanic(t *testing.T) {
 	}()
 	New(0)
 }
+
+// TestResetReuse checks that one lattice serves many inputs: after Reset it
+// answers exactly as a fresh lattice would, whatever the previous input left
+// behind in the dead set and in MNSes' scratch.
+func TestResetReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for m := 1; m <= 6; m++ {
+		reused := New(m)
+		for round := 0; round < 50; round++ {
+			reused.Reset()
+			fresh := New(m)
+			var observed []uint32
+			for i := rng.Intn(5); i > 0; i-- {
+				mask := uint32(rng.Intn(1 << uint(m)))
+				observed = append(observed, mask)
+				reused.Observe(mask)
+				fresh.Observe(mask)
+			}
+			got, want := reused.MNSes(), fresh.MNSes()
+			if len(got) != len(want) {
+				t.Fatalf("m=%d round %d after %b: reused %b, fresh %b", m, round, observed, got, want)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("m=%d round %d after %b: reused %b, fresh %b", m, round, observed, got, want)
+				}
+			}
+		}
+	}
+}

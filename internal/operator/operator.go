@@ -51,6 +51,13 @@ type Producer interface {
 	// join. Consumers skip MNS detection on ports whose producer cannot
 	// suspend (e.g. raw sources).
 	CanSuspend() bool
+	// DeferredFloor returns a lower bound on the timestamp of every result
+	// this producer still owes its consumer: the oldest MinTS among the
+	// tuples parked and the pairs suppressed in the producer's subtree, or
+	// feedback.NoExpiry when the subtree defers nothing. An exact-mode
+	// consumer keeps retired state entries only while something at or above
+	// this floor could still pair with them (DESIGN.md §4).
+	DeferredFloor() stream.Time
 }
 
 // Op is any operator that participates in the data flow.

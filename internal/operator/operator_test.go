@@ -41,6 +41,7 @@ type captureProducer struct {
 func (c *captureProducer) Name() string                 { return "cap" }
 func (c *captureProducer) OutSources() stream.SourceSet { return stream.SourceSet(0).Add(0) }
 func (c *captureProducer) CanSuspend() bool             { return true }
+func (c *captureProducer) DeferredFloor() stream.Time   { return feedback.NoExpiry }
 func (c *captureProducer) Feedback(m feedback.Message) []*stream.Composite {
 	c.msgs = append(c.msgs, m)
 	return c.out

@@ -50,6 +50,15 @@ func (s *Selection) OutSources() stream.SourceSet {
 // upstream join, if any.
 func (s *Selection) CanSuspend() bool { return s.prod != nil && s.prod.CanSuspend() }
 
+// DeferredFloor implements Producer: a selection defers nothing itself, and
+// what its upstream owes can only shrink on the way through.
+func (s *Selection) DeferredFloor() stream.Time {
+	if s.prod == nil {
+		return feedback.NoExpiry
+	}
+	return s.prod.DeferredFloor()
+}
+
 // Feedback implements Producer by relaying to the upstream producer and
 // filtering any returned S_Π through the selection.
 func (s *Selection) Feedback(msg feedback.Message) []*stream.Composite {

@@ -230,11 +230,15 @@ func sortAttrs(as []Attr) {
 	sort.Slice(as, func(i, j int) bool { return attrLess(as[i], as[j]) })
 }
 
-func attrLess(a, b Attr) bool {
+func attrLess(a, b Attr) bool { return a.Compare(b) < 0 }
+
+// Compare orders attributes by (Source, Col): negative, zero or positive as
+// a sorts before, with or after b.
+func (a Attr) Compare(b Attr) int {
 	if a.Source != b.Source {
-		return a.Source < b.Source
+		return int(a.Source) - int(b.Source)
 	}
-	return a.Col < b.Col
+	return a.Col - b.Col
 }
 
 // EvalPair evaluates every predicate linking composites a and b. Predicates

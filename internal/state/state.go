@@ -139,6 +139,14 @@ func (c *MinCache) Remove(k int) {
 	}
 }
 
+// Peek returns the cached minimum without recomputing it; clean is false
+// when the cache is empty or a removal has left it stale. A clean cache is a
+// lower bound on every value the owner reported: exact, or stale-low if one
+// was raised behind the owner's back.
+func (c *MinCache) Peek() (min stream.Time, clean bool) {
+	return c.min, c.n > 0 && !c.dirty
+}
+
 // Invalidate forces the next Get to recompute.
 func (c *MinCache) Invalidate() { c.dirty = true }
 
