@@ -2,8 +2,11 @@
 //
 // Usage:
 //
-//	jitbench [-fig N|all] [-scale F] [-size F] [-seed N] [-ablation]
+//	jitbench [-fig N|all] [-scale F] [-size F] [-ablation] [-shards N] [workload flags]
 //
+// The workload flags (-seed, -indexed, -zipf, -burst, -burst-period,
+// -disorder, -band) are the shared declarations of internal/exp/flags.go;
+// they fill the sweep's Config.Workload overlay and hold at every point.
 // -scale scales the application-time horizon relative to the paper's 5
 // hours (floored at 2.5 windows); -scale 1 reproduces the full runs.
 // -size optionally scales window and dmax together for quick looks.
@@ -32,71 +35,62 @@ func main() {
 	scale := flag.Float64("scale", 0.02, "horizon scale relative to the paper's 5 hours")
 	size := flag.Float64("size", 1.0, "window/domain size scale (1 = paper-exact)")
 	ablation := flag.Bool("ablation", false, "include DOE and Bloom-JIT modes")
-	shards := flag.Int("shards", 1, "run every point across key-partitioned engine replicas (scaling mode, not paper-comparable; DESIGN.md §5)")
-	workload := exp.BindWorkloadFlags(flag.CommandLine, true, 0)
+	flags := exp.NewFlags(flag.CommandLine)
+	flags.Workload(0)
+	flags.Stream(true)
+	flags.Sharding("run every point across key-partitioned engine replicas (scaling mode, not paper-comparable; DESIGN.md §5)")
 	flag.Parse()
 
 	fail := func(format string, args ...interface{}) {
 		fmt.Fprintf(os.Stderr, "jitbench: "+format+"\n", args...)
 		os.Exit(2)
 	}
-	// Validate before running anything: a bad scale or shard count would
-	// otherwise be accepted silently (Scale <= 0 floors every horizon at
-	// 2.5 windows, -size 0 silently means 1) or panic mid-sweep.
+	// Validate before running anything: a bad scale would otherwise be
+	// accepted silently (Scale <= 0 floors every horizon at 2.5 windows,
+	// -size 0 silently means 1).
 	switch {
 	case *scale <= 0:
 		fail("-scale must be positive (fraction of the paper's 5-hour horizon), got %g", *scale)
 	case *size <= 0 || *size > 1:
 		fail("-size must be in (0,1], got %g", *size)
-	case *shards < 1:
-		fail("-shards must be at least 1, got %d", *shards)
 	}
 	// Every point of the sweep runs under the same workload flags.
-	var p exp.Params
-	if err := workload.Apply(&p); err != nil {
+	cfg := exp.Config{Scale: *scale, SizeScale: *size, Modes: exp.DefaultModes()}
+	if err := flags.Apply(&cfg.Workload); err != nil {
 		fail("%v", err)
-	}
-	cfg := exp.Config{
-		Scale: *scale, SizeScale: *size, Shards: *shards, Modes: exp.DefaultModes(),
-		Seed: p.Seed, Indexed: p.Indexed,
-		Zipf: p.Zipf, Burst: p.Burst, BurstPeriod: p.BurstPeriod, Disorder: p.Disorder, Band: p.Band,
 	}
 	if *ablation {
 		cfg.Modes = exp.AblationModes()
 	}
-	if cfg.Zipf > 1 || cfg.Burst > 1 || cfg.Disorder > 0 || cfg.Band > 0 {
+
+	specs := exp.Specs()
+	if *fig != "all" {
+		var id int
+		if _, err := fmt.Sscanf(*fig, "%d", &id); err != nil {
+			fail("bad -fig %q", *fig)
+		}
+		s, ok := exp.SpecByID(id)
+		if !ok {
+			fail("unknown figure %d (want 10..17)", id)
+		}
+		specs = []exp.Spec{s}
+	}
+	// The flags hold at every point, so one resolved cell stands for the
+	// sweep.
+	if err := specs[0].ParamsAt(cfg, cfg.Modes[0], specs[0].Xs[0]).Validate(); err != nil {
+		fail("%v", err)
+	}
+	if cfg.Workload.Hostile() != "" {
 		fmt.Fprintln(os.Stderr, "jitbench: hostile mutators active — figures probe robustness, not the paper's shapes; expect shape deviations")
 	}
 
-	var runs []func(exp.Config) *exp.Figure
-	if *fig == "all" {
-		for id := 10; id <= 17; id++ {
-			f, _ := exp.ByID(id)
-			runs = append(runs, f)
-		}
-	} else {
-		var id int
-		if _, err := fmt.Sscanf(*fig, "%d", &id); err != nil {
-			fmt.Fprintf(os.Stderr, "jitbench: bad -fig %q\n", *fig)
-			os.Exit(2)
-		}
-		f, ok := exp.ByID(id)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "jitbench: unknown figure %d (want 10..17)\n", id)
-			os.Exit(2)
-		}
-		runs = append(runs, f)
-	}
-
-	for _, run := range runs {
+	for _, s := range specs {
 		start := time.Now()
-		f := run(cfg)
+		f := s.Run(cfg)
 		f.Render(os.Stdout)
 		fmt.Printf("(elapsed %v)\n", time.Since(start).Round(time.Millisecond))
-		if bad := f.CheckShape(); len(bad) > 0 {
-			for _, v := range bad {
-				fmt.Println("  shape deviation:", v)
-			}
+		for _, v := range f.CheckShape() {
+			fmt.Println("  shape deviation:", v)
 		}
 		fmt.Println()
 	}

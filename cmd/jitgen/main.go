@@ -21,8 +21,9 @@ func main() {
 	dmax := flag.Int64("dmax", 200, "value domain upper bound")
 	horizon := flag.Duration("horizon", 0, "application time horizon (e.g. 30m)")
 	minutes := flag.Float64("minutes", 30, "horizon in minutes when -horizon unset")
-	// A trace has no window for the burst cycle to default to: 5 minutes.
-	workload := exp.BindWorkloadFlags(flag.CommandLine, false, 5)
+	flags := exp.NewFlags(flag.CommandLine)
+	flags.Workload(5) // a trace has no window for the burst cycle to default to: 5 minutes
+	flags.Stream(false)
 	flag.Parse()
 
 	fail := func(format string, args ...interface{}) {
@@ -33,23 +34,23 @@ func main() {
 	if *horizon != 0 {
 		h = stream.Time(horizon.Milliseconds())
 	}
+	var p exp.Params
+	if err := flags.Apply(&p); err != nil {
+		fail("%v", err)
+	}
+	p.N, p.Rate, p.DMax, p.Horizon = *n, *rate, *dmax, h
+	// -n and the burst cycle are jitgen's own rules (there is no query and
+	// no window here); the rest of the workload is Params.ValidateWorkload's.
 	switch {
-	case *n < 2:
-		fail("-n must be at least 2, got %d", *n)
-	case *rate <= 0:
-		fail("-rate must be positive, got %g", *rate)
-	case *dmax < 1:
-		fail("-dmax must be at least 1, got %d", *dmax)
-	case h <= 0:
-		fail("horizon must be positive (got %v)", h)
-	case workload.Burst > 1 && workload.BurstPeriod <= 0:
-		fail("-burst needs a positive -burst-period, got %g", workload.BurstPeriod)
+	case p.N < 2:
+		fail("-n must be at least 2, got %d", p.N)
+	case p.Burst > 1 && p.BurstPeriod <= 0:
+		fail("-burst needs a positive -burst-period, got %g", float64(p.BurstPeriod)/float64(stream.Minute))
 	}
-	if workload.Burst <= 1 {
-		workload.BurstPeriod = 0 // the default cycle applies only when bursting
+	if p.Burst <= 1 {
+		p.BurstPeriod = 0 // the default cycle applies only when bursting
 	}
-	p := exp.Params{N: *n, Rate: *rate, DMax: *dmax, Horizon: h}
-	if err := workload.Apply(&p); err != nil {
+	if err := p.ValidateWorkload(); err != nil {
 		fail("%v", err)
 	}
 	cat, _ := predicate.Clique(*n)

@@ -5,14 +5,11 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
-	"time"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/exp"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -21,23 +18,21 @@ import (
 )
 
 func main() {
-	n := flag.Int("n", 4, "number of streaming sources")
-	bushy := flag.Bool("bushy", true, "bushy plan (false = left-deep)")
+	flags := exp.NewFlags(flag.CommandLine)
+	flags.Query()
+	flags.Workload(0)
+	flags.Stream(true)
+	flags.Sharding("run across this many key-partitioned engine replicas (forces drain; DESIGN.md §5)")
+	flags.Obs()
 	rate := flag.Float64("rate", 1.0, "arrival rate λ (tuples/sec/source)")
 	dmax := flag.Int64("dmax", 200, "value domain upper bound")
-	window := flag.Float64("window", 5, "window size in minutes")
 	minutes := flag.Float64("minutes", 15, "horizon in minutes")
-	mode := flag.String("mode", "jit", "execution mode: jit, ref, doe, bloom")
 	drain := flag.Bool("drain", false, "after the last arrival, keep firing timer deadlines so suspended results still resume or expire (end-of-stream drain, DESIGN.md §4)")
 	drainHorizon := flag.Float64("drain-horizon", 0, "cap the drain at this application time in minutes (0 = last arrival + window)")
-	shards := flag.Int("shards", 1, "run across this many key-partitioned engine replicas (forces drain; DESIGN.md §5)")
 	adapt := flag.Bool("adapt", false, "adaptive re-optimization: migrate between bushy and left-deep mid-run on observed feedback (forces drain; DESIGN.md §7)")
 	adaptEpoch := flag.Float64("adapt-epoch", 0, "re-optimization decision epoch in minutes (0 = one window)")
-	workload := exp.BindWorkloadFlags(flag.CommandLine, true, 0)
 	stats := flag.Bool("stats", false, "print the per-operator stats table at exit (probes, MNS detections, suspensions, suppressed pairs)")
-	obsAddr := flag.String("obs-addr", "", "serve the live ops endpoint on this address during the run: Prometheus /metrics, NDJSON /trace, /debug/pprof (DESIGN.md §9)")
 	obsAggregate := flag.Bool("obs-aggregate", false, "with -shards, aggregate per-replica series on the ops endpoint (one tracer per replica, per-shard labels)")
-	obsSample := flag.Float64("obs-sample", 0, "deterministic sampling interval for the obs time series, in seconds of stream time (0 = one window)")
 	traceOut := flag.String("trace-out", "", "write the run's trace events to this file in Chrome trace format (open in chrome://tracing or Perfetto)")
 	flag.Parse()
 
@@ -49,37 +44,35 @@ func main() {
 		os.Exit(2)
 	}
 
-	m, err := core.ParseMode(*mode)
-	if err != nil {
+	p := exp.Params{
+		Rate:         *rate,
+		DMax:         *dmax,
+		Horizon:      stream.Time(*minutes * float64(stream.Minute)),
+		Drain:        *drain,
+		DrainHorizon: stream.Time(*drainHorizon * float64(stream.Minute)),
+		Adapt:        *adapt,
+		AdaptEpoch:   stream.Time(*adaptEpoch * float64(stream.Minute)),
+	}
+	if err := flags.Apply(&p); err != nil {
 		fail("%v", err)
 	}
 
-	// Flag-combination checks: both -shards and -adapt force the end-of-
-	// stream drain, so an explicit -drain=false contradicts them — reject
-	// rather than silently overriding the user's choice; when -drain was
-	// simply left unset, print a notice instead.
-	drainForced := *shards > 1 || *adapt
-	if drainForced && explicit["drain"] && !*drain {
+	// What only the command line knows — whether a flag was given or left at
+	// its default — is judged here; every other rule is Params.Validate's.
+	// Both -shards and -adapt force the end-of-stream drain, so an explicit
+	// -drain=false contradicts them: reject rather than silently overriding
+	// the user's choice; when -drain was simply left unset, print a notice
+	// instead.
+	if drainForced := p.Shards > 1 || p.Adapt; drainForced && !p.Drain {
 		switch {
-		case *shards > 1:
-			fail("-drain=false contradicts -shards=%d: sharded execution requires the end-of-stream drain (per-shard exact delivery is what makes the shard union equal the single-engine multiset, DESIGN.md §5)", *shards)
-		default:
+		case explicit["drain"] && p.Shards > 1:
+			fail("-drain=false contradicts -shards=%d: sharded execution requires the end-of-stream drain (per-shard exact delivery is what makes the shard union equal the single-engine multiset, DESIGN.md §5)", p.Shards)
+		case explicit["drain"]:
 			fail("-drain=false contradicts -adapt: the migration handoff requires the end-of-stream drain (DESIGN.md §7)")
 		}
-	}
-	if drainForced && !*drain {
 		fmt.Fprintln(os.Stderr, "jitrun: notice: forcing the end-of-stream drain (required by -shards/-adapt)")
 	}
-	if explicit["adapt-epoch"] && !*adapt {
-		fail("-adapt-epoch has no effect without -adapt")
-	}
-	if explicit["adapt-epoch"] && *adaptEpoch < 0 {
-		fail("-adapt-epoch cannot be negative (minutes; 0 = one window), got %g", *adaptEpoch)
-	}
-	tracing := *obsAddr != "" || *traceOut != ""
-	if explicit["obs-sample"] && *obsSample < 0 {
-		fail("-obs-sample cannot be negative (seconds; 0 = one window), got %g", *obsSample)
-	}
+	tracing := p.ObsAddr != "" || *traceOut != ""
 	if explicit["obs-sample"] && !tracing {
 		fail("-obs-sample has no effect without -obs-addr or -trace-out")
 	}
@@ -87,86 +80,44 @@ func main() {
 	// single tracer cannot observe N engines. As with -drain above, an
 	// explicit -obs-aggregate=false contradicts the combination and is
 	// rejected; merely unset gets a notice and is forced on.
-	if *obsAddr != "" && *shards > 1 {
-		if explicit["obs-aggregate"] && !*obsAggregate {
-			fail("-obs-aggregate=false contradicts -obs-addr with -shards=%d: the ops endpoint needs per-replica aggregation to observe a sharded run (DESIGN.md §9)", *shards)
+	p.ObsAggregate = *obsAggregate
+	if p.ObsAddr != "" && p.Shards > 1 && !p.ObsAggregate {
+		if explicit["obs-aggregate"] {
+			fail("-obs-aggregate=false contradicts -obs-addr with -shards=%d: the ops endpoint needs per-replica aggregation to observe a sharded run (DESIGN.md §9)", p.Shards)
 		}
-		if !*obsAggregate {
-			fmt.Fprintln(os.Stderr, "jitrun: notice: forcing per-replica aggregation (-obs-aggregate) for the ops endpoint on a sharded run")
-			*obsAggregate = true
-		}
+		fmt.Fprintln(os.Stderr, "jitrun: notice: forcing per-replica aggregation (-obs-aggregate) for the ops endpoint on a sharded run")
+		p.ObsAggregate = true
 	}
-
-	p := exp.Params{
-		N:       *n,
-		Bushy:   *bushy,
-		Window:  stream.Time(*window * float64(stream.Minute)),
-		Rate:    *rate,
-		DMax:    *dmax,
-		Horizon: stream.Time(*minutes * float64(stream.Minute)),
-		Mode:    m,
-		Drain:   *drain,
-		Adapt:   *adapt,
-	}
-	if *drainHorizon > 0 {
-		p.DrainHorizon = stream.Time(*drainHorizon * float64(stream.Minute))
-	} else if *drainHorizon < 0 {
-		fail("-drain-horizon cannot be negative, got %g", *drainHorizon)
-	}
-	if *shards > 1 {
-		p.Shards = *shards
-	} else if *shards < 1 {
-		fail("-shards must be at least 1, got %d", *shards)
-	}
-	if *adaptEpoch > 0 {
-		p.AdaptEpoch = stream.Time(*adaptEpoch * float64(stream.Minute))
-	}
-	if err := workload.Apply(&p); err != nil {
+	if err := p.Validate(); err != nil {
 		fail("%v", err)
 	}
 	if p.Adapt {
 		p.AdaptLog = os.Stdout
 	}
-	p.ObsAddr = *obsAddr
-	p.ObsAggregate = *obsAggregate
-	if err := p.Validate(); err != nil {
-		fail("%v", err)
-	}
 
 	// Observability wiring (DESIGN.md §9): one tracer per engine — single
 	// runs get one, sharded runs one per replica via TraceFor. The trace
 	// file uses an unlocked MemorySink (read only after the run); the live
-	// /trace endpoint a locked RingSink.
+	// /trace endpoint the locked ring sink of Flags.ObsOptions.
 	var (
 		tracers []*obs.Tracer
 		mems    []*obs.MemorySink
 	)
 	if tracing {
-		sampleEvery := p.Window
-		if *obsSample > 0 {
-			sampleEvery = stream.Time(*obsSample * float64(stream.Second))
-		}
 		reg := obs.NewRegistry()
 		newTracer := func(shard int) *obs.Tracer {
-			var tee obs.TeeSink
+			o := flags.ObsOptions(p.Window)
+			o.WallLatency, o.Shard = p.ObsAddr != "", shard
 			if *traceOut != "" {
 				m := &obs.MemorySink{}
 				mems = append(mems, m)
-				tee = append(tee, m)
+				if o.Sink != nil {
+					o.Sink = obs.TeeSink{m, o.Sink}
+				} else {
+					o.Sink = m
+				}
 			}
-			if *obsAddr != "" {
-				tee = append(tee, obs.NewRingSink(4096))
-			}
-			var sink obs.Sink = tee
-			if len(tee) == 1 {
-				sink = tee[0]
-			}
-			tr := obs.New(obs.Options{
-				Sink:        sink,
-				SampleEvery: sampleEvery,
-				WallLatency: *obsAddr != "",
-				Shard:       shard,
-			})
+			tr := obs.New(o)
 			tracers = append(tracers, tr)
 			reg.Register(tr)
 			return tr
@@ -176,30 +127,25 @@ func main() {
 		} else {
 			p.Trace = newTracer(0)
 		}
-		if *obsAddr != "" {
-			srv, err := obs.Serve(*obsAddr, reg)
+		if p.ObsAddr != "" {
+			stop, err := flags.ServeObs("jitrun", reg)
 			if err != nil {
 				fail("%v", err)
 			}
-			// Graceful teardown: let an in-flight scrape finish reading the
-			// final snapshot instead of tearing its connection mid-body.
-			defer func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-				defer cancel()
-				srv.Shutdown(ctx) //nolint:errcheck // best-effort on exit
-			}()
-			fmt.Fprintf(os.Stderr, "jitrun: ops endpoint at http://%s/metrics (also /trace, /debug/pprof)\n", srv.Addr())
+			defer stop()
 		}
 	}
 
+	// The summary: a banner naming the run, the totals line (with the
+	// routing split and per-shard lines on a sharded run), the counters.
+	banner := fmt.Sprintf("mode=%s plan=%s N=%d w=%v λ=%.2f dmax=%d horizon=%v",
+		flags.Mode, plan.ShapeName(p.Bushy), p.N, p.Window, p.Rate, p.DMax, p.Horizon)
+	var r engine.Result
 	if p.Shards > 1 {
 		s := p.RunSharded()
-		r := s.Merged
-		fmt.Printf("mode=%s plan=%s N=%d w=%v λ=%.2f dmax=%d horizon=%v shards=%d adapt=%v\n",
-			*mode, plan.ShapeName(*bushy), *n, p.Window, *rate, *dmax, p.Horizon, len(s.Shards), *adapt)
-		if h := hostileDesc(p); h != "" {
-			fmt.Println(h)
-		}
+		r = s.Merged
+		fmt.Printf("%s shards=%d adapt=%v\n", banner, len(s.Shards), p.Adapt)
+		printHostile(p)
 		if s.Fallback {
 			fmt.Println("no plan-wide partition key — fell back to a single replica")
 		} else {
@@ -211,26 +157,25 @@ func main() {
 			fmt.Printf("  shard %d: ingests=%d results=%d cost=%d peakMem=%.1fKB\n",
 				i, sr.Arrivals, sr.Results, sr.CostUnits, sr.PeakMemKB)
 		}
-		fmt.Println(r.Counters.String())
-		if *stats {
-			printOpStats(r.Ops)
-		}
-		obsEpilogue(tracers, mems, *traceOut)
-		return
+	} else {
+		r = p.Run()
+		fmt.Printf("%s drain=%v adapt=%v\n", banner, p.Drain || p.Adapt, p.Adapt)
+		printHostile(p)
+		fmt.Printf("arrivals=%d results=%d cost=%d wall=%v peakMem=%.1fKB\n",
+			r.Arrivals, r.Results, r.CostUnits, r.WallTime, r.PeakMemKB)
 	}
-	r := p.Run()
-	fmt.Printf("mode=%s plan=%s N=%d w=%v λ=%.2f dmax=%d horizon=%v drain=%v adapt=%v\n",
-		*mode, plan.ShapeName(*bushy), *n, p.Window, *rate, *dmax, p.Horizon, *drain || p.Adapt, *adapt)
-	if h := hostileDesc(p); h != "" {
-		fmt.Println(h)
-	}
-	fmt.Printf("arrivals=%d results=%d cost=%d wall=%v peakMem=%.1fKB\n",
-		r.Arrivals, r.Results, r.CostUnits, r.WallTime, r.PeakMemKB)
 	fmt.Println(r.Counters.String())
 	if *stats {
 		printOpStats(r.Ops)
 	}
 	obsEpilogue(tracers, mems, *traceOut)
+}
+
+// printHostile prints the hostile-stream line, if any mutator is active.
+func printHostile(p exp.Params) {
+	if h := p.Hostile(); h != "" {
+		fmt.Println(h)
+	}
 }
 
 // printOpStats renders the per-operator stats table (-stats).
@@ -268,30 +213,4 @@ func obsEpilogue(tracers []*obs.Tracer, mems []*obs.MemorySink, traceOut string)
 		os.Exit(1)
 	}
 	fmt.Printf("trace: wrote %d events to %s\n", len(evs), traceOut)
-}
-
-// hostileDesc summarizes the active hostile-stream mutators, or "" when the
-// run uses the paper's friendly traffic.
-func hostileDesc(p exp.Params) string {
-	var parts []string
-	if p.Zipf > 1 {
-		parts = append(parts, fmt.Sprintf("zipf=%.2f", p.Zipf))
-	}
-	if p.Burst > 1 {
-		period := "1w"
-		if p.BurstPeriod > 0 {
-			period = p.BurstPeriod.String()
-		}
-		parts = append(parts, fmt.Sprintf("burst=%.1fx/%s", p.Burst, period))
-	}
-	if p.Disorder > 0 {
-		parts = append(parts, fmt.Sprintf("disorder<=%v", p.Disorder))
-	}
-	if p.Band > 0 {
-		parts = append(parts, fmt.Sprintf("band=±%d", p.Band))
-	}
-	if len(parts) == 0 {
-		return ""
-	}
-	return "hostile: " + strings.Join(parts, " ")
 }

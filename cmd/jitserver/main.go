@@ -13,15 +13,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
-	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/serve"
@@ -34,13 +32,10 @@ func fail(format string, args ...any) {
 }
 
 func main() {
-	n := flag.Int("n", 4, "number of streaming sources")
-	bushy := flag.Bool("bushy", true, "bushy plan (false = left-deep)")
-	window := flag.Float64("window", 5, "window size in minutes")
-	mode := flag.String("mode", "jit", "execution mode: jit, ref, doe, bloom")
-	indexed := flag.Bool("indexed", false, "hash-indexed join states instead of the paper's linear scans (DESIGN.md §3)")
-	band := flag.Int64("band", 0, "replace every equi-join predicate with the band predicate |l-r| <= band (DESIGN.md §8)")
-	disorder := flag.Float64("disorder", 0, "admit out-of-timestamp-order ingest with delays up to this many seconds (incompatible with -dir; DESIGN.md §8)")
+	flags := exp.NewFlags(flag.CommandLine)
+	flags.Query()
+	flags.Stream(true)
+	flags.Obs()
 	addr := flag.String("addr", "127.0.0.1:4640", "TCP listen address for ingest and subscribe connections")
 	dir := flag.String("dir", "", "checkpoint directory: enables durability and recovery (empty = in-memory only)")
 	every := flag.Float64("every", 0, "checkpoint interval in minutes of application time (0 = one window; requires -dir)")
@@ -48,15 +43,12 @@ func main() {
 	maxPending := flag.Int("max-pending", 0, "ingest channel buffer: arrivals admitted but not yet processed (0 = 1024)")
 	retain := flag.Int("retain", 0, "delivery ring size: results re-readable by resuming subscribers (0 = 16384)")
 	policy := flag.String("policy", "block", "slow-subscriber policy: block (backpressure to ingest) or kick (disconnect laggards)")
-	obsAddr := flag.String("obs-addr", "", "serve the live ops endpoint on this address: Prometheus /metrics, NDJSON /trace, /debug/pprof (DESIGN.md §9)")
-	obsSample := flag.Float64("obs-sample", 0, "deterministic sampling interval for the obs time series, in seconds of stream time (0 = one window)")
 	flag.Parse()
 
-	m, err := core.ParseMode(*mode)
-	if err != nil {
+	var q exp.Params
+	if err := flags.Apply(&q); err != nil {
 		fail("%v", err)
 	}
-
 	var pol serve.SubPolicy
 	switch *policy {
 	case "block":
@@ -66,24 +58,16 @@ func main() {
 	default:
 		fail("unknown policy %q (want block or kick)", *policy)
 	}
-	if *every < 0 {
-		fail("-every cannot be negative (minutes; 0 = one window), got %g", *every)
-	}
-	if *disorder < 0 {
-		fail("-disorder cannot be negative (seconds), got %g", *disorder)
-	}
-	if *obsSample < 0 {
-		fail("-obs-sample cannot be negative (seconds; 0 = one window), got %g", *obsSample)
-	}
 
+	// Range and cross-field rules are serve.Config.Validate's (serve.Open).
 	cfg := serve.Config{
-		N:          *n,
-		Bushy:      *bushy,
-		Window:     stream.Time(*window * float64(stream.Minute)),
-		Mode:       m,
-		Indexed:    *indexed,
-		Band:       stream.Value(*band),
-		Disorder:   stream.Time(*disorder * float64(stream.Second)),
+		N:          q.N,
+		Bushy:      q.Bushy,
+		Window:     q.Window,
+		Mode:       q.Mode,
+		Indexed:    q.Indexed,
+		Band:       q.Band,
+		Disorder:   q.Disorder,
 		Addr:       *addr,
 		Dir:        *dir,
 		Every:      stream.Time(*every * float64(stream.Minute)),
@@ -95,33 +79,25 @@ func main() {
 
 	// The ops endpoint observes the serving plan through a ring-sink tracer,
 	// exactly as jitrun -obs-addr does for a batch run (DESIGN.md §9).
-	var obsSrv *obs.Server
-	if *obsAddr != "" {
-		sampleEvery := cfg.Window
-		if *obsSample > 0 {
-			sampleEvery = stream.Time(*obsSample * float64(stream.Second))
-		}
-		tr := obs.New(obs.Options{
-			Sink:        obs.NewRingSink(4096),
-			SampleEvery: sampleEvery,
-			Label:       "serve",
-		})
-		cfg.Trace = tr
+	stopObs := func() {}
+	if q.ObsAddr != "" {
+		o := flags.ObsOptions(cfg.Window)
+		o.Label = "serve"
+		cfg.Trace = obs.New(o)
 		reg := obs.NewRegistry()
-		reg.Register(tr)
-		srv, err := obs.Serve(*obsAddr, reg)
+		reg.Register(cfg.Trace)
+		stop, err := flags.ServeObs("jitserver", reg)
 		if err != nil {
 			fail("%v", err)
 		}
-		obsSrv = srv
-		fmt.Fprintf(os.Stderr, "jitserver: ops endpoint at http://%s/metrics (also /trace, /debug/pprof)\n", srv.Addr())
+		stopObs = stop
 	}
 
 	s, err := serve.Open(cfg)
 	if err != nil {
 		fail("%v", err)
 	}
-	fmt.Fprintf(os.Stderr, "jitserver: serving %s mode=%s on %s\n", plan.ShapeName(*bushy), *mode, s.Addr())
+	fmt.Fprintf(os.Stderr, "jitserver: serving %s mode=%s on %s\n", plan.ShapeName(cfg.Bushy), flags.Mode, s.Addr())
 	if r := s.Recovery(); r != nil {
 		fmt.Fprintf(os.Stderr, "jitserver: recovered %s: cut=%v rows=%d keys=%d tail=%d ingest_hwm=%d delivered=%d in %v\n",
 			r.Path, r.Cut, r.Rows, r.Keys, r.Tail, r.IngestHWM, r.Delivered, r.Elapsed)
@@ -141,12 +117,7 @@ func main() {
 
 	res, err := s.Wait()
 	s.Shutdown() // reap handlers; no-op if the signal path already ran
-	if obsSrv != nil {
-		// Graceful: an in-flight scrape of the final snapshot completes.
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		obsSrv.Shutdown(ctx) //nolint:errcheck // best-effort on exit
-		cancel()
-	}
+	stopObs()
 	if err != nil {
 		fail("%v", err)
 	}

@@ -44,8 +44,8 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				p := cell.Apply(sc.Apply(scenario.Base(true)))
 				p.Shards, p.Adapt = 1, false
-				cat, cfg, b := p.Build()
-				tuples := source.Generate(cat, cfg)
+				b := p.Plan()
+				tuples := source.Generate(b.Catalog, p.SourceConfig())
 				if len(tuples) < 10 {
 					t.Fatalf("degenerate workload: %d tuples", len(tuples))
 				}
@@ -93,8 +93,8 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 // later cut — the restored server's future is the crashed server's future.
 func TestSnapshotReplayWindowEquivalence(t *testing.T) {
 	p := scenario.Base(true)
-	cat, cfg, b := p.Build()
-	tuples := source.Generate(cat, cfg)
+	b := p.Plan()
+	tuples := source.Generate(b.Catalog, p.SourceConfig())
 	k := len(tuples) / 2
 	cut := tuples[k-1].TS
 

@@ -77,8 +77,8 @@ type Options struct {
 	Horizon stream.Time
 	// SweepEveryArrival disables deadline scheduling and sweeps every
 	// operator before every arrival — the pre-deadline hot path, kept as the
-	// baseline for the sweep-scheduling benchmarks. Results and counters
-	// other than Sweeps are identical either way (DESIGN.md §4).
+	// reference the scheduler-equivalence tests compare against. Results and
+	// counters other than Sweeps are identical either way (DESIGN.md §4).
 	SweepEveryArrival bool
 	// Reopt, when non-nil, lets an adaptive re-optimizer (internal/adapt)
 	// migrate the plan mid-run (DESIGN.md §7). Requires Drain: the handoff's

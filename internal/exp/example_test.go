@@ -6,11 +6,11 @@ import (
 	"repro/internal/exp"
 )
 
-// ExampleByID resolves a figure runner and executes a miniature sweep: the
+// ExampleSpecByID resolves a figure spec and executes a miniature sweep: the
 // Horizon override trades fidelity for speed, which is exactly how the
 // quick presets and this example keep runs in the sub-second range.
-func ExampleByID() {
-	run, ok := exp.ByID(10)
+func ExampleSpecByID() {
+	spec, ok := exp.SpecByID(10)
 	if !ok {
 		panic("figure 10 missing")
 	}
@@ -18,10 +18,10 @@ func ExampleByID() {
 		Scale:     0.001,
 		SizeScale: 0.1,
 		Horizon:   30_000, // 30s of application time
-		Seed:      1,
 		Modes:     []exp.NamedMode{{Name: "REF", Mode: exp.DefaultModes()[1].Mode}},
+		Workload:  exp.Params{Seed: 1},
 	}
-	fig := run(cfg)
+	fig := spec.Run(cfg)
 	fmt.Println(fig.ID, "points:", len(fig.Points))
 	fmt.Println("modes:", fig.Modes)
 	// Output:

@@ -1,8 +1,17 @@
 // Package exp is the experiment harness reproducing the evaluation of
-// Sec. VI: one runner per figure (Figures 10-17), each sweeping one
+// Sec. VI: one Spec per figure (Figures 10-17), each sweeping one
 // parameter of Table III over the bushy or left-deep plans of Table II and
 // executing JIT and REF (optionally DOE and Bloom-JIT) on identical
 // workloads.
+//
+// Params is the only description of a run: the commands, the figure sweeps
+// and the report harness each hold one instead of mirroring its fields.
+// Config adds the sweep-only knobs and carries what holds at every point of
+// a sweep as one Params overlay (Config.Workload); spec.go is the figure
+// grid; flags.go declares once every flag two commands share and converts
+// the parsed values into a Params; and Params.Validate is the one statement
+// of every range and cross-field rule, which the commands surface and do
+// not repeat.
 //
 // Scaling: the paper runs each configuration for 5 hours of application
 // time on a 2008-era C++ prototype. Two dimensionless quantities shape the
@@ -28,6 +37,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/adapt"
@@ -35,7 +45,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/plan"
-	"repro/internal/predicate"
 	"repro/internal/shard"
 	"repro/internal/source"
 	"repro/internal/stream"
@@ -63,7 +72,7 @@ type Params struct {
 	// states are scanned linearly — the execution model all of Figures
 	// 10-17 assume. With indexing on, REF's probe cost collapses to the
 	// matching pairs and the paper's JIT-vs-REF cost shape no longer
-	// holds; see the indexed-vs-scan benchmarks for that comparison.
+	// holds; RESULTS.md's extension section records that comparison.
 	Indexed bool
 	// Drain keeps firing timer deadlines after the last arrival so results
 	// suspended past the end of the stream are still delivered (DESIGN.md
@@ -137,20 +146,15 @@ type Params struct {
 }
 
 // Validate rejects configurations the engine would otherwise accept
-// silently or fail on obscurely; the CLI front-ends (jitrun, jitbench)
-// surface the returned error before running anything.
+// silently or fail on obscurely. It is the one statement of every range and
+// cross-field rule of a run: the CLI front-ends surface the returned error
+// before running anything and re-check none of it by hand.
 func (p Params) Validate() error {
 	switch {
 	case p.N < 2:
 		return fmt.Errorf("need at least 2 sources (N=%d)", p.N)
-	case p.Rate <= 0:
-		return fmt.Errorf("arrival rate must be positive (rate=%g)", p.Rate)
 	case p.Window <= 0:
 		return fmt.Errorf("window must be positive (window=%v)", p.Window)
-	case p.DMax < 1:
-		return fmt.Errorf("value domain must be at least 1 (dmax=%d)", p.DMax)
-	case p.Horizon <= 0:
-		return fmt.Errorf("horizon must be positive (horizon=%v)", p.Horizon)
 	case p.Shards < 0:
 		return fmt.Errorf("shard count cannot be negative (shards=%d)", p.Shards)
 	case p.DrainHorizon < 0:
@@ -160,20 +164,26 @@ func (p Params) Validate() error {
 	case p.AdaptEpoch < 0:
 		return fmt.Errorf("adapt epoch cannot be negative (%v)", p.AdaptEpoch)
 	case p.AdaptEpoch > 0 && !p.Adapt:
-		return fmt.Errorf("adapt epoch set but adaptation is off (enable -adapt)")
+		return fmt.Errorf("-adapt-epoch has no effect without -adapt")
 	case p.ObsAggregate && p.ObsAddr == "":
 		return fmt.Errorf("replica aggregation set but the ops endpoint is off (set -obs-addr)")
 	case p.ObsAddr != "" && p.Shards > 1 && !p.ObsAggregate:
 		return fmt.Errorf("ops endpoint on a sharded run requires replica aggregation (enable -obs-aggregate)")
 	}
-	return p.validateMutators()
+	return p.ValidateWorkload()
 }
 
-// validateMutators range-checks the hostile-stream mutators — the part of
-// Validate that WorkloadFlags.Apply also runs for the commands that never
-// assemble a whole Params (jitbench sweeps a Config, jitgen has no plan).
-func (p Params) validateMutators() error {
+// ValidateWorkload is the part of Validate that concerns the generated
+// stream alone — all of it that cmd/jitgen, which emits a trace and has no
+// query, can get wrong.
+func (p Params) ValidateWorkload() error {
 	switch {
+	case p.Rate <= 0:
+		return fmt.Errorf("arrival rate must be positive (rate=%g)", p.Rate)
+	case p.DMax < 1:
+		return fmt.Errorf("value domain must be at least 1 (dmax=%d)", p.DMax)
+	case p.Horizon <= 0:
+		return fmt.Errorf("horizon must be positive (horizon=%v)", p.Horizon)
 	case p.Zipf != 0 && p.Zipf <= 1:
 		return fmt.Errorf("zipf exponent must exceed 1 (zipf=%g)", p.Zipf)
 	case p.Burst < 0 || (p.Burst > 0 && p.Burst < 1):
@@ -234,7 +244,7 @@ func (p Params) RunKeys() (engine.Result, []string) {
 // alongside the result (the plan holds the sink's delivery log when
 // KeepResults is set).
 func (p Params) runSingle() (engine.Result, *plan.Built) {
-	cat, cfg, b := p.build()
+	b := p.Plan()
 	if p.Trace != nil {
 		b.SetTrace(p.Trace)
 	}
@@ -247,7 +257,7 @@ func (p Params) runSingle() (engine.Result, *plan.Built) {
 		opts.Reopt = adapt.New(c)
 	}
 	eng := engine.NewWithOptions(b, opts)
-	return eng.RunStream(source.Stream(cat, cfg)), b
+	return eng.RunStream(source.Stream(b.Catalog, p.SourceConfig())), b
 }
 
 // RunSharded executes the configuration across Shards key-partitioned
@@ -257,7 +267,7 @@ func (p Params) runSingle() (engine.Result, *plan.Built) {
 // stream, and per-shard exact delivery is what makes the union over
 // shards equal the single-engine result multiset.
 func (p Params) RunSharded() shard.Result {
-	cat, cfg, b := p.build()
+	b := p.Plan()
 	opts := shard.Options{
 		Shards:   p.Shards,
 		Engine:   engine.Options{Drain: true, Horizon: p.DrainHorizon, Disorder: p.Disorder},
@@ -267,8 +277,33 @@ func (p Params) RunSharded() shard.Result {
 		c := p.adaptConfig()
 		opts.Adapt = &c
 	}
-	runner := shard.New(b, opts)
-	return runner.RunStream(source.Stream(cat, cfg))
+	return shard.New(b, opts).RunStream(source.Stream(b.Catalog, p.SourceConfig()))
+}
+
+// Hostile summarizes the active hostile-stream mutators, or returns "" when
+// the run uses the paper's friendly traffic.
+func (p Params) Hostile() string {
+	var parts []string
+	if p.Zipf > 1 {
+		parts = append(parts, fmt.Sprintf("zipf=%.2f", p.Zipf))
+	}
+	if p.Burst > 1 {
+		period := "1w"
+		if p.BurstPeriod > 0 {
+			period = p.BurstPeriod.String()
+		}
+		parts = append(parts, fmt.Sprintf("burst=%.1fx/%s", p.Burst, period))
+	}
+	if p.Disorder > 0 {
+		parts = append(parts, fmt.Sprintf("disorder<=%v", p.Disorder))
+	}
+	if p.Band > 0 {
+		parts = append(parts, fmt.Sprintf("band=±%d", p.Band))
+	}
+	if len(parts) == 0 {
+		return ""
+	}
+	return "hostile: " + strings.Join(parts, " ")
 }
 
 // SourceConfig is the configuration's workload: the paper's uniform clique
@@ -304,27 +339,16 @@ func (p Params) SourceConfig() source.Config {
 	return cfg
 }
 
-// build constructs the workload config and plan for the configuration; the
-// Band mutator turns the clique's equi predicates into band predicates.
-func (p Params) build() (*stream.Catalog, source.Config, *plan.Built) {
-	cat, conj := predicate.Clique(p.N)
-	if p.Band > 0 {
-		conj = conj.WithTol(p.Band)
-	}
-	cfg := p.SourceConfig()
-	b := plan.BuildTree(cat, conj, plan.TableII(p.N, p.Bushy), plan.Options{
+// Plan wires the configuration's query — the N-source clique under its
+// Table II shape, band predicates when Band is set — without running it.
+// Every run goes through it; harnesses that drive a plan themselves (the
+// checkpoint round-trip test feeds prefixes and snapshots the cut) pair it
+// with SourceConfig.
+func (p Params) Plan() *plan.Built {
+	return plan.Clique(p.N, p.Bushy, p.Band, plan.Options{
 		Window: p.Window, Mode: p.Mode, NoStateIndex: !p.Indexed,
 		KeepResults: p.KeepResults,
 	})
-	return cat, cfg, b
-}
-
-// Build exposes the configuration's catalog, workload config and wired plan
-// without running anything — for harnesses that drive the plan directly
-// (the checkpoint round-trip property test feeds prefixes and snapshots the
-// cut itself).
-func (p Params) Build() (*stream.Catalog, source.Config, *plan.Built) {
-	return p.build()
 }
 
 // NamedMode pairs a label with an operator mode.
@@ -348,7 +372,8 @@ func AblationModes() []NamedMode {
 	}
 }
 
-// Config drives a figure run.
+// Config drives a figure run: the sweep-only knobs, plus one Params that
+// every point of the sweep starts from.
 type Config struct {
 	// Scale shrinks the application-time horizon (see package doc).
 	Scale float64
@@ -356,8 +381,7 @@ type Config struct {
 	// preserves the partners-per-tuple ratio λ·w/dmax exactly while
 	// weakening demand rarity (λ·w/dmax²) by 1/SizeScale — acceptable down
 	// to about 0.3, where suspended tuples still overwhelmingly stay
-	// suspended. Used by the fast benchmark preset; full reproductions use
-	// SizeScale=1. Zero means 1.
+	// suspended. Full reproductions use SizeScale=1. Zero means 1.
 	SizeScale float64
 	// DomainScale, when in (0,1], scales dmax independently; SizeScale then
 	// scales only the windows. Zero follows SizeScale. Setting DomainScale
@@ -367,39 +391,19 @@ type Config struct {
 	// where distorted rarity, not the partner pool, is what flips the
 	// JIT-vs-REF shape at quick sizes.
 	DomainScale float64
-	Seed        int64
 	Modes       []NamedMode
 	// Horizon overrides the default 5-hour (scaled) application time when
 	// non-zero.
 	Horizon stream.Time
-	// Indexed runs every point with hash-indexed join states instead of
-	// the paper's linear scans (see Params.Indexed).
-	Indexed bool
-	// Shards runs every point across key-partitioned engine replicas when
-	// above 1 (see Params.Shards). Broadcast duplication then inflates the
-	// work counters relative to the single-engine figures, so sharded
-	// sweeps measure scaling, not the paper's JIT-vs-REF overhead shape.
-	Shards int
-	// Zipf, Burst, BurstPeriod, Disorder and Band apply the hostile-stream
-	// mutators (DESIGN.md §8) to every point; see the Params fields of the
-	// same names. Hostile sweeps probe robustness, not the paper's figure
-	// shapes — expect CheckShape deviations under them.
-	Zipf        float64
-	Burst       float64
-	BurstPeriod stream.Time
-	Disorder    stream.Time
-	Band        stream.Value
-}
-
-// DefaultConfig runs JIT vs REF at one-tenth horizon scale, seed 1.
-func DefaultConfig() Config {
-	return Config{Scale: 0.1, Seed: 1, Modes: DefaultModes()}
-}
-
-// QuickConfig is the fast preset used by the go-test benchmarks: windows
-// and domains at 30% size, horizon floored at 2.5 windows.
-func QuickConfig() Config {
-	return Config{Scale: 0.001, SizeScale: 0.3, Seed: 1, Modes: DefaultModes()}
+	// Workload is the sweep-wide overlay: Spec.ParamsAt starts every point
+	// from it and writes the figure's Table III base, the swept value, the
+	// mode, the scaled sizes and the horizon on top, so whatever else it
+	// sets — Seed, Indexed, Shards, the hostile-stream mutators of
+	// DESIGN.md §8 — holds at every point. Sharded sweeps measure scaling
+	// (broadcast duplication inflates the work counters) and hostile sweeps
+	// robustness; neither reproduces the paper's figure shapes, so expect
+	// CheckShape deviations under them.
+	Workload Params
 }
 
 func (c Config) sizeScale() float64 {
@@ -457,31 +461,6 @@ type Figure struct {
 	Points []Point
 }
 
-// bushyBase returns the bushy-plan defaults of Table III (w=20min, λ=1,
-// N=6, dmax=200), scaled.
-func (c Config) bushyBase() Params {
-	return Params{
-		N:      6,
-		Bushy:  true,
-		Window: 20 * stream.Minute,
-		Rate:   1.0,
-		DMax:   200,
-	}
-}
-
-// leftDeepBase returns the left-deep defaults of Table III (w=10min, λ=1,
-// N=4, dmax=50, last stream fed from [1..10²·dmax]), scaled.
-func (c Config) leftDeepBase() Params {
-	return Params{
-		N:                4,
-		Bushy:            false,
-		Window:           10 * stream.Minute,
-		Rate:             1.0,
-		DMax:             50,
-		LastStreamFactor: 100,
-	}
-}
-
 // Render prints the figure in the paper's two-panel structure: CPU cost and
 // peak memory per x-value and mode, plus the JIT/REF improvement factors.
 func (f *Figure) Render(w io.Writer) {
@@ -490,7 +469,7 @@ func (f *Figure) Render(w io.Writer) {
 	for _, m := range f.Modes {
 		fmt.Fprintf(w, " %14s %14s %12s", m+" cost", m+" cpu(ms)", m+" mem(KB)")
 	}
-	if f.hasModes("JIT", "REF") {
+	if f.Paired() {
 		fmt.Fprintf(w, " %10s %10s", "cost ratio", "mem ratio")
 	}
 	fmt.Fprintln(w)
@@ -500,63 +479,71 @@ func (f *Figure) Render(w io.Writer) {
 			r := pt.Results[m]
 			fmt.Fprintf(w, " %14d %14.1f %12.1f", r.CostUnits, float64(r.WallTime.Microseconds())/1000, r.PeakMemKB)
 		}
-		if f.hasModes("JIT", "REF") {
-			jit, ref := pt.Results["JIT"], pt.Results["REF"]
-			fmt.Fprintf(w, " %10.2f %10.2f",
-				ratio(float64(ref.CostUnits), float64(jit.CostUnits)),
-				ratio(ref.PeakMemKB, jit.PeakMemKB))
+		if f.Paired() {
+			cost, mem := pt.Ratios()
+			fmt.Fprintf(w, " %10.2f %10.2f", cost, mem)
 		}
 		fmt.Fprintln(w)
 	}
 }
 
-func (f *Figure) hasModes(names ...string) bool {
-	set := map[string]bool{}
-	for _, m := range f.Modes {
-		set[m] = true
-	}
-	for _, n := range names {
-		if !set[n] {
-			return false
-		}
-	}
-	return true
+// Paired reports whether the figure ran both JIT and REF — what the ratio
+// columns and the shape verdict compare.
+func (f *Figure) Paired() bool {
+	return slices.Contains(f.Modes, "JIT") && slices.Contains(f.Modes, "REF")
 }
 
-func ratio(a, b float64) float64 {
+// Ratio is a/b, and 0 when there is nothing to divide by.
+func Ratio(a, b float64) float64 {
 	if b == 0 {
-		return math.Inf(1)
+		return 0
 	}
 	return a / b
 }
 
-// CheckShape verifies the reproduction contract for a JIT-vs-REF figure:
-// JIT never exceeds REF in cost units or peak memory, and both systems
-// produce identical result counts at every point. It returns a list of
-// violations (empty means the shape holds).
+// Ratios returns the point's REF/JIT improvement factors in cost units and
+// in peak memory.
+func (pt Point) Ratios() (cost, mem float64) {
+	jit, ref := pt.Results["JIT"], pt.Results["REF"]
+	return Ratio(float64(ref.CostUnits), float64(jit.CostUnits)), Ratio(ref.PeakMemKB, jit.PeakMemKB)
+}
+
+// Shape is the reproduction contract of a JIT-vs-REF figure at one point:
+// JIT never exceeds REF in cost units or (beyond 2% bookkeeping) in peak
+// memory, and both deliver the same number of results.
+type Shape struct {
+	CostAbove, MemAbove, ResultsDiffer bool
+}
+
+// Shape judges the point; jitbench's deviation list and the report's
+// verdicts (internal/report) are both renderings of it.
+func (pt Point) Shape() Shape {
+	jit, ref := pt.Results["JIT"], pt.Results["REF"]
+	return Shape{
+		CostAbove:     jit.CostUnits > ref.CostUnits,
+		MemAbove:      jit.PeakMemKB > ref.PeakMemKB*1.02,
+		ResultsDiffer: jit.Results != ref.Results,
+	}
+}
+
+// CheckShape lists the figure's violations of the Shape contract (empty
+// means the shape holds, or the figure did not run both JIT and REF).
 func (f *Figure) CheckShape() []string {
+	if !f.Paired() {
+		return nil
+	}
 	var bad []string
 	for _, pt := range f.Points {
-		jit, okJ := pt.Results["JIT"]
-		ref, okR := pt.Results["REF"]
-		if !okJ || !okR {
-			continue
-		}
-		if jit.Results != ref.Results {
+		jit, ref, v := pt.Results["JIT"], pt.Results["REF"], pt.Shape()
+		if v.ResultsDiffer {
 			bad = append(bad, fmt.Sprintf("%s x=%.1f: result counts differ (JIT %d, REF %d)", f.ID, pt.X, jit.Results, ref.Results))
 		}
-		if jit.CostUnits > ref.CostUnits {
+		if v.CostAbove {
 			bad = append(bad, fmt.Sprintf("%s x=%.1f: JIT cost %d > REF %d", f.ID, pt.X, jit.CostUnits, ref.CostUnits))
 		}
-		if jit.PeakMemKB > ref.PeakMemKB*1.02 {
+		if v.MemAbove {
 			bad = append(bad, fmt.Sprintf("%s x=%.1f: JIT mem %.1f > REF %.1f", f.ID, pt.X, jit.PeakMemKB, ref.PeakMemKB))
 		}
 	}
 	return bad
 }
-
-// DefaultBushyParams exposes the Table III bushy defaults for tests.
-func DefaultBushyParams(cfg Config) Params { return cfg.bushyBase() }
-
-// DefaultLeftDeepParams exposes the Table III left-deep defaults for tests.
-func DefaultLeftDeepParams(cfg Config) Params { return cfg.leftDeepBase() }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -11,14 +12,32 @@ import (
 // TestTableIIIDefaults verifies the harness encodes the paper's Table III
 // default parameters.
 func TestTableIIIDefaults(t *testing.T) {
-	cfg := Config{Scale: 1, Seed: 1, Modes: DefaultModes()}
-	b := DefaultBushyParams(cfg)
+	b := Spec{}.Base(Params{})
 	if b.N != 6 || !b.Bushy || b.Window != 20*stream.Minute || b.Rate != 1.0 || b.DMax != 200 {
 		t.Fatalf("bushy defaults wrong: %+v", b)
 	}
-	l := DefaultLeftDeepParams(cfg)
+	l := Spec{LeftDeep: true}.Base(Params{})
 	if l.N != 4 || l.Bushy || l.Window != 10*stream.Minute || l.Rate != 1.0 || l.DMax != 50 || l.LastStreamFactor != 100 {
 		t.Fatalf("left-deep defaults wrong: %+v", l)
+	}
+}
+
+// TestParamsAtCarriesOverlay checks that whatever the sweep-wide overlay
+// sets reaches every cell, and that the figure's own base, swept value, mode
+// and horizon win over it.
+func TestParamsAtCarriesOverlay(t *testing.T) {
+	over := Params{
+		Seed: 7, Indexed: true, Shards: 2, Zipf: 1.5, Burst: 2, BurstPeriod: stream.Minute,
+		Disorder: 5 * stream.Second, Band: 1, Drain: true,
+		N: 99, Bushy: true, LastStreamFactor: 3, Horizon: 1, // the base and the config overwrite these
+	}
+	spec, _ := SpecByID(14)
+	got := spec.ParamsAt(Config{Scale: 1, Workload: over}, NamedMode{"REF", core.REF()}, 7.5)
+	want := over
+	want.N, want.Bushy, want.Rate, want.DMax, want.LastStreamFactor = 4, false, 1, 50, 100
+	want.Window, want.Horizon, want.Mode = 7*stream.Minute+30*stream.Second, 5*stream.Hour, core.REF()
+	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+		t.Fatalf("ParamsAt:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -39,11 +58,11 @@ func TestHorizonScaling(t *testing.T) {
 
 func TestByID(t *testing.T) {
 	for id := 10; id <= 17; id++ {
-		if _, ok := ByID(id); !ok {
+		if _, ok := SpecByID(id); !ok {
 			t.Fatalf("figure %d missing", id)
 		}
 	}
-	if _, ok := ByID(9); ok {
+	if _, ok := SpecByID(9); ok {
 		t.Fatal("phantom figure")
 	}
 }
@@ -58,8 +77,9 @@ func TestSmallSweepShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is seconds-long")
 	}
-	cfg := QuickConfig()
-	fig := mustSpec(10).RunXs(cfg, []float64{10, 15, 20})
+	cfg := Config{Scale: 0.001, SizeScale: 0.3, Modes: DefaultModes(), Workload: Params{Seed: 1}}
+	spec, _ := SpecByID(10)
+	fig := spec.RunXs(cfg, []float64{10, 15, 20})
 	// The quick preset weakens demand rarity (see Config.SizeScale), so JIT
 	// is allowed a small bookkeeping overhead at the largest point; result
 	// counts must be identical everywhere.

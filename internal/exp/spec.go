@@ -9,9 +9,9 @@ import (
 
 // Spec declaratively describes one reproduced evaluation figure: which
 // Table III base it starts from (bushy or left-deep), which parameter the
-// figure sweeps, and the x-grid of Sec. VI. The figure runners (Fig10–
-// Fig17, All, ByID) and the report harness (internal/report) both consume
-// the same specs, so the sweep grid has exactly one definition.
+// figure sweeps, and the x-grid of Sec. VI. cmd/jitbench and the report
+// harness (internal/report) both run the same specs, so the sweep grid has
+// exactly one definition.
 type Spec struct {
 	// ID is the paper's figure number (10..17).
 	ID int
@@ -97,34 +97,32 @@ func SpecByID(id int) (Spec, bool) {
 	return Spec{}, false
 }
 
-// Base returns the spec's Table III defaults (unscaled, mode-less).
-func (s Spec) Base(cfg Config) Params {
+// Base writes the spec's Table III defaults (unscaled, mode-less) over p:
+// bushy figures run w=20min, λ=1, N=6, dmax=200; left-deep ones w=10min,
+// λ=1, N=4, dmax=50 with the last stream fed from [1..10²·dmax].
+func (s Spec) Base(p Params) Params {
 	if s.LeftDeep {
-		return cfg.leftDeepBase()
+		p.N, p.Bushy = 4, false
+		p.Window, p.Rate, p.DMax = 10*stream.Minute, 1.0, 50
+		p.LastStreamFactor = 100
+		return p
 	}
-	return cfg.bushyBase()
+	p.N, p.Bushy = 6, true
+	p.Window, p.Rate, p.DMax = 20*stream.Minute, 1.0, 200
+	p.LastStreamFactor = 0
+	return p
 }
 
-// ParamsAt resolves one grid cell into fully-specified run parameters:
-// base defaults, the swept x-value, the mode, and the config's seed,
-// scaling and execution toggles.
+// ParamsAt resolves one grid cell into fully-specified run parameters: the
+// config's sweep-wide overlay, then the base defaults, the swept x-value,
+// the mode, and the config's size and horizon scaling.
 func (s Spec) ParamsAt(cfg Config, nm NamedMode, x float64) Params {
-	p := s.Base(cfg)
+	p := s.Base(cfg.Workload)
 	s.Apply(&p, x)
 	p.Mode = nm.Mode
-	p.Seed = cfg.Seed
-	p.Indexed = cfg.Indexed
-	p.Shards = cfg.Shards
-	p.Zipf = cfg.Zipf
-	p.Burst = cfg.Burst
-	p.BurstPeriod = cfg.BurstPeriod
-	p.Disorder = cfg.Disorder
-	p.Band = cfg.Band
 	p.Window = cfg.sizeW(p.Window)
 	p.DMax = cfg.sizeD(p.DMax)
-	if p.Horizon == 0 {
-		p.Horizon = cfg.horizonFor(p.Window)
-	}
+	p.Horizon = cfg.horizonFor(p.Window)
 	return p
 }
 
@@ -146,54 +144,4 @@ func (s Spec) RunXs(cfg Config, xs []float64) *Figure {
 		fig.Points = append(fig.Points, pt)
 	}
 	return fig
-}
-
-// Fig10 reproduces Figure 10: overhead vs window size w (bushy plan).
-func Fig10(cfg Config) *Figure { return mustSpec(10).Run(cfg) }
-
-// Fig11 reproduces Figure 11: overhead vs stream rate λ (bushy plan).
-func Fig11(cfg Config) *Figure { return mustSpec(11).Run(cfg) }
-
-// Fig12 reproduces Figure 12: overhead vs number of sources N (bushy plan).
-func Fig12(cfg Config) *Figure { return mustSpec(12).Run(cfg) }
-
-// Fig13 reproduces Figure 13: overhead vs max data value dmax (bushy plan).
-func Fig13(cfg Config) *Figure { return mustSpec(13).Run(cfg) }
-
-// Fig14 reproduces Figure 14: overhead vs window size w (left-deep plan).
-func Fig14(cfg Config) *Figure { return mustSpec(14).Run(cfg) }
-
-// Fig15 reproduces Figure 15: overhead vs stream rate λ (left-deep plan).
-func Fig15(cfg Config) *Figure { return mustSpec(15).Run(cfg) }
-
-// Fig16 reproduces Figure 16: overhead vs number of sources N (left-deep).
-func Fig16(cfg Config) *Figure { return mustSpec(16).Run(cfg) }
-
-// Fig17 reproduces Figure 17: overhead vs max data value dmax (left-deep).
-func Fig17(cfg Config) *Figure { return mustSpec(17).Run(cfg) }
-
-func mustSpec(id int) Spec {
-	s, ok := SpecByID(id)
-	if !ok {
-		panic("exp: unknown figure spec")
-	}
-	return s
-}
-
-// All runs every figure.
-func All(cfg Config) []*Figure {
-	var figs []*Figure
-	for _, s := range Specs() {
-		figs = append(figs, s.Run(cfg))
-	}
-	return figs
-}
-
-// ByID returns the runner for one figure id (10..17).
-func ByID(id int) (func(Config) *Figure, bool) {
-	s, ok := SpecByID(id)
-	if !ok {
-		return nil, false
-	}
-	return s.Run, true
 }

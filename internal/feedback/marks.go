@@ -183,6 +183,7 @@ func (t *MarkTable) SuppressedBy(a, b *stream.Composite, exclude uint64) uint64 
 		small, big = b, a
 	}
 	best := uint64(0)
+	//jitlint:allow maporder takes the minimum qualifying id, which is the same in any visiting order
 	for id := range small.Marks {
 		if id != exclude && t.active[id] != nil && big.HasMark(id) && (best == 0 || id < best) {
 			best = id

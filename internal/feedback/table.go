@@ -240,6 +240,7 @@ func (x *fpIndex[E]) remove(e E) {
 // buckets counts the fingerprints currently filed, over all groups.
 func (x *fpIndex[E]) buckets() int {
 	n := 0
+	//jitlint:allow maporder sums bucket counts; addition commutes
 	for _, g := range x.byAttrs {
 		n += len(g.byVal)
 	}

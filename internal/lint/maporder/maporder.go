@@ -30,6 +30,7 @@ import (
 // base, per lint.Analyzer.Packages).
 var DeterministicPackages = []string{
 	"core", "engine", "state", "plan", "shard", "report", "checkpoint", "serve",
+	"operator", "feedback",
 }
 
 // Analyzer is the maporder check.

@@ -1,0 +1,11 @@
+// Package operator is a maporder scope fixture: the dedup gate's seen-key
+// map lives under this import-path base, so a raw map range is flagged here.
+package operator
+
+func keys(m map[string]int) []string {
+	var out []string
+	for k := range m { // want "range over map m in deterministic package"
+		out = append(out, k)
+	}
+	return out
+}

@@ -48,6 +48,7 @@ func (d *Dedup) Consume(c *stream.Composite, p Port) {
 // checkpoint at this cut carries — in map order: checkpoint.Encode sorts the
 // seed, and a restore re-ingests it into a map.
 func (d *Dedup) Prune(cut, window stream.Time, survivor func(key string, minTS stream.Time)) {
+	//jitlint:allow maporder each key is judged on its own; the one caller's survivor callback collects a seed that checkpoint.Encode sorts
 	for k, ts := range d.seen {
 		if ts+window <= cut {
 			delete(d.seen, k)

@@ -167,11 +167,22 @@ type Options struct {
 	// KeepResults makes the sink retain all results (tests only).
 	KeepResults bool
 	// NoStateIndex disables the hash-indexed join states (DESIGN.md §3),
-	// forcing every probe down the linear scan path. Equivalence tests and
-	// the indexed-vs-scan benchmarks flip this; production plans leave it
-	// off. Joins whose crossing predicates yield no equi key (cross
-	// products) fall back to scans regardless.
+	// forcing every probe down the linear scan path — the paper's execution
+	// model, which the figure sweeps and the equivalence tests run; the
+	// -indexed flag turns it off. Joins whose crossing predicates yield no
+	// equi key (cross products) fall back to scans regardless.
 	NoStateIndex bool
+}
+
+// Clique wires the one query every front end runs (jitrun, the figure
+// sweeps, jitserver): the n-source clique join under its Table II shape,
+// with every equi predicate widened to |l - r| <= band when band > 0.
+func Clique(n int, bushy bool, band stream.Value, opt Options) *Built {
+	cat, preds := predicate.Clique(n)
+	if band > 0 {
+		preds = preds.WithTol(band)
+	}
+	return BuildTree(cat, preds, TableII(n, bushy), opt)
 }
 
 // BuildTree wires a Node shape into JoinOps plus a sink.

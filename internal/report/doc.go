@@ -13,6 +13,13 @@
 //     explicitly. A final section exercises the post-paper extensions
 //     (DESIGN.md §3 indexing, §4 drain, §5 sharding) on a common workload.
 //
+// The harness holds no run description of its own: every cell is an
+// exp.Params resolved by exp.Spec.ParamsAt from an exp.Config whose
+// Workload overlay carries the preset's seed, the verdicts read
+// exp.Point.Shape — the same judgment jitbench prints — and the extension
+// rows (IndexedRow, DrainRow, ShardRow, HostileRow) are themselves the
+// records RESULTS.json marshals.
+//
 // Everything the harness emits is deterministic: fixed seeds, sorted sweep
 // order (Grid), machine-independent cost units instead of wall-clock time.
 // Regenerating with the same options reproduces the artifacts byte for

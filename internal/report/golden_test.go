@@ -78,27 +78,27 @@ func TestReportInvariants(t *testing.T) {
 	var refFinals uint64
 	for _, row := range rep.Ext.Drain {
 		if row.Mode == "REF" {
-			refFinals = row.Result.Results
+			refFinals = row.FinalResults
 		}
 	}
 	if refFinals == 0 {
 		t.Error("extension workload delivers zero finals — the drain section is vacuous")
 	}
 	for _, row := range rep.Ext.Drain {
-		if row.Result.Results != refFinals {
-			t.Errorf("drained %s finals %d != REF %d", row.Mode, row.Result.Results, refFinals)
+		if row.FinalResults != refFinals {
+			t.Errorf("drained %s finals %d != REF %d", row.Mode, row.FinalResults, refFinals)
 		}
 	}
 	for _, row := range rep.Ext.Sharded {
-		if row.Merged.Results != refFinals {
-			t.Errorf("sharded (%d) finals %d != %d", row.Shards, row.Merged.Results, refFinals)
+		if row.FinalResults != refFinals {
+			t.Errorf("sharded (%d) finals %d != %d", row.Shards, row.FinalResults, refFinals)
 		}
 		if row.Fallback {
 			t.Errorf("sharded (%d): unexpected single-replica fallback", row.Shards)
 		}
 	}
 	for _, row := range rep.Ext.Indexed {
-		if !row.ResultsBoth {
+		if !row.FinalsEqual {
 			t.Errorf("indexed %s: finals differ between scan and indexed runs", row.Mode)
 		}
 		if row.IndexedCmp >= row.ScanCmp {

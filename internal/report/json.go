@@ -19,7 +19,7 @@ type jsonReport struct {
 	Modes      []string     `json:"modes"`
 	GridCells  int          `json:"grid_cells"`
 	Figures    []jsonFigure `json:"figures"`
-	Extensions jsonExt      `json:"extensions"`
+	Extensions Extensions   `json:"extensions"`
 }
 
 type jsonFigure struct {
@@ -44,52 +44,6 @@ type jsonResult struct {
 	Counters        metrics.Counters `json:"counters"`
 }
 
-type jsonExt struct {
-	Indexed []jsonIndexed `json:"indexed"`
-	Drain   []jsonDrain   `json:"drain"`
-	Sharded []jsonSharded `json:"sharded"`
-	Hostile []jsonHostile `json:"hostile"`
-}
-
-type jsonIndexed struct {
-	Mode         string `json:"mode"`
-	ScanCost     uint64 `json:"scan_cost"`
-	IndexedCost  uint64 `json:"indexed_cost"`
-	ScanCmp      uint64 `json:"scan_comparisons"`
-	IndexedCmp   uint64 `json:"indexed_comparisons"`
-	FinalsEqual  bool   `json:"finals_equal"`
-	FinalResults uint64 `json:"final_results"`
-}
-
-type jsonDrain struct {
-	Mode         string `json:"mode"`
-	FinalResults uint64 `json:"final_results"`
-	CostUnits    uint64 `json:"cost_units"`
-	Suspended    uint64 `json:"suspended"`
-	Resumed      uint64 `json:"resumed"`
-}
-
-type jsonSharded struct {
-	Shards       int     `json:"shards"`
-	FinalResults uint64  `json:"final_results"`
-	CostUnits    uint64  `json:"cost_units"`
-	Routed       uint64  `json:"routed"`
-	Broadcasts   uint64  `json:"broadcasts"`
-	PeakMemKB    float64 `json:"peak_mem_kb"`
-	Fallback     bool    `json:"fallback"`
-}
-
-type jsonHostile struct {
-	Name        string `json:"name"`
-	Mutators    string `json:"mutators"`
-	REFFinals   uint64 `json:"ref_finals"`
-	JITFinals   uint64 `json:"jit_finals"`
-	REFCost     uint64 `json:"ref_cost"`
-	JITCost     uint64 `json:"jit_cost"`
-	LateDropped uint64 `json:"late_dropped"`
-	Equal       bool   `json:"multiset_equal"`
-}
-
 func toJSONResult(r engine.Result) jsonResult {
 	return jsonResult{
 		FinalResults:    r.Results,
@@ -105,10 +59,11 @@ func toJSONResult(r engine.Result) jsonResult {
 // newline).
 func (r *Report) JSON() ([]byte, error) {
 	out := jsonReport{
-		Preset:    r.Preset,
-		Seed:      r.Seed,
-		Modes:     r.Modes,
-		GridCells: len(r.Grid),
+		Preset:     r.Preset,
+		Seed:       r.Seed,
+		Modes:      r.Modes,
+		GridCells:  len(r.Grid),
+		Extensions: r.Ext,
 	}
 	for i, fig := range r.Figures {
 		jf := jsonFigure{
@@ -125,49 +80,6 @@ func (r *Report) JSON() ([]byte, error) {
 			jf.Points = append(jf.Points, jp)
 		}
 		out.Figures = append(out.Figures, jf)
-	}
-	for _, row := range r.Ext.Indexed {
-		out.Extensions.Indexed = append(out.Extensions.Indexed, jsonIndexed{
-			Mode:         row.Mode,
-			ScanCost:     row.Scan.CostUnits,
-			IndexedCost:  row.Indexed.CostUnits,
-			ScanCmp:      row.ScanCmp,
-			IndexedCmp:   row.IndexedCmp,
-			FinalsEqual:  row.ResultsBoth,
-			FinalResults: row.Indexed.Results,
-		})
-	}
-	for _, row := range r.Ext.Drain {
-		out.Extensions.Drain = append(out.Extensions.Drain, jsonDrain{
-			Mode:         row.Mode,
-			FinalResults: row.Result.Results,
-			CostUnits:    row.Result.CostUnits,
-			Suspended:    row.Result.Counters.Suspended,
-			Resumed:      row.Result.Counters.Resumed,
-		})
-	}
-	for _, row := range r.Ext.Sharded {
-		out.Extensions.Sharded = append(out.Extensions.Sharded, jsonSharded{
-			Shards:       row.Shards,
-			FinalResults: row.Merged.Results,
-			CostUnits:    row.Merged.CostUnits,
-			Routed:       row.Routed,
-			Broadcasts:   row.Broadcasts,
-			PeakMemKB:    row.Merged.PeakMemKB,
-			Fallback:     row.Fallback,
-		})
-	}
-	for _, row := range r.Ext.Hostile {
-		out.Extensions.Hostile = append(out.Extensions.Hostile, jsonHostile{
-			Name:        row.Name,
-			Mutators:    row.Mutators,
-			REFFinals:   row.REF.Results,
-			JITFinals:   row.JIT.Results,
-			REFCost:     row.REF.CostUnits,
-			JITCost:     row.JIT.CostUnits,
-			LateDropped: row.JIT.Counters.LateDropped,
-			Equal:       row.Equal,
-		})
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/exp"
 	"repro/internal/obs"
 )
 
@@ -83,7 +84,7 @@ func (r *Report) table(b *strings.Builder, i int) {
 	for _, m := range fig.Modes {
 		fmt.Fprintf(b, " %s cost | %s mem (KB) |", m, m)
 	}
-	hasRatio := len(fig.Modes) >= 2 && contains(fig.Modes, "JIT") && contains(fig.Modes, "REF")
+	hasRatio := fig.Paired()
 	if hasRatio {
 		b.WriteString(" REF/JIT cost | REF/JIT mem |")
 	}
@@ -102,10 +103,8 @@ func (r *Report) table(b *strings.Builder, i int) {
 			fmt.Fprintf(b, " %s | %.1f |", group(res.CostUnits), res.PeakMemKB)
 		}
 		if hasRatio {
-			jit, ref := pt.Results["JIT"], pt.Results["REF"]
-			fmt.Fprintf(b, " %.2f× | %.2f× |",
-				safeRatio(float64(ref.CostUnits), float64(jit.CostUnits)),
-				safeRatio(ref.PeakMemKB, jit.PeakMemKB))
+			cost, mem := pt.Ratios()
+			fmt.Fprintf(b, " %.2f× | %.2f× |", cost, mem)
 		}
 		b.WriteString("\n")
 	}
@@ -130,8 +129,8 @@ func (r *Report) extensions(b *strings.Builder) {
 	b.WriteString("|---|---|---|---|---|---|\n")
 	for _, row := range ext.Indexed {
 		fmt.Fprintf(b, "| %s | %s | %s | %s | %s | %v |\n",
-			row.Mode, group(row.Scan.CostUnits), group(row.Indexed.CostUnits),
-			group(row.ScanCmp), group(row.IndexedCmp), row.ResultsBoth)
+			row.Mode, group(row.ScanCost), group(row.IndexedCost),
+			group(row.ScanCmp), group(row.IndexedCmp), row.FinalsEqual)
 	}
 	b.WriteString("\nThe figures above run the paper's linear-scan execution model; with the\n" +
 		"hash index on, probes visit only key-matching partners, so REF's comparison\n" +
@@ -145,15 +144,15 @@ func (r *Report) extensions(b *strings.Builder) {
 	var refFinals uint64
 	for _, row := range ext.Drain {
 		if row.Mode == "REF" {
-			refFinals = row.Result.Results
+			refFinals = row.FinalResults
 		}
 	}
 	allEqual := true
 	for _, row := range ext.Drain {
 		fmt.Fprintf(b, "| %s | %s | %s | %s | %s |\n",
-			row.Mode, group(row.Result.Results), group(row.Result.CostUnits),
-			group(row.Result.Counters.Suspended), group(row.Result.Counters.Resumed))
-		if row.Result.Results != refFinals {
+			row.Mode, group(row.FinalResults), group(row.CostUnits),
+			group(row.Suspended), group(row.Resumed))
+		if row.FinalResults != refFinals {
 			allEqual = false
 		}
 	}
@@ -173,8 +172,8 @@ func (r *Report) extensions(b *strings.Builder) {
 	b.WriteString("|---|---|---|---|---|---|\n")
 	for _, row := range ext.Sharded {
 		fmt.Fprintf(b, "| %d | %s | %s | %s | %s | %.1f |\n",
-			row.Shards, group(row.Merged.Results), group(row.Merged.CostUnits),
-			group(row.Routed), group(row.Broadcasts), row.Merged.PeakMemKB)
+			row.Shards, group(row.FinalResults), group(row.CostUnits),
+			group(row.Routed), group(row.Broadcasts), row.PeakMemKB)
 	}
 	b.WriteString("\nEvery shard count delivers the identical result multiset (DESIGN.md §5\n" +
 		"merge-order contract). The clique's pairwise-distinct predicates leave only\n" +
@@ -189,9 +188,9 @@ func (r *Report) extensions(b *strings.Builder) {
 	allEqual = true
 	for _, row := range ext.Hostile {
 		fmt.Fprintf(b, "| %s | %s | %s | %s | %.2f× | %s | %v |\n",
-			row.Name, row.Mutators, group(row.REF.Results), group(row.JIT.Results),
-			safeRatio(float64(row.JIT.CostUnits), float64(row.REF.CostUnits)),
-			group(row.JIT.Counters.LateDropped), row.Equal)
+			row.Name, row.Mutators, group(row.REFFinals), group(row.JITFinals),
+			exp.Ratio(float64(row.JITCost), float64(row.REFCost)),
+			group(row.LateDropped), row.Equal)
 		if !row.Equal {
 			allEqual = false
 		}
@@ -265,20 +264,4 @@ func sparkGauge(b *strings.Builder, label string, samples []obs.Sample, f func(o
 		}
 	}
 	fmt.Fprintf(b, "%-11s %s  peak %s\n", label, obs.Spark(vals), group(peak))
-}
-
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
-}
-
-func safeRatio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
 }

@@ -84,29 +84,21 @@ func analyze(fig *exp.Figure) analysis {
 	case refLast < refFirst*0.95:
 		a.costDir = -1
 	}
-	a.ratioFirst = ratioOf(first)
-	a.ratioLast = ratioOf(last)
+	a.ratioFirst, _ = first.Ratios()
+	a.ratioLast, _ = last.Ratios()
 	for _, pt := range pts {
-		jit, ref := pt.Results["JIT"], pt.Results["REF"]
-		if jit.CostUnits > ref.CostUnits {
+		v := pt.Shape()
+		if v.CostAbove {
 			a.jitAbove = append(a.jitAbove, pt.X)
 		}
-		if jit.PeakMemKB > ref.PeakMemKB*1.02 {
+		if v.MemAbove {
 			a.memAbove = append(a.memAbove, pt.X)
 		}
-		if jit.Results != ref.Results {
+		if v.ResultsDiffer {
 			a.resultsDiffer = append(a.resultsDiffer, pt.X)
 		}
 	}
 	return a
-}
-
-func ratioOf(pt exp.Point) float64 {
-	jit, ref := pt.Results["JIT"], pt.Results["REF"]
-	if jit.CostUnits == 0 {
-		return 0
-	}
-	return float64(ref.CostUnits) / float64(jit.CostUnits)
 }
 
 func dirWord(d int) string {

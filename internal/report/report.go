@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/exp"
 	"repro/internal/obs"
 	"repro/internal/scenario"
@@ -57,7 +56,7 @@ func (o Options) Modes() []exp.NamedMode {
 // preset (see the package documentation for the short preset's per-shape
 // scaling rationale).
 func (o Options) ConfigFor(s exp.Spec) exp.Config {
-	cfg := exp.Config{Seed: o.seed(), Modes: o.Modes()}
+	cfg := exp.Config{Modes: o.Modes(), Workload: exp.Params{Seed: o.seed()}}
 	if o.Short {
 		cfg.Scale = 0.001 // horizon floors at 2.5 windows
 		cfg.SizeScale, cfg.DomainScale = shortSizes(s)
@@ -174,55 +173,68 @@ func Build(o Options) *Report {
 // repo's extensions next to the paper's figures.
 type Extensions struct {
 	// Base describes the common workload of all extension rows.
-	Base exp.Params
+	Base exp.Params `json:"-"`
 	// Indexed compares linear-scan against hash-indexed probing per mode
 	// (DESIGN.md §3).
-	Indexed []IndexedRow
+	Indexed []IndexedRow `json:"indexed"`
 	// Drain runs every mode with the end-of-stream drain and records the
 	// delivered finals against REF's (DESIGN.md §4).
-	Drain []DrainRow
+	Drain []DrainRow `json:"drain"`
 	// Sharded runs JIT across key-partitioned engine replicas
 	// (DESIGN.md §5).
-	Sharded []ShardRow
+	Sharded []ShardRow `json:"sharded"`
 	// Hostile runs the scenario suite's mutator stacks (DESIGN.md §8) and
 	// records the JIT-vs-REF equivalence per stack.
-	Hostile []HostileRow
+	Hostile []HostileRow `json:"hostile"`
 }
+
+// The extension rows are their own RESULTS.json records: the tags fix the
+// keys, the field order the key order.
 
 // IndexedRow is one mode's scan-vs-indexed comparison.
 type IndexedRow struct {
-	Mode        string
-	Scan        engine.Result
-	Indexed     engine.Result
-	ScanCmp     uint64
-	IndexedCmp  uint64
-	ResultsBoth bool // identical final-result counts
+	Mode         string `json:"mode"`
+	ScanCost     uint64 `json:"scan_cost"`
+	IndexedCost  uint64 `json:"indexed_cost"`
+	ScanCmp      uint64 `json:"scan_comparisons"`
+	IndexedCmp   uint64 `json:"indexed_comparisons"`
+	FinalsEqual  bool   `json:"finals_equal"` // identical final-result counts
+	FinalResults uint64 `json:"final_results"`
 }
 
 // DrainRow is one mode's drained run.
 type DrainRow struct {
-	Mode   string
-	Result engine.Result
+	Mode         string `json:"mode"`
+	FinalResults uint64 `json:"final_results"`
+	CostUnits    uint64 `json:"cost_units"`
+	Suspended    uint64 `json:"suspended"`
+	Resumed      uint64 `json:"resumed"`
 }
 
-// ShardRow is one shard-count's run of the extension workload.
+// ShardRow is one shard-count's run of the extension workload (cost and
+// peak memory summed over the replicas).
 type ShardRow struct {
-	Shards     int
-	Merged     engine.Result
-	Routed     uint64
-	Broadcasts uint64
-	Fallback   bool
+	Shards       int     `json:"shards"`
+	FinalResults uint64  `json:"final_results"`
+	CostUnits    uint64  `json:"cost_units"`
+	Routed       uint64  `json:"routed"`
+	Broadcasts   uint64  `json:"broadcasts"`
+	PeakMemKB    float64 `json:"peak_mem_kb"`
+	Fallback     bool    `json:"fallback"`
 }
 
 // HostileRow is one hostile-stream scenario's drained REF/JIT pair.
 type HostileRow struct {
-	Name     string
-	Mutators string
-	REF      engine.Result
-	JIT      engine.Result
+	Name        string `json:"name"`
+	Mutators    string `json:"mutators"`
+	REFFinals   uint64 `json:"ref_finals"`
+	JITFinals   uint64 `json:"jit_finals"`
+	REFCost     uint64 `json:"ref_cost"`
+	JITCost     uint64 `json:"jit_cost"`
+	LateDropped uint64 `json:"late_dropped"`
 	// Equal reports multiset equality of the two delivery logs — the
 	// scenario harness's headline contract (DESIGN.md §8).
-	Equal bool
+	Equal bool `json:"multiset_equal"`
 }
 
 // extBase is the extension workload: the dense end-of-stream family of
@@ -256,12 +268,13 @@ func runExtensions(o Options) Extensions {
 		p.Indexed = true
 		idx := p.Run()
 		ext.Indexed = append(ext.Indexed, IndexedRow{
-			Mode:        nm.Name,
-			Scan:        scan,
-			Indexed:     idx,
-			ScanCmp:     scan.Counters.Comparisons,
-			IndexedCmp:  idx.Counters.Comparisons,
-			ResultsBoth: scan.Results == idx.Results,
+			Mode:         nm.Name,
+			ScanCost:     scan.CostUnits,
+			IndexedCost:  idx.CostUnits,
+			ScanCmp:      scan.Counters.Comparisons,
+			IndexedCmp:   idx.Counters.Comparisons,
+			FinalsEqual:  scan.Results == idx.Results,
+			FinalResults: idx.Results,
 		})
 	}
 
@@ -269,7 +282,14 @@ func runExtensions(o Options) Extensions {
 		p := ext.Base
 		p.Mode = nm.Mode
 		p.Drain = true
-		ext.Drain = append(ext.Drain, DrainRow{Mode: nm.Name, Result: p.Run()})
+		r := p.Run()
+		ext.Drain = append(ext.Drain, DrainRow{
+			Mode:         nm.Name,
+			FinalResults: r.Results,
+			CostUnits:    r.CostUnits,
+			Suspended:    r.Counters.Suspended,
+			Resumed:      r.Counters.Resumed,
+		})
 	}
 
 	for _, shards := range []int{1, 2, 4} {
@@ -278,11 +298,13 @@ func runExtensions(o Options) Extensions {
 		p.Shards = shards
 		res := p.RunSharded()
 		ext.Sharded = append(ext.Sharded, ShardRow{
-			Shards:     shards,
-			Merged:     res.Merged,
-			Routed:     res.Routed,
-			Broadcasts: res.Broadcasts,
-			Fallback:   res.Fallback,
+			Shards:       shards,
+			FinalResults: res.Merged.Results,
+			CostUnits:    res.Merged.CostUnits,
+			Routed:       res.Routed,
+			Broadcasts:   res.Broadcasts,
+			PeakMemKB:    res.Merged.PeakMemKB,
+			Fallback:     res.Fallback,
 		})
 	}
 
@@ -300,11 +322,14 @@ func runExtensions(o Options) Extensions {
 		jit.Mode = core.JIT()
 		jitRes, jitKeys := jit.RunKeys()
 		ext.Hostile = append(ext.Hostile, HostileRow{
-			Name:     sc.Name,
-			Mutators: sc.Describe(),
-			REF:      refRes,
-			JIT:      jitRes,
-			Equal:    len(scenario.DiffMultisets(scenario.Multiset(jitKeys), scenario.Multiset(refKeys))) == 0,
+			Name:        sc.Name,
+			Mutators:    sc.Describe(),
+			REFFinals:   refRes.Results,
+			JITFinals:   jitRes.Results,
+			REFCost:     refRes.CostUnits,
+			JITCost:     jitRes.CostUnits,
+			LateDropped: jitRes.Counters.LateDropped,
+			Equal:       len(scenario.DiffMultisets(scenario.Multiset(jitKeys), scenario.Multiset(refKeys))) == 0,
 		})
 	}
 	return ext

@@ -57,7 +57,7 @@ func TestLeftDeepInversionStudy(t *testing.T) {
 		t.Fatal("fig16 spec missing")
 	}
 	// The short report preset's scaling for fig16, at the excluded extremes.
-	cfg := exp.Config{Seed: 1, SizeScale: 0.48, DomainScale: 0.40}
+	cfg := exp.Config{SizeScale: 0.48, DomainScale: 0.40, Workload: exp.Params{Seed: 1}}
 	cells := []struct {
 		n    float64
 		zipf float64

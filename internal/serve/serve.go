@@ -41,7 +41,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/operator"
 	"repro/internal/plan"
-	"repro/internal/predicate"
 	"repro/internal/stream"
 )
 
@@ -119,6 +118,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("serve: checkpoint interval cannot be negative (%v)", c.Every)
 	case c.Every > 0 && c.Dir == "":
 		return fmt.Errorf("serve: checkpoint interval set but no checkpoint dir")
+	case c.Keep < 0:
+		return fmt.Errorf("serve: checkpoint retention cannot be negative (%d)", c.Keep)
 	case c.MaxPending < 0:
 		return fmt.Errorf("serve: ingest buffer cannot be negative (%d)", c.MaxPending)
 	case c.Retain < 0:
@@ -127,15 +128,12 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// shape resolves the plan shape.
-func (c Config) shape() *plan.Node { return plan.TableII(c.N, c.Bushy) }
-
 // identity is the config string stored in checkpoints: restore refuses a
 // checkpoint taken under a different query — replaying its rows into this
 // plan would silently build wrong state.
 func (c Config) identity() string {
 	return fmt.Sprintf("n=%d shape=%s window=%d mode=%v indexed=%t band=%d",
-		c.N, c.shape().Canonical(), c.Window, c.Mode, c.Indexed, c.Band)
+		c.N, plan.TableII(c.N, c.Bushy).Canonical(), c.Window, c.Mode, c.Indexed, c.Band)
 }
 
 // RecoveryInfo describes one recovery performed by Open.
@@ -214,14 +212,11 @@ func Open(cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cat, conj := predicate.Clique(cfg.N)
-	if cfg.Band > 0 {
-		conj = conj.WithTol(cfg.Band)
-	}
-	b := plan.BuildTree(cat, conj, cfg.shape(), plan.Options{
+	b := plan.Clique(cfg.N, cfg.Bushy, cfg.Band, plan.Options{
 		Window: cfg.Window, Mode: cfg.Mode, NoStateIndex: !cfg.Indexed,
 		KeepResults: cfg.KeepResults,
 	})
+	cat := b.Catalog
 	s := &Server{
 		cfg:   cfg,
 		b:     b,

@@ -528,3 +528,35 @@ func TestSubscribeResume(t *testing.T) {
 		}
 	}
 }
+
+// TestConfigValidate pins Config.Validate: the baseline passes and every
+// rejected configuration names what is wrong with it.
+func TestConfigValidate(t *testing.T) {
+	ok, _ := testParams(core.JIT())
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+		want string
+	}{
+		{"one source", func(c *Config) { c.N = 1 }, "sources"},
+		{"zero window", func(c *Config) { c.Window = 0 }, "window"},
+		{"no address", func(c *Config) { c.Addr = "" }, "address"},
+		{"negative band", func(c *Config) { c.Band = -1 }, "band"},
+		{"negative disorder", func(c *Config) { c.Disorder = -1 }, "disorder"},
+		{"disorder with dir", func(c *Config) { c.Dir, c.Disorder = "d", 1 }, "in-order"},
+		{"negative interval", func(c *Config) { c.Dir, c.Every = "d", -1 }, "interval"},
+		{"interval without dir", func(c *Config) { c.Every = 1 }, "no checkpoint dir"},
+		{"negative keep", func(c *Config) { c.Dir, c.Keep = "d", -3 }, "retention cannot be negative"},
+		{"negative max pending", func(c *Config) { c.MaxPending = -1 }, "ingest buffer cannot be negative"},
+		{"negative retain", func(c *Config) { c.Retain = -1 }, "ring size cannot be negative"},
+	} {
+		c := ok
+		tc.mut(&c)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate() = %v, want an error mentioning %q", tc.name, err, tc.want)
+		}
+	}
+}

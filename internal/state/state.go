@@ -453,12 +453,6 @@ func (s *State) Scan(visit func(Entry) bool) {
 	}
 }
 
-// Entries returns a snapshot copy of the live entries, for tests and debug
-// dumps.
-func (s *State) Entries() []Entry {
-	return append([]Entry(nil), s.entries...)
-}
-
 // SnapshotLive exports the entries still inside the window at the given cut
 // time, in arrival order — the state half of the §2 snapshot cut (DESIGN.md
 // §7): a checkpoint or plan migration taken between arrivals needs exactly

@@ -52,7 +52,8 @@ func TestSequenceStability(t *testing.T) {
 		t.Fatal("remove lost the seq")
 	}
 	st.Reinsert(got)
-	entries := st.Entries()
+	var entries []Entry
+	st.Scan(func(e Entry) bool { entries = append(entries, e); return true })
 	if len(entries) != 2 || entries[0].Seq != e1.Seq || entries[1].Seq != e2.Seq {
 		t.Fatalf("reinsert broke order: %v", entries)
 	}
