@@ -296,10 +296,7 @@ func (c *Controller) Migrate(cut stream.Time, b *plan.Built) *plan.Built {
 	note := c.shape.Canonical() + " -> " + target.Canonical()
 	b.Trace.MigrationStart(cut, note)
 	snap := b.SnapshotInWindow(cut)
-	nb := b.Rebuild(target)
-	for _, j := range nb.Joins {
-		j.SetExact(true)
-	}
+	nb := b.Rebuild(target) // exact-delivery like b: the engine set it, Rebuild hands it on
 	// The run's one sink spans the handoff; the successor's own sink is
 	// discarded before anything reaches it.
 	nb.Sink = c.sink

@@ -67,11 +67,7 @@ func (j *JoinOp) handleSuspend(m *feedback.MNS) {
 // fully suspended operator has no demand for inputs.
 func (j *JoinOp) suspendTotal(m *feedback.MNS) {
 	for p := operator.Port(0); p < 2; p++ {
-		s := j.in[p]
-		if j.mode.Propagate && s.prod != nil && s.prod.CanSuspend() {
-			j.ctr.Feedbacks++
-			s.prod.Feedback(feedback.Message{Cmd: feedback.Suspend, MNS: []*feedback.MNS{m}})
-		}
+		j.upstream(j.in[p], feedback.Suspend, m)
 	}
 	for p := operator.Port(0); p < 2; p++ {
 		s := j.in[p]
@@ -87,23 +83,38 @@ func (j *JoinOp) suspendTotal(m *feedback.MNS) {
 	}
 }
 
+// propagates reports whether feedback travels to the producer feeding side s:
+// propagation is on and that producer honours feedback.
+func (j *JoinOp) propagates(s *side) bool {
+	return j.mode.Propagate && s.prod != nil && s.prod.CanSuspend()
+}
+
+// upstream sends one MNS of feedback to the producer feeding side s, when it
+// propagates, and returns what comes back (the demanded partial results S_Π
+// of a resumption).
+func (j *JoinOp) upstream(s *side, cmd feedback.Command, m *feedback.MNS) []*stream.Composite {
+	if !j.propagates(s) {
+		return nil
+	}
+	j.ctr.Feedbacks++
+	return s.prod.Feedback(feedback.Message{Cmd: cmd, MNS: []*feedback.MNS{m}})
+}
+
 // suspendTypeI implements Suspend_Production for a Type I MNS on side s:
 // propagate upstream, then move matching tuples (by signature when
 // generalization is on, else exact super-tuples of the anchor) from the
 // state to the blacklist entry, recording their resumption cursors.
 func (j *JoinOp) suspendTypeI(s *side, m *feedback.MNS) {
-	if j.exact && m.Expiry <= j.now {
+	if m.Expiry <= j.now {
 		// Born-expired anchor (exact-mode recovery cascades can detect
-		// MNSes on composites already at their window boundary): parking
-		// under it would only bounce the tuples back out at the very next
-		// sweep — leave production live instead.
+		// MNSes on composites already at their window boundary; a legacy
+		// input is always alive at now): parking under it would only bounce
+		// the tuples back out at the very next sweep — leave production live
+		// instead.
 		return
 	}
 	o := j.in[s.port.Opposite()]
-	if j.mode.Propagate && s.prod != nil && s.prod.CanSuspend() {
-		j.ctr.Feedbacks++
-		s.prod.Feedback(feedback.Message{Cmd: feedback.Suspend, MNS: []*feedback.MNS{m}})
-	}
+	j.upstream(s, feedback.Suspend, m)
 	entry, created := s.black.Ensure(m)
 	if !created {
 		// Already suspended: the consumer re-detected the MNS on a queued
@@ -137,9 +148,7 @@ func (j *JoinOp) suspendTypeI(s *side, m *feedback.MNS) {
 			// exclude it from the "already joined" claim.
 			cursor = opFrame.seq - 1
 		}
-		s.black.Park(entry, feedback.Suspended{E: se, Cursor: cursor, Pending: uncovered(o, se.Seq, cursor)})
-		j.ctr.Suspended++
-		j.trace.Suspend(j.name, 1)
+		j.park(s, entry, feedback.Suspended{E: se, Cursor: cursor, Pending: uncovered(o, se.Seq, cursor)})
 	}
 }
 
@@ -235,11 +244,7 @@ func (j *JoinOp) handleResume(m *feedback.MNS, out *[]*stream.Composite) {
 func (j *JoinOp) resumeTotal(m *feedback.MNS, out *[]*stream.Composite) {
 	for p := operator.Port(0); p < 2; p++ {
 		s := j.in[p]
-		if j.mode.Propagate && s.prod != nil && s.prod.CanSuspend() {
-			j.ctr.Feedbacks++
-			ups := s.prod.Feedback(feedback.Message{Cmd: feedback.Resume, MNS: []*feedback.MNS{m}})
-			j.processUpstream(s, ups, out)
-		}
+		j.processUpstream(s, j.upstream(s, feedback.Resume, m), out)
 	}
 	for p := operator.Port(0); p < 2; p++ {
 		s := j.in[p]
@@ -253,41 +258,34 @@ func (j *JoinOp) resumeTotal(m *feedback.MNS, out *[]*stream.Composite) {
 // upstream first and process the returned inputs, then reactivate the
 // entry's suspended tuples with their catch-up scans.
 func (j *JoinOp) resumeTypeI(s *side, m *feedback.MNS, out *[]*stream.Composite) {
-	if j.mode.Propagate && s.prod != nil && s.prod.CanSuspend() {
-		j.ctr.Feedbacks++
-		ups := s.prod.Feedback(feedback.Message{Cmd: feedback.Resume, MNS: []*feedback.MNS{m}})
-		j.processUpstream(s, ups, out)
-	}
+	j.processUpstream(s, j.upstream(s, feedback.Resume, m), out)
 	if e, ok := s.black.Take(m.Key()); ok {
 		j.reactivate(s, e, out)
 	}
 }
 
 // processUpstream feeds inputs returned by an upstream resumption through
-// normal processing (diversion check, probe, insert), collecting results.
-// The legacy path drops a composite that expired while suspended upstream;
-// in exact mode it may be past its own window here — pairValid inside the
-// probes admits exactly the REF-formed pairs, and the expired composite
-// stays ephemeral (probe-only).
+// normal processing (diversion check, probe, insert), collecting results. A
+// composite that expired while suspended upstream is dropped when stale;
+// otherwise it is past its own window here — pairValid inside the probes
+// admits exactly the REF-formed pairs, and the expired composite stays
+// ephemeral (probe-only).
 func (j *JoinOp) processUpstream(s *side, ups []*stream.Composite, out *[]*stream.Composite) {
 	for _, u := range ups {
-		expired := u.MinTS+j.window <= j.now
-		if !j.exact && (expired || j.divert(u, s.port, 0)) {
-			continue
+		if !j.stale(u) {
+			j.enter(activation{c: u, port: s.port, collect: out, ephemeral: j.expired(u)})
 		}
-		j.activate(activation{c: u, port: s.port, collect: out, divertCheck: j.exact, ephemeral: expired})
 	}
 }
 
 // reactivate returns an entry's surviving tuples to the active state. A
-// tuple that expired while suspended is dropped on the legacy path (its
-// results were never demanded) and resumed as an ephemeral in exact mode.
+// tuple that expired while suspended is dropped when stale (its results were
+// never demanded) and resumed as an ephemeral otherwise.
 func (j *JoinOp) reactivate(s *side, e *feedback.Entry, out *[]*stream.Composite) {
 	s.black.ReleaseTuples(e)
 	for _, susp := range e.Tuples {
-		expired := susp.E.C.MinTS+j.window <= j.now
-		if !expired || j.exact {
-			j.resume(s, susp, out, expired)
+		if !j.stale(susp.E.C) {
+			j.resume(s, susp, out, j.expired(susp.E.C))
 		}
 	}
 }
@@ -345,13 +343,9 @@ func (j *JoinOp) propagateUnmark(e *feedback.OriginEntry) {
 // sources and signature there, under the shared mark id, so stamped outputs
 // are recognised — to that side's producer as a mark or unmark.
 func (j *JoinOp) relayMark(cmd feedback.Command, m *feedback.MNS, s *side, sig feedback.Signature) {
-	if !j.mode.Propagate || s.prod == nil || !s.prod.CanSuspend() || len(sig) == 0 {
-		return
+	if len(sig) > 0 && j.propagates(s) { // tested here too: the projection below allocates
+		j.upstream(s, cmd, &feedback.MNS{ID: m.ID, Sources: m.Sources & s.sources, Sig: sig, Expiry: m.Expiry})
 	}
-	j.ctr.Feedbacks++
-	s.prod.Feedback(feedback.Message{Cmd: cmd, MNS: []*feedback.MNS{{
-		ID: m.ID, Sources: m.Sources & s.sources, Sig: sig, Expiry: m.Expiry,
-	}}})
 }
 
 // unmarkCatchup generates the pairs that were suppressed while the mark was
@@ -369,12 +363,10 @@ func (j *JoinOp) unmarkCatchup(e *feedback.OriginEntry, out *[]*stream.Composite
 			continue
 		}
 		gen[key] = true
-		if j.exact {
-			if !j.pairValid(p.L.C, p.R.C) {
-				continue // outside the window span: REF never formed it
-			}
-		} else if p.L.C.MinTS+j.window <= j.now || p.R.C.MinTS+j.window <= j.now {
-			continue // expired: fruitless partial result, never needed
+		if j.stale(p.L.C) || j.stale(p.R.C) || !j.pairValid(p.L.C, p.R.C) {
+			// An expired endpoint nobody demanded, or a pair outside the
+			// window span: REF never formed it.
+			continue
 		}
 		// If either endpoint is an in-flight probing input whose paused
 		// scan has not yet reached the partner's slot, the live scan will
@@ -387,10 +379,7 @@ func (j *JoinOp) unmarkCatchup(e *feedback.OriginEntry, out *[]*stream.Composite
 		}
 		if other := j.marks.SuppressedBy(p.L.C, p.R.C, id); other != 0 {
 			// Still covered by another active mark: defer the pair there.
-			j.ctr.SuppressedPairs++
-			if oe := j.marks.EntryByID(other); oe != nil {
-				j.marks.RecordSuppressed(oe, p.L, p.R)
-			}
+			j.suppress(other, p.L, p.R)
 			continue
 		}
 		j.ctr.CatchUpJoins++
@@ -399,12 +388,7 @@ func (j *JoinOp) unmarkCatchup(e *feedback.OriginEntry, out *[]*stream.Composite
 		if !full {
 			continue
 		}
-		res := stream.Join(p.L.C, p.R.C)
-		j.ctr.Results++
-		if !j.marks.Empty() {
-			j.ctr.Comparisons += uint64(j.marks.StampOutput(res))
-		}
-		*out = append(*out, res)
+		*out = append(*out, j.result(p.L.C, p.R.C))
 	}
 	j.marks.ReleasePending(e)
 	for _, l := range e.Left {
@@ -415,26 +399,12 @@ func (j *JoinOp) unmarkCatchup(e *feedback.OriginEntry, out *[]*stream.Composite
 	}
 }
 
-// Sweep is called by the engine when the operator's deadline is due (or
-// before each arrival): expired mark entries run their unmark catch-up, and
-// expired MNS anchors release their surviving suspended tuples (which
-// re-enter processing and, if still unmatched, are re-suspended under fresh
-// anchors by the downstream consumer). See DESIGN.md §2 (expiry sweep).
-//
-// The legacy sweep garbage-collects first. The exact-delivery sweep
-// (DESIGN.md §4) runs the recoveries before purging, so pairs whose
-// generation was deferred to an expiry boundary are produced while their
-// partners are still reachable, and adds a last gasp between the two.
-func (j *JoinOp) Sweep(now stream.Time) {
-	if now > j.now {
-		j.now = now
-	}
-	if !j.mode.enabled() {
-		return
-	}
-	if !j.exact {
-		j.purge()
-	}
+// fireExpired is the recovery half of Sweep: expired mark entries run their
+// unmark catch-up, and expired MNS anchors release their surviving suspended
+// tuples (which re-enter processing and, if still unmatched, are
+// re-suspended under fresh anchors by the downstream consumer). See
+// DESIGN.md §2 (expiry sweep).
+func (j *JoinOp) fireExpired() {
 	if !j.marks.Empty() {
 		j.marks.PurgeRelays(j.now)
 		if j.marks.HasExpired(j.now) {
@@ -457,68 +427,6 @@ func (j *JoinOp) Sweep(now stream.Time) {
 			j.emitAll(out)
 		}
 	}
-	if !j.exact {
-		return
-	}
-	// Last gasp: a parked tuple whose own window closes under a still-live
-	// anchor can never be demanded again (any future pair would violate the
-	// window span), so its deferred pairs are generated now — exactly the
-	// pairs REF formed while it sat suspended — and the tuple is dropped.
-	for p := operator.Port(0); p < 2; p++ {
-		s := j.in[p]
-		for _, susp := range s.black.TakeExpiredTuples(j.now, j.window) {
-			j.ctr.Purged++
-			var out []*stream.Composite
-			j.resume(s, susp, &out, true)
-			j.emitAll(out)
-		}
-	}
-	j.purge()
-	j.expireGrave()
-}
-
-// expireGrave drops the retired entries nothing can reach any more. A
-// graveyard entry e on one side is read only by a late input c on the other
-// that passes pairValid, which needs c.TS < e.MinTS + w; and a composite all
-// of whose constituents have arrived reaches this operator late only because
-// a sub-composite of it sits deferred — parked or recorded as a suppressed
-// pair — on that input's way here, so its timestamp is at least that item's
-// MinTS. Once every deferred item on the way into a port has MinTS at or past
-// e.MinTS + w, no reader of e is left, now or later: whatever arrives from
-// then on carries a newer timestamp still (DESIGN.md §4 has the full
-// argument). It runs at the end of Sweep only: the engine calls Sweep with
-// no operator on the stack, so nothing is in transit between a blacklist and
-// its consumer, which is what makes the floor complete.
-func (j *JoinOp) expireGrave() {
-	for p := operator.Port(0); p < 2; p++ {
-		if g := j.in[p.Opposite()].grave; !g.Empty() {
-			g.Purge(j.inputFloor(j.in[p]), j.window)
-		}
-	}
-}
-
-// inputFloor is the oldest MinTS among the results still owed to one input
-// port: the tuples parked on it here and whatever its producer defers.
-func (j *JoinOp) inputFloor(s *side) stream.Time {
-	f := NoDeadline
-	if ts, ok := s.black.OldestOwed(); ok {
-		f = ts
-	}
-	if s.prod != nil {
-		f = min(f, s.prod.DeferredFloor())
-	}
-	return f
-}
-
-// DeferredFloor implements operator.Producer: the oldest MinTS among the
-// tuples parked on either input, the pairs suppressed under this operator's
-// marks, and everything deferred further upstream.
-func (j *JoinOp) DeferredFloor() stream.Time {
-	f := min(j.inputFloor(j.in[operator.Left]), j.inputFloor(j.in[operator.Right]))
-	if ts, ok := j.marks.NextPendingMinTS(); ok {
-		f = min(f, ts)
-	}
-	return f
 }
 
 func (j *JoinOp) emitAll(out []*stream.Composite) {
@@ -544,7 +452,8 @@ const NoDeadline = feedback.NoExpiry
 //   - window expiry of suspended (parked) tuples: min MinTS + w,
 //   - MNS buffer expiry (both sides): forgotten demands are purged,
 //   - mark origin / relay expiry: unmark catch-up generates pending pairs,
-//   - window expiry of pending suppressed-pair endpoints: min MinTS + w.
+//   - window expiry of pending suppressed-pair endpoints: min MinTS + w
+//     (pendingDeadline: a purge event in legacy mode only).
 //
 // The underlying minima are cached lower bounds (state / feedback min
 // tracking): after removals they may be momentarily stale-low, so a deadline
@@ -573,15 +482,7 @@ func (j *JoinOp) NextDeadline() stream.Time {
 	if e := j.marks.NextExpiry(); e < d {
 		d = e
 	}
-	// Pending suppressed pairs: in legacy mode their window expiry is a
-	// purge event; in exact mode they are retained until their mark's
-	// unmark catch-up (covered by NextExpiry above), so no deadline.
-	if !j.exact {
-		if ts, ok := j.marks.NextPendingMinTS(); ok && ts+j.window < d {
-			d = ts + j.window
-		}
-	}
-	return d
+	return min(d, j.pendingDeadline())
 }
 
 // InvalidateDeadlineCaches flushes every cached minimum NextDeadline reads,

@@ -1,0 +1,231 @@
+package core
+
+import (
+	"repro/internal/operator"
+	"repro/internal/state"
+	"repro/internal/stream"
+)
+
+// This file is the one seam between the operator's two window-close
+// semantics (DESIGN.md §4). Legacy — the paper's 2008 prototype, which the
+// figure reproductions measure — drops a suspended result nobody demanded by
+// the time its window closes. Exact — drained and served runs — delivers
+// every result REF formed live: recoveries at an expiry boundary run before
+// the purge, a parked tuple gets a last gasp when its own window closes,
+// purged state retires to a graveyard that late recovery emissions still
+// probe, and pairValid replaces "expired → skip" as the admission rule.
+//
+// The rest of the package never names the flag. It asks five questions,
+// answered here: stale (may a recovery probe skip this stored tuple), enter
+// (Process_Input order), Sweep and purge (what window close does, in which
+// order, and whether expired state is retired or dropped), and
+// pendingDeadline (whether a suppressed pair's window close is a timer
+// event). The mechanism exact mode adds follows them, top to bottom.
+
+// SetExact toggles exact-delivery recovery. plan.Built.SetExact fans it out
+// across the wired tree: on for drained and served runs, where every
+// suspended result must resume or expire by the horizon; off (the default)
+// reproduces the paper prototype's drop-at-expiry semantics bit for bit.
+func (j *JoinOp) SetExact(on bool) { j.exact = on }
+
+// expired reports whether c's own window has closed at the operator clock.
+func (j *JoinOp) expired(c *stream.Composite) bool { return c.MinTS+j.window <= j.now }
+
+// stale reports whether a recovery path may skip stored tuple c outright,
+// before charging a catch-up join. Legacy: yes once c has expired — its
+// results were never demanded. Exact: never; the pair-level pairValid inside
+// the join decides, so pairs formed live with an expired tuple still surface.
+func (j *JoinOp) stale(c *stream.Composite) bool { return !j.exact && j.expired(c) }
+
+// enter runs one new input through Process_Input in the mode's order.
+// Legacy checks the blacklist first (the a2 fast path, Sec. IV-B): a diverted
+// arrival does no work at all. Exact follows the paper's order — the MNS
+// buffer probe (resumption trigger) first, so an arrival that both satisfies
+// a pending demand and matches a blacklist signature still fires the
+// resumption before activate diverts it (divertCheck).
+func (j *JoinOp) enter(a activation) {
+	if j.exact {
+		a.divertCheck = true
+	} else if j.divert(a.c, a.port, 0) {
+		return
+	}
+	j.activate(a)
+}
+
+// Sweep is called by the engine when the operator's deadline is due (or
+// before each arrival): expired mark entries run their unmark catch-up and
+// expired MNS anchors release their surviving suspended tuples (fireExpired;
+// DESIGN.md §2, expiry sweep). The legacy sweep garbage-collects first, so
+// those recoveries meet only what is still inside its window. The exact
+// sweep runs them before purging, so pairs whose generation was deferred to
+// an expiry boundary are produced while their partners are still reachable,
+// adds the last gasp, and ends by dropping what the graveyard no longer owes.
+func (j *JoinOp) Sweep(now stream.Time) {
+	if now > j.now {
+		j.now = now
+	}
+	if !j.mode.enabled() {
+		return
+	}
+	if !j.exact {
+		j.purge()
+		j.fireExpired()
+		return
+	}
+	j.fireExpired()
+	j.lastGasp()
+	j.purge()
+	j.expireGrave()
+}
+
+// purge applies window expiry to every stored structure, charging the work
+// to the Purged counter. With feedback on, the mode makes one choice per
+// call. Legacy drops: expired state entries, parked tuples and pending
+// suppressed pairs are fruitless partial results. Exact retires the state
+// entries instead — a parked tuple elsewhere in the plan can still release a
+// late composite whose REF-valid partners expired here first, and the
+// graveyard keeps them reachable for probeGrave until expireGrave proves
+// nothing deferred can pair with them — and leaves parked tuples to the last
+// gasp and pending pairs to their mark's unmark: both were formed live and
+// stay deliverable. Without feedback (REF) nothing is ever parked, every
+// input arrives at the operator clock, and no reader could reach a retired
+// entry: state stays bounded by the window.
+func (j *JoinOp) purge() {
+	fb := j.mode.enabled()
+	retire := fb && j.exact
+	drop := fb && !retire
+	for p := 0; p < 2; p++ {
+		s := j.in[p]
+		purged := s.st.Purge(j.now, j.window)
+		if retire {
+			for _, e := range purged {
+				s.grave.Reinsert(e)
+			}
+		}
+		j.ctr.Purged += uint64(len(purged))
+		if len(purged) > 0 && s.blooms != nil {
+			j.bloomNoteDeletes(s, len(purged))
+		}
+		if drop {
+			j.ctr.Purged += uint64(len(s.black.TakeExpiredTuples(j.now, j.window)))
+		}
+		if fb {
+			s.buf.Purge(j.now)
+		}
+	}
+	if drop && !j.marks.Empty() {
+		j.ctr.Purged += uint64(j.marks.PurgePending(j.now, j.window))
+	}
+}
+
+// pendingDeadline is NextDeadline's term for pending suppressed pairs. In
+// legacy mode their window expiry is a purge event; exact mode retains them
+// until their mark's unmark catch-up (a deadline NextDeadline already
+// covers), so they set no timer of their own.
+func (j *JoinOp) pendingDeadline() stream.Time {
+	if !j.exact {
+		if ts, ok := j.marks.NextPendingMinTS(); ok {
+			return ts + j.window
+		}
+	}
+	return NoDeadline
+}
+
+// lastGasp is the exact sweep's extra step: a parked tuple whose own window
+// closes under a still-live anchor can never be demanded again (any future
+// pair would violate the window span), so its deferred pairs are generated
+// now — exactly the pairs REF formed while it sat suspended — and the tuple
+// is dropped from the blacklist (resume retires it to the graveyard).
+func (j *JoinOp) lastGasp() {
+	for p := operator.Port(0); p < 2; p++ {
+		s := j.in[p]
+		for _, susp := range s.black.TakeExpiredTuples(j.now, j.window) {
+			j.ctr.Purged++
+			var out []*stream.Composite
+			j.resume(s, susp, &out, true)
+			j.emitAll(out)
+		}
+	}
+}
+
+// pairValid reports whether joining a and b respects the sliding window:
+// the result's constituents all lie within one window span. Live probes
+// satisfy it by construction (states are purged before probing, so a stored
+// partner is joinable exactly when the span holds); exact-mode recovery
+// paths join against structures that can still hold expired tuples, where
+// this check admits exactly the pairs REF formed live and nothing more.
+func (j *JoinOp) pairValid(a, b *stream.Composite) bool {
+	return max(a.TS, b.TS) < min(a.MinTS, b.MinTS)+j.window
+}
+
+// probeGrave joins a late input against partners already purged from the
+// opposite state (DESIGN.md §4). A composite released by an upstream
+// resumption arrives after the operator clock has moved on; the partners REF
+// joined it with live may have expired here in the meantime. Only inputs
+// with TS < now reach this scan (an in-order arrival fails pairValid against
+// every retired entry, since retirement implies MinTS + window <= now <=
+// input.TS), and pairValid inside joinPair admits exactly the pairs REF
+// formed. Sequences at or below the park-time cursor are covered by the live
+// probe or the pending list, so the walk starts after it; like the live
+// probe, a keyed input visits only its own hash bucket plus the unhashable
+// entries.
+func (j *JoinOp) probeGrave(f *probeFrame, o *side, cursor uint64, collect *[]*stream.Composite) {
+	s := j.in[f.port]
+	h, keyed := uint64(0), false
+	if o.grave.Indexed() {
+		h, keyed = s.key.Hash(f.input)
+	}
+	o.grave.Walk(keyed, h, cursor, func(e state.Entry) bool {
+		// Outside the window span REF never formed the pair: not recovery
+		// work, so not charged as a catch-up join either.
+		if j.pairValid(f.input, e.C) && !f.done[e.Seq] {
+			j.ctr.CatchUpJoins++
+			j.joinPair(f, s, e, nil, collect, false, phaseFull)
+		}
+		return true
+	})
+}
+
+// expireGrave drops the retired entries nothing can reach any more. A
+// graveyard entry e on one side is read only by a late input c on the other
+// that passes pairValid, which needs c.TS < e.MinTS + w; and a composite all
+// of whose constituents have arrived reaches this operator late only because
+// a sub-composite of it sits deferred — parked or recorded as a suppressed
+// pair — on that input's way here, so its timestamp is at least that item's
+// MinTS. Once every deferred item on the way into a port has MinTS at or past
+// e.MinTS + w, no reader of e is left, now or later: whatever arrives from
+// then on carries a newer timestamp still (DESIGN.md §4 has the full
+// argument). It runs at the end of Sweep only: the engine calls Sweep with
+// no operator on the stack, so nothing is in transit between a blacklist and
+// its consumer, which is what makes the floor complete.
+func (j *JoinOp) expireGrave() {
+	for p := operator.Port(0); p < 2; p++ {
+		if g := j.in[p.Opposite()].grave; !g.Empty() {
+			g.Drop(j.inputFloor(j.in[p]), j.window)
+		}
+	}
+}
+
+// inputFloor is the oldest MinTS among the results still owed to one input
+// port: the tuples parked on it here and whatever its producer defers.
+func (j *JoinOp) inputFloor(s *side) stream.Time {
+	f := NoDeadline
+	if ts, ok := s.black.OldestOwed(); ok {
+		f = ts
+	}
+	if s.prod != nil {
+		f = min(f, s.prod.DeferredFloor())
+	}
+	return f
+}
+
+// DeferredFloor implements operator.Producer: the oldest MinTS among the
+// tuples parked on either input, the pairs suppressed under this operator's
+// marks, and everything deferred further upstream.
+func (j *JoinOp) DeferredFloor() stream.Time {
+	f := min(j.inputFloor(j.in[operator.Left]), j.inputFloor(j.in[operator.Right]))
+	if ts, ok := j.marks.NextPendingMinTS(); ok {
+		f = min(f, ts)
+	}
+	return f
+}

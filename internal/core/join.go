@@ -135,12 +135,8 @@ type JoinOp struct {
 	marks  *feedback.MarkTable
 	now    stream.Time
 	frames []*probeFrame
-	// exact enables exact-delivery recovery (DESIGN.md §4): demand-buffer
-	// probes precede diversion, expiry-boundary recoveries generate the
-	// pairs REF formed live (guarded by pairValid), and parked tuples get a
-	// last-gasp catch-up when their own window closes. Off by default: the
-	// paper's 2008 prototype drops never-demanded suspended results at
-	// expiry, and the figure reproductions measure exactly that behaviour.
+	// exact selects exact-delivery over the paper prototype's drop-at-expiry
+	// semantics. Only expiry.go reads it: that file states what differs.
 	exact bool
 }
 
@@ -223,30 +219,6 @@ func (j *JoinOp) CanSuspend() bool { return j.mode.enabled() && !j.mode.IgnoreFe
 // Window returns the operator's window length.
 func (j *JoinOp) Window() stream.Time { return j.window }
 
-// SetExact toggles exact-delivery recovery (DESIGN.md §4). The engine
-// enables it for drained runs, where every suspended result must resume or
-// expire by the horizon; the default (off) reproduces the paper prototype's
-// drop-at-expiry semantics bit for bit.
-func (j *JoinOp) SetExact(on bool) { j.exact = on }
-
-// pairValid reports whether joining a and b respects the sliding window:
-// the result's constituents all lie within one window span. Live probes
-// enforce this implicitly (states are purged before probing, so a stored
-// partner is joinable exactly when the span holds); exact-mode recovery
-// paths join against structures that can still hold expired tuples, where
-// this explicit check admits exactly the pairs REF formed live and nothing
-// more.
-func (j *JoinOp) pairValid(a, b *stream.Composite) bool {
-	min, max := a.MinTS, a.TS
-	if b.MinTS < min {
-		min = b.MinTS
-	}
-	if b.TS > max {
-		max = b.TS
-	}
-	return max < min+j.window
-}
-
 // Side exposes internals for white-box tests: the state, blacklist and MNS
 // buffer of one port.
 func (j *JoinOp) Side(p operator.Port) (*state.State, *feedback.Blacklist, *feedback.Buffer) {
@@ -300,21 +272,14 @@ func (j *JoinOp) SnapshotBase(p operator.Port, cut stream.Time) []*stream.Tuple 
 }
 
 // Consume implements operator.Consumer: the Process_Input procedure of
-// Fig. 6, preceded by the blacklist fast path (diversion of arrivals whose
-// signature is already suspended, Sec. IV-B).
+// Fig. 6 with the blacklist diversion of arrivals whose signature is already
+// suspended (Sec. IV-B), in the order enter chooses.
 func (j *JoinOp) Consume(c *stream.Composite, port operator.Port) {
 	if c.TS > j.now {
 		j.now = c.TS
 	}
 	j.purge()
-	// Exact mode follows the paper's Process_Input order: the MNS buffer
-	// probe (resumption trigger) comes first, so an arrival that both
-	// satisfies a pending demand and matches a blacklist signature still
-	// fires the resumption before it is diverted (divertCheck).
-	if !j.exact && j.divert(c, port, 0) {
-		return
-	}
-	j.activate(activation{c: c, port: port, detect: true, divertCheck: j.exact})
+	j.enter(activation{c: c, port: port, detect: true})
 }
 
 // activation describes one tuple entering (or re-entering) a side.
@@ -340,8 +305,8 @@ type activation struct {
 	// never joined (see feedback.Suspended.Pending).
 	pending []state.Entry
 	// divertCheck runs the blacklist diversion check after the MNS buffer
-	// probe (exact mode): a diverted input skips probe and insertion but
-	// demanded upstream results are still processed.
+	// probe (set by enter in exact mode): a diverted input skips probe and
+	// insertion but demanded upstream results are still processed.
 	divertCheck bool
 	// ephemeral marks an exact-mode recovery of a tuple past its own
 	// window: it probes (generating its deferred pairs) but is neither
@@ -426,7 +391,7 @@ func (j *JoinOp) probeInsert(a activation, s, o *side) {
 		j.probeBlacklists(f, o, a.cursor, a.collect)
 	}
 	j.probePending(f, o, a.pending, a.collect)
-	if j.exact && !o.grave.Empty() && a.c.TS < j.now {
+	if !o.grave.Empty() && a.c.TS < j.now {
 		j.probeGrave(f, o, a.cursor, a.collect)
 	}
 	if a.reuse {
@@ -458,12 +423,9 @@ func (j *JoinOp) probeInsert(a activation, s, o *side) {
 	if f.parkEntry != nil {
 		if cur, ok := s.black.Entry(f.parkEntry.MNS.Key()); ok && cur == f.parkEntry {
 			cursor := o.seq.Watermark()
-			s.black.Park(f.parkEntry, feedback.Suspended{
+			j.park(s, f.parkEntry, feedback.Suspended{
 				E: state.Entry{C: a.c, Seq: a.seq}, Cursor: cursor, Pending: uncovered(o, f.seq, cursor),
 			})
-			j.ctr.Suspended++
-			j.stats.Suspended++
-			j.trace.Suspend(j.name, 1)
 			parked = true
 		}
 	}
@@ -498,11 +460,17 @@ func (j *JoinOp) divert(c *stream.Composite, port operator.Port, seq uint64) boo
 	if seq == 0 {
 		seq = s.seq.Next()
 	}
-	s.black.Park(e, feedback.Suspended{E: state.Entry{C: c, Seq: seq}, Cursor: 0})
+	j.park(s, e, feedback.Suspended{E: state.Entry{C: c, Seq: seq}, Cursor: 0})
+	return true
+}
+
+// park moves one tuple into a blacklist entry of side s and counts the
+// suspension, plan-wide and per operator.
+func (j *JoinOp) park(s *side, e *feedback.Entry, t feedback.Suspended) {
+	s.black.Park(e, t)
 	j.ctr.Suspended++
 	j.stats.Suspended++
 	j.trace.Suspend(j.name, 1)
-	return true
 }
 
 // probePhase selects joinPair's role within a probe (DESIGN.md §3). A
@@ -610,8 +578,8 @@ func (j *JoinOp) probeBlacklists(f *probeFrame, o *side, cursor uint64, collect 
 			if susp.E.Seq <= cursor {
 				continue
 			}
-			if !j.exact && susp.E.C.MinTS+j.window <= j.now {
-				continue // exact mode: joinPair's pairValid decides instead
+			if j.stale(susp.E.C) {
+				continue
 			}
 			if f.done[susp.E.Seq] {
 				continue
@@ -655,19 +623,24 @@ func (j *JoinOp) entrySkip(f *probeFrame, s, o *side, entry *feedback.Entry) boo
 	return false
 }
 
-// recordSuppressed parks a mark-suppressed pair (probing input f against
-// state entry e) in the covering origin entry's pending list, in left/right
-// order.
-func (j *JoinOp) recordSuppressed(f *probeFrame, e state.Entry, id uint64) {
-	oe := j.marks.EntryByID(id)
-	if oe == nil {
-		return
+// suppress counts one mark-suppressed pair, plan-wide and per operator, and
+// parks it in the covering origin entry's pending list for generation at
+// unmark.
+func (j *JoinOp) suppress(id uint64, l, r state.Entry) {
+	j.ctr.SuppressedPairs++
+	j.stats.SuppressedPairs++
+	if oe := j.marks.EntryByID(id); oe != nil {
+		j.marks.RecordSuppressed(oe, l, r)
 	}
-	fe := state.Entry{C: f.input, Seq: f.seq}
+}
+
+// suppressProbed is suppress for probing input f against state entry e, put
+// in left/right order.
+func (j *JoinOp) suppressProbed(f *probeFrame, e state.Entry, id uint64) {
 	if f.port == operator.Left {
-		j.marks.RecordSuppressed(oe, fe, e)
+		j.suppress(id, stateEntryOf(f), e)
 	} else {
-		j.marks.RecordSuppressed(oe, e, fe)
+		j.suppress(id, e, stateEntryOf(f))
 	}
 }
 
@@ -684,7 +657,7 @@ func (j *JoinOp) probePending(f *probeFrame, o *side, pending []state.Entry, col
 		}
 		// Look in the active state first.
 		if e, ok := o.st.BySeq(seq); ok {
-			if j.exact || e.C.MinTS+j.window > j.now {
+			if !j.stale(e.C) {
 				j.ctr.CatchUpJoins++
 				j.joinPair(f, s, e, nil, collect, false, phaseFull)
 			}
@@ -692,7 +665,7 @@ func (j *JoinOp) probePending(f *probeFrame, o *side, pending []state.Entry, col
 		}
 		// Then in the blacklists.
 		if susp := o.black.BySeq(seq); susp != nil {
-			if !susp.IsDone(f.seq) && (j.exact || susp.E.C.MinTS+j.window > j.now) {
+			if !susp.IsDone(f.seq) && !j.stale(susp.E.C) {
 				j.ctr.CatchUpJoins++
 				if j.joinPair(f, s, susp.E, nil, collect, false, phaseFull) {
 					susp.MarkDone(f.seq)
@@ -700,44 +673,14 @@ func (j *JoinOp) probePending(f *probeFrame, o *side, pending []state.Entry, col
 			}
 			continue
 		}
-		// Finally the graveyard: in exact mode the partner may have been
-		// retired from the state while this tuple was parked; pairValid
-		// inside joinPair decides whether REF formed the pair.
-		if j.exact {
-			if e, ok := o.grave.BySeq(seq); ok {
-				j.ctr.CatchUpJoins++
-				j.joinPair(f, s, e, nil, collect, false, phaseFull)
-			}
-		}
-	}
-}
-
-// probeGrave joins an exact-mode late input against partners already purged
-// from the opposite state (DESIGN.md §4). A composite released by an
-// upstream resumption arrives after the operator clock has moved on; the
-// partners REF joined it with live may have expired here in the meantime.
-// Only inputs with TS < now reach this scan (an in-order arrival fails
-// pairValid against every retired entry, since retirement implies
-// MinTS + window <= now <= input.TS), and pairValid inside joinPair admits
-// exactly the pairs REF formed. Sequences at or below the park-time cursor
-// are covered by the live probe or the pending list, so the walk starts
-// after it; like the live probe, a keyed input visits only its own hash
-// bucket plus the unhashable entries.
-func (j *JoinOp) probeGrave(f *probeFrame, o *side, cursor uint64, collect *[]*stream.Composite) {
-	s := j.in[f.port]
-	h, keyed := uint64(0), false
-	if o.grave.Indexed() {
-		h, keyed = s.key.Hash(f.input)
-	}
-	o.grave.Walk(keyed, h, cursor, func(e state.Entry) bool {
-		// Outside the window span REF never formed the pair: not recovery
-		// work, so not charged as a catch-up join either.
-		if j.pairValid(f.input, e.C) && !f.done[e.Seq] {
+		// Finally the graveyard (empty outside exact mode): the partner may
+		// have been retired from the state while this tuple was parked;
+		// pairValid inside joinPair decides whether REF formed the pair.
+		if e, ok := o.grave.BySeq(seq); ok {
 			j.ctr.CatchUpJoins++
 			j.joinPair(f, s, e, nil, collect, false, phaseFull)
 		}
-		return true
-	})
+	}
 }
 
 // probeInFlight joins a reactivated tuple with in-flight opposite inputs
@@ -775,11 +718,11 @@ func (j *JoinOp) joinPair(f *probeFrame, s *side, e state.Entry, det *detectCtx,
 		det.observe(j, mask, full)
 		return false
 	}
-	if j.exact && !j.pairValid(f.input, e.C) {
-		// Exact-mode recovery probe against a partner outside the pair's
-		// window span: REF never formed this pair, so neither bookkeeping
-		// nor generation may happen (recording it as suppressed would
-		// resurrect it at unmark).
+	if !j.pairValid(f.input, e.C) {
+		// A recovery probe against a partner outside the pair's window span
+		// (exact mode only; every pair a legacy probe reaches is valid): REF
+		// never formed this pair, so neither bookkeeping nor generation may
+		// happen (recording it as suppressed would resurrect it at unmark).
 		return false
 	}
 	suppressedID := uint64(0)
@@ -793,9 +736,7 @@ func (j *JoinOp) joinPair(f *probeFrame, s *side, e state.Entry, det *detectCtx,
 		// through to the evaluation and records only full matches — the
 		// bookkeeping the baseline detection scan performs, so the
 		// observation pass that may follow can record nothing.
-		j.ctr.SuppressedPairs++
-		j.stats.SuppressedPairs++
-		j.recordSuppressed(f, e, suppressedID)
+		j.suppressProbed(f, e, suppressedID)
 		return false
 	}
 	mask, full, n := j.evalAtoms(f.input, s, e.C, det != nil)
@@ -807,23 +748,28 @@ func (j *JoinOp) joinPair(f *probeFrame, s *side, e state.Entry, det *detectCtx,
 		return false
 	}
 	if suppressedID != 0 {
-		j.ctr.SuppressedPairs++
-		j.stats.SuppressedPairs++
-		j.recordSuppressed(f, e, suppressedID)
+		j.suppressProbed(f, e, suppressedID)
 		return false
 	}
 	f.fullMatch = true
-	r := stream.Join(f.input, e.C)
-	j.ctr.Results++
-	if !j.marks.Empty() {
-		j.ctr.Comparisons += uint64(j.marks.StampOutput(r))
-	}
+	r := j.result(f.input, e.C)
 	if collect != nil {
 		*collect = append(*collect, r)
 		return true
 	}
 	j.emit(r)
 	return true
+}
+
+// result builds the join of a fully matching pair, counted and stamped with
+// the marks it now carries.
+func (j *JoinOp) result(a, b *stream.Composite) *stream.Composite {
+	r := stream.Join(a, b)
+	j.ctr.Results++
+	if !j.marks.Empty() {
+		j.ctr.Comparisons += uint64(j.marks.StampOutput(r))
+	}
+	return r
 }
 
 // emit delivers a result downstream. Emission may re-enter this operator
@@ -862,44 +808,6 @@ func (j *JoinOp) evalAtoms(c *stream.Composite, s *side, v *stream.Composite, de
 		}
 	}
 	return mask, full, comparisons
-}
-
-// purge applies window expiry to every stored structure, charging the work
-// to the Purged counter.
-func (j *JoinOp) purge() {
-	for p := 0; p < 2; p++ {
-		s := j.in[p]
-		purged := s.st.Purge(j.now, j.window)
-		if j.exact && j.mode.enabled() {
-			// Retire rather than drop: a parked tuple elsewhere in the plan
-			// can still release a late composite whose REF-valid partners
-			// expired here first. The graveyard keeps them reachable for
-			// probeGrave until expireGrave proves nothing deferred can pair
-			// with them. Without feedback nothing is ever parked, every
-			// input arrives at the operator clock, and no reader could reach
-			// a retired entry: REF state stays bounded by the window.
-			for _, e := range purged {
-				s.grave.Reinsert(e)
-			}
-		}
-		j.ctr.Purged += uint64(len(purged))
-		if len(purged) > 0 && s.blooms != nil {
-			j.bloomNoteDeletes(s, len(purged))
-		}
-		if j.mode.enabled() {
-			if !j.exact {
-				// Exact mode replaces the silent drop with a last-gasp
-				// catch-up at each parked tuple's window close (Sweep), and
-				// keeps pending suppressed pairs until their mark unmarks —
-				// both were formed live and stay deliverable (pairValid).
-				j.ctr.Purged += uint64(len(s.black.TakeExpiredTuples(j.now, j.window)))
-			}
-			s.buf.Purge(j.now)
-		}
-	}
-	if j.mode.enabled() && !j.exact && !j.marks.Empty() {
-		j.ctr.Purged += uint64(j.marks.PurgePending(j.now, j.window))
-	}
 }
 
 func (j *JoinOp) String() string {

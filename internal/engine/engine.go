@@ -15,8 +15,8 @@
 // so every suspended result either resumes or expires — without it, results
 // whose resumption trigger or anchor expiry falls after the last arrival
 // would be silently dropped (DESIGN.md §4, drain-at-horizon invariant).
-// Drain also switches every operator into exact-delivery recovery
-// (core.JoinOp.SetExact): expiry-boundary recoveries generate the pairs REF
+// Drain also switches the plan into exact-delivery recovery
+// (plan.Built.SetExact): expiry-boundary recoveries generate the pairs REF
 // formed live, so a drained run's finals match REF in every mode.
 //
 // Ingestion is streaming: RunStream pulls tuples one at a time from a
@@ -130,17 +130,16 @@ func New(b *plan.Built) *Engine { return NewWithOptions(b, Options{}) }
 
 // NewWithOptions creates an engine with explicit options. Drain implies
 // exact-delivery mode on every operator: recovery at expiry boundaries
-// generates the pairs REF formed live (core.JoinOp.SetExact, DESIGN.md §4),
+// generates the pairs REF formed live (plan.Built.SetExact, DESIGN.md §4),
 // which is what makes the drained run's finals match REF exactly. Without
 // Drain the operators keep the paper prototype's drop-at-expiry semantics,
-// bit-identical to the historical engine.
+// bit-identical to the historical engine. A plan a Reoptimizer migrates to
+// comes from Built.Rebuild and inherits the setting.
 func NewWithOptions(b *plan.Built, o Options) *Engine {
 	if o.Reopt != nil && !o.Drain {
 		panic("engine: Reopt requires Drain — the migration handoff relies on exact-delivery recovery (DESIGN.md §7)")
 	}
-	for _, j := range b.Joins {
-		j.SetExact(o.Drain)
-	}
+	b.SetExact(o.Drain)
 	return &Engine{built: b, opts: o}
 }
 
@@ -230,9 +229,6 @@ func (e *Engine) RunStream(next func() (*stream.Tuple, bool)) Result {
 			if nb := e.opts.Reopt.Migrate(t.TS, b); nb != nil {
 				b = nb
 				e.built = nb
-				for _, j := range nb.Joins {
-					j.SetExact(e.opts.Drain)
-				}
 				sched = newScheduler(b.Joins)
 				sched.refresh()
 			}

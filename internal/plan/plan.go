@@ -151,6 +151,9 @@ type Built struct {
 	Trace *obs.Tracer
 
 	nextMNS uint64
+	// exact is the delivery semantics last applied by SetExact, remembered so
+	// successor plans start under it.
+	exact bool
 
 	// The build spec is retained so the plan can be replicated for sharded
 	// execution (internal/shard): preds/shape/opt plus the shared Catalog
@@ -222,11 +225,13 @@ func (b *Built) Preds() predicate.Conj { return b.preds }
 func (b *Built) Opt() Options { return b.opt }
 
 // Rebuild constructs a fresh plan over the same catalog, predicates and
-// options but a different shape — the successor plan of a mid-run migration
-// (internal/adapt, DESIGN.md §7). Like Replicate it shares no mutable state
-// with b.
+// options but a different shape, under b's delivery semantics (SetExact) —
+// the successor plan of a mid-run migration (internal/adapt, DESIGN.md §7).
+// Like Replicate it shares no mutable state with b.
 func (b *Built) Rebuild(shape *Node) *Built {
-	return BuildTree(b.Catalog, b.preds, shape, b.opt)
+	nb := BuildTree(b.Catalog, b.preds, shape, b.opt)
+	nb.SetExact(b.exact)
+	return nb
 }
 
 // RootJoin returns the root operator as its concrete join type (the root of
@@ -280,12 +285,23 @@ func (b *Built) ReplayInWindow(rows []*stream.Tuple) {
 }
 
 // Replicate builds a fresh plan identical to b — same catalog, predicates,
-// shape and options, but new operators, counters, account and sink, sharing
-// no mutable state with b. A replica is the unit of scale-out in
-// internal/shard: each engine goroutine drives its own replica, so no
-// operator-level locking is ever needed.
-func (b *Built) Replicate() *Built {
-	return BuildTree(b.Catalog, b.preds, b.shape, b.opt)
+// shape, options and delivery semantics, but new operators, counters,
+// account and sink, sharing no mutable state with b. A replica is the unit
+// of scale-out in internal/shard: each engine goroutine drives its own
+// replica, so no operator-level locking is ever needed.
+func (b *Built) Replicate() *Built { return b.Rebuild(b.shape) }
+
+// SetExact switches every join of the wired plan between exact-delivery
+// recovery and the paper prototype's drop-at-expiry semantics
+// (internal/core/expiry.go, DESIGN.md §4). Like the tracer it is not a build
+// Option: the engine applies it per run (on iff the run drains) and the
+// server before its recovery replay, and Rebuild/Replicate hand the setting
+// to the plans they construct.
+func (b *Built) SetExact(on bool) {
+	b.exact = on
+	for _, j := range b.Joins {
+		j.SetExact(on)
+	}
 }
 
 // SetTrace attaches (or, with nil, detaches) an observability tracer to the

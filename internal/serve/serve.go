@@ -280,9 +280,7 @@ func Open(cfg Config) (*Server, error) {
 	}
 	// Exact-delivery before the replay: the server always drains, and the
 	// replayed state must be the state an exact-mode run would hold.
-	for _, j := range b.Joins {
-		j.SetExact(true)
-	}
+	b.SetExact(true)
 	if ck != nil {
 		start := time.Now() //jitlint:allow wallclock RecoveryInfo.Elapsed is an operator-facing latency report; replayed state is clock-independent
 		b.ReplayInWindow(ck.Rows)

@@ -560,3 +560,36 @@ func TestConfigValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestConfigIdentityPinned pins the string a checkpoint is matched against.
+// identity formats core.Mode with %v, so adding, removing or reordering a
+// Mode field — or touching any other term — silently turns every checkpoint
+// on disk into a "config mismatch" at recovery. A deliberate format change
+// updates these literals and says so in its release note.
+func TestConfigIdentityPinned(t *testing.T) {
+	modes := map[string]string{
+		"jit":   "{lattice true true true false 12}",
+		"ref":   "{none false false false false 0}",
+		"doe":   "{doe false false true false 12}",
+		"bloom": "{bloom false true true false 12}",
+	}
+	for name, m := range modes {
+		mode, err := core.ParseMode(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			cfg  Config
+			want string
+		}{
+			{Config{N: 4, Bushy: true, Window: stream.Minute, Mode: mode},
+				"n=4 shape=((0 1) (2 3)) window=60000 mode=" + m + " indexed=false band=0"},
+			{Config{N: 4, Window: stream.Minute, Mode: mode, Indexed: true, Band: 2},
+				"n=4 shape=(((0 1) 2) 3) window=60000 mode=" + m + " indexed=true band=2"},
+		} {
+			if got := tc.cfg.identity(); got != tc.want {
+				t.Errorf("%s identity drifted:\n got %q\nwant %q", name, got, tc.want)
+			}
+		}
+	}
+}

@@ -386,10 +386,20 @@ func (s *State) BySeq(seq uint64) (Entry, bool) {
 // MinTS + w <= now. It runs on every arrival, so the cached minimum spares
 // the scan when nothing is due.
 func (s *State) Purge(now, window stream.Time) []Entry {
+	return s.purge(now, window, true)
+}
+
+// Drop is Purge for a caller that wants the expired entries gone and has no
+// use for them (the graveyard's retention sweep): nothing is collected.
+func (s *State) Drop(now, window stream.Time) {
+	s.purge(now, window, false)
+}
+
+func (s *State) purge(now, window stream.Time, collect bool) []Entry {
 	if ts, ok := s.MinTS(); !ok || ts+window > now {
 		return nil
 	}
-	return s.extract(now-window, nil)
+	return s.extract(now-window, nil, collect)
 }
 
 // Remove deletes the entry holding exactly this composite and returns it
@@ -406,23 +416,26 @@ func (s *State) Remove(c *stream.Composite) (Entry, bool) {
 // RemoveIf removes and returns every entry for which pred returns true
 // (core moves a suspended signature's matches into a blacklist).
 func (s *State) RemoveIf(pred func(*stream.Composite) bool) []Entry {
-	return s.extract(math.MinInt64, pred)
+	return s.extract(math.MinInt64, pred, true)
 }
 
 // extract is the one filter loop behind window expiry and RemoveIf: it
 // removes every entry whose MinTS is at or below expired or that pred (when
-// given) selects, preserving order among both kept and removed entries.
-// Expiry is a field comparison rather than a pred because it runs over both
-// states of an operator on every arrival. Entries are in arrival order but
-// MinTS is not monotone in general (a composite's MinTS can predate its
-// arrival), so expiry filters rather than truncates a prefix.
-func (s *State) extract(expired stream.Time, pred func(*stream.Composite) bool) []Entry {
+// given) selects, preserving order among both kept and removed entries, and
+// returns the removed ones when collect is set. Expiry is a field comparison
+// rather than a pred because it runs over both states of an operator on
+// every arrival. Entries are in arrival order but MinTS is not monotone in
+// general (a composite's MinTS can predate its arrival), so expiry filters
+// rather than truncates a prefix.
+func (s *State) extract(expired stream.Time, pred func(*stream.Composite) bool, collect bool) []Entry {
 	var removed []Entry
 	kept := s.entries[:0]
 	var min stream.Time
 	for _, e := range s.entries {
 		if e.C.MinTS <= expired || (pred != nil && pred(e.C)) {
-			removed = append(removed, e)
+			if collect {
+				removed = append(removed, e)
+			}
 			s.acct.Free(e.C.DeepSizeBytes())
 			s.indexRemove(e)
 			continue
@@ -432,7 +445,7 @@ func (s *State) extract(expired stream.Time, pred func(*stream.Composite) bool) 
 		}
 		kept = append(kept, e)
 	}
-	if len(removed) > 0 {
+	if len(kept) < len(s.entries) {
 		s.version++
 	}
 	// Zero the tail so removed composites are collectable.
