@@ -166,7 +166,7 @@ func main() {
 	}
 	fmt.Println(r.Counters.String())
 	if *stats {
-		printOpStats(r.Ops)
+		printOps(r.Ops)
 	}
 	obsEpilogue(tracers, mems, *traceOut)
 }
@@ -178,13 +178,14 @@ func printHostile(p exp.Params) {
 	}
 }
 
-// printOpStats renders the per-operator stats table (-stats).
-func printOpStats(ops []metrics.NamedOpStats) {
+// printOps renders the per-operator stats table (-stats): four columns of
+// each operator's ledger.
+func printOps(ops []metrics.OpCounters) {
 	fmt.Println("per-operator stats:")
 	fmt.Printf("  %-24s %12s %12s %12s %12s\n", "operator", "probes", "mns", "suspended", "suppressed")
 	for _, o := range ops {
 		fmt.Printf("  %-24s %12d %12d %12d %12d\n",
-			o.Name, o.Stats.Probes, o.Stats.MNSDetected, o.Stats.Suspended, o.Stats.SuppressedPairs)
+			o.Name, o.Counters.Probes, o.Counters.MNSDetected, o.Counters.Suspended, o.Counters.SuppressedPairs)
 	}
 }
 

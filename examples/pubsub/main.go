@@ -34,7 +34,7 @@ func main() {
 	join := core.NewJoin(core.Config{
 		Name: "Op1", NumSources: 2, Window: 3 * stream.Minute,
 		Preds: conj, Mode: core.JIT(),
-		Counters: ctr, Account: acct, NextMNS: nextMNS,
+		Account: acct, NextMNS: nextMNS,
 		LeftSources:  stream.SourceSet(0).Add(0),
 		RightSources: stream.SourceSet(0).Add(1),
 	})
@@ -68,6 +68,8 @@ func main() {
 			join.Consume(c, operator.Right)
 		}
 	}
+	// The join keeps its own ledger; the selection and the sink share ctr.
+	ctr.Add(join.Counters())
 	fmt.Printf("pubsub: %d events processed\n", events)
 	fmt.Printf("deliveries=%d composites=%d comparisons=%d\n",
 		sink.Count(), ctr.Results, ctr.Comparisons)

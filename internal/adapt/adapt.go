@@ -3,15 +3,16 @@
 // commit to one static join order, built on the paper's own premise that
 // just-in-time feedback reveals where join work is being wasted.
 //
-// A Controller watches the plan-wide metrics.Counters and the per-operator
-// feedback counters (core.JoinOp.Stats: MNSDetected, Suspended,
-// SuppressedPairs) over fixed decision epochs. At each epoch boundary it
-// scores the current shape against candidate plan.Node shapes by shadow
-// replay — the epoch's arrivals run through throwaway plans of each shape,
-// measured in the same deterministic cost units as the live run, and charged
-// to Counters.AdaptUnits so adaptive runs carry their decision overhead
-// honestly. When a candidate beats the current shape by the hysteresis
-// margin for Patience consecutive epochs, the controller migrates.
+// A Controller watches one signal over fixed decision epochs: the difference
+// between the plan's totals (plan.Built.Totals) now and at the last epoch
+// close — its CostUnits, and the feedback pressure it holds (MNSDetected +
+// Suspended + SuppressedPairs). At each epoch boundary it scores the current
+// shape against candidate plan.Node shapes by shadow replay — the epoch's
+// arrivals run through throwaway plans of each shape, measured in the same
+// deterministic cost units as the live run, and charged to the run ledger's
+// AdaptUnits so adaptive runs carry their decision overhead honestly. When a
+// candidate beats the current shape by the hysteresis margin for Patience
+// consecutive epochs, the controller migrates.
 //
 // # The snapshot cut and the handoff
 //
@@ -106,9 +107,8 @@ func (c Config) patience() int {
 const minEpochCost = 1024
 
 // rise is the regime-shift trigger: shadow scoring runs only in epochs where
-// a watched signal layer — the observed cost delta, or the per-operator
-// feedback-pressure delta (MNSDetected + Suspended + SuppressedPairs over
-// core.JoinOp.Stats) — exceeds rise × the previous epoch's, or while a
+// the epoch difference's cost or its feedback pressure (MNSDetected +
+// Suspended + SuppressedPairs) exceeds rise × the previous epoch's, or while a
 // hysteresis streak is pending. Steady-state epochs therefore cost no
 // scoring overhead at all — the shape question is reopened when the observed
 // feedback says the workload changed.
@@ -172,17 +172,16 @@ type Controller struct {
 	b     *plan.Built
 	shape *plan.Node
 	cands []*plan.Node
-	sink  *operator.Sink
 	gate  *operator.Dedup
 
-	clock     stream.EpochClock
-	epochBuf  []*stream.Tuple
-	lastCost  uint64
-	lastStats []metrics.OpStats
-	// prevObserved / prevPressure are the previous epoch's observed cost
-	// delta and per-operator feedback-pressure delta (summed MNSDetected +
-	// Suspended + SuppressedPairs), the regime-shift baselines; noBaseline
-	// marks the first epoch, which only establishes them.
+	clock    stream.EpochClock
+	epochBuf []*stream.Tuple
+	// last is the plan's totals at the last epoch close (or attach, or
+	// migration): the epoch's signal is Totals().Sub(last).
+	last metrics.Counters
+	// prevObserved / prevPressure are the previous epoch's cost and feedback
+	// pressure, the regime-shift baselines; noBaseline marks the first epoch,
+	// which only establishes them.
 	prevObserved uint64
 	prevPressure uint64
 	noBaseline   bool
@@ -209,13 +208,11 @@ func NewCoordinated(cfg Config, coord *Coordinator) *Controller {
 func (c *Controller) Attach(b *plan.Built) {
 	c.b = b
 	c.shape = b.Shape()
-	c.sink = b.Sink
 	c.cands = candidates(b.Catalog.NumSources())
-	c.gate = operator.NewDedup(b.Sink, &b.Counters.MigrationDups)
+	c.gate = operator.NewDedup(b.Sink, &b.RunLedger.MigrationDups)
 	b.RootJoin().SetConsumer(c.gate, operator.Left)
-	c.lastCost = b.Counters.CostUnits()
+	c.last = b.Totals()
 	c.noBaseline = true
-	c.snapStats()
 }
 
 // Decide implements engine.Reoptimizer: it accumulates the epoch's arrival
@@ -256,7 +253,8 @@ func (c *Controller) AtBarrier() {
 	if c.coord == nil || c.b == nil {
 		return
 	}
-	observed := c.b.Counters.CostUnits() - c.lastCost
+	d := c.b.Totals().Sub(c.last)
+	observed := d.CostUnits()
 	c.b.Trace.Epoch(c.b.Trace.Now(), observed)
 	var scores map[string]uint64
 	// The idle gate mirrors the single-engine path: a near-idle replica
@@ -264,10 +262,10 @@ func (c *Controller) AtBarrier() {
 	// requires every replica's scores, so a chronically idle shard —
 	// extreme key skew — conservatively holds migrations; its signal would
 	// be meaningless anyway).
-	if observed >= minEpochCost && (c.reopened(observed) || c.coord.StreakOpen()) {
+	if observed >= minEpochCost && (c.reopened(d) || c.coord.StreakOpen()) {
 		scores = c.scoreShapes()
 	} else if observed < minEpochCost {
-		c.reopened(observed) // advance the baselines regardless
+		c.reopened(d) // advance the baselines regardless
 	}
 	if target := c.coord.Exchange(observed, scores); target != nil &&
 		target.Canonical() != c.shape.Canonical() {
@@ -285,8 +283,8 @@ func (c *Controller) Leave() {
 }
 
 // Migrate implements engine.Reoptimizer: snapshot the outgoing plan at the
-// cut, rebuild under the target shape, replay the snapshot through the
-// dedup gate, and hand the merged measurement substrate to the successor.
+// cut, build the successor under the target shape (plan.Built.Succeed: same
+// sink, run ledger and tracer) and replay the snapshot through the dedup gate.
 func (c *Controller) Migrate(cut stream.Time, b *plan.Built) *plan.Built {
 	target := c.pending
 	c.pending = nil
@@ -296,15 +294,8 @@ func (c *Controller) Migrate(cut stream.Time, b *plan.Built) *plan.Built {
 	note := c.shape.Canonical() + " -> " + target.Canonical()
 	b.Trace.MigrationStart(cut, note)
 	snap := b.SnapshotInWindow(cut)
-	nb := b.Rebuild(target) // exact-delivery like b: the engine set it, Rebuild hands it on
-	// The run's one sink spans the handoff; the successor's own sink is
-	// discarded before anything reaches it.
-	nb.Sink = c.sink
+	nb := b.Succeed(target) // exact-delivery like b: the engine set it, Rebuild hands it on
 	nb.RootJoin().SetConsumer(c.gate, operator.Left)
-	// The successor inherits the run's tracer before the replay, so replay
-	// probes and suspensions are visible in the trace, attributed to the new
-	// plan's operators (DESIGN.md §9).
-	nb.SetTrace(b.Trace)
 	b.Trace.MigrationCut(cut, len(snap), note)
 	// Both plans are resident while the snapshot replays: charge the
 	// outgoing plan's live bytes to the successor's account for the span of
@@ -314,28 +305,25 @@ func (c *Controller) Migrate(cut stream.Time, b *plan.Built) *plan.Built {
 	nb.ReplayInWindow(snap)
 	nb.Account.Free(oldLive)
 	nb.Account.AbsorbPeak(b.Account)
-	nb.Counters.Add(b.Counters)
-	nb.Counters.Migrations++
-	c.sink.SetCounters(nb.Counters)
-	c.gate.CountInto(&nb.Counters.MigrationDups)
-	nb.Trace.MigrationDone(cut, nb.Counters.MigrationDups, note)
+	nb.RunLedger.Migrations++
+	nb.Trace.MigrationDone(cut, nb.RunLedger.MigrationDups, note)
 	c.logf("adapt: t=%v migrate %s -> %s (replayed %d in-window arrivals, %d dups absorbed so far)",
-		cut, c.shape.Canonical(), target.Canonical(), len(snap), nb.Counters.MigrationDups)
+		cut, c.shape.Canonical(), target.Canonical(), len(snap), nb.RunLedger.MigrationDups)
 	c.shape = target
 	c.b = nb
-	c.lastCost = nb.Counters.CostUnits()
+	c.last = nb.Totals()
 	c.noBaseline = true // the successor re-baselines its steady state
-	c.snapStats()
 	return nb
 }
 
 // evaluateEpoch closes one decision epoch (uncoordinated mode): read the
-// observed counter deltas, decide whether the feedback justifies reopening
+// epoch's counter difference, decide whether the feedback justifies reopening
 // the shape question, shadow-score the shapes, apply margin+patience.
 func (c *Controller) evaluateEpoch(now stream.Time) {
-	observed := c.b.Counters.CostUnits() - c.lastCost
+	d := c.b.Totals().Sub(c.last)
+	observed := d.CostUnits()
 	c.b.Trace.Epoch(now, observed)
-	mns, susp, suppr := c.statDeltas()
+	mns, susp, suppr := d.MNSDetected, d.Suspended, d.SuppressedPairs
 	prev := c.prevObserved
 	if observed < minEpochCost {
 		c.prevObserved, c.prevPressure, c.noBaseline = observed, mns+susp+suppr, false
@@ -346,11 +334,11 @@ func (c *Controller) evaluateEpoch(now stream.Time) {
 		return
 	}
 	// Regime-shift gate: in steady state the shape question stays closed and
-	// epochs cost nothing. Scoring reopens when either watched signal layer
-	// jumps (rise ×) against the previous epoch — the observed cost, or the
-	// per-operator feedback pressure — and stays open while a hysteresis
-	// streak is pending. The first epoch only establishes the baselines.
-	if !c.reopened(observed) && c.streak.wins == 0 {
+	// epochs cost nothing. Scoring reopens when the epoch's cost or feedback
+	// pressure jumps (rise ×) against the previous epoch's, and stays open
+	// while a hysteresis streak is pending. The first epoch only establishes
+	// the baselines.
+	if !c.reopened(d) && c.streak.wins == 0 {
 		c.logf("adapt: epoch t=%v steady (cost=%d prev=%d mns=%d susp=%d suppressed=%d) — keep %s",
 			now, observed, prev, mns, susp, suppr, c.shape.Canonical())
 		c.resetEpoch()
@@ -366,7 +354,7 @@ func (c *Controller) evaluateEpoch(now stream.Time) {
 
 // scoreShapes shadow-replays the epoch's arrivals through a throwaway plan
 // of every distinct shape (current first, then candidates) and returns the
-// cost units each accrued, charging the total to Counters.AdaptUnits.
+// cost units each accrued, charging the total to the run ledger's AdaptUnits.
 //
 // The shadows run in REF mode regardless of the live mode: a shape's score
 // is its intrinsic join work on the slice — which intermediates it
@@ -388,22 +376,20 @@ func (c *Controller) scoreShapes() map[string]uint64 {
 		}
 		sb := plan.BuildTree(c.b.Catalog, c.b.Preds(), sh, opts)
 		sb.ReplayInWindow(c.epochBuf)
-		out[k] = sb.Counters.CostUnits()
-		c.b.Counters.AdaptUnits += sb.Counters.CostUnits()
+		out[k] = sb.Totals().CostUnits()
+		c.b.RunLedger.AdaptUnits += out[k]
 	}
 	return out
 }
 
-// reopened applies the regime-shift gate for one epoch close: it compares
-// the epoch's two watched signal layers — the observed cost delta and the
-// per-operator feedback-pressure delta (summed MNSDetected + Suspended +
-// SuppressedPairs over core.JoinOp.Stats) — against the previous epoch's
-// baselines, updates the baselines, and reports whether either jumped by
-// the rise factor. The first epoch only establishes the baselines. At most
-// one call per epoch close (baselines advance on every call).
-func (c *Controller) reopened(observed uint64) bool {
-	mns, susp, suppr := c.statDeltas()
-	pressure := mns + susp + suppr
+// reopened applies the regime-shift gate for one epoch close: it compares the
+// cost and the feedback pressure of the epoch's counter difference d against
+// the previous epoch's baselines, updates the baselines, and reports whether
+// either jumped by the rise factor. The first epoch only establishes the
+// baselines. At most one call per epoch close (baselines advance on every
+// call).
+func (c *Controller) reopened(d metrics.Counters) bool {
+	observed, pressure := d.CostUnits(), d.MNSDetected+d.Suspended+d.SuppressedPairs
 	prevCost, prevPressure, first := c.prevObserved, c.prevPressure, c.noBaseline
 	c.prevObserved, c.prevPressure, c.noBaseline = observed, pressure, false
 	if first {
@@ -416,32 +402,7 @@ func (c *Controller) reopened(observed uint64) bool {
 // resetEpoch starts the next observation epoch from the current totals.
 func (c *Controller) resetEpoch() {
 	c.epochBuf = c.epochBuf[:0]
-	c.lastCost = c.b.Counters.CostUnits()
-	c.snapStats()
-}
-
-// snapStats snapshots the per-operator feedback counters of the current
-// plan, the baseline the next epoch's deltas are computed against.
-func (c *Controller) snapStats() {
-	c.lastStats = c.lastStats[:0]
-	for _, j := range c.b.Joins {
-		c.lastStats = append(c.lastStats, j.Stats())
-	}
-}
-
-// statDeltas sums the per-operator feedback deltas since the last epoch.
-func (c *Controller) statDeltas() (mns, susp, suppr uint64) {
-	for i, j := range c.b.Joins {
-		var prev metrics.OpStats
-		if i < len(c.lastStats) {
-			prev = c.lastStats[i]
-		}
-		d := j.Stats().Delta(prev)
-		mns += d.MNSDetected
-		susp += d.Suspended
-		suppr += d.SuppressedPairs
-	}
-	return
+	c.last = c.b.Totals()
 }
 
 func (c *Controller) logf(format string, args ...interface{}) {

@@ -105,7 +105,6 @@ func (j *JoinOp) reportMNS(f *probeFrame, s, o *side, det *detectCtx) {
 		return
 	}
 	j.ctr.MNSDetected += uint64(len(mnses))
-	j.stats.MNSDetected += uint64(len(mnses))
 	j.trace.MNS(j.name, len(mnses))
 	for _, m := range mnses {
 		s.buf.Add(m)

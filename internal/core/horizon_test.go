@@ -36,8 +36,8 @@ func TestGraveyardHorizon(t *testing.T) {
 				parked := stored.Opposite()
 				cfg := core.Config{
 					Name: "X", NumSources: 2, Window: w, Mode: core.JIT(),
-					Preds:    predicate.Conj{{Left: 0, LCol: 0, Right: 1, RCol: 0}},
-					Counters: &metrics.Counters{}, Account: &metrics.Account{},
+					Preds:       predicate.Conj{{Left: 0, LCol: 0, Right: 1, RCol: 0}},
+					Account:     &metrics.Account{},
 					NextMNS:     func() uint64 { return 1 },
 					LeftSources: stream.SourceSet(0).Add(0), RightSources: stream.SourceSet(0).Add(1),
 				}

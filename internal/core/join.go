@@ -23,9 +23,8 @@ type Config struct {
 	// subset crossing its two input sides.
 	Preds predicate.Conj
 	Mode  Mode
-	// Counters and Account are shared across the plan.
-	Counters *metrics.Counters
-	Account  *metrics.Account
+	// Account is shared across the plan.
+	Account *metrics.Account
 	// NextMNS supplies plan-unique MNS / mark identifiers.
 	NextMNS func() uint64
 	// LeftSources / RightSources are the source sets of the two inputs.
@@ -109,22 +108,19 @@ type probeFrame struct {
 // JoinOp is a binary sliding-window join with optional JIT machinery. It is
 // both a Consumer (of its two inputs) and a Producer (toward its consumer).
 type JoinOp struct {
-	name    string
-	numSrc  int
-	window  stream.Time
-	preds   predicate.Conj
-	mode    Mode
-	ctr     *metrics.Counters
+	name   string
+	numSrc int
+	window stream.Time
+	preds  predicate.Conj
+	mode   Mode
+	// ctr is the operator's own ledger, the only place its work is charged;
+	// plan totals are a sum over operators (plan.Built.Totals).
+	ctr     metrics.Counters
 	acct    *metrics.Account
 	nextMNS func() uint64
 
 	consumer operator.Consumer
 	outPort  operator.Port
-
-	// stats mirrors the feedback-relevant counters per operator (the shared
-	// ctr aggregates plan-wide): the adaptive re-optimizer reads these deltas
-	// each epoch to see where the current shape wastes work (DESIGN.md §7).
-	stats metrics.OpStats
 
 	// trace is the attached observability layer; nil disables it. The tracer
 	// only observes — it never writes anything the counters measure
@@ -151,7 +147,6 @@ func NewJoin(cfg Config) *JoinOp {
 		window:  cfg.Window,
 		preds:   cfg.Preds,
 		mode:    cfg.Mode,
-		ctr:     cfg.Counters,
 		acct:    cfg.Account,
 		nextMNS: cfg.NextMNS,
 	}
@@ -229,10 +224,9 @@ func (j *JoinOp) Side(p operator.Port) (*state.State, *feedback.Blacklist, *feed
 // Marks exposes the mark table for white-box tests.
 func (j *JoinOp) Marks() *feedback.MarkTable { return j.marks }
 
-// Stats returns the operator's own feedback counters — the per-operator
-// slice of the plan-wide metrics.Counters that the adaptive re-optimizer
-// watches over decision epochs (DESIGN.md §7).
-func (j *JoinOp) Stats() metrics.OpStats { return j.stats }
+// Counters returns the operator's ledger: everything this operator has been
+// charged since it was built, and nothing any other operator did.
+func (j *JoinOp) Counters() *metrics.Counters { return &j.ctr }
 
 // SnapshotBase exports the base tuples a source-fed side still holds inside
 // the window at the cut — active state entries plus blacklist-parked tuples
@@ -465,11 +459,10 @@ func (j *JoinOp) divert(c *stream.Composite, port operator.Port, seq uint64) boo
 }
 
 // park moves one tuple into a blacklist entry of side s and counts the
-// suspension, plan-wide and per operator.
+// suspension.
 func (j *JoinOp) park(s *side, e *feedback.Entry, t feedback.Suspended) {
 	s.black.Park(e, t)
 	j.ctr.Suspended++
-	j.stats.Suspended++
 	j.trace.Suspend(j.name, 1)
 }
 
@@ -513,7 +506,6 @@ const (
 // sequence visited.
 func (j *JoinOp) probeState(f *probeFrame, s, o *side, det *detectCtx, collect *[]*stream.Composite, fresh bool) {
 	j.ctr.Probes++
-	j.stats.Probes++
 	if j.trace != nil {
 		// Explicit guard: the scan-bound argument costs a state read.
 		j.trace.Probe(j.name, o.st.Len(), f.seq)
@@ -623,12 +615,10 @@ func (j *JoinOp) entrySkip(f *probeFrame, s, o *side, entry *feedback.Entry) boo
 	return false
 }
 
-// suppress counts one mark-suppressed pair, plan-wide and per operator, and
-// parks it in the covering origin entry's pending list for generation at
-// unmark.
+// suppress counts one mark-suppressed pair and parks it in the covering origin
+// entry's pending list for generation at unmark.
 func (j *JoinOp) suppress(id uint64, l, r state.Entry) {
 	j.ctr.SuppressedPairs++
-	j.stats.SuppressedPairs++
 	if oe := j.marks.EntryByID(id); oe != nil {
 		j.marks.RecordSuppressed(oe, l, r)
 	}

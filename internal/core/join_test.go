@@ -95,8 +95,8 @@ func TestTableIScenario(t *testing.T) {
 	engine.New(bREF).Run(tableITrace(cat))
 	bJIT := buildFig1(core.JIT(), false)
 	engine.New(bJIT).Run(tableITrace(cat))
-	refInt := bREF.Counters.Results
-	jitInt := bJIT.Counters.Results
+	refInt := bREF.Totals().Results
+	jitInt := bJIT.Totals().Results
 	if jitInt > refInt {
 		t.Fatalf("JIT built more composites than REF: %d > %d", jitInt, refInt)
 	}
@@ -218,8 +218,8 @@ func TestJITNeverCostsMoreResults(t *testing.T) {
 		engine.New(ref).Run(arrivals)
 		jit := plan.BuildTree(cat, conj, plan.Bushy(4), plan.Options{Window: 90 * stream.Second, Mode: core.JIT()})
 		engine.New(jit).Run(arrivals)
-		if jit.Counters.Results > ref.Counters.Results {
-			t.Errorf("seed %d: JIT built %d composites, REF %d", seed, jit.Counters.Results, ref.Counters.Results)
+		if jit.Totals().Results > ref.Totals().Results {
+			t.Errorf("seed %d: JIT built %d composites, REF %d", seed, jit.Totals().Results, ref.Totals().Results)
 		}
 		if jit.Sink.Count() != ref.Sink.Count() {
 			t.Errorf("seed %d: result counts differ JIT=%d REF=%d", seed, jit.Sink.Count(), ref.Sink.Count())
@@ -251,7 +251,7 @@ func TestREFKeepsNoGraveyard(t *testing.T) {
 	}
 	ref, refRetired := run(core.REF())
 	jit, jitRetired := run(core.JIT())
-	if ref.Counters.Purged == 0 {
+	if ref.Totals().Purged == 0 {
 		t.Fatal("degenerate run: REF purged nothing")
 	}
 	if refRetired {

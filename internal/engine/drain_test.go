@@ -139,8 +139,8 @@ func TestDrainlessRunDropsFinals(t *testing.T) {
 	New(refB).Run(arrivals)
 	jitB := build(core.JIT())
 	New(jitB).Run(arrivals)
-	if jitB.Counters.FinalResults >= refB.Counters.FinalResults {
+	if jitB.Sink.Count() >= refB.Sink.Count() {
 		t.Fatalf("drain-less JIT delivered %d finals, REF %d — workload no longer exercises the end-of-stream gap",
-			jitB.Counters.FinalResults, refB.Counters.FinalResults)
+			jitB.Sink.Count(), refB.Sink.Count())
 	}
 }

@@ -54,9 +54,11 @@ type Result struct {
 	OrderViolations uint64
 	// Arrivals is the number of input tuples processed.
 	Arrivals int
-	// Ops is the per-operator stat breakdown at run end, in plan order
+	// Ops are the ledgers of the operators live at run end, in plan order
 	// (producers before consumers) — the rows `jitrun -stats` prints.
-	Ops []metrics.NamedOpStats
+	// Counters minus their sum is the plan's run ledger, which also holds the
+	// operators earlier migrations retired.
+	Ops []metrics.OpCounters
 }
 
 // Options configures a run.
@@ -190,14 +192,13 @@ func (e *Engine) RunStream(next func() (*stream.Tuple, bool)) Result {
 	b := e.built
 	start := time.Now() //jitlint:allow wallclock Result.Wall is operator-facing elapsed time; no deterministic artifact reads it
 	// The run's tracer is the initial plan's: migrations hand it to each
-	// successor plan (adapt.Controller.Migrate → SetTrace), while this local
+	// successor plan (plan.Built.Succeed), like the run ledger; this local
 	// keeps engine-level events (arrivals, watermarks, clock) attached to
 	// the run even while b is being swapped. Nil means tracing is off and
 	// every call below is a pointer test (DESIGN.md §9).
 	tr := b.Trace
-	var late uint64
 	if e.opts.Disorder > 0 {
-		next = reorderSource(next, e.opts.Disorder, &late, tr)
+		next = reorderSource(next, e.opts.Disorder, &b.RunLedger.LateDropped, tr)
 	}
 	n := b.Catalog.NumSources()
 	sched := newScheduler(b.Joins)
@@ -225,7 +226,7 @@ func (e *Engine) RunStream(next func() (*stream.Tuple, bool)) Result {
 			if e.opts.SweepEveryArrival {
 				sched.refresh()
 			}
-			sched.drain(t.TS, b.Counters, tr)
+			sched.drain(t.TS, b.RunLedger, tr)
 			if nb := e.opts.Reopt.Migrate(t.TS, b); nb != nil {
 				b = nb
 				e.built = nb
@@ -234,10 +235,10 @@ func (e *Engine) RunStream(next func() (*stream.Tuple, bool)) Result {
 			}
 		}
 		if e.opts.SweepEveryArrival {
-			b.Counters.Sweeps += uint64(len(b.Joins))
+			b.RunLedger.Sweeps += uint64(len(b.Joins))
 			b.Sweep(t.TS)
 		} else {
-			sched.fireDue(t.TS, b.Counters)
+			sched.fireDue(t.TS, b.RunLedger)
 		}
 		feed, ok := b.Feeds[t.Source]
 		if !ok {
@@ -257,26 +258,20 @@ func (e *Engine) RunStream(next func() (*stream.Tuple, bool)) Result {
 		if e.opts.SweepEveryArrival {
 			sched.refresh() // the arrival loop kept no schedule; build one
 		}
-		sched.drain(horizon, b.Counters, tr)
+		sched.drain(horizon, b.RunLedger, tr)
 	}
-	// Late drops are charged at run end so they survive mid-run plan
-	// migrations (a migration swaps b and its Counters).
-	b.Counters.LateDropped += late
 	tr.Finish()
 	wall := time.Since(start) //jitlint:allow wallclock Result.Wall is operator-facing elapsed time; no deterministic artifact reads it
-	ops := make([]metrics.NamedOpStats, len(b.Joins))
-	for i, j := range b.Joins {
-		ops[i] = metrics.NamedOpStats{Name: j.Name(), Stats: j.Stats()}
-	}
+	totals := b.Totals()
 	return Result{
 		Results:         b.Sink.Count(),
-		CostUnits:       b.Counters.CostUnits(),
+		CostUnits:       totals.CostUnits(),
 		WallTime:        wall,
 		PeakMemKB:       b.Account.PeakKB(),
-		Counters:        *b.Counters,
+		Counters:        totals,
 		OrderViolations: b.Sink.OrderViolations,
 		Arrivals:        arrivals,
-		Ops:             ops,
+		Ops:             b.Ops(),
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/plan"
 	"repro/internal/predicate"
 	"repro/internal/source"
@@ -51,38 +50,6 @@ func TestJITMatchesREFResultCount(t *testing.T) {
 		jit := run(t, core.JIT(), seed)
 		if ref.Results != jit.Results {
 			t.Fatalf("seed %d: REF %d vs JIT %d results", seed, ref.Results, jit.Results)
-		}
-	}
-}
-
-// TestOperatorStatsSumToCounters pins the contract of Result.Ops: each
-// per-operator stat is the operator's slice of the plan-wide counter of the
-// same name, so the rows sum to it. The drained N=4 clique parks most of its
-// tuples through Type I suspensions on the bushy plan and re-defers
-// suppressed pairs between marks on the left-deep one — the two paths that
-// used to bump only the plan-wide counter.
-func TestOperatorStatsSumToCounters(t *testing.T) {
-	cat, conj := predicate.Clique(4)
-	arrivals := source.Generate(cat, source.UniformConfig(4, 1, 20, 6*stream.Minute, 1))
-	for _, shape := range []*plan.Node{plan.Bushy(4), plan.LeftDeep(4)} {
-		for _, name := range []string{"jit", "doe", "bloom"} {
-			mode, _ := core.ParseMode(name)
-			b := plan.BuildTree(cat, conj, shape, plan.Options{Window: 2 * stream.Minute, Mode: mode})
-			r := NewWithOptions(b, Options{Drain: true}).Run(arrivals)
-			var sum metrics.OpStats
-			for _, op := range r.Ops {
-				sum.Add(op.Stats)
-			}
-			want := metrics.OpStats{
-				Probes: r.Counters.Probes, MNSDetected: r.Counters.MNSDetected,
-				Suspended: r.Counters.Suspended, SuppressedPairs: r.Counters.SuppressedPairs,
-			}
-			if sum != want {
-				t.Errorf("%s %s: operator rows sum to %+v, plan-wide counters are %+v", name, shape.Canonical(), sum, want)
-			}
-			if name == "jit" && (want.Suspended == 0 || want.SuppressedPairs == 0) {
-				t.Errorf("%s %s: degenerate run, %+v", name, shape.Canonical(), want)
-			}
 		}
 	}
 }

@@ -1,0 +1,152 @@
+package engine_test
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/adapt"
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/metrics"
+	"repro/internal/plan"
+	"repro/internal/predicate"
+	"repro/internal/shard"
+	"repro/internal/source"
+	"repro/internal/stream"
+)
+
+// runOwned names the Counters fields no operator charges: they live in the
+// plan's run ledger (plan.Built.RunLedger). Every other field is charged by
+// operators only, so the run ledger holds of it exactly what retired
+// operators folded in — nothing, on a run that never migrated.
+var runOwned = map[string]bool{
+	"FinalResults": true, "Sweeps": true, "Migrations": true,
+	"AdaptUnits": true, "MigrationDups": true, "LateDropped": true,
+}
+
+func sumOps(ops []metrics.OpCounters) metrics.Counters {
+	var sum metrics.Counters
+	for i := range ops {
+		sum.Add(&ops[i].Counters)
+	}
+	return sum
+}
+
+// sameCounters compares field by field, so a failure names the counters that
+// moved instead of printing two twenty-field structs.
+func sameCounters(t *testing.T, label string, got, want metrics.Counters) {
+	t.Helper()
+	gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
+	for i := 0; i < gv.NumField(); i++ {
+		if g, w := gv.Field(i).Uint(), wv.Field(i).Uint(); g != w {
+			t.Errorf("%s: %s = %d, want %d", label, gv.Type().Field(i).Name, g, w)
+		}
+	}
+}
+
+// ledgerHolds checks the run-ledger half of a result: outside the run-owned
+// fields it holds exactly the retired operators' work.
+func ledgerHolds(t *testing.T, label string, ledger, retired metrics.Counters) {
+	t.Helper()
+	lv, rv := reflect.ValueOf(ledger), reflect.ValueOf(retired)
+	for i := 0; i < lv.NumField(); i++ {
+		name := lv.Type().Field(i).Name
+		if l, r := lv.Field(i).Uint(), rv.Field(i).Uint(); !runOwned[name] && l != r {
+			t.Errorf("%s: run ledger holds %s = %d, retired operators charged %d", label, name, l, r)
+		}
+	}
+}
+
+// retiring wraps a re-optimizer to record the ledgers of the operators each
+// migration retires, read just before the handoff.
+type retiring struct {
+	engine.Reoptimizer
+	retired metrics.Counters
+}
+
+func (r *retiring) Migrate(cut stream.Time, b *plan.Built) *plan.Built {
+	ops := sumOps(b.Ops())
+	nb := r.Reoptimizer.Migrate(cut, b)
+	if nb != nil {
+		r.retired.Add(&ops)
+	}
+	return nb
+}
+
+// TestPlanTotalsAreOperatorSums pins the one-ledger contract: a run's
+// plan-wide Counters are its run ledger plus the ledgers of the operators live
+// at its end (Result.Ops), on every field — single engine, across a forced
+// migration under a lossy reorder stage (the retired operators' work is folded
+// into the run ledger once, and Migrations, MigrationDups and LateDropped keep
+// counting into it through the handoff), and across a 4-shard merge.
+func TestPlanTotalsAreOperatorSums(t *testing.T) {
+	cat, conj := predicate.Clique(4)
+	cfg := source.UniformConfig(4, 1, 20, 6*stream.Minute, 1)
+	arrivals := source.Generate(cat, cfg)
+	cfg.Disorder = 20 * stream.Second
+	perturbed := source.Generate(cat, cfg)
+	for _, shape := range []*plan.Node{plan.Bushy(4), plan.LeftDeep(4)} {
+		for _, name := range []string{"ref", "jit", "doe", "bloom"} {
+			mode, _ := core.ParseMode(name)
+			build := func() *plan.Built {
+				return plan.BuildTree(cat, conj, shape, plan.Options{Window: 2 * stream.Minute, Mode: mode})
+			}
+			label := name + " " + shape.Canonical()
+
+			b := build()
+			r := engine.NewWithOptions(b, engine.Options{Drain: true}).Run(arrivals)
+			want := sumOps(r.Ops)
+			want.Add(b.RunLedger)
+			sameCounters(t, label, r.Counters, want)
+			ledgerHolds(t, label, *b.RunLedger, metrics.Counters{})
+			if b.RunLedger.FinalResults != r.Results || r.Counters.Probes == 0 {
+				t.Errorf("%s: degenerate run or sink not in the run ledger: %s", label, r.Counters.String())
+			}
+
+			// One forced migration to the other shape, fed out of order beyond
+			// the engine's bound so the reorder stage drops tuples on both
+			// sides of the handoff.
+			target := plan.LeftDeep(4)
+			if shape.Canonical() == target.Canonical() {
+				target = plan.Bushy(4)
+			}
+			b = build()
+			ctrl := &retiring{Reoptimizer: adapt.New(adapt.Config{ForceAt: 3 * stream.Minute, ForceTo: target})}
+			eng := engine.NewWithOptions(b, engine.Options{Drain: true, Reopt: ctrl, Disorder: 15 * stream.Second})
+			r = eng.Run(perturbed)
+			label += " migrated"
+			if eng.Built() == b || eng.Built().RunLedger != b.RunLedger {
+				t.Fatalf("%s: no successor plan, or the run ledger did not cross the migration by pointer", label)
+			}
+			want = sumOps(r.Ops)
+			want.Add(b.RunLedger)
+			sameCounters(t, label, r.Counters, want)
+			ledgerHolds(t, label, *b.RunLedger, ctrl.retired)
+			if l := b.RunLedger; l.Migrations != 1 || l.MigrationDups == 0 || l.FinalResults != r.Results ||
+				l.LateDropped == 0 || int(l.LateDropped)+r.Arrivals != len(perturbed) {
+				t.Errorf("%s: run-owned counters did not survive the handoff: %s (results=%d arrivals=%d of %d)",
+					label, l.String(), r.Results, r.Arrivals, len(perturbed))
+			}
+
+			// A 4-shard merge adds the replicas' totals and, by name, their
+			// operators; what the merged operators leave unexplained is the sum
+			// of the replicas' run ledgers.
+			s := shard.New(build(), shard.Options{Shards: 4, Engine: engine.Options{Drain: true}}).Run(arrivals)
+			label = name + " " + shape.Canonical() + " sharded"
+			var totals, ledgers metrics.Counters
+			var ops []metrics.OpCounters
+			for _, sr := range s.Shards {
+				totals.Add(&sr.Counters)
+				l := sr.Counters.Sub(sumOps(sr.Ops))
+				ledgers.Add(&l)
+				ops = metrics.MergeOps(ops, sr.Ops)
+			}
+			if len(s.Shards) != 4 || !reflect.DeepEqual(s.Merged.Ops, ops) {
+				t.Errorf("%s: %d shards, merged operators %+v, want %+v", label, len(s.Shards), s.Merged.Ops, ops)
+			}
+			sameCounters(t, label, s.Merged.Counters, totals)
+			sameCounters(t, label+" run ledgers", s.Merged.Counters.Sub(sumOps(s.Merged.Ops)), ledgers)
+			ledgerHolds(t, label, ledgers, metrics.Counters{})
+		}
+	}
+}

@@ -28,14 +28,12 @@ type Target struct {
 	Funcs   []string
 }
 
-// Targets is the audited merge surface: the shard/adapt counter merge, the
-// per-operator stat merge and delta, the latency-histogram merge and the
-// sampled-series merge. metrics.Counters deliberately has no Delta — the
-// obs sampler derives deltas by reflection (obs.counterDelta), which
-// covers new fields automatically.
+// Targets is the audited merge surface: the counter merge behind plan
+// totals and shard results, its inverse (the difference the obs sampler and
+// the adaptive controller watch), the latency-histogram merge and the
+// sampled-series merge.
 var Targets = []Target{
-	{Package: "metrics", Type: "Counters", Funcs: []string{"Add"}},
-	{Package: "metrics", Type: "OpStats", Funcs: []string{"Add", "Delta"}},
+	{Package: "metrics", Type: "Counters", Funcs: []string{"Add", "Sub"}},
 	{Package: "obs", Type: "Histogram", Funcs: []string{"Merge"}},
 	{Package: "obs", Type: "Sample", Funcs: []string{"MergeSeries"}},
 }
@@ -43,8 +41,8 @@ var Targets = []Target{
 // Analyzer is the countersmerge check.
 var Analyzer = &lint.Analyzer{
 	Name: "countersmerge",
-	Doc: "every field of the measurement structs (metrics.Counters, metrics.OpStats, " +
-		"obs.Histogram, obs.Sample) must be referenced in their merge functions",
+	Doc: "every field of the measurement structs (metrics.Counters, obs.Histogram, " +
+		"obs.Sample) must be referenced in their merge and difference functions",
 	Packages: targetPackages(),
 	Run:      run,
 }
@@ -142,7 +140,7 @@ func findFunc(pass *lint.Pass, typeName, name string) *ast.FuncDecl {
 }
 
 // mentions reports whether the function body references the struct field —
-// as a selector (c.Probes) or as a composite-literal key (OpStats{Probes:
+// as a selector (c.Probes) or as a composite-literal key (Counters{Probes:
 // …}); go/types records the field object for both.
 func mentions(pass *lint.Pass, body *ast.BlockStmt, field *types.Var) bool {
 	found := false

@@ -1,5 +1,5 @@
 // Package metrics (drift variant) is a countersmerge fixture for config
-// drift: a target type whose audited merge function does not exist at all.
+// drift: a target type one of whose audited functions does not exist at all.
 package metrics
 
 // Counters has no Add — the analyzer reports the missing target instead of
@@ -8,9 +8,5 @@ type Counters struct { // want "countersmerge target Counters.Add not found"
 	Probes uint64
 }
 
-// OpStats satisfies its targets trivially: no fields, nothing to miss.
-type OpStats struct{}
-
-func (s *OpStats) Add(o OpStats) {}
-
-func (s OpStats) Delta(prev OpStats) OpStats { return OpStats{} }
+// Sub is present and complete.
+func (c Counters) Sub(prev Counters) Counters { return Counters{Probes: c.Probes - prev.Probes} }

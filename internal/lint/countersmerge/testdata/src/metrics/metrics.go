@@ -1,6 +1,5 @@
-// Package metrics is a countersmerge fixture: Counters.Add forgets a
-// field, OpStats is fully merged (selector form in Add, composite-literal
-// keys in Delta).
+// Package metrics is a countersmerge fixture: Counters.Add forgets a field
+// (selector form), Counters.Sub forgets another (composite-literal keys).
 package metrics
 
 // Counters is the fixture counter block.
@@ -16,18 +15,8 @@ func (c *Counters) Add(o *Counters) { // want "Counters.Add does not reference C
 	c.Emitted += o.Emitted
 }
 
-// OpStats is complete under both of its audited functions.
-type OpStats struct {
-	Probes uint64
-	Hits   uint64
-}
-
-func (s *OpStats) Add(o OpStats) {
-	s.Probes += o.Probes
-	s.Hits += o.Hits
-}
-
-// Delta mentions every field through composite-literal keys, which count.
-func (s OpStats) Delta(prev OpStats) OpStats {
-	return OpStats{Probes: s.Probes - prev.Probes, Hits: s.Hits - prev.Hits}
+// Sub mentions fields through composite-literal keys, which count —
+// deliberately missing Emitted.
+func (c Counters) Sub(prev Counters) Counters { // want "Counters.Sub does not reference Counters field Emitted"
+	return Counters{Probes: c.Probes - prev.Probes, Dropped: c.Dropped - prev.Dropped}
 }

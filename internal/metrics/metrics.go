@@ -2,6 +2,13 @@
 // deterministic cost-unit counters (machine-independent analogue of the
 // paper's CPU seconds) and exact live-byte accounting with peak tracking
 // (analogue of the paper's peak memory consumption).
+//
+// A Counters value is a ledger with one writer. Each join operator owns one,
+// a plan keeps one more for what no operator owns (plan.Built.RunLedger), and
+// every wider figure — a plan's totals, a sharded fleet's — is a sum of
+// ledgers (Add), every narrower one — a sampling interval, a decision epoch —
+// a difference of two readings (Sub). Nothing is counted twice to be read in
+// two places (DESIGN.md §9).
 package metrics
 
 import (
@@ -9,8 +16,8 @@ import (
 	"strings"
 )
 
-// Counters accumulates the deterministic work units performed by an engine
-// run. The relative magnitudes across a parameter sweep reproduce the shape
+// Counters accumulates the deterministic work units performed by one
+// operator, one plan or one run. The relative magnitudes across a parameter sweep reproduce the shape
 // of the paper's CPU-time figures without depending on the host machine.
 type Counters struct {
 	// Probes counts state probes: one per (incoming tuple, opposite state)
@@ -42,7 +49,9 @@ type Counters struct {
 	CatchUpJoins uint64
 	// SuppressedPairs counts probe pairs skipped due to suspension marks.
 	SuppressedPairs uint64
-	// QueueOps counts inter-operator queue pushes.
+	// QueueOps is charged by nothing: the pipelined engine has no
+	// inter-operator queues, and no code has incremented it since the seed
+	// commit. Kept because bench/jitperf reads it.
 	QueueOps uint64
 	// Sweeps counts operator expiry sweeps fired by the engine. Not part of
 	// CostUnits (the work a sweep performs is already charged through
@@ -94,12 +103,40 @@ func (c *Counters) Add(o *Counters) {
 	c.LateDropped += o.LateDropped
 }
 
+// Sub returns c − prev field-wise: the work done between two readings of one
+// ledger. The obs sampler's interval deltas and the adaptive controller's
+// epoch signal (internal/adapt) are both this difference.
+func (c Counters) Sub(prev Counters) Counters {
+	return Counters{
+		Probes:          c.Probes - prev.Probes,
+		Comparisons:     c.Comparisons - prev.Comparisons,
+		Results:         c.Results - prev.Results,
+		FinalResults:    c.FinalResults - prev.FinalResults,
+		Inserted:        c.Inserted - prev.Inserted,
+		Purged:          c.Purged - prev.Purged,
+		LatticeNodes:    c.LatticeNodes - prev.LatticeNodes,
+		BloomChecks:     c.BloomChecks - prev.BloomChecks,
+		MNSDetected:     c.MNSDetected - prev.MNSDetected,
+		Feedbacks:       c.Feedbacks - prev.Feedbacks,
+		Suspended:       c.Suspended - prev.Suspended,
+		Resumed:         c.Resumed - prev.Resumed,
+		CatchUpJoins:    c.CatchUpJoins - prev.CatchUpJoins,
+		SuppressedPairs: c.SuppressedPairs - prev.SuppressedPairs,
+		QueueOps:        c.QueueOps - prev.QueueOps,
+		Sweeps:          c.Sweeps - prev.Sweeps,
+		Migrations:      c.Migrations - prev.Migrations,
+		AdaptUnits:      c.AdaptUnits - prev.AdaptUnits,
+		MigrationDups:   c.MigrationDups - prev.MigrationDups,
+		LateDropped:     c.LateDropped - prev.LateDropped,
+	}
+}
+
 // CostUnits collapses the counters into a single deterministic work figure.
 // Weights approximate relative instruction costs: a comparison is the unit;
 // constructing a result composite costs more (allocation + copy); lattice
 // node evaluations and bloom checks are cheap; feedback handling carries a
 // fixed overhead so that JIT's own bookkeeping is charged honestly.
-func (c *Counters) CostUnits() uint64 {
+func (c Counters) CostUnits() uint64 {
 	return c.Comparisons*1 +
 		c.Results*8 +
 		c.Inserted*2 +
@@ -132,45 +169,33 @@ func (c *Counters) String() string {
 	return b.String()
 }
 
-// OpStats are the per-operator mirrors of the feedback counters the adaptive
-// re-optimizer watches (internal/adapt, DESIGN.md §7): where MNSs are being
-// detected, tuples suspended and pairs suppressed tells the epoch policy
-// which part of the plan shape is paying for its position.
-type OpStats struct {
-	// Probes counts state probes initiated at this operator.
-	Probes uint64
-	// MNSDetected counts MNSs this operator reported as a consumer.
-	MNSDetected uint64
-	// Suspended counts tuples this operator moved into its blacklists.
-	Suspended uint64
-	// SuppressedPairs counts probe pairs this operator skipped under marks.
-	SuppressedPairs uint64
+// OpCounters is one operator's ledger under its name: the record a run
+// reports per operator (engine.Result.Ops, `jitrun -stats`), the obs sampler
+// cuts into intervals and the ops endpoint labels `op`. An operator is the
+// only writer of its Counters, so a plan's totals are its run ledger plus the
+// sum of these (plan.Built.Totals).
+type OpCounters struct {
+	Name     string
+	Counters Counters
 }
 
-// Add accumulates o into s component-wise — the merge used when sharded
-// runs aggregate per-replica operator stats by operator name.
-func (s *OpStats) Add(o OpStats) {
-	s.Probes += o.Probes
-	s.MNSDetected += o.MNSDetected
-	s.Suspended += o.Suspended
-	s.SuppressedPairs += o.SuppressedPairs
-}
-
-// NamedOpStats pairs an operator's name with its stats — the per-operator
-// row an engine run reports (engine.Result.Ops, `jitrun -stats`).
-type NamedOpStats struct {
-	Name  string
-	Stats OpStats
-}
-
-// Delta returns the component-wise difference s - prev.
-func (s OpStats) Delta(prev OpStats) OpStats {
-	return OpStats{
-		Probes:          s.Probes - prev.Probes,
-		MNSDetected:     s.MNSDetected - prev.MNSDetected,
-		Suspended:       s.Suspended - prev.Suspended,
-		SuppressedPairs: s.SuppressedPairs - prev.SuppressedPairs,
+// MergeOps adds src into dst by operator name and returns dst: shard replicas
+// and their sampled series share one shape, so names align; an unseen name
+// (a migrated fleet's successor operators) is appended in order of first
+// appearance.
+func MergeOps(dst, src []OpCounters) []OpCounters {
+	for _, op := range src {
+		i := 0
+		for i < len(dst) && dst[i].Name != op.Name {
+			i++
+		}
+		if i == len(dst) {
+			dst = append(dst, op)
+		} else {
+			dst[i].Counters.Add(&op.Counters)
+		}
 	}
+	return dst
 }
 
 // Account tracks live bytes attributed to stored stream data (operator

@@ -39,10 +39,12 @@ func TestAccountNegativePanics(t *testing.T) {
 
 // TestCountersAddCoversEveryField walks the Counters struct by reflection
 // and asserts Add accumulates every field with distinct values, so a
-// swapped or mis-scaled assignment can't cancel out. The *exhaustiveness*
-// half of this contract (Add must reference every field at all) is also
-// enforced statically by the countersmerge analyzer in internal/lint; this
-// test keeps the merge semantics — that the sums actually sum.
+// swapped or mis-scaled assignment can't cancel out, and that Sub inverts
+// Add field-wise — shard merges, plan totals, the obs sampler's deltas and
+// the adaptive controller's epoch signal all go through the pair. The
+// *exhaustiveness* half of this contract (both must reference every field at
+// all) is also enforced statically by the countersmerge analyzer in
+// internal/lint; this test keeps the semantics — that the sums actually sum.
 func TestCountersAddCoversEveryField(t *testing.T) {
 	var src, dst Counters
 	sv := reflect.ValueOf(&src).Elem()
@@ -64,42 +66,23 @@ func TestCountersAddCoversEveryField(t *testing.T) {
 				dv.Type().Field(i).Name, got, want)
 		}
 	}
+	if d := dst.Sub(src); d != src {
+		t.Errorf("Sub does not invert Add: 2x−x = %+v, want %+v", d, src)
+	}
 }
 
-// TestOpStatsAddCoversEveryField is the OpStats twin of the Counters pin:
-// shard merging (engine.Result.Ops aggregation) and the obs sampler's
-// per-operator deltas both go through Add/Delta, so a new OpStats field must
-// flow through both. As with Counters, countersmerge enforces the
-// exhaustiveness half statically; this test owns the semantics (Add sums,
-// Delta inverts Add field-wise).
-func TestOpStatsAddCoversEveryField(t *testing.T) {
-	var src, dst OpStats
-	sv := reflect.ValueOf(&src).Elem()
-	for i := 0; i < sv.NumField(); i++ {
-		f := sv.Field(i)
-		if f.Kind() != reflect.Uint64 {
-			t.Fatalf("field %s is %s; Add/Delta and this test assume uint64 stats",
-				sv.Type().Field(i).Name, f.Kind())
-		}
-		f.SetUint(uint64(i + 1))
+// TestMergeOps pins the one merge-by-name: known names add, unknown names
+// append in order of first appearance, and the source is left alone.
+func TestMergeOps(t *testing.T) {
+	a := []OpCounters{{"Op1", Counters{Probes: 1}}, {"Op2", Counters{Probes: 2}}}
+	b := []OpCounters{{"Op2", Counters{Probes: 10, Purged: 1}}, {"Op9", Counters{Probes: 5}}}
+	got := MergeOps(MergeOps(nil, a), b)
+	want := []OpCounters{{"Op1", Counters{Probes: 1}}, {"Op2", Counters{Probes: 12, Purged: 1}}, {"Op9", Counters{Probes: 5}}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("merged %+v, want %+v", got, want)
 	}
-	dst.Add(src)
-	dst.Add(src)
-	dv := reflect.ValueOf(&dst).Elem()
-	for i := 0; i < dv.NumField(); i++ {
-		if got, want := dv.Field(i).Uint(), uint64(2*(i+1)); got != want {
-			t.Errorf("Add dropped or miscounted field %s: got %d, want %d",
-				dv.Type().Field(i).Name, got, want)
-		}
-	}
-	// Delta must invert Add field-wise.
-	d := dst.Delta(src)
-	ddv := reflect.ValueOf(&d).Elem()
-	for i := 0; i < ddv.NumField(); i++ {
-		if got, want := ddv.Field(i).Uint(), uint64(i+1); got != want {
-			t.Errorf("Delta dropped field %s: got %d, want %d",
-				ddv.Type().Field(i).Name, got, want)
-		}
+	if a[1].Counters.Probes != 2 {
+		t.Errorf("MergeOps(nil, a) aliased its source: a = %+v", a)
 	}
 }
 

@@ -6,10 +6,11 @@
 // in execution. A nil *Tracer is the disabled state — every method nil-checks
 // its receiver and the instrumented call sites compile down to a pointer
 // test — and an attached tracer only ever *reads* the measurement substrate
-// (metrics.Counters, metrics.Account, core.JoinOp.Stats); it never writes any
-// quantity the engine measures. The transparency test in this package pins
-// that byte-identical Counters come out of traced and untraced runs, and
-// jitperf's traced run (bench/README.md) measures the residual overhead.
+// (a plan's Ledger — its totals and per-operator metrics.Counters — and its
+// metrics.Account); it never writes any quantity the engine measures. The
+// transparency test in this package pins that byte-identical Counters come
+// out of traced and untraced runs, and jitperf's traced run (bench/README.md)
+// measures the residual overhead.
 //
 // Determinism: every event and every sample is stamped with *stream* time,
 // never wall time, so trace files and sampled series are golden-testable and
@@ -20,6 +21,7 @@
 package obs
 
 import (
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -197,12 +199,13 @@ type EventSource interface {
 	TraceEvents() ([]Event, bool)
 }
 
-// OpRef lets the sampler read one operator's per-operator stats without obs
-// importing the operator packages: plan.Built.SetTrace constructs these from
-// its JoinOps.
-type OpRef struct {
-	Name  string
-	Stats func() metrics.OpStats
+// Ledger is what a tracer reads of a plan's counters, without obs importing
+// the plan packages (*plan.Built implements it): the plan-wide totals, which
+// stay continuous across a migration, and the live operators' own ledgers in
+// plan order, which start from zero on the successor plan.
+type Ledger interface {
+	Totals() metrics.Counters
+	Ops() []metrics.OpCounters
 }
 
 // Options configures a Tracer.
@@ -244,9 +247,8 @@ type Tracer struct {
 	lat     Histogram
 	latWall Histogram
 
-	ctr  *metrics.Counters
+	src  Ledger
 	acct *metrics.Account
-	ops  []OpRef
 
 	snap atomicSnapshot
 }
@@ -261,18 +263,17 @@ func New(o Options) *Tracer {
 	return t
 }
 
-// Bind points the tracer at a plan's measurement substrate — the shared
-// Counters, the Account and the per-operator stat readers. plan.Built.
-// SetTrace calls it at attach time and again at each migration handoff (the
-// successor plan carries fresh operators but absorbed counter totals, so the
-// sampler keeps its counter baseline across the rebind).
-func (t *Tracer) Bind(ctr *metrics.Counters, acct *metrics.Account, ops []OpRef) {
+// Bind points the tracer at a plan's measurement substrate — its Ledger and
+// its Account. plan.Built.SetTrace calls it at attach time and again at each
+// migration handoff (the successor plan carries fresh operators but the run's
+// totals, so the sampler keeps its totals baseline across the rebind).
+func (t *Tracer) Bind(src Ledger, acct *metrics.Account) {
 	if t == nil {
 		return
 	}
-	t.ctr, t.acct, t.ops = ctr, acct, ops
+	t.src, t.acct = src, acct
 	if t.sampler != nil {
-		t.sampler.Bind(ctr, acct, ops)
+		t.sampler.Bind(src, acct)
 	}
 }
 
@@ -499,7 +500,9 @@ type Snapshot struct {
 	Samples   int
 	Latency   Histogram
 	WallLat   Histogram
-	Ops       []OpSample
+	// Ops are the live operators' running totals; Counters minus their sum
+	// is the plan's run ledger. WriteProm serves them under the `op` label.
+	Ops []metrics.OpCounters
 }
 
 // Snapshot returns the last published snapshot, or nil before the first
@@ -522,10 +525,10 @@ func (t *Tracer) publish() {
 		WallLat: t.latWall,
 	}
 	if s.Label == "" {
-		s.Label = "shard" + itoa(t.shard)
+		s.Label = "shard" + strconv.Itoa(t.shard)
 	}
-	if t.ctr != nil {
-		s.Counters = *t.ctr
+	if t.src != nil {
+		s.Counters, s.Ops = t.src.Totals(), t.src.Ops()
 	}
 	if t.acct != nil {
 		s.LiveBytes = t.acct.Live()
@@ -534,24 +537,5 @@ func (t *Tracer) publish() {
 	if t.sampler != nil {
 		s.Samples = len(t.sampler.Samples())
 	}
-	for _, o := range t.ops {
-		s.Ops = append(s.Ops, OpSample{Name: o.Name, Stats: o.Stats()})
-	}
 	t.snap.Store(s)
-}
-
-// itoa avoids strconv in the hot publish path's import set creeping; tiny
-// non-negative integer formatting.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }

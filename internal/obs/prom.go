@@ -13,7 +13,11 @@ import (
 // metric names are derived by reflection over metrics.Counters — a new
 // counter field appears on the endpoint without any wiring here — and every
 // series carries a `shard` label so sharded runs expose per-replica and
-// (summed by the scraper) fleet views.
+// (summed by the scraper) fleet views. Each counter family holds the plan-wide
+// series and, under an additional `op` label, one series per live operator
+// (Snapshot.Ops): the per-operator ledger that says where a shard's work went.
+// Select `op=""` for totals; what the `op` series leave unexplained is the
+// plan's run ledger (sink, sweeps, migrations, retired operators).
 
 // snakeCase converts a Go field name to a metric-name fragment:
 // "FinalResults" → "final_results", "MNSDetected" → "mns_detected" (an
@@ -64,12 +68,19 @@ func WriteProm(w io.Writer, snaps []*Snapshot) {
 		for _, s := range live {
 			v := reflect.ValueOf(s.Counters).Field(i).Uint()
 			fmt.Fprintf(w, "%s{shard=%q} %d\n", name, s.Label, v)
+			for _, op := range s.Ops {
+				v := reflect.ValueOf(op.Counters).Field(i).Uint()
+				fmt.Fprintf(w, "%s{shard=%q,op=%q} %d\n", name, s.Label, op.Name, v)
+			}
 		}
 	}
 	fmt.Fprintf(w, "# HELP jit_cost_units_total Weighted cost units (paper's unit-cost model).\n")
 	fmt.Fprintf(w, "# TYPE jit_cost_units_total counter\n")
 	for _, s := range live {
 		fmt.Fprintf(w, "jit_cost_units_total{shard=%q} %d\n", s.Label, s.Counters.CostUnits())
+		for _, op := range s.Ops {
+			fmt.Fprintf(w, "jit_cost_units_total{shard=%q,op=%q} %d\n", s.Label, op.Name, op.Counters.CostUnits())
+		}
 	}
 	gauges := []struct {
 		name, help string

@@ -27,14 +27,26 @@ func TestSnakeCase(t *testing.T) {
 
 // TestWritePromParses round-trips the exposition through the grammar
 // validator — the acceptance criterion's promtext check — and verifies the
-// per-shard labelling and that every Counters field has a family.
+// per-shard labelling, that every Counters field has a family, and the
+// per-operator view: shard0 carries two operators, whose `op` series must
+// parse and, family by family, add up with the run ledger to the plan-wide
+// series beside them.
 func TestWritePromParses(t *testing.T) {
 	var lat Histogram
 	lat.Observe(0)
 	lat.Observe(5)
 	lat.Observe(120000)
+	run := metrics.Counters{FinalResults: 4, Sweeps: 9, Purged: 2} // Purged: a retired operator's, folded in
+	ops := []metrics.OpCounters{
+		{Name: "Op1", Counters: metrics.Counters{Probes: 6, Comparisons: 30, MNSDetected: 1, Feedbacks: 1}},
+		{Name: "Op2", Counters: metrics.Counters{Probes: 4, Results: 5, MNSDetected: 2}},
+	}
+	totals := run
+	for i := range ops {
+		totals.Add(&ops[i].Counters)
+	}
 	snaps := []*Snapshot{
-		{Label: "shard0", Counters: metrics.Counters{Probes: 10, MNSDetected: 3}, LiveBytes: 100, Latency: lat},
+		{Label: "shard0", Counters: totals, Ops: ops, LiveBytes: 100, Latency: lat},
 		{Label: "shard1", Counters: metrics.Counters{Probes: 20}, LiveBytes: 50},
 		nil, // unpublished tracers are skipped
 	}
@@ -65,10 +77,21 @@ func TestWritePromParses(t *testing.T) {
 	}
 
 	byShard := map[string]float64{}
+	unexplained := map[string]float64{} // shard0, per family: plan-wide − Σ op
 	var bucketSeen bool
 	for _, s := range samples {
-		if s.Name == "jit_probes_total" {
+		op, perOp := s.Labels["op"]
+		if s.Name == "jit_probes_total" && !perOp {
 			byShard[s.Labels["shard"]] = s.Value
+		}
+		if s.Labels["shard"] == "shard0" && strings.HasSuffix(s.Name, "_total") {
+			if !perOp {
+				unexplained[s.Name] += s.Value
+			} else if op == "Op1" || op == "Op2" {
+				unexplained[s.Name] -= s.Value
+			} else {
+				t.Errorf("%s: unexpected op label %q", s.Name, op)
+			}
 		}
 		if s.Name == "jit_latency_event_ms_bucket" {
 			bucketSeen = true
@@ -82,6 +105,15 @@ func TestWritePromParses(t *testing.T) {
 	}
 	if !bucketSeen {
 		t.Error("no latency buckets emitted")
+	}
+	for i := 0; i < ct.NumField(); i++ {
+		name := "jit_" + snakeCase(ct.Field(i).Name) + "_total"
+		if got, want := unexplained[name], float64(reflect.ValueOf(run).Field(i).Uint()); got != want {
+			t.Errorf("%s: plan-wide minus the op series leaves %v, the run ledger holds %v", name, got, want)
+		}
+	}
+	if got, want := unexplained["jit_cost_units_total"], float64(run.CostUnits()); got != want {
+		t.Errorf("jit_cost_units_total: plan-wide minus the op series leaves %v, the run ledger's cost is %v", got, want)
 	}
 }
 

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"reflect"
 	"sort"
 	"strings"
 
@@ -10,21 +9,14 @@ import (
 )
 
 // Sample is one interval of the deterministic time series: the plan-wide
-// Counters delta over (T−Δt, T], the per-operator OpStats deltas, and the
-// Account's live bytes at the boundary. T is an absolute stream-time grid
-// point, never a wall-clock stamp.
+// Counters delta over (T−Δt, T], each live operator's delta over the same
+// interval, and the Account's live bytes at the boundary. T is an absolute
+// stream-time grid point, never a wall-clock stamp.
 type Sample struct {
 	T         stream.Time
 	Counters  metrics.Counters
 	LiveBytes int64
-	Ops       []OpSample
-}
-
-// OpSample is one operator's stat delta within a Sample (or, in a
-// Snapshot, its running totals).
-type OpSample struct {
-	Name  string
-	Stats metrics.OpStats
+	Ops       []metrics.OpCounters
 }
 
 // Sampler snapshots the measurement substrate every Δt of stream time. The
@@ -43,14 +35,12 @@ type Sampler struct {
 	dt      stream.Time
 	next    stream.Time
 	started bool
-	bound   bool
 
-	ctr  *metrics.Counters
+	src  Ledger
 	acct *metrics.Account
-	ops  []OpRef
 
 	prev    metrics.Counters
-	prevOps []metrics.OpStats
+	prevOps []metrics.OpCounters
 	samples []Sample
 }
 
@@ -62,24 +52,18 @@ func NewSampler(dt stream.Time) *Sampler {
 	return &Sampler{dt: dt}
 }
 
-// Bind attaches (or re-attaches) the substrate. On first bind the counter
-// baseline is the counters' current value; on rebind — a migration handed
-// the clock to a successor plan — the baseline is kept, because the
-// successor's Counters absorbed the predecessor's totals and resetting
-// would double-count the pre-migration work. Per-operator baselines always
-// reset: the successor's operators are fresh (zero stats), and their
-// OpStats deltas would underflow against the old plan's totals.
-func (s *Sampler) Bind(ctr *metrics.Counters, acct *metrics.Account, ops []OpRef) {
-	rebind := s.bound
-	s.ctr, s.acct, s.ops = ctr, acct, ops
-	s.bound = true
-	if !rebind {
-		s.prev = *ctr
+// Bind attaches (or re-attaches) the substrate. On first bind the totals
+// baseline is their current value; on rebind — a migration handed the clock
+// to a successor plan — the baseline is kept, because the run's totals carry
+// on across the handoff and resetting would double-count the pre-migration
+// work. Per-operator baselines always reset: the successor's operators are
+// fresh, and their deltas would underflow against the old plan's ledgers.
+func (s *Sampler) Bind(src Ledger, acct *metrics.Account) {
+	if s.src == nil {
+		s.prev = src.Totals()
 	}
-	s.prevOps = make([]metrics.OpStats, len(ops))
-	for i, o := range ops {
-		s.prevOps[i] = o.Stats()
-	}
+	s.src, s.acct = src, acct
+	s.prevOps = src.Ops()
 }
 
 // Tick advances the sampler clock; it takes one sample per grid boundary in
@@ -87,7 +71,7 @@ func (s *Sampler) Bind(ctr *metrics.Counters, acct *metrics.Account, ops []OpRef
 // anchors the grid (the stream's activity starts there; an interval before
 // it would be vacuous).
 func (s *Sampler) Tick(ts stream.Time) bool {
-	if s.ctr == nil {
+	if s.src == nil {
 		return false
 	}
 	if !s.started {
@@ -108,7 +92,7 @@ func (s *Sampler) Tick(ts stream.Time) bool {
 // boundary. Idempotent per boundary only in the sense that repeated flushes
 // stamp successive boundaries; the engine calls it exactly once.
 func (s *Sampler) Flush() bool {
-	if s.ctr == nil || !s.started {
+	if s.src == nil || !s.started {
 		return false
 	}
 	s.take(s.next)
@@ -117,39 +101,24 @@ func (s *Sampler) Flush() bool {
 }
 
 func (s *Sampler) take(at stream.Time) {
-	sm := Sample{T: at, Counters: counterDelta(*s.ctr, s.prev)}
-	s.prev = *s.ctr
+	cur, ops := s.src.Totals(), s.src.Ops()
+	sm := Sample{T: at, Counters: cur.Sub(s.prev)}
 	if s.acct != nil {
 		sm.LiveBytes = s.acct.Live()
 	}
-	for i, o := range s.ops {
-		cur := o.Stats()
-		sm.Ops = append(sm.Ops, OpSample{Name: o.Name, Stats: cur.Delta(s.prevOps[i])})
-		s.prevOps[i] = cur
+	for i, o := range ops {
+		sm.Ops = append(sm.Ops, metrics.OpCounters{Name: o.Name, Counters: o.Counters.Sub(s.prevOps[i].Counters)})
 	}
+	s.prev, s.prevOps = cur, ops
 	s.samples = append(s.samples, sm)
 }
 
 // Samples returns the series so far.
 func (s *Sampler) Samples() []Sample { return s.samples }
 
-// counterDelta returns cur − prev field-wise, by reflection so a new
-// Counters field is included automatically (and pinned by the metrics
-// reflection test).
-func counterDelta(cur, prev metrics.Counters) metrics.Counters {
-	var out metrics.Counters
-	ov := reflect.ValueOf(&out).Elem()
-	cv := reflect.ValueOf(cur)
-	pv := reflect.ValueOf(prev)
-	for i := 0; i < cv.NumField(); i++ {
-		ov.Field(i).SetUint(cv.Field(i).Uint() - pv.Field(i).Uint())
-	}
-	return out
-}
-
 // MergeSeries sums per-shard series onto the union of their grids: samples
-// with equal T add field-wise (Counters via Add, live bytes and op deltas
-// by name). Because every sampler uses the same absolute grid, equal-Δt
+// with equal T add field-wise (Counters via Add, live bytes, op deltas by
+// name via metrics.MergeOps). Because every sampler uses the same absolute grid, equal-Δt
 // shard series line up exactly; the union handles shards that finished on
 // different final boundaries. The reflection pin covers Sample's fields so
 // an unmerged addition fails loudly.
@@ -167,19 +136,7 @@ func MergeSeries(series ...[]Sample) []Sample {
 			}
 			dst.Counters.Add(&sm.Counters)
 			dst.LiveBytes += sm.LiveBytes
-			for _, op := range sm.Ops {
-				found := false
-				for i := range dst.Ops {
-					if dst.Ops[i].Name == op.Name {
-						dst.Ops[i].Stats.Add(op.Stats)
-						found = true
-						break
-					}
-				}
-				if !found {
-					dst.Ops = append(dst.Ops, op)
-				}
-			}
+			dst.Ops = metrics.MergeOps(dst.Ops, sm.Ops)
 		}
 	}
 	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })

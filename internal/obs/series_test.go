@@ -6,24 +6,35 @@ import (
 	"repro/internal/metrics"
 )
 
+// fakeLedger is a hand-set Ledger: plan totals and the operators' ledgers.
+type fakeLedger struct {
+	totals metrics.Counters
+	ops    []metrics.OpCounters
+}
+
+func (l *fakeLedger) Totals() metrics.Counters { return l.totals }
+
+func (l *fakeLedger) Ops() []metrics.OpCounters {
+	return append([]metrics.OpCounters(nil), l.ops...)
+}
+
 func TestSamplerGrid(t *testing.T) {
-	ctr := &metrics.Counters{}
+	led := &fakeLedger{ops: []metrics.OpCounters{{Name: "Op1"}}}
 	var acct metrics.Account
-	ops := uint64(0)
 	s := NewSampler(10)
-	s.Bind(ctr, &acct, []OpRef{{Name: "Op1", Stats: func() metrics.OpStats { return metrics.OpStats{Probes: ops} }}})
+	s.Bind(led, &acct)
 
 	// First tick anchors the grid on the absolute boundary after ts.
 	if s.Tick(3) {
 		t.Fatal("anchor tick must not sample")
 	}
-	ctr.Probes = 5
-	ops = 2
+	led.totals.Probes = 5
+	led.ops[0].Counters.Probes = 2
 	acct.Alloc(100)
 	if !s.Tick(10) {
 		t.Fatal("boundary 10 not taken")
 	}
-	ctr.Probes = 7
+	led.totals.Probes = 7
 	// Jumping past several boundaries emits one sample per boundary — the
 	// first carries the delta, the skipped ones are empty — keeping the grid
 	// uniform for shard merging.
@@ -49,26 +60,29 @@ func TestSamplerGrid(t *testing.T) {
 			t.Errorf("sample %d live=%d, want 100", i, sm.LiveBytes)
 		}
 	}
-	if got[0].Ops[0].Stats.Probes != 2 || got[1].Ops[0].Stats.Probes != 0 {
+	if got[0].Ops[0].Counters.Probes != 2 || got[1].Ops[0].Counters.Probes != 0 {
 		t.Error("per-op delta wrong")
 	}
 }
 
-// TestSamplerRebind checks the migration-handoff semantics: the counter
-// baseline is kept (the successor's Counters absorbed the predecessor's
-// totals), while per-operator baselines reset (successor operators are
-// fresh and old baselines would underflow).
+// TestSamplerRebind checks the migration-handoff semantics: the totals
+// baseline is kept (the run's totals carry on into the successor plan),
+// while per-operator baselines reset (successor operators are fresh and old
+// baselines would underflow).
 func TestSamplerRebind(t *testing.T) {
-	ctr := &metrics.Counters{}
+	led := &fakeLedger{}
 	s := NewSampler(10)
-	s.Bind(ctr, nil, nil)
+	s.Bind(led, nil)
 	s.Tick(1) // anchor
-	ctr.Probes = 4
+	led.totals.Probes = 4
 
-	// Migration: successor counters absorbed the 4, plus 3 of its own work.
-	ctr2 := &metrics.Counters{Probes: 7}
-	opProbes := uint64(5) // fresh operator, already did 5 probes before next boundary
-	s.Bind(ctr2, nil, []OpRef{{Name: "Op1'", Stats: func() metrics.OpStats { return metrics.OpStats{Probes: opProbes} }}})
+	// Migration: the successor's totals hold the 4, plus 3 of its own work;
+	// its fresh operator did 5 probes (the replay) before the rebind.
+	led2 := &fakeLedger{
+		totals: metrics.Counters{Probes: 7},
+		ops:    []metrics.OpCounters{{Name: "Op1'", Counters: metrics.Counters{Probes: 5}}},
+	}
+	s.Bind(led2, nil)
 
 	if !s.Tick(10) {
 		t.Fatal("boundary not taken")
@@ -78,8 +92,8 @@ func TestSamplerRebind(t *testing.T) {
 		t.Errorf("rebind delta=%d, want 7 (baseline kept across migration)", sm.Counters.Probes)
 	}
 	// Op baseline reset at Bind time: delta counts only post-rebind work.
-	if sm.Ops[0].Stats.Probes != 0 {
-		t.Errorf("op delta=%d, want 0 (baseline reset at rebind)", sm.Ops[0].Stats.Probes)
+	if sm.Ops[0].Counters.Probes != 0 {
+		t.Errorf("op delta=%d, want 0 (baseline reset at rebind)", sm.Ops[0].Counters.Probes)
 	}
 }
 
@@ -94,11 +108,11 @@ func TestNewSamplerPanics(t *testing.T) {
 
 func TestMergeSeries(t *testing.T) {
 	a := []Sample{
-		{T: 10, Counters: metrics.Counters{Probes: 1}, LiveBytes: 5, Ops: []OpSample{{Name: "Op1", Stats: metrics.OpStats{Probes: 1}}}},
+		{T: 10, Counters: metrics.Counters{Probes: 1}, LiveBytes: 5, Ops: []metrics.OpCounters{{Name: "Op1", Counters: metrics.Counters{Probes: 1}}}},
 		{T: 20, Counters: metrics.Counters{Probes: 2}, LiveBytes: 6},
 	}
 	b := []Sample{
-		{T: 10, Counters: metrics.Counters{Probes: 10}, LiveBytes: 50, Ops: []OpSample{{Name: "Op1", Stats: metrics.OpStats{Probes: 10}}, {Name: "Op2", Stats: metrics.OpStats{Probes: 4}}}},
+		{T: 10, Counters: metrics.Counters{Probes: 10}, LiveBytes: 50, Ops: []metrics.OpCounters{{Name: "Op1", Counters: metrics.Counters{Probes: 10}}, {Name: "Op2", Counters: metrics.Counters{Probes: 4}}}},
 		{T: 30, Counters: metrics.Counters{Probes: 20}, LiveBytes: 60},
 	}
 	m := MergeSeries(a, b)
@@ -108,7 +122,7 @@ func TestMergeSeries(t *testing.T) {
 	if m[0].Counters.Probes != 11 || m[0].LiveBytes != 55 {
 		t.Errorf("T=10 not summed: %+v", m[0])
 	}
-	if len(m[0].Ops) != 2 || m[0].Ops[0].Stats.Probes != 11 || m[0].Ops[1].Name != "Op2" {
+	if len(m[0].Ops) != 2 || m[0].Ops[0].Counters.Probes != 11 || m[0].Ops[1].Name != "Op2" {
 		t.Errorf("ops not merged by name: %+v", m[0].Ops)
 	}
 	if m[1].Counters.Probes != 2 || m[2].Counters.Probes != 20 {

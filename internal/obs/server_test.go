@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/stream"
 )
 
@@ -59,10 +58,10 @@ func TestMemorySinkMask(t *testing.T) {
 func TestOpsEndpoint(t *testing.T) {
 	ring := NewRingSink(64)
 	tr := New(Options{Sink: ring, SampleEvery: 10, Label: "shard0"})
-	ctr := &metrics.Counters{}
-	tr.Bind(ctr, nil, nil)
+	led := &fakeLedger{}
+	tr.Bind(led, nil)
 	tr.Advance(1)
-	ctr.Probes = 42
+	led.totals.Probes = 42
 	tr.Arrival(&stream.Tuple{TS: 1, ID: 7})
 	tr.Advance(25) // crosses boundaries 10 and 20 → snapshot published
 	tr.Finish()
@@ -140,7 +139,7 @@ func TestOpsEndpoint(t *testing.T) {
 func TestServerShutdownGraceful(t *testing.T) {
 	ring := NewRingSink(8)
 	tr := New(Options{Sink: ring, SampleEvery: 10})
-	tr.Bind(&metrics.Counters{}, nil, nil)
+	tr.Bind(&fakeLedger{}, nil)
 	tr.Advance(1)
 	tr.Advance(25)
 	tr.Finish()

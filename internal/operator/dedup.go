@@ -28,10 +28,6 @@ func NewDedup(next Consumer, dups *uint64) *Dedup {
 // replay's regeneration of it is absorbed.
 func (d *Dedup) Seed(key string, minTS stream.Time) { d.seen[key] = minTS }
 
-// CountInto re-points the dup counter — a migration moves the run's counter
-// block to the successor plan.
-func (d *Dedup) CountInto(dups *uint64) { d.dups = dups }
-
 // Consume implements Consumer.
 func (d *Dedup) Consume(c *stream.Composite, p Port) {
 	k := c.Key()

@@ -53,13 +53,6 @@ func (s *Sink) Consume(c *stream.Composite, _ Port) {
 // delivery feeds the arrival→delivery latency histogram (DESIGN.md §9).
 func (s *Sink) SetTrace(tr *obs.Tracer) { s.trace = tr }
 
-// SetCounters re-points the sink's counter block. A plan migration keeps
-// the run's single sink across plan instances (delivery order and counts
-// must span the handoff) while the counter substrate moves to the successor
-// plan's Counters, which have absorbed the predecessor's totals
-// (internal/adapt, DESIGN.md §7).
-func (s *Sink) SetCounters(ctr *metrics.Counters) { s.ctr = ctr }
-
 // Count returns the number of results delivered.
 func (s *Sink) Count() uint64 { return s.count }
 

@@ -1,6 +1,5 @@
 // Package plan constructs execution plans: the X-Join binary trees of
-// Table II (bushy and left-deep), arbitrary user-specified trees, and the
-// alternative M-Join and Eddy topologies of Sec. II/V.
+// Table II (bushy and left-deep) and arbitrary user-specified trees.
 package plan
 
 import (
@@ -141,9 +140,15 @@ type Built struct {
 	Joins []*core.JoinOp
 	// Feeds maps each source to its entry point.
 	Feeds map[stream.SourceID]Feed
-	// Counters and Account are the shared measurement substrate.
-	Counters *metrics.Counters
-	Account  *metrics.Account
+	// RunLedger counts what no live operator owns: sink finals, sweeps, late
+	// drops, migrations, adapt units, dedup dups, and the folded-in ledgers of
+	// operators a migration retired (Succeed). It is not the plan-wide figure
+	// — that is Totals — and it belongs to the run, not the plan instance: a
+	// successor plan takes it over by pointer, so whoever counts into it (the
+	// sink, the dedup gate, the engine) keeps counting across a migration.
+	RunLedger *metrics.Counters
+	// Account is the shared live-byte substrate.
+	Account *metrics.Account
 	// Trace is the attached observability layer; nil (the default) disables
 	// it. Set it with SetTrace — deliberately not a build Option, so the
 	// throwaway plans Replicate/Rebuild/shadow-scoring construct stay
@@ -191,16 +196,16 @@ func Clique(n int, bushy bool, band stream.Value, opt Options) *Built {
 // BuildTree wires a Node shape into JoinOps plus a sink.
 func BuildTree(cat *stream.Catalog, preds predicate.Conj, shape *Node, opt Options) *Built {
 	b := &Built{
-		Catalog:  cat,
-		Window:   opt.Window,
-		Feeds:    make(map[stream.SourceID]Feed),
-		Counters: &metrics.Counters{},
-		Account:  &metrics.Account{},
-		preds:    preds,
-		shape:    shape,
-		opt:      opt,
+		Catalog:   cat,
+		Window:    opt.Window,
+		Feeds:     make(map[stream.SourceID]Feed),
+		RunLedger: &metrics.Counters{},
+		Account:   &metrics.Account{},
+		preds:     preds,
+		shape:     shape,
+		opt:       opt,
 	}
-	b.Sink = operator.NewSink("sink", b.Counters, opt.KeepResults)
+	b.Sink = operator.NewSink("sink", b.RunLedger, opt.KeepResults)
 	root := b.wire(cat, preds, shape, opt)
 	rootJoin, ok := root.(*core.JoinOp)
 	if !ok {
@@ -225,13 +230,48 @@ func (b *Built) Preds() predicate.Conj { return b.preds }
 func (b *Built) Opt() Options { return b.opt }
 
 // Rebuild constructs a fresh plan over the same catalog, predicates and
-// options but a different shape, under b's delivery semantics (SetExact) —
-// the successor plan of a mid-run migration (internal/adapt, DESIGN.md §7).
-// Like Replicate it shares no mutable state with b.
+// options but a different shape, under b's delivery semantics (SetExact). It
+// shares no mutable state with b.
 func (b *Built) Rebuild(shape *Node) *Built {
 	nb := BuildTree(b.Catalog, b.preds, shape, b.opt)
 	nb.SetExact(b.exact)
 	return nb
+}
+
+// Succeed is Rebuild for a mid-run migration (internal/adapt, DESIGN.md §7):
+// the successor carries on b's run. It takes over the run's one sink and run
+// ledger by pointer — delivery order and every count span the handoff — and
+// the run's tracer, so the state-transfer replay is traced under the new
+// operators (§9); b's operators, retired here, fold their ledgers into that
+// run ledger, so Totals is continuous across the migration. b must not run
+// afterwards.
+func (b *Built) Succeed(shape *Node) *Built {
+	nb := b.Rebuild(shape)
+	nb.Sink, nb.RunLedger = b.Sink, b.RunLedger
+	for _, j := range b.Joins {
+		b.RunLedger.Add(j.Counters())
+	}
+	nb.SetTrace(b.Trace)
+	return nb
+}
+
+// Totals is the plan-wide counter figure: the run ledger plus every live
+// operator's own.
+func (b *Built) Totals() metrics.Counters {
+	t := *b.RunLedger
+	for _, j := range b.Joins {
+		t.Add(j.Counters())
+	}
+	return t
+}
+
+// Ops returns the live operators' ledgers by name, in plan order.
+func (b *Built) Ops() []metrics.OpCounters {
+	ops := make([]metrics.OpCounters, len(b.Joins))
+	for i, j := range b.Joins {
+		ops[i] = metrics.OpCounters{Name: j.Name(), Counters: *j.Counters()}
+	}
+	return ops
 }
 
 // RootJoin returns the root operator as its concrete join type (the root of
@@ -268,7 +308,7 @@ func (b *Built) SnapshotInWindow(cut stream.Time) []*stream.Tuple {
 
 // ReplayInWindow feeds snapshot rows back through the plan in order: each
 // row is preceded by a full expiry sweep at its timestamp (charged to
-// Counters.Sweeps) and then consumed at its source's feed, exactly the
+// RunLedger.Sweeps) and then consumed at its source's feed, exactly the
 // arrival discipline the engine applies. Replaying a SnapshotInWindow cut
 // into a freshly built plan yields the state that plan would hold had it
 // been running since one window before the cut (DESIGN.md §7) — the restore
@@ -277,7 +317,7 @@ func (b *Built) SnapshotInWindow(cut stream.Time) []*stream.Tuple {
 func (b *Built) ReplayInWindow(rows []*stream.Tuple) {
 	n := b.Catalog.NumSources()
 	for _, t := range rows {
-		b.Counters.Sweeps += uint64(len(b.Joins))
+		b.RunLedger.Sweeps += uint64(len(b.Joins))
 		b.Sweep(t.TS)
 		f := b.Feeds[t.Source]
 		f.Op.Consume(stream.NewComposite(n, t), f.Port)
@@ -285,7 +325,7 @@ func (b *Built) ReplayInWindow(rows []*stream.Tuple) {
 }
 
 // Replicate builds a fresh plan identical to b — same catalog, predicates,
-// shape, options and delivery semantics, but new operators, counters,
+// shape, options and delivery semantics, but new operators, run ledger,
 // account and sink, sharing no mutable state with b. A replica is the unit
 // of scale-out in internal/shard: each engine goroutine drives its own
 // replica, so no operator-level locking is ever needed.
@@ -306,24 +346,16 @@ func (b *Built) SetExact(on bool) {
 
 // SetTrace attaches (or, with nil, detaches) an observability tracer to the
 // wired plan: every join and the sink get their event hooks, and the tracer
-// is bound to the plan's measurement substrate for sampling. Called once
-// after build, and again by the migration handoff so the successor plan
-// inherits the run's tracer (DESIGN.md §9).
+// is bound to the plan's measurement substrate (the plan is its obs.Ledger)
+// for sampling. Called once after build, and again by Succeed so the
+// successor plan inherits the run's tracer (DESIGN.md §9).
 func (b *Built) SetTrace(tr *obs.Tracer) {
 	b.Trace = tr
 	for _, j := range b.Joins {
 		j.SetTrace(tr)
 	}
 	b.Sink.SetTrace(tr)
-	if tr == nil {
-		return
-	}
-	ops := make([]obs.OpRef, len(b.Joins))
-	for i, j := range b.Joins {
-		j := j
-		ops[i] = obs.OpRef{Name: j.Name(), Stats: j.Stats}
-	}
-	tr.Bind(b.Counters, b.Account, ops)
+	tr.Bind(b, b.Account)
 }
 
 // NextMNS hands out plan-unique MNS / mark identifiers.
@@ -364,7 +396,6 @@ func (b *Built) wire(cat *stream.Catalog, preds predicate.Conj, n *Node, opt Opt
 		Window:       opt.Window,
 		Preds:        preds,
 		Mode:         opt.Mode,
-		Counters:     b.Counters,
 		Account:      b.Account,
 		NextMNS:      b.NextMNS,
 		LeftSources:  n.Left.Sources(),

@@ -35,14 +35,14 @@ type Options struct {
 	// (nil returns leave that replica untraced). One tracer per replica —
 	// tracers are single-goroutine like the engines that drive them; the ops
 	// endpoint aggregates their snapshots with per-shard labels (DESIGN.md
-	// §9), and the merged Result aggregates per-operator stats by name.
+	// §9), and the merged Result aggregates per-operator ledgers by name.
 	TraceFor func(shard int) *obs.Tracer
 }
 
 // Result is the outcome of a sharded run.
 type Result struct {
 	// Merged aggregates the per-shard results: counters via
-	// metrics.Counters.Add, result/arrival counts summed (a broadcast
+	// metrics.Counters.Add, operators by name (metrics.MergeOps), result/arrival counts summed (a broadcast
 	// arrival is ingested once per shard and counted as such), PeakMemKB
 	// the sum of per-shard peaks (the fleet's total footprint), WallTime
 	// the whole run's wall clock — dispatch start to last shard drained.
@@ -284,22 +284,7 @@ func (r *Runner) merge(res *Result, replicas []*plan.Built, shardRes []engine.Re
 		merged.OrderViolations += sr.OrderViolations
 		ctr.Add(&sr.Counters)
 		logs[i] = replicas[i].Sink.Results()
-		// Aggregate per-operator stats by operator name: replicas share one
-		// shape, so names align; a migrated fleet's successor operators merge
-		// under the successor names (order follows first appearance).
-		for _, op := range sr.Ops {
-			found := false
-			for k := range merged.Ops {
-				if merged.Ops[k].Name == op.Name {
-					merged.Ops[k].Stats.Add(op.Stats)
-					found = true
-					break
-				}
-			}
-			if !found {
-				merged.Ops = append(merged.Ops, op)
-			}
-		}
+		merged.Ops = metrics.MergeOps(merged.Ops, sr.Ops)
 	}
 	merged.Counters = ctr
 	merged.CostUnits = ctr.CostUnits()
