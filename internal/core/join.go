@@ -372,8 +372,12 @@ func (j *JoinOp) probeInsert(a activation, s, o *side) {
 		}
 	}
 
+	// detecting says Identify_MNS runs for this input; det is the per-pair
+	// observation context only lattice detection needs (nil under DOE and
+	// Bloom, which decide after the probe).
+	detecting := a.detect && s.detectable
 	var det *detectCtx
-	if a.detect && s.detectable {
+	if detecting {
 		det = j.newDetect(s)
 	}
 
@@ -401,7 +405,7 @@ func (j *JoinOp) probeInsert(a activation, s, o *side) {
 	// Identify_MNS and suspension feedback. A full match means no node of
 	// the lattice can be alive, so detection is skipped (Fig. 8 semantics
 	// at zero cost).
-	if det != nil && !f.fullMatch {
+	if detecting && !f.fullMatch {
 		j.reportMNS(f, s, o, det)
 	}
 

@@ -46,6 +46,37 @@ func checkRun(t *testing.T, r engine.Result, keys []string) {
 	}
 }
 
+// checkLive is the liveness invariant of the friendly (non-band) cells: a
+// feedback mode detects and suspends, REF does neither. A mode whose
+// machinery never runs is REF under another name and passes every
+// equivalence check in this file — DOE and Bloom did, for eighteen PRs. On a
+// drained run that never migrated, every suspension has also resumed (a
+// migration discards the old plan's parked tuples and replays them).
+//
+// One friendly cell has nothing to detect: DOE reports only Ø, an input
+// meeting an empty opposite state, and on a left-deep plan the state opposite
+// every join-fed input is a raw source's — filled by the first arrivals and
+// never empty again while the stream flows.
+func checkLive(t *testing.T, sc Scenario, cell Cell, r engine.Result) {
+	t.Helper()
+	if sc.Band > 0 {
+		return // band predicates report no signature MNS (DESIGN.md §8)
+	}
+	if cell.Mode.Name == "DOE" && !cell.Bushy {
+		return
+	}
+	c := r.Counters
+	switch {
+	case cell.Mode.Name == "REF":
+		if c.MNSDetected+c.Suspended+c.Resumed != 0 {
+			t.Errorf("REF ran feedback machinery: mns=%d susp=%d res=%d", c.MNSDetected, c.Suspended, c.Resumed)
+		}
+	case c.MNSDetected == 0 || c.Suspended == 0 || (c.Migrations == 0 && c.Resumed != c.Suspended):
+		t.Errorf("%s is not live: mns=%d susp=%d res=%d (migrations=%d)",
+			cell.Mode.Name, c.MNSDetected, c.Suspended, c.Resumed, c.Migrations)
+	}
+}
+
 // checkSharded applies the sharding invariants: arrival conservation
 // (routed once, broadcasts once per replica), band predicates forcing the
 // broadcast fallback, and — under Zipf — the measured partition imbalance.
@@ -155,6 +186,7 @@ func TestHostileStreamEquivalence(t *testing.T) {
 						checkRun(t, res.Merged, res.ResultKeys())
 						checkSharded(t, sc, res)
 						checkEventConservation(t, res.Merged, *sinks)
+						checkLive(t, sc, cell, res.Merged)
 						requireEqualMultisets(t, Multiset(res.ResultKeys()), want)
 						if m := res.Merged.Counters.Migrations; m > 0 {
 							t.Logf("exactly-once held across %d migrations (%d duplicate deliveries suppressed)",
@@ -165,6 +197,7 @@ func TestHostileStreamEquivalence(t *testing.T) {
 					r, keys := p.RunKeys()
 					checkRun(t, r, keys)
 					checkEventConservation(t, r, *sinks)
+					checkLive(t, sc, cell, r)
 					requireEqualMultisets(t, Multiset(keys), want)
 					if m := r.Counters.Migrations; m > 0 {
 						t.Logf("exactly-once held across %d migrations (%d duplicate deliveries suppressed)",
