@@ -17,8 +17,9 @@ import (
 )
 
 // Counters accumulates the deterministic work units performed by one
-// operator, one plan or one run. The relative magnitudes across a parameter sweep reproduce the shape
-// of the paper's CPU-time figures without depending on the host machine.
+// operator, one plan or one run. The relative magnitudes across a parameter
+// sweep reproduce the shape of the paper's CPU-time figures without depending
+// on the host machine.
 type Counters struct {
 	// Probes counts state probes: one per (incoming tuple, opposite state)
 	// scan initiated.

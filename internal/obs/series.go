@@ -118,9 +118,9 @@ func (s *Sampler) Samples() []Sample { return s.samples }
 
 // MergeSeries sums per-shard series onto the union of their grids: samples
 // with equal T add field-wise (Counters via Add, live bytes, op deltas by
-// name via metrics.MergeOps). Because every sampler uses the same absolute grid, equal-Δt
-// shard series line up exactly; the union handles shards that finished on
-// different final boundaries. The reflection pin covers Sample's fields so
+// name via metrics.MergeOps). Because every sampler uses the same absolute
+// grid, equal-Δt shard series line up exactly; the union handles shards that
+// finished on different final boundaries. The reflection pin covers Sample's fields so
 // an unmerged addition fails loudly.
 func MergeSeries(series ...[]Sample) []Sample {
 	byT := map[stream.Time]*Sample{}

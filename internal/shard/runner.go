@@ -42,10 +42,11 @@ type Options struct {
 // Result is the outcome of a sharded run.
 type Result struct {
 	// Merged aggregates the per-shard results: counters via
-	// metrics.Counters.Add, operators by name (metrics.MergeOps), result/arrival counts summed (a broadcast
-	// arrival is ingested once per shard and counted as such), PeakMemKB
-	// the sum of per-shard peaks (the fleet's total footprint), WallTime
-	// the whole run's wall clock — dispatch start to last shard drained.
+	// metrics.Counters.Add, operators by name (metrics.MergeOps),
+	// result/arrival counts summed (a broadcast arrival is ingested once per
+	// shard and counted as such), PeakMemKB the sum of per-shard peaks (the
+	// fleet's total footprint), WallTime the whole run's wall clock —
+	// dispatch start to last shard drained.
 	Merged engine.Result
 	// Shards holds each replica's own result, indexed by shard.
 	Shards []engine.Result
