@@ -17,35 +17,37 @@
 // # The snapshot cut and the handoff
 //
 // A migration happens at a quiescent cut between arrivals, after the engine
-// has drained the outgoing plan's timer deadlines to the cut time. The §2
+// has drained the plan's timer deadlines to the cut time. The §2
 // sequence discipline gives the cut its snapshot: every in-window base tuple
 // sits in exactly one place — its source's feed side, active in the state or
 // parked in a blacklist — so plan.Built.SnapshotInWindow (backed by the
 // core.JoinOp.SnapshotBase / state.State.SnapshotLive hooks) reconstructs
-// the in-window arrival history in global arrival order. Replaying it into a
-// freshly built target plan yields exactly the state that plan would hold
-// had it started one window before the cut; intermediate states, blacklists,
-// MNS buffers and mark tables are re-derived rather than transplanted,
-// because a different shape stores different intermediates. The same
-// snapshot+replay pair is the checkpoint/restore primitive the ROADMAP asks
-// for: a checkpoint is (cut time, snapshot); restore is Rebuild+replay.
+// the in-window arrival history in global arrival order. plan.Built.Reshape
+// then swaps the operator tree — and only the tree: the plan object, its
+// sink, run ledger, account, tracer and the dedup gate at its root stay —
+// and replaying the snapshot into the fresh operators yields exactly the
+// state a plan of the target shape would hold had it started one window
+// before the cut; intermediate states, blacklists, MNS buffers and mark
+// tables are re-derived rather than transplanted, because a different shape
+// stores different intermediates. The same snapshot+replay pair is the
+// checkpoint/restore primitive: a checkpoint is (cut time, snapshot); restore
+// is build+replay (internal/serve).
 //
 // # Why no result is lost or duplicated
 //
-// The run keeps a single sink across plan instances, fronted by the dedup
-// gate (operator.Dedup) keyed on the canonical result identity
-// (stream.Composite.Key). Exact-once
-// delivery across the handoff follows from exact-delivery mode (required:
-// the engine rejects Reopt without Drain):
+// The run's one sink is fronted by the dedup gate (operator.Dedup) keyed on
+// the canonical result identity (stream.Composite.Key). Exact-once delivery
+// across the handoff follows from exact-delivery mode (required: the engine
+// rejects Reopt without Drain):
 //
-//   - nothing is lost: draining the outgoing plan to the cut delivers every
-//     result whose window closes by the cut; any result still undelivered
-//     has all constituents inside the snapshot window, so the successor plan
-//     regenerates it — live during replay (delivered through the gate) or
-//     suspended, to be delivered by a later resume, sweep or the end-of-run
-//     drain;
-//   - nothing is duplicated: a result the outgoing plan already delivered
-//     and the successor regenerates is absorbed by the gate
+//   - nothing is lost: draining the outgoing operators to the cut delivers
+//     every result whose window closes by the cut; any result still
+//     undelivered has all constituents inside the snapshot window, so the new
+//     tree regenerates it — live during replay (delivered through the gate)
+//     or suspended, to be delivered by a later resume, sweep or the
+//     end-of-run drain;
+//   - nothing is duplicated: a result the outgoing operators already
+//     delivered and the new tree regenerates is absorbed by the gate
 //     (Counters.MigrationDups counts these).
 //
 // Determinism is preserved: the cut point, the snapshot order (tuple IDs are
@@ -170,9 +172,7 @@ type Controller struct {
 	coord *Coordinator
 
 	b     *plan.Built
-	shape *plan.Node
 	cands []*plan.Node
-	gate  *operator.Dedup
 
 	clock    stream.EpochClock
 	epochBuf []*stream.Tuple
@@ -201,16 +201,15 @@ func NewCoordinated(cfg Config, coord *Coordinator) *Controller {
 }
 
 // Attach implements engine.Reoptimizer: it binds the controller to the
-// run's initial plan and splices the dedup gate between the plan root and
+// run's plan and splices the dedup gate between the plan root and
 // the sink, so every delivery of the run is recorded from the first arrival
 // on. The gate's seen-set grows with the run's final-result count — the
 // price of exactly-once delivery across handoffs.
 func (c *Controller) Attach(b *plan.Built) {
 	c.b = b
-	c.shape = b.Shape()
 	c.cands = candidates(b.Catalog.NumSources())
-	c.gate = operator.NewDedup(b.Sink, &b.RunLedger.MigrationDups)
-	b.RootJoin().SetConsumer(c.gate, operator.Left)
+	gate := operator.NewDedup(b.Sink, &b.RunLedger.MigrationDups)
+	b.RootJoin().SetConsumer(gate, operator.Left)
 	c.last = b.Totals()
 	c.noBaseline = true
 }
@@ -222,7 +221,7 @@ func (c *Controller) Decide(t *stream.Tuple, b *plan.Built) bool {
 	due := c.clock.Due(t.TS) // the first arrival arms the clock
 	if c.cfg.ForceTo != nil && !c.forced && t.TS >= c.cfg.ForceAt {
 		c.forced = true
-		if c.cfg.ForceTo.Canonical() != c.shape.Canonical() {
+		if c.cfg.ForceTo.Canonical() != c.b.Shape().Canonical() {
 			c.pending = c.cfg.ForceTo
 		}
 	}
@@ -268,7 +267,7 @@ func (c *Controller) AtBarrier() {
 		c.reopened(d) // advance the baselines regardless
 	}
 	if target := c.coord.Exchange(observed, scores); target != nil &&
-		target.Canonical() != c.shape.Canonical() {
+		target.Canonical() != c.b.Shape().Canonical() {
 		c.pending = target
 	}
 	c.resetEpoch()
@@ -282,38 +281,35 @@ func (c *Controller) Leave() {
 	}
 }
 
-// Migrate implements engine.Reoptimizer: snapshot the outgoing plan at the
-// cut, build the successor under the target shape (plan.Built.Succeed: same
-// sink, run ledger and tracer) and replay the snapshot through the dedup gate.
+// Migrate implements engine.Reoptimizer: snapshot the plan at the cut, reshape
+// it in place under the target shape (plan.Built.Reshape: same plan object,
+// sink, run ledger, account, tracer and dedup gate; fresh operators) and
+// replay the snapshot into them. It returns b: the tree changed.
 func (c *Controller) Migrate(cut stream.Time, b *plan.Built) *plan.Built {
 	target := c.pending
 	c.pending = nil
 	if target == nil {
 		return nil
 	}
-	note := c.shape.Canonical() + " -> " + target.Canonical()
+	from := b.Shape().Canonical()
+	note := from + " -> " + target.Canonical()
 	b.Trace.MigrationStart(cut, note)
 	snap := b.SnapshotInWindow(cut)
-	nb := b.Succeed(target) // exact-delivery like b: the engine set it, Rebuild hands it on
-	nb.RootJoin().SetConsumer(c.gate, operator.Left)
-	b.Trace.MigrationCut(cut, len(snap), note)
-	// Both plans are resident while the snapshot replays: charge the
-	// outgoing plan's live bytes to the successor's account for the span of
-	// the replay, and absorb the old high-water mark.
+	// The retired operators' state stays charged to the account while the
+	// snapshot replays — both trees are resident for that span — and is
+	// released after it.
 	oldLive := b.Account.Live()
-	nb.Account.Alloc(oldLive)
-	nb.ReplayInWindow(snap)
-	nb.Account.Free(oldLive)
-	nb.Account.AbsorbPeak(b.Account)
-	nb.RunLedger.Migrations++
-	nb.Trace.MigrationDone(cut, nb.RunLedger.MigrationDups, note)
+	b.Reshape(target)
+	b.Trace.MigrationCut(cut, len(snap), note)
+	b.ReplayInWindow(snap)
+	b.Account.Free(oldLive)
+	b.RunLedger.Migrations++
+	b.Trace.MigrationDone(cut, b.RunLedger.MigrationDups, note)
 	c.logf("adapt: t=%v migrate %s -> %s (replayed %d in-window arrivals, %d dups absorbed so far)",
-		cut, c.shape.Canonical(), target.Canonical(), len(snap), nb.RunLedger.MigrationDups)
-	c.shape = target
-	c.b = nb
-	c.last = nb.Totals()
-	c.noBaseline = true // the successor re-baselines its steady state
-	return nb
+		cut, from, target.Canonical(), len(snap), b.RunLedger.MigrationDups)
+	c.last = b.Totals()
+	c.noBaseline = true // the new tree re-baselines its steady state
+	return b
 }
 
 // evaluateEpoch closes one decision epoch (uncoordinated mode): read the
@@ -340,12 +336,12 @@ func (c *Controller) evaluateEpoch(now stream.Time) {
 	// the baselines.
 	if !c.reopened(d) && c.streak.wins == 0 {
 		c.logf("adapt: epoch t=%v steady (cost=%d prev=%d mns=%d susp=%d suppressed=%d) — keep %s",
-			now, observed, prev, mns, susp, suppr, c.shape.Canonical())
+			now, observed, prev, mns, susp, suppr, c.b.Shape().Canonical())
 		c.resetEpoch()
 		return
 	}
 	scores := c.scoreShapes()
-	target, wins := c.streak.decide(c.cfg, c.shape.Canonical(), c.cands, scores)
+	target, wins := c.streak.decide(c.cfg, c.b.Shape().Canonical(), c.cands, scores)
 	c.logf("adapt: epoch t=%v cost=%d mns=%d susp=%d suppressed=%d scores=%s wins=%d/%d",
 		now, observed, mns, susp, suppr, renderScores(scores), wins, c.cfg.patience())
 	c.pending = target
@@ -369,7 +365,7 @@ func (c *Controller) scoreShapes() map[string]uint64 {
 	opts.KeepResults = false
 	opts.Mode = core.REF()
 	out := make(map[string]uint64, 1+len(c.cands))
-	for _, sh := range append([]*plan.Node{c.shape}, c.cands...) {
+	for _, sh := range append([]*plan.Node{c.b.Shape()}, c.cands...) {
 		k := sh.Canonical()
 		if _, done := out[k]; done {
 			continue

@@ -47,9 +47,6 @@ func OpenStore(dir string, keep int) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // scan lists the checkpoint sequence numbers in ascending order and removes
 // stale temporaries from crashed writers.
 func (s *Store) scan() ([]uint64, error) {

@@ -150,26 +150,22 @@ func NewJoin(cfg Config) *JoinOp {
 		acct:    cfg.Account,
 		nextMNS: cfg.NextMNS,
 	}
-	if j.mode.MaxAtoms <= 0 {
-		j.mode.MaxAtoms = 12
-	}
 	j.marks = feedback.NewMarkTable(cfg.Account)
 	if (cfg.LeftKey == nil) != (cfg.RightKey == nil) || len(cfg.LeftKey) != len(cfg.RightKey) {
 		panic(fmt.Sprintf("core: join %q has misaligned keys (%d vs %d columns)",
 			cfg.Name, len(cfg.LeftKey), len(cfg.RightKey)))
 	}
 	mk := func(port operator.Port, srcs stream.SourceSet, prod operator.Producer, other stream.SourceSet, key []predicate.Attr) *side {
-		seq := &state.Side{}
 		s := &side{
 			port:    port,
 			sources: srcs,
 			prod:    prod,
-			seq:     seq,
-			st:      state.New(fmt.Sprintf("S_%s.%s", cfg.Name, port), seq, cfg.Account),
+			seq:     &state.Side{},
+			st:      state.New(fmt.Sprintf("S_%s.%s", cfg.Name, port), cfg.Account),
 			black:   feedback.NewBlacklist(fmt.Sprintf("B_%s.%s", cfg.Name, port), cfg.Account),
 			buf:     feedback.NewBuffer(fmt.Sprintf("NB_%s.%s", cfg.Name, port), cfg.Account),
 			key:     state.Key(key),
-			grave:   state.New(fmt.Sprintf("G_%s.%s", cfg.Name, port), seq, cfg.Account),
+			grave:   state.New(fmt.Sprintf("G_%s.%s", cfg.Name, port), cfg.Account),
 		}
 		s.st.SetKey(s.key)
 		s.grave.SetKey(s.key)
@@ -178,7 +174,7 @@ func NewJoin(cfg Config) *JoinOp {
 			s.atomPreds = append(s.atomPreds, cfg.Preds.TouchingAcross(src, other))
 			s.atomAttrs = append(s.atomAttrs, cfg.Preds.JoinAttrs(src, other))
 		}
-		s.level1Only = len(s.atoms) > j.mode.MaxAtoms || len(s.atoms) > lattice.MaxAtoms
+		s.level1Only = len(s.atoms) > lattice.MaxAtoms
 		s.detectable = j.mode.enabled() && prod != nil && prod.CanSuspend() && len(s.atoms) > 0
 		if j.mode.Detect == DetectBloom {
 			s.blooms = new(bloomSet)
@@ -194,6 +190,10 @@ func NewJoin(cfg Config) *JoinOp {
 func (j *JoinOp) SetConsumer(c operator.Consumer, port operator.Port) {
 	j.consumer, j.outPort = c, port
 }
+
+// Consumer returns what SetConsumer wired. plan.Built.Reshape reads it off the
+// retiring root so the new root feeds the same gate or sink.
+func (j *JoinOp) Consumer() operator.Consumer { return j.consumer }
 
 // Name implements operator.Op.
 func (j *JoinOp) Name() string { return j.name }
@@ -211,18 +211,12 @@ func (j *JoinOp) OutSources() stream.SourceSet {
 // it is configured to ignore it or runs as the REF baseline.
 func (j *JoinOp) CanSuspend() bool { return j.mode.enabled() && !j.mode.IgnoreFeedback }
 
-// Window returns the operator's window length.
-func (j *JoinOp) Window() stream.Time { return j.window }
-
 // Side exposes internals for white-box tests: the state, blacklist and MNS
 // buffer of one port.
 func (j *JoinOp) Side(p operator.Port) (*state.State, *feedback.Blacklist, *feedback.Buffer) {
 	s := j.in[p]
 	return s.st, s.black, s.buf
 }
-
-// Marks exposes the mark table for white-box tests.
-func (j *JoinOp) Marks() *feedback.MarkTable { return j.marks }
 
 // Counters returns the operator's ledger: everything this operator has been
 // charged since it was built, and nothing any other operator did.
@@ -234,8 +228,8 @@ func (j *JoinOp) Counters() *metrics.Counters { return &j.ctr }
 // snapshot cut (DESIGN.md §7): between arrivals, every in-window base tuple
 // of a source sits either in its feed side's state or parked in that side's
 // blacklist, so the union over a plan's feed ports reconstructs the exact
-// in-window arrival history a successor plan (or a restored checkpoint)
-// must replay. Panics if the side is not source-fed (its composites would
+// in-window arrival history a reshaped plan (or a restored checkpoint) must
+// replay. Panics if the side is not source-fed (its composites would
 // be intermediates, which a different plan shape cannot adopt).
 func (j *JoinOp) SnapshotBase(p operator.Port, cut stream.Time) []*stream.Tuple {
 	s := j.in[p]
@@ -678,8 +672,9 @@ func (j *JoinOp) probePending(f *probeFrame, o *side, pending []state.Entry, col
 }
 
 // probeInFlight joins a reactivated tuple with in-flight opposite inputs
-// whose scans have already passed its sequence slot (they resynchronize via
-// IndexAfter and would otherwise skip the reinserted tuple forever).
+// whose scans have already passed its sequence slot (state.Walk resumes after
+// the last sequence it visited, so they would skip the reinserted tuple
+// forever).
 func (j *JoinOp) probeInFlight(f *probeFrame, o *side, cursor uint64, collect *[]*stream.Composite) {
 	for _, g := range j.frames {
 		if g == f || g.port != o.port {

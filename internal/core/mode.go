@@ -52,9 +52,6 @@ type Mode struct {
 	// IgnoreFeedback makes the operator, as a producer, discard all
 	// feedback — the paper's "OP may decide to ignore the message".
 	IgnoreFeedback bool
-	// MaxAtoms bounds the CNS lattice size; inputs with more predicate
-	// components fall back to Level-1-only detection.
-	MaxAtoms int
 }
 
 // REF is the reference execution without any JIT machinery.
@@ -62,18 +59,18 @@ func REF() Mode { return Mode{Detect: DetectNone} }
 
 // JIT is the full mechanism with lattice detection.
 func JIT() Mode {
-	return Mode{Detect: DetectLattice, TypeII: true, Generalize: true, Propagate: true, MaxAtoms: 12}
+	return Mode{Detect: DetectLattice, TypeII: true, Generalize: true, Propagate: true}
 }
 
 // DOE reproduces demand-driven operator execution [21]: producers suspend
 // only when a consumer state is empty (the Ø MNS).
 func DOE() Mode {
-	return Mode{Detect: DetectDOE, Propagate: true, MaxAtoms: 12}
+	return Mode{Detect: DetectDOE, Propagate: true}
 }
 
 // BloomJIT uses Bloom-filter detection instead of the lattice.
 func BloomJIT() Mode {
-	return Mode{Detect: DetectBloom, TypeII: false, Generalize: true, Propagate: true, MaxAtoms: 12}
+	return Mode{Detect: DetectBloom, TypeII: false, Generalize: true, Propagate: true}
 }
 
 // ParseMode resolves the command-line name of an execution mode (the -mode

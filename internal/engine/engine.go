@@ -19,6 +19,13 @@
 // (plan.Built.SetExact): expiry-boundary recoveries generate the pairs REF
 // formed live, so a drained run's finals match REF in every mode.
 //
+// A run drives one plan.Built from first arrival to drain. A Reoptimizer
+// (internal/adapt) may reshape that plan's operator tree at a quiescent cut
+// between arrivals; the engine then only rebuilds its timer schedule over the
+// new operators — the plan object, and with it the sink, ledger and tracer the
+// Result is read from, never changes. Each arrival enters through
+// plan.Built.Ingest, the same step a snapshot replay takes.
+//
 // Ingestion is streaming: RunStream pulls tuples one at a time from a
 // next-func iterator (see source.Stream for the lazy workload generator), so
 // memory stays O(operator state) instead of O(arrivals). Run adapts a
@@ -104,17 +111,18 @@ type Options struct {
 // §7). The engine consults it between the deadline firings and the
 // processing of each arrival, so a migration always happens at a quiescent
 // cut: no probe is in flight and every deadline at or before the cut has
-// fired on the outgoing plan before Migrate is called.
+// fired on the outgoing operators before Migrate is called. b is the run's
+// one plan in all three calls.
 type Reoptimizer interface {
-	// Attach is called once at run start with the initial plan, before any
-	// arrival is processed.
+	// Attach is called once at run start, before any arrival is processed.
 	Attach(b *plan.Built)
 	// Decide observes one arrival before it is processed and reports
 	// whether the engine should migrate now, at cut time t.TS.
 	Decide(t *stream.Tuple, b *plan.Built) bool
-	// Migrate builds, state-transfers and returns the successor plan; the
-	// engine has already drained b's timer deadlines to the cut. A nil
-	// return keeps the current plan.
+	// Migrate acts at the cut; the engine has already drained b's timer
+	// deadlines to it. A non-nil return means b's operator tree changed
+	// (plan.Built.Reshape — the plan object itself stays b) and the engine
+	// must reschedule; nil means it did not.
 	Migrate(cut stream.Time, b *plan.Built) *plan.Built
 }
 
@@ -135,8 +143,8 @@ func New(b *plan.Built) *Engine { return NewWithOptions(b, Options{}) }
 // generates the pairs REF formed live (plan.Built.SetExact, DESIGN.md §4),
 // which is what makes the drained run's finals match REF exactly. Without
 // Drain the operators keep the paper prototype's drop-at-expiry semantics,
-// bit-identical to the historical engine. A plan a Reoptimizer migrates to
-// comes from Built.Rebuild and inherits the setting.
+// bit-identical to the historical engine. The operators a migration wires in
+// (Built.Reshape) inherit the setting.
 func NewWithOptions(b *plan.Built, o Options) *Engine {
 	if o.Reopt != nil && !o.Drain {
 		panic("engine: Reopt requires Drain — the migration handoff relies on exact-delivery recovery (DESIGN.md §7)")
@@ -144,9 +152,6 @@ func NewWithOptions(b *plan.Built, o Options) *Engine {
 	b.SetExact(o.Drain)
 	return &Engine{built: b, opts: o}
 }
-
-// Built exposes the underlying plan.
-func (e *Engine) Built() *plan.Built { return e.built }
 
 // Run processes a materialized arrival slice — a convenience wrapper around
 // RunStream for tests and hand-built traces.
@@ -191,16 +196,12 @@ func ChanSource(ch <-chan *stream.Tuple) func() (*stream.Tuple, bool) {
 func (e *Engine) RunStream(next func() (*stream.Tuple, bool)) Result {
 	b := e.built
 	start := time.Now() //jitlint:allow wallclock Result.Wall is operator-facing elapsed time; no deterministic artifact reads it
-	// The run's tracer is the initial plan's: migrations hand it to each
-	// successor plan (plan.Built.Succeed), like the run ledger; this local
-	// keeps engine-level events (arrivals, watermarks, clock) attached to
-	// the run even while b is being swapped. Nil means tracing is off and
-	// every call below is a pointer test (DESIGN.md §9).
+	// Nil means tracing is off and every call below is a pointer test
+	// (DESIGN.md §9).
 	tr := b.Trace
 	if e.opts.Disorder > 0 {
 		next = reorderSource(next, e.opts.Disorder, &b.RunLedger.LateDropped, tr)
 	}
-	n := b.Catalog.NumSources()
 	sched := newScheduler(b.Joins)
 	if e.opts.Reopt != nil {
 		e.opts.Reopt.Attach(b)
@@ -220,16 +221,14 @@ func (e *Engine) RunStream(next func() (*stream.Tuple, bool)) Result {
 			// Quiesce the outgoing plan to the cut: fire every timer deadline
 			// at or before t.TS (cascades included, via the drain loop), so
 			// each result whose window closes by the cut is delivered by the
-			// plan that formed it. Whatever is still suspended afterwards has
-			// its whole constituent set inside the snapshot window, and the
-			// successor plan regenerates it from the replay (DESIGN.md §7).
+			// operators that formed it. Whatever is still suspended afterwards
+			// has its whole constituent set inside the snapshot window, and the
+			// reshaped tree regenerates it from the replay (DESIGN.md §7).
 			if e.opts.SweepEveryArrival {
 				sched.refresh()
 			}
 			sched.drain(t.TS, b.RunLedger, tr)
-			if nb := e.opts.Reopt.Migrate(t.TS, b); nb != nil {
-				b = nb
-				e.built = nb
+			if e.opts.Reopt.Migrate(t.TS, b) != nil {
 				sched = newScheduler(b.Joins)
 				sched.refresh()
 			}
@@ -240,12 +239,7 @@ func (e *Engine) RunStream(next func() (*stream.Tuple, bool)) Result {
 		} else {
 			sched.fireDue(t.TS, b.RunLedger)
 		}
-		feed, ok := b.Feeds[t.Source]
-		if !ok {
-			panic(fmt.Sprintf("engine: no feed for source %d", t.Source))
-		}
-		c := stream.NewComposite(n, t)
-		feed.Op.Consume(c, feed.Port)
+		b.Ingest(t)
 		if !e.opts.SweepEveryArrival {
 			sched.refresh()
 		}

@@ -45,10 +45,12 @@ func sameCounters(t *testing.T, label string, got, want metrics.Counters) {
 }
 
 // retiring wraps a re-optimizer to record the ledgers of the operators each
-// migration retires, read just before the handoff.
+// migration retires, read just before the handoff, and the plan object each
+// migration hands back.
 type retiring struct {
 	engine.Reoptimizer
-	retired metrics.Counters
+	retired  metrics.Counters
+	reshaped []*plan.Built
 }
 
 func (r *retiring) Migrate(cut stream.Time, b *plan.Built) *plan.Built {
@@ -56,16 +58,34 @@ func (r *retiring) Migrate(cut stream.Time, b *plan.Built) *plan.Built {
 	nb := r.Reoptimizer.Migrate(cut, b)
 	if nb != nil {
 		r.retired.Add(&ops)
+		r.reshaped = append(r.reshaped, nb)
 	}
 	return nb
+}
+
+// migratedPeakKB is Result.PeakMemKB of the forced-migration run below, by
+// mode and initial shape, as the successor-plan handoff recorded it (two
+// accounts: Alloc(oldLive) on the new one for the replay, Free, then the old
+// peak absorbed). One account with one Free(oldLive) after the replay must
+// reproduce it to the byte.
+var migratedPeakKB = map[string]float64{
+	"ref ((0 1) (2 3))":   650760.0 / 1024,
+	"jit ((0 1) (2 3))":   1251008.0 / 1024,
+	"doe ((0 1) (2 3))":   647040.0 / 1024,
+	"bloom ((0 1) (2 3))": 913528.0 / 1024,
+	"ref (((0 1) 2) 3)":   648936.0 / 1024,
+	"jit (((0 1) 2) 3)":   1588568.0 / 1024,
+	"doe (((0 1) 2) 3)":   647040.0 / 1024,
+	"bloom (((0 1) 2) 3)": 834280.0 / 1024,
 }
 
 // TestPlanTotalsAreOperatorSums pins the one-ledger contract: a run's
 // plan-wide Counters are its run ledger plus the ledgers of the operators live
 // at its end (Result.Ops), on every field — single engine, across a forced
-// migration under a lossy reorder stage (the retired operators' work is folded
-// into the run ledger once, and Migrations, MigrationDups and LateDropped keep
-// counting into it through the handoff), and across a 4-shard merge.
+// migration under a lossy reorder stage (the plan object is reshaped in place,
+// the retired operators' work is folded into its run ledger once, Migrations,
+// MigrationDups and LateDropped keep counting into it through the handoff, and
+// the accounted peak is what it always was), and across a 4-shard merge.
 func TestPlanTotalsAreOperatorSums(t *testing.T) {
 	cat, conj := predicate.Clique(4)
 	cfg := source.UniformConfig(4, 1, 20, 6*stream.Minute, 1)
@@ -99,12 +119,15 @@ func TestPlanTotalsAreOperatorSums(t *testing.T) {
 			}
 			b = build()
 			ctrl := &retiring{Reoptimizer: adapt.New(adapt.Config{ForceAt: 3 * stream.Minute, ForceTo: target})}
-			eng := engine.NewWithOptions(b, engine.Options{Drain: true, Reopt: ctrl, Disorder: 15 * stream.Second})
-			r = eng.Run(perturbed)
-			label += " migrated"
-			if eng.Built() == b || eng.Built().RunLedger != b.RunLedger {
-				t.Fatalf("%s: no successor plan, or the run ledger did not cross the migration by pointer", label)
+			r = engine.NewWithOptions(b, engine.Options{Drain: true, Reopt: ctrl, Disorder: 15 * stream.Second}).Run(perturbed)
+			if len(ctrl.reshaped) != 1 || ctrl.reshaped[0] != b || b.Shape().Canonical() != target.Canonical() {
+				t.Fatalf("%s: want one migration reshaping the run's own plan to %s; got %d, plan now %s",
+					label, target.Canonical(), len(ctrl.reshaped), b.Shape().Canonical())
 			}
+			if r.PeakMemKB != migratedPeakKB[label] {
+				t.Errorf("%s: PeakMemKB = %v, want %v", label, r.PeakMemKB, migratedPeakKB[label])
+			}
+			label += " migrated"
 			want = sumOps(r.Ops)
 			want.Add(b.RunLedger)
 			sameCounters(t, label, r.Counters, want)

@@ -120,6 +120,3 @@ func (b *Buffer) Probe(t *stream.Composite) (matched []*MNS, comparisons int) {
 // Buckets returns the number of value fingerprints the probe index holds —
 // for tests and diagnostics: it is bounded by Len.
 func (b *Buffer) Buckets() int { return b.byProbe.buckets() }
-
-// Snapshot returns the buffered MNSs, for tests.
-func (b *Buffer) Snapshot() []*MNS { return slices.Clone(b.mnss.list) }

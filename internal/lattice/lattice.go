@@ -17,9 +17,10 @@
 // mode).
 package lattice
 
-// MaxAtoms bounds the lattice size; beyond it callers should fall back to
-// Level-1-only detection (the paper permits partial MNS detection).
-const MaxAtoms = 16
+// MaxAtoms bounds the lattice size (2^12 nodes per input side); beyond it
+// core falls back to Level-1-only detection (the paper permits partial MNS
+// detection).
+const MaxAtoms = 12
 
 // Lattice tracks dead/alive status for every non-empty subset of m atoms.
 // One lattice serves any number of inputs in turn: Reset starts the next.
@@ -55,9 +56,6 @@ func New(m int) *Lattice {
 // Reset revives every node for the next input. Ops keeps counting: callers
 // charge differences.
 func (l *Lattice) Reset() { clear(l.dead) }
-
-// Atoms returns the number of atoms.
-func (l *Lattice) Atoms() int { return l.m }
 
 // Ops returns the number of node evaluations performed so far, for cost
 // accounting.

@@ -18,10 +18,8 @@ import (
 	"repro/internal/lint"
 )
 
-// Target names one struct and the functions that must touch every one of
-// its fields. Funcs resolve to methods on the type first, then to
-// package-level functions (MergeSeries merges Sample field-wise without
-// being a method of it).
+// Target names one struct and the methods that must touch every one of its
+// fields.
 type Target struct {
 	Package string // import-path base the struct lives in
 	Type    string
@@ -30,19 +28,17 @@ type Target struct {
 
 // Targets is the audited merge surface: the counter merge behind plan
 // totals and shard results, its inverse (the difference the obs sampler and
-// the adaptive controller watch), the latency-histogram merge and the
-// sampled-series merge.
+// the adaptive controller watch) and the latency-histogram merge.
 var Targets = []Target{
 	{Package: "metrics", Type: "Counters", Funcs: []string{"Add", "Sub"}},
 	{Package: "obs", Type: "Histogram", Funcs: []string{"Merge"}},
-	{Package: "obs", Type: "Sample", Funcs: []string{"MergeSeries"}},
 }
 
 // Analyzer is the countersmerge check.
 var Analyzer = &lint.Analyzer{
 	Name: "countersmerge",
-	Doc: "every field of the measurement structs (metrics.Counters, obs.Histogram, " +
-		"obs.Sample) must be referenced in their merge and difference functions",
+	Doc: "every field of the measurement structs (metrics.Counters, obs.Histogram) " +
+		"must be referenced in their merge and difference methods",
 	Packages: targetPackages(),
 	Run:      run,
 }
@@ -80,7 +76,7 @@ func run(pass *lint.Pass) error {
 			decl := findFunc(pass, t.Type, name)
 			if decl == nil {
 				pass.Reportf(obj.Pos(),
-					"countersmerge target %s.%s not found: type %s has no such method and the package no such function",
+					"countersmerge target %s.%s not found: type %s has no such method",
 					t.Type, name, t.Type)
 				continue
 			}
@@ -113,18 +109,12 @@ func matchesBase(path, base string) bool {
 	return path == base
 }
 
-// findFunc locates the named method of typeName, or failing that a
-// package-level function with that name.
+// findFunc locates the named method of typeName.
 func findFunc(pass *lint.Pass, typeName, name string) *ast.FuncDecl {
-	var plain *ast.FuncDecl
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			fn, ok := d.(*ast.FuncDecl)
-			if !ok || fn.Name.Name != name || fn.Body == nil {
-				continue
-			}
-			if fn.Recv == nil {
-				plain = fn
+			if !ok || fn.Name.Name != name || fn.Body == nil || fn.Recv == nil {
 				continue
 			}
 			t := fn.Recv.List[0].Type
@@ -136,7 +126,7 @@ func findFunc(pass *lint.Pass, typeName, name string) *ast.FuncDecl {
 			}
 		}
 	}
-	return plain
+	return nil
 }
 
 // mentions reports whether the function body references the struct field —

@@ -1,6 +1,4 @@
-// Package obs is a countersmerge fixture: Histogram.Merge forgets a field;
-// Sample is merged by a package-level function (the MergeSeries form) that
-// covers everything.
+// Package obs is a countersmerge fixture: Histogram.Merge forgets a field.
 package obs
 
 // Histogram's Merge forgets Count.
@@ -13,20 +11,4 @@ func (h *Histogram) Merge(o *Histogram) { // want "Histogram.Merge does not refe
 	for i := range h.Buckets {
 		h.Buckets[i] += o.Buckets[i]
 	}
-}
-
-// Sample is covered by the package-level MergeSeries below.
-type Sample struct {
-	T    int64
-	Live uint64
-}
-
-// MergeSeries resolves as the function target for Sample and mentions
-// every field.
-func MergeSeries(dst, src []Sample) []Sample {
-	for i := range src {
-		dst[i].T = src[i].T
-		dst[i].Live += src[i].Live
-	}
-	return dst
 }

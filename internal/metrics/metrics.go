@@ -9,6 +9,11 @@
 // ledgers (Add), every narrower one — a sampling interval, a decision epoch —
 // a difference of two readings (Sub). Nothing is counted twice to be read in
 // two places (DESIGN.md §9).
+//
+// An Account likewise has one owner, the plan, for the whole run: a migration
+// builds its new operators on the same account while the retired ones' bytes
+// are still charged, and frees those after the replay (DESIGN.md §7), so the
+// peak spans the handoff without any transfer between accounts.
 package metrics
 
 import (
@@ -70,7 +75,7 @@ type Counters struct {
 	// own decision overhead honestly.
 	AdaptUnits uint64
 	// MigrationDups counts deliveries suppressed by the migration dedup tap:
-	// results the successor plan regenerated during replay (or re-delivered
+	// results the reshaped tree regenerated during replay (or re-delivered
 	// after it) that the run had already emitted (DESIGN.md §7).
 	MigrationDups uint64
 	// LateDropped counts tuples that arrived behind the engine's disorder
@@ -181,9 +186,8 @@ type OpCounters struct {
 }
 
 // MergeOps adds src into dst by operator name and returns dst: shard replicas
-// and their sampled series share one shape, so names align; an unseen name
-// (a migrated fleet's successor operators) is appended in order of first
-// appearance.
+// share one shape, so names align; an unseen name (a migrated fleet's new
+// operators) is appended in order of first appearance.
 func MergeOps(dst, src []OpCounters) []OpCounters {
 	for _, op := range src {
 		i := 0
@@ -236,13 +240,3 @@ func (a *Account) PeakKB() float64 { return float64(a.peak) / 1024 }
 
 // Reset clears both live and peak figures.
 func (a *Account) Reset() { a.live, a.peak = 0, 0 }
-
-// AbsorbPeak raises the peak to at least o's peak. Used when accounting
-// responsibility transfers between accounts mid-run — a plan migration hands
-// the measurement substrate to the successor plan's account, and the run's
-// true high-water mark is the maximum over both lifetimes (DESIGN.md §7).
-func (a *Account) AbsorbPeak(o *Account) {
-	if o.peak > a.peak {
-		a.peak = o.peak
-	}
-}

@@ -202,7 +202,7 @@ type EventSource interface {
 // Ledger is what a tracer reads of a plan's counters, without obs importing
 // the plan packages (*plan.Built implements it): the plan-wide totals, which
 // stay continuous across a migration, and the live operators' own ledgers in
-// plan order, which start from zero on the successor plan.
+// plan order, which start from zero each time a migration reshapes the tree.
 type Ledger interface {
 	Totals() metrics.Counters
 	Ops() []metrics.OpCounters
@@ -265,8 +265,9 @@ func New(o Options) *Tracer {
 
 // Bind points the tracer at a plan's measurement substrate — its Ledger and
 // its Account. plan.Built.SetTrace calls it at attach time and again at each
-// migration handoff (the successor plan carries fresh operators but the run's
-// totals, so the sampler keeps its totals baseline across the rebind).
+// migration handoff: the substrate is the same plan, but its operators are
+// fresh, so the sampler restarts its per-operator baselines (and keeps the
+// totals one).
 func (t *Tracer) Bind(src Ledger, acct *metrics.Account) {
 	if t == nil {
 		return
@@ -314,14 +315,6 @@ func (t *Tracer) Finish() {
 		t.sampler.Flush()
 	}
 	t.publish()
-}
-
-// Shard returns the tracer's shard stamp.
-func (t *Tracer) Shard() int {
-	if t == nil {
-		return 0
-	}
-	return t.shard
 }
 
 // emit stamps and forwards one event. Callers must have nil-checked t.

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sort"
 	"strings"
 
 	"repro/internal/metrics"
@@ -24,7 +23,7 @@ type Sample struct {
 //
 //   - Boundaries lie on the absolute grid k·Δt, anchored at stream time 0 —
 //     not at the first arrival — so per-shard series from the same run
-//     align bucket-for-bucket and MergeSeries can sum them.
+//     align bucket-for-bucket.
 //   - A boundary fires when the clock first reaches or passes it, BEFORE
 //     the crossing arrival is processed: the sample covers exactly the
 //     activity with ts < boundary. Skipped-over boundaries emit empty
@@ -53,11 +52,11 @@ func NewSampler(dt stream.Time) *Sampler {
 }
 
 // Bind attaches (or re-attaches) the substrate. On first bind the totals
-// baseline is their current value; on rebind — a migration handed the clock
-// to a successor plan — the baseline is kept, because the run's totals carry
+// baseline is their current value; on rebind — a migration reshaped the plan
+// (plan.Built.Reshape) — the baseline is kept, because the run's totals carry
 // on across the handoff and resetting would double-count the pre-migration
-// work. Per-operator baselines always reset: the successor's operators are
-// fresh, and their deltas would underflow against the old plan's ledgers.
+// work. Per-operator baselines always reset: the new tree's operators are
+// fresh, and their deltas would underflow against the retired ones' ledgers.
 func (s *Sampler) Bind(src Ledger, acct *metrics.Account) {
 	if s.src == nil {
 		s.prev = src.Totals()
@@ -115,37 +114,6 @@ func (s *Sampler) take(at stream.Time) {
 
 // Samples returns the series so far.
 func (s *Sampler) Samples() []Sample { return s.samples }
-
-// MergeSeries sums per-shard series onto the union of their grids: samples
-// with equal T add field-wise (Counters via Add, live bytes, op deltas by
-// name via metrics.MergeOps). Because every sampler uses the same absolute
-// grid, equal-Δt shard series line up exactly; the union handles shards that
-// finished on different final boundaries. The reflection pin covers Sample's fields so
-// an unmerged addition fails loudly.
-func MergeSeries(series ...[]Sample) []Sample {
-	byT := map[stream.Time]*Sample{}
-	var ts []stream.Time
-	for _, sr := range series {
-		for _, sm := range sr {
-			dst, ok := byT[sm.T]
-			if !ok {
-				cp := Sample{T: sm.T}
-				byT[sm.T] = &cp
-				ts = append(ts, sm.T)
-				dst = &cp
-			}
-			dst.Counters.Add(&sm.Counters)
-			dst.LiveBytes += sm.LiveBytes
-			dst.Ops = metrics.MergeOps(dst.Ops, sm.Ops)
-		}
-	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-	out := make([]Sample, 0, len(ts))
-	for _, t := range ts {
-		out = append(out, *byT[t])
-	}
-	return out
-}
 
 var sparkRunes = []rune("▁▂▃▄▅▆▇█")
 

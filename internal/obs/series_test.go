@@ -106,36 +106,6 @@ func TestNewSamplerPanics(t *testing.T) {
 	NewSampler(0)
 }
 
-func TestMergeSeries(t *testing.T) {
-	a := []Sample{
-		{T: 10, Counters: metrics.Counters{Probes: 1}, LiveBytes: 5, Ops: []metrics.OpCounters{{Name: "Op1", Counters: metrics.Counters{Probes: 1}}}},
-		{T: 20, Counters: metrics.Counters{Probes: 2}, LiveBytes: 6},
-	}
-	b := []Sample{
-		{T: 10, Counters: metrics.Counters{Probes: 10}, LiveBytes: 50, Ops: []metrics.OpCounters{{Name: "Op1", Counters: metrics.Counters{Probes: 10}}, {Name: "Op2", Counters: metrics.Counters{Probes: 4}}}},
-		{T: 30, Counters: metrics.Counters{Probes: 20}, LiveBytes: 60},
-	}
-	m := MergeSeries(a, b)
-	if len(m) != 3 || m[0].T != 10 || m[1].T != 20 || m[2].T != 30 {
-		t.Fatalf("merged grid wrong: %+v", m)
-	}
-	if m[0].Counters.Probes != 11 || m[0].LiveBytes != 55 {
-		t.Errorf("T=10 not summed: %+v", m[0])
-	}
-	if len(m[0].Ops) != 2 || m[0].Ops[0].Counters.Probes != 11 || m[0].Ops[1].Name != "Op2" {
-		t.Errorf("ops not merged by name: %+v", m[0].Ops)
-	}
-	if m[1].Counters.Probes != 2 || m[2].Counters.Probes != 20 {
-		t.Error("union grid lost single-sided samples")
-	}
-}
-
-// The former TestSampleMergePin (a reflection walk asserting MergeSeries
-// names every Sample field) is retired: the countersmerge analyzer in
-// internal/lint enforces that exhaustiveness statically on every jitlint
-// run. TestMergeSeries above keeps the semantic half — that the merge
-// actually sums, unions the grid and merges ops by name.
-
 // TestTracerDeliveryLag pins the latency math on the nonzero path: a
 // delivery whose result timestamp trails the event-time clock records the
 // gap; a future-stamped result (cannot happen from the engine, but the

@@ -36,12 +36,13 @@ func ExampleBuildTree() {
 		Window: 5 * stream.Minute, Mode: core.JIT(),
 	})
 	fmt.Println(b.Describe())
-	for _, j := range b.Joins {
-		left, _, _ := j.Side(0)
-		fmt.Printf("%s indexed on %v\n", j.Name(), left.IndexKey())
+	for j, n := range []*plan.Node{shape.Left, shape} {
+		key, _, _ := conj.EquiKeyCols(n.Left.Sources(), n.Right.Sources())
+		left, _, _ := b.Joins[j].Side(0)
+		fmt.Printf("%s indexed on %v: %v\n", b.Joins[j].Name(), key, left.Indexed())
 	}
 	// Output:
 	// Op1({0}⋈{1}) ; Op2({0,1}⋈{2})
-	// Op1 indexed on [s0.c0]
-	// Op2 indexed on [s0.c1]
+	// Op1 indexed on [s0.c0]: true
+	// Op2 indexed on [s0.c1]: true
 }

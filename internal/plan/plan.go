@@ -1,5 +1,12 @@
 // Package plan constructs execution plans: the X-Join binary trees of
 // Table II (bushy and left-deep) and arbitrary user-specified trees.
+//
+// A run has one Built for its whole life. The operator tree inside it —
+// Joins and Feeds — is the only part a shape decides, and the only part a
+// mid-run migration replaces (Reshape); the sink, run ledger, account, tracer,
+// delivery semantics and the root's consumer belong to the run and are never
+// re-pointed. Arrivals enter through one step, Ingest, whoever drives them:
+// the engine's loop or a snapshot replay.
 package plan
 
 import (
@@ -133,7 +140,6 @@ type Feed struct {
 type Built struct {
 	Catalog *stream.Catalog
 	Window  stream.Time
-	Root    operator.Op
 	Sink    *operator.Sink
 	// Joins lists every join operator bottom-up (producers before
 	// consumers) — the engine's sweep order.
@@ -142,22 +148,20 @@ type Built struct {
 	Feeds map[stream.SourceID]Feed
 	// RunLedger counts what no live operator owns: sink finals, sweeps, late
 	// drops, migrations, adapt units, dedup dups, and the folded-in ledgers of
-	// operators a migration retired (Succeed). It is not the plan-wide figure
-	// — that is Totals — and it belongs to the run, not the plan instance: a
-	// successor plan takes it over by pointer, so whoever counts into it (the
-	// sink, the dedup gate, the engine) keeps counting across a migration.
+	// operators a migration retired (Reshape). It is not the plan-wide figure
+	// — that is Totals.
 	RunLedger *metrics.Counters
 	// Account is the shared live-byte substrate.
 	Account *metrics.Account
 	// Trace is the attached observability layer; nil (the default) disables
 	// it. Set it with SetTrace — deliberately not a build Option, so the
-	// throwaway plans Replicate/Rebuild/shadow-scoring construct stay
-	// untraced unless explicitly attached.
+	// throwaway plans Replicate and shadow scoring construct stay untraced
+	// unless explicitly attached.
 	Trace *obs.Tracer
 
 	nextMNS uint64
 	// exact is the delivery semantics last applied by SetExact, remembered so
-	// successor plans start under it.
+	// replicas and reshaped trees start under it.
 	exact bool
 
 	// The build spec is retained so the plan can be replicated for sharded
@@ -198,7 +202,6 @@ func BuildTree(cat *stream.Catalog, preds predicate.Conj, shape *Node, opt Optio
 	b := &Built{
 		Catalog:   cat,
 		Window:    opt.Window,
-		Feeds:     make(map[stream.SourceID]Feed),
 		RunLedger: &metrics.Counters{},
 		Account:   &metrics.Account{},
 		preds:     preds,
@@ -206,14 +209,18 @@ func BuildTree(cat *stream.Catalog, preds predicate.Conj, shape *Node, opt Optio
 		opt:       opt,
 	}
 	b.Sink = operator.NewSink("sink", b.RunLedger, opt.KeepResults)
-	root := b.wire(cat, preds, shape, opt)
-	rootJoin, ok := root.(*core.JoinOp)
-	if !ok {
+	b.wireTree(b.Sink)
+	return b
+}
+
+// wireTree builds the operator tree of b.shape — Joins and Feeds, with MNS ids
+// starting over — and points its root at out.
+func (b *Built) wireTree(out operator.Consumer) {
+	b.Joins, b.Feeds, b.nextMNS = nil, make(map[stream.SourceID]Feed), 0
+	if b.shape.IsLeaf() {
 		panic("plan: root must be a join")
 	}
-	rootJoin.SetConsumer(b.Sink, operator.Left)
-	b.Root = rootJoin
-	return b
+	b.wire(b.shape).SetConsumer(out, operator.Left)
 }
 
 // Shape returns the plan's shape tree. Together with Preds it lets the
@@ -229,30 +236,23 @@ func (b *Built) Preds() predicate.Conj { return b.preds }
 // (internal/adapt) derives candidate-plan options from them.
 func (b *Built) Opt() Options { return b.opt }
 
-// Rebuild constructs a fresh plan over the same catalog, predicates and
-// options but a different shape, under b's delivery semantics (SetExact). It
-// shares no mutable state with b.
-func (b *Built) Rebuild(shape *Node) *Built {
-	nb := BuildTree(b.Catalog, b.preds, shape, b.opt)
-	nb.SetExact(b.exact)
-	return nb
-}
-
-// Succeed is Rebuild for a mid-run migration (internal/adapt, DESIGN.md §7):
-// the successor carries on b's run. It takes over the run's one sink and run
-// ledger by pointer — delivery order and every count span the handoff — and
-// the run's tracer, so the state-transfer replay is traced under the new
-// operators (§9); b's operators, retired here, fold their ledgers into that
-// run ledger, so Totals is continuous across the migration. b must not run
-// afterwards.
-func (b *Built) Succeed(shape *Node) *Built {
-	nb := b.Rebuild(shape)
-	nb.Sink, nb.RunLedger = b.Sink, b.RunLedger
+// Reshape is the plan half of a mid-run migration (internal/adapt, DESIGN.md
+// §7): it retires b's operators, folding their ledgers into the run ledger so
+// Totals is continuous, and wires a fresh operator tree of the given shape in
+// their place. Everything else is the run's and stays where it is: the sink,
+// the run ledger, the account, the tracer, the delivery semantics and whatever
+// consumes the root's output (a dedup gate spliced there keeps gating). The
+// new operators are empty; the caller replays a SnapshotInWindow cut taken
+// before the call into them.
+func (b *Built) Reshape(shape *Node) {
 	for _, j := range b.Joins {
 		b.RunLedger.Add(j.Counters())
 	}
-	nb.SetTrace(b.Trace)
-	return nb
+	out := b.RootJoin().Consumer()
+	b.shape = shape
+	b.wireTree(out)
+	b.SetExact(b.exact)
+	b.SetTrace(b.Trace)
 }
 
 // Totals is the plan-wide counter figure: the run ledger plus every live
@@ -274,11 +274,10 @@ func (b *Built) Ops() []metrics.OpCounters {
 	return ops
 }
 
-// RootJoin returns the root operator as its concrete join type (the root of
-// a wired plan is always a join; BuildTree enforces it). Callers that
-// re-route the plan's output — the migration dedup tap — need SetConsumer,
-// which the operator.Op interface does not expose.
-func (b *Built) RootJoin() *core.JoinOp { return b.Root.(*core.JoinOp) }
+// RootJoin returns the root operator, the last of the bottom-up Joins.
+// Callers that re-route the plan's output — a dedup gate, the server's
+// deliverer — splice in through its SetConsumer.
+func (b *Built) RootJoin() *core.JoinOp { return b.Joins[len(b.Joins)-1] }
 
 // SnapshotInWindow exports every base tuple still inside the window at the
 // cut, in global arrival order — the plan-level §2 snapshot cut (DESIGN.md
@@ -306,21 +305,30 @@ func (b *Built) SnapshotInWindow(cut stream.Time) []*stream.Tuple {
 	return out
 }
 
+// Ingest is the one arrival step: t enters the plan at its source's feed as a
+// single-component composite and drives the pipeline to quiescence. Sweeping
+// first is the caller's business (the engine's scheduler, ReplayInWindow).
+func (b *Built) Ingest(t *stream.Tuple) {
+	f, ok := b.Feeds[t.Source]
+	if !ok {
+		panic(fmt.Sprintf("plan: no feed for source %d", t.Source))
+	}
+	f.Op.Consume(stream.NewComposite(b.Catalog.NumSources(), t), f.Port)
+}
+
 // ReplayInWindow feeds snapshot rows back through the plan in order: each
 // row is preceded by a full expiry sweep at its timestamp (charged to
-// RunLedger.Sweeps) and then consumed at its source's feed, exactly the
-// arrival discipline the engine applies. Replaying a SnapshotInWindow cut
-// into a freshly built plan yields the state that plan would hold had it
-// been running since one window before the cut (DESIGN.md §7) — the restore
-// half of both the adaptive migration handoff (internal/adapt) and the
-// durable checkpoint recovery (internal/checkpoint, internal/serve).
+// RunLedger.Sweeps) and then ingested, exactly the arrival discipline the
+// engine applies. Replaying a SnapshotInWindow cut into empty operators — a
+// freshly built plan, or one just reshaped — yields the state they would hold
+// had they been running since one window before the cut (DESIGN.md §7): the
+// restore half of both the adaptive migration handoff (internal/adapt) and
+// the durable checkpoint recovery (internal/checkpoint, internal/serve).
 func (b *Built) ReplayInWindow(rows []*stream.Tuple) {
-	n := b.Catalog.NumSources()
 	for _, t := range rows {
 		b.RunLedger.Sweeps += uint64(len(b.Joins))
 		b.Sweep(t.TS)
-		f := b.Feeds[t.Source]
-		f.Op.Consume(stream.NewComposite(n, t), f.Port)
+		b.Ingest(t)
 	}
 }
 
@@ -329,14 +337,18 @@ func (b *Built) ReplayInWindow(rows []*stream.Tuple) {
 // account and sink, sharing no mutable state with b. A replica is the unit
 // of scale-out in internal/shard: each engine goroutine drives its own
 // replica, so no operator-level locking is ever needed.
-func (b *Built) Replicate() *Built { return b.Rebuild(b.shape) }
+func (b *Built) Replicate() *Built {
+	nb := BuildTree(b.Catalog, b.preds, b.shape, b.opt)
+	nb.SetExact(b.exact)
+	return nb
+}
 
 // SetExact switches every join of the wired plan between exact-delivery
 // recovery and the paper prototype's drop-at-expiry semantics
 // (internal/core/expiry.go, DESIGN.md §4). Like the tracer it is not a build
 // Option: the engine applies it per run (on iff the run drains) and the
-// server before its recovery replay, and Rebuild/Replicate hand the setting
-// to the plans they construct.
+// server before its recovery replay; Replicate and Reshape hand the setting
+// to the operators they construct.
 func (b *Built) SetExact(on bool) {
 	b.exact = on
 	for _, j := range b.Joins {
@@ -347,8 +359,9 @@ func (b *Built) SetExact(on bool) {
 // SetTrace attaches (or, with nil, detaches) an observability tracer to the
 // wired plan: every join and the sink get their event hooks, and the tracer
 // is bound to the plan's measurement substrate (the plan is its obs.Ledger)
-// for sampling. Called once after build, and again by Succeed so the
-// successor plan inherits the run's tracer (DESIGN.md §9).
+// for sampling. Called once after build, and again by Reshape so the new
+// operators get their hooks and the sampler restarts its per-operator
+// baselines (DESIGN.md §9).
 func (b *Built) SetTrace(tr *obs.Tracer) {
 	b.Trace = tr
 	for _, j := range b.Joins {
@@ -364,20 +377,18 @@ func (b *Built) NextMNS() uint64 {
 	return b.nextMNS
 }
 
-// wire recursively builds the operator for a node and returns it; for
-// leaves it returns nil (the parent registers the feed).
-func (b *Built) wire(cat *stream.Catalog, preds predicate.Conj, n *Node, opt Options) operator.Op {
-	if n.IsLeaf() {
-		panic("plan: wire called on leaf")
-	}
+// wire recursively builds the operator for an internal node and returns it;
+// a leaf child becomes a feed of its parent.
+func (b *Built) wire(n *Node) *core.JoinOp {
+	cat, preds, opt := b.Catalog, b.preds, b.opt
 	var leftProd, rightProd operator.Producer
 	var leftOp, rightOp *core.JoinOp
 	if !n.Left.IsLeaf() {
-		leftOp = b.wire(cat, preds, n.Left, opt).(*core.JoinOp)
+		leftOp = b.wire(n.Left)
 		leftProd = leftOp
 	}
 	if !n.Right.IsLeaf() {
-		rightOp = b.wire(cat, preds, n.Right, opt).(*core.JoinOp)
+		rightOp = b.wire(n.Right)
 		rightProd = rightOp
 	}
 	name := fmt.Sprintf("Op%d", len(b.Joins)+1)

@@ -43,9 +43,6 @@ func (e Eq) matches(a, b stream.Value) bool {
 	return d <= e.Tol
 }
 
-// Touches reports whether the predicate references the given source.
-func (e Eq) Touches(id stream.SourceID) bool { return e.Left == id || e.Right == id }
-
 // Across reports whether the predicate links a source in a to a source in b.
 func (e Eq) Across(a, b stream.SourceSet) bool {
 	return (a.Has(e.Left) && b.Has(e.Right)) || (a.Has(e.Right) && b.Has(e.Left))
@@ -301,19 +298,6 @@ func (c Conj) WithTol(tol stream.Value) Conj {
 		out[i].Tol = tol
 	}
 	return out
-}
-
-// HasBand reports whether any predicate in the conjunction is a band
-// predicate. Consumers use it to disable machinery that is only sound for
-// exact equality (hash keying, Bloom absence proofs, exact-value MNS buffer
-// probes — DESIGN.md §8).
-func (c Conj) HasBand() bool {
-	for _, e := range c {
-		if e.IsBand() {
-			return true
-		}
-	}
-	return false
 }
 
 func (c Conj) String() string {

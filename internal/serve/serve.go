@@ -367,7 +367,7 @@ func (s *Server) runLoop(eng *engine.Engine) {
 	}()
 	res := eng.RunStream(engine.ChanSource(s.ch))
 	if s.ckp != nil {
-		s.ckp.finish(eng.Built())
+		s.ckp.finish(s.b)
 	}
 	s.mu.Lock()
 	s.res = res
@@ -412,9 +412,6 @@ func (s *Server) Stats() Stats {
 	}
 	return st
 }
-
-// Sink exposes the run's sink (delivery log under KeepResults; tests).
-func (s *Server) Sink() *operator.Sink { return s.b.Sink }
 
 // IngestHWM returns the highest tuple ID admitted to the engine so far (the
 // mark a new ingest session's greeting would carry).

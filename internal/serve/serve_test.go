@@ -568,10 +568,10 @@ func TestConfigValidate(t *testing.T) {
 // updates these literals and says so in its release note.
 func TestConfigIdentityPinned(t *testing.T) {
 	modes := map[string]string{
-		"jit":   "{lattice true true true false 12}",
-		"ref":   "{none false false false false 0}",
-		"doe":   "{doe false false true false 12}",
-		"bloom": "{bloom false true true false 12}",
+		"jit":   "{lattice true true true false}",
+		"ref":   "{none false false false false}",
+		"doe":   "{doe false false true false}",
+		"bloom": "{bloom false true true false}",
 	}
 	for name, m := range modes {
 		mode, err := core.ParseMode(name)

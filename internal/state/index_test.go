@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
-	"repro/internal/predicate"
 	"repro/internal/stream"
 )
 
@@ -63,16 +62,16 @@ func TestKeyHash(t *testing.T) {
 }
 
 func TestIndexedProbeVisitsBucketInSeqOrder(t *testing.T) {
-	st := New("S", &Side{}, &metrics.Account{})
+	st, side := New("S", &metrics.Account{}), &Side{}
 	st.SetKey(key0())
 	if !st.Indexed() {
 		t.Fatal("SetKey did not enable the index")
 	}
 	// Interleave two key values plus a loose entry.
-	e1 := st.Insert(kcomp(1, 1, 7))
-	st.Insert(kcomp(2, 2, 9))
-	loose := st.Insert(otherComp(3, 3))
-	e4 := st.Insert(kcomp(4, 4, 7))
+	e1 := put(st, side, kcomp(1, 1, 7))
+	put(st, side, kcomp(2, 2, 9))
+	loose := put(st, side, otherComp(3, 3))
+	e4 := put(st, side, kcomp(4, 4, 7))
 	h, _ := key0().Hash(kcomp(99, 0, 7))
 	got := probeAll(st, h)
 	// Bucket for 7 plus the loose entry, ascending seq.
@@ -92,14 +91,14 @@ func TestIndexedProbeVisitsBucketInSeqOrder(t *testing.T) {
 }
 
 func TestIndexMaintenanceOnRemovePurgeReinsert(t *testing.T) {
-	st := New("S", &Side{}, &metrics.Account{})
+	st, side := New("S", &metrics.Account{}), &Side{}
 	st.SetKey(key0())
-	a := st.Insert(kcomp(1, 10, 7))
-	b := st.Insert(kcomp(2, 20, 7))
+	a := put(st, side, kcomp(1, 10, 7))
+	b := put(st, side, kcomp(2, 20, 7))
 	h, _ := key0().Hash(a.C)
 
 	// Remove a, probe must only see b.
-	if _, ok := st.Remove(a.C); !ok {
+	if _, ok := take(st, a.C); !ok {
 		t.Fatal("remove failed")
 	}
 	if got := probeAll(st, h); len(got) != 1 || got[0] != b.Seq {
@@ -126,7 +125,7 @@ func TestIndexMaintenanceOnRemovePurgeReinsert(t *testing.T) {
 // from a park-time cursor).
 func TestIndexMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	st := New("S", &Side{}, &metrics.Account{})
+	st, side := New("S", &metrics.Account{}), &Side{}
 	st.SetKey(key0())
 	now := stream.Time(0)
 	var parked []Entry
@@ -135,9 +134,9 @@ func TestIndexMatchesScan(t *testing.T) {
 		case 0, 1:
 			now += stream.Time(rng.Intn(3))
 			if rng.Intn(10) == 0 {
-				st.Insert(otherComp(uint64(i), now))
+				put(st, side, otherComp(uint64(i), now))
 			} else {
-				st.Insert(kcomp(uint64(i), now, stream.Value(rng.Intn(5)+1)))
+				put(st, side, kcomp(uint64(i), now, stream.Value(rng.Intn(5)+1)))
 			}
 		case 2:
 			st.Purge(now, 40)
@@ -190,21 +189,23 @@ func TestIndexMatchesScan(t *testing.T) {
 				continue
 			}
 			cursor := want[rng.Intn(len(want))]
-			var tail []uint64
-			for at := st.IndexAfter(cursor); at < st.Len(); at++ {
-				if c := st.At(at).C.Comp(0); c == nil || c.Vals[0] == v {
-					tail = append(tail, st.At(at).Seq)
+			var tail, keyed []uint64
+			st.Walk(false, 0, cursor, func(e Entry) bool {
+				if c := e.C.Comp(0); c == nil || c.Vals[0] == v {
+					tail = append(tail, e.Seq)
 				}
-			}
-			if from := probeFrom(st, h, cursor); !slices.Equal(from, tail) {
-				t.Fatalf("step %d v=%d cursor %d: got %v want %v", i, v, cursor, from, tail)
+				return true
+			})
+			st.Walk(true, h, cursor, func(e Entry) bool { keyed = append(keyed, e.Seq); return true })
+			if from := probeFrom(st, h, cursor); !slices.Equal(from, tail) || !slices.Equal(keyed, tail) {
+				t.Fatalf("step %d v=%d cursor %d: ProbeNext %v, keyed Walk %v, want %v", i, v, cursor, from, keyed, tail)
 			}
 		}
 		if ts, ok := st.MinTS(); ok {
-			min := st.At(0).C.MinTS
+			min, first := stream.Time(0), true
 			st.Scan(func(e Entry) bool {
-				if e.C.MinTS < min {
-					min = e.C.MinTS
+				if first || e.C.MinTS < min {
+					min, first = e.C.MinTS, false
 				}
 				return true
 			})
@@ -216,8 +217,8 @@ func TestIndexMatchesScan(t *testing.T) {
 }
 
 func TestSetKeyGuards(t *testing.T) {
-	st := New("S", &Side{}, &metrics.Account{})
-	st.Insert(kcomp(1, 1, 1))
+	st := New("S", &metrics.Account{})
+	put(st, &Side{}, kcomp(1, 1, 1))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("SetKey on non-empty state must panic")
@@ -227,13 +228,19 @@ func TestSetKeyGuards(t *testing.T) {
 }
 
 func TestSetKeyEmptyLeavesScanOnly(t *testing.T) {
-	st := New("S", &Side{}, &metrics.Account{})
+	st, side := New("S", &metrics.Account{}), &Side{}
 	st.SetKey(nil)
 	if st.Indexed() {
 		t.Fatal("nil key must leave the state scan-only")
 	}
-	if st.IndexKey() != nil {
-		t.Fatal("IndexKey must be nil for scan-only state")
+	// Scan-only means no bucket and no loose list: a keyed walk finds nothing
+	// where the linear one finds the entry.
+	e := put(st, side, kcomp(1, 1, 7))
+	h, _ := key0().Hash(e.C)
+	if got := probeAll(st, h); len(got) != 0 {
+		t.Fatalf("scan-only state answered a keyed probe: %v", got)
 	}
-	_ = predicate.Attr{}
+	if got := seqsAfter(st, 0); !slices.Equal(got, []uint64{e.Seq}) {
+		t.Fatalf("linear walk visited %v", got)
+	}
 }

@@ -90,9 +90,10 @@ type Entry struct {
 	Seq uint64
 }
 
-// Side is the shared sequence space for one input side of a join: the
-// active State and any blacklist entries on that side draw from the same
-// counter, so cursors are totally ordered across both.
+// Side is the shared sequence space for one input side of a join: entries of
+// the active State, of the blacklist and of the graveyard on that side all
+// carry numbers drawn from the same counter (by core, before the probe), so
+// cursors are totally ordered across the three.
 type Side struct {
 	seq uint64
 }
@@ -164,10 +165,9 @@ func (c *MinCache) Get(each func(add func(stream.Time))) (min stream.Time, ok bo
 // State is one sliding-window operator state.
 type State struct {
 	name    string
-	side    *Side
 	acct    *metrics.Account
 	entries []Entry // arrival order == ascending Seq
-	version uint64  // incremented on every mutation (probe-loop resync)
+	version uint64  // incremented on every mutation; an unkeyed Walk re-finds its place when it moves
 	// Hash index over the equi-join key (nil when the state is scan-only).
 	// Buckets and the loose overflow are each kept in ascending Seq order,
 	// mirroring the entries slice.
@@ -180,14 +180,11 @@ type State struct {
 	min MinCache
 }
 
-// New creates a state drawing sequence numbers from side and charging
-// memory to acct. Both may be shared with blacklists on the same join side.
-func New(name string, side *Side, acct *metrics.Account) *State {
-	return &State{name: name, side: side, acct: acct}
+// New creates a state labelled name (e.g. "S_AB") charging memory to acct,
+// which may be shared with the blacklists on the same join side.
+func New(name string, acct *metrics.Account) *State {
+	return &State{name: name, acct: acct}
 }
-
-// Name returns the state's label (e.g. "S_AB").
-func (s *State) Name() string { return s.name }
 
 // SetKey configures the hash index over the given key columns. It must be
 // called before any entry is inserted; an empty key leaves the state
@@ -206,24 +203,11 @@ func (s *State) SetKey(k Key) {
 // Indexed reports whether the state maintains a hash index.
 func (s *State) Indexed() bool { return s.buckets != nil }
 
-// IndexKey returns the key columns the index is built on (nil if scan-only).
-func (s *State) IndexKey() Key { return s.key }
-
-// Side returns the sequence space the state draws from.
-func (s *State) Side() *Side { return s.side }
-
 // Len returns the number of live entries.
 func (s *State) Len() int { return len(s.entries) }
 
 // Empty reports whether the state holds no live tuples.
 func (s *State) Empty() bool { return len(s.entries) == 0 }
-
-// Insert appends a fresh composite, drawing a new sequence number.
-func (s *State) Insert(c *stream.Composite) Entry {
-	e := Entry{C: c, Seq: s.side.Next()}
-	s.Reinsert(e)
-	return e
-}
 
 // InvalidateMinCache forces the next MinTS read to recompute exactly (see
 // feedback.Blacklist.InvalidateMinCaches for the shared-descriptor rationale
@@ -402,17 +386,6 @@ func (s *State) purge(now, window stream.Time, collect bool) []Entry {
 	return s.extract(now-window, nil, collect)
 }
 
-// Remove deletes the entry holding exactly this composite and returns it
-// (with its sequence number) for transfer into a blacklist. The boolean is
-// false when the composite is not present.
-func (s *State) Remove(c *stream.Composite) (Entry, bool) {
-	removed := s.RemoveIf(func(x *stream.Composite) bool { return x == c })
-	if len(removed) == 0 {
-		return Entry{}, false
-	}
-	return removed[0], true
-}
-
 // RemoveIf removes and returns every entry for which pred returns true
 // (core moves a suspended signature's matches into a blacklist).
 func (s *State) RemoveIf(pred func(*stream.Composite) bool) []Entry {
@@ -479,20 +452,6 @@ func (s *State) SnapshotLive(cut, window stream.Time) []Entry {
 		}
 	}
 	return out
-}
-
-// Version returns the mutation counter. Probe loops snapshot it and, when it
-// changes mid-scan (a feedback removed or added entries re-entrantly),
-// re-synchronize via IndexAfter on the last processed sequence number.
-func (s *State) Version() uint64 { return s.version }
-
-// At returns the i-th live entry in arrival order.
-func (s *State) At(i int) Entry { return s.entries[i] }
-
-// IndexAfter returns the index of the first entry with sequence strictly
-// greater than seq (binary search over the ascending-seq slice).
-func (s *State) IndexAfter(seq uint64) int {
-	return seqIndexAfter(s.entries, seq)
 }
 
 func (s *State) String() string {

@@ -2,6 +2,7 @@ package state
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/metrics"
@@ -12,12 +13,36 @@ func comp(id uint64, ts stream.Time) *stream.Composite {
 	return stream.NewComposite(1, &stream.Tuple{ID: id, Source: 0, TS: ts, Vals: []stream.Value{1}})
 }
 
+// put stores c the way core does: the sequence number is drawn from the side
+// first, then the entry is placed with Reinsert.
+func put(st *State, side *Side, c *stream.Composite) Entry {
+	e := Entry{C: c, Seq: side.Next()}
+	st.Reinsert(e)
+	return e
+}
+
+// take removes the entry holding exactly c.
+func take(st *State, c *stream.Composite) (Entry, bool) {
+	removed := st.RemoveIf(func(x *stream.Composite) bool { return x == c })
+	if len(removed) != 1 {
+		return Entry{}, false
+	}
+	return removed[0], true
+}
+
+// seqsAfter lists, via an unkeyed Walk, the sequences strictly after the cursor.
+func seqsAfter(st *State, after uint64) []uint64 {
+	var seqs []uint64
+	st.Walk(false, 0, after, func(e Entry) bool { seqs = append(seqs, e.Seq); return true })
+	return seqs
+}
+
 func TestInsertPurge(t *testing.T) {
 	acct := &metrics.Account{}
 	side := &Side{}
-	st := New("S", side, acct)
+	st := New("S", acct)
 	for i := 1; i <= 5; i++ {
-		st.Insert(comp(uint64(i), stream.Time(i*100)))
+		put(st, side, comp(uint64(i), stream.Time(i*100)))
 	}
 	if st.Len() != 5 || acct.Live() == 0 {
 		t.Fatalf("len=%d live=%d", st.Len(), acct.Live())
@@ -37,9 +62,9 @@ func TestInsertPurge(t *testing.T) {
 func TestSequenceStability(t *testing.T) {
 	acct := &metrics.Account{}
 	side := &Side{}
-	st := New("S", side, acct)
-	e1 := st.Insert(comp(1, 10))
-	e2 := st.Insert(comp(2, 20))
+	st := New("S", acct)
+	e1 := put(st, side, comp(1, 10))
+	e2 := put(st, side, comp(2, 20))
 	if e1.Seq >= e2.Seq {
 		t.Fatal("sequence not monotonic")
 	}
@@ -47,7 +72,7 @@ func TestSequenceStability(t *testing.T) {
 		t.Fatal("watermark wrong")
 	}
 	// Remove and reinsert preserves seq and order.
-	got, ok := st.Remove(e1.C)
+	got, ok := take(st, e1.C)
 	if !ok || got.Seq != e1.Seq {
 		t.Fatal("remove lost the seq")
 	}
@@ -61,14 +86,22 @@ func TestSequenceStability(t *testing.T) {
 
 func TestScanAfterAndIndexAfter(t *testing.T) {
 	acct := &metrics.Account{}
-	st := New("S", &Side{}, acct)
+	st, side := New("S", acct), &Side{}
 	var seqs []uint64
 	for i := 1; i <= 10; i++ {
-		e := st.Insert(comp(uint64(i), stream.Time(i)))
+		e := put(st, side, comp(uint64(i), stream.Time(i)))
 		seqs = append(seqs, e.Seq)
 	}
-	if st.IndexAfter(seqs[4]) != 5 || st.IndexAfter(0) != 0 || st.IndexAfter(seqs[9]) != 10 {
-		t.Fatal("IndexAfter wrong")
+	// A walk from a cursor visits exactly the entries past it: five after the
+	// fifth, all from 0, none after the last; BySeq finds each by number.
+	if !slices.Equal(seqsAfter(st, seqs[4]), seqs[5:]) || !slices.Equal(seqsAfter(st, 0), seqs) || len(seqsAfter(st, seqs[9])) != 0 {
+		t.Fatal("Walk from a cursor wrong")
+	}
+	if e, ok := st.BySeq(seqs[4]); !ok || e.C.Comp(0).ID != 5 {
+		t.Fatalf("BySeq(%d) = %v, %v", seqs[4], e, ok)
+	}
+	if _, ok := st.BySeq(seqs[9] + 1); ok {
+		t.Fatal("BySeq found a sequence never stored")
 	}
 	// Early stop.
 	n := 0
@@ -80,17 +113,27 @@ func TestScanAfterAndIndexAfter(t *testing.T) {
 
 func TestRemoveIfAndVersion(t *testing.T) {
 	acct := &metrics.Account{}
-	st := New("S", &Side{}, acct)
+	st, side := New("S", acct), &Side{}
 	for i := 1; i <= 6; i++ {
-		st.Insert(comp(uint64(i), stream.Time(i)))
+		put(st, side, comp(uint64(i), stream.Time(i)))
 	}
-	v := st.Version()
-	removed := st.RemoveIf(func(c *stream.Composite) bool { return c.Comp(0).ID%2 == 0 })
+	// The removal happens under a walk's feet, after it visited seq 1: the
+	// version bump makes the walk re-find its place, so it goes on to exactly
+	// the survivors past 1 instead of indexing into the shrunk slice.
+	var removed []Entry
+	var walked []uint64
+	st.Walk(false, 0, 0, func(e Entry) bool {
+		walked = append(walked, e.Seq)
+		if e.Seq == 1 {
+			removed = st.RemoveIf(func(c *stream.Composite) bool { return c.Comp(0).ID%2 == 0 })
+		}
+		return true
+	})
 	if len(removed) != 3 || st.Len() != 3 {
 		t.Fatalf("removed=%d len=%d", len(removed), st.Len())
 	}
-	if st.Version() == v {
-		t.Fatal("version not bumped")
+	if !slices.Equal(walked, []uint64{1, 3, 5}) {
+		t.Fatalf("walk across a re-entrant removal visited %v, want [1 3 5]", walked)
 	}
 	// Order preserved among both.
 	for i := 1; i < len(removed); i++ {
@@ -105,7 +148,7 @@ func TestRemoveIfAndVersion(t *testing.T) {
 func TestRandomizedAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	acct := &metrics.Account{}
-	st := New("S", &Side{}, acct)
+	st, side := New("S", acct), &Side{}
 	live := map[*stream.Composite]bool{}
 	now := stream.Time(0)
 	for i := 0; i < 2000; i++ {
@@ -113,13 +156,13 @@ func TestRandomizedAccounting(t *testing.T) {
 		case 0:
 			now += stream.Time(rng.Intn(5))
 			c := comp(uint64(i), now)
-			st.Insert(c)
+			put(st, side, c)
 			live[c] = true
 		case 1:
 			st.Purge(now, 50)
 		case 2:
 			for c := range live {
-				st.Remove(c)
+				take(st, c)
 				delete(live, c)
 				break
 			}

@@ -218,15 +218,6 @@ func (c *Catalog) AllSources() SourceSet {
 	return s
 }
 
-// Names returns the source names in id order.
-func (c *Catalog) Names() []string {
-	out := make([]string, len(c.schemas))
-	for i, s := range c.schemas {
-		out[i] = s.Name
-	}
-	return out
-}
-
 // Tuple is a base tuple: one record from one source.
 type Tuple struct {
 	// ID is unique across the whole run; assigned by the generator or
