@@ -285,19 +285,18 @@ func (j *JoinOp) reactivate(s *side, e *feedback.Entry, out *[]*stream.Composite
 	s.black.ReleaseTuples(e)
 	for _, susp := range e.Tuples {
 		if !j.stale(susp.E.C) {
-			j.resume(s, susp, out, j.expired(susp.E.C))
+			j.resume(s, susp, out)
 		}
 	}
 }
 
 // resume takes one parked tuple through the exactly-once catch-up join
 // (opposite sequence beyond its cursor, over both the opposite state and
-// blacklists) and back into the active state. An ephemeral recovery instead
-// vanishes from the live structures once its catch-up is complete, but a
-// later recovery emission on the opposite side may still form a REF-valid
-// pair with it — it retires to the graveyard, like a state entry purged at
-// window close (probeGrave).
-func (j *JoinOp) resume(s *side, susp feedback.Suspended, out *[]*stream.Composite, ephemeral bool) {
+// blacklists) and back into the active state — or, when its own window has
+// closed meanwhile, as an ephemeral into the graveyard, like a state entry
+// purged at window close: a later recovery emission on the opposite side may
+// still form a REF-valid pair with it (probeGrave).
+func (j *JoinOp) resume(s *side, susp feedback.Suspended, out *[]*stream.Composite) {
 	j.ctr.Resumed++
 	j.trace.Resume(j.name, 1)
 	j.activate(activation{
@@ -310,11 +309,8 @@ func (j *JoinOp) resume(s *side, susp feedback.Suspended, out *[]*stream.Composi
 		collect:   out,
 		done:      susp.Done,
 		pending:   susp.Pending,
-		ephemeral: ephemeral,
+		ephemeral: j.expired(susp.E.C),
 	})
-	if ephemeral {
-		s.grave.Reinsert(susp.E)
-	}
 }
 
 // resumeTypeII dissolves an origin mark entry: unmark upstream, then

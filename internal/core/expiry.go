@@ -135,14 +135,15 @@ func (j *JoinOp) pendingDeadline() stream.Time {
 // closes under a still-live anchor can never be demanded again (any future
 // pair would violate the window span), so its deferred pairs are generated
 // now — exactly the pairs REF formed while it sat suspended — and the tuple
-// is dropped from the blacklist (resume retires it to the graveyard).
+// is dropped from the blacklist (resume, finding it expired, retires it to
+// the graveyard).
 func (j *JoinOp) lastGasp() {
 	for p := operator.Port(0); p < 2; p++ {
 		s := j.in[p]
 		for _, susp := range s.black.TakeExpiredTuples(j.now, j.window) {
 			j.ctr.Purged++
 			var out []*stream.Composite
-			j.resume(s, susp, &out, true)
+			j.resume(s, susp, &out)
 			j.emitAll(out)
 		}
 	}

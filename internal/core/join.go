@@ -73,11 +73,13 @@ type side struct {
 	// Bloom filters over THIS side's state values, keyed by attribute;
 	// queried when detecting MNSs on the opposite side's inputs.
 	blooms *bloomSet
-	// grave is the exact-mode graveyard: entries purged from st, retained
-	// because a late recovery emission (an upstream resumption's catch-up
-	// result) may still form pairs REF formed live with them. It is a second
-	// window store on the side's key and sequence space, filled by Reinsert
-	// in expiry order, charged to the plan account, and emptied by
+	// grave is the exact-mode graveyard: entries purged from st, and recovery
+	// inputs that were already past their window when probed (probeInsert's
+	// tail), retained because a late recovery emission (an upstream
+	// resumption's catch-up result) may still form pairs REF formed live with
+	// them. It is a second window store on the side's key and sequence space,
+	// filled by Reinsert in expiry order, charged to the plan account, and
+	// emptied by
 	// expireGrave of what no deferred result can reach any more. Only inputs
 	// with TS < now probe it — an in-order arrival fails pairValid against
 	// every retired entry by construction. Empty outside exact mode and in
@@ -297,10 +299,9 @@ type activation struct {
 	// insertion but demanded upstream results are still processed.
 	divertCheck bool
 	// ephemeral marks an exact-mode recovery of a tuple past its own
-	// window: it probes (generating its deferred pairs) but is neither
-	// parked by mid-probe suspensions nor reinserted into the state — it
-	// can never join a future arrival, and letting it re-enter a blacklist
-	// would re-arm an already-due deadline forever.
+	// window: it probes (generating its deferred pairs) and then rests in
+	// the graveyard, neither parked by a mid-probe suspension nor inserted
+	// into the state (probeInsert's tail).
 	ephemeral bool
 }
 
@@ -342,8 +343,8 @@ func (j *JoinOp) activate(a activation) {
 }
 
 // probeInsert is the probe-and-insert body of activate: pre-probe marking,
-// state/blacklist/pending probes, detection, deferred parking, and state
-// insertion.
+// state/blacklist/pending probes, detection, and the input's coming to rest
+// (blacklist, graveyard or state).
 func (j *JoinOp) probeInsert(a activation, s, o *side) {
 	// Pre-probe marking: an input matching an origin mark entry's side
 	// signature acquires the mark id now, so suppression applies during its
@@ -403,36 +404,36 @@ func (j *JoinOp) probeInsert(a activation, s, o *side) {
 		j.reportMNS(f, s, o, det)
 	}
 
-	// A suspension received mid-probe parks the input now that its probe is
-	// complete (cursor = full opposite watermark), unless the entry has
-	// already been resumed or expired in the meantime. Ephemeral recoveries
-	// are never parked or inserted: their catch-up is complete and they are
-	// past their window, so they simply vanish.
+	// The probed input comes to rest — the one place it does, in exactly one
+	// of three stores (DESIGN.md §4). An ephemeral recovery is past its own
+	// window: it can never join a future arrival, and parking it would re-arm
+	// an already-due deadline forever, so it retires to the graveyard, where
+	// the results its probe demanded upstream (processUpstream, next) and any
+	// later recovery emission on the opposite side still find it.
 	if a.ephemeral {
+		s.grave.Reinsert(state.Entry{C: a.c, Seq: a.seq})
 		return
 	}
-	parked := false
+	// A suspension received mid-probe parks the input now that its probe is
+	// complete (cursor = full opposite watermark), unless the entry has
+	// already been resumed or expired in the meantime.
 	if f.parkEntry != nil {
 		if cur, ok := s.black.Entry(f.parkEntry.MNS.Key()); ok && cur == f.parkEntry {
 			cursor := o.seq.Watermark()
 			j.park(s, f.parkEntry, feedback.Suspended{
 				E: state.Entry{C: a.c, Seq: a.seq}, Cursor: cursor, Pending: uncovered(o, f.seq, cursor),
 			})
-			parked = true
+			return
 		}
 	}
-
-	// Insert the input into its state — unless a re-entrant suspension
-	// parked it mid-probe, in which case it already sits in a blacklist.
-	if !parked {
-		se := state.Entry{C: a.c, Seq: a.seq}
-		s.st.Reinsert(se)
-		j.ctr.Inserted++
-		if s.blooms != nil {
-			j.bloomInsert(s, a.c)
-		}
-		j.registerMarks(se, a.port)
+	// Otherwise it joins the active state.
+	se := state.Entry{C: a.c, Seq: a.seq}
+	s.st.Reinsert(se)
+	j.ctr.Inserted++
+	if s.blooms != nil {
+		j.bloomInsert(s, a.c)
 	}
+	j.registerMarks(se, a.port)
 }
 
 // divert checks an arrival against the side's blacklist signatures and

@@ -70,25 +70,9 @@ func bruteJoin(n int, conj predicate.Conj, arrivals []*stream.Tuple, w stream.Ti
 // than two windows after the partners they need retired), on uniform and on
 // Zipf-skewed values (where graveyard joins number in the tens of thousands),
 // and must deliver exactly REF's multiset — which in turn must be the brute-
-// force window join's. The full suite runs 50 seeds per cell, -short 10.
-//
-// knownLossy lists the streams on which JIT on the bushy plan drops finals at
-// every commit since the exact-delivery mode landed — further instances of
-// the defect bench/README.md records as finding 2, older than and untouched
-// by the retention rule (the parent commit, with its unbounded graveyard,
-// loses the same results). They are pinned by count, so the test says so
-// when the defect is fixed: delete the entry then.
+// force window join's. The full suite runs 50 seeds per cell, -short 10; no
+// stream is excepted.
 func TestLongStreamExactEquivalence(t *testing.T) {
-	knownLossy := map[string]int{ // "values/shape/mode/seed" → finals lost
-		"uniform/bushy/JIT/21": 2,
-		"zipf1.5/bushy/JIT/26": 12,
-		"zipf1.5/bushy/JIT/38": 1,
-		// The same stream loses the same final (0:54|1:18|2:6|3:22) under Bloom,
-		// which ran as REF until its detection gate was fixed. BloomJIT has
-		// TypeII off, so the mark protocol is not what drops it: the lost-final
-		// defect sits in Type I park / last gasp (ROADMAP item 1).
-		"zipf1.5/bushy/Bloom/38": 1,
-	}
 	const (
 		n       = 4
 		window  = 15 * stream.Second
@@ -136,14 +120,7 @@ func TestLongStreamExactEquivalence(t *testing.T) {
 						t.Fatalf("seed %d: REF delivered %d finals, the brute-force join %d", seed, len(got), len(want))
 					}
 					for _, m := range modes {
-						got := run(m.mode)
-						if lost := knownLossy[fmt.Sprintf("%s/%s/%s/%d", v.name, sh.name, m.name, seed)]; lost > 0 {
-							if len(want)-len(got) != lost || !subMultiset(got, want) {
-								t.Errorf("seed %d %s: known to lose %d of %d finals, delivered %d", seed, m.name, lost, len(want), len(got))
-							}
-							continue
-						}
-						if !slices.Equal(got, want) {
+						if got := run(m.mode); !slices.Equal(got, want) {
 							t.Errorf("seed %d %s: %d finals, want %d%s", seed, m.name, len(got), len(want), firstDiff(got, want))
 						}
 					}
@@ -154,21 +131,6 @@ func TestLongStreamExactEquivalence(t *testing.T) {
 			})
 		}
 	}
-}
-
-// subMultiset reports whether sorted multiset a is contained in sorted b.
-func subMultiset(a, b []string) bool {
-	j := 0
-	for _, x := range a {
-		for j < len(b) && b[j] < x {
-			j++
-		}
-		if j == len(b) || b[j] != x {
-			return false
-		}
-		j++
-	}
-	return true
 }
 
 // firstDiff names the first result two sorted multisets disagree on.
@@ -184,32 +146,67 @@ func firstDiff(got, want []string) string {
 	return ""
 }
 
+// sameCompositesAsREF runs one drained plan beside REF on the same stream,
+// shape and index setting and requires it to build what REF builds: equal
+// finals, equal plan-wide Results and equal Results at every operator. REF's
+// operators join everything inside the window and nothing else, so an exact
+// run that builds fewer composites somewhere has lost a pair REF formed live
+// — even when, as on these streams before the rest rule of DESIGN.md §4, no
+// lost pair happened to extend to a final.
+func sameCompositesAsREF(t *testing.T, label string, arrivals []*stream.Tuple, shape *plan.Node, mode core.Mode, indexed bool) {
+	t.Helper()
+	cat, conj := predicate.Clique(4)
+	run := func(m core.Mode) Result {
+		b := plan.BuildTree(cat, conj, shape, plan.Options{Window: 15 * stream.Second, Mode: m, NoStateIndex: !indexed})
+		return NewWithOptions(b, Options{Drain: true}).Run(arrivals)
+	}
+	ref, got := run(core.REF()), run(mode)
+	if got.Results != ref.Results || got.Counters.Results != ref.Counters.Results {
+		t.Errorf("%s: %d finals of %d composites, REF %d of %d", label, got.Results, got.Counters.Results, ref.Results, ref.Counters.Results)
+	}
+	for i, op := range got.Ops {
+		if want := ref.Ops[i].Counters.Results; op.Counters.Results != want {
+			t.Errorf("%s: %s built %d composites, REF's built %d", label, op.Name, op.Counters.Results, want)
+		}
+	}
+}
+
+// TestDrainedOperatorsBuildREFsComposites is the equivalence gate below the
+// sink: on a drained run every operator of every feedback mode builds exactly
+// the composites REF's operator builds (sameCompositesAsREF), bushy and
+// left-deep, scanned and indexed, over ten windows; 12 seeds, -short 3.
+func TestDrainedOperatorsBuildREFsComposites(t *testing.T) {
+	const window = 15 * stream.Second
+	cat, _ := predicate.Clique(4)
+	seeds := int64(12)
+	if testing.Short() {
+		seeds = 3
+	}
+	for seed := int64(1); seed <= seeds; seed++ {
+		arrivals := source.Generate(cat, source.UniformConfig(4, 4, 12, 10*window, seed))
+		for _, shape := range []*plan.Node{plan.Bushy(4), plan.LeftDeep(4)} {
+			for _, name := range []string{"jit", "doe", "bloom"} {
+				mode, _ := core.ParseMode(name)
+				for _, indexed := range []bool{false, true} {
+					label := fmt.Sprintf("seed %d %s %s indexed=%t", seed, shape.Canonical(), name, indexed)
+					sameCompositesAsREF(t, label, arrivals, shape, mode, indexed)
+				}
+			}
+		}
+	}
+}
+
 // TestRetentionForgetsNothingReachable pins the reproducer that refuted a
 // fixed two-window graveyard horizon (DESIGN.md §4): on the left-deep plan a
 // pair suppressed under a mark at the bottom join surfaces more than two
-// windows after the partners it needs one level up retired. The counters
-// below were recorded at PR 14, whose graveyard forgot nothing; a horizon of
-// 2·w builds 2, 8 and 4 composites fewer on these three streams (and moves
-// CostUnits) while still delivering every final — which is why no
-// result-level equivalence test sees it.
+// windows after the partners it needs one level up retired. A horizon of 2·w
+// builds 2, 8 and 4 composites fewer than REF on these three streams while
+// still delivering every final — which is why no result-level equivalence
+// test sees it, and why the pin is REF's composite count at every operator.
 func TestRetentionForgetsNothingReachable(t *testing.T) {
-	const window = 15 * stream.Second
-	cat, conj := predicate.Clique(4)
-	for _, want := range []struct {
-		seed               int64
-		composites, finals uint64
-		cost               uint64
-	}{
-		{1, 9907, 154, 5934542},
-		{2, 9575, 164, 5789337},
-		{3, 9273, 227, 5975867},
-	} {
-		arrivals := source.Generate(cat, source.UniformConfig(4, 4, 12, 10*window, want.seed))
-		b := plan.BuildTree(cat, conj, plan.LeftDeep(4), plan.Options{Window: window, Mode: core.JIT(), NoStateIndex: true})
-		r := NewWithOptions(b, Options{Drain: true}).Run(arrivals)
-		if r.Counters.Results != want.composites || r.Results != want.finals || r.CostUnits != want.cost {
-			t.Errorf("seed %d: built %d composites, %d finals at %d CostUnits; PR 14 built %d, %d at %d",
-				want.seed, r.Counters.Results, r.Results, r.CostUnits, want.composites, want.finals, want.cost)
-		}
+	cat, _ := predicate.Clique(4)
+	for seed := int64(1); seed <= 3; seed++ {
+		arrivals := source.Generate(cat, source.UniformConfig(4, 4, 12, 150*stream.Second, seed))
+		sameCompositesAsREF(t, fmt.Sprintf("seed %d", seed), arrivals, plan.LeftDeep(4), core.JIT(), false)
 	}
 }

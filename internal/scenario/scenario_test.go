@@ -77,6 +77,24 @@ func checkLive(t *testing.T, sc Scenario, cell Cell, r engine.Result) {
 	}
 }
 
+// checkComposites is the equivalence invariant below the sink, for the
+// drained, unsharded, non-adaptive cells: every operator builds exactly the
+// composites REF's operator of the same plan shape builds. Finals alone do not
+// see a lost pair that happened not to extend to a result. Sharded cells
+// split the operators' work across replicas differently per mode, and a
+// migration's replay rebuilds composites; those cells compare finals only.
+func checkComposites(t *testing.T, cell Cell, r engine.Result, ref []metrics.OpCounters) {
+	t.Helper()
+	if cell.Shards > 1 || cell.Adapt {
+		return
+	}
+	for i, op := range r.Ops {
+		if want := ref[i].Counters.Results; op.Counters.Results != want {
+			t.Errorf("%s built %d composites, REF's built %d", op.Name, op.Counters.Results, want)
+		}
+	}
+}
+
 // checkSharded applies the sharding invariants: arrival conservation
 // (routed once, broadcasts once per replica), band predicates forcing the
 // broadcast fallback, and — under Zipf — the measured partition imbalance.
@@ -174,6 +192,9 @@ func TestHostileStreamEquivalence(t *testing.T) {
 			checkRun(t, refRes, refKeys)
 			t.Logf("REF baseline: %d finals over %d arrivals", refRes.Results, refRes.Arrivals)
 			want := Multiset(refKeys)
+			ref.Bushy = false
+			leftDeep, _ := ref.RunKeys()
+			refOps := map[bool][]metrics.OpCounters{true: refRes.Ops, false: leftDeep.Ops}
 			for _, cell := range Matrix(short) {
 				cell := cell
 				t.Run(cell.String(), func(t *testing.T) {
@@ -198,6 +219,7 @@ func TestHostileStreamEquivalence(t *testing.T) {
 					checkRun(t, r, keys)
 					checkEventConservation(t, r, *sinks)
 					checkLive(t, sc, cell, r)
+					checkComposites(t, cell, r, refOps[cell.Bushy])
 					requireEqualMultisets(t, Multiset(keys), want)
 					if m := r.Counters.Migrations; m > 0 {
 						t.Logf("exactly-once held across %d migrations (%d duplicate deliveries suppressed)",
