@@ -44,7 +44,7 @@ func main() {
 		predicate.Selection{Source: 0, Col: 1, Op: predicate.GT, Const: 90},
 		join, ctr, true, nextMNS, 3*stream.Minute)
 	join.SetConsumer(sel, operator.Left)
-	sink := operator.NewSink("deliveries", ctr, false)
+	sink := operator.NewSink(ctr, false)
 	sel.SetConsumer(sink, operator.Left)
 
 	cfg := source.Config{

@@ -79,11 +79,11 @@ type side struct {
 	// resumption's catch-up result) may still form pairs REF formed live with
 	// them. It is a second window store on the side's key and sequence space,
 	// filled by Reinsert in expiry order, charged to the plan account, and
-	// emptied by
-	// expireGrave of what no deferred result can reach any more. Only inputs
-	// with TS < now probe it — an in-order arrival fails pairValid against
-	// every retired entry by construction. Empty outside exact mode and in
-	// modes without feedback (REF), where no input is ever late.
+	// emptied by expireGrave of what no deferred result can reach any more.
+	// Only inputs with TS < now probe it — an in-order arrival fails
+	// pairValid against every retired entry by construction. Empty outside
+	// exact mode and in modes without feedback (REF), where no input is ever
+	// late.
 	grave *state.State
 	// det is the detection context of the input being probed on this side;
 	// fresh inputs never nest on one side (see newDetect), so one serves all.
@@ -197,14 +197,14 @@ func (j *JoinOp) SetConsumer(c operator.Consumer, port operator.Port) {
 // retiring root so the new root feeds the same gate or sink.
 func (j *JoinOp) Consumer() operator.Consumer { return j.consumer }
 
-// Name implements operator.Op.
+// Name implements operator.Producer.
 func (j *JoinOp) Name() string { return j.name }
 
 // SetTrace attaches (or, with nil, detaches) the observability tracer.
 // plan.Built.SetTrace fans it out across the wired tree.
 func (j *JoinOp) SetTrace(tr *obs.Tracer) { j.trace = tr }
 
-// OutSources implements operator.Op.
+// OutSources implements operator.Producer.
 func (j *JoinOp) OutSources() stream.SourceSet {
 	return j.in[0].sources.Union(j.in[1].sources)
 }
@@ -410,8 +410,9 @@ func (j *JoinOp) probeInsert(a activation, s, o *side) {
 	// an already-due deadline forever, so it retires to the graveyard, where
 	// the results its probe demanded upstream (processUpstream, next) and any
 	// later recovery emission on the opposite side still find it.
+	se := state.Entry{C: a.c, Seq: a.seq}
 	if a.ephemeral {
-		s.grave.Reinsert(state.Entry{C: a.c, Seq: a.seq})
+		s.grave.Reinsert(se)
 		return
 	}
 	// A suspension received mid-probe parks the input now that its probe is
@@ -420,14 +421,11 @@ func (j *JoinOp) probeInsert(a activation, s, o *side) {
 	if f.parkEntry != nil {
 		if cur, ok := s.black.Entry(f.parkEntry.MNS.Key()); ok && cur == f.parkEntry {
 			cursor := o.seq.Watermark()
-			j.park(s, f.parkEntry, feedback.Suspended{
-				E: state.Entry{C: a.c, Seq: a.seq}, Cursor: cursor, Pending: uncovered(o, f.seq, cursor),
-			})
+			j.park(s, f.parkEntry, feedback.Suspended{E: se, Cursor: cursor, Pending: uncovered(o, f.seq, cursor)})
 			return
 		}
 	}
 	// Otherwise it joins the active state.
-	se := state.Entry{C: a.c, Seq: a.seq}
 	s.st.Reinsert(se)
 	j.ctr.Inserted++
 	if s.blooms != nil {

@@ -146,21 +146,23 @@ func firstDiff(got, want []string) string {
 	return ""
 }
 
-// sameCompositesAsREF runs one drained plan beside REF on the same stream,
-// shape and index setting and requires it to build what REF builds: equal
-// finals, equal plan-wide Results and equal Results at every operator. REF's
-// operators join everything inside the window and nothing else, so an exact
-// run that builds fewer composites somewhere has lost a pair REF formed live
-// — even when, as on these streams before the rest rule of DESIGN.md §4, no
-// lost pair happened to extend to a final.
-func sameCompositesAsREF(t *testing.T, label string, arrivals []*stream.Tuple, shape *plan.Node, mode core.Mode, indexed bool) {
-	t.Helper()
+// drainedClique runs the 4-source clique drained under one mode, shape and
+// index setting, w = 15 s.
+func drainedClique(arrivals []*stream.Tuple, shape *plan.Node, mode core.Mode, indexed bool) Result {
 	cat, conj := predicate.Clique(4)
-	run := func(m core.Mode) Result {
-		b := plan.BuildTree(cat, conj, shape, plan.Options{Window: 15 * stream.Second, Mode: m, NoStateIndex: !indexed})
-		return NewWithOptions(b, Options{Drain: true}).Run(arrivals)
-	}
-	ref, got := run(core.REF()), run(mode)
+	b := plan.BuildTree(cat, conj, shape, plan.Options{Window: 15 * stream.Second, Mode: mode, NoStateIndex: !indexed})
+	return NewWithOptions(b, Options{Drain: true}).Run(arrivals)
+}
+
+// sameCompositesAsREF requires a drained run to have built what REF built on
+// the same stream and shape: equal finals, equal plan-wide Results and equal
+// Results at every operator. REF's operators join everything inside the
+// window and nothing else, so an exact run that builds fewer composites
+// somewhere has lost a pair REF formed live — even when, as on these streams
+// before the rest rule of DESIGN.md §4, no lost pair happened to extend to a
+// final.
+func sameCompositesAsREF(t *testing.T, label string, got, ref Result) {
+	t.Helper()
 	if got.Results != ref.Results || got.Counters.Results != ref.Counters.Results {
 		t.Errorf("%s: %d finals of %d composites, REF %d of %d", label, got.Results, got.Counters.Results, ref.Results, ref.Counters.Results)
 	}
@@ -176,20 +178,20 @@ func sameCompositesAsREF(t *testing.T, label string, arrivals []*stream.Tuple, s
 // the composites REF's operator builds (sameCompositesAsREF), bushy and
 // left-deep, scanned and indexed, over ten windows; 12 seeds, -short 3.
 func TestDrainedOperatorsBuildREFsComposites(t *testing.T) {
-	const window = 15 * stream.Second
 	cat, _ := predicate.Clique(4)
 	seeds := int64(12)
 	if testing.Short() {
 		seeds = 3
 	}
 	for seed := int64(1); seed <= seeds; seed++ {
-		arrivals := source.Generate(cat, source.UniformConfig(4, 4, 12, 10*window, seed))
+		arrivals := source.Generate(cat, source.UniformConfig(4, 4, 12, 150*stream.Second, seed))
 		for _, shape := range []*plan.Node{plan.Bushy(4), plan.LeftDeep(4)} {
-			for _, name := range []string{"jit", "doe", "bloom"} {
-				mode, _ := core.ParseMode(name)
-				for _, indexed := range []bool{false, true} {
+			for _, indexed := range []bool{false, true} {
+				ref := drainedClique(arrivals, shape, core.REF(), indexed)
+				for _, name := range []string{"jit", "doe", "bloom"} {
+					mode, _ := core.ParseMode(name)
 					label := fmt.Sprintf("seed %d %s %s indexed=%t", seed, shape.Canonical(), name, indexed)
-					sameCompositesAsREF(t, label, arrivals, shape, mode, indexed)
+					sameCompositesAsREF(t, label, drainedClique(arrivals, shape, mode, indexed), ref)
 				}
 			}
 		}
@@ -207,6 +209,7 @@ func TestRetentionForgetsNothingReachable(t *testing.T) {
 	cat, _ := predicate.Clique(4)
 	for seed := int64(1); seed <= 3; seed++ {
 		arrivals := source.Generate(cat, source.UniformConfig(4, 4, 12, 150*stream.Second, seed))
-		sameCompositesAsREF(t, fmt.Sprintf("seed %d", seed), arrivals, plan.LeftDeep(4), core.JIT(), false)
+		jit := drainedClique(arrivals, plan.LeftDeep(4), core.JIT(), false)
+		sameCompositesAsREF(t, fmt.Sprintf("seed %d", seed), jit, drainedClique(arrivals, plan.LeftDeep(4), core.REF(), false))
 	}
 }

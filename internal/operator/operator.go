@@ -59,10 +59,3 @@ type Producer interface {
 	// this floor could still pair with them (DESIGN.md §4).
 	DeferredFloor() stream.Time
 }
-
-// Op is any operator that participates in the data flow.
-type Op interface {
-	Consumer
-	Name() string
-	OutSources() stream.SourceSet
-}

@@ -16,7 +16,7 @@ func tpl(src stream.SourceID, ts stream.Time, vals ...stream.Value) *stream.Tupl
 
 func TestSinkOrderingAndRetention(t *testing.T) {
 	ctr := &metrics.Counters{}
-	s := NewSink("sink", ctr, true)
+	s := NewSink(ctr, true)
 	a := stream.NewComposite(2, tpl(0, 10, 1))
 	b := stream.NewComposite(2, tpl(0, 20, 2))
 	s.Consume(a, Left)

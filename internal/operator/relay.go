@@ -34,10 +34,10 @@ func NewSelection(name string, pred predicate.Selection, prod Producer, ctr *met
 // SetConsumer wires the downstream consumer.
 func (s *Selection) SetConsumer(c Consumer, port Port) { s.consumer, s.outPort = c, port }
 
-// Name implements Op.
+// Name implements Producer.
 func (s *Selection) Name() string { return s.name }
 
-// OutSources implements Op. A selection preserves its input's sources; the
+// OutSources implements Producer. A selection preserves its input's sources; the
 // concrete set depends on the producer.
 func (s *Selection) OutSources() stream.SourceSet {
 	if s.prod != nil {

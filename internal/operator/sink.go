@@ -9,7 +9,6 @@ import (
 // Sink terminates a plan: it counts final results, verifies temporal
 // ordering, and can optionally retain results for test comparison.
 type Sink struct {
-	name    string
 	ctr     *metrics.Counters
 	trace   *obs.Tracer
 	keep    bool
@@ -23,15 +22,9 @@ type Sink struct {
 
 // NewSink creates a sink. When keep is true every result is retained (tests
 // only; experiments run with keep=false to avoid skewing memory accounting).
-func NewSink(name string, ctr *metrics.Counters, keep bool) *Sink {
-	return &Sink{name: name, ctr: ctr, keep: keep, lastTS: -1}
+func NewSink(ctr *metrics.Counters, keep bool) *Sink {
+	return &Sink{ctr: ctr, keep: keep, lastTS: -1}
 }
-
-// Name implements Op.
-func (s *Sink) Name() string { return s.name }
-
-// OutSources implements Op; a sink produces nothing.
-func (s *Sink) OutSources() stream.SourceSet { return 0 }
 
 // Consume implements Consumer.
 func (s *Sink) Consume(c *stream.Composite, _ Port) {

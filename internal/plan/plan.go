@@ -208,7 +208,7 @@ func BuildTree(cat *stream.Catalog, preds predicate.Conj, shape *Node, opt Optio
 		shape:     shape,
 		opt:       opt,
 	}
-	b.Sink = operator.NewSink("sink", b.RunLedger, opt.KeepResults)
+	b.Sink = operator.NewSink(b.RunLedger, opt.KeepResults)
 	b.wireTree(b.Sink)
 	return b
 }
