@@ -64,7 +64,7 @@ func (r *retiring) Migrate(cut stream.Time, b *plan.Built) *plan.Built {
 }
 
 // migratedPeakKB is Result.PeakMemKB of the forced-migration run below, by
-// mode and initial shape, as the successor-plan handoff recorded it (two
+// mode and initial shape, as the former two-plan handoff recorded it (two
 // accounts: Alloc(oldLive) on the new one for the replay, Free, then the old
 // peak absorbed). One account with one Free(oldLive) after the replay must
 // reproduce it to the byte. The two jit rows were re-recorded from that same

@@ -65,10 +65,10 @@ func TestSamplerGrid(t *testing.T) {
 	}
 }
 
-// TestSamplerRebind checks the migration-handoff semantics: the totals
-// baseline is kept (the run's totals carry on into the successor plan),
-// while per-operator baselines reset (successor operators are fresh and old
-// baselines would underflow).
+// TestSamplerRebind checks the migration-handoff semantics: the plan is
+// rebound to the sampler after its tree was reshaped — the totals baseline is
+// kept (the run's totals carry on), while per-operator baselines reset (the
+// new operators are fresh and old baselines would underflow).
 func TestSamplerRebind(t *testing.T) {
 	led := &fakeLedger{}
 	s := NewSampler(10)
@@ -76,13 +76,11 @@ func TestSamplerRebind(t *testing.T) {
 	s.Tick(1) // anchor
 	led.totals.Probes = 4
 
-	// Migration: the successor's totals hold the 4, plus 3 of its own work;
-	// its fresh operator did 5 probes (the replay) before the rebind.
-	led2 := &fakeLedger{
-		totals: metrics.Counters{Probes: 7},
-		ops:    []metrics.OpCounters{{Name: "Op1'", Counters: metrics.Counters{Probes: 5}}},
-	}
-	s.Bind(led2, nil)
+	// Migration: the totals hold the 4, plus 3 from the reshaped tree, whose
+	// fresh operator did 5 probes before the rebind.
+	led.totals.Probes = 7
+	led.ops = []metrics.OpCounters{{Name: "Op1'", Counters: metrics.Counters{Probes: 5}}}
+	s.Bind(led, nil)
 
 	if !s.Tick(10) {
 		t.Fatal("boundary not taken")
