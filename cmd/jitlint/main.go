@@ -1,5 +1,5 @@
 // Command jitlint runs the repo's static-invariant suite (DESIGN.md §11):
-// maporder, wallclock, countersmerge, tracedisc and suppaudit — the
+// maporder, wallclock, tracedisc and suppaudit — the
 // compile-time guards behind the determinism, event-time and observability
 // contracts the runtime sweeps pin.
 //

@@ -32,7 +32,6 @@ func main() {
 	adapt := flag.Bool("adapt", false, "adaptive re-optimization: migrate between bushy and left-deep mid-run on observed feedback (forces drain; DESIGN.md §7)")
 	adaptEpoch := flag.Float64("adapt-epoch", 0, "re-optimization decision epoch in minutes (0 = one window)")
 	stats := flag.Bool("stats", false, "print the per-operator stats table at exit (probes, MNS detections, suspensions, suppressed pairs)")
-	obsAggregate := flag.Bool("obs-aggregate", false, "with -shards, aggregate per-replica series on the ops endpoint (one tracer per replica, per-shard labels)")
 	traceOut := flag.String("trace-out", "", "write the run's trace events to this file in Chrome trace format (open in chrome://tracing or Perfetto)")
 	flag.Parse()
 
@@ -63,7 +62,7 @@ func main() {
 	// -drain=false contradicts them: reject rather than silently overriding
 	// the user's choice; when -drain was simply left unset, print a notice
 	// instead.
-	if drainForced := p.Shards > 1 || p.Adapt; drainForced && !p.Drain {
+	if p.Drains() && !p.Drain {
 		switch {
 		case explicit["drain"] && p.Shards > 1:
 			fail("-drain=false contradicts -shards=%d: sharded execution requires the end-of-stream drain (per-shard exact delivery is what makes the shard union equal the single-engine multiset, DESIGN.md §5)", p.Shards)
@@ -76,18 +75,6 @@ func main() {
 	if explicit["obs-sample"] && !tracing {
 		fail("-obs-sample has no effect without -obs-addr or -trace-out")
 	}
-	// The ops endpoint on a sharded run needs per-replica aggregation — a
-	// single tracer cannot observe N engines. As with -drain above, an
-	// explicit -obs-aggregate=false contradicts the combination and is
-	// rejected; merely unset gets a notice and is forced on.
-	p.ObsAggregate = *obsAggregate
-	if p.ObsAddr != "" && p.Shards > 1 && !p.ObsAggregate {
-		if explicit["obs-aggregate"] {
-			fail("-obs-aggregate=false contradicts -obs-addr with -shards=%d: the ops endpoint needs per-replica aggregation to observe a sharded run (DESIGN.md §9)", p.Shards)
-		}
-		fmt.Fprintln(os.Stderr, "jitrun: notice: forcing per-replica aggregation (-obs-aggregate) for the ops endpoint on a sharded run")
-		p.ObsAggregate = true
-	}
 	if err := p.Validate(); err != nil {
 		fail("%v", err)
 	}
@@ -95,17 +82,17 @@ func main() {
 		p.AdaptLog = os.Stdout
 	}
 
-	// Observability wiring (DESIGN.md §9): one tracer per engine — single
-	// runs get one, sharded runs one per replica via TraceFor. The trace
-	// file uses an unlocked MemorySink (read only after the run); the live
-	// /trace endpoint the locked ring sink of Flags.ObsOptions.
+	// Observability wiring (DESIGN.md §9): one tracer per replica, a single
+	// engine being shard 0; the ops endpoint aggregates them under per-shard
+	// labels. The trace file uses an unlocked MemorySink (read only after the
+	// run); the live /trace endpoint the locked ring sink of Flags.ObsOptions.
 	var (
 		tracers []*obs.Tracer
 		mems    []*obs.MemorySink
 	)
 	if tracing {
 		reg := obs.NewRegistry()
-		newTracer := func(shard int) *obs.Tracer {
+		p.TraceFor = func(shard int) *obs.Tracer {
 			o := flags.ObsOptions(p.Window)
 			o.WallLatency, o.Shard = p.ObsAddr != "", shard
 			if *traceOut != "" {
@@ -121,11 +108,6 @@ func main() {
 			tracers = append(tracers, tr)
 			reg.Register(tr)
 			return tr
-		}
-		if p.Shards > 1 {
-			p.TraceFor = newTracer
-		} else {
-			p.Trace = newTracer(0)
 		}
 		if p.ObsAddr != "" {
 			stop, err := flags.ServeObs("jitrun", reg)
@@ -159,7 +141,7 @@ func main() {
 		}
 	} else {
 		r = p.Run()
-		fmt.Printf("%s drain=%v adapt=%v\n", banner, p.Drain || p.Adapt, p.Adapt)
+		fmt.Printf("%s drain=%v adapt=%v\n", banner, p.Drains(), p.Adapt)
 		printHostile(p)
 		fmt.Printf("arrivals=%d results=%d cost=%d wall=%v peakMem=%.1fKB\n",
 			r.Arrivals, r.Results, r.CostUnits, r.WallTime, r.PeakMemKB)

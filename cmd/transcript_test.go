@@ -57,11 +57,14 @@ func battery() []invocation {
 		}
 	}
 	for _, args := range []string{
-		// Forced-drain and forced-aggregation notices, left-deep, bursts,
-		// a set decision epoch, and the tracing epilogue.
+		// The forced-drain notice, left-deep, bursts, a set decision epoch, a
+		// fleet migrating in lockstep (both replicas at t=180206ms, their logs
+		// in shard order), and the tracing epilogue.
 		base + " -shards 2",
 		base + " -adapt -adapt-epoch 1",
 		base + " -bushy=false -adapt -burst 2 -burst-period 1",
+		base + " -mode ref -adapt -adapt-epoch 1 -shards 2 -burst 3 -burst-period 2",
+		base + " -mode jit -adapt -adapt-epoch 1 -shards 2 -burst 3 -burst-period 2",
 		base + " -drain -drain-horizon 7 -stats -shards 2",
 		base + " -obs-addr 127.0.0.1:0",
 		base + " -obs-addr 127.0.0.1:0 -shards 2 -obs-sample 30",
@@ -72,8 +75,6 @@ func battery() []invocation {
 		"-drain=false -shards 2",
 		"-drain=false -adapt",
 		"-adapt-epoch 1",
-		"-obs-aggregate",
-		"-obs-aggregate=false -obs-addr 127.0.0.1:0 -shards 2",
 		"-obs-sample 5",
 		"-obs-sample -1 -trace-out TMP/never.json",
 		"-obs-addr 127.0.0.1:99999",
@@ -315,6 +316,20 @@ func splitSections(golden string) map[string]string {
 }
 
 func TestTranscripts(t *testing.T) {
+	// The binaries are built at run time, which the test cache cannot see.
+	// It does see the files a test stats, so stat the module's Go sources:
+	// `go test ./cmd` then reruns after any change to what it builds.
+	for _, root := range []string{"../go.mod", "../internal", "."} {
+		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				_, err = os.Stat(path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	bins, tmp := t.TempDir(), t.TempDir()
 	build := exec.Command("go", "build", "-o", bins+string(filepath.Separator),
 		"./jitrun", "./jitbench", "./jitgen", "./jitreport", "./jitserver")

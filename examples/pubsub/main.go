@@ -40,7 +40,7 @@ func main() {
 	})
 	// Only high-priority matches (prio > 90) are delivered — the selection
 	// consumer of Fig. 9a.
-	sel := operator.NewSelection("σ prio>90",
+	sel := operator.NewSelection(
 		predicate.Selection{Source: 0, Col: 1, Op: predicate.GT, Const: 90},
 		join, ctr, true, nextMNS, 3*stream.Minute)
 	join.SetConsumer(sel, operator.Left)

@@ -14,6 +14,12 @@
 // candidate beats the current shape by the hysteresis margin for Patience
 // consecutive epochs, the controller migrates.
 //
+// There is one epoch close (Controller.closeEpoch) and one place a decision is
+// made (Coordinator): a fleet replica reaches the close from the shard runner's
+// barrier markers (AtBarrier) and exchanges its observation with its peers; a
+// solo controller reaches it from Decide on its own clock and is a fleet of
+// one, exchanging with a one-replica Coordinator it makes at Attach.
+//
 // # The snapshot cut and the handoff
 //
 // A migration happens at a quiescent cut between arrivals, after the engine
@@ -122,9 +128,9 @@ func candidates(n int) []*plan.Node {
 	return []*plan.Node{plan.Bushy(n), plan.LeftDeep(n)}
 }
 
-// streak is the one margin-and-patience decision, shared by the single-engine
-// controller and the fleet coordinator: how many consecutive scored rounds
-// the same candidate has beaten the current shape by the hysteresis margin.
+// streak is the coordinator's margin-and-patience state: how many consecutive
+// scored rounds the same candidate has beaten the current shape by the
+// hysteresis margin.
 type streak struct {
 	wins   int
 	winner string
@@ -166,7 +172,8 @@ func (s *streak) decide(cfg Config, current string, cands []*plan.Node, scores m
 
 // Controller is the engine-facing re-optimizer (engine.Reoptimizer). One
 // controller drives one run; it is not safe for concurrent use — in sharded
-// execution each replica has its own, synchronized through a Coordinator.
+// execution each replica has its own, synchronized through the fleet's
+// Coordinator.
 type Controller struct {
 	cfg   Config
 	coord *Coordinator
@@ -174,6 +181,8 @@ type Controller struct {
 	b     *plan.Built
 	cands []*plan.Node
 
+	// clock times a solo controller's epochs; a fleet replica's stays unset
+	// (Period 0) — the shard runner's barrier markers are its clock.
 	clock    stream.EpochClock
 	epochBuf []*stream.Tuple
 	// last is the plan's totals at the last epoch close (or attach, or
@@ -185,19 +194,21 @@ type Controller struct {
 	prevObserved uint64
 	prevPressure uint64
 	noBaseline   bool
-	streak       streak
 	pending      *plan.Node
 	forced       bool
 }
 
-// New creates a self-deciding controller (single-engine runs).
-func New(cfg Config) *Controller { return NewCoordinated(cfg, nil) }
+// New creates a solo controller — a fleet of one: it closes its epochs on its
+// own clock, from Decide, against a one-replica Coordinator made at Attach.
+func New(cfg Config) *Controller {
+	return &Controller{cfg: cfg, clock: stream.EpochClock{Period: cfg.Epoch}}
+}
 
-// NewCoordinated creates a controller whose epoch decisions are made
-// fleet-wide by the coordinator; local epoch boundaries are ignored and the
-// shard runner's barrier markers drive AtBarrier instead.
+// NewCoordinated creates one replica's controller of a sharded fleet: its
+// epochs close when the shard runner's barrier markers reach AtBarrier, and
+// the decision is the coordinator's, fleet-wide.
 func NewCoordinated(cfg Config, coord *Coordinator) *Controller {
-	return &Controller{cfg: cfg, coord: coord, clock: stream.EpochClock{Period: cfg.Epoch}}
+	return &Controller{cfg: cfg, coord: coord}
 }
 
 // Attach implements engine.Reoptimizer: it binds the controller to the
@@ -208,6 +219,9 @@ func NewCoordinated(cfg Config, coord *Coordinator) *Controller {
 func (c *Controller) Attach(b *plan.Built) {
 	c.b = b
 	c.cands = candidates(b.Catalog.NumSources())
+	if c.coord == nil {
+		c.coord = NewCoordinator(1, b.Shape(), b.Catalog.NumSources(), c.cfg)
+	}
 	gate := operator.NewDedup(b.Sink, &b.RunLedger.MigrationDups)
 	b.RootJoin().SetConsumer(gate, operator.Left)
 	c.last = b.Totals()
@@ -215,18 +229,20 @@ func (c *Controller) Attach(b *plan.Built) {
 }
 
 // Decide implements engine.Reoptimizer: it accumulates the epoch's arrival
-// buffer, runs the epoch evaluation at boundaries (uncoordinated mode), and
-// reports whether a migration is due at this arrival's timestamp.
+// buffer, closes the epoch at a boundary of the controller's own clock (solo
+// only), and reports whether a migration is due at this arrival's timestamp.
+// A migration pending at a boundary postpones the close to the next arrival.
 func (c *Controller) Decide(t *stream.Tuple, b *plan.Built) bool {
-	due := c.clock.Due(t.TS) // the first arrival arms the clock
+	due := c.clock.Period > 0 && c.clock.Due(t.TS) // the first arrival arms the clock
 	if c.cfg.ForceTo != nil && !c.forced && t.TS >= c.cfg.ForceAt {
 		c.forced = true
 		if c.cfg.ForceTo.Canonical() != c.b.Shape().Canonical() {
 			c.pending = c.cfg.ForceTo
+			c.coord.commit(c.cfg.ForceTo)
 		}
 	}
-	if c.pending == nil && c.coord == nil && c.cfg.Epoch > 0 && due {
-		c.evaluateEpoch(t.TS)
+	if due && c.pending == nil {
+		c.closeEpoch(t.TS)
 		c.clock.Advance(t.TS)
 	}
 	// The epoch buffer feeds shadow scoring and is trimmed at each epoch
@@ -238,48 +254,16 @@ func (c *Controller) Decide(t *stream.Tuple, b *plan.Built) bool {
 	return c.pending != nil
 }
 
-// AtBarrier is called by the shard runner's replica source when it reaches
-// an epoch-barrier marker: the replica applies the same steady-state gate
-// as the single-engine path (first epoch establishes the baseline; scoring
-// runs only on a Rise-factor cost jump, or while the fleet's hysteresis
-// streak is open), exchanges its observation — with shadow scores only when
-// the gate opened — through the coordinator (blocking until every live
-// replica has arrived), and adopts the fleet-wide decision, to be applied
-// at its next arrival. The coordinator only decides on rounds where every
-// replica scored, so partially-gated rounds cost little and skew nothing.
-// No-op on uncoordinated controllers.
-func (c *Controller) AtBarrier() {
-	if c.coord == nil || c.b == nil {
-		return
-	}
-	d := c.b.Totals().Sub(c.last)
-	observed := d.CostUnits()
-	c.b.Trace.Epoch(c.b.Trace.Now(), observed)
-	var scores map[string]uint64
-	// The idle gate mirrors the single-engine path: a near-idle replica
-	// neither scores nor lets the fleet decide this round (the coordinator
-	// requires every replica's scores, so a chronically idle shard —
-	// extreme key skew — conservatively holds migrations; its signal would
-	// be meaningless anyway).
-	if observed >= minEpochCost && (c.reopened(d) || c.coord.StreakOpen()) {
-		scores = c.scoreShapes()
-	} else if observed < minEpochCost {
-		c.reopened(d) // advance the baselines regardless
-	}
-	if target := c.coord.Exchange(observed, scores); target != nil &&
-		target.Canonical() != c.b.Shape().Canonical() {
-		c.pending = target
-	}
-	c.resetEpoch()
-}
+// AtBarrier closes a fleet replica's epoch: the shard runner's replica source
+// calls it on reaching an epoch-barrier marker, with the timestamp of the
+// arrival that crossed the boundary in the global stream. It blocks in the
+// coordinator until every live replica has arrived; the fleet-wide decision
+// is applied at the replica's next arrival.
+func (c *Controller) AtBarrier(ts stream.Time) { c.closeEpoch(ts) }
 
-// Leave deregisters the replica from the coordinator's barriers at
-// end-of-stream. No-op on uncoordinated controllers.
-func (c *Controller) Leave() {
-	if c.coord != nil {
-		c.coord.Leave()
-	}
-}
+// Leave deregisters a fleet replica from the coordinator's barriers at
+// end-of-stream.
+func (c *Controller) Leave() { c.coord.Leave() }
 
 // Migrate implements engine.Reoptimizer: snapshot the plan at the cut, reshape
 // it in place under the target shape (plan.Built.Reshape: same plan object,
@@ -312,39 +296,41 @@ func (c *Controller) Migrate(cut stream.Time, b *plan.Built) *plan.Built {
 	return b
 }
 
-// evaluateEpoch closes one decision epoch (uncoordinated mode): read the
-// epoch's counter difference, decide whether the feedback justifies reopening
-// the shape question, shadow-score the shapes, apply margin+patience.
-func (c *Controller) evaluateEpoch(now stream.Time) {
+// closeEpoch is the one epoch close, at application time now. The gate: a
+// near-idle epoch carries no shape signal; the first epoch only establishes
+// the baselines; after that the shape question reopens when the epoch's cost
+// or feedback pressure jumps by the rise factor against the previous epoch's,
+// and stays open while the fleet's hysteresis streak is pending — so
+// steady-state epochs cost no scoring at all. The observation, with shadow
+// scores only if the gate opened, goes through the coordinator, which blocks
+// until every live replica has reported and decides on the summed scores only
+// when all of them scored: a chronically idle shard (extreme key skew)
+// conservatively holds migrations, its signal would be meaningless anyway.
+func (c *Controller) closeEpoch(now stream.Time) {
 	d := c.b.Totals().Sub(c.last)
-	observed := d.CostUnits()
+	observed, prev := d.CostUnits(), c.prevObserved
 	c.b.Trace.Epoch(now, observed)
 	mns, susp, suppr := d.MNSDetected, d.Suspended, d.SuppressedPairs
-	prev := c.prevObserved
-	if observed < minEpochCost {
-		c.prevObserved, c.prevPressure, c.noBaseline = observed, mns+susp+suppr, false
+	idle := observed < minEpochCost
+	var scores map[string]uint64
+	if reopened := c.reopened(d); !idle && (reopened || c.coord.StreakOpen()) {
+		scores = c.scoreShapes()
+	}
+	target, sums, wins := c.coord.Exchange(observed, scores)
+	switch {
+	case idle:
 		c.logf("adapt: epoch t=%v idle (cost=%d mns=%d susp=%d suppressed=%d) — skip scoring",
 			now, observed, mns, susp, suppr)
-		c.streak = streak{}
-		c.resetEpoch()
-		return
-	}
-	// Regime-shift gate: in steady state the shape question stays closed and
-	// epochs cost nothing. Scoring reopens when the epoch's cost or feedback
-	// pressure jumps (rise ×) against the previous epoch's, and stays open
-	// while a hysteresis streak is pending. The first epoch only establishes
-	// the baselines.
-	if !c.reopened(d) && c.streak.wins == 0 {
+	case scores == nil:
 		c.logf("adapt: epoch t=%v steady (cost=%d prev=%d mns=%d susp=%d suppressed=%d) — keep %s",
 			now, observed, prev, mns, susp, suppr, c.b.Shape().Canonical())
-		c.resetEpoch()
-		return
+	default:
+		c.logf("adapt: epoch t=%v cost=%d mns=%d susp=%d suppressed=%d scores=%s wins=%d/%d",
+			now, observed, mns, susp, suppr, renderScores(sums), wins, c.cfg.patience())
 	}
-	scores := c.scoreShapes()
-	target, wins := c.streak.decide(c.cfg, c.b.Shape().Canonical(), c.cands, scores)
-	c.logf("adapt: epoch t=%v cost=%d mns=%d susp=%d suppressed=%d scores=%s wins=%d/%d",
-		now, observed, mns, susp, suppr, renderScores(scores), wins, c.cfg.patience())
-	c.pending = target
+	if target != nil && target.Canonical() != c.b.Shape().Canonical() {
+		c.pending = target
+	}
 	c.resetEpoch()
 }
 
@@ -382,7 +368,7 @@ func (c *Controller) scoreShapes() map[string]uint64 {
 // cost and the feedback pressure of the epoch's counter difference d against
 // the previous epoch's baselines, updates the baselines, and reports whether
 // either jumped by the rise factor. The first epoch only establishes the
-// baselines. At most one call per epoch close (baselines advance on every
+// baselines. Exactly one call per epoch close (baselines advance on every
 // call).
 func (c *Controller) reopened(d metrics.Counters) bool {
 	observed, pressure := d.CostUnits(), d.MNSDetected+d.Suspended+d.SuppressedPairs

@@ -6,14 +6,15 @@ import (
 	"repro/internal/plan"
 )
 
-// Coordinator makes the epoch decision fleet-wide for sharded execution
-// (DESIGN.md §7): the shard runner broadcasts an epoch-barrier marker into
-// every replica's channel when the global stream crosses an epoch boundary,
-// each replica scores its local epoch slice at the barrier, and the
+// Coordinator makes every epoch decision (DESIGN.md §7), for a fleet of any
+// size. In sharded execution the shard runner broadcasts an epoch-barrier
+// marker into every replica's channel when the global stream crosses an epoch
+// boundary, each replica scores its local epoch slice at the barrier, and the
 // coordinator sums the scores and applies one margin+patience decision that
 // every replica then adopts — the replicas migrate in lockstep to the same
 // shape, each performing its own snapshot+replay handoff at its next local
-// arrival.
+// arrival. A solo controller is the same thing with one replica: it makes its
+// own coordinator and exchanges with itself at its own epoch boundaries.
 //
 // The exchange is a barrier: Exchange blocks until every live replica has
 // reported its round, so the decision is a pure function of the summed
@@ -40,7 +41,12 @@ type Coordinator struct {
 	sumObserved uint64
 	sums        map[string]uint64
 	streak      streak
-	decision    *plan.Node
+	// out is the last finalized round: what Exchange hands every replica.
+	out struct {
+		target *plan.Node
+		sums   map[string]uint64
+		wins   int
+	}
 }
 
 // NewCoordinator creates a coordinator for n replicas of a plan whose
@@ -65,12 +71,20 @@ func (c *Coordinator) StreakOpen() bool {
 	return c.streak.wins > 0
 }
 
+// commit records a forced migration (Config.ForceTo), which bypasses the
+// policy: later rounds decide relative to the shape it installs.
+func (c *Coordinator) commit(shape *plan.Node) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.committed = shape.Canonical()
+}
+
 // Exchange reports one replica's observed epoch cost — with shadow scores
 // only when the replica's steady-state gate opened (nil otherwise) — and
-// blocks until the round's fleet-wide decision is available. It returns
-// the migration target (nil to stay). The last replica to arrive computes
-// the decision.
-func (c *Coordinator) Exchange(observed uint64, scores map[string]uint64) *plan.Node {
+// blocks until the round is final. Every replica of the round gets the same
+// answer: the migration target (nil to stay), the fleet's summed scores and
+// the streak length the round reached. The last replica to arrive computes it.
+func (c *Coordinator) Exchange(observed uint64, scores map[string]uint64) (target *plan.Node, sums map[string]uint64, wins int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	round := c.round
@@ -89,7 +103,7 @@ func (c *Coordinator) Exchange(observed uint64, scores map[string]uint64) *plan.
 			c.cond.Wait()
 		}
 	}
-	return c.decision
+	return c.out.target, c.out.sums, c.out.wins
 }
 
 // Leave removes a finished replica from the barrier. If it was the last
@@ -109,17 +123,22 @@ func (c *Coordinator) Leave() {
 // shift some replicas' slices saw one epoch before others') carry no
 // weight and do not perturb the streak. Caller holds mu.
 func (c *Coordinator) finalizeLocked() {
-	c.decision = nil
+	c.out.target, c.out.sums, c.out.wins = nil, c.sums, 0
 	allScored := c.scored == c.arrived && c.scored > 0
 	_, haveCurr := c.sums[c.committed]
-	if allScored && c.sumObserved >= minEpochCost && haveCurr {
-		if target, _ := c.streak.decide(c.cfg, c.committed, c.cands, c.sums); target != nil {
-			c.decision = target
-			c.committed = target.Canonical()
+	switch {
+	case c.sumObserved < minEpochCost:
+		// A near-idle fleet carries no shape signal and closes the streak —
+		// the fleet's cost is the gate, as a solo run's own cost is.
+		c.streak = streak{}
+	case !allScored:
+		// A partial round of a busy fleet carries no information either way.
+	case haveCurr:
+		c.out.target, c.out.wins = c.streak.decide(c.cfg, c.committed, c.cands, c.sums)
+		if c.out.target != nil {
+			c.committed = c.out.target.Canonical()
 		}
-	} else if allScored {
-		// A complete round whose gates failed closes the streak; a partial
-		// round carries no information either way.
+	default:
 		c.streak = streak{}
 	}
 	c.sumObserved = 0

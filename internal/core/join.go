@@ -197,17 +197,12 @@ func (j *JoinOp) SetConsumer(c operator.Consumer, port operator.Port) {
 // retiring root so the new root feeds the same gate or sink.
 func (j *JoinOp) Consumer() operator.Consumer { return j.consumer }
 
-// Name implements operator.Producer.
+// Name labels the operator: its ledger row (plan.Built.Ops) and trace events.
 func (j *JoinOp) Name() string { return j.name }
 
 // SetTrace attaches (or, with nil, detaches) the observability tracer.
 // plan.Built.SetTrace fans it out across the wired tree.
 func (j *JoinOp) SetTrace(tr *obs.Tracer) { j.trace = tr }
-
-// OutSources implements operator.Producer.
-func (j *JoinOp) OutSources() stream.SourceSet {
-	return j.in[0].sources.Union(j.in[1].sources)
-}
 
 // CanSuspend implements operator.Producer: a join honours feedback unless
 // it is configured to ignore it or runs as the REF baseline.

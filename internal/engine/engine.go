@@ -5,7 +5,8 @@
 //
 // Each arrival first fires the expiry sweep on exactly the operators whose
 // deadline has passed (DESIGN.md §4; a sweep below an operator's deadline is
-// provably a no-op, so skipping it changes nothing), then enters its feed
+// provably a no-op, so skipping it changes nothing — sched_test.go holds the
+// sweep-everything reference, plan.Built.ReplayInWindow), then enters its feed
 // operator and drives the pipelined plan synchronously to quiescence — the
 // single-threaded equivalent of the paper's pre-emptive scheduling policies
 // (Sec. III-B/C).
@@ -84,11 +85,6 @@ type Options struct {
 	// plus the plan window, past which every finite deadline has fired and
 	// every window has closed.
 	Horizon stream.Time
-	// SweepEveryArrival disables deadline scheduling and sweeps every
-	// operator before every arrival — the pre-deadline hot path, kept as the
-	// reference the scheduler-equivalence tests compare against. Results and
-	// counters other than Sweeps are identical either way (DESIGN.md §4).
-	SweepEveryArrival bool
 	// Reopt, when non-nil, lets an adaptive re-optimizer (internal/adapt)
 	// migrate the plan mid-run (DESIGN.md §7). Requires Drain: the handoff's
 	// lossless-delivery argument rests on exact-delivery recovery.
@@ -132,10 +128,10 @@ type Engine struct {
 	opts  Options
 }
 
-// New creates an engine for a built plan with default options (no drain,
-// deadline-scheduled sweeps). Like NewWithOptions, it (re)applies its
-// options to the plan's operators, so reusing one plan across engines never
-// leaks a previous engine's exact-delivery mode.
+// New creates an engine for a built plan with default options (no drain).
+// Like NewWithOptions, it (re)applies its options to the plan's operators, so
+// reusing one plan across engines never leaks a previous engine's
+// exact-delivery mode.
 func New(b *plan.Built) *Engine { return NewWithOptions(b, Options{}) }
 
 // NewWithOptions creates an engine with explicit options. Drain implies
@@ -224,33 +220,20 @@ func (e *Engine) RunStream(next func() (*stream.Tuple, bool)) Result {
 			// operators that formed it. Whatever is still suspended afterwards
 			// has its whole constituent set inside the snapshot window, and the
 			// reshaped tree regenerates it from the replay (DESIGN.md §7).
-			if e.opts.SweepEveryArrival {
-				sched.refresh()
-			}
 			sched.drain(t.TS, b.RunLedger, tr)
 			if e.opts.Reopt.Migrate(t.TS, b) != nil {
 				sched = newScheduler(b.Joins)
 				sched.refresh()
 			}
 		}
-		if e.opts.SweepEveryArrival {
-			b.RunLedger.Sweeps += uint64(len(b.Joins))
-			b.Sweep(t.TS)
-		} else {
-			sched.fireDue(t.TS, b.RunLedger)
-		}
+		sched.fireDue(t.TS, b.RunLedger)
 		b.Ingest(t)
-		if !e.opts.SweepEveryArrival {
-			sched.refresh()
-		}
+		sched.refresh()
 	}
 	if e.opts.Drain {
 		horizon := e.opts.Horizon
 		if horizon == 0 {
 			horizon = lastTS + b.Window
-		}
-		if e.opts.SweepEveryArrival {
-			sched.refresh() // the arrival loop kept no schedule; build one
 		}
 		sched.drain(horizon, b.RunLedger, tr)
 	}
@@ -386,16 +369,13 @@ func (s *scheduler) peek() (stream.Time, bool) {
 	return 0, false
 }
 
-// fireDue runs the expiry sweep, at time now, on every operator whose
-// deadline has passed. Operators are visited in plan order (producers before
-// consumers), re-checking the live deadline per operator so that cascades
-// triggered by an earlier sweep are picked up within the same pass — exactly
-// the work the historical sweep-every-arrival pass performed, minus the
-// no-op sweeps.
-func (s *scheduler) fireDue(now stream.Time, ctr *metrics.Counters) {
-	if at, ok := s.peek(); !ok || at > now {
-		return
-	}
+// sweepDue runs the expiry sweep, at time now, on every operator whose
+// deadline has passed, then reschedules. Operators are visited in plan order
+// (producers before consumers), re-checking the live deadline per operator so
+// that cascades triggered by an earlier sweep are picked up within the same
+// pass — exactly the work a sweep of every operator performs (the reference of
+// TestDeadlineSweepEquivalence), minus the no-op sweeps.
+func (s *scheduler) sweepDue(now stream.Time, ctr *metrics.Counters) {
 	for _, j := range s.joins {
 		if j.NextDeadline() <= now {
 			ctr.Sweeps++
@@ -403,6 +383,13 @@ func (s *scheduler) fireDue(now stream.Time, ctr *metrics.Counters) {
 		}
 	}
 	s.refresh()
+}
+
+// fireDue is the arrival-time step: sweep at now if any deadline has passed.
+func (s *scheduler) fireDue(now stream.Time, ctr *metrics.Counters) {
+	if at, ok := s.peek(); ok && at <= now {
+		s.sweepDue(now, ctr)
+	}
 }
 
 // drain fires the remaining timer deadlines in time order: the engine clock
@@ -446,12 +433,6 @@ func (s *scheduler) drain(horizon stream.Time, ctr *metrics.Counters, tr *obs.Tr
 		} else {
 			prev, stuck = d, 0
 		}
-		for _, j := range s.joins {
-			if j.NextDeadline() <= d {
-				ctr.Sweeps++
-				j.Sweep(d)
-			}
-		}
-		s.refresh()
+		s.sweepDue(d, ctr)
 	}
 }

@@ -10,13 +10,27 @@ import (
 	"repro/internal/stream"
 )
 
+// sweepEveryArrival is the reference discipline the deadline scheduler is
+// measured against: plan.Built.ReplayInWindow sweeps every operator before
+// every arrival (the step a migration and a recovery replay take), and the
+// end-of-stream drain is the scheduler's own.
+func sweepEveryArrival(b *plan.Built, arrivals []*stream.Tuple, drain bool) Result {
+	b.SetExact(drain)
+	b.ReplayInWindow(arrivals)
+	if drain {
+		s := newScheduler(b.Joins)
+		s.refresh()
+		s.drain(arrivals[len(arrivals)-1].TS+b.Window, b.RunLedger, nil)
+	}
+	return Result{Results: b.Sink.Count(), PeakMemKB: b.Account.PeakKB(), Counters: b.Totals()}
+}
+
 // TestDeadlineSweepEquivalence pins the DESIGN.md §4 deadline contract:
 // skipping a sweep below an operator's NextDeadline changes nothing, so a
-// deadline-scheduled run and a sweep-every-arrival run (the historical hot
-// path) produce identical results, identical sink order and identical
-// counters — except Sweeps, which is exactly the scheduling win. Sweeps
-// must strictly decrease on sparse streams, where most per-arrival sweeps
-// were no-ops.
+// deadline-scheduled run and a sweep-every-arrival run produce identical
+// results, identical sink order and identical counters — except Sweeps, which
+// is exactly the scheduling win. Sweeps must strictly decrease on sparse
+// streams, where most per-arrival sweeps were no-ops.
 func TestDeadlineSweepEquivalence(t *testing.T) {
 	workloads := []struct {
 		name    string
@@ -51,10 +65,10 @@ func TestDeadlineSweepEquivalence(t *testing.T) {
 				b := plan.BuildTree(cat, conj, shape, plan.Options{
 					Window: w.window, Mode: m.mode, KeepResults: true,
 				})
-				r := NewWithOptions(b, Options{
-					SweepEveryArrival: everyArrival, Drain: drain,
-				}).Run(arrivals)
-				return r, b.Sink.ResultKeys()
+				if everyArrival {
+					return sweepEveryArrival(b, arrivals, drain), b.Sink.ResultKeys()
+				}
+				return NewWithOptions(b, Options{Drain: drain}).Run(arrivals), b.Sink.ResultKeys()
 			}
 			for _, drain := range []bool{false, true} {
 				sched, schedKeys := run(false, drain)
@@ -94,7 +108,7 @@ func TestDeadlineSweepEquivalence(t *testing.T) {
 			b := plan.BuildTree(cat, conj, shape, plan.Options{Window: w.window, Mode: core.JIT()})
 			sched := New(b).Run(arrivals)
 			b2 := plan.BuildTree(cat, conj, shape, plan.Options{Window: w.window, Mode: core.JIT()})
-			every := NewWithOptions(b2, Options{SweepEveryArrival: true}).Run(arrivals)
+			every := sweepEveryArrival(b2, arrivals, false)
 			if sched.Counters.Sweeps*2 >= every.Counters.Sweeps {
 				t.Errorf("sparse: expected <half the sweeps, got %d vs %d",
 					sched.Counters.Sweeps, every.Counters.Sweeps)

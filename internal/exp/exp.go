@@ -5,7 +5,10 @@
 // workloads.
 //
 // Params is the only description of a run: the commands, the figure sweeps
-// and the report harness each hold one instead of mirroring its fields.
+// and the report harness each hold one instead of mirroring its fields. It
+// executes one way (Params.exec): as a fleet of key-partitioned replicas
+// (internal/shard), of which a single engine is the one-replica case; Run,
+// RunKeys and RunSharded are views of that one result.
 // Config adds the sweep-only knobs and carries what holds at every point of
 // a sweep as one Params overlay (Config.Workload); spec.go is the figure
 // grid; flags.go declares once every flag two commands share and converts
@@ -82,18 +85,16 @@ type Params struct {
 	// DrainHorizon caps the drain when non-zero; zero drains to the natural
 	// horizon (last arrival + window).
 	DrainHorizon stream.Time
-	// Shards, when above 1, runs the plan across key-partitioned engine
-	// replicas (internal/shard, DESIGN.md §5) instead of one engine. The
-	// merged result is returned; note that broadcast sources are ingested
-	// once per shard, so Arrivals and the work counters include that
-	// duplication. Drain is forced on — per-shard exact delivery is what
-	// makes the shard union equal the single-engine multiset.
+	// Shards, when above 1, runs the plan across that many key-partitioned
+	// engine replicas (internal/shard, DESIGN.md §5); below 2 the fleet is
+	// one engine. The merged result is returned; note that broadcast sources
+	// are ingested once per shard, so Arrivals and the work counters include
+	// that duplication. Above 1, Drain is forced on (Drains).
 	Shards int
 	// Adapt runs the engine under adaptive re-optimization (internal/adapt,
 	// DESIGN.md §7): the plan may migrate between the bushy and left-deep
-	// shapes mid-run on observed feedback. Drain is forced on — the
-	// migration handoff requires exact delivery. In sharded runs the
-	// replicas migrate in lockstep at epoch barriers.
+	// shapes mid-run on observed feedback. Drain is forced on (Drains). In
+	// sharded runs the replicas migrate in lockstep at epoch barriers.
 	Adapt bool
 	// AdaptEpoch is the decision-epoch length; zero means one window.
 	AdaptEpoch stream.Time
@@ -126,22 +127,13 @@ type Params struct {
 	// return the delivery keys — the multiset-equivalence hook of the
 	// scenario harness (internal/scenario). Costs O(results) memory.
 	KeepResults bool
-	// ObsAddr is the live ops endpoint address ("-obs-addr"); recorded here
-	// only for flag-combination validation — the CLI owns binding the
-	// listener (internal/obs.Serve).
+	// ObsAddr is the live ops endpoint address ("-obs-addr"); the CLI owns
+	// binding the listener (internal/obs.Serve).
 	ObsAddr string
-	// ObsAggregate opts a sharded run into per-replica series aggregation on
-	// the ops endpoint ("-obs-aggregate"): one tracer per replica, per-shard
-	// labels. Validate rejects ObsAddr on a sharded run when this is
-	// explicitly off — a single tracer cannot observe N engines.
-	ObsAggregate bool
-	// Trace attaches an observability tracer to single-engine runs
-	// (DESIGN.md §9). Nil (the default) leaves observation disabled — the
+	// TraceFor supplies each replica's observability tracer (DESIGN.md §9):
+	// one tracer per replica, a single engine being shard 0. Nil (the
+	// default), or a nil return, leaves observation disabled — the
 	// zero-overhead path.
-	Trace *obs.Tracer
-	// TraceFor supplies per-replica tracers for sharded runs (one tracer per
-	// replica; nil returns leave that replica untraced). Ignored by
-	// single-engine runs.
 	TraceFor func(shard int) *obs.Tracer
 }
 
@@ -159,16 +151,12 @@ func (p Params) Validate() error {
 		return fmt.Errorf("shard count cannot be negative (shards=%d)", p.Shards)
 	case p.DrainHorizon < 0:
 		return fmt.Errorf("drain horizon cannot be negative (%v)", p.DrainHorizon)
-	case p.DrainHorizon > 0 && !p.Drain && p.Shards <= 1 && !p.Adapt:
+	case p.DrainHorizon > 0 && !p.Drains():
 		return fmt.Errorf("drain horizon set but the drain is off (enable -drain)")
 	case p.AdaptEpoch < 0:
 		return fmt.Errorf("adapt epoch cannot be negative (%v)", p.AdaptEpoch)
 	case p.AdaptEpoch > 0 && !p.Adapt:
 		return fmt.Errorf("-adapt-epoch has no effect without -adapt")
-	case p.ObsAggregate && p.ObsAddr == "":
-		return fmt.Errorf("replica aggregation set but the ops endpoint is off (set -obs-addr)")
-	case p.ObsAddr != "" && p.Shards > 1 && !p.ObsAggregate:
-		return fmt.Errorf("ops endpoint on a sharded run requires replica aggregation (enable -obs-aggregate)")
 	}
 	return p.ValidateWorkload()
 }
@@ -200,30 +188,38 @@ func (p Params) ValidateWorkload() error {
 	return nil
 }
 
-// adaptConfig resolves the re-optimizer configuration for the run.
-func (p Params) adaptConfig() adapt.Config {
-	epoch := p.AdaptEpoch
-	if epoch == 0 {
-		epoch = p.Window
+// Drains reports whether the run ends with the end-of-stream drain: asked for,
+// or forced by sharding (per-shard exact delivery is what makes the shard
+// union equal the single-engine multiset, DESIGN.md §5) or by adaptive
+// execution (the migration handoff requires exact delivery, §7).
+func (p Params) Drains() bool { return p.Drain || p.Shards > 1 || p.Adapt }
+
+// exec is the one way a configuration executes: a fleet of Shards replicas
+// (one when Shards is below 2, run inline — internal/shard) over the lazily
+// generated workload (source.Stream), so memory stays proportional to
+// operator state rather than the arrival count. Run, RunKeys and RunSharded
+// are three views of its result.
+func (p Params) exec() shard.Result {
+	b := p.Plan()
+	opts := shard.Options{
+		Shards:   p.Shards,
+		Engine:   engine.Options{Drain: p.Drains(), Horizon: p.DrainHorizon, Disorder: p.Disorder},
+		TraceFor: p.TraceFor,
 	}
-	return adapt.Config{Epoch: epoch, Log: p.AdaptLog}
+	if p.Adapt {
+		opts.Adapt = &adapt.Config{Epoch: p.AdaptEpoch, Log: p.AdaptLog}
+		if p.AdaptEpoch == 0 {
+			opts.Adapt.Epoch = p.Window
+		}
+	}
+	return shard.New(b, opts).RunStream(source.Stream(b.Catalog, p.SourceConfig()))
 }
 
-// Run executes the configuration and returns the measured results. The
-// workload is generated lazily (source.Stream) and ingested through
-// engine.RunStream, so memory stays proportional to operator state rather
-// than the arrival count. Note WallTime therefore includes tuple
+// Run executes the configuration and returns the measured results — merged
+// over the replicas when Shards is above 1. Note WallTime includes tuple
 // generation, which the historical materialize-then-run harness excluded;
-// CostUnits — the paper's comparison metric — is unaffected. With Shards
-// above 1 the run goes through the sharded runner and the merged result is
-// returned (see RunSharded).
-func (p Params) Run() engine.Result {
-	if p.Shards > 1 {
-		return p.RunSharded().Merged
-	}
-	r, _ := p.runSingle()
-	return r
-}
+// CostUnits — the paper's comparison metric — is unaffected.
+func (p Params) Run() engine.Result { return p.exec().Merged }
 
 // RunKeys executes like Run but retains and returns the delivered result
 // keys — the canonical per-result identities (stream.Composite.Key) in
@@ -232,52 +228,17 @@ func (p Params) Run() engine.Result {
 // stacks (internal/scenario, DESIGN.md §8).
 func (p Params) RunKeys() (engine.Result, []string) {
 	p.KeepResults = true
-	if p.Shards > 1 {
-		s := p.RunSharded()
-		return s.Merged, s.ResultKeys()
-	}
-	r, b := p.runSingle()
-	return r, b.Sink.ResultKeys()
+	s := p.exec()
+	return s.Merged, s.ResultKeys()
 }
 
-// runSingle executes the single-engine form and returns the built plan
-// alongside the result (the plan holds the sink's delivery log when
-// KeepResults is set).
-func (p Params) runSingle() (engine.Result, *plan.Built) {
-	b := p.Plan()
-	if p.Trace != nil {
-		b.SetTrace(p.Trace)
-	}
-	opts := engine.Options{Drain: p.Drain, Horizon: p.DrainHorizon, Disorder: p.Disorder}
-	if p.Adapt {
-		// Adaptive execution implies the drain: the migration handoff's
-		// lossless-delivery argument rests on exact-delivery mode (§7).
-		opts.Drain = true
-		c := p.adaptConfig()
-		opts.Reopt = adapt.New(c)
-	}
-	eng := engine.NewWithOptions(b, opts)
-	return eng.RunStream(source.Stream(b.Catalog, p.SourceConfig())), b
-}
-
-// RunSharded executes the configuration across Shards key-partitioned
-// engine replicas (internal/shard, DESIGN.md §5) and returns the full
-// sharded result — merged totals plus per-shard breakdown and routing
-// counts. Drain is forced on: each shard sees only a key-slice of the
-// stream, and per-shard exact delivery is what makes the union over
-// shards equal the single-engine result multiset.
+// RunSharded executes like Run and returns the full sharded result — merged
+// totals plus per-shard breakdown and routing counts. Drain is forced on
+// whatever Shards says, so its one-replica row is the drained baseline of the
+// scaling curve (RESULTS.md).
 func (p Params) RunSharded() shard.Result {
-	b := p.Plan()
-	opts := shard.Options{
-		Shards:   p.Shards,
-		Engine:   engine.Options{Drain: true, Horizon: p.DrainHorizon, Disorder: p.Disorder},
-		TraceFor: p.TraceFor,
-	}
-	if p.Adapt {
-		c := p.adaptConfig()
-		opts.Adapt = &c
-	}
-	return shard.New(b, opts).RunStream(source.Stream(b.Catalog, p.SourceConfig()))
+	p.Drain = true
+	return p.exec()
 }
 
 // Hostile summarizes the active hostile-stream mutators, or returns "" when

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/stream"
 )
 
@@ -141,5 +142,56 @@ func TestREFMatchesDOEWithNoEmptyStates(t *testing.T) {
 	r1, r2 := ref.Run(), doe.Run()
 	if r1.Results != r2.Results {
 		t.Fatalf("result counts differ: %d vs %d", r1.Results, r2.Results)
+	}
+}
+
+// TestRunViewsAgree pins that Run, RunKeys and RunSharded are three views of
+// one execution: at Shards 0, 1 and 2 they report the same Counters wherever
+// the drain rule lets them — RunSharded always drains, the other two when
+// Drain is set or Shards is above 1 — and a fleet of one is a single engine
+// whichever way Shards spells it.
+func TestRunViewsAgree(t *testing.T) {
+	base := Params{
+		N: 4, Bushy: true, Mode: core.JIT(),
+		Window: 90 * stream.Second, Rate: 1.0, DMax: 20,
+		Horizon: 5 * stream.Minute, Seed: 5,
+	}
+	for _, drain := range []bool{false, true} {
+		var single engine.Result
+		for _, shards := range []int{0, 1, 2} {
+			p := base
+			p.Drain, p.Shards = drain, shards
+			label := fmt.Sprintf("drain=%v shards=%d", drain, shards)
+			run := p.Run()
+			keyed, keys := p.RunKeys()
+			if run.Counters != keyed.Counters || uint64(len(keys)) != run.Results {
+				t.Errorf("%s: Run and RunKeys differ: %s vs %s (%d keys, %d results)",
+					label, run.Counters.String(), keyed.Counters.String(), len(keys), run.Results)
+			}
+			sharded := p.RunSharded()
+			if shards > 1 && len(sharded.Shards) != shards {
+				t.Errorf("%s: RunSharded ran %d replicas", label, len(sharded.Shards))
+			}
+			if p.Drains() && run.Counters != sharded.Merged.Counters {
+				t.Errorf("%s: Run and RunSharded differ: %s vs %s",
+					label, run.Counters.String(), sharded.Merged.Counters.String())
+			}
+			switch shards {
+			case 0:
+				single = run
+			case 1:
+				if run.Counters != single.Counters || run.PeakMemKB != single.PeakMemKB {
+					t.Errorf("%s: differs from shards=0: %s vs %s", label, run.Counters.String(), single.Counters.String())
+				}
+			}
+			if !drain && shards < 2 {
+				// RunSharded forces the drain whatever Shards says.
+				p.Drain = true
+				if drained := p.Run(); drained.Counters != sharded.Merged.Counters {
+					t.Errorf("%s: RunSharded is not the drained run: %s vs %s",
+						label, sharded.Merged.Counters.String(), drained.Counters.String())
+				}
+			}
+		}
 	}
 }

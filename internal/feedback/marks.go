@@ -69,9 +69,6 @@ func (t *MarkTable) Empty() bool { return len(t.origins.list) == 0 && len(t.rela
 // NumOrigins returns the number of active origin entries.
 func (t *MarkTable) NumOrigins() int { return len(t.origins.list) }
 
-// NumRelays returns the number of active relay entries.
-func (t *MarkTable) NumRelays() int { return len(t.relays.list) }
-
 // NumPending returns the total number of suppressed pairs currently parked.
 func (t *MarkTable) NumPending() int {
 	n := 0

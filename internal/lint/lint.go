@@ -4,10 +4,10 @@
 // shards and traced-vs-untraced runs, REF-order final delivery, byte-stable
 // RESULTS and checkpoint goldens — rest on cross-cutting code invariants
 // (no unordered map iteration on result paths, no wall clock in the
-// event-time engine, every counter field merged, tracing only through the
-// nil-safe obs.Tracer). The runtime reflection pins and equivalence sweeps
-// catch violations late and only on exercised paths; the analyzers in
-// internal/lint/* catch them at `go vet` time, on every path.
+// event-time engine, tracing only through the nil-safe obs.Tracer). The
+// runtime equivalence sweeps catch violations late and only on exercised
+// paths; the analyzers in internal/lint/* catch them at `go vet` time, on
+// every path.
 //
 // The framework is deliberately x/tools-shaped (Analyzer, Pass, Reportf)
 // so the suite could migrate onto go/analysis unchanged if the module ever

@@ -5,7 +5,6 @@ package suite
 
 import (
 	"repro/internal/lint"
-	"repro/internal/lint/countersmerge"
 	"repro/internal/lint/maporder"
 	"repro/internal/lint/suppaudit"
 	"repro/internal/lint/tracedisc"
@@ -15,7 +14,6 @@ import (
 // All returns the full analyzer suite, in name order.
 func All() []*lint.Analyzer {
 	return []*lint.Analyzer{
-		countersmerge.Analyzer,
 		maporder.Analyzer,
 		suppaudit.Analyzer,
 		tracedisc.Analyzer,

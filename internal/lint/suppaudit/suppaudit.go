@@ -15,7 +15,7 @@ import (
 // suite, so a new analyzer cannot be added without becoming suppressible
 // (and auditable) here.
 var KnownAnalyzers = []string{
-	"countersmerge", "maporder", "suppaudit", "tracedisc", "wallclock",
+	"maporder", "suppaudit", "tracedisc", "wallclock",
 }
 
 // Analyzer is the suppression audit. It runs on every package.
@@ -39,7 +39,7 @@ func run(pass *lint.Pass) error {
 					"bare %s: write %s <analyzer> <reason>", lint.AllowPrefix, lint.AllowPrefix)
 			case !known[a.Analyzer]:
 				pass.Reportf(a.TokPos,
-					"%s names unknown analyzer %q (known: countersmerge, maporder, suppaudit, tracedisc, wallclock)",
+					"%s names unknown analyzer %q (known: maporder, suppaudit, tracedisc, wallclock)",
 					lint.AllowPrefix, a.Analyzer)
 			case a.Reason == "":
 				pass.Reportf(a.TokPos,

@@ -41,10 +41,9 @@ func TestAccountNegativePanics(t *testing.T) {
 // and asserts Add accumulates every field with distinct values, so a
 // swapped or mis-scaled assignment can't cancel out, and that Sub inverts
 // Add field-wise — shard merges, plan totals, the obs sampler's deltas and
-// the adaptive controller's epoch signal all go through the pair. The
-// *exhaustiveness* half of this contract (both must reference every field at
-// all) is also enforced statically by the countersmerge analyzer in
-// internal/lint; this test keeps the semantics — that the sums actually sum.
+// the adaptive controller's epoch signal all go through the pair. A field
+// missing from Add stays undoubled and one missing from Sub leaves 2x−x ≠ x,
+// so this test is the exhaustiveness guard as well as the semantic one.
 func TestCountersAddCoversEveryField(t *testing.T) {
 	var src, dst Counters
 	sv := reflect.ValueOf(&src).Elem()

@@ -38,10 +38,8 @@ func (h *Histogram) Observe(v uint64) {
 	}
 }
 
-// Merge adds other into h field-wise. The countersmerge analyzer
-// (internal/lint) fails jitlint if a Histogram field is added without
-// being referenced here; TestHistogramMergeSemantics keeps the semantics
-// honest.
+// Merge adds other into h field-wise. TestHistogramMergeSemantics fails if
+// a Histogram field is added without being merged here.
 func (h *Histogram) Merge(other Histogram) {
 	for i := range h.Buckets {
 		h.Buckets[i] += other.Buckets[i]

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -52,10 +53,28 @@ func TestHistogramQuantileMean(t *testing.T) {
 }
 
 // TestHistogramMergeSemantics checks that Merge sums counts, sums and
-// buckets and takes the max of maxima. Its former structural half — a
-// reflection walk asserting Merge names every Histogram field — is retired:
-// the countersmerge analyzer in internal/lint enforces that statically.
+// buckets and takes the max of maxima — and, walking the struct by
+// reflection, that every Histogram field moves under Merge, so a field added
+// without extending Merge fails here.
 func TestHistogramMergeSemantics(t *testing.T) {
+	var src, dst Histogram
+	sv := reflect.ValueOf(&src).Elem()
+	for i := 0; i < sv.NumField(); i++ {
+		// Distinct per-field values so a swapped assignment can't cancel out.
+		switch f := sv.Field(i); f.Kind() {
+		case reflect.Uint64:
+			f.SetUint(uint64(i + 1))
+		case reflect.Array:
+			f.Index(i).SetUint(uint64(i + 1))
+		default:
+			t.Fatalf("field %s is %s; Merge and this test assume uint64 fields and arrays of them",
+				sv.Type().Field(i).Name, f.Kind())
+		}
+	}
+	dst.Merge(src)
+	if !reflect.DeepEqual(dst, src) {
+		t.Errorf("Merge into a zero histogram dropped or miscounted a field: got %+v, want %+v", dst, src)
+	}
 	var a, b Histogram
 	a.Observe(3)
 	a.Observe(100)

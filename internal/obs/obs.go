@@ -296,14 +296,6 @@ func (t *Tracer) Advance(ts stream.Time) {
 	}
 }
 
-// Now returns the tracer's event-time clock.
-func (t *Tracer) Now() stream.Time {
-	if t == nil {
-		return 0
-	}
-	return t.now
-}
-
 // Finish closes the run: the sampler flushes its final partial interval
 // (stamped at the next grid boundary, so per-shard series stay aligned) and
 // the final snapshot is published.

@@ -37,10 +37,6 @@ type Consumer interface {
 
 // Producer is the upstream handle a consumer sends feedback to.
 type Producer interface {
-	// Name labels the operator for diagnostics.
-	Name() string
-	// OutSources is the set of sources covered by the producer's outputs.
-	OutSources() stream.SourceSet
 	// Feedback delivers a feedback message. For Resume commands the return
 	// value is S_Π — the demanded partial results the consumer must join
 	// with its current input and append to its state (Sec. III-A). For all

@@ -38,10 +38,8 @@ type captureProducer struct {
 	out  []*stream.Composite
 }
 
-func (c *captureProducer) Name() string                 { return "cap" }
-func (c *captureProducer) OutSources() stream.SourceSet { return stream.SourceSet(0).Add(0) }
-func (c *captureProducer) CanSuspend() bool             { return true }
-func (c *captureProducer) DeferredFloor() stream.Time   { return feedback.NoExpiry }
+func (c *captureProducer) CanSuspend() bool           { return true }
+func (c *captureProducer) DeferredFloor() stream.Time { return feedback.NoExpiry }
 func (c *captureProducer) Feedback(m feedback.Message) []*stream.Composite {
 	c.msgs = append(c.msgs, m)
 	return c.out
@@ -55,7 +53,7 @@ func TestSelectionFilterAndFeedback(t *testing.T) {
 	ctr := &metrics.Counters{}
 	prod := &captureProducer{}
 	var id uint64
-	sel := NewSelection("σ", predicate.Selection{Source: 0, Col: 0, Op: predicate.GT, Const: 200},
+	sel := NewSelection(predicate.Selection{Source: 0, Col: 0, Op: predicate.GT, Const: 200},
 		prod, ctr, true, func() uint64 { id++; return id }, stream.Minute)
 	sink := &captureConsumer{}
 	sel.SetConsumer(sink, Left)

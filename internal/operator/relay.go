@@ -13,7 +13,6 @@ import (
 // tuples outright (no resumption will ever be issued). As a producer it
 // relays feedback from its own consumer to the upstream join (Sec. V).
 type Selection struct {
-	name     string
 	pred     predicate.Selection
 	prod     Producer
 	consumer Consumer
@@ -27,24 +26,12 @@ type Selection struct {
 // NewSelection creates a selection operator. prod may be nil when fed by a
 // raw source; detect enables JIT feedback generation; nextMNS supplies
 // MNS identifiers (shared with the rest of the plan).
-func NewSelection(name string, pred predicate.Selection, prod Producer, ctr *metrics.Counters, detect bool, nextMNS func() uint64, window stream.Time) *Selection {
-	return &Selection{name: name, pred: pred, prod: prod, ctr: ctr, detect: detect, nextMNS: nextMNS, window: window}
+func NewSelection(pred predicate.Selection, prod Producer, ctr *metrics.Counters, detect bool, nextMNS func() uint64, window stream.Time) *Selection {
+	return &Selection{pred: pred, prod: prod, ctr: ctr, detect: detect, nextMNS: nextMNS, window: window}
 }
 
 // SetConsumer wires the downstream consumer.
 func (s *Selection) SetConsumer(c Consumer, port Port) { s.consumer, s.outPort = c, port }
-
-// Name implements Producer.
-func (s *Selection) Name() string { return s.name }
-
-// OutSources implements Producer. A selection preserves its input's sources; the
-// concrete set depends on the producer.
-func (s *Selection) OutSources() stream.SourceSet {
-	if s.prod != nil {
-		return s.prod.OutSources()
-	}
-	return stream.SourceSet(0).Add(s.pred.Source)
-}
 
 // CanSuspend implements Producer: feedback through a selection reaches the
 // upstream join, if any.

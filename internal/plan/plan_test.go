@@ -60,10 +60,9 @@ func TestBuildTreeWiring(t *testing.T) {
 	if len(b.Joins) != 3 {
 		t.Fatalf("want 3 joins for N=4, got %d", len(b.Joins))
 	}
-	// Bottom-up order: the root must come last.
-	root := b.Joins[len(b.Joins)-1]
-	if root.OutSources().Count() != 4 {
-		t.Fatalf("root covers %v", root.OutSources())
+	// Bottom-up order: the root comes last, and it is what feeds the sink.
+	if out, ok := b.RootJoin().Consumer().(*operator.Sink); !ok || out != b.Sink {
+		t.Fatalf("the last join feeds %T, want the plan's sink", b.RootJoin().Consumer())
 	}
 	// Every source has a feed.
 	for i := 0; i < 4; i++ {

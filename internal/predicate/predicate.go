@@ -66,16 +66,6 @@ func (e Eq) Holds(a, b *stream.Composite) bool {
 	return e.matches(lt.Vals[e.LCol], rt.Vals[e.RCol])
 }
 
-// HoldsOn evaluates the predicate on a single composite, vacuously true when
-// an endpoint is missing.
-func (e Eq) HoldsOn(c *stream.Composite) bool {
-	lt, rt := c.Comp(e.Left), c.Comp(e.Right)
-	if lt == nil || rt == nil {
-		return true
-	}
-	return e.matches(lt.Vals[e.LCol], rt.Vals[e.RCol])
-}
-
 func (e Eq) String() string {
 	if e.IsBand() {
 		return fmt.Sprintf("|s%d.c%d-s%d.c%d|<=%d", e.Left, e.LCol, e.Right, e.RCol, e.Tol)
@@ -86,18 +76,6 @@ func (e Eq) String() string {
 // Conj is a conjunction of equi-join predicates — the WHERE clause of the
 // query as far as joins are concerned.
 type Conj []Eq
-
-// Between returns the sub-conjunction of predicates that link set a to set
-// b. These are exactly the predicates a join of a and b must evaluate.
-func (c Conj) Between(a, b stream.SourceSet) Conj {
-	var out Conj
-	for _, e := range c {
-		if e.Across(a, b) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
 
 // TouchingAcross returns the predicates that link the single source src to
 // any source in the opposite set.

@@ -127,7 +127,7 @@ func behaviourFor(o Options, s exp.Spec, xs []float64) BehaviourRow {
 		dt = 1
 	}
 	tr := obs.New(obs.Options{SampleEvery: dt})
-	p.Trace = tr
+	p.TraceFor = func(int) *obs.Tracer { return tr }
 	p.Run()
 	return BehaviourRow{Fig: s.Name, XLabel: s.XLabel, X: x, Dt: dt, Samples: tr.Samples()}
 }

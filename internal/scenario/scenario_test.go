@@ -132,21 +132,15 @@ func checkSharded(t *testing.T, sc Scenario, res shard.Result) {
 	}
 }
 
-// traceCell attaches a counting tracer to every engine of the cell —
-// one for a single run, one per replica for a sharded run — and returns the
-// sinks for post-run conservation checks.
+// traceCell attaches a counting tracer to every replica of the cell (a
+// single run is one replica) and returns the sinks for post-run
+// conservation checks.
 func traceCell(p *exp.Params) *[]*obs.CountingSink {
 	sinks := &[]*obs.CountingSink{}
-	if p.Shards > 1 {
-		p.TraceFor = func(shard int) *obs.Tracer {
-			s := &obs.CountingSink{}
-			*sinks = append(*sinks, s)
-			return obs.New(obs.Options{Sink: s, Shard: shard})
-		}
-	} else {
+	p.TraceFor = func(shard int) *obs.Tracer {
 		s := &obs.CountingSink{}
 		*sinks = append(*sinks, s)
-		p.Trace = obs.New(obs.Options{Sink: s})
+		return obs.New(obs.Options{Sink: s, Shard: shard})
 	}
 	return sinks
 }

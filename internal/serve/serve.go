@@ -130,10 +130,15 @@ func (c Config) Validate() error {
 
 // identity is the config string stored in checkpoints: restore refuses a
 // checkpoint taken under a different query — replaying its rows into this
-// plan would silently build wrong state.
+// plan would silently build wrong state. It is an explicit, versioned field
+// list, so deleting or reordering a struct field cannot move it; a query field
+// added to Config or core.Mode must be added here under a new version
+// (TestConfigIdentityPinned fails until someone decides).
 func (c Config) identity() string {
-	return fmt.Sprintf("n=%d shape=%s window=%d mode=%v indexed=%t band=%d",
-		c.N, plan.TableII(c.N, c.Bushy).Canonical(), c.Window, c.Mode, c.Indexed, c.Band)
+	m := c.Mode
+	return fmt.Sprintf("jitserve-config/2 n=%d shape=%s window=%d detect=%s typeII=%t generalize=%t propagate=%t ignoreFeedback=%t indexed=%t band=%d",
+		c.N, plan.TableII(c.N, c.Bushy).Canonical(), c.Window,
+		m.Detect, m.TypeII, m.Generalize, m.Propagate, m.IgnoreFeedback, c.Indexed, c.Band)
 }
 
 // RecoveryInfo describes one recovery performed by Open.

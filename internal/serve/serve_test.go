@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -561,17 +563,31 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestConfigIdentityPinned pins the string a checkpoint is matched against.
-// identity formats core.Mode with %v, so adding, removing or reordering a
-// Mode field — or touching any other term — silently turns every checkpoint
-// on disk into a "config mismatch" at recovery. A deliberate format change
-// updates these literals and says so in its release note.
+// TestConfigIdentityPinned pins the string a checkpoint is matched against —
+// touching any term turns every checkpoint on disk into a "config mismatch"
+// at recovery, so a deliberate format change bumps the version, updates these
+// literals and says so in its release note — and the shape of the structs it
+// is spelled from, so a field added to or removed from core.Mode or Config
+// cannot pass without a decision.
 func TestConfigIdentityPinned(t *testing.T) {
+	const decide = "decide whether it belongs in identity()"
+	if n := reflect.TypeOf(core.Mode{}).NumField(); n != 5 {
+		t.Errorf("core.Mode has %d fields, identity() spells out 5: %s", n, decide)
+	}
+	var fields []string
+	for i, tp := 0, reflect.TypeOf(Config{}); i < tp.NumField(); i++ {
+		fields = append(fields, tp.Field(i).Name)
+	}
+	query := []string{"N", "Bushy", "Window", "Mode", "Indexed", "Band"}
+	other := []string{"Disorder", "Addr", "Dir", "Every", "Keep", "MaxPending", "Retain", "Policy", "KeepResults", "Trace", "killPoint"}
+	if !slices.Equal(fields, append(query, other...)) {
+		t.Errorf("serve.Config fields are %v, identity() covers %v and leaves out %v: %s", fields, query, other, decide)
+	}
 	modes := map[string]string{
-		"jit":   "{lattice true true true false}",
-		"ref":   "{none false false false false}",
-		"doe":   "{doe false false true false}",
-		"bloom": "{bloom false true true false}",
+		"jit":   "detect=lattice typeII=true generalize=true propagate=true ignoreFeedback=false",
+		"ref":   "detect=none typeII=false generalize=false propagate=false ignoreFeedback=false",
+		"doe":   "detect=doe typeII=false generalize=false propagate=true ignoreFeedback=false",
+		"bloom": "detect=bloom typeII=false generalize=true propagate=true ignoreFeedback=false",
 	}
 	for name, m := range modes {
 		mode, err := core.ParseMode(name)
@@ -583,9 +599,9 @@ func TestConfigIdentityPinned(t *testing.T) {
 			want string
 		}{
 			{Config{N: 4, Bushy: true, Window: stream.Minute, Mode: mode},
-				"n=4 shape=((0 1) (2 3)) window=60000 mode=" + m + " indexed=false band=0"},
+				"jitserve-config/2 n=4 shape=((0 1) (2 3)) window=60000 " + m + " indexed=false band=0"},
 			{Config{N: 4, Window: stream.Minute, Mode: mode, Indexed: true, Band: 2},
-				"n=4 shape=(((0 1) 2) 3) window=60000 mode=" + m + " indexed=true band=2"},
+				"jitserve-config/2 n=4 shape=(((0 1) 2) 3) window=60000 " + m + " indexed=true band=2"},
 		} {
 			if got := tc.cfg.identity(); got != tc.want {
 				t.Errorf("%s identity drifted:\n got %q\nwant %q", name, got, tc.want)

@@ -1,8 +1,10 @@
 package shard_test
 
 import (
+	"bytes"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/adapt"
@@ -114,4 +116,37 @@ func sortedCopy(in []string) []string {
 	out := append([]string(nil), in...)
 	sort.Strings(out)
 	return out
+}
+
+// TestShardedAdaptLogIsDeterministic pins the fleet's decision log: every
+// replica logs into its own buffer and the runner writes the buffers out in
+// shard order after the run, so the same cell prints the same bytes however
+// the replica goroutines are scheduled — `jitrun -adapt -shards N` can sit in
+// the transcript golden.
+func TestShardedAdaptLogIsDeterministic(t *testing.T) {
+	cat, conj := predicate.Chain(4)
+	arrivals := shiftWorkload(1)
+	runOnce := func() string {
+		var log bytes.Buffer
+		b := plan.BuildTree(cat, conj, plan.Bushy(4), plan.Options{
+			Window: 50 * stream.Second, Mode: core.REF(), NoStateIndex: true,
+		})
+		res := shard.New(b, shard.Options{
+			Shards: 2,
+			Adapt:  &adapt.Config{Epoch: 50 * stream.Second, Patience: 1, Log: &log},
+		}).Run(arrivals)
+		if res.Merged.Counters.Migrations != 2 {
+			t.Fatalf("%d migrations, want one per replica; log:\n%s", res.Merged.Counters.Migrations, log.String())
+		}
+		return log.String()
+	}
+	first := runOnce()
+	if n := strings.Count(first, " migrate "); n != 2 {
+		t.Fatalf("%d migrate lines, want one per replica:\n%s", n, first)
+	}
+	for i := 1; i < 8; i++ {
+		if again := runOnce(); again != first {
+			t.Fatalf("run %d logged differently:\n--- first\n%s--- run %d\n%s", i, first, i, again)
+		}
+	}
 }

@@ -13,7 +13,9 @@
 // key value, Broadcast for uncovered sources); runner.go owns the
 // goroutine topology — one dispatcher feeding per-shard channels, one
 // engine per replica, and the (timestamp, shard) merge that makes a
-// sharded run bit-reproducible for a fixed shard count.
+// sharded run bit-reproducible for a fixed shard count. A fleet of one has
+// no topology: the runner drives its engine inline on the calling
+// goroutine, and that is what every single-engine run of internal/exp is.
 //
 // Nothing is shared between replicas: no operator, state, or feedback
 // structure crosses a shard boundary, which is why JIT suspension stays
@@ -21,7 +23,7 @@
 // shard could form). The completeness guarantee needs the end-of-stream
 // drain (engine.Options.Drain, DESIGN.md §4) on every replica — per-shard
 // exact delivery is what makes the union over shards equal the
-// single-engine multiset. The runner applies Options.Engine verbatim, so
-// callers must set Drain themselves; exp.Params.RunSharded and `jitrun
-// -shards` both force it.
+// single-engine multiset. The runner applies Options.Engine verbatim
+// (adding the drain only under Options.Adapt), so callers must set Drain
+// themselves; exp.Params.Drains is the rule every exp run follows.
 package shard

@@ -96,16 +96,6 @@ func coverage(class []predicate.Attr) int {
 	return set.Count()
 }
 
-// Covered returns the set of routed sources.
-func (k Key) Covered() stream.SourceSet {
-	var set stream.SourceSet
-	//jitlint:allow maporder commutative bitset union of routed sources; any visit order yields the same set
-	for id := range k.Cols {
-		set = set.Add(id)
-	}
-	return set
-}
-
 // Route returns the shard in [0, shards) for a tuple, or Broadcast when
 // the tuple's source is unrouted or the key component is missing. Routing
 // is a pure function of the key value (state.FoldValue, the same FNV-1a

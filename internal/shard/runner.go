@@ -1,7 +1,7 @@
 package shard
 
 import (
-	"io"
+	"bytes"
 	"sync"
 	"time"
 
@@ -134,8 +134,11 @@ func (r *Runner) Run(arrivals []*stream.Tuple) Result {
 	return r.RunStream(engine.SliceSource(arrivals))
 }
 
-// RunStream splits the stream across the replicas and merges the results.
-// The calling goroutine dispatches: it pulls tuples from next in order and
+// RunStream runs the stream through the fleet and merges the results. A
+// fleet of one runs inline: the calling goroutine drives the replica's
+// engine.RunStream straight over next — no channel, no goroutine — and that
+// is what a single-engine run is (exp.Params.Run). With more replicas the
+// calling goroutine dispatches: it pulls tuples from next in order and
 // sends each to its key shard (or to every shard for broadcast sources),
 // while one goroutine per replica drives engine.RunStream over its
 // channel; closing the channels starts each shard's end-of-stream drain.
@@ -148,97 +151,120 @@ func (r *Runner) Run(arrivals []*stream.Tuple) Result {
 // each replica is the deterministic single-threaded engine, and the merge
 // order is defined below — goroutine scheduling cannot affect any output.
 //
-// Under Options.Adapt the same loop additionally broadcasts an epoch-
-// barrier marker (a nil tuple) into EVERY replica channel the moment the
-// global stream first crosses an epoch boundary — before any post-boundary
-// tuple — so each replica, draining its channel in order, reaches barrier
-// k after exactly its slice of epoch k. At the barrier the replica blocks
-// in the adapt.Coordinator until every live replica has reported; the
-// fleet-wide decision is a pure function of the summed scores, and each
-// replica applies it at its next local arrival via its own snapshot+replay
-// handoff (DESIGN.md §7). Liveness: a replica waiting at a barrier has an
-// empty channel prefix only behind other replicas' unconsumed input, which
-// those replicas drain without needing the dispatcher; the dispatcher may
-// block on a full channel, but never while a marker it already enqueued is
-// needed to release anyone.
+// Under Options.Adapt the dispatcher additionally broadcasts an epoch-
+// barrier marker (a tuple of source -1 carrying the boundary-crossing
+// arrival's timestamp) into EVERY replica channel the moment the global
+// stream first crosses an epoch boundary — before any post-boundary tuple —
+// so each replica, draining its channel in order, reaches barrier k after
+// exactly its slice of epoch k. At the barrier the replica blocks in the
+// adapt.Coordinator until every live replica has reported; the fleet-wide
+// decision is a pure function of the summed scores, and each replica
+// applies it at its next local arrival via its own snapshot+replay handoff
+// (DESIGN.md §7). A fleet of one needs no marker: its solo controller closes
+// epochs on its own clock. Every controller logs into its replica's buffer,
+// written out in shard order after the run. Liveness: a replica waiting at a
+// barrier has an empty channel prefix only behind other replicas'
+// unconsumed input, which those replicas drain without needing the
+// dispatcher; the dispatcher may block on a full channel, but never while a
+// marker it already enqueued is needed to release anyone.
 func (r *Runner) RunStream(next func() (*stream.Tuple, bool)) Result {
 	n := r.shards
-	var cfg adapt.Config
+	res := Result{Key: r.key, Fallback: !r.keyed}
 	var coord *adapt.Coordinator
-	var ctrls []*adapt.Controller
-	if r.opt.Adapt != nil {
-		cfg = *r.opt.Adapt
-		if cfg.Log != nil {
-			// The replicas' controllers log from their own goroutines;
-			// serialize writes so lines never interleave mid-write. The
-			// cross-replica line ORDER remains scheduling-dependent — only
-			// the log; every measured output is deterministic.
-			cfg.Log = &lockedWriter{w: cfg.Log}
-		}
-		coord = adapt.NewCoordinator(n, r.base.Shape(), r.base.Catalog.NumSources(), cfg)
-		ctrls = make([]*adapt.Controller, n)
+	if r.opt.Adapt != nil && n > 1 {
+		coord = adapt.NewCoordinator(n, r.base.Shape(), r.base.Catalog.NumSources(), *r.opt.Adapt)
 	}
 	replicas := make([]*plan.Built, n)
-	chans := make([]chan *stream.Tuple, n)
+	engines := make([]*engine.Engine, n)
+	ctrls := make([]*adapt.Controller, n)
+	logs := make([]bytes.Buffer, n)
 	for i := range replicas {
 		replicas[i] = r.base.Replicate()
-		chans[i] = make(chan *stream.Tuple, dispatchDepth)
 		if r.opt.TraceFor != nil {
 			replicas[i].SetTrace(r.opt.TraceFor(i))
 		}
-		if coord != nil {
-			ctrls[i] = adapt.NewCoordinated(cfg, coord)
+		o := r.opt.Engine
+		if r.opt.Adapt != nil {
+			cfg := *r.opt.Adapt
+			if cfg.Log != nil {
+				cfg.Log = &logs[i]
+			}
+			if coord != nil {
+				ctrls[i] = adapt.NewCoordinated(cfg, coord)
+			} else {
+				ctrls[i] = adapt.New(cfg)
+			}
+			o.Drain = true // the migration handoff requires exact delivery
+			o.Reopt = ctrls[i]
+		}
+		engines[i] = engine.NewWithOptions(replicas[i], o)
+	}
+
+	shardRes := make([]engine.Result, n)
+	start := time.Now() //jitlint:allow wallclock merged Result.Wall is operator-facing elapsed time; counters and results never depend on it
+	if n == 1 {
+		shardRes[0] = engines[0].RunStream(func() (*stream.Tuple, bool) {
+			t, ok := next()
+			if ok {
+				res.Routed++
+			}
+			return t, ok
+		})
+	} else {
+		chans := make([]chan *stream.Tuple, n)
+		var wg sync.WaitGroup
+		for i := range chans {
+			chans[i] = make(chan *stream.Tuple, dispatchDepth)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				shardRes[i] = engines[i].RunStream(func() (*stream.Tuple, bool) {
+					for t := range chans[i] {
+						if t.Source >= 0 {
+							return t, true
+						}
+						ctrls[i].AtBarrier(t.TS)
+					}
+					if coord != nil {
+						ctrls[i].Leave()
+					}
+					return nil, false
+				})
+			}()
+		}
+		r.dispatch(&res, next, chans)
+		wg.Wait()
+	}
+	r.merge(&res, replicas, shardRes, time.Since(start)) //jitlint:allow wallclock merged Result.Wall is operator-facing elapsed time; counters and results never depend on it
+	if r.opt.Adapt != nil && r.opt.Adapt.Log != nil {
+		for i := range logs {
+			r.opt.Adapt.Log.Write(logs[i].Bytes()) //nolint:errcheck // best-effort decision log
 		}
 	}
+	return res
+}
 
-	start := time.Now() //jitlint:allow wallclock merged Result.Wall is operator-facing elapsed time; counters and results never depend on it
-	shardRes := make([]engine.Result, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			o := r.opt.Engine
-			src := engine.ChanSource(chans[i])
-			if coord != nil {
-				o.Drain = true // the migration handoff requires exact delivery
-				o.Reopt = ctrls[i]
-				src = func() (*stream.Tuple, bool) {
-					for t := range chans[i] {
-						if t == nil {
-							ctrls[i].AtBarrier()
-							continue
-						}
-						return t, true
-					}
-					ctrls[i].Leave()
-					return nil, false
-				}
-			}
-			eng := engine.NewWithOptions(replicas[i], o)
-			shardRes[i] = eng.RunStream(src)
-		}(i)
+// dispatch routes the stream into the replicas' channels — each tuple to its
+// key shard or to every shard, an epoch-barrier marker to every shard ahead of
+// the first tuple past each boundary — and closes them at end of stream.
+func (r *Runner) dispatch(res *Result, next func() (*stream.Tuple, bool), chans []chan *stream.Tuple) {
+	var barrier stream.EpochClock
+	if r.opt.Adapt != nil {
+		barrier.Period = r.opt.Adapt.Epoch
 	}
-
-	res := Result{Key: r.key, Fallback: !r.keyed}
-	barrier := stream.EpochClock{Period: cfg.Epoch}
 	for {
 		t, ok := next()
 		if !ok {
 			break
 		}
-		if coord != nil && cfg.Epoch > 0 && barrier.Due(t.TS) {
+		if barrier.Period > 0 && barrier.Due(t.TS) {
+			marker := &stream.Tuple{Source: -1, TS: t.TS}
 			for _, ch := range chans {
-				ch <- nil // barrier marker, before any post-boundary tuple
+				ch <- marker
 			}
 			barrier.Advance(t.TS)
 		}
-		if n == 1 {
-			res.Routed++
-			chans[0] <- t
-			continue
-		}
-		switch s := r.key.Route(t, n); s {
+		switch s := r.key.Route(t, len(chans)); s {
 		case Broadcast:
 			res.Broadcasts++
 			for _, ch := range chans {
@@ -252,22 +278,6 @@ func (r *Runner) RunStream(next func() (*stream.Tuple, bool)) Result {
 	for _, ch := range chans {
 		close(ch)
 	}
-	wg.Wait()
-	r.merge(&res, replicas, shardRes, time.Since(start)) //jitlint:allow wallclock merged Result.Wall is operator-facing elapsed time; counters and results never depend on it
-	return res
-}
-
-// lockedWriter serializes the adaptive controllers' log writes across
-// replica goroutines.
-type lockedWriter struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-func (l *lockedWriter) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.w.Write(p)
 }
 
 // merge assembles the per-shard results into the deterministic fleet

@@ -19,7 +19,6 @@ package stream
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -408,17 +407,6 @@ func (c *Composite) String() string {
 		parts = append(parts, c.Comps[sid].String())
 	}
 	return strings.Join(parts, "")
-}
-
-// SortComposites orders composites by (TS, Key) for deterministic
-// comparisons in tests and result dumps.
-func SortComposites(cs []*Composite) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].TS != cs[j].TS {
-			return cs[i].TS < cs[j].TS
-		}
-		return cs[i].Key() < cs[j].Key()
-	})
 }
 
 func maxTime(a, b Time) Time {
