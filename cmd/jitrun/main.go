@@ -31,7 +31,7 @@ func main() {
 	drainHorizon := flag.Float64("drain-horizon", 0, "cap the drain at this application time in minutes (0 = last arrival + window)")
 	adapt := flag.Bool("adapt", false, "adaptive re-optimization: migrate between bushy and left-deep mid-run on observed feedback (forces drain; DESIGN.md §7)")
 	adaptEpoch := flag.Float64("adapt-epoch", 0, "re-optimization decision epoch in minutes (0 = one window)")
-	stats := flag.Bool("stats", false, "print the per-operator stats table at exit (probes, MNS detections, suspensions, suppressed pairs)")
+	stats := flag.Bool("stats", false, "print the per-operator stats table at exit (probes, MNS detections, suspensions, suppressed pairs, comparisons, lattice nodes, CostUnits)")
 	traceOut := flag.String("trace-out", "", "write the run's trace events to this file in Chrome trace format (open in chrome://tracing or Perfetto)")
 	flag.Parse()
 
@@ -160,14 +160,18 @@ func printHostile(p exp.Params) {
 	}
 }
 
-// printOps renders the per-operator stats table (-stats): four columns of
-// each operator's ledger.
+// printOps renders the per-operator stats table (-stats): seven columns of
+// each operator's ledger — what it decided (mns, suspended, suppressed) beside
+// what its probes and detection cost (cmp, lattice) and its CostUnits, so the
+// table shows which operator pays for the suspensions another one enjoys.
 func printOps(ops []metrics.OpCounters) {
 	fmt.Println("per-operator stats:")
-	fmt.Printf("  %-24s %12s %12s %12s %12s\n", "operator", "probes", "mns", "suspended", "suppressed")
+	fmt.Printf("  %-24s %12s %12s %12s %12s %12s %12s %12s\n",
+		"operator", "probes", "mns", "suspended", "suppressed", "cmp", "lattice", "cost")
 	for _, o := range ops {
-		fmt.Printf("  %-24s %12d %12d %12d %12d\n",
-			o.Name, o.Counters.Probes, o.Counters.MNSDetected, o.Counters.Suspended, o.Counters.SuppressedPairs)
+		c := o.Counters
+		fmt.Printf("  %-24s %12d %12d %12d %12d %12d %12d %12d\n",
+			o.Name, c.Probes, c.MNSDetected, c.Suspended, c.SuppressedPairs, c.Comparisons, c.LatticeNodes, c.CostUnits())
 	}
 }
 

@@ -379,9 +379,7 @@ func (j *JoinOp) unmarkCatchup(e *feedback.OriginEntry, out *[]*stream.Composite
 			continue
 		}
 		j.ctr.CatchUpJoins++
-		_, full, n := j.evalAtoms(p.L.C, L, p.R.C, false)
-		j.ctr.Comparisons += uint64(n)
-		if !full {
+		if !j.evalAtoms(p.L.C, L, p.R.C, nil) {
 			continue
 		}
 		*out = append(*out, j.result(p.L.C, p.R.C))

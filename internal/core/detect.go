@@ -16,9 +16,14 @@ import (
 // detection; it only exists for DetectLattice (DOE needs no per-pair work
 // and Bloom detection queries filters after the probe).
 type detectCtx struct {
-	lat   *lattice.Lattice // nil when falling back to Level-1 only
-	ever  uint32           // union of matched atoms (Level-1 fallback)
-	atoms int
+	lat     *lattice.Lattice // nil when falling back to Level-1 only
+	charged uint64           // lat.Ops() already on the operator's ledger
+	ever    uint32           // union of matched atoms (Level-1 fallback)
+	atoms   int
+	full    uint32 // every atom's bit
+	// saturated is set by a fully matching partner: nothing is left alive, so
+	// the rest of the probe neither observes nor reports.
+	saturated bool
 }
 
 // newDetect prepares the side's detection context for one fresh input. The
@@ -31,7 +36,7 @@ func (j *JoinOp) newDetect(s *side) *detectCtx {
 		return nil
 	}
 	d := &s.det
-	d.ever, d.atoms = 0, len(s.atoms)
+	d.ever, d.saturated = 0, false
 	if d.lat != nil {
 		d.lat.Reset()
 	} else if !s.level1Only {
@@ -40,20 +45,48 @@ func (j *JoinOp) newDetect(s *side) *detectCtx {
 	return d
 }
 
-// observe feeds one partner's matched-atom mask into the context.
+// charge moves the lattice's visits since the last call onto j's ledger.
+func (d *detectCtx) charge(j *JoinOp) {
+	ops := d.lat.Ops()
+	j.ctr.LatticeNodes += ops - d.charged
+	d.charged = ops
+}
+
+// observe feeds one partner's matched-atom mask into the context. The
+// Level-1 fallback keeps its m nodes in one word: a visit to test the mask
+// against it, m more when the mask adds to it.
 func (d *detectCtx) observe(j *JoinOp, mask uint32, full bool) {
+	d.saturated = full
 	if d.lat != nil {
-		before := d.lat.Ops()
-		if full {
-			d.lat.ObserveAllDead()
-		} else {
-			d.lat.Observe(mask)
-		}
-		j.ctr.LatticeNodes += d.lat.Ops() - before
+		d.lat.Observe(mask)
+		d.charge(j)
 		return
 	}
-	d.ever |= mask
-	j.ctr.LatticeNodes += uint64(d.atoms)
+	j.ctr.LatticeNodes++
+	if mask&^d.ever != 0 {
+		d.ever |= mask
+		j.ctr.LatticeNodes += uint64(d.atoms)
+	}
+}
+
+// moot reports whether a partner that has matched exactly the atoms in
+// matched among those below k, and failed atom k, can be dropped unobserved:
+// whatever the atoms above k turn out to be, its mask lies within matched
+// plus all of them, and no node in there is alive.
+func (d *detectCtx) moot(j *JoinOp, matched uint32, k int) bool {
+	upper := matched | d.full&^(uint32(2)<<uint(k)-1)
+	if d.lat == nil {
+		if matched != 0 {
+			j.ctr.LatticeNodes++
+		}
+		return upper&^d.ever == 0
+	}
+	if matched == 0 {
+		return d.lat.Stops(k)
+	}
+	covered := d.lat.Covered(upper)
+	d.charge(j)
+	return covered
 }
 
 // reportMNS implements the tail of Identify_MNS (Fig. 8) plus feedback
@@ -69,14 +102,13 @@ func (j *JoinOp) reportMNS(f *probeFrame, s, o *side, det *detectCtx) {
 	} else {
 		switch j.mode.Detect {
 		case DetectLattice:
-			if det == nil {
+			if det == nil || det.saturated {
 				return
 			}
 			var masks []uint32
 			if det.lat != nil {
-				before := det.lat.Ops()
 				masks = det.lat.MNSes()
-				j.ctr.LatticeNodes += det.lat.Ops() - before
+				det.charge(j)
 			} else {
 				for k := range s.atoms {
 					if det.ever&(1<<uint(k)) == 0 {

@@ -10,3 +10,10 @@ func (j *JoinOp) GraveEmpty() bool {
 
 // GraveLen returns the number of retired entries one side retains.
 func (j *JoinOp) GraveLen(p operator.Port) int { return j.in[p].grave.Len() }
+
+// ForceLevel1 makes both sides detect as if they had more than
+// lattice.MaxAtoms atoms — Level-1 nodes only, no lattice — which no plan
+// small enough to test reaches on its own.
+func (j *JoinOp) ForceLevel1() {
+	j.in[0].level1Only, j.in[1].level1Only = true, true
+}

@@ -177,6 +177,10 @@ func NewJoin(cfg Config) *JoinOp {
 			s.atomAttrs = append(s.atomAttrs, cfg.Preds.JoinAttrs(src, other))
 		}
 		s.level1Only = len(s.atoms) > lattice.MaxAtoms
+		s.det.atoms, s.det.full = len(s.atoms), ^uint32(0)
+		if len(s.atoms) < 32 {
+			s.det.full = 1<<uint(len(s.atoms)) - 1
+		}
 		s.detectable = j.mode.enabled() && prod != nil && prod.CanSuspend() && len(s.atoms) > 0
 		if j.mode.Detect == DetectBloom {
 			s.blooms = new(bloomSet)
@@ -696,9 +700,7 @@ func (j *JoinOp) joinPair(f *probeFrame, s *side, e state.Entry, det *detectCtx,
 		// feed the detection context the exact matched-atom mask. A full
 		// match cannot appear here (the indexed pass would have emitted it
 		// and skipped this pass), so nothing is ever generated.
-		mask, full, n := j.evalAtoms(f.input, s, e.C, true)
-		j.ctr.Comparisons += uint64(n)
-		det.observe(j, mask, full)
+		j.evalAtoms(f.input, s, e.C, det)
 		return false
 	}
 	if !j.pairValid(f.input, e.C) {
@@ -722,12 +724,7 @@ func (j *JoinOp) joinPair(f *probeFrame, s *side, e state.Entry, det *detectCtx,
 		j.suppressProbed(f, e, suppressedID)
 		return false
 	}
-	mask, full, n := j.evalAtoms(f.input, s, e.C, det != nil)
-	j.ctr.Comparisons += uint64(n)
-	if det != nil {
-		det.observe(j, mask, full)
-	}
-	if !full {
+	if !j.evalAtoms(f.input, s, e.C, det) {
 		return false
 	}
 	if suppressedID != 0 {
@@ -765,15 +762,23 @@ func (j *JoinOp) emit(r *stream.Composite) {
 }
 
 // evalAtoms evaluates the crossing predicates between input c (on side s)
-// and partner v, grouped by lattice atom. When detecting, every atom is
-// evaluated to produce the exact matched-atom mask; otherwise evaluation
-// short-circuits at the first failing atom, matching REF's nested-loop cost.
-func (j *JoinOp) evalAtoms(c *stream.Composite, s *side, v *stream.Composite, detecting bool) (mask uint32, full bool, comparisons int) {
-	full = true
+// and partner v, grouped by lattice atom, charges them, and reports whether
+// every atom matched. Without a detection context evaluation stops at the
+// first failing atom, REF's nested-loop cost. With one it goes on past a
+// failing atom only while the partner's final mask could still kill a live
+// lattice node (detectCtx.moot), and hands the context the exact mask when
+// it gets to the end; once a full match has saturated the context the rest
+// of the probe is REF's scan again.
+func (j *JoinOp) evalAtoms(c *stream.Composite, s *side, v *stream.Composite, det *detectCtx) bool {
+	if det != nil && det.saturated {
+		det = nil
+	}
+	var mask uint32
+	full := true
 	for k := range s.atoms {
 		matched := true
 		for _, p := range s.atomPreds[k] {
-			comparisons++
+			j.ctr.Comparisons++
 			if !p.Holds(c, v) {
 				matched = false
 				break
@@ -783,14 +788,17 @@ func (j *JoinOp) evalAtoms(c *stream.Composite, s *side, v *stream.Composite, de
 			if k < 32 {
 				mask |= 1 << uint(k)
 			}
-		} else {
-			full = false
-			if !detecting {
-				return mask, false, comparisons
-			}
+			continue
 		}
+		if det == nil || det.moot(j, mask, k) {
+			return false
+		}
+		full = false
 	}
-	return mask, full, comparisons
+	if det != nil {
+		det.observe(j, mask, full)
+	}
+	return full
 }
 
 func (j *JoinOp) String() string {

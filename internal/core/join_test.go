@@ -268,6 +268,31 @@ func TestREFKeepsNoGraveyard(t *testing.T) {
 	diffMultisets(t, "JIT", resultMultiset(ref), resultMultiset(jit))
 }
 
+// TestLevel1FallbackDelivers runs JIT with every operator on the Level-1-only
+// fallback of sides wider than lattice.MaxAtoms, which drops partners by the
+// same rule as the lattice: it must deliver REF's multiset and stay alive as
+// a feedback mode.
+func TestLevel1FallbackDelivers(t *testing.T) {
+	cat, conj := predicate.Clique(5)
+	arrivals := source.Generate(cat, source.UniformConfig(5, 0.6, 5, 6*stream.Minute, 1))
+	run := func(m core.Mode, level1 bool) *plan.Built {
+		b := plan.BuildTree(cat, conj, plan.LeftDeep(5), plan.Options{Window: 90 * stream.Second, Mode: m, KeepResults: true})
+		if level1 {
+			for _, j := range b.Joins {
+				j.ForceLevel1()
+			}
+		}
+		engine.NewWithOptions(b, engine.Options{Drain: true}).RunStream(engine.SliceSource(arrivals))
+		return b
+	}
+	ref, l1 := run(core.REF(), false), run(core.JIT(), true)
+	diffMultisets(t, "Level-1 JIT", resultMultiset(ref), resultMultiset(l1))
+	got := l1.Totals()
+	if got.MNSDetected == 0 || got.Suspended == 0 || got.LatticeNodes == 0 {
+		t.Fatalf("fallback is not detecting: mns=%d susp=%d lattice=%d", got.MNSDetected, got.Suspended, got.LatticeNodes)
+	}
+}
+
 // TestFeedbackDisabledConfigs exercises the paper's flexibility claims:
 // every partial configuration must stay correct.
 func TestFeedbackDisabledConfigs(t *testing.T) {

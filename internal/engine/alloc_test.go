@@ -66,3 +66,42 @@ func TestJITAllocBudget(t *testing.T) {
 		t.Errorf("%.1f mallocs/arrival, budget %d", mallocs, maxMallocs)
 	}
 }
+
+// TestJITDetectionBudget is the gate on the deterministic metric, beside the
+// allocation gate and on the same stream: the 5 663 arrivals jitperf's
+// clique_jit feeds at seed 1 (9.4 minutes), exact and drained. What JIT
+// decides — the MNSs it detects, the feedback it sends, what it suspends,
+// resumes, suppresses and builds — is pinned exactly: a detection change may
+// find the same Ω more cheaply, never a different Ω. What finding it costs,
+// predicates evaluated plus lattice nodes visited per arrival, is bounded a
+// few percent above the figure measured when the bound was last set —
+// 23 190.9 at PR 22 (demand-driven Identify_MNS), against 65 238.2 before it
+// — and printed, so the next detection PR tightens the bound from the log.
+func TestJITDetectionBudget(t *testing.T) {
+	const (
+		arrivals     = 5663
+		maxDetection = 23900
+	)
+	b, next := cliqueJIT(1, arrivals)
+	res := NewWithOptions(b, Options{Drain: true}).RunStream(next)
+	c := res.Counters
+	for _, pin := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"mns", c.MNSDetected, 47492}, {"fb", c.Feedbacks, 48962},
+		{"susp", c.Suspended, 1253}, {"res", c.Resumed, 1253},
+		{"catchup", c.CatchUpJoins, 3606456}, {"suppressed", c.SuppressedPairs, 49035},
+		{"results", c.Results, 51458}, {"ins", c.Inserted, 56738}, {"purge", c.Purged, 55930},
+	} {
+		if pin.got != pin.want {
+			t.Errorf("%s=%d, pinned at %d: detection changed what JIT decides, not only what deciding costs", pin.name, pin.got, pin.want)
+		}
+	}
+	detection := float64(c.Comparisons+c.LatticeNodes) / arrivals
+	t.Logf("clique_jit, %d arrivals: %.1f comparisons+lattice nodes per arrival (budget %d), %.1f CostUnits per arrival",
+		arrivals, detection, maxDetection, float64(res.CostUnits)/arrivals)
+	if detection > maxDetection {
+		t.Errorf("%.1f comparisons+lattice nodes per arrival, budget %d", detection, maxDetection)
+	}
+}

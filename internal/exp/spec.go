@@ -71,16 +71,20 @@ func Specs() []Spec {
 			// N=4/5 faithful (JIT below REF, REF rising) and cheap.
 			//
 			// Root cause, measured (TestLeftDeepInversionStudy,
-			// internal/scenario): at both extremes JIT's machinery cost is
-			// 90–100% Identify_MNS lattice walks (share 0.90 at N=6), and
-			// suspension never pays for itself on this workload — the probes
-			// it suppresses save less than resumption catch-up joins add
-			// back, so JIT's BASE join work exceeds REF's (3.7× at N=6
-			// uniform; ~22k suspensions against ~21k MNS detections is
-			// detection thrash, not savings). Zipf skew flattens the N=3
-			// ratio (2.99 uniform → 1.82 at s=2.0) by collapsing detections
-			// (30,781 → 2,882) and amortizing machinery over a hotter base —
-			// not by turning the payback positive.
+			// internal/scenario): suspension never pays for itself on this
+			// workload — the probes it suppresses save less than resumption
+			// catch-up joins add back, so JIT's BASE join work exceeds REF's
+			// (1.60× at N=3, 3.85× at N=6 uniform; ~25k suspensions against
+			// ~23k MNS detections is detection thrash, not savings). It is no
+			// longer detection cost: until PR 22 the machinery share was
+			// 80–98% Identify_MNS lattice walks; demand-driven detection cut
+			// that share 4–5× and left the lattice 0.02 (N=3) and 0.08 (N=6)
+			// of it, the rest being 80–90% catch-up joins — which moved the
+			// extremes from 3.72× and 5.99× REF to 2.03× and 4.28×, not
+			// below it. Zipf skew flattens the N=3 ratio (2.03 uniform → 1.04
+			// at s=2.0) by collapsing detections (31,854 → 2,980) and
+			// amortizing machinery over a hotter base — not by turning the
+			// payback positive.
 			ShortXs: []float64{4, 5}, ShortSizeScale: 0.48, ShortDomainScale: 0.40},
 		{ID: 17, Name: "fig17", Title: "Overhead vs max data value dmax (left-deep)",
 			XLabel: "dmax", Xs: []float64{30, 40, 50, 60, 70}, LeftDeep: true, Apply: setDMax},

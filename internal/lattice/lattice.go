@@ -10,11 +10,20 @@
 // that matches some t' is dead; after all of S_o is observed, the minimal
 // alive nodes are the MNSs.
 //
-// Node evaluations are charged to metrics.Counters.LatticeNodes — lattice
-// work is part of JIT's honest overhead in the reproduced figures
-// (RESULTS.md). The Bloom filters of internal/bloom are the paper's
-// cheaper, approximate alternative to this exact lattice (the Bloom-JIT
-// mode).
+// The paper fixes the MNS set Ω, not the order Fig. 8 visits nodes in, and
+// the dead set is downward-closed: a node dies only together with all its
+// subsets. So dead[u] alone says that nothing at or below u is still alive,
+// and the lattice is demand-driven on that fact: Observe touches only the
+// nodes under the observed mask, and not even those once the mask itself is
+// dead, while Covered and Stops let the caller drop a partner before it has
+// evaluated all its atoms, as soon as no outcome of the rest could kill a
+// live node.
+//
+// Every dead[] node read or written is charged as one unit of
+// metrics.Counters.LatticeNodes — lattice work is part of JIT's honest
+// overhead in the reproduced figures (RESULTS.md). The Bloom filters of
+// internal/bloom are the paper's cheaper, approximate alternative to this
+// exact lattice (the Bloom-JIT mode).
 package lattice
 
 // MaxAtoms bounds the lattice size (2^12 nodes per input side); beyond it
@@ -26,8 +35,12 @@ const MaxAtoms = 12
 // One lattice serves any number of inputs in turn: Reset starts the next.
 type Lattice struct {
 	m    int
-	dead []bool // indexed by mask 1..(1<<m)-1; index 0 unused
-	ops  uint64 // node evaluations performed (cost accounting)
+	full uint32 // the top node: every atom
+	dead []bool // indexed by mask 1..full; index 0 unused
+	ops  uint64 // nodes read or written (cost accounting)
+	// stopFrom is the least k for which the node of all atoms above k is dead
+	// (Stops); m-1, whose node is empty, when none is.
+	stopFrom int
 	// byLevel lists the masks of each level in ascending order — the walk
 	// order of MNSes, a function of m alone.
 	byLevel [][]uint32
@@ -43,8 +56,9 @@ func New(m int) *Lattice {
 	}
 	n := 1 << uint(m)
 	l := &Lattice{
-		m: m, dead: make([]bool, n), byLevel: make([][]uint32, m+1),
-		isMNS: make([]bool, n), nonMin: make([]bool, n),
+		m: m, full: uint32(n - 1), dead: make([]bool, n), stopFrom: m - 1,
+		byLevel: make([][]uint32, m+1),
+		isMNS:   make([]bool, n), nonMin: make([]bool, n),
 	}
 	for mask := uint32(1); mask < uint32(n); mask++ {
 		lv := popcount(mask)
@@ -55,32 +69,64 @@ func New(m int) *Lattice {
 
 // Reset revives every node for the next input. Ops keeps counting: callers
 // charge differences.
-func (l *Lattice) Reset() { clear(l.dead) }
+func (l *Lattice) Reset() {
+	clear(l.dead)
+	l.stopFrom = l.m - 1
+}
 
-// Ops returns the number of node evaluations performed so far, for cost
+// Ops returns the number of nodes read or written so far, for cost
 // accounting.
 func (l *Lattice) Ops() uint64 { return l.ops }
 
 // Observe processes one opposite-state tuple, given the bitmask of atoms it
-// matches. Following Fig. 8 lines 6-10, every node contained in matchedAtoms
-// is marked matched and therefore dead. The loop literally visits every
-// node, mirroring the per-node cost of the published algorithm.
+// matches: every node contained in matchedAtoms is matched and therefore dead
+// (Fig. 8 lines 6-10). An empty mask contains no node and costs nothing; a
+// mask whose own node is already dead has nothing left to kill beneath it
+// and costs that one read; otherwise the nodes under the mask — and only
+// those — are written, one visit each.
 func (l *Lattice) Observe(matchedAtoms uint32) {
-	full := uint32(1)<<uint(l.m) - 1
-	matchedAtoms &= full
-	for mask := uint32(1); mask <= full; mask++ {
+	mask := matchedAtoms & l.full
+	if mask == 0 {
+		return
+	}
+	l.ops++
+	if l.dead[mask] {
+		return
+	}
+	l.dead[mask] = true
+	for sub := (mask - 1) & mask; sub != 0; sub = (sub - 1) & mask {
 		l.ops++
-		if mask&^matchedAtoms == 0 {
-			l.dead[mask] = true
-		}
+		l.dead[sub] = true
+	}
+	// Stops(k) reads the node of all atoms above k, and those nodes are
+	// nested: this kill flips exactly the ones it has just written.
+	for l.stopFrom > 0 && l.above(l.stopFrom-1)&^mask == 0 {
+		l.stopFrom--
 	}
 }
 
-// ObserveAllDead is a shortcut for a full match (every atom matched): every
-// node dies. Used when the probe already established a complete match.
-func (l *Lattice) ObserveAllDead() {
-	l.Observe(uint32(1)<<uint(l.m) - 1)
+// Covered reports whether no node contained in upper is alive: a partner
+// whose matched atoms are known to lie within upper can kill nothing, so the
+// rest of its atoms need not be evaluated. One visit — the dead set is
+// downward-closed, so upper's own node answers for everything beneath it —
+// and none for the empty mask.
+func (l *Lattice) Covered(upper uint32) bool {
+	upper &= l.full
+	if upper == 0 {
+		return true
+	}
+	l.ops++
+	return l.dead[upper]
 }
+
+// Stops reports Covered(every atom above k): the answer for a partner that
+// failed atom k having matched none before it, which is nearly every
+// partner of a selective join. It costs no visit — Observe keeps it current
+// from the nodes a kill writes anyway.
+func (l *Lattice) Stops(k int) bool { return k >= l.stopFrom }
+
+// above returns the mask of every atom above k.
+func (l *Lattice) above(k int) uint32 { return l.full &^ (uint32(2)<<uint(k) - 1) }
 
 // MNSes runs Fig. 8 lines 11-14: report alive Level-1 nodes as MNSs, then
 // walk higher levels in order, reporting an alive node as MNS unless one of

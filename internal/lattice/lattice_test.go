@@ -18,7 +18,7 @@ func TestEmptyObservations(t *testing.T) {
 
 func TestFullMatchKillsAll(t *testing.T) {
 	l := New(3)
-	l.ObserveAllDead()
+	l.Observe(0b111)
 	if got := l.MNSes(); len(got) != 0 {
 		t.Fatalf("full match must leave no MNS, got %v", got)
 	}
@@ -128,13 +128,171 @@ func TestMNSInvariants(t *testing.T) {
 	}
 }
 
+// TestOpsAccounting pins the cost of a hand-worked m=3 input visit by visit:
+// one unit per dead[] node read or written, nothing for an empty mask, for
+// Stops or for Reset.
 func TestOpsAccounting(t *testing.T) {
 	l := New(3)
-	before := l.Ops()
-	l.Observe(0b101)
-	if l.Ops() <= before {
-		t.Fatal("observe must charge node evaluations")
+	step := func(what string, want uint64, do func()) {
+		t.Helper()
+		before := l.Ops()
+		do()
+		if got := l.Ops() - before; got != want {
+			t.Fatalf("%s: charged %d visits, want %d", what, got, want)
+		}
 	}
+	step("Observe(000)", 0, func() { l.Observe(0) })
+	// Reads 101 (alive), writes it, then writes its proper submasks 100, 001.
+	step("Observe(101)", 3, func() { l.Observe(0b101) })
+	step("Observe(101) again", 1, func() { l.Observe(0b101) }) // 101 is dead: one read
+	step("Observe(001)", 1, func() { l.Observe(0b001) })       // died under 101
+	step("Observe(010)", 1, func() { l.Observe(0b010) })       // no proper submask
+	step("Covered(110)", 1, func() {
+		if l.Covered(0b110) {
+			t.Fatal("110 is alive: 010 and 100 died under different partners")
+		}
+	})
+	step("Covered(100)", 1, func() {
+		if !l.Covered(0b100) {
+			t.Fatal("100 died under 101")
+		}
+	})
+	step("Covered(000)", 0, func() { l.Covered(0) })
+	step("Stops", 0, func() {
+		// Atoms above 0 are 110 (alive), above 1 are 100 (dead), above 2 none.
+		if l.Stops(0) || !l.Stops(1) || !l.Stops(2) {
+			t.Fatalf("Stops = %v %v %v, want false true true", l.Stops(0), l.Stops(1), l.Stops(2))
+		}
+	})
+	step("Observe(111)", 7, func() { l.Observe(0b111) }) // every node written
+	step("MNSes", 7, func() {
+		if got := l.MNSes(); len(got) != 0 || !l.Stops(0) {
+			t.Fatalf("after a full match: MNSes %b, Stops(0) %v", got, l.Stops(0))
+		}
+	})
+	step("Reset", 0, func() { l.Reset() })
+	if l.Stops(0) || l.Stops(1) || !l.Stops(2) {
+		t.Fatal("Reset must revive the nodes Stops reads")
+	}
+}
+
+// replay feeds l one input's observations after a Reset and checks, after
+// every step, what the demand-driven lattice promises: Covered(u) holds
+// exactly when every non-empty subset of u is contained in some observed
+// mask, Stops(k) is Covered of the atoms above k, Observe never costs more
+// than the visit-every-node loop it replaced (2^m−1 per observation) nor
+// MNSes more than 2^m−1, and the MNS set is BruteMNS's, in BruteMNS's order. probe draws the
+// upper masks to check Covered on.
+func replay(t *testing.T, l *Lattice, m int, observations []uint32, probe *rand.Rand) {
+	t.Helper()
+	full := uint32(1)<<uint(m) - 1
+	var seen []uint32
+	covered := func(u uint32) bool {
+		for sub := u & full; sub != 0; sub = (sub - 1) & u {
+			inSome := false
+			for _, o := range seen {
+				if sub&^o == 0 {
+					inSome = true
+					break
+				}
+			}
+			if !inSome {
+				return false
+			}
+		}
+		return true
+	}
+	check := func(when string) {
+		t.Helper()
+		for k := 0; k < m; k++ {
+			above := full &^ (uint32(2)<<uint(k) - 1)
+			if got, want := l.Stops(k), covered(above); got != want || l.Covered(above) != want {
+				t.Fatalf("m=%d %s %b: Stops(%d)=%v Covered(%b)=%v, want %v",
+					m, when, seen, k, got, above, l.Covered(above), want)
+			}
+		}
+		for i := 0; i < 16; i++ {
+			u := uint32(probe.Intn(int(full) + 1))
+			if got, want := l.Covered(u), covered(u); got != want {
+				t.Fatalf("m=%d %s %b: Covered(%b)=%v, want %v", m, when, seen, u, got, want)
+			}
+		}
+	}
+	l.Reset()
+	check("after Reset")
+	var spent uint64
+	for _, o := range observations {
+		before := l.Ops()
+		l.Observe(o)
+		spent += l.Ops() - before
+		seen = append(seen, o&full)
+		check("after observing")
+		if limit := uint64(full) * uint64(len(seen)); spent > limit {
+			t.Fatalf("m=%d after %b: Observe charged %d visits, the full walk charged %d", m, seen, spent, limit)
+		}
+	}
+	before := l.Ops()
+	got, want := l.MNSes(), BruteMNS(m, seen)
+	if l.Ops()-before > uint64(full) {
+		t.Fatalf("m=%d: MNSes charged %d visits over %d nodes", m, l.Ops()-before, full)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("m=%d after %b: MNSes %b, brute force %b", m, seen, got, want)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("m=%d after %b: MNSes %b, brute force %b", m, seen, got, want)
+		}
+	}
+}
+
+// TestDemandDrivenProperties replays random inputs on lattices of every
+// size, several per lattice so that Reset is exercised between them.
+// Observations are biased towards few atoms, as a selective join's are.
+func TestDemandDrivenProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for m := 1; m <= MaxAtoms; m++ {
+		l := New(m)
+		for round := 0; round < 40; round++ {
+			var observations []uint32
+			for i := rng.Intn(10); i > 0; i-- {
+				o := uint32(rng.Intn(1 << uint(m)))
+				if rng.Intn(2) == 0 {
+					o &= uint32(rng.Intn(1 << uint(m)))
+				}
+				observations = append(observations, o)
+			}
+			replay(t, l, m, observations, rng)
+		}
+	}
+}
+
+// FuzzLatticeObserve lets the fuzzer choose the lattice size and the inputs:
+// two bytes per observation, and an observation with its top bit set starts
+// the next input on the same lattice.
+func FuzzLatticeObserve(f *testing.F) {
+	f.Add(uint8(3), []byte{0b101, 0, 0b101, 0, 0b010, 0, 0, 0x80, 0b111, 0})
+	f.Add(uint8(12), []byte{0xff, 0x07, 0x00, 0x08, 0xff, 0x0f})
+	f.Add(uint8(1), []byte{1, 0})
+	f.Fuzz(func(t *testing.T, size uint8, data []byte) {
+		m := 1 + int(size)%MaxAtoms
+		if len(data) > 64 {
+			data = data[:64] // replay's Covered reference walks 2^m subsets per observation
+		}
+		l := New(m)
+		probe := rand.New(rand.NewSource(int64(len(data))))
+		var observations []uint32
+		for ; len(data) >= 2; data = data[2:] {
+			o := uint32(data[0]) | uint32(data[1])<<8
+			if o&0x8000 != 0 {
+				replay(t, l, m, observations, probe)
+				observations = observations[:0]
+				continue
+			}
+			observations = append(observations, o)
+		}
+		replay(t, l, m, observations, probe)
+	})
 }
 
 func TestBoundsPanic(t *testing.T) {
