@@ -138,7 +138,8 @@ func (j *JoinOp) suspendTypeI(s *side, m *feedback.MNS) {
 	// suspension (they must stay joinable for the mark protocol; JIT is
 	// best-effort, so leaving them active is always sound).
 	opFrame := j.topFrameOn(o.port)
-	removed := s.st.RemoveIf(func(c *stream.Composite) bool {
+	j.ctr.Comparisons += uint64(len(m.Sig)) // the lookup by m's values
+	removed := s.st.RemoveIf(m.Sig, func(c *stream.Composite) bool {
 		return j.mnsMatches(m, c)
 	})
 	for _, se := range removed {
@@ -194,29 +195,29 @@ func (j *JoinOp) suspendTypeII(m *feedback.MNS) {
 }
 
 // markScan marks the existing state tuples (and any in-flight input) of one
-// side that match the entry's side signature.
+// side that match the entry's side signature. The state hands over the
+// tuples filed under the signature's values: one lookup, then one
+// verification per candidate.
 func (j *JoinOp) markScan(e *feedback.OriginEntry, s *side, sig feedback.Signature) {
 	if len(sig) == 0 {
 		return
 	}
 	// Enroll touches the mark table and the composite's marks, never the
-	// state, so the scan runs in place.
-	s.st.Scan(func(se state.Entry) bool {
+	// state.
+	enroll := func(se state.Entry) bool {
 		j.ctr.Comparisons += uint64(len(sig))
 		if sig.MatchedBy(se.C) {
 			j.marks.Enroll(e, s.port == operator.Left, se)
 		}
 		return true
-	})
+	}
+	j.ctr.Comparisons += uint64(len(sig))
+	s.st.WalkCarrying(sig, enroll)
 	for _, f := range j.frames {
-		if f.port != s.port {
-			continue
-		}
-		j.ctr.Comparisons += uint64(len(sig))
-		if sig.MatchedBy(f.input) {
-			// The in-flight input becomes marked mid-probe: the rest of its
+		if f.port == s.port {
+			// An in-flight input becomes marked mid-probe: the rest of its
 			// scan applies suppression and records the suppressed pairs.
-			j.marks.Enroll(e, s.port == operator.Left, stateEntryOf(f))
+			enroll(stateEntryOf(f))
 		}
 	}
 }

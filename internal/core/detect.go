@@ -333,20 +333,15 @@ func (b *bloomSet) put(a predicate.Attr, f *bloom.Filter) {
 	b.filters[i] = f
 }
 
-// registerMarks enrolls a freshly stored tuple in any origin mark entry it
-// belongs to — either because an upstream relay stamped it or because its
-// values match the entry's side signature — so joins with marked partners
-// on the other side are suppressed and recorded.
+// registerMarks enrolls a freshly stored tuple in every origin mark entry
+// whose id it carries — stamped by an upstream relay, or acquired from the
+// entry's side signature before its probe (MarkTable.MarkInput) or during it
+// (markScan) — so joins with marked partners on the other side are suppressed
+// and recorded.
 func (j *JoinOp) registerMarks(se state.Entry, port operator.Port) {
-	if j.marks.NumOrigins() == 0 {
-		return
-	}
-	for _, e := range j.marks.Origins() {
-		sig := e.SigR
-		if port == operator.Left {
-			sig = e.SigL
-		}
-		if se.C.HasMark(e.MNS.ID) || (len(sig) > 0 && sig.MatchedBy(se.C)) {
+	//jitlint:allow maporder each id enrolls the tuple in its own entry, and enrollments in different entries commute
+	for id := range se.C.Marks {
+		if e := j.marks.EntryByID(id); e != nil {
 			j.marks.Enroll(e, port == operator.Left, se)
 		}
 	}

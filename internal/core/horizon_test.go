@@ -113,8 +113,9 @@ func TestGraveyardHorizon(t *testing.T) {
 // TestJITStateWindowBounded drives one exact JIT plan through tens of windows
 // and compares what it holds late in the run with what it held a third of
 // the way in: accounted live bytes, both graveyards of every operator, every
-// fingerprint-index bucket and the heap in use after a collection are
-// functions of the window, not of how long the stream has run. Before the
+// blacklist entry and buffered MNS (which bound their fingerprint indexes,
+// feedback's TestFPIndexDropsEmptyBuckets) and the heap in use after a
+// collection are functions of the window, not of how long the stream has run. Before the
 // retention rule of DESIGN.md §4 the graveyards alone grew 3× over the span.
 func TestJITStateWindowBounded(t *testing.T) {
 	const window = 30 * stream.Second
@@ -126,14 +127,14 @@ func TestJITStateWindowBounded(t *testing.T) {
 	b := plan.BuildTree(cat, conj, plan.Bushy(4), plan.Options{Window: window, Mode: core.JIT(), NoStateIndex: true})
 	gen := source.Stream(cat, source.UniformConfig(4, 2.5, 16, late+window, 1))
 
-	type sample struct{ live, retired, buckets, heap float64 }
+	type sample struct{ live, retired, filed, heap float64 }
 	measure := func() (s sample) {
 		s.live = float64(b.Account.Live())
 		for _, j := range b.Joins {
 			for p := operator.Port(0); p < 2; p++ {
 				_, black, buf := j.Side(p)
 				s.retired += float64(j.GraveLen(p))
-				s.buckets += float64(black.Buckets() + buf.Buckets())
+				s.filed += float64(black.Len() + buf.Len())
 			}
 		}
 		runtime.GC()
@@ -156,7 +157,7 @@ func TestJITStateWindowBounded(t *testing.T) {
 	}
 	t.Logf("at %d windows: %+v", early/window, at[0])
 	t.Logf("at %d windows: %+v", late/window, at[1])
-	if at[0].retired == 0 || at[0].buckets == 0 {
+	if at[0].retired == 0 || at[0].filed == 0 {
 		t.Fatalf("degenerate run: nothing retired or nothing indexed at the first sample: %+v", at[0])
 	}
 	check := func(what string, a, b float64) {
@@ -166,6 +167,6 @@ func TestJITStateWindowBounded(t *testing.T) {
 	}
 	check("accounted live bytes", at[0].live, at[1].live)
 	check("retired entries", at[0].retired, at[1].retired)
-	check("fingerprint buckets", at[0].buckets, at[1].buckets)
+	check("blacklist entries and buffered MNSs", at[0].filed, at[1].filed)
 	check("heap in use", at[0].heap, at[1].heap)
 }

@@ -345,26 +345,12 @@ func (j *JoinOp) activate(a activation) {
 // state/blacklist/pending probes, detection, and the input's coming to rest
 // (blacklist, graveyard or state).
 func (j *JoinOp) probeInsert(a activation, s, o *side) {
-	// Pre-probe marking: an input matching an origin mark entry's side
+	// Pre-probe marking: an input carrying an origin mark entry's side
 	// signature acquires the mark id now, so suppression applies during its
 	// own probe (otherwise a live pair would be generated and later
 	// regenerated by the unmark catch-up). Enrollment into the entry's
-	// marked list happens at insertion, with the cursor rules of
-	// registerMarks.
-	if j.marks.NumOrigins() > 0 {
-		for _, e := range j.marks.Origins() {
-			sig := e.SigR
-			if a.port == operator.Left {
-				sig = e.SigL
-			}
-			if len(sig) > 0 {
-				j.ctr.Comparisons += uint64(len(sig))
-				if sig.MatchedBy(a.c) {
-					a.c.AddMark(e.MNS.ID)
-				}
-			}
-		}
-	}
+	// marked list happens at insertion (registerMarks).
+	j.ctr.Comparisons += uint64(j.marks.MarkInput(a.c, a.port == operator.Left))
 
 	// detecting says Identify_MNS runs for this input; det is the per-pair
 	// observation context only lattice detection needs (nil under DOE and
@@ -746,9 +732,7 @@ func (j *JoinOp) joinPair(f *probeFrame, s *side, e state.Entry, det *detectCtx,
 func (j *JoinOp) result(a, b *stream.Composite) *stream.Composite {
 	r := stream.Join(a, b)
 	j.ctr.Results++
-	if !j.marks.Empty() {
-		j.ctr.Comparisons += uint64(j.marks.StampOutput(r))
-	}
+	j.ctr.Comparisons += uint64(j.marks.StampOutput(r))
 	return r
 }
 

@@ -206,18 +206,26 @@ func (b *Blacklist) OldestOwed() (stream.Time, bool) {
 // fast path); comparisons are reported for cost accounting. With generalize
 // set, matching is by value signature (any tuple with the same join
 // attributes); otherwise only exact super-tuples of the anchor match (Ø
-// matches everything either way). Entries whose anchor has expired are
-// skipped (they are about to be reactivated by the sweep).
+// matches everything either way), and each anchor test is charged like the
+// signature it stands in for. Entries whose anchor has expired are skipped
+// (they are about to be reactivated by the sweep).
 func (b *Blacklist) MatchArrival(c *stream.Composite, now stream.Time, generalize bool) (hit *Entry, comparisons int) {
+	anchorTests := 0
 	comparisons = b.bySig.match(c, func(e *Entry) bool {
 		m := e.MNS
-		if m.Expiry <= now || (!generalize && !m.IsEmpty() && (m.Anchor == nil || !m.Anchor.IsSubTuple(c))) {
+		if m.Expiry <= now {
 			return true
+		}
+		if !generalize && !m.IsEmpty() {
+			anchorTests += len(m.Sig)
+			if m.Anchor == nil || !m.Anchor.IsSubTuple(c) {
+				return true
+			}
 		}
 		hit = e
 		return false
 	})
-	return hit, comparisons
+	return hit, comparisons + anchorTests
 }
 
 // Take removes and returns the entry with the given signature key (resume).
@@ -287,10 +295,6 @@ func (b *Blacklist) ReleaseTuples(e *Entry) {
 // HasExpired reports whether any entry's anchor has expired — a cheap check
 // the expiry sweep uses before doing real work.
 func (b *Blacklist) HasExpired(now stream.Time) bool { return b.entries.hasExpired(now) }
-
-// Buckets returns the number of value fingerprints the arrival index holds —
-// for tests and diagnostics: it is bounded by Len.
-func (b *Blacklist) Buckets() int { return b.bySig.buckets() }
 
 // List returns the entries in creation order. The slice is the blacklist's
 // own: callers must not change it, and must not park, resume or suspend

@@ -92,8 +92,8 @@ func (b *Buffer) InvalidateMinCaches() { b.expiryMin.Invalidate() }
 func (b *Buffer) NextExpiry() stream.Time { return nextExpiry(&b.expiryMin, b.mnss.expiries) }
 
 // Purge drops expired MNSs and returns how many were removed. It runs on
-// every arrival and sweep of the operator, and leaves the deadline cache
-// exact.
+// every arrival and sweep of the operator: free while the deadline cache is
+// clean and proves nothing due, and otherwise leaving that cache exact.
 func (b *Buffer) Purge(now stream.Time) int {
 	expired := b.mnss.takeExpired(now, true)
 	for _, m := range expired {
@@ -116,7 +116,3 @@ func (b *Buffer) Probe(t *stream.Composite) (matched []*MNS, comparisons int) {
 	}
 	return matched, comparisons
 }
-
-// Buckets returns the number of value fingerprints the probe index holds —
-// for tests and diagnostics: it is bounded by Len.
-func (b *Buffer) Buckets() int { return b.byProbe.buckets() }

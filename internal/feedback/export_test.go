@@ -1,0 +1,40 @@
+package feedback
+
+// Test-only diagnostics: what the structures hold beyond what production
+// code ever asks them.
+
+// buckets counts the fingerprints currently filed, over all groups.
+func (x *fpIndex[E]) buckets() int {
+	n := 0
+	for _, g := range x.byAttrs {
+		n += len(g.byVal)
+	}
+	return n
+}
+
+// Buckets returns the number of value fingerprints the arrival index holds:
+// it is bounded by Len.
+func (b *Blacklist) Buckets() int { return b.bySig.buckets() }
+
+// Buckets returns the number of value fingerprints the probe index holds: it
+// is bounded by Len.
+func (b *Buffer) Buckets() int { return b.byProbe.buckets() }
+
+// Buckets returns the number of value fingerprints the two origin indexes
+// and the relay index hold: it is bounded by two per origin plus one per
+// relay.
+func (t *MarkTable) Buckets() int {
+	return t.bySide[0].buckets() + t.bySide[1].buckets() + t.byRelay.buckets()
+}
+
+// NumOrigins returns the number of active origin entries.
+func (t *MarkTable) NumOrigins() int { return len(t.origins.list) }
+
+// NumPending returns the total number of suppressed pairs currently parked.
+func (t *MarkTable) NumPending() int {
+	n := 0
+	for _, e := range t.origins.list {
+		n += len(e.Pending)
+	}
+	return n
+}

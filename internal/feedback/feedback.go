@@ -9,8 +9,9 @@
 // every arrival to detect resumption triggers); blacklist.go the
 // producer-side Type I structures (parked tuples under anchor entries,
 // signature generalization, cursor/Pending/Done exactly-once bookkeeping);
-// marks.go the Type II mark table (suppressed pairs recorded under origin
-// marks, unmark catch-up). The exactly-once and expiry discipline these
+// marks.go the Type II mark table (origins and relays found by the values an
+// input or result carries, suppressed pairs recorded under origin marks,
+// unmark catch-up). The exactly-once and expiry discipline these
 // structures jointly enforce is specified in DESIGN.md §2; their
 // min-deadline caches feed the engine's timer heap (DESIGN.md §4).
 package feedback
@@ -22,6 +23,7 @@ import (
 	"strings"
 
 	"repro/internal/predicate"
+	"repro/internal/state"
 	"repro/internal/stream"
 )
 
@@ -52,10 +54,9 @@ func (c Command) String() string {
 }
 
 // SigEntry is one (source, column) = value constraint of an MNS signature.
-type SigEntry struct {
-	Attr predicate.Attr
-	Val  stream.Value
-}
+// It is the state package's type, so a state finds the stored tuples carrying
+// a signature's values without translation (state.State.WalkCarrying).
+type SigEntry = state.Bound
 
 // Signature is the value fingerprint of an MNS: the values of the MNS
 // components on exactly the columns that appear in the detecting consumer's

@@ -1,6 +1,7 @@
 package feedback
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -95,9 +96,14 @@ func testTable[E holder](t *testing.T, name string, tab *table[E], wrap func(*MN
 		if next() != 300 {
 			t.Fatalf("min after invalidate: %d", next())
 		}
-		// A refreshing takeExpired repairs the same staleness on its way.
+		// A refreshing takeExpired repairs the same staleness on its way —
+		// once the stale minimum is due: until then the clean cache proves
+		// nothing has expired, and the walk is spared.
 		ms[0].Expiry = 320
-		if out := tab.takeExpired(0, true); len(out) != 0 || next() != 320 {
+		if out := tab.takeExpired(299, true); len(out) != 0 || next() != 300 {
+			t.Fatalf("before the cached minimum is due: took %d, min %d", len(out), next())
+		}
+		if out := tab.takeExpired(300, true); len(out) != 0 || next() != 320 {
 			t.Fatalf("refresh: took %d, min %d", len(out), next())
 		}
 		if e, ok := tab.take(ms[2].Key()); !ok || e.mns() != ms[2] {
@@ -465,5 +471,193 @@ func TestBlacklistWalkAndBySeq(t *testing.T) {
 	}
 	if ts, ok := bl.OldestOwed(); !ok || ts != 5 {
 		t.Fatalf("OldestOwed = %d, %t", ts, ok)
+	}
+}
+
+// TestMarkIndexMatchesScan holds the mark table's three fingerprint indexes
+// to the loops they replaced, under random activation, resumption and expiry
+// of origins and relays over several attribute sets: MarkInput must tag an
+// input with exactly the origins whose non-empty signature on its side it
+// matches, StampOutput a result with exactly the relays whose signature it
+// matches, and each must charge one comparison per attribute of every
+// attribute set its index has seen.
+func TestMarkIndexMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	mt := NewMarkTable(&metrics.Account{})
+	// Sources 0 and 1 feed the left input, 2 and 3 the right.
+	leftSrc := stream.SourceSet(0).Add(0).Add(1)
+	rightSrc := stream.SourceSet(0).Add(2).Add(3)
+	randSig := func(srcs ...stream.SourceID) Signature {
+		var sig Signature
+		for _, src := range srcs {
+			for col := 0; col < 2; col++ {
+				if rng.Intn(2) == 0 {
+					sig = append(sig, SigEntry{Attr: predicate.Attr{Source: src, Col: col}, Val: stream.Value(rng.Intn(3))})
+				}
+			}
+		}
+		return sig
+	}
+	randComp := func(srcs ...stream.SourceID) *stream.Composite {
+		var c *stream.Composite
+		for _, src := range srcs {
+			if rng.Intn(4) == 0 && c != nil {
+				continue // some composites lack a source
+			}
+			x := comp(4, tpl(src, 1, stream.Value(rng.Intn(3)), stream.Value(rng.Intn(3))))
+			if c == nil {
+				c = x
+			} else {
+				c = stream.Join(c, x)
+			}
+		}
+		return c
+	}
+	charge := func(x *fpIndex[*OriginEntry]) (n int) {
+		for _, g := range x.groups {
+			n += len(g.attrs)
+		}
+		return n
+	}
+	marksOf := func(c *stream.Composite) []uint64 {
+		var ids []uint64
+		for id := range c.Marks {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		return ids
+	}
+
+	var origins []*OriginEntry
+	var relays []*MNS
+	now, id := stream.Time(0), uint64(0)
+	for step := 0; step < 4000; step++ {
+		now++
+		switch rng.Intn(8) {
+		case 0, 1, 2: // a Type II suspension; one side's restriction may be empty
+			id++
+			m := &MNS{ID: id, Sources: leftSrc | rightSrc, Sig: randSig(0, 1, 2, 3), Expiry: now + stream.Time(rng.Intn(60))}
+			if e := mt.ActivateOrigin(m, m.Sig.Restrict(leftSrc), m.Sig.Restrict(rightSrc)); e != nil {
+				origins = append(origins, e)
+			}
+		case 3: // a mark relayed from downstream
+			id++
+			m := &MNS{ID: id, Sources: leftSrc, Sig: randSig(0, 1, 2), Expiry: now + stream.Time(rng.Intn(60))}
+			if mt.AddRelay(m) {
+				relays = append(relays, m)
+			}
+		case 4: // resumption
+			if len(origins) > 0 {
+				k := rng.Intn(len(origins))
+				if e, ok := mt.TakeOrigin(origins[k].MNS.Key()); !ok || e != origins[k] {
+					t.Fatalf("step %d: origin %v not taken", step, origins[k].MNS)
+				}
+				origins = slices.Delete(origins, k, k+1)
+			}
+		case 5: // unmark
+			if len(relays) > 0 {
+				k := rng.Intn(len(relays))
+				if !mt.RemoveRelay(relays[k].Key()) {
+					t.Fatalf("step %d: relay %v not removed", step, relays[k])
+				}
+				relays = slices.Delete(relays, k, k+1)
+			}
+		case 6: // expiry
+			mt.TakeExpiredOrigins(now)
+			mt.PurgeRelays(now)
+			origins = slices.DeleteFunc(origins, func(e *OriginEntry) bool { return e.MNS.Expiry <= now })
+			relays = slices.DeleteFunc(relays, func(m *MNS) bool { return m.Expiry <= now })
+		}
+		if mt.NumOrigins() != len(origins) || len(mt.relays.list) != len(relays) {
+			t.Fatalf("step %d: table holds %d origins and %d relays, model %d and %d",
+				step, mt.NumOrigins(), len(mt.relays.list), len(origins), len(relays))
+		}
+
+		for _, left := range []bool{true, false} {
+			c := randComp(2, 3)
+			if left {
+				c = randComp(0, 1)
+			}
+			var want []uint64
+			for _, e := range origins {
+				sig := e.SigR
+				if left {
+					sig = e.SigL
+				}
+				if len(sig) > 0 && sig.MatchedBy(c) {
+					want = append(want, e.MNS.ID)
+				}
+			}
+			slices.Sort(want)
+			n := mt.MarkInput(c, left)
+			if got := marksOf(c); !slices.Equal(got, want) {
+				t.Fatalf("step %d left=%v: input %v marked %v, the scan marks %v", step, left, c, got, want)
+			}
+			if wantN := charge(&mt.bySide[sideOf(left)]); len(origins) > 0 && n != wantN {
+				t.Fatalf("step %d left=%v: charged %d comparisons, one per attribute of every set seen is %d", step, left, n, wantN)
+			}
+		}
+		out := randComp(0, 1, 2)
+		var want []uint64
+		for _, m := range relays {
+			if m.Sig.MatchedBy(out) {
+				want = append(want, m.ID)
+			}
+		}
+		slices.Sort(want)
+		mt.StampOutput(out)
+		if got := marksOf(out); !slices.Equal(got, want) {
+			t.Fatalf("step %d: result %v stamped %v, the scan stamps %v", step, out, got, want)
+		}
+	}
+	if len(origins) == 0 && len(relays) == 0 {
+		t.Fatal("degenerate run: nothing left to match against")
+	}
+	for len(origins) > 0 {
+		mt.TakeOrigin(origins[0].MNS.Key())
+		origins = origins[1:]
+	}
+	for len(relays) > 0 {
+		mt.RemoveRelay(relays[0].Key())
+		relays = relays[1:]
+	}
+	if n := mt.Buckets(); n != 0 {
+		t.Fatalf("%d fingerprints filed in an empty mark table", n)
+	}
+}
+
+// TestEmptySideSignatureMarksNothing pins what an origin does on a side its
+// MNS does not constrain: nothing. Filed under the empty attribute set it
+// would tag every input of that side — and with the other side's matches
+// tagged too, suppress pairs the MNS says nothing about.
+func TestEmptySideSignatureMarksNothing(t *testing.T) {
+	mt := NewMarkTable(&metrics.Account{})
+	// A Type II MNS spans both inputs (sources 0 and 2) but its signature
+	// constrains the left one only.
+	m := &MNS{
+		ID:      9,
+		Sources: stream.SourceSet(0).Add(0).Add(2),
+		Sig:     Signature{{Attr: predicate.Attr{Source: 0, Col: 0}, Val: 5}},
+		Expiry:  1000,
+	}
+	e := mt.ActivateOrigin(m, m.Sig.Restrict(stream.SourceSet(0).Add(0)), m.Sig.Restrict(stream.SourceSet(0).Add(2)))
+	if e == nil || len(e.SigL) != 1 || len(e.SigR) != 0 {
+		t.Fatalf("restriction wrong: %+v", e)
+	}
+	l, r := comp(3, tpl(0, 10, 5)), comp(3, tpl(2, 20, 5))
+	if n := mt.MarkInput(l, true); !l.HasMark(9) || n != 1 {
+		t.Fatalf("the constrained side: marked %v, %d comparisons", l.HasMark(9), n)
+	}
+	if n := mt.MarkInput(r, false); len(r.Marks) != 0 || n != 0 {
+		t.Fatalf("the unconstrained side: marks %v, %d comparisons", r.Marks, n)
+	}
+	if mt.SuppressedBy(l, r, 0) != 0 {
+		t.Fatal("a pair suppressed under an MNS that constrains one side only")
+	}
+	if got := mt.Buckets(); got != 1 {
+		t.Fatalf("%d fingerprints filed, want the left side's one", got)
+	}
+	if _, ok := mt.TakeOrigin(m.Key()); !ok || mt.Buckets() != 0 {
+		t.Fatalf("taking the origin left %d fingerprints filed", mt.Buckets())
 	}
 }

@@ -47,6 +47,13 @@ type MarkTable struct {
 	origins table[*OriginEntry]
 	relays  table[*MNS]
 	active  map[uint64]*OriginEntry // origin mark ids currently suppressing
+	// bySide finds the origins whose side signature an input carries (left
+	// inputs in slot 0, right in slot 1) and byRelay the relays whose
+	// signature a result carries: one lookup per attribute set, not one
+	// comparison per entry. An origin is filed only on the sides its MNS
+	// constrains (file).
+	bySide  [2]fpIndex[*OriginEntry]
+	byRelay fpIndex[*MNS]
 	// Deadline caches (DESIGN.md §4): earliest expiry among origin and relay
 	// entries together, and earliest endpoint MinTS among pending suppressed
 	// pairs.
@@ -59,24 +66,39 @@ func NewMarkTable(acct *metrics.Account) *MarkTable {
 	t := &MarkTable{acct: acct, active: make(map[uint64]*OriginEntry)}
 	t.origins = newTable[*OriginEntry](acct, &t.expiryMin)
 	t.relays = newTable[*MNS](acct, &t.expiryMin)
+	t.bySide[0] = newFPIndex(func(e *OriginEntry, buf []SigEntry) []SigEntry { return append(buf, e.SigL...) })
+	t.bySide[1] = newFPIndex(func(e *OriginEntry, buf []SigEntry) []SigEntry { return append(buf, e.SigR...) })
+	t.byRelay = newFPIndex(func(m *MNS, buf []SigEntry) []SigEntry { return append(buf, m.Sig...) })
 	return t
+}
+
+// sideOf is an input side's slot in bySide.
+func sideOf(left bool) int {
+	if left {
+		return 0
+	}
+	return 1
+}
+
+// file adds e to (or takes it out of) the side indexes. A side the MNS does
+// not constrain is skipped: filed under the empty attribute set the origin
+// would match every input there, and an empty side signature matches none.
+func (t *MarkTable) file(e *OriginEntry, add bool) {
+	for i, sig := range [2]Signature{e.SigL, e.SigR} {
+		if len(sig) == 0 {
+			continue
+		}
+		if add {
+			t.bySide[i].add(e)
+		} else {
+			t.bySide[i].remove(e)
+		}
+	}
 }
 
 // Empty reports whether the table has no active entries of either kind,
 // letting operators skip all Type II work on the hot path.
 func (t *MarkTable) Empty() bool { return len(t.origins.list) == 0 && len(t.relays.list) == 0 }
-
-// NumOrigins returns the number of active origin entries.
-func (t *MarkTable) NumOrigins() int { return len(t.origins.list) }
-
-// NumPending returns the total number of suppressed pairs currently parked.
-func (t *MarkTable) NumPending() int {
-	n := 0
-	for _, e := range t.origins.list {
-		n += len(e.Pending)
-	}
-	return n
-}
 
 // ActivateOrigin installs an origin entry for a Type II MNS whose signature
 // splits into sigL and sigR over the operator's two inputs, returning nil if
@@ -94,7 +116,22 @@ func (t *MarkTable) ActivateOrigin(m *MNS, sigL, sigR Signature) *OriginEntry {
 	}
 	t.origins.insert(e)
 	t.active[m.ID] = e
+	t.file(e, true)
 	return e
+}
+
+// MarkInput tags a composite entering the given side with the id of every
+// origin whose signature on that side it carries, so suppression applies
+// from the first pair of its probe. It returns the attribute comparisons to
+// charge.
+func (t *MarkTable) MarkInput(c *stream.Composite, left bool) (comparisons int) {
+	if len(t.origins.list) == 0 {
+		return 0
+	}
+	return t.bySide[sideOf(left)].match(c, func(e *OriginEntry) bool {
+		c.AddMark(e.MNS.ID)
+		return true
+	})
 }
 
 // Enroll marks a tuple under entry e on the given side (left when left is
@@ -160,10 +197,6 @@ const pendingPairBytes = 48
 // EntryByID returns the active origin entry with the given mark id.
 func (t *MarkTable) EntryByID(id uint64) *OriginEntry { return t.active[id] }
 
-// Origins returns the active origin entries (shared slice; callers must not
-// mutate).
-func (t *MarkTable) Origins() []*OriginEntry { return t.origins.list }
-
 // SuppressedBy returns the id of an active origin mark shared by a and b,
 // or 0 when the pair is not suppressed and may be joined now. The exclude id
 // lets unmark processing ignore the entry being dissolved.
@@ -214,6 +247,7 @@ func (t *MarkTable) TakeExpiredOrigins(now stream.Time) []*OriginEntry {
 func (t *MarkTable) dropped(e *OriginEntry) {
 	delete(t.active, e.MNS.ID)
 	t.pendMin.Remove(len(e.Pending))
+	t.file(e, false)
 }
 
 // HasExpired reports whether any origin or relay entry has expired.
@@ -254,28 +288,37 @@ func (t *MarkTable) AddRelay(m *MNS) bool {
 	_, ok := t.relays.extend(m)
 	if !ok {
 		t.relays.insert(m)
+		t.byRelay.add(m)
 	}
 	return !ok
 }
 
 // RemoveRelay drops the relay descriptor for the key, if present.
 func (t *MarkTable) RemoveRelay(key string) bool {
-	_, ok := t.relays.take(key)
+	m, ok := t.relays.take(key)
+	if ok {
+		t.byRelay.remove(m)
+	}
 	return ok
 }
 
 // PurgeRelays drops expired relay descriptors.
-func (t *MarkTable) PurgeRelays(now stream.Time) int { return len(t.relays.takeExpired(now, false)) }
+func (t *MarkTable) PurgeRelays(now stream.Time) int {
+	expired := t.relays.takeExpired(now, false)
+	for _, m := range expired {
+		t.byRelay.remove(m)
+	}
+	return len(expired)
+}
 
 // StampOutput tags a freshly produced composite with every relay mark whose
-// signature it matches; returns the number of signature checks for cost
-// accounting.
-func (t *MarkTable) StampOutput(c *stream.Composite) (checks int) {
-	for _, m := range t.relays.list {
-		checks += len(m.Sig)
-		if m.Sig.MatchedBy(c) {
-			c.AddMark(m.ID)
-		}
+// signature it carries; it returns the attribute comparisons to charge.
+func (t *MarkTable) StampOutput(c *stream.Composite) (comparisons int) {
+	if len(t.relays.list) == 0 {
+		return 0
 	}
-	return checks
+	return t.byRelay.match(c, func(m *MNS) bool {
+		c.AddMark(m.ID)
+		return true
+	})
 }

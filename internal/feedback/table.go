@@ -90,11 +90,12 @@ func (t *table[E]) take(key string) (E, bool) {
 }
 
 // takeExpired removes and returns, in creation order, every element whose
-// descriptor has expired. With refresh the min cache is rebuilt over the
-// survivors on the way, leaving it exact whatever was done to a shared
-// descriptor since; without, it is merely invalidated if anything left.
+// descriptor has expired; none, without looking, when the min cache proves
+// it. With refresh the walk rebuilds the min cache over the survivors,
+// leaving it exact whatever was done to a shared descriptor since; without,
+// the cache is merely invalidated if anything left.
 func (t *table[E]) takeExpired(now stream.Time, refresh bool) []E {
-	if !refresh && !t.mayHaveExpired(now) {
+	if !t.mayHaveExpired(now) {
 		return nil
 	}
 	var out []E
@@ -180,7 +181,25 @@ type fpIndex[E comparable] struct {
 
 type fpGroup[E comparable] struct {
 	attrs []predicate.Attr
-	byVal map[string][]E
+	byVal map[string]*fpBucket[E]
+}
+
+// fpBucket holds the elements filed under one fingerprint. The map holds it
+// by pointer, so growing or shrinking it writes through instead of storing
+// a slice back under a key that would have to be allocated again, and its
+// first element sits in the bucket itself: most fingerprints are one
+// element's.
+type fpBucket[E comparable] struct {
+	els   []E
+	first [1]E
+}
+
+// elements lists what the bucket holds; a missing bucket holds nothing.
+func (b *fpBucket[E]) elements() []E {
+	if b == nil {
+		return nil
+	}
+	return b.els
 }
 
 func newFPIndex[E comparable](key func(E, []SigEntry) []SigEntry) fpIndex[E] {
@@ -201,7 +220,7 @@ func (x *fpIndex[E]) locate(e E) (*fpGroup[E], []byte) {
 	}
 	g := x.byAttrs[string(gk)]
 	if g == nil {
-		g = &fpGroup[E]{attrs: make([]predicate.Attr, len(x.place)), byVal: make(map[string][]E)}
+		g = &fpGroup[E]{attrs: make([]predicate.Attr, len(x.place)), byVal: make(map[string]*fpBucket[E])}
 		for i, p := range x.place {
 			g.attrs[i] = p.Attr
 		}
@@ -220,31 +239,32 @@ func (x *fpIndex[E]) locate(e E) (*fpGroup[E], []byte) {
 
 func (x *fpIndex[E]) add(e E) {
 	g, fp := x.locate(e)
-	g.byVal[string(fp)] = append(g.byVal[string(fp)], e)
+	b := g.byVal[string(fp)]
+	if b == nil {
+		b = new(fpBucket[E])
+		b.els = b.first[:0]
+		g.byVal[string(fp)] = b
+	}
+	b.els = append(b.els, e)
+	if len(b.els) == 2 {
+		// The elements have moved out of the bucket: first must not go on
+		// holding one that may leave.
+		b.first = [1]E{}
+	}
 }
 
 func (x *fpIndex[E]) remove(e E) {
 	g, fp := x.locate(e)
 	b := g.byVal[string(fp)]
-	i := slices.Index(b, e)
+	i := slices.Index(b.elements(), e)
 	if i < 0 {
 		return
 	}
-	if len(b) == 1 {
+	if len(b.els) == 1 {
 		delete(g.byVal, string(fp))
 		return
 	}
-	g.byVal[string(fp)] = slices.Delete(b, i, i+1)
-}
-
-// buckets counts the fingerprints currently filed, over all groups.
-func (x *fpIndex[E]) buckets() int {
-	n := 0
-	//jitlint:allow maporder sums bucket counts; addition commutes
-	for _, g := range x.byAttrs {
-		n += len(g.byVal)
-	}
-	return n
+	b.els = slices.Delete(b.els, i, i+1)
 }
 
 // match visits the Ø slot and then, group by group, the elements whose
@@ -252,7 +272,7 @@ func (x *fpIndex[E]) buckets() int {
 // attribute comparisons to charge: one per attribute of every group reached.
 func (x *fpIndex[E]) match(c *stream.Composite, visit func(E) bool) (comparisons int) {
 	if g := x.byAttrs[""]; g != nil {
-		for _, e := range g.byVal[""] {
+		for _, e := range g.byVal[""].elements() {
 			if !visit(e) {
 				return 0
 			}
@@ -272,7 +292,7 @@ groups:
 			}
 			fp = appendValue(fp, t.Vals[a.Col])
 		}
-		for _, e := range g.byVal[string(fp)] {
+		for _, e := range g.byVal[string(fp)].elements() {
 			if !visit(e) {
 				break groups
 			}

@@ -46,10 +46,13 @@ func machineryUnits(c metrics.Counters) int64 {
 // payback is not merely insufficient, it is NEGATIVE: suppressed probes
 // save less base work than resumption catch-up adds back (catch-up
 // results still have to be constructed and propagated), so JIT's base
-// share exceeds REF's in every cell — 1.60× at N=3 uniform and 3.85× at
-// N=6 uniform, where 25k suspensions thrash against 23k detected MNSs.
-// This, not detection, is what keeps JIT above REF at the extremes
-// (JIT/REF 2.03 at N=3 and 4.28 at N=6, from 3.72 and 5.99). (c) Skew
+// share exceeds REF's in every cell — 1.60× at N=3 uniform and 1.25× at
+// N=6 uniform, where 25k suspensions thrash against 23k detected MNSs
+// (3.85× until PR 23: two thirds of that base was the Type II mark
+// machinery testing every signature against every origin and stored tuple,
+// which are lookups now). This, not detection, is what keeps JIT above REF
+// at the extremes (JIT/REF 2.03 at N=3 and 1.69 at N=6, from 3.72 and 5.99
+// before PR 22 and 4.28 at N=6 before PR 23). (c) Skew
 // flattens the ratio at N=3 (2.03 uniform → 1.04 at s=2.0) but NOT by
 // making suspension pay: payback stays negative while detections collapse
 // (31854 → 2980 MNSs) and the hotter stream inflates the base share both

@@ -141,7 +141,7 @@ func TestIndexMatchesScan(t *testing.T) {
 		case 2:
 			st.Purge(now, 40)
 		case 3:
-			removed := st.RemoveIf(func(c *stream.Composite) bool {
+			removed := st.RemoveIf(nil, func(c *stream.Composite) bool {
 				t := c.Comp(0)
 				return t != nil && t.Vals[0] == stream.Value(rng.Intn(5)+1) && rng.Intn(3) == 0
 			})

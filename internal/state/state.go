@@ -23,6 +23,11 @@
 // overflow list that every probe also visits, preserving the vacuous-truth
 // semantics of predicate.Eq.Holds.
 //
+// The same index type is held once more per attribute set a feedback
+// signature has been looked up by (WalkCarrying, RemoveIf): a suspension
+// finds the stored tuples carrying its values there instead of testing the
+// signature against every entry.
+//
 // Band predicates (predicate.Eq.Tol > 0, DESIGN.md §8) never enter a key:
 // hash equality would wrongly reject within-band pairs. A mixed conjunction
 // keys on its exact-equi subset — the index then over-approximates the
@@ -35,7 +40,7 @@ package state
 
 import (
 	"fmt"
-	"math"
+	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/predicate"
@@ -88,6 +93,14 @@ func (k Key) Hash(c *stream.Composite) (h uint64, ok bool) {
 type Entry struct {
 	C   *stream.Composite
 	Seq uint64
+}
+
+// Bound constrains one column to a value. A list of them is what a feedback
+// value signature is made of (feedback.Signature), and what WalkCarrying
+// finds stored tuples by.
+type Bound struct {
+	Attr predicate.Attr
+	Val  stream.Value
 }
 
 // Side is the shared sequence space for one input side of a join: entries of
@@ -168,12 +181,13 @@ type State struct {
 	acct    *metrics.Account
 	entries []Entry // arrival order == ascending Seq
 	version uint64  // incremented on every mutation; an unkeyed Walk re-finds its place when it moves
-	// Hash index over the equi-join key (nil when the state is scan-only).
-	// Buckets and the loose overflow are each kept in ascending Seq order,
-	// mirroring the entries slice.
-	key     Key
-	buckets map[uint64][]Entry
-	loose   []Entry // entries whose composite lacks a key component
+	// indexes are the hash indexes over the entries, every one kept current
+	// by indexInsert / indexRemove. With keyed set, indexes[0] is the equi-join
+	// key's (SetKey), the one probes walk. The rest were built by lookup, one
+	// per attribute set a signature was ever looked up by, and are never
+	// dropped: what a lookup costs depends only on the attribute sets seen.
+	indexes []*index
+	keyed   bool
 	// min caches the smallest MinTS among live entries so the engine's
 	// deadline scheduler can ask "when does the next tuple expire" in O(1)
 	// (DESIGN.md §4).
@@ -196,12 +210,12 @@ func (s *State) SetKey(k Key) {
 	if len(k) == 0 {
 		return
 	}
-	s.key = append(Key(nil), k...)
-	s.buckets = make(map[uint64][]Entry)
+	s.indexes, s.keyed = []*index{newIndex(append(Key(nil), k...))}, true
 }
 
-// Indexed reports whether the state maintains a hash index.
-func (s *State) Indexed() bool { return s.buckets != nil }
+// Indexed reports whether the state maintains a hash index on an equi-join
+// key.
+func (s *State) Indexed() bool { return s.keyed }
 
 // Len returns the number of live entries.
 func (s *State) Len() int { return len(s.entries) }
@@ -268,34 +282,72 @@ func seqIndexAfter(list []Entry, seq uint64) int {
 	return lo
 }
 
-// indexInsert mirrors an insertion into the hash index.
-func (s *State) indexInsert(e Entry) {
-	if s.buckets == nil {
-		return
-	}
-	if h, ok := s.key.Hash(e.C); ok {
-		s.buckets[h] = insertBySeq(s.buckets[h], e)
+// index is one hash index over a state's entries: per-key-hash buckets plus
+// the loose overflow of entries whose composite lacks a key component, each
+// kept in ascending Seq order, mirroring the entries slice.
+type index struct {
+	key     Key
+	buckets map[uint64][]Entry
+	loose   []Entry
+}
+
+func newIndex(key Key) *index {
+	return &index{key: key, buckets: make(map[uint64][]Entry)}
+}
+
+func (x *index) insert(e Entry) {
+	if h, ok := x.key.Hash(e.C); ok {
+		x.buckets[h] = insertBySeq(x.buckets[h], e)
 	} else {
-		s.loose = insertBySeq(s.loose, e)
+		x.loose = insertBySeq(x.loose, e)
 	}
 }
 
-// indexRemove mirrors a removal. The entry's bucket is recomputed from its
-// composite; key values are immutable while stored, so the hash is stable.
-func (s *State) indexRemove(e Entry) {
-	if s.buckets == nil {
-		return
-	}
-	h, ok := s.key.Hash(e.C)
+// remove recomputes the entry's bucket from its composite; key values are
+// immutable while stored, so the hash is stable.
+func (x *index) remove(e Entry) {
+	h, ok := x.key.Hash(e.C)
 	if !ok {
-		s.loose = removeSeq(s.loose, e.Seq)
+		x.loose = removeSeq(x.loose, e.Seq)
 		return
 	}
-	b := removeSeq(s.buckets[h], e.Seq)
+	b := removeSeq(x.buckets[h], e.Seq)
 	if len(b) == 0 {
-		delete(s.buckets, h)
+		delete(x.buckets, h)
 	} else {
-		s.buckets[h] = b
+		x.buckets[h] = b
+	}
+}
+
+// next returns the entry with the lowest sequence number strictly greater
+// than after, among the bucket for key hash h and the loose overflow.
+func (x *index) next(h, after uint64) (Entry, bool) {
+	var best Entry
+	found := false
+	if b := x.buckets[h]; len(b) > 0 {
+		if i := seqIndexAfter(b, after); i < len(b) {
+			best, found = b[i], true
+		}
+	}
+	if len(x.loose) > 0 {
+		if i := seqIndexAfter(x.loose, after); i < len(x.loose) && (!found || x.loose[i].Seq < best.Seq) {
+			best, found = x.loose[i], true
+		}
+	}
+	return best, found
+}
+
+// indexInsert mirrors an insertion into every index.
+func (s *State) indexInsert(e Entry) {
+	for _, x := range s.indexes {
+		x.insert(e)
+	}
+}
+
+// indexRemove mirrors a removal.
+func (s *State) indexRemove(e Entry) {
+	for _, x := range s.indexes {
+		x.remove(e)
 	}
 }
 
@@ -312,26 +364,18 @@ func removeSeq(list []Entry, seq uint64) []Entry {
 }
 
 // ProbeNext returns the live entry with the lowest sequence number strictly
-// greater than after, among the bucket for key hash h and the loose
-// (unkeyable) overflow. It re-reads the index on every call, so probe loops
-// built on it are resilient to re-entrant insertions and removals without
-// version bookkeeping: the next call simply resumes after the last sequence
-// processed. Bucket entries may be hash collisions; callers re-evaluate the
-// join predicates on every returned entry (DESIGN.md §3).
+// greater than after, among the equi-key bucket for key hash h and the loose
+// (unkeyable) overflow; nothing when the state is not Indexed. It re-reads
+// the index on every call, so probe loops built on it are resilient to
+// re-entrant insertions and removals without version bookkeeping: the next
+// call simply resumes after the last sequence processed. Bucket entries may
+// be hash collisions; callers re-evaluate the join predicates on every
+// returned entry (DESIGN.md §3).
 func (s *State) ProbeNext(h uint64, after uint64) (Entry, bool) {
-	var best Entry
-	found := false
-	if b := s.buckets[h]; len(b) > 0 {
-		if i := seqIndexAfter(b, after); i < len(b) {
-			best, found = b[i], true
-		}
+	if !s.keyed {
+		return Entry{}, false
 	}
-	if len(s.loose) > 0 {
-		if i := seqIndexAfter(s.loose, after); i < len(s.loose) && (!found || s.loose[i].Seq < best.Seq) {
-			best, found = s.loose[i], true
-		}
-	}
-	return best, found
+	return s.indexes[0].next(h, after)
 }
 
 // Walk visits, in ascending sequence order, the entries with sequence
@@ -383,29 +427,21 @@ func (s *State) purge(now, window stream.Time, collect bool) []Entry {
 	if ts, ok := s.MinTS(); !ok || ts+window > now {
 		return nil
 	}
-	return s.extract(now-window, nil, collect)
+	return s.extract(now-window, collect)
 }
 
-// RemoveIf removes and returns every entry for which pred returns true
-// (core moves a suspended signature's matches into a blacklist).
-func (s *State) RemoveIf(pred func(*stream.Composite) bool) []Entry {
-	return s.extract(math.MinInt64, pred, true)
-}
-
-// extract is the one filter loop behind window expiry and RemoveIf: it
-// removes every entry whose MinTS is at or below expired or that pred (when
-// given) selects, preserving order among both kept and removed entries, and
-// returns the removed ones when collect is set. Expiry is a field comparison
-// rather than a pred because it runs over both states of an operator on
-// every arrival. Entries are in arrival order but MinTS is not monotone in
-// general (a composite's MinTS can predate its arrival), so expiry filters
-// rather than truncates a prefix.
-func (s *State) extract(expired stream.Time, pred func(*stream.Composite) bool, collect bool) []Entry {
+// extract is the filter loop behind window expiry: it removes every entry
+// whose MinTS is at or below expired, preserving order among both kept and
+// removed entries, and returns the removed ones when collect is set. Entries
+// are in arrival order but MinTS is not monotone in general (a composite's
+// MinTS can predate its arrival), so expiry filters rather than truncates a
+// prefix.
+func (s *State) extract(expired stream.Time, collect bool) []Entry {
 	var removed []Entry
 	kept := s.entries[:0]
 	var min stream.Time
 	for _, e := range s.entries {
-		if e.C.MinTS <= expired || (pred != nil && pred(e.C)) {
+		if e.C.MinTS <= expired {
 			if collect {
 				removed = append(removed, e)
 			}
@@ -425,6 +461,65 @@ func (s *State) extract(expired stream.Time, pred func(*stream.Composite) bool, 
 	clear(s.entries[len(kept):])
 	s.entries = kept
 	s.min = MinCache{min: min, n: len(kept)}
+	return removed
+}
+
+// lookup returns the index keyed on exactly sig's attributes, in sig's order,
+// and the key hash of sig's values. The first lookup by an attribute set
+// builds its index in one pass over the entries; an equi-join key on the
+// same columns serves as it is.
+func (s *State) lookup(sig []Bound) (*index, uint64) {
+	h := uint64(FNVOffset)
+	for _, b := range sig {
+		h = FoldValue(h, b.Val)
+	}
+	for _, x := range s.indexes {
+		if slices.EqualFunc(x.key, sig, func(a predicate.Attr, b Bound) bool { return a == b.Attr }) {
+			return x, h
+		}
+	}
+	x := newIndex(make(Key, len(sig)))
+	for i, b := range sig {
+		x.key[i] = b.Attr
+	}
+	for _, e := range s.entries {
+		x.insert(e)
+	}
+	s.indexes = append(s.indexes, x)
+	return x, h
+}
+
+// WalkCarrying visits, in ascending sequence order and until visit returns
+// false, the candidates for carrying sig's values: the entries whose values
+// at sig's attributes hash as sig's do, and those lacking one of its sources.
+// The caller verifies each by its own matching rule — a candidate may be a
+// hash collision, and a composite lacking a source carries nothing there.
+// Like a keyed Walk it re-reads the index at every step, so visit may mutate
+// the state.
+func (s *State) WalkCarrying(sig []Bound, visit func(Entry) bool) {
+	x, h := s.lookup(sig)
+	for e, ok := x.next(h, 0); ok && visit(e); e, ok = x.next(h, e.Seq) {
+	}
+}
+
+// RemoveIf removes and returns, in ascending sequence order, the candidates
+// for carrying sig's values (WalkCarrying) that pred selects: core moves a
+// suspended signature's matches into a blacklist.
+func (s *State) RemoveIf(sig []Bound, pred func(*stream.Composite) bool) []Entry {
+	var removed []Entry
+	s.WalkCarrying(sig, func(e Entry) bool {
+		if pred(e.C) {
+			removed = append(removed, e)
+		}
+		return true
+	})
+	for _, e := range removed {
+		s.version++
+		s.min.Remove(1)
+		s.acct.Free(e.C.DeepSizeBytes())
+		s.entries = removeSeq(s.entries, e.Seq)
+		s.indexRemove(e)
+	}
 	return removed
 }
 

@@ -23,7 +23,7 @@ func put(st *State, side *Side, c *stream.Composite) Entry {
 
 // take removes the entry holding exactly c.
 func take(st *State, c *stream.Composite) (Entry, bool) {
-	removed := st.RemoveIf(func(x *stream.Composite) bool { return x == c })
+	removed := st.RemoveIf(nil, func(x *stream.Composite) bool { return x == c })
 	if len(removed) != 1 {
 		return Entry{}, false
 	}
@@ -125,7 +125,7 @@ func TestRemoveIfAndVersion(t *testing.T) {
 	st.Walk(false, 0, 0, func(e Entry) bool {
 		walked = append(walked, e.Seq)
 		if e.Seq == 1 {
-			removed = st.RemoveIf(func(c *stream.Composite) bool { return c.Comp(0).ID%2 == 0 })
+			removed = st.RemoveIf(nil, func(c *stream.Composite) bool { return c.Comp(0).ID%2 == 0 })
 		}
 		return true
 	})
