@@ -380,7 +380,7 @@ func (j *JoinOp) unmarkCatchup(e *feedback.OriginEntry, out *[]*stream.Composite
 			continue
 		}
 		j.ctr.CatchUpJoins++
-		if !j.evalAtoms(p.L.C, L, p.R.C, nil) {
+		if !j.evalAtoms(p.L.C, L, p.R.C) {
 			continue
 		}
 		*out = append(*out, j.result(p.L.C, p.R.C))

@@ -12,127 +12,134 @@ import (
 	"repro/internal/stream"
 )
 
-// detectCtx accumulates per-partner observations for lattice-based MNS
-// detection; it only exists for DetectLattice (DOE needs no per-pair work
-// and Bloom detection queries filters after the probe).
-type detectCtx struct {
-	lat     *lattice.Lattice // nil when falling back to Level-1 only
-	charged uint64           // lat.Ops() already on the operator's ledger
-	ever    uint32           // union of matched atoms (Level-1 fallback)
-	atoms   int
-	full    uint32 // every atom's bit
-	// saturated is set by a fully matching partner: nothing is left alive, so
-	// the rest of the probe neither observes nor reports.
-	saturated bool
+// atomLookup is how lattice detection asks the opposite state for the
+// partners matching one atom: bound[i].Attr is the opposite endpoint of the
+// atom's i-th predicate and cols[i] the input component's own column in it;
+// bound[i].Val is scratch, filled from each detecting input in turn.
+type atomLookup struct {
+	cols  []int
+	bound []state.Bound
 }
 
-// newDetect prepares the side's detection context for one fresh input. The
-// context and its lattice are reused from input to input: only Consume
-// detects, and an operator's Consume never runs while one of its own probes
-// is on the stack — what comes back up from a probe's emission is feedback,
-// whose resumptions collect their results instead of emitting them.
-func (j *JoinOp) newDetect(s *side) *detectCtx {
-	if j.mode.Detect != DetectLattice || len(s.atoms) == 0 {
-		return nil
-	}
-	d := &s.det
-	d.ever, d.saturated = 0, false
-	if d.lat != nil {
-		d.lat.Reset()
-	} else if !s.level1Only {
-		d.lat = lattice.New(len(s.atoms))
-	}
-	return d
-}
-
-// charge moves the lattice's visits since the last call onto j's ledger.
-func (d *detectCtx) charge(j *JoinOp) {
-	ops := d.lat.Ops()
-	j.ctr.LatticeNodes += ops - d.charged
-	d.charged = ops
-}
-
-// observe feeds one partner's matched-atom mask into the context. The
-// Level-1 fallback keeps its m nodes in one word: a visit to test the mask
-// against it, m more when the mask adds to it.
-func (d *detectCtx) observe(j *JoinOp, mask uint32, full bool) {
-	d.saturated = full
-	if d.lat != nil {
-		d.lat.Observe(mask)
-		d.charge(j)
-		return
-	}
-	j.ctr.LatticeNodes++
-	if mask&^d.ever != 0 {
-		d.ever |= mask
-		j.ctr.LatticeNodes += uint64(d.atoms)
-	}
-}
-
-// moot reports whether a partner that has matched exactly the atoms in
-// matched among those below k, and failed atom k, can be dropped unobserved:
-// whatever the atoms above k turn out to be, its mask lies within matched
-// plus all of them, and no node in there is alive.
-func (d *detectCtx) moot(j *JoinOp, matched uint32, k int) bool {
-	upper := matched | d.full&^(uint32(2)<<uint(k)-1)
-	if d.lat == nil {
-		if matched != 0 {
-			j.ctr.LatticeNodes++
+// newAtomLookup prepares the lookup for the atom of source src with crossing
+// predicates preds. An atom with a band predicate gets none: equal hashes say
+// nothing about a within-band partner, and buildMNS refuses every node that
+// contains such an atom anyway, so it stays out of the lattice.
+func newAtomLookup(src stream.SourceID, preds predicate.Conj) *atomLookup {
+	l := &atomLookup{cols: make([]int, len(preds)), bound: make([]state.Bound, len(preds))}
+	for i, p := range preds {
+		if p.IsBand() {
+			return nil
 		}
-		return upper&^d.ever == 0
-	}
-	if matched == 0 {
-		return d.lat.Stops(k)
-	}
-	covered := d.lat.Covered(upper)
-	d.charge(j)
-	return covered
-}
-
-// reportMNS implements the tail of Identify_MNS (Fig. 8) plus feedback
-// dispatch: compute the MNS set Ω for input f.input, record it in the MNS
-// buffer, and send a suspension feedback to the producer. Called only when
-// the probe produced no full match (otherwise no node can be alive).
-func (j *JoinOp) reportMNS(f *probeFrame, s, o *side, det *detectCtx) {
-	var mnses []*feedback.MNS
-	if o.st.Empty() {
-		// Fig. 8 line 2: empty opposite state → Ø is the only MNS. This is
-		// the DOE special case; the producer suspends entirely.
-		mnses = append(mnses, &feedback.MNS{ID: j.nextMNS(), Expiry: feedback.NoExpiry})
-	} else {
-		switch j.mode.Detect {
-		case DetectLattice:
-			if det == nil || det.saturated {
-				return
-			}
-			var masks []uint32
-			if det.lat != nil {
-				masks = det.lat.MNSes()
-				det.charge(j)
-			} else {
-				for k := range s.atoms {
-					if det.ever&(1<<uint(k)) == 0 {
-						masks = append(masks, 1<<uint(k))
-					}
-				}
-			}
-			for _, mask := range masks {
-				if m := j.buildMNS(f.input, s, o, mask); m != nil {
-					mnses = append(mnses, m)
-				}
-			}
-		case DetectBloom:
-			for k := range s.atoms {
-				if j.bloomAtomAbsent(f.input, s, o, k) {
-					if m := j.buildMNS(f.input, s, o, 1<<uint(k)); m != nil {
-						mnses = append(mnses, m)
-					}
-				}
-			}
-		default: // DetectDOE: Ø only, handled above.
-			return
+		if p.Left == src {
+			l.cols[i], l.bound[i].Attr = p.LCol, predicate.Attr{Source: p.Right, Col: p.RCol}
+		} else {
+			l.cols[i], l.bound[i].Attr = p.RCol, predicate.Attr{Source: p.Left, Col: p.LCol}
 		}
 	}
+	return l
+}
+
+// at binds the lookup to the input component t's values.
+func (l *atomLookup) at(t *stream.Tuple) []state.Bound {
+	for i, col := range l.cols {
+		l.bound[i].Val = t.Vals[col]
+	}
+	return l.bound
+}
+
+// identifyMNS is Identify_MNS (Fig. 8) for input c of side s, run after a
+// probe that found no full match: it returns the atom masks of the MNS set Ω,
+// in ascending level then ascending mask order. The paper fixes Ω, not how it
+// is found. A partner matching no atom kills no lattice node, so instead of
+// taking every stored partner's mask the operator asks the opposite state,
+// atom by atom, for the partners carrying the input's values at that atom's
+// opposite columns (State.WalkCarrying), admits them by the probe's own
+// pairValid, verifies the atom on each — a candidate may be a hash collision,
+// and one lacking a component satisfies its predicates vacuously — and
+// completes the mask of a verified one over the atoms above: it was not
+// verified under any atom below, so it matches none of them. Only those masks
+// reach the lattice.
+//
+// An atom with no lookup, or whose component c lacks, never has its bit set;
+// buildMNS refuses every node that contains it, and whether a node of the
+// other atoms is alive does not depend on it.
+//
+// Beyond lattice.MaxAtoms only Level 1 is decided (the paper permits partial
+// detection): an atom is alive iff its lookup verifies nobody.
+//
+// The charge (DESIGN.md §3): each lookup costs the length of its bound, each
+// predicate evaluated on a candidate one comparison, each lattice node read
+// or written one LatticeNodes — a Level-1-only atom is one node.
+func (j *JoinOp) identifyMNS(c *stream.Composite, s, o *side) []uint32 {
+	if s.lat == nil && !s.level1Only {
+		s.lat, s.seen = lattice.New(len(s.atoms)), make(map[uint64]struct{})
+	}
+	lat := s.lat
+	var before uint64
+	if lat != nil {
+		lat.Reset()
+		clear(s.seen)
+		before = lat.Ops()
+	}
+	m := min(len(s.atoms), 32) // a mask has 32 bits; only the fallback can be wider
+	var matched uint32         // Level-1-only: the atoms some partner matches
+	for k := 0; k < m; k++ {
+		l, comp := s.lookups[k], c.Comp(s.atoms[k])
+		if l == nil || comp == nil {
+			continue
+		}
+		bound := l.at(comp)
+		j.ctr.Comparisons += uint64(len(bound))
+		o.st.WalkCarrying(bound, func(e state.Entry) bool {
+			if !j.pairValid(c, e.C) {
+				return true
+			}
+			if _, ok := s.seen[e.Seq]; ok {
+				return true
+			}
+			if !j.atomHolds(c, s, k, e.C) {
+				return true
+			}
+			if lat == nil {
+				matched |= 1 << uint(k)
+				return false
+			}
+			atom := uint32(1) << uint(k)
+			mask := atom
+			for h := k + 1; h < m; h++ {
+				if s.lookups[h] != nil && c.Comp(s.atoms[h]) != nil && j.atomHolds(c, s, h, e.C) {
+					mask |= 1 << uint(h)
+				}
+			}
+			if mask != atom {
+				s.seen[e.Seq] = struct{}{} // a candidate again under a higher atom
+			}
+			lat.Observe(mask)
+			return true
+		})
+	}
+	if lat != nil {
+		masks := lat.MNSes()
+		j.ctr.LatticeNodes += lat.Ops() - before
+		return masks
+	}
+	var masks []uint32
+	for k := 0; k < m; k++ {
+		j.ctr.LatticeNodes++
+		if matched&(1<<uint(k)) == 0 {
+			masks = append(masks, 1<<uint(k))
+		}
+	}
+	return masks
+}
+
+// reportMNS is the feedback dispatch after Identify_MNS (Fig. 8): record the
+// MNS set Ω of input f.input in the MNS buffer and send a suspension feedback
+// to the producer. Called only when the probe produced no full match
+// (otherwise no node can be alive).
+func (j *JoinOp) reportMNS(f *probeFrame, s, o *side) {
+	mnses := j.omega(f.input, s, o)
 	if len(mnses) == 0 {
 		return
 	}
@@ -145,6 +152,34 @@ func (j *JoinOp) reportMNS(f *probeFrame, s, o *side, det *detectCtx) {
 		j.ctr.Feedbacks++
 		s.prod.Feedback(feedback.Message{Cmd: feedback.Suspend, MNS: mnses})
 	}
+}
+
+// omega computes the MNS set Ω of input c by the mode's detection method and
+// materializes it. The list is s.omega, good until the next call on s.
+func (j *JoinOp) omega(c *stream.Composite, s, o *side) []*feedback.MNS {
+	mnses := s.omega[:0]
+	switch {
+	case o.st.Empty():
+		// Fig. 8 line 2: empty opposite state → Ø is the only MNS. This is
+		// the DOE special case; the producer suspends entirely.
+		mnses = append(mnses, &feedback.MNS{ID: j.nextMNS(), Expiry: feedback.NoExpiry})
+	case j.mode.Detect == DetectLattice:
+		for _, mask := range j.identifyMNS(c, s, o) {
+			if m := j.buildMNS(c, s, o, mask); m != nil {
+				mnses = append(mnses, m)
+			}
+		}
+	case j.mode.Detect == DetectBloom:
+		for k := range s.atoms {
+			if j.bloomAtomAbsent(c, s, o, k) {
+				if m := j.buildMNS(c, s, o, 1<<uint(k)); m != nil {
+					mnses = append(mnses, m)
+				}
+			}
+		}
+	}
+	s.omega = mnses
+	return mnses
 }
 
 // buildMNS materializes the MNS for an atom mask of input c: the spanned

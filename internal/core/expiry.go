@@ -181,7 +181,7 @@ func (j *JoinOp) probeGrave(f *probeFrame, o *side, cursor uint64, collect *[]*s
 		// work, so not charged as a catch-up join either.
 		if j.pairValid(f.input, e.C) && !f.done[e.Seq] {
 			j.ctr.CatchUpJoins++
-			j.joinPair(f, s, e, nil, collect, false, phaseFull)
+			j.joinPair(f, s, e, collect, false)
 		}
 		return true
 	})

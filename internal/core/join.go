@@ -66,8 +66,11 @@ type side struct {
 	// atomAttrs[k] are atom k's own columns in those predicates — the
 	// signature attributes an MNS over the atom constrains; attrBuf is
 	// buildMNS's scratch for their concatenation.
-	atomAttrs  [][]predicate.Attr
-	attrBuf    []predicate.Attr
+	atomAttrs [][]predicate.Attr
+	attrBuf   []predicate.Attr
+	// lookups[k] is how lattice detection finds atom k's partners in the
+	// opposite state by value (detect.go); nil for an atom it leaves out.
+	lookups    []*atomLookup
 	level1Only bool
 	detectable bool
 	// Bloom filters over THIS side's state values, keyed by attribute;
@@ -85,9 +88,16 @@ type side struct {
 	// exact mode and in modes without feedback (REF), where no input is ever
 	// late.
 	grave *state.State
-	// det is the detection context of the input being probed on this side;
-	// fresh inputs never nest on one side (see newDetect), so one serves all.
-	det detectCtx
+	// lat and seen are Identify_MNS's scratch (identifyMNS), reused from one
+	// detecting input to the next: the CNS lattice over atoms (nil until the
+	// first detection, and for good under level1Only) and the partners whose
+	// mask is already observed.
+	lat  *lattice.Lattice
+	seen map[uint64]struct{}
+	// omega is reportMNS's scratch for the list of MNSs it reports: the buffer
+	// and the producer's feedback handlers keep the descriptors, never the
+	// list, and a report on this side is over before the next begins.
+	omega []*feedback.MNS
 }
 
 // probeFrame tracks one in-progress probe so that re-entrant suspension
@@ -97,7 +107,14 @@ type probeFrame struct {
 	port        operator.Port
 	seq         uint64
 	lastPartner uint64 // sequence of the last opposite entry processed
-	fullMatch   bool
+	// fullMatch records that some partner satisfied every crossing predicate:
+	// no lattice node can be alive, so Identify_MNS is skipped.
+	fullMatch bool
+	// evalSuppressed is set on the probe of an input lattice detection will
+	// follow: its mark-suppressed pairs are evaluated instead of parked
+	// unseen. One that matches in full settles Ω = {} before a single lookup
+	// is paid, and only pairs that do match wait for the unmark.
+	evalSuppressed bool
 	// parkEntry, when set by a suspension received mid-probe, defers the
 	// parking of this input until its current probe completes: aborting the
 	// scan would strand pairs behind resumption cycles across operators
@@ -173,14 +190,12 @@ func NewJoin(cfg Config) *JoinOp {
 		s.grave.SetKey(s.key)
 		s.atoms = cfg.Preds.SourcesLinkedTo(srcs, other)
 		for _, src := range s.atoms {
-			s.atomPreds = append(s.atomPreds, cfg.Preds.TouchingAcross(src, other))
+			preds := cfg.Preds.TouchingAcross(src, other)
+			s.atomPreds = append(s.atomPreds, preds)
 			s.atomAttrs = append(s.atomAttrs, cfg.Preds.JoinAttrs(src, other))
+			s.lookups = append(s.lookups, newAtomLookup(src, preds))
 		}
 		s.level1Only = len(s.atoms) > lattice.MaxAtoms
-		s.det.atoms, s.det.full = len(s.atoms), ^uint32(0)
-		if len(s.atoms) < 32 {
-			s.det.full = 1<<uint(len(s.atoms)) - 1
-		}
 		s.detectable = j.mode.enabled() && prod != nil && prod.CanSuspend() && len(s.atoms) > 0
 		if j.mode.Detect == DetectBloom {
 			s.blooms = new(bloomSet)
@@ -352,19 +367,15 @@ func (j *JoinOp) probeInsert(a activation, s, o *side) {
 	// marked list happens at insertion (registerMarks).
 	j.ctr.Comparisons += uint64(j.marks.MarkInput(a.c, a.port == operator.Left))
 
-	// detecting says Identify_MNS runs for this input; det is the per-pair
-	// observation context only lattice detection needs (nil under DOE and
-	// Bloom, which decide after the probe).
+	// detecting says Identify_MNS runs for this input, after the probe and only
+	// if the probe found no full match.
 	detecting := a.detect && s.detectable
-	var det *detectCtx
-	if detecting {
-		det = j.newDetect(s)
-	}
 
 	// Probe the opposite state (and, for catch-up, the blacklists).
-	f := &probeFrame{input: a.c, port: a.port, seq: a.seq, lastPartner: a.cursor, done: a.done}
+	f := &probeFrame{input: a.c, port: a.port, seq: a.seq, lastPartner: a.cursor, done: a.done,
+		evalSuppressed: detecting && j.mode.Detect == DetectLattice}
 	j.frames = append(j.frames, f)
-	j.probeState(f, s, o, det, a.collect, a.cursor == 0 && !a.scanBlack)
+	j.probeState(f, s, o, a.collect, a.cursor == 0 && !a.scanBlack)
 	if a.scanBlack {
 		j.probeBlacklists(f, o, a.cursor, a.collect)
 	}
@@ -386,7 +397,7 @@ func (j *JoinOp) probeInsert(a activation, s, o *side) {
 	// the lattice can be alive, so detection is skipped (Fig. 8 semantics
 	// at zero cost).
 	if detecting && !f.fullMatch {
-		j.reportMNS(f, s, o, det)
+		j.reportMNS(f, s, o)
 	}
 
 	// The probed input comes to rest — the one place it does, in exactly one
@@ -448,89 +459,38 @@ func (j *JoinOp) park(s *side, e *feedback.Entry, t feedback.Suspended) {
 	j.trace.Suspend(j.name, 1)
 }
 
-// probePhase selects joinPair's role within a probe (DESIGN.md §3). A
-// probe without a detection context runs entirely in phaseFull. A detection
-// probe over an indexed state splits in two: an indexed phaseFull pass that
-// performs ALL result bookkeeping (emission, mark-suppression recording,
-// exactly-once dedup), followed — only when that pass produced no full
-// match — by a phaseObserve linear pass that feeds the detection lattice
-// every pair's matched-atom mask and performs no bookkeeping at all. The
-// split keeps every bookkeeping decision single-shot per pair: in
-// particular marks.SuppressedBy, whose choice among several covering marks
-// is not deterministic, is consulted at most once per pair, so a suppressed
-// pair is recorded under exactly one origin entry (recording it under two
-// would generate it twice at their unmarks).
-type probePhase int8
-
-const (
-	phaseFull    probePhase = iota // full bookkeeping (emission, suppression, dedup)
-	phaseExist                     // indexed pass fronting a detection probe
-	phaseObserve                   // detection observation only, no bookkeeping
-)
-
-// probeState probes the opposite state in sequence order, evaluating the
-// crossing predicates pair by pair.
+// probeState probes the opposite state beyond the frame's cursor in ascending
+// sequence order, evaluating the crossing predicates pair by pair — REF's
+// probe, whether or not Identify_MNS follows it.
 //
 // When the opposite state is hash-indexed and the input's key columns are
 // all present, the probe walks only the bucket matching the input's key
-// hash (plus unkeyable loose entries) via ProbeNext — the indexed fast path
-// of DESIGN.md §3. Skipped entries differ from the input on some equi
-// column, so they can neither produce results nor change the frame's
-// cursor claims (a pair that fails its equi predicates needs no exactly-
-// once bookkeeping: there is nothing to generate). With a lattice detection
-// context the indexed walk runs first: any full match makes Identify_MNS
-// moot (no lattice node can be alive, and reportMNS is skipped), so the
-// linear observation pass below runs only for inputs with no live partner —
-// exactly the inputs whose suspension the observations then pay for.
+// hash (plus unkeyable loose entries) — the indexed fast path of DESIGN.md
+// §3. Skipped entries differ from the input on some equi column, so they can
+// neither produce results nor change the frame's cursor claims (a pair that
+// fails its equi predicates needs no exactly-once bookkeeping: there is
+// nothing to generate); hash collisions are rejected by the predicate
+// evaluation inside joinPair.
 //
 // Either walk is resilient to re-entrant state mutations (suspension
 // feedback triggered by emitted results): state.Walk resumes after the last
 // sequence visited.
-func (j *JoinOp) probeState(f *probeFrame, s, o *side, det *detectCtx, collect *[]*stream.Composite, fresh bool) {
+func (j *JoinOp) probeState(f *probeFrame, s, o *side, collect *[]*stream.Composite, fresh bool) {
 	j.ctr.Probes++
 	if j.trace != nil {
 		// Explicit guard: the scan-bound argument costs a state read.
 		j.trace.Probe(j.name, o.st.Len(), f.seq)
 	}
+	h, keyed := uint64(0), false
 	if len(s.key) > 0 && o.st.Indexed() {
-		if h, ok := s.key.Hash(f.input); ok {
-			start := f.lastPartner
-			phase := phaseFull
-			if det != nil {
-				phase = phaseExist
-			}
-			j.probeLive(f, s, o, true, h, nil, collect, fresh, phase)
-			if det == nil || f.fullMatch {
-				return
-			}
-			// No full match exists: rewind and rescan linearly so the
-			// detection context observes every pair's matched-atom mask.
-			// The indexed pass emitted nothing (a full non-suppressed match
-			// would have set fullMatch), so no re-entrant feedback can have
-			// run and the state is exactly as it was; its bookkeeping for
-			// suppressed pairs is complete, so the rescan only observes.
-			f.lastPartner = start
-			j.probeLive(f, s, o, false, 0, det, collect, fresh, phaseObserve)
-			return
-		}
+		h, keyed = s.key.Hash(f.input)
 	}
-	j.probeLive(f, s, o, false, 0, det, collect, fresh, phaseFull)
-}
-
-// probeLive walks the opposite state beyond the frame's cursor, in
-// ascending sequence order: every live entry, or — keyed — only the
-// partners sharing the input's key hash h (plus unkeyable entries). Hash
-// collisions are rejected by the predicate evaluation inside joinPair. When
-// the keyed walk fronts a detection probe (phaseExist), suppressed pairs are
-// recorded only if they fully match, mirroring the bookkeeping the baseline
-// detection scan would do — the observation pass that may follow does none.
-func (j *JoinOp) probeLive(f *probeFrame, s, o *side, keyed bool, h uint64, det *detectCtx, collect *[]*stream.Composite, fresh bool, phase probePhase) {
 	o.st.Walk(keyed, h, f.lastPartner, func(e state.Entry) bool {
 		f.lastPartner = e.Seq
 		// f.done lists pairs generated during this tuple's suspension; the
 		// nil test spares fresh inputs a map call per partner.
 		if f.done == nil || !f.done[e.Seq] {
-			j.joinPair(f, s, e, det, collect, fresh, phase)
+			j.joinPair(f, s, e, collect, fresh)
 		}
 		return true
 	})
@@ -559,7 +519,7 @@ func (j *JoinOp) probeBlacklists(f *probeFrame, o *side, cursor uint64, collect 
 				continue
 			}
 			j.ctr.CatchUpJoins++
-			if j.joinPair(f, s, susp.E, nil, collect, false, phaseFull) {
+			if j.joinPair(f, s, susp.E, collect, false) {
 				// The pair is produced now, while the partner is still
 				// suspended; its own resumption must not regenerate it.
 				susp.MarkDone(f.seq)
@@ -631,7 +591,7 @@ func (j *JoinOp) probePending(f *probeFrame, o *side, pending []state.Entry, col
 		if e, ok := o.st.BySeq(seq); ok {
 			if !j.stale(e.C) {
 				j.ctr.CatchUpJoins++
-				j.joinPair(f, s, e, nil, collect, false, phaseFull)
+				j.joinPair(f, s, e, collect, false)
 			}
 			continue
 		}
@@ -639,7 +599,7 @@ func (j *JoinOp) probePending(f *probeFrame, o *side, pending []state.Entry, col
 		if susp := o.black.BySeq(seq); susp != nil {
 			if !susp.IsDone(f.seq) && !j.stale(susp.E.C) {
 				j.ctr.CatchUpJoins++
-				if j.joinPair(f, s, susp.E, nil, collect, false, phaseFull) {
+				if j.joinPair(f, s, susp.E, collect, false) {
 					susp.MarkDone(f.seq)
 				}
 			}
@@ -650,7 +610,7 @@ func (j *JoinOp) probePending(f *probeFrame, o *side, pending []state.Entry, col
 		// pairValid inside joinPair decides whether REF formed the pair.
 		if e, ok := o.grave.BySeq(seq); ok {
 			j.ctr.CatchUpJoins++
-			j.joinPair(f, s, e, nil, collect, false, phaseFull)
+			j.joinPair(f, s, e, collect, false)
 		}
 	}
 }
@@ -673,22 +633,13 @@ func (j *JoinOp) probeInFlight(f *probeFrame, o *side, cursor uint64, collect *[
 			continue
 		}
 		j.ctr.CatchUpJoins++
-		j.joinPair(f, j.in[f.port], state.Entry{C: g.input, Seq: g.seq}, nil, collect, false, phaseFull)
+		j.joinPair(f, j.in[f.port], state.Entry{C: g.input, Seq: g.seq}, collect, false)
 	}
 }
 
-// joinPair evaluates one (input, partner) pair: mark suppression, predicate
-// evaluation (feeding the detection context), and result construction.
-func (j *JoinOp) joinPair(f *probeFrame, s *side, e state.Entry, det *detectCtx, collect *[]*stream.Composite, fresh bool, phase probePhase) bool {
-	if phase == phaseObserve {
-		// Observation pass of a two-phase detection probe: emission and
-		// suppression bookkeeping were completed by the indexed pass; only
-		// feed the detection context the exact matched-atom mask. A full
-		// match cannot appear here (the indexed pass would have emitted it
-		// and skipped this pass), so nothing is ever generated.
-		j.evalAtoms(f.input, s, e.C, det)
-		return false
-	}
+// joinPair evaluates one (input, partner) pair: window admission, mark
+// suppression, predicate evaluation, and result construction.
+func (j *JoinOp) joinPair(f *probeFrame, s *side, e state.Entry, collect *[]*stream.Composite, fresh bool) bool {
 	if !j.pairValid(f.input, e.C) {
 		// A recovery probe against a partner outside the pair's window span
 		// (exact mode only; every pair a legacy probe reaches is valid): REF
@@ -700,24 +651,20 @@ func (j *JoinOp) joinPair(f *probeFrame, s *side, e state.Entry, det *detectCtx,
 	if fresh && !j.marks.Empty() {
 		suppressedID = j.marks.SuppressedBy(f.input, e.C, 0)
 	}
-	if suppressedID != 0 && det == nil && phase != phaseExist {
-		// No detection: skip the evaluation entirely (the point of
-		// mark-result suppression is saving this work) and park the pair
-		// for generation at unmark. The phaseExist pass instead falls
-		// through to the evaluation and records only full matches — the
-		// bookkeeping the baseline detection scan performs, so the
-		// observation pass that may follow can record nothing.
+	if suppressedID != 0 && !f.evalSuppressed {
+		// Skip the evaluation entirely (the point of mark-result suppression
+		// is saving this work) and park the pair for generation at unmark.
 		j.suppressProbed(f, e, suppressedID)
 		return false
 	}
-	if !j.evalAtoms(f.input, s, e.C, det) {
+	if !j.evalAtoms(f.input, s, e.C) {
 		return false
 	}
+	f.fullMatch = true
 	if suppressedID != 0 {
 		j.suppressProbed(f, e, suppressedID)
 		return false
 	}
-	f.fullMatch = true
 	r := j.result(f.input, e.C)
 	if collect != nil {
 		*collect = append(*collect, r)
@@ -746,43 +693,27 @@ func (j *JoinOp) emit(r *stream.Composite) {
 }
 
 // evalAtoms evaluates the crossing predicates between input c (on side s)
-// and partner v, grouped by lattice atom, charges them, and reports whether
-// every atom matched. Without a detection context evaluation stops at the
-// first failing atom, REF's nested-loop cost. With one it goes on past a
-// failing atom only while the partner's final mask could still kill a live
-// lattice node (detectCtx.moot), and hands the context the exact mask when
-// it gets to the end; once a full match has saturated the context the rest
-// of the probe is REF's scan again.
-func (j *JoinOp) evalAtoms(c *stream.Composite, s *side, v *stream.Composite, det *detectCtx) bool {
-	if det != nil && det.saturated {
-		det = nil
-	}
-	var mask uint32
-	full := true
+// and partner v atom by atom, stopping at the first that fails — REF's
+// nested-loop cost — and reports whether every atom matched.
+func (j *JoinOp) evalAtoms(c *stream.Composite, s *side, v *stream.Composite) bool {
 	for k := range s.atoms {
-		matched := true
-		for _, p := range s.atomPreds[k] {
-			j.ctr.Comparisons++
-			if !p.Holds(c, v) {
-				matched = false
-				break
-			}
-		}
-		if matched {
-			if k < 32 {
-				mask |= 1 << uint(k)
-			}
-			continue
-		}
-		if det == nil || det.moot(j, mask, k) {
+		if !j.atomHolds(c, s, k, v) {
 			return false
 		}
-		full = false
 	}
-	if det != nil {
-		det.observe(j, mask, full)
+	return true
+}
+
+// atomHolds evaluates atom k's predicates between input c and partner v up to
+// the first that fails, one comparison charged for each.
+func (j *JoinOp) atomHolds(c *stream.Composite, s *side, k int, v *stream.Composite) bool {
+	for _, p := range s.atomPreds[k] {
+		j.ctr.Comparisons++
+		if !p.Holds(c, v) {
+			return false
+		}
 	}
-	return full
+	return true
 }
 
 func (j *JoinOp) String() string {

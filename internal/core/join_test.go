@@ -269,9 +269,9 @@ func TestREFKeepsNoGraveyard(t *testing.T) {
 }
 
 // TestLevel1FallbackDelivers runs JIT with every operator on the Level-1-only
-// fallback of sides wider than lattice.MaxAtoms, which drops partners by the
-// same rule as the lattice: it must deliver REF's multiset and stay alive as
-// a feedback mode.
+// fallback of sides wider than lattice.MaxAtoms, where an atom is an MNS iff
+// its lookup verifies no partner: it must deliver REF's multiset and stay
+// alive as a feedback mode.
 func TestLevel1FallbackDelivers(t *testing.T) {
 	cat, conj := predicate.Clique(5)
 	arrivals := source.Generate(cat, source.UniformConfig(5, 0.6, 5, 6*stream.Minute, 1))

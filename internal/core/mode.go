@@ -2,6 +2,12 @@
 // sliding-window join operator with MNS detection (Sec. IV-A), dynamic
 // production control (Sec. IV-B), feedback propagation (Sec. III-C), and the
 // REF / DOE baselines obtained by disabling parts of the mechanism.
+//
+// Every input's probe is REF's probe. Detection, in whichever mode, is a step
+// after a probe that found no full match (reportMNS): DOE looks at nothing
+// but an empty opposite state, Bloom asks the opposite side's filters, and
+// the lattice asks the opposite state itself, by value, for the partners
+// that match at least one atom of the input (identifyMNS, DESIGN.md §3).
 package core
 
 import "fmt"

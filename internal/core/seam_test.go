@@ -55,9 +55,11 @@ func TestExactFlagStaysInExpiry(t *testing.T) {
 // anchor — only at the sites listed here, and at each an earlier statement of
 // an enclosing block adds the signature's length to a comparison count that
 // ends up in Counters.Comparisons. Everything else finds its matches through
-// an index that reports its own charge (feedback's fpIndex.match, and the
-// state lookups charged beside their callers' verifications). A new call
-// site is a new row here or, better, a lookup.
+// an index that reports its own charge (feedback's fpIndex.match) or through
+// a state lookup, and core's lookups — State.WalkCarrying and State.RemoveIf,
+// wherever they are called: suspension, marking, Identify_MNS — are held to
+// the same rule: an earlier statement charges the length of the bound looked
+// up. A new call site is a new row here or, better, a lookup.
 func TestSignatureMatchesAreCharged(t *testing.T) {
 	sites := map[string]string{
 		"markScan":     "control.go",               // a new origin's candidates and in-flight inputs
@@ -65,6 +67,7 @@ func TestSignatureMatchesAreCharged(t *testing.T) {
 		"MatchArrival": "../feedback/blacklist.go", // anchor-exact diversion; the caller charges the count returned
 	}
 	found := map[string]int{}
+	lookups := 0
 	fset := token.NewFileSet()
 	for _, dir := range []string{".", "../feedback"} {
 		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
@@ -97,10 +100,20 @@ func TestSignatureMatchesAreCharged(t *testing.T) {
 						return true
 					}
 					sel, ok := call.Fun.(*ast.SelectorExpr)
-					if !ok || (sel.Sel.Name != "MatchedBy" && sel.Sel.Name != "IsSubTuple") {
+					if !ok {
 						return true
 					}
 					pos := fset.Position(call.Pos())
+					if dir == "." && (sel.Sel.Name == "WalkCarrying" || sel.Sel.Name == "RemoveIf") {
+						lookups++
+						if !chargedBefore(stack) {
+							t.Errorf("%s: no earlier `+= …len(bound)…` in an enclosing block of %s", pos, fn.Name.Name)
+						}
+						return true
+					}
+					if sel.Sel.Name != "MatchedBy" && sel.Sel.Name != "IsSubTuple" {
+						return true
+					}
 					if sites[fn.Name.Name] != filepath.ToSlash(name) {
 						t.Errorf("%s: %s tests a signature outside the audited sites", pos, fn.Name.Name)
 						return true
@@ -118,6 +131,9 @@ func TestSignatureMatchesAreCharged(t *testing.T) {
 		if found[name] == 0 {
 			t.Errorf("%s no longer tests a signature: drop its row", name)
 		}
+	}
+	if lookups < 3 {
+		t.Errorf("found %d state lookups in core, want suspendTypeI's, markScan's and identifyMNS's: the audit is looking for the wrong names", lookups)
 	}
 }
 

@@ -13,12 +13,13 @@ import (
 
 // cliqueJIT builds the plan and arrival iterator of the benchmark's
 // clique_jit workload (bench/jitperf/workload.go): the N=4 bushy clique
-// under a 60 s window, λ=2.5 per source, dmax=16, linear-scan states, full
-// JIT. The iterator yields the first n arrivals of the seed's stream.
-func cliqueJIT(seed int64, n int) (*plan.Built, func() (*stream.Tuple, bool)) {
+// under a 60 s window, λ=2.5 per source, dmax=16, full JIT, linear-scan
+// states unless indexed. The iterator yields the first n arrivals of the
+// seed's stream.
+func cliqueJIT(seed int64, n int, indexed bool) (*plan.Built, func() (*stream.Tuple, bool)) {
 	cat, conj := predicate.Clique(4)
 	b := plan.BuildTree(cat, conj, plan.Bushy(4), plan.Options{
-		Window: stream.Minute, Mode: core.JIT(), NoStateIndex: true,
+		Window: stream.Minute, Mode: core.JIT(), NoStateIndex: !indexed,
 	})
 	gen := source.Stream(cat, source.UniformConfig(4, 2.5, 16, 1<<40, seed))
 	return b, func() (*stream.Tuple, bool) {
@@ -35,17 +36,18 @@ func cliqueJIT(seed int64, n int) (*plan.Built, func() (*stream.Tuple, bool)) {
 // stay inside a per-arrival budget of heap bytes and objects. Both figures
 // repeat to within a few bytes from run to run (and under -race), so the
 // budget sits just above the values measured when it was last set — 14 626 B
-// and 168.7 mallocs at PR 18, against 57 600 B and 841 at PR 14 — and the
-// test prints what it measures: the next allocation PR tightens the budget
-// from the log. A per-pair allocation anywhere on the probe path costs
-// thousands of bytes per arrival here and trips it.
+// and 168.7 mallocs at PR 18, against 57 600 B and 841 at PR 14; 15 341 B and
+// 171.8 at PR 24, whose by-value detection indexes each root state once per
+// atom opposite — and the test prints what it measures: the next allocation
+// PR tightens the budget from the log. A per-pair allocation anywhere on the
+// probe path costs thousands of bytes per arrival here and trips it.
 func TestJITAllocBudget(t *testing.T) {
 	const (
 		arrivals   = 1200
 		maxBytes   = 15500
 		maxMallocs = 175
 	)
-	b, next := cliqueJIT(1, arrivals)
+	b, next := cliqueJIT(1, arrivals, false)
 	eng := NewWithOptions(b, Options{Drain: true})
 	runtime.GC()
 	var m0, m1 runtime.MemStats
@@ -75,22 +77,31 @@ func TestJITAllocBudget(t *testing.T) {
 // find the same Ω more cheaply, never a different Ω. What finding it costs,
 // predicates evaluated plus lattice nodes visited per arrival, is bounded a
 // few percent above the figure measured when the bound was last set —
-// 16 015.8 at PR 23 (signature matches by lookup), against 23 190.9 at PR 22
-// (demand-driven Identify_MNS) and 65 238.2 before that — and printed, so
-// the next detection PR tightens the bound from the log. The two leaf
+// 13 526.1 at PR 24 (Identify_MNS by value), against 16 015.8 at PR 23
+// (signature matches by lookup), 23 190.9 at PR 22 (demand-driven
+// Identify_MNS) and 65 238.2 before that — and printed, so the next
+// detection PR tightens the bound from the log. The two leaf
 // operators detect nothing: what they compare is the producer side of the
 // protocol — diversion, Type I suspension, and the Type II mark machinery,
 // every signature attribute of which is charged (core's
 // TestSignatureMatchesAreCharged) — plus their own probes. It was 41.9 M
 // comparisons while each signature was tested against every origin and every
 // stored tuple, and is 1 303 907 with both found by value.
+//
+// The last cell is the same stream's first five minutes over hash-indexed
+// states, where the probe is a bucket walk and detection is all the root
+// operator compares: 888 795 with Identify_MNS by value, 39.1 M while it
+// re-scanned the opposite state for every unmatched input.
 func TestJITDetectionBudget(t *testing.T) {
 	const (
 		arrivals     = 5663
-		maxDetection = 16500
+		maxDetection = 13950
 		maxLeafCmp   = 1350000
+
+		indexedArrivals   = 2959
+		maxIndexedRootCmp = 920000
 	)
-	b, next := cliqueJIT(1, arrivals)
+	b, next := cliqueJIT(1, arrivals, false)
 	res := NewWithOptions(b, Options{Drain: true}).RunStream(next)
 	c := res.Counters
 	for _, pin := range []struct {
@@ -119,5 +130,15 @@ func TestJITDetectionBudget(t *testing.T) {
 	t.Logf("leaf operators: %d comparisons (budget %d)", leafCmp, maxLeafCmp)
 	if leafCmp > maxLeafCmp {
 		t.Errorf("the leaf operators compared %d times, budget %d", leafCmp, maxLeafCmp)
+	}
+
+	b, next = cliqueJIT(1, indexedArrivals, true)
+	if res := NewWithOptions(b, Options{Drain: true}).RunStream(next); res.Counters.MNSDetected != 23311 {
+		t.Errorf("indexed: mns=%d, pinned at 23311, what the scan detects on these arrivals", res.Counters.MNSDetected)
+	}
+	rootCmp := b.Joins[len(b.Joins)-1].Counters().Comparisons
+	t.Logf("indexed, %d arrivals: the root operator compared %d times (budget %d)", indexedArrivals, rootCmp, maxIndexedRootCmp)
+	if rootCmp > maxIndexedRootCmp {
+		t.Errorf("indexed: the root operator compared %d times, budget %d", rootCmp, maxIndexedRootCmp)
 	}
 }

@@ -198,6 +198,51 @@ func TestDrainedOperatorsBuildREFsComposites(t *testing.T) {
 	}
 }
 
+// TestIndexedAndScanDetectAlike holds -indexed JIT to scan JIT's decisions.
+// Identify_MNS finds its partners by value in the opposite state and admits
+// them by pairValid whichever way the probe before it walked, so on one
+// stream both detect the same Ω, send the same feedback, suspend and resume
+// the same tuples at the same sweeps, and build the same composites at every
+// operator. Until PR 24 an indexed detection re-scanned the state without the
+// pairValid gate of the probe, observed partners REF never paired, and
+// drifted: mns 23320 / fb 24057 / susp 704 against the scan's 23311 / 24052 /
+// 754 on the bushy five-minute clique_jit stream used here. CatchUpJoins and
+// SuppressedPairs are left out: a keyed probe skips the non-matching partners
+// a scan visits and counts.
+func TestIndexedAndScanDetectAlike(t *testing.T) {
+	cat, conj := predicate.Clique(4)
+	arrivals := source.Generate(cat, source.UniformConfig(4, 2.5, 16, 5*stream.Minute, 1))
+	for _, shape := range []*plan.Node{plan.Bushy(4), plan.LeftDeep(4)} {
+		run := func(indexed bool) Result {
+			b := plan.BuildTree(cat, conj, shape, plan.Options{Window: stream.Minute, Mode: core.JIT(), NoStateIndex: !indexed})
+			return NewWithOptions(b, Options{Drain: true}).Run(arrivals)
+		}
+		scan, indexed := run(false), run(true)
+		if scan.Counters.MNSDetected == 0 || scan.Counters.Suspended == 0 {
+			t.Fatalf("%s: degenerate run, scan JIT detected %d and suspended %d", shape.Canonical(), scan.Counters.MNSDetected, scan.Counters.Suspended)
+		}
+		for _, c := range []struct {
+			name      string
+			scan, idx uint64
+		}{
+			{"mns", scan.Counters.MNSDetected, indexed.Counters.MNSDetected},
+			{"fb", scan.Counters.Feedbacks, indexed.Counters.Feedbacks},
+			{"susp", scan.Counters.Suspended, indexed.Counters.Suspended},
+			{"res", scan.Counters.Resumed, indexed.Counters.Resumed},
+			{"sweeps", scan.Counters.Sweeps, indexed.Counters.Sweeps},
+		} {
+			if c.scan != c.idx {
+				t.Errorf("%s: %s=%d scanned, %d indexed", shape.Canonical(), c.name, c.scan, c.idx)
+			}
+		}
+		for i, op := range scan.Ops {
+			if got := indexed.Ops[i].Counters.Results; got != op.Counters.Results {
+				t.Errorf("%s: %s built %d composites scanned, %d indexed", shape.Canonical(), op.Name, op.Counters.Results, got)
+			}
+		}
+	}
+}
+
 // TestRetentionForgetsNothingReachable pins the reproducer that refuted a
 // fixed two-window graveyard horizon (DESIGN.md §4): on the left-deep plan a
 // pair suppressed under a mark at the bottom join surfaces more than two

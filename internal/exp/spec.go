@@ -74,18 +74,18 @@ func Specs() []Spec {
 			// internal/scenario): suspension never pays for itself on this
 			// workload — the probes it suppresses save less than resumption
 			// catch-up joins add back, so JIT's BASE join work exceeds REF's
-			// (1.60× at N=3, 1.25× at N=6 uniform; ~25k suspensions against
+			// (1.05× at N=3, 1.17× at N=6 uniform; ~25k suspensions against
 			// ~23k MNS detections is detection thrash, not savings). It is no
 			// longer detection cost: until PR 22 the machinery share was
 			// 80–98% Identify_MNS lattice walks; demand-driven detection cut
-			// that share 4–5× and left the lattice 0.02 (N=3) and 0.08 (N=6)
+			// that share 4–5× and left the lattice 0.01 (N=3) and 0.08 (N=6)
 			// of it, the rest being 80–90% catch-up joins — which moved the
-			// extremes from 3.72× and 5.99× REF to 2.03× and 4.28×, and
-			// signature matches by lookup (PR 23) moved N=6 on to 1.69× — not
-			// below it. Zipf skew flattens the N=3 ratio (2.03 uniform → 1.04
-			// at s=2.0) by collapsing detections (31,854 → 2,980) and
-			// amortizing machinery over a hotter base — not by turning the
-			// payback positive.
+			// extremes from 3.72× and 5.99× REF to 2.03× and 4.28×, signature
+			// matches by lookup (PR 23) moved N=6 on to 1.69×, and detection
+			// by value (PR 24) both to 1.48× and 1.60× — not below it. Zipf
+			// skew flattens the N=3 ratio (1.48 uniform → 1.03 at s=2.0) by
+			// collapsing detections (31,854 → 2,980) and amortizing machinery
+			// over a hotter base — not by turning the payback positive.
 			ShortXs: []float64{4, 5}, ShortSizeScale: 0.48, ShortDomainScale: 0.40},
 		{ID: 17, Name: "fig17", Title: "Overhead vs max data value dmax (left-deep)",
 			XLabel: "dmax", Xs: []float64{30, 40, 50, 60, 70}, LeftDeep: true, Apply: setDMax},

@@ -15,9 +15,11 @@
 // subsets. So dead[u] alone says that nothing at or below u is still alive,
 // and the lattice is demand-driven on that fact: Observe touches only the
 // nodes under the observed mask, and not even those once the mask itself is
-// dead, while Covered and Stops let the caller drop a partner before it has
-// evaluated all its atoms, as soon as no outcome of the rest could kill a
-// live node.
+// dead; MNSes reads a node above Level 1 only when every child is dead — one
+// alive child makes it alive and non-minimal without a look. The caller is
+// demand-driven the same way: a partner matching no atom has the empty mask,
+// which kills nothing, so core finds the partners worth observing by value
+// and never shows the lattice the rest.
 //
 // Every dead[] node read or written is charged as one unit of
 // metrics.Counters.LatticeNodes — lattice work is part of JIT's honest
@@ -38,15 +40,13 @@ type Lattice struct {
 	full uint32 // the top node: every atom
 	dead []bool // indexed by mask 1..full; index 0 unused
 	ops  uint64 // nodes read or written (cost accounting)
-	// stopFrom is the least k for which the node of all atoms above k is dead
-	// (Stops); m-1, whose node is empty, when none is.
-	stopFrom int
 	// byLevel lists the masks of each level in ascending order — the walk
 	// order of MNSes, a function of m alone.
 	byLevel [][]uint32
-	// Scratch of MNSes, sized like dead.
-	isMNS, nonMin []bool
-	out           []uint32
+	// Scratch of MNSes: alive is sized like dead and rewritten by every walk
+	// as far as the walk goes.
+	alive []bool
+	out   []uint32
 }
 
 // New creates a lattice over m atoms (1 <= m <= MaxAtoms).
@@ -56,9 +56,9 @@ func New(m int) *Lattice {
 	}
 	n := 1 << uint(m)
 	l := &Lattice{
-		m: m, full: uint32(n - 1), dead: make([]bool, n), stopFrom: m - 1,
+		m: m, full: uint32(n - 1), dead: make([]bool, n),
 		byLevel: make([][]uint32, m+1),
-		isMNS:   make([]bool, n), nonMin: make([]bool, n),
+		alive:   make([]bool, n),
 	}
 	for mask := uint32(1); mask < uint32(n); mask++ {
 		lv := popcount(mask)
@@ -69,10 +69,7 @@ func New(m int) *Lattice {
 
 // Reset revives every node for the next input. Ops keeps counting: callers
 // charge differences.
-func (l *Lattice) Reset() {
-	clear(l.dead)
-	l.stopFrom = l.m - 1
-}
+func (l *Lattice) Reset() { clear(l.dead) }
 
 // Ops returns the number of nodes read or written so far, for cost
 // accounting.
@@ -98,78 +95,49 @@ func (l *Lattice) Observe(matchedAtoms uint32) {
 		l.ops++
 		l.dead[sub] = true
 	}
-	// Stops(k) reads the node of all atoms above k, and those nodes are
-	// nested: this kill flips exactly the ones it has just written.
-	for l.stopFrom > 0 && l.above(l.stopFrom-1)&^mask == 0 {
-		l.stopFrom--
-	}
 }
-
-// Covered reports whether no node contained in upper is alive: a partner
-// whose matched atoms are known to lie within upper can kill nothing, so the
-// rest of its atoms need not be evaluated. One visit — the dead set is
-// downward-closed, so upper's own node answers for everything beneath it —
-// and none for the empty mask.
-func (l *Lattice) Covered(upper uint32) bool {
-	upper &= l.full
-	if upper == 0 {
-		return true
-	}
-	l.ops++
-	return l.dead[upper]
-}
-
-// Stops reports Covered(every atom above k): the answer for a partner that
-// failed atom k having matched none before it, which is nearly every
-// partner of a selective join. It costs no visit — Observe keeps it current
-// from the nodes a kill writes anyway.
-func (l *Lattice) Stops(k int) bool { return k >= l.stopFrom }
-
-// above returns the mask of every atom above k.
-func (l *Lattice) above(k int) uint32 { return l.full &^ (uint32(2)<<uint(k) - 1) }
 
 // MNSes runs Fig. 8 lines 11-14: report alive Level-1 nodes as MNSs, then
-// walk higher levels in order, reporting an alive node as MNS unless one of
-// its children is an MNS or non-minimal. Returned masks are in ascending
-// level, then ascending mask, order; the slice is the lattice's own and is
-// overwritten by the next call.
+// walk higher levels in order, reporting a node as MNS when it is alive and
+// every child is dead. A node with an alive child is alive too (the dead set
+// is downward-closed) and not minimal, which costs no read; and once a whole
+// level is alive so is everything above it, none of it minimal, and the walk
+// ends. Returned masks are in ascending level, then ascending mask, order;
+// the slice is the lattice's own and is overwritten by the next call.
 func (l *Lattice) MNSes() []uint32 {
-	isMNS, nonMin, byLevel := l.isMNS, l.nonMin, l.byLevel
-	clear(isMNS)
-	clear(nonMin)
-	out := l.out[:0]
-
-	for _, mask := range byLevel[1] {
-		l.ops++
-		if !l.dead[mask] {
-			isMNS[mask] = true
-			out = append(out, mask)
-		}
-	}
-	for lv := 2; lv <= l.m; lv++ {
-		for _, mask := range byLevel[lv] {
-			l.ops++
-			if l.dead[mask] {
+	alive, out := l.alive, l.out[:0]
+	for lv := 1; lv <= l.m; lv++ {
+		anyDead := false
+		for _, mask := range l.byLevel[lv] {
+			alive[mask] = lv > 1 && l.hasAliveChild(mask)
+			if alive[mask] {
 				continue
 			}
-			blocked := false
-			for b := mask; b != 0; b &= b - 1 {
-				child := mask &^ (b & -b)
-				if isMNS[child] || nonMin[child] {
-					blocked = true
-					break
-				}
+			l.ops++
+			if l.dead[mask] {
+				anyDead = true
+				continue
 			}
-			if blocked {
-				nonMin[mask] = true
-			} else {
-				isMNS[mask] = true
-				out = append(out, mask)
-			}
+			alive[mask] = true
+			out = append(out, mask)
+		}
+		if !anyDead {
+			break
 		}
 	}
 	l.out = out
 	return out
+}
+
+// hasAliveChild reports whether MNSes found alive some node one atom short of
+// mask.
+func (l *Lattice) hasAliveChild(mask uint32) bool {
+	for b := mask; b != 0; b &= b - 1 {
+		if l.alive[mask&^(b&-b)] {
+			return true
+		}
+	}
+	return false
 }
 
 // BruteMNS is an independent reference implementation used by tests: given

@@ -2,6 +2,7 @@ package lattice
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -129,8 +130,8 @@ func TestMNSInvariants(t *testing.T) {
 }
 
 // TestOpsAccounting pins the cost of a hand-worked m=3 input visit by visit:
-// one unit per dead[] node read or written, nothing for an empty mask, for
-// Stops or for Reset.
+// one unit per dead[] node read or written, nothing for an empty mask or for
+// Reset, and in MNSes nothing for a node with an alive child.
 func TestOpsAccounting(t *testing.T) {
 	l := New(3)
 	step := func(what string, want uint64, do func()) {
@@ -141,108 +142,84 @@ func TestOpsAccounting(t *testing.T) {
 			t.Fatalf("%s: charged %d visits, want %d", what, got, want)
 		}
 	}
+	mnses := func(want ...uint32) func() {
+		return func() {
+			t.Helper()
+			if got := l.MNSes(); !slices.Equal(got, want) {
+				t.Fatalf("MNSes %b, want %b", got, want)
+			}
+		}
+	}
 	step("Observe(000)", 0, func() { l.Observe(0) })
 	// Reads 101 (alive), writes it, then writes its proper submasks 100, 001.
 	step("Observe(101)", 3, func() { l.Observe(0b101) })
 	step("Observe(101) again", 1, func() { l.Observe(0b101) }) // 101 is dead: one read
 	step("Observe(001)", 1, func() { l.Observe(0b001) })       // died under 101
 	step("Observe(010)", 1, func() { l.Observe(0b010) })       // no proper submask
-	step("Covered(110)", 1, func() {
-		if l.Covered(0b110) {
-			t.Fatal("110 is alive: 010 and 100 died under different partners")
-		}
-	})
-	step("Covered(100)", 1, func() {
-		if !l.Covered(0b100) {
-			t.Fatal("100 died under 101")
-		}
-	})
-	step("Covered(000)", 0, func() { l.Covered(0) })
-	step("Stops", 0, func() {
-		// Atoms above 0 are 110 (alive), above 1 are 100 (dead), above 2 none.
-		if l.Stops(0) || !l.Stops(1) || !l.Stops(2) {
-			t.Fatalf("Stops = %v %v %v, want false true true", l.Stops(0), l.Stops(1), l.Stops(2))
-		}
-	})
+	// Level 1 is read whole and is dead, so all of Level 2 is read: 011 and
+	// 110 are alive (their atoms died under different partners), 101 is dead.
+	// 111 has an alive child and is not read.
+	step("MNSes", 6, mnses(0b011, 0b110))
 	step("Observe(111)", 7, func() { l.Observe(0b111) }) // every node written
-	step("MNSes", 7, func() {
-		if got := l.MNSes(); len(got) != 0 || !l.Stops(0) {
-			t.Fatalf("after a full match: MNSes %b, Stops(0) %v", got, l.Stops(0))
-		}
-	})
+	step("MNSes after a full match", 7, mnses())         // every node read, all dead
 	step("Reset", 0, func() { l.Reset() })
-	if l.Stops(0) || l.Stops(1) || !l.Stops(2) {
-		t.Fatal("Reset must revive the nodes Stops reads")
-	}
+	// Level 1 is alive throughout, so nothing above it can be minimal: the
+	// walk ends there.
+	step("MNSes after Reset", 3, mnses(0b001, 0b010, 0b100))
+	step("Observe(110)", 3, func() { l.Observe(0b110) })
+	// 001 is alive, which settles 011, 101 and (through them) 111 unread; 110
+	// has two dead children and is read.
+	step("MNSes", 4, mnses(0b001))
 }
 
-// replay feeds l one input's observations after a Reset and checks, after
-// every step, what the demand-driven lattice promises: Covered(u) holds
-// exactly when every non-empty subset of u is contained in some observed
-// mask, Stops(k) is Covered of the atoms above k, Observe never costs more
-// than the visit-every-node loop it replaced (2^m−1 per observation) nor
-// MNSes more than 2^m−1, and the MNS set is BruteMNS's, in BruteMNS's order. probe draws the
-// upper masks to check Covered on.
-func replay(t *testing.T, l *Lattice, m int, observations []uint32, probe *rand.Rand) {
+// replay feeds l one input's observations after a Reset and checks what the
+// demand-driven lattice promises: Observe never costs more than the
+// visit-every-node loop it replaced (2^m−1 per observation), MNSes reads
+// Level 1 and, above it, exactly the nodes whose children are all dead, and
+// the MNS set is BruteMNS's, in BruteMNS's order.
+func replay(t *testing.T, l *Lattice, m int, observations []uint32) {
 	t.Helper()
 	full := uint32(1)<<uint(m) - 1
 	var seen []uint32
-	covered := func(u uint32) bool {
-		for sub := u & full; sub != 0; sub = (sub - 1) & u {
-			inSome := false
-			for _, o := range seen {
-				if sub&^o == 0 {
-					inSome = true
-					break
-				}
-			}
-			if !inSome {
-				return false
+	dead := func(mask uint32) bool {
+		for _, o := range seen {
+			if mask&^o == 0 {
+				return true
 			}
 		}
-		return true
-	}
-	check := func(when string) {
-		t.Helper()
-		for k := 0; k < m; k++ {
-			above := full &^ (uint32(2)<<uint(k) - 1)
-			if got, want := l.Stops(k), covered(above); got != want || l.Covered(above) != want {
-				t.Fatalf("m=%d %s %b: Stops(%d)=%v Covered(%b)=%v, want %v",
-					m, when, seen, k, got, above, l.Covered(above), want)
-			}
-		}
-		for i := 0; i < 16; i++ {
-			u := uint32(probe.Intn(int(full) + 1))
-			if got, want := l.Covered(u), covered(u); got != want {
-				t.Fatalf("m=%d %s %b: Covered(%b)=%v, want %v", m, when, seen, u, got, want)
-			}
-		}
+		return false
 	}
 	l.Reset()
-	check("after Reset")
 	var spent uint64
 	for _, o := range observations {
 		before := l.Ops()
 		l.Observe(o)
 		spent += l.Ops() - before
 		seen = append(seen, o&full)
-		check("after observing")
 		if limit := uint64(full) * uint64(len(seen)); spent > limit {
 			t.Fatalf("m=%d after %b: Observe charged %d visits, the full walk charged %d", m, seen, spent, limit)
 		}
 	}
+	reads := uint64(m)
+	for mask := uint32(1); mask <= full; mask++ {
+		if popcount(mask) < 2 {
+			continue
+		}
+		childless := true
+		for b := mask; b != 0 && childless; b &= b - 1 {
+			childless = dead(mask &^ (b & -b))
+		}
+		if childless {
+			reads++
+		}
+	}
 	before := l.Ops()
 	got, want := l.MNSes(), BruteMNS(m, seen)
-	if l.Ops()-before > uint64(full) {
-		t.Fatalf("m=%d: MNSes charged %d visits over %d nodes", m, l.Ops()-before, full)
+	if l.Ops()-before != reads {
+		t.Fatalf("m=%d after %b: MNSes charged %d visits, %d nodes have no alive child", m, seen, l.Ops()-before, reads)
 	}
-	if len(got) != len(want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("m=%d after %b: MNSes %b, brute force %b", m, seen, got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("m=%d after %b: MNSes %b, brute force %b", m, seen, got, want)
-		}
 	}
 }
 
@@ -262,7 +239,7 @@ func TestDemandDrivenProperties(t *testing.T) {
 				}
 				observations = append(observations, o)
 			}
-			replay(t, l, m, observations, rng)
+			replay(t, l, m, observations)
 		}
 	}
 }
@@ -277,21 +254,20 @@ func FuzzLatticeObserve(f *testing.F) {
 	f.Fuzz(func(t *testing.T, size uint8, data []byte) {
 		m := 1 + int(size)%MaxAtoms
 		if len(data) > 64 {
-			data = data[:64] // replay's Covered reference walks 2^m subsets per observation
+			data = data[:64] // replay's reference tests every node against every observation
 		}
 		l := New(m)
-		probe := rand.New(rand.NewSource(int64(len(data))))
 		var observations []uint32
 		for ; len(data) >= 2; data = data[2:] {
 			o := uint32(data[0]) | uint32(data[1])<<8
 			if o&0x8000 != 0 {
-				replay(t, l, m, observations, probe)
+				replay(t, l, m, observations)
 				observations = observations[:0]
 				continue
 			}
 			observations = append(observations, o)
 		}
-		replay(t, l, m, observations, probe)
+		replay(t, l, m, observations)
 	})
 }
 

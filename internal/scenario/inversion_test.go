@@ -36,24 +36,26 @@ func machineryUnits(c metrics.Counters) int64 {
 // and, since Identify_MNS became demand-driven (PR 22), not detection cost
 // either. (a) The lattice is no longer where the machinery share goes: it
 // was 0.79–0.98 of it in every cell while Observe visited every node for
-// every partner, and is 0.02 at N=3 and 0.08 over N=6's five-level pipeline
+// every partner, and is 0.01 at N=3 and 0.08 over N=6's five-level pipeline
 // now. What is left at the uniform extremes is 80–90% resumption catch-up
 // joins (feedback messages are under a tenth), and the machinery share as a
-// whole shrank 4–5× (15.7 M → 3.2 M units at N=3, 27.1 M → 6.3 M at N=6).
-// Only under skew does the lattice still show — 0.35 at s=1.5, 0.63 at
+// whole shrank 4–5× (15.7 M → 3.2 M units at N=3, 27.1 M → 6.2 M at N=6).
+// Only under skew does the lattice still show — 0.23 at s=1.5, 0.42 at
 // s=2.0, where hot values make partial matches common and kills frequent —
 // and there of a machinery share 14× and 25× smaller than it was. (b) The
 // payback is not merely insufficient, it is NEGATIVE: suppressed probes
 // save less base work than resumption catch-up adds back (catch-up
 // results still have to be constructed and propagated), so JIT's base
-// share exceeds REF's in every cell — 1.60× at N=3 uniform and 1.25× at
+// share exceeds REF's in every cell — 1.05× at N=3 uniform and 1.17× at
 // N=6 uniform, where 25k suspensions thrash against 23k detected MNSs
-// (3.85× until PR 23: two thirds of that base was the Type II mark
+// (3.85× at N=6 until PR 23: two thirds of that base was the Type II mark
 // machinery testing every signature against every origin and stored tuple,
-// which are lookups now). This, not detection, is what keeps JIT above REF
-// at the extremes (JIT/REF 2.03 at N=3 and 1.69 at N=6, from 3.72 and 5.99
-// before PR 22 and 4.28 at N=6 before PR 23). (c) Skew
-// flattens the ratio at N=3 (2.03 uniform → 1.04 at s=2.0) but NOT by
+// which are lookups now; 1.60× and 1.25× until PR 24, while a detecting
+// probe evaluated atoms past the first failure to learn every partner's
+// mask). This, with the catch-up joins, is what keeps JIT above REF at the
+// extremes (JIT/REF 1.48 at N=3 and 1.60 at N=6, from 3.72 and 5.99 before
+// PR 22, 4.28 at N=6 before PR 23, and 2.03 and 1.69 before PR 24). (c) Skew
+// flattens the ratio at N=3 (1.48 uniform → 1.03 at s=2.0) but NOT by
 // making suspension pay: payback stays negative while detections collapse
 // (31854 → 2980 MNSs) and the hotter stream inflates the base share both
 // modes pay — the machinery is amortized, never repaid. The paper's

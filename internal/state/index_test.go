@@ -23,14 +23,14 @@ func otherComp(id uint64, ts stream.Time) *stream.Composite {
 
 func key0() Key { return Key{{Source: 0, Col: 0}} }
 
-// probeAll drains ProbeNext from cursor 0 and returns the visited seqs.
+// probeAll drains probeNext from cursor 0 and returns the visited seqs.
 func probeAll(st *State, h uint64) []uint64 { return probeFrom(st, h, 0) }
 
-// probeFrom drains ProbeNext from the given cursor.
+// probeFrom drains probeNext from the given cursor.
 func probeFrom(st *State, h uint64, after uint64) []uint64 {
 	var seqs []uint64
 	for {
-		e, ok := st.ProbeNext(h, after)
+		e, ok := st.probeNext(h, after)
 		if !ok {
 			return seqs
 		}
@@ -85,8 +85,8 @@ func TestIndexedProbeVisitsBucketInSeqOrder(t *testing.T) {
 		}
 	}
 	// Cursor filtering: start after e1.
-	if e, ok := st.ProbeNext(h, e1.Seq); !ok || e.Seq != loose.Seq {
-		t.Fatalf("ProbeNext after cursor wrong: %v %v", e, ok)
+	if e, ok := st.probeNext(h, e1.Seq); !ok || e.Seq != loose.Seq {
+		t.Fatalf("probeNext after cursor wrong: %v %v", e, ok)
 	}
 }
 
@@ -116,7 +116,7 @@ func TestIndexMaintenanceOnRemovePurgeReinsert(t *testing.T) {
 	}
 }
 
-// TestIndexMatchesScan cross-checks ProbeNext against a filtered linear walk
+// TestIndexMatchesScan cross-checks probeNext against a filtered linear walk
 // under randomized insert / remove / purge / reinsert traffic: for every
 // key value, the indexed walk must visit exactly the entries a linear scan
 // would match, in the same order — from cursor 0 (the live probe) and from
@@ -198,7 +198,7 @@ func TestIndexMatchesScan(t *testing.T) {
 			})
 			st.Walk(true, h, cursor, func(e Entry) bool { keyed = append(keyed, e.Seq); return true })
 			if from := probeFrom(st, h, cursor); !slices.Equal(from, tail) || !slices.Equal(keyed, tail) {
-				t.Fatalf("step %d v=%d cursor %d: ProbeNext %v, keyed Walk %v, want %v", i, v, cursor, from, keyed, tail)
+				t.Fatalf("step %d v=%d cursor %d: probeNext %v, keyed Walk %v, want %v", i, v, cursor, from, keyed, tail)
 			}
 		}
 		if ts, ok := st.MinTS(); ok {

@@ -18,7 +18,7 @@
 // both in the arrival-order slice and in per-key-hash buckets, each kept in
 // ascending sequence order, so a probe visits only the entries sharing the
 // probing tuple's key values (plus hash collisions, which the caller's
-// predicate evaluation rejects) via ProbeNext instead of scanning the whole
+// predicate evaluation rejects) via a keyed Walk instead of scanning the whole
 // state. Entries whose composite lacks a key component fall into a loose
 // overflow list that every probe also visits, preserving the vacuous-truth
 // semantics of predicate.Eq.Holds.
@@ -363,7 +363,7 @@ func removeSeq(list []Entry, seq uint64) []Entry {
 	return list
 }
 
-// ProbeNext returns the live entry with the lowest sequence number strictly
+// probeNext returns the live entry with the lowest sequence number strictly
 // greater than after, among the equi-key bucket for key hash h and the loose
 // (unkeyable) overflow; nothing when the state is not Indexed. It re-reads
 // the index on every call, so probe loops built on it are resilient to
@@ -371,7 +371,7 @@ func removeSeq(list []Entry, seq uint64) []Entry {
 // call simply resumes after the last sequence processed. Bucket entries may
 // be hash collisions; callers re-evaluate the join predicates on every
 // returned entry (DESIGN.md §3).
-func (s *State) ProbeNext(h uint64, after uint64) (Entry, bool) {
+func (s *State) probeNext(h uint64, after uint64) (Entry, bool) {
 	if !s.keyed {
 		return Entry{}, false
 	}
@@ -380,13 +380,13 @@ func (s *State) ProbeNext(h uint64, after uint64) (Entry, bool) {
 
 // Walk visits, in ascending sequence order, the entries with sequence
 // strictly greater than after, until visit returns false: every entry, or —
-// keyed — only those ProbeNext yields for key hash h. It is the one probe
+// keyed — only the equi-key bucket for key hash h and the loose overflow. It is the one probe
 // loop of core's live and graveyard probes, and tolerates visit mutating the
 // state re-entrantly (suspension feedback triggered by an emitted result):
 // the walk then resumes after the last sequence visited.
 func (s *State) Walk(keyed bool, h, after uint64, visit func(Entry) bool) {
 	if keyed {
-		for e, ok := s.ProbeNext(h, after); ok && visit(e); e, ok = s.ProbeNext(h, e.Seq) {
+		for e, ok := s.probeNext(h, after); ok && visit(e); e, ok = s.probeNext(h, e.Seq) {
 		}
 		return
 	}
