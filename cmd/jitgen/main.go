@@ -39,12 +39,9 @@ func main() {
 		fail("%v", err)
 	}
 	p.N, p.Rate, p.DMax, p.Horizon = *n, *rate, *dmax, h
-	// -n and the burst cycle are jitgen's own rules (there is no query and
-	// no window here); the rest of the workload is Params.ValidateWorkload's.
-	switch {
-	case p.N < 2:
-		fail("-n must be at least 2, got %d", p.N)
-	case p.Burst > 1 && p.BurstPeriod <= 0:
+	// The burst cycle is jitgen's own rule (there is no window here for it to
+	// default to); the rest of the workload is Params.ValidateWorkload's.
+	if p.Burst > 1 && p.BurstPeriod <= 0 {
 		fail("-burst needs a positive -burst-period, got %g", float64(p.BurstPeriod)/float64(stream.Minute))
 	}
 	if p.Burst <= 1 {

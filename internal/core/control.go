@@ -202,22 +202,26 @@ func (j *JoinOp) markScan(e *feedback.OriginEntry, s *side, sig feedback.Signatu
 	if len(sig) == 0 {
 		return
 	}
-	// Enroll touches the mark table and the composite's marks, never the
-	// state.
-	enroll := func(se state.Entry) bool {
+	j.ctr.Comparisons += uint64(len(sig))
+	s.st.WalkCarrying(sig, func(se state.Entry) bool {
 		j.ctr.Comparisons += uint64(len(sig))
 		if sig.MatchedBy(se.C) {
+			// Enroll touches the mark table and the composite's marks, never
+			// the state being walked.
 			j.marks.Enroll(e, s.port == operator.Left, se)
 		}
 		return true
-	}
-	j.ctr.Comparisons += uint64(len(sig))
-	s.st.WalkCarrying(sig, enroll)
+	})
 	for _, f := range j.frames {
-		if f.port == s.port {
-			// An in-flight input becomes marked mid-probe: the rest of its
-			// scan applies suppression and records the suppressed pairs.
-			enroll(stateEntryOf(f))
+		if f.port != s.port {
+			continue
+		}
+		// An in-flight input becomes marked mid-probe: the rest of its scan
+		// applies suppression and records the suppressed pairs. It is not
+		// stored yet; registerMarks enrolls it when it is.
+		j.ctr.Comparisons += uint64(len(sig))
+		if sig.MatchedBy(f.input) {
+			f.input.AddMark(e.MNS.ID)
 		}
 	}
 }

@@ -675,7 +675,7 @@ func (j *JoinOp) joinPair(f *probeFrame, s *side, e state.Entry, collect *[]*str
 }
 
 // result builds the join of a fully matching pair, counted and stamped with
-// the marks it now carries.
+// the relay marks its consumer reads (stream.Join starts it unmarked).
 func (j *JoinOp) result(a, b *stream.Composite) *stream.Composite {
 	r := stream.Join(a, b)
 	j.ctr.Results++

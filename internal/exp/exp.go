@@ -143,8 +143,6 @@ type Params struct {
 // before running anything and re-check none of it by hand.
 func (p Params) Validate() error {
 	switch {
-	case p.N < 2:
-		return fmt.Errorf("need at least 2 sources (N=%d)", p.N)
 	case p.Window <= 0:
 		return fmt.Errorf("window must be positive (window=%v)", p.Window)
 	case p.Shards < 0:
@@ -166,6 +164,8 @@ func (p Params) Validate() error {
 // query, can get wrong.
 func (p Params) ValidateWorkload() error {
 	switch {
+	case p.N < 2:
+		return fmt.Errorf("need at least 2 sources (N=%d)", p.N)
 	case p.Rate <= 0:
 		return fmt.Errorf("arrival rate must be positive (rate=%g)", p.Rate)
 	case p.DMax < 1:

@@ -310,8 +310,11 @@ func TestMarkTable(t *testing.T) {
 	if !l.HasMark(7) || !r.HasMark(7) {
 		t.Fatal("enrollment did not mark")
 	}
-	if mt.Enroll(e, true, state.Entry{C: l, Seq: 1}) {
-		t.Fatal("re-enrollment accepted")
+	// Re-enrollment (a reinsertion) lists the tuple again; the mark is
+	// cleared idempotently when the entry dissolves.
+	mt.Enroll(e, true, state.Entry{C: l, Seq: 1})
+	if len(e.Left) != 2 || len(l.Marks) != 1 {
+		t.Fatalf("re-enrollment: %d listed, marks %v", len(e.Left), l.Marks)
 	}
 	if mt.SuppressedBy(l, r, 0) != 7 || mt.SuppressedBy(l, r, 7) != 0 {
 		t.Fatal("suppression check wrong")

@@ -28,13 +28,13 @@ type OriginEntry struct {
 	SigL Signature // restriction of MNS.Sig to the left input's sources
 	SigR Signature
 	// Left / Right list the enrolled (marked) tuples per side, for mark
-	// cleanup when the entry dissolves.
+	// cleanup when the entry dissolves. A tuple may be listed twice (enrolled
+	// when the entry marked the state, again on a reinsertion); clearing a
+	// mark is idempotent, so the duplicate is harmless.
 	Left  []state.Entry
 	Right []state.Entry
 	// Pending holds the pairs suppressed under this entry.
 	Pending []PendingPair
-
-	seen map[*stream.Composite]bool // dedups enrollment
 }
 
 // MarkTable holds the Type II machinery of one operator: the origin entries
@@ -108,12 +108,7 @@ func (t *MarkTable) ActivateOrigin(m *MNS, sigL, sigR Signature) *OriginEntry {
 	if _, ok := t.origins.extend(m); ok {
 		return nil
 	}
-	e := &OriginEntry{
-		MNS:  m,
-		SigL: sigL,
-		SigR: sigR,
-		seen: make(map[*stream.Composite]bool),
-	}
+	e := &OriginEntry{MNS: m, SigL: sigL, SigR: sigR}
 	t.origins.insert(e)
 	t.active[m.ID] = e
 	t.file(e, true)
@@ -134,20 +129,15 @@ func (t *MarkTable) MarkInput(c *stream.Composite, left bool) (comparisons int) 
 	})
 }
 
-// Enroll marks a tuple under entry e on the given side (left when left is
-// true). Re-enrollment of an already enrolled composite is a no-op.
-func (t *MarkTable) Enroll(e *OriginEntry, left bool, se state.Entry) bool {
-	if e.seen[se.C] {
-		return false
-	}
-	e.seen[se.C] = true
+// Enroll marks a stored tuple under entry e on the given side (left when
+// left is true) and lists it for the mark's removal when e dissolves.
+func (t *MarkTable) Enroll(e *OriginEntry, left bool, se state.Entry) {
 	if left {
 		e.Left = append(e.Left, se)
 	} else {
 		e.Right = append(e.Right, se)
 	}
 	se.C.AddMark(e.MNS.ID)
-	return true
 }
 
 // RecordSuppressed parks a suppressed pair under entry e, charging its

@@ -256,9 +256,11 @@ type Composite struct {
 	Comps []*Tuple
 	// Sources is the set of sources present, kept in sync with Comps.
 	Sources SourceSet
-	// Marks is the set of active mark-result identifiers this composite
-	// carries (Type II MNS handling, Sec. IV-B). Nil when unmarked, which is
-	// the overwhelmingly common case.
+	// Marks is the set of mark-result identifiers this composite carries
+	// (Type II MNS handling, Sec. IV-B). A mark is set and read only where it
+	// originates — on an origin operator's inputs and on a relay's outputs —
+	// and Join never copies it, so a result starts unmarked. Nil when
+	// unmarked, which is the overwhelmingly common case.
 	Marks map[uint64]bool
 }
 
@@ -276,8 +278,9 @@ func NewComposite(numSources int, t *Tuple) *Composite {
 
 // Join combines two composites with disjoint source sets into a new one.
 // The timestamp is the max of the two (per CQL semantics), the expiry
-// anchor the min. Marks are unioned. Join panics if the source sets overlap,
-// which would indicate a malformed plan.
+// anchor the min. The result carries no marks: a mark id is read only at
+// the operator it was set for (DESIGN.md §2). Join panics if the source sets
+// overlap, which would indicate a malformed plan.
 func Join(a, b *Composite) *Composite {
 	if a.Sources.Intersects(b.Sources) {
 		panic(fmt.Sprintf("stream: joining overlapping composites %v and %v", a.Sources, b.Sources))
@@ -292,15 +295,6 @@ func Join(a, b *Composite) *Composite {
 	for i, t := range b.Comps {
 		if t != nil {
 			c.Comps[i] = t
-		}
-	}
-	if len(a.Marks) > 0 || len(b.Marks) > 0 {
-		c.Marks = make(map[uint64]bool, len(a.Marks)+len(b.Marks))
-		for m := range a.Marks {
-			c.Marks[m] = true
-		}
-		for m := range b.Marks {
-			c.Marks[m] = true
 		}
 	}
 	return c

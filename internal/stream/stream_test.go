@@ -138,12 +138,12 @@ func TestMarks(t *testing.T) {
 	if c.HasMark(7) || !c.HasMark(9) {
 		t.Fatal("remove wrong")
 	}
-	// Mark union through Join.
+	// A Join result is unmarked: marks stay on the composites they were set on.
 	d := NewComposite(2, mk(t, 1, 2, 2))
 	d.AddMark(11)
 	cd := Join(c, d)
-	if !cd.HasMark(9) || !cd.HasMark(11) {
-		t.Fatal("join did not union marks")
+	if len(cd.Marks) != 0 || !c.HasMark(9) || !d.HasMark(11) {
+		t.Fatalf("join result marked %v, inputs %v and %v", cd.Marks, c.Marks, d.Marks)
 	}
 }
 
