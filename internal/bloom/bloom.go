@@ -104,11 +104,5 @@ func (f *Filter) Rebuild(live []stream.Value) {
 	}
 }
 
-// Bits returns the number of bits in the filter.
-func (f *Filter) Bits() int { return int(f.k) }
-
-// Hashes returns the number of hash functions.
-func (f *Filter) Hashes() int { return f.hashes }
-
 // SizeBytes returns the memory footprint of the bit array.
 func (f *Filter) SizeBytes() int64 { return int64(len(f.bits) * 8) }

@@ -30,9 +30,11 @@ package checkpoint
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -92,13 +94,18 @@ type Checkpoint struct {
 	// silently produce wrong state.
 	Config string
 	// Keys is the recovery dedup seed (see DeliveredKey). Sorted by
-	// (MinTS, Key) in the encoding for determinism.
+	// (MinTS, Key) in the encoding for determinism (SortKeys).
 	Keys []DeliveredKey
 	// Tail is the subscriber delivery ring at the cut, oldest first, with
 	// contiguous sequence numbers ending at Delivered (see TailEntry). The
 	// restored server re-seeds its ring from it so committed deliveries stay
 	// re-readable across a kill.
 	Tail []TailEntry
+	// TailWrapped, when set, continues Tail: a ring whose live span wraps
+	// past its end is saved as its two segments rather than copied into one
+	// slice. The encoding is that of the joined tail, and Decode returns the
+	// whole tail in Tail.
+	TailWrapped []TailEntry
 	// Rows are the in-window base tuples at the cut, in global arrival
 	// order — plan.Built.SnapshotInWindow's output, verbatim.
 	Rows []*stream.Tuple
@@ -106,47 +113,140 @@ type Checkpoint struct {
 
 const header = "jitckpt v1"
 
-// Encode renders the checkpoint in the deterministic text format.
+// compareKeys is the seed's canonical order: MinTS, then Key.
+func compareKeys(a, b DeliveredKey) int {
+	if c := cmp.Compare(a.MinTS, b.MinTS); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Key, b.Key)
+}
+
+// SortKeys puts a dedup seed into the canonical order the encoding writes it
+// in. The encoder sorts a copy of an unsorted seed itself; a caller that
+// checkpoints repeatedly sorts its own reused slice in place instead, so
+// saving it copies nothing.
+func SortKeys(keys []DeliveredKey) { slices.SortFunc(keys, compareKeys) }
+
+// Encode renders the checkpoint in the deterministic text format: the
+// in-memory case of the encoder Store.Save streams to disk.
 func Encode(c *Checkpoint) []byte {
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "%s\n", header)
-	fmt.Fprintf(&b, "cut %d\n", c.Cut)
-	fmt.Fprintf(&b, "hwm %d\n", c.IngestHWM)
-	fmt.Fprintf(&b, "delivered %d\n", c.Delivered)
-	fmt.Fprintf(&b, "config %s\n", c.Config)
-	keys := append([]DeliveredKey(nil), c.Keys...)
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].MinTS != keys[j].MinTS {
-			return keys[i].MinTS < keys[j].MinTS
-		}
-		return keys[i].Key < keys[j].Key
-	})
-	fmt.Fprintf(&b, "keys %d\n", len(keys))
-	for _, k := range keys {
-		fmt.Fprintf(&b, "k %d %s\n", k.MinTS, k.Key)
-	}
-	fmt.Fprintf(&b, "tail %d\n", len(c.Tail))
-	for _, d := range c.Tail {
-		fmt.Fprintf(&b, "d %d %d %s\n", d.Seq, d.TS, d.Key)
-	}
-	fmt.Fprintf(&b, "rows %d\n", len(c.Rows))
-	for _, t := range c.Rows {
-		fmt.Fprintf(&b, "r %d %d %d %s\n", t.ID, t.Source, t.TS, encodeVals(t.Vals))
-	}
-	fmt.Fprintf(&b, "end\n")
-	fmt.Fprintf(&b, "crc %08x\n", crc32.ChecksumIEEE(b.Bytes()))
+	_ = new(encoder).encode(&b, c) // a bytes.Buffer never fails a write
 	return b.Bytes()
 }
 
-func encodeVals(vals []stream.Value) string {
-	if len(vals) == 0 {
-		return "-"
+// spillAt is the scratch size at which the encoder hands its lines to the
+// writer; a line longer than that goes out whole.
+const spillAt = 4 << 10
+
+// encoder streams the text format to a writer. Each line is appended with
+// strconv into a reused scratch buffer, which goes out — and into the running
+// CRC-32 — whenever it passes spillAt, so encoding holds one scratch buffer
+// whatever the record's size and, given a sorted seed, allocates nothing once
+// that buffer has grown.
+type encoder struct {
+	w   io.Writer
+	buf []byte
+	crc uint32
+	err error // first write error; later spills are skipped
+}
+
+// encode writes c to w: every line, then the crc trailer over them.
+func (e *encoder) encode(w io.Writer, c *Checkpoint) error {
+	e.w, e.buf, e.crc, e.err = w, e.buf[:0], 0, nil
+	e.str(header + "\ncut ")
+	e.int(int64(c.Cut))
+	e.str("\nhwm ")
+	e.uint(c.IngestHWM)
+	e.str("\ndelivered ")
+	e.uint(c.Delivered)
+	e.str("\nconfig ")
+	e.str(c.Config)
+	keys := c.Keys
+	if !slices.IsSortedFunc(keys, compareKeys) {
+		keys = slices.Clone(keys)
+		SortKeys(keys)
 	}
-	parts := make([]string, len(vals))
-	for i, v := range vals {
-		parts[i] = strconv.FormatInt(int64(v), 10)
+	e.str("\nkeys ")
+	e.int(int64(len(keys)))
+	e.endLine()
+	for _, k := range keys {
+		e.str("k ")
+		e.int(int64(k.MinTS))
+		e.str(" ")
+		e.str(k.Key)
+		e.endLine()
 	}
-	return strings.Join(parts, ",")
+	e.str("tail ")
+	e.int(int64(len(c.Tail) + len(c.TailWrapped)))
+	e.endLine()
+	for _, seg := range [2][]TailEntry{c.Tail, c.TailWrapped} {
+		for _, d := range seg {
+			e.str("d ")
+			e.uint(d.Seq)
+			e.str(" ")
+			e.int(int64(d.TS))
+			e.str(" ")
+			e.str(d.Key)
+			e.endLine()
+		}
+	}
+	e.str("rows ")
+	e.int(int64(len(c.Rows)))
+	e.endLine()
+	for _, t := range c.Rows {
+		e.str("r ")
+		e.uint(t.ID)
+		e.str(" ")
+		e.int(int64(t.Source))
+		e.str(" ")
+		e.int(int64(t.TS))
+		e.str(" ")
+		if len(t.Vals) == 0 {
+			e.str("-")
+		}
+		for i, v := range t.Vals {
+			if i > 0 {
+				e.str(",")
+			}
+			e.int(int64(v))
+		}
+		e.endLine()
+	}
+	e.str("end\n")
+	e.spill()
+	// The trailer is outside the checksum it carries: crc %08x.
+	e.str("crc ")
+	for shift := 28; shift >= 0; shift -= 4 {
+		e.buf = append(e.buf, "0123456789abcdef"[e.crc>>shift&0xf])
+	}
+	e.str("\n")
+	if e.err == nil {
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.w = nil
+	return e.err
+}
+
+func (e *encoder) str(s string)  { e.buf = append(e.buf, s...) }
+func (e *encoder) int(v int64)   { e.buf = strconv.AppendInt(e.buf, v, 10) }
+func (e *encoder) uint(v uint64) { e.buf = strconv.AppendUint(e.buf, v, 10) }
+
+// endLine closes a line and spills the scratch buffer once it is full.
+func (e *encoder) endLine() {
+	e.buf = append(e.buf, '\n')
+	if len(e.buf) >= spillAt {
+		e.spill()
+	}
+}
+
+// spill adds the scratch buffer to the running checksum and writes it out.
+func (e *encoder) spill() {
+	e.crc = crc32.Update(e.crc, crc32.IEEETable, e.buf)
+	if e.err == nil {
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
 }
 
 // Decode parses an encoded checkpoint, validating structure and CRC.

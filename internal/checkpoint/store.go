@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bufio"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,6 +20,12 @@ type Store struct {
 	dir  string
 	keep int
 	seq  uint64
+	// kept lists the retained checkpoints' sequence numbers, ascending:
+	// seeded by OpenStore's scan and maintained by Save, so retention deletes
+	// the oldest by number instead of listing the directory after every save.
+	kept []uint64
+	enc  encoder       // Save's encoder, its scratch buffer reused
+	bw   *bufio.Writer // Save's 64 KB write buffer, reset onto each tmp file
 }
 
 const (
@@ -36,7 +43,7 @@ func OpenStore(dir string, keep int) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: open store: %w", err)
 	}
-	s := &Store{dir: dir, keep: keep}
+	s := &Store{dir: dir, keep: keep, bw: bufio.NewWriterSize(nil, 64<<10)}
 	seqs, err := s.scan()
 	if err != nil {
 		return nil, err
@@ -44,6 +51,7 @@ func OpenStore(dir string, keep int) (*Store, error) {
 	if len(seqs) > 0 {
 		s.seq = seqs[len(seqs)-1]
 	}
+	s.kept = seqs
 	return s, nil
 }
 
@@ -84,9 +92,10 @@ func (s *Store) path(seq uint64) string {
 }
 
 // Save atomically writes the checkpoint as the next sequence number and
-// prunes files beyond the retention bound. It returns the written path.
+// prunes files beyond the retention bound. It returns the written path. The
+// record is streamed into the temporary file through the store's reused
+// encoder and write buffer, so Save never holds the whole encoding.
 func (s *Store) Save(c *Checkpoint) (string, error) {
-	data := Encode(c)
 	s.seq++
 	final := s.path(s.seq)
 	tmp := final + ".tmp"
@@ -94,7 +103,13 @@ func (s *Store) Save(c *Checkpoint) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("checkpoint: save: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
+	s.bw.Reset(f)
+	err = s.enc.encode(s.bw, c)
+	if err == nil {
+		err = s.bw.Flush()
+	}
+	s.bw.Reset(nil)
+	if err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return "", fmt.Errorf("checkpoint: save: %w", err)
@@ -115,6 +130,7 @@ func (s *Store) Save(c *Checkpoint) (string, error) {
 		os.Remove(tmp)
 		return "", fmt.Errorf("checkpoint: save: %w", err)
 	}
+	s.kept = append(s.kept, s.seq)
 	s.prune()
 	return final, nil
 }
@@ -122,13 +138,9 @@ func (s *Store) Save(c *Checkpoint) (string, error) {
 // prune removes checkpoints beyond the retention bound, oldest first.
 // Errors are ignored — retention is best-effort hygiene, not correctness.
 func (s *Store) prune() {
-	seqs, err := s.scan()
-	if err != nil {
-		return
-	}
-	for len(seqs) > s.keep {
-		os.Remove(s.path(seqs[0]))
-		seqs = seqs[1:]
+	for len(s.kept) > s.keep {
+		os.Remove(s.path(s.kept[0]))
+		s.kept = s.kept[:copy(s.kept, s.kept[1:])]
 	}
 }
 

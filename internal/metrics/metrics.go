@@ -237,6 +237,3 @@ func (a *Account) Peak() int64 { return a.peak }
 
 // PeakKB returns the high-water mark in kilobytes, the paper's unit.
 func (a *Account) PeakKB() float64 { return float64(a.peak) / 1024 }
-
-// Reset clears both live and peak figures.
-func (a *Account) Reset() { a.live, a.peak = 0, 0 }

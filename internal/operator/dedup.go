@@ -16,6 +16,12 @@ type Dedup struct {
 	next Consumer
 	seen map[string]stream.Time // delivered key -> min constituent TS
 	dups *uint64
+	kept []seenEntry // Prune's survivors, reused from cut to cut
+}
+
+type seenEntry struct {
+	key   string
+	minTS stream.Time
 }
 
 // NewDedup builds a gate in front of next, counting absorbed regenerations
@@ -43,13 +49,23 @@ func (d *Dedup) Consume(c *stream.Composite, p Port) {
 // cut (MinTS + window <= cut) and reports each survivor — the dedup seed a
 // checkpoint at this cut carries — in map order: checkpoint.Encode sorts the
 // seed, and a restore re-ingests it into a map.
+//
+// The map is rebuilt from the survivors rather than deleted from in place:
+// under a served run's steady churn, deletes leave tombstones that make a Go
+// map keep growing its tables long after its population has stopped growing,
+// while clear keeps the tables and drops the tombstones.
 func (d *Dedup) Prune(cut, window stream.Time, survivor func(key string, minTS stream.Time)) {
 	//jitlint:allow maporder each key is judged on its own; the one caller's survivor callback collects a seed that checkpoint.Encode sorts
 	for k, ts := range d.seen {
-		if ts+window <= cut {
-			delete(d.seen, k)
-			continue
+		if ts+window > cut {
+			d.kept = append(d.kept, seenEntry{k, ts})
+			survivor(k, ts)
 		}
-		survivor(k, ts)
 	}
+	clear(d.seen)
+	for _, e := range d.kept {
+		d.seen[e.key] = e.minTS
+	}
+	clear(d.kept) // drop the key references until the next cut
+	d.kept = d.kept[:0]
 }

@@ -127,6 +127,10 @@ func TestDedupGate(t *testing.T) {
 	if len(sink.got) != 4 {
 		t.Fatal("pruned key still absorbed")
 	}
+	g.Consume(c, Left) // a survivor: still remembered
+	if len(sink.got) != 4 || dups != 3 {
+		t.Fatalf("survivor not absorbed after the prune (forwarded %d, dups %d)", len(sink.got), dups)
+	}
 
 	ck, err := checkpoint.Decode(checkpoint.Encode(&checkpoint.Checkpoint{Cut: 35, Keys: keys}))
 	if err != nil {
@@ -137,7 +141,7 @@ func TestDedupGate(t *testing.T) {
 		restored.Seed(k.Key, k.MinTS)
 	}
 	restored.Consume(c, Left)
-	if len(sink.got) != 4 || dups != 3 {
+	if len(sink.got) != 4 || dups != 4 {
 		t.Fatalf("restored gate forwarded a committed delivery (forwarded %d, dups %d)", len(sink.got), dups)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,6 +20,97 @@ func hubNext(h *hub) uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.next
+}
+
+// nextFor takes a single delivery: a batch of at most one.
+func (h *hub) nextFor(s *subscriber) (Delivery, bool, error) {
+	var one [1]Delivery
+	batch, done, err := h.nextBatch(s, one[:0])
+	if len(batch) == 0 {
+		return Delivery{}, done, err
+	}
+	return batch[0], done, err
+}
+
+// TestHubBatchesRacePublisher races one publisher against subscribers that
+// take deliveries in batches of different bounds, under both policies. Every
+// subscriber must see contiguous sequence numbers from 1 — never a skip or a
+// repeat — until the end of stream or, under SubKick, until it is kicked,
+// which must surface as ErrLagged: a subscriber that never reads while the
+// ring overflows is always kicked. Run under -race it also checks that
+// batches read the ring only under the lock.
+func TestHubBatchesRacePublisher(t *testing.T) {
+	const (
+		ring      = 64
+		published = 5000
+	)
+	for _, policy := range []SubPolicy{SubBlock, SubKick} {
+		t.Run(policy.String(), func(t *testing.T) {
+			h := newHub(ring, policy, 0, nil)
+			caps := []int{1, 3, 64, 256}
+			subs := make([]*subscriber, len(caps))
+			for i := range subs {
+				s, err := h.subscribe(0)
+				if err != nil {
+					t.Fatalf("subscribe: %v", err)
+				}
+				subs[i] = s
+			}
+			type outcome struct {
+				last uint64
+				err  error
+			}
+			results := make([]outcome, len(caps))
+			var wg sync.WaitGroup
+			for i, s := range subs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					buf := make([]Delivery, 0, caps[i])
+					var last uint64
+					for {
+						batch, done, err := h.nextBatch(s, buf)
+						if err != nil || done {
+							results[i] = outcome{last, err}
+							return
+						}
+						for _, d := range batch {
+							if d.Seq != last+1 {
+								results[i] = outcome{last, fmt.Errorf("seq %d after %d", d.Seq, last)}
+								return
+							}
+							last = d.Seq
+						}
+					}
+				}()
+			}
+			var idle *subscriber
+			if policy == SubKick {
+				var err error
+				if idle, err = h.subscribe(0); err != nil {
+					t.Fatalf("subscribe: %v", err)
+				}
+			}
+			for seq := uint64(1); seq <= published; seq++ {
+				h.publish(Delivery{Seq: seq})
+			}
+			h.close(true, published)
+			wg.Wait()
+			for i, r := range results {
+				switch {
+				case r.err == nil && r.last != published:
+					t.Errorf("subscriber %d (batch %d) ended cleanly after seq %d of %d", i, caps[i], r.last, published)
+				case r.err != nil && (policy == SubBlock || !errors.Is(r.err, ErrLagged)):
+					t.Errorf("subscriber %d (batch %d) under %s: %v", i, caps[i], policy, r.err)
+				}
+			}
+			if idle != nil {
+				if _, _, err := h.nextBatch(idle, make([]Delivery, 0, 8)); !errors.Is(err, ErrLagged) {
+					t.Errorf("a subscriber a full ring behind was not kicked: %v", err)
+				}
+			}
+		})
+	}
 }
 
 // TestHubSubBlockBlocksPublisher pins the SubBlock policy at the hub level:

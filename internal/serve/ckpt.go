@@ -43,6 +43,8 @@ type checkpointer struct {
 	saved   int   // checkpoints written this incarnation
 	err     error // first save failure (durability stalls, run continues)
 
+	keys []checkpoint.DeliveredKey // the dedup seed, reused from cut to cut
+
 	kill func(arriving uint64, checkpoints int) bool // Config.killPoint; nil outside the crash harness
 }
 
@@ -87,19 +89,27 @@ func (c *checkpointer) finish(b *plan.Built) {
 // save writes one checkpoint at the cut. A save failure is recorded (first
 // error wins) and durability stops advancing, but the run itself continues —
 // losing freshness is strictly better than killing a live stream.
+//
+// Nothing is copied on the way to disk: the seed is collected into a reused
+// slice and sorted there, and the delivery tail is the hub ring's own live
+// segments (hub.segments: this runs on the engine goroutine, the ring's only
+// writer).
 func (c *checkpointer) save(cut stream.Time, b *plan.Built) {
-	var keys []checkpoint.DeliveredKey
+	c.keys = c.keys[:0]
 	c.gate.Prune(cut, c.window, func(key string, minTS stream.Time) {
-		keys = append(keys, checkpoint.DeliveredKey{MinTS: minTS, Key: key})
+		c.keys = append(c.keys, checkpoint.DeliveredKey{MinTS: minTS, Key: key})
 	})
+	checkpoint.SortKeys(c.keys)
+	tail, wrapped := c.out.hub.segments()
 	ck := &checkpoint.Checkpoint{
-		Cut:       cut,
-		IngestHWM: c.hwm,
-		Delivered: c.out.seq,
-		Config:    c.config,
-		Keys:      keys,
-		Tail:      c.out.hub.tailSnapshot(),
-		Rows:      b.SnapshotInWindow(cut),
+		Cut:         cut,
+		IngestHWM:   c.hwm,
+		Delivered:   c.out.seq,
+		Config:      c.config,
+		Keys:        c.keys,
+		Tail:        tail,
+		TailWrapped: wrapped,
+		Rows:        b.SnapshotInWindow(cut),
 	}
 	if _, err := c.st.Save(ck); err != nil && c.err == nil {
 		c.err = err

@@ -168,3 +168,37 @@ func int64sToJSON(v []int64) []byte {
 	b, _ := json.Marshal(v)
 	return b
 }
+
+// FuzzDeliveryLine holds the hand-appended delivery line to the encoding it
+// replaced: for any sequence number, timestamp and key, appendDelivery
+// writes exactly json.Marshal's bytes plus a newline, after whatever the
+// buffer already held.
+func FuzzDeliveryLine(f *testing.F) {
+	seeds := []string{
+		"0:3|1:9|2:11|3:14",     // a canonical key: the hand-written path
+		"",                      // empty
+		`say "hi"`,              // quotes
+		`back\slash`,            // backslash
+		"tab\there\nnl\x00\x1f", // control bytes
+		"<b>&amp;</b>",          // HTML-escaped by encoding/json
+		"caf\xc3\xa9",           // valid UTF-8, non-ASCII
+		"bad\xff\xfeutf8",       // invalid UTF-8
+		"\u2028\u2029",          // JSON-escaped line separators
+		"\x7f",                  // DEL, not escaped
+	}
+	for i, s := range seeds {
+		f.Add(uint64(i)*7919, int64(i)-5, s)
+	}
+	f.Add(uint64(1<<64-1), int64(-1<<63), "0:1")
+	f.Fuzz(func(t *testing.T, seq uint64, ts int64, key string) {
+		d := Delivery{Seq: seq, TS: stream.Time(ts), Key: key}
+		want, err := json.Marshal(d)
+		if err != nil {
+			t.Fatalf("marshal: %v", err)
+		}
+		want = append([]byte("prefix\n"), append(want, '\n')...)
+		if got := appendDelivery([]byte("prefix\n"), d); !bytes.Equal(got, want) {
+			t.Fatalf("delivery line for %q:\ngot  %q\nwant %q", key, got, want)
+		}
+	})
+}

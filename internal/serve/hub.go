@@ -94,17 +94,21 @@ func newHub(retain int, policy SubPolicy, committed uint64, tail []Delivery) *hu
 	return h
 }
 
-// tailSnapshot copies the live ring contents — the deliveries the hub could
-// still re-send — oldest first. The checkpointer persists this alongside the
-// cut so the retention window survives a kill.
-func (h *hub) tailSnapshot() []Delivery {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]Delivery, 0, h.next-h.base)
-	for p := h.base; p < h.next; p++ {
-		out = append(out, h.ring[p%uint64(len(h.ring))])
+// segments returns the live ring contents — the deliveries the hub could
+// still re-send — oldest first, as the ring's own slots: one slice, or two
+// when the live span wraps past the ring's end. The checkpointer persists
+// them alongside the cut so the retention window survives a kill.
+//
+// Engine goroutine only, and without the lock: publish, the one writer of
+// the slots and of base and next, runs on that goroutine too, so nothing
+// changes them while the caller reads; subscribers only read slots.
+func (h *hub) segments() (older, newer []Delivery) {
+	n := uint64(len(h.ring))
+	start, live := h.base%n, h.next-h.base
+	if start+live <= n {
+		return h.ring[start : start+live], nil
 	}
-	return out
+	return h.ring[start:], h.ring[:start+live-n]
 }
 
 // publish appends one delivery, applying the overflow policy. Called from
@@ -188,30 +192,35 @@ func (h *hub) unsubscribe(s *subscriber) {
 	h.mu.Unlock()
 }
 
-// nextFor blocks until a delivery is available for the subscriber and
-// returns it; done=true means a clean end-of-stream (after the final
-// delivery), err non-nil a kicked/lagged subscriber or an abrupt close.
-func (h *hub) nextFor(s *subscriber) (d Delivery, done bool, err error) {
+// nextBatch blocks until a delivery is available for the subscriber, then
+// takes every delivery already published, up to cap(buf) (which must be
+// positive), in one lock acquisition: it returns them in buf's storage,
+// oldest first. done=true
+// means a clean end-of-stream (after the final delivery), err non-nil a
+// kicked/lagged subscriber or an abrupt close.
+func (h *hub) nextBatch(s *subscriber, buf []Delivery) (batch []Delivery, done bool, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for {
 		if s.kicked {
-			return Delivery{}, false, ErrLagged
+			return nil, false, ErrLagged
 		}
 		if s.pos < h.next {
 			if s.pos < h.base {
-				return Delivery{}, false, ErrLagged
+				return nil, false, ErrLagged
 			}
-			d = h.ring[s.pos%uint64(len(h.ring))]
-			s.pos++
+			batch = buf[:0]
+			for ; s.pos < h.next && len(batch) < cap(batch); s.pos++ {
+				batch = append(batch, h.ring[s.pos%uint64(len(h.ring))])
+			}
 			h.cond.Broadcast() // publisher may be waiting on minPos
-			return d, false, nil
+			return batch, false, nil
 		}
 		if h.closed {
 			if h.eos {
-				return Delivery{}, true, nil
+				return nil, true, nil
 			}
-			return Delivery{}, false, fmt.Errorf("serve: server closed")
+			return nil, false, fmt.Errorf("serve: server closed")
 		}
 		h.cond.Wait()
 	}

@@ -176,8 +176,15 @@ func (s *Server) serveIngest(sc *bufio.Scanner, w *bufio.Writer) {
 	}
 }
 
+// batchMax bounds the deliveries a subscriber takes from the ring per lock
+// acquisition, and so its batch and line buffers.
+const batchMax = 256
+
 // serveSubscribe attaches the connection to the delivery hub and streams
-// result lines until end-of-stream, a lag disconnect, or a crash.
+// result lines until end-of-stream, a lag disconnect, or a crash. Each pass
+// takes every delivery already published (up to batchMax), appends their
+// lines into one reused buffer and flushes once, so a subscriber that has
+// caught up never has a line held back.
 func (s *Server) serveSubscribe(w *bufio.Writer, from uint64) {
 	sub, err := s.hub.subscribe(from)
 	if err != nil {
@@ -189,8 +196,10 @@ func (s *Server) serveSubscribe(w *bufio.Writer, from uint64) {
 	if err := writeLine(w, greetLine{OK: true, ResumeSeq: &start}); err != nil {
 		return
 	}
+	batch := make([]Delivery, 0, batchMax)
+	var lines []byte
 	for {
-		d, done, err := s.hub.nextFor(sub)
+		got, done, err := s.hub.nextBatch(sub, batch)
 		if err != nil {
 			writeErr(w, err)
 			return
@@ -199,7 +208,14 @@ func (s *Server) serveSubscribe(w *bufio.Writer, from uint64) {
 			writeLine(w, eosLine{EOS: true, Delivered: s.hub.delivered()}) //nolint:errcheck // conn is closing
 			return
 		}
-		if err := writeLine(w, d); err != nil {
+		lines = lines[:0]
+		for _, d := range got {
+			lines = appendDelivery(lines, d)
+		}
+		if _, err := w.Write(lines); err != nil {
+			return
+		}
+		if err := w.Flush(); err != nil {
 			return
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"repro/internal/stream"
 )
@@ -101,6 +102,37 @@ func DecodeFrame(line []byte) (Frame, error) {
 		return Frame{}, fmt.Errorf("%w: trailing data after frame object", ErrMalformed)
 	}
 	return f, nil
+}
+
+// appendDelivery appends d's delivery line to b: the bytes json.Marshal
+// writes for it under TailEntry's tags, then a newline. Canonical result keys
+// are plain ASCII, which JSON writes as is; a key JSON would escape (quotes,
+// backslashes, control bytes, <>&, anything non-ASCII) is left to
+// json.Marshal, so the line is the same either way.
+func appendDelivery(b []byte, d Delivery) []byte {
+	if !plainJSON(d.Key) {
+		line, _ := json.Marshal(d) // a struct of two integers and a string cannot fail
+		return append(append(b, line...), '\n')
+	}
+	b = append(b, `{"seq":`...)
+	b = strconv.AppendUint(b, d.Seq, 10)
+	b = append(b, `,"ts":`...)
+	b = strconv.AppendInt(b, int64(d.TS), 10)
+	b = append(b, `,"key":"`...)
+	b = append(b, d.Key...)
+	return append(b, "\"}\n"...)
+}
+
+// plainJSON reports whether json.Marshal writes s between its quotes
+// unchanged.
+func plainJSON(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c >= 0x80, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
 }
 
 // session validates the server's ordered tuple stream — one ingest connection

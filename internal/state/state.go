@@ -548,7 +548,3 @@ func (s *State) SnapshotLive(cut, window stream.Time) []Entry {
 	}
 	return out
 }
-
-func (s *State) String() string {
-	return fmt.Sprintf("%s[%d]", s.name, len(s.entries))
-}

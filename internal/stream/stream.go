@@ -199,12 +199,6 @@ func (c *Catalog) MustAdd(s *Schema) SourceID {
 // Source returns the schema with the given id.
 func (c *Catalog) Source(id SourceID) *Schema { return c.schemas[id] }
 
-// ByName returns the schema with the given name, if registered.
-func (c *Catalog) ByName(name string) (*Schema, bool) {
-	s, ok := c.byName[name]
-	return s, ok
-}
-
 // NumSources returns the number of registered sources.
 func (c *Catalog) NumSources() int { return len(c.schemas) }
 
