@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# Served memory is window-bounded (DESIGN.md §4, §10): jitserver -mode jit
-# -indexed is fed the same generated stream for 10 and for 30 minutes of
-# application time, first in memory only and then durable (-dir, a checkpoint
-# every minute). For each, the resident high-water mark (VmHWM) must be flat
-# in stream length — the two lengths within 10 % of each other — and under a
-# cap, 20 MB in memory and 25 MB durable, while the exit line's delivered=,
-# cost= and (durable) checkpoints= fields match the pinned values, which fail
-# on any change to what the server computes.
+# Served memory is window-bounded (DESIGN.md §4, §10): jitserver is fed the
+# same generated stream for 10 and for 30 minutes of application time. For
+# each run the resident high-water mark (VmHWM) must be flat in stream length
+# — the two lengths within 10 % of each other — and under a cap, while the
+# exit line's delivered=, cost= and (durable) checkpoints= fields match the
+# pinned values, which fail on any change to what the server computes. Three
+# rows: -mode jit -indexed on N=3 in memory only (20 MB) and durable (-dir, a
+# checkpoint every minute; 25 MB), and -mode jit over linear-scan states on
+# the N=4 clique_jit stream (23 MB), where exact mode's graveyard is largest.
 #
 # Usage: .github/scripts/served_memory.sh   (Linux; builds into a temp dir,
 # listens on 127.0.0.1:4641)
@@ -31,13 +32,17 @@ peak() {
   echo "$hwm"
 }
 
+# The server's and the generator's flags for the rows that follow.
+serve=(-n 3 -window 1 -mode jit -indexed)
+gen=(-n 3 -dmax 12 -rate 4)
+
 # probe <minutes> [jitserver flags]: prints "<VmHWM kB> <exit line>". Each
 # run starts with an empty $bin/ck, the durable probe's checkpoint directory.
 probe() {
   local minutes=$1
   shift
   rm -rf "$bin/ck"
-  "$bin/jitserver" -n 3 -window 1 -mode jit -indexed -addr "127.0.0.1:$port" "$@" >"$bin/exit" 2>/dev/null &
+  "$bin/jitserver" "${serve[@]}" -addr "127.0.0.1:$port" "$@" >"$bin/exit" 2>/dev/null &
   local pid=$! i
   peak "$pid" >"$bin/hwm" &
   local sampler=$!
@@ -46,7 +51,7 @@ probe() {
     sleep 0.1
   done
   { echo '{"cmd":"ingest"}'
-    "$bin/jitgen" -n 3 -minutes "$minutes" -dmax 12 -rate 4 2>/dev/null | awk -F, '{
+    "$bin/jitgen" "${gen[@]}" -minutes "$minutes" 2>/dev/null | awk -F, '{
       printf "{\"id\":%d,\"source\":%d,\"ts\":%d,\"vals\":[%s", NR, index("ABCDEFGH",$2)-1, $1, $3
       for (i = 4; i <= NF; i++) printf ",%s", $i; print "]}" }'
     echo '{"cmd":"eos"}'; } >&3
@@ -99,4 +104,9 @@ check durable 25600 "delivered cost checkpoints" \
   "delivered=234324 cost=4577213 checkpoints=10" \
   "delivered=709505 cost=14331740 checkpoints=30" \
   -dir "$bin/ck" -every 1
+serve=(-n 4 -window 1 -mode jit)
+gen=(-n 4 -dmax 16 -rate 2.5)
+check scan 23552 "delivered cost" \
+  "delivered=1124 cost=88422109" \
+  "delivered=3529 cost=277756923"
 exit "$status"

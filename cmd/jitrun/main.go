@@ -31,7 +31,7 @@ func main() {
 	drainHorizon := flag.Float64("drain-horizon", 0, "cap the drain at this application time in minutes (0 = last arrival + window)")
 	adapt := flag.Bool("adapt", false, "adaptive re-optimization: migrate between bushy and left-deep mid-run on observed feedback (forces drain; DESIGN.md §7)")
 	adaptEpoch := flag.Float64("adapt-epoch", 0, "re-optimization decision epoch in minutes (0 = one window)")
-	stats := flag.Bool("stats", false, "print the per-operator stats table at exit (probes, MNS detections, suspensions, suppressed pairs, comparisons, lattice nodes, CostUnits)")
+	stats := flag.Bool("stats", false, "print the per-operator stats table at exit (probes, MNS detections, suspensions, suppressed pairs, comparisons, lattice nodes, CostUnits) and the accounted peak split by structure")
 	traceOut := flag.String("trace-out", "", "write the run's trace events to this file in Chrome trace format (open in chrome://tracing or Perfetto)")
 	flag.Parse()
 
@@ -149,6 +149,7 @@ func main() {
 	fmt.Println(r.Counters.String())
 	if *stats {
 		printOps(r.Ops)
+		fmt.Printf("mem@peak: %s\n", r.PeakMem)
 	}
 	obsEpilogue(tracers, mems, *traceOut)
 }

@@ -282,11 +282,11 @@ func (c *Controller) Migrate(cut stream.Time, b *plan.Built) *plan.Built {
 	// The retired operators' state stays charged to the account while the
 	// snapshot replays — both trees are resident for that span — and is
 	// released after it.
-	oldLive := b.Account.Live()
+	oldLive := b.Account.LiveBy()
 	b.Reshape(target)
 	b.Trace.MigrationCut(cut, len(snap), note)
 	b.ReplayInWindow(snap)
-	b.Account.Free(oldLive)
+	b.Account.FreeAll(oldLive)
 	b.RunLedger.Migrations++
 	b.Trace.MigrationDone(cut, b.RunLedger.MigrationDups, note)
 	c.logf("adapt: t=%v migrate %s -> %s (replayed %d in-window arrivals, %d dups absorbed so far)",

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"math/bits"
 	"sort"
 
 	"repro/internal/bloom"
 	"repro/internal/feedback"
 	"repro/internal/lattice"
+	"repro/internal/metrics"
 	"repro/internal/operator"
 	"repro/internal/predicate"
 	"repro/internal/state"
@@ -196,7 +198,6 @@ func (j *JoinOp) omega(c *stream.Composite, s, o *side) []*feedback.MNS {
 // unaffected (it reactivates on any opposite arrival).
 func (j *JoinOp) buildMNS(c *stream.Composite, s, o *side, mask uint32) *feedback.MNS {
 	var srcSet stream.SourceSet
-	var preds predicate.Conj
 	attrs := s.attrBuf[:0]
 	minTS := stream.Time(1) << 61
 	for k, src := range s.atoms {
@@ -212,12 +213,6 @@ func (j *JoinOp) buildMNS(c *stream.Composite, s, o *side, mask uint32) *feedbac
 				return nil
 			}
 		}
-		if srcSet.Empty() {
-			// The common single-atom MNS shares the side's predicate list.
-			preds = s.atomPreds[k][:len(s.atomPreds[k]):len(s.atomPreds[k])]
-		} else {
-			preds = append(preds, s.atomPreds[k]...)
-		}
 		srcSet = srcSet.Add(src)
 		attrs = append(attrs, s.atomAttrs[k]...)
 		if comp.TS < minTS {
@@ -232,13 +227,39 @@ func (j *JoinOp) buildMNS(c *stream.Composite, s, o *side, mask uint32) *feedbac
 		ID:      j.nextMNS(),
 		Sources: srcSet,
 		Sig:     feedback.MakeSignature(attrs, c.Comp),
-		Preds:   preds,
+		Preds:   s.predsOf(mask),
 		Expiry:  minTS + j.window,
 	}
 	if !j.mode.Generalize {
 		m.Anchor = c.Project(srcSet)
 	}
 	return m
+}
+
+// predsOf returns the crossing predicates of the atoms in mask, in atom
+// order. Every MNS over the same atoms shares one list, so descriptors never
+// copy it: a single atom's is the side's own, a wider mask's is built on its
+// first detection and kept. The lists are read-only.
+func (s *side) predsOf(mask uint32) predicate.Conj {
+	if mask&(mask-1) == 0 {
+		p := s.atomPreds[bits.TrailingZeros32(mask)]
+		return p[:len(p):len(p)]
+	}
+	if p, ok := s.maskPreds[mask]; ok {
+		return p
+	}
+	var p predicate.Conj
+	for k := range s.atoms {
+		if mask&(1<<uint(k)) != 0 {
+			p = append(p, s.atomPreds[k]...)
+		}
+	}
+	p = p[:len(p):len(p)]
+	if s.maskPreds == nil {
+		s.maskPreds = make(map[uint32]predicate.Conj)
+	}
+	s.maskPreds[mask] = p
+	return p
 }
 
 // bloomAtomAbsent reports whether the Bloom filters over the opposite state
@@ -293,7 +314,7 @@ func (j *JoinOp) bloomInsert(s *side, c *stream.Composite) {
 			if flt == nil {
 				flt = bloom.NewForCapacity(256)
 				s.blooms.put(a, flt)
-				j.acct.Alloc(flt.SizeBytes())
+				j.acct.Alloc(metrics.MemBloom, flt.SizeBytes())
 			}
 			j.ctr.BloomChecks++
 			flt.Insert(comp.Vals[a.Col])
@@ -372,10 +393,10 @@ func (b *bloomSet) put(a predicate.Attr, f *bloom.Filter) {
 // whose id it carries — stamped by an upstream relay, or acquired from the
 // entry's side signature before its probe (MarkTable.MarkInput) or during it
 // (markScan) — so joins with marked partners on the other side are suppressed
-// and recorded.
+// and recorded. The ids are visited in ascending order; Enroll re-adds an id
+// the tuple already carries, which leaves the list as it is.
 func (j *JoinOp) registerMarks(se state.Entry, port operator.Port) {
-	//jitlint:allow maporder each id enrolls the tuple in its own entry, and enrollments in different entries commute
-	for id := range se.C.Marks {
+	for _, id := range se.C.Marks() {
 		if e := j.marks.EntryByID(id); e != nil {
 			j.marks.Enroll(e, port == operator.Left, se)
 		}

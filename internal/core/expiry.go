@@ -191,14 +191,14 @@ func (j *JoinOp) probeGrave(f *probeFrame, o *side, cursor uint64, collect *[]*s
 // graveyard entry e on one side is read only by a late input c on the other
 // that passes pairValid, which needs c.TS < e.MinTS + w; and a composite all
 // of whose constituents have arrived reaches this operator late only because
-// a sub-composite of it sits deferred — parked or recorded as a suppressed
-// pair — on that input's way here, so its timestamp is at least that item's
-// MinTS. Once every deferred item on the way into a port has MinTS at or past
-// e.MinTS + w, no reader of e is left, now or later: whatever arrives from
-// then on carries a newer timestamp still (DESIGN.md §4 has the full
-// argument). It runs at the end of Sweep only: the engine calls Sweep with
-// no operator on the stack, so nothing is in transit between a blacklist and
-// its consumer, which is what makes the floor complete.
+// it contains something deferred — parked or recorded as a suppressed pair —
+// on that input's way here, so its timestamp is at least that item's TS. Once
+// every deferred item on the way into a port has TS at or past e.MinTS + w,
+// no reader of e is left, now or later: whatever arrives from then on
+// carries a newer timestamp still (DESIGN.md §4 has the full argument). It
+// runs at the end of Sweep only: the engine calls Sweep with no operator on
+// the stack, so nothing is in transit between a blacklist and its consumer,
+// which is what makes the floor complete.
 func (j *JoinOp) expireGrave() {
 	for p := operator.Port(0); p < 2; p++ {
 		if g := j.in[p.Opposite()].grave; !g.Empty() {
@@ -207,25 +207,41 @@ func (j *JoinOp) expireGrave() {
 	}
 }
 
-// inputFloor is the oldest MinTS among the results still owed to one input
-// port: the tuples parked on it here and whatever its producer defers.
+// inputFloor bounds what can still read the graveyard opposite one input
+// port: the oldest MinTS among the tuples parked on it here and the partners
+// they owe (a resumption's catch-up charge reaches that far back, so the
+// local term stays MinTS-based), and the floor of whatever its producer
+// defers.
 func (j *JoinOp) inputFloor(s *side) stream.Time {
 	f := NoDeadline
 	if ts, ok := s.black.OldestOwed(); ok {
 		f = ts
 	}
-	if s.prod != nil {
-		f = min(f, s.prod.DeferredFloor())
-	}
-	return f
+	return min(f, prodFloor(s))
 }
 
-// DeferredFloor implements operator.Producer: the oldest MinTS among the
-// tuples parked on either input, the pairs suppressed under this operator's
-// marks, and everything deferred further upstream.
+// prodFloor is the producer's DeferredFloor, or NoDeadline on a source-fed
+// side.
+func prodFloor(s *side) stream.Time {
+	if s.prod == nil {
+		return NoDeadline
+	}
+	return s.prod.DeferredFloor()
+}
+
+// DeferredFloor implements operator.Producer: the oldest TS among the tuples
+// parked on either input and the results of the pairs suppressed under this
+// operator's marks, and the floors of both producers. Every result still
+// owed downstream contains one of those, so none is older.
 func (j *JoinOp) DeferredFloor() stream.Time {
-	f := min(j.inputFloor(j.in[operator.Left]), j.inputFloor(j.in[operator.Right]))
-	if ts, ok := j.marks.NextPendingMinTS(); ok {
+	f := NoDeadline
+	for _, s := range j.in {
+		if ts, ok := s.black.OldestParkedTS(); ok {
+			f = min(f, ts)
+		}
+		f = min(f, prodFloor(s))
+	}
+	if ts, ok := j.marks.OldestPendingTS(); ok {
 		f = min(f, ts)
 	}
 	return f

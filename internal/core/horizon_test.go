@@ -170,3 +170,105 @@ func TestJITStateWindowBounded(t *testing.T) {
 	check("blacklist entries and buffered MNSs", at[0].filed, at[1].filed)
 	check("heap in use", at[0].heap, at[1].heap)
 }
+
+// TestGraveyardFloorIsATimestamp pins the producer's term of the retention
+// rule (DESIGN.md §4) on a hand-built two-operator plan: what a producer owes
+// is bounded below by the timestamp of the result it will produce, not by
+// that result's oldest part. P (sources 0 and 1) holds one pair suppressed
+// under a mark, a at w and b at 2w−1: the result ab it owes has TS 2w−1 and
+// MinTS w. Its consumer X retires e1 (TS w−1) and e2 (TS w). ab can pair only
+// with e2 — pairValid needs ab.TS < e.MinTS + w — so X forgets e1 while the
+// pair is pending (a floor at ab's MinTS kept both), and when P's mark
+// expires ab, a reader exactly at e2's boundary, still finds e2.
+func TestGraveyardFloorIsATimestamp(t *testing.T) {
+	const w = 100
+	acct := &metrics.Account{}
+	ids := uint64(100)
+	next := func() uint64 { ids++; return ids }
+	src := func(s stream.SourceID) stream.SourceSet { return stream.SourceSet(0).Add(s) }
+	p := core.NewJoin(core.Config{
+		Name: "P", NumSources: 3, Window: w, Mode: core.JIT(), Account: acct, NextMNS: next,
+		Preds:       predicate.Conj{{Left: 0, LCol: 0, Right: 1, RCol: 0}},
+		LeftSources: src(0), RightSources: src(1),
+	})
+	x := core.NewJoin(core.Config{
+		Name: "X", NumSources: 3, Window: w, Mode: core.JIT(), Account: acct, NextMNS: next,
+		Preds:       predicate.Conj{{Left: 0, LCol: 0, Right: 2, RCol: 0}},
+		LeftSources: src(0) | src(1), RightSources: src(2), LeftProd: p,
+	})
+	out := &collector{}
+	p.SetConsumer(x, operator.Left)
+	x.SetConsumer(out, operator.Left)
+	p.SetExact(true)
+	x.SetExact(true)
+	tuple := func(id uint64, s stream.SourceID, ts stream.Time, v stream.Value) *stream.Composite {
+		return stream.NewComposite(3, &stream.Tuple{ID: id, Source: s, TS: ts, Vals: []stream.Value{v}})
+	}
+
+	// A Type II MNS over both of P's inputs: P marks value 7 on each side and
+	// records the pair it suppresses.
+	m := &feedback.MNS{
+		ID: 9, Sources: src(0) | src(1), Expiry: 3 * w,
+		Sig: feedback.Signature{{Attr: predicate.Attr{Source: 0}, Val: 7}, {Attr: predicate.Attr{Source: 1}, Val: 7}},
+	}
+	p.Feedback(feedback.Message{Cmd: feedback.Suspend, MNS: []*feedback.MNS{m}})
+	x.Consume(tuple(1, 2, w-1, 7), operator.Right) // e1
+	x.Consume(tuple(2, 2, w, 7), operator.Right)   // e2
+	p.Consume(tuple(3, 0, w, 7), operator.Left)    // a
+	p.Consume(tuple(4, 1, 2*w-1, 7), operator.Right)
+	if n := p.Counters().SuppressedPairs; n != 1 || len(out.got) != 0 {
+		t.Fatalf("P suppressed %d pairs, X delivered %d results; want 1 and 0", n, len(out.got))
+	}
+	if f := p.DeferredFloor(); f != 2*w-1 {
+		t.Errorf("P's floor is %v, want the owed result's TS %v", f, stream.Time(2*w-1))
+	}
+
+	// X's clock passes both entries' windows: both retire, and the sweep's
+	// retention pass keeps only the one ab can still reach.
+	x.Consume(tuple(5, 2, 5*w/2, 8), operator.Right)
+	x.Sweep(5 * w / 2)
+	if st, _, _ := x.Side(operator.Right); st.Len() != 1 || x.GraveLen(operator.Right) != 1 {
+		t.Fatalf("X right: %d live, %d retired; want 1 and 1 (e2 kept, e1 dropped)", st.Len(), x.GraveLen(operator.Right))
+	}
+
+	// P's mark expires: ab (TS 2w−1 = e2.MinTS + w − 1) reaches X late and
+	// pairs with e2 in the graveyard.
+	p.Sweep(3 * w)
+	if len(out.got) != 1 || out.got[0].Key() != "0:3|1:4|2:2" {
+		t.Fatalf("X delivered %v, want the one result a·b·e2", out.got)
+	}
+}
+
+// TestRootGraveyardTracksLiveState holds the retention rule to the live state
+// it shadows on the drained bushy N=4 clique stream (λ=2.5, dmax=16, w=1 min,
+// linear-scan states): at 3, 6 and 9 windows each side of the root keeps at
+// most 2.5× as many retired entries as live ones. While the producers' floor
+// was the MinTS of what they owed it kept 2.7–4.2×.
+func TestRootGraveyardTracksLiveState(t *testing.T) {
+	const maxRatio = 2.5
+	cat, conj := predicate.Clique(4)
+	b := plan.BuildTree(cat, conj, plan.Bushy(4), plan.Options{Window: stream.Minute, Mode: core.JIT(), NoStateIndex: true})
+	gen := source.Stream(cat, source.UniformConfig(4, 2.5, 16, 10*stream.Minute, 1))
+	root := b.Joins[len(b.Joins)-1]
+	checkpoint, samples := 3*b.Window, 0
+	engine.NewWithOptions(b, engine.Options{Drain: true}).RunStream(func() (*stream.Tuple, bool) {
+		tp, ok := gen()
+		if ok && tp.TS >= checkpoint && checkpoint <= 9*b.Window {
+			for p := operator.Port(0); p < 2; p++ {
+				st, _, _ := root.Side(p)
+				live, retired := st.Len(), root.GraveLen(p)
+				ratio := float64(retired) / float64(live)
+				t.Logf("%v %v: %d retired, %d live, %.2f×", checkpoint, p, retired, live, ratio)
+				if live == 0 || ratio > maxRatio {
+					t.Errorf("%v %v: %d retired entries against %d live (bound %.1f×)", checkpoint, p, retired, live, maxRatio)
+				}
+			}
+			checkpoint += 3 * b.Window
+			samples++
+		}
+		return tp, ok
+	})
+	if samples != 3 {
+		t.Fatalf("stream ended after %d of 3 samples", samples)
+	}
+}

@@ -68,6 +68,9 @@ type side struct {
 	// buildMNS's scratch for their concatenation.
 	atomAttrs [][]predicate.Attr
 	attrBuf   []predicate.Attr
+	// maskPreds holds the shared crossing-predicate list of each multi-atom
+	// mask an MNS was built over (predsOf).
+	maskPreds map[uint32]predicate.Conj
 	// lookups[k] is how lattice detection finds atom k's partners in the
 	// opposite state by value (detect.go); nil for an atom it leaves out.
 	lookups    []*atomLookup
@@ -188,6 +191,7 @@ func NewJoin(cfg Config) *JoinOp {
 		}
 		s.st.SetKey(s.key)
 		s.grave.SetKey(s.key)
+		s.grave.ChargeAs(metrics.MemGraveyard)
 		s.atoms = cfg.Preds.SourcesLinkedTo(srcs, other)
 		for _, src := range s.atoms {
 			preds := cfg.Preds.TouchingAcross(src, other)

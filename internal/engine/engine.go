@@ -55,6 +55,8 @@ type Result struct {
 	WallTime time.Duration
 	// PeakMemKB is the peak accounted live bytes in kilobytes.
 	PeakMemKB float64
+	// PeakMem splits that peak by structure (metrics.Account.PeakBy).
+	PeakMem metrics.MemLedger
 	// Counters is the full counter breakdown.
 	Counters metrics.Counters
 	// OrderViolations counts out-of-order sink deliveries (must be 0 except
@@ -245,6 +247,7 @@ func (e *Engine) RunStream(next func() (*stream.Tuple, bool)) Result {
 		CostUnits:       totals.CostUnits(),
 		WallTime:        wall,
 		PeakMemKB:       b.Account.PeakKB(),
+		PeakMem:         b.Account.PeakBy(),
 		Counters:        totals,
 		OrderViolations: b.Sink.OrderViolations,
 		Arrivals:        arrivals,

@@ -66,19 +66,22 @@ func (r *retiring) Migrate(cut stream.Time, b *plan.Built) *plan.Built {
 // migratedPeakKB is Result.PeakMemKB of the forced-migration run below, by
 // mode and initial shape, as the former two-plan handoff recorded it (two
 // accounts: Alloc(oldLive) on the new one for the replay, Free, then the old
-// peak absorbed). One account with one Free(oldLive) after the replay must
+// peak absorbed). One account with one FreeAll(oldLive) after the replay must
 // reproduce it to the byte. The two jit rows were re-recorded from that same
 // handoff with the rest rule of DESIGN.md §4 applied to it (expired recovery
-// inputs now occupy the graveyard: +240 and +3 840 bytes).
+// inputs now occupy the graveyard: +240 and +3 840 bytes), and the two
+// left-deep feedback rows again when the graveyard's floor became the
+// timestamp of what is owed rather than its MinTS (1 592 408 and 834 280
+// bytes before).
 var migratedPeakKB = map[string]float64{
 	"ref ((0 1) (2 3))":   650760.0 / 1024,
 	"jit ((0 1) (2 3))":   1251248.0 / 1024,
 	"doe ((0 1) (2 3))":   647040.0 / 1024,
 	"bloom ((0 1) (2 3))": 913528.0 / 1024,
 	"ref (((0 1) 2) 3)":   648936.0 / 1024,
-	"jit (((0 1) 2) 3)":   1592408.0 / 1024,
+	"jit (((0 1) 2) 3)":   1312568.0 / 1024,
 	"doe (((0 1) 2) 3)":   647040.0 / 1024,
-	"bloom (((0 1) 2) 3)": 834280.0 / 1024,
+	"bloom (((0 1) 2) 3)": 802360.0 / 1024,
 }
 
 // TestPlanTotalsAreOperatorSums pins the one-ledger contract: a run's
@@ -129,6 +132,7 @@ func TestPlanTotalsAreOperatorSums(t *testing.T) {
 			if r.PeakMemKB != migratedPeakKB[label] {
 				t.Errorf("%s: PeakMemKB = %v, want %v", label, r.PeakMemKB, migratedPeakKB[label])
 			}
+			samePeakSplit(t, label, r)
 			label += " migrated"
 			want = sumOps(r.Ops)
 			want.Add(b.RunLedger)
@@ -157,8 +161,22 @@ func TestPlanTotalsAreOperatorSums(t *testing.T) {
 				t.Errorf("%s: %d shards, merged operators %+v, want %+v", label, len(s.Shards), s.Merged.Ops, ops)
 			}
 			sameCounters(t, label, s.Merged.Counters, totals)
+			samePeakSplit(t, label, s.Merged)
 			sameCounters(t, label+" run ledgers", s.Merged.Counters.Sub(sumOps(s.Merged.Ops)), ledgers)
 			sameCounters(t, label+" run ledgers", opOwned(ledgers), metrics.Counters{})
 		}
+	}
+}
+
+// samePeakSplit checks that a result's peak split by structure adds up to its
+// peak: the memory ledger accounts for every byte the peak does.
+func samePeakSplit(t *testing.T, label string, r engine.Result) {
+	t.Helper()
+	var sum int64
+	for _, n := range r.PeakMem {
+		sum += n
+	}
+	if float64(sum)/1024 != r.PeakMemKB {
+		t.Errorf("%s: peak split %v sums to %d B, peak is %.1f KB", label, r.PeakMem, sum, r.PeakMemKB)
 	}
 }

@@ -85,8 +85,11 @@ type Blacklist struct {
 	anchorMin state.MinCache
 	parkMin   state.MinCache
 	// oweMin caches the earliest Suspended.oldest: how far back the parked
-	// tuples' resumptions can still reach (OldestOwed).
+	// tuples' resumptions can still reach (OldestOwed). parkTS caches the
+	// earliest TS among parked tuples: no result a resumption produces is
+	// older (OldestParkedTS).
 	oweMin state.MinCache
+	parkTS state.MinCache
 }
 
 // sigKey appends an entry's place in the fingerprint index: the attributes
@@ -96,7 +99,7 @@ func sigKey(e *Entry, buf []SigEntry) []SigEntry { return append(buf, e.MNS.Sig.
 // NewBlacklist creates an empty blacklist charging memory to acct.
 func NewBlacklist(name string, acct *metrics.Account) *Blacklist {
 	b := &Blacklist{name: name, acct: acct, bySig: newFPIndex(sigKey), bySeq: make(map[uint64]*Entry)}
-	b.entries = newTable[*Entry](acct, &b.anchorMin)
+	b.entries = newTable[*Entry](acct, metrics.MemBlacklist, &b.anchorMin)
 	return b
 }
 
@@ -137,9 +140,10 @@ func (b *Blacklist) Ensure(m *MNS) (e *Entry, created bool) {
 func (b *Blacklist) Park(e *Entry, s Suspended) {
 	b.parkMin.Add(s.E.C.MinTS)
 	b.oweMin.Add(s.oldest())
+	b.parkTS.Add(s.E.C.TS)
 	e.Tuples = append(e.Tuples, s)
 	b.bySeq[s.E.Seq] = e
-	b.acct.Alloc(s.E.C.DeepSizeBytes())
+	b.acct.Alloc(metrics.MemBlacklist, s.E.C.DeepSizeBytes())
 }
 
 // BySeq returns the parked tuple holding the given sequence number, or nil.
@@ -201,6 +205,20 @@ func (b *Blacklist) OldestOwed() (stream.Time, bool) {
 	})
 }
 
+// OldestParkedTS returns the earliest TS among parked tuples; ok is false
+// when nothing is parked. Every result a resumption here produces contains a
+// parked tuple, so none is older: this is the blacklist's term in
+// core.JoinOp.DeferredFloor (DESIGN.md §4).
+func (b *Blacklist) OldestParkedTS() (stream.Time, bool) {
+	return b.parkTS.Get(func(add func(stream.Time)) {
+		for _, e := range b.entries.list {
+			for i := range e.Tuples {
+				add(e.Tuples[i].E.C.TS)
+			}
+		}
+	})
+}
+
 // MatchArrival checks a freshly arriving composite against every entry.
 // On a hit the arrival should be diverted straight into that entry (the a2
 // fast path); comparisons are reported for cost accounting. With generalize
@@ -252,6 +270,7 @@ func (b *Blacklist) TakeExpired(now stream.Time) []*Entry {
 func (b *Blacklist) dropped(e *Entry) {
 	b.parkMin.Remove(len(e.Tuples))
 	b.oweMin.Remove(len(e.Tuples))
+	b.parkTS.Remove(len(e.Tuples))
 	for i := range e.Tuples {
 		delete(b.bySeq, e.Tuples[i].E.Seq)
 	}
@@ -264,18 +283,19 @@ func (b *Blacklist) dropped(e *Entry) {
 // sweep gives each a last-gasp catch-up first (DESIGN.md §4).
 func (b *Blacklist) TakeExpiredTuples(now, window stream.Time) []Suspended {
 	var taken []Suspended
-	b.parkMin, b.oweMin = state.MinCache{}, state.MinCache{}
+	b.parkMin, b.oweMin, b.parkTS = state.MinCache{}, state.MinCache{}, state.MinCache{}
 	for _, e := range b.entries.list {
 		kept := e.Tuples[:0]
 		for _, s := range e.Tuples {
 			if s.E.C.MinTS+window <= now {
-				b.acct.Free(s.E.C.DeepSizeBytes())
+				b.acct.Free(metrics.MemBlacklist, s.E.C.DeepSizeBytes())
 				delete(b.bySeq, s.E.Seq)
 				taken = append(taken, s)
 				continue
 			}
 			b.parkMin.Add(s.E.C.MinTS)
 			b.oweMin.Add(s.oldest())
+			b.parkTS.Add(s.E.C.TS)
 			kept = append(kept, s)
 		}
 		clear(e.Tuples[len(kept):])
@@ -288,7 +308,7 @@ func (b *Blacklist) TakeExpiredTuples(now, window stream.Time) []Suspended {
 // tuples are being reinserted into the active state (which re-charges them).
 func (b *Blacklist) ReleaseTuples(e *Entry) {
 	for _, s := range e.Tuples {
-		b.acct.Free(s.E.C.DeepSizeBytes())
+		b.acct.Free(metrics.MemBlacklist, s.E.C.DeepSizeBytes())
 	}
 }
 

@@ -54,7 +54,7 @@ func probeKey(m *MNS, buf []SigEntry) []SigEntry {
 // NewBuffer creates an empty MNS buffer charging memory to acct.
 func NewBuffer(name string, acct *metrics.Account) *Buffer {
 	b := &Buffer{name: name, byProbe: newFPIndex(probeKey)}
-	b.mnss = newTable[*MNS](acct, &b.expiryMin)
+	b.mnss = newTable[*MNS](acct, metrics.MemMNS, &b.expiryMin)
 	return b
 }
 

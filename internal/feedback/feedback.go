@@ -124,9 +124,25 @@ func (s Signature) Sources() stream.SourceSet {
 	return set
 }
 
-// Restrict returns the sub-signature whose sources lie in set.
+// Restrict returns the sub-signature whose sources lie in set. Entries are
+// sorted by source first, so when those entries form one run of s — always
+// for a set of one source, and for any set that no other constrained source
+// interleaves — the result shares s's storage, capacity-capped so an append
+// cannot write into s; otherwise it is a copy.
 func (s Signature) Restrict(set stream.SourceSet) Signature {
-	out := make(Signature, 0, len(s))
+	lo, hi, n := len(s), 0, 0
+	for i, e := range s {
+		if set.Has(e.Attr.Source) {
+			lo, hi, n = min(lo, i), i+1, n+1
+		}
+	}
+	switch {
+	case n == 0:
+		return nil
+	case hi-lo == n:
+		return s[lo:hi:hi]
+	}
+	out := make(Signature, 0, n)
 	for _, e := range s {
 		if set.Has(e.Attr.Source) {
 			out = append(out, e)

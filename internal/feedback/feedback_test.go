@@ -313,8 +313,8 @@ func TestMarkTable(t *testing.T) {
 	// Re-enrollment (a reinsertion) lists the tuple again; the mark is
 	// cleared idempotently when the entry dissolves.
 	mt.Enroll(e, true, state.Entry{C: l, Seq: 1})
-	if len(e.Left) != 2 || len(l.Marks) != 1 {
-		t.Fatalf("re-enrollment: %d listed, marks %v", len(e.Left), l.Marks)
+	if len(e.Left) != 2 || len(l.Marks()) != 1 {
+		t.Fatalf("re-enrollment: %d listed, marks %v", len(e.Left), l.Marks())
 	}
 	if mt.SuppressedBy(l, r, 0) != 7 || mt.SuppressedBy(l, r, 7) != 0 {
 		t.Fatal("suppression check wrong")
@@ -522,14 +522,6 @@ func TestMarkIndexMatchesScan(t *testing.T) {
 		}
 		return n
 	}
-	marksOf := func(c *stream.Composite) []uint64 {
-		var ids []uint64
-		for id := range c.Marks {
-			ids = append(ids, id)
-		}
-		slices.Sort(ids)
-		return ids
-	}
 
 	var origins []*OriginEntry
 	var relays []*MNS
@@ -593,7 +585,7 @@ func TestMarkIndexMatchesScan(t *testing.T) {
 			}
 			slices.Sort(want)
 			n := mt.MarkInput(c, left)
-			if got := marksOf(c); !slices.Equal(got, want) {
+			if got := c.Marks(); !slices.Equal(got, want) {
 				t.Fatalf("step %d left=%v: input %v marked %v, the scan marks %v", step, left, c, got, want)
 			}
 			if wantN := charge(&mt.bySide[sideOf(left)]); len(origins) > 0 && n != wantN {
@@ -609,7 +601,7 @@ func TestMarkIndexMatchesScan(t *testing.T) {
 		}
 		slices.Sort(want)
 		mt.StampOutput(out)
-		if got := marksOf(out); !slices.Equal(got, want) {
+		if got := out.Marks(); !slices.Equal(got, want) {
 			t.Fatalf("step %d: result %v stamped %v, the scan stamps %v", step, out, got, want)
 		}
 	}
@@ -651,8 +643,8 @@ func TestEmptySideSignatureMarksNothing(t *testing.T) {
 	if n := mt.MarkInput(l, true); !l.HasMark(9) || n != 1 {
 		t.Fatalf("the constrained side: marked %v, %d comparisons", l.HasMark(9), n)
 	}
-	if n := mt.MarkInput(r, false); len(r.Marks) != 0 || n != 0 {
-		t.Fatalf("the unconstrained side: marks %v, %d comparisons", r.Marks, n)
+	if n := mt.MarkInput(r, false); len(r.Marks()) != 0 || n != 0 {
+		t.Fatalf("the unconstrained side: marks %v, %d comparisons", r.Marks(), n)
 	}
 	if mt.SuppressedBy(l, r, 0) != 0 {
 		t.Fatal("a pair suppressed under an MNS that constrains one side only")

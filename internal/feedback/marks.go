@@ -56,16 +56,18 @@ type MarkTable struct {
 	byRelay fpIndex[*MNS]
 	// Deadline caches (DESIGN.md §4): earliest expiry among origin and relay
 	// entries together, and earliest endpoint MinTS among pending suppressed
-	// pairs.
+	// pairs. pendTS caches the earliest result TS among pending pairs
+	// (OldestPendingTS).
 	expiryMin state.MinCache
 	pendMin   state.MinCache
+	pendTS    state.MinCache
 }
 
 // NewMarkTable creates an empty table.
 func NewMarkTable(acct *metrics.Account) *MarkTable {
 	t := &MarkTable{acct: acct, active: make(map[uint64]*OriginEntry)}
-	t.origins = newTable[*OriginEntry](acct, &t.expiryMin)
-	t.relays = newTable[*MNS](acct, &t.expiryMin)
+	t.origins = newTable[*OriginEntry](acct, metrics.MemMNS, &t.expiryMin)
+	t.relays = newTable[*MNS](acct, metrics.MemMNS, &t.expiryMin)
 	t.bySide[0] = newFPIndex(func(e *OriginEntry, buf []SigEntry) []SigEntry { return append(buf, e.SigL...) })
 	t.bySide[1] = newFPIndex(func(e *OriginEntry, buf []SigEntry) []SigEntry { return append(buf, e.SigR...) })
 	t.byRelay = newFPIndex(func(m *MNS, buf []SigEntry) []SigEntry { return append(buf, m.Sig...) })
@@ -145,12 +147,16 @@ func (t *MarkTable) Enroll(e *OriginEntry, left bool, se state.Entry) {
 func (t *MarkTable) RecordSuppressed(e *OriginEntry, l, r state.Entry) {
 	p := PendingPair{L: l, R: r}
 	t.pendMin.Add(p.minTS())
+	t.pendTS.Add(p.ts())
 	e.Pending = append(e.Pending, p)
-	t.acct.Alloc(pendingPairBytes)
+	t.acct.Alloc(metrics.MemPending, pendingPairBytes)
 }
 
 // minTS is the pair's older endpoint: the pair is fruitless once it expires.
 func (p PendingPair) minTS() stream.Time { return min(p.L.C.MinTS, p.R.C.MinTS) }
+
+// ts is the timestamp of the result the pair will produce.
+func (p PendingPair) ts() stream.Time { return max(p.L.C.TS, p.R.C.TS) }
 
 // InvalidateMinCaches forces the next NextExpiry / NextPendingMinTS reads
 // to recompute exactly (see Blacklist.InvalidateMinCaches).
@@ -182,6 +188,19 @@ func (t *MarkTable) NextPendingMinTS() (stream.Time, bool) {
 	})
 }
 
+// OldestPendingTS returns the earliest result TS among pending suppressed
+// pairs; ok is false when no pair is parked. It is the mark table's term in
+// core.JoinOp.DeferredFloor (DESIGN.md §4).
+func (t *MarkTable) OldestPendingTS() (stream.Time, bool) {
+	return t.pendTS.Get(func(add func(stream.Time)) {
+		for _, e := range t.origins.list {
+			for _, p := range e.Pending {
+				add(p.ts())
+			}
+		}
+	})
+}
+
 const pendingPairBytes = 48
 
 // EntryByID returns the active origin entry with the given mark id.
@@ -189,27 +208,26 @@ func (t *MarkTable) EntryByID(id uint64) *OriginEntry { return t.active[id] }
 
 // SuppressedBy returns the id of an active origin mark shared by a and b,
 // or 0 when the pair is not suppressed and may be joined now. The exclude id
-// lets unmark processing ignore the entry being dissolved.
+// lets unmark processing ignore the entry being dissolved. When several
+// active marks cover the pair it returns the smallest id: the choice decides
+// which origin entry records a suppressed pair, so it must not depend on
+// anything but the ids. Both mark lists are ascending, so one merge finds it.
 func (t *MarkTable) SuppressedBy(a, b *stream.Composite, exclude uint64) uint64 {
-	if len(a.Marks) == 0 || len(b.Marks) == 0 {
-		return 0
-	}
-	// Iterate the smaller mark set. When several active marks cover the
-	// pair, return the smallest id: the choice decides which origin entry
-	// records a suppressed pair, and a deterministic rule keeps runs
-	// reproducible (map iteration order is not).
-	small, big := a, b
-	if len(b.Marks) < len(a.Marks) {
-		small, big = b, a
-	}
-	best := uint64(0)
-	//jitlint:allow maporder takes the minimum qualifying id, which is the same in any visiting order
-	for id := range small.Marks {
-		if id != exclude && t.active[id] != nil && big.HasMark(id) && (best == 0 || id < best) {
-			best = id
+	x, y := a.Marks(), b.Marks()
+	for len(x) > 0 && len(y) > 0 {
+		switch {
+		case x[0] < y[0]:
+			x = x[1:]
+		case x[0] > y[0]:
+			y = y[1:]
+		default:
+			if id := x[0]; id != exclude && t.active[id] != nil {
+				return id
+			}
+			x, y = x[1:], y[1:]
 		}
 	}
-	return best
+	return 0
 }
 
 // TakeOrigin removes and returns the origin entry for the signature key.
@@ -237,6 +255,7 @@ func (t *MarkTable) TakeExpiredOrigins(now stream.Time) []*OriginEntry {
 func (t *MarkTable) dropped(e *OriginEntry) {
 	delete(t.active, e.MNS.ID)
 	t.pendMin.Remove(len(e.Pending))
+	t.pendTS.Remove(len(e.Pending))
 	t.file(e, false)
 }
 
@@ -249,16 +268,17 @@ func (t *MarkTable) HasExpired(now stream.Time) bool {
 // can never contribute to output (fruitless partial results).
 func (t *MarkTable) PurgePending(now, window stream.Time) int {
 	n := 0
-	t.pendMin = state.MinCache{}
+	t.pendMin, t.pendTS = state.MinCache{}, state.MinCache{}
 	for _, e := range t.origins.list {
 		kept := e.Pending[:0]
 		for _, p := range e.Pending {
 			if p.minTS()+window <= now {
-				t.acct.Free(pendingPairBytes)
+				t.acct.Free(metrics.MemPending, pendingPairBytes)
 				n++
 				continue
 			}
 			t.pendMin.Add(p.minTS())
+			t.pendTS.Add(p.ts())
 			kept = append(kept, p)
 		}
 		clear(e.Pending[len(kept):])
@@ -269,7 +289,7 @@ func (t *MarkTable) PurgePending(now, window stream.Time) int {
 
 // ReleasePending uncharges the pending-pair storage of a dissolved entry.
 func (t *MarkTable) ReleasePending(e *OriginEntry) {
-	t.acct.Free(int64(len(e.Pending)) * pendingPairBytes)
+	t.acct.Free(metrics.MemPending, int64(len(e.Pending))*pendingPairBytes)
 }
 
 // AddRelay installs (or extends) a relay descriptor stamping outputs that

@@ -31,13 +31,14 @@ func (e *OriginEntry) mns() *MNS { return e.MNS }
 // (DESIGN.md §4); the mark table's two tables share one.
 type table[E holder] struct {
 	acct  *metrics.Account
+	mem   metrics.Mem
 	list  []E
 	byKey map[string]E
 	min   *state.MinCache
 }
 
-func newTable[E holder](acct *metrics.Account, min *state.MinCache) table[E] {
-	return table[E]{acct: acct, byKey: make(map[string]E), min: min}
+func newTable[E holder](acct *metrics.Account, mem metrics.Mem, min *state.MinCache) table[E] {
+	return table[E]{acct: acct, mem: mem, byKey: make(map[string]E), min: min}
 }
 
 // extend looks up the element filed under m's key. When one exists and m
@@ -59,7 +60,7 @@ func (t *table[E]) insert(e E) {
 	t.min.Add(m.Expiry)
 	t.list = append(t.list, e)
 	t.byKey[m.Key()] = e
-	t.acct.Alloc(m.SizeBytes())
+	t.acct.Alloc(t.mem, m.SizeBytes())
 }
 
 // remove deletes the given held elements in one pass that keeps list order.
@@ -67,7 +68,7 @@ func (t *table[E]) remove(es ...E) {
 	for _, e := range es {
 		m := e.mns()
 		delete(t.byKey, m.Key())
-		t.acct.Free(m.SizeBytes())
+		t.acct.Free(t.mem, m.SizeBytes())
 	}
 	t.min.Remove(len(es))
 	left := len(es)
@@ -109,7 +110,7 @@ func (t *table[E]) takeExpired(now stream.Time, refresh bool) []E {
 			continue
 		}
 		delete(t.byKey, m.Key())
-		t.acct.Free(m.SizeBytes())
+		t.acct.Free(t.mem, m.SizeBytes())
 		out = append(out, e)
 	}
 	clear(t.list[len(kept):])

@@ -1,4 +1,4 @@
 package metrics
 
 // Reset clears both live and peak figures.
-func (a *Account) Reset() { a.live, a.peak = 0, 0 }
+func (a *Account) Reset() { *a = Account{} }

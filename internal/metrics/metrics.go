@@ -203,37 +203,99 @@ func MergeOps(dst, src []OpCounters) []OpCounters {
 	return dst
 }
 
-// Account tracks live bytes attributed to stored stream data (operator
-// states, blacklists, MNS buffers, inter-operator queues) and records the
-// peak. It replaces process-RSS measurement with an exact, GC-independent
-// figure, matching what the paper's memory metric is dominated by.
-type Account struct {
-	live int64
-	peak int64
-}
+// Mem names the structure a charge to an Account is for: the rows of the
+// memory ledger.
+type Mem uint8
 
-// Alloc charges n bytes to the account.
-func (a *Account) Alloc(n int64) {
-	a.live += n
-	if a.live > a.peak {
-		a.peak = a.live
+// The memory ledger's rows.
+const (
+	MemState     Mem = iota // tuples stored in join states
+	MemGraveyard            // exact mode's retired state entries (DESIGN.md §4)
+	MemBlacklist            // parked tuples and their blacklist entries
+	MemMNS                  // MNS buffers, origin and relay descriptors
+	MemPending              // pairs suppressed under a mark
+	MemBloom                // Bloom filters over join states
+	NumMem
+)
+
+var memNames = [NumMem]string{"state", "grave", "black", "mns", "pending", "bloom"}
+
+// MemLedger is an Account's live bytes split by structure.
+type MemLedger [NumMem]int64
+
+// Add accumulates o into l (a sharded fleet's ledgers sum, as its peaks do).
+func (l *MemLedger) Add(o MemLedger) {
+	for i, n := range o {
+		l[i] += n
 	}
 }
 
-// Free releases n bytes. Freeing more than is live indicates an accounting
-// bug and panics, so tests catch it immediately.
-func (a *Account) Free(n int64) {
+// String renders the ledger in kilobytes, one name=value per structure.
+func (l MemLedger) String() string {
+	var b strings.Builder
+	for i, n := range l {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%s=%.1fKB", memNames[i], float64(n)/1024)
+	}
+	return b.String()
+}
+
+// Account tracks live bytes attributed to stored stream data (operator
+// states, graveyards, blacklists, MNS tables, suppressed pairs, Bloom
+// filters) and records the peak. It replaces process-RSS measurement with an
+// exact, GC-independent figure, matching what the paper's memory metric is
+// dominated by. Every charge names its structure, and the account keeps the
+// split at the peak beside the split now, so a peak can be read by what
+// made it.
+type Account struct {
+	live   int64
+	peak   int64
+	by     MemLedger
+	atPeak MemLedger
+}
+
+// Alloc charges n bytes of structure m to the account.
+func (a *Account) Alloc(m Mem, n int64) {
+	a.live += n
+	a.by[m] += n
+	if a.live > a.peak {
+		a.peak = a.live
+		a.atPeak = a.by
+	}
+}
+
+// Free releases n bytes of structure m. Freeing more than is live, overall
+// or of that structure, indicates an accounting bug and panics, so tests
+// catch it immediately.
+func (a *Account) Free(m Mem, n int64) {
 	a.live -= n
-	if a.live < 0 {
-		panic(fmt.Sprintf("metrics: account went negative (%d after freeing %d)", a.live, n))
+	a.by[m] -= n
+	if a.live < 0 || a.by[m] < 0 {
+		panic(fmt.Sprintf("metrics: account went negative (%d, %s %d, after freeing %d)", a.live, memNames[m], a.by[m], n))
+	}
+}
+
+// FreeAll releases a whole ledger's worth of bytes: what LiveBy read before
+// a migration, freed once the retired operators are gone (DESIGN.md §7).
+func (a *Account) FreeAll(l MemLedger) {
+	for m, n := range l {
+		a.Free(Mem(m), n)
 	}
 }
 
 // Live returns the currently charged bytes.
 func (a *Account) Live() int64 { return a.live }
 
+// LiveBy returns the currently charged bytes by structure.
+func (a *Account) LiveBy() MemLedger { return a.by }
+
 // Peak returns the high-water mark in bytes.
 func (a *Account) Peak() int64 { return a.peak }
+
+// PeakBy returns the split by structure when the high-water mark was set.
+func (a *Account) PeakBy() MemLedger { return a.atPeak }
 
 // PeakKB returns the high-water mark in kilobytes, the paper's unit.
 func (a *Account) PeakKB() float64 { return float64(a.peak) / 1024 }

@@ -7,10 +7,10 @@ import (
 
 func TestAccountPeak(t *testing.T) {
 	var a Account
-	a.Alloc(100)
-	a.Alloc(50)
-	a.Free(120)
-	a.Alloc(10)
+	a.Alloc(MemState, 100)
+	a.Alloc(MemState, 50)
+	a.Free(MemState, 120)
+	a.Alloc(MemBloom, 10)
 	if a.Live() != 40 {
 		t.Fatalf("live=%d", a.Live())
 	}
@@ -21,20 +21,54 @@ func TestAccountPeak(t *testing.T) {
 		t.Fatal("PeakKB wrong")
 	}
 	a.Reset()
-	if a.Live() != 0 || a.Peak() != 0 {
+	if a.Live() != 0 || a.Peak() != 0 || a.PeakBy() != (MemLedger{}) {
 		t.Fatal("reset failed")
 	}
 }
 
-func TestAccountNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("over-free must panic")
-		}
-	}()
+// TestAccountLedger: the split by structure sums to the totals, the split at
+// the peak is the one that set it, and FreeAll returns what LiveBy read.
+func TestAccountLedger(t *testing.T) {
 	var a Account
-	a.Alloc(10)
-	a.Free(11)
+	a.Alloc(MemState, 100)
+	a.Alloc(MemGraveyard, 60)
+	a.Free(MemState, 40)
+	a.Alloc(MemPending, 30)
+	a.Free(MemPending, 30)
+	if want := (MemLedger{MemState: 100, MemGraveyard: 60}); a.PeakBy() != want {
+		t.Fatalf("at peak %v, want %v", a.PeakBy(), want)
+	}
+	live := a.LiveBy()
+	if want := (MemLedger{MemState: 60, MemGraveyard: 60}); live != want {
+		t.Fatalf("live %v, want %v", live, want)
+	}
+	a.Alloc(MemBlacklist, 7)
+	a.FreeAll(live)
+	if a.Live() != 7 || a.LiveBy() != (MemLedger{MemBlacklist: 7}) || a.Peak() != 160 {
+		t.Fatalf("after FreeAll: live %d %v, peak %d", a.Live(), a.LiveBy(), a.Peak())
+	}
+	if got, want := (MemLedger{MemState: 2048, MemBloom: 512}).String(),
+		"state=2.0KB grave=0.0KB black=0.0KB mns=0.0KB pending=0.0KB bloom=0.5KB"; got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+}
+
+func TestAccountNegativePanics(t *testing.T) {
+	for _, free := range []func(*Account){
+		func(a *Account) { a.Free(MemState, 11) },    // more than is live
+		func(a *Account) { a.Free(MemGraveyard, 5) }, // more than its row holds
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("over-free must panic")
+				}
+			}()
+			var a Account
+			a.Alloc(MemState, 10)
+			free(&a)
+		}()
+	}
 }
 
 // TestCountersAddCoversEveryField walks the Counters struct by reflection

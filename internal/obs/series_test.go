@@ -30,7 +30,7 @@ func TestSamplerGrid(t *testing.T) {
 	}
 	led.totals.Probes = 5
 	led.ops[0].Counters.Probes = 2
-	acct.Alloc(100)
+	acct.Alloc(metrics.MemState, 100)
 	if !s.Tick(10) {
 		t.Fatal("boundary 10 not taken")
 	}

@@ -48,10 +48,13 @@ type Producer interface {
 	// suspend (e.g. raw sources).
 	CanSuspend() bool
 	// DeferredFloor returns a lower bound on the timestamp of every result
-	// this producer still owes its consumer: the oldest MinTS among the
-	// tuples parked and the pairs suppressed in the producer's subtree, or
-	// feedback.NoExpiry when the subtree defers nothing. An exact-mode
-	// consumer keeps retired state entries only while something at or above
-	// this floor could still pair with them (DESIGN.md §4).
+	// this producer still owes its consumer: the oldest TS among the tuples
+	// parked in the producer's subtree and the results of the pairs
+	// suppressed there, or feedback.NoExpiry when the subtree defers
+	// nothing. Every owed result contains one of those items, and a
+	// composite's TS is the largest of its parts'. An exact-mode consumer
+	// keeps a retired state entry e only while a result at or above this
+	// floor could still pair with it: pairValid needs the reader's TS below
+	// e.MinTS + window (DESIGN.md §4).
 	DeferredFloor() stream.Time
 }

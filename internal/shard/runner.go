@@ -45,7 +45,7 @@ type Result struct {
 	// metrics.Counters.Add, operators by name (metrics.MergeOps),
 	// result/arrival counts summed (a broadcast arrival is ingested once per
 	// shard and counted as such), PeakMemKB the sum of per-shard peaks (the
-	// fleet's total footprint), WallTime the whole run's wall clock —
+	// fleet's total footprint) and PeakMem the sum of their splits, WallTime the whole run's wall clock —
 	// dispatch start to last shard drained.
 	Merged engine.Result
 	// Shards holds each replica's own result, indexed by shard.
@@ -292,6 +292,7 @@ func (r *Runner) merge(res *Result, replicas []*plan.Built, shardRes []engine.Re
 		merged.Results += sr.Results
 		merged.Arrivals += sr.Arrivals
 		merged.PeakMemKB += sr.PeakMemKB
+		merged.PeakMem.Add(sr.PeakMem)
 		merged.OrderViolations += sr.OrderViolations
 		ctr.Add(&sr.Counters)
 		logs[i] = replicas[i].Sink.Results()

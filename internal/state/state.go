@@ -179,8 +179,9 @@ func (c *MinCache) Get(each func(add func(stream.Time))) (min stream.Time, ok bo
 type State struct {
 	name    string
 	acct    *metrics.Account
-	entries []Entry // arrival order == ascending Seq
-	version uint64  // incremented on every mutation; an unkeyed Walk re-finds its place when it moves
+	mem     metrics.Mem // the ledger row entries are charged to (ChargeAs)
+	entries []Entry     // arrival order == ascending Seq
+	version uint64      // incremented on every mutation; an unkeyed Walk re-finds its place when it moves
 	// indexes are the hash indexes over the entries, every one kept current
 	// by indexInsert / indexRemove. With keyed set, indexes[0] is the equi-join
 	// key's (SetKey), the one probes walk. The rest were built by lookup, one
@@ -198,6 +199,16 @@ type State struct {
 // which may be shared with the blacklists on the same join side.
 func New(name string, acct *metrics.Account) *State {
 	return &State{name: name, acct: acct}
+}
+
+// ChargeAs sets the memory-ledger row the state's entries are charged to:
+// metrics.MemState unless set. It must be called before any entry is
+// inserted.
+func (s *State) ChargeAs(m metrics.Mem) {
+	if len(s.entries) > 0 {
+		panic(fmt.Sprintf("state: ChargeAs on non-empty state %s", s.name))
+	}
+	s.mem = m
 }
 
 // SetKey configures the hash index over the given key columns. It must be
@@ -248,7 +259,7 @@ func (s *State) MinTS() (stream.Time, bool) {
 func (s *State) Reinsert(e Entry) {
 	s.version++
 	s.min.Add(e.C.MinTS)
-	s.acct.Alloc(e.C.DeepSizeBytes())
+	s.acct.Alloc(s.mem, e.C.DeepSizeBytes())
 	s.entries = insertBySeq(s.entries, e)
 	s.indexInsert(e)
 }
@@ -445,7 +456,7 @@ func (s *State) extract(expired stream.Time, collect bool) []Entry {
 			if collect {
 				removed = append(removed, e)
 			}
-			s.acct.Free(e.C.DeepSizeBytes())
+			s.acct.Free(s.mem, e.C.DeepSizeBytes())
 			s.indexRemove(e)
 			continue
 		}
@@ -516,7 +527,7 @@ func (s *State) RemoveIf(sig []Bound, pred func(*stream.Composite) bool) []Entry
 	for _, e := range removed {
 		s.version++
 		s.min.Remove(1)
-		s.acct.Free(e.C.DeepSizeBytes())
+		s.acct.Free(s.mem, e.C.DeepSizeBytes())
 		s.entries = removeSeq(s.entries, e.Seq)
 		s.indexRemove(e)
 	}

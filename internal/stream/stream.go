@@ -19,6 +19,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -250,12 +251,15 @@ type Composite struct {
 	Comps []*Tuple
 	// Sources is the set of sources present, kept in sync with Comps.
 	Sources SourceSet
-	// Marks is the set of mark-result identifiers this composite carries
-	// (Type II MNS handling, Sec. IV-B). A mark is set and read only where it
-	// originates — on an origin operator's inputs and on a relay's outputs —
-	// and Join never copies it, so a result starts unmarked. Nil when
-	// unmarked, which is the overwhelmingly common case.
-	Marks map[uint64]bool
+	// marks holds the mark-result identifiers this composite carries (Type
+	// II MNS handling, Sec. IV-B), ascending. A mark is set and read only
+	// where it originates — on an origin operator's inputs and on a relay's
+	// outputs — and Join never copies it, so a result starts unmarked. Nil
+	// when unmarked, which is the overwhelmingly common case. The list sits
+	// behind a pointer so that a Composite stays in the 64-byte size class:
+	// a bare slice header would move every composite, unmarked or not, into
+	// the 80-byte one.
+	marks *[]uint64
 }
 
 // NewComposite wraps a base tuple in a composite, given the catalog size.
@@ -297,21 +301,44 @@ func Join(a, b *Composite) *Composite {
 // Comp returns the component from the given source, or nil.
 func (c *Composite) Comp(id SourceID) *Tuple { return c.Comps[id] }
 
+// Marks returns the mark ids the composite carries, ascending; nil when it
+// carries none. The slice is the composite's own: callers must not change
+// it, and it is valid until the next AddMark or RemoveMark.
+func (c *Composite) Marks() []uint64 {
+	if c.marks == nil {
+		return nil
+	}
+	return *c.marks
+}
+
 // HasMark reports whether the composite carries the given mark id.
-func (c *Composite) HasMark(m uint64) bool { return c.Marks != nil && c.Marks[m] }
+func (c *Composite) HasMark(m uint64) bool {
+	_, ok := slices.BinarySearch(c.Marks(), m)
+	return ok
+}
 
 // AddMark tags the composite with a mark id.
 func (c *Composite) AddMark(m uint64) {
-	if c.Marks == nil {
-		c.Marks = make(map[uint64]bool, 1)
+	if c.marks == nil {
+		ids := []uint64{m}
+		c.marks = &ids
+		return
 	}
-	c.Marks[m] = true
+	if i, ok := slices.BinarySearch(*c.marks, m); !ok {
+		*c.marks = slices.Insert(*c.marks, i, m)
+	}
 }
 
-// RemoveMark clears a mark id from the composite.
+// RemoveMark clears a mark id from the composite; the last one to go drops
+// the list.
 func (c *Composite) RemoveMark(m uint64) {
-	if c.Marks != nil {
-		delete(c.Marks, m)
+	i, ok := slices.BinarySearch(c.Marks(), m)
+	switch {
+	case !ok:
+	case len(*c.marks) == 1:
+		c.marks = nil
+	default:
+		*c.marks = slices.Delete(*c.marks, i, i+1)
 	}
 }
 

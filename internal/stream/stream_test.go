@@ -142,8 +142,8 @@ func TestMarks(t *testing.T) {
 	d := NewComposite(2, mk(t, 1, 2, 2))
 	d.AddMark(11)
 	cd := Join(c, d)
-	if len(cd.Marks) != 0 || !c.HasMark(9) || !d.HasMark(11) {
-		t.Fatalf("join result marked %v, inputs %v and %v", cd.Marks, c.Marks, d.Marks)
+	if len(cd.Marks()) != 0 || !c.HasMark(9) || !d.HasMark(11) {
+		t.Fatalf("join result marked %v, inputs %v and %v", cd.Marks(), c.Marks(), d.Marks())
 	}
 }
 
