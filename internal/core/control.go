@@ -13,7 +13,7 @@ import (
 // and for resumptions the demanded partial results S_Π are returned to the
 // calling consumer.
 func (j *JoinOp) Feedback(msg feedback.Message) []*stream.Composite {
-	if !j.mode.enabled() || j.mode.IgnoreFeedback {
+	if !j.mode.enabled() {
 		return nil
 	}
 	j.trace.Feedback(j.name, msg.Cmd.String(), len(msg.MNS))
@@ -29,10 +29,8 @@ func (j *JoinOp) Feedback(msg feedback.Message) []*stream.Composite {
 		}
 		return out
 	case feedback.Mark:
-		if j.mode.TypeII {
-			for _, m := range msg.MNS {
-				j.marks.AddRelay(m)
-			}
+		for _, m := range msg.MNS {
+			j.marks.AddRelay(m)
 		}
 	case feedback.Unmark:
 		for _, m := range msg.MNS {
@@ -84,9 +82,9 @@ func (j *JoinOp) suspendTotal(m *feedback.MNS) {
 }
 
 // propagates reports whether feedback travels to the producer feeding side s:
-// propagation is on and that producer honours feedback.
+// there is one and it honours feedback.
 func (j *JoinOp) propagates(s *side) bool {
-	return j.mode.Propagate && s.prod != nil && s.prod.CanSuspend()
+	return s.prod != nil && s.prod.CanSuspend()
 }
 
 // upstream sends one MNS of feedback to the producer feeding side s, when it
@@ -101,8 +99,7 @@ func (j *JoinOp) upstream(s *side, cmd feedback.Command, m *feedback.MNS) []*str
 }
 
 // suspendTypeI implements Suspend_Production for a Type I MNS on side s:
-// propagate upstream, then move matching tuples (by signature when
-// generalization is on, else exact super-tuples of the anchor) from the
+// propagate upstream, then move the tuples carrying its signature from the
 // state to the blacklist entry, recording their resumption cursors.
 func (j *JoinOp) suspendTypeI(s *side, m *feedback.MNS) {
 	if m.Expiry <= j.now {
@@ -179,9 +176,6 @@ func uncovered(o *side, seq, cursor uint64) []state.Entry {
 // mark matching outputs; locally an origin entry suppresses joins between
 // left-marked and right-marked tuples.
 func (j *JoinOp) suspendTypeII(m *feedback.MNS) {
-	if !j.mode.TypeII {
-		return // explicitly permitted: implementations may skip Type II
-	}
 	L, R := j.in[operator.Left], j.in[operator.Right]
 	sigL, sigR := m.Sig.Restrict(L.sources), m.Sig.Restrict(R.sources)
 	j.relayMark(feedback.Mark, m, L, sigL)
@@ -322,9 +316,6 @@ func (j *JoinOp) resume(s *side, susp feedback.Suspended, out *[]*stream.Composi
 // generate the suppressed marked×marked pairs exactly once via the XOR
 // cursor rule.
 func (j *JoinOp) resumeTypeII(m *feedback.MNS, out *[]*stream.Composite) {
-	if !j.mode.TypeII {
-		return
-	}
 	e, ok := j.marks.TakeOrigin(m.Key())
 	if !ok {
 		return
@@ -499,17 +490,14 @@ func (j *JoinOp) InvalidateDeadlineCaches() {
 	j.marks.InvalidateMinCaches()
 }
 
-// mnsMatches applies the configured matching rule: value signature when
-// generalization is on, exact anchor super-tuple otherwise.
+// mnsMatches reports whether c falls under m: Ø covers everything, any other
+// MNS the tuples carrying its value signature (generalization, Sec. IV-B).
 func (j *JoinOp) mnsMatches(m *feedback.MNS, c *stream.Composite) bool {
 	if m.IsEmpty() {
 		return true
 	}
 	j.ctr.Comparisons += uint64(len(m.Sig))
-	if j.mode.Generalize {
-		return m.Sig.MatchedBy(c)
-	}
-	return m.Anchor != nil && m.Anchor.IsSubTuple(c)
+	return m.Sig.MatchedBy(c)
 }
 
 // frameOf returns the in-flight probe frame whose input is exactly c, if

@@ -165,13 +165,13 @@ func (j *JoinOp) omega(c *stream.Composite, s, o *side) []*feedback.MNS {
 		// Fig. 8 line 2: empty opposite state → Ø is the only MNS. This is
 		// the DOE special case; the producer suspends entirely.
 		mnses = append(mnses, &feedback.MNS{ID: j.nextMNS(), Expiry: feedback.NoExpiry})
-	case j.mode.Detect == DetectLattice:
+	case j.mode == DetectLattice:
 		for _, mask := range j.identifyMNS(c, s, o) {
 			if m := j.buildMNS(c, s, o, mask); m != nil {
 				mnses = append(mnses, m)
 			}
 		}
-	case j.mode.Detect == DetectBloom:
+	case j.mode == DetectBloom:
 		for k := range s.atoms {
 			if j.bloomAtomAbsent(c, s, o, k) {
 				if m := j.buildMNS(c, s, o, 1<<uint(k)); m != nil {
@@ -186,9 +186,8 @@ func (j *JoinOp) omega(c *stream.Composite, s, o *side) []*feedback.MNS {
 
 // buildMNS materializes the MNS for an atom mask of input c: the spanned
 // sources, the value signature over the consumer's join attributes, the
-// crossing predicates (for buffer probing), the expiry (when the oldest
-// spanned component leaves the window) and — only when arrivals are matched
-// by identity rather than by signature — the anchor sub-tuple.
+// crossing predicates (for buffer probing) and the expiry (when the oldest
+// spanned component leaves the window).
 //
 // Atoms whose crossing predicates include a band predicate (Tol != 0) are
 // never reported: the MNS buffer reactivates on exact opposite-value
@@ -223,17 +222,13 @@ func (j *JoinOp) buildMNS(c *stream.Composite, s, o *side, mask uint32) *feedbac
 	if srcSet.Empty() {
 		return nil
 	}
-	m := &feedback.MNS{
+	return &feedback.MNS{
 		ID:      j.nextMNS(),
 		Sources: srcSet,
 		Sig:     feedback.MakeSignature(attrs, c.Comp),
 		Preds:   s.predsOf(mask),
 		Expiry:  minTS + j.window,
 	}
-	if !j.mode.Generalize {
-		m.Anchor = c.Project(srcSet)
-	}
-	return m
 }
 
 // predsOf returns the crossing predicates of the atoms in mask, in atom

@@ -113,7 +113,7 @@ func TestIndexFallbackCrossProduct(t *testing.T) {
 		if len(scan) == 0 {
 			t.Fatal("workload produced no results; test is vacuous")
 		}
-		sameSequence(t, fmt.Sprintf("cross_%v", m.Detect), scan, indexed)
+		sameSequence(t, fmt.Sprintf("cross_%v", m), scan, indexed)
 	}
 }
 

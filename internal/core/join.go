@@ -201,7 +201,7 @@ func NewJoin(cfg Config) *JoinOp {
 		}
 		s.level1Only = len(s.atoms) > lattice.MaxAtoms
 		s.detectable = j.mode.enabled() && prod != nil && prod.CanSuspend() && len(s.atoms) > 0
-		if j.mode.Detect == DetectBloom {
+		if j.mode == DetectBloom {
 			s.blooms = new(bloomSet)
 		}
 		return s
@@ -227,9 +227,9 @@ func (j *JoinOp) Name() string { return j.name }
 // plan.Built.SetTrace fans it out across the wired tree.
 func (j *JoinOp) SetTrace(tr *obs.Tracer) { j.trace = tr }
 
-// CanSuspend implements operator.Producer: a join honours feedback unless
-// it is configured to ignore it or runs as the REF baseline.
-func (j *JoinOp) CanSuspend() bool { return j.mode.enabled() && !j.mode.IgnoreFeedback }
+// CanSuspend implements operator.Producer: a join honours feedback unless it
+// runs as the REF baseline.
+func (j *JoinOp) CanSuspend() bool { return j.mode.enabled() }
 
 // Side exposes internals for white-box tests: the state, blacklist and MNS
 // buffer of one port.
@@ -334,7 +334,7 @@ func (j *JoinOp) activate(a activation) {
 
 	// Probe the opposite MNS buffer and issue resumption feedback.
 	var spi []*stream.Composite
-	if j.mode.enabled() && !j.mode.IgnoreFeedback && o.buf.Len() > 0 {
+	if j.mode.enabled() && o.buf.Len() > 0 {
 		matched, n := o.buf.Probe(a.c)
 		j.ctr.Comparisons += uint64(n)
 		if len(matched) > 0 && o.prod != nil {
@@ -377,7 +377,7 @@ func (j *JoinOp) probeInsert(a activation, s, o *side) {
 
 	// Probe the opposite state (and, for catch-up, the blacklists).
 	f := &probeFrame{input: a.c, port: a.port, seq: a.seq, lastPartner: a.cursor, done: a.done,
-		evalSuppressed: detecting && j.mode.Detect == DetectLattice}
+		evalSuppressed: detecting && j.mode == DetectLattice}
 	j.frames = append(j.frames, f)
 	j.probeState(f, s, o, a.collect, a.cursor == 0 && !a.scanBlack)
 	if a.scanBlack {
@@ -440,10 +440,10 @@ func (j *JoinOp) probeInsert(a activation, s, o *side) {
 // draw one on a hit.
 func (j *JoinOp) divert(c *stream.Composite, port operator.Port, seq uint64) bool {
 	s := j.in[port]
-	if !j.mode.enabled() || j.mode.IgnoreFeedback || s.black.Len() == 0 {
+	if !j.mode.enabled() || s.black.Len() == 0 {
 		return false
 	}
-	e, n := s.black.MatchArrival(c, j.now, j.mode.Generalize)
+	e, n := s.black.MatchArrival(c, j.now)
 	j.ctr.Comparisons += uint64(n)
 	if e == nil {
 		return false

@@ -293,32 +293,6 @@ func TestLevel1FallbackDelivers(t *testing.T) {
 	}
 }
 
-// TestFeedbackDisabledConfigs exercises the paper's flexibility claims:
-// every partial configuration must stay correct.
-func TestFeedbackDisabledConfigs(t *testing.T) {
-	base := core.JIT()
-	noTypeII := base
-	noTypeII.TypeII = false
-	noGen := base
-	noGen.Generalize = false
-	noProp := base
-	noProp.Propagate = false
-	ignore := base
-	ignore.IgnoreFeedback = true
-	modes := []core.Mode{core.REF(), noTypeII, noGen, noProp, ignore}
-	names := []string{"noTypeII", "noGeneralize", "noPropagate", "ignoreFeedback"}
-	maxSeed := int64(2)
-	if testing.Short() {
-		maxSeed = 1
-	}
-	for seed := int64(1); seed <= maxSeed; seed++ {
-		sets := runClique(t, 5, true, 0.6, 5, 90*stream.Second, 6*stream.Minute, seed, modes)
-		for i := 1; i < len(sets); i++ {
-			diffMultisets(t, fmt.Sprintf("%s_seed%d", names[i-1], seed), sets[0], sets[i])
-		}
-	}
-}
-
 // TestSinkOrder verifies the temporal ordering requirement on final results
 // for fresh (non-sweep) deliveries.
 func TestSinkOrder(t *testing.T) {

@@ -12,22 +12,36 @@ package core
 
 import "fmt"
 
-// DetectKind selects the consumer-side MNS detection strategy.
-type DetectKind int
+// Mode is an operator's consumer-side MNS detection strategy, and with it
+// how much of the JIT machinery runs. The paper calls JIT best-effort: any
+// subset of detection, generalization, propagation and marking stays correct
+// (end of Sec. IV-B). Detection is the one knob the four modes need, the rest
+// follows from it:
+//
+//   - DetectNone (REF) runs no feedback at all;
+//   - DetectDOE reports only Ø, so a producer suspends outright and nothing
+//     is generalized or marked;
+//   - DetectBloom reports single-atom MNSs, always Type I at the producer;
+//   - DetectLattice (JIT) reports every MNS, Type II included.
+//
+// A feedback mode always propagates, matches arrivals against suspended
+// signatures by value (generalization) and runs the mark protocol on the
+// Type II MNSs it is sent.
+type Mode int
 
 // Detection strategies. The paper's REF baseline is DetectNone; DOE [21] is
 // subsumed as the Ø-only special case; the full JIT uses the CNS lattice;
 // DetectBloom is the Bloom-filter acceleration of Sec. IV-A (sound but
 // incomplete: detects a subset of Level-1 MNSs plus Ø).
 const (
-	DetectNone DetectKind = iota
+	DetectNone Mode = iota
 	DetectDOE
 	DetectBloom
 	DetectLattice
 )
 
-func (d DetectKind) String() string {
-	switch d {
+func (m Mode) String() string {
+	switch m {
 	case DetectNone:
 		return "none"
 	case DetectDOE:
@@ -40,44 +54,18 @@ func (d DetectKind) String() string {
 	return "?"
 }
 
-// Mode configures how much of the JIT machinery an operator uses. The paper
-// stresses that JIT is a best-effort optimization with many valid partial
-// configurations (end of Sec. IV-B); these knobs power the ablation benches.
-type Mode struct {
-	// Detect selects the MNS detection strategy on the consumer side.
-	Detect DetectKind
-	// TypeII enables mark-result handling of Type II MNSs on the producer
-	// side. When off, Type II MNSs in suspension feedback are ignored
-	// (explicitly permitted by the paper).
-	TypeII bool
-	// Generalize enables same-signature suspension of new arrivals (the a2
-	// fast path of Sec. IV-B).
-	Generalize bool
-	// Propagate enables upstream feedback propagation (Sec. III-C).
-	Propagate bool
-	// IgnoreFeedback makes the operator, as a producer, discard all
-	// feedback — the paper's "OP may decide to ignore the message".
-	IgnoreFeedback bool
-}
-
 // REF is the reference execution without any JIT machinery.
-func REF() Mode { return Mode{Detect: DetectNone} }
+func REF() Mode { return DetectNone }
 
 // JIT is the full mechanism with lattice detection.
-func JIT() Mode {
-	return Mode{Detect: DetectLattice, TypeII: true, Generalize: true, Propagate: true}
-}
+func JIT() Mode { return DetectLattice }
 
 // DOE reproduces demand-driven operator execution [21]: producers suspend
 // only when a consumer state is empty (the Ø MNS).
-func DOE() Mode {
-	return Mode{Detect: DetectDOE, Propagate: true}
-}
+func DOE() Mode { return DetectDOE }
 
 // BloomJIT uses Bloom-filter detection instead of the lattice.
-func BloomJIT() Mode {
-	return Mode{Detect: DetectBloom, TypeII: false, Generalize: true, Propagate: true}
-}
+func BloomJIT() Mode { return DetectBloom }
 
 // ParseMode resolves the command-line name of an execution mode (the -mode
 // flag of jitrun and jitserver).
@@ -92,8 +80,8 @@ func ParseMode(name string) (Mode, error) {
 	case "bloom":
 		return BloomJIT(), nil
 	}
-	return Mode{}, fmt.Errorf("unknown mode %q (want jit, ref, doe or bloom)", name)
+	return DetectNone, fmt.Errorf("unknown mode %q (want jit, ref, doe or bloom)", name)
 }
 
 // enabled reports whether any feedback machinery is active.
-func (m Mode) enabled() bool { return m.Detect != DetectNone }
+func (m Mode) enabled() bool { return m != DetectNone }

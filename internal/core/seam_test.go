@@ -51,10 +51,10 @@ func TestExactFlagStaysInExpiry(t *testing.T) {
 
 // TestSignatureMatchesAreCharged keeps the cost model honest about signature
 // work (DESIGN.md §3): outside tests, core and feedback test a signature
-// against a composite — Signature.MatchedBy, or Composite.IsSubTuple for an
-// anchor — only at the sites listed here, and at each an earlier statement of
-// an enclosing block adds the signature's length to a comparison count that
-// ends up in Counters.Comparisons. Everything else finds its matches through
+// against a composite — Signature.MatchedBy — only at the sites listed here,
+// and at each an earlier statement of an enclosing block adds the
+// signature's length to a comparison count that ends up in
+// Counters.Comparisons. Everything else finds its matches through
 // an index that reports its own charge (feedback's fpIndex.match) or through
 // a state lookup, and core's lookups — State.WalkCarrying and State.RemoveIf,
 // wherever they are called: suspension, marking, Identify_MNS — are held to
@@ -62,9 +62,8 @@ func TestExactFlagStaysInExpiry(t *testing.T) {
 // up. A new call site is a new row here or, better, a lookup.
 func TestSignatureMatchesAreCharged(t *testing.T) {
 	sites := map[string]string{
-		"markScan":     "control.go",               // a new origin's candidates and in-flight inputs
-		"mnsMatches":   "control.go",               // Type I suspension: candidates and in-flight inputs
-		"MatchArrival": "../feedback/blacklist.go", // anchor-exact diversion; the caller charges the count returned
+		"markScan":   "control.go", // a new origin's candidates and in-flight inputs
+		"mnsMatches": "control.go", // Type I suspension: candidates and in-flight inputs
 	}
 	found := map[string]int{}
 	lookups := 0
@@ -111,7 +110,7 @@ func TestSignatureMatchesAreCharged(t *testing.T) {
 						}
 						return true
 					}
-					if sel.Sel.Name != "MatchedBy" && sel.Sel.Name != "IsSubTuple" {
+					if sel.Sel.Name != "MatchedBy" {
 						return true
 					}
 					if sites[fn.Name.Name] != filepath.ToSlash(name) {

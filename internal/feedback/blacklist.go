@@ -221,29 +221,19 @@ func (b *Blacklist) OldestParkedTS() (stream.Time, bool) {
 
 // MatchArrival checks a freshly arriving composite against every entry.
 // On a hit the arrival should be diverted straight into that entry (the a2
-// fast path); comparisons are reported for cost accounting. With generalize
-// set, matching is by value signature (any tuple with the same join
-// attributes); otherwise only exact super-tuples of the anchor match (Ø
-// matches everything either way), and each anchor test is charged like the
-// signature it stands in for. Entries whose anchor has expired are skipped
-// (they are about to be reactivated by the sweep).
-func (b *Blacklist) MatchArrival(c *stream.Composite, now stream.Time, generalize bool) (hit *Entry, comparisons int) {
-	anchorTests := 0
+// fast path); comparisons are reported for cost accounting. Matching is by
+// value signature: any tuple with the same join attributes (Ø matches
+// everything). Entries whose anchor has expired are skipped (they are about
+// to be reactivated by the sweep).
+func (b *Blacklist) MatchArrival(c *stream.Composite, now stream.Time) (hit *Entry, comparisons int) {
 	comparisons = b.bySig.match(c, func(e *Entry) bool {
-		m := e.MNS
-		if m.Expiry <= now {
+		if e.MNS.Expiry <= now {
 			return true
-		}
-		if !generalize && !m.IsEmpty() {
-			anchorTests += len(m.Sig)
-			if m.Anchor == nil || !m.Anchor.IsSubTuple(c) {
-				return true
-			}
 		}
 		hit = e
 		return false
 	})
-	return hit, comparisons + anchorTests
+	return hit, comparisons
 }
 
 // Take removes and returns the entry with the given signature key (resume).

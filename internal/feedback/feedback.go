@@ -186,10 +186,6 @@ type MNS struct {
 	// Expiry is when the anchor sub-tuple leaves the window; after this the
 	// consumer forgets the MNS and the producer must reactivate survivors.
 	Expiry stream.Time
-	// Anchor is the concrete sub-tuple the MNS was detected on; used for
-	// exact (identity) matching when signature generalization is disabled,
-	// and only built then. Nil for Ø.
-	Anchor *stream.Composite
 
 	// key caches Sig.Canon(): every table operation files the descriptor
 	// under it, and Sig never changes after construction.

@@ -19,14 +19,12 @@ func comp(n int, t *stream.Tuple) *stream.Composite { return stream.NewComposite
 
 func mnsA(val stream.Value, expiry stream.Time) *MNS {
 	attr := predicate.Attr{Source: 0, Col: 1}
-	c := comp(3, tpl(0, 1, 0, val))
 	return &MNS{
 		ID:      1,
 		Sources: stream.SourceSet(0).Add(0),
 		Sig:     Signature{{Attr: attr, Val: val}},
 		Preds:   predicate.Conj{{Left: 0, LCol: 1, Right: 2, RCol: 0}},
 		Expiry:  expiry,
-		Anchor:  c,
 	}
 }
 
@@ -213,17 +211,11 @@ func TestBlacklistLifecycle(t *testing.T) {
 	}
 	// Arrival with the same signature diverts.
 	a3 := comp(3, tpl(0, 30, 3, 100))
-	hit, _ := bl.MatchArrival(a3, 500, true)
-	if hit != e {
+	if hit, _ := bl.MatchArrival(a3, 500); hit != e {
 		t.Fatal("generalized arrival should divert")
 	}
-	// Without generalization only anchor super-tuples divert.
-	hit, _ = bl.MatchArrival(a3, 500, false)
-	if hit != nil {
-		t.Fatal("non-super-tuple must not divert without generalization")
-	}
 	// Expired entries are skipped at arrival and collected by TakeExpired.
-	if hit, _ := bl.MatchArrival(a3, 5000, true); hit != nil {
+	if hit, _ := bl.MatchArrival(a3, 5000); hit != nil {
 		t.Fatal("expired entry must not divert")
 	}
 	exp := bl.TakeExpired(5000)
@@ -263,7 +255,7 @@ func TestBlacklistTakeAndPurge(t *testing.T) {
 	if _, ok := bl.NextTupleMinTS(); ok {
 		t.Fatal("taken entry's tuples still counted")
 	}
-	if hit, _ := bl.MatchArrival(young, 0, true); hit != nil {
+	if hit, _ := bl.MatchArrival(young, 0); hit != nil {
 		t.Fatal("taken entry still diverts")
 	}
 }

@@ -41,15 +41,18 @@ func snapshotSession(s *session) sessionState {
 func FuzzIngestFrame(f *testing.F) {
 	// Seed corpus: every rejection class plus valid traffic.
 	seeds := []string{
-		`{"id":11,"source":0,"ts":1000,"vals":[1]}`,     // valid
-		`{"id":12,"source":1,"ts":2000,"vals":[1,2]}`,   // valid
-		`{"id":13,"source":2,"ts":3000,"vals":[1,2,3]}`, // valid
-		`{"id":5,"source":0,"ts":1000,"vals":[1]}`,      // <= resumeHWM: skip
-		`{"id":11,"source":9,"ts":1000,"vals":[1]}`,     // unknown source
-		`{"id":11,"source":-1,"ts":1000,"vals":[1]}`,    // negative source
-		`{"id":11,"source":0,"ts":1000,"vals":[1,2,3]}`, // bad arity
-		`{"id":11,"source":0,"ts":1000,"vals":[]}`,      // bad arity (empty)
-		`{"id":11,"source":0,"ts":-9999,"vals":[1]}`,    // big regression
+		`{"id":11,"source":0,"ts":1000,"vals":[1]}`,                 // valid
+		`{"id":12,"source":1,"ts":2000,"vals":[1,2]}`,               // valid
+		`{"id":13,"source":2,"ts":3000,"vals":[1,2,3]}`,             // valid
+		`{"id":5,"source":0,"ts":1000,"vals":[1]}`,                  // <= resumeHWM: skip
+		`{"id":11,"source":9,"ts":1000,"vals":[1]}`,                 // unknown source
+		`{"id":11,"source":-1,"ts":1000,"vals":[1]}`,                // negative source
+		`{"id":11,"source":0,"ts":1000,"vals":[1,2,3]}`,             // bad arity
+		`{"id":11,"source":0,"ts":1000,"vals":[]}`,                  // bad arity (empty)
+		`{"id":11,"source":0,"ts":-9999,"vals":[1]}`,                // duplicate id: refused before its ts is read
+		`{"id":22,"source":0,"ts":1000,"vals":[1]}`,                 // big regression
+		`{"id":22,"source":0,"ts":9223372036854775807,"vals":[1]}`,  // MaxInt64: out of range
+		`{"id":22,"source":0,"ts":-9223372036854775808,"vals":[1]}`, // MinInt64: out of range
 		`{not json`,                             // malformed
 		``,                                      // empty line
 		`{"id":11,"sorce":0,"ts":1,"vals":[1]}`, // unknown field
@@ -120,6 +123,9 @@ func FuzzIngestFrame(f *testing.F) {
 			}
 			if after.lastID != tup.ID {
 				t.Fatalf("lastID %d does not track admitted id %d", after.lastID, tup.ID)
+			}
+			if tup.TS < 0 || tup.TS > stream.MaxTime {
+				t.Fatalf("admitted ts %d outside [0, %d]", tup.TS, stream.MaxTime)
 			}
 			if tup.TS < before.maxTS-sess.disorder {
 				t.Fatalf("admitted ts %d beyond the disorder bound (max %d)", tup.TS, before.maxTS)

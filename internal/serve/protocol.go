@@ -71,6 +71,9 @@ var (
 	// than the configured disorder bound admits (with no disorder bound,
 	// any regression).
 	ErrTimeRegress = fmt.Errorf("serve: timestamp regression beyond disorder bound")
+	// ErrTimeRange marks a tuple whose timestamp is negative or beyond
+	// stream.MaxTime, where the engine's window arithmetic would overflow.
+	ErrTimeRange = fmt.Errorf("serve: timestamp outside the engine's time range")
 	// ErrIngestBusy rejects a second concurrent ingest session: a single
 	// ordered writer is what makes the ingested sequence deterministic.
 	ErrIngestBusy = fmt.Errorf("serve: an ingest session is already active")
@@ -173,6 +176,9 @@ func (s *session) apply(f Frame) (*stream.Tuple, error) {
 		return nil, fmt.Errorf("%w: id %d after %d", ErrDuplicateID, f.ID, s.lastID)
 	}
 	ts := stream.Time(f.TS)
+	if ts < 0 || ts > stream.MaxTime {
+		return nil, fmt.Errorf("%w: ts %d not in [0, %d]", ErrTimeRange, ts, stream.MaxTime)
+	}
 	if s.started && ts < s.maxTS-s.disorder {
 		return nil, fmt.Errorf("%w: ts %d after max %d (bound %d)", ErrTimeRegress, ts, s.maxTS, s.disorder)
 	}

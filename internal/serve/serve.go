@@ -112,6 +112,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("serve: band tolerance cannot be negative (%d)", c.Band)
 	case c.Disorder < 0:
 		return fmt.Errorf("serve: disorder bound cannot be negative (%v)", c.Disorder)
+	case c.Window >= core.NoDeadline-stream.MaxTime-c.Disorder:
+		return fmt.Errorf("serve: window %v plus disorder %v overflows the engine's time range (latest timestamp %d)", c.Window, c.Disorder, stream.MaxTime)
 	case c.Dir != "" && c.Disorder > 0:
 		return fmt.Errorf("serve: checkpointing requires in-order ingest (disorder=%v): the reorder buffer would sit outside the durable cut", c.Disorder)
 	case c.Every < 0:
@@ -132,13 +134,15 @@ func (c Config) Validate() error {
 // checkpoint taken under a different query — replaying its rows into this
 // plan would silently build wrong state. It is an explicit, versioned field
 // list, so deleting or reordering a struct field cannot move it; a query field
-// added to Config or core.Mode must be added here under a new version
-// (TestConfigIdentityPinned fails until someone decides).
+// added to Config must be added here under a new version
+// (TestConfigIdentityPinned fails until someone decides). The typeII,
+// generalize, propagate and ignoreFeedback terms follow from the detection
+// strategy; they stay so that checkpoints already on disk still restore.
 func (c Config) identity() string {
 	m := c.Mode
-	return fmt.Sprintf("jitserve-config/2 n=%d shape=%s window=%d detect=%s typeII=%t generalize=%t propagate=%t ignoreFeedback=%t indexed=%t band=%d",
+	return fmt.Sprintf("jitserve-config/2 n=%d shape=%s window=%d detect=%s typeII=%t generalize=%t propagate=%t ignoreFeedback=false indexed=%t band=%d",
 		c.N, plan.TableII(c.N, c.Bushy).Canonical(), c.Window,
-		m.Detect, m.TypeII, m.Generalize, m.Propagate, m.IgnoreFeedback, c.Indexed, c.Band)
+		m, m == core.JIT(), m == core.JIT() || m == core.BloomJIT(), m != core.REF(), c.Indexed, c.Band)
 }
 
 // RecoveryInfo describes one recovery performed by Open.

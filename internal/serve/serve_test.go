@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"reflect"
 	"slices"
@@ -416,6 +417,51 @@ func TestRejectedFramesDoNotPerturbRun(t *testing.T) {
 	}
 }
 
+// TestTimeRange feeds a 3-clique three matching tuples at the top of the
+// engine's time range, in every mode, after timestamps beyond it on each side
+// were refused: the frames outside never reach the engine, and the ones at
+// its edge still form their one final. Admitted, three tuples near MaxInt64
+// overflow the window arithmetic and form no final in any mode, and three at
+// MinInt64 leave the served run unable to reach end of stream.
+func TestTimeRange(t *testing.T) {
+	for _, nm := range exp.AblationModes() {
+		t.Run(nm.Name, func(t *testing.T) {
+			cfg := Config{N: 3, Bushy: true, Window: stream.Minute, Mode: nm.Mode, Addr: "127.0.0.1:0", KeepResults: true}
+			s, err := Open(cfg)
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			defer s.Shutdown()
+			for _, ts := range []int64{math.MaxInt64 - 10, int64(stream.MaxTime) + 1, -1, math.MinInt64} {
+				c, _ := ingestGreet(t, s.Addr())
+				c.send(Frame{ID: 1, Source: 0, TS: ts, Vals: []int64{1, 1}})
+				c.conn.SetReadDeadline(time.Now().Add(10 * time.Second)) // an admitted frame gets no reply
+				e, _ := c.recv()["error"].(string)
+				c.close()
+				if !strings.Contains(e, "time range") {
+					t.Fatalf("ts %d: got %q, want a time-range rejection", ts, e)
+				}
+			}
+			c, _ := ingestGreet(t, s.Addr())
+			defer c.close()
+			for i := int64(0); i < 3; i++ {
+				c.send(Frame{ID: uint64(i + 1), Source: int(i), TS: int64(stream.MaxTime) - 2 + i, Vals: []int64{1, 1}})
+			}
+			c.send(Frame{Cmd: "eos"})
+			if ack := c.recv(); ack["ok"] != true || ack["ingested"] != float64(3) {
+				t.Fatalf("eos ack %v, want ok with ingested=3", ack)
+			}
+			res, err := s.Wait()
+			if err != nil {
+				t.Fatalf("wait: %v", err)
+			}
+			if res.Results != 1 {
+				t.Fatalf("delivered %d finals at the edge of the time range, want 1", res.Results)
+			}
+		})
+	}
+}
+
 // TestSecondIngestRejected pins single-writer admission.
 func TestSecondIngestRejected(t *testing.T) {
 	cfg, base := testParams(core.REF())
@@ -548,6 +594,8 @@ func TestConfigValidate(t *testing.T) {
 		{"no address", func(c *Config) { c.Addr = "" }, "address"},
 		{"negative band", func(c *Config) { c.Band = -1 }, "band"},
 		{"negative disorder", func(c *Config) { c.Disorder = -1 }, "disorder"},
+		{"window reaching no-deadline", func(c *Config) { c.Window = core.NoDeadline - stream.MaxTime }, "time range"},
+		{"window plus disorder reaching no-deadline", func(c *Config) { c.Window, c.Disorder = core.NoDeadline/2, core.NoDeadline/2 }, "time range"},
 		{"disorder with dir", func(c *Config) { c.Dir, c.Disorder = "d", 1 }, "in-order"},
 		{"negative interval", func(c *Config) { c.Dir, c.Every = "d", -1 }, "interval"},
 		{"interval without dir", func(c *Config) { c.Every = 1 }, "no checkpoint dir"},
@@ -567,12 +615,12 @@ func TestConfigValidate(t *testing.T) {
 // touching any term turns every checkpoint on disk into a "config mismatch"
 // at recovery, so a deliberate format change bumps the version, updates these
 // literals and says so in its release note — and the shape of the structs it
-// is spelled from, so a field added to or removed from core.Mode or Config
-// cannot pass without a decision.
+// is spelled from, so a field added to or removed from Config, or a core.Mode
+// that stops being the detection value alone, cannot pass without a decision.
 func TestConfigIdentityPinned(t *testing.T) {
 	const decide = "decide whether it belongs in identity()"
-	if n := reflect.TypeOf(core.Mode{}).NumField(); n != 5 {
-		t.Errorf("core.Mode has %d fields, identity() spells out 5: %s", n, decide)
+	if k := reflect.TypeOf(core.JIT()).Kind(); k != reflect.Int {
+		t.Errorf("core.Mode is a %v, identity() spells it as the detection value alone: %s", k, decide)
 	}
 	var fields []string
 	for i, tp := 0, reflect.TypeOf(Config{}); i < tp.NumField(); i++ {

@@ -1,7 +1,6 @@
 // Package stream defines the data model of the DSMS: application time,
 // column values, per-source schemas, base tuples and composite (joined)
-// tuples, together with the sub-tuple relation that underpins the JIT
-// feedback mechanism (MNS / NPR detection).
+// tuples.
 //
 // Terminology follows Yang & Papadias, "Just-In-Time Processing of
 // Continuous Queries" (ICDE 2008):
@@ -35,6 +34,13 @@ const (
 	Minute      Time = 60 * Second
 	Hour        Time = 60 * Minute
 )
+
+// MaxTime is the latest timestamp an input may carry; none may be negative
+// either. Window arithmetic adds windows and disorder bounds to timestamps
+// and compares the sums with far-future sentinels (an MNS that never expires
+// is at 1<<62), so inputs stay well below them. 1<<60 ms is some 36 million
+// years.
+const MaxTime Time = 1 << 60
 
 func (t Time) String() string {
 	if t%Minute == 0 {
@@ -139,28 +145,17 @@ type Schema struct {
 	Name string
 	Cols []string
 
-	id     SourceID
-	colIdx map[string]int
+	id SourceID
 }
 
 // NewSchema builds a schema with the given source name and column names.
 func NewSchema(name string, cols ...string) *Schema {
-	s := &Schema{Name: name, Cols: append([]string(nil), cols...), colIdx: make(map[string]int, len(cols))}
-	for i, c := range cols {
-		s.colIdx[c] = i
-	}
-	return s
+	return &Schema{Name: name, Cols: append([]string(nil), cols...)}
 }
 
 // ID returns the source's identifier within its catalog. Valid only after
 // the schema has been registered with a Catalog.
 func (s *Schema) ID() SourceID { return s.id }
-
-// ColIndex returns the index of the named column and whether it exists.
-func (s *Schema) ColIndex(name string) (int, bool) {
-	i, ok := s.colIdx[name]
-	return i, ok
-}
 
 // NumCols returns the number of columns.
 func (s *Schema) NumCols() int { return len(s.Cols) }
@@ -202,15 +197,6 @@ func (c *Catalog) Source(id SourceID) *Schema { return c.schemas[id] }
 
 // NumSources returns the number of registered sources.
 func (c *Catalog) NumSources() int { return len(c.schemas) }
-
-// AllSources returns the set of every registered source.
-func (c *Catalog) AllSources() SourceSet {
-	var s SourceSet
-	for i := range c.schemas {
-		s = s.Add(SourceID(i))
-	}
-	return s
-}
 
 // Tuple is a base tuple: one record from one source.
 type Tuple struct {
@@ -284,8 +270,8 @@ func Join(a, b *Composite) *Composite {
 		panic(fmt.Sprintf("stream: joining overlapping composites %v and %v", a.Sources, b.Sources))
 	}
 	c := &Composite{
-		TS:      maxTime(a.TS, b.TS),
-		MinTS:   minTime(a.MinTS, b.MinTS),
+		TS:      max(a.TS, b.TS),
+		MinTS:   min(a.MinTS, b.MinTS),
 		Comps:   make([]*Tuple, len(a.Comps)),
 		Sources: a.Sources.Union(b.Sources),
 	}
@@ -342,44 +328,6 @@ func (c *Composite) RemoveMark(m uint64) {
 	}
 }
 
-// IsSubTuple reports whether every component of c also appears in t
-// (matching by tuple identity). The empty composite is a sub-tuple of
-// everything, mirroring the paper's empty tuple Ø.
-func (c *Composite) IsSubTuple(t *Composite) bool {
-	if !t.Sources.Contains(c.Sources) {
-		return false
-	}
-	for i, comp := range c.Comps {
-		if comp != nil && t.Comps[i] != comp {
-			return false
-		}
-	}
-	return true
-}
-
-// Project returns the sub-composite of c restricted to the given sources.
-// All requested sources must be present.
-func (c *Composite) Project(set SourceSet) *Composite {
-	if !c.Sources.Contains(set) {
-		panic(fmt.Sprintf("stream: projecting %v out of %v", set, c.Sources))
-	}
-	p := &Composite{Comps: make([]*Tuple, len(c.Comps))}
-	first := true
-	for _, id := range set.IDs() {
-		t := c.Comps[id]
-		p.Comps[id] = t
-		p.Sources = p.Sources.Add(id)
-		if first {
-			p.TS, p.MinTS = t.TS, t.TS
-			first = false
-		} else {
-			p.TS = maxTime(p.TS, t.TS)
-			p.MinTS = minTime(p.MinTS, t.TS)
-		}
-	}
-	return p
-}
-
 // Key returns a canonical identity for the composite based on component
 // tuple IDs, usable as a map key for result-set comparison in tests.
 func (c *Composite) Key() string {
@@ -422,18 +370,4 @@ func (c *Composite) String() string {
 		parts = append(parts, c.Comps[sid].String())
 	}
 	return strings.Join(parts, "")
-}
-
-func maxTime(a, b Time) Time {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minTime(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
 }

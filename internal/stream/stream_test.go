@@ -63,15 +63,6 @@ func TestCatalog(t *testing.T) {
 	if s, ok := cat.ByName("B"); !ok || s.Name != "B" {
 		t.Fatal("ByName failed")
 	}
-	if i, ok := a.ColIndex("y"); !ok || i != 1 {
-		t.Fatal("ColIndex failed")
-	}
-	if _, ok := a.ColIndex("z"); ok {
-		t.Fatal("phantom column")
-	}
-	if cat.AllSources().Count() != 2 {
-		t.Fatal("AllSources wrong")
-	}
 }
 
 func mk(t *testing.T, src SourceID, ts Time, vals ...Value) *Tuple {
@@ -89,13 +80,8 @@ func TestCompositeJoin(t *testing.T) {
 	if !ab.Sources.Has(0) || !ab.Sources.Has(1) || ab.Sources.Has(2) {
 		t.Fatalf("sources wrong: %v", ab.Sources)
 	}
-	if !a.IsSubTuple(ab) || !b.IsSubTuple(ab) || ab.IsSubTuple(a) {
-		t.Fatal("sub-tuple relation wrong")
-	}
-	// The empty composite is a sub-tuple of everything.
-	empty := &Composite{Comps: make([]*Tuple, 3)}
-	if !empty.IsSubTuple(ab) || !empty.IsSubTuple(a) {
-		t.Fatal("Ø not sub-tuple")
+	if ab.Comp(0) != a.Comp(0) || ab.Comp(1) != b.Comp(1) || ab.Comp(2) != nil {
+		t.Fatal("components wrong")
 	}
 }
 
@@ -108,20 +94,6 @@ func TestCompositeJoinOverlapPanics(t *testing.T) {
 	a := NewComposite(2, mk(t, 0, 1, 1))
 	b := NewComposite(2, mk(t, 0, 2, 2))
 	Join(a, b)
-}
-
-func TestProject(t *testing.T) {
-	a := NewComposite(3, mk(t, 0, 10, 1))
-	b := NewComposite(3, mk(t, 1, 20, 2))
-	c := NewComposite(3, mk(t, 2, 5, 3))
-	abc := Join(Join(a, b), c)
-	p := abc.Project(SourceSet(0).Add(0).Add(2))
-	if p.Sources.Count() != 2 || p.TS != 10 || p.MinTS != 5 {
-		t.Fatalf("projection wrong: %v ts=%v min=%v", p.Sources, p.TS, p.MinTS)
-	}
-	if !p.IsSubTuple(abc) {
-		t.Fatal("projection not sub-tuple")
-	}
 }
 
 func TestMarks(t *testing.T) {
