@@ -81,6 +81,7 @@ func battery() []invocation {
 		"-drain-horizon 5",
 		"-shards 0",
 		"-n 1",
+		"-n 65",
 		"-rate 0",
 		"-window 0",
 		"-dmax 0",

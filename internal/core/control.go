@@ -395,22 +395,15 @@ func (j *JoinOp) unmarkCatchup(e *feedback.OriginEntry, out *[]*stream.Composite
 // re-suspended under fresh anchors by the downstream consumer). See
 // DESIGN.md §2 (expiry sweep).
 func (j *JoinOp) fireExpired() {
-	if !j.marks.Empty() {
-		j.marks.PurgeRelays(j.now)
-		if j.marks.HasExpired(j.now) {
-			for _, e := range j.marks.TakeExpiredOrigins(j.now) {
-				var out []*stream.Composite
-				j.propagateUnmark(e)
-				j.unmarkCatchup(e, &out)
-				j.emitAll(out)
-			}
-		}
+	j.marks.PurgeRelays(j.now)
+	for _, e := range j.marks.TakeExpiredOrigins(j.now) {
+		var out []*stream.Composite
+		j.propagateUnmark(e)
+		j.unmarkCatchup(e, &out)
+		j.emitAll(out)
 	}
 	for p := operator.Port(0); p < 2; p++ {
 		s := j.in[p]
-		if !s.black.HasExpired(j.now) {
-			continue
-		}
 		for _, e := range s.black.TakeExpired(j.now) {
 			var out []*stream.Composite
 			j.reactivate(s, e, &out)
@@ -445,10 +438,10 @@ const NoDeadline = feedback.NoExpiry
 //   - window expiry of pending suppressed-pair endpoints: min MinTS + w
 //     (pendingDeadline: a purge event in legacy mode only).
 //
-// The underlying minima are cached lower bounds (state / feedback min
-// tracking): after removals they may be momentarily stale-low, so a deadline
-// can fire early — a no-op sweep — but never late. REF operators report
-// NoDeadline: their Sweep is unconditionally a no-op.
+// The underlying minima are cached (state.MinCache) but always exact: every
+// structure owns the expiries it schedules on, so none is raised behind its
+// cache's back. REF operators report NoDeadline: their Sweep is
+// unconditionally a no-op.
 func (j *JoinOp) NextDeadline() stream.Time {
 	if !j.mode.enabled() {
 		return NoDeadline
@@ -473,21 +466,6 @@ func (j *JoinOp) NextDeadline() stream.Time {
 		d = e
 	}
 	return min(d, j.pendingDeadline())
-}
-
-// InvalidateDeadlineCaches flushes every cached minimum NextDeadline reads,
-// so the next call is exact. The engine uses it as a liveness valve: a
-// cached lower bound can go stale-low when a shared MNS descriptor's expiry
-// is extended through another structure, and a drain driven by a deadline
-// that never advances would otherwise spin (DESIGN.md §4).
-func (j *JoinOp) InvalidateDeadlineCaches() {
-	for p := 0; p < 2; p++ {
-		s := j.in[p]
-		s.st.InvalidateMinCache()
-		s.black.InvalidateMinCaches()
-		s.buf.InvalidateMinCaches()
-	}
-	j.marks.InvalidateMinCaches()
 }
 
 // mnsMatches reports whether c falls under m: Ø covers everything, any other

@@ -397,44 +397,30 @@ func (s *scheduler) fireDue(now stream.Time, ctr *metrics.Counters) {
 
 // drain fires the remaining timer deadlines in time order: the engine clock
 // advances to each deadline and sweeps the operators due at it, so suspended
-// tuples reactivate while their windows are still open. Deadlines are cached
-// lower bounds, so a fired deadline can be a no-op; when the same deadline
-// survives a full round the scheduler flushes every operator's caches to
-// exact values (the liveness valve of DESIGN.md §4 — a shared MNS expiry
-// extension can leave a cached minimum stale-low forever) and, if the
-// deadline still refuses to advance after an exact sweep, drops it. The
-// clock never moves backwards, so the loop reaches the horizon — or the
-// last finite deadline — in finitely many rounds.
+// tuples reactivate while their windows are still open. Deadlines are exact,
+// but a sweep's own recovery cascade can create entries already due at the
+// clock: a deadline that survives its sweep gets one more, and one that
+// survives that too is dropped. The clock never moves backwards, so the loop
+// reaches the horizon — or the last finite deadline — in finitely many
+// rounds.
 func (s *scheduler) drain(horizon stream.Time, ctr *metrics.Counters, tr *obs.Tracer) {
-	prev, stuck := stream.Time(-1), 0
+	prev, repeats := stream.Time(-1), 0
 	for {
 		d, ok := s.peek()
 		if !ok || d > horizon {
 			return
 		}
 		tr.Advance(d)
-		if d == prev {
-			stuck++
-			switch {
-			case stuck == 1:
-				// First repeat: flush every cached minimum so the next
-				// deadline read is exact, then re-evaluate.
-				for _, j := range s.joins {
-					j.InvalidateDeadlineCaches()
-				}
-				s.refresh()
-				continue
-			case stuck >= 3:
-				// Even an exact sweep left the deadline in place: drop the
-				// event. The operator re-enters the heap only when its
-				// reported deadline moves, and it still gets swept whenever
-				// any later deadline fires, so no real work is lost.
-				s.heap.Pop()
-				prev, stuck = -1, 0
-				continue
-			}
-		} else {
-			prev, stuck = d, 0
+		if d != prev {
+			prev, repeats = d, 0
+		} else if repeats++; repeats > 1 {
+			// Two sweeps left the deadline in place: drop the event. The
+			// operator re-enters the heap only when its reported deadline
+			// moves, and it still gets swept whenever any later deadline
+			// fires, so no real work is lost.
+			s.heap.Pop()
+			prev, repeats = -1, 0
+			continue
 		}
 		s.sweepDue(d, ctr)
 	}

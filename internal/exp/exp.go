@@ -166,6 +166,8 @@ func (p Params) ValidateWorkload() error {
 	switch {
 	case p.N < 2:
 		return fmt.Errorf("need at least 2 sources (N=%d)", p.N)
+	case p.N > stream.MaxSources:
+		return fmt.Errorf("at most %d sources fit a source set (N=%d)", stream.MaxSources, p.N)
 	case p.Rate <= 0:
 		return fmt.Errorf("arrival rate must be positive (rate=%g)", p.Rate)
 	case p.DMax < 1:

@@ -21,6 +21,7 @@ func TestParamsValidate(t *testing.T) {
 		want string
 	}{
 		{"one source", func(p *Params) { p.N = 1 }, "sources"},
+		{"more sources than a source set holds", func(p *Params) { p.N = stream.MaxSources + 1 }, "at most 64 sources"},
 		{"zero rate", func(p *Params) { p.Rate = 0 }, "rate"},
 		{"negative rate", func(p *Params) { p.Rate = -1 }, "rate"},
 		{"zero window", func(p *Params) { p.Window = 0 }, "window"},

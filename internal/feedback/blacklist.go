@@ -57,7 +57,11 @@ func (s *Suspended) IsDone(oppSeq uint64) bool { return s.Done != nil && s.Done[
 // Entry is one blacklist entry: an MNS and the suspended super-tuples
 // (including same-signature generalizations such as a2 under a1's entry).
 type Entry struct {
-	MNS    *MNS
+	MNS *MNS
+	// Expiry is the entry's anchor: the descriptor's expiry when the entry
+	// was made, raised by duplicate suspensions (Ensure). The descriptor
+	// itself may be held elsewhere too, so the entry keeps its own.
+	Expiry stream.Time
 	Tuples []Suspended
 	// ord is the entry's creation ordinal within its blacklist: the entry
 	// list is ascending in it, which is what lets Walk find its place again
@@ -80,10 +84,8 @@ type Blacklist struct {
 	bySeq map[uint64]*Entry
 	// created counts the entries ever made: the newest entry's ord.
 	created uint64
-	// Deadline caches (DESIGN.md §4): the earliest anchor expiry among
-	// entries and the earliest MinTS among parked tuples.
-	anchorMin state.MinCache
-	parkMin   state.MinCache
+	// Deadline cache (DESIGN.md §4): the earliest MinTS among parked tuples.
+	parkMin state.MinCache
 	// oweMin caches the earliest Suspended.oldest: how far back the parked
 	// tuples' resumptions can still reach (OldestOwed). parkTS caches the
 	// earliest TS among parked tuples: no result a resumption produces is
@@ -98,9 +100,13 @@ func sigKey(e *Entry, buf []SigEntry) []SigEntry { return append(buf, e.MNS.Sig.
 
 // NewBlacklist creates an empty blacklist charging memory to acct.
 func NewBlacklist(name string, acct *metrics.Account) *Blacklist {
-	b := &Blacklist{name: name, acct: acct, bySig: newFPIndex(sigKey), bySeq: make(map[uint64]*Entry)}
-	b.entries = newTable[*Entry](acct, metrics.MemBlacklist, &b.anchorMin)
-	return b
+	return &Blacklist{
+		name:    name,
+		acct:    acct,
+		entries: newTable[*Entry](acct, metrics.MemBlacklist),
+		bySig:   newFPIndex(sigKey),
+		bySeq:   make(map[uint64]*Entry),
+	}
 }
 
 // Len returns the number of entries.
@@ -122,7 +128,7 @@ func (b *Blacklist) Entry(key string) (*Entry, bool) {
 }
 
 // Ensure returns the entry for m's signature, creating it when absent. When
-// an entry already exists its expiry is extended to the later of the two —
+// an entry already exists its anchor is extended to the later of the two —
 // the producer "simply ignores" duplicate suspensions (Sec. III-B) but must
 // not forget the anchor.
 func (b *Blacklist) Ensure(m *MNS) (e *Entry, created bool) {
@@ -130,7 +136,7 @@ func (b *Blacklist) Ensure(m *MNS) (e *Entry, created bool) {
 		return old, false
 	}
 	b.created++
-	e = &Entry{MNS: m, ord: b.created}
+	e = &Entry{MNS: m, Expiry: m.Expiry, ord: b.created}
 	b.entries.insert(e)
 	b.bySig.add(e)
 	return e, true
@@ -163,20 +169,7 @@ func (b *Blacklist) BySeq(seq uint64) *Suspended {
 // NoExpiry when no entry can ever expire (empty blacklist, or only the Ø
 // entry). This is the blacklist's contribution to the operator's sweep
 // deadline (DESIGN.md §4).
-func (b *Blacklist) NextAnchorExpiry() stream.Time {
-	return nextExpiry(&b.anchorMin, b.entries.expiries)
-}
-
-// InvalidateMinCaches forces the next NextAnchorExpiry / NextTupleMinTS
-// reads to recompute exactly. MNS descriptors are shared across structures
-// (an entry's anchor can also sit in a consumer's buffer), so an in-place
-// expiry extension elsewhere can leave this blacklist's cached minima
-// stale-low without its dirty flags set; the engine flushes before trusting
-// a deadline that refuses to advance (DESIGN.md §4).
-func (b *Blacklist) InvalidateMinCaches() {
-	b.anchorMin.Invalidate()
-	b.parkMin.Invalidate()
-}
+func (b *Blacklist) NextAnchorExpiry() stream.Time { return b.entries.nextExpiry() }
 
 // NextTupleMinTS returns the earliest MinTS among parked tuples; ok is false
 // when nothing is parked. The earliest parked-tuple purge deadline is
@@ -227,7 +220,7 @@ func (b *Blacklist) OldestParkedTS() (stream.Time, bool) {
 // to be reactivated by the sweep).
 func (b *Blacklist) MatchArrival(c *stream.Composite, now stream.Time) (hit *Entry, comparisons int) {
 	comparisons = b.bySig.match(c, func(e *Entry) bool {
-		if e.MNS.Expiry <= now {
+		if e.Expiry <= now {
 			return true
 		}
 		hit = e
@@ -245,10 +238,11 @@ func (b *Blacklist) Take(key string) (*Entry, bool) {
 	return e, ok
 }
 
-// TakeExpired removes and returns every entry whose anchor MNS has expired.
-// Callers must reactivate the surviving tuples (DESIGN.md: expiry sweep).
+// TakeExpired removes and returns every entry whose anchor has expired, and
+// nothing, without a scan, while none is due. Callers must reactivate the
+// surviving tuples (DESIGN.md: expiry sweep).
 func (b *Blacklist) TakeExpired(now stream.Time) []*Entry {
-	out := b.entries.takeExpired(now, false)
+	out := b.entries.takeExpired(now)
 	for _, e := range out {
 		b.dropped(e)
 	}
@@ -301,10 +295,6 @@ func (b *Blacklist) ReleaseTuples(e *Entry) {
 		b.acct.Free(metrics.MemBlacklist, s.E.C.DeepSizeBytes())
 	}
 }
-
-// HasExpired reports whether any entry's anchor has expired — a cheap check
-// the expiry sweep uses before doing real work.
-func (b *Blacklist) HasExpired(now stream.Time) bool { return b.entries.hasExpired(now) }
 
 // List returns the entries in creation order. The slice is the blacklist's
 // own: callers must not change it, and must not park, resume or suspend

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/predicate"
-	"repro/internal/state"
 	"repro/internal/stream"
 )
 
@@ -23,9 +22,6 @@ type Buffer struct {
 	// side attributes their predicates test and the values expected there, so
 	// probing an arrival is O(# attribute sets).
 	byProbe fpIndex[*MNS]
-	// expiryMin is the deadline cache (DESIGN.md §4): earliest expiry among
-	// buffered MNSs.
-	expiryMin state.MinCache
 }
 
 // probeKey appends the opposite attributes an MNS's predicates test and the
@@ -53,9 +49,7 @@ func probeKey(m *MNS, buf []SigEntry) []SigEntry {
 
 // NewBuffer creates an empty MNS buffer charging memory to acct.
 func NewBuffer(name string, acct *metrics.Account) *Buffer {
-	b := &Buffer{name: name, byProbe: newFPIndex(probeKey)}
-	b.mnss = newTable[*MNS](acct, metrics.MemMNS, &b.expiryMin)
-	return b
+	return &Buffer{name: name, mnss: newTable[*MNS](acct, metrics.MemMNS), byProbe: newFPIndex(probeKey)}
 }
 
 // Len returns the number of buffered MNSs.
@@ -81,21 +75,16 @@ func (b *Buffer) Add(m *MNS) (kept *MNS, added bool) {
 	return m, true
 }
 
-// InvalidateMinCaches forces the next NextExpiry read to recompute exactly
-// (see Blacklist.InvalidateMinCaches for why shared MNS descriptors make
-// this necessary).
-func (b *Buffer) InvalidateMinCaches() { b.expiryMin.Invalidate() }
-
 // NextExpiry returns the earliest expiry among buffered MNSs, or NoExpiry
 // when the buffer holds nothing that can expire — its contribution to the
 // operator's sweep deadline (DESIGN.md §4).
-func (b *Buffer) NextExpiry() stream.Time { return nextExpiry(&b.expiryMin, b.mnss.expiries) }
+func (b *Buffer) NextExpiry() stream.Time { return b.mnss.nextExpiry() }
 
 // Purge drops expired MNSs and returns how many were removed. It runs on
-// every arrival and sweep of the operator: free while the deadline cache is
-// clean and proves nothing due, and otherwise leaving that cache exact.
+// every arrival and sweep of the operator, and walks the buffer only when
+// something is due.
 func (b *Buffer) Purge(now stream.Time) int {
-	expired := b.mnss.takeExpired(now, true)
+	expired := b.mnss.takeExpired(now)
 	for _, m := range expired {
 		b.byProbe.remove(m)
 	}

@@ -1,0 +1,231 @@
+package feedback
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"maps"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/metrics"
+	"repro/internal/stream"
+)
+
+// TestSharedDescriptorKeepsDeadlinesExact hands one descriptor to a buffer,
+// a blacklist and a mark table, as a consumer and its producer share it, and
+// then its later duplicate to each. The buffer raises the descriptor itself;
+// the blacklist entry and the origin entry raise their own anchors. Every
+// deadline must then read the duplicate's expiry, and nothing may be taken
+// at the first one.
+func TestSharedDescriptorKeepsDeadlinesExact(t *testing.T) {
+	acct := &metrics.Account{}
+	buf, bl, mt := NewBuffer("NB", acct), NewBlacklist("B", acct), NewMarkTable(acct)
+	m, dup := mnsA(7, 100), mnsA(7, 500)
+	for _, d := range []*MNS{m, dup} {
+		buf.Add(d)
+		bl.Ensure(d)
+		mt.ActivateOrigin(d, d.Sig, nil)
+	}
+	if b, e, o := buf.NextExpiry(), bl.NextAnchorExpiry(), mt.NextExpiry(); b != 500 || e != 500 || o != 500 {
+		t.Fatalf("deadlines after the duplicate: buffer %d, blacklist %d, mark table %d; want 500 each", b, e, o)
+	}
+	if n, exp, orig := buf.Purge(100), bl.TakeExpired(100), mt.TakeExpiredOrigins(100); n != 0 || len(exp) != 0 || len(orig) != 0 {
+		t.Fatalf("taken at the superseded expiry: %d buffered, %d entries, %d origins", n, len(exp), len(orig))
+	}
+	if n, exp, orig := buf.Purge(500), bl.TakeExpired(500), mt.TakeExpiredOrigins(500); n != 1 || len(exp) != 1 || len(orig) != 1 {
+		t.Fatalf("taken at the extended expiry: %d buffered, %d entries, %d origins", n, len(exp), len(orig))
+	}
+}
+
+// TestExpiryMovesOnlyThroughExtend keeps every deadline cache exact
+// (DESIGN.md §4): outside tests, no file under internal/ assigns to a field
+// named Expiry. Constructors set it in composite literals; after that an
+// anchor moves only through table.extend, which raises it through anchor()
+// and invalidates the one cache that covers it.
+func TestExpiryMovesOnlyThroughExtend(t *testing.T) {
+	fset := token.NewFileSet()
+	literals := 0
+	err := filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		isExpiry := func(e ast.Expr) bool {
+			sel, ok := e.(*ast.SelectorExpr)
+			return ok && sel.Sel.Name == "Expiry"
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if isExpiry(lhs) {
+						t.Errorf("%s assigns to .Expiry: raise an anchor through its table's extend", fset.Position(lhs.Pos()))
+					}
+				}
+			case *ast.IncDecStmt:
+				if isExpiry(n.X) {
+					t.Errorf("%s changes .Expiry: raise an anchor through its table's extend", fset.Position(n.Pos()))
+				}
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok && id.Name == "Expiry" {
+					literals++
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if literals == 0 {
+		t.Error("no composite literal sets Expiry: the audit is looking in the wrong place")
+	}
+}
+
+// FuzzDeadlineCaches feeds one buffer, one blacklist and one mark table
+// random interleavings of shared descriptors and their duplicates, as a
+// consumer hands them to its producers, and holds each structure to a map
+// model of its own anchors: after every step its next expiry is the model's
+// earliest, and every take removes exactly the elements the model has
+// expired. Each input byte is one operation: the high four bits pick it, the
+// low two the key (four signatures), bits 2-3 an expiry or clock step.
+func FuzzDeadlineCaches(f *testing.F) {
+	f.Add([]byte{0x10, 0x20, 0x30, 0x40, 0x04 | 0x08, 0x10, 0x20, 0x30, 0x40, 0xdc, 0x90, 0xa0, 0xb0, 0xc0})
+	f.Add([]byte{0x11, 0x21, 0x0d, 0x11, 0x21, 0x31, 0x41, 0xec, 0x51, 0x61, 0x71, 0x81, 0xfc, 0x90, 0xa0})
+	f.Add([]byte{0x02, 0x12, 0x22, 0x32, 0x0e, 0x12, 0x22, 0x32, 0x42, 0xdc, 0xdc, 0xa0, 0xb0, 0xc0, 0x90})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		acct := &metrics.Account{}
+		buf, bl, mt := NewBuffer("NB", acct), NewBlacklist("B", acct), NewMarkTable(acct)
+		// One model per table: key -> the anchor the table must hold.
+		mBuf, mBl, mOrig, mRel := map[string]stream.Time{}, map[string]stream.Time{}, map[string]stream.Time{}, map[string]stream.Time{}
+		var cur [4]*MNS // the latest descriptor of each key, shared by whoever takes it
+		now, ids := stream.Time(0), uint64(0)
+		fresh := func(k int, delta stream.Time) {
+			ids++
+			cur[k] = mnsA(stream.Value(k), now+delta)
+			cur[k].ID = ids
+		}
+		file := func(model map[string]stream.Time, m *MNS) {
+			if old, ok := model[m.Key()]; !ok || m.Expiry > old {
+				model[m.Key()] = m.Expiry
+			}
+		}
+		expired := func(model map[string]stream.Time) []string {
+			var keys []string
+			for k, e := range model {
+				if e <= now {
+					keys = append(keys, k)
+					delete(model, k)
+				}
+			}
+			slices.Sort(keys)
+			return keys
+		}
+		keysOf := func(ms []*MNS) []string {
+			var keys []string
+			for _, m := range ms {
+				keys = append(keys, m.Key())
+			}
+			slices.Sort(keys)
+			return keys
+		}
+		next := func(model map[string]stream.Time) stream.Time {
+			if len(model) == 0 {
+				return NoExpiry
+			}
+			return slices.Min(slices.Collect(maps.Values(model)))
+		}
+		for step, op := range ops {
+			k, delta := int(op&3), []stream.Time{0, 5, 20, 60}[op>>2&3]
+			if cur[k] == nil {
+				fresh(k, delta)
+			}
+			m := cur[k]
+			switch op >> 4 {
+			case 0: // a new descriptor: a duplicate wherever its key is held
+				fresh(k, delta)
+			case 1:
+				file(mBuf, m)
+				buf.Add(m)
+			case 2:
+				file(mBl, m)
+				bl.Ensure(m)
+			case 3:
+				file(mOrig, m)
+				mt.ActivateOrigin(m, m.Sig, nil)
+			case 4: // a relay holds the projection relayed to it, not m
+				file(mRel, m)
+				mt.AddRelay(&MNS{ID: m.ID, Sources: m.Sources, Sig: m.Sig, Expiry: m.Expiry})
+			case 5: // an opposite arrival carrying key k resumes its MNS
+				_, held := mBuf[m.Key()]
+				delete(mBuf, m.Key())
+				if got, _ := buf.Probe(comp(3, tpl(2, now, stream.Value(k)))); (len(got) == 1) != held || len(got) > 1 {
+					t.Fatalf("step %d: probe took %d, model holds key %t", step, len(got), held)
+				}
+			case 6:
+				_, held := mBl[m.Key()]
+				delete(mBl, m.Key())
+				if _, ok := bl.Take(m.Key()); ok != held {
+					t.Fatalf("step %d: blacklist take %t, model %t", step, ok, held)
+				}
+			case 7:
+				_, held := mOrig[m.Key()]
+				delete(mOrig, m.Key())
+				if _, ok := mt.TakeOrigin(m.Key()); ok != held {
+					t.Fatalf("step %d: origin take %t, model %t", step, ok, held)
+				}
+			case 8:
+				_, held := mRel[m.Key()]
+				delete(mRel, m.Key())
+				if ok := mt.RemoveRelay(m.Key()); ok != held {
+					t.Fatalf("step %d: relay removal %t, model %t", step, ok, held)
+				}
+			case 9:
+				if got, want := buf.Purge(now), len(expired(mBuf)); got != want {
+					t.Fatalf("step %d: buffer purged %d at %d, model %d", step, got, now, want)
+				}
+			case 10:
+				var got []*MNS
+				for _, e := range bl.TakeExpired(now) {
+					got = append(got, e.MNS)
+				}
+				if got, want := keysOf(got), expired(mBl); !slices.Equal(got, want) {
+					t.Fatalf("step %d: blacklist took %v at %d, model %v", step, got, now, want)
+				}
+			case 11:
+				var got []*MNS
+				for _, e := range mt.TakeExpiredOrigins(now) {
+					got = append(got, e.MNS)
+				}
+				if got, want := keysOf(got), expired(mOrig); !slices.Equal(got, want) {
+					t.Fatalf("step %d: mark table took origins %v at %d, model %v", step, got, now, want)
+				}
+			case 12:
+				if got, want := mt.PurgeRelays(now), len(expired(mRel)); got != want {
+					t.Fatalf("step %d: relays purged %d at %d, model %d", step, got, now, want)
+				}
+			default: // the clock moves
+				now += delta + 1
+			}
+			if got, want := buf.NextExpiry(), next(mBuf); got != want || buf.Len() != len(mBuf) {
+				t.Fatalf("step %d: buffer next %d len %d, model %d len %d", step, got, buf.Len(), want, len(mBuf))
+			}
+			if got, want := bl.NextAnchorExpiry(), next(mBl); got != want || bl.Len() != len(mBl) {
+				t.Fatalf("step %d: blacklist next %d len %d, model %d len %d", step, got, bl.Len(), want, len(mBl))
+			}
+			if got, want := mt.NextExpiry(), min(next(mOrig), next(mRel)); got != want ||
+				mt.NumOrigins() != len(mOrig) || len(mt.relays.list) != len(mRel) {
+				t.Fatalf("step %d: mark table next %d with %d origins and %d relays, model %d with %d and %d",
+					step, got, mt.NumOrigins(), len(mt.relays.list), want, len(mOrig), len(mRel))
+			}
+		}
+	})
+}

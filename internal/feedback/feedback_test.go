@@ -49,96 +49,77 @@ func TestSignatureMatching(t *testing.T) {
 }
 
 // testTable drives one instantiation of the shared MNS table: add-or-extend
-// keeps the later expiry and dirties the min; take and takeExpired preserve
-// creation order; the min is exact after Invalidate even when a descriptor
-// was extended behind the table's back.
+// keeps the later anchor and dirties the min; take and takeExpired preserve
+// creation order; the min is exact after every step.
 func testTable[E holder](t *testing.T, name string, tab *table[E], wrap func(*MNS) E) {
 	t.Run(name, func(t *testing.T) {
-		next := func() stream.Time { return nextExpiry(tab.min, tab.expiries) }
 		order := func() (vals []stream.Value) {
 			for _, e := range tab.list {
 				vals = append(vals, e.mns().Sig[0].Val)
 			}
 			return vals
 		}
-		if next() != NoExpiry {
+		if tab.nextExpiry() != NoExpiry {
 			t.Fatal("empty table has a deadline")
 		}
 		ms := []*MNS{mnsA(1, 300), mnsA(2, 100), mnsA(3, 200), mnsA(4, 400)}
+		var es []E
 		for _, m := range ms {
 			if _, ok := tab.extend(m); ok {
 				t.Fatalf("fresh key %s found", m.Key())
 			}
-			tab.insert(wrap(m))
+			es = append(es, wrap(m))
+			tab.insert(es[len(es)-1])
 		}
-		if next() != 100 {
-			t.Fatalf("min after inserts: %d", next())
+		if tab.nextExpiry() != 100 {
+			t.Fatalf("min after inserts: %d", tab.nextExpiry())
 		}
 		// A duplicate with an earlier expiry changes nothing; a later one
-		// raises the held descriptor, and the min follows.
-		if old, ok := tab.extend(mnsA(2, 50)); !ok || old.mns() != ms[1] || ms[1].Expiry != 100 {
-			t.Fatal("earlier duplicate must leave the held descriptor alone")
+		// raises the held element's anchor, and the min follows.
+		if old, ok := tab.extend(mnsA(2, 50)); !ok || old != es[1] || *es[1].anchor() != 100 {
+			t.Fatal("earlier duplicate must leave the held anchor alone")
 		}
-		if _, ok := tab.extend(mnsA(2, 500)); !ok || ms[1].Expiry != 500 || len(tab.list) != 4 {
+		if _, ok := tab.extend(mnsA(2, 500)); !ok || *es[1].anchor() != 500 || len(tab.list) != 4 {
 			t.Fatal("later duplicate must extend, not add")
 		}
-		if next() != 200 {
-			t.Fatalf("min after extension: %d", next())
+		if tab.nextExpiry() != 200 {
+			t.Fatalf("min after extension: %d", tab.nextExpiry())
 		}
-		// Extended through a shared pointer: stale-low until invalidated.
-		ms[2].Expiry = 350
-		if next() != 200 {
-			t.Fatalf("cache should still read the stale minimum, got %d", next())
+		if out := tab.takeExpired(199); len(out) != 0 || tab.nextExpiry() != 200 {
+			t.Fatalf("before the minimum is due: took %d, min %d", len(out), tab.nextExpiry())
 		}
-		tab.min.Invalidate()
-		if next() != 300 {
-			t.Fatalf("min after invalidate: %d", next())
-		}
-		// A refreshing takeExpired repairs the same staleness on its way —
-		// once the stale minimum is due: until then the clean cache proves
-		// nothing has expired, and the walk is spared.
-		ms[0].Expiry = 320
-		if out := tab.takeExpired(299, true); len(out) != 0 || next() != 300 {
-			t.Fatalf("before the cached minimum is due: took %d, min %d", len(out), next())
-		}
-		if out := tab.takeExpired(300, true); len(out) != 0 || next() != 320 {
-			t.Fatalf("refresh: took %d, min %d", len(out), next())
-		}
-		if e, ok := tab.take(ms[2].Key()); !ok || e.mns() != ms[2] {
+		if e, ok := tab.take(ms[2].Key()); !ok || e != es[2] {
 			t.Fatal("take failed")
 		}
 		if _, ok := tab.take(ms[2].Key()); ok {
 			t.Fatal("double take")
 		}
-		if got := order(); !slices.Equal(got, []stream.Value{1, 2, 4}) {
-			t.Fatalf("order after take: %v", got)
+		if got := order(); !slices.Equal(got, []stream.Value{1, 2, 4}) || tab.nextExpiry() != 300 {
+			t.Fatalf("after take: order %v min %d", got, tab.nextExpiry())
 		}
-		if !tab.hasExpired(400) || tab.hasExpired(319) {
-			t.Fatal("hasExpired wrong")
-		}
-		exp := tab.takeExpired(400, false)
-		if len(exp) != 2 || exp[0].mns() != ms[0] || exp[1].mns() != ms[3] {
+		exp := tab.takeExpired(400)
+		if len(exp) != 2 || exp[0] != es[0] || exp[1] != es[3] {
 			t.Fatalf("takeExpired must return creation order, got %v", exp)
 		}
-		if got := order(); !slices.Equal(got, []stream.Value{2}) || next() != 500 {
-			t.Fatalf("after takeExpired: order %v min %d", got, next())
+		if got := order(); !slices.Equal(got, []stream.Value{2}) || tab.nextExpiry() != 500 {
+			t.Fatalf("after takeExpired: order %v min %d", got, tab.nextExpiry())
 		}
 		tab.take(ms[1].Key())
-		if tab.acct.Live() != 0 || next() != NoExpiry {
-			t.Fatalf("emptied table: live=%d next=%d", tab.acct.Live(), next())
+		if tab.acct.Live() != 0 || tab.nextExpiry() != NoExpiry {
+			t.Fatalf("emptied table: live=%d next=%d", tab.acct.Live(), tab.nextExpiry())
 		}
 	})
 }
 
 // TestMNSTable runs the table contract over its four instantiations: the
 // blacklist's entries, the MNS buffer, and the mark table's origins and
-// relays (which share one deadline cache).
+// relays.
 func TestMNSTable(t *testing.T) {
 	acct := &metrics.Account{}
-	testTable(t, "blacklist", &NewBlacklist("B", acct).entries, func(m *MNS) *Entry { return &Entry{MNS: m} })
+	testTable(t, "blacklist", &NewBlacklist("B", acct).entries, func(m *MNS) *Entry { return &Entry{MNS: m, Expiry: m.Expiry} })
 	testTable(t, "buffer", &NewBuffer("NB", acct).mnss, func(m *MNS) *MNS { return m })
 	mt := NewMarkTable(acct)
-	testTable(t, "origins", &mt.origins, func(m *MNS) *OriginEntry { return &OriginEntry{MNS: m} })
+	testTable(t, "origins", &mt.origins, func(m *MNS) *OriginEntry { return &OriginEntry{MNS: m, Expiry: m.Expiry} })
 	testTable(t, "relays", &mt.relays, func(m *MNS) *MNS { return m })
 }
 
@@ -552,7 +533,7 @@ func TestMarkIndexMatchesScan(t *testing.T) {
 		case 6: // expiry
 			mt.TakeExpiredOrigins(now)
 			mt.PurgeRelays(now)
-			origins = slices.DeleteFunc(origins, func(e *OriginEntry) bool { return e.MNS.Expiry <= now })
+			origins = slices.DeleteFunc(origins, func(e *OriginEntry) bool { return e.Expiry <= now })
 			relays = slices.DeleteFunc(relays, func(m *MNS) bool { return m.Expiry <= now })
 		}
 		if mt.NumOrigins() != len(origins) || len(mt.relays.list) != len(relays) {

@@ -24,9 +24,12 @@ type PendingPair struct {
 // joins between left-marked and right-marked tuples until unmarked,
 // recording each suppressed pair.
 type OriginEntry struct {
-	MNS  *MNS
-	SigL Signature // restriction of MNS.Sig to the left input's sources
-	SigR Signature
+	MNS *MNS
+	// Expiry is the entry's anchor, kept beside the shared descriptor as a
+	// blacklist entry's is (Entry.Expiry).
+	Expiry stream.Time
+	SigL   Signature // restriction of MNS.Sig to the left input's sources
+	SigR   Signature
 	// Left / Right list the enrolled (marked) tuples per side, for mark
 	// cleanup when the entry dissolves. A tuple may be listed twice (enrolled
 	// when the entry marked the state, again on a reinsertion); clearing a
@@ -54,20 +57,21 @@ type MarkTable struct {
 	// constrains (file).
 	bySide  [2]fpIndex[*OriginEntry]
 	byRelay fpIndex[*MNS]
-	// Deadline caches (DESIGN.md §4): earliest expiry among origin and relay
-	// entries together, and earliest endpoint MinTS among pending suppressed
-	// pairs. pendTS caches the earliest result TS among pending pairs
-	// (OldestPendingTS).
-	expiryMin state.MinCache
-	pendMin   state.MinCache
-	pendTS    state.MinCache
+	// Deadline caches (DESIGN.md §4): earliest endpoint MinTS among pending
+	// suppressed pairs, and earliest result TS among them (OldestPendingTS).
+	// The origins and relays keep their own expiry caches.
+	pendMin state.MinCache
+	pendTS  state.MinCache
 }
 
 // NewMarkTable creates an empty table.
 func NewMarkTable(acct *metrics.Account) *MarkTable {
-	t := &MarkTable{acct: acct, active: make(map[uint64]*OriginEntry)}
-	t.origins = newTable[*OriginEntry](acct, metrics.MemMNS, &t.expiryMin)
-	t.relays = newTable[*MNS](acct, metrics.MemMNS, &t.expiryMin)
+	t := &MarkTable{
+		acct:    acct,
+		origins: newTable[*OriginEntry](acct, metrics.MemMNS),
+		relays:  newTable[*MNS](acct, metrics.MemMNS),
+		active:  make(map[uint64]*OriginEntry),
+	}
 	t.bySide[0] = newFPIndex(func(e *OriginEntry, buf []SigEntry) []SigEntry { return append(buf, e.SigL...) })
 	t.bySide[1] = newFPIndex(func(e *OriginEntry, buf []SigEntry) []SigEntry { return append(buf, e.SigR...) })
 	t.byRelay = newFPIndex(func(m *MNS, buf []SigEntry) []SigEntry { return append(buf, m.Sig...) })
@@ -110,7 +114,7 @@ func (t *MarkTable) ActivateOrigin(m *MNS, sigL, sigR Signature) *OriginEntry {
 	if _, ok := t.origins.extend(m); ok {
 		return nil
 	}
-	e := &OriginEntry{MNS: m, SigL: sigL, SigR: sigR}
+	e := &OriginEntry{MNS: m, Expiry: m.Expiry, SigL: sigL, SigR: sigR}
 	t.origins.insert(e)
 	t.active[m.ID] = e
 	t.file(e, true)
@@ -158,21 +162,11 @@ func (p PendingPair) minTS() stream.Time { return min(p.L.C.MinTS, p.R.C.MinTS) 
 // ts is the timestamp of the result the pair will produce.
 func (p PendingPair) ts() stream.Time { return max(p.L.C.TS, p.R.C.TS) }
 
-// InvalidateMinCaches forces the next NextExpiry / NextPendingMinTS reads
-// to recompute exactly (see Blacklist.InvalidateMinCaches).
-func (t *MarkTable) InvalidateMinCaches() {
-	t.expiryMin.Invalidate()
-	t.pendMin.Invalidate()
-}
-
 // NextExpiry returns the earliest expiry among origin and relay entries, or
 // NoExpiry when the table holds none — the mark machinery's contribution to
 // the operator's sweep deadline (DESIGN.md §4).
 func (t *MarkTable) NextExpiry() stream.Time {
-	return nextExpiry(&t.expiryMin, func(add func(stream.Time)) {
-		t.origins.expiries(add)
-		t.relays.expiries(add)
-	})
+	return min(t.origins.nextExpiry(), t.relays.nextExpiry())
 }
 
 // NextPendingMinTS returns the earliest endpoint MinTS among pending
@@ -241,9 +235,10 @@ func (t *MarkTable) TakeOrigin(key string) (*OriginEntry, bool) {
 }
 
 // TakeExpiredOrigins removes and returns every origin entry whose anchor
-// expired; the operator must generate their pending pairs.
+// expired, and nothing, without a scan, while none is due; the operator must
+// generate their pending pairs.
 func (t *MarkTable) TakeExpiredOrigins(now stream.Time) []*OriginEntry {
-	out := t.origins.takeExpired(now, false)
+	out := t.origins.takeExpired(now)
 	for _, e := range out {
 		t.dropped(e)
 	}
@@ -257,11 +252,6 @@ func (t *MarkTable) dropped(e *OriginEntry) {
 	t.pendMin.Remove(len(e.Pending))
 	t.pendTS.Remove(len(e.Pending))
 	t.file(e, false)
-}
-
-// HasExpired reports whether any origin or relay entry has expired.
-func (t *MarkTable) HasExpired(now stream.Time) bool {
-	return t.origins.hasExpired(now) || t.relays.hasExpired(now)
 }
 
 // PurgePending drops pending pairs with an expired endpoint — their results
@@ -314,7 +304,7 @@ func (t *MarkTable) RemoveRelay(key string) bool {
 
 // PurgeRelays drops expired relay descriptors.
 func (t *MarkTable) PurgeRelays(now stream.Time) int {
-	expired := t.relays.takeExpired(now, false)
+	expired := t.relays.takeExpired(now)
 	for _, m := range expired {
 		t.byRelay.remove(m)
 	}

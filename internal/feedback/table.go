@@ -10,45 +10,55 @@ import (
 	"repro/internal/stream"
 )
 
-// holder is an element of a table: something filed under one MNS descriptor.
+// holder is an element of a table: something filed under one MNS descriptor,
+// with an expiry of its own to be scheduled on.
 type holder interface {
 	comparable
 	mns() *MNS
+	anchor() *stream.Time
 }
 
 func (m *MNS) mns() *MNS         { return m }
 func (e *Entry) mns() *MNS       { return e.MNS }
 func (e *OriginEntry) mns() *MNS { return e.MNS }
 
+// A buffered or relayed descriptor is its own anchor; blacklist and origin
+// entries keep theirs beside the descriptor they share with other tables.
+func (m *MNS) anchor() *stream.Time         { return &m.Expiry }
+func (e *Entry) anchor() *stream.Time       { return &e.Expiry }
+func (e *OriginEntry) anchor() *stream.Time { return &e.Expiry }
+
 // table is the MNS-keyed expiring collection behind the blacklist's entries,
 // the MNS buffer and the mark table's origins and relays — the one hash
 // organisation the paper prescribes for producer-side blacklists (Sec. IV-B)
 // and consumer-side MNS buffers (Sec. III-A). Elements sit in creation
 // order, at most one per MNS.Key(); a duplicate descriptor extends the held
-// one's expiry instead of adding an element. Iteration is always over the
-// creation-ordered list, never the map, so runs are deterministic (DESIGN.md
-// §2). min caches the earliest expiry for the operator's sweep deadline
-// (DESIGN.md §4); the mark table's two tables share one.
+// element's anchor instead of adding an element. Iteration is always over
+// the creation-ordered list, never the map, so runs are deterministic
+// (DESIGN.md §2). min caches the earliest anchor for the operator's sweep
+// deadline (DESIGN.md §4); anchors move only through extend, so it is exact.
 type table[E holder] struct {
 	acct  *metrics.Account
 	mem   metrics.Mem
 	list  []E
 	byKey map[string]E
-	min   *state.MinCache
+	min   state.MinCache
 }
 
-func newTable[E holder](acct *metrics.Account, mem metrics.Mem, min *state.MinCache) table[E] {
-	return table[E]{acct: acct, mem: mem, byKey: make(map[string]E), min: min}
+func newTable[E holder](acct *metrics.Account, mem metrics.Mem) table[E] {
+	return table[E]{acct: acct, mem: mem, byKey: make(map[string]E)}
 }
 
 // extend looks up the element filed under m's key. When one exists and m
-// expires later, the held descriptor's expiry is raised: duplicates are
+// expires later, the held element's anchor is raised: duplicates are
 // ignored (Sec. III-B) but the anchor must not be forgotten early.
 func (t *table[E]) extend(m *MNS) (E, bool) {
 	old, ok := t.byKey[m.Key()]
-	if ok && m.Expiry > old.mns().Expiry {
-		old.mns().Expiry = m.Expiry
-		t.min.Invalidate() // the raised expiry may have been the min
+	if ok {
+		if a := old.anchor(); m.Expiry > *a {
+			*a = m.Expiry
+			t.min.Invalidate() // the raised anchor may have been the min
+		}
 	}
 	return old, ok
 }
@@ -57,7 +67,7 @@ func (t *table[E]) extend(m *MNS) (E, bool) {
 // extend that the key is free.
 func (t *table[E]) insert(e E) {
 	m := e.mns()
-	t.min.Add(m.Expiry)
+	t.min.Add(*e.anchor())
 	t.list = append(t.list, e)
 	t.byKey[m.Key()] = e
 	t.acct.Alloc(t.mem, m.SizeBytes())
@@ -91,71 +101,43 @@ func (t *table[E]) take(key string) (E, bool) {
 }
 
 // takeExpired removes and returns, in creation order, every element whose
-// descriptor has expired; none, without looking, when the min cache proves
-// it. With refresh the walk rebuilds the min cache over the survivors,
-// leaving it exact whatever was done to a shared descriptor since; without,
-// the cache is merely invalidated if anything left.
-func (t *table[E]) takeExpired(now stream.Time, refresh bool) []E {
-	if !t.mayHaveExpired(now) {
+// anchor has expired; none, without a walk, when the next expiry is later.
+// The walk rebuilds the min cache over the survivors.
+func (t *table[E]) takeExpired(now stream.Time) []E {
+	if t.nextExpiry() > now {
 		return nil
 	}
 	var out []E
-	var fresh state.MinCache
+	t.min = state.MinCache{}
 	kept := t.list[:0]
 	for _, e := range t.list {
-		m := e.mns()
-		if m.Expiry > now {
-			fresh.Add(m.Expiry)
+		if a := *e.anchor(); a > now {
+			t.min.Add(a)
 			kept = append(kept, e)
 			continue
 		}
+		m := e.mns()
 		delete(t.byKey, m.Key())
 		t.acct.Free(t.mem, m.SizeBytes())
 		out = append(out, e)
 	}
 	clear(t.list[len(kept):])
 	t.list = kept
-	if refresh {
-		*t.min = fresh
-	} else {
-		t.min.Remove(len(out))
-	}
 	return out
 }
 
-// mayHaveExpired is false when the min cache proves nothing has: a clean
-// cache holds a lower bound on every expiry it covers (exact, or stale-low
-// after an in-place extension), so one above now rules expiry out without a
-// scan. A dirty cache is not rebuilt here — when that happens is observable
-// through NextDeadline — and answers "maybe".
-func (t *table[E]) mayHaveExpired(now stream.Time) bool {
-	if len(t.list) == 0 {
-		return false
+// nextExpiry returns the earliest anchor, or NoExpiry when the table holds
+// nothing.
+func (t *table[E]) nextExpiry() stream.Time {
+	ts, ok := t.min.Get(func(add func(stream.Time)) {
+		for _, e := range t.list {
+			add(*e.anchor())
+		}
+	})
+	if !ok {
+		return NoExpiry
 	}
-	min, clean := t.min.Peek()
-	return !clean || min <= now
-}
-
-// hasExpired is the cheap check sweeps make before doing real work.
-func (t *table[E]) hasExpired(now stream.Time) bool {
-	return t.mayHaveExpired(now) &&
-		slices.ContainsFunc(t.list, func(e E) bool { return e.mns().Expiry <= now })
-}
-
-// expiries feeds every element's expiry to add (state.MinCache.Get).
-func (t *table[E]) expiries(add func(stream.Time)) {
-	for _, e := range t.list {
-		add(e.mns().Expiry)
-	}
-}
-
-// nextExpiry returns the earliest expiry the min cache covers, or NoExpiry
-// when it covers nothing.
-func nextExpiry(min *state.MinCache, each func(add func(stream.Time))) stream.Time {
-	if ts, ok := min.Get(each); ok {
-		return ts
-	}
-	return NoExpiry
+	return ts
 }
 
 // fpIndex finds elements by value fingerprint: elements are grouped by the

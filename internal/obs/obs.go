@@ -243,7 +243,7 @@ type Tracer struct {
 	now     stream.Time
 	wallOn  bool
 	wallAt  time.Time
-	sampler *Sampler
+	sampler *sampler
 	lat     Histogram
 	latWall Histogram
 
@@ -258,7 +258,7 @@ type Tracer struct {
 func New(o Options) *Tracer {
 	t := &Tracer{sink: o.Sink, shard: o.Shard, label: o.Label, wallOn: o.WallLatency}
 	if o.SampleEvery > 0 {
-		t.sampler = NewSampler(o.SampleEvery)
+		t.sampler = newSampler(t, o.SampleEvery)
 	}
 	return t
 }
@@ -267,14 +267,15 @@ func New(o Options) *Tracer {
 // its Account. plan.Built.SetTrace calls it at attach time and again at each
 // migration handoff: the substrate is the same plan, but its operators are
 // fresh, so the sampler restarts its per-operator baselines (and keeps the
-// totals one).
+// totals one). This is the one binding: the sampler reads the same pair.
 func (t *Tracer) Bind(src Ledger, acct *metrics.Account) {
 	if t == nil {
 		return
 	}
+	first := t.src == nil
 	t.src, t.acct = src, acct
 	if t.sampler != nil {
-		t.sampler.Bind(src, acct)
+		t.sampler.rebase(first)
 	}
 }
 
@@ -291,7 +292,7 @@ func (t *Tracer) Advance(ts stream.Time) {
 	if t.wallOn {
 		t.wallAt = time.Now() //jitlint:allow wallclock the opt-in wall-latency twin exists to measure host scheduling; it never enters a deterministic artifact (package doc)
 	}
-	if t.sampler != nil && t.sampler.Tick(t.now) {
+	if t.sampler != nil && t.sampler.tick(t.now) {
 		t.publish()
 	}
 }
@@ -304,7 +305,7 @@ func (t *Tracer) Finish() {
 		return
 	}
 	if t.sampler != nil {
-		t.sampler.Flush()
+		t.sampler.flush()
 	}
 	t.publish()
 }
@@ -457,7 +458,7 @@ func (t *Tracer) Samples() []Sample {
 	if t == nil || t.sampler == nil {
 		return nil
 	}
-	return t.sampler.Samples()
+	return t.sampler.samples
 }
 
 // TraceEvents returns a concurrency-safe snapshot of retained events when
@@ -520,7 +521,7 @@ func (t *Tracer) publish() {
 		s.PeakBytes = t.acct.Peak()
 	}
 	if t.sampler != nil {
-		s.Samples = len(t.sampler.Samples())
+		s.Samples = len(t.sampler.samples)
 	}
 	t.snap.Store(s)
 }

@@ -18,8 +18,8 @@ type Sample struct {
 	Ops       []metrics.OpCounters
 }
 
-// Sampler snapshots the measurement substrate every Δt of stream time. The
-// determinism rules (DESIGN.md §9):
+// sampler snapshots its tracer's measurement substrate every Δt of stream
+// time. The determinism rules (DESIGN.md §9):
 //
 //   - Boundaries lie on the absolute grid k·Δt, anchored at stream time 0 —
 //     not at the first arrival — so per-shard series from the same run
@@ -30,47 +30,49 @@ type Sample struct {
 //     samples, keeping the grid uniform.
 //   - Flush stamps the final partial interval at the NEXT grid boundary
 //     (ceiling), again so shards agree on the last bucket.
-type Sampler struct {
+//
+// It reads the (Ledger, Account) pair Tracer.Bind set; it has no binding of
+// its own.
+type sampler struct {
+	tr      *Tracer
 	dt      stream.Time
 	next    stream.Time
 	started bool
-
-	src  Ledger
-	acct *metrics.Account
 
 	prev    metrics.Counters
 	prevOps []metrics.OpCounters
 	samples []Sample
 }
 
-// NewSampler creates a sampler with stream-time interval dt (must be > 0).
-func NewSampler(dt stream.Time) *Sampler {
+// newSampler creates a sampler of tr's substrate with stream-time interval
+// dt (must be > 0).
+func newSampler(tr *Tracer, dt stream.Time) *sampler {
 	if dt <= 0 {
 		panic("obs: sampler interval must be positive stream time")
 	}
-	return &Sampler{dt: dt}
+	return &sampler{tr: tr, dt: dt}
 }
 
-// Bind attaches (or re-attaches) the substrate. On first bind the totals
-// baseline is their current value; on rebind — a migration reshaped the plan
-// (plan.Built.Reshape) — the baseline is kept, because the run's totals carry
-// on across the handoff and resetting would double-count the pre-migration
-// work. Per-operator baselines always reset: the new tree's operators are
-// fresh, and their deltas would underflow against the retired ones' ledgers.
-func (s *Sampler) Bind(src Ledger, acct *metrics.Account) {
-	if s.src == nil {
-		s.prev = src.Totals()
+// rebase takes new baselines after the tracer was bound. On the first bind
+// the totals baseline is their current value; on a rebind — a migration
+// reshaped the plan (plan.Built.Reshape) — it is kept, because the run's
+// totals carry on across the handoff and resetting would double-count the
+// pre-migration work. Per-operator baselines always reset: the new tree's
+// operators are fresh, and their deltas would underflow against the retired
+// ones' ledgers.
+func (s *sampler) rebase(first bool) {
+	if first {
+		s.prev = s.tr.src.Totals()
 	}
-	s.src, s.acct = src, acct
-	s.prevOps = src.Ops()
+	s.prevOps = s.tr.src.Ops()
 }
 
-// Tick advances the sampler clock; it takes one sample per grid boundary in
+// tick advances the sampler clock; it takes one sample per grid boundary in
 // (prevTick, ts] and reports whether any was taken. The first tick only
 // anchors the grid (the stream's activity starts there; an interval before
 // it would be vacuous).
-func (s *Sampler) Tick(ts stream.Time) bool {
-	if s.src == nil {
+func (s *sampler) tick(ts stream.Time) bool {
+	if s.tr.src == nil {
 		return false
 	}
 	if !s.started {
@@ -87,23 +89,22 @@ func (s *Sampler) Tick(ts stream.Time) bool {
 	return took
 }
 
-// Flush records the final partial interval, stamped at the next grid
-// boundary. Idempotent per boundary only in the sense that repeated flushes
-// stamp successive boundaries; the engine calls it exactly once.
-func (s *Sampler) Flush() bool {
-	if s.src == nil || !s.started {
-		return false
+// flush records the final partial interval, stamped at the next grid
+// boundary. Repeated flushes stamp successive boundaries; the tracer calls
+// it exactly once.
+func (s *sampler) flush() {
+	if s.tr.src == nil || !s.started {
+		return
 	}
 	s.take(s.next)
 	s.next += s.dt
-	return true
 }
 
-func (s *Sampler) take(at stream.Time) {
-	cur, ops := s.src.Totals(), s.src.Ops()
+func (s *sampler) take(at stream.Time) {
+	cur, ops := s.tr.src.Totals(), s.tr.src.Ops()
 	sm := Sample{T: at, Counters: cur.Sub(s.prev)}
-	if s.acct != nil {
-		sm.LiveBytes = s.acct.Live()
+	if s.tr.acct != nil {
+		sm.LiveBytes = s.tr.acct.Live()
 	}
 	for i, o := range ops {
 		sm.Ops = append(sm.Ops, metrics.OpCounters{Name: o.Name, Counters: o.Counters.Sub(s.prevOps[i].Counters)})
@@ -111,9 +112,6 @@ func (s *Sampler) take(at stream.Time) {
 	s.prev, s.prevOps = cur, ops
 	s.samples = append(s.samples, sm)
 }
-
-// Samples returns the series so far.
-func (s *Sampler) Samples() []Sample { return s.samples }
 
 var sparkRunes = []rune("▁▂▃▄▅▆▇█")
 

@@ -21,29 +21,29 @@ func (l *fakeLedger) Ops() []metrics.OpCounters {
 func TestSamplerGrid(t *testing.T) {
 	led := &fakeLedger{ops: []metrics.OpCounters{{Name: "Op1"}}}
 	var acct metrics.Account
-	s := NewSampler(10)
-	s.Bind(led, &acct)
+	tr := New(Options{SampleEvery: 10})
+	tr.Bind(led, &acct)
 
-	// First tick anchors the grid on the absolute boundary after ts.
-	if s.Tick(3) {
+	// First advance anchors the grid on the absolute boundary after ts.
+	if tr.Advance(3); len(tr.Samples()) != 0 {
 		t.Fatal("anchor tick must not sample")
 	}
 	led.totals.Probes = 5
 	led.ops[0].Counters.Probes = 2
 	acct.Alloc(metrics.MemState, 100)
-	if !s.Tick(10) {
+	if tr.Advance(10); len(tr.Samples()) != 1 {
 		t.Fatal("boundary 10 not taken")
 	}
 	led.totals.Probes = 7
 	// Jumping past several boundaries emits one sample per boundary — the
 	// first carries the delta, the skipped ones are empty — keeping the grid
 	// uniform for shard merging.
-	if !s.Tick(35) {
+	if tr.Advance(35); len(tr.Samples()) != 3 {
 		t.Fatal("boundaries 20,30 not taken")
 	}
-	s.Flush() // final partial interval stamped at the NEXT boundary (40)
+	tr.Finish() // final partial interval stamped at the NEXT boundary (40)
 
-	got := s.Samples()
+	got := tr.Samples()
 	if len(got) != 4 {
 		t.Fatalf("%d samples, want 4 (T=10,20,30,40)", len(got))
 	}
@@ -66,26 +66,26 @@ func TestSamplerGrid(t *testing.T) {
 }
 
 // TestSamplerRebind checks the migration-handoff semantics: the plan is
-// rebound to the sampler after its tree was reshaped — the totals baseline is
-// kept (the run's totals carry on), while per-operator baselines reset (the
-// new operators are fresh and old baselines would underflow).
+// rebound to the tracer after its tree was reshaped — the sampler keeps its
+// totals baseline (the run's totals carry on), while per-operator baselines
+// reset (the new operators are fresh and old baselines would underflow).
 func TestSamplerRebind(t *testing.T) {
 	led := &fakeLedger{}
-	s := NewSampler(10)
-	s.Bind(led, nil)
-	s.Tick(1) // anchor
+	tr := New(Options{SampleEvery: 10})
+	tr.Bind(led, nil)
+	tr.Advance(1) // anchor
 	led.totals.Probes = 4
 
 	// Migration: the totals hold the 4, plus 3 from the reshaped tree, whose
 	// fresh operator did 5 probes before the rebind.
 	led.totals.Probes = 7
 	led.ops = []metrics.OpCounters{{Name: "Op1'", Counters: metrics.Counters{Probes: 5}}}
-	s.Bind(led, nil)
+	tr.Bind(led, nil)
 
-	if !s.Tick(10) {
+	if tr.Advance(10); len(tr.Samples()) != 1 {
 		t.Fatal("boundary not taken")
 	}
-	sm := s.Samples()[0]
+	sm := tr.Samples()[0]
 	if sm.Counters.Probes != 7 {
 		t.Errorf("rebind delta=%d, want 7 (baseline kept across migration)", sm.Counters.Probes)
 	}
@@ -101,7 +101,7 @@ func TestNewSamplerPanics(t *testing.T) {
 			t.Fatal("dt<=0 must panic")
 		}
 	}()
-	NewSampler(0)
+	newSampler(nil, 0)
 }
 
 // TestTracerDeliveryLag pins the latency math on the nonzero path: a

@@ -104,7 +104,7 @@ type BehaviourRow struct {
 	// horizon split into behaviourBuckets equal event-time intervals.
 	Dt stream.Time
 	// Samples carries per-interval Counters deltas plus the LiveBytes
-	// gauge, stamped on the absolute Dt grid (obs.Sampler semantics).
+	// gauge, stamped on the absolute Dt grid (the obs tracer's sampling rules).
 	Samples []obs.Sample
 }
 

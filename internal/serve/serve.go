@@ -104,6 +104,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.N < 2:
 		return fmt.Errorf("serve: need at least 2 sources (N=%d)", c.N)
+	case c.N > stream.MaxSources:
+		return fmt.Errorf("serve: at most %d sources fit a source set (N=%d)", stream.MaxSources, c.N)
 	case c.Window <= 0:
 		return fmt.Errorf("serve: window must be positive (window=%v)", c.Window)
 	case c.Addr == "":

@@ -590,6 +590,7 @@ func TestConfigValidate(t *testing.T) {
 		want string
 	}{
 		{"one source", func(c *Config) { c.N = 1 }, "sources"},
+		{"more sources than a source set holds", func(c *Config) { c.N = stream.MaxSources + 1 }, "at most 64 sources"},
 		{"zero window", func(c *Config) { c.Window = 0 }, "window"},
 		{"no address", func(c *Config) { c.Addr = "" }, "address"},
 		{"negative band", func(c *Config) { c.Band = -1 }, "band"},

@@ -123,12 +123,11 @@ func (s *Side) Watermark() uint64 { return s.seq }
 // MinCache caches the minimum of a changing multiset of times — the one
 // implementation behind every deadline cache NextDeadline reads (state
 // MinTS, blacklist anchors and parked tuples, MNS buffer, mark table;
-// DESIGN.md §4). The owner reports each insertion (Add) and removal
-// (Remove); the minimum is exact while values are only added and is
-// recomputed on the next Get after anything that can raise it. A value
-// raised behind the owner's back (MNS descriptors are shared, so another
-// structure can extend an expiry in place) leaves the cache stale-low until
-// Invalidate: a deadline then fires early — a no-op sweep — never late.
+// DESIGN.md §4). The owner reports each insertion (Add), removal (Remove)
+// and raised value (Invalidate); the minimum is exact while values are only
+// added and is recomputed on the next Get after anything that can raise it.
+// Every value a cache covers belongs to its owner and changes only through
+// it, so what Get returns is always exact.
 type MinCache struct {
 	min   stream.Time
 	n     int
@@ -153,15 +152,7 @@ func (c *MinCache) Remove(k int) {
 	}
 }
 
-// Peek returns the cached minimum without recomputing it; clean is false
-// when the cache is empty or a removal has left it stale. A clean cache is a
-// lower bound on every value the owner reported: exact, or stale-low if one
-// was raised behind the owner's back.
-func (c *MinCache) Peek() (min stream.Time, clean bool) {
-	return c.min, c.n > 0 && !c.dirty
-}
-
-// Invalidate forces the next Get to recompute.
+// Invalidate notes that a cached value was raised: the next Get recomputes.
 func (c *MinCache) Invalidate() { c.dirty = true }
 
 // Get returns the minimum; ok is false when the multiset is empty. A stale
@@ -233,11 +224,6 @@ func (s *State) Len() int { return len(s.entries) }
 
 // Empty reports whether the state holds no live tuples.
 func (s *State) Empty() bool { return len(s.entries) == 0 }
-
-// InvalidateMinCache forces the next MinTS read to recompute exactly (see
-// feedback.Blacklist.InvalidateMinCaches for the shared-descriptor rationale
-// behind deadline-cache flushing).
-func (s *State) InvalidateMinCache() { s.min.Invalidate() }
 
 // MinTS returns the smallest MinTS among live entries; ok is false when the
 // state is empty. The earliest window-expiry deadline of the state is

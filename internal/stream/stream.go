@@ -89,9 +89,12 @@ type Value int64
 // SourceID identifies a streaming source within a Catalog.
 type SourceID int
 
-// SourceSet is a bitmask over SourceIDs. Plans in this repo never exceed 64
-// sources, far above the paper's maximum of N=8.
+// SourceSet is a bitmask over SourceIDs, so a plan has at most MaxSources
+// sources — far above the paper's maximum of N=8.
 type SourceSet uint64
+
+// MaxSources is the most sources a SourceSet can name: ids 0 to 63.
+const MaxSources = 64
 
 // Add returns s with the given source included.
 func (s SourceSet) Add(id SourceID) SourceSet { return s | 1<<uint(id) }
