@@ -77,6 +77,7 @@ func battery() []invocation {
 		"-adapt-epoch 1",
 		"-obs-sample 5",
 		"-obs-sample -1 -trace-out TMP/never.json",
+		"-obs-sample 0.0004 -trace-out TMP/never.json",
 		"-obs-addr 127.0.0.1:99999",
 		"-drain-horizon 5",
 		"-shards 0",
@@ -119,6 +120,7 @@ func battery() []invocation {
 		"-every 1",
 		"-dir TMP/d -disorder 5",
 		"-obs-sample -1",
+		"-obs-sample 0.0004",
 		"-band -1",
 		"-n 1",
 		"-window 0",

@@ -34,7 +34,7 @@ func (j *JoinOp) Feedback(msg feedback.Message) []*stream.Composite {
 		}
 	case feedback.Unmark:
 		for _, m := range msg.MNS {
-			j.marks.RemoveRelay(m.Key())
+			j.marks.RemoveRelay(m)
 		}
 	}
 	return nil
@@ -247,7 +247,7 @@ func (j *JoinOp) resumeTotal(m *feedback.MNS, out *[]*stream.Composite) {
 	}
 	for p := operator.Port(0); p < 2; p++ {
 		s := j.in[p]
-		if e, ok := s.black.Take(m.Key()); ok {
+		if e, ok := s.black.Take(m); ok {
 			j.reactivate(s, e, out)
 		}
 	}
@@ -258,7 +258,7 @@ func (j *JoinOp) resumeTotal(m *feedback.MNS, out *[]*stream.Composite) {
 // entry's suspended tuples with their catch-up scans.
 func (j *JoinOp) resumeTypeI(s *side, m *feedback.MNS, out *[]*stream.Composite) {
 	j.processUpstream(s, j.upstream(s, feedback.Resume, m), out)
-	if e, ok := s.black.Take(m.Key()); ok {
+	if e, ok := s.black.Take(m); ok {
 		j.reactivate(s, e, out)
 	}
 }
@@ -316,7 +316,7 @@ func (j *JoinOp) resume(s *side, susp feedback.Suspended, out *[]*stream.Composi
 // generate the suppressed marked×marked pairs exactly once via the XOR
 // cursor rule.
 func (j *JoinOp) resumeTypeII(m *feedback.MNS, out *[]*stream.Composite) {
-	e, ok := j.marks.TakeOrigin(m.Key())
+	e, ok := j.marks.TakeOrigin(m)
 	if !ok {
 		return
 	}

@@ -419,7 +419,7 @@ func (j *JoinOp) probeInsert(a activation, s, o *side) {
 	// complete (cursor = full opposite watermark), unless the entry has
 	// already been resumed or expired in the meantime.
 	if f.parkEntry != nil {
-		if cur, ok := s.black.Entry(f.parkEntry.MNS.Key()); ok && cur == f.parkEntry {
+		if cur, ok := s.black.Entry(f.parkEntry.MNS); ok && cur == f.parkEntry {
 			cursor := o.seq.Watermark()
 			j.park(s, f.parkEntry, feedback.Suspended{E: se, Cursor: cursor, Pending: uncovered(o, f.seq, cursor)})
 			return

@@ -86,13 +86,17 @@ func (f *Flags) Obs() {
 // Apply stores the flag values in p, converted to its units. The two rules
 // it checks itself are the ones no Params field can carry: a shard count
 // below the flag's floor of 1 (Params reads 0 and 1 alike as unsharded) and
-// a negative -obs-sample (the interval lives on the tracer, not in Params).
+// an -obs-sample that is negative or, below the stream's millisecond, would
+// round to 0 and turn sampling off (the interval lives on the tracer, not in
+// Params).
 func (f *Flags) Apply(p *Params) error {
 	switch {
 	case f.shards < 1:
 		return fmt.Errorf("-shards must be at least 1, got %d", f.shards)
 	case f.obsSample < 0:
 		return fmt.Errorf("-obs-sample cannot be negative (seconds; 0 = one window), got %g", f.obsSample)
+	case f.obsSample > 0 && stream.Time(f.obsSample*float64(stream.Second)) == 0:
+		return fmt.Errorf("-obs-sample cannot be below a millisecond (seconds; 0 = one window), got %g", f.obsSample)
 	}
 	if f.fs.Lookup("mode") != nil {
 		m, err := core.ParseMode(f.Mode)

@@ -73,12 +73,12 @@ type Entry struct {
 // side of a join (B_L or B_R in the paper). Entries share the side's
 // sequence space with the active state, so cursors are totally ordered.
 type Blacklist struct {
-	name    string
-	acct    *metrics.Account
+	name string
+	acct *metrics.Account
+	// entries finds the entry an arrival's values fall under by signature
+	// (table.bySig), making MatchArrival O(# attribute sets) instead of
+	// O(# entries).
 	entries table[*Entry]
-	// bySig finds the entry an arrival's values fall under, making
-	// MatchArrival O(# attribute sets) instead of O(# entries).
-	bySig fpIndex[*Entry]
 	// bySeq finds the entry a parked sequence number sits under, so a
 	// resumption's pending pairs are looked up, not searched for.
 	bySeq map[uint64]*Entry
@@ -94,17 +94,12 @@ type Blacklist struct {
 	parkTS state.MinCache
 }
 
-// sigKey appends an entry's place in the fingerprint index: the attributes
-// its signature constrains and the values it expects there.
-func sigKey(e *Entry, buf []SigEntry) []SigEntry { return append(buf, e.MNS.Sig...) }
-
 // NewBlacklist creates an empty blacklist charging memory to acct.
 func NewBlacklist(name string, acct *metrics.Account) *Blacklist {
 	return &Blacklist{
 		name:    name,
 		acct:    acct,
 		entries: newTable[*Entry](acct, metrics.MemBlacklist),
-		bySig:   newFPIndex(sigKey),
 		bySeq:   make(map[uint64]*Entry),
 	}
 }
@@ -121,11 +116,8 @@ func (b *Blacklist) NumSuspended() int {
 	return n
 }
 
-// Entry returns the entry covering the given signature key, if any.
-func (b *Blacklist) Entry(key string) (*Entry, bool) {
-	e, ok := b.entries.byKey[key]
-	return e, ok
-}
+// Entry returns the entry covering m's signature, if any.
+func (b *Blacklist) Entry(m *MNS) (*Entry, bool) { return b.entries.bySig.find(m.Sig) }
 
 // Ensure returns the entry for m's signature, creating it when absent. When
 // an entry already exists its anchor is extended to the later of the two —
@@ -138,7 +130,6 @@ func (b *Blacklist) Ensure(m *MNS) (e *Entry, created bool) {
 	b.created++
 	e = &Entry{MNS: m, Expiry: m.Expiry, ord: b.created}
 	b.entries.insert(e)
-	b.bySig.add(e)
 	return e, true
 }
 
@@ -219,7 +210,7 @@ func (b *Blacklist) OldestParkedTS() (stream.Time, bool) {
 // everything). Entries whose anchor has expired are skipped (they are about
 // to be reactivated by the sweep).
 func (b *Blacklist) MatchArrival(c *stream.Composite, now stream.Time) (hit *Entry, comparisons int) {
-	comparisons = b.bySig.match(c, func(e *Entry) bool {
+	comparisons = b.entries.bySig.match(c, func(e *Entry) bool {
 		if e.Expiry <= now {
 			return true
 		}
@@ -229,9 +220,9 @@ func (b *Blacklist) MatchArrival(c *stream.Composite, now stream.Time) (hit *Ent
 	return hit, comparisons
 }
 
-// Take removes and returns the entry with the given signature key (resume).
-func (b *Blacklist) Take(key string) (*Entry, bool) {
-	e, ok := b.entries.take(key)
+// Take removes and returns the entry covering m's signature (resume).
+func (b *Blacklist) Take(m *MNS) (*Entry, bool) {
+	e, ok := b.entries.take(m)
 	if ok {
 		b.dropped(e)
 	}
@@ -250,7 +241,7 @@ func (b *Blacklist) TakeExpired(now stream.Time) []*Entry {
 }
 
 // dropped finishes the removal of an entry from the table: its tuples leave
-// with it, and arrivals no longer divert to it.
+// with it.
 func (b *Blacklist) dropped(e *Entry) {
 	b.parkMin.Remove(len(e.Tuples))
 	b.oweMin.Remove(len(e.Tuples))
@@ -258,7 +249,6 @@ func (b *Blacklist) dropped(e *Entry) {
 	for i := range e.Tuples {
 		delete(b.bySeq, e.Tuples[i].E.Seq)
 	}
-	b.bySig.remove(e)
 }
 
 // TakeExpiredTuples removes and returns the parked tuples whose own window

@@ -49,19 +49,11 @@ func probeKey(m *MNS, buf []SigEntry) []SigEntry {
 
 // NewBuffer creates an empty MNS buffer charging memory to acct.
 func NewBuffer(name string, acct *metrics.Account) *Buffer {
-	return &Buffer{name: name, mnss: newTable[*MNS](acct, metrics.MemMNS), byProbe: newFPIndex(probeKey)}
+	return &Buffer{name: name, mnss: newTable[*MNS](acct, metrics.MemMNS), byProbe: fpIndex[*MNS]{key: probeKey}}
 }
 
 // Len returns the number of buffered MNSs.
 func (b *Buffer) Len() int { return len(b.mnss.list) }
-
-// Has reports whether an MNS with the same signature is already buffered —
-// used by the consumer to avoid re-sending suspension feedback for
-// sub-tuples that are already covered (queued super-tuples, Sec. III-B).
-func (b *Buffer) Has(key string) bool {
-	_, ok := b.mnss.byKey[key]
-	return ok
-}
 
 // Add inserts an MNS. If an MNS with the same signature is present, the one
 // with the later expiry wins and the other is dropped; the retained

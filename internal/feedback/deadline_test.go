@@ -104,8 +104,10 @@ func FuzzDeadlineCaches(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		acct := &metrics.Account{}
 		buf, bl, mt := NewBuffer("NB", acct), NewBlacklist("B", acct), NewMarkTable(acct)
-		// One model per table: key -> the anchor the table must hold.
-		mBuf, mBl, mOrig, mRel := map[string]stream.Time{}, map[string]stream.Time{}, map[string]stream.Time{}, map[string]stream.Time{}
+		// One model per table: key -> the anchor the table must hold. Key k's
+		// signature is the single value k, which is what the model files by.
+		mBuf, mBl, mOrig, mRel := map[stream.Value]stream.Time{}, map[stream.Value]stream.Time{}, map[stream.Value]stream.Time{}, map[stream.Value]stream.Time{}
+		key := func(m *MNS) stream.Value { return m.Sig[0].Val }
 		var cur [4]*MNS // the latest descriptor of each key, shared by whoever takes it
 		now, ids := stream.Time(0), uint64(0)
 		fresh := func(k int, delta stream.Time) {
@@ -113,13 +115,13 @@ func FuzzDeadlineCaches(f *testing.F) {
 			cur[k] = mnsA(stream.Value(k), now+delta)
 			cur[k].ID = ids
 		}
-		file := func(model map[string]stream.Time, m *MNS) {
-			if old, ok := model[m.Key()]; !ok || m.Expiry > old {
-				model[m.Key()] = m.Expiry
+		file := func(model map[stream.Value]stream.Time, m *MNS) {
+			if old, ok := model[key(m)]; !ok || m.Expiry > old {
+				model[key(m)] = m.Expiry
 			}
 		}
-		expired := func(model map[string]stream.Time) []string {
-			var keys []string
+		expired := func(model map[stream.Value]stream.Time) []stream.Value {
+			var keys []stream.Value
 			for k, e := range model {
 				if e <= now {
 					keys = append(keys, k)
@@ -129,15 +131,15 @@ func FuzzDeadlineCaches(f *testing.F) {
 			slices.Sort(keys)
 			return keys
 		}
-		keysOf := func(ms []*MNS) []string {
-			var keys []string
+		keysOf := func(ms []*MNS) []stream.Value {
+			var keys []stream.Value
 			for _, m := range ms {
-				keys = append(keys, m.Key())
+				keys = append(keys, key(m))
 			}
 			slices.Sort(keys)
 			return keys
 		}
-		next := func(model map[string]stream.Time) stream.Time {
+		next := func(model map[stream.Value]stream.Time) stream.Time {
 			if len(model) == 0 {
 				return NoExpiry
 			}
@@ -165,27 +167,27 @@ func FuzzDeadlineCaches(f *testing.F) {
 				file(mRel, m)
 				mt.AddRelay(&MNS{ID: m.ID, Sources: m.Sources, Sig: m.Sig, Expiry: m.Expiry})
 			case 5: // an opposite arrival carrying key k resumes its MNS
-				_, held := mBuf[m.Key()]
-				delete(mBuf, m.Key())
+				_, held := mBuf[key(m)]
+				delete(mBuf, key(m))
 				if got, _ := buf.Probe(comp(3, tpl(2, now, stream.Value(k)))); (len(got) == 1) != held || len(got) > 1 {
 					t.Fatalf("step %d: probe took %d, model holds key %t", step, len(got), held)
 				}
 			case 6:
-				_, held := mBl[m.Key()]
-				delete(mBl, m.Key())
-				if _, ok := bl.Take(m.Key()); ok != held {
+				_, held := mBl[key(m)]
+				delete(mBl, key(m))
+				if _, ok := bl.Take(m); ok != held {
 					t.Fatalf("step %d: blacklist take %t, model %t", step, ok, held)
 				}
 			case 7:
-				_, held := mOrig[m.Key()]
-				delete(mOrig, m.Key())
-				if _, ok := mt.TakeOrigin(m.Key()); ok != held {
+				_, held := mOrig[key(m)]
+				delete(mOrig, key(m))
+				if _, ok := mt.TakeOrigin(m); ok != held {
 					t.Fatalf("step %d: origin take %t, model %t", step, ok, held)
 				}
 			case 8:
-				_, held := mRel[m.Key()]
-				delete(mRel, m.Key())
-				if ok := mt.RemoveRelay(m.Key()); ok != held {
+				_, held := mRel[key(m)]
+				delete(mRel, key(m))
+				if ok := mt.RemoveRelay(m); ok != held {
 					t.Fatalf("step %d: relay removal %t, model %t", step, ok, held)
 				}
 			case 9:

@@ -3,28 +3,32 @@ package feedback
 // Test-only diagnostics: what the structures hold beyond what production
 // code ever asks them.
 
-// buckets counts the fingerprints currently filed, over all groups.
+// buckets counts the value hashes currently filed, over all groups, with a
+// non-empty Ø slot as one more.
 func (x *fpIndex[E]) buckets() int {
 	n := 0
-	for _, g := range x.byAttrs {
+	if len(x.empty) > 0 {
+		n++
+	}
+	for _, g := range x.groups {
 		n += len(g.byVal)
 	}
 	return n
 }
 
-// Buckets returns the number of value fingerprints the arrival index holds:
+// Buckets returns the number of value hashes the arrival index holds:
 // it is bounded by Len.
-func (b *Blacklist) Buckets() int { return b.bySig.buckets() }
+func (b *Blacklist) Buckets() int { return b.entries.bySig.buckets() }
 
-// Buckets returns the number of value fingerprints the probe index holds: it
+// Buckets returns the number of value hashes the probe index holds: it
 // is bounded by Len.
 func (b *Buffer) Buckets() int { return b.byProbe.buckets() }
 
-// Buckets returns the number of value fingerprints the two origin indexes
+// Buckets returns the number of value hashes the two origin indexes
 // and the relay index hold: it is bounded by two per origin plus one per
 // relay.
 func (t *MarkTable) Buckets() int {
-	return t.bySide[0].buckets() + t.bySide[1].buckets() + t.byRelay.buckets()
+	return t.bySide[0].buckets() + t.bySide[1].buckets() + t.relays.bySig.buckets()
 }
 
 // NumOrigins returns the number of active origin entries.

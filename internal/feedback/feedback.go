@@ -4,22 +4,21 @@
 // consumer-side MNS buffer, and the producer-side blacklist and mark table.
 //
 // Layout: feedback.go holds the descriptors and messages; table.go the one
-// MNS-keyed expiring table and the one value-fingerprint index the other
-// three are built on; buffer.go the consumer-side MNS buffer (probed on
-// every arrival to detect resumption triggers); blacklist.go the
-// producer-side Type I structures (parked tuples under anchor entries,
-// signature generalization, cursor/Pending/Done exactly-once bookkeeping);
-// marks.go the Type II mark table (origins and relays found by the values an
-// input or result carries, suppressed pairs recorded under origin marks,
-// unmark catch-up). The exactly-once and expiry discipline these
-// structures jointly enforce is specified in DESIGN.md §2; their
-// min-deadline caches feed the engine's timer heap (DESIGN.md §4).
+// expiring MNS table and the one value index the other three are built on;
+// buffer.go the consumer-side MNS buffer (probed on every arrival to detect
+// resumption triggers); blacklist.go the producer-side Type I structures
+// (parked tuples under anchor entries, signature generalization,
+// cursor/Pending/Done exactly-once bookkeeping); marks.go the Type II mark
+// table (origins and relays found by the values an input or result carries,
+// suppressed pairs recorded under origin marks, unmark catch-up). The
+// exactly-once and expiry discipline these structures jointly enforce is
+// specified in DESIGN.md §2; their min-deadline caches feed the engine's
+// timer heap (DESIGN.md §4).
 package feedback
 
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 
 	"repro/internal/predicate"
@@ -64,31 +63,6 @@ type SigEntry = state.Bound
 // for demand purposes — this is what lets the producer suspend a2 after a1
 // (Sec. IV-B). Entries are kept sorted for canonical comparison.
 type Signature []SigEntry
-
-// Canon returns a canonical string form, used to deduplicate MNSs that
-// cover the same value pattern: "source.col=val" per entry, joined by ";".
-func (s Signature) Canon() string {
-	if len(s) == 0 {
-		return ""
-	}
-	b := make([]byte, 0, 12*len(s))
-	for i, e := range s {
-		if i > 0 {
-			b = append(b, ';')
-		}
-		b = appendAttr(b, e.Attr)
-		b = append(b, '=')
-		b = strconv.AppendInt(b, int64(e.Val), 10)
-	}
-	return string(b)
-}
-
-// appendAttr renders an attribute as "source.col".
-func appendAttr(b []byte, a predicate.Attr) []byte {
-	b = strconv.AppendInt(b, int64(a.Source), 10)
-	b = append(b, '.')
-	return strconv.AppendInt(b, int64(a.Col), 10)
-}
 
 // MatchedBy reports whether composite c contains a sub-tuple with this
 // signature: c must cover every signatured source and agree on every value.
@@ -186,22 +160,10 @@ type MNS struct {
 	// Expiry is when the anchor sub-tuple leaves the window; after this the
 	// consumer forgets the MNS and the producer must reactivate survivors.
 	Expiry stream.Time
-
-	// key caches Sig.Canon(): every table operation files the descriptor
-	// under it, and Sig never changes after construction.
-	key string
 }
 
 // IsEmpty reports whether this is the empty MNS Ø (total suspension / DOE).
 func (m *MNS) IsEmpty() bool { return m.Sources.Empty() }
-
-// Key returns the canonical dedup key (signature-based; Ø has the empty key).
-func (m *MNS) Key() string {
-	if m.key == "" && len(m.Sig) > 0 {
-		m.key = m.Sig.Canon()
-	}
-	return m.key
-}
 
 // sigVal returns the signature's value at a, the MNS-side endpoint of one
 // of its predicates.
@@ -225,7 +187,7 @@ func (m *MNS) String() string {
 	if m.IsEmpty() {
 		return "Ø"
 	}
-	return fmt.Sprintf("mns%d<%s>", m.ID, m.Sig.Canon())
+	return fmt.Sprintf("mns%d<%v>", m.ID, m.Sig)
 }
 
 // Message is one feedback message sent from a consumer to a producer.

@@ -36,9 +36,6 @@ func TestSignatureMatching(t *testing.T) {
 	if !sig.MatchedBy(match) || sig.MatchedBy(miss) || sig.MatchedBy(other) {
 		t.Fatal("signature matching wrong")
 	}
-	if sig.Canon() != "0.1=100" {
-		t.Fatalf("canon: %q", sig.Canon())
-	}
 	if sig.Sources().Count() != 1 {
 		t.Fatal("sources wrong")
 	}
@@ -66,7 +63,7 @@ func testTable[E holder](t *testing.T, name string, tab *table[E], wrap func(*MN
 		var es []E
 		for _, m := range ms {
 			if _, ok := tab.extend(m); ok {
-				t.Fatalf("fresh key %s found", m.Key())
+				t.Fatalf("fresh signature %v found", m.Sig)
 			}
 			es = append(es, wrap(m))
 			tab.insert(es[len(es)-1])
@@ -88,10 +85,10 @@ func testTable[E holder](t *testing.T, name string, tab *table[E], wrap func(*MN
 		if out := tab.takeExpired(199); len(out) != 0 || tab.nextExpiry() != 200 {
 			t.Fatalf("before the minimum is due: took %d, min %d", len(out), tab.nextExpiry())
 		}
-		if e, ok := tab.take(ms[2].Key()); !ok || e != es[2] {
+		if e, ok := tab.take(ms[2]); !ok || e != es[2] {
 			t.Fatal("take failed")
 		}
-		if _, ok := tab.take(ms[2].Key()); ok {
+		if _, ok := tab.take(ms[2]); ok {
 			t.Fatal("double take")
 		}
 		if got := order(); !slices.Equal(got, []stream.Value{1, 2, 4}) || tab.nextExpiry() != 300 {
@@ -104,7 +101,7 @@ func testTable[E holder](t *testing.T, name string, tab *table[E], wrap func(*MN
 		if got := order(); !slices.Equal(got, []stream.Value{2}) || tab.nextExpiry() != 500 {
 			t.Fatalf("after takeExpired: order %v min %d", got, tab.nextExpiry())
 		}
-		tab.take(ms[1].Key())
+		tab.take(ms[1])
 		if tab.acct.Live() != 0 || tab.nextExpiry() != NoExpiry {
 			t.Fatalf("emptied table: live=%d next=%d", tab.acct.Live(), tab.nextExpiry())
 		}
@@ -134,8 +131,8 @@ func TestBufferAddDedupPurgeProbe(t *testing.T) {
 	if kept, added = b.Add(mnsA(100, 2000)); added || kept != m1 {
 		t.Fatal("duplicate signature must return the held MNS")
 	}
-	if !b.Has(m1.Key()) {
-		t.Fatal("Has failed")
+	if held, ok := b.mnss.bySig.find(m1.Sig); !ok || held != m1 {
+		t.Fatal("the buffered MNS is not found by its signature")
 	}
 	// Probe with matching partner removes it.
 	hit := comp(3, tpl(2, 7, 100))
@@ -229,7 +226,7 @@ func TestBlacklistTakeAndPurge(t *testing.T) {
 		t.Fatalf("parked min after purge: %d %v", ts, ok)
 	}
 	// The entry leaves with its tuples and stops diverting arrivals.
-	got, ok := bl.Take(m.Key())
+	got, ok := bl.Take(m)
 	if !ok || len(got.Tuples) != 1 {
 		t.Fatal("take failed")
 	}
@@ -296,7 +293,7 @@ func TestMarkTable(t *testing.T) {
 	if mt.NumPending() != 1 {
 		t.Fatal("pending not recorded")
 	}
-	got, ok := mt.TakeOrigin(m.Key())
+	got, ok := mt.TakeOrigin(m)
 	if !ok || got != e || mt.NumOrigins() != 0 {
 		t.Fatal("take origin failed")
 	}
@@ -386,19 +383,19 @@ func TestFPIndexDropsEmptyBuckets(t *testing.T) {
 		case 1: // leaves by demand
 			buf.byProbe.remove(m)
 			buf.mnss.remove(m)
-			bl.Take(m.Key())
+			bl.Take(m)
 		default: // leaves through Probe, which has to find it first
 			if matched, _ := buf.Probe(comp(3, tpl(2, 5, v))); len(matched) != 1 || matched[0] != m {
 				t.Fatalf("value %d: probe matched %v", v, matched)
 			}
-			bl.Take(m.Key())
+			bl.Take(m)
 		}
 		if buf.Buckets() != 0 || bl.Buckets() != 0 || buf.Len() != 0 || bl.Len() != 0 {
 			t.Fatalf("value %d: %d/%d buckets, %d/%d elements left", v, buf.Buckets(), bl.Buckets(), buf.Len(), bl.Len())
 		}
 	}
-	if len(buf.byProbe.groups) != 1 || len(bl.bySig.groups) != 1 {
-		t.Fatalf("groups must persist: %d buffer, %d blacklist", len(buf.byProbe.groups), len(bl.bySig.groups))
+	if len(buf.byProbe.groups) != 1 || len(bl.entries.bySig.groups) != 1 {
+		t.Fatalf("groups must persist: %d buffer, %d blacklist", len(buf.byProbe.groups), len(bl.entries.bySig.groups))
 	}
 	// The index still works after all that churn.
 	buf.Add(mnsA(1, 100))
@@ -427,9 +424,9 @@ func TestBlacklistWalkAndBySeq(t *testing.T) {
 		v := e.MNS.Sig[0].Val
 		visited = append(visited, v)
 		if v == 2 {
-			bl.Take(es[0].MNS.Key()) // behind the walk
-			bl.Take(es[2].MNS.Key()) // ahead of it
-			bl.Ensure(mnsA(6, 600))  // new: not this walk's business
+			bl.Take(es[0].MNS)      // behind the walk
+			bl.Take(es[2].MNS)      // ahead of it
+			bl.Ensure(mnsA(6, 600)) // new: not this walk's business
 		}
 	})
 	if !slices.Equal(visited, []stream.Value{1, 2, 4, 5}) {
@@ -517,7 +514,7 @@ func TestMarkIndexMatchesScan(t *testing.T) {
 		case 4: // resumption
 			if len(origins) > 0 {
 				k := rng.Intn(len(origins))
-				if e, ok := mt.TakeOrigin(origins[k].MNS.Key()); !ok || e != origins[k] {
+				if e, ok := mt.TakeOrigin(origins[k].MNS); !ok || e != origins[k] {
 					t.Fatalf("step %d: origin %v not taken", step, origins[k].MNS)
 				}
 				origins = slices.Delete(origins, k, k+1)
@@ -525,7 +522,7 @@ func TestMarkIndexMatchesScan(t *testing.T) {
 		case 5: // unmark
 			if len(relays) > 0 {
 				k := rng.Intn(len(relays))
-				if !mt.RemoveRelay(relays[k].Key()) {
+				if !mt.RemoveRelay(relays[k]) {
 					t.Fatalf("step %d: relay %v not removed", step, relays[k])
 				}
 				relays = slices.Delete(relays, k, k+1)
@@ -582,11 +579,11 @@ func TestMarkIndexMatchesScan(t *testing.T) {
 		t.Fatal("degenerate run: nothing left to match against")
 	}
 	for len(origins) > 0 {
-		mt.TakeOrigin(origins[0].MNS.Key())
+		mt.TakeOrigin(origins[0].MNS)
 		origins = origins[1:]
 	}
 	for len(relays) > 0 {
-		mt.RemoveRelay(relays[0].Key())
+		mt.RemoveRelay(relays[0])
 		relays = relays[1:]
 	}
 	if n := mt.Buckets(); n != 0 {
@@ -625,7 +622,7 @@ func TestEmptySideSignatureMarksNothing(t *testing.T) {
 	if got := mt.Buckets(); got != 1 {
 		t.Fatalf("%d fingerprints filed, want the left side's one", got)
 	}
-	if _, ok := mt.TakeOrigin(m.Key()); !ok || mt.Buckets() != 0 {
+	if _, ok := mt.TakeOrigin(m); !ok || mt.Buckets() != 0 {
 		t.Fatalf("taking the origin left %d fingerprints filed", mt.Buckets())
 	}
 }

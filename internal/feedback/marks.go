@@ -51,12 +51,11 @@ type MarkTable struct {
 	relays  table[*MNS]
 	active  map[uint64]*OriginEntry // origin mark ids currently suppressing
 	// bySide finds the origins whose side signature an input carries (left
-	// inputs in slot 0, right in slot 1) and byRelay the relays whose
-	// signature a result carries: one lookup per attribute set, not one
-	// comparison per entry. An origin is filed only on the sides its MNS
+	// inputs in slot 0, right in slot 1), as the relays' own signature index
+	// finds the relays a result carries: one lookup per attribute set, not
+	// one comparison per entry. An origin is filed only on the sides its MNS
 	// constrains (file).
-	bySide  [2]fpIndex[*OriginEntry]
-	byRelay fpIndex[*MNS]
+	bySide [2]fpIndex[*OriginEntry]
 	// Deadline caches (DESIGN.md §4): earliest endpoint MinTS among pending
 	// suppressed pairs, and earliest result TS among them (OldestPendingTS).
 	// The origins and relays keep their own expiry caches.
@@ -72,9 +71,8 @@ func NewMarkTable(acct *metrics.Account) *MarkTable {
 		relays:  newTable[*MNS](acct, metrics.MemMNS),
 		active:  make(map[uint64]*OriginEntry),
 	}
-	t.bySide[0] = newFPIndex(func(e *OriginEntry, buf []SigEntry) []SigEntry { return append(buf, e.SigL...) })
-	t.bySide[1] = newFPIndex(func(e *OriginEntry, buf []SigEntry) []SigEntry { return append(buf, e.SigR...) })
-	t.byRelay = newFPIndex(func(m *MNS, buf []SigEntry) []SigEntry { return append(buf, m.Sig...) })
+	t.bySide[0].key = func(e *OriginEntry, buf []SigEntry) []SigEntry { return append(buf, e.SigL...) }
+	t.bySide[1].key = func(e *OriginEntry, buf []SigEntry) []SigEntry { return append(buf, e.SigR...) }
 	return t
 }
 
@@ -224,10 +222,10 @@ func (t *MarkTable) SuppressedBy(a, b *stream.Composite, exclude uint64) uint64 
 	return 0
 }
 
-// TakeOrigin removes and returns the origin entry for the signature key.
-// The caller generates the entry's pending pairs and clears its marks.
-func (t *MarkTable) TakeOrigin(key string) (*OriginEntry, bool) {
-	e, ok := t.origins.take(key)
+// TakeOrigin removes and returns the origin entry for m's signature. The
+// caller generates the entry's pending pairs and clears its marks.
+func (t *MarkTable) TakeOrigin(m *MNS) (*OriginEntry, bool) {
+	e, ok := t.origins.take(m)
 	if ok {
 		t.dropped(e)
 	}
@@ -288,28 +286,18 @@ func (t *MarkTable) AddRelay(m *MNS) bool {
 	_, ok := t.relays.extend(m)
 	if !ok {
 		t.relays.insert(m)
-		t.byRelay.add(m)
 	}
 	return !ok
 }
 
-// RemoveRelay drops the relay descriptor for the key, if present.
-func (t *MarkTable) RemoveRelay(key string) bool {
-	m, ok := t.relays.take(key)
-	if ok {
-		t.byRelay.remove(m)
-	}
+// RemoveRelay drops the relay descriptor for m's signature, if present.
+func (t *MarkTable) RemoveRelay(m *MNS) bool {
+	_, ok := t.relays.take(m)
 	return ok
 }
 
 // PurgeRelays drops expired relay descriptors.
-func (t *MarkTable) PurgeRelays(now stream.Time) int {
-	expired := t.relays.takeExpired(now)
-	for _, m := range expired {
-		t.byRelay.remove(m)
-	}
-	return len(expired)
-}
+func (t *MarkTable) PurgeRelays(now stream.Time) int { return len(t.relays.takeExpired(now)) }
 
 // StampOutput tags a freshly produced composite with every relay mark whose
 // signature it carries; it returns the attribute comparisons to charge.
@@ -317,7 +305,7 @@ func (t *MarkTable) StampOutput(c *stream.Composite) (comparisons int) {
 	if len(t.relays.list) == 0 {
 		return 0
 	}
-	return t.byRelay.match(c, func(m *MNS) bool {
+	return t.relays.bySig.match(c, func(m *MNS) bool {
 		c.AddMark(m.ID)
 		return true
 	})

@@ -44,7 +44,7 @@ func FuzzMarkIDs(f *testing.F) {
 				}
 			case 5: // and is dissolved
 				if m := origins[id]; m != nil {
-					if _, ok := mt.TakeOrigin(m.Key()); !ok {
+					if _, ok := mt.TakeOrigin(m); !ok {
 						t.Fatalf("step %d: origin %d not taken", step, id)
 					}
 					delete(origins, id)

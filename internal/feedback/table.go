@@ -2,7 +2,6 @@ package feedback
 
 import (
 	"slices"
-	"strconv"
 
 	"repro/internal/metrics"
 	"repro/internal/predicate"
@@ -28,32 +27,35 @@ func (m *MNS) anchor() *stream.Time         { return &m.Expiry }
 func (e *Entry) anchor() *stream.Time       { return &e.Expiry }
 func (e *OriginEntry) anchor() *stream.Time { return &e.Expiry }
 
-// table is the MNS-keyed expiring collection behind the blacklist's entries,
-// the MNS buffer and the mark table's origins and relays — the one hash
-// organisation the paper prescribes for producer-side blacklists (Sec. IV-B)
-// and consumer-side MNS buffers (Sec. III-A). Elements sit in creation
-// order, at most one per MNS.Key(); a duplicate descriptor extends the held
-// element's anchor instead of adding an element. Iteration is always over
-// the creation-ordered list, never the map, so runs are deterministic
-// (DESIGN.md §2). min caches the earliest anchor for the operator's sweep
-// deadline (DESIGN.md §4); anchors move only through extend, so it is exact.
+// table is the expiring collection behind the blacklist's entries, the MNS
+// buffer and the mark table's origins and relays — the one hash organisation
+// the paper prescribes for producer-side blacklists (Sec. IV-B) and
+// consumer-side MNS buffers (Sec. III-A). Elements sit in creation order, at
+// most one per signature, and bySig finds them by it; a duplicate descriptor
+// extends the held element's anchor instead of adding an element. Iteration
+// is always over the creation-ordered list, never the index, so runs are
+// deterministic (DESIGN.md §2). min caches the earliest anchor for the
+// operator's sweep deadline (DESIGN.md §4); anchors move only through
+// extend, so it is exact.
 type table[E holder] struct {
 	acct  *metrics.Account
 	mem   metrics.Mem
 	list  []E
-	byKey map[string]E
+	bySig fpIndex[E]
 	min   state.MinCache
 }
 
 func newTable[E holder](acct *metrics.Account, mem metrics.Mem) table[E] {
-	return table[E]{acct: acct, mem: mem, byKey: make(map[string]E)}
+	return table[E]{acct: acct, mem: mem, bySig: fpIndex[E]{key: func(e E, buf []SigEntry) []SigEntry {
+		return append(buf, e.mns().Sig...)
+	}}}
 }
 
-// extend looks up the element filed under m's key. When one exists and m
-// expires later, the held element's anchor is raised: duplicates are
+// extend looks up the element filed under m's signature. When one exists and
+// m expires later, the held element's anchor is raised: duplicates are
 // ignored (Sec. III-B) but the anchor must not be forgotten early.
 func (t *table[E]) extend(m *MNS) (E, bool) {
-	old, ok := t.byKey[m.Key()]
+	old, ok := t.bySig.find(m.Sig)
 	if ok {
 		if a := old.anchor(); m.Expiry > *a {
 			*a = m.Expiry
@@ -64,21 +66,19 @@ func (t *table[E]) extend(m *MNS) (E, bool) {
 }
 
 // insert appends e, charging its descriptor. The caller has checked with
-// extend that the key is free.
+// extend that the signature is free.
 func (t *table[E]) insert(e E) {
-	m := e.mns()
 	t.min.Add(*e.anchor())
 	t.list = append(t.list, e)
-	t.byKey[m.Key()] = e
-	t.acct.Alloc(t.mem, m.SizeBytes())
+	t.bySig.add(e)
+	t.acct.Alloc(t.mem, e.mns().SizeBytes())
 }
 
 // remove deletes the given held elements in one pass that keeps list order.
 func (t *table[E]) remove(es ...E) {
 	for _, e := range es {
-		m := e.mns()
-		delete(t.byKey, m.Key())
-		t.acct.Free(t.mem, m.SizeBytes())
+		t.bySig.remove(e)
+		t.acct.Free(t.mem, e.mns().SizeBytes())
 	}
 	t.min.Remove(len(es))
 	left := len(es)
@@ -91,9 +91,9 @@ func (t *table[E]) remove(es ...E) {
 	})
 }
 
-// take removes and returns the element filed under key.
-func (t *table[E]) take(key string) (E, bool) {
-	e, ok := t.byKey[key]
+// take removes and returns the element filed under m's signature.
+func (t *table[E]) take(m *MNS) (E, bool) {
+	e, ok := t.bySig.find(m.Sig)
 	if ok {
 		t.remove(e)
 	}
@@ -116,9 +116,8 @@ func (t *table[E]) takeExpired(now stream.Time) []E {
 			kept = append(kept, e)
 			continue
 		}
-		m := e.mns()
-		delete(t.byKey, m.Key())
-		t.acct.Free(t.mem, m.SizeBytes())
+		t.bySig.remove(e)
+		t.acct.Free(t.mem, e.mns().SizeBytes())
 		out = append(out, e)
 	}
 	clear(t.list[len(kept):])
@@ -140,38 +139,41 @@ func (t *table[E]) nextExpiry() stream.Time {
 	return ts
 }
 
-// fpIndex finds elements by value fingerprint: elements are grouped by the
-// attribute set they constrain, and hashed inside each group on the values
-// they expect there, so matching a composite costs one lookup per attribute
-// set rather than one comparison per element. Groups are visited in
-// creation order (determinism, DESIGN.md §2) and are never dropped, so the
-// comparisons a match charges depend only on the attribute sets seen so far;
-// inside a group a bucket lives exactly as long as it holds an element, so
-// the index is bounded by what it currently holds. Elements constraining
-// nothing (the Ø MNS) form the group of the empty attribute set, which is
-// kept out of the visiting order: it matches every composite, first and for
-// free.
+// fpIndex finds elements by the values they expect: elements are grouped by
+// the attribute list they constrain, and hashed inside each group on the
+// values they expect there with state.FoldValue — the value hash the state
+// indexes and the shard router use — so matching a composite costs one
+// lookup per attribute list rather than one comparison per element. Every
+// hit is verified against the element's own values, since two value vectors
+// may hash alike. Groups are visited in creation order (determinism,
+// DESIGN.md §2), are created only by add and are never dropped, so the
+// comparisons a match charges depend only on the attribute lists filed so
+// far; inside a group a bucket lives exactly as long as it holds an element,
+// so the index is bounded by what it currently holds. Elements constraining
+// nothing (the Ø MNS) keep a slot of their own out of the visiting order:
+// they match every composite, first and for free.
 type fpIndex[E comparable] struct {
 	// key appends an element's place to buf, in canonical order: the
 	// attributes it constrains and the values it expects there.
-	key     func(e E, buf []SigEntry) []SigEntry
-	groups  []*fpGroup[E]
-	byAttrs map[string]*fpGroup[E]
-	// Scratch for locate and match; neither runs inside the other.
+	key    func(e E, buf []SigEntry) []SigEntry
+	empty  []E
+	groups []*fpGroup[E]
+	// Scratch: place holds an element's place (add, remove, expects), vals
+	// the values a lookup settles hits against (find, match). visit must not
+	// call back into the index.
 	place []SigEntry
-	buf   []byte
+	vals  []stream.Value
 }
 
 type fpGroup[E comparable] struct {
 	attrs []predicate.Attr
-	byVal map[string]*fpBucket[E]
+	byVal map[uint64]*fpBucket[E]
 }
 
-// fpBucket holds the elements filed under one fingerprint. The map holds it
-// by pointer, so growing or shrinking it writes through instead of storing
-// a slice back under a key that would have to be allocated again, and its
-// first element sits in the bucket itself: most fingerprints are one
-// element's.
+// fpBucket holds the elements filed under one value hash. The map holds it
+// by pointer, so growing or shrinking it writes through instead of storing a
+// slice back under its key, and its first element sits in the bucket itself:
+// most hashes are one element's.
 type fpBucket[E comparable] struct {
 	els   []E
 	first [1]E
@@ -185,48 +187,53 @@ func (b *fpBucket[E]) elements() []E {
 	return b.els
 }
 
-func newFPIndex[E comparable](key func(E, []SigEntry) []SigEntry) fpIndex[E] {
-	return fpIndex[E]{key: key, byAttrs: make(map[string]*fpGroup[E])}
+// group returns the group of place's attribute list, or nil when none was
+// ever filed.
+func (x *fpIndex[E]) group(place []SigEntry) *fpGroup[E] {
+	for _, g := range x.groups {
+		if slices.EqualFunc(g.attrs, place, func(a predicate.Attr, b SigEntry) bool { return a == b.Attr }) {
+			return g
+		}
+	}
+	return nil
 }
 
-// locate returns the group of e's attribute set, creating it on first use,
-// and the fingerprint of the values e expects there (scratch, valid until
-// the next locate or match).
-func (x *fpIndex[E]) locate(e E) (*fpGroup[E], []byte) {
+// hashOf folds place's values, in order.
+func hashOf(place []SigEntry) uint64 {
+	h := uint64(state.FNVOffset)
+	for _, p := range place {
+		h = state.FoldValue(h, p.Val)
+	}
+	return h
+}
+
+// expects reports whether e expects exactly vals at its group's attributes:
+// the key comparison that settles a hash hit.
+func (x *fpIndex[E]) expects(e E, vals []stream.Value) bool {
 	x.place = x.key(e, x.place[:0])
-	gk := x.buf[:0]
-	for i, p := range x.place {
-		if i > 0 {
-			gk = append(gk, ';')
-		}
-		gk = appendAttr(gk, p.Attr)
-	}
-	g := x.byAttrs[string(gk)]
-	if g == nil {
-		g = &fpGroup[E]{attrs: make([]predicate.Attr, len(x.place)), byVal: make(map[string]*fpBucket[E])}
-		for i, p := range x.place {
-			g.attrs[i] = p.Attr
-		}
-		x.byAttrs[string(gk)] = g
-		if len(g.attrs) > 0 {
-			x.groups = append(x.groups, g)
-		}
-	}
-	fp := gk[:0] // the group key has served: the fingerprint reuses its bytes
-	for _, p := range x.place {
-		fp = appendValue(fp, p.Val)
-	}
-	x.buf = fp
-	return g, fp
+	return slices.EqualFunc(x.place, vals, func(p SigEntry, v stream.Value) bool { return p.Val == v })
 }
 
 func (x *fpIndex[E]) add(e E) {
-	g, fp := x.locate(e)
-	b := g.byVal[string(fp)]
+	x.place = x.key(e, x.place[:0])
+	if len(x.place) == 0 {
+		x.empty = append(x.empty, e)
+		return
+	}
+	g := x.group(x.place)
+	if g == nil {
+		g = &fpGroup[E]{attrs: make([]predicate.Attr, len(x.place)), byVal: make(map[uint64]*fpBucket[E])}
+		for i, p := range x.place {
+			g.attrs[i] = p.Attr
+		}
+		x.groups = append(x.groups, g)
+	}
+	h := hashOf(x.place)
+	b := g.byVal[h]
 	if b == nil {
 		b = new(fpBucket[E])
 		b.els = b.first[:0]
-		g.byVal[string(fp)] = b
+		g.byVal[h] = b
 	}
 	b.els = append(b.els, e)
 	if len(b.els) == 2 {
@@ -237,35 +244,69 @@ func (x *fpIndex[E]) add(e E) {
 }
 
 func (x *fpIndex[E]) remove(e E) {
-	g, fp := x.locate(e)
-	b := g.byVal[string(fp)]
+	x.place = x.key(e, x.place[:0])
+	if len(x.place) == 0 {
+		if i := slices.Index(x.empty, e); i >= 0 {
+			x.empty = slices.Delete(x.empty, i, i+1)
+		}
+		return
+	}
+	g := x.group(x.place)
+	if g == nil {
+		return
+	}
+	h := hashOf(x.place)
+	b := g.byVal[h]
 	i := slices.Index(b.elements(), e)
 	if i < 0 {
 		return
 	}
 	if len(b.els) == 1 {
-		delete(g.byVal, string(fp))
+		delete(g.byVal, h)
 		return
 	}
 	b.els = slices.Delete(b.els, i, i+1)
+}
+
+// find returns the first filed element whose place is exactly place.
+func (x *fpIndex[E]) find(place []SigEntry) (E, bool) {
+	var zero E
+	if len(place) == 0 {
+		if len(x.empty) == 0 {
+			return zero, false
+		}
+		return x.empty[0], true
+	}
+	g := x.group(place)
+	if g == nil {
+		return zero, false
+	}
+	x.vals = x.vals[:0]
+	for _, p := range place {
+		x.vals = append(x.vals, p.Val)
+	}
+	for _, e := range g.byVal[hashOf(place)].elements() {
+		if x.expects(e, x.vals) {
+			return e, true
+		}
+	}
+	return zero, false
 }
 
 // match visits the Ø slot and then, group by group, the elements whose
 // expected values c carries, until visit returns false. It returns the
 // attribute comparisons to charge: one per attribute of every group reached.
 func (x *fpIndex[E]) match(c *stream.Composite, visit func(E) bool) (comparisons int) {
-	if g := x.byAttrs[""]; g != nil {
-		for _, e := range g.byVal[""].elements() {
-			if !visit(e) {
-				return 0
-			}
+	for _, e := range x.empty {
+		if !visit(e) {
+			return 0
 		}
 	}
-	fp := x.buf
 groups:
 	for _, g := range x.groups {
 		comparisons += len(g.attrs)
-		fp = fp[:0]
+		x.vals = x.vals[:0]
+		h := uint64(state.FNVOffset)
 		for _, a := range g.attrs {
 			t := c.Comp(a.Source)
 			if t == nil {
@@ -273,22 +314,14 @@ groups:
 				// nothing in the group matches.
 				continue groups
 			}
-			fp = appendValue(fp, t.Vals[a.Col])
+			x.vals = append(x.vals, t.Vals[a.Col])
+			h = state.FoldValue(h, t.Vals[a.Col])
 		}
-		for _, e := range g.byVal[string(fp)].elements() {
-			if !visit(e) {
+		for _, e := range g.byVal[h].elements() {
+			if x.expects(e, x.vals) && !visit(e) {
 				break groups
 			}
 		}
 	}
-	x.buf = fp
 	return comparisons
-}
-
-// appendValue renders one more value of a fingerprint.
-func appendValue(fp []byte, v stream.Value) []byte {
-	if len(fp) > 0 {
-		fp = append(fp, ';')
-	}
-	return strconv.AppendInt(fp, int64(v), 10)
 }

@@ -11,8 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/exp"
+	"repro/internal/predicate"
 	"repro/internal/stream"
 )
 
@@ -424,5 +426,76 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	// SIGKILL came back from the restarted server's re-seeded ring.
 	if len(s2.seqs) == 0 {
 		t.Fatalf("recovered incarnation delivered nothing")
+	}
+}
+
+// TestRestoreRejectsMalformedCheckpoint hands Open checkpoints that are
+// CRC-valid and match the server's config but hold what no server could have
+// written. Each must be refused with an error before the replay or the
+// delivery ring sees it: a row the catalog has no feed for would panic the
+// replay, and a row of the wrong shape or time, or a tail longer than the
+// deliveries it ends at, would be restored as if ingested.
+func TestRestoreRejectsMalformedCheckpoint(t *testing.T) {
+	cfg, _ := durableParams(core.JIT())
+	cat, _ := predicate.Clique(cfg.N)
+	vals := func(n int) []stream.Value { return make([]stream.Value, n) }
+	row := func(id uint64, src stream.SourceID, ts stream.Time) *stream.Tuple {
+		return &stream.Tuple{ID: id, Source: src, TS: ts, Vals: vals(cat.Source(src).NumCols())}
+	}
+	valid := func() *checkpoint.Checkpoint {
+		return &checkpoint.Checkpoint{
+			Cut: 20, IngestHWM: 2, Delivered: 1, Config: cfg.identity(),
+			Tail: []checkpoint.TailEntry{{Seq: 1, TS: 10, Key: "0:1|1:2"}},
+			Rows: []*stream.Tuple{row(1, 0, 10), row(2, 1, 20)},
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		edit  func(ck *checkpoint.Checkpoint)
+		wrap  error // the sentinel the error must wrap; nil: any error
+		clean bool  // the unedited checkpoint: Open must accept it
+	}{
+		{name: "valid", edit: func(*checkpoint.Checkpoint) {}, clean: true},
+		{name: "foreign source", edit: func(ck *checkpoint.Checkpoint) {
+			ck.Rows[1] = &stream.Tuple{ID: 2, Source: 9, TS: 20, Vals: vals(2)}
+		}, wrap: ErrUnknownSource},
+		{name: "arity", edit: func(ck *checkpoint.Checkpoint) { ck.Rows[0].Vals = vals(5) }, wrap: ErrBadArity},
+		{name: "negative ts", edit: func(ck *checkpoint.Checkpoint) { ck.Rows[0].TS = -5 }, wrap: ErrTimeRange},
+		{name: "rows out of order", edit: func(ck *checkpoint.Checkpoint) { ck.Rows[0].TS = 25; ck.Cut = 30 }, wrap: ErrTimeRange},
+		{name: "row past the cut", edit: func(ck *checkpoint.Checkpoint) { ck.Cut = 15 }, wrap: ErrTimeRange},
+		{name: "row never ingested", edit: func(ck *checkpoint.Checkpoint) { ck.IngestHWM = 1 }},
+		{name: "tail longer than deliveries", edit: func(ck *checkpoint.Checkpoint) {
+			ck.Tail = append([]checkpoint.TailEntry{{Seq: 0, TS: 5, Key: "0:0|1:0"}}, ck.Tail...)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := checkpoint.OpenStore(dir, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck := valid()
+			tc.edit(ck)
+			if _, err := st.Save(ck); err != nil {
+				t.Fatal(err)
+			}
+			c := cfg
+			c.Dir = dir
+			s, err := Open(c)
+			if tc.clean {
+				if err != nil {
+					t.Fatalf("well-formed checkpoint refused: %v", err)
+				}
+				s.Shutdown()
+				return
+			}
+			if err == nil {
+				s.Shutdown()
+				t.Fatal("malformed checkpoint restored")
+			}
+			if tc.wrap != nil && !errors.Is(err, tc.wrap) {
+				t.Fatalf("error %v does not wrap %v", err, tc.wrap)
+			}
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"repro/internal/checkpoint"
 	"repro/internal/stream"
 )
 
@@ -157,13 +158,54 @@ type session struct {
 	skipped    uint64 // recovery replays skipped by the current connection
 }
 
+// admit checks what every tuple the plan is fed must satisfy, whether it
+// comes from an ingest frame or a checkpoint row: a source in the catalog,
+// the value count of that source's schema, and a timestamp inside the
+// engine's time range.
+func (s *session) admit(src, vals int, ts stream.Time) error {
+	if src < 0 || src >= s.numSources {
+		return fmt.Errorf("%w: source %d of %d", ErrUnknownSource, src, s.numSources)
+	}
+	if want := s.arity(stream.SourceID(src)); vals != want {
+		return fmt.Errorf("%w: source %d wants %d values, got %d", ErrBadArity, src, want, vals)
+	}
+	if ts < 0 || ts > stream.MaxTime {
+		return fmt.Errorf("%w: ts %d not in [0, %d]", ErrTimeRange, ts, stream.MaxTime)
+	}
+	return nil
+}
+
+// checkRestore holds a checkpoint to what the replay and the delivery ring
+// rely on before either touches it: a CRC proves the file is the one that
+// was written, not that its contents are well formed. Every row must pass
+// admit, come in replay order (non-decreasing ts, none past the cut) and
+// have been ingested before the cut; the delivery tail cannot be longer
+// than the deliveries it ends at.
+func (s *session) checkRestore(ck *checkpoint.Checkpoint) error {
+	if uint64(len(ck.Tail)) > ck.Delivered {
+		return fmt.Errorf("delivery tail of %d entries ends at delivery %d", len(ck.Tail), ck.Delivered)
+	}
+	prev := stream.Time(0)
+	for i, t := range ck.Rows {
+		if err := s.admit(int(t.Source), len(t.Vals), t.TS); err != nil {
+			return fmt.Errorf("row %d: %w", i, err)
+		}
+		if t.TS < prev || t.TS > ck.Cut {
+			return fmt.Errorf("row %d: %w: ts %d after %d, cut %d", i, ErrTimeRange, t.TS, prev, ck.Cut)
+		}
+		if t.ID > ck.IngestHWM {
+			return fmt.Errorf("row %d: id %d above the ingest high-water mark %d", i, t.ID, ck.IngestHWM)
+		}
+		prev = t.TS
+	}
+	return nil
+}
+
 // apply validates one decoded tuple frame in session order.
 func (s *session) apply(f Frame) (*stream.Tuple, error) {
-	if f.Source < 0 || f.Source >= s.numSources {
-		return nil, fmt.Errorf("%w: source %d of %d", ErrUnknownSource, f.Source, s.numSources)
-	}
-	if want := s.arity(stream.SourceID(f.Source)); len(f.Vals) != want {
-		return nil, fmt.Errorf("%w: source %d wants %d values, got %d", ErrBadArity, f.Source, want, len(f.Vals))
+	ts := stream.Time(f.TS)
+	if err := s.admit(f.Source, len(f.Vals), ts); err != nil {
+		return nil, err
 	}
 	if f.ID <= s.resumeHWM {
 		// Recovery replay: the tuple is already inside (or expired out of)
@@ -174,10 +216,6 @@ func (s *session) apply(f Frame) (*stream.Tuple, error) {
 	}
 	if s.started && f.ID <= s.lastID {
 		return nil, fmt.Errorf("%w: id %d after %d", ErrDuplicateID, f.ID, s.lastID)
-	}
-	ts := stream.Time(f.TS)
-	if ts < 0 || ts > stream.MaxTime {
-		return nil, fmt.Errorf("%w: ts %d not in [0, %d]", ErrTimeRange, ts, stream.MaxTime)
 	}
 	if s.started && ts < s.maxTS-s.disorder {
 		return nil, fmt.Errorf("%w: ts %d after max %d (bound %d)", ErrTimeRegress, ts, s.maxTS, s.disorder)

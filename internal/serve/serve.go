@@ -260,6 +260,9 @@ func Open(cfg Config) (*Server, error) {
 	var seed []checkpoint.DeliveredKey
 	var tail []Delivery
 	if ck != nil {
+		if err := s.sess.checkRestore(ck); err != nil {
+			return nil, fmt.Errorf("serve: checkpoint %s: %w", ckPath, err)
+		}
 		resumeID, resumeSeq, seed, tail = ck.IngestHWM, ck.Delivered, ck.Keys, ck.Tail
 		// The restored delivery tail must be contiguous and end exactly at
 		// the committed mark, or the ring seed would lie about sequence
