@@ -59,13 +59,16 @@ func battery() []invocation {
 	for _, args := range []string{
 		// The forced-drain notice, left-deep, bursts, a set decision epoch, a
 		// fleet migrating in lockstep (both replicas at t=180206ms, their logs
-		// in shard order), and the tracing epilogue.
+		// in shard order), left-deep and N=5 ledgers, and the tracing epilogue.
 		base + " -shards 2",
 		base + " -adapt -adapt-epoch 1",
 		base + " -bushy=false -adapt -burst 2 -burst-period 1",
 		base + " -mode ref -adapt -adapt-epoch 1 -shards 2 -burst 3 -burst-period 2",
 		base + " -mode jit -adapt -adapt-epoch 1 -shards 2 -burst 3 -burst-period 2",
 		base + " -drain -drain-horizon 7 -stats -shards 2",
+		// Per-operator ledgers of plans with a join-fed origin side.
+		base + " -mode jit -bushy=false -drain -stats",
+		base + " -mode jit -n 5 -drain -stats",
 		base + " -obs-addr 127.0.0.1:0",
 		base + " -obs-addr 127.0.0.1:0 -shards 2 -obs-sample 30",
 		base + " -trace-out TMP/trace.json",

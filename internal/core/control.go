@@ -28,21 +28,13 @@ func (j *JoinOp) Feedback(msg feedback.Message) []*stream.Composite {
 			j.handleResume(m, &out)
 		}
 		return out
-	case feedback.Mark:
-		for _, m := range msg.MNS {
-			j.marks.AddRelay(m)
-		}
-	case feedback.Unmark:
-		for _, m := range msg.MNS {
-			j.marks.RemoveRelay(m)
-		}
 	}
 	return nil
 }
 
 // handleSuspend dispatches one MNS of a suspension feedback by type:
 // Ø (total suspension, the DOE case), Type I (contained in one input side),
-// or Type II (spanning both sides → mark-result protocol).
+// or Type II (spanning both sides → marked here, Sec. IV-B).
 func (j *JoinOp) handleSuspend(m *feedback.MNS) {
 	if m.IsEmpty() {
 		j.suspendTotal(m)
@@ -81,17 +73,11 @@ func (j *JoinOp) suspendTotal(m *feedback.MNS) {
 	}
 }
 
-// propagates reports whether feedback travels to the producer feeding side s:
-// there is one and it honours feedback.
-func (j *JoinOp) propagates(s *side) bool {
-	return s.prod != nil && s.prod.CanSuspend()
-}
-
-// upstream sends one MNS of feedback to the producer feeding side s, when it
-// propagates, and returns what comes back (the demanded partial results S_Π
-// of a resumption).
+// upstream sends one MNS of feedback to the producer feeding side s, when
+// there is one and it honours feedback, and returns what comes back (the
+// demanded partial results S_Π of a resumption).
 func (j *JoinOp) upstream(s *side, cmd feedback.Command, m *feedback.MNS) []*stream.Composite {
-	if !j.propagates(s) {
+	if s.prod == nil || !s.prod.CanSuspend() {
 		return nil
 	}
 	j.ctr.Feedbacks++
@@ -171,16 +157,15 @@ func uncovered(o *side, seq, cursor uint64) []state.Entry {
 	return pending
 }
 
-// suspendTypeII implements the mark-result protocol of Sec. IV-B: the MNS
-// is decomposed over the two input sides; upstream producers are told to
-// mark matching outputs; locally an origin entry suppresses joins between
-// left-marked and right-marked tuples.
+// suspendTypeII implements the mark-result protocol of Sec. IV-B at the
+// operator the MNS reaches: the MNS is decomposed over the two input sides,
+// and an origin entry marks the tuples carrying each side's signature —
+// stored now (markScan), arriving later (MarkInput) — and suppresses joins
+// between left-marked and right-marked ones. Nothing is sent upstream: a
+// producer below marks nothing this operator would not mark on arrival.
 func (j *JoinOp) suspendTypeII(m *feedback.MNS) {
 	L, R := j.in[operator.Left], j.in[operator.Right]
-	sigL, sigR := m.Sig.Restrict(L.sources), m.Sig.Restrict(R.sources)
-	j.relayMark(feedback.Mark, m, L, sigL)
-	j.relayMark(feedback.Mark, m, R, sigR)
-	e := j.marks.ActivateOrigin(m, sigL, sigR)
+	e := j.marks.ActivateOrigin(m, m.Sig.Restrict(L.sources), m.Sig.Restrict(R.sources))
 	if e == nil {
 		return // duplicate; expiry extended
 	}
@@ -200,9 +185,7 @@ func (j *JoinOp) markScan(e *feedback.OriginEntry, s *side, sig feedback.Signatu
 	s.st.WalkCarrying(sig, func(se state.Entry) bool {
 		j.ctr.Comparisons += uint64(len(sig))
 		if sig.MatchedBy(se.C) {
-			// Enroll touches the mark table and the composite's marks, never
-			// the state being walked.
-			j.marks.Enroll(e, s.port == operator.Left, se)
+			se.C.AddMark(e.MNS.ID)
 		}
 		return true
 	})
@@ -211,8 +194,7 @@ func (j *JoinOp) markScan(e *feedback.OriginEntry, s *side, sig feedback.Signatu
 			continue
 		}
 		// An in-flight input becomes marked mid-probe: the rest of its scan
-		// applies suppression and records the suppressed pairs. It is not
-		// stored yet; registerMarks enrolls it when it is.
+		// applies suppression and records the suppressed pairs.
 		j.ctr.Comparisons += uint64(len(sig))
 		if sig.MatchedBy(f.input) {
 			f.input.AddMark(e.MNS.ID)
@@ -312,31 +294,11 @@ func (j *JoinOp) resume(s *side, susp feedback.Suspended, out *[]*stream.Composi
 	})
 }
 
-// resumeTypeII dissolves an origin mark entry: unmark upstream, then
-// generate the suppressed marked×marked pairs exactly once via the XOR
-// cursor rule.
+// resumeTypeII dissolves an origin mark entry and generates the suppressed
+// marked×marked pairs exactly once.
 func (j *JoinOp) resumeTypeII(m *feedback.MNS, out *[]*stream.Composite) {
-	e, ok := j.marks.TakeOrigin(m)
-	if !ok {
-		return
-	}
-	j.propagateUnmark(e)
-	j.unmarkCatchup(e, out)
-}
-
-// propagateUnmark tells upstream relays to stop stamping for a dissolved
-// origin entry.
-func (j *JoinOp) propagateUnmark(e *feedback.OriginEntry) {
-	j.relayMark(feedback.Unmark, e.MNS, j.in[operator.Left], e.SigL)
-	j.relayMark(feedback.Unmark, e.MNS, j.in[operator.Right], e.SigR)
-}
-
-// relayMark sends the projection of a Type II MNS onto one input side — its
-// sources and signature there, under the shared mark id, so stamped outputs
-// are recognised — to that side's producer as a mark or unmark.
-func (j *JoinOp) relayMark(cmd feedback.Command, m *feedback.MNS, s *side, sig feedback.Signature) {
-	if len(sig) > 0 && j.propagates(s) { // tested here too: the projection below allocates
-		j.upstream(s, cmd, &feedback.MNS{ID: m.ID, Sources: m.Sources & s.sources, Sig: sig, Expiry: m.Expiry})
+	if e, ok := j.marks.TakeOrigin(m); ok {
+		j.unmarkCatchup(e, out)
 	}
 }
 
@@ -344,9 +306,9 @@ func (j *JoinOp) relayMark(cmd feedback.Command, m *feedback.MNS, s *side, sig f
 // active — exactly the entry's recorded pending pairs. A pair still covered
 // by another active mark is deferred to that entry; a pair whose endpoint is
 // an in-flight probe that will still reach the partner live is left to that
-// scan. Generation is deduplicated per pair.
+// scan. Generation is deduplicated per pair. The entry has already left the
+// active map, so its id, which the marked tuples keep, suppresses nothing.
 func (j *JoinOp) unmarkCatchup(e *feedback.OriginEntry, out *[]*stream.Composite) {
-	id := e.MNS.ID
 	L := j.in[operator.Left]
 	gen := make(map[[2]uint64]bool, len(e.Pending))
 	for _, p := range e.Pending {
@@ -369,7 +331,7 @@ func (j *JoinOp) unmarkCatchup(e *feedback.OriginEntry, out *[]*stream.Composite
 		if g := j.frameOf(p.R.C); g != nil && g.lastPartner < p.L.Seq {
 			continue
 		}
-		if other := j.marks.SuppressedBy(p.L.C, p.R.C, id); other != 0 {
+		if other := j.marks.SuppressedBy(p.L.C, p.R.C); other != 0 {
 			// Still covered by another active mark: defer the pair there.
 			j.suppress(other, p.L, p.R)
 			continue
@@ -381,12 +343,6 @@ func (j *JoinOp) unmarkCatchup(e *feedback.OriginEntry, out *[]*stream.Composite
 		*out = append(*out, j.result(p.L.C, p.R.C))
 	}
 	j.marks.ReleasePending(e)
-	for _, l := range e.Left {
-		l.C.RemoveMark(id)
-	}
-	for _, r := range e.Right {
-		r.C.RemoveMark(id)
-	}
 }
 
 // fireExpired is the recovery half of Sweep: expired mark entries run their
@@ -395,10 +351,8 @@ func (j *JoinOp) unmarkCatchup(e *feedback.OriginEntry, out *[]*stream.Composite
 // re-suspended under fresh anchors by the downstream consumer). See
 // DESIGN.md §2 (expiry sweep).
 func (j *JoinOp) fireExpired() {
-	j.marks.PurgeRelays(j.now)
 	for _, e := range j.marks.TakeExpiredOrigins(j.now) {
 		var out []*stream.Composite
-		j.propagateUnmark(e)
 		j.unmarkCatchup(e, &out)
 		j.emitAll(out)
 	}
@@ -434,7 +388,7 @@ const NoDeadline = feedback.NoExpiry
 //   - blacklist anchor expiry (both sides): suspended tuples reactivate,
 //   - window expiry of suspended (parked) tuples: min MinTS + w,
 //   - MNS buffer expiry (both sides): forgotten demands are purged,
-//   - mark origin / relay expiry: unmark catch-up generates pending pairs,
+//   - mark origin expiry: unmark catch-up generates pending pairs,
 //   - window expiry of pending suppressed-pair endpoints: min MinTS + w
 //     (pendingDeadline: a purge event in legacy mode only).
 //

@@ -8,7 +8,6 @@ import (
 	"repro/internal/feedback"
 	"repro/internal/lattice"
 	"repro/internal/metrics"
-	"repro/internal/operator"
 	"repro/internal/predicate"
 	"repro/internal/state"
 	"repro/internal/stream"
@@ -382,18 +381,4 @@ func (b *bloomSet) put(a predicate.Attr, f *bloom.Filter) {
 	b.filters = append(b.filters, nil)
 	copy(b.filters[i+1:], b.filters[i:])
 	b.filters[i] = f
-}
-
-// registerMarks enrolls a freshly stored tuple in every origin mark entry
-// whose id it carries — stamped by an upstream relay, or acquired from the
-// entry's side signature before its probe (MarkTable.MarkInput) or during it
-// (markScan) — so joins with marked partners on the other side are suppressed
-// and recorded. The ids are visited in ascending order; Enroll re-adds an id
-// the tuple already carries, which leaves the list as it is.
-func (j *JoinOp) registerMarks(se state.Entry, port operator.Port) {
-	for _, id := range se.C.Marks() {
-		if e := j.marks.EntryByID(id); e != nil {
-			j.marks.Enroll(e, port == operator.Left, se)
-		}
-	}
 }

@@ -184,8 +184,8 @@ func NewJoin(cfg Config) *JoinOp {
 			prod:    prod,
 			seq:     &state.Side{},
 			st:      state.New(fmt.Sprintf("S_%s.%s", cfg.Name, port), cfg.Account),
-			black:   feedback.NewBlacklist(fmt.Sprintf("B_%s.%s", cfg.Name, port), cfg.Account),
-			buf:     feedback.NewBuffer(fmt.Sprintf("NB_%s.%s", cfg.Name, port), cfg.Account),
+			black:   feedback.NewBlacklist(cfg.Account),
+			buf:     feedback.NewBuffer(cfg.Account),
 			key:     state.Key(key),
 			grave:   state.New(fmt.Sprintf("G_%s.%s", cfg.Name, port), cfg.Account),
 		}
@@ -367,8 +367,8 @@ func (j *JoinOp) probeInsert(a activation, s, o *side) {
 	// Pre-probe marking: an input carrying an origin mark entry's side
 	// signature acquires the mark id now, so suppression applies during its
 	// own probe (otherwise a live pair would be generated and later
-	// regenerated by the unmark catch-up). Enrollment into the entry's
-	// marked list happens at insertion (registerMarks).
+	// regenerated by the unmark catch-up) and, once it is stored, during the
+	// probes of later opposite arrivals.
 	j.ctr.Comparisons += uint64(j.marks.MarkInput(a.c, a.port == operator.Left))
 
 	// detecting says Identify_MNS runs for this input, after the probe and only
@@ -431,7 +431,6 @@ func (j *JoinOp) probeInsert(a activation, s, o *side) {
 	if s.blooms != nil {
 		j.bloomInsert(s, a.c)
 	}
-	j.registerMarks(se, a.port)
 }
 
 // divert checks an arrival against the side's blacklist signatures and
@@ -653,7 +652,7 @@ func (j *JoinOp) joinPair(f *probeFrame, s *side, e state.Entry, collect *[]*str
 	}
 	suppressedID := uint64(0)
 	if fresh && !j.marks.Empty() {
-		suppressedID = j.marks.SuppressedBy(f.input, e.C, 0)
+		suppressedID = j.marks.SuppressedBy(f.input, e.C)
 	}
 	if suppressedID != 0 && !f.evalSuppressed {
 		// Skip the evaluation entirely (the point of mark-result suppression
@@ -678,13 +677,10 @@ func (j *JoinOp) joinPair(f *probeFrame, s *side, e state.Entry, collect *[]*str
 	return true
 }
 
-// result builds the join of a fully matching pair, counted and stamped with
-// the relay marks its consumer reads (stream.Join starts it unmarked).
+// result builds and counts the join of a fully matching pair.
 func (j *JoinOp) result(a, b *stream.Composite) *stream.Composite {
-	r := stream.Join(a, b)
 	j.ctr.Results++
-	j.ctr.Comparisons += uint64(j.marks.StampOutput(r))
-	return r
+	return stream.Join(a, b)
 }
 
 // emit delivers a result downstream. Emission may re-enter this operator

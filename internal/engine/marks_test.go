@@ -26,8 +26,8 @@ func jitClique(n int, shape *plan.Node, keep bool) (*plan.Built, *Engine, func()
 
 // TestMarksStayAtTheirOrigin holds the Type II mark machinery to its id
 // locality (DESIGN.md §2): a mark id is set and read only on the inputs of
-// the operator it originated at and on a relay's outputs, so no result that
-// reaches the sink carries one. Until stream.Join stopped unioning its
+// the operator it originated at, so no result that reaches the sink carries
+// one. Until stream.Join stopped unioning its
 // inputs' marks, 1 123 of the 1 124 finals of the bushy N=4 cell carried
 // 49 350 mark ids between them, which nothing ever read. -short runs N=4 only.
 func TestMarksStayAtTheirOrigin(t *testing.T) {
@@ -66,8 +66,9 @@ func TestMarksStayAtTheirOrigin(t *testing.T) {
 // (metrics.Mem); a heap that outgrows it holds something nobody accounts — as
 // the mark ids a join result used to inherit from its inputs did, at 3.0–3.4×
 // on both shapes, and the per-tuple mark maps and per-detection predicate
-// lists did at 2.00–2.16× left-deep. It reads 0.99–1.09× bushy and 1.52–1.62×
-// left-deep now.
+// lists did at 2.00–2.16× left-deep. It reads 0.91–0.99× bushy and 1.43–1.52×
+// left-deep now (0.96–1.04× and 1.51–1.61× while origins kept unaccounted
+// lists of the tuples they had marked).
 func TestJITHeapTracksAccount(t *testing.T) {
 	const maxRatio = 1.9
 	for _, shape := range []*plan.Node{plan.Bushy(4), plan.LeftDeep(4)} {

@@ -73,7 +73,6 @@ type Entry struct {
 // side of a join (B_L or B_R in the paper). Entries share the side's
 // sequence space with the active state, so cursors are totally ordered.
 type Blacklist struct {
-	name string
 	acct *metrics.Account
 	// entries finds the entry an arrival's values fall under by signature
 	// (table.bySig), making MatchArrival O(# attribute sets) instead of
@@ -95,9 +94,8 @@ type Blacklist struct {
 }
 
 // NewBlacklist creates an empty blacklist charging memory to acct.
-func NewBlacklist(name string, acct *metrics.Account) *Blacklist {
+func NewBlacklist(acct *metrics.Account) *Blacklist {
 	return &Blacklist{
-		name:    name,
 		acct:    acct,
 		entries: newTable[*Entry](acct, metrics.MemBlacklist),
 		bySeq:   make(map[uint64]*Entry),

@@ -16,7 +16,6 @@ import (
 // One Buffer exists per join input side; it stores MNSs detected on inputs
 // of that side and is probed by arrivals on the opposite side.
 type Buffer struct {
-	name string
 	mnss table[*MNS]
 	// byProbe finds the MNSs an opposite arrival satisfies, by the opposite-
 	// side attributes their predicates test and the values expected there, so
@@ -48,8 +47,8 @@ func probeKey(m *MNS, buf []SigEntry) []SigEntry {
 }
 
 // NewBuffer creates an empty MNS buffer charging memory to acct.
-func NewBuffer(name string, acct *metrics.Account) *Buffer {
-	return &Buffer{name: name, mnss: newTable[*MNS](acct, metrics.MemMNS), byProbe: fpIndex[*MNS]{key: probeKey}}
+func NewBuffer(acct *metrics.Account) *Buffer {
+	return &Buffer{mnss: newTable[*MNS](acct, metrics.MemMNS), byProbe: fpIndex[*MNS]{key: probeKey}}
 }
 
 // Len returns the number of buffered MNSs.

@@ -23,7 +23,7 @@ import (
 // at the first one.
 func TestSharedDescriptorKeepsDeadlinesExact(t *testing.T) {
 	acct := &metrics.Account{}
-	buf, bl, mt := NewBuffer("NB", acct), NewBlacklist("B", acct), NewMarkTable(acct)
+	buf, bl, mt := NewBuffer(acct), NewBlacklist(acct), NewMarkTable(acct)
 	m, dup := mnsA(7, 100), mnsA(7, 500)
 	for _, d := range []*MNS{m, dup} {
 		buf.Add(d)
@@ -90,23 +90,23 @@ func TestExpiryMovesOnlyThroughExtend(t *testing.T) {
 	}
 }
 
-// FuzzDeadlineCaches feeds one buffer, one blacklist and one mark table
-// random interleavings of shared descriptors and their duplicates, as a
-// consumer hands them to its producers, and holds each structure to a map
+// FuzzDeadlineCaches feeds one buffer, one blacklist and one mark table's
+// origins random interleavings of shared descriptors and their duplicates, as
+// a consumer hands them to its producers, and holds each structure to a map
 // model of its own anchors: after every step its next expiry is the model's
 // earliest, and every take removes exactly the elements the model has
 // expired. Each input byte is one operation: the high four bits pick it, the
 // low two the key (four signatures), bits 2-3 an expiry or clock step.
 func FuzzDeadlineCaches(f *testing.F) {
-	f.Add([]byte{0x10, 0x20, 0x30, 0x40, 0x04 | 0x08, 0x10, 0x20, 0x30, 0x40, 0xdc, 0x90, 0xa0, 0xb0, 0xc0})
-	f.Add([]byte{0x11, 0x21, 0x0d, 0x11, 0x21, 0x31, 0x41, 0xec, 0x51, 0x61, 0x71, 0x81, 0xfc, 0x90, 0xa0})
-	f.Add([]byte{0x02, 0x12, 0x22, 0x32, 0x0e, 0x12, 0x22, 0x32, 0x42, 0xdc, 0xdc, 0xa0, 0xb0, 0xc0, 0x90})
+	f.Add([]byte{0x10, 0x20, 0x30, 0x0c, 0x10, 0x20, 0x30, 0xac, 0x70, 0x80, 0x90})
+	f.Add([]byte{0x11, 0x21, 0x0d, 0x11, 0x21, 0x31, 0xbc, 0x41, 0x51, 0x61, 0xcc, 0x70, 0x80})
+	f.Add([]byte{0x02, 0x12, 0x22, 0x32, 0x0e, 0x12, 0x22, 0x32, 0xac, 0xac, 0x80, 0x90, 0x70})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		acct := &metrics.Account{}
-		buf, bl, mt := NewBuffer("NB", acct), NewBlacklist("B", acct), NewMarkTable(acct)
+		buf, bl, mt := NewBuffer(acct), NewBlacklist(acct), NewMarkTable(acct)
 		// One model per table: key -> the anchor the table must hold. Key k's
 		// signature is the single value k, which is what the model files by.
-		mBuf, mBl, mOrig, mRel := map[stream.Value]stream.Time{}, map[stream.Value]stream.Time{}, map[stream.Value]stream.Time{}, map[stream.Value]stream.Time{}
+		mBuf, mBl, mOrig := map[stream.Value]stream.Time{}, map[stream.Value]stream.Time{}, map[stream.Value]stream.Time{}
 		key := func(m *MNS) stream.Value { return m.Sig[0].Val }
 		var cur [4]*MNS // the latest descriptor of each key, shared by whoever takes it
 		now, ids := stream.Time(0), uint64(0)
@@ -163,38 +163,29 @@ func FuzzDeadlineCaches(f *testing.F) {
 			case 3:
 				file(mOrig, m)
 				mt.ActivateOrigin(m, m.Sig, nil)
-			case 4: // a relay holds the projection relayed to it, not m
-				file(mRel, m)
-				mt.AddRelay(&MNS{ID: m.ID, Sources: m.Sources, Sig: m.Sig, Expiry: m.Expiry})
-			case 5: // an opposite arrival carrying key k resumes its MNS
+			case 4: // an opposite arrival carrying key k resumes its MNS
 				_, held := mBuf[key(m)]
 				delete(mBuf, key(m))
 				if got, _ := buf.Probe(comp(3, tpl(2, now, stream.Value(k)))); (len(got) == 1) != held || len(got) > 1 {
 					t.Fatalf("step %d: probe took %d, model holds key %t", step, len(got), held)
 				}
-			case 6:
+			case 5:
 				_, held := mBl[key(m)]
 				delete(mBl, key(m))
 				if _, ok := bl.Take(m); ok != held {
 					t.Fatalf("step %d: blacklist take %t, model %t", step, ok, held)
 				}
-			case 7:
+			case 6:
 				_, held := mOrig[key(m)]
 				delete(mOrig, key(m))
 				if _, ok := mt.TakeOrigin(m); ok != held {
 					t.Fatalf("step %d: origin take %t, model %t", step, ok, held)
 				}
-			case 8:
-				_, held := mRel[key(m)]
-				delete(mRel, key(m))
-				if ok := mt.RemoveRelay(m); ok != held {
-					t.Fatalf("step %d: relay removal %t, model %t", step, ok, held)
-				}
-			case 9:
+			case 7:
 				if got, want := buf.Purge(now), len(expired(mBuf)); got != want {
 					t.Fatalf("step %d: buffer purged %d at %d, model %d", step, got, now, want)
 				}
-			case 10:
+			case 8:
 				var got []*MNS
 				for _, e := range bl.TakeExpired(now) {
 					got = append(got, e.MNS)
@@ -202,17 +193,13 @@ func FuzzDeadlineCaches(f *testing.F) {
 				if got, want := keysOf(got), expired(mBl); !slices.Equal(got, want) {
 					t.Fatalf("step %d: blacklist took %v at %d, model %v", step, got, now, want)
 				}
-			case 11:
+			case 9:
 				var got []*MNS
 				for _, e := range mt.TakeExpiredOrigins(now) {
 					got = append(got, e.MNS)
 				}
 				if got, want := keysOf(got), expired(mOrig); !slices.Equal(got, want) {
 					t.Fatalf("step %d: mark table took origins %v at %d, model %v", step, got, now, want)
-				}
-			case 12:
-				if got, want := mt.PurgeRelays(now), len(expired(mRel)); got != want {
-					t.Fatalf("step %d: relays purged %d at %d, model %d", step, got, now, want)
 				}
 			default: // the clock moves
 				now += delta + 1
@@ -223,10 +210,9 @@ func FuzzDeadlineCaches(f *testing.F) {
 			if got, want := bl.NextAnchorExpiry(), next(mBl); got != want || bl.Len() != len(mBl) {
 				t.Fatalf("step %d: blacklist next %d len %d, model %d len %d", step, got, bl.Len(), want, len(mBl))
 			}
-			if got, want := mt.NextExpiry(), min(next(mOrig), next(mRel)); got != want ||
-				mt.NumOrigins() != len(mOrig) || len(mt.relays.list) != len(mRel) {
-				t.Fatalf("step %d: mark table next %d with %d origins and %d relays, model %d with %d and %d",
-					step, got, mt.NumOrigins(), len(mt.relays.list), want, len(mOrig), len(mRel))
+			if got, want := mt.NextExpiry(), next(mOrig); got != want || mt.NumOrigins() != len(mOrig) {
+				t.Fatalf("step %d: mark table next %d with %d origins, model %d with %d",
+					step, got, mt.NumOrigins(), want, len(mOrig))
 			}
 		}
 	})

@@ -24,12 +24,9 @@ func (b *Blacklist) Buckets() int { return b.entries.bySig.buckets() }
 // is bounded by Len.
 func (b *Buffer) Buckets() int { return b.byProbe.buckets() }
 
-// Buckets returns the number of value hashes the two origin indexes
-// and the relay index hold: it is bounded by two per origin plus one per
-// relay.
-func (t *MarkTable) Buckets() int {
-	return t.bySide[0].buckets() + t.bySide[1].buckets() + t.relays.bySig.buckets()
-}
+// Buckets returns the number of value hashes the two side indexes hold:
+// it is bounded by two per origin.
+func (t *MarkTable) Buckets() int { return t.bySide[0].buckets() + t.bySide[1].buckets() }
 
 // NumOrigins returns the number of active origin entries.
 func (t *MarkTable) NumOrigins() int { return len(t.origins.list) }

@@ -1,7 +1,7 @@
 // Package feedback defines the JIT feedback protocol between consumer and
 // producer operators (Sec. III-A, IV): MNS descriptors with value
-// signatures, feedback messages (suspend / resume / mark / unmark), the
-// consumer-side MNS buffer, and the producer-side blacklist and mark table.
+// signatures, feedback messages (suspend / resume), the consumer-side MNS
+// buffer, and the producer-side blacklist and mark table.
 //
 // Layout: feedback.go holds the descriptors and messages; table.go the one
 // expiring MNS table and the one value index the other three are built on;
@@ -9,8 +9,8 @@
 // resumption triggers); blacklist.go the producer-side Type I structures
 // (parked tuples under anchor entries, signature generalization,
 // cursor/Pending/Done exactly-once bookkeeping); marks.go the Type II mark
-// table (origins and relays found by the values an input or result carries,
-// suppressed pairs recorded under origin marks, unmark catch-up). The
+// table (origins found by the values an input carries, suppressed pairs
+// recorded under origin marks for the catch-up at their unmark). The
 // exactly-once and expiry discipline these structures jointly enforce is
 // specified in DESIGN.md §2; their min-deadline caches feed the engine's
 // timer heap (DESIGN.md §4).
@@ -29,13 +29,12 @@ import (
 // Command is the kind of a feedback message.
 type Command int
 
-// Feedback commands. Suspend/Resume drive Type I dynamic production
-// control; Mark/Unmark implement the mark-result protocol for Type II MNSs.
+// Feedback commands. Suspend/Resume drive dynamic production control for
+// every MNS type; a Type II MNS is marked and unmarked at the operator it
+// reaches, which tells no one upstream (DESIGN.md §2).
 const (
 	Suspend Command = iota
 	Resume
-	Mark
-	Unmark
 )
 
 func (c Command) String() string {
@@ -44,10 +43,6 @@ func (c Command) String() string {
 		return "suspend"
 	case Resume:
 		return "resume"
-	case Mark:
-		return "mark"
-	case Unmark:
-		return "unmark"
 	}
 	return "?"
 }

@@ -108,21 +108,19 @@ func testTable[E holder](t *testing.T, name string, tab *table[E], wrap func(*MN
 	})
 }
 
-// TestMNSTable runs the table contract over its four instantiations: the
-// blacklist's entries, the MNS buffer, and the mark table's origins and
-// relays.
+// TestMNSTable runs the table contract over its three instantiations: the
+// blacklist's entries, the MNS buffer, and the mark table's origins.
 func TestMNSTable(t *testing.T) {
 	acct := &metrics.Account{}
-	testTable(t, "blacklist", &NewBlacklist("B", acct).entries, func(m *MNS) *Entry { return &Entry{MNS: m, Expiry: m.Expiry} })
-	testTable(t, "buffer", &NewBuffer("NB", acct).mnss, func(m *MNS) *MNS { return m })
+	testTable(t, "blacklist", &NewBlacklist(acct).entries, func(m *MNS) *Entry { return &Entry{MNS: m, Expiry: m.Expiry} })
+	testTable(t, "buffer", &NewBuffer(acct).mnss, func(m *MNS) *MNS { return m })
 	mt := NewMarkTable(acct)
 	testTable(t, "origins", &mt.origins, func(m *MNS) *OriginEntry { return &OriginEntry{MNS: m, Expiry: m.Expiry} })
-	testTable(t, "relays", &mt.relays, func(m *MNS) *MNS { return m })
 }
 
 func TestBufferAddDedupPurgeProbe(t *testing.T) {
 	acct := &metrics.Account{}
-	b := NewBuffer("NB", acct)
+	b := NewBuffer(acct)
 	m1 := mnsA(100, 1000)
 	kept, added := b.Add(m1)
 	if !added || kept != m1 || b.Len() != 1 {
@@ -151,7 +149,7 @@ func TestBufferAddDedupPurgeProbe(t *testing.T) {
 }
 
 func TestBufferProbeMisses(t *testing.T) {
-	b := NewBuffer("NB", &metrics.Account{})
+	b := NewBuffer(&metrics.Account{})
 	b.Add(mnsA(100, 1000))
 	// Neither a different value nor an arrival lacking the tested source
 	// confirms the MNS's predicate.
@@ -170,7 +168,7 @@ func TestBufferProbeMisses(t *testing.T) {
 
 func TestBlacklistLifecycle(t *testing.T) {
 	acct := &metrics.Account{}
-	bl := NewBlacklist("B", acct)
+	bl := NewBlacklist(acct)
 	m := mnsA(100, 1000)
 	e, created := bl.Ensure(m)
 	if !created || bl.Len() != 1 {
@@ -208,7 +206,7 @@ func TestBlacklistLifecycle(t *testing.T) {
 
 func TestBlacklistTakeAndPurge(t *testing.T) {
 	acct := &metrics.Account{}
-	bl := NewBlacklist("B", acct)
+	bl := NewBlacklist(acct)
 	m := mnsA(100, 1000)
 	e, _ := bl.Ensure(m)
 	old := comp(3, tpl(0, 10, 1, 100))
@@ -275,18 +273,15 @@ func TestMarkTable(t *testing.T) {
 	}
 	l := comp(3, tpl(0, 10, 5))
 	r := comp(3, tpl(2, 20, 9))
-	mt.Enroll(e, true, state.Entry{C: l, Seq: 1})
-	mt.Enroll(e, false, state.Entry{C: r, Seq: 2})
-	if !l.HasMark(7) || !r.HasMark(7) {
-		t.Fatal("enrollment did not mark")
+	if mt.MarkInput(l, true) != 1 || mt.MarkInput(r, false) != 1 || !l.HasMark(7) || !r.HasMark(7) {
+		t.Fatal("inputs carrying the side signatures not marked")
 	}
-	// Re-enrollment (a reinsertion) lists the tuple again; the mark is
-	// cleared idempotently when the entry dissolves.
-	mt.Enroll(e, true, state.Entry{C: l, Seq: 1})
-	if len(e.Left) != 2 || len(l.Marks()) != 1 {
-		t.Fatalf("re-enrollment: %d listed, marks %v", len(e.Left), l.Marks())
+	// Marking again leaves the list as it is.
+	mt.MarkInput(l, true)
+	if len(l.Marks()) != 1 {
+		t.Fatalf("re-marking: marks %v", l.Marks())
 	}
-	if mt.SuppressedBy(l, r, 0) != 7 || mt.SuppressedBy(l, r, 7) != 0 {
+	if mt.SuppressedBy(l, r) != 7 {
 		t.Fatal("suppression check wrong")
 	}
 	mt.RecordSuppressed(e, state.Entry{C: l, Seq: 1}, state.Entry{C: r, Seq: 2})
@@ -297,42 +292,13 @@ func TestMarkTable(t *testing.T) {
 	if !ok || got != e || mt.NumOrigins() != 0 {
 		t.Fatal("take origin failed")
 	}
-	if mt.SuppressedBy(l, r, 0) != 0 {
+	// The tuples keep the id, which no longer suppresses anything.
+	if !l.HasMark(7) || !r.HasMark(7) || mt.SuppressedBy(l, r) != 0 {
 		t.Fatal("suppression survives dissolution")
 	}
 	mt.ReleasePending(got)
 	if acct.Live() != 0 {
 		t.Fatalf("mark table leaked %d bytes", acct.Live())
-	}
-}
-
-func TestRelays(t *testing.T) {
-	acct := &metrics.Account{}
-	mt := NewMarkTable(acct)
-	m := &MNS{
-		ID:      3,
-		Sources: stream.SourceSet(0).Add(0),
-		Sig:     Signature{{Attr: predicate.Attr{Source: 0, Col: 0}, Val: 5}},
-		Expiry:  100,
-	}
-	if !mt.AddRelay(m) || mt.AddRelay(m) {
-		t.Fatal("relay add/dedup wrong")
-	}
-	out := comp(3, tpl(0, 10, 5))
-	mt.StampOutput(out)
-	if !out.HasMark(3) {
-		t.Fatal("stamping failed")
-	}
-	miss := comp(3, tpl(0, 10, 6))
-	mt.StampOutput(miss)
-	if miss.HasMark(3) {
-		t.Fatal("stamped a non-match")
-	}
-	if n := mt.PurgeRelays(200); n != 1 {
-		t.Fatal("relay purge failed")
-	}
-	if acct.Live() != 0 {
-		t.Fatalf("relays leaked %d bytes", acct.Live())
 	}
 }
 
@@ -359,8 +325,8 @@ func TestPurgePending(t *testing.T) {
 // order fixes the comparisons a match charges, stay.
 func TestFPIndexDropsEmptyBuckets(t *testing.T) {
 	acct := &metrics.Account{}
-	buf := NewBuffer("NB", acct)
-	bl := NewBlacklist("B", acct)
+	buf := NewBuffer(acct)
+	bl := NewBlacklist(acct)
 	for v := stream.Value(1); v <= 2000; v++ {
 		m := mnsA(v, 100)
 		buf.Add(m)
@@ -412,7 +378,7 @@ func TestFPIndexDropsEmptyBuckets(t *testing.T) {
 // nor new entries, when the visitor changes the blacklist under it; BySeq
 // finds a parked tuple exactly while it is parked.
 func TestBlacklistWalkAndBySeq(t *testing.T) {
-	bl := NewBlacklist("B", &metrics.Account{})
+	bl := NewBlacklist(&metrics.Account{})
 	var es []*Entry
 	for v := stream.Value(1); v <= 5; v++ {
 		e, _ := bl.Ensure(mnsA(v, 100*stream.Time(v)))
@@ -447,13 +413,12 @@ func TestBlacklistWalkAndBySeq(t *testing.T) {
 	}
 }
 
-// TestMarkIndexMatchesScan holds the mark table's three fingerprint indexes
-// to the loops they replaced, under random activation, resumption and expiry
-// of origins and relays over several attribute sets: MarkInput must tag an
-// input with exactly the origins whose non-empty signature on its side it
-// matches, StampOutput a result with exactly the relays whose signature it
-// matches, and each must charge one comparison per attribute of every
-// attribute set its index has seen.
+// TestMarkIndexMatchesScan holds the mark table's two side indexes to the
+// loop they replaced, under random activation, resumption and expiry of
+// origins over several attribute sets: MarkInput must tag an input with
+// exactly the origins whose non-empty signature on its side it matches, and
+// charge one comparison per attribute of every attribute set its side index
+// has seen.
 func TestMarkIndexMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	mt := NewMarkTable(&metrics.Account{})
@@ -494,24 +459,17 @@ func TestMarkIndexMatchesScan(t *testing.T) {
 	}
 
 	var origins []*OriginEntry
-	var relays []*MNS
 	now, id := stream.Time(0), uint64(0)
 	for step := 0; step < 4000; step++ {
 		now++
-		switch rng.Intn(8) {
+		switch rng.Intn(6) {
 		case 0, 1, 2: // a Type II suspension; one side's restriction may be empty
 			id++
 			m := &MNS{ID: id, Sources: leftSrc | rightSrc, Sig: randSig(0, 1, 2, 3), Expiry: now + stream.Time(rng.Intn(60))}
 			if e := mt.ActivateOrigin(m, m.Sig.Restrict(leftSrc), m.Sig.Restrict(rightSrc)); e != nil {
 				origins = append(origins, e)
 			}
-		case 3: // a mark relayed from downstream
-			id++
-			m := &MNS{ID: id, Sources: leftSrc, Sig: randSig(0, 1, 2), Expiry: now + stream.Time(rng.Intn(60))}
-			if mt.AddRelay(m) {
-				relays = append(relays, m)
-			}
-		case 4: // resumption
+		case 3: // resumption
 			if len(origins) > 0 {
 				k := rng.Intn(len(origins))
 				if e, ok := mt.TakeOrigin(origins[k].MNS); !ok || e != origins[k] {
@@ -519,23 +477,12 @@ func TestMarkIndexMatchesScan(t *testing.T) {
 				}
 				origins = slices.Delete(origins, k, k+1)
 			}
-		case 5: // unmark
-			if len(relays) > 0 {
-				k := rng.Intn(len(relays))
-				if !mt.RemoveRelay(relays[k]) {
-					t.Fatalf("step %d: relay %v not removed", step, relays[k])
-				}
-				relays = slices.Delete(relays, k, k+1)
-			}
-		case 6: // expiry
+		case 4: // expiry
 			mt.TakeExpiredOrigins(now)
-			mt.PurgeRelays(now)
 			origins = slices.DeleteFunc(origins, func(e *OriginEntry) bool { return e.Expiry <= now })
-			relays = slices.DeleteFunc(relays, func(m *MNS) bool { return m.Expiry <= now })
 		}
-		if mt.NumOrigins() != len(origins) || len(mt.relays.list) != len(relays) {
-			t.Fatalf("step %d: table holds %d origins and %d relays, model %d and %d",
-				step, mt.NumOrigins(), len(mt.relays.list), len(origins), len(relays))
+		if mt.NumOrigins() != len(origins) {
+			t.Fatalf("step %d: table holds %d origins, model %d", step, mt.NumOrigins(), len(origins))
 		}
 
 		for _, left := range []bool{true, false} {
@@ -562,29 +509,13 @@ func TestMarkIndexMatchesScan(t *testing.T) {
 				t.Fatalf("step %d left=%v: charged %d comparisons, one per attribute of every set seen is %d", step, left, n, wantN)
 			}
 		}
-		out := randComp(0, 1, 2)
-		var want []uint64
-		for _, m := range relays {
-			if m.Sig.MatchedBy(out) {
-				want = append(want, m.ID)
-			}
-		}
-		slices.Sort(want)
-		mt.StampOutput(out)
-		if got := out.Marks(); !slices.Equal(got, want) {
-			t.Fatalf("step %d: result %v stamped %v, the scan stamps %v", step, out, got, want)
-		}
 	}
-	if len(origins) == 0 && len(relays) == 0 {
+	if len(origins) == 0 {
 		t.Fatal("degenerate run: nothing left to match against")
 	}
 	for len(origins) > 0 {
 		mt.TakeOrigin(origins[0].MNS)
 		origins = origins[1:]
-	}
-	for len(relays) > 0 {
-		mt.RemoveRelay(relays[0])
-		relays = relays[1:]
 	}
 	if n := mt.Buckets(); n != 0 {
 		t.Fatalf("%d fingerprints filed in an empty mark table", n)
@@ -616,7 +547,7 @@ func TestEmptySideSignatureMarksNothing(t *testing.T) {
 	if n := mt.MarkInput(r, false); len(r.Marks()) != 0 || n != 0 {
 		t.Fatalf("the unconstrained side: marks %v, %d comparisons", r.Marks(), n)
 	}
-	if mt.SuppressedBy(l, r, 0) != 0 {
+	if mt.SuppressedBy(l, r) != 0 {
 		t.Fatal("a pair suppressed under an MNS that constrains one side only")
 	}
 	if got := mt.Buckets(); got != 1 {

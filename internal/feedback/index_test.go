@@ -39,7 +39,7 @@ func TestTablesKeepHashTwinsApart(t *testing.T) {
 	opposite := func(i int) *stream.Composite { return comp(3, tpl(2, 10, fnvTwins[i])) }
 
 	t.Run("blacklist", func(t *testing.T) {
-		bl := NewBlacklist("B", &metrics.Account{})
+		bl := NewBlacklist(&metrics.Account{})
 		ms := twins()
 		var es [2]*Entry
 		for i, m := range ms {
@@ -75,7 +75,7 @@ func TestTablesKeepHashTwinsApart(t *testing.T) {
 	})
 
 	t.Run("buffer", func(t *testing.T) {
-		b := NewBuffer("NB", &metrics.Account{})
+		b := NewBuffer(&metrics.Account{})
 		ms := twins()
 		for i, m := range ms {
 			if kept, added := b.Add(m); !added || kept != m {
@@ -90,23 +90,23 @@ func TestTablesKeepHashTwinsApart(t *testing.T) {
 		}
 	})
 
-	t.Run("relays", func(t *testing.T) {
+	t.Run("origins", func(t *testing.T) {
 		mt := NewMarkTable(&metrics.Account{})
 		ms := twins()
 		for i, m := range ms {
-			if !mt.AddRelay(m) {
-				t.Fatalf("twin %d not installed", i)
+			if mt.ActivateOrigin(m, m.Sig, nil) == nil {
+				t.Fatalf("twin %d folded into the other's origin", i)
 			}
 		}
 		for i, m := range ms {
-			out := input(i)
-			mt.StampOutput(out)
-			if got := out.Marks(); !slices.Equal(got, []uint64{m.ID}) {
-				t.Fatalf("twin %d's result stamped %v", i, got)
+			in := input(i)
+			mt.MarkInput(in, true)
+			if got := in.Marks(); !slices.Equal(got, []uint64{m.ID}) {
+				t.Fatalf("twin %d's input marked %v", i, got)
 			}
 		}
-		if !mt.RemoveRelay(ms[0]) || len(mt.relays.list) != 1 || mt.relays.list[0] != ms[1] {
-			t.Fatal("removing twin 0's relay did not leave twin 1's alone")
+		if e, ok := mt.TakeOrigin(ms[0]); !ok || e.MNS != ms[0] || mt.NumOrigins() != 1 || mt.EntryByID(ms[1].ID) == nil {
+			t.Fatal("taking twin 0's origin did not leave twin 1's alone")
 		}
 	})
 }

@@ -20,9 +20,11 @@ type PendingPair struct {
 }
 
 // OriginEntry lives at the operator where a Type II MNS was suspended: the
-// operator whose two input sides together cover the MNS. It suppresses
-// joins between left-marked and right-marked tuples until unmarked,
-// recording each suppressed pair.
+// operator whose two input sides together cover the MNS. While active it
+// suppresses joins between left-marked and right-marked tuples, recording
+// each suppressed pair. The tuples it marked keep its id after it dissolves:
+// the id is read only through the table's active map, and ids only grow
+// within an operator tree, so a dissolved origin's id is inert.
 type OriginEntry struct {
 	MNS *MNS
 	// Expiry is the entry's anchor, kept beside the shared descriptor as a
@@ -30,35 +32,26 @@ type OriginEntry struct {
 	Expiry stream.Time
 	SigL   Signature // restriction of MNS.Sig to the left input's sources
 	SigR   Signature
-	// Left / Right list the enrolled (marked) tuples per side, for mark
-	// cleanup when the entry dissolves. A tuple may be listed twice (enrolled
-	// when the entry marked the state, again on a reinsertion); clearing a
-	// mark is idempotent, so the duplicate is harmless.
-	Left  []state.Entry
-	Right []state.Entry
 	// Pending holds the pairs suppressed under this entry.
 	Pending []PendingPair
 }
 
 // MarkTable holds the Type II machinery of one operator: the origin entries
-// of MNSs suspended here, and the relay descriptors of upstream operators
-// that received a mark-result feedback — they stamp every produced output
-// matching the descriptor's signature with its mark id so the origin
-// operator can recognise it.
+// of the MNSs suspended here. A mark id is set only on this operator's
+// inputs (MarkInput, and the operator's scan of its states at activation)
+// and read only here (SuppressedBy).
 type MarkTable struct {
 	acct    *metrics.Account
 	origins table[*OriginEntry]
-	relays  table[*MNS]
 	active  map[uint64]*OriginEntry // origin mark ids currently suppressing
 	// bySide finds the origins whose side signature an input carries (left
-	// inputs in slot 0, right in slot 1), as the relays' own signature index
-	// finds the relays a result carries: one lookup per attribute set, not
+	// inputs in slot 0, right in slot 1): one lookup per attribute set, not
 	// one comparison per entry. An origin is filed only on the sides its MNS
 	// constrains (file).
 	bySide [2]fpIndex[*OriginEntry]
 	// Deadline caches (DESIGN.md §4): earliest endpoint MinTS among pending
 	// suppressed pairs, and earliest result TS among them (OldestPendingTS).
-	// The origins and relays keep their own expiry caches.
+	// The origins keep their own expiry cache.
 	pendMin state.MinCache
 	pendTS  state.MinCache
 }
@@ -68,7 +61,6 @@ func NewMarkTable(acct *metrics.Account) *MarkTable {
 	t := &MarkTable{
 		acct:    acct,
 		origins: newTable[*OriginEntry](acct, metrics.MemMNS),
-		relays:  newTable[*MNS](acct, metrics.MemMNS),
 		active:  make(map[uint64]*OriginEntry),
 	}
 	t.bySide[0].key = func(e *OriginEntry, buf []SigEntry) []SigEntry { return append(buf, e.SigL...) }
@@ -100,9 +92,9 @@ func (t *MarkTable) file(e *OriginEntry, add bool) {
 	}
 }
 
-// Empty reports whether the table has no active entries of either kind,
-// letting operators skip all Type II work on the hot path.
-func (t *MarkTable) Empty() bool { return len(t.origins.list) == 0 && len(t.relays.list) == 0 }
+// Empty reports whether the table has no active origin, letting operators
+// skip all Type II work on the hot path.
+func (t *MarkTable) Empty() bool { return len(t.origins.list) == 0 }
 
 // ActivateOrigin installs an origin entry for a Type II MNS whose signature
 // splits into sigL and sigR over the operator's two inputs, returning nil if
@@ -133,17 +125,6 @@ func (t *MarkTable) MarkInput(c *stream.Composite, left bool) (comparisons int) 
 	})
 }
 
-// Enroll marks a stored tuple under entry e on the given side (left when
-// left is true) and lists it for the mark's removal when e dissolves.
-func (t *MarkTable) Enroll(e *OriginEntry, left bool, se state.Entry) {
-	if left {
-		e.Left = append(e.Left, se)
-	} else {
-		e.Right = append(e.Right, se)
-	}
-	se.C.AddMark(e.MNS.ID)
-}
-
 // RecordSuppressed parks a suppressed pair under entry e, charging its
 // bookkeeping storage.
 func (t *MarkTable) RecordSuppressed(e *OriginEntry, l, r state.Entry) {
@@ -160,12 +141,10 @@ func (p PendingPair) minTS() stream.Time { return min(p.L.C.MinTS, p.R.C.MinTS) 
 // ts is the timestamp of the result the pair will produce.
 func (p PendingPair) ts() stream.Time { return max(p.L.C.TS, p.R.C.TS) }
 
-// NextExpiry returns the earliest expiry among origin and relay entries, or
-// NoExpiry when the table holds none — the mark machinery's contribution to
-// the operator's sweep deadline (DESIGN.md §4).
-func (t *MarkTable) NextExpiry() stream.Time {
-	return min(t.origins.nextExpiry(), t.relays.nextExpiry())
-}
+// NextExpiry returns the earliest origin anchor, or NoExpiry when the table
+// holds none — the mark machinery's contribution to the operator's sweep
+// deadline (DESIGN.md §4).
+func (t *MarkTable) NextExpiry() stream.Time { return t.origins.nextExpiry() }
 
 // NextPendingMinTS returns the earliest endpoint MinTS among pending
 // suppressed pairs; ok is false when no pair is parked. The earliest pending
@@ -199,12 +178,13 @@ const pendingPairBytes = 48
 func (t *MarkTable) EntryByID(id uint64) *OriginEntry { return t.active[id] }
 
 // SuppressedBy returns the id of an active origin mark shared by a and b,
-// or 0 when the pair is not suppressed and may be joined now. The exclude id
-// lets unmark processing ignore the entry being dissolved. When several
-// active marks cover the pair it returns the smallest id: the choice decides
-// which origin entry records a suppressed pair, so it must not depend on
-// anything but the ids. Both mark lists are ascending, so one merge finds it.
-func (t *MarkTable) SuppressedBy(a, b *stream.Composite, exclude uint64) uint64 {
+// or 0 when the pair is not suppressed and may be joined now. A dissolved
+// origin's id is no longer active, so the marks it left behind suppress
+// nothing. When several active marks cover the pair it returns the smallest
+// id: the choice decides which origin entry records a suppressed pair, so it
+// must not depend on anything but the ids. Both mark lists are ascending, so
+// one merge finds it.
+func (t *MarkTable) SuppressedBy(a, b *stream.Composite) uint64 {
 	x, y := a.Marks(), b.Marks()
 	for len(x) > 0 && len(y) > 0 {
 		switch {
@@ -213,7 +193,7 @@ func (t *MarkTable) SuppressedBy(a, b *stream.Composite, exclude uint64) uint64 
 		case x[0] > y[0]:
 			y = y[1:]
 		default:
-			if id := x[0]; id != exclude && t.active[id] != nil {
+			if id := x[0]; t.active[id] != nil {
 				return id
 			}
 			x, y = x[1:], y[1:]
@@ -223,7 +203,7 @@ func (t *MarkTable) SuppressedBy(a, b *stream.Composite, exclude uint64) uint64 
 }
 
 // TakeOrigin removes and returns the origin entry for m's signature. The
-// caller generates the entry's pending pairs and clears its marks.
+// caller generates the entry's pending pairs.
 func (t *MarkTable) TakeOrigin(m *MNS) (*OriginEntry, bool) {
 	e, ok := t.origins.take(m)
 	if ok {
@@ -278,35 +258,4 @@ func (t *MarkTable) PurgePending(now, window stream.Time) int {
 // ReleasePending uncharges the pending-pair storage of a dissolved entry.
 func (t *MarkTable) ReleasePending(e *OriginEntry) {
 	t.acct.Free(metrics.MemPending, int64(len(e.Pending))*pendingPairBytes)
-}
-
-// AddRelay installs (or extends) a relay descriptor stamping outputs that
-// match the MNS signature. Returns true when a new one was installed.
-func (t *MarkTable) AddRelay(m *MNS) bool {
-	_, ok := t.relays.extend(m)
-	if !ok {
-		t.relays.insert(m)
-	}
-	return !ok
-}
-
-// RemoveRelay drops the relay descriptor for m's signature, if present.
-func (t *MarkTable) RemoveRelay(m *MNS) bool {
-	_, ok := t.relays.take(m)
-	return ok
-}
-
-// PurgeRelays drops expired relay descriptors.
-func (t *MarkTable) PurgeRelays(now stream.Time) int { return len(t.relays.takeExpired(now)) }
-
-// StampOutput tags a freshly produced composite with every relay mark whose
-// signature it carries; it returns the attribute comparisons to charge.
-func (t *MarkTable) StampOutput(c *stream.Composite) (comparisons int) {
-	if len(t.relays.list) == 0 {
-		return 0
-	}
-	return t.relays.bySig.match(c, func(m *MNS) bool {
-		c.AddMark(m.ID)
-		return true
-	})
 }

@@ -21,14 +21,14 @@ func (m *MNS) mns() *MNS         { return m }
 func (e *Entry) mns() *MNS       { return e.MNS }
 func (e *OriginEntry) mns() *MNS { return e.MNS }
 
-// A buffered or relayed descriptor is its own anchor; blacklist and origin
-// entries keep theirs beside the descriptor they share with other tables.
+// A buffered descriptor is its own anchor; blacklist and origin entries keep
+// theirs beside the descriptor they share with other tables.
 func (m *MNS) anchor() *stream.Time         { return &m.Expiry }
 func (e *Entry) anchor() *stream.Time       { return &e.Expiry }
 func (e *OriginEntry) anchor() *stream.Time { return &e.Expiry }
 
 // table is the expiring collection behind the blacklist's entries, the MNS
-// buffer and the mark table's origins and relays — the one hash organisation
+// buffer and the mark table's origins — the one hash organisation
 // the paper prescribes for producer-side blacklists (Sec. IV-B) and
 // consumer-side MNS buffers (Sec. III-A). Elements sit in creation order, at
 // most one per signature, and bySig finds them by it; a duplicate descriptor

@@ -212,7 +212,7 @@ const (
 	MemState     Mem = iota // tuples stored in join states
 	MemGraveyard            // exact mode's retired state entries (DESIGN.md §4)
 	MemBlacklist            // parked tuples and their blacklist entries
-	MemMNS                  // MNS buffers, origin and relay descriptors
+	MemMNS                  // MNS buffers and origin descriptors
 	MemPending              // pairs suppressed under a mark
 	MemBloom                // Bloom filters over join states
 	NumMem

@@ -55,7 +55,7 @@ const (
 	// KindResume is tuples reactivating out of a blacklist: Value is the count.
 	KindResume
 	// KindFeedback is one feedback message received by a producer: Note is
-	// the command ("suspend", "resume", "mark", "unmark"), Value the MNS count.
+	// the command ("suspend" or "resume"), Value the MNS count.
 	KindFeedback
 	// KindWatermark is a disorder-watermark advance: TS is the new watermark
 	// (max ingested timestamp minus the bound; can be negative early on).

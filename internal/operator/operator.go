@@ -39,8 +39,8 @@ type Consumer interface {
 type Producer interface {
 	// Feedback delivers a feedback message. For Resume commands the return
 	// value is S_Π — the demanded partial results the consumer must join
-	// with its current input and append to its state (Sec. III-A). For all
-	// other commands it returns nil.
+	// with its current input and append to its state (Sec. III-A). For
+	// Suspend it returns nil.
 	Feedback(msg feedback.Message) []*stream.Composite
 	// CanSuspend reports whether feedback can have any effect here: true
 	// for join operators and for relays whose upstream chain reaches a

@@ -242,8 +242,8 @@ type Composite struct {
 	Sources SourceSet
 	// marks holds the mark-result identifiers this composite carries (Type
 	// II MNS handling, Sec. IV-B), ascending. A mark is set and read only
-	// where it originates — on an origin operator's inputs and on a relay's
-	// outputs — and Join never copies it, so a result starts unmarked. Nil
+	// where it originates — on an origin operator's inputs — and never
+	// cleared, and Join never copies it, so a result starts unmarked. Nil
 	// when unmarked, which is the overwhelmingly common case. The list sits
 	// behind a pointer so that a Composite stays in the 64-byte size class:
 	// a bare slice header would move every composite, unmarked or not, into
@@ -292,7 +292,7 @@ func (c *Composite) Comp(id SourceID) *Tuple { return c.Comps[id] }
 
 // Marks returns the mark ids the composite carries, ascending; nil when it
 // carries none. The slice is the composite's own: callers must not change
-// it, and it is valid until the next AddMark or RemoveMark.
+// it, and it is valid until the next AddMark.
 func (c *Composite) Marks() []uint64 {
 	if c.marks == nil {
 		return nil
@@ -315,19 +315,6 @@ func (c *Composite) AddMark(m uint64) {
 	}
 	if i, ok := slices.BinarySearch(*c.marks, m); !ok {
 		*c.marks = slices.Insert(*c.marks, i, m)
-	}
-}
-
-// RemoveMark clears a mark id from the composite; the last one to go drops
-// the list.
-func (c *Composite) RemoveMark(m uint64) {
-	i, ok := slices.BinarySearch(c.Marks(), m)
-	switch {
-	case !ok:
-	case len(*c.marks) == 1:
-		c.marks = nil
-	default:
-		*c.marks = slices.Delete(*c.marks, i, i+1)
 	}
 }
 

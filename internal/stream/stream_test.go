@@ -106,9 +106,9 @@ func TestMarks(t *testing.T) {
 	if !c.HasMark(7) || !c.HasMark(9) {
 		t.Fatal("marks missing")
 	}
-	c.RemoveMark(7)
-	if c.HasMark(7) || !c.HasMark(9) {
-		t.Fatal("remove wrong")
+	c.AddMark(7)
+	if got := c.Marks(); len(got) != 2 || got[0] != 7 || got[1] != 9 {
+		t.Fatalf("re-adding a mark: %v", got)
 	}
 	// A Join result is unmarked: marks stay on the composites they were set on.
 	d := NewComposite(2, mk(t, 1, 2, 2))
