@@ -98,9 +98,7 @@ func (j *JoinOp) purge() {
 		s := j.in[p]
 		purged := s.st.Purge(j.now, j.window)
 		if retire {
-			for _, e := range purged {
-				s.grave.Reinsert(e)
-			}
+			s.grave.Retire(purged...)
 		}
 		j.ctr.Purged += uint64(len(purged))
 		if len(purged) > 0 && s.blooms != nil {
@@ -167,16 +165,12 @@ func (j *JoinOp) pairValid(a, b *stream.Composite) bool {
 // every retired entry, since retirement implies MinTS + window <= now <=
 // input.TS), and pairValid inside joinPair admits exactly the pairs REF
 // formed. Sequences at or below the park-time cursor are covered by the live
-// probe or the pending list, so the walk starts after it; like the live
-// probe, a keyed input visits only its own hash bucket plus the unhashable
-// entries.
+// probe or the pending list, so the walk starts after it, and it visits only
+// the retired entries sharing the input's equi-key values: the others fail a
+// crossing equi predicate, so REF formed no pair with them.
 func (j *JoinOp) probeGrave(f *probeFrame, o *side, cursor uint64, collect *[]*stream.Composite) {
 	s := j.in[f.port]
-	h, keyed := uint64(0), false
-	if o.grave.Indexed() {
-		h, keyed = s.key.Hash(f.input)
-	}
-	o.grave.Walk(keyed, h, cursor, func(e state.Entry) bool {
+	o.grave.Walk(f.input, cursor, func(e state.Entry) bool {
 		// Outside the window span REF never formed the pair: not recovery
 		// work, so not charged as a catch-up join either.
 		if j.pairValid(f.input, e.C) && !f.done[e.Seq] {
@@ -202,7 +196,7 @@ func (j *JoinOp) probeGrave(f *probeFrame, o *side, cursor uint64, collect *[]*s
 func (j *JoinOp) expireGrave() {
 	for p := operator.Port(0); p < 2; p++ {
 		if g := j.in[p.Opposite()].grave; !g.Empty() {
-			g.Drop(j.inputFloor(j.in[p]), j.window)
+			g.Expire(j.inputFloor(j.in[p]), j.window)
 		}
 	}
 }

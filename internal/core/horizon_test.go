@@ -110,6 +110,81 @@ func TestGraveyardHorizon(t *testing.T) {
 	}
 }
 
+// TestGraveProbeIsKeyed pins the graveyard's keying on a scan-plan operator
+// (no state index): entries retired under several key values, then one late
+// input — a parked tuple's last gasp — that shares the key of some. Its probe
+// charges a catch-up join for each retired entry of its own key, not for
+// every retired entry (which it did while the graveyard was unkeyed without
+// -indexed), and delivers what REF delivers on the same stream in order.
+func TestGraveProbeIsKeyed(t *testing.T) {
+	const w = 100
+	vals := []stream.Value{7, 8, 7, 9, 7, 8}
+	for _, stored := range []operator.Port{operator.Left, operator.Right} {
+		t.Run(fmt.Sprintf("stored=%v", stored), func(t *testing.T) {
+			parked := stored.Opposite()
+			run := func(m core.Mode, late bool) (*core.JoinOp, []string) {
+				x := core.NewJoin(core.Config{
+					Name: "X", NumSources: 2, Window: w, Mode: m,
+					Preds:       predicate.Conj{{Left: 0, LCol: 0, Right: 1, RCol: 0}},
+					Account:     &metrics.Account{},
+					NextMNS:     func() uint64 { return 1 },
+					LeftSources: stream.SourceSet(0).Add(0), RightSources: stream.SourceSet(0).Add(1),
+				})
+				x.SetExact(true)
+				out := &collector{}
+				x.SetConsumer(out, operator.Left)
+				tuple := func(id uint64, p operator.Port, ts stream.Time, v stream.Value) *stream.Composite {
+					return stream.NewComposite(2, &stream.Tuple{ID: id, Source: stream.SourceID(p), TS: ts, Vals: []stream.Value{v}})
+				}
+				for i, v := range vals {
+					x.Consume(tuple(uint64(i+1), stored, stream.Time(i), v), stored)
+				}
+				if late {
+					// Value 7 on the parked side is undemanded: p is parked
+					// unprobed, the stored entries retire at MinTS+w, and p's
+					// last gasp at its own window close probes the graveyard.
+					x.Feedback(feedback.Message{Cmd: feedback.Suspend, MNS: []*feedback.MNS{{
+						ID: 9, Sources: stream.SourceSet(0).Add(stream.SourceID(parked)),
+						Sig:    feedback.Signature{{Attr: predicate.Attr{Source: stream.SourceID(parked)}, Val: 7}},
+						Expiry: 10 * w,
+					}}})
+				}
+				x.Consume(tuple(100, parked, w-1, 7), parked)
+				if late {
+					x.Sweep(w + stream.Time(len(vals)))
+					if x.GraveLen(stored) != len(vals) || len(out.got) != 0 {
+						t.Fatalf("before the last gasp: %d retired, %d results", x.GraveLen(stored), len(out.got))
+					}
+					x.Sweep(2*w - 1)
+				}
+				var keys []string
+				for _, r := range out.got {
+					keys = append(keys, r.Key())
+				}
+				return x, keys
+			}
+			ref, want := run(core.REF(), false)
+			x, got := run(core.JIT(), true)
+			same := uint64(0) // retired entries sharing p's key; all pair with p
+			for _, v := range vals {
+				if v == 7 {
+					same++
+				}
+			}
+			if x.Counters().CatchUpJoins != same {
+				t.Errorf("the late input charged %d catch-up joins for %d retired entries of its key (%d retired)",
+					x.Counters().CatchUpJoins, same, len(vals))
+			}
+			if uint64(len(want)) != same || fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("late probe delivered %v, REF %v", got, want)
+			}
+			if ref.Counters().CatchUpJoins != 0 {
+				t.Errorf("REF charged %d catch-up joins", ref.Counters().CatchUpJoins)
+			}
+		})
+	}
+}
+
 // TestJITStateWindowBounded drives one exact JIT plan through tens of windows
 // and compares what it holds late in the run with what it held a third of
 // the way in: accounted live bytes, both graveyards of every operator, every

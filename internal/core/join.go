@@ -83,14 +83,14 @@ type side struct {
 	// inputs that were already past their window when probed (probeInsert's
 	// tail), retained because a late recovery emission (an upstream
 	// resumption's catch-up result) may still form pairs REF formed live with
-	// them. It is a second window store on the side's key and sequence space,
-	// filled by Reinsert in expiry order, charged to the plan account, and
-	// emptied by expireGrave of what no deferred result can reach any more.
-	// Only inputs with TS < now probe it — an in-order arrival fails
-	// pairValid against every retired entry by construction. Empty outside
-	// exact mode and in modes without feedback (REF), where no input is ever
-	// late.
-	grave *state.State
+	// them. It is keyed on the operator's crossing equi-key on every plan,
+	// indexed or not, so a late input walks only its own key's run; filled by
+	// Retire, charged to the plan account, and emptied by expireGrave of what
+	// no deferred result can reach any more. Only inputs with TS < now probe
+	// it — an in-order arrival fails pairValid against every retired entry by
+	// construction. Empty outside exact mode and in modes without feedback
+	// (REF), where no input is ever late.
+	grave *state.Grave
 	// lat and seen are Identify_MNS's scratch (identifyMNS), reused from one
 	// detecting input to the next: the CNS lattice over atoms (nil until the
 	// first detection, and for good under level1Only) and the partners whose
@@ -177,7 +177,10 @@ func NewJoin(cfg Config) *JoinOp {
 		panic(fmt.Sprintf("core: join %q has misaligned keys (%d vs %d columns)",
 			cfg.Name, len(cfg.LeftKey), len(cfg.RightKey)))
 	}
-	mk := func(port operator.Port, srcs stream.SourceSet, prod operator.Producer, other stream.SourceSet, key []predicate.Attr) *side {
+	// The graveyards are keyed whether or not the states are: a late input
+	// probes only its own key's run (DESIGN.md §4).
+	lg, rg, _ := cfg.Preds.EquiKeyCols(cfg.LeftSources, cfg.RightSources)
+	mk := func(port operator.Port, srcs stream.SourceSet, prod operator.Producer, other stream.SourceSet, key, grave, probe []predicate.Attr) *side {
 		s := &side{
 			port:    port,
 			sources: srcs,
@@ -187,11 +190,9 @@ func NewJoin(cfg Config) *JoinOp {
 			black:   feedback.NewBlacklist(cfg.Account),
 			buf:     feedback.NewBuffer(cfg.Account),
 			key:     state.Key(key),
-			grave:   state.New(fmt.Sprintf("G_%s.%s", cfg.Name, port), cfg.Account),
+			grave:   state.NewGrave(grave, probe, cfg.Account),
 		}
 		s.st.SetKey(s.key)
-		s.grave.SetKey(s.key)
-		s.grave.ChargeAs(metrics.MemGraveyard)
 		s.atoms = cfg.Preds.SourcesLinkedTo(srcs, other)
 		for _, src := range s.atoms {
 			preds := cfg.Preds.TouchingAcross(src, other)
@@ -206,8 +207,8 @@ func NewJoin(cfg Config) *JoinOp {
 		}
 		return s
 	}
-	j.in[operator.Left] = mk(operator.Left, cfg.LeftSources, cfg.LeftProd, cfg.RightSources, cfg.LeftKey)
-	j.in[operator.Right] = mk(operator.Right, cfg.RightSources, cfg.RightProd, cfg.LeftSources, cfg.RightKey)
+	j.in[operator.Left] = mk(operator.Left, cfg.LeftSources, cfg.LeftProd, cfg.RightSources, cfg.LeftKey, lg, rg)
+	j.in[operator.Right] = mk(operator.Right, cfg.RightSources, cfg.RightProd, cfg.LeftSources, cfg.RightKey, rg, lg)
 	return j
 }
 
@@ -412,7 +413,7 @@ func (j *JoinOp) probeInsert(a activation, s, o *side) {
 	// later recovery emission on the opposite side still find it.
 	se := state.Entry{C: a.c, Seq: a.seq}
 	if a.ephemeral {
-		s.grave.Reinsert(se)
+		s.grave.Retire(se)
 		return
 	}
 	// A suspension received mid-probe parks the input now that its probe is
@@ -611,9 +612,9 @@ func (j *JoinOp) probePending(f *probeFrame, o *side, pending []state.Entry, col
 		// Finally the graveyard (empty outside exact mode): the partner may
 		// have been retired from the state while this tuple was parked;
 		// pairValid inside joinPair decides whether REF formed the pair.
-		if e, ok := o.grave.BySeq(seq); ok {
+		if o.grave.Retains(p) {
 			j.ctr.CatchUpJoins++
-			j.joinPair(f, s, e, collect, false)
+			j.joinPair(f, s, p, collect, false)
 		}
 	}
 }

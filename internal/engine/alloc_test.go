@@ -81,16 +81,18 @@ func TestJITAllocBudget(t *testing.T) {
 // find the same Ω more cheaply, never a different Ω. What finding it costs,
 // predicates evaluated plus lattice nodes visited per arrival, is bounded a
 // few percent above the figure measured when the bound was last set —
-// 13 526.1 at PR 24 (Identify_MNS by value), against 16 015.8 at PR 23
-// (signature matches by lookup), 23 190.9 at PR 22 (demand-driven
-// Identify_MNS) and 65 238.2 before that — and printed, so the next
-// detection PR tightens the bound from the log. The two leaf
-// operators detect nothing: what they compare is the producer side of the
-// protocol — diversion, Type I suspension, and the Type II mark machinery,
-// every signature attribute of which is charged (core's
-// TestSignatureMatchesAreCharged) — plus their own probes. It was 41.9 M
-// comparisons while each signature was tested against every origin and every
-// stored tuple, and is 1 303 907 with both found by value.
+// 12 858.7 since a late input probes only its own key's run of the
+// graveyard (which cut catch-up joins from 3 606 456 to 58 358), against
+// 13 526.1 with Identify_MNS by value, 16 015.8 with signature matches by
+// lookup, 23 190.9 with demand-driven Identify_MNS and 65 238.2 before
+// that — and printed, so the next detection PR tightens the bound from the
+// log. The two leaf operators detect nothing: what they compare is the
+// producer side of the protocol — diversion, Type I suspension, and the
+// Type II mark machinery, every signature attribute of which is charged
+// (core's TestSignatureMatchesAreCharged) — plus their own probes. It was
+// 41.9 M comparisons while each signature was tested against every origin
+// and every stored tuple, 1 303 907 with both found by value, and is
+// 1 302 479 with the graveyard keyed.
 //
 // The last cell is the same stream's first five minutes over hash-indexed
 // states, where the probe is a bucket walk and detection is all the root
@@ -99,7 +101,7 @@ func TestJITAllocBudget(t *testing.T) {
 func TestJITDetectionBudget(t *testing.T) {
 	const (
 		arrivals     = 5663
-		maxDetection = 13950
+		maxDetection = 13240
 		maxLeafCmp   = 1350000
 
 		indexedArrivals   = 2959
@@ -114,7 +116,7 @@ func TestJITDetectionBudget(t *testing.T) {
 	}{
 		{"mns", c.MNSDetected, 47492}, {"fb", c.Feedbacks, 48962},
 		{"susp", c.Suspended, 1253}, {"res", c.Resumed, 1253},
-		{"catchup", c.CatchUpJoins, 3606456}, {"suppressed", c.SuppressedPairs, 49035},
+		{"catchup", c.CatchUpJoins, 58358}, {"suppressed", c.SuppressedPairs, 49035},
 		{"results", c.Results, 51458}, {"ins", c.Inserted, 56738}, {"purge", c.Purged, 55930},
 	} {
 		if pin.got != pin.want {

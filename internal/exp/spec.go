@@ -64,28 +64,25 @@ func Specs() []Spec {
 		{ID: 16, Name: "fig16", Title: "Overhead vs number of sources N (left-deep)",
 			XLabel: "N", Xs: []float64{3, 4, 5, 6}, LeftDeep: true, Apply: setN,
 			// The short preset keeps the two mid-grid points at a scaling
-			// tuned for them: the N sweep's extremes invert JIT-vs-REF in
-			// this reproduction even at paper-faithful sizes, so no shrink
-			// can make them match — see RESULTS.md and the ROADMAP's
-			// short-preset item. ×0.48 windows with ×0.40 domains keeps
-			// N=4/5 faithful (JIT below REF, REF rising) and cheap.
+			// tuned for them: ×0.48 windows with ×0.40 domains keeps N=4/5
+			// faithful (JIT below REF, REF rising) and cheap. The figure
+			// harness runs the paper's drop-at-expiry semantics, where the
+			// sweep's extremes do not invert JIT-vs-REF either: at this
+			// scaling JIT costs 0.47× REF at N=3 and 0.64× at N=6 (0.49× and
+			// 0.72× on the full preset).
 			//
-			// Root cause, measured (TestLeftDeepInversionStudy,
-			// internal/scenario): suspension never pays for itself on this
-			// workload — the probes it suppresses save less than resumption
-			// catch-up joins add back, so JIT's BASE join work exceeds REF's
-			// (1.05× at N=3, 1.17× at N=6 uniform; ~25k suspensions against
-			// ~23k MNS detections is detection thrash, not savings). It is no
-			// longer detection cost: until PR 22 the machinery share was
-			// 80–98% Identify_MNS lattice walks; demand-driven detection cut
-			// that share 4–5× and left the lattice 0.01 (N=3) and 0.08 (N=6)
-			// of it, the rest being 80–90% catch-up joins — which moved the
-			// extremes from 3.72× and 5.99× REF to 2.03× and 4.28×, signature
-			// matches by lookup (PR 23) moved N=6 on to 1.69×, and detection
-			// by value (PR 24) both to 1.48× and 1.60× — not below it. Zipf
-			// skew flattens the N=3 ratio (1.48 uniform → 1.03 at s=2.0) by
-			// collapsing detections (31,854 → 2,980) and amortizing machinery
-			// over a hotter base — not by turning the payback positive.
+			// Drained — exact delivery, every result REF builds —
+			// TestLeftDeepInversionStudy (internal/scenario) decomposes the
+			// extremes: suspension pays at both (JIT's base join work 0.70×
+			// REF's at N=3, 0.90× at N=6), and at N=3 it repays the
+			// machinery, mostly resumption catch-up joins, three times over
+			// (JIT 0.79× REF). N=6, where ~25k suspensions answer ~23k
+			// detected MNSs, repays 58% of it and stays at 1.07× REF. Until
+			// late inputs probed only their own key in the exact-mode
+			// graveyard, every late input was charged a catch-up join per
+			// retired entry and both extremes ran above REF (1.48×, 1.56×).
+			// Zipf skew erodes the N=3 payback by collapsing detections
+			// (31,854 → 2,980 MNSs at s=2.0): JIT/REF rises to 1.02.
 			ShortXs: []float64{4, 5}, ShortSizeScale: 0.48, ShortDomainScale: 0.40},
 		{ID: 17, Name: "fig17", Title: "Overhead vs max data value dmax (left-deep)",
 			XLabel: "dmax", Xs: []float64{30, 40, 50, 60, 70}, LeftDeep: true, Apply: setDMax},

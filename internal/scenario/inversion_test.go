@@ -22,44 +22,31 @@ func machineryUnits(c metrics.Counters) int64 {
 		c.Suspended*4 + c.Resumed*4 + c.CatchUpJoins + c.AdaptUnits)
 }
 
-// TestLeftDeepInversionStudy root-causes the Figure 16 inversion: in this
-// reproduction the left-deep N-sweep's extremes (N=3, N=6) run JIT above
-// REF even at paper-faithful sizes. The study isolates the cause by
-// decomposing CostUnits into the base share (work every mode pays) and
-// the machinery share (work only JIT pays), across a skew sweep at N=3
-// that scales the suspension-payback side: Zipf skew concentrates
-// arrivals on hot signatures, so each detected MNS covers more of the
-// future stream.
+// TestLeftDeepInversionStudy measures the Figure 16 extremes (N=3, N=6,
+// left-deep) drained — exact delivery, where JIT must build every result REF
+// builds — by decomposing CostUnits into the base share (work every mode
+// pays) and the machinery share (work only JIT pays), across a skew sweep at
+// N=3 that scales the suspension-payback side: Zipf skew concentrates
+// arrivals on hot signatures, so each detected MNS covers more of the future
+// stream.
 //
-// Measured verdict (pinned below; recorded in the fig16 spec comment and
-// the ROADMAP): the inversion is suspension economics, not a modeling bug
-// and, since Identify_MNS became demand-driven (PR 22), not detection cost
-// either. (a) The lattice is no longer where the machinery share goes: it
-// was 0.79–0.98 of it in every cell while Observe visited every node for
-// every partner, and is 0.01 at N=3 and 0.08 over N=6's five-level pipeline
-// now. What is left at the uniform extremes is 80–90% resumption catch-up
-// joins (feedback messages are under a tenth), and the machinery share as a
-// whole shrank 4–5× (15.7 M → 3.2 M units at N=3, 27.1 M → 6.2 M at N=6).
-// Only under skew does the lattice still show — 0.23 at s=1.5, 0.42 at
-// s=2.0, where hot values make partial matches common and kills frequent —
-// and there of a machinery share 14× and 25× smaller than it was. (b) The
-// payback is not merely insufficient, it is NEGATIVE: suppressed probes
-// save less base work than resumption catch-up adds back (catch-up
-// results still have to be constructed and propagated), so JIT's base
-// share exceeds REF's in every cell — 1.05× at N=3 uniform and 1.17× at
-// N=6 uniform, where 25k suspensions thrash against 23k detected MNSs
-// (3.85× at N=6 until PR 23: two thirds of that base was the Type II mark
-// machinery testing every signature against every origin and stored tuple,
-// which are lookups now; 1.60× and 1.25× until PR 24, while a detecting
-// probe evaluated atoms past the first failure to learn every partner's
-// mask). This, with the catch-up joins, is what keeps JIT above REF at the
-// extremes (JIT/REF 1.48 at N=3 and 1.60 at N=6, from 3.72 and 5.99 before
-// PR 22, 4.28 at N=6 before PR 23, and 2.03 and 1.69 before PR 24). (c) Skew
-// flattens the ratio at N=3 (1.48 uniform → 1.03 at s=2.0) but NOT by
-// making suspension pay: payback stays negative while detections collapse
-// (31854 → 2980 MNSs) and the hotter stream inflates the base share both
-// modes pay — the machinery is amortized, never repaid. The paper's
-// N=4/5 mid-grid sits in exactly that amortized regime.
+// Measured verdict (pinned below; recorded in the fig16 spec comment): (a)
+// At the uniform extremes the machinery share is mostly resumption catch-up
+// joins (0.53 at N=3, 0.61 at N=6) and little lattice (0.05, 0.19); only
+// under skew, where hot values make partial matches common, does the lattice
+// lead (0.57 at s=1.5, 0.71 at s=2.0). (b) Suspension pays: JIT's base share
+// is below REF's at both uniform extremes (0.70× at N=3, 0.90× at N=6). At
+// N=3 the payback (2.19 M units) repays the machinery (0.65 M) three times
+// over and JIT runs at 0.79× REF; at N=6, where 25 k suspensions answer 23 k
+// detected MNSs, it repays 58 % of it (1.47 M of 2.54 M) and JIT runs at
+// 1.07× REF — the one inversion left, and a machinery one. Until late inputs
+// probed only their own key in the graveyard, every late input on these
+// scan plans was charged a catch-up join for every retired entry: the
+// payback was negative at N=3 (−0.36 M) and JIT ran at 1.48× and 1.56× REF.
+// (c) Skew no longer flattens the N=3 ratio; it erodes the payback. Hot
+// values collapse detections (31 854 → 7 250 → 2 980 MNSs at s=0, 1.5, 2.0),
+// so less is suspended and the payback shrinks (2.19 M → 0.21 M → −0.07 M):
+// JIT/REF rises from 0.79 to 1.01 and 1.02.
 func TestLeftDeepInversionStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("inversion study runs the full fig16 extremes; skipped in -short")
@@ -125,30 +112,33 @@ func TestLeftDeepInversionStudy(t *testing.T) {
 			v.n, v.zipf, v.jitOverRef, float64(jitBase)/float64(refBase), v.saved, v.mach, v.latticeShare, v.catchUpShare,
 			float64(jc.Feedbacks*16)/float64(jitMach), jc.Suspended, jc.MNSDetected)
 	}
-	for _, v := range out {
-		// (a) At the uniform extremes the machinery is resumption catch-up,
-		// not Identify_MNS lattice walks.
-		if v.zipf == 0 && (v.latticeShare >= 0.25 || v.catchUpShare < 0.5) {
-			t.Errorf("N=%.0f uniform: lattice share %.2f, catch-up share %.2f — the machinery is no longer catch-up-dominated; update the fig16 spec comment",
-				v.n, v.latticeShare, v.catchUpShare)
-		}
-		// (b) At the uniform extremes, suspension never repays detection:
-		// the inversion premise behind fig16's ShortXs subset.
-		if v.zipf == 0 && v.saved >= v.mach {
-			t.Errorf("N=%.0f uniform: payback %d >= machinery %d — the fig16 inversion premise no longer holds; update the spec comment",
-				v.n, v.saved, v.mach)
-		}
-	}
-	// (c) Skew flattens the N=3 ratio by amortizing the machinery over a
-	// hotter base workload.
 	n3 := map[float64]verdict{}
 	for _, v := range out {
 		if v.n == 3 {
 			n3[v.zipf] = v
 		}
+		if v.zipf != 0 {
+			continue
+		}
+		// (a) At the uniform extremes the machinery is resumption catch-up,
+		// not Identify_MNS lattice walks.
+		if v.latticeShare >= 0.25 || v.catchUpShare < 0.5 {
+			t.Errorf("N=%.0f uniform: lattice share %.2f, catch-up share %.2f — the machinery is no longer catch-up-dominated; update the fig16 spec comment",
+				v.n, v.latticeShare, v.catchUpShare)
+		}
+		// (b) At the uniform extremes suspension saves base work; at N=3 the
+		// saving repays the machinery, at N=6 it does not.
+		if v.saved <= 0 {
+			t.Errorf("N=%.0f uniform: payback %d — suspension no longer saves base work; update the fig16 spec comment", v.n, v.saved)
+		}
+		if repaid := v.saved > v.mach; repaid != (v.n == 3) || repaid != (v.jitOverRef < 1) {
+			t.Errorf("N=%.0f uniform: payback %d against machinery %d, JIT/REF %.3f — the verdict (JIT below REF at N=3, above at N=6) moved; update the fig16 spec comment",
+				v.n, v.saved, v.mach, v.jitOverRef)
+		}
 	}
-	if n3[2.0].jitOverRef >= n3[0].jitOverRef {
-		t.Errorf("N=3: skew did not flatten JIT/REF (%.3f at zipf=2 vs %.3f uniform) — amortization verdict refuted; update the spec comment",
-			n3[2.0].jitOverRef, n3[0].jitOverRef)
+	// (c) Skew erodes the N=3 payback and with it JIT's lead.
+	if !(n3[0].saved > n3[1.5].saved && n3[1.5].saved > n3[2.0].saved) || n3[2.0].jitOverRef <= n3[0].jitOverRef {
+		t.Errorf("N=3: payback %d, %d, %d and JIT/REF %.3f, %.3f, %.3f at zipf=0, 1.5, 2 — skew no longer erodes the payback; update the fig16 spec comment",
+			n3[0].saved, n3[1.5].saved, n3[2.0].saved, n3[0].jitOverRef, n3[1.5].jitOverRef, n3[2.0].jitOverRef)
 	}
 }

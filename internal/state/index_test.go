@@ -121,8 +121,8 @@ func TestIndexMaintenanceOnRemovePurgeReinsert(t *testing.T) {
 // key value, the indexed walk must visit exactly the entries a linear scan
 // would match, in the same order — from cursor 0 (the live probe) and from
 // a mid-store cursor after out-of-sequence reinsertion (the access pattern
-// of core's exact-mode graveyard, which retires in expiry order and probes
-// from a park-time cursor).
+// of a resumption, which reinserts tuples in the order their blacklist
+// entries release them and probes from a park-time cursor).
 func TestIndexMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	st, side := New("S", &metrics.Account{}), &Side{}

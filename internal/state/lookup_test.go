@@ -115,16 +115,11 @@ func (h *lookupHarness) step(op, a, b byte) {
 		}
 	case 4:
 		h.now += stream.Time(a % 16)
-		if a%2 == 0 {
-			purged := h.st.Purge(h.now, lookupWindow)
-			before := len(h.live)
-			h.expire()
-			if len(purged) != before-len(h.live) {
-				h.t.Fatalf("Purge returned %d entries, the model expired %d", len(purged), before-len(h.live))
-			}
-		} else {
-			h.st.Drop(h.now, lookupWindow)
-			h.expire()
+		purged := h.st.Purge(h.now, lookupWindow)
+		before := len(h.live)
+		h.expire()
+		if len(purged) != before-len(h.live) {
+			h.t.Fatalf("Purge returned %d entries, the model expired %d", len(purged), before-len(h.live))
 		}
 	case 5: // RemoveIf by value, of the matches with the chosen id parity
 		shape := int(a) % len(lookupShapes)
@@ -276,7 +271,7 @@ func runLookup(t *testing.T, keyed bool, data []byte) {
 }
 
 // TestLookupMatchesScan is the by-value index's property test: under random
-// in-order and out-of-order Reinsert, Purge, Drop, RemoveIf and walks whose
+// in-order and out-of-order Reinsert, Purge, RemoveIf and walks whose
 // visitor mutates the state, WalkCarrying yields — once the caller has
 // verified its candidates — exactly the entries a linear scan selects, in
 // ascending sequence order, for indexes built before and after the entries

@@ -28,6 +28,10 @@
 // finds the stored tuples carrying its values there instead of testing the
 // signature against every entry.
 //
+// A Grave is the other window store: exact mode's retired entries, in one
+// slice sorted by (key hash, Seq), keyed on the crossing equi-key whether or
+// not the live State is (DESIGN.md §4).
+//
 // Band predicates (predicate.Eq.Tol > 0, DESIGN.md §8) never enter a key:
 // hash equality would wrongly reject within-band pairs. A mixed conjunction
 // keys on its exact-equi subset — the index then over-approximates the
@@ -76,7 +80,9 @@ func FoldValue(h uint64, v stream.Value) uint64 {
 // Hash folds the composite's values at the key columns into a 64-bit FNV-1a
 // hash. ok is false when the composite lacks one of the key sources; such
 // composites cannot be keyed and take the linear fallback paths (a stored
-// one goes to the loose list, a probing one falls back to a full scan).
+// one goes to the loose list, a probing one falls back to a full scan). A
+// Grave, which only ever holds and is probed by whole port composites,
+// refuses them.
 func (k Key) Hash(c *stream.Composite) (h uint64, ok bool) {
 	h = FNVOffset
 	for _, a := range k {
@@ -104,8 +110,8 @@ type Bound struct {
 }
 
 // Side is the shared sequence space for one input side of a join: entries of
-// the active State, of the blacklist and of the graveyard on that side all
-// carry numbers drawn from the same counter (by core, before the probe), so
+// the active State, of the blacklist and of the Grave on that side all carry
+// numbers drawn from the same counter (by core, before the probe), so
 // cursors are totally ordered across the three.
 type Side struct {
 	seq uint64
@@ -170,9 +176,8 @@ func (c *MinCache) Get(each func(add func(stream.Time))) (min stream.Time, ok bo
 type State struct {
 	name    string
 	acct    *metrics.Account
-	mem     metrics.Mem // the ledger row entries are charged to (ChargeAs)
-	entries []Entry     // arrival order == ascending Seq
-	version uint64      // incremented on every mutation; an unkeyed Walk re-finds its place when it moves
+	entries []Entry // arrival order == ascending Seq
+	version uint64  // incremented on every mutation; an unkeyed Walk re-finds its place when it moves
 	// indexes are the hash indexes over the entries, every one kept current
 	// by indexInsert / indexRemove. With keyed set, indexes[0] is the equi-join
 	// key's (SetKey), the one probes walk. The rest were built by lookup, one
@@ -190,16 +195,6 @@ type State struct {
 // which may be shared with the blacklists on the same join side.
 func New(name string, acct *metrics.Account) *State {
 	return &State{name: name, acct: acct}
-}
-
-// ChargeAs sets the memory-ledger row the state's entries are charged to:
-// metrics.MemState unless set. It must be called before any entry is
-// inserted.
-func (s *State) ChargeAs(m metrics.Mem) {
-	if len(s.entries) > 0 {
-		panic(fmt.Sprintf("state: ChargeAs on non-empty state %s", s.name))
-	}
-	s.mem = m
 }
 
 // SetKey configures the hash index over the given key columns. It must be
@@ -238,14 +233,12 @@ func (s *State) MinTS() (stream.Time, bool) {
 
 // Reinsert places an entry with a pre-drawn sequence number into the state,
 // preserving ascending-seq order. Used for fresh inputs (whose sequence is
-// drawn at probe start, before insertion), for tuples reactivated out of a
-// blacklist (which keep their original sequence for life), and for entries
-// retired to core's exact-mode graveyard, which arrive in expiry order
-// rather than sequence order (DESIGN.md §4).
+// drawn at probe start, before insertion) and for tuples reactivated out of
+// a blacklist (which keep their original sequence for life).
 func (s *State) Reinsert(e Entry) {
 	s.version++
 	s.min.Add(e.C.MinTS)
-	s.acct.Alloc(s.mem, e.C.DeepSizeBytes())
+	s.acct.Alloc(metrics.MemState, e.C.DeepSizeBytes())
 	s.entries = insertBySeq(s.entries, e)
 	s.indexInsert(e)
 }
@@ -377,8 +370,8 @@ func (s *State) probeNext(h uint64, after uint64) (Entry, bool) {
 
 // Walk visits, in ascending sequence order, the entries with sequence
 // strictly greater than after, until visit returns false: every entry, or —
-// keyed — only the equi-key bucket for key hash h and the loose overflow. It is the one probe
-// loop of core's live and graveyard probes, and tolerates visit mutating the
+// keyed — only the equi-key bucket for key hash h and the loose overflow. It
+// is the probe loop of core's live probes, and tolerates visit mutating the
 // state re-entrantly (suspension feedback triggered by an emitted result):
 // the walk then resumes after the last sequence visited.
 func (s *State) Walk(keyed bool, h, after uint64, visit func(Entry) bool) {
@@ -410,39 +403,22 @@ func (s *State) BySeq(seq uint64) (Entry, bool) {
 // Purge removes and returns the entries whose oldest component has expired:
 // MinTS + w <= now. It runs on every arrival, so the cached minimum spares
 // the scan when nothing is due.
+//
+// Entries are in arrival order but MinTS is not monotone in general (a
+// composite's MinTS can predate its arrival), so expiry filters rather than
+// truncates a prefix, preserving order among both kept and removed entries.
 func (s *State) Purge(now, window stream.Time) []Entry {
-	return s.purge(now, window, true)
-}
-
-// Drop is Purge for a caller that wants the expired entries gone and has no
-// use for them (the graveyard's retention sweep): nothing is collected.
-func (s *State) Drop(now, window stream.Time) {
-	s.purge(now, window, false)
-}
-
-func (s *State) purge(now, window stream.Time, collect bool) []Entry {
 	if ts, ok := s.MinTS(); !ok || ts+window > now {
 		return nil
 	}
-	return s.extract(now-window, collect)
-}
-
-// extract is the filter loop behind window expiry: it removes every entry
-// whose MinTS is at or below expired, preserving order among both kept and
-// removed entries, and returns the removed ones when collect is set. Entries
-// are in arrival order but MinTS is not monotone in general (a composite's
-// MinTS can predate its arrival), so expiry filters rather than truncates a
-// prefix.
-func (s *State) extract(expired stream.Time, collect bool) []Entry {
+	expired := now - window
 	var removed []Entry
 	kept := s.entries[:0]
 	var min stream.Time
 	for _, e := range s.entries {
 		if e.C.MinTS <= expired {
-			if collect {
-				removed = append(removed, e)
-			}
-			s.acct.Free(s.mem, e.C.DeepSizeBytes())
+			removed = append(removed, e)
+			s.acct.Free(metrics.MemState, e.C.DeepSizeBytes())
 			s.indexRemove(e)
 			continue
 		}
@@ -513,7 +489,7 @@ func (s *State) RemoveIf(sig []Bound, pred func(*stream.Composite) bool) []Entry
 	for _, e := range removed {
 		s.version++
 		s.min.Remove(1)
-		s.acct.Free(s.mem, e.C.DeepSizeBytes())
+		s.acct.Free(metrics.MemState, e.C.DeepSizeBytes())
 		s.entries = removeSeq(s.entries, e.Seq)
 		s.indexRemove(e)
 	}
