@@ -96,13 +96,14 @@ func (j *JoinOp) purge() {
 	drop := fb && !retire
 	for p := 0; p < 2; p++ {
 		s := j.in[p]
-		purged := s.st.Purge(j.now, j.window)
+		var gone func(state.Entry)
 		if retire {
-			s.grave.Retire(purged...)
+			gone = s.grave.Reinsert
 		}
-		j.ctr.Purged += uint64(len(purged))
-		if len(purged) > 0 && s.blooms != nil {
-			j.bloomNoteDeletes(s, len(purged))
+		n := s.st.Purge(j.now, j.window, gone)
+		j.ctr.Purged += uint64(n)
+		if n > 0 && s.blooms != nil {
+			j.bloomNoteDeletes(s, n)
 		}
 		if drop {
 			j.ctr.Purged += uint64(len(s.black.TakeExpiredTuples(j.now, j.window)))
@@ -170,7 +171,7 @@ func (j *JoinOp) pairValid(a, b *stream.Composite) bool {
 // crossing equi predicate, so REF formed no pair with them.
 func (j *JoinOp) probeGrave(f *probeFrame, o *side, cursor uint64, collect *[]*stream.Composite) {
 	s := j.in[f.port]
-	o.grave.Walk(f.input, cursor, func(e state.Entry) bool {
+	o.grave.Walk(s.equi.Hash(f.input), cursor, func(e state.Entry) bool {
 		// Outside the window span REF never formed the pair: not recovery
 		// work, so not charged as a catch-up join either.
 		if j.pairValid(f.input, e.C) && !f.done[e.Seq] {
@@ -196,7 +197,7 @@ func (j *JoinOp) probeGrave(f *probeFrame, o *side, cursor uint64, collect *[]*s
 func (j *JoinOp) expireGrave() {
 	for p := operator.Port(0); p < 2; p++ {
 		if g := j.in[p.Opposite()].grave; !g.Empty() {
-			g.Expire(j.inputFloor(j.in[p]), j.window)
+			g.Purge(j.inputFloor(j.in[p]), j.window, nil)
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/operator"
+import (
+	"repro/internal/operator"
+	"repro/internal/state"
+	"repro/internal/stream"
+)
 
 // GraveEmpty reports whether neither side of the operator retains a retired
 // entry.
@@ -16,4 +20,11 @@ func (j *JoinOp) GraveLen(p operator.Port) int { return j.in[p].grave.Len() }
 // small enough to test reaches on its own.
 func (j *JoinOp) ForceLevel1() {
 	j.in[0].level1Only, j.in[1].level1Only = true, true
+}
+
+// Stores returns one side's live state and graveyard, and the sources every
+// composite the side's port receives carries.
+func (j *JoinOp) Stores(p operator.Port) (live, grave *state.State, srcs stream.SourceSet) {
+	s := j.in[p]
+	return s.st, s.grave, s.sources
 }

@@ -33,9 +33,9 @@ type Config struct {
 	// LeftKey / RightKey are the aligned equi-key columns of the crossing
 	// predicates (predicate.Conj.EquiKeyCols): position i of LeftKey and
 	// RightKey are the two endpoints of the same predicate. When set, each
-	// side's state maintains a hash index on its key and probes walk only
-	// the matching bucket (DESIGN.md §3). Nil disables indexing (probes
-	// scan linearly, as the seed implementation always did).
+	// side's state files its entries under its key and probes walk only the
+	// matching run (DESIGN.md §3). Nil disables indexing (probes scan
+	// linearly, as the seed implementation always did).
 	LeftKey  []predicate.Attr
 	RightKey []predicate.Attr
 	// LeftProd / RightProd are the upstream producers; nil when the input
@@ -54,10 +54,14 @@ type side struct {
 	black   *feedback.Blacklist
 	buf     *feedback.Buffer // MNSs detected on THIS side's inputs
 	// key holds THIS side's half of the aligned equi-key columns: the state
-	// st is indexed on it, and inputs arriving here hash their values at it
-	// to probe the opposite state's index. Nil when indexing is disabled or
-	// no predicate crosses the join.
+	// st is filed under it, and inputs arriving here hash their values at it
+	// to probe the opposite state. Nil when indexing is disabled or no
+	// predicate crosses the join.
 	key state.Key
+	// equi is THIS side's half of the crossing equi-key whether or not the
+	// plan indexes states: the graveyard is filed under it, and inputs
+	// arriving here hash their values at it to probe the opposite graveyard.
+	equi state.Key
 	// Lattice atoms for inputs arriving on this side: the input's
 	// components that participate in predicates crossing to the opposite
 	// side, with the per-atom predicate lists.
@@ -83,14 +87,14 @@ type side struct {
 	// inputs that were already past their window when probed (probeInsert's
 	// tail), retained because a late recovery emission (an upstream
 	// resumption's catch-up result) may still form pairs REF formed live with
-	// them. It is keyed on the operator's crossing equi-key on every plan,
-	// indexed or not, so a late input walks only its own key's run; filled by
-	// Retire, charged to the plan account, and emptied by expireGrave of what
+	// them. It is a State filed under equi on every plan, indexed or not, so
+	// a late input walks only its own key's run; filled by Reinsert, charged
+	// to the plan account's graveyard row, and emptied by expireGrave of what
 	// no deferred result can reach any more. Only inputs with TS < now probe
 	// it — an in-order arrival fails pairValid against every retired entry by
 	// construction. Empty outside exact mode and in modes without feedback
 	// (REF), where no input is ever late.
-	grave *state.Grave
+	grave *state.State
 	// lat and seen are Identify_MNS's scratch (identifyMNS), reused from one
 	// detecting input to the next: the CNS lattice over atoms (nil until the
 	// first detection, and for good under level1Only) and the partners whose
@@ -180,19 +184,22 @@ func NewJoin(cfg Config) *JoinOp {
 	// The graveyards are keyed whether or not the states are: a late input
 	// probes only its own key's run (DESIGN.md §4).
 	lg, rg, _ := cfg.Preds.EquiKeyCols(cfg.LeftSources, cfg.RightSources)
-	mk := func(port operator.Port, srcs stream.SourceSet, prod operator.Producer, other stream.SourceSet, key, grave, probe []predicate.Attr) *side {
+	mk := func(port operator.Port, srcs stream.SourceSet, prod operator.Producer, other stream.SourceSet, key, equi []predicate.Attr) *side {
+		name := fmt.Sprintf("S_%s.%s", cfg.Name, port)
 		s := &side{
 			port:    port,
 			sources: srcs,
 			prod:    prod,
 			seq:     &state.Side{},
-			st:      state.New(fmt.Sprintf("S_%s.%s", cfg.Name, port), cfg.Account),
+			st:      state.New(name, metrics.MemState, cfg.Account),
 			black:   feedback.NewBlacklist(cfg.Account),
 			buf:     feedback.NewBuffer(cfg.Account),
 			key:     state.Key(key),
-			grave:   state.NewGrave(grave, probe, cfg.Account),
+			equi:    state.Key(equi),
+			grave:   state.New(name+".grave", metrics.MemGraveyard, cfg.Account),
 		}
 		s.st.SetKey(s.key)
+		s.grave.SetKey(s.equi)
 		s.atoms = cfg.Preds.SourcesLinkedTo(srcs, other)
 		for _, src := range s.atoms {
 			preds := cfg.Preds.TouchingAcross(src, other)
@@ -207,8 +214,8 @@ func NewJoin(cfg Config) *JoinOp {
 		}
 		return s
 	}
-	j.in[operator.Left] = mk(operator.Left, cfg.LeftSources, cfg.LeftProd, cfg.RightSources, cfg.LeftKey, lg, rg)
-	j.in[operator.Right] = mk(operator.Right, cfg.RightSources, cfg.RightProd, cfg.LeftSources, cfg.RightKey, rg, lg)
+	j.in[operator.Left] = mk(operator.Left, cfg.LeftSources, cfg.LeftProd, cfg.RightSources, cfg.LeftKey, lg)
+	j.in[operator.Right] = mk(operator.Right, cfg.RightSources, cfg.RightProd, cfg.LeftSources, cfg.RightKey, rg)
 	return j
 }
 
@@ -413,7 +420,7 @@ func (j *JoinOp) probeInsert(a activation, s, o *side) {
 	// later recovery emission on the opposite side still find it.
 	se := state.Entry{C: a.c, Seq: a.seq}
 	if a.ephemeral {
-		s.grave.Retire(se)
+		s.grave.Reinsert(se)
 		return
 	}
 	// A suspension received mid-probe parks the input now that its probe is
@@ -467,29 +474,24 @@ func (j *JoinOp) park(s *side, e *feedback.Entry, t feedback.Suspended) {
 // sequence order, evaluating the crossing predicates pair by pair — REF's
 // probe, whether or not Identify_MNS follows it.
 //
-// When the opposite state is hash-indexed and the input's key columns are
-// all present, the probe walks only the bucket matching the input's key
-// hash (plus unkeyable loose entries) — the indexed fast path of DESIGN.md
-// §3. Skipped entries differ from the input on some equi column, so they can
-// neither produce results nor change the frame's cursor claims (a pair that
-// fails its equi predicates needs no exactly-once bookkeeping: there is
-// nothing to generate); hash collisions are rejected by the predicate
-// evaluation inside joinPair.
+// The probe walks only the opposite entries filed under the input's key
+// hash — the indexed fast path of DESIGN.md §3; over a state with no key,
+// that is every entry. Skipped entries differ from the input on some equi
+// column, so they can neither produce results nor change the frame's cursor
+// claims (a pair that fails its equi predicates needs no exactly-once
+// bookkeeping: there is nothing to generate); hash collisions are rejected
+// by the predicate evaluation inside joinPair.
 //
-// Either walk is resilient to re-entrant state mutations (suspension
-// feedback triggered by emitted results): state.Walk resumes after the last
-// sequence visited.
+// The walk is resilient to re-entrant state mutations (suspension feedback
+// triggered by emitted results): state.Walk resumes after the last sequence
+// visited.
 func (j *JoinOp) probeState(f *probeFrame, s, o *side, collect *[]*stream.Composite, fresh bool) {
 	j.ctr.Probes++
 	if j.trace != nil {
 		// Explicit guard: the scan-bound argument costs a state read.
 		j.trace.Probe(j.name, o.st.Len(), f.seq)
 	}
-	h, keyed := uint64(0), false
-	if len(s.key) > 0 && o.st.Indexed() {
-		h, keyed = s.key.Hash(f.input)
-	}
-	o.st.Walk(keyed, h, f.lastPartner, func(e state.Entry) bool {
+	o.st.Walk(s.key.Hash(f.input), f.lastPartner, func(e state.Entry) bool {
 		f.lastPartner = e.Seq
 		// f.done lists pairs generated during this tuple's suspension; the
 		// nil test spares fresh inputs a map call per partner.
@@ -587,20 +589,19 @@ func (j *JoinOp) suppressProbed(f *probeFrame, e state.Entry, id uint64) {
 func (j *JoinOp) probePending(f *probeFrame, o *side, pending []state.Entry, collect *[]*stream.Composite) {
 	s := j.in[f.port]
 	for _, p := range pending {
-		seq := p.Seq
-		if f.done[seq] {
+		if f.done[p.Seq] {
 			continue
 		}
 		// Look in the active state first.
-		if e, ok := o.st.BySeq(seq); ok {
-			if !j.stale(e.C) {
+		if o.st.Holds(p) {
+			if !j.stale(p.C) {
 				j.ctr.CatchUpJoins++
-				j.joinPair(f, s, e, collect, false)
+				j.joinPair(f, s, p, collect, false)
 			}
 			continue
 		}
 		// Then in the blacklists.
-		if susp := o.black.BySeq(seq); susp != nil {
+		if susp := o.black.BySeq(p.Seq); susp != nil {
 			if !susp.IsDone(f.seq) && !j.stale(susp.E.C) {
 				j.ctr.CatchUpJoins++
 				if j.joinPair(f, s, susp.E, collect, false) {
@@ -612,7 +613,7 @@ func (j *JoinOp) probePending(f *probeFrame, o *side, pending []state.Entry, col
 		// Finally the graveyard (empty outside exact mode): the partner may
 		// have been retired from the state while this tuple was parked;
 		// pairValid inside joinPair decides whether REF formed the pair.
-		if o.grave.Retains(p) {
+		if o.grave.Holds(p) {
 			j.ctr.CatchUpJoins++
 			j.joinPair(f, s, p, collect, false)
 		}

@@ -128,6 +128,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("serve: ingest buffer cannot be negative (%d)", c.MaxPending)
 	case c.Retain < 0:
 		return fmt.Errorf("serve: delivery ring size cannot be negative (%d)", c.Retain)
+	case c.Policy != SubBlock && c.Policy != SubKick:
+		return fmt.Errorf("serve: unknown subscriber policy %d", int(c.Policy))
 	}
 	return nil
 }

@@ -603,6 +603,7 @@ func TestConfigValidate(t *testing.T) {
 		{"negative keep", func(c *Config) { c.Dir, c.Keep = "d", -3 }, "retention cannot be negative"},
 		{"negative max pending", func(c *Config) { c.MaxPending = -1 }, "ingest buffer cannot be negative"},
 		{"negative retain", func(c *Config) { c.Retain = -1 }, "ring size cannot be negative"},
+		{"unknown subscriber policy", func(c *Config) { c.Policy = SubKick + 1 }, "unknown subscriber policy"},
 	} {
 		c := ok
 		tc.mut(&c)

@@ -15,87 +15,73 @@ func kcomp(id uint64, ts stream.Time, val stream.Value) *stream.Composite {
 	return stream.NewComposite(2, &stream.Tuple{ID: id, Source: 0, TS: ts, Vals: []stream.Value{val}})
 }
 
-// otherComp builds a composite from source 1 — it lacks the key source and
-// must land in the loose overflow.
-func otherComp(id uint64, ts stream.Time) *stream.Composite {
-	return stream.NewComposite(2, &stream.Tuple{ID: id, Source: 1, TS: ts, Vals: []stream.Value{0}})
-}
-
 func key0() Key { return Key{{Source: 0, Col: 0}} }
 
-// probeAll drains probeNext from cursor 0 and returns the visited seqs.
+// probeAll walks the run for key hash h from cursor 0 and returns the
+// visited seqs.
 func probeAll(st *State, h uint64) []uint64 { return probeFrom(st, h, 0) }
 
-// probeFrom drains probeNext from the given cursor.
+// probeFrom walks the run for key hash h from the given cursor.
 func probeFrom(st *State, h uint64, after uint64) []uint64 {
 	var seqs []uint64
-	for {
-		e, ok := st.probeNext(h, after)
-		if !ok {
-			return seqs
-		}
-		seqs = append(seqs, e.Seq)
-		after = e.Seq
-	}
+	st.Walk(h, after, func(e Entry) bool { seqs = append(seqs, e.Seq); return true })
+	return seqs
 }
 
 func TestKeyHash(t *testing.T) {
 	k := key0()
-	a := kcomp(1, 0, 7)
-	b := kcomp(2, 0, 7)
-	c := kcomp(3, 0, 8)
-	ha, ok := k.Hash(a)
-	if !ok {
-		t.Fatal("hash of keyed composite failed")
-	}
-	hb, _ := k.Hash(b)
-	hc, _ := k.Hash(c)
+	ha, hb, hc := k.Hash(kcomp(1, 0, 7)), k.Hash(kcomp(2, 0, 7)), k.Hash(kcomp(3, 0, 8))
 	if ha != hb {
 		t.Fatal("equal key values must hash equal")
 	}
 	if ha == hc {
 		t.Fatal("distinct key values should hash apart (FNV over distinct int64s)")
 	}
-	if _, ok := k.Hash(otherComp(4, 0)); ok {
-		t.Fatal("hash must fail when the key source is absent")
+	if h := Key(nil).Hash(kcomp(4, 0, 7)); h != FNVOffset {
+		t.Fatalf("the empty key hashed a composite to %d, not FNVOffset", h)
 	}
 }
 
+// TestKeyHashRefusesPartialComposite pins the refusal: no composite lacking
+// a key source reaches a State, and one that did would have no run to be
+// filed in or probe.
+func TestKeyHashRefusesPartialComposite(t *testing.T) {
+	partial := stream.NewComposite(2, &stream.Tuple{ID: 1, Source: 1, Vals: []stream.Value{0}})
+	defer func() {
+		if got, want := recover(), "state: composite {1} lacks a key source"; got != want {
+			t.Fatalf("Hash of a composite lacking the key source panicked with %v, want %q", got, want)
+		}
+	}()
+	key0().Hash(partial)
+}
+
 func TestIndexedProbeVisitsBucketInSeqOrder(t *testing.T) {
-	st, side := New("S", &metrics.Account{}), &Side{}
+	st, side := New("S", metrics.MemState, &metrics.Account{}), &Side{}
 	st.SetKey(key0())
 	if !st.Indexed() {
 		t.Fatal("SetKey did not enable the index")
 	}
-	// Interleave two key values plus a loose entry.
+	// Interleave two key values.
 	e1 := put(st, side, kcomp(1, 1, 7))
 	put(st, side, kcomp(2, 2, 9))
-	loose := put(st, side, otherComp(3, 3))
+	e3 := put(st, side, kcomp(3, 3, 7))
 	e4 := put(st, side, kcomp(4, 4, 7))
-	h, _ := key0().Hash(kcomp(99, 0, 7))
-	got := probeAll(st, h)
-	// Bucket for 7 plus the loose entry, ascending seq.
-	want := []uint64{e1.Seq, loose.Seq, e4.Seq}
-	if len(got) != len(want) {
+	h := key0().Hash(kcomp(99, 0, 7))
+	if got, want := probeAll(st, h), []uint64{e1.Seq, e3.Seq, e4.Seq}; !slices.Equal(got, want) {
 		t.Fatalf("probe visited %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("probe visited %v, want %v", got, want)
-		}
-	}
 	// Cursor filtering: start after e1.
-	if e, ok := st.probeNext(h, e1.Seq); !ok || e.Seq != loose.Seq {
-		t.Fatalf("probeNext after cursor wrong: %v %v", e, ok)
+	if got, want := probeFrom(st, h, e1.Seq), []uint64{e3.Seq, e4.Seq}; !slices.Equal(got, want) {
+		t.Fatalf("probe after cursor visited %v, want %v", got, want)
 	}
 }
 
 func TestIndexMaintenanceOnRemovePurgeReinsert(t *testing.T) {
-	st, side := New("S", &metrics.Account{}), &Side{}
+	st, side := New("S", metrics.MemState, &metrics.Account{}), &Side{}
 	st.SetKey(key0())
 	a := put(st, side, kcomp(1, 10, 7))
 	b := put(st, side, kcomp(2, 20, 7))
-	h, _ := key0().Hash(a.C)
+	h := key0().Hash(a.C)
 
 	// Remove a, probe must only see b.
 	if _, ok := take(st, a.C); !ok {
@@ -109,23 +95,23 @@ func TestIndexMaintenanceOnRemovePurgeReinsert(t *testing.T) {
 	if got := probeAll(st, h); len(got) != 2 || got[0] != a.Seq || got[1] != b.Seq {
 		t.Fatalf("after reinsert: %v", got)
 	}
-	// Purge everything: the bucket must drain with the state.
-	st.Purge(10000, 1)
+	// Purge everything: the run must drain with the state.
+	st.Purge(10000, 1, nil)
 	if got := probeAll(st, h); len(got) != 0 {
 		t.Fatalf("ghost entries after purge: %v", got)
 	}
 }
 
-// TestIndexMatchesScan cross-checks probeNext against a filtered linear walk
+// TestIndexMatchesScan cross-checks the keyed Walk against a filtered scan
 // under randomized insert / remove / purge / reinsert traffic: for every
-// key value, the indexed walk must visit exactly the entries a linear scan
-// would match, in the same order — from cursor 0 (the live probe) and from
-// a mid-store cursor after out-of-sequence reinsertion (the access pattern
-// of a resumption, which reinserts tuples in the order their blacklist
-// entries release them and probes from a park-time cursor).
+// key value, the walk must visit exactly the entries a scan would match, in
+// ascending sequence — from cursor 0 (the live probe) and from a mid-store
+// cursor after out-of-sequence reinsertion (the access pattern of a
+// resumption, which reinserts tuples in the order their blacklist entries
+// release them and probes from a park-time cursor).
 func TestIndexMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	st, side := New("S", &metrics.Account{}), &Side{}
+	st, side := New("S", metrics.MemState, &metrics.Account{}), &Side{}
 	st.SetKey(key0())
 	now := stream.Time(0)
 	var parked []Entry
@@ -133,17 +119,12 @@ func TestIndexMatchesScan(t *testing.T) {
 		switch rng.Intn(5) {
 		case 0, 1:
 			now += stream.Time(rng.Intn(3))
-			if rng.Intn(10) == 0 {
-				put(st, side, otherComp(uint64(i), now))
-			} else {
-				put(st, side, kcomp(uint64(i), now, stream.Value(rng.Intn(5)+1)))
-			}
+			put(st, side, kcomp(uint64(i), now, stream.Value(rng.Intn(5)+1)))
 		case 2:
-			st.Purge(now, 40)
+			st.Purge(now, 40, nil)
 		case 3:
 			removed := st.RemoveIf(nil, func(c *stream.Composite) bool {
-				t := c.Comp(0)
-				return t != nil && t.Vals[0] == stream.Value(rng.Intn(5)+1) && rng.Intn(3) == 0
+				return c.Comp(0).Vals[0] == stream.Value(rng.Intn(5)+1) && rng.Intn(3) == 0
 			})
 			parked = append(parked, removed...)
 		case 4:
@@ -163,42 +144,26 @@ func TestIndexMatchesScan(t *testing.T) {
 			continue
 		}
 		for v := stream.Value(1); v <= 5; v++ {
-			probe := kcomp(0, 0, v)
-			h, _ := key0().Hash(probe)
-			got := probeAll(st, h)
+			h := key0().Hash(kcomp(0, 0, v))
 			var want []uint64
 			st.Scan(func(e Entry) bool {
-				c := e.C.Comp(0)
-				if c == nil || c.Vals[0] == v {
+				if e.C.Comp(0).Vals[0] == v {
 					want = append(want, e.Seq)
 				}
 				return true
 			})
-			if len(got) < len(want) {
-				t.Fatalf("step %d v=%d: indexed walk missed entries: got %v want %v", i, v, got, want)
-			}
-			// got may contain hash collisions (superset), but must contain
-			// want as a subsequence in order; with 5 values collisions are
-			// effectively impossible, so demand equality.
-			for k := range want {
-				if got[k] != want[k] {
-					t.Fatalf("step %d v=%d: order diverged: got %v want %v", i, v, got, want)
-				}
+			slices.Sort(want)
+			// With 5 values collisions are effectively impossible, so the
+			// walk must equal the scan's selection.
+			if got := probeAll(st, h); !slices.Equal(got, want) {
+				t.Fatalf("step %d v=%d: keyed walk visited %v, a scan selects %v", i, v, got, want)
 			}
 			if len(want) == 0 {
 				continue
 			}
-			cursor := want[rng.Intn(len(want))]
-			var tail, keyed []uint64
-			st.Walk(false, 0, cursor, func(e Entry) bool {
-				if c := e.C.Comp(0); c == nil || c.Vals[0] == v {
-					tail = append(tail, e.Seq)
-				}
-				return true
-			})
-			st.Walk(true, h, cursor, func(e Entry) bool { keyed = append(keyed, e.Seq); return true })
-			if from := probeFrom(st, h, cursor); !slices.Equal(from, tail) || !slices.Equal(keyed, tail) {
-				t.Fatalf("step %d v=%d cursor %d: probeNext %v, keyed Walk %v, want %v", i, v, cursor, from, keyed, tail)
+			k := rng.Intn(len(want))
+			if got := probeFrom(st, h, want[k]); !slices.Equal(got, want[k+1:]) {
+				t.Fatalf("step %d v=%d cursor %d: keyed walk visited %v, want %v", i, v, want[k], got, want[k+1:])
 			}
 		}
 		if ts, ok := st.MinTS(); ok {
@@ -217,7 +182,7 @@ func TestIndexMatchesScan(t *testing.T) {
 }
 
 func TestSetKeyGuards(t *testing.T) {
-	st := New("S", &metrics.Account{})
+	st := New("S", metrics.MemState, &metrics.Account{})
 	put(st, &Side{}, kcomp(1, 1, 1))
 	defer func() {
 		if recover() == nil {
@@ -228,19 +193,19 @@ func TestSetKeyGuards(t *testing.T) {
 }
 
 func TestSetKeyEmptyLeavesScanOnly(t *testing.T) {
-	st, side := New("S", &metrics.Account{}), &Side{}
+	st, side := New("S", metrics.MemState, &metrics.Account{}), &Side{}
 	st.SetKey(nil)
 	if st.Indexed() {
 		t.Fatal("nil key must leave the state scan-only")
 	}
-	// Scan-only means no bucket and no loose list: a keyed walk finds nothing
-	// where the linear one finds the entry.
+	// Scan-only means one run under the empty key's hash: a walk by a value
+	// hash finds nothing where the walk of the run finds every entry.
 	e := put(st, side, kcomp(1, 1, 7))
-	h, _ := key0().Hash(e.C)
-	if got := probeAll(st, h); len(got) != 0 {
+	f := put(st, side, kcomp(2, 2, 8))
+	if got := probeAll(st, key0().Hash(e.C)); len(got) != 0 {
 		t.Fatalf("scan-only state answered a keyed probe: %v", got)
 	}
-	if got := seqsAfter(st, 0); !slices.Equal(got, []uint64{e.Seq}) {
+	if got := seqsAfter(st, 0); !slices.Equal(got, []uint64{e.Seq, f.Seq}) {
 		t.Fatalf("linear walk visited %v", got)
 	}
 }

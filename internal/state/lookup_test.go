@@ -12,11 +12,10 @@ import (
 )
 
 // carries is the linear rule a lookup replaces (feedback.Signature.MatchedBy):
-// c covers every constrained source and agrees on every value.
+// c agrees on every constrained value.
 func carries(c *stream.Composite, sig []Bound) bool {
 	for _, b := range sig {
-		t := c.Comp(b.Attr.Source)
-		if t == nil || t.Vals[b.Attr.Col] != b.Val {
+		if c.Comp(b.Attr.Source).Vals[b.Attr.Col] != b.Val {
 			return false
 		}
 	}
@@ -24,8 +23,8 @@ func carries(c *stream.Composite, sig []Bound) bool {
 }
 
 // lookupShapes are the attribute sets the harness looks up by: one column,
-// another, both, one column of each source (which single-source composites
-// lack: the loose list) and none (every entry carries it).
+// another, both, one column of each source and none (every entry carries
+// it).
 var lookupShapes = [][]predicate.Attr{
 	{{Source: 0, Col: 0}},
 	{{Source: 0, Col: 1}},
@@ -47,8 +46,8 @@ type lookupHarness struct {
 	now    stream.Time
 	nextID uint64
 	// looked marks the shapes some operation has looked up by: only those
-	// have an index, so the rest are first verified against entries that
-	// were stored before their index existed.
+	// have a run, so the rest are first verified against entries that
+	// were stored before their run existed.
 	looked [5]bool
 }
 
@@ -64,24 +63,16 @@ func sigOf(shape int, bits byte) []Bound {
 	return sig
 }
 
-// fresh builds a composite of source 0, of source 1, or of both, with values
-// chosen by bits, and draws its sequence number.
+// fresh builds a composite of both sources, the whole composite every entry
+// of a wired operator's state is, with values chosen by kind and bits, and
+// draws its sequence number.
 func (h *lookupHarness) fresh(kind, bits byte) Entry {
 	h.nextID++
-	tup := func(src stream.SourceID) *stream.Composite {
+	tup := func(src stream.SourceID, bits byte) *stream.Composite {
 		v0, v1 := stream.Value(bits%lookupDomain), stream.Value(bits/lookupDomain%lookupDomain)
 		return stream.NewComposite(2, &stream.Tuple{ID: h.nextID, Source: src, TS: h.now, Vals: []stream.Value{v0, v1}})
 	}
-	var c *stream.Composite
-	switch kind % 8 {
-	case 0:
-		c = tup(1)
-	case 1:
-		c = stream.Join(tup(0), tup(1))
-	default:
-		c = tup(0)
-	}
-	return Entry{C: c, Seq: h.side.Next()}
+	return Entry{C: stream.Join(tup(0, bits), tup(1, kind)), Seq: h.side.Next()}
 }
 
 func (h *lookupHarness) store(e Entry) {
@@ -115,11 +106,11 @@ func (h *lookupHarness) step(op, a, b byte) {
 		}
 	case 4:
 		h.now += stream.Time(a % 16)
-		purged := h.st.Purge(h.now, lookupWindow)
+		purged := h.st.Purge(h.now, lookupWindow, nil)
 		before := len(h.live)
 		h.expire()
-		if len(purged) != before-len(h.live) {
-			h.t.Fatalf("Purge returned %d entries, the model expired %d", len(purged), before-len(h.live))
+		if purged != before-len(h.live) {
+			h.t.Fatalf("Purge removed %d entries, the model expired %d", purged, before-len(h.live))
 		}
 	case 5: // RemoveIf by value, of the matches with the chosen id parity
 		shape := int(a) % len(lookupShapes)
@@ -163,7 +154,7 @@ func (h *lookupHarness) step(op, a, b byte) {
 			}
 			last = e.Seq
 			if !carries(e.C, sig) {
-				return true // a candidate only: it lacks a source, or collides
+				return true // a candidate only: a hash collision
 			}
 			if want, ok := next(lastMatch); !ok || want != e.Seq {
 				h.t.Fatalf("walk by %v visited seq %d after %d, the model has %d (%v) next", sig, e.Seq, lastMatch, want, ok)
@@ -220,12 +211,11 @@ func (h *lookupHarness) check(all bool) {
 		for bits := 0; bits < combos; bits++ {
 			sig := sigOf(shape, byte(bits))
 			var want, got []uint64
-			h.st.Scan(func(e Entry) bool {
+			for _, e := range h.live {
 				if carries(e.C, sig) {
 					want = append(want, e.Seq)
 				}
-				return true
-			})
+			}
 			last := uint64(0)
 			h.st.WalkCarrying(sig, func(e Entry) bool {
 				if e.Seq <= last {
@@ -238,7 +228,7 @@ func (h *lookupHarness) check(all bool) {
 				return true
 			})
 			if !slices.Equal(got, want) {
-				h.t.Fatalf("walk by %v found %v, a linear scan selects %v", sig, got, want)
+				h.t.Fatalf("walk by %v found %v, a linear scan of the model selects %v", sig, got, want)
 			}
 		}
 	}
@@ -249,7 +239,7 @@ func (h *lookupHarness) check(all bool) {
 // equi-join key on the first shape's column, which then serves that shape's
 // lookups as it is.
 func runLookup(t *testing.T, keyed bool, data []byte) {
-	h := &lookupHarness{t: t, st: New("S", &metrics.Account{})}
+	h := &lookupHarness{t: t, st: New("S", metrics.MemState, &metrics.Account{})}
 	if keyed {
 		h.st.SetKey(Key(lookupShapes[0]))
 	}
@@ -258,14 +248,14 @@ func runLookup(t *testing.T, keyed bool, data []byte) {
 		h.check(false)
 	}
 	h.check(true)
-	if keyed && len(h.st.indexes) > len(lookupShapes) {
-		t.Fatalf("%d indexes for %d shapes: the equi-join key must serve its own columns", len(h.st.indexes), len(lookupShapes))
+	if keyed && len(h.st.runs) > len(lookupShapes) {
+		t.Fatalf("%d runs for %d shapes: the equi-join key must serve its own columns", len(h.st.runs), len(lookupShapes))
 	}
-	// Everything leaves: the indexes drain with the state.
-	h.st.Purge(h.now+lookupWindow, lookupWindow)
-	for _, x := range h.st.indexes {
-		if len(x.buckets) != 0 || len(x.loose) != 0 {
-			t.Fatalf("index on %v holds %d buckets and %d loose entries of an empty state", x.key, len(x.buckets), len(x.loose))
+	// Everything leaves: the lookup runs drain with the state.
+	h.st.Purge(h.now+lookupWindow, lookupWindow, nil)
+	for _, r := range h.st.runs {
+		if len(r.ents) != 0 {
+			t.Fatalf("run on %v holds %d entries of an empty state", r.key, len(r.ents))
 		}
 	}
 }
@@ -274,8 +264,8 @@ func runLookup(t *testing.T, keyed bool, data []byte) {
 // in-order and out-of-order Reinsert, Purge, RemoveIf and walks whose
 // visitor mutates the state, WalkCarrying yields — once the caller has
 // verified its candidates — exactly the entries a linear scan selects, in
-// ascending sequence order, for indexes built before and after the entries
-// they cover and for composites lacking a looked-up source.
+// ascending sequence order, for runs filed before and after the entries
+// they cover.
 func TestLookupMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	rounds, steps := 40, 400

@@ -30,17 +30,18 @@ func take(st *State, c *stream.Composite) (Entry, bool) {
 	return removed[0], true
 }
 
-// seqsAfter lists, via an unkeyed Walk, the sequences strictly after the cursor.
+// seqsAfter lists, via a Walk of an unkeyed state's one run, the sequences
+// strictly after the cursor.
 func seqsAfter(st *State, after uint64) []uint64 {
 	var seqs []uint64
-	st.Walk(false, 0, after, func(e Entry) bool { seqs = append(seqs, e.Seq); return true })
+	st.Walk(FNVOffset, after, func(e Entry) bool { seqs = append(seqs, e.Seq); return true })
 	return seqs
 }
 
 func TestInsertPurge(t *testing.T) {
 	acct := &metrics.Account{}
 	side := &Side{}
-	st := New("S", acct)
+	st := New("S", metrics.MemState, acct)
 	for i := 1; i <= 5; i++ {
 		put(st, side, comp(uint64(i), stream.Time(i*100)))
 	}
@@ -48,12 +49,13 @@ func TestInsertPurge(t *testing.T) {
 		t.Fatalf("len=%d live=%d", st.Len(), acct.Live())
 	}
 	// window 250: at now=500, tuples with ts <= 250 expire (ts+w <= now).
-	purged := st.Purge(500, 250)
-	if len(purged) != 2 || st.Len() != 3 {
-		t.Fatalf("purged=%d len=%d", len(purged), st.Len())
+	var gone []uint64
+	purged := st.Purge(500, 250, func(e Entry) { gone = append(gone, e.Seq) })
+	if purged != 2 || st.Len() != 3 || !slices.Equal(gone, []uint64{1, 2}) {
+		t.Fatalf("purged=%d (%v) len=%d", purged, gone, st.Len())
 	}
 	// Accounting balances when everything is purged.
-	st.Purge(10000, 1)
+	st.Purge(10000, 1, nil)
 	if acct.Live() != 0 {
 		t.Fatalf("leaked %d bytes", acct.Live())
 	}
@@ -62,7 +64,7 @@ func TestInsertPurge(t *testing.T) {
 func TestSequenceStability(t *testing.T) {
 	acct := &metrics.Account{}
 	side := &Side{}
-	st := New("S", acct)
+	st := New("S", metrics.MemState, acct)
 	e1 := put(st, side, comp(1, 10))
 	e2 := put(st, side, comp(2, 20))
 	if e1.Seq >= e2.Seq {
@@ -86,22 +88,24 @@ func TestSequenceStability(t *testing.T) {
 
 func TestScanAfterAndIndexAfter(t *testing.T) {
 	acct := &metrics.Account{}
-	st, side := New("S", acct), &Side{}
+	st, side := New("S", metrics.MemState, acct), &Side{}
 	var seqs []uint64
 	for i := 1; i <= 10; i++ {
 		e := put(st, side, comp(uint64(i), stream.Time(i)))
 		seqs = append(seqs, e.Seq)
 	}
 	// A walk from a cursor visits exactly the entries past it: five after the
-	// fifth, all from 0, none after the last; BySeq finds each by number.
+	// fifth, all from 0, none after the last; Holds finds each by number.
 	if !slices.Equal(seqsAfter(st, seqs[4]), seqs[5:]) || !slices.Equal(seqsAfter(st, 0), seqs) || len(seqsAfter(st, seqs[9])) != 0 {
 		t.Fatal("Walk from a cursor wrong")
 	}
-	if e, ok := st.BySeq(seqs[4]); !ok || e.C.Comp(0).ID != 5 {
-		t.Fatalf("BySeq(%d) = %v, %v", seqs[4], e, ok)
+	var fifth Entry
+	st.Scan(func(e Entry) bool { fifth = e; return e.Seq != seqs[4] })
+	if !st.Holds(fifth) || fifth.C.Comp(0).ID != 5 {
+		t.Fatalf("Holds(%v) = false", fifth)
 	}
-	if _, ok := st.BySeq(seqs[9] + 1); ok {
-		t.Fatal("BySeq found a sequence never stored")
+	if st.Holds(Entry{C: fifth.C, Seq: seqs[9] + 1}) {
+		t.Fatal("Holds found a sequence never stored")
 	}
 	// Early stop.
 	n := 0
@@ -113,7 +117,7 @@ func TestScanAfterAndIndexAfter(t *testing.T) {
 
 func TestRemoveIfAndVersion(t *testing.T) {
 	acct := &metrics.Account{}
-	st, side := New("S", acct), &Side{}
+	st, side := New("S", metrics.MemState, acct), &Side{}
 	for i := 1; i <= 6; i++ {
 		put(st, side, comp(uint64(i), stream.Time(i)))
 	}
@@ -122,7 +126,7 @@ func TestRemoveIfAndVersion(t *testing.T) {
 	// the survivors past 1 instead of indexing into the shrunk slice.
 	var removed []Entry
 	var walked []uint64
-	st.Walk(false, 0, 0, func(e Entry) bool {
+	st.Walk(FNVOffset, 0, func(e Entry) bool {
 		walked = append(walked, e.Seq)
 		if e.Seq == 1 {
 			removed = st.RemoveIf(nil, func(c *stream.Composite) bool { return c.Comp(0).ID%2 == 0 })
@@ -148,7 +152,7 @@ func TestRemoveIfAndVersion(t *testing.T) {
 func TestRandomizedAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	acct := &metrics.Account{}
-	st, side := New("S", acct), &Side{}
+	st, side := New("S", metrics.MemState, acct), &Side{}
 	live := map[*stream.Composite]bool{}
 	now := stream.Time(0)
 	for i := 0; i < 2000; i++ {
@@ -159,7 +163,7 @@ func TestRandomizedAccounting(t *testing.T) {
 			put(st, side, c)
 			live[c] = true
 		case 1:
-			st.Purge(now, 50)
+			st.Purge(now, 50, nil)
 		case 2:
 			for c := range live {
 				take(st, c)
@@ -168,7 +172,7 @@ func TestRandomizedAccounting(t *testing.T) {
 			}
 		}
 	}
-	st.Purge(now+10000, 1)
+	st.Purge(now+10000, 1, nil)
 	if acct.Live() != 0 {
 		t.Fatalf("accounting drifted: %d bytes live", acct.Live())
 	}
