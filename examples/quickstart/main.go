@@ -48,7 +48,7 @@ func main() {
 			Window: 5 * stream.Minute, Mode: mode.m, KeepResults: true,
 		})
 		// Drain is on so that if the trace ended while a partial result was
-		// still suspended, the timer heap would deliver or expire it before
+		// still suspended, the drain's timers would deliver or expire it before
 		// the run reports — end-of-stream behaviour matches an unbounded run.
 		res := engine.NewWithOptions(b, engine.Options{Drain: true}).Run(trace)
 		fmt.Printf("%s: %d final results, %d composites built, %d comparisons, peak %.1f KB\n",

@@ -43,7 +43,7 @@ func main() {
 			mode.name, r.Results, r.CostUnits, r.WallTime, r.PeakMemKB,
 			r.Counters.Suspended, r.Counters.Resumed)
 	}
-	// With Drain the timer heap keeps firing after the detectors go quiet:
+	// With Drain the operators' timers keep firing after the detectors go quiet:
 	// vehicles whose completion was suspended near the end of the run are
 	// still reported, so JIT delivers exactly REF's matches — at the price
 	// of generating every deferred pair (DESIGN.md §4, cost stance).

@@ -108,7 +108,7 @@ func (j *JoinOp) suspendTypeI(s *side, m *feedback.MNS) {
 	// Mark a matching in-flight probing input on this port for parking: "if
 	// right before handling the feedback, OP was joining a super-tuple t of
 	// s, t is also inserted to BL" (Sec. IV-B). Parking is deferred until
-	// the input's current probe completes (see probeFrame.parkEntry).
+	// the input's current probe completes (see probe.parkEntry).
 	for _, f := range j.frames {
 		if f.parkEntry != nil || f.port != s.port {
 			continue
@@ -254,7 +254,7 @@ func (j *JoinOp) resumeTypeI(s *side, m *feedback.MNS, out *[]*stream.Composite)
 func (j *JoinOp) processUpstream(s *side, ups []*stream.Composite, out *[]*stream.Composite) {
 	for _, u := range ups {
 		if !j.stale(u) {
-			j.enter(activation{c: u, port: s.port, collect: out, ephemeral: j.expired(u)})
+			j.enter(&probe{input: u, port: s.port, collect: out, ephemeral: j.expired(u)})
 		}
 	}
 }
@@ -264,8 +264,8 @@ func (j *JoinOp) processUpstream(s *side, ups []*stream.Composite, out *[]*strea
 // never demanded) and resumed as an ephemeral otherwise.
 func (j *JoinOp) reactivate(s *side, e *feedback.Entry, out *[]*stream.Composite) {
 	s.black.ReleaseTuples(e)
-	for _, susp := range e.Tuples {
-		if !j.stale(susp.E.C) {
+	for i := range e.Tuples {
+		if susp := &e.Tuples[i]; !j.stale(susp.E.C) {
 			j.resume(s, susp, out)
 		}
 	}
@@ -277,21 +277,11 @@ func (j *JoinOp) reactivate(s *side, e *feedback.Entry, out *[]*stream.Composite
 // closed meanwhile, as an ephemeral into the graveyard, like a state entry
 // purged at window close: a later recovery emission on the opposite side may
 // still form a REF-valid pair with it (probeGrave).
-func (j *JoinOp) resume(s *side, susp feedback.Suspended, out *[]*stream.Composite) {
+func (j *JoinOp) resume(s *side, susp *feedback.Suspended, out *[]*stream.Composite) {
 	j.ctr.Resumed++
 	j.trace.Resume(j.name, 1)
-	j.activate(activation{
-		c:         susp.E.C,
-		port:      s.port,
-		seq:       susp.E.Seq,
-		reuse:     true,
-		cursor:    susp.Cursor,
-		scanBlack: true,
-		collect:   out,
-		done:      susp.Done,
-		pending:   susp.Pending,
-		ephemeral: j.expired(susp.E.C),
-	})
+	j.activate(&probe{input: susp.E.C, port: s.port, seq: susp.E.Seq, susp: susp, collect: out,
+		ephemeral: j.expired(susp.E.C)})
 }
 
 // resumeTypeII dissolves an origin mark entry and generates the suppressed
@@ -435,7 +425,7 @@ func (j *JoinOp) mnsMatches(m *feedback.MNS, c *stream.Composite) bool {
 // frameOf returns the in-flight probe frame whose input is exactly c, if
 // any — the composite is then not yet inserted into its state and its scan
 // position (lastPartner) determines which pairs it will still produce live.
-func (j *JoinOp) frameOf(c *stream.Composite) *probeFrame {
+func (j *JoinOp) frameOf(c *stream.Composite) *probe {
 	for i := len(j.frames) - 1; i >= 0; i-- {
 		if j.frames[i].input == c {
 			return j.frames[i]
@@ -445,7 +435,7 @@ func (j *JoinOp) frameOf(c *stream.Composite) *probeFrame {
 }
 
 // topFrameOn returns the innermost in-flight probe frame on the given port.
-func (j *JoinOp) topFrameOn(p operator.Port) *probeFrame {
+func (j *JoinOp) topFrameOn(p operator.Port) *probe {
 	for i := len(j.frames) - 1; i >= 0; i-- {
 		if j.frames[i].port == p {
 			return j.frames[i]
@@ -454,6 +444,6 @@ func (j *JoinOp) topFrameOn(p operator.Port) *probeFrame {
 	return nil
 }
 
-func stateEntryOf(f *probeFrame) state.Entry {
+func stateEntryOf(f *probe) state.Entry {
 	return state.Entry{C: f.input, Seq: f.seq}
 }

@@ -139,7 +139,7 @@ func (j *JoinOp) identifyMNS(c *stream.Composite, s, o *side) []uint32 {
 // MNS set Ω of input f.input in the MNS buffer and send a suspension feedback
 // to the producer. Called only when the probe produced no full match
 // (otherwise no node can be alive).
-func (j *JoinOp) reportMNS(f *probeFrame, s, o *side) {
+func (j *JoinOp) reportMNS(f *probe, s, o *side) {
 	mnses := j.omega(f.input, s, o)
 	if len(mnses) == 0 {
 		return

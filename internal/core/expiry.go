@@ -43,13 +43,13 @@ func (j *JoinOp) stale(c *stream.Composite) bool { return !j.exact && j.expired(
 // buffer probe (resumption trigger) first, so an arrival that both satisfies
 // a pending demand and matches a blacklist signature still fires the
 // resumption before activate diverts it (divertCheck).
-func (j *JoinOp) enter(a activation) {
+func (j *JoinOp) enter(f *probe) {
 	if j.exact {
-		a.divertCheck = true
-	} else if j.divert(a.c, a.port, 0) {
+		f.divertCheck = true
+	} else if j.divert(f.input, f.port, 0) {
 		return
 	}
-	j.activate(a)
+	j.activate(f)
 }
 
 // Sweep is called by the engine when the operator's deadline is due (or
@@ -139,10 +139,11 @@ func (j *JoinOp) pendingDeadline() stream.Time {
 func (j *JoinOp) lastGasp() {
 	for p := operator.Port(0); p < 2; p++ {
 		s := j.in[p]
-		for _, susp := range s.black.TakeExpiredTuples(j.now, j.window) {
+		taken := s.black.TakeExpiredTuples(j.now, j.window)
+		for i := range taken {
 			j.ctr.Purged++
 			var out []*stream.Composite
-			j.resume(s, susp, &out)
+			j.resume(s, &taken[i], &out)
 			j.emitAll(out)
 		}
 	}
@@ -164,19 +165,16 @@ func (j *JoinOp) pairValid(a, b *stream.Composite) bool {
 // joined it with live may have expired here in the meantime. Only inputs
 // with TS < now reach this scan (an in-order arrival fails pairValid against
 // every retired entry, since retirement implies MinTS + window <= now <=
-// input.TS), and pairValid inside joinPair admits exactly the pairs REF
-// formed. Sequences at or below the park-time cursor are covered by the live
-// probe or the pending list, so the walk starts after it, and it visits only
-// the retired entries sharing the input's equi-key values: the others fail a
-// crossing equi predicate, so REF formed no pair with them.
-func (j *JoinOp) probeGrave(f *probeFrame, o *side, cursor uint64, collect *[]*stream.Composite) {
+// input.TS), and catchUp admits exactly the pairs REF formed. Sequences at or
+// below the park-time cursor are covered by the live probe or the pending
+// list, so the walk starts after it, and it visits only the retired entries
+// sharing the input's equi-key values: the others fail a crossing equi
+// predicate, so REF formed no pair with them.
+func (j *JoinOp) probeGrave(f *probe, o *side) {
 	s := j.in[f.port]
-	o.grave.Walk(s.equi.Hash(f.input), cursor, func(e state.Entry) bool {
-		// Outside the window span REF never formed the pair: not recovery
-		// work, so not charged as a catch-up join either.
-		if j.pairValid(f.input, e.C) && !f.done[e.Seq] {
-			j.ctr.CatchUpJoins++
-			j.joinPair(f, s, e, collect, false)
+	o.grave.Walk(s.equi.Hash(f.input), f.cursor(), func(e state.Entry) bool {
+		if !f.susp.IsDone(e.Seq) {
+			j.catchUp(f, s, e)
 		}
 		return true
 	})
@@ -197,45 +195,32 @@ func (j *JoinOp) probeGrave(f *probeFrame, o *side, cursor uint64, collect *[]*s
 func (j *JoinOp) expireGrave() {
 	for p := operator.Port(0); p < 2; p++ {
 		if g := j.in[p.Opposite()].grave; !g.Empty() {
-			g.Purge(j.inputFloor(j.in[p]), j.window, nil)
+			g.Purge(inputFloor(j.in[p]), j.window, nil)
 		}
 	}
 }
 
 // inputFloor bounds what can still read the graveyard opposite one input
-// port: the oldest MinTS among the tuples parked on it here and the partners
-// they owe (a resumption's catch-up charge reaches that far back, so the
-// local term stays MinTS-based), and the floor of whatever its producer
-// defers.
-func (j *JoinOp) inputFloor(s *side) stream.Time {
+// port: the oldest TS among the tuples parked on it here, and the floor of
+// whatever its producer defers. Every result still owed through that port
+// contains one of those, so none is older.
+func inputFloor(s *side) stream.Time {
 	f := NoDeadline
-	if ts, ok := s.black.OldestOwed(); ok {
-		f = ts
+	if s.prod != nil {
+		f = s.prod.DeferredFloor()
 	}
-	return min(f, prodFloor(s))
+	if ts, ok := s.black.OldestParkedTS(); ok {
+		f = min(f, ts)
+	}
+	return f
 }
 
-// prodFloor is the producer's DeferredFloor, or NoDeadline on a source-fed
-// side.
-func prodFloor(s *side) stream.Time {
-	if s.prod == nil {
-		return NoDeadline
-	}
-	return s.prod.DeferredFloor()
-}
-
-// DeferredFloor implements operator.Producer: the oldest TS among the tuples
-// parked on either input and the results of the pairs suppressed under this
-// operator's marks, and the floors of both producers. Every result still
-// owed downstream contains one of those, so none is older.
+// DeferredFloor implements operator.Producer: the floors of both input ports
+// and the TS of the results of the pairs suppressed under this operator's
+// marks. Every result still owed downstream contains one of those, so none
+// is older.
 func (j *JoinOp) DeferredFloor() stream.Time {
-	f := NoDeadline
-	for _, s := range j.in {
-		if ts, ok := s.black.OldestParkedTS(); ok {
-			f = min(f, ts)
-		}
-		f = min(f, prodFloor(s))
-	}
+	f := min(inputFloor(j.in[0]), inputFloor(j.in[1]))
 	if ts, ok := j.marks.OldestPendingTS(); ok {
 		f = min(f, ts)
 	}

@@ -35,15 +35,11 @@ func TestGraveyardHorizon(t *testing.T) {
 			t.Run(fmt.Sprintf("stored=%v/indexed=%t", stored, indexed), func(t *testing.T) {
 				parked := stored.Opposite()
 				cfg := core.Config{
-					Name: "X", NumSources: 2, Window: w, Mode: core.JIT(),
+					Name: "X", NumSources: 2, Window: w, Mode: core.JIT(), Indexed: indexed,
 					Preds:       predicate.Conj{{Left: 0, LCol: 0, Right: 1, RCol: 0}},
 					Account:     &metrics.Account{},
 					NextMNS:     func() uint64 { return 1 },
 					LeftSources: stream.SourceSet(0).Add(0), RightSources: stream.SourceSet(0).Add(1),
-				}
-				if indexed {
-					cfg.LeftKey = []predicate.Attr{{Source: 0, Col: 0}}
-					cfg.RightKey = []predicate.Attr{{Source: 1, Col: 0}}
 				}
 				x := core.NewJoin(cfg)
 				x.SetExact(true)

@@ -30,14 +30,10 @@ type Config struct {
 	// LeftSources / RightSources are the source sets of the two inputs.
 	LeftSources  stream.SourceSet
 	RightSources stream.SourceSet
-	// LeftKey / RightKey are the aligned equi-key columns of the crossing
-	// predicates (predicate.Conj.EquiKeyCols): position i of LeftKey and
-	// RightKey are the two endpoints of the same predicate. When set, each
-	// side's state files its entries under its key and probes walk only the
-	// matching run (DESIGN.md §3). Nil disables indexing (probes scan
-	// linearly, as the seed implementation always did).
-	LeftKey  []predicate.Attr
-	RightKey []predicate.Attr
+	// Indexed files each side's state under its half of the crossing
+	// equi-key, so probes walk only the matching run (DESIGN.md §3). Off,
+	// probes scan linearly, as the seed implementation always did.
+	Indexed bool
 	// LeftProd / RightProd are the upstream producers; nil when the input
 	// is a raw source (no feedback possible on that side).
 	LeftProd  operator.Producer
@@ -53,15 +49,13 @@ type side struct {
 	st      *state.State
 	black   *feedback.Blacklist
 	buf     *feedback.Buffer // MNSs detected on THIS side's inputs
-	// key holds THIS side's half of the aligned equi-key columns: the state
-	// st is filed under it, and inputs arriving here hash their values at it
-	// to probe the opposite state. Nil when indexing is disabled or no
-	// predicate crosses the join.
-	key state.Key
-	// equi is THIS side's half of the crossing equi-key whether or not the
-	// plan indexes states: the graveyard is filed under it, and inputs
-	// arriving here hash their values at it to probe the opposite graveyard.
-	equi state.Key
+	// equi is THIS side's half of the crossing equi-key
+	// (predicate.Conj.EquiKeyCols): position i of the two sides' equi are the
+	// two endpoints of the same predicate. The graveyard is filed under it,
+	// and inputs arriving here hash their values at it to probe the opposite
+	// graveyard. key is equi on an indexed operator and nil otherwise: the
+	// state st is filed under it, and inputs probe the opposite state by it.
+	equi, key state.Key
 	// Lattice atoms for inputs arriving on this side: the input's
 	// components that participate in predicates crossing to the opposite
 	// side, with the per-atom predicate lists.
@@ -107,13 +101,40 @@ type side struct {
 	omega []*feedback.MNS
 }
 
-// probeFrame tracks one in-progress probe so that re-entrant suspension
-// feedback can park the probing input mid-scan (Sec. III-B).
-type probeFrame struct {
-	input       *stream.Composite
-	port        operator.Port
-	seq         uint64
+// probe is one input's pass through Process_Input (Fig. 6): a fresh arrival,
+// a demanded partial result returned from upstream, or a resumption
+// (Resume_Production) replaying its parked record. It sits on j.frames while
+// it probes, so that re-entrant suspension feedback can park the input
+// mid-scan (Sec. III-B).
+type probe struct {
+	input *stream.Composite
+	port  operator.Port
+	seq   uint64
+	// susp is the parked record a resumption replays — its cursor, the pairs
+	// generated while it was parked (Done) and those its cursor claims but it
+	// never joined (Pending) — and nil for any other input.
+	susp        *feedback.Suspended
 	lastPartner uint64 // sequence of the last opposite entry processed
+	// collect, when non-nil, receives results instead of downstream emission
+	// (resumption responses, Sec. III-A lines 14-17).
+	collect *[]*stream.Composite
+	// parkEntry, when set by a suspension received mid-probe, defers the
+	// parking of this input until its current probe completes: aborting the
+	// scan would strand pairs behind resumption cycles across operators
+	// (two mutually-suspended partners each waiting for the other's resume
+	// trigger). Completing the probe keeps the cursor claim exact.
+	parkEntry *feedback.Entry
+	// detect runs Identify_MNS after the probe (fresh arrivals only).
+	detect bool
+	// divertCheck runs the blacklist diversion check after the MNS buffer
+	// probe (set by enter in exact mode): a diverted input skips probe and
+	// insertion but demanded upstream results are still processed.
+	divertCheck bool
+	// ephemeral marks an exact-mode recovery of a tuple past its own window:
+	// it probes (generating its deferred pairs) and then rests in the
+	// graveyard, neither parked by a mid-probe suspension nor inserted into
+	// the state (probeInsert's tail).
+	ephemeral bool
 	// fullMatch records that some partner satisfied every crossing predicate:
 	// no lattice node can be alive, so Identify_MNS is skipped.
 	fullMatch bool
@@ -122,13 +143,15 @@ type probeFrame struct {
 	// unseen. One that matches in full settles Ω = {} before a single lookup
 	// is paid, and only pairs that do match wait for the unmark.
 	evalSuppressed bool
-	// parkEntry, when set by a suspension received mid-probe, defers the
-	// parking of this input until its current probe completes: aborting the
-	// scan would strand pairs behind resumption cycles across operators
-	// (two mutually-suspended partners each waiting for the other's resume
-	// trigger). Completing the probe keeps the cursor claim exact.
-	parkEntry *feedback.Entry
-	done      map[uint64]bool // pairs pre-generated while suspended
+}
+
+// cursor is the opposite sequence up to which a resumption was already
+// joined when it was parked; 0 for any other input.
+func (f *probe) cursor() uint64 {
+	if f.susp == nil {
+		return 0
+	}
+	return f.susp.Cursor
 }
 
 // JoinOp is a binary sliding-window join with optional JIT machinery. It is
@@ -156,7 +179,7 @@ type JoinOp struct {
 	in     [2]*side
 	marks  *feedback.MarkTable
 	now    stream.Time
-	frames []*probeFrame
+	frames []*probe
 	// exact selects exact-delivery over the paper prototype's drop-at-expiry
 	// semantics. Only expiry.go reads it: that file states what differs.
 	exact bool
@@ -177,14 +200,10 @@ func NewJoin(cfg Config) *JoinOp {
 		nextMNS: cfg.NextMNS,
 	}
 	j.marks = feedback.NewMarkTable(cfg.Account)
-	if (cfg.LeftKey == nil) != (cfg.RightKey == nil) || len(cfg.LeftKey) != len(cfg.RightKey) {
-		panic(fmt.Sprintf("core: join %q has misaligned keys (%d vs %d columns)",
-			cfg.Name, len(cfg.LeftKey), len(cfg.RightKey)))
-	}
 	// The graveyards are keyed whether or not the states are: a late input
 	// probes only its own key's run (DESIGN.md §4).
-	lg, rg, _ := cfg.Preds.EquiKeyCols(cfg.LeftSources, cfg.RightSources)
-	mk := func(port operator.Port, srcs stream.SourceSet, prod operator.Producer, other stream.SourceSet, key, equi []predicate.Attr) *side {
+	lk, rk, _ := cfg.Preds.EquiKeyCols(cfg.LeftSources, cfg.RightSources)
+	mk := func(port operator.Port, srcs stream.SourceSet, prod operator.Producer, other stream.SourceSet, equi []predicate.Attr) *side {
 		name := fmt.Sprintf("S_%s.%s", cfg.Name, port)
 		s := &side{
 			port:    port,
@@ -194,9 +213,11 @@ func NewJoin(cfg Config) *JoinOp {
 			st:      state.New(name, metrics.MemState, cfg.Account),
 			black:   feedback.NewBlacklist(cfg.Account),
 			buf:     feedback.NewBuffer(cfg.Account),
-			key:     state.Key(key),
 			equi:    state.Key(equi),
 			grave:   state.New(name+".grave", metrics.MemGraveyard, cfg.Account),
+		}
+		if cfg.Indexed {
+			s.key = s.equi
 		}
 		s.st.SetKey(s.key)
 		s.grave.SetKey(s.equi)
@@ -214,8 +235,8 @@ func NewJoin(cfg Config) *JoinOp {
 		}
 		return s
 	}
-	j.in[operator.Left] = mk(operator.Left, cfg.LeftSources, cfg.LeftProd, cfg.RightSources, cfg.LeftKey, lg)
-	j.in[operator.Right] = mk(operator.Right, cfg.RightSources, cfg.RightProd, cfg.LeftSources, cfg.RightKey, rg)
+	j.in[operator.Left] = mk(operator.Left, cfg.LeftSources, cfg.LeftProd, cfg.RightSources, lk)
+	j.in[operator.Right] = mk(operator.Right, cfg.RightSources, cfg.RightProd, cfg.LeftSources, rk)
 	return j
 }
 
@@ -295,55 +316,22 @@ func (j *JoinOp) Consume(c *stream.Composite, port operator.Port) {
 		j.now = c.TS
 	}
 	j.purge()
-	j.enter(activation{c: c, port: port, detect: true})
-}
-
-// activation describes one tuple entering (or re-entering) a side.
-type activation struct {
-	c    *stream.Composite
-	port operator.Port
-	// seq is the pre-assigned stable sequence (reuse=true) or ignored.
-	seq   uint64
-	reuse bool
-	// cursor: only opposite entries with Seq > cursor are scanned.
-	cursor uint64
-	// scanBlack additionally scans the opposite blacklists (catch-up).
-	scanBlack bool
-	// detect runs Identify_MNS after the probe (fresh inputs only).
-	detect bool
-	// collect, when non-nil, receives results instead of downstream
-	// emission (resumption responses, Sec. III-A lines 14-17).
-	collect *[]*stream.Composite
-	// done lists opposite sequences whose pairs were already generated
-	// while this tuple was suspended (see feedback.Suspended.Done).
-	done map[uint64]bool
-	// pending lists opposite tuples at or below cursor whose pairs were
-	// never joined (see feedback.Suspended.Pending).
-	pending []state.Entry
-	// divertCheck runs the blacklist diversion check after the MNS buffer
-	// probe (set by enter in exact mode): a diverted input skips probe and
-	// insertion but demanded upstream results are still processed.
-	divertCheck bool
-	// ephemeral marks an exact-mode recovery of a tuple past its own
-	// window: it probes (generating its deferred pairs) and then rests in
-	// the graveyard, neither parked by a mid-probe suspension nor inserted
-	// into the state (probeInsert's tail).
-	ephemeral bool
+	j.enter(&probe{input: c, port: port, detect: true})
 }
 
 // activate runs purge-probe-insert for one input, with the JIT additions:
 // MNS-buffer probe and resumption (lines 1-9 of Process_Input), detection
 // and suspension feedback (lines 11-12), and S_Π processing (lines 14-17).
-func (j *JoinOp) activate(a activation) {
-	s, o := j.in[a.port], j.in[a.port.Opposite()]
-	if !a.reuse {
-		a.seq = s.seq.Next()
+func (j *JoinOp) activate(f *probe) {
+	s, o := j.in[f.port], j.in[f.port.Opposite()]
+	if f.susp == nil {
+		f.seq = s.seq.Next()
 	}
 
 	// Probe the opposite MNS buffer and issue resumption feedback.
 	var spi []*stream.Composite
 	if j.mode.enabled() && o.buf.Len() > 0 {
-		matched, n := o.buf.Probe(a.c)
+		matched, n := o.buf.Probe(f.input)
 		j.ctr.Comparisons += uint64(n)
 		if len(matched) > 0 && o.prod != nil {
 			j.ctr.Feedbacks++
@@ -355,8 +343,8 @@ func (j *JoinOp) activate(a activation) {
 	// trigger always fires first, Process_Input lines 1-9), parking the
 	// input without a probe when it matches a blacklist signature. The
 	// demanded upstream results below are processed either way.
-	if !a.divertCheck || a.ephemeral || !j.divert(a.c, a.port, a.seq) {
-		j.probeInsert(a, s, o)
+	if !f.divertCheck || f.ephemeral || !j.divert(f.input, f.port, f.seq) {
+		j.probeInsert(f, s, o)
 	}
 
 	// Process S_Π: the demanded partial results returned by the producer.
@@ -365,43 +353,44 @@ func (j *JoinOp) activate(a activation) {
 	// full probe performs exactly the paper's "join t with S_Π" plus cheap
 	// failing comparisons, while keeping cascaded resumption and mark
 	// bookkeeping uniform.
-	j.processUpstream(o, spi, a.collect)
+	j.processUpstream(o, spi, f.collect)
 }
 
 // probeInsert is the probe-and-insert body of activate: pre-probe marking,
 // state/blacklist/pending probes, detection, and the input's coming to rest
 // (blacklist, graveyard or state).
-func (j *JoinOp) probeInsert(a activation, s, o *side) {
+func (j *JoinOp) probeInsert(f *probe, s, o *side) {
 	// Pre-probe marking: an input carrying an origin mark entry's side
 	// signature acquires the mark id now, so suppression applies during its
 	// own probe (otherwise a live pair would be generated and later
 	// regenerated by the unmark catch-up) and, once it is stored, during the
 	// probes of later opposite arrivals.
-	j.ctr.Comparisons += uint64(j.marks.MarkInput(a.c, a.port == operator.Left))
+	j.ctr.Comparisons += uint64(j.marks.MarkInput(f.input, f.port == operator.Left))
 
 	// detecting says Identify_MNS runs for this input, after the probe and only
 	// if the probe found no full match.
-	detecting := a.detect && s.detectable
+	detecting := f.detect && s.detectable
 
-	// Probe the opposite state (and, for catch-up, the blacklists).
-	f := &probeFrame{input: a.c, port: a.port, seq: a.seq, lastPartner: a.cursor, done: a.done,
-		evalSuppressed: detecting && j.mode == DetectLattice}
+	// Probe the opposite state (and, for a resumption, the blacklists, the
+	// pending partners and any in-flight opposite input).
+	f.lastPartner = f.cursor()
+	f.evalSuppressed = detecting && j.mode == DetectLattice
 	j.frames = append(j.frames, f)
-	j.probeState(f, s, o, a.collect, a.cursor == 0 && !a.scanBlack)
-	if a.scanBlack {
-		j.probeBlacklists(f, o, a.cursor, a.collect)
+	j.probeState(f, s, o)
+	if f.susp != nil {
+		j.probeBlacklists(f, o)
+		j.probePending(f, o)
 	}
-	j.probePending(f, o, a.pending, a.collect)
-	if !o.grave.Empty() && a.c.TS < j.now {
-		j.probeGrave(f, o, a.cursor, a.collect)
+	if !o.grave.Empty() && f.input.TS < j.now {
+		j.probeGrave(f, o)
 	}
-	if a.reuse {
+	if f.susp != nil {
 		// A reactivation can happen re-entrantly while an opposite input is
 		// mid-probe (a resumption cascade triggered from that input's own
 		// emission chain). If the in-flight scan has already passed this
 		// tuple's (old) sequence slot, neither side would ever produce the
 		// pair — generate it here, exactly once.
-		j.probeInFlight(f, o, a.cursor, a.collect)
+		j.probeInFlight(f, o)
 	}
 	j.frames = j.frames[:len(j.frames)-1]
 
@@ -418,8 +407,8 @@ func (j *JoinOp) probeInsert(a activation, s, o *side) {
 	// an already-due deadline forever, so it retires to the graveyard, where
 	// the results its probe demanded upstream (processUpstream, next) and any
 	// later recovery emission on the opposite side still find it.
-	se := state.Entry{C: a.c, Seq: a.seq}
-	if a.ephemeral {
+	se := stateEntryOf(f)
+	if f.ephemeral {
 		s.grave.Reinsert(se)
 		return
 	}
@@ -437,7 +426,7 @@ func (j *JoinOp) probeInsert(a activation, s, o *side) {
 	s.st.Reinsert(se)
 	j.ctr.Inserted++
 	if s.blooms != nil {
-		j.bloomInsert(s, a.c)
+		j.bloomInsert(s, f.input)
 	}
 }
 
@@ -470,14 +459,14 @@ func (j *JoinOp) park(s *side, e *feedback.Entry, t feedback.Suspended) {
 	j.trace.Suspend(j.name, 1)
 }
 
-// probeState probes the opposite state beyond the frame's cursor in ascending
+// probeState probes the opposite state beyond the probe's cursor in ascending
 // sequence order, evaluating the crossing predicates pair by pair — REF's
 // probe, whether or not Identify_MNS follows it.
 //
 // The probe walks only the opposite entries filed under the input's key
 // hash — the indexed fast path of DESIGN.md §3; over a state with no key,
 // that is every entry. Skipped entries differ from the input on some equi
-// column, so they can neither produce results nor change the frame's cursor
+// column, so they can neither produce results nor change the probe's cursor
 // claims (a pair that fails its equi predicates needs no exactly-once
 // bookkeeping: there is nothing to generate); hash collisions are rejected
 // by the predicate evaluation inside joinPair.
@@ -485,7 +474,7 @@ func (j *JoinOp) park(s *side, e *feedback.Entry, t feedback.Suspended) {
 // The walk is resilient to re-entrant state mutations (suspension feedback
 // triggered by emitted results): state.Walk resumes after the last sequence
 // visited.
-func (j *JoinOp) probeState(f *probeFrame, s, o *side, collect *[]*stream.Composite, fresh bool) {
+func (j *JoinOp) probeState(f *probe, s, o *side) {
 	j.ctr.Probes++
 	if j.trace != nil {
 		// Explicit guard: the scan-bound argument costs a state read.
@@ -493,13 +482,30 @@ func (j *JoinOp) probeState(f *probeFrame, s, o *side, collect *[]*stream.Compos
 	}
 	o.st.Walk(s.key.Hash(f.input), f.lastPartner, func(e state.Entry) bool {
 		f.lastPartner = e.Seq
-		// f.done lists pairs generated during this tuple's suspension; the
-		// nil test spares fresh inputs a map call per partner.
-		if f.done == nil || !f.done[e.Seq] {
-			j.joinPair(f, s, e, collect, fresh)
+		// Done lists pairs generated during this tuple's suspension.
+		if !f.susp.IsDone(e.Seq) {
+			j.joinPair(f, s, e)
 		}
 		return true
 	})
+}
+
+// catchUp joins a recovering input — a resumption, or an input arriving late
+// — with partner e on one of the recovery paths below, and charges it as a
+// catch-up join. A pair outside one window span is neither: REF never formed
+// it, so it is not recovery work (pairValid). Marks suppress only live
+// probes, so a catch-up pair is evaluated and built. It reports whether a
+// result was built.
+func (j *JoinOp) catchUp(f *probe, s *side, e state.Entry) bool {
+	if !j.pairValid(f.input, e.C) {
+		return false
+	}
+	j.ctr.CatchUpJoins++
+	if !j.evalAtoms(f.input, s, e.C) {
+		return false
+	}
+	j.deliver(f, e)
+	return true
 }
 
 // probeBlacklists performs the catch-up part of resumption: suspended
@@ -507,28 +513,21 @@ func (j *JoinOp) probeState(f *probeFrame, s, o *side, collect *[]*stream.Compos
 // both endpoints were suspended are generated exactly once (DESIGN.md §2).
 // Entries incompatible with the probing input's equi-key are skipped whole
 // (entrySkip), the blacklist leg of the indexed probing of DESIGN.md §3.
-func (j *JoinOp) probeBlacklists(f *probeFrame, o *side, cursor uint64, collect *[]*stream.Composite) {
-	s := j.in[f.port]
+func (j *JoinOp) probeBlacklists(f *probe, o *side) {
+	s, cursor := j.in[f.port], f.cursor()
 	o.black.Walk(func(entry *feedback.Entry) {
 		if j.entrySkip(f, s, o, entry) {
 			return
 		}
 		for i := range entry.Tuples {
-			susp := &entry.Tuples[i]
-			if susp.E.Seq <= cursor {
+			w := &entry.Tuples[i]
+			if w.E.Seq <= cursor || j.stale(w.E.C) || f.susp.IsDone(w.E.Seq) {
 				continue
 			}
-			if j.stale(susp.E.C) {
-				continue
-			}
-			if f.done[susp.E.Seq] {
-				continue
-			}
-			j.ctr.CatchUpJoins++
-			if j.joinPair(f, s, susp.E, collect, false) {
+			if j.catchUp(f, s, w.E) {
 				// The pair is produced now, while the partner is still
 				// suspended; its own resumption must not regenerate it.
-				susp.MarkDone(f.seq)
+				w.MarkDone(f.seq)
 			}
 		}
 	})
@@ -542,7 +541,7 @@ func (j *JoinOp) probeBlacklists(f *probeFrame, o *side, cursor uint64, collect 
 // constrains, one value comparison rejects the whole entry. Ø entries have
 // empty signatures and are never skipped; rejected pairs need no exactly-
 // once bookkeeping because no result exists for them (DESIGN.md §3).
-func (j *JoinOp) entrySkip(f *probeFrame, s, o *side, entry *feedback.Entry) bool {
+func (j *JoinOp) entrySkip(f *probe, s, o *side, entry *feedback.Entry) bool {
 	if len(s.key) == 0 || len(entry.MNS.Sig) == 0 {
 		return false
 	}
@@ -574,7 +573,7 @@ func (j *JoinOp) suppress(id uint64, l, r state.Entry) {
 
 // suppressProbed is suppress for probing input f against state entry e, put
 // in left/right order.
-func (j *JoinOp) suppressProbed(f *probeFrame, e state.Entry, id uint64) {
+func (j *JoinOp) suppressProbed(f *probe, e state.Entry, id uint64) {
 	if f.port == operator.Left {
 		j.suppress(id, stateEntryOf(f), e)
 	} else {
@@ -582,40 +581,22 @@ func (j *JoinOp) suppressProbed(f *probeFrame, e state.Entry, id uint64) {
 	}
 }
 
-// probePending generates the pairs recorded as uncovered at park time: for
-// each pending opposite sequence, locate the tuple in the opposite state or
-// blacklists (it may have resumed, still be suspended, or be gone) and join
-// it, respecting the Done dedup in both directions.
-func (j *JoinOp) probePending(f *probeFrame, o *side, pending []state.Entry, collect *[]*stream.Composite) {
+// probePending generates the pairs recorded as uncovered at park time. Each
+// pending partner lives in exactly one store: still parked in the opposite
+// blacklist (deduplicated against Done in both directions), back in the
+// opposite state, retired to its graveyard, or gone.
+func (j *JoinOp) probePending(f *probe, o *side) {
 	s := j.in[f.port]
-	for _, p := range pending {
-		if f.done[p.Seq] {
+	for _, p := range f.susp.Pending {
+		if f.susp.IsDone(p.Seq) || j.stale(p.C) {
 			continue
 		}
-		// Look in the active state first.
-		if o.st.Holds(p) {
-			if !j.stale(p.C) {
-				j.ctr.CatchUpJoins++
-				j.joinPair(f, s, p, collect, false)
+		if w := o.black.BySeq(p.Seq); w != nil {
+			if !w.IsDone(f.seq) && j.catchUp(f, s, w.E) {
+				w.MarkDone(f.seq)
 			}
-			continue
-		}
-		// Then in the blacklists.
-		if susp := o.black.BySeq(p.Seq); susp != nil {
-			if !susp.IsDone(f.seq) && !j.stale(susp.E.C) {
-				j.ctr.CatchUpJoins++
-				if j.joinPair(f, s, susp.E, collect, false) {
-					susp.MarkDone(f.seq)
-				}
-			}
-			continue
-		}
-		// Finally the graveyard (empty outside exact mode): the partner may
-		// have been retired from the state while this tuple was parked;
-		// pairValid inside joinPair decides whether REF formed the pair.
-		if o.grave.Holds(p) {
-			j.ctr.CatchUpJoins++
-			j.joinPair(f, s, p, collect, false)
+		} else if o.st.Holds(p) || o.grave.Holds(p) {
+			j.catchUp(f, s, p)
 		}
 	}
 }
@@ -624,59 +605,66 @@ func (j *JoinOp) probePending(f *probeFrame, o *side, pending []state.Entry, col
 // whose scans have already passed its sequence slot (state.Walk resumes after
 // the last sequence it visited, so they would skip the reinserted tuple
 // forever).
-func (j *JoinOp) probeInFlight(f *probeFrame, o *side, cursor uint64, collect *[]*stream.Composite) {
+func (j *JoinOp) probeInFlight(f *probe, o *side) {
 	for _, g := range j.frames {
 		if g == f || g.port != o.port {
 			continue
 		}
-		if g.seq <= cursor || g.lastPartner < f.seq {
+		if g.seq <= f.cursor() || g.lastPartner < f.seq {
 			// Covered by the cursor claim, or the in-flight scan has not
 			// reached this tuple's slot yet and will see it in the state.
 			continue
 		}
-		if f.done[g.seq] || g.done[f.seq] {
+		if f.susp.IsDone(g.seq) || g.susp.IsDone(f.seq) {
 			continue
 		}
-		j.ctr.CatchUpJoins++
-		j.joinPair(f, j.in[f.port], state.Entry{C: g.input, Seq: g.seq}, collect, false)
+		j.catchUp(f, j.in[f.port], stateEntryOf(g))
 	}
 }
 
-// joinPair evaluates one (input, partner) pair: window admission, mark
-// suppression, predicate evaluation, and result construction.
-func (j *JoinOp) joinPair(f *probeFrame, s *side, e state.Entry, collect *[]*stream.Composite, fresh bool) bool {
+// joinPair evaluates one (input, partner) pair of the live state probe:
+// window admission, mark suppression, predicate evaluation, and result
+// construction. Marks suppress the pairs of a fresh input only; a resumption
+// is generating pairs that were deferred already.
+func (j *JoinOp) joinPair(f *probe, s *side, e state.Entry) {
 	if !j.pairValid(f.input, e.C) {
-		// A recovery probe against a partner outside the pair's window span
+		// A resumption against a partner outside the pair's window span
 		// (exact mode only; every pair a legacy probe reaches is valid): REF
 		// never formed this pair, so neither bookkeeping nor generation may
 		// happen (recording it as suppressed would resurrect it at unmark).
-		return false
+		return
 	}
 	suppressedID := uint64(0)
-	if fresh && !j.marks.Empty() {
+	if f.susp == nil && !j.marks.Empty() {
 		suppressedID = j.marks.SuppressedBy(f.input, e.C)
 	}
 	if suppressedID != 0 && !f.evalSuppressed {
 		// Skip the evaluation entirely (the point of mark-result suppression
 		// is saving this work) and park the pair for generation at unmark.
 		j.suppressProbed(f, e, suppressedID)
-		return false
+		return
 	}
 	if !j.evalAtoms(f.input, s, e.C) {
-		return false
+		return
 	}
-	f.fullMatch = true
 	if suppressedID != 0 {
+		f.fullMatch = true
 		j.suppressProbed(f, e, suppressedID)
-		return false
+		return
 	}
+	j.deliver(f, e)
+}
+
+// deliver builds the result of a fully matching pair and hands it on: to the
+// probe's collection when it has one, downstream otherwise.
+func (j *JoinOp) deliver(f *probe, e state.Entry) {
+	f.fullMatch = true
 	r := j.result(f.input, e.C)
-	if collect != nil {
-		*collect = append(*collect, r)
-		return true
+	if f.collect != nil {
+		*f.collect = append(*f.collect, r)
+		return
 	}
 	j.emit(r)
-	return true
 }
 
 // result builds and counts the join of a fully matching pair.

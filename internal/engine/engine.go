@@ -1,7 +1,7 @@
 // Package engine drives a built plan as an event loop over two kinds of
 // events: tuple arrivals, pulled lazily from a streaming source, and timer
 // deadlines, announced by the operators themselves (core.JoinOp.NextDeadline)
-// and merged with the arrival sequence through a binary min-heap.
+// and merged with the arrival sequence by taking their minimum.
 //
 // Each arrival first fires the expiry sweep on exactly the operators whose
 // deadline has passed (DESIGN.md §4; a sweep below an operator's deadline is
@@ -313,63 +313,45 @@ func reorderSource(next func() (*stream.Tuple, bool), bound stream.Time, late *u
 	}
 }
 
-// timerEvent is one scheduled deadline: operator joins[idx] believes its next
-// sweep is due at time at. Events are never deleted in place; an event is
-// stale (and skipped on pop) when the operator's recorded deadline has moved.
-type timerEvent struct {
-	at  stream.Time
-	idx int
-}
-
-// scheduler merges the operators' sweep deadlines through a binary min-heap
-// with lazy invalidation (DESIGN.md §4).
+// scheduler merges the operators' sweep deadlines (DESIGN.md §4). refresh
+// reads every operator's NextDeadline after every arrival anyway, so the
+// earliest deadline is a minimum over that slice.
 type scheduler struct {
 	joins     []*core.JoinOp
 	deadlines []stream.Time // current NextDeadline per operator
-	heap      minheap.Heap[timerEvent]
+	// armed[i] says deadlines[i] is due to fire: it is finite and the drain
+	// has not given up on it since it last moved.
+	armed []bool
 }
 
 func newScheduler(joins []*core.JoinOp) *scheduler {
-	s := &scheduler{joins: joins, deadlines: make([]stream.Time, len(joins))}
-	// Ties on time break by plan position, so heap behaviour is deterministic.
-	s.heap.Less = func(a, b timerEvent) bool {
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		return a.idx < b.idx
-	}
+	n := len(joins)
+	s := &scheduler{joins: joins, deadlines: make([]stream.Time, n), armed: make([]bool, n)}
 	for i := range s.deadlines {
 		s.deadlines[i] = core.NoDeadline
 	}
 	return s
 }
 
-// refresh re-reads every operator's deadline and schedules the ones that
-// moved. Stale heap entries are left behind and skipped on pop.
+// refresh re-reads every operator's deadline and re-arms the ones that moved.
 func (s *scheduler) refresh() {
 	for i, j := range s.joins {
-		d := j.NextDeadline()
-		if d != s.deadlines[i] {
-			s.deadlines[i] = d
-			if d < core.NoDeadline {
-				s.heap.Push(timerEvent{at: d, idx: i})
-			}
+		if d := j.NextDeadline(); d != s.deadlines[i] {
+			s.deadlines[i], s.armed[i] = d, d < core.NoDeadline
 		}
 	}
 }
 
-// peek returns the earliest live deadline, skipping and discarding stale
-// heap entries; ok is false when no timer is scheduled.
-func (s *scheduler) peek() (stream.Time, bool) {
-	for s.heap.Len() > 0 {
-		ev := s.heap.Min()
-		if ev.at != s.deadlines[ev.idx] {
-			s.heap.Pop()
-			continue
+// peek returns the earliest armed deadline and the operator it belongs to,
+// ties broken by plan position; ok is false when none is armed.
+func (s *scheduler) peek() (at stream.Time, idx int, ok bool) {
+	idx = -1
+	for i, d := range s.deadlines {
+		if s.armed[i] && (idx < 0 || d < at) {
+			at, idx = d, i
 		}
-		return ev.at, true
 	}
-	return 0, false
+	return at, idx, idx >= 0
 }
 
 // sweepDue runs the expiry sweep, at time now, on every operator whose
@@ -390,7 +372,7 @@ func (s *scheduler) sweepDue(now stream.Time, ctr *metrics.Counters) {
 
 // fireDue is the arrival-time step: sweep at now if any deadline has passed.
 func (s *scheduler) fireDue(now stream.Time, ctr *metrics.Counters) {
-	if at, ok := s.peek(); ok && at <= now {
+	if at, _, ok := s.peek(); ok && at <= now {
 		s.sweepDue(now, ctr)
 	}
 }
@@ -400,13 +382,13 @@ func (s *scheduler) fireDue(now stream.Time, ctr *metrics.Counters) {
 // tuples reactivate while their windows are still open. Deadlines are exact,
 // but a sweep's own recovery cascade can create entries already due at the
 // clock: a deadline that survives its sweep gets one more, and one that
-// survives that too is dropped. The clock never moves backwards, so the loop
+// survives that too is disarmed. The clock never moves backwards, so the loop
 // reaches the horizon — or the last finite deadline — in finitely many
 // rounds.
 func (s *scheduler) drain(horizon stream.Time, ctr *metrics.Counters, tr *obs.Tracer) {
 	prev, repeats := stream.Time(-1), 0
 	for {
-		d, ok := s.peek()
+		d, i, ok := s.peek()
 		if !ok || d > horizon {
 			return
 		}
@@ -414,11 +396,11 @@ func (s *scheduler) drain(horizon stream.Time, ctr *metrics.Counters, tr *obs.Tr
 		if d != prev {
 			prev, repeats = d, 0
 		} else if repeats++; repeats > 1 {
-			// Two sweeps left the deadline in place: drop the event. The
-			// operator re-enters the heap only when its reported deadline
-			// moves, and it still gets swept whenever any later deadline
-			// fires, so no real work is lost.
-			s.heap.Pop()
+			// Two sweeps left the deadline in place: disarm it. The
+			// operator is re-armed only when its reported deadline moves,
+			// and it still gets swept whenever any later deadline fires, so
+			// no real work is lost.
+			s.armed[i] = false
 			prev, repeats = -1, 0
 			continue
 		}

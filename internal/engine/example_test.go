@@ -13,7 +13,7 @@ import (
 
 // ExampleEngine_RunStream runs a 3-way clique query over a lazily
 // generated workload: tuples stream in one at a time, expiry work fires
-// off the deadline heap, and the end-of-stream drain delivers every
+// at the operators' deadlines, and the end-of-stream drain delivers every
 // result whose resumption trigger falls past the last arrival — the
 // finals match REF exactly (DESIGN.md §4).
 func ExampleEngine_RunStream() {

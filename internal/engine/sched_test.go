@@ -102,7 +102,7 @@ func TestDeadlineSweepEquivalence(t *testing.T) {
 				}
 			}
 		}
-		// The scheduling win itself: on the sparse workload the deadline heap
+		// The scheduling win itself: on the sparse workload the deadline scheduler
 		// must skip the vast majority of per-arrival sweeps.
 		if w.name == "sparse" {
 			b := plan.BuildTree(cat, conj, shape, plan.Options{Window: w.window, Mode: core.JIT()})

@@ -31,16 +31,6 @@ type Suspended struct {
 	Pending []state.Entry
 }
 
-// oldest is the earliest MinTS among the tuple and the partners it still owes
-// a pair: while it is parked, nothing that young may be forgotten.
-func (s *Suspended) oldest() stream.Time {
-	t := s.E.C.MinTS
-	for _, p := range s.Pending {
-		t = min(t, p.C.MinTS)
-	}
-	return t
-}
-
 // MarkDone records that the pair with the given opposite sequence was
 // generated while suspended.
 func (s *Suspended) MarkDone(oppSeq uint64) {
@@ -51,8 +41,9 @@ func (s *Suspended) MarkDone(oppSeq uint64) {
 }
 
 // IsDone reports whether the pair with the given opposite sequence was
-// already generated.
-func (s *Suspended) IsDone(oppSeq uint64) bool { return s.Done != nil && s.Done[oppSeq] }
+// already generated. A nil record — an input that was never parked — has
+// generated nothing.
+func (s *Suspended) IsDone(oppSeq uint64) bool { return s != nil && s.Done[oppSeq] }
 
 // Entry is one blacklist entry: an MNS and the suspended super-tuples
 // (including same-signature generalizations such as a2 under a1's entry).
@@ -85,11 +76,8 @@ type Blacklist struct {
 	created uint64
 	// Deadline cache (DESIGN.md §4): the earliest MinTS among parked tuples.
 	parkMin state.MinCache
-	// oweMin caches the earliest Suspended.oldest: how far back the parked
-	// tuples' resumptions can still reach (OldestOwed). parkTS caches the
-	// earliest TS among parked tuples: no result a resumption produces is
-	// older (OldestParkedTS).
-	oweMin state.MinCache
+	// parkTS caches the earliest TS among parked tuples: no result a
+	// resumption produces is older (OldestParkedTS).
 	parkTS state.MinCache
 }
 
@@ -134,7 +122,6 @@ func (b *Blacklist) Ensure(m *MNS) (e *Entry, created bool) {
 // Park adds a suspended tuple under entry e, charging its storage.
 func (b *Blacklist) Park(e *Entry, s Suspended) {
 	b.parkMin.Add(s.E.C.MinTS)
-	b.oweMin.Add(s.oldest())
 	b.parkTS.Add(s.E.C.TS)
 	e.Tuples = append(e.Tuples, s)
 	b.bySeq[s.E.Seq] = e
@@ -173,24 +160,10 @@ func (b *Blacklist) NextTupleMinTS() (stream.Time, bool) {
 	})
 }
 
-// OldestOwed returns the earliest MinTS among the parked tuples and the
-// partners their Pending lists name; ok is false when nothing is parked. No
-// result a resumption here can still produce has a constituent older than
-// that, which is what lets core forget retired state entries (DESIGN.md §4).
-func (b *Blacklist) OldestOwed() (stream.Time, bool) {
-	return b.oweMin.Get(func(add func(stream.Time)) {
-		for _, e := range b.entries.list {
-			for i := range e.Tuples {
-				add(e.Tuples[i].oldest())
-			}
-		}
-	})
-}
-
 // OldestParkedTS returns the earliest TS among parked tuples; ok is false
 // when nothing is parked. Every result a resumption here produces contains a
-// parked tuple, so none is older: this is the blacklist's term in
-// core.JoinOp.DeferredFloor (DESIGN.md §4).
+// parked tuple, so none is older: this is the blacklist's term in the
+// graveyard floor (DESIGN.md §4).
 func (b *Blacklist) OldestParkedTS() (stream.Time, bool) {
 	return b.parkTS.Get(func(add func(stream.Time)) {
 		for _, e := range b.entries.list {
@@ -242,7 +215,6 @@ func (b *Blacklist) TakeExpired(now stream.Time) []*Entry {
 // with it.
 func (b *Blacklist) dropped(e *Entry) {
 	b.parkMin.Remove(len(e.Tuples))
-	b.oweMin.Remove(len(e.Tuples))
 	b.parkTS.Remove(len(e.Tuples))
 	for i := range e.Tuples {
 		delete(b.bySeq, e.Tuples[i].E.Seq)
@@ -255,7 +227,7 @@ func (b *Blacklist) dropped(e *Entry) {
 // sweep gives each a last-gasp catch-up first (DESIGN.md §4).
 func (b *Blacklist) TakeExpiredTuples(now, window stream.Time) []Suspended {
 	var taken []Suspended
-	b.parkMin, b.oweMin, b.parkTS = state.MinCache{}, state.MinCache{}, state.MinCache{}
+	b.parkMin, b.parkTS = state.MinCache{}, state.MinCache{}
 	for _, e := range b.entries.list {
 		kept := e.Tuples[:0]
 		for _, s := range e.Tuples {
@@ -266,7 +238,6 @@ func (b *Blacklist) TakeExpiredTuples(now, window stream.Time) []Suspended {
 				continue
 			}
 			b.parkMin.Add(s.E.C.MinTS)
-			b.oweMin.Add(s.oldest())
 			b.parkTS.Add(s.E.C.TS)
 			kept = append(kept, s)
 		}

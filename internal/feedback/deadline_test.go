@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/state"
 	"repro/internal/stream"
 )
 
@@ -213,6 +214,119 @@ func FuzzDeadlineCaches(f *testing.F) {
 			if got, want := mt.NextExpiry(), next(mOrig); got != want || mt.NumOrigins() != len(mOrig) {
 				t.Fatalf("step %d: mark table next %d with %d origins, model %d with %d",
 					step, got, mt.NumOrigins(), want, len(mOrig))
+			}
+		}
+	})
+}
+
+// FuzzParkedCaches drives one blacklist through random interleavings of
+// entries made and extended, tuples parked with random TS and MinTS, entries
+// taken by resumption and by anchor expiry, and tuples taken by their own
+// window, and holds the two parked-tuple caches to a scan of a slice model
+// after every step: NextTupleMinTS (the parked tuples' window deadline) and
+// OldestParkedTS (the blacklist's term in the graveyard floor, DESIGN.md §4).
+// Each input byte is one operation: the high four bits pick it, the low two
+// the entry (four signatures), bits 2-3 an age, expiry or clock step.
+func FuzzParkedCaches(f *testing.F) {
+	f.Add([]byte{0x0d, 0x11, 0x15, 0x19, 0x0c, 0x10, 0x1c, 0xf4, 0x40, 0xfc, 0x30, 0x21, 0x40})
+	f.Add([]byte{0x0f, 0x0e, 0x13, 0x1b, 0x12, 0x1e, 0xf8, 0x40, 0x0e, 0x16, 0xfc, 0x40, 0x22, 0x30, 0x23})
+	f.Add([]byte{0x0c, 0x0d, 0x0e, 0x0f, 0x1c, 0x1d, 0x1e, 0x1f, 0x10, 0x11, 0xf4, 0xf8, 0x40, 0x22, 0xfc, 0x30, 0x40})
+	f.Add([]byte{0x0f, 0x0e, 0x13, 0x1e, 0x12, 0x22, 0x01, 0x1d, 0x11, 0xf0, 0x30, 0x40})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		const window = 50
+		type parked struct {
+			minTS, ts stream.Time
+			seq       uint64
+		}
+		type entry struct {
+			expiry stream.Time
+			tuples []parked
+		}
+		bl := NewBlacklist(&metrics.Account{})
+		model := map[stream.Value]*entry{}
+		var cur [4]*MNS
+		now, seq := stream.Time(100), uint64(0)
+		count := func(es []*Entry) (n int) {
+			for _, e := range es {
+				n += len(e.Tuples)
+			}
+			return n
+		}
+		for step, op := range ops {
+			k, d := stream.Value(op&3), []stream.Time{0, 5, 20, 60}[op>>2&3]
+			switch op >> 4 {
+			case 0: // a suspension under key k: a new entry, or a raised anchor
+				cur[k] = mnsA(k, now+d)
+				bl.Ensure(cur[k])
+				if e := model[k]; e != nil {
+					e.expiry = max(e.expiry, now+d)
+				} else {
+					model[k] = &entry{expiry: now + d}
+				}
+			case 1: // a tuple parked under key k: a pair whose parts are d and k ticks apart
+				e, ok := bl.Entry(mnsA(k, 0))
+				if !ok {
+					continue
+				}
+				seq++
+				old, young := now-d-stream.Time(k), now-d/2
+				c := stream.Join(comp(2, tpl(0, old, k)), comp(2, tpl(1, young, k)))
+				bl.Park(e, Suspended{E: state.Entry{C: c, Seq: seq}})
+				model[k].tuples = append(model[k].tuples, parked{minTS: old, ts: young, seq: seq})
+			case 2: // a resumption takes key k's entry
+				e, ok := bl.Take(mnsA(k, 0))
+				if m := model[k]; ok != (m != nil) || ok && len(e.Tuples) != len(m.tuples) {
+					t.Fatalf("step %d: take %t, model %v", step, ok, m)
+				}
+				delete(model, k)
+			case 3: // entries whose anchor expired
+				want := 0
+				for key, m := range model {
+					if m.expiry <= now {
+						want += len(m.tuples)
+						delete(model, key)
+					}
+				}
+				if got := count(bl.TakeExpired(now)); got != want {
+					t.Fatalf("step %d: anchor expiry took %d tuples at %d, model %d", step, got, now, want)
+				}
+			case 4: // tuples whose own window closed
+				want := 0
+				for _, m := range model {
+					kept := m.tuples[:0]
+					for _, p := range m.tuples {
+						if p.minTS+window <= now {
+							want++
+						} else {
+							kept = append(kept, p)
+						}
+					}
+					m.tuples = kept
+				}
+				if got := len(bl.TakeExpiredTuples(now, window)); got != want {
+					t.Fatalf("step %d: window expiry took %d tuples at %d, model %d", step, got, now, want)
+				}
+			default: // the clock moves
+				now += d + 1
+			}
+			n, minTS, ts := 0, NoExpiry, NoExpiry
+			for _, m := range model {
+				for _, p := range m.tuples {
+					n++
+					minTS, ts = min(minTS, p.minTS), min(ts, p.ts)
+					if s := bl.BySeq(p.seq); s == nil || s.E.C.MinTS != p.minTS || s.E.C.TS != p.ts {
+						t.Fatalf("step %d: BySeq(%d) = %v, model parks MinTS %d TS %d", step, p.seq, s, p.minTS, p.ts)
+					}
+				}
+			}
+			if got := bl.NumSuspended(); got != n {
+				t.Fatalf("step %d: %d parked, model %d", step, got, n)
+			}
+			if got, ok := bl.NextTupleMinTS(); ok != (n > 0) || ok && got != minTS {
+				t.Fatalf("step %d: NextTupleMinTS = %d, %t; model %d over %d tuples", step, got, ok, minTS, n)
+			}
+			if got, ok := bl.OldestParkedTS(); ok != (n > 0) || ok && got != ts {
+				t.Fatalf("step %d: OldestParkedTS = %d, %t; model %d over %d tuples", step, got, ok, ts, n)
 			}
 		}
 	})

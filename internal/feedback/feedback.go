@@ -13,7 +13,7 @@
 // recorded under origin marks for the catch-up at their unmark). The
 // exactly-once and expiry discipline these structures jointly enforce is
 // specified in DESIGN.md §2; their min-deadline caches feed the engine's
-// timer heap (DESIGN.md §4).
+// deadline scheduler (DESIGN.md §4).
 package feedback
 
 import (

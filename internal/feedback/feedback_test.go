@@ -408,8 +408,8 @@ func TestBlacklistWalkAndBySeq(t *testing.T) {
 	if taken := bl.TakeExpiredTuples(14, 10); len(taken) != 2 || bl.BySeq(40) != nil || bl.BySeq(50) == nil {
 		t.Fatalf("after expiry: took %d, 40→%v, 50→%v", len(taken), bl.BySeq(40), bl.BySeq(50))
 	}
-	if ts, ok := bl.OldestOwed(); !ok || ts != 5 {
-		t.Fatalf("OldestOwed = %d, %t", ts, ok)
+	if ts, ok := bl.OldestParkedTS(); !ok || ts != 5 {
+		t.Fatalf("OldestParkedTS = %d, %t", ts, ok)
 	}
 }
 

@@ -51,7 +51,10 @@ type Counters struct {
 	Suspended uint64
 	// Resumed counts tuples reactivated out of blacklists.
 	Resumed uint64
-	// CatchUpJoins counts comparisons performed during resumption catch-up.
+	// CatchUpJoins counts the pairs a recovery evaluates — a resumption's
+	// catch-up, an unmark's suppressed pairs, a late input's graveyard
+	// probe — that lie within one window span: a pair REF never formed is
+	// not charged.
 	CatchUpJoins uint64
 	// SuppressedPairs counts probe pairs skipped due to suspension marks.
 	SuppressedPairs uint64

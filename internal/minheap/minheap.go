@@ -1,7 +1,7 @@
 // Package minheap is the one binary min-heap of the repository: the engine's
-// reorder buffer and deadline scheduler and the workload generator's jitter
-// buffer all order their items through it. Every caller supplies a total
-// order, so pop order is independent of the sift implementation.
+// reorder buffer and the workload generator's jitter buffer both order their
+// items through it. Every caller supplies a total order, so pop order is
+// independent of the sift implementation.
 package minheap
 
 // Heap is a binary min-heap over T ordered by Less. The zero value with Less

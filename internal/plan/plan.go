@@ -392,15 +392,6 @@ func (b *Built) wire(n *Node) *core.JoinOp {
 		rightProd = rightOp
 	}
 	name := fmt.Sprintf("Op%d", len(b.Joins)+1)
-	// Derive the operator's equi-key columns from the predicates crossing
-	// its two input sides; nil keys (no crossing predicate, or indexing
-	// disabled) leave the operator's states scan-only (DESIGN.md §3).
-	var lk, rk []predicate.Attr
-	if !opt.NoStateIndex {
-		if l, r, ok := preds.EquiKeyCols(n.Left.Sources(), n.Right.Sources()); ok {
-			lk, rk = l, r
-		}
-	}
 	j := core.NewJoin(core.Config{
 		Name:         name,
 		NumSources:   cat.NumSources(),
@@ -411,8 +402,7 @@ func (b *Built) wire(n *Node) *core.JoinOp {
 		NextMNS:      b.NextMNS,
 		LeftSources:  n.Left.Sources(),
 		RightSources: n.Right.Sources(),
-		LeftKey:      lk,
-		RightKey:     rk,
+		Indexed:      !opt.NoStateIndex,
 		LeftProd:     leftProd,
 		RightProd:    rightProd,
 	})
