@@ -107,6 +107,6 @@ check durable 25600 "delivered cost checkpoints" \
 serve=(-n 4 -window 1 -mode jit)
 gen=(-n 4 -dmax 16 -rate 2.5)
 check scan 23552 "delivered cost" \
-  "delivered=1124 cost=80537980" \
-  "delivered=3529 cost=254322693"
+  "delivered=1124 cost=73399145" \
+  "delivered=3529 cost=233157246"
 exit "$status"

@@ -11,8 +11,9 @@ import (
 // Fig. 6. Per the scheduling policies of Sec. III-B/C the handling is
 // pre-emptive and synchronous: propagation happens before local handling,
 // and for resumptions the demanded partial results S_Π are returned to the
-// calling consumer.
-func (j *JoinOp) Feedback(msg feedback.Message) []*stream.Composite {
+// calling consumer. Those built directly from a tuple parked, or a pair
+// suppressed, under a resumed MNS come deferred under it (feedback.Deferred).
+func (j *JoinOp) Feedback(msg feedback.Message) []feedback.Deferred {
 	if !j.mode.enabled() {
 		return nil
 	}
@@ -23,7 +24,7 @@ func (j *JoinOp) Feedback(msg feedback.Message) []*stream.Composite {
 			j.handleSuspend(m)
 		}
 	case feedback.Resume:
-		var out []*stream.Composite
+		var out []feedback.Deferred
 		for _, m := range msg.MNS {
 			j.handleResume(m, &out)
 		}
@@ -76,7 +77,7 @@ func (j *JoinOp) suspendTotal(m *feedback.MNS) {
 // upstream sends one MNS of feedback to the producer feeding side s, when
 // there is one and it honours feedback, and returns what comes back (the
 // demanded partial results S_Π of a resumption).
-func (j *JoinOp) upstream(s *side, cmd feedback.Command, m *feedback.MNS) []*stream.Composite {
+func (j *JoinOp) upstream(s *side, cmd feedback.Command, m *feedback.MNS) []feedback.Deferred {
 	if s.prod == nil || !s.prod.CanSuspend() {
 		return nil
 	}
@@ -204,7 +205,7 @@ func (j *JoinOp) markScan(e *feedback.OriginEntry, s *side, sig feedback.Signatu
 
 // handleResume dispatches one MNS of a resumption feedback and appends the
 // demanded partial results to out.
-func (j *JoinOp) handleResume(m *feedback.MNS, out *[]*stream.Composite) {
+func (j *JoinOp) handleResume(m *feedback.MNS, out *[]feedback.Deferred) {
 	if m.IsEmpty() {
 		j.resumeTotal(m, out)
 		return
@@ -222,7 +223,7 @@ func (j *JoinOp) handleResume(m *feedback.MNS, out *[]*stream.Composite) {
 // resumeTotal lifts an Ø suspension: propagate upstream first (gathering the
 // inputs suppressed there), process them, then reactivate the locally
 // diverted arrivals.
-func (j *JoinOp) resumeTotal(m *feedback.MNS, out *[]*stream.Composite) {
+func (j *JoinOp) resumeTotal(m *feedback.MNS, out *[]feedback.Deferred) {
 	for p := operator.Port(0); p < 2; p++ {
 		s := j.in[p]
 		j.processUpstream(s, j.upstream(s, feedback.Resume, m), out)
@@ -230,18 +231,19 @@ func (j *JoinOp) resumeTotal(m *feedback.MNS, out *[]*stream.Composite) {
 	for p := operator.Port(0); p < 2; p++ {
 		s := j.in[p]
 		if e, ok := s.black.Take(m); ok {
-			j.reactivate(s, e, out)
+			j.reactivate(s, e, m, out)
 		}
 	}
 }
 
 // resumeTypeI implements Resume_Production for a Type I MNS: propagate
 // upstream first and process the returned inputs, then reactivate the
-// entry's suspended tuples with their catch-up scans.
-func (j *JoinOp) resumeTypeI(s *side, m *feedback.MNS, out *[]*stream.Composite) {
+// entry's suspended tuples with their catch-up scans, their results deferred
+// under m.
+func (j *JoinOp) resumeTypeI(s *side, m *feedback.MNS, out *[]feedback.Deferred) {
 	j.processUpstream(s, j.upstream(s, feedback.Resume, m), out)
 	if e, ok := s.black.Take(m); ok {
-		j.reactivate(s, e, out)
+		j.reactivate(s, e, m, out)
 	}
 }
 
@@ -250,23 +252,26 @@ func (j *JoinOp) resumeTypeI(s *side, m *feedback.MNS, out *[]*stream.Composite)
 // composite that expired while suspended upstream is dropped when stale;
 // otherwise it is past its own window here — pairValid inside the probes
 // admits exactly the REF-formed pairs, and the expired composite stays
-// ephemeral (probe-only).
-func (j *JoinOp) processUpstream(s *side, ups []*stream.Composite, out *[]*stream.Composite) {
+// ephemeral (probe-only). An input deferred under an MNS this operator
+// detected skips what the MNS ruled out (ruledOut); the results carry no
+// MNS, being nested S_Π to any recovery that collects them.
+func (j *JoinOp) processUpstream(s *side, ups []feedback.Deferred, out *[]feedback.Deferred) {
 	for _, u := range ups {
-		if !j.stale(u) {
-			j.enter(&probe{input: u, port: s.port, collect: out, ephemeral: j.expired(u)})
+		if !j.stale(u.C) {
+			j.enter(&probe{input: u.C, port: s.port, under: u.MNS, collect: out, ephemeral: j.expired(u.C)})
 		}
 	}
 }
 
-// reactivate returns an entry's surviving tuples to the active state. A
-// tuple that expired while suspended is dropped when stale (its results were
-// never demanded) and resumed as an ephemeral otherwise.
-func (j *JoinOp) reactivate(s *side, e *feedback.Entry, out *[]*stream.Composite) {
+// reactivate returns an entry's surviving tuples to the active state, their
+// results deferred under tag. A tuple that expired while suspended is
+// dropped when stale (its results were never demanded) and resumed as an
+// ephemeral otherwise.
+func (j *JoinOp) reactivate(s *side, e *feedback.Entry, tag *feedback.MNS, out *[]feedback.Deferred) {
 	s.black.ReleaseTuples(e)
 	for i := range e.Tuples {
 		if susp := &e.Tuples[i]; !j.stale(susp.E.C) {
-			j.resume(s, susp, out)
+			j.resume(s, susp, tag, out)
 		}
 	}
 }
@@ -276,19 +281,20 @@ func (j *JoinOp) reactivate(s *side, e *feedback.Entry, out *[]*stream.Composite
 // blacklists) and back into the active state — or, when its own window has
 // closed meanwhile, as an ephemeral into the graveyard, like a state entry
 // purged at window close: a later recovery emission on the opposite side may
-// still form a REF-valid pair with it (probeGrave).
-func (j *JoinOp) resume(s *side, susp *feedback.Suspended, out *[]*stream.Composite) {
+// still form a REF-valid pair with it (probeGrave). tag is an MNS the tuple
+// was parked under: every result it builds carries its signature.
+func (j *JoinOp) resume(s *side, susp *feedback.Suspended, tag *feedback.MNS, out *[]feedback.Deferred) {
 	j.ctr.Resumed++
 	j.trace.Resume(j.name, 1)
-	j.activate(&probe{input: susp.E.C, port: s.port, seq: susp.E.Seq, susp: susp, collect: out,
+	j.activate(&probe{input: susp.E.C, port: s.port, seq: susp.E.Seq, susp: susp, tag: tag, collect: out,
 		ephemeral: j.expired(susp.E.C)})
 }
 
 // resumeTypeII dissolves an origin mark entry and generates the suppressed
-// marked×marked pairs exactly once.
-func (j *JoinOp) resumeTypeII(m *feedback.MNS, out *[]*stream.Composite) {
+// marked×marked pairs exactly once, deferred under m.
+func (j *JoinOp) resumeTypeII(m *feedback.MNS, out *[]feedback.Deferred) {
 	if e, ok := j.marks.TakeOrigin(m); ok {
-		j.unmarkCatchup(e, out)
+		j.unmarkCatchup(e, m, out)
 	}
 }
 
@@ -298,7 +304,9 @@ func (j *JoinOp) resumeTypeII(m *feedback.MNS, out *[]*stream.Composite) {
 // an in-flight probe that will still reach the partner live is left to that
 // scan. Generation is deduplicated per pair. The entry has already left the
 // active map, so its id, which the marked tuples keep, suppresses nothing.
-func (j *JoinOp) unmarkCatchup(e *feedback.OriginEntry, out *[]*stream.Composite) {
+// Both endpoints of a pair carry the mark, so each result carries the
+// entry's signature and is deferred under tag, an MNS with it.
+func (j *JoinOp) unmarkCatchup(e *feedback.OriginEntry, tag *feedback.MNS, out *[]feedback.Deferred) {
 	L := j.in[operator.Left]
 	gen := make(map[[2]uint64]bool, len(e.Pending))
 	for _, p := range e.Pending {
@@ -330,7 +338,7 @@ func (j *JoinOp) unmarkCatchup(e *feedback.OriginEntry, out *[]*stream.Composite
 		if !j.evalAtoms(p.L.C, L, p.R.C) {
 			continue
 		}
-		*out = append(*out, j.result(p.L.C, p.R.C))
+		*out = append(*out, feedback.Deferred{C: j.result(p.L.C, p.R.C), MNS: tag})
 	}
 	j.marks.ReleasePending(e)
 }
@@ -339,26 +347,26 @@ func (j *JoinOp) unmarkCatchup(e *feedback.OriginEntry, out *[]*stream.Composite
 // unmark catch-up, and expired MNS anchors release their surviving suspended
 // tuples (which re-enter processing and, if still unmatched, are
 // re-suspended under fresh anchors by the downstream consumer). See
-// DESIGN.md §2 (expiry sweep).
+// DESIGN.md §2 (expiry sweep). Each batch is deferred under its entry's MNS.
 func (j *JoinOp) fireExpired() {
 	for _, e := range j.marks.TakeExpiredOrigins(j.now) {
-		var out []*stream.Composite
-		j.unmarkCatchup(e, &out)
+		var out []feedback.Deferred
+		j.unmarkCatchup(e, e.MNS, &out)
 		j.emitAll(out)
 	}
 	for p := operator.Port(0); p < 2; p++ {
 		s := j.in[p]
 		for _, e := range s.black.TakeExpired(j.now) {
-			var out []*stream.Composite
-			j.reactivate(s, e, &out)
+			var out []feedback.Deferred
+			j.reactivate(s, e, e.MNS, &out)
 			j.emitAll(out)
 		}
 	}
 }
 
-func (j *JoinOp) emitAll(out []*stream.Composite) {
-	for _, r := range out {
-		j.emit(r)
+func (j *JoinOp) emitAll(out []feedback.Deferred) {
+	for _, d := range out {
+		j.emit(d)
 	}
 }
 

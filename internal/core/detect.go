@@ -94,6 +94,7 @@ func (j *JoinOp) identifyMNS(c *stream.Composite, s, o *side) []uint32 {
 		j.ctr.Comparisons += uint64(len(bound))
 		o.st.WalkCarrying(bound, func(e state.Entry) bool {
 			if !j.pairValid(c, e.C) {
+				s.partial = true
 				return true
 			}
 			if _, ok := s.seen[e.Seq]; ok {
@@ -146,8 +147,11 @@ func (j *JoinOp) reportMNS(f *probe, s, o *side) {
 	}
 	j.ctr.MNSDetected += uint64(len(mnses))
 	j.trace.MNS(j.name, len(mnses))
+	// The MNSs guard (feedback.Guarding) when the detection checked every
+	// tuple of the opposite state and none is in flight towards it, unchecked.
+	guard := !s.partial && j.topFrameOn(o.port) == nil
 	for _, m := range mnses {
-		s.buf.Add(m)
+		s.buf.Add(m, guard)
 	}
 	if s.prod != nil {
 		j.ctr.Feedbacks++
@@ -159,6 +163,7 @@ func (j *JoinOp) reportMNS(f *probe, s, o *side) {
 // materializes it. The list is s.omega, good until the next call on s.
 func (j *JoinOp) omega(c *stream.Composite, s, o *side) []*feedback.MNS {
 	mnses := s.omega[:0]
+	s.partial = false
 	switch {
 	case o.st.Empty():
 		// Fig. 8 line 2: empty opposite state → Ø is the only MNS. This is

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/feedback"
 	"repro/internal/operator"
 	"repro/internal/state"
 	"repro/internal/stream"
@@ -109,7 +110,7 @@ func (j *JoinOp) purge() {
 			j.ctr.Purged += uint64(len(s.black.TakeExpiredTuples(j.now, j.window)))
 		}
 		if fb {
-			s.buf.Purge(j.now)
+			s.buf.Purge(j.now, j.in[1-p].seq.Watermark())
 		}
 	}
 	if drop && !j.marks.Empty() {
@@ -142,8 +143,8 @@ func (j *JoinOp) lastGasp() {
 		taken := s.black.TakeExpiredTuples(j.now, j.window)
 		for i := range taken {
 			j.ctr.Purged++
-			var out []*stream.Composite
-			j.resume(s, &taken[i], &out)
+			var out []feedback.Deferred
+			j.resume(s, &taken[i].Suspended, taken[i].MNS, &out)
 			j.emitAll(out)
 		}
 	}

@@ -21,6 +21,15 @@ type collector struct{ got []*stream.Composite }
 
 func (c *collector) Consume(r *stream.Composite, _ operator.Port) { c.got = append(c.got, r) }
 
+// composites drops the MNSs a batch of deferred results was deferred under.
+func composites(ds []feedback.Deferred) []*stream.Composite {
+	var cs []*stream.Composite
+	for _, d := range ds {
+		cs = append(cs, d.C)
+	}
+	return cs
+}
+
 // TestGraveyardHorizon pins the retention rule of DESIGN.md §4 on one
 // operator, white-box: an entry retired at MinTS+w stays findable while a
 // parked tuple old enough to pair with it is still owed its catch-up, is

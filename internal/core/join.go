@@ -95,10 +95,19 @@ type side struct {
 	// mask is already observed.
 	lat  *lattice.Lattice
 	seen map[uint64]struct{}
+	// partial is set by identifyMNS when a candidate failed pairValid: Ω
+	// was then decided over part of the opposite state, and the MNSs claim
+	// nothing about the rest (feedback.MNS.Seen).
+	partial bool
 	// omega is reportMNS's scratch for the list of MNSs it reports: the buffer
 	// and the producer's feedback handlers keep the descriptors, never the
 	// list, and a report on this side is over before the next begins.
 	omega []*feedback.MNS
+	// reinserted is the side's watermark when a resumption last re-entered
+	// its state: a tuple stored with an older sequence, which may never have
+	// met an MNS of the opposite buffer that lapsed before it came back
+	// (ruledOut).
+	reinserted uint64
 }
 
 // probe is one input's pass through Process_Input (Fig. 6): a fresh arrival,
@@ -115,9 +124,18 @@ type probe struct {
 	// never joined (Pending) — and nil for any other input.
 	susp        *feedback.Suspended
 	lastPartner uint64 // sequence of the last opposite entry processed
+	// under is the MNS the input was deferred under upstream
+	// (feedback.Deferred), nil for any other input: when this operator
+	// detected it, the probe of the opposite state skips what it ruled out
+	// (ruledOut).
+	under *feedback.MNS
+	// tag is the MNS every result this probe builds is deferred under: set
+	// on a resumption, whose results all contain the parked tuple; nil
+	// otherwise.
+	tag *feedback.MNS
 	// collect, when non-nil, receives results instead of downstream emission
 	// (resumption responses, Sec. III-A lines 14-17).
-	collect *[]*stream.Composite
+	collect *[]feedback.Deferred
 	// parkEntry, when set by a suspension received mid-probe, defers the
 	// parking of this input until its current probe completes: aborting the
 	// scan would strand pairs behind resumption cycles across operators
@@ -170,6 +188,9 @@ type JoinOp struct {
 
 	consumer operator.Consumer
 	outPort  operator.Port
+	// deferredTo is consumer when it can use the MNS a recovery was deferred
+	// under (operator.DeferredConsumer), nil otherwise.
+	deferredTo operator.DeferredConsumer
 
 	// trace is the attached observability layer; nil disables it. The tracer
 	// only observes — it never writes anything the counters measure
@@ -243,6 +264,7 @@ func NewJoin(cfg Config) *JoinOp {
 // SetConsumer wires the downstream consumer and the port our outputs feed.
 func (j *JoinOp) SetConsumer(c operator.Consumer, port operator.Port) {
 	j.consumer, j.outPort = c, port
+	j.deferredTo, _ = c.(operator.DeferredConsumer)
 }
 
 // Consumer returns what SetConsumer wired. plan.Built.Reshape reads it off the
@@ -312,11 +334,17 @@ func (j *JoinOp) SnapshotBase(p operator.Port, cut stream.Time) []*stream.Tuple 
 // Fig. 6 with the blacklist diversion of arrivals whose signature is already
 // suspended (Sec. IV-B), in the order enter chooses.
 func (j *JoinOp) Consume(c *stream.Composite, port operator.Port) {
-	if c.TS > j.now {
-		j.now = c.TS
+	j.ConsumeDeferred(feedback.Deferred{C: c}, port)
+}
+
+// ConsumeDeferred implements operator.DeferredConsumer: Consume for a
+// recovery the producer emits with the MNS it was deferred under.
+func (j *JoinOp) ConsumeDeferred(d feedback.Deferred, port operator.Port) {
+	if d.C.TS > j.now {
+		j.now = d.C.TS
 	}
 	j.purge()
-	j.enter(&probe{input: c, port: port, detect: true})
+	j.enter(&probe{input: d.C, port: port, under: d.MNS, detect: true})
 }
 
 // activate runs purge-probe-insert for one input, with the JIT additions:
@@ -329,9 +357,9 @@ func (j *JoinOp) activate(f *probe) {
 	}
 
 	// Probe the opposite MNS buffer and issue resumption feedback.
-	var spi []*stream.Composite
+	var spi []feedback.Deferred
 	if j.mode.enabled() && o.buf.Len() > 0 {
-		matched, n := o.buf.Probe(f.input)
+		matched, n := o.buf.Probe(f.input, f.seq)
 		j.ctr.Comparisons += uint64(n)
 		if len(matched) > 0 && o.prod != nil {
 			j.ctr.Feedbacks++
@@ -348,11 +376,12 @@ func (j *JoinOp) activate(f *probe) {
 	}
 
 	// Process S_Π: the demanded partial results returned by the producer.
-	// Each is a brand-new input on the opposite side; by the resumption
-	// argument (DESIGN.md §2) only the current input can match them, so the
-	// full probe performs exactly the paper's "join t with S_Π" plus cheap
-	// failing comparisons, while keeping cascaded resumption and mark
-	// bookkeeping uniform.
+	// Each is a brand-new input on the opposite side. Those built directly
+	// under a matched MNS carry its Seen claim, t's sequence less one, so
+	// their probe joins t and what followed it — the paper's "join t with
+	// S_Π" — and skips the tuples the MNS ruled out; the rest probe in full
+	// (ruledOut, DESIGN.md §2). Either way cascaded resumption and mark
+	// bookkeeping stay uniform.
 	j.processUpstream(o, spi, f.collect)
 }
 
@@ -372,8 +401,10 @@ func (j *JoinOp) probeInsert(f *probe, s, o *side) {
 	detecting := f.detect && s.detectable
 
 	// Probe the opposite state (and, for a resumption, the blacklists, the
-	// pending partners and any in-flight opposite input).
-	f.lastPartner = f.cursor()
+	// pending partners and any in-flight opposite input). The state walk
+	// starts after the cursor, or after what the MNS the input was deferred
+	// under ruled out.
+	f.lastPartner = max(f.cursor(), j.ruledOut(f, s, o))
 	f.evalSuppressed = detecting && j.mode == DetectLattice
 	j.frames = append(j.frames, f)
 	j.probeState(f, s, o)
@@ -424,6 +455,9 @@ func (j *JoinOp) probeInsert(f *probe, s, o *side) {
 	}
 	// Otherwise it joins the active state.
 	s.st.Reinsert(se)
+	if f.susp != nil {
+		s.reinserted = s.seq.Watermark()
+	}
 	j.ctr.Inserted++
 	if s.blooms != nil {
 		j.bloomInsert(s, f.input)
@@ -457,6 +491,28 @@ func (j *JoinOp) park(s *side, e *feedback.Entry, t feedback.Suspended) {
 	s.black.Park(e, t)
 	j.ctr.Suspended++
 	j.trace.Suspend(j.name, 1)
+}
+
+// ruledOut is the opposite sequence through which f's state probe may skip:
+// the Seen claim of the MNS f.input was deferred under (DESIGN.md §2, "What
+// an MNS rules out"), capped at the opposite watermark, or 0. The claim
+// counts this operator's opposite sequences only when the MNS was detected
+// here on f's side, which its predicates tell: each crossing predicate is
+// evaluated at one join of the plan, so an MNS relayed from a consumer
+// further down the chain, or one with none (Ø, a selection's), is walked in
+// full. So is any input once a resumption has re-entered the opposite state
+// at or after the claim's sequence: its tuple, stored with an older
+// sequence, may have come back after the MNS left the buffer, unchecked.
+func (j *JoinOp) ruledOut(f *probe, s, o *side) uint64 {
+	m := f.under
+	if m == nil || m.Seen == 0 || o.reinserted >= m.Seen || len(m.Preds) == 0 {
+		return 0
+	}
+	p := m.Preds[0]
+	if !(s.sources.Has(p.Left) && o.sources.Has(p.Right) || s.sources.Has(p.Right) && o.sources.Has(p.Left)) {
+		return 0
+	}
+	return min(m.Seen, o.seq.Watermark())
 }
 
 // probeState probes the opposite state beyond the probe's cursor in ascending
@@ -659,12 +715,12 @@ func (j *JoinOp) joinPair(f *probe, s *side, e state.Entry) {
 // probe's collection when it has one, downstream otherwise.
 func (j *JoinOp) deliver(f *probe, e state.Entry) {
 	f.fullMatch = true
-	r := j.result(f.input, e.C)
+	d := feedback.Deferred{C: j.result(f.input, e.C), MNS: f.tag}
 	if f.collect != nil {
-		*f.collect = append(*f.collect, r)
+		*f.collect = append(*f.collect, d)
 		return
 	}
-	j.emit(r)
+	j.emit(d)
 }
 
 // result builds and counts the join of a fully matching pair.
@@ -673,12 +729,16 @@ func (j *JoinOp) result(a, b *stream.Composite) *stream.Composite {
 	return stream.Join(a, b)
 }
 
-// emit delivers a result downstream. Emission may re-enter this operator
-// with feedback (the consumer processes the result immediately in the
-// pipelined engine and may detect an MNS on it).
-func (j *JoinOp) emit(r *stream.Composite) {
-	if j.consumer != nil {
-		j.consumer.Consume(r, j.outPort)
+// emit delivers a result downstream, with the MNS it was deferred under to
+// a consumer that can use it. Emission may re-enter this operator with
+// feedback (the consumer processes the result immediately in the pipelined
+// engine and may detect an MNS on it).
+func (j *JoinOp) emit(d feedback.Deferred) {
+	switch {
+	case d.MNS != nil && j.deferredTo != nil:
+		j.deferredTo.ConsumeDeferred(d, j.outPort)
+	case j.consumer != nil:
+		j.consumer.Consume(d.C, j.outPort)
 	}
 }
 

@@ -146,7 +146,7 @@ func TestJoinFedOriginSendsNothingUpstream(t *testing.T) {
 			tr.deadlines = append(tr.deadlines, p.NextDeadline())
 		}
 		if suspend {
-			tr.resumed = x.Feedback(feedback.Message{Cmd: feedback.Resume, MNS: []*feedback.MNS{m}})
+			tr.resumed = composites(x.Feedback(feedback.Message{Cmd: feedback.Resume, MNS: []*feedback.MNS{m}}))
 		}
 		tr.finals, tr.x = append(out.got, tr.resumed...), *x.Counters()
 		return tr

@@ -65,7 +65,7 @@ func runScript(t *testing.T, mode core.Mode, exact, indexed bool, script []step)
 			tp := &stream.Tuple{ID: uint64(i + 1), Source: stream.SourceID(s.port), TS: stream.Time(i + 1), Vals: []stream.Value{s.val}}
 			x.Consume(stream.NewComposite(2, tp), s.port)
 		case s.resume:
-			out.got = append(out.got, x.Feedback(feedback.Message{Cmd: feedback.Resume, MNS: []*feedback.MNS{s.m}})...)
+			out.got = append(out.got, composites(x.Feedback(feedback.Message{Cmd: feedback.Resume, MNS: []*feedback.MNS{s.m}}))...)
 		default:
 			x.Feedback(feedback.Message{Cmd: feedback.Suspend, MNS: []*feedback.MNS{s.m}})
 		}

@@ -221,12 +221,19 @@ func (b *Blacklist) dropped(e *Entry) {
 	}
 }
 
+// Taken is a parked tuple taken out of the blacklist, with the MNS of the
+// entry it was parked under: the tuple carries its signature.
+type Taken struct {
+	Suspended
+	MNS *MNS
+}
+
 // TakeExpiredTuples removes and returns the parked tuples whose own window
 // has closed, in entry-insertion then park order (deterministic), and
 // uncharges their storage. The legacy sweep drops them; the exact-delivery
 // sweep gives each a last-gasp catch-up first (DESIGN.md §4).
-func (b *Blacklist) TakeExpiredTuples(now, window stream.Time) []Suspended {
-	var taken []Suspended
+func (b *Blacklist) TakeExpiredTuples(now, window stream.Time) []Taken {
+	var taken []Taken
 	b.parkMin, b.parkTS = state.MinCache{}, state.MinCache{}
 	for _, e := range b.entries.list {
 		kept := e.Tuples[:0]
@@ -234,7 +241,7 @@ func (b *Blacklist) TakeExpiredTuples(now, window stream.Time) []Suspended {
 			if s.E.C.MinTS+window <= now {
 				b.acct.Free(metrics.MemBlacklist, s.E.C.DeepSizeBytes())
 				delete(b.bySeq, s.E.Seq)
-				taken = append(taken, s)
+				taken = append(taken, Taken{s, e.MNS})
 				continue
 			}
 			b.parkMin.Add(s.E.C.MinTS)

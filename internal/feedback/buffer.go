@@ -54,12 +54,18 @@ func NewBuffer(acct *metrics.Account) *Buffer {
 // Len returns the number of buffered MNSs.
 func (b *Buffer) Len() int { return len(b.mnss.list) }
 
-// Add inserts an MNS. If an MNS with the same signature is present, the one
-// with the later expiry wins and the other is dropped; the retained
-// descriptor is returned along with whether the buffer changed.
-func (b *Buffer) Add(m *MNS) (kept *MNS, added bool) {
+// Add inserts an MNS. If an MNS with the same signature is present, it is
+// kept with the later of the two expiries and m is dropped; the retained
+// descriptor is returned along with whether the buffer changed. guard says
+// that the consumer checked every tuple of its opposite state against m: an
+// inserted m then guards (Seen = Guarding) until it leaves. A dropped m
+// never sat in the buffer and claims nothing.
+func (b *Buffer) Add(m *MNS, guard bool) (kept *MNS, added bool) {
 	if old, ok := b.mnss.extend(m); ok {
 		return old, false
+	}
+	if guard {
+		m.Seen = Guarding
 	}
 	b.mnss.insert(m)
 	b.byProbe.add(m)
@@ -73,26 +79,38 @@ func (b *Buffer) NextExpiry() stream.Time { return b.mnss.nextExpiry() }
 
 // Purge drops expired MNSs and returns how many were removed. It runs on
 // every arrival and sweep of the operator, and walks the buffer only when
-// something is due.
-func (b *Buffer) Purge(now stream.Time) int {
+// something is due. watermark is the opposite side's highest sequence: what
+// a guarding MNS checked up to as it leaves.
+func (b *Buffer) Purge(now stream.Time, watermark uint64) int {
 	expired := b.mnss.takeExpired(now)
 	for _, m := range expired {
-		b.byProbe.remove(m)
+		b.left(m, watermark)
 	}
 	return len(expired)
 }
 
 // Probe finds every buffered MNS matched by the arriving opposite-side
 // composite t, removes them from the buffer, and returns them (the Π set of
-// Process_Input). The comparison count is returned for cost accounting.
-func (b *Buffer) Probe(t *stream.Composite) (matched []*MNS, comparisons int) {
+// Process_Input). seq is t's sequence: a guarding MNS t takes has checked
+// every opposite tuple before it. The comparison count is returned for cost
+// accounting.
+func (b *Buffer) Probe(t *stream.Composite, seq uint64) (matched []*MNS, comparisons int) {
 	comparisons = b.byProbe.match(t, func(m *MNS) bool {
 		matched = append(matched, m)
 		return true
 	})
 	b.mnss.remove(matched...)
 	for _, m := range matched {
-		b.byProbe.remove(m)
+		b.left(m, seq-1)
 	}
 	return matched, comparisons
+}
+
+// left finishes m's departure: it leaves the probe index, and a guarding m
+// keeps the claim it held up to seen.
+func (b *Buffer) left(m *MNS, seen uint64) {
+	b.byProbe.remove(m)
+	if m.Seen == Guarding {
+		m.Seen = seen
+	}
 }

@@ -27,17 +27,17 @@ func TestSharedDescriptorKeepsDeadlinesExact(t *testing.T) {
 	buf, bl, mt := NewBuffer(acct), NewBlacklist(acct), NewMarkTable(acct)
 	m, dup := mnsA(7, 100), mnsA(7, 500)
 	for _, d := range []*MNS{m, dup} {
-		buf.Add(d)
+		buf.Add(d, false)
 		bl.Ensure(d)
 		mt.ActivateOrigin(d, d.Sig, nil)
 	}
 	if b, e, o := buf.NextExpiry(), bl.NextAnchorExpiry(), mt.NextExpiry(); b != 500 || e != 500 || o != 500 {
 		t.Fatalf("deadlines after the duplicate: buffer %d, blacklist %d, mark table %d; want 500 each", b, e, o)
 	}
-	if n, exp, orig := buf.Purge(100), bl.TakeExpired(100), mt.TakeExpiredOrigins(100); n != 0 || len(exp) != 0 || len(orig) != 0 {
+	if n, exp, orig := buf.Purge(100, 0), bl.TakeExpired(100), mt.TakeExpiredOrigins(100); n != 0 || len(exp) != 0 || len(orig) != 0 {
 		t.Fatalf("taken at the superseded expiry: %d buffered, %d entries, %d origins", n, len(exp), len(orig))
 	}
-	if n, exp, orig := buf.Purge(500), bl.TakeExpired(500), mt.TakeExpiredOrigins(500); n != 1 || len(exp) != 1 || len(orig) != 1 {
+	if n, exp, orig := buf.Purge(500, 0), bl.TakeExpired(500), mt.TakeExpiredOrigins(500); n != 1 || len(exp) != 1 || len(orig) != 1 {
 		t.Fatalf("taken at the extended expiry: %d buffered, %d entries, %d origins", n, len(exp), len(orig))
 	}
 }
@@ -96,12 +96,18 @@ func TestExpiryMovesOnlyThroughExtend(t *testing.T) {
 // a consumer hands them to its producers, and holds each structure to a map
 // model of its own anchors: after every step its next expiry is the model's
 // earliest, and every take removes exactly the elements the model has
-// expired. Each input byte is one operation: the high four bits pick it, the
-// low two the key (four signatures), bits 2-3 an expiry or clock step.
+// expired. The buffer's departures are held to a slice model of what it
+// holds as well: every descriptor's Seen claim is the model's after every
+// step — Guarding from an add that guards until the descriptor leaves, the
+// taker's sequence less one or the opposite watermark after it, untouched by
+// a duplicate. Each input byte is one operation: the high four bits pick it,
+// the low two the key (four signatures), bits 2-3 an expiry or clock step,
+// and bit 3 whether an add guards.
 func FuzzDeadlineCaches(f *testing.F) {
 	f.Add([]byte{0x10, 0x20, 0x30, 0x0c, 0x10, 0x20, 0x30, 0xac, 0x70, 0x80, 0x90})
 	f.Add([]byte{0x11, 0x21, 0x0d, 0x11, 0x21, 0x31, 0xbc, 0x41, 0x51, 0x61, 0xcc, 0x70, 0x80})
 	f.Add([]byte{0x02, 0x12, 0x22, 0x32, 0x0e, 0x12, 0x22, 0x32, 0xac, 0xac, 0x80, 0x90, 0x70})
+	f.Add([]byte{0x19, 0x0d, 0x19, 0x41, 0x1d, 0x09, 0x19, 0xfc, 0x71, 0x1a, 0x42})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		acct := &metrics.Account{}
 		buf, bl, mt := NewBuffer(acct), NewBlacklist(acct), NewMarkTable(acct)
@@ -111,10 +117,22 @@ func FuzzDeadlineCaches(f *testing.F) {
 		key := func(m *MNS) stream.Value { return m.Sig[0].Val }
 		var cur [4]*MNS // the latest descriptor of each key, shared by whoever takes it
 		now, ids := stream.Time(0), uint64(0)
+		// held is the buffer's slice model, in insertion order; seen is every
+		// descriptor's claim as the model has it.
+		var held []*MNS
+		var all []*MNS
+		seen := map[*MNS]uint64{}
+		leave := func(m *MNS, at uint64) {
+			held = slices.DeleteFunc(held, func(h *MNS) bool { return h == m })
+			if seen[m] == Guarding {
+				seen[m] = at
+			}
+		}
 		fresh := func(k int, delta stream.Time) {
 			ids++
 			cur[k] = mnsA(stream.Value(k), now+delta)
 			cur[k].ID = ids
+			all = append(all, cur[k])
 		}
 		file := func(model map[stream.Value]stream.Time, m *MNS) {
 			if old, ok := model[key(m)]; !ok || m.Expiry > old {
@@ -148,6 +166,7 @@ func FuzzDeadlineCaches(f *testing.F) {
 		}
 		for step, op := range ops {
 			k, delta := int(op&3), []stream.Time{0, 5, 20, 60}[op>>2&3]
+			seq := uint64(step + 1) // the opposite side's sequence at this step
 			if cur[k] == nil {
 				fresh(k, delta)
 			}
@@ -156,8 +175,15 @@ func FuzzDeadlineCaches(f *testing.F) {
 			case 0: // a new descriptor: a duplicate wherever its key is held
 				fresh(k, delta)
 			case 1:
+				guard := op&8 != 0
+				if _, ok := mBuf[key(m)]; !ok {
+					held = append(held, m)
+					if guard {
+						seen[m] = Guarding
+					}
+				}
 				file(mBuf, m)
-				buf.Add(m)
+				buf.Add(m, guard)
 			case 2:
 				file(mBl, m)
 				bl.Ensure(m)
@@ -165,10 +191,16 @@ func FuzzDeadlineCaches(f *testing.F) {
 				file(mOrig, m)
 				mt.ActivateOrigin(m, m.Sig, nil)
 			case 4: // an opposite arrival carrying key k resumes its MNS
-				_, held := mBuf[key(m)]
+				_, holds := mBuf[key(m)]
 				delete(mBuf, key(m))
-				if got, _ := buf.Probe(comp(3, tpl(2, now, stream.Value(k)))); (len(got) == 1) != held || len(got) > 1 {
-					t.Fatalf("step %d: probe took %d, model holds key %t", step, len(got), held)
+				for _, h := range held {
+					if key(h) == key(m) {
+						leave(h, seq-1)
+						break
+					}
+				}
+				if got, _ := buf.Probe(comp(3, tpl(2, now, stream.Value(k))), seq); (len(got) == 1) != holds || len(got) > 1 {
+					t.Fatalf("step %d: probe took %d, model holds key %t", step, len(got), holds)
 				}
 			case 5:
 				_, held := mBl[key(m)]
@@ -183,7 +215,12 @@ func FuzzDeadlineCaches(f *testing.F) {
 					t.Fatalf("step %d: origin take %t, model %t", step, ok, held)
 				}
 			case 7:
-				if got, want := buf.Purge(now), len(expired(mBuf)); got != want {
+				for _, h := range slices.Clone(held) {
+					if mBuf[key(h)] <= now {
+						leave(h, seq)
+					}
+				}
+				if got, want := buf.Purge(now, seq), len(expired(mBuf)); got != want {
 					t.Fatalf("step %d: buffer purged %d at %d, model %d", step, got, now, want)
 				}
 			case 8:
@@ -205,8 +242,13 @@ func FuzzDeadlineCaches(f *testing.F) {
 			default: // the clock moves
 				now += delta + 1
 			}
-			if got, want := buf.NextExpiry(), next(mBuf); got != want || buf.Len() != len(mBuf) {
-				t.Fatalf("step %d: buffer next %d len %d, model %d len %d", step, got, buf.Len(), want, len(mBuf))
+			if got, want := buf.NextExpiry(), next(mBuf); got != want || buf.Len() != len(mBuf) || len(held) != len(mBuf) {
+				t.Fatalf("step %d: buffer next %d len %d, model %d len %d (%d held)", step, got, buf.Len(), want, len(mBuf), len(held))
+			}
+			for _, m := range all {
+				if m.Seen != seen[m] {
+					t.Fatalf("step %d: descriptor %d claims Seen %d, model %d", step, m.ID, m.Seen, seen[m])
+				}
 			}
 			if got, want := bl.NextAnchorExpiry(), next(mBl); got != want || bl.Len() != len(mBl) {
 				t.Fatalf("step %d: blacklist next %d len %d, model %d len %d", step, got, bl.Len(), want, len(mBl))

@@ -155,7 +155,19 @@ type MNS struct {
 	// Expiry is when the anchor sub-tuple leaves the window; after this the
 	// consumer forgets the MNS and the producer must reactivate survivors.
 	Expiry stream.Time
+	// Seen is the detecting consumer's claim about its opposite state: no
+	// tuple stored there with a sequence at or below Seen matches the MNS, so
+	// a result carrying the signature need only be joined with the ones
+	// after it (DESIGN.md §2, "What an MNS rules out"). 0 claims nothing;
+	// Guarding claims every stored tuple while the MNS sits in the buffer,
+	// and the buffer lowers it to a sequence when the MNS leaves.
+	Seen uint64
 }
+
+// Guarding is MNS.Seen while the MNS is buffered under the claim: every
+// opposite input probes the buffer before it is stored, so none stored
+// since the detection matches it either.
+const Guarding = ^uint64(0)
 
 // IsEmpty reports whether this is the empty MNS Ø (total suspension / DOE).
 func (m *MNS) IsEmpty() bool { return m.Sources.Empty() }
@@ -183,6 +195,18 @@ func (m *MNS) String() string {
 		return "Ø"
 	}
 	return fmt.Sprintf("mns%d<%v>", m.ID, m.Sig)
+}
+
+// Deferred is a result released on an MNS's account: a demanded partial
+// result of S_Π, or a recovery a producer emits when an anchor or a parked
+// tuple's window closes. MNS is the descriptor it was deferred under when
+// the producer built it directly from a tuple parked, or a pair suppressed,
+// under that MNS — the result then carries its signature — and nil for any
+// other result, such as those a resumed tuple's own Process_Input gathers
+// from further upstream.
+type Deferred struct {
+	C   *stream.Composite
+	MNS *MNS
 }
 
 // Message is one feedback message sent from a consumer to a producer.

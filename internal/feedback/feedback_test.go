@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/metrics"
 	"repro/internal/predicate"
@@ -16,6 +17,15 @@ func tpl(src stream.SourceID, ts stream.Time, vals ...stream.Value) *stream.Tupl
 }
 
 func comp(n int, t *stream.Tuple) *stream.Composite { return stream.NewComposite(n, t) }
+
+// TestMNSStaysInItsSizeClass: a descriptor is allocated per detection and
+// held by the buffer and every producer up the chain, so its Seen claim must
+// not move it past the 80-byte size class.
+func TestMNSStaysInItsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(MNS{}); n > 80 {
+		t.Fatalf("feedback.MNS is %d bytes, past the 80-byte size class", n)
+	}
+}
 
 func mnsA(val stream.Value, expiry stream.Time) *MNS {
 	attr := predicate.Attr{Source: 0, Col: 1}
@@ -122,11 +132,11 @@ func TestBufferAddDedupPurgeProbe(t *testing.T) {
 	acct := &metrics.Account{}
 	b := NewBuffer(acct)
 	m1 := mnsA(100, 1000)
-	kept, added := b.Add(m1)
+	kept, added := b.Add(m1, false)
 	if !added || kept != m1 || b.Len() != 1 {
 		t.Fatal("first add failed")
 	}
-	if kept, added = b.Add(mnsA(100, 2000)); added || kept != m1 {
+	if kept, added = b.Add(mnsA(100, 2000), false); added || kept != m1 {
 		t.Fatal("duplicate signature must return the held MNS")
 	}
 	if held, ok := b.mnss.bySig.find(m1.Sig); !ok || held != m1 {
@@ -134,13 +144,13 @@ func TestBufferAddDedupPurgeProbe(t *testing.T) {
 	}
 	// Probe with matching partner removes it.
 	hit := comp(3, tpl(2, 7, 100))
-	matched, _ := b.Probe(hit)
+	matched, _ := b.Probe(hit, 1)
 	if len(matched) != 1 || b.Len() != 0 || acct.Live() != 0 {
 		t.Fatalf("probe: matched=%d len=%d live=%d", len(matched), b.Len(), acct.Live())
 	}
 	// Expired MNSs are purged.
-	b.Add(mnsA(50, 100))
-	if n := b.Purge(100); n != 1 || b.Len() != 0 {
+	b.Add(mnsA(50, 100), false)
+	if n := b.Purge(100, 0); n != 1 || b.Len() != 0 {
 		t.Fatalf("purge failed: %d", n)
 	}
 	if acct.Live() != 0 {
@@ -150,18 +160,18 @@ func TestBufferAddDedupPurgeProbe(t *testing.T) {
 
 func TestBufferProbeMisses(t *testing.T) {
 	b := NewBuffer(&metrics.Account{})
-	b.Add(mnsA(100, 1000))
+	b.Add(mnsA(100, 1000), false)
 	// Neither a different value nor an arrival lacking the tested source
 	// confirms the MNS's predicate.
 	for _, miss := range []*stream.Composite{comp(3, tpl(2, 7, 51)), comp(3, tpl(1, 7, 100))} {
-		if matched, _ := b.Probe(miss); len(matched) != 0 || b.Len() != 1 {
+		if matched, _ := b.Probe(miss, 1); len(matched) != 0 || b.Len() != 1 {
 			t.Fatal("miss must keep the MNS")
 		}
 	}
 	// Ø is matched by any opposite arrival, ahead of the keyed MNSs.
 	empty := &MNS{ID: 9, Expiry: NoExpiry}
-	b.Add(empty)
-	if matched, n := b.Probe(comp(3, tpl(2, 8, 100))); len(matched) != 2 || matched[0] != empty || n != 1 || b.Len() != 0 {
+	b.Add(empty, false)
+	if matched, n := b.Probe(comp(3, tpl(2, 8, 100)), 1); len(matched) != 2 || matched[0] != empty || n != 1 || b.Len() != 0 {
 		t.Fatalf("Ø + keyed probe: matched %v after %d comparisons", matched, n)
 	}
 }
@@ -329,7 +339,7 @@ func TestFPIndexDropsEmptyBuckets(t *testing.T) {
 	bl := NewBlacklist(acct)
 	for v := stream.Value(1); v <= 2000; v++ {
 		m := mnsA(v, 100)
-		buf.Add(m)
+		buf.Add(m, false)
 		bl.Ensure(m)
 		// A second element under the same fingerprint: the bucket must
 		// survive the first removal and go with the second.
@@ -344,14 +354,14 @@ func TestFPIndexDropsEmptyBuckets(t *testing.T) {
 		}
 		switch v % 3 {
 		case 0: // leaves by expiry
-			buf.Purge(100)
+			buf.Purge(100, 0)
 			bl.TakeExpired(100)
 		case 1: // leaves by demand
 			buf.byProbe.remove(m)
 			buf.mnss.remove(m)
 			bl.Take(m)
 		default: // leaves through Probe, which has to find it first
-			if matched, _ := buf.Probe(comp(3, tpl(2, 5, v))); len(matched) != 1 || matched[0] != m {
+			if matched, _ := buf.Probe(comp(3, tpl(2, 5, v)), 1); len(matched) != 1 || matched[0] != m {
 				t.Fatalf("value %d: probe matched %v", v, matched)
 			}
 			bl.Take(m)
@@ -364,8 +374,8 @@ func TestFPIndexDropsEmptyBuckets(t *testing.T) {
 		t.Fatalf("groups must persist: %d buffer, %d blacklist", len(buf.byProbe.groups), len(bl.entries.bySig.groups))
 	}
 	// The index still works after all that churn.
-	buf.Add(mnsA(1, 100))
-	if matched, n := buf.Probe(comp(3, tpl(2, 5, 1))); len(matched) != 1 || n != 1 {
+	buf.Add(mnsA(1, 100), false)
+	if matched, n := buf.Probe(comp(3, tpl(2, 5, 1)), 1); len(matched) != 1 || n != 1 {
 		t.Fatalf("probe after churn: %d matched, %d comparisons", len(matched), n)
 	}
 	if acct.Live() != 0 {

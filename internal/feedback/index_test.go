@@ -78,14 +78,14 @@ func TestTablesKeepHashTwinsApart(t *testing.T) {
 		b := NewBuffer(&metrics.Account{})
 		ms := twins()
 		for i, m := range ms {
-			if kept, added := b.Add(m); !added || kept != m {
+			if kept, added := b.Add(m, false); !added || kept != m {
 				t.Fatalf("twin %d not added", i)
 			}
 		}
-		if matched, _ := b.Probe(opposite(1)); len(matched) != 1 || matched[0] != ms[1] || b.Len() != 1 {
+		if matched, _ := b.Probe(opposite(1), 1); len(matched) != 1 || matched[0] != ms[1] || b.Len() != 1 {
 			t.Fatalf("probe for twin 1 matched %v, %d left", matched, b.Len())
 		}
-		if matched, _ := b.Probe(opposite(0)); len(matched) != 1 || matched[0] != ms[0] || b.Len() != 0 {
+		if matched, _ := b.Probe(opposite(0), 1); len(matched) != 1 || matched[0] != ms[0] || b.Len() != 0 {
 			t.Fatalf("probe for twin 0 matched %v, %d left", matched, b.Len())
 		}
 	})

@@ -35,13 +35,25 @@ type Consumer interface {
 	Consume(c *stream.Composite, to Port)
 }
 
+// DeferredConsumer is a Consumer that can also take a recovery with the MNS
+// it was deferred under (feedback.Deferred): a join that detected the MNS
+// skips the partners it ruled out. A producer emits a recovery deferred
+// under an MNS to it, and to Consume otherwise.
+type DeferredConsumer interface {
+	Consumer
+	ConsumeDeferred(d feedback.Deferred, to Port)
+}
+
 // Producer is the upstream handle a consumer sends feedback to.
 type Producer interface {
 	// Feedback delivers a feedback message. For Resume commands the return
 	// value is S_Π — the demanded partial results the consumer must join
-	// with its current input and append to its state (Sec. III-A). For
-	// Suspend it returns nil.
-	Feedback(msg feedback.Message) []*stream.Composite
+	// with its current input t and append to its state (Sec. III-A). The
+	// ones built directly from a tuple parked, or a pair suppressed, under a
+	// resumed MNS come deferred under it: the consumer's MNS already proved
+	// that no opposite tuple it stored before t matches them, so it joins
+	// them with t and what followed. For Suspend it returns nil.
+	Feedback(msg feedback.Message) []feedback.Deferred
 	// CanSuspend reports whether feedback can have any effect here: true
 	// for join operators and for relays whose upstream chain reaches a
 	// join. Consumers skip MNS detection on ports whose producer cannot

@@ -35,12 +35,12 @@ func TestSinkOrderingAndRetention(t *testing.T) {
 
 type captureProducer struct {
 	msgs []feedback.Message
-	out  []*stream.Composite
+	out  []feedback.Deferred
 }
 
 func (c *captureProducer) CanSuspend() bool           { return true }
 func (c *captureProducer) DeferredFloor() stream.Time { return feedback.NoExpiry }
-func (c *captureProducer) Feedback(m feedback.Message) []*stream.Composite {
+func (c *captureProducer) Feedback(m feedback.Message) []feedback.Deferred {
 	c.msgs = append(c.msgs, m)
 	return c.out
 }
@@ -73,9 +73,9 @@ func TestSelectionFilterAndFeedback(t *testing.T) {
 		t.Fatal("MNS not counted")
 	}
 	// Relay: downstream feedback passes through; S_Π is filtered.
-	prod.out = []*stream.Composite{pass, fail}
+	prod.out = []feedback.Deferred{{C: pass}, {C: fail}}
 	got := sel.Feedback(feedback.Message{Cmd: feedback.Resume})
-	if len(got) != 1 || got[0] != pass {
+	if len(got) != 1 || got[0].C != pass {
 		t.Fatalf("relay filtering wrong: %d", len(got))
 	}
 	if !sel.CanSuspend() {

@@ -48,7 +48,7 @@ func (s *Selection) DeferredFloor() stream.Time {
 
 // Feedback implements Producer by relaying to the upstream producer and
 // filtering any returned S_Π through the selection.
-func (s *Selection) Feedback(msg feedback.Message) []*stream.Composite {
+func (s *Selection) Feedback(msg feedback.Message) []feedback.Deferred {
 	if s.prod == nil {
 		return nil
 	}
@@ -57,10 +57,10 @@ func (s *Selection) Feedback(msg feedback.Message) []*stream.Composite {
 		return nil
 	}
 	kept := out[:0]
-	for _, c := range out {
+	for _, d := range out {
 		s.ctr.Comparisons++
-		if s.pred.Holds(c) {
-			kept = append(kept, c)
+		if s.pred.Holds(d.C) {
+			kept = append(kept, d)
 		}
 	}
 	return kept
