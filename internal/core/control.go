@@ -21,7 +21,7 @@ func (j *JoinOp) Feedback(msg feedback.Message) []feedback.Deferred {
 	switch msg.Cmd {
 	case feedback.Suspend:
 		for _, m := range msg.MNS {
-			j.handleSuspend(m)
+			j.handleSuspend(m, msg.At)
 		}
 	case feedback.Resume:
 		var out []feedback.Deferred
@@ -35,19 +35,21 @@ func (j *JoinOp) Feedback(msg feedback.Message) []feedback.Deferred {
 
 // handleSuspend dispatches one MNS of a suspension feedback by type:
 // Ø (total suspension, the DOE case), Type I (contained in one input side),
-// or Type II (spanning both sides → marked here, Sec. IV-B).
-func (j *JoinOp) handleSuspend(m *feedback.MNS) {
+// or Type II (spanning both sides → marked here, Sec. IV-B). at is the
+// detecting consumer's clock (feedback.Message.At): every entry m makes
+// records it, and a relay passes it on.
+func (j *JoinOp) handleSuspend(m *feedback.MNS, at stream.Time) {
 	if m.IsEmpty() {
-		j.suspendTotal(m)
+		j.suspendTotal(m, at)
 		return
 	}
 	switch {
 	case j.in[operator.Left].sources.Contains(m.Sources):
-		j.suspendTypeI(j.in[operator.Left], m)
+		j.suspendTypeI(j.in[operator.Left], m, at)
 	case j.in[operator.Right].sources.Contains(m.Sources):
-		j.suspendTypeI(j.in[operator.Right], m)
+		j.suspendTypeI(j.in[operator.Right], m, at)
 	default:
-		j.suspendTypeII(m)
+		j.suspendTypeII(m, at)
 	}
 }
 
@@ -56,13 +58,16 @@ func (j *JoinOp) handleSuspend(m *feedback.MNS) {
 // in place (they are fully caught up and will not be probed, since no new
 // arrivals reach the states). The suspension propagates upstream because a
 // fully suspended operator has no demand for inputs.
-func (j *JoinOp) suspendTotal(m *feedback.MNS) {
+func (j *JoinOp) suspendTotal(m *feedback.MNS, at stream.Time) {
 	for p := operator.Port(0); p < 2; p++ {
-		j.upstream(j.in[p], feedback.Suspend, m)
+		j.upstream(j.in[p], feedback.Suspend, m, at)
 	}
 	for p := operator.Port(0); p < 2; p++ {
 		s := j.in[p]
-		entry, _ := s.black.Ensure(m)
+		entry, created := s.black.Ensure(m)
+		if created {
+			entry.Detected = at
+		}
 		// Mark any in-flight probing input on this port for deferred
 		// parking: Ø covers everything.
 		for _, f := range j.frames {
@@ -76,19 +81,20 @@ func (j *JoinOp) suspendTotal(m *feedback.MNS) {
 
 // upstream sends one MNS of feedback to the producer feeding side s, when
 // there is one and it honours feedback, and returns what comes back (the
-// demanded partial results S_Π of a resumption).
-func (j *JoinOp) upstream(s *side, cmd feedback.Command, m *feedback.MNS) []feedback.Deferred {
+// demanded partial results S_Π of a resumption). at is a suspension's
+// detection clock, relayed unchanged.
+func (j *JoinOp) upstream(s *side, cmd feedback.Command, m *feedback.MNS, at stream.Time) []feedback.Deferred {
 	if s.prod == nil || !s.prod.CanSuspend() {
 		return nil
 	}
 	j.ctr.Feedbacks++
-	return s.prod.Feedback(feedback.Message{Cmd: cmd, MNS: []*feedback.MNS{m}})
+	return s.prod.Feedback(feedback.Message{Cmd: cmd, MNS: []*feedback.MNS{m}, At: at})
 }
 
 // suspendTypeI implements Suspend_Production for a Type I MNS on side s:
 // propagate upstream, then move the tuples carrying its signature from the
 // state to the blacklist entry, recording their resumption cursors.
-func (j *JoinOp) suspendTypeI(s *side, m *feedback.MNS) {
+func (j *JoinOp) suspendTypeI(s *side, m *feedback.MNS, at stream.Time) {
 	if m.Expiry <= j.now {
 		// Born-expired anchor (exact-mode recovery cascades can detect
 		// MNSes on composites already at their window boundary; a legacy
@@ -98,7 +104,7 @@ func (j *JoinOp) suspendTypeI(s *side, m *feedback.MNS) {
 		return
 	}
 	o := j.in[s.port.Opposite()]
-	j.upstream(s, feedback.Suspend, m)
+	j.upstream(s, feedback.Suspend, m, at)
 	entry, created := s.black.Ensure(m)
 	if !created {
 		// Already suspended: the consumer re-detected the MNS on a queued
@@ -106,6 +112,7 @@ func (j *JoinOp) suspendTypeI(s *side, m *feedback.MNS) {
 		// to do (Sec. III-B).
 		return
 	}
+	entry.Detected = at
 	// Mark a matching in-flight probing input on this port for parking: "if
 	// right before handling the feedback, OP was joining a super-tuple t of
 	// s, t is also inserted to BL" (Sec. IV-B). Parking is deferred until
@@ -164,12 +171,13 @@ func uncovered(o *side, seq, cursor uint64) []state.Entry {
 // stored now (markScan), arriving later (MarkInput) — and suppresses joins
 // between left-marked and right-marked ones. Nothing is sent upstream: a
 // producer below marks nothing this operator would not mark on arrival.
-func (j *JoinOp) suspendTypeII(m *feedback.MNS) {
+func (j *JoinOp) suspendTypeII(m *feedback.MNS, at stream.Time) {
 	L, R := j.in[operator.Left], j.in[operator.Right]
 	e := j.marks.ActivateOrigin(m, m.Sig.Restrict(L.sources), m.Sig.Restrict(R.sources))
 	if e == nil {
 		return // duplicate; expiry extended
 	}
+	e.Detected = at
 	j.markScan(e, L, e.SigL)
 	j.markScan(e, R, e.SigR)
 }
@@ -186,7 +194,7 @@ func (j *JoinOp) markScan(e *feedback.OriginEntry, s *side, sig feedback.Signatu
 	s.st.WalkCarrying(sig, func(se state.Entry) bool {
 		j.ctr.Comparisons += uint64(len(sig))
 		if sig.MatchedBy(se.C) {
-			se.C.AddMark(e.MNS.ID)
+			se.C.AddMark(e.ID)
 		}
 		return true
 	})
@@ -198,7 +206,7 @@ func (j *JoinOp) markScan(e *feedback.OriginEntry, s *side, sig feedback.Signatu
 		// applies suppression and records the suppressed pairs.
 		j.ctr.Comparisons += uint64(len(sig))
 		if sig.MatchedBy(f.input) {
-			f.input.AddMark(e.MNS.ID)
+			f.input.AddMark(e.ID)
 		}
 	}
 }
@@ -226,7 +234,7 @@ func (j *JoinOp) handleResume(m *feedback.MNS, out *[]feedback.Deferred) {
 func (j *JoinOp) resumeTotal(m *feedback.MNS, out *[]feedback.Deferred) {
 	for p := operator.Port(0); p < 2; p++ {
 		s := j.in[p]
-		j.processUpstream(s, j.upstream(s, feedback.Resume, m), out)
+		j.processUpstream(s, j.upstream(s, feedback.Resume, m, 0), out)
 	}
 	for p := operator.Port(0); p < 2; p++ {
 		s := j.in[p]
@@ -241,7 +249,7 @@ func (j *JoinOp) resumeTotal(m *feedback.MNS, out *[]feedback.Deferred) {
 // entry's suspended tuples with their catch-up scans, their results deferred
 // under m.
 func (j *JoinOp) resumeTypeI(s *side, m *feedback.MNS, out *[]feedback.Deferred) {
-	j.processUpstream(s, j.upstream(s, feedback.Resume, m), out)
+	j.processUpstream(s, j.upstream(s, feedback.Resume, m, 0), out)
 	if e, ok := s.black.Take(m); ok {
 		j.reactivate(s, e, m, out)
 	}

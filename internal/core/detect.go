@@ -149,13 +149,15 @@ func (j *JoinOp) reportMNS(f *probe, s, o *side) {
 	j.trace.MNS(j.name, len(mnses))
 	// The MNSs guard (feedback.Guarding) when the detection checked every
 	// tuple of the opposite state and none is in flight towards it, unchecked.
+	// The producer is handed the descriptor the buffer keeps: a duplicate it
+	// dropped never sat there and claims nothing (DESIGN.md §2).
 	guard := !s.partial && j.topFrameOn(o.port) == nil
-	for _, m := range mnses {
-		s.buf.Add(m, guard)
+	for i, m := range mnses {
+		mnses[i], _ = s.buf.Add(m, guard)
 	}
 	if s.prod != nil {
 		j.ctr.Feedbacks++
-		s.prod.Feedback(feedback.Message{Cmd: feedback.Suspend, MNS: mnses})
+		s.prod.Feedback(feedback.Message{Cmd: feedback.Suspend, MNS: mnses, At: j.now})
 	}
 }
 

@@ -100,6 +100,9 @@ func (j *JoinOp) purge() {
 		var gone func(state.Entry)
 		if retire {
 			gone = s.grave.Reinsert
+			if j.shadow != nil {
+				gone = j.shadow.retirer(s)
+			}
 		}
 		n := s.st.Purge(j.now, j.window, gone)
 		j.ctr.Purged += uint64(n)
@@ -179,6 +182,9 @@ func (j *JoinOp) probeGrave(f *probe, o *side) {
 		}
 		return true
 	})
+	if j.shadow != nil {
+		j.shadow.audit(j, f, s, o)
+	}
 }
 
 // expireGrave drops the retired entries nothing can reach any more. A
@@ -189,41 +195,98 @@ func (j *JoinOp) probeGrave(f *probe, o *side) {
 // on that input's way here, so its timestamp is at least that item's TS. Once
 // every deferred item on the way into a port has TS at or past e.MinTS + w,
 // no reader of e is left, now or later: whatever arrives from then on
-// carries a newer timestamp still (DESIGN.md §4 has the full argument). It
-// runs at the end of Sweep only: the engine calls Sweep with no operator on
-// the stack, so nothing is in transit between a blacklist and its consumer,
-// which is what makes the floor complete.
+// carries a newer timestamp still. The root also honours the claims of the
+// MNSs it detected (claims): an item deferred under one counts only with the
+// results it can build below the MNS's detection clock (DESIGN.md §4 has
+// both arguments). It runs at the end of Sweep only: the engine calls Sweep
+// with no operator on the stack, so nothing is in transit between a
+// blacklist and its consumer, which is what makes the floor complete.
 func (j *JoinOp) expireGrave() {
 	for p := operator.Port(0); p < 2; p++ {
+		s := j.in[p]
 		if g := j.in[p.Opposite()].grave; !g.Empty() {
-			g.Purge(inputFloor(j.in[p]), j.window, nil)
+			g.Purge(j.inputFloor(s, j.claims(s)), j.window, nil)
+		}
+		if j.shadow != nil {
+			j.shadow.grave[p.Opposite()].Purge(j.inputFloor(s, nil), j.window, nil)
 		}
 	}
 }
 
-// inputFloor bounds what can still read the graveyard opposite one input
-// port: the oldest TS among the tuples parked on it here, and the floor of
-// whatever its producer defers. Every result still owed through that port
-// contains one of those, so none is older.
-func inputFloor(s *side) stream.Time {
+// claims is what this operator honours of the MNSs deferred on the way into
+// side s: at the root, whose consumer sends no feedback, so that no
+// suspension ever parks a tuple there, those it detected on s's inputs that
+// still guard. Operators below the root honour none.
+func (j *JoinOp) claims(s *side) feedback.Claims {
+	if !j.root {
+		return nil
+	}
+	return s.honours
+}
+
+// inputFloor bounds what can still read the graveyard opposite input side s,
+// for a consumer honouring the claims c: the oldest TS among the tuples
+// parked on s here, and the floor of whatever its producer defers. Every
+// result still owed through that port contains one of those, so none is
+// older.
+func (j *JoinOp) inputFloor(s *side, c feedback.Claims) stream.Time {
 	f := NoDeadline
 	if s.prod != nil {
-		f = s.prod.DeferredFloor()
+		f = s.prod.DeferredFloor(c)
 	}
-	if ts, ok := s.black.OldestParkedTS(); ok {
-		f = min(f, ts)
-	}
-	return f
+	return min(f, s.black.Floor(c, j.in[s.port.Opposite()].prod == nil))
 }
 
 // DeferredFloor implements operator.Producer: the floors of both input ports
 // and the TS of the results of the pairs suppressed under this operator's
-// marks. Every result still owed downstream contains one of those, so none
-// is older.
-func (j *JoinOp) DeferredFloor() stream.Time {
-	f := min(inputFloor(j.in[0]), inputFloor(j.in[1]))
-	if ts, ok := j.marks.OldestPendingTS(); ok {
-		f = min(f, ts)
+// marks, for a consumer honouring the claims c. Every result still owed
+// downstream contains one of those, so none is older.
+func (j *JoinOp) DeferredFloor(c feedback.Claims) stream.Time {
+	return min(j.inputFloor(j.in[0], c), j.inputFloor(j.in[1], c), j.marks.Floor(c))
+}
+
+// graveShadow audits the claims the root honours (tests only: nil in every
+// plan, set by an export_test.go hook). It keeps a second graveyard per side,
+// filled by every retirement as the first is, but emptied by the floor that
+// honours no claim, so it holds everything the claims let go. Every late
+// input walks it after the graveyard, with no charge, and miss is told of
+// each pair it forms there that pairValid admits and the graveyard no longer
+// holds: a result the claims lost.
+type graveShadow struct {
+	grave [2]*state.State
+	miss  func(in, partner *stream.Composite)
+	// judged counts the shadow-only entries late inputs reached: the pairs
+	// the audit had to judge.
+	judged int
+}
+
+// retirer is purge's receiver for side s: both graveyards take the entry.
+func (g *graveShadow) retirer(s *side) func(state.Entry) {
+	return func(e state.Entry) {
+		s.grave.Reinsert(e)
+		g.grave[s.port].Reinsert(e)
 	}
-	return f
+}
+
+// audit walks the shadow of o's graveyard for late input f of side s, as
+// probeGrave walks the graveyard.
+func (g *graveShadow) audit(j *JoinOp, f *probe, s, o *side) {
+	g.grave[o.port].Walk(s.equi.Hash(f.input), f.cursor(), func(e state.Entry) bool {
+		if f.susp.IsDone(e.Seq) || o.grave.Holds(e) {
+			return true
+		}
+		g.judged++
+		if !j.pairValid(f.input, e.C) {
+			return true
+		}
+		for k := range s.atoms {
+			for _, p := range s.atomPreds[k] {
+				if !p.Holds(f.input, e.C) {
+					return true
+				}
+			}
+		}
+		g.miss(f.input, e.C)
+		return true
+	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/metrics"
 	"repro/internal/operator"
 	"repro/internal/state"
 	"repro/internal/stream"
@@ -27,4 +28,19 @@ func (j *JoinOp) ForceLevel1() {
 func (j *JoinOp) Stores(p operator.Port) (live, grave *state.State, srcs stream.SourceSet) {
 	s := j.in[p]
 	return s.st, s.grave, s.sources
+}
+
+// AuditGraveyard keeps a shadow of both graveyards that only the floor
+// without claims empties, and reports to miss every pair a late input forms
+// with a shadow entry the graveyard let go (graveShadow). The shadow charges
+// nothing the plan measures. judged reads how many such entries late inputs
+// reached.
+func (j *JoinOp) AuditGraveyard(miss func(in, partner *stream.Composite)) (judged func() int) {
+	acct := &metrics.Account{}
+	j.shadow = &graveShadow{miss: miss}
+	for p, s := range j.in {
+		j.shadow.grave[p] = state.New("shadow", metrics.MemGraveyard, acct)
+		j.shadow.grave[p].SetKey(s.equi)
+	}
+	return func() int { return j.shadow.judged }
 }

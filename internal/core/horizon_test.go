@@ -299,7 +299,7 @@ func TestGraveyardFloorIsATimestamp(t *testing.T) {
 	if n := p.Counters().SuppressedPairs; n != 1 || len(out.got) != 0 {
 		t.Fatalf("P suppressed %d pairs, X delivered %d results; want 1 and 0", n, len(out.got))
 	}
-	if f := p.DeferredFloor(); f != 2*w-1 {
+	if f := p.DeferredFloor(nil); f != 2*w-1 {
 		t.Errorf("P's floor is %v, want the owed result's TS %v", f, stream.Time(2*w-1))
 	}
 

@@ -108,6 +108,9 @@ type side struct {
 	// met an MNS of the opposite buffer that lapsed before it came back
 	// (ruledOut).
 	reinserted uint64
+	// honours tells the MNSs whose claims hold for this side's inputs: those
+	// detected here on them that still guard (expiry.go, claims).
+	honours feedback.Claims
 }
 
 // probe is one input's pass through Process_Input (Fig. 6): a fresh arrival,
@@ -204,6 +207,12 @@ type JoinOp struct {
 	// exact selects exact-delivery over the paper prototype's drop-at-expiry
 	// semantics. Only expiry.go reads it: that file states what differs.
 	exact bool
+	// root is set when the consumer is no operator, so no feedback can
+	// suspend this one (SetConsumer).
+	root bool
+	// shadow audits the graveyard floor in tests (graveShadow); nil
+	// otherwise.
+	shadow *graveShadow
 }
 
 // NewJoin builds a join operator from the configuration.
@@ -258,13 +267,21 @@ func NewJoin(cfg Config) *JoinOp {
 	}
 	j.in[operator.Left] = mk(operator.Left, cfg.LeftSources, cfg.LeftProd, cfg.RightSources, lk)
 	j.in[operator.Right] = mk(operator.Right, cfg.RightSources, cfg.RightProd, cfg.LeftSources, rk)
+	for p := range j.in {
+		s, o := j.in[p], j.in[1-p]
+		s.honours = func(m *feedback.MNS) bool { return m.Seen == feedback.Guarding && detectedOn(m, s, o) }
+	}
 	return j
 }
 
 // SetConsumer wires the downstream consumer and the port our outputs feed.
+// A consumer that is no operator — a sink or a delivery gate — sends no
+// feedback: this join is the plan's root.
 func (j *JoinOp) SetConsumer(c operator.Consumer, port operator.Port) {
 	j.consumer, j.outPort = c, port
 	j.deferredTo, _ = c.(operator.DeferredConsumer)
+	_, fed := c.(operator.Producer)
+	j.root = !fed
 }
 
 // Consumer returns what SetConsumer wired. plan.Built.Reshape reads it off the
@@ -412,7 +429,7 @@ func (j *JoinOp) probeInsert(f *probe, s, o *side) {
 		j.probeBlacklists(f, o)
 		j.probePending(f, o)
 	}
-	if !o.grave.Empty() && f.input.TS < j.now {
+	if f.input.TS < j.now && (!o.grave.Empty() || j.shadow != nil) {
 		j.probeGrave(f, o)
 	}
 	if f.susp != nil {
@@ -441,6 +458,9 @@ func (j *JoinOp) probeInsert(f *probe, s, o *side) {
 	se := stateEntryOf(f)
 	if f.ephemeral {
 		s.grave.Reinsert(se)
+		if j.shadow != nil {
+			j.shadow.grave[s.port].Reinsert(se)
+		}
 		return
 	}
 	// A suspension received mid-probe parks the input now that its probe is
@@ -497,22 +517,28 @@ func (j *JoinOp) park(s *side, e *feedback.Entry, t feedback.Suspended) {
 // the Seen claim of the MNS f.input was deferred under (DESIGN.md §2, "What
 // an MNS rules out"), capped at the opposite watermark, or 0. The claim
 // counts this operator's opposite sequences only when the MNS was detected
-// here on f's side, which its predicates tell: each crossing predicate is
-// evaluated at one join of the plan, so an MNS relayed from a consumer
-// further down the chain, or one with none (Ø, a selection's), is walked in
-// full. So is any input once a resumption has re-entered the opposite state
-// at or after the claim's sequence: its tuple, stored with an older
-// sequence, may have come back after the MNS left the buffer, unchecked.
+// here on f's side (detectedOn). Any input is walked in full once a
+// resumption has re-entered the opposite state at or after the claim's
+// sequence: its tuple, stored with an older sequence, may have come back
+// after the MNS left the buffer, unchecked.
 func (j *JoinOp) ruledOut(f *probe, s, o *side) uint64 {
 	m := f.under
-	if m == nil || m.Seen == 0 || o.reinserted >= m.Seen || len(m.Preds) == 0 {
-		return 0
-	}
-	p := m.Preds[0]
-	if !(s.sources.Has(p.Left) && o.sources.Has(p.Right) || s.sources.Has(p.Right) && o.sources.Has(p.Left)) {
+	if m == nil || m.Seen == 0 || o.reinserted >= m.Seen || !detectedOn(m, s, o) {
 		return 0
 	}
 	return min(m.Seen, o.seq.Watermark())
+}
+
+// detectedOn reports whether m was detected at this operator on an input of
+// side s, opposite o, which its predicates tell: each crossing predicate is
+// evaluated at one join of the plan, so an MNS relayed from a consumer
+// further down the chain, or one with none (Ø, a selection's), was not.
+func detectedOn(m *feedback.MNS, s, o *side) bool {
+	if len(m.Preds) == 0 {
+		return false
+	}
+	p := m.Preds[0]
+	return s.sources.Has(p.Left) && o.sources.Has(p.Right) || s.sources.Has(p.Right) && o.sources.Has(p.Left)
 }
 
 // probeState probes the opposite state beyond the probe's cursor in ascending

@@ -237,3 +237,41 @@ func sorted(ks []string) []string {
 	slices.Sort(ks)
 	return ks
 }
+
+// TestDuplicateHandsOnTheBufferedDescriptor: X detects that a1·b1 has no
+// right partner and buffers its MNS, guarding; P parks b1 under it. P's
+// entry then leaves while X still buffers the MNS (a resumption driven by
+// hand), b1 is back in P's state, and a2·b1 reaches X: a duplicate, which
+// X's buffer drops. P must get the buffered descriptor, not the dropped
+// one, for its new entry: when the entry's anchor expires, a3·b1 is
+// released under it and X, whose MNS still guards, skips its five right
+// tuples: it charges one comparison, the detection's lookup that follows a
+// probe with no match. With the dropped descriptor's empty claim it compared
+// a3·b1 with each of the five as well, six in all.
+func TestDuplicateHandsOnTheBufferedDescriptor(t *testing.T) {
+	p, x, out := seenPlan(core.JIT(), true)
+	for v := stream.Value(9); v < 14; v++ {
+		x.Consume(tup(uint64(v), 2, stream.Time(v-8), v), operator.Right)
+	}
+	p.Consume(tup(10, 0, 10, 1), operator.Left)     // a1
+	p.Consume(tup(11, 1, 11, 1, 5), operator.Right) // b1: X detects, P parks b1
+	_, black, _ := p.Side(operator.Right)
+	first := black.List()[0].MNS
+	if first.Seen != feedback.Guarding {
+		t.Fatalf("X's MNS claims %d, want it guarding", first.Seen)
+	}
+	p.Feedback(feedback.Message{Cmd: feedback.Resume, MNS: []*feedback.MNS{first}})
+	p.Consume(tup(20, 0, 20, 1), operator.Left) // a2: a2·b1 is X's duplicate detection
+	if n := black.Len(); n != 1 || black.List()[0].MNS != first {
+		t.Fatalf("P's %d entries hold %v, want the buffered %v", n, black.List()[0].MNS, first)
+	}
+	p.Consume(tup(30, 0, 30, 1), operator.Left) // a3: b1 is parked
+	before := x.Counters().Comparisons
+	p.Sweep(111) // P's anchor expires: b1 recovers with a3
+	if got, want := keysOf(out.got), []string(nil); !slices.Equal(got, want) {
+		t.Fatalf("X delivered %v, want nothing", got)
+	}
+	if got := x.Counters().Comparisons - before; got != 1 {
+		t.Errorf("X charged %d comparisons for a3·b1, want 1", got)
+	}
+}

@@ -31,6 +31,22 @@ type Suspended struct {
 	Pending []state.Entry
 }
 
+// lowerBound is the oldest TS a result of the parked tuple can have when the
+// opposite side's tuples arrive in timestamp order after the cursor was
+// taken (later): only a Pending partner can then be older than the parking.
+// A tuple diverted on arrival (Cursor 0) was never probed, so any partner
+// may be; so may any partner when the opposite side is fed by a join.
+func (s *Suspended) lowerBound(later bool) stream.Time {
+	if !later || s.Cursor == 0 {
+		return s.E.C.TS
+	}
+	lb := NoExpiry
+	for _, p := range s.Pending {
+		lb = min(lb, max(s.E.C.TS, p.C.TS))
+	}
+	return lb
+}
+
 // MarkDone records that the pair with the given opposite sequence was
 // generated while suspended.
 func (s *Suspended) MarkDone(oppSeq uint64) {
@@ -53,7 +69,11 @@ type Entry struct {
 	// was made, raised by duplicate suspensions (Ensure). The descriptor
 	// itself may be held elsewhere too, so the entry keeps its own.
 	Expiry stream.Time
-	Tuples []Suspended
+	// Detected is the detecting consumer's clock when the entry was made
+	// (Message.At): the parked tuples' results older than it are the ones a
+	// consumer honouring the MNS's claim still counts (Floor).
+	Detected stream.Time
+	Tuples   []Suspended
 	// ord is the entry's creation ordinal within its blacklist: the entry
 	// list is ascending in it, which is what lets Walk find its place again
 	// after the list changed under it.
@@ -64,11 +84,12 @@ type Entry struct {
 // side of a join (B_L or B_R in the paper). Entries share the side's
 // sequence space with the active state, so cursors are totally ordered.
 type Blacklist struct {
-	acct *metrics.Account
-	// entries finds the entry an arrival's values fall under by signature
-	// (table.bySig), making MatchArrival O(# attribute sets) instead of
-	// O(# entries).
+	acct    *metrics.Account
 	entries table[*Entry]
+	// bySig is the entries' one index, by signature: it finds the entry an
+	// arrival's values fall under, making MatchArrival O(# attribute sets)
+	// instead of O(# entries), and the entry of a descriptor's signature.
+	bySig sigIndex
 	// bySeq finds the entry a parked sequence number sits under, so a
 	// resumption's pending pairs are looked up, not searched for.
 	bySeq map[uint64]*Entry
@@ -83,12 +104,19 @@ type Blacklist struct {
 
 // NewBlacklist creates an empty blacklist charging memory to acct.
 func NewBlacklist(acct *metrics.Account) *Blacklist {
-	return &Blacklist{
-		acct:    acct,
-		entries: newTable[*Entry](acct, metrics.MemBlacklist),
-		bySeq:   make(map[uint64]*Entry),
+	b := &Blacklist{
+		acct:  acct,
+		bySig: sigIndex{fpIndex: fpIndex[*Entry]{key: func(e *Entry, buf []SigEntry) []SigEntry { return append(buf, e.MNS.Sig...) }}},
+		bySeq: make(map[uint64]*Entry),
 	}
+	b.entries = newTable[*Entry](acct, metrics.MemBlacklist, &b.bySig)
+	return b
 }
+
+// sigIndex files blacklist entries under their signatures.
+type sigIndex struct{ fpIndex[*Entry] }
+
+func (x *sigIndex) holding(m *MNS) (*Entry, bool) { return x.find(m.Sig, m.Sig) }
 
 // Len returns the number of entries.
 func (b *Blacklist) Len() int { return len(b.entries.list) }
@@ -103,7 +131,7 @@ func (b *Blacklist) NumSuspended() int {
 }
 
 // Entry returns the entry covering m's signature, if any.
-func (b *Blacklist) Entry(m *MNS) (*Entry, bool) { return b.entries.bySig.find(m.Sig) }
+func (b *Blacklist) Entry(m *MNS) (*Entry, bool) { return b.bySig.holding(m) }
 
 // Ensure returns the entry for m's signature, creating it when absent. When
 // an entry already exists its anchor is extended to the later of the two —
@@ -174,6 +202,34 @@ func (b *Blacklist) OldestParkedTS() (stream.Time, bool) {
 	})
 }
 
+// Floor is OldestParkedTS for a consumer that honours the claims c: a tuple
+// parked under an MNS it honours counts with the oldest result it can still
+// build (Suspended.lowerBound, later as there) when that is older than the
+// entry's detection, and not at all otherwise. NoExpiry when nothing counts.
+// A nil c reads the cache.
+func (b *Blacklist) Floor(c Claims, later bool) stream.Time {
+	if c == nil {
+		if ts, ok := b.OldestParkedTS(); ok {
+			return ts
+		}
+		return NoExpiry
+	}
+	f := NoExpiry
+	for _, e := range b.entries.list {
+		honoured := len(e.Tuples) > 0 && c(e.MNS)
+		for i := range e.Tuples {
+			ts := e.Tuples[i].E.C.TS
+			if honoured {
+				if ts = e.Tuples[i].lowerBound(later); ts >= e.Detected {
+					continue
+				}
+			}
+			f = min(f, ts)
+		}
+	}
+	return f
+}
+
 // MatchArrival checks a freshly arriving composite against every entry.
 // On a hit the arrival should be diverted straight into that entry (the a2
 // fast path); comparisons are reported for cost accounting. Matching is by
@@ -181,7 +237,7 @@ func (b *Blacklist) OldestParkedTS() (stream.Time, bool) {
 // everything). Entries whose anchor has expired are skipped (they are about
 // to be reactivated by the sweep).
 func (b *Blacklist) MatchArrival(c *stream.Composite, now stream.Time) (hit *Entry, comparisons int) {
-	comparisons = b.entries.bySig.match(c, func(e *Entry) bool {
+	comparisons = b.bySig.match(c, func(e *Entry) bool {
 		if e.Expiry <= now {
 			return true
 		}

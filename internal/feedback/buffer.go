@@ -17,10 +17,21 @@ import (
 // of that side and is probed by arrivals on the opposite side.
 type Buffer struct {
 	mnss table[*MNS]
-	// byProbe finds the MNSs an opposite arrival satisfies, by the opposite-
-	// side attributes their predicates test and the values expected there, so
-	// probing an arrival is O(# attribute sets).
-	byProbe fpIndex[*MNS]
+	// byProbe is the buffer's one index: the MNSs filed by the opposite-side
+	// attributes their predicates test and the values expected there
+	// (probeKey). An opposite arrival finds the MNSs it satisfies at one
+	// lookup per attribute set, and a new descriptor its held duplicate at
+	// one lookup settled by signature: equal signatures have equal probe
+	// keys, since the signature's sources fix the atoms and so the predicates.
+	byProbe probeIndex
+}
+
+// probeIndex files MNSs under their probe keys.
+type probeIndex struct{ fpIndex[*MNS] }
+
+func (x *probeIndex) holding(m *MNS) (*MNS, bool) {
+	x.place = probeKey(m, x.place[:0])
+	return x.find(x.place, m.Sig)
 }
 
 // probeKey appends the opposite attributes an MNS's predicates test and the
@@ -48,7 +59,9 @@ func probeKey(m *MNS, buf []SigEntry) []SigEntry {
 
 // NewBuffer creates an empty MNS buffer charging memory to acct.
 func NewBuffer(acct *metrics.Account) *Buffer {
-	return &Buffer{mnss: newTable[*MNS](acct, metrics.MemMNS), byProbe: fpIndex[*MNS]{key: probeKey}}
+	b := &Buffer{byProbe: probeIndex{fpIndex: fpIndex[*MNS]{key: probeKey}}}
+	b.mnss = newTable[*MNS](acct, metrics.MemMNS, &b.byProbe)
+	return b
 }
 
 // Len returns the number of buffered MNSs.
@@ -68,7 +81,6 @@ func (b *Buffer) Add(m *MNS, guard bool) (kept *MNS, added bool) {
 		m.Seen = Guarding
 	}
 	b.mnss.insert(m)
-	b.byProbe.add(m)
 	return m, true
 }
 
@@ -106,10 +118,9 @@ func (b *Buffer) Probe(t *stream.Composite, seq uint64) (matched []*MNS, compari
 	return matched, comparisons
 }
 
-// left finishes m's departure: it leaves the probe index, and a guarding m
-// keeps the claim it held up to seen.
+// left finishes m's departure: a guarding m keeps the claim it held up to
+// seen.
 func (b *Buffer) left(m *MNS, seen uint64) {
-	b.byProbe.remove(m)
 	if m.Seen == Guarding {
 		m.Seen = seen
 	}

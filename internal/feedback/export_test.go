@@ -11,14 +11,14 @@ func (x *fpIndex[E]) buckets() int {
 		n++
 	}
 	for _, g := range x.groups {
-		n += len(g.byVal)
+		n += len(g.one) + len(g.many)
 	}
 	return n
 }
 
 // Buckets returns the number of value hashes the arrival index holds:
 // it is bounded by Len.
-func (b *Blacklist) Buckets() int { return b.entries.bySig.buckets() }
+func (b *Blacklist) Buckets() int { return b.bySig.buckets() }
 
 // Buckets returns the number of value hashes the probe index holds: it
 // is bounded by Len.

@@ -197,6 +197,14 @@ func (m *MNS) String() string {
 	return fmt.Sprintf("mns%d<%v>", m.ID, m.Sig)
 }
 
+// Claims tells a producer computing a floor (core.JoinOp.DeferredFloor)
+// whether the consumer asking for it honours the claim of m, the MNS an
+// item was deferred under: that consumer detected m, m still guards
+// (Seen == Guarding), and nothing can void the claim there. Such an item
+// counts only with the results it can still build below the clock m was
+// detected at (DESIGN.md §4). A nil Claims honours none.
+type Claims func(m *MNS) bool
+
 // Deferred is a result released on an MNS's account: a demanded partial
 // result of S_Π, or a recovery a producer emits when an anchor or a parked
 // tuple's window closes. MNS is the descriptor it was deferred under when
@@ -213,6 +221,10 @@ type Deferred struct {
 type Message struct {
 	Cmd Command
 	MNS []*MNS
+	// At is the detecting consumer's clock on a suspension, relayed
+	// unchanged up the chain: every entry the MNSs make records it
+	// (Entry.Detected, OriginEntry.Detected).
+	At stream.Time
 }
 
 func (f Message) String() string {

@@ -125,7 +125,7 @@ func TestMNSTable(t *testing.T) {
 	testTable(t, "blacklist", &NewBlacklist(acct).entries, func(m *MNS) *Entry { return &Entry{MNS: m, Expiry: m.Expiry} })
 	testTable(t, "buffer", &NewBuffer(acct).mnss, func(m *MNS) *MNS { return m })
 	mt := NewMarkTable(acct)
-	testTable(t, "origins", &mt.origins, func(m *MNS) *OriginEntry { return &OriginEntry{MNS: m, Expiry: m.Expiry} })
+	testTable(t, "origins", &mt.origins, func(m *MNS) *OriginEntry { return &OriginEntry{MNS: m, Expiry: m.Expiry, SigL: m.Sig} })
 }
 
 func TestBufferAddDedupPurgeProbe(t *testing.T) {
@@ -139,7 +139,7 @@ func TestBufferAddDedupPurgeProbe(t *testing.T) {
 	if kept, added = b.Add(mnsA(100, 2000), false); added || kept != m1 {
 		t.Fatal("duplicate signature must return the held MNS")
 	}
-	if held, ok := b.mnss.bySig.find(m1.Sig); !ok || held != m1 {
+	if held, ok := b.byProbe.holding(m1); !ok || held != m1 {
 		t.Fatal("the buffered MNS is not found by its signature")
 	}
 	// Probe with matching partner removes it.
@@ -328,11 +328,12 @@ func TestPurgePending(t *testing.T) {
 	}
 }
 
-// TestFPIndexDropsEmptyBuckets pins the index's memory bound: a fingerprint's
-// bucket lives exactly as long as it holds an element, so a buffer and a
-// blacklist that have seen thousands of distinct value patterns hold buckets
-// only for the ones present — while the attribute-set groups, whose visiting
-// order fixes the comparisons a match charges, stay.
+// TestFPIndexDropsEmptyBuckets pins the index's memory bound: a fingerprint
+// is filed exactly as long as it holds an element, alone or beside a twin,
+// so a buffer and a blacklist that have seen thousands of distinct value
+// patterns hold fingerprints only for the ones present — while the
+// attribute-set groups, whose visiting order fixes the comparisons a match
+// charges, stay.
 func TestFPIndexDropsEmptyBuckets(t *testing.T) {
 	acct := &metrics.Account{}
 	buf := NewBuffer(acct)
@@ -357,7 +358,6 @@ func TestFPIndexDropsEmptyBuckets(t *testing.T) {
 			buf.Purge(100, 0)
 			bl.TakeExpired(100)
 		case 1: // leaves by demand
-			buf.byProbe.remove(m)
 			buf.mnss.remove(m)
 			bl.Take(m)
 		default: // leaves through Probe, which has to find it first
@@ -370,8 +370,8 @@ func TestFPIndexDropsEmptyBuckets(t *testing.T) {
 			t.Fatalf("value %d: %d/%d buckets, %d/%d elements left", v, buf.Buckets(), bl.Buckets(), buf.Len(), bl.Len())
 		}
 	}
-	if len(buf.byProbe.groups) != 1 || len(bl.entries.bySig.groups) != 1 {
-		t.Fatalf("groups must persist: %d buffer, %d blacklist", len(buf.byProbe.groups), len(bl.entries.bySig.groups))
+	if len(buf.byProbe.groups) != 1 || len(bl.bySig.groups) != 1 {
+		t.Fatalf("groups must persist: %d buffer, %d blacklist", len(buf.byProbe.groups), len(bl.bySig.groups))
 	}
 	// The index still works after all that churn.
 	buf.Add(mnsA(1, 100), false)

@@ -114,7 +114,7 @@ func TestTablesKeepHashTwinsApart(t *testing.T) {
 // FuzzValueIndex drives one value index with random add, remove, find and
 // match calls and holds it to a brute-force model: the elements filed, in
 // filing order, and the attribute lists in the order they were first filed.
-// find must return the first filed element with an equal signature; match
+// find and within must return the first filed element with an equal signature; match
 // must visit exactly the elements MatchedBy accepts, Ø first and then group
 // by group in creation order, stop when visit says so, and charge one
 // comparison per attribute of every group it reached; and nothing but add
@@ -173,8 +173,8 @@ func FuzzValueIndex(f *testing.F) {
 					filed = slices.Delete(filed, k, k+1)
 				}
 				x.remove(m)
-			case 2: // find
-				got, ok := x.find(sig)
+			case 2: // find, under the signature's own place and by restriction
+				got, ok := x.find(sig, sig)
 				var want *MNS
 				for _, m := range filed {
 					if slices.Equal(m.Sig, sig) {
@@ -184,6 +184,9 @@ func FuzzValueIndex(f *testing.F) {
 				}
 				if ok != (want != nil) || got != want {
 					t.Fatalf("step %d: find(%v) = %v %t, want %v", step, sig, got, ok, want)
+				}
+				if got, ok := x.within(sig); ok != (want != nil) || got != want {
+					t.Fatalf("step %d: within(%v) = %v %t, want %v", step, sig, got, ok, want)
 				}
 			case 3: // match
 				var c *stream.Composite

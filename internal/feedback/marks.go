@@ -24,14 +24,23 @@ type PendingPair struct {
 // suppresses joins between left-marked and right-marked tuples, recording
 // each suppressed pair. The tuples it marked keep its id after it dissolves:
 // the id is read only through the table's active map, and ids only grow
-// within an operator tree, so a dissolved origin's id is inert.
+// within a mark table, so a dissolved origin's id is inert.
 type OriginEntry struct {
 	MNS *MNS
+	// ID is the entry's mark id: its MNS's id, unless the table already
+	// used that id or a later one — a consumer hands on the descriptor its
+	// buffer keeps, so a duplicate can make an origin again under the
+	// descriptor a dissolved one was made under — and then one past the
+	// last id the table used.
+	ID uint64
 	// Expiry is the entry's anchor, kept beside the shared descriptor as a
 	// blacklist entry's is (Entry.Expiry).
 	Expiry stream.Time
-	SigL   Signature // restriction of MNS.Sig to the left input's sources
-	SigR   Signature
+	// Detected is the detecting consumer's clock when the entry was made, as
+	// on a blacklist entry (Entry.Detected).
+	Detected stream.Time
+	SigL     Signature // restriction of MNS.Sig to the left input's sources
+	SigR     Signature
 	// Pending holds the pairs suppressed under this entry.
 	Pending []PendingPair
 }
@@ -44,11 +53,12 @@ type MarkTable struct {
 	acct    *metrics.Account
 	origins table[*OriginEntry]
 	active  map[uint64]*OriginEntry // origin mark ids currently suppressing
-	// bySide finds the origins whose side signature an input carries (left
-	// inputs in slot 0, right in slot 1): one lookup per attribute set, not
-	// one comparison per entry. An origin is filed only on the sides its MNS
-	// constrains (file).
-	bySide [2]fpIndex[*OriginEntry]
+	lastID  uint64                  // the last mark id an origin took
+	// bySide is the origins' one index: it finds the origins whose side
+	// signature an input carries (left inputs in slot 0, right in slot 1),
+	// one lookup per attribute set, not one comparison per entry, and the
+	// origin of a descriptor's signature (sideIndex.holding).
+	bySide sideIndex
 	// Deadline caches (DESIGN.md §4): earliest endpoint MinTS among pending
 	// suppressed pairs, and earliest result TS among them (OldestPendingTS).
 	// The origins keep their own expiry cache.
@@ -58,14 +68,44 @@ type MarkTable struct {
 
 // NewMarkTable creates an empty table.
 func NewMarkTable(acct *metrics.Account) *MarkTable {
-	t := &MarkTable{
-		acct:    acct,
-		origins: newTable[*OriginEntry](acct, metrics.MemMNS),
-		active:  make(map[uint64]*OriginEntry),
-	}
+	t := &MarkTable{acct: acct, active: make(map[uint64]*OriginEntry)}
 	t.bySide[0].key = func(e *OriginEntry, buf []SigEntry) []SigEntry { return append(buf, e.SigL...) }
 	t.bySide[1].key = func(e *OriginEntry, buf []SigEntry) []SigEntry { return append(buf, e.SigR...) }
+	t.origins = newTable[*OriginEntry](acct, metrics.MemMNS, &t.bySide)
 	return t
+}
+
+// sideIndex files each origin under its side signatures, left in slot 0 and
+// right in slot 1, on the sides its MNS constrains only: filed under the
+// empty attribute set the origin would match every input there, and an
+// empty side signature matches none.
+type sideIndex [2]fpIndex[*OriginEntry]
+
+func (x *sideIndex) add(e *OriginEntry) {
+	for i, sig := range [2]Signature{e.SigL, e.SigR} {
+		if len(sig) > 0 {
+			x[i].add(e)
+		}
+	}
+}
+
+func (x *sideIndex) remove(e *OriginEntry) {
+	for i, sig := range [2]Signature{e.SigL, e.SigR} {
+		if len(sig) > 0 {
+			x[i].remove(e)
+		}
+	}
+}
+
+// holding finds the origin of m's signature under a side signature, which
+// is a restriction of it, verified on the full signature. The right side is
+// asked after a miss on the left: an origin whose MNS leaves the left side
+// unconstrained is filed on the right only.
+func (x *sideIndex) holding(m *MNS) (*OriginEntry, bool) {
+	if e, ok := x[0].within(m.Sig); ok {
+		return e, ok
+	}
+	return x[1].within(m.Sig)
 }
 
 // sideOf is an input side's slot in bySide.
@@ -74,22 +114,6 @@ func sideOf(left bool) int {
 		return 0
 	}
 	return 1
-}
-
-// file adds e to (or takes it out of) the side indexes. A side the MNS does
-// not constrain is skipped: filed under the empty attribute set the origin
-// would match every input there, and an empty side signature matches none.
-func (t *MarkTable) file(e *OriginEntry, add bool) {
-	for i, sig := range [2]Signature{e.SigL, e.SigR} {
-		if len(sig) == 0 {
-			continue
-		}
-		if add {
-			t.bySide[i].add(e)
-		} else {
-			t.bySide[i].remove(e)
-		}
-	}
 }
 
 // Empty reports whether the table has no active origin, letting operators
@@ -104,10 +128,10 @@ func (t *MarkTable) ActivateOrigin(m *MNS, sigL, sigR Signature) *OriginEntry {
 	if _, ok := t.origins.extend(m); ok {
 		return nil
 	}
-	e := &OriginEntry{MNS: m, Expiry: m.Expiry, SigL: sigL, SigR: sigR}
+	t.lastID = max(m.ID, t.lastID+1)
+	e := &OriginEntry{MNS: m, ID: t.lastID, Expiry: m.Expiry, SigL: sigL, SigR: sigR}
 	t.origins.insert(e)
-	t.active[m.ID] = e
-	t.file(e, true)
+	t.active[e.ID] = e
 	return e
 }
 
@@ -120,7 +144,7 @@ func (t *MarkTable) MarkInput(c *stream.Composite, left bool) (comparisons int) 
 		return 0
 	}
 	return t.bySide[sideOf(left)].match(c, func(e *OriginEntry) bool {
-		c.AddMark(e.MNS.ID)
+		c.AddMark(e.ID)
 		return true
 	})
 }
@@ -170,6 +194,29 @@ func (t *MarkTable) OldestPendingTS() (stream.Time, bool) {
 			}
 		}
 	})
+}
+
+// Floor is OldestPendingTS for a consumer that honours the claims c: a pair
+// suppressed under an MNS it honours counts only when its result is older
+// than the origin's detection. NoExpiry when nothing counts. A nil c reads
+// the cache.
+func (t *MarkTable) Floor(c Claims) stream.Time {
+	if c == nil {
+		if ts, ok := t.OldestPendingTS(); ok {
+			return ts
+		}
+		return NoExpiry
+	}
+	f := NoExpiry
+	for _, e := range t.origins.list {
+		honoured := len(e.Pending) > 0 && c(e.MNS)
+		for _, p := range e.Pending {
+			if ts := p.ts(); !honoured || ts < e.Detected {
+				f = min(f, ts)
+			}
+		}
+	}
+	return f
 }
 
 const pendingPairBytes = 48
@@ -226,10 +273,9 @@ func (t *MarkTable) TakeExpiredOrigins(now stream.Time) []*OriginEntry {
 // dropped finishes the removal of an origin entry from the table: its mark
 // stops suppressing and its pending pairs leave with it.
 func (t *MarkTable) dropped(e *OriginEntry) {
-	delete(t.active, e.MNS.ID)
+	delete(t.active, e.ID)
 	t.pendMin.Remove(len(e.Pending))
 	t.pendTS.Remove(len(e.Pending))
-	t.file(e, false)
 }
 
 // PurgePending drops pending pairs with an expired endpoint — their results

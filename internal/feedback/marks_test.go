@@ -16,12 +16,14 @@ import (
 // the model, and SuppressedBy returns what the rule it replaced returned —
 // the smallest id both composites carry whose origin is active, or 0. Marks
 // are never cleared: a dissolved origin's id stays on the composites and
-// suppresses nothing. Each input byte is one operation: the high three bits
-// pick it, the low four the id (1 to 16).
+// suppresses nothing, also once an origin is made again under the same
+// descriptor, which takes one past the last id the table used. Each input
+// byte is one operation: the high three bits pick it, the low four the
+// descriptor's id (1 to 16).
 func FuzzMarkIDs(f *testing.F) {
-	// Id 3 suppresses while active, stays on both composites when dissolved
-	// and suppresses again when reactivated; of 4 and 5, the smaller active
-	// one wins.
+	// Id 3 suppresses while active and stays on both composites when
+	// dissolved, where the origin made again under the same descriptor does
+	// not find it; of 4 and 5, the smaller active one wins.
 	f.Add([]byte{0x02, 0x22, 0x42, 0x80, 0x62, 0x80, 0x42, 0x80, 0x04, 0x03, 0x23, 0x24, 0x44, 0x80, 0x43, 0x80, 0x63, 0x80})
 	f.Add([]byte{0x01, 0x21, 0x61, 0x80, 0x85, 0x81, 0x81})
 	f.Add([]byte{0x03, 0x02, 0x01, 0x23, 0x21, 0x62, 0x63, 0x80, 0x80, 0x42})
@@ -29,7 +31,11 @@ func FuzzMarkIDs(f *testing.F) {
 		c := [2]*stream.Composite{comp(2, tpl(0, 1, 0)), comp(2, tpl(1, 2, 0))}
 		model := [2]map[uint64]bool{{}, {}}
 		mt := NewMarkTable(&metrics.Account{})
-		origins := map[uint64]*MNS{}
+		origins := map[uint64]*MNS{}  // active origins, by descriptor id
+		markOf := map[uint64]uint64{} // the mark id each one took
+		descs := map[uint64]*MNS{}    // every descriptor made, by id
+		active := map[uint64]bool{}   // the active origins' mark ids
+		last := uint64(0)
 		for step, op := range ops {
 			id := uint64(op&0x0f) + 1
 			switch k := op >> 5; k {
@@ -38,11 +44,19 @@ func FuzzMarkIDs(f *testing.F) {
 				model[k][id] = true
 			case 2: // an origin under id becomes active
 				if origins[id] == nil {
-					m := &MNS{ID: id, Expiry: NoExpiry, Sig: Signature{{Attr: predicate.Attr{}, Val: stream.Value(id)}}}
-					if mt.ActivateOrigin(m, m.Sig, nil) == nil {
+					m := descs[id]
+					if m == nil {
+						m = &MNS{ID: id, Expiry: NoExpiry, Sig: Signature{{Attr: predicate.Attr{}, Val: stream.Value(id)}}}
+						descs[id] = m
+					}
+					e := mt.ActivateOrigin(m, m.Sig, nil)
+					if e == nil {
 						t.Fatalf("step %d: origin %d not activated", step, id)
 					}
-					origins[id] = m
+					if last = max(id, last+1); e.ID != last {
+						t.Fatalf("step %d: origin %d took mark id %d, want %d", step, id, e.ID, last)
+					}
+					origins[id], markOf[id], active[last] = m, last, true
 				}
 			case 3: // and is dissolved
 				if m := origins[id]; m != nil {
@@ -50,11 +64,12 @@ func FuzzMarkIDs(f *testing.F) {
 						t.Fatalf("step %d: origin %d not taken", step, id)
 					}
 					delete(origins, id)
+					delete(active, markOf[id])
 				}
 			default: // SuppressedBy
 				want := uint64(0)
 				for _, x := range slices.Sorted(maps.Keys(model[0])) {
-					if model[1][x] && origins[x] != nil {
+					if model[1][x] && active[x] {
 						want = x
 						break
 					}

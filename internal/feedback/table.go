@@ -31,31 +31,38 @@ func (e *OriginEntry) anchor() *stream.Time { return &e.Expiry }
 // buffer and the mark table's origins — the one hash organisation
 // the paper prescribes for producer-side blacklists (Sec. IV-B) and
 // consumer-side MNS buffers (Sec. III-A). Elements sit in creation order, at
-// most one per signature, and bySig finds them by it; a duplicate descriptor
-// extends the held element's anchor instead of adding an element. Iteration
-// is always over the creation-ordered list, never the index, so runs are
-// deterministic (DESIGN.md §2). min caches the earliest anchor for the
-// operator's sweep deadline (DESIGN.md §4); anchors move only through
-// extend, so it is exact.
+// most one per signature, and the owner's one index finds them by it
+// (index.holding); a duplicate descriptor extends the held element's anchor
+// instead of adding an element. Iteration is always over the
+// creation-ordered list, never the index, so runs are deterministic
+// (DESIGN.md §2). min caches the earliest anchor for the operator's sweep
+// deadline (DESIGN.md §4); anchors move only through extend, so it is exact.
 type table[E holder] struct {
-	acct  *metrics.Account
-	mem   metrics.Mem
-	list  []E
-	bySig fpIndex[E]
-	min   state.MinCache
+	acct *metrics.Account
+	mem  metrics.Mem
+	list []E
+	idx  index[E]
+	min  state.MinCache
 }
 
-func newTable[E holder](acct *metrics.Account, mem metrics.Mem) table[E] {
-	return table[E]{acct: acct, mem: mem, bySig: fpIndex[E]{key: func(e E, buf []SigEntry) []SigEntry {
-		return append(buf, e.mns().Sig...)
-	}}}
+// index is how a table's owner files its elements by value: the one index
+// it also matches arrivals with. holding finds the element filed for a
+// descriptor's signature.
+type index[E holder] interface {
+	add(e E)
+	remove(e E)
+	holding(m *MNS) (E, bool)
+}
+
+func newTable[E holder](acct *metrics.Account, mem metrics.Mem, idx index[E]) table[E] {
+	return table[E]{acct: acct, mem: mem, idx: idx}
 }
 
 // extend looks up the element filed under m's signature. When one exists and
 // m expires later, the held element's anchor is raised: duplicates are
 // ignored (Sec. III-B) but the anchor must not be forgotten early.
 func (t *table[E]) extend(m *MNS) (E, bool) {
-	old, ok := t.bySig.find(m.Sig)
+	old, ok := t.idx.holding(m)
 	if ok {
 		if a := old.anchor(); m.Expiry > *a {
 			*a = m.Expiry
@@ -70,14 +77,14 @@ func (t *table[E]) extend(m *MNS) (E, bool) {
 func (t *table[E]) insert(e E) {
 	t.min.Add(*e.anchor())
 	t.list = append(t.list, e)
-	t.bySig.add(e)
+	t.idx.add(e)
 	t.acct.Alloc(t.mem, e.mns().SizeBytes())
 }
 
 // remove deletes the given held elements in one pass that keeps list order.
 func (t *table[E]) remove(es ...E) {
 	for _, e := range es {
-		t.bySig.remove(e)
+		t.idx.remove(e)
 		t.acct.Free(t.mem, e.mns().SizeBytes())
 	}
 	t.min.Remove(len(es))
@@ -93,7 +100,7 @@ func (t *table[E]) remove(es ...E) {
 
 // take removes and returns the element filed under m's signature.
 func (t *table[E]) take(m *MNS) (E, bool) {
-	e, ok := t.bySig.find(m.Sig)
+	e, ok := t.idx.holding(m)
 	if ok {
 		t.remove(e)
 	}
@@ -116,7 +123,7 @@ func (t *table[E]) takeExpired(now stream.Time) []E {
 			kept = append(kept, e)
 			continue
 		}
-		t.bySig.remove(e)
+		t.idx.remove(e)
 		t.acct.Free(t.mem, e.mns().SizeBytes())
 		out = append(out, e)
 	}
@@ -148,43 +155,71 @@ func (t *table[E]) nextExpiry() stream.Time {
 // may hash alike. Groups are visited in creation order (determinism,
 // DESIGN.md §2), are created only by add and are never dropped, so the
 // comparisons a match charges depend only on the attribute lists filed so
-// far; inside a group a bucket lives exactly as long as it holds an element,
-// so the index is bounded by what it currently holds. Elements constraining
-// nothing (the Ø MNS) keep a slot of their own out of the visiting order:
-// they match every composite, first and for free.
-type fpIndex[E comparable] struct {
+// far; inside a group a hash is filed exactly as long as it holds an
+// element, so the index is bounded by what it currently holds. Elements
+// constraining nothing (the Ø MNS) keep a slot of their own out of the
+// visiting order: they match every composite, first and for free.
+type fpIndex[E holder] struct {
 	// key appends an element's place to buf, in canonical order: the
 	// attributes it constrains and the values it expects there.
 	key    func(e E, buf []SigEntry) []SigEntry
 	empty  []E
 	groups []*fpGroup[E]
-	// Scratch: place holds an element's place (add, remove, expects), vals
-	// the values a lookup settles hits against (find, match). visit must not
-	// call back into the index.
+	// Scratch: place holds an element's place (add, remove, expects, and a
+	// holding's lookup key), vals the values match settles hits against.
+	// visit must not call back into the index.
 	place []SigEntry
 	vals  []stream.Value
 }
 
-type fpGroup[E comparable] struct {
+// fpGroup files the elements of one attribute list by the hash of the values
+// they expect. Most hashes are one element's, held in one, in the map slot
+// itself: no allocation per element. A hash that two or more share moves to
+// many, in filing order, and back to one when a single element is left.
+type fpGroup[E holder] struct {
 	attrs []predicate.Attr
-	byVal map[uint64]*fpBucket[E]
+	one   map[uint64]E
+	many  map[uint64][]E
 }
 
-// fpBucket holds the elements filed under one value hash. The map holds it
-// by pointer, so growing or shrinking it writes through instead of storing a
-// slice back under its key, and its first element sits in the bucket itself:
-// most hashes are one element's.
-type fpBucket[E comparable] struct {
-	els   []E
-	first [1]E
-}
-
-// elements lists what the bucket holds; a missing bucket holds nothing.
-func (b *fpBucket[E]) elements() []E {
-	if b == nil {
-		return nil
+func (g *fpGroup[E]) add(h uint64, e E) {
+	if els, ok := g.many[h]; ok {
+		g.many[h] = append(els, e)
+	} else if first, ok := g.one[h]; ok {
+		delete(g.one, h)
+		g.many[h] = []E{first, e}
+	} else {
+		g.one[h] = e
 	}
-	return b.els
+}
+
+func (g *fpGroup[E]) remove(h uint64, e E) {
+	if first, ok := g.one[h]; ok {
+		if first == e {
+			delete(g.one, h)
+		}
+		return
+	}
+	els := g.many[h]
+	i := slices.Index(els, e)
+	switch {
+	case i < 0:
+	case len(els) == 2:
+		delete(g.many, h)
+		g.one[h] = els[1-i]
+	default:
+		g.many[h] = slices.Delete(els, i, i+1)
+	}
+}
+
+// at returns the elements filed under h, in filing order; a lone one is
+// handed back in lone.
+func (g *fpGroup[E]) at(h uint64, lone *[1]E) []E {
+	if e, ok := g.one[h]; ok {
+		lone[0] = e
+		return lone[:]
+	}
+	return g.many[h]
 }
 
 // group returns the group of place's attribute list, or nil when none was
@@ -222,25 +257,13 @@ func (x *fpIndex[E]) add(e E) {
 	}
 	g := x.group(x.place)
 	if g == nil {
-		g = &fpGroup[E]{attrs: make([]predicate.Attr, len(x.place)), byVal: make(map[uint64]*fpBucket[E])}
+		g = &fpGroup[E]{attrs: make([]predicate.Attr, len(x.place)), one: make(map[uint64]E), many: make(map[uint64][]E)}
 		for i, p := range x.place {
 			g.attrs[i] = p.Attr
 		}
 		x.groups = append(x.groups, g)
 	}
-	h := hashOf(x.place)
-	b := g.byVal[h]
-	if b == nil {
-		b = new(fpBucket[E])
-		b.els = b.first[:0]
-		g.byVal[h] = b
-	}
-	b.els = append(b.els, e)
-	if len(b.els) == 2 {
-		// The elements have moved out of the bucket: first must not go on
-		// holding one that may leave.
-		b.first = [1]E{}
-	}
+	g.add(hashOf(x.place), e)
 }
 
 func (x *fpIndex[E]) remove(e E) {
@@ -251,45 +274,60 @@ func (x *fpIndex[E]) remove(e E) {
 		}
 		return
 	}
-	g := x.group(x.place)
-	if g == nil {
-		return
+	if g := x.group(x.place); g != nil {
+		g.remove(hashOf(x.place), e)
 	}
-	h := hashOf(x.place)
-	b := g.byVal[h]
-	i := slices.Index(b.elements(), e)
-	if i < 0 {
-		return
-	}
-	if len(b.els) == 1 {
-		delete(g.byVal, h)
-		return
-	}
-	b.els = slices.Delete(b.els, i, i+1)
 }
 
-// find returns the first filed element whose place is exactly place.
-func (x *fpIndex[E]) find(place []SigEntry) (E, bool) {
-	var zero E
-	if len(place) == 0 {
-		if len(x.empty) == 0 {
-			return zero, false
+// find returns the first element filed under place whose descriptor's
+// signature is sig.
+func (x *fpIndex[E]) find(place []SigEntry, sig Signature) (E, bool) {
+	els := x.empty
+	var lone [1]E
+	if len(place) > 0 {
+		g := x.group(place)
+		if g == nil {
+			return lone[0], false
 		}
-		return x.empty[0], true
+		els = g.at(hashOf(place), &lone)
 	}
-	g := x.group(place)
-	if g == nil {
-		return zero, false
-	}
-	x.vals = x.vals[:0]
-	for _, p := range place {
-		x.vals = append(x.vals, p.Val)
-	}
-	for _, e := range g.byVal[hashOf(place)].elements() {
-		if x.expects(e, x.vals) {
+	for _, e := range els {
+		if slices.Equal(e.mns().Sig, sig) {
 			return e, true
 		}
 	}
+	var zero E
+	return zero, false
+}
+
+// within returns the first element whose descriptor's signature is sig, for
+// an index whose places are restrictions of the elements' own signatures
+// (the mark table's side signatures): every group whose attributes sig
+// constrains is looked up on sig's values there.
+func (x *fpIndex[E]) within(sig Signature) (E, bool) {
+	for _, e := range x.empty {
+		if slices.Equal(e.mns().Sig, sig) {
+			return e, true
+		}
+	}
+	var lone [1]E
+groups:
+	for _, g := range x.groups {
+		h := uint64(state.FNVOffset)
+		for _, a := range g.attrs {
+			v, has := sig.Lookup(a)
+			if !has {
+				continue groups
+			}
+			h = state.FoldValue(h, v)
+		}
+		for _, e := range g.at(h, &lone) {
+			if slices.Equal(e.mns().Sig, sig) {
+				return e, true
+			}
+		}
+	}
+	var zero E
 	return zero, false
 }
 
@@ -302,6 +340,7 @@ func (x *fpIndex[E]) match(c *stream.Composite, visit func(E) bool) (comparisons
 			return 0
 		}
 	}
+	var lone [1]E
 groups:
 	for _, g := range x.groups {
 		comparisons += len(g.attrs)
@@ -317,7 +356,7 @@ groups:
 			x.vals = append(x.vals, t.Vals[a.Col])
 			h = state.FoldValue(h, t.Vals[a.Col])
 		}
-		for _, e := range g.byVal[h].elements() {
+		for _, e := range g.at(h, &lone) {
 			if x.expects(e, x.vals) && !visit(e) {
 				break groups
 			}

@@ -223,6 +223,10 @@ const (
 
 var memNames = [NumMem]string{"state", "grave", "black", "mns", "pending", "bloom"}
 
+// String names the structure: the ledger's and the /metrics `mem` label's
+// spelling.
+func (m Mem) String() string { return memNames[m] }
+
 // MemLedger is an Account's live bytes split by structure.
 type MemLedger [NumMem]int64
 

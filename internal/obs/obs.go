@@ -483,9 +483,11 @@ type Snapshot struct {
 	Counters  metrics.Counters
 	LiveBytes int64
 	PeakBytes int64
-	Samples   int
-	Latency   Histogram
-	WallLat   Histogram
+	// LiveBy splits LiveBytes by structure (metrics.Account.LiveBy).
+	LiveBy  metrics.MemLedger
+	Samples int
+	Latency Histogram
+	WallLat Histogram
 	// Ops are the live operators' running totals; Counters minus their sum
 	// is the plan's run ledger. WriteProm serves them under the `op` label.
 	Ops []metrics.OpCounters
@@ -519,6 +521,7 @@ func (t *Tracer) publish() {
 	if t.acct != nil {
 		s.LiveBytes = t.acct.Live()
 		s.PeakBytes = t.acct.Peak()
+		s.LiveBy = t.acct.LiveBy()
 	}
 	if t.sampler != nil {
 		s.Samples = len(t.sampler.samples)

@@ -17,7 +17,10 @@ import (
 // series and, under an additional `op` label, one series per live operator
 // (Snapshot.Ops): the per-operator ledger that says where a shard's work went.
 // Select `op=""` for totals; what the `op` series leave unexplained is the
-// plan's run ledger (sink, sweeps, migrations, retired operators).
+// plan's run ledger (sink, sweeps, migrations, retired operators). The
+// accounted live bytes are split the same way by structure, under a `mem`
+// label (metrics.Mem: state, grave, black, mns, pending, bloom), and the
+// split sums to the total beside it.
 
 // snakeCase converts a Go field name to a metric-name fragment:
 // "FinalResults" → "final_results", "MNSDetected" → "mns_detected" (an
@@ -85,16 +88,26 @@ func WriteProm(w io.Writer, snaps []*Snapshot) {
 	gauges := []struct {
 		name, help string
 		val        func(*Snapshot) int64
+		// by, when set, splits the gauge by structure under a `mem` label,
+		// beside the total.
+		by func(*Snapshot) metrics.MemLedger
 	}{
-		{"jit_live_bytes", "Accounted live state bytes.", func(s *Snapshot) int64 { return s.LiveBytes }},
-		{"jit_peak_bytes", "Accounted peak state bytes.", func(s *Snapshot) int64 { return s.PeakBytes }},
-		{"jit_clock_ms", "Engine event-time clock (stream ms).", func(s *Snapshot) int64 { return int64(s.Clock) }},
-		{"jit_samples", "Time-series samples taken.", func(s *Snapshot) int64 { return int64(s.Samples) }},
+		{"jit_live_bytes", "Accounted live state bytes; the mem series split them by structure.",
+			func(s *Snapshot) int64 { return s.LiveBytes }, func(s *Snapshot) metrics.MemLedger { return s.LiveBy }},
+		{"jit_peak_bytes", "Accounted peak state bytes.", func(s *Snapshot) int64 { return s.PeakBytes }, nil},
+		{"jit_clock_ms", "Engine event-time clock (stream ms).", func(s *Snapshot) int64 { return int64(s.Clock) }, nil},
+		{"jit_samples", "Time-series samples taken.", func(s *Snapshot) int64 { return int64(s.Samples) }, nil},
 	}
 	for _, g := range gauges {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", g.name, g.help, g.name)
 		for _, s := range live {
 			fmt.Fprintf(w, "%s{shard=%q} %d\n", g.name, s.Label, g.val(s))
+			if g.by == nil {
+				continue
+			}
+			for m, n := range g.by(s) {
+				fmt.Fprintf(w, "%s{shard=%q,mem=%q} %d\n", g.name, s.Label, metrics.Mem(m), n)
+			}
 		}
 	}
 	writePromHist(w, "jit_latency_event_ms", "Arrival-to-delivery event-time latency (stream ms).",

@@ -46,7 +46,7 @@ func TestWritePromParses(t *testing.T) {
 		totals.Add(&ops[i].Counters)
 	}
 	snaps := []*Snapshot{
-		{Label: "shard0", Counters: totals, Ops: ops, LiveBytes: 100, Latency: lat},
+		{Label: "shard0", Counters: totals, Ops: ops, LiveBytes: 100, LiveBy: metrics.MemLedger{60, 30, 0, 10}, Latency: lat},
 		{Label: "shard1", Counters: metrics.Counters{Probes: 20}, LiveBytes: 50},
 		nil, // unpublished tracers are skipped
 	}
@@ -78,6 +78,8 @@ func TestWritePromParses(t *testing.T) {
 
 	byShard := map[string]float64{}
 	unexplained := map[string]float64{} // shard0, per family: plan-wide − Σ op
+	live := map[string]float64{}        // shard0's live bytes: the total, less each mem series
+	mems := 0
 	var bucketSeen bool
 	for _, s := range samples {
 		op, perOp := s.Labels["op"]
@@ -93,12 +95,26 @@ func TestWritePromParses(t *testing.T) {
 				t.Errorf("%s: unexpected op label %q", s.Name, op)
 			}
 		}
+		if s.Name == "jit_live_bytes" && s.Labels["shard"] == "shard0" {
+			if m, split := s.Labels["mem"]; split {
+				live[s.Name] -= s.Value
+				mems++
+				if m == "grave" && s.Value != 30 {
+					t.Errorf("jit_live_bytes{mem=grave} = %v, want 30", s.Value)
+				}
+			} else {
+				live[s.Name] += s.Value
+			}
+		}
 		if s.Name == "jit_latency_event_ms_bucket" {
 			bucketSeen = true
 			if _, ok := s.Labels["le"]; !ok {
 				t.Error("histogram bucket without le")
 			}
 		}
+	}
+	if mems != int(metrics.NumMem) || live["jit_live_bytes"] != 0 {
+		t.Errorf("jit_live_bytes: %d mem series leave %v of the total unexplained; want %d and 0", mems, live["jit_live_bytes"], metrics.NumMem)
 	}
 	if byShard["shard0"] != 10 || byShard["shard1"] != 20 {
 		t.Errorf("per-shard probes wrong: %v", byShard)

@@ -67,6 +67,8 @@ type Producer interface {
 	// composite's TS is the largest of its parts'. An exact-mode consumer
 	// keeps a retired state entry e only while a result at or above this
 	// floor could still pair with it: pairValid needs the reader's TS below
-	// e.MinTS + window (DESIGN.md §4).
-	DeferredFloor() stream.Time
+	// e.MinTS + window (DESIGN.md §4). An item deferred under an MNS whose
+	// claim the asking consumer honours (c) counts only with the results it
+	// can still build below the clock the MNS was detected at.
+	DeferredFloor(c feedback.Claims) stream.Time
 }

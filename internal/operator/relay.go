@@ -39,11 +39,11 @@ func (s *Selection) CanSuspend() bool { return s.prod != nil && s.prod.CanSuspen
 
 // DeferredFloor implements Producer: a selection defers nothing itself, and
 // what its upstream owes can only shrink on the way through.
-func (s *Selection) DeferredFloor() stream.Time {
+func (s *Selection) DeferredFloor(c feedback.Claims) stream.Time {
 	if s.prod == nil {
 		return feedback.NoExpiry
 	}
-	return s.prod.DeferredFloor()
+	return s.prod.DeferredFloor(c)
 }
 
 // Feedback implements Producer by relaying to the upstream producer and
