@@ -150,6 +150,9 @@ func main() {
 	if *stats {
 		printOps(r.Ops)
 		fmt.Printf("mem@peak: %s\n", r.PeakMem)
+		for _, op := range r.PeakOps {
+			fmt.Printf("mem@peak %s: %s\n", op.Name, op.Mem)
+		}
 	}
 	obsEpilogue(tracers, mems, *traceOut)
 }

@@ -282,7 +282,7 @@ func (c *Controller) Migrate(cut stream.Time, b *plan.Built) *plan.Built {
 	// The retired operators' state stays charged to the account while the
 	// snapshot replays — both trees are resident for that span — and is
 	// released after it.
-	oldLive := b.Account.LiveBy()
+	oldLive := b.Account.LiveByOp()
 	b.Reshape(target)
 	b.Trace.MigrationCut(cut, len(snap), note)
 	b.ReplayInWindow(snap)

@@ -1,9 +1,11 @@
 package core_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/feedback"
 	"repro/internal/metrics"
 	"repro/internal/operator"
 	"repro/internal/predicate"
@@ -107,5 +109,52 @@ func TestClaimFloorCountsJoinFedPartners(t *testing.T) {
 	x.Sweep(113)
 	if n := x.GraveLen(operator.Right); n != 1 {
 		t.Errorf("X keeps %d retired entries, want e: t (50) may still meet a late partner", n)
+	}
+}
+
+// TestRejectedCandidateVoidsItsClaim pins the claim of an MNS detected on a
+// late input (DESIGN.md §2, "What an MNS rules out"): a stored tuple that
+// matches the MNS but fails pairValid against the input is left out of Ω,
+// and the MNS it matches must then claim nothing. P joins sources 0 and 1 on
+// c0; X tests 0.c1 = 3.c0 and 1.c1 = 3.c1. P parks a unprobed; its last gasp
+// at 100 hands X the late a·b, whose window closed before e (105) arrived. X
+// detects {b} (1.c1 = 7): e matches it but is rejected by pairValid. P parks
+// b under it. a2 arrives at P, and e2 at X resumes b, whose result a2·b pairs
+// with e as REF pairs it. Were {b} to claim, a2·b would skip e.
+func TestRejectedCandidateVoidsItsClaim(t *testing.T) {
+	ids := uint64(1000)
+	next := func() uint64 { ids++; return ids }
+	conj := predicate.Conj{{Left: 0, LCol: 0, Right: 1, RCol: 0}, {Left: 0, LCol: 1, Right: 3, RCol: 0}, {Left: 1, LCol: 1, Right: 3, RCol: 1}}
+	src := func(s stream.SourceID) stream.SourceSet { return stream.SourceSet(0).Add(s) }
+	tup := func(id uint64, s stream.SourceID, ts stream.Time, vals ...stream.Value) *stream.Composite {
+		return stream.NewComposite(4, &stream.Tuple{ID: id, Source: s, TS: ts, Vals: vals})
+	}
+	p, x := claimPlan(conj, nil, src(0), src(1), &metrics.Account{}, next)
+	out := &collector{}
+	x.SetConsumer(out, operator.Left)
+	// a is parked at P on arrival, unprobed.
+	p.Feedback(feedback.Message{Cmd: feedback.Suspend, MNS: []*feedback.MNS{{
+		ID: next(), Sources: src(0), Expiry: 1000,
+		Sig: feedback.Signature{{Attr: predicate.Attr{Source: 0, Col: 1}, Val: 5}},
+	}}})
+	p.Consume(tup(1, 0, 0, 1, 5), operator.Left)    // a
+	p.Consume(tup(2, 1, 10, 1, 7), operator.Right)  // b
+	x.Consume(tup(3, 3, 105, 8, 7), operator.Right) // e
+	p.Sweep(100)                                    // a's last gasp: a·b reaches X late
+	if c := p.Counters(); c.Suspended != 2 || c.Resumed != 1 {
+		t.Fatalf("P parked %d and resumed %d tuples; want a and b parked, a resumed", c.Suspended, c.Resumed)
+	}
+	p.Consume(tup(4, 0, 106, 1, 8), operator.Left)  // a2
+	x.Consume(tup(5, 3, 107, 9, 7), operator.Right) // e2 resumes b
+	p.Sweep(300)
+	x.Sweep(300)
+	var got []string
+	for _, r := range out.got {
+		got = append(got, r.Key())
+	}
+	// REF: a·b meets nothing at X, which purges it at 105; a2·b (106) meets
+	// e, and e2 matches no partner's 0.c1.
+	if want := []string{"0:4|1:2|3:3"}; !slices.Equal(got, want) {
+		t.Errorf("JIT delivered %v, REF %v", got, want)
 	}
 }

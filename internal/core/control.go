@@ -194,7 +194,7 @@ func (j *JoinOp) markScan(e *feedback.OriginEntry, s *side, sig feedback.Signatu
 	s.st.WalkCarrying(sig, func(se state.Entry) bool {
 		j.ctr.Comparisons += uint64(len(sig))
 		if sig.MatchedBy(se.C) {
-			se.C.AddMark(e.ID)
+			j.marks.Mark(se.C, e.ID)
 		}
 		return true
 	})
@@ -206,7 +206,7 @@ func (j *JoinOp) markScan(e *feedback.OriginEntry, s *side, sig feedback.Signatu
 		// applies suppression and records the suppressed pairs.
 		j.ctr.Comparisons += uint64(len(sig))
 		if sig.MatchedBy(f.input) {
-			f.input.AddMark(e.ID)
+			j.marks.Mark(f.input, e.ID)
 		}
 	}
 }

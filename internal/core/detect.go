@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/bloom"
@@ -69,6 +70,10 @@ func (l *atomLookup) at(t *stream.Tuple) []state.Bound {
 // Beyond lattice.MaxAtoms only Level 1 is decided (the paper permits partial
 // detection): an atom is alive iff its lookup verifies nobody.
 //
+// A candidate pairValid rejects is left out of Ω unverified and uncharged,
+// and filed in s.rejected under the atom whose lookup found it: an MNS all
+// of whose lookups found it claims nothing (unrejected).
+//
 // The charge (DESIGN.md §3): each lookup costs the length of its bound, each
 // predicate evaluated on a candidate one comparison, each lattice node read
 // or written one LatticeNodes — a Level-1-only atom is one node.
@@ -94,7 +99,7 @@ func (j *JoinOp) identifyMNS(c *stream.Composite, s, o *side) []uint32 {
 		j.ctr.Comparisons += uint64(len(bound))
 		o.st.WalkCarrying(bound, func(e state.Entry) bool {
 			if !j.pairValid(c, e.C) {
-				s.partial = true
+				s.rejected = append(s.rejected, rejection{k, e.Seq})
 				return true
 			}
 			if _, ok := s.seen[e.Seq]; ok {
@@ -147,13 +152,14 @@ func (j *JoinOp) reportMNS(f *probe, s, o *side) {
 	}
 	j.ctr.MNSDetected += uint64(len(mnses))
 	j.trace.MNS(j.name, len(mnses))
-	// The MNSs guard (feedback.Guarding) when the detection checked every
-	// tuple of the opposite state and none is in flight towards it, unchecked.
-	// The producer is handed the descriptor the buffer keeps: a duplicate it
-	// dropped never sat there and claims nothing (DESIGN.md §2).
-	guard := !s.partial && j.topFrameOn(o.port) == nil
+	// An MNS guards (feedback.Guarding) when no tuple of the opposite state
+	// matches it, not even one outside the input's window span, and none is
+	// in flight towards the state, unchecked. The producer is handed the
+	// descriptor the buffer keeps: a duplicate it dropped never sat there and
+	// claims nothing (DESIGN.md §2).
+	inFlight := j.topFrameOn(o.port) != nil
 	for i, m := range mnses {
-		mnses[i], _ = s.buf.Add(m, guard)
+		mnses[i], _ = s.buf.Add(m, !inFlight && s.unrejected(s.masks[i]))
 	}
 	if s.prod != nil {
 		j.ctr.Feedbacks++
@@ -162,19 +168,22 @@ func (j *JoinOp) reportMNS(f *probe, s, o *side) {
 }
 
 // omega computes the MNS set Ω of input c by the mode's detection method and
-// materializes it. The list is s.omega, good until the next call on s.
+// materializes it. The list is s.omega, good until the next call on s, and
+// s.masks holds each MNS's atom mask (0 for Ø).
 func (j *JoinOp) omega(c *stream.Composite, s, o *side) []*feedback.MNS {
 	mnses := s.omega[:0]
-	s.partial = false
+	s.rejected, s.masks = s.rejected[:0], s.masks[:0]
 	switch {
 	case o.st.Empty():
 		// Fig. 8 line 2: empty opposite state → Ø is the only MNS. This is
 		// the DOE special case; the producer suspends entirely.
 		mnses = append(mnses, &feedback.MNS{ID: j.nextMNS(), Expiry: feedback.NoExpiry})
+		s.masks = append(s.masks, 0)
 	case j.mode == DetectLattice:
 		for _, mask := range j.identifyMNS(c, s, o) {
 			if m := j.buildMNS(c, s, o, mask); m != nil {
 				mnses = append(mnses, m)
+				s.masks = append(s.masks, mask)
 			}
 		}
 	case j.mode == DetectBloom:
@@ -182,12 +191,53 @@ func (j *JoinOp) omega(c *stream.Composite, s, o *side) []*feedback.MNS {
 			if j.bloomAtomAbsent(c, s, o, k) {
 				if m := j.buildMNS(c, s, o, 1<<uint(k)); m != nil {
 					mnses = append(mnses, m)
+					s.masks = append(s.masks, 1<<uint(k))
 				}
 			}
 		}
 	}
 	s.omega = mnses
 	return mnses
+}
+
+// rejection is a candidate identifyMNS found by atom's lookup and left out
+// of Ω because it failed pairValid against the input: the opposite tuple
+// with sequence seq.
+type rejection struct {
+	atom int
+	seq  uint64
+}
+
+// unrejected reports whether no candidate identifyMNS rejected was found by
+// the lookup of every atom of mask: only then is the MNS over it matched by
+// no tuple of the opposite state, which is what its claim says
+// (feedback.MNS.Seen). A tuple that matches the MNS carries the input's
+// values at each of its atoms, so each of their lookups finds it; a hash
+// collision only voids a claim that might have held. Ø (mask 0) and a Bloom
+// detection leave no candidate.
+func (s *side) unrejected(mask uint32) bool {
+	if mask == 0 {
+		return true
+	}
+	low := bits.TrailingZeros32(mask)
+	for _, r := range s.rejected {
+		if r.atom == low && s.foundUnder(r.seq, mask) {
+			return false
+		}
+	}
+	return true
+}
+
+// foundUnder reports whether the rejected candidate seq was found by the
+// lookup of every atom of mask.
+func (s *side) foundUnder(seq uint64, mask uint32) bool {
+	for ; mask != 0; mask &= mask - 1 {
+		k := bits.TrailingZeros32(mask)
+		if !slices.Contains(s.rejected, rejection{k, seq}) {
+			return false
+		}
+	}
+	return true
 }
 
 // buildMNS materializes the MNS for an atom mask of input c: the spanned

@@ -179,3 +179,27 @@ func FuzzDetectByValue(f *testing.F) {
 		checkDetectByValue(t, seed, int(band%5), int(partners%64), level1)
 	})
 }
+
+// TestRejectionVoidsOnlyWhatItMatches: a candidate rejected by pairValid
+// voids the claim of an MNS only when the lookup of every atom of the MNS
+// found it — tuple 7 was found under atoms 0 and 1, tuple 9 under atom 1
+// alone — and every other MNS of the same Ω still claims.
+func TestRejectionVoidsOnlyWhatItMatches(t *testing.T) {
+	s := &side{rejected: []rejection{{0, 7}, {1, 7}, {1, 9}}}
+	for _, tc := range []struct {
+		mask uint32
+		want bool
+	}{
+		{0, true},           // Ø
+		{1 << 0, false},     // 7
+		{1 << 1, false},     // 7 and 9
+		{1 << 2, true},      // nobody
+		{3, false},          // 7, under both atoms
+		{1<<1 | 1<<2, true}, // 7 and 9 were not found under atom 2
+		{1<<0 | 1<<2, true},
+	} {
+		if got := s.unrejected(tc.mask); got != tc.want {
+			t.Errorf("mask %b: unrejected = %t, want %t", tc.mask, got, tc.want)
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/feedback"
 	"repro/internal/operator"
 	"repro/internal/state"
@@ -173,11 +175,12 @@ func (j *JoinOp) pairValid(a, b *stream.Composite) bool {
 // below the park-time cursor are covered by the live probe or the pending
 // list, so the walk starts after it, and it visits only the retired entries
 // sharing the input's equi-key values: the others fail a crossing equi
-// predicate, so REF formed no pair with them.
+// predicate, so REF formed no pair with them, and nothing is charged for
+// them.
 func (j *JoinOp) probeGrave(f *probe, o *side) {
 	s := j.in[f.port]
 	o.grave.Walk(s.equi.Hash(f.input), f.cursor(), func(e state.Entry) bool {
-		if !f.susp.IsDone(e.Seq) {
+		if !f.susp.IsDone(e.Seq) && sameKey(f.input, s, o, e.C) {
 			j.catchUp(f, s, e)
 		}
 		return true
@@ -187,31 +190,72 @@ func (j *JoinOp) probeGrave(f *probe, o *side) {
 	}
 }
 
+// sameKey reports whether input c of side s agrees with e, stored opposite
+// it on o, on every column of the crossing equi-key. Both graveyard readers
+// ask it before they charge anything, so that whether an entry of another
+// key is still retired — which depends on when a sweep last weighed it
+// (valueFloor) — moves no charge; probeGrave's keyed walk meets one only on
+// a hash collision.
+func sameKey(c *stream.Composite, s, o *side, e *stream.Composite) bool {
+	for i, a := range s.equi {
+		b := o.equi[i]
+		if c.Comp(a.Source).Vals[a.Col] != e.Comp(b.Source).Vals[b.Col] {
+			return false
+		}
+	}
+	return true
+}
+
 // expireGrave drops the retired entries nothing can reach any more. A
 // graveyard entry e on one side is read only by a late input c on the other
-// that passes pairValid, which needs c.TS < e.MinTS + w; and a composite all
-// of whose constituents have arrived reaches this operator late only because
-// it contains something deferred — parked or recorded as a suppressed pair —
-// on that input's way here, so its timestamp is at least that item's TS. Once
-// every deferred item on the way into a port has TS at or past e.MinTS + w,
-// no reader of e is left, now or later: whatever arrives from then on
-// carries a newer timestamp still. The root also honours the claims of the
-// MNSs it detected (claims): an item deferred under one counts only with the
-// results it can build below the MNS's detection clock (DESIGN.md §4 has
-// both arguments). It runs at the end of Sweep only: the engine calls Sweep
-// with no operator on the stack, so nothing is in transit between a
-// blacklist and its consumer, which is what makes the floor complete.
+// that agrees with e on the crossing equi-key (sameKey) and passes
+// pairValid, which needs c.TS < e.MinTS + w; and a composite all of whose
+// constituents have arrived reaches this operator late only because it
+// contains something deferred — parked or recorded as a suppressed pair — on
+// that input's way here, so it carries that item's values and its timestamp
+// is at least the item's. Once every deferred item on the way into a port
+// that agrees with e on the key columns it fixes has its oldest result at or
+// past e.MinTS + w, no reader of e is left, now or later: whatever arrives
+// from then on carries a newer timestamp still (valueFloor). The root also
+// honours the claims of the MNSs it detected (claims): an item deferred under
+// one counts only with the results it can build below the MNS's detection
+// clock (DESIGN.md §4 has the arguments). It runs at the end of Sweep only:
+// the engine calls Sweep with no operator on the stack, so nothing is in
+// transit between a blacklist and its consumer, which is what makes the floor
+// complete.
 func (j *JoinOp) expireGrave() {
 	for p := operator.Port(0); p < 2; p++ {
-		s := j.in[p]
-		if g := j.in[p.Opposite()].grave; !g.Empty() {
-			g.Purge(j.inputFloor(s, j.claims(s)), j.window, nil)
+		s, g := j.in[p], j.in[p.Opposite()].grave
+		if !g.Empty() {
+			least, n := j.owingOn(s)
+			g.Purge(least, j.window, nil)
+			f := s.floor
+			f.kept = min(f.kept, g.Len())
+			if grown := g.Len() - f.kept; grown > 0 && grown*graveWalkRatio >= n+g.Len() {
+				top := stream.Time(0)
+				g.Scan(func(e state.Entry) bool {
+					top = max(top, e.C.MinTS)
+					return true
+				})
+				f.reset(top + j.window)
+				j.owedOn(s, j.claims(s), f.below, f.add)
+				g.PurgeFloor(j.window, f.at)
+				f.kept = g.Len()
+			}
 		}
 		if j.shadow != nil {
-			j.shadow.grave[p.Opposite()].Purge(j.inputFloor(s, nil), j.window, nil)
+			least, _ := j.owingOn(s)
+			j.shadow.grave[p.Opposite()].Purge(least, j.window, nil)
 		}
 	}
 }
+
+// graveWalkRatio prices expireGrave's walk: the items are walked, and the
+// graveyard weighed entry by entry, only once the entries retired since the
+// last walk, times graveWalkRatio, are at least the items plus the entries
+// to weigh, so what a walk costs stays proportional to the memory it can
+// free. In between, the scalar floor from the caches alone drops entries.
+const graveWalkRatio = 16
 
 // claims is what this operator honours of the MNSs deferred on the way into
 // side s: at the root, whose consumer sends no feedback, so that no
@@ -224,25 +268,155 @@ func (j *JoinOp) claims(s *side) feedback.Claims {
 	return s.honours
 }
 
-// inputFloor bounds what can still read the graveyard opposite input side s,
-// for a consumer honouring the claims c: the oldest TS among the tuples
-// parked on s here, and the floor of whatever its producer defers. Every
-// result still owed through that port contains one of those, so none is
-// older.
-func (j *JoinOp) inputFloor(s *side, c feedback.Claims) stream.Time {
-	f := NoDeadline
+// owedOn reports to visit what can still reach this operator through input
+// side s, for a consumer honouring the claims c: the tuples parked on s here,
+// and whatever its producer owes. Every result still owed through that port
+// contains one of those items.
+func (j *JoinOp) owedOn(s *side, c feedback.Claims, below stream.Time, visit feedback.OwedFunc) {
 	if s.prod != nil {
-		f = s.prod.DeferredFloor(c)
+		s.prod.Owed(c, below, visit)
 	}
-	return min(f, s.black.Floor(c, j.in[s.port.Opposite()].prod == nil))
+	s.black.Owed(c, j.in[s.port.Opposite()].prod == nil, below, visit)
 }
 
-// DeferredFloor implements operator.Producer: the floors of both input ports
-// and the TS of the results of the pairs suppressed under this operator's
-// marks, for a consumer honouring the claims c. Every result still owed
-// downstream contains one of those, so none is older.
-func (j *JoinOp) DeferredFloor(c feedback.Claims) stream.Time {
-	return min(j.inputFloor(j.in[0], c), j.inputFloor(j.in[1], c), j.marks.Floor(c))
+// owingOn is owedOn's summary from the caches (operator.Producer.Owing).
+func (j *JoinOp) owingOn(s *side) (oldest stream.Time, n int) {
+	oldest, n = s.black.Owing()
+	if s.prod != nil {
+		ts, m := s.prod.Owing()
+		oldest, n = min(oldest, ts), n+m
+	}
+	return oldest, n
+}
+
+// Owed implements operator.Producer: what both input ports owe, and the pairs
+// suppressed under this operator's marks, for a consumer honouring the claims
+// c. Every result still owed downstream contains one of those items.
+func (j *JoinOp) Owed(c feedback.Claims, below stream.Time, visit feedback.OwedFunc) {
+	j.owedOn(j.in[0], c, below, visit)
+	j.owedOn(j.in[1], c, below, visit)
+	j.marks.Owed(c, below, visit)
+}
+
+// Owing implements operator.Producer, summing what Owed would walk.
+func (j *JoinOp) Owing() (oldest stream.Time, n int) {
+	oldest, n = j.marks.Owing()
+	for _, s := range j.in {
+		ts, m := j.owingOn(s)
+		oldest, n = min(oldest, ts), n+m
+	}
+	return oldest, n
+}
+
+// valueFloor is the floor an input side s puts under the graveyard opposite
+// it (DESIGN.md §4, "What the graveyard keeps"). Each item owed on the way
+// into s fixes the columns of the crossing equi-key whose sources it holds:
+// a parked tuple of s's own sources, or a pending pair over them, fixes every
+// column; a tuple parked further up on part of them fixes only that part's.
+// The floor keeps, for each set of fixed columns and each value hash on it,
+// the oldest lb among the items fixing those values, and apart from them the
+// oldest lb among the items that fix no column. A retired entry e of the
+// opposite side is read only by a result that carries some item's values and
+// is no older than its lb: its floor is the least lb of the items whose
+// values it agrees with, and of the keyless ones.
+type valueFloor struct {
+	// in is s.equi, the columns an item's values are read at; out is the
+	// opposite side's equi, the columns an entry's are. Position i of both
+	// are one predicate's endpoints.
+	in, out state.Key
+	window  stream.Time
+	// below is what reset was given: items whose lb is at or past it are left
+	// out, since no entry it was computed for expires later.
+	below stream.Time
+	// least is the oldest lb of all, global the oldest of the keyless items.
+	least, global stream.Time
+	// masks are the column sets some item fixes (bit i for position i), each
+	// once; by maps a column set and the hash of the values there to the
+	// oldest lb of the items fixing them.
+	masks []uint64
+	by    map[fixedKey]stream.Time
+	// kept is how many entries the graveyard held after the last keyed
+	// purge, or after a cheap one since that left fewer: only entries retired
+	// since can be freed by walking the items again (expireGrave).
+	kept int
+	// add and at are the methods bound once, so a sweep allocates no closure.
+	add feedback.OwedFunc
+	at  func(state.Entry) stream.Time
+}
+
+// fixedKey is a set of key columns and the hash of an item's values there.
+type fixedKey struct{ mask, h uint64 }
+
+func newValueFloor(in, out state.Key, window stream.Time) *valueFloor {
+	f := &valueFloor{in: in, out: out, window: window, by: make(map[fixedKey]stream.Time)}
+	f.add, f.at = f.item, f.of
+	return f
+}
+
+// reset empties the floor for a sweep that weighs entries expiring before
+// below.
+func (f *valueFloor) reset(below stream.Time) {
+	f.below, f.least, f.global = below, NoDeadline, NoDeadline
+	f.masks = f.masks[:0]
+	clear(f.by)
+}
+
+// item files one owed item: a (and b, a pending pair's other half) with the
+// oldest result TS it can build. A column whose source the item does not
+// hold is not fixed; columns past the 64th are treated as unfixed, which
+// only keeps more.
+func (f *valueFloor) item(a, b *stream.Composite, lb stream.Time) {
+	if lb >= f.below {
+		return
+	}
+	f.least = min(f.least, lb)
+	mask, h := uint64(0), uint64(state.FNVOffset)
+	for i, c := range f.in[:min(len(f.in), 64)] {
+		t := a.Comp(c.Source)
+		if t == nil && b != nil {
+			t = b.Comp(c.Source)
+		}
+		if t != nil {
+			mask |= 1 << uint(i)
+			h = state.FoldValue(h, t.Vals[c.Col])
+		}
+	}
+	if mask == 0 {
+		f.global = min(f.global, lb)
+		return
+	}
+	k := fixedKey{mask, h}
+	old, ok := f.by[k]
+	if !ok {
+		if !slices.Contains(f.masks, mask) {
+			f.masks = append(f.masks, mask)
+		}
+		old = NoDeadline
+	}
+	f.by[k] = min(old, lb)
+}
+
+// of is retired entry e's floor: the least lb among the keyless items and
+// the items whose fixed values e carries at the aligned columns. Equal
+// values hash alike; a hash collision only keeps e longer.
+func (f *valueFloor) of(e state.Entry) stream.Time {
+	exp := e.C.MinTS + f.window
+	if exp <= f.least || exp > f.global {
+		return f.global // dropped, or kept, whatever its key
+	}
+	floor := f.global
+	for _, mask := range f.masks {
+		h := uint64(state.FNVOffset)
+		for i, c := range f.out[:min(len(f.out), 64)] {
+			if mask&(1<<uint(i)) != 0 {
+				h = state.FoldValue(h, e.C.Comp(c.Source).Vals[c.Col])
+			}
+		}
+		if lb, ok := f.by[fixedKey{mask, h}]; ok {
+			floor = min(floor, lb)
+		}
+	}
+	return floor
 }
 
 // graveShadow audits the claims the root honours (tests only: nil in every

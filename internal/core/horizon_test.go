@@ -32,11 +32,12 @@ func composites(ds []feedback.Deferred) []*stream.Composite {
 
 // TestGraveyardHorizon pins the retention rule of DESIGN.md §4 on one
 // operator, white-box: an entry retired at MinTS+w stays findable while a
-// parked tuple old enough to pair with it is still owed its catch-up, is
-// found by that tuple's last gasp at MinTS+2w−1 — the latest moment a valid
-// partner's own window can close — and is gone when that sweep returns; an
-// entry nothing deferred can reach is not kept at all. Both ports, hash-
-// indexed and linear.
+// parked tuple that agrees with it on the equi-key and is old enough to pair
+// with it is still owed its catch-up, is found by that tuple's last gasp at
+// MinTS+2w−1 — the latest moment a valid partner's own window can close —
+// and is gone when that sweep returns; an entry nothing deferred can reach,
+// by age or by value, is not kept at all. Both ports, hash-indexed and
+// linear.
 func TestGraveyardHorizon(t *testing.T) {
 	const w = 100
 	for _, indexed := range []bool{false, true} {
@@ -75,15 +76,15 @@ func TestGraveyardHorizon(t *testing.T) {
 					t.Fatalf("p not parked: %d suspended, %d results", black.NumSuspended(), len(out.got))
 				}
 
-				// Both entries retire at MinTS+w. The bystander pairs with
-				// nothing deferred, but retention goes by age, not by value:
-				// p (MinTS w−1) could pair with anything younger than 2w−1.
+				// Both entries retire at MinTS+w. p (TS w−1) could pair with
+				// anything of its key younger than 2w−1, so e stays; the
+				// bystander differs from p on the key and goes at once.
 				x.Sweep(w)
-				if st, _, _ := x.Side(stored); st.Len() != 0 || x.GraveLen(stored) != 2 {
-					t.Fatalf("after retirement: %d live, %d retired", st.Len(), x.GraveLen(stored))
+				if st, _, _ := x.Side(stored); st.Len() != 0 || x.GraveLen(stored) != 1 {
+					t.Fatalf("after retirement: %d live, %d retired; want e alone", st.Len(), x.GraveLen(stored))
 				}
 				x.Sweep(2*w - 2)
-				if x.GraveLen(stored) != 2 || len(out.got) != 0 {
+				if x.GraveLen(stored) != 1 || len(out.got) != 0 {
 					t.Fatalf("before p's window closes: %d retired, %d results", x.GraveLen(stored), len(out.got))
 				}
 
@@ -116,14 +117,21 @@ func TestGraveyardHorizon(t *testing.T) {
 }
 
 // TestGraveProbeIsKeyed pins the graveyard's keying on a scan-plan operator
-// (no state index): entries retired under several key values, then one late
-// input — a parked tuple's last gasp — that shares the key of some. Its probe
-// charges a catch-up join for each retired entry of its own key, not for
-// every retired entry (which it did while the graveyard was unkeyed without
+// (no state index): entries retired under several key values while one tuple
+// of one of those keys is parked. The graveyard keeps only the entries of
+// the parked tuple's key — nothing deferred agrees with the others — and its
+// last gasp, a late input, charges a catch-up join for each of them, not for
+// every entry retired (which it did while the graveyard was unkeyed without
 // -indexed), and delivers what REF delivers on the same stream in order.
 func TestGraveProbeIsKeyed(t *testing.T) {
 	const w = 100
 	vals := []stream.Value{7, 8, 7, 9, 7, 8}
+	keyed := 0 // retired entries sharing p's key; all pair with p
+	for _, v := range vals {
+		if v == 7 {
+			keyed++
+		}
+	}
 	for _, stored := range []operator.Port{operator.Left, operator.Right} {
 		t.Run(fmt.Sprintf("stored=%v", stored), func(t *testing.T) {
 			parked := stored.Opposite()
@@ -157,8 +165,9 @@ func TestGraveProbeIsKeyed(t *testing.T) {
 				x.Consume(tuple(100, parked, w-1, 7), parked)
 				if late {
 					x.Sweep(w + stream.Time(len(vals)))
-					if x.GraveLen(stored) != len(vals) || len(out.got) != 0 {
-						t.Fatalf("before the last gasp: %d retired, %d results", x.GraveLen(stored), len(out.got))
+					if x.GraveLen(stored) != keyed || len(out.got) != 0 {
+						t.Fatalf("before the last gasp: %d retired, %d results; want the %d of p's key",
+							x.GraveLen(stored), len(out.got), keyed)
 					}
 					x.Sweep(2*w - 1)
 				}
@@ -170,23 +179,56 @@ func TestGraveProbeIsKeyed(t *testing.T) {
 			}
 			ref, want := run(core.REF(), false)
 			x, got := run(core.JIT(), true)
-			same := uint64(0) // retired entries sharing p's key; all pair with p
-			for _, v := range vals {
-				if v == 7 {
-					same++
-				}
-			}
-			if x.Counters().CatchUpJoins != same {
+			if same := uint64(keyed); x.Counters().CatchUpJoins != same {
 				t.Errorf("the late input charged %d catch-up joins for %d retired entries of its key (%d retired)",
 					x.Counters().CatchUpJoins, same, len(vals))
 			}
-			if uint64(len(want)) != same || fmt.Sprint(got) != fmt.Sprint(want) {
+			if len(want) != keyed || fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Errorf("late probe delivered %v, REF %v", got, want)
 			}
 			if ref.Counters().CatchUpJoins != 0 {
 				t.Errorf("REF charged %d catch-up joins", ref.Counters().CatchUpJoins)
 			}
 		})
+	}
+}
+
+// TestHalfKeyKeepsItsHalf pins the value rule on a partial key (DESIGN.md
+// §4): P joins sources 0 and 1 on c0 and feeds X, whose crossing equi-key is
+// (0.c1, 1.c1) = (3.c0, 3.c1). A tuple parked at P's left input fixes only
+// the 0.c1 half: whatever it builds takes some 1 tuple's values on the other
+// half. So X keeps every retired entry that agrees with it on 0.c1, whatever
+// its 3.c1, and lets go only those that differ there: e1 (5, 9) stays and e2
+// (6, 9) goes. a's last gasp builds a·b, which reaches X late and pairs with
+// e1 as REF pairs it live. A floor that filed a half key as a full one would
+// have let e1 go too.
+func TestHalfKeyKeepsItsHalf(t *testing.T) {
+	const w = 100
+	ids := uint64(1000)
+	next := func() uint64 { ids++; return ids }
+	conj := predicate.Conj{{Left: 0, LCol: 0, Right: 1, RCol: 0}, {Left: 0, LCol: 1, Right: 3, RCol: 0}, {Left: 1, LCol: 1, Right: 3, RCol: 1}}
+	src := func(s stream.SourceID) stream.SourceSet { return stream.SourceSet(0).Add(s) }
+	tup := func(id uint64, s stream.SourceID, ts stream.Time, vals ...stream.Value) *stream.Composite {
+		return stream.NewComposite(4, &stream.Tuple{ID: id, Source: s, TS: ts, Vals: vals})
+	}
+	p, x := claimPlan(conj, nil, src(0), src(1), &metrics.Account{}, next)
+	out := &collector{}
+	x.SetConsumer(out, operator.Left)
+	p.Feedback(feedback.Message{Cmd: feedback.Suspend, MNS: []*feedback.MNS{{
+		ID: next(), Sources: src(0), Expiry: 10 * w,
+		Sig: feedback.Signature{{Attr: predicate.Attr{Source: 0, Col: 1}, Val: 5}},
+	}}})
+	x.Consume(tup(1, 3, 0, 5, 9), operator.Right)  // e1
+	x.Consume(tup(2, 3, 0, 6, 9), operator.Right)  // e2
+	p.Consume(tup(3, 1, 1, 1, 9), operator.Right)  // b
+	p.Consume(tup(4, 0, w-1, 1, 5), operator.Left) // a, parked unprobed
+	x.Sweep(w)
+	if st, _, _ := x.Side(operator.Right); st.Len() != 0 || x.GraveLen(operator.Right) != 1 {
+		t.Fatalf("X right: %d live, %d retired; want e1 alone retired", st.Len(), x.GraveLen(operator.Right))
+	}
+	p.Sweep(2*w - 1) // a's last gasp
+	if len(out.got) != 1 || out.got[0].Key() != "0:4|1:3|3:1" {
+		t.Fatalf("X delivered %v, want a·b·e1 as REF does", out.got)
 	}
 }
 
@@ -299,8 +341,10 @@ func TestGraveyardFloorIsATimestamp(t *testing.T) {
 	if n := p.Counters().SuppressedPairs; n != 1 || len(out.got) != 0 {
 		t.Fatalf("P suppressed %d pairs, X delivered %d results; want 1 and 0", n, len(out.got))
 	}
-	if f := p.DeferredFloor(nil); f != 2*w-1 {
-		t.Errorf("P's floor is %v, want the owed result's TS %v", f, stream.Time(2*w-1))
+	var owed []stream.Time
+	p.Owed(nil, feedback.NoExpiry, func(a, b *stream.Composite, lb stream.Time) { owed = append(owed, lb) })
+	if len(owed) != 1 || owed[0] != 2*w-1 {
+		t.Errorf("P owes %v, want one item at the owed result's TS %v", owed, stream.Time(2*w-1))
 	}
 
 	// X's clock passes both entries' windows: both retire, and the sweep's

@@ -23,7 +23,8 @@ type Config struct {
 	// subset crossing its two input sides.
 	Preds predicate.Conj
 	Mode  Mode
-	// Account is shared across the plan.
+	// Account is the plan's; the operator charges its own account under it
+	// (metrics.Account.Op), named Name.
 	Account *metrics.Account
 	// NextMNS supplies plan-unique MNS / mark identifiers.
 	NextMNS func() uint64
@@ -95,14 +96,17 @@ type side struct {
 	// mask is already observed.
 	lat  *lattice.Lattice
 	seen map[uint64]struct{}
-	// partial is set by identifyMNS when a candidate failed pairValid: Ω
-	// was then decided over part of the opposite state, and the MNSs claim
-	// nothing about the rest (feedback.MNS.Seen).
-	partial bool
-	// omega is reportMNS's scratch for the list of MNSs it reports: the buffer
-	// and the producer's feedback handlers keep the descriptors, never the
-	// list, and a report on this side is over before the next begins.
-	omega []*feedback.MNS
+	// rejected holds the candidates identifyMNS left out for failing
+	// pairValid, by the atom whose lookup found them: Ω was decided without
+	// them, so an MNS all of whose lookups found one of them claims nothing
+	// (feedback.MNS.Seen). omega is reportMNS's
+	// scratch for the list of MNSs it reports, and masks their atom masks:
+	// the buffer and the producer's feedback handlers keep the descriptors,
+	// never the lists, and a report on this side is over before the next
+	// begins.
+	rejected []rejection
+	omega    []*feedback.MNS
+	masks    []uint32
 	// reinserted is the side's watermark when a resumption last re-entered
 	// its state: a tuple stored with an older sequence, which may never have
 	// met an MNS of the opposite buffer that lapsed before it came back
@@ -111,6 +115,9 @@ type side struct {
 	// honours tells the MNSs whose claims hold for this side's inputs: those
 	// detected here on them that still guard (expiry.go, claims).
 	honours feedback.Claims
+	// floor is what the items owed on the way into this side let the
+	// opposite graveyard keep, rebuilt whenever expireGrave walks them.
+	floor *valueFloor
 }
 
 // probe is one input's pass through Process_Input (Fig. 6): a fresh arrival,
@@ -220,16 +227,17 @@ func NewJoin(cfg Config) *JoinOp {
 	if cfg.LeftSources.Intersects(cfg.RightSources) {
 		panic(fmt.Sprintf("core: join %q has overlapping inputs", cfg.Name))
 	}
+	acct := cfg.Account.Op(cfg.Name)
 	j := &JoinOp{
 		name:    cfg.Name,
 		numSrc:  cfg.NumSources,
 		window:  cfg.Window,
 		preds:   cfg.Preds,
 		mode:    cfg.Mode,
-		acct:    cfg.Account,
+		acct:    acct,
 		nextMNS: cfg.NextMNS,
 	}
-	j.marks = feedback.NewMarkTable(cfg.Account)
+	j.marks = feedback.NewMarkTable(acct)
 	// The graveyards are keyed whether or not the states are: a late input
 	// probes only its own key's run (DESIGN.md §4).
 	lk, rk, _ := cfg.Preds.EquiKeyCols(cfg.LeftSources, cfg.RightSources)
@@ -240,11 +248,11 @@ func NewJoin(cfg Config) *JoinOp {
 			sources: srcs,
 			prod:    prod,
 			seq:     &state.Side{},
-			st:      state.New(name, metrics.MemState, cfg.Account),
-			black:   feedback.NewBlacklist(cfg.Account),
-			buf:     feedback.NewBuffer(cfg.Account),
+			st:      state.New(name, metrics.MemState, acct),
+			black:   feedback.NewBlacklist(acct),
+			buf:     feedback.NewBuffer(acct),
 			equi:    state.Key(equi),
-			grave:   state.New(name+".grave", metrics.MemGraveyard, cfg.Account),
+			grave:   state.New(name+".grave", metrics.MemGraveyard, acct),
 		}
 		if cfg.Indexed {
 			s.key = s.equi
@@ -270,6 +278,7 @@ func NewJoin(cfg Config) *JoinOp {
 	for p := range j.in {
 		s, o := j.in[p], j.in[1-p]
 		s.honours = func(m *feedback.MNS) bool { return m.Seen == feedback.Guarding && detectedOn(m, s, o) }
+		s.floor = newValueFloor(s.equi, o.equi, j.window)
 	}
 	return j
 }
@@ -666,7 +675,10 @@ func (j *JoinOp) suppressProbed(f *probe, e state.Entry, id uint64) {
 // probePending generates the pairs recorded as uncovered at park time. Each
 // pending partner lives in exactly one store: still parked in the opposite
 // blacklist (deduplicated against Done in both directions), back in the
-// opposite state, retired to its graveyard, or gone.
+// opposite state, retired to its graveyard, or gone. The graveyard is asked
+// only for a partner of the input's own equi-key, as probeGrave's keyed walk
+// asks it: another forms no pair, and whether the graveyard still holds one
+// depends on when a sweep last weighed it (expireGrave).
 func (j *JoinOp) probePending(f *probe, o *side) {
 	s := j.in[f.port]
 	for _, p := range f.susp.Pending {
@@ -677,7 +689,7 @@ func (j *JoinOp) probePending(f *probe, o *side) {
 			if !w.IsDone(f.seq) && j.catchUp(f, s, w.E) {
 				w.MarkDone(f.seq)
 			}
-		} else if o.st.Holds(p) || o.grave.Holds(p) {
+		} else if o.st.Holds(p) || sameKey(f.input, s, o, p.C) && o.grave.Holds(p) {
 			j.catchUp(f, s, p)
 		}
 	}

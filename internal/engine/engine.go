@@ -55,8 +55,11 @@ type Result struct {
 	WallTime time.Duration
 	// PeakMemKB is the peak accounted live bytes in kilobytes.
 	PeakMemKB float64
-	// PeakMem splits that peak by structure (metrics.Account.PeakBy).
+	// PeakMem splits that peak by structure (metrics.Account.PeakBy), and
+	// PeakOps by operator as well (metrics.Account.PeakByOp): each row's
+	// structures, summed over the rows, are PeakMem.
 	PeakMem metrics.MemLedger
+	PeakOps []metrics.OpMem
 	// Counters is the full counter breakdown.
 	Counters metrics.Counters
 	// OrderViolations counts out-of-order sink deliveries (must be 0 except
@@ -248,6 +251,7 @@ func (e *Engine) RunStream(next func() (*stream.Tuple, bool)) Result {
 		WallTime:        wall,
 		PeakMemKB:       b.Account.PeakKB(),
 		PeakMem:         b.Account.PeakBy(),
+		PeakOps:         b.Account.PeakByOp(),
 		Counters:        totals,
 		OrderViolations: b.Sink.OrderViolations,
 		Arrivals:        arrivals,

@@ -190,8 +190,7 @@ func (b *Blacklist) NextTupleMinTS() (stream.Time, bool) {
 
 // OldestParkedTS returns the earliest TS among parked tuples; ok is false
 // when nothing is parked. Every result a resumption here produces contains a
-// parked tuple, so none is older: this is the blacklist's term in the
-// graveyard floor (DESIGN.md §4).
+// parked tuple, so none is older, and no tuple Owed reports is.
 func (b *Blacklist) OldestParkedTS() (stream.Time, bool) {
 	return b.parkTS.Get(func(add func(stream.Time)) {
 		for _, e := range b.entries.list {
@@ -202,32 +201,42 @@ func (b *Blacklist) OldestParkedTS() (stream.Time, bool) {
 	})
 }
 
-// Floor is OldestParkedTS for a consumer that honours the claims c: a tuple
-// parked under an MNS it honours counts with the oldest result it can still
-// build (Suspended.lowerBound, later as there) when that is older than the
-// entry's detection, and not at all otherwise. NoExpiry when nothing counts.
-// A nil c reads the cache.
-func (b *Blacklist) Floor(c Claims, later bool) stream.Time {
-	if c == nil {
-		if ts, ok := b.OldestParkedTS(); ok {
-			return ts
-		}
-		return NoExpiry
+// Owing is what Owed reports when no claim is honoured, read from the
+// caches: the oldest parked TS, NoExpiry when nothing is parked, and how
+// many tuples are parked.
+func (b *Blacklist) Owing() (oldest stream.Time, n int) {
+	if ts, ok := b.OldestParkedTS(); ok {
+		return ts, b.parkTS.Len()
 	}
-	f := NoExpiry
+	return NoExpiry, 0
+}
+
+// Owed reports each parked tuple to visit with the oldest result TS it can
+// still build, for a consumer that honours the claims c: a tuple parked
+// under an MNS it honours counts with Suspended.lowerBound (later as there)
+// when that is older than the entry's detection, and not at all otherwise;
+// any other tuple with its own TS (DESIGN.md §4). A tuple whose results are
+// all at or past below is left out, and the whole blacklist when its oldest
+// parked TS is: the caller weighs no graveyard entry such a result can read.
+func (b *Blacklist) Owed(c Claims, later bool, below stream.Time, visit OwedFunc) {
+	if ts, ok := b.OldestParkedTS(); !ok || ts >= below {
+		return
+	}
 	for _, e := range b.entries.list {
-		honoured := len(e.Tuples) > 0 && c(e.MNS)
+		honoured := len(e.Tuples) > 0 && c != nil && c(e.MNS)
 		for i := range e.Tuples {
-			ts := e.Tuples[i].E.C.TS
+			t := &e.Tuples[i]
+			lb := t.E.C.TS
 			if honoured {
-				if ts = e.Tuples[i].lowerBound(later); ts >= e.Detected {
+				if lb = t.lowerBound(later); lb >= e.Detected {
 					continue
 				}
 			}
-			f = min(f, ts)
+			if lb < below {
+				visit(t.E.C, nil, lb)
+			}
 		}
 	}
-	return f
 }
 
 // MatchArrival checks a freshly arriving composite against every entry.

@@ -197,13 +197,19 @@ func (m *MNS) String() string {
 	return fmt.Sprintf("mns%d<%v>", m.ID, m.Sig)
 }
 
-// Claims tells a producer computing a floor (core.JoinOp.DeferredFloor)
-// whether the consumer asking for it honours the claim of m, the MNS an
-// item was deferred under: that consumer detected m, m still guards
-// (Seen == Guarding), and nothing can void the claim there. Such an item
-// counts only with the results it can still build below the clock m was
-// detected at (DESIGN.md §4). A nil Claims honours none.
+// Claims tells a producer reporting what it owes (core.JoinOp.Owed) whether
+// the consumer asking honours the claim of m, the MNS an item was deferred
+// under: that consumer detected m, m still guards (Seen == Guarding), and
+// nothing can void the claim there. Such an item counts only with the
+// results it can still build below the clock m was detected at (DESIGN.md
+// §4). A nil Claims honours none.
 type Claims func(m *MNS) bool
+
+// OwedFunc receives one item a producer still defers (DESIGN.md §4): a tuple
+// parked in a blacklist, with b nil, or the two halves of a pair suppressed
+// under a mark. Every result still owed through the item contains it, so it
+// carries the item's values, and none is older than lb.
+type OwedFunc func(a, b *stream.Composite, lb stream.Time)
 
 // Deferred is a result released on an MNS's account: a demanded partial
 // result of S_Π, or a recovery a producer emits when an anchor or a parked

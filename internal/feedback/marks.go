@@ -22,9 +22,10 @@ type PendingPair struct {
 // OriginEntry lives at the operator where a Type II MNS was suspended: the
 // operator whose two input sides together cover the MNS. While active it
 // suppresses joins between left-marked and right-marked tuples, recording
-// each suppressed pair. The tuples it marked keep its id after it dissolves:
-// the id is read only through the table's active map, and ids only grow
-// within a mark table, so a dissolved origin's id is inert.
+// each suppressed pair. The tuples it marked keep its id after it dissolves,
+// until Mark drops it: the id is read only through the
+// table's active map, and ids only grow within a mark table, so a dissolved
+// origin's id is inert for good.
 type OriginEntry struct {
 	MNS *MNS
 	// ID is the entry's mark id: its MNS's id, unless the table already
@@ -144,9 +145,22 @@ func (t *MarkTable) MarkInput(c *stream.Composite, left bool) (comparisons int) 
 		return 0
 	}
 	return t.bySide[sideOf(left)].match(c, func(e *OriginEntry) bool {
-		c.AddMark(e.ID)
+		t.Mark(c, e.ID)
 		return true
 	})
+}
+
+// Mark tags c with the mark id of an active origin of this table. When c's
+// list has a power-of-two length — whenever it has doubled since the last
+// time — the ids of the origins that have dissolved go first: they suppress
+// nothing (SuppressedBy), and no origin takes one again. Each id is then
+// looked up a constant number of times on average, and a list never holds
+// more than twice its live ids plus one.
+func (t *MarkTable) Mark(c *stream.Composite, id uint64) {
+	if n := len(c.Marks()); n&(n-1) == 0 {
+		c.KeepMarks(func(m uint64) bool { return t.active[m] != nil })
+	}
+	c.AddMark(id)
 }
 
 // RecordSuppressed parks a suppressed pair under entry e, charging its
@@ -184,8 +198,7 @@ func (t *MarkTable) NextPendingMinTS() (stream.Time, bool) {
 }
 
 // OldestPendingTS returns the earliest result TS among pending suppressed
-// pairs; ok is false when no pair is parked. It is the mark table's term in
-// core.JoinOp.DeferredFloor (DESIGN.md §4).
+// pairs; ok is false when no pair is parked. No pair Owed reports is older.
 func (t *MarkTable) OldestPendingTS() (stream.Time, bool) {
 	return t.pendTS.Get(func(add func(stream.Time)) {
 		for _, e := range t.origins.list {
@@ -196,27 +209,33 @@ func (t *MarkTable) OldestPendingTS() (stream.Time, bool) {
 	})
 }
 
-// Floor is OldestPendingTS for a consumer that honours the claims c: a pair
-// suppressed under an MNS it honours counts only when its result is older
-// than the origin's detection. NoExpiry when nothing counts. A nil c reads
-// the cache.
-func (t *MarkTable) Floor(c Claims) stream.Time {
-	if c == nil {
-		if ts, ok := t.OldestPendingTS(); ok {
-			return ts
-		}
-		return NoExpiry
+// Owing is what Owed reports when no claim is honoured, read from the
+// caches: the oldest pending result TS, NoExpiry when no pair is pending,
+// and how many pairs are.
+func (t *MarkTable) Owing() (oldest stream.Time, n int) {
+	if ts, ok := t.OldestPendingTS(); ok {
+		return ts, t.pendTS.Len()
 	}
-	f := NoExpiry
+	return NoExpiry, 0
+}
+
+// Owed reports each pending pair to visit with its result's TS, for a
+// consumer that honours the claims c: a pair suppressed under an MNS it
+// honours counts only when its result is older than the origin's detection
+// (DESIGN.md §4). A pair whose result is at or past below is left out, and
+// the whole table when its oldest result is.
+func (t *MarkTable) Owed(c Claims, below stream.Time, visit OwedFunc) {
+	if ts, ok := t.OldestPendingTS(); !ok || ts >= below {
+		return
+	}
 	for _, e := range t.origins.list {
-		honoured := len(e.Pending) > 0 && c(e.MNS)
+		honoured := len(e.Pending) > 0 && c != nil && c(e.MNS)
 		for _, p := range e.Pending {
-			if ts := p.ts(); !honoured || ts < e.Detected {
-				f = min(f, ts)
+			if ts := p.ts(); ts < below && (!honoured || ts < e.Detected) {
+				visit(p.L.C, p.R.C, ts)
 			}
 		}
 	}
-	return f
 }
 
 const pendingPairBytes = 48

@@ -14,11 +14,13 @@ import (
 // origins with random operations and holds them to a map model: after every
 // step each list is the model's ids in ascending order, HasMark agrees with
 // the model, and SuppressedBy returns what the rule it replaced returned —
-// the smallest id both composites carry whose origin is active, or 0. Marks
-// are never cleared: a dissolved origin's id stays on the composites and
-// suppresses nothing, also once an origin is made again under the same
-// descriptor, which takes one past the last id the table used. Each input
-// byte is one operation: the high three bits pick it, the low four the
+// the smallest id both composites carry whose origin is active, or 0. A
+// dissolved origin's id stays on the composites, suppressing nothing — also
+// once an origin is made again under the same descriptor, which takes one
+// past the last id the table used — until the composite takes a mark with a
+// power-of-two number of ids on it (MarkTable.Mark), which first drops every
+// id whose origin is not active. Each
+// input byte is one operation: the high three bits pick it, the low four the
 // descriptor's id (1 to 16).
 func FuzzMarkIDs(f *testing.F) {
 	// Id 3 suppresses while active and stays on both composites when
@@ -40,7 +42,10 @@ func FuzzMarkIDs(f *testing.F) {
 			id := uint64(op&0x0f) + 1
 			switch k := op >> 5; k {
 			case 0, 1: // add to composite k
-				c[k].AddMark(id)
+				mt.Mark(c[k], id)
+				if n := len(model[k]); n&(n-1) == 0 {
+					maps.DeleteFunc(model[k], func(x uint64, _ bool) bool { return !active[x] })
+				}
 				model[k][id] = true
 			case 2: // an origin under id becomes active
 				if origins[id] == nil {
@@ -94,6 +99,48 @@ func FuzzMarkIDs(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestMarkDropsInertIDs: a composite whose list has doubled loses, as it
+// takes its next mark, the ids of the origins that dissolved, keeps those
+// still active, and gets a list of its own when none is left; what
+// SuppressedBy decides does not move.
+func TestMarkDropsInertIDs(t *testing.T) {
+	mt := NewMarkTable(&metrics.Account{})
+	origin := func(id uint64) *MNS {
+		m := &MNS{ID: id, Expiry: NoExpiry, Sig: Signature{{Attr: predicate.Attr{}, Val: stream.Value(id)}}}
+		if mt.ActivateOrigin(m, m.Sig, nil) == nil {
+			t.Fatalf("origin %d not activated", id)
+		}
+		return m
+	}
+	c, d := comp(2, tpl(0, 1, 0)), comp(2, tpl(1, 2, 0))
+	m1, m2 := origin(1), origin(2)
+	for _, x := range []*stream.Composite{c, d} {
+		mt.Mark(x, 1)
+		mt.Mark(x, 2)
+	}
+	mt.TakeOrigin(m1)
+	if got := mt.SuppressedBy(c, d); got != 2 {
+		t.Fatalf("SuppressedBy = %d with origin 1 dissolved, want 2", got)
+	}
+	origin(3)
+	mt.Mark(c, 3)
+	if got := c.Marks(); !slices.Equal(got, []uint64{2, 3}) {
+		t.Fatalf("after dissolving 1 and marking 3: %v, want [2 3]", got)
+	}
+	if got := mt.SuppressedBy(c, d); got != 2 {
+		t.Fatalf("SuppressedBy = %d after the drop, want 2", got)
+	}
+	mt.TakeOrigin(m2)
+	origin(4)
+	mt.Mark(d, 4)
+	if got := d.Marks(); !slices.Equal(got, []uint64{4}) || cap(got) != 1 {
+		t.Fatalf("after every id went inert: %v (capacity %d), want a fresh [4]", got, cap(got))
+	}
+	if got := mt.SuppressedBy(c, d); got != 0 {
+		t.Fatalf("SuppressedBy = %d with no active id shared, want 0", got)
+	}
 }
 
 // TestRestrictSharesARun: a side signature whose attributes form one run of

@@ -256,20 +256,61 @@ func (l MemLedger) String() string {
 // dominated by. Every charge names its structure, and the account keeps the
 // split at the peak beside the split now, so a peak can be read by what
 // made it.
+//
+// A plan's account is split by operator too: each operator charges its own
+// account (Op), which passes every charge on to the plan's, and the plan's
+// keeps each operator's split at its peak beside its own.
 type Account struct {
 	live   int64
 	peak   int64
 	by     MemLedger
 	atPeak MemLedger
+	// up is the plan's account when this one is an operator's (Op), and name
+	// the operator's; nil and "" for a plan's.
+	up   *Account
+	name string
+	// ops are the operators' accounts Op made, in the order it made them, and
+	// opsAtPeak their splits when the peak was set.
+	ops       []*Account
+	opsAtPeak []MemLedger
+}
+
+// OpMem is one operator's row of the memory ledger: its live bytes, or its
+// bytes at its plan's peak, by structure.
+type OpMem struct {
+	Name string
+	Mem  MemLedger
+}
+
+// Op returns the account of the operator called name, made on first use,
+// whose every charge is also a charge to a. Operators rebuilt under the same
+// name — a migration's new tree (DESIGN.md §7) — share it.
+func (a *Account) Op(name string) *Account {
+	for _, o := range a.ops {
+		if o.name == name {
+			return o
+		}
+	}
+	o := &Account{up: a, name: name}
+	a.ops = append(a.ops, o)
+	a.opsAtPeak = append(a.opsAtPeak, MemLedger{})
+	return o
 }
 
 // Alloc charges n bytes of structure m to the account.
 func (a *Account) Alloc(m Mem, n int64) {
 	a.live += n
 	a.by[m] += n
+	if a.up != nil {
+		a.up.Alloc(m, n)
+		return
+	}
 	if a.live > a.peak {
 		a.peak = a.live
 		a.atPeak = a.by
+		for i, o := range a.ops {
+			a.opsAtPeak[i] = o.by
+		}
 	}
 }
 
@@ -282,13 +323,19 @@ func (a *Account) Free(m Mem, n int64) {
 	if a.live < 0 || a.by[m] < 0 {
 		panic(fmt.Sprintf("metrics: account went negative (%d, %s %d, after freeing %d)", a.live, memNames[m], a.by[m], n))
 	}
+	if a.up != nil {
+		a.up.Free(m, n)
+	}
 }
 
-// FreeAll releases a whole ledger's worth of bytes: what LiveBy read before
-// a migration, freed once the retired operators are gone (DESIGN.md §7).
-func (a *Account) FreeAll(l MemLedger) {
-	for m, n := range l {
-		a.Free(Mem(m), n)
+// FreeAll releases what LiveByOp read, operator by operator: the retired
+// tree's bytes, freed once a migration's replay is done (DESIGN.md §7).
+func (a *Account) FreeAll(ops []OpMem) {
+	for _, op := range ops {
+		o := a.Op(op.Name)
+		for m, n := range op.Mem {
+			o.Free(Mem(m), n)
+		}
 	}
 }
 
@@ -298,11 +345,49 @@ func (a *Account) Live() int64 { return a.live }
 // LiveBy returns the currently charged bytes by structure.
 func (a *Account) LiveBy() MemLedger { return a.by }
 
+// LiveByOp returns each operator's currently charged bytes by structure, in
+// the order Op made their accounts.
+func (a *Account) LiveByOp() []OpMem {
+	out := make([]OpMem, len(a.ops))
+	for i, o := range a.ops {
+		out[i] = OpMem{o.name, o.by}
+	}
+	return out
+}
+
 // Peak returns the high-water mark in bytes.
 func (a *Account) Peak() int64 { return a.peak }
 
 // PeakBy returns the split by structure when the high-water mark was set.
 func (a *Account) PeakBy() MemLedger { return a.atPeak }
 
+// PeakByOp returns each operator's split when the high-water mark was set,
+// in the order Op made their accounts.
+func (a *Account) PeakByOp() []OpMem {
+	out := make([]OpMem, len(a.ops))
+	for i, o := range a.ops {
+		out[i] = OpMem{o.name, a.opsAtPeak[i]}
+	}
+	return out
+}
+
 // PeakKB returns the high-water mark in kilobytes, the paper's unit.
 func (a *Account) PeakKB() float64 { return float64(a.peak) / 1024 }
+
+// MergeOpMem adds src into dst by operator name and returns dst, as MergeOps
+// does for the counters: a sharded fleet's peak split is the sum of its
+// replicas'.
+func MergeOpMem(dst, src []OpMem) []OpMem {
+	for _, op := range src {
+		i := 0
+		for i < len(dst) && dst[i].Name != op.Name {
+			i++
+		}
+		if i == len(dst) {
+			dst = append(dst, op)
+		} else {
+			dst[i].Mem.Add(op.Mem)
+		}
+	}
+	return dst
+}

@@ -27,25 +27,37 @@ func TestAccountPeak(t *testing.T) {
 }
 
 // TestAccountLedger: the split by structure sums to the totals, the split at
-// the peak is the one that set it, and FreeAll returns what LiveBy read.
+// the peak is the one that set it, operators' accounts add up to the plan's
+// and keep their own split at its peak, an operator rebuilt under its name
+// charges the same account, and FreeAll returns what LiveByOp read.
 func TestAccountLedger(t *testing.T) {
 	var a Account
-	a.Alloc(MemState, 100)
-	a.Alloc(MemGraveyard, 60)
-	a.Free(MemState, 40)
-	a.Alloc(MemPending, 30)
-	a.Free(MemPending, 30)
+	x, y := a.Op("X"), a.Op("Y")
+	x.Alloc(MemState, 100)
+	y.Alloc(MemGraveyard, 60)
+	x.Free(MemState, 40)
+	y.Alloc(MemPending, 30)
+	y.Free(MemPending, 30)
 	if want := (MemLedger{MemState: 100, MemGraveyard: 60}); a.PeakBy() != want {
 		t.Fatalf("at peak %v, want %v", a.PeakBy(), want)
 	}
-	live := a.LiveBy()
-	if want := (MemLedger{MemState: 60, MemGraveyard: 60}); live != want {
-		t.Fatalf("live %v, want %v", live, want)
+	if got, want := a.PeakByOp(), []OpMem{{"X", MemLedger{MemState: 100}}, {"Y", MemLedger{MemGraveyard: 60}}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("operators at peak %v, want %v", got, want)
 	}
-	a.Alloc(MemBlacklist, 7)
+	live := a.LiveByOp()
+	if want := (MemLedger{MemState: 60, MemGraveyard: 60}); a.LiveBy() != want || x.Live()+y.Live() != a.Live() {
+		t.Fatalf("live %v (operators %d + %d of %d), want %v", a.LiveBy(), x.Live(), y.Live(), a.Live(), want)
+	}
+	if a.Op("X") != x {
+		t.Fatal("a rebuilt operator got an account of its own")
+	}
+	x.Alloc(MemBlacklist, 7)
 	a.FreeAll(live)
 	if a.Live() != 7 || a.LiveBy() != (MemLedger{MemBlacklist: 7}) || a.Peak() != 160 {
 		t.Fatalf("after FreeAll: live %d %v, peak %d", a.Live(), a.LiveBy(), a.Peak())
+	}
+	if got, want := a.LiveByOp(), []OpMem{{"X", MemLedger{MemBlacklist: 7}}, {"Y", MemLedger{}}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("operators after FreeAll: %v, want %v", got, want)
 	}
 	if got, want := (MemLedger{MemState: 2048, MemBloom: 512}).String(),
 		"state=2.0KB grave=0.0KB black=0.0KB mns=0.0KB pending=0.0KB bloom=0.5KB"; got != want {

@@ -483,11 +483,13 @@ type Snapshot struct {
 	Counters  metrics.Counters
 	LiveBytes int64
 	PeakBytes int64
-	// LiveBy splits LiveBytes by structure (metrics.Account.LiveBy).
-	LiveBy  metrics.MemLedger
-	Samples int
-	Latency Histogram
-	WallLat Histogram
+	// LiveBy splits LiveBytes by structure (metrics.Account.LiveBy), and
+	// LiveByOp by operator (metrics.Account.LiveByOp).
+	LiveBy   metrics.MemLedger
+	LiveByOp []metrics.OpMem
+	Samples  int
+	Latency  Histogram
+	WallLat  Histogram
 	// Ops are the live operators' running totals; Counters minus their sum
 	// is the plan's run ledger. WriteProm serves them under the `op` label.
 	Ops []metrics.OpCounters
@@ -521,7 +523,7 @@ func (t *Tracer) publish() {
 	if t.acct != nil {
 		s.LiveBytes = t.acct.Live()
 		s.PeakBytes = t.acct.Peak()
-		s.LiveBy = t.acct.LiveBy()
+		s.LiveBy, s.LiveByOp = t.acct.LiveBy(), t.acct.LiveByOp()
 	}
 	if t.sampler != nil {
 		s.Samples = len(t.sampler.samples)

@@ -89,24 +89,34 @@ func WriteProm(w io.Writer, snaps []*Snapshot) {
 		name, help string
 		val        func(*Snapshot) int64
 		// by, when set, splits the gauge by structure under a `mem` label,
-		// beside the total.
-		by func(*Snapshot) metrics.MemLedger
+		// beside the total, and byOp by operator under an `op` label.
+		by   func(*Snapshot) metrics.MemLedger
+		byOp func(*Snapshot) []metrics.OpMem
 	}{
-		{"jit_live_bytes", "Accounted live state bytes; the mem series split them by structure.",
-			func(s *Snapshot) int64 { return s.LiveBytes }, func(s *Snapshot) metrics.MemLedger { return s.LiveBy }},
-		{"jit_peak_bytes", "Accounted peak state bytes.", func(s *Snapshot) int64 { return s.PeakBytes }, nil},
-		{"jit_clock_ms", "Engine event-time clock (stream ms).", func(s *Snapshot) int64 { return int64(s.Clock) }, nil},
-		{"jit_samples", "Time-series samples taken.", func(s *Snapshot) int64 { return int64(s.Samples) }, nil},
+		{"jit_live_bytes", "Accounted live state bytes; the mem series split them by structure, the op series by operator.",
+			func(s *Snapshot) int64 { return s.LiveBytes }, func(s *Snapshot) metrics.MemLedger { return s.LiveBy },
+			func(s *Snapshot) []metrics.OpMem { return s.LiveByOp }},
+		{"jit_peak_bytes", "Accounted peak state bytes.", func(s *Snapshot) int64 { return s.PeakBytes }, nil, nil},
+		{"jit_clock_ms", "Engine event-time clock (stream ms).", func(s *Snapshot) int64 { return int64(s.Clock) }, nil, nil},
+		{"jit_samples", "Time-series samples taken.", func(s *Snapshot) int64 { return int64(s.Samples) }, nil, nil},
 	}
 	for _, g := range gauges {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", g.name, g.help, g.name)
 		for _, s := range live {
 			fmt.Fprintf(w, "%s{shard=%q} %d\n", g.name, s.Label, g.val(s))
-			if g.by == nil {
-				continue
+			if g.by != nil {
+				for m, n := range g.by(s) {
+					fmt.Fprintf(w, "%s{shard=%q,mem=%q} %d\n", g.name, s.Label, metrics.Mem(m), n)
+				}
 			}
-			for m, n := range g.by(s) {
-				fmt.Fprintf(w, "%s{shard=%q,mem=%q} %d\n", g.name, s.Label, metrics.Mem(m), n)
+			if g.byOp != nil {
+				for _, op := range g.byOp(s) {
+					n := int64(0)
+					for _, b := range op.Mem {
+						n += b
+					}
+					fmt.Fprintf(w, "%s{shard=%q,op=%q} %d\n", g.name, s.Label, op.Name, n)
+				}
 			}
 		}
 	}

@@ -30,7 +30,8 @@ func TestSnakeCase(t *testing.T) {
 // per-shard labelling, that every Counters field has a family, and the
 // per-operator view: shard0 carries two operators, whose `op` series must
 // parse and, family by family, add up with the run ledger to the plan-wide
-// series beside them.
+// series beside them — and whose live bytes, under the same label, add up to
+// the total.
 func TestWritePromParses(t *testing.T) {
 	var lat Histogram
 	lat.Observe(0)
@@ -46,7 +47,9 @@ func TestWritePromParses(t *testing.T) {
 		totals.Add(&ops[i].Counters)
 	}
 	snaps := []*Snapshot{
-		{Label: "shard0", Counters: totals, Ops: ops, LiveBytes: 100, LiveBy: metrics.MemLedger{60, 30, 0, 10}, Latency: lat},
+		{Label: "shard0", Counters: totals, Ops: ops, LiveBytes: 100, LiveBy: metrics.MemLedger{60, 30, 0, 10},
+			LiveByOp: []metrics.OpMem{{Name: "Op1", Mem: metrics.MemLedger{40, 30}}, {Name: "Op2", Mem: metrics.MemLedger{20, 0, 0, 10}}},
+			Latency:  lat},
 		{Label: "shard1", Counters: metrics.Counters{Probes: 20}, LiveBytes: 50},
 		nil, // unpublished tracers are skipped
 	}
@@ -79,7 +82,8 @@ func TestWritePromParses(t *testing.T) {
 	byShard := map[string]float64{}
 	unexplained := map[string]float64{} // shard0, per family: plan-wide − Σ op
 	live := map[string]float64{}        // shard0's live bytes: the total, less each mem series
-	mems := 0
+	byOp := map[string]float64{}        // and the total, less each op series
+	mems, opMems := 0, 0
 	var bucketSeen bool
 	for _, s := range samples {
 		op, perOp := s.Labels["op"]
@@ -102,8 +106,15 @@ func TestWritePromParses(t *testing.T) {
 				if m == "grave" && s.Value != 30 {
 					t.Errorf("jit_live_bytes{mem=grave} = %v, want 30", s.Value)
 				}
+			} else if op, split := s.Labels["op"]; split {
+				byOp[s.Name] -= s.Value
+				opMems++
+				if op == "Op1" && s.Value != 70 {
+					t.Errorf("jit_live_bytes{op=Op1} = %v, want 70", s.Value)
+				}
 			} else {
 				live[s.Name] += s.Value
+				byOp[s.Name] += s.Value
 			}
 		}
 		if s.Name == "jit_latency_event_ms_bucket" {
@@ -115,6 +126,9 @@ func TestWritePromParses(t *testing.T) {
 	}
 	if mems != int(metrics.NumMem) || live["jit_live_bytes"] != 0 {
 		t.Errorf("jit_live_bytes: %d mem series leave %v of the total unexplained; want %d and 0", mems, live["jit_live_bytes"], metrics.NumMem)
+	}
+	if opMems != 2 || byOp["jit_live_bytes"] != 0 {
+		t.Errorf("jit_live_bytes: %d op series leave %v of the total unexplained; want 2 and 0", opMems, byOp["jit_live_bytes"])
 	}
 	if byShard["shard0"] != 10 || byShard["shard1"] != 20 {
 		t.Errorf("per-shard probes wrong: %v", byShard)

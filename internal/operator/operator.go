@@ -59,16 +59,21 @@ type Producer interface {
 	// join. Consumers skip MNS detection on ports whose producer cannot
 	// suspend (e.g. raw sources).
 	CanSuspend() bool
-	// DeferredFloor returns a lower bound on the timestamp of every result
-	// this producer still owes its consumer: the oldest TS among the tuples
-	// parked in the producer's subtree and the results of the pairs
-	// suppressed there, or feedback.NoExpiry when the subtree defers
-	// nothing. Every owed result contains one of those items, and a
-	// composite's TS is the largest of its parts'. An exact-mode consumer
-	// keeps a retired state entry e only while a result at or above this
-	// floor could still pair with it: pairValid needs the reader's TS below
-	// e.MinTS + window (DESIGN.md §4). An item deferred under an MNS whose
-	// claim the asking consumer honours (c) counts only with the results it
-	// can still build below the clock the MNS was detected at.
-	DeferredFloor(c feedback.Claims) stream.Time
+	// Owed reports to visit every item this producer's subtree still
+	// defers, with the oldest result TS it can still build: the tuples
+	// parked in the subtree (lb their TS) and the pairs suppressed there
+	// under marks (lb their result's TS). Every result still owed downstream
+	// contains one of those items, so it carries the item's values and is no
+	// older than its lb. An exact-mode consumer keeps a retired state entry
+	// e only while such a result could still pair with it: one agreeing with
+	// e on the crossing equi-key, with TS below e.MinTS + window (DESIGN.md
+	// §4). Items whose lb is at or past below may be left out. An item
+	// deferred under an MNS whose claim the asking consumer honours (c)
+	// counts only with the results it can still build below the clock the
+	// MNS was detected at.
+	Owed(c feedback.Claims, below stream.Time, visit feedback.OwedFunc)
+	// Owing is what Owed reports when no claim is honoured, summed from the
+	// subtree's caches without a walk: the oldest lb, feedback.NoExpiry when
+	// nothing is owed, and how many items there are.
+	Owing() (oldest stream.Time, n int)
 }

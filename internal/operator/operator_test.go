@@ -38,8 +38,9 @@ type captureProducer struct {
 	out  []feedback.Deferred
 }
 
-func (c *captureProducer) CanSuspend() bool                          { return true }
-func (c *captureProducer) DeferredFloor(feedback.Claims) stream.Time { return feedback.NoExpiry }
+func (c *captureProducer) CanSuspend() bool                                     { return true }
+func (c *captureProducer) Owed(feedback.Claims, stream.Time, feedback.OwedFunc) {}
+func (c *captureProducer) Owing() (stream.Time, int)                            { return feedback.NoExpiry, 0 }
 func (c *captureProducer) Feedback(m feedback.Message) []feedback.Deferred {
 	c.msgs = append(c.msgs, m)
 	return c.out

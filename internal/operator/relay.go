@@ -37,13 +37,20 @@ func (s *Selection) SetConsumer(c Consumer, port Port) { s.consumer, s.outPort =
 // upstream join, if any.
 func (s *Selection) CanSuspend() bool { return s.prod != nil && s.prod.CanSuspend() }
 
-// DeferredFloor implements Producer: a selection defers nothing itself, and
-// what its upstream owes can only shrink on the way through.
-func (s *Selection) DeferredFloor(c feedback.Claims) stream.Time {
-	if s.prod == nil {
-		return feedback.NoExpiry
+// Owed implements Producer: a selection defers nothing itself, and what its
+// upstream owes can only shrink on the way through.
+func (s *Selection) Owed(c feedback.Claims, below stream.Time, visit feedback.OwedFunc) {
+	if s.prod != nil {
+		s.prod.Owed(c, below, visit)
 	}
-	return s.prod.DeferredFloor(c)
+}
+
+// Owing implements Producer, as Owed does.
+func (s *Selection) Owing() (stream.Time, int) {
+	if s.prod == nil {
+		return feedback.NoExpiry, 0
+	}
+	return s.prod.Owing()
 }
 
 // Feedback implements Producer by relaying to the upstream producer and

@@ -293,6 +293,7 @@ func (r *Runner) merge(res *Result, replicas []*plan.Built, shardRes []engine.Re
 		merged.Arrivals += sr.Arrivals
 		merged.PeakMemKB += sr.PeakMemKB
 		merged.PeakMem.Add(sr.PeakMem)
+		merged.PeakOps = metrics.MergeOpMem(merged.PeakOps, sr.PeakOps)
 		merged.OrderViolations += sr.OrderViolations
 		ctr.Add(&sr.Counters)
 		logs[i] = replicas[i].Sink.Results()

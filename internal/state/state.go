@@ -155,6 +155,9 @@ func (c *MinCache) Remove(k int) {
 	}
 }
 
+// Len returns how many values the multiset holds.
+func (c *MinCache) Len() int { return c.n }
+
 // Invalidate notes that a cached value was raised: the next Get recomputes.
 func (c *MinCache) Invalidate() { c.dirty = true }
 
@@ -309,24 +312,38 @@ func (s *State) Holds(e Entry) bool {
 
 // Purge removes the entries whose oldest component has expired by now,
 // MinTS + w <= now, hands each to gone unless gone is nil, and returns how
-// many it removed. gone must not touch s. It runs on every arrival, and on
-// every sweep for a graveyard, so the cached minimum spares the pass when
-// nothing is due.
-//
-// MinTS is not monotone in Seq (a composite's MinTS can predate its
-// arrival), so expiry filters each run rather than truncating it,
-// preserving the order of what it keeps.
+// many it removed. gone must not touch s. It runs on every arrival, so the
+// cached minimum spares the pass when nothing is due.
 func (s *State) Purge(now, w stream.Time, gone func(Entry)) int {
 	if ts, ok := s.MinTS(); !ok || ts+w > now {
 		return 0
 	}
+	return s.filter(func(e Entry) bool { return e.C.MinTS+w > now }, gone)
+}
+
+// PurgeFloor is Purge with a floor of each entry's own, which a graveyard's
+// sweep takes (DESIGN.md §4): it removes the entries with MinTS + w <=
+// floor(e) and returns how many.
+func (s *State) PurgeFloor(w stream.Time, floor func(Entry) stream.Time) int {
+	if s.Empty() {
+		return 0
+	}
+	return s.filter(func(e Entry) bool { return e.C.MinTS+w > floor(e) }, nil)
+}
+
+// filter keeps the entries keep selects and hands every other one to gone
+// unless gone is nil. keep is asked once per run, so it must be a function
+// of the entry alone. MinTS is not monotone in Seq (a composite's MinTS can
+// predate its arrival), so expiry filters each run rather than truncating
+// it, preserving the order of what it keeps.
+func (s *State) filter(keep func(Entry) bool, gone func(Entry)) int {
 	n := 0
 	s.version++
 	s.min = MinCache{}
 	for i, r := range s.runs {
 		kept := r.ents[:0]
 		for _, e := range r.ents {
-			if e.C.MinTS+w > now {
+			if keep(e.Entry) {
 				kept = append(kept, e)
 				if i == 0 {
 					s.min.Add(e.C.MinTS)

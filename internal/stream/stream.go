@@ -242,9 +242,10 @@ type Composite struct {
 	Sources SourceSet
 	// marks holds the mark-result identifiers this composite carries (Type
 	// II MNS handling, Sec. IV-B), ascending. A mark is set and read only
-	// where it originates — on an origin operator's inputs — and never
-	// cleared, and Join never copies it, so a result starts unmarked. Nil
-	// when unmarked, which is the overwhelmingly common case. The list sits
+	// where it originates — on an origin operator's inputs — and dropped
+	// only there, once its origin has dissolved (KeepMarks), and Join never
+	// copies it, so a result starts unmarked. Nil when unmarked, which is
+	// the overwhelmingly common case. The list sits
 	// behind a pointer so that a Composite stays in the 64-byte size class:
 	// a bare slice header would move every composite, unmarked or not, into
 	// the 80-byte one.
@@ -315,6 +316,19 @@ func (c *Composite) AddMark(m uint64) {
 	}
 	if i, ok := slices.BinarySearch(*c.marks, m); !ok {
 		*c.marks = slices.Insert(*c.marks, i, m)
+	}
+}
+
+// KeepMarks drops the mark ids keep rejects, and the list itself once none
+// is left.
+func (c *Composite) KeepMarks(keep func(uint64) bool) {
+	if c.marks == nil {
+		return
+	}
+	if ids := slices.DeleteFunc(*c.marks, func(m uint64) bool { return !keep(m) }); len(ids) > 0 {
+		*c.marks = ids
+	} else {
+		c.marks = nil
 	}
 }
 
