@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
 	"sort"
@@ -172,7 +173,7 @@ func (j *JoinOp) reportMNS(f *probe, s, o *side) {
 // s.masks holds each MNS's atom mask (0 for Ø).
 func (j *JoinOp) omega(c *stream.Composite, s, o *side) []*feedback.MNS {
 	mnses := s.omega[:0]
-	s.rejected, s.masks = s.rejected[:0], s.masks[:0]
+	s.rejected, s.voids, s.masks = s.rejected[:0], s.voids[:0], s.masks[:0]
 	switch {
 	case o.st.Empty():
 		// Fig. 8 line 2: empty opposite state → Ø is the only MNS. This is
@@ -180,7 +181,9 @@ func (j *JoinOp) omega(c *stream.Composite, s, o *side) []*feedback.MNS {
 		mnses = append(mnses, &feedback.MNS{ID: j.nextMNS(), Expiry: feedback.NoExpiry})
 		s.masks = append(s.masks, 0)
 	case j.mode == DetectLattice:
-		for _, mask := range j.identifyMNS(c, s, o) {
+		ids := j.identifyMNS(c, s, o)
+		s.foldRejected()
+		for _, mask := range ids {
 			if m := j.buildMNS(c, s, o, mask); m != nil {
 				mnses = append(mnses, m)
 				s.masks = append(s.masks, mask)
@@ -208,6 +211,24 @@ type rejection struct {
 	seq  uint64
 }
 
+// foldRejected turns s.rejected into s.voids: each rejected candidate's
+// found-by mask, the atoms whose lookups found it, once per distinct mask.
+// Sorting by sequence brings a candidate's rejections together, so the fold
+// is one pass however many atoms found it.
+func (s *side) foldRejected() {
+	s.voids = s.voids[:0]
+	slices.SortFunc(s.rejected, func(a, b rejection) int { return cmp.Compare(a.seq, b.seq) })
+	for i := 0; i < len(s.rejected); {
+		seq, found := s.rejected[i].seq, uint32(0)
+		for ; i < len(s.rejected) && s.rejected[i].seq == seq; i++ {
+			found |= 1 << uint(s.rejected[i].atom)
+		}
+		if !slices.Contains(s.voids, found) {
+			s.voids = append(s.voids, found)
+		}
+	}
+}
+
 // unrejected reports whether no candidate identifyMNS rejected was found by
 // the lookup of every atom of mask: only then is the MNS over it matched by
 // no tuple of the opposite state, which is what its claim says
@@ -219,21 +240,8 @@ func (s *side) unrejected(mask uint32) bool {
 	if mask == 0 {
 		return true
 	}
-	low := bits.TrailingZeros32(mask)
-	for _, r := range s.rejected {
-		if r.atom == low && s.foundUnder(r.seq, mask) {
-			return false
-		}
-	}
-	return true
-}
-
-// foundUnder reports whether the rejected candidate seq was found by the
-// lookup of every atom of mask.
-func (s *side) foundUnder(seq uint64, mask uint32) bool {
-	for ; mask != 0; mask &= mask - 1 {
-		k := bits.TrailingZeros32(mask)
-		if !slices.Contains(s.rejected, rejection{k, seq}) {
+	for _, found := range s.voids {
+		if found&mask == mask {
 			return false
 		}
 	}

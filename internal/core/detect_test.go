@@ -185,7 +185,8 @@ func FuzzDetectByValue(f *testing.F) {
 // found it — tuple 7 was found under atoms 0 and 1, tuple 9 under atom 1
 // alone — and every other MNS of the same Ω still claims.
 func TestRejectionVoidsOnlyWhatItMatches(t *testing.T) {
-	s := &side{rejected: []rejection{{0, 7}, {1, 7}, {1, 9}}}
+	s := &side{rejected: []rejection{{0, 7}, {1, 9}, {1, 7}}}
+	s.foldRejected()
 	for _, tc := range []struct {
 		mask uint32
 		want bool

@@ -254,7 +254,12 @@ func (j *JoinOp) expireGrave() {
 // graveyard weighed entry by entry, only once the entries retired since the
 // last walk, times graveWalkRatio, are at least the items plus the entries
 // to weigh, so what a walk costs stays proportional to the memory it can
-// free. In between, the scalar floor from the caches alone drops entries.
+// free. In between, the scalar floor from the caches alone drops entries,
+// and the root honours no claim. The value is measured (2-core x86 host,
+// median of 3): a walk on every sweep took 4× the wall time of the drained
+// left-deep clique cell and 3× that of fig. 10 at w=20; 4 kept more at the
+// peak (drained bushy graveyard 174 KB against 38 KB, fig. 10 639 KB
+// against 407 KB); 64 kept less but cost fig. 10 about a quarter more wall.
 const graveWalkRatio = 16
 
 // claims is what this operator honours of the MNSs deferred on the way into

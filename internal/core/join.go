@@ -23,8 +23,8 @@ type Config struct {
 	// subset crossing its two input sides.
 	Preds predicate.Conj
 	Mode  Mode
-	// Account is the plan's; the operator charges its own account under it
-	// (metrics.Account.Op), named Name.
+	// Account is what the operator charges: in a plan, its own account under
+	// the plan's (metrics.Account.Op).
 	Account *metrics.Account
 	// NextMNS supplies plan-unique MNS / mark identifiers.
 	NextMNS func() uint64
@@ -99,12 +99,14 @@ type side struct {
 	// rejected holds the candidates identifyMNS left out for failing
 	// pairValid, by the atom whose lookup found them: Ω was decided without
 	// them, so an MNS all of whose lookups found one of them claims nothing
-	// (feedback.MNS.Seen). omega is reportMNS's
+	// (feedback.MNS.Seen). voids are their found-by masks, once each
+	// (foldRejected). omega is reportMNS's
 	// scratch for the list of MNSs it reports, and masks their atom masks:
 	// the buffer and the producer's feedback handlers keep the descriptors,
 	// never the lists, and a report on this side is over before the next
 	// begins.
 	rejected []rejection
+	voids    []uint32
 	omega    []*feedback.MNS
 	masks    []uint32
 	// reinserted is the side's watermark when a resumption last re-entered
@@ -227,17 +229,16 @@ func NewJoin(cfg Config) *JoinOp {
 	if cfg.LeftSources.Intersects(cfg.RightSources) {
 		panic(fmt.Sprintf("core: join %q has overlapping inputs", cfg.Name))
 	}
-	acct := cfg.Account.Op(cfg.Name)
 	j := &JoinOp{
 		name:    cfg.Name,
 		numSrc:  cfg.NumSources,
 		window:  cfg.Window,
 		preds:   cfg.Preds,
 		mode:    cfg.Mode,
-		acct:    acct,
+		acct:    cfg.Account,
 		nextMNS: cfg.NextMNS,
 	}
-	j.marks = feedback.NewMarkTable(acct)
+	j.marks = feedback.NewMarkTable(cfg.Account)
 	// The graveyards are keyed whether or not the states are: a late input
 	// probes only its own key's run (DESIGN.md §4).
 	lk, rk, _ := cfg.Preds.EquiKeyCols(cfg.LeftSources, cfg.RightSources)
@@ -248,11 +249,11 @@ func NewJoin(cfg Config) *JoinOp {
 			sources: srcs,
 			prod:    prod,
 			seq:     &state.Side{},
-			st:      state.New(name, metrics.MemState, acct),
-			black:   feedback.NewBlacklist(acct),
-			buf:     feedback.NewBuffer(acct),
+			st:      state.New(name, metrics.MemState, cfg.Account),
+			black:   feedback.NewBlacklist(cfg.Account),
+			buf:     feedback.NewBuffer(cfg.Account),
 			equi:    state.Key(equi),
-			grave:   state.New(name+".grave", metrics.MemGraveyard, acct),
+			grave:   state.New(name+".grave", metrics.MemGraveyard, cfg.Account),
 		}
 		if cfg.Indexed {
 			s.key = s.equi

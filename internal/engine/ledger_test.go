@@ -100,7 +100,8 @@ var migratedPeakKB = map[string]float64{
 // migration under a lossy reorder stage (the plan object is reshaped in place,
 // the retired operators' work is folded into its run ledger once, Migrations,
 // MigrationDups and LateDropped keep counting into it through the handoff, and
-// the accounted peak is what it always was), and across a 4-shard merge.
+// the accounted peak is what it always was, its memory split keeping the new
+// tree's operators apart from the retired tree's), and across a 4-shard merge.
 func TestPlanTotalsAreOperatorSums(t *testing.T) {
 	cat, conj := predicate.Clique(4)
 	cfg := source.UniformConfig(4, 1, 20, 6*stream.Minute, 1)
@@ -143,6 +144,9 @@ func TestPlanTotalsAreOperatorSums(t *testing.T) {
 				t.Errorf("%s: PeakMemKB = %v, want %v", label, r.PeakMemKB, migratedPeakKB[label])
 			}
 			samePeakSplit(t, label, r)
+			if got, want := opNames(r.PeakOps), []string{"Op1", "Op2", "Op3", "Op1.1", "Op2.1", "Op3.1"}; !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: operator memory rows %v, want %v: the reshaped tree's apart from the retired one's", label, got, want)
+			}
 			label += " migrated"
 			want = sumOps(r.Ops)
 			want.Add(b.RunLedger)
@@ -176,6 +180,15 @@ func TestPlanTotalsAreOperatorSums(t *testing.T) {
 			sameCounters(t, label+" run ledgers", opOwned(ledgers), metrics.Counters{})
 		}
 	}
+}
+
+// opNames lists the operators of a memory split.
+func opNames(ops []metrics.OpMem) []string {
+	names := make([]string, len(ops))
+	for i, op := range ops {
+		names[i] = op.Name
+	}
+	return names
 }
 
 // samePeakSplit checks that a result's peak split by structure adds up to its

@@ -283,8 +283,9 @@ type OpMem struct {
 }
 
 // Op returns the account of the operator called name, made on first use,
-// whose every charge is also a charge to a. Operators rebuilt under the same
-// name — a migration's new tree (DESIGN.md §7) — share it.
+// whose every charge is also a charge to a. Keeping operators that are not
+// one join apart is the caller's: a plan labels a migration's new tree apart
+// from the retired one (plan.Built.Reshape, DESIGN.md §7).
 func (a *Account) Op(name string) *Account {
 	for _, o := range a.ops {
 		if o.name == name {

@@ -28,8 +28,8 @@ func TestAccountPeak(t *testing.T) {
 
 // TestAccountLedger: the split by structure sums to the totals, the split at
 // the peak is the one that set it, operators' accounts add up to the plan's
-// and keep their own split at its peak, an operator rebuilt under its name
-// charges the same account, and FreeAll returns what LiveByOp read.
+// and keep their own split at its peak, an operator's name finds its
+// account again, and FreeAll returns what LiveByOp read.
 func TestAccountLedger(t *testing.T) {
 	var a Account
 	x, y := a.Op("X"), a.Op("Y")
@@ -49,7 +49,7 @@ func TestAccountLedger(t *testing.T) {
 		t.Fatalf("live %v (operators %d + %d of %d), want %v", a.LiveBy(), x.Live(), y.Live(), a.Live(), want)
 	}
 	if a.Op("X") != x {
-		t.Fatal("a rebuilt operator got an account of its own")
+		t.Fatal("an operator's name made a second account")
 	}
 	x.Alloc(MemBlacklist, 7)
 	a.FreeAll(live)

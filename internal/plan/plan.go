@@ -160,6 +160,9 @@ type Built struct {
 	Trace *obs.Tracer
 
 	nextMNS uint64
+	// reshapes counts the trees Reshape wired; it labels their operators'
+	// accounts apart from the retired trees' (wire).
+	reshapes int
 	// exact is the delivery semantics last applied by SetExact, remembered so
 	// replicas and reshaped trees start under it.
 	exact bool
@@ -249,7 +252,7 @@ func (b *Built) Reshape(shape *Node) {
 		b.RunLedger.Add(j.Counters())
 	}
 	out := b.RootJoin().Consumer()
-	b.shape = shape
+	b.shape, b.reshapes = shape, b.reshapes+1
 	b.wireTree(out)
 	b.SetExact(b.exact)
 	b.SetTrace(b.Trace)
@@ -391,14 +394,23 @@ func (b *Built) wire(n *Node) *core.JoinOp {
 		rightOp = b.wire(n.Right)
 		rightProd = rightOp
 	}
+	// An operator charges an account of its own under the plan's. A reshaped
+	// tree's are labelled by the Reshape that wired them ("Op3.1" is the first
+	// reshaped tree's Op3): names go by position, and after a change of shape
+	// the operator at a position is another join, whose bytes must not land
+	// in the retired one's row.
 	name := fmt.Sprintf("Op%d", len(b.Joins)+1)
+	label := name
+	if b.reshapes > 0 {
+		label = fmt.Sprintf("%s.%d", name, b.reshapes)
+	}
 	j := core.NewJoin(core.Config{
 		Name:         name,
 		NumSources:   cat.NumSources(),
 		Window:       opt.Window,
 		Preds:        preds,
 		Mode:         opt.Mode,
-		Account:      b.Account,
+		Account:      b.Account.Op(label),
 		NextMNS:      b.NextMNS,
 		LeftSources:  n.Left.Sources(),
 		RightSources: n.Right.Sources(),
