@@ -7,9 +7,9 @@
 # pinned values, which fail on any change to what the server computes. Three
 # rows: -mode jit -indexed on N=3 in memory only (20 MB) and durable (-dir, a
 # checkpoint every minute; 25 MB), and -mode jit over linear-scan states on
-# the N=4 clique_jit stream (18.69 MB: about 10 % over its measured high-water
-# mark, so a looser graveyard floor fails it), where exact mode's graveyard
-# is largest.
+# the N=4 clique_jit stream (16.86 MB: about 10 % over its measured high-water
+# mark of 15.3 MB, so a looser graveyard floor fails it), where exact
+# mode's graveyard is largest.
 #
 # Usage: .github/scripts/served_memory.sh   (Linux; builds into a temp dir,
 # listens on 127.0.0.1:4641)
@@ -108,7 +108,7 @@ check durable 25600 "delivered cost checkpoints" \
   -dir "$bin/ck" -every 1
 serve=(-n 4 -window 1 -mode jit)
 gen=(-n 4 -dmax 16 -rate 2.5)
-check scan 19136 "delivered cost" \
+check scan 17264 "delivered cost" \
   "delivered=1124 cost=73291004" \
   "delivered=3529 cost=232860488"
 exit "$status"

@@ -41,7 +41,7 @@ func main() {
 	every := flag.Float64("every", 0, "checkpoint interval in minutes of application time (0 = one window; requires -dir)")
 	keep := flag.Int("keep", 0, "checkpoints retained on disk (0 = 2)")
 	maxPending := flag.Int("max-pending", 0, "ingest channel buffer: arrivals admitted but not yet processed (0 = 1024)")
-	retain := flag.Int("retain", 0, "delivery ring size: results re-readable by resuming subscribers (0 = 16384)")
+	retain := flag.Int("retain", 0, "delivery ring bound: results re-readable by resuming subscribers (0 = 16384)")
 	policy := flag.String("policy", "block", "slow-subscriber policy: block (backpressure to ingest) or kick (disconnect laggards)")
 	flag.Parse()
 

@@ -173,20 +173,21 @@ func uncovered(o *side, seq, cursor uint64) []state.Entry {
 // producer below marks nothing this operator would not mark on arrival.
 func (j *JoinOp) suspendTypeII(m *feedback.MNS, at stream.Time) {
 	L, R := j.in[operator.Left], j.in[operator.Right]
-	e := j.marks.ActivateOrigin(m, m.Sig.Restrict(L.sources), m.Sig.Restrict(R.sources))
+	e := j.marks.ActivateOrigin(m, L.sources)
 	if e == nil {
 		return // duplicate; expiry extended
 	}
 	e.Detected = at
-	j.markScan(e, L, e.SigL)
-	j.markScan(e, R, e.SigR)
+	j.markScan(e, L)
+	j.markScan(e, R)
 }
 
 // markScan marks the existing state tuples (and any in-flight input) of one
 // side that match the entry's side signature. The state hands over the
 // tuples filed under the signature's values: one lookup, then one
 // verification per candidate.
-func (j *JoinOp) markScan(e *feedback.OriginEntry, s *side, sig feedback.Signature) {
+func (j *JoinOp) markScan(e *feedback.OriginEntry, s *side) {
+	sig := j.marks.SideSig(e, s.port == operator.Left)
 	if len(sig) == 0 {
 		return
 	}

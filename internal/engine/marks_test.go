@@ -61,16 +61,18 @@ func TestMarksStayAtTheirOrigin(t *testing.T) {
 // TestJITHeapTracksAccount bounds what drained JIT really holds by what its
 // memory account says it holds: at 3, 6 and 9 windows of the clique_jit
 // stream, the live heap grown since before the plan was built (after a full
-// GC) must stay within 1.9× Account.Live(). The account charges state,
-// graveyards, blacklists, MNS tables, pending pairs and Bloom filters
-// (metrics.Mem); a heap that outgrows it holds something nobody accounts — as
-// the mark ids a join result used to inherit from its inputs did, at 3.0–3.4×
-// on both shapes, and the per-tuple mark maps and per-detection predicate
-// lists did at 2.00–2.16× left-deep. It reads 0.91–0.99× bushy and 1.43–1.52×
-// left-deep now (0.96–1.04× and 1.51–1.61× while origins kept unaccounted
-// lists of the tuples they had marked).
+// GC) must stay within 1.48× Account.Live(), about 15 % over the worst
+// ratio measured. The account charges state, graveyards, blacklists, MNS
+// tables, pending pairs and Bloom filters (metrics.Mem); a heap that outgrows
+// it holds something nobody accounts — as the mark ids a join result used to
+// inherit from its inputs did, at 3.0–3.4× on both shapes, and the per-tuple
+// mark maps and per-detection predicate lists did at 2.00–2.16× left-deep. It
+// reads 0.77–0.83× bushy and 1.26–1.29× left-deep now (0.86–0.94× and
+// 1.28–1.31× while origin entries copied their side signatures and a map
+// repeated their ids; 0.96–1.04× and 1.51–1.61× while origins kept
+// unaccounted lists of the tuples they had marked).
 func TestJITHeapTracksAccount(t *testing.T) {
-	const maxRatio = 1.9
+	const maxRatio = 1.48
 	for _, shape := range []*plan.Node{plan.Bushy(4), plan.LeftDeep(4)} {
 		t.Run(shape.Canonical(), func(t *testing.T) {
 			var m runtime.MemStats
@@ -88,7 +90,7 @@ func TestJITHeapTracksAccount(t *testing.T) {
 					ratio := float64(heap) / float64(live)
 					t.Logf("%v: heap %d KB, account %d KB, %.2f×", checkpoint, heap>>10, live>>10, ratio)
 					if ratio > maxRatio {
-						t.Errorf("%v: heap grew %d B against %d B accounted, %.2f× (bound %.1f×)", checkpoint, heap, live, ratio, maxRatio)
+						t.Errorf("%v: heap grew %d B against %d B accounted, %.2f× (bound %.2f×)", checkpoint, heap, live, ratio, maxRatio)
 					}
 					checkpoint += 3 * b.Window
 				}

@@ -29,7 +29,7 @@ func TestSharedDescriptorKeepsDeadlinesExact(t *testing.T) {
 	for _, d := range []*MNS{m, dup} {
 		buf.Add(d, false)
 		bl.Ensure(d)
-		mt.ActivateOrigin(d, d.Sig, nil)
+		mt.ActivateOrigin(d, d.Sig.Sources())
 	}
 	if b, e, o := buf.NextExpiry(), bl.NextAnchorExpiry(), mt.NextExpiry(); b != 500 || e != 500 || o != 500 {
 		t.Fatalf("deadlines after the duplicate: buffer %d, blacklist %d, mark table %d; want 500 each", b, e, o)
@@ -189,7 +189,7 @@ func FuzzDeadlineCaches(f *testing.F) {
 				bl.Ensure(m)
 			case 3:
 				file(mOrig, m)
-				mt.ActivateOrigin(m, m.Sig, nil)
+				mt.ActivateOrigin(m, m.Sig.Sources())
 			case 4: // an opposite arrival carrying key k resumes its MNS
 				_, holds := mBuf[key(m)]
 				delete(mBuf, key(m))

@@ -125,7 +125,7 @@ func TestMNSTable(t *testing.T) {
 	testTable(t, "blacklist", &NewBlacklist(acct).entries, func(m *MNS) *Entry { return &Entry{MNS: m, Expiry: m.Expiry} })
 	testTable(t, "buffer", &NewBuffer(acct).mnss, func(m *MNS) *MNS { return m })
 	mt := NewMarkTable(acct)
-	testTable(t, "origins", &mt.origins, func(m *MNS) *OriginEntry { return &OriginEntry{MNS: m, Expiry: m.Expiry, SigL: m.Sig} })
+	testTable(t, "origins", &mt.origins, func(m *MNS) *OriginEntry { return &OriginEntry{MNS: m, Expiry: m.Expiry, Left: m.Sig.Sources()} })
 }
 
 func TestBufferAddDedupPurgeProbe(t *testing.T) {
@@ -272,13 +272,12 @@ func TestMarkTable(t *testing.T) {
 		},
 		Expiry: 1000,
 	}
-	left := m.Sig.Restrict(stream.SourceSet(0).Add(0).Add(1))
-	right := m.Sig.Restrict(stream.SourceSet(0).Add(2))
-	e := mt.ActivateOrigin(m, left, right)
-	if e == nil || len(e.SigL) != 1 || len(e.SigR) != 1 {
+	left := stream.SourceSet(0).Add(0).Add(1)
+	e := mt.ActivateOrigin(m, left)
+	if e == nil || !slices.Equal(mt.SideSig(e, true), m.Sig[:1]) || !slices.Equal(mt.SideSig(e, false), m.Sig[1:]) {
 		t.Fatal("activation/decomposition wrong")
 	}
-	if mt.ActivateOrigin(m, left, right) != nil || mt.EntryByID(7) != e {
+	if mt.ActivateOrigin(m, left) != nil || mt.EntryByID(7) != e {
 		t.Fatal("duplicate origin accepted")
 	}
 	l := comp(3, tpl(0, 10, 5))
@@ -319,7 +318,7 @@ func TestPurgePending(t *testing.T) {
 			{Attr: predicate.Attr{Source: 0, Col: 0}, Val: 5},
 			{Attr: predicate.Attr{Source: 2, Col: 0}, Val: 9},
 		}, Expiry: 10000}
-	e := mt.ActivateOrigin(m, m.Sig[:1], m.Sig[1:])
+	e := mt.ActivateOrigin(m, stream.SourceSet(0).Add(0))
 	old := comp(3, tpl(0, 10, 5))
 	young := comp(3, tpl(2, 900, 9))
 	mt.RecordSuppressed(e, state.Entry{C: old, Seq: 1}, state.Entry{C: young, Seq: 2})
@@ -476,7 +475,7 @@ func TestMarkIndexMatchesScan(t *testing.T) {
 		case 0, 1, 2: // a Type II suspension; one side's restriction may be empty
 			id++
 			m := &MNS{ID: id, Sources: leftSrc | rightSrc, Sig: randSig(0, 1, 2, 3), Expiry: now + stream.Time(rng.Intn(60))}
-			if e := mt.ActivateOrigin(m, m.Sig.Restrict(leftSrc), m.Sig.Restrict(rightSrc)); e != nil {
+			if e := mt.ActivateOrigin(m, leftSrc); e != nil {
 				origins = append(origins, e)
 			}
 		case 3: // resumption
@@ -502,9 +501,9 @@ func TestMarkIndexMatchesScan(t *testing.T) {
 			}
 			var want []uint64
 			for _, e := range origins {
-				sig := e.SigR
+				sig := e.MNS.Sig.Restrict(rightSrc)
 				if left {
-					sig = e.SigL
+					sig = e.MNS.Sig.Restrict(leftSrc)
 				}
 				if len(sig) > 0 && sig.MatchedBy(c) {
 					want = append(want, e.MNS.ID)
@@ -546,8 +545,8 @@ func TestEmptySideSignatureMarksNothing(t *testing.T) {
 		Sig:     Signature{{Attr: predicate.Attr{Source: 0, Col: 0}, Val: 5}},
 		Expiry:  1000,
 	}
-	e := mt.ActivateOrigin(m, m.Sig.Restrict(stream.SourceSet(0).Add(0)), m.Sig.Restrict(stream.SourceSet(0).Add(2)))
-	if e == nil || len(e.SigL) != 1 || len(e.SigR) != 0 {
+	e := mt.ActivateOrigin(m, stream.SourceSet(0).Add(0))
+	if e == nil || len(mt.SideSig(e, true)) != 1 || len(mt.SideSig(e, false)) != 0 {
 		t.Fatalf("restriction wrong: %+v", e)
 	}
 	l, r := comp(3, tpl(0, 10, 5)), comp(3, tpl(2, 20, 5))

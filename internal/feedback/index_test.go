@@ -94,7 +94,7 @@ func TestTablesKeepHashTwinsApart(t *testing.T) {
 		mt := NewMarkTable(&metrics.Account{})
 		ms := twins()
 		for i, m := range ms {
-			if mt.ActivateOrigin(m, m.Sig, nil) == nil {
+			if mt.ActivateOrigin(m, m.Sig.Sources()) == nil {
 				t.Fatalf("twin %d folded into the other's origin", i)
 			}
 		}

@@ -1,6 +1,9 @@
 package feedback
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/metrics"
 	"repro/internal/state"
 	"repro/internal/stream"
@@ -23,9 +26,9 @@ type PendingPair struct {
 // operator whose two input sides together cover the MNS. While active it
 // suppresses joins between left-marked and right-marked tuples, recording
 // each suppressed pair. The tuples it marked keep its id after it dissolves,
-// until Mark drops it: the id is read only through the
-// table's active map, and ids only grow within a mark table, so a dissolved
-// origin's id is inert for good.
+// until Mark drops it: the id is read only through the table's live set,
+// and ids only grow within a mark table, so a dissolved origin's id is inert
+// for good.
 type OriginEntry struct {
 	MNS *MNS
 	// ID is the entry's mark id: its MNS's id, unless the table already
@@ -40,21 +43,41 @@ type OriginEntry struct {
 	// Detected is the detecting consumer's clock when the entry was made, as
 	// on a blacklist entry (Entry.Detected).
 	Detected stream.Time
-	SigL     Signature // restriction of MNS.Sig to the left input's sources
-	SigR     Signature
+	// Left is the operator's left input's sources: the entries of MNS.Sig
+	// on them are the left side signature, the others the right one
+	// (appendSide).
+	Left stream.SourceSet
 	// Pending holds the pairs suppressed under this entry.
 	Pending []PendingPair
+}
+
+// appendSide appends the entry's side signature, left or right, to buf:
+// MNS.Sig's entries on that input's sources, in Sig's order.
+func (e *OriginEntry) appendSide(left bool, buf []SigEntry) []SigEntry {
+	for _, se := range e.MNS.Sig {
+		if e.Left.Has(se.Attr.Source) == left {
+			buf = append(buf, se)
+		}
+	}
+	return buf
 }
 
 // MarkTable holds the Type II machinery of one operator: the origin entries
 // of the MNSs suspended here. A mark id is set only on this operator's
 // inputs (MarkInput, and the operator's scan of its states at activation)
 // and read only here (SuppressedBy).
+//
+// Ids only grow, so origins.list, in creation order, is in id order too:
+// EntryByID searches it. live answers the hot question — is an id's origin
+// still in the table — in one bit test: it holds a bit per id from liveLo
+// on, set while that id's origin is held, and sheds its leading words as
+// they empty, so it spans the ids from the oldest held origin to the newest.
 type MarkTable struct {
 	acct    *metrics.Account
 	origins table[*OriginEntry]
-	active  map[uint64]*OriginEntry // origin mark ids currently suppressing
-	lastID  uint64                  // the last mark id an origin took
+	live    []uint64
+	liveLo  uint64 // the id of live's first bit, a multiple of 64
+	lastID  uint64 // the last mark id an origin took
 	// bySide is the origins' one index: it finds the origins whose side
 	// signature an input carries (left inputs in slot 0, right in slot 1),
 	// one lookup per attribute set, not one comparison per entry, and the
@@ -69,9 +92,9 @@ type MarkTable struct {
 
 // NewMarkTable creates an empty table.
 func NewMarkTable(acct *metrics.Account) *MarkTable {
-	t := &MarkTable{acct: acct, active: make(map[uint64]*OriginEntry)}
-	t.bySide[0].key = func(e *OriginEntry, buf []SigEntry) []SigEntry { return append(buf, e.SigL...) }
-	t.bySide[1].key = func(e *OriginEntry, buf []SigEntry) []SigEntry { return append(buf, e.SigR...) }
+	t := &MarkTable{acct: acct}
+	t.bySide[0].key = func(e *OriginEntry, buf []SigEntry) []SigEntry { return e.appendSide(true, buf) }
+	t.bySide[1].key = func(e *OriginEntry, buf []SigEntry) []SigEntry { return e.appendSide(false, buf) }
 	t.origins = newTable[*OriginEntry](acct, metrics.MemMNS, &t.bySide)
 	return t
 }
@@ -83,19 +106,25 @@ func NewMarkTable(acct *metrics.Account) *MarkTable {
 type sideIndex [2]fpIndex[*OriginEntry]
 
 func (x *sideIndex) add(e *OriginEntry) {
-	for i, sig := range [2]Signature{e.SigL, e.SigR} {
-		if len(sig) > 0 {
+	for i := range x {
+		if e.constrains(i == 0) {
 			x[i].add(e)
 		}
 	}
 }
 
 func (x *sideIndex) remove(e *OriginEntry) {
-	for i, sig := range [2]Signature{e.SigL, e.SigR} {
-		if len(sig) > 0 {
+	for i := range x {
+		if e.constrains(i == 0) {
 			x[i].remove(e)
 		}
 	}
+}
+
+// constrains reports whether the entry's side signature on that side is
+// non-empty.
+func (e *OriginEntry) constrains(left bool) bool {
+	return slices.ContainsFunc(e.MNS.Sig, func(se SigEntry) bool { return e.Left.Has(se.Attr.Source) == left })
 }
 
 // holding finds the origin of m's signature under a side signature, which
@@ -122,18 +151,43 @@ func sideOf(left bool) int {
 func (t *MarkTable) Empty() bool { return len(t.origins.list) == 0 }
 
 // ActivateOrigin installs an origin entry for a Type II MNS whose signature
-// splits into sigL and sigR over the operator's two inputs, returning nil if
-// an entry with the same signature is already active (duplicate suspensions
-// are ignored, with the anchor expiry extended).
-func (t *MarkTable) ActivateOrigin(m *MNS, sigL, sigR Signature) *OriginEntry {
+// splits over the operator's two inputs, left the left input's sources,
+// returning nil if an entry with the same signature is already active
+// (duplicate suspensions are ignored, with the anchor expiry extended).
+func (t *MarkTable) ActivateOrigin(m *MNS, left stream.SourceSet) *OriginEntry {
 	if _, ok := t.origins.extend(m); ok {
 		return nil
 	}
 	t.lastID = max(m.ID, t.lastID+1)
-	e := &OriginEntry{MNS: m, ID: t.lastID, Expiry: m.Expiry, SigL: sigL, SigR: sigR}
+	e := &OriginEntry{MNS: m, ID: t.lastID, Expiry: m.Expiry, Left: left}
 	t.origins.insert(e)
-	t.active[e.ID] = e
+	if len(t.live) == 0 {
+		t.liveLo = e.ID &^ 63
+	}
+	w := int((e.ID - t.liveLo) / 64)
+	for len(t.live) <= w {
+		t.live = append(t.live, 0)
+	}
+	t.live[w] |= 1 << (e.ID % 64)
 	return e
+}
+
+// SideSig returns e's side signature, left or right, in the side index's
+// scratch: valid until the table is next asked to file, find or match an
+// origin.
+func (t *MarkTable) SideSig(e *OriginEntry, left bool) Signature {
+	x := &t.bySide[sideOf(left)]
+	x.place = e.appendSide(left, x.place[:0])
+	return x.place
+}
+
+// holds reports whether the origin that took mark id is still in the table.
+func (t *MarkTable) holds(id uint64) bool {
+	if id < t.liveLo {
+		return false
+	}
+	w := (id - t.liveLo) / 64
+	return w < uint64(len(t.live)) && t.live[w]&(1<<(id%64)) != 0
 }
 
 // MarkInput tags a composite entering the given side with the id of every
@@ -158,7 +212,7 @@ func (t *MarkTable) MarkInput(c *stream.Composite, left bool) (comparisons int) 
 // more than twice its live ids plus one.
 func (t *MarkTable) Mark(c *stream.Composite, id uint64) {
 	if n := len(c.Marks()); n&(n-1) == 0 {
-		c.KeepMarks(func(m uint64) bool { return t.active[m] != nil })
+		c.KeepMarks(t.holds)
 	}
 	c.AddMark(id)
 }
@@ -240,8 +294,14 @@ func (t *MarkTable) Owed(c Claims, below stream.Time, visit OwedFunc) {
 
 const pendingPairBytes = 48
 
-// EntryByID returns the active origin entry with the given mark id.
-func (t *MarkTable) EntryByID(id uint64) *OriginEntry { return t.active[id] }
+// EntryByID returns the active origin entry with the given mark id, or nil.
+func (t *MarkTable) EntryByID(id uint64) *OriginEntry {
+	if !t.holds(id) {
+		return nil
+	}
+	i, _ := slices.BinarySearchFunc(t.origins.list, id, func(e *OriginEntry, id uint64) int { return cmp.Compare(e.ID, id) })
+	return t.origins.list[i]
+}
 
 // SuppressedBy returns the id of an active origin mark shared by a and b,
 // or 0 when the pair is not suppressed and may be joined now. A dissolved
@@ -259,7 +319,7 @@ func (t *MarkTable) SuppressedBy(a, b *stream.Composite) uint64 {
 		case x[0] > y[0]:
 			y = y[1:]
 		default:
-			if id := x[0]; t.active[id] != nil {
+			if id := x[0]; t.holds(id) {
 				return id
 			}
 			x, y = x[1:], y[1:]
@@ -292,7 +352,13 @@ func (t *MarkTable) TakeExpiredOrigins(now stream.Time) []*OriginEntry {
 // dropped finishes the removal of an origin entry from the table: its mark
 // stops suppressing and its pending pairs leave with it.
 func (t *MarkTable) dropped(e *OriginEntry) {
-	delete(t.active, e.ID)
+	t.live[(e.ID-t.liveLo)/64] &^= 1 << (e.ID % 64)
+	if k := slices.IndexFunc(t.live, func(w uint64) bool { return w != 0 }); k < 0 {
+		t.live = t.live[:0]
+	} else if k > 0 {
+		t.live = t.live[:copy(t.live, t.live[k:])]
+		t.liveLo += 64 * uint64(k)
+	}
 	t.pendMin.Remove(len(e.Pending))
 	t.pendTS.Remove(len(e.Pending))
 }

@@ -4,6 +4,7 @@ import (
 	"maps"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/metrics"
 	"repro/internal/predicate"
@@ -13,38 +14,45 @@ import (
 // FuzzMarkIDs drives two composites' mark lists and a mark table's active
 // origins with random operations and holds them to a map model: after every
 // step each list is the model's ids in ascending order, HasMark agrees with
-// the model, and SuppressedBy returns what the rule it replaced returned —
-// the smallest id both composites carry whose origin is active, or 0. A
+// the model, SuppressedBy returns what the rule it replaced returned — the
+// smallest id both composites carry whose origin is active, or 0 — and for
+// every id up to past the last one taken, the table's live set holds exactly
+// the active origins' ids and EntryByID finds exactly their entries. A
 // dissolved origin's id stays on the composites, suppressing nothing — also
 // once an origin is made again under the same descriptor, which takes one
 // past the last id the table used — until the composite takes a mark with a
 // power-of-two number of ids on it (MarkTable.Mark), which first drops every
-// id whose origin is not active. Each
-// input byte is one operation: the high three bits pick it, the low four the
-// descriptor's id (1 to 16).
+// id whose origin is not active. Each input byte is one operation: the high
+// three bits pick it, the low four the descriptor (its id is 1 to 16 times
+// idStride, so the live set spans several words and sheds the low ones).
 func FuzzMarkIDs(f *testing.F) {
-	// Id 3 suppresses while active and stays on both composites when
-	// dissolved, where the origin made again under the same descriptor does
-	// not find it; of 4 and 5, the smaller active one wins.
+	// Descriptor 3's id suppresses while active and stays on both composites
+	// when dissolved, where the origin made again under the same descriptor
+	// does not find it; of 4 and 5, the smaller active one wins.
 	f.Add([]byte{0x02, 0x22, 0x42, 0x80, 0x62, 0x80, 0x42, 0x80, 0x04, 0x03, 0x23, 0x24, 0x44, 0x80, 0x43, 0x80, 0x63, 0x80})
 	f.Add([]byte{0x01, 0x21, 0x61, 0x80, 0x85, 0x81, 0x81})
 	f.Add([]byte{0x03, 0x02, 0x01, 0x23, 0x21, 0x62, 0x63, 0x80, 0x80, 0x42})
+	// Dissolving descriptor 1 while 16 is active sheds the live set's low
+	// words; descriptor 2, made after 16, takes one past 16's id, and 16
+	// made again one past that.
+	f.Add([]byte{0x40, 0x4f, 0x00, 0x20, 0x60, 0x80, 0x41, 0x01, 0x21, 0x80, 0x6f, 0x4f, 0x61, 0x80, 0x00})
+	const idStride = 23
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		c := [2]*stream.Composite{comp(2, tpl(0, 1, 0)), comp(2, tpl(1, 2, 0))}
 		model := [2]map[uint64]bool{{}, {}}
 		mt := NewMarkTable(&metrics.Account{})
-		origins := map[uint64]*MNS{}  // active origins, by descriptor id
-		markOf := map[uint64]uint64{} // the mark id each one took
-		descs := map[uint64]*MNS{}    // every descriptor made, by id
-		active := map[uint64]bool{}   // the active origins' mark ids
+		origins := map[uint64]*MNS{}        // active origins, by descriptor id
+		markOf := map[uint64]uint64{}       // the mark id each one took
+		descs := map[uint64]*MNS{}          // every descriptor made, by id
+		active := map[uint64]*OriginEntry{} // the active origins, by mark id
 		last := uint64(0)
 		for step, op := range ops {
-			id := uint64(op&0x0f) + 1
+			id := (uint64(op&0x0f) + 1) * idStride
 			switch k := op >> 5; k {
 			case 0, 1: // add to composite k
 				mt.Mark(c[k], id)
 				if n := len(model[k]); n&(n-1) == 0 {
-					maps.DeleteFunc(model[k], func(x uint64, _ bool) bool { return !active[x] })
+					maps.DeleteFunc(model[k], func(x uint64, _ bool) bool { return active[x] == nil })
 				}
 				model[k][id] = true
 			case 2: // an origin under id becomes active
@@ -54,14 +62,14 @@ func FuzzMarkIDs(f *testing.F) {
 						m = &MNS{ID: id, Expiry: NoExpiry, Sig: Signature{{Attr: predicate.Attr{}, Val: stream.Value(id)}}}
 						descs[id] = m
 					}
-					e := mt.ActivateOrigin(m, m.Sig, nil)
+					e := mt.ActivateOrigin(m, m.Sig.Sources())
 					if e == nil {
 						t.Fatalf("step %d: origin %d not activated", step, id)
 					}
 					if last = max(id, last+1); e.ID != last {
 						t.Fatalf("step %d: origin %d took mark id %d, want %d", step, id, e.ID, last)
 					}
-					origins[id], markOf[id], active[last] = m, last, true
+					origins[id], markOf[id], active[last] = m, last, e
 				}
 			case 3: // and is dissolved
 				if m := origins[id]; m != nil {
@@ -74,7 +82,7 @@ func FuzzMarkIDs(f *testing.F) {
 			default: // SuppressedBy
 				want := uint64(0)
 				for _, x := range slices.Sorted(maps.Keys(model[0])) {
-					if model[1][x] && active[x] {
+					if model[1][x] && active[x] != nil {
 						want = x
 						break
 					}
@@ -92,9 +100,17 @@ func FuzzMarkIDs(f *testing.F) {
 					t.Fatalf("step %d: composite %d carries %v, want %v", step, i, got, want)
 				}
 				for x := uint64(1); x <= 16; x++ {
-					if c[i].HasMark(x) != model[i][x] {
-						t.Fatalf("step %d: composite %d HasMark(%d) = %t", step, i, x, !model[i][x])
+					if c[i].HasMark(x*idStride) != model[i][x*idStride] {
+						t.Fatalf("step %d: composite %d HasMark(%d) = %t", step, i, x*idStride, !model[i][x*idStride])
 					}
+				}
+			}
+			for x := uint64(0); x <= last+64; x++ {
+				if got, want := mt.holds(x), active[x] != nil; got != want {
+					t.Fatalf("step %d: live set holds id %d: %t, want %t", step, x, got, want)
+				}
+				if got := mt.EntryByID(x); got != active[x] {
+					t.Fatalf("step %d: EntryByID(%d) = %v, want %v", step, x, got, active[x])
 				}
 			}
 		}
@@ -109,7 +125,7 @@ func TestMarkDropsInertIDs(t *testing.T) {
 	mt := NewMarkTable(&metrics.Account{})
 	origin := func(id uint64) *MNS {
 		m := &MNS{ID: id, Expiry: NoExpiry, Sig: Signature{{Attr: predicate.Attr{}, Val: stream.Value(id)}}}
-		if mt.ActivateOrigin(m, m.Sig, nil) == nil {
+		if mt.ActivateOrigin(m, m.Sig.Sources()) == nil {
 			t.Fatalf("origin %d not activated", id)
 		}
 		return m
@@ -185,5 +201,13 @@ func TestRestrictSharesARun(t *testing.T) {
 		if !slices.Equal(sig, before) {
 			t.Fatalf("%s: appending to the restriction changed the signature to %v", got, sig)
 		}
+	}
+}
+
+// TestOriginEntrySize pins an origin entry to the 64 B size class: it keeps
+// its left input's sources, not copies of its side signatures' headers.
+func TestOriginEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(OriginEntry{}); n > 64 {
+		t.Fatalf("OriginEntry takes %d B, want at most 64", n)
 	}
 }

@@ -39,11 +39,18 @@ func (h *hub) nextFor(s *subscriber) (Delivery, bool, error) {
 // which must surface as ErrLagged: a subscriber that never reads while the
 // ring overflows is always kicked. Run under -race it also checks that
 // batches read the ring only under the lock.
-func TestHubBatchesRacePublisher(t *testing.T) {
-	const (
-		ring      = 64
-		published = 5000
-	)
+func TestHubBatchesRacePublisher(t *testing.T) { raceHubBatches(t, 64) }
+
+// TestHubGrowsUnderRacingReaders is TestHubBatchesRacePublisher with a bound
+// above the ring's first allocation: the ring doubles twice while the
+// subscribers take batches from it, and under -race the re-laid slots must
+// be read only under the lock too.
+func TestHubGrowsUnderRacingReaders(t *testing.T) { raceHubBatches(t, 4*hubInitialSlots) }
+
+// raceHubBatches races one publisher of 5000 deliveries against batching
+// subscribers on a hub bounded to ring deliveries, under both policies.
+func raceHubBatches(t *testing.T, ring int) {
+	const published = 5000
 	for _, policy := range []SubPolicy{SubBlock, SubKick} {
 		t.Run(policy.String(), func(t *testing.T) {
 			h := newHub(ring, policy, 0, nil)

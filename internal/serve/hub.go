@@ -42,21 +42,29 @@ var ErrLagged = fmt.Errorf("serve: subscriber lagged beyond the retained deliver
 
 // hub fans deliveries out to subscribers through one bounded ring: the ring
 // IS the per-run delivery retention, so server memory for results is
-// O(ring) regardless of run length or subscriber speed. Publish runs on the
-// engine goroutine; subscriber readers run on their connection goroutines.
+// O(retain) regardless of run length or subscriber speed. The ring starts
+// small and doubles, up to retain slots, only when the deliveries it holds
+// fill it; every rule below — retention, lag, kick and block — goes by
+// retain, as for a fixed ring of retain slots. Publish runs on the engine
+// goroutine; subscriber readers run on their connection goroutines.
 type hub struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	ring   []Delivery
-	next   uint64 // absolute index of the next delivery to publish
-	base   uint64 // deliveries with absolute index < base left the ring
-	start  uint64 // the incarnation's delivery floor (committed − restored tail)
+	ring   []Delivery // delivery i sits at ring[i%len(ring)]
+	retain uint64     // the bound: deliveries kept for resuming subscribers
+	next   uint64     // absolute index of the next delivery to publish
+	base   uint64     // deliveries with absolute index < base left the ring
+	start  uint64     // the incarnation's delivery floor (committed − restored tail)
 	subs   map[*subscriber]struct{}
 	policy SubPolicy
 	closed bool
 	eos    bool
 	final  uint64 // total delivered, valid once eos
 }
+
+// hubInitialSlots is the ring's first allocation when no restored tail asks
+// for more: a few hundred deliveries, well under the default bound.
+const hubInitialSlots = 256
 
 // subscriber is one attached reader's cursor into the ring.
 type subscriber struct {
@@ -65,12 +73,14 @@ type subscriber struct {
 }
 
 // newHub builds the delivery ring for an incarnation whose committed
-// delivery mark is `committed`. tail, when non-empty, re-seeds the ring with
-// the previous incarnation's retained deliveries (newest last, contiguous
-// sequence numbers ending at committed) so subscribers that had not read a
-// committed delivery when the process died can still fetch it; entries
-// beyond this ring's capacity are dropped oldest-first, exactly as live
-// retention would have dropped them.
+// delivery mark is `committed`, bounded to retain deliveries (zero means
+// 16384). tail, when non-empty, re-seeds the ring with the previous
+// incarnation's retained deliveries (newest last, contiguous sequence
+// numbers ending at committed) so subscribers that had not read a committed
+// delivery when the process died can still fetch it; entries beyond the
+// bound are dropped oldest-first, exactly as live retention would have
+// dropped them. The first allocation holds the tail, or hubInitialSlots when
+// that is more, and never more than the bound.
 func newHub(retain int, policy SubPolicy, committed uint64, tail []Delivery) *hub {
 	if retain < 1 {
 		retain = 1 << 14
@@ -80,7 +90,8 @@ func newHub(retain int, policy SubPolicy, committed uint64, tail []Delivery) *hu
 	}
 	base := committed - uint64(len(tail))
 	h := &hub{
-		ring:   make([]Delivery, retain),
+		ring:   make([]Delivery, min(retain, max(hubInitialSlots, len(tail)))),
+		retain: uint64(retain),
 		next:   committed,
 		base:   base,
 		start:  base,
@@ -88,10 +99,22 @@ func newHub(retain int, policy SubPolicy, committed uint64, tail []Delivery) *hu
 		policy: policy,
 	}
 	for i, d := range tail {
-		h.ring[(base+uint64(i))%uint64(retain)] = d
+		h.ring[(base+uint64(i))%uint64(len(h.ring))] = d
 	}
 	h.cond = sync.NewCond(&h.mu)
 	return h
+}
+
+// grow doubles the ring, up to the bound, laying every live delivery in the
+// slot its absolute index names in the larger ring. Called under the lock
+// from publish; segments, which reads without the lock, runs on the same
+// goroutine as publish.
+func (h *hub) grow() {
+	ring := make([]Delivery, min(h.retain, 2*uint64(len(h.ring))))
+	for i := h.base; i < h.next; i++ {
+		ring[i%uint64(len(ring))] = h.ring[i%uint64(len(h.ring))]
+	}
+	h.ring = ring
 }
 
 // segments returns the live ring contents — the deliveries the hub could
@@ -120,19 +143,20 @@ func (h *hub) publish(d Delivery) {
 		return
 	}
 	if h.policy == SubBlock {
-		// Block while any live subscriber would lose d's slot: the ring
-		// slot about to be overwritten is h.next - len(ring).
-		for h.next >= uint64(len(h.ring)) && h.minPos() <= h.next-uint64(len(h.ring)) && !h.closed {
+		for h.stalls() && !h.closed {
 			h.cond.Wait()
 		}
 		if h.closed {
 			return
 		}
 	}
+	if live := h.next - h.base; live == uint64(len(h.ring)) && live < h.retain {
+		h.grow()
+	}
 	h.ring[h.next%uint64(len(h.ring))] = d
 	h.next++
-	if h.next-h.base > uint64(len(h.ring)) {
-		h.base = h.next - uint64(len(h.ring))
+	if h.next-h.base > h.retain {
+		h.base = h.next - h.retain
 	}
 	if h.policy == SubKick {
 		//jitlint:allow maporder marks every laggard independently; subscribers are unordered peers and no deterministic artifact sees the visit order
@@ -143,6 +167,13 @@ func (h *hub) publish(d Delivery) {
 		}
 	}
 	h.cond.Broadcast()
+}
+
+// stalls reports whether publishing now would take a live subscriber's
+// next delivery out of the bound: the delivery about to leave it is
+// h.next - retain. Under SubBlock the publisher waits while it does.
+func (h *hub) stalls() bool {
+	return h.next >= h.retain && h.minPos() <= h.next-h.retain
 }
 
 // minPos returns the smallest live subscriber cursor, or max-uint when no

@@ -79,7 +79,10 @@ type Config struct {
 	// yet processed; zero means 1024. Beyond it the ingest connection blocks
 	// (TCP backpressure).
 	MaxPending int
-	// Retain is the delivery ring size (hub); zero means 16384.
+	// Retain bounds the delivery ring (hub): the most deliveries it keeps
+	// for resuming subscribers, and what a SubBlock subscriber may fall
+	// behind before the engine waits; zero means 16384. The ring grows to
+	// the bound only as deliveries fill it.
 	Retain int
 	// Policy decides what happens to subscribers that cannot keep up:
 	// SubBlock (default) stalls the engine — and transitively ingest — until
