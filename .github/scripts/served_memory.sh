@@ -7,9 +7,9 @@
 # pinned values, which fail on any change to what the server computes. Three
 # rows: -mode jit -indexed on N=3 in memory only (20 MB) and durable (-dir, a
 # checkpoint every minute; 25 MB), and -mode jit over linear-scan states on
-# the N=4 clique_jit stream (16.86 MB: about 10 % over its measured high-water
-# mark of 15.3 MB, so a looser graveyard floor fails it), where exact
-# mode's graveyard is largest.
+# the N=4 clique_jit stream (16 500 kB: about 10 % over its measured
+# high-water mark of 15 000 kB, so a looser graveyard floor fails it), where
+# exact mode's graveyard is largest.
 #
 # Usage: .github/scripts/served_memory.sh   (Linux; builds into a temp dir,
 # listens on 127.0.0.1:4641)
@@ -100,15 +100,15 @@ check() {
 }
 
 check memory 20480 "delivered cost" \
-  "delivered=234324 cost=4577214" \
-  "delivered=709505 cost=14331741"
+  "delivered=234324 cost=4750562" \
+  "delivered=709505 cost=14874674"
 check durable 25600 "delivered cost checkpoints" \
-  "delivered=234324 cost=4577213 checkpoints=10" \
-  "delivered=709505 cost=14331740 checkpoints=30" \
+  "delivered=234324 cost=4750562 checkpoints=10" \
+  "delivered=709505 cost=14874674 checkpoints=30" \
   -dir "$bin/ck" -every 1
 serve=(-n 4 -window 1 -mode jit)
 gen=(-n 4 -dmax 16 -rate 2.5)
-check scan 17264 "delivered cost" \
-  "delivered=1124 cost=73291004" \
-  "delivered=3529 cost=232860488"
+check scan 16500 "delivered cost" \
+  "delivered=1124 cost=72942667" \
+  "delivered=3529 cost=231772834"
 exit "$status"

@@ -35,7 +35,7 @@ func (j *JoinOp) Feedback(msg feedback.Message) []feedback.Deferred {
 
 // handleSuspend dispatches one MNS of a suspension feedback by type:
 // Ø (total suspension, the DOE case), Type I (contained in one input side),
-// or Type II (spanning both sides → marked here, Sec. IV-B). at is the
+// or Type II (spanning both sides → an origin here, Sec. IV-B). at is the
 // detecting consumer's clock (feedback.Message.At): every entry m makes
 // records it, and a relay passes it on.
 func (j *JoinOp) handleSuspend(m *feedback.MNS, at stream.Time) {
@@ -125,9 +125,7 @@ func (j *JoinOp) suspendTypeI(s *side, m *feedback.MNS, at stream.Time) {
 			f.parkEntry = entry
 		}
 	}
-	// Move matching state tuples. Tuples carrying an active mark decline
-	// suspension (they must stay joinable for the mark protocol; JIT is
-	// best-effort, so leaving them active is always sound).
+	// Move matching state tuples.
 	opFrame := j.topFrameOn(o.port)
 	j.ctr.Comparisons += uint64(len(m.Sig)) // the lookup by m's values
 	removed := s.st.RemoveIf(m.Sig, func(c *stream.Composite) bool {
@@ -166,50 +164,16 @@ func uncovered(o *side, seq, cursor uint64) []state.Entry {
 }
 
 // suspendTypeII implements the mark-result protocol of Sec. IV-B at the
-// operator the MNS reaches: the MNS is decomposed over the two input sides,
-// and an origin entry marks the tuples carrying each side's signature —
-// stored now (markScan), arriving later (MarkInput) — and suppresses joins
-// between left-marked and right-marked ones. Nothing is sent upstream: a
-// producer below marks nothing this operator would not mark on arrival.
+// operator the MNS reaches: an origin entry splits the MNS's signature over
+// the two input sides and, while active, suppresses the results of the
+// joining pairs that carry both sides (joinPair). Nothing is sent upstream:
+// a producer below sees only one side of any pair the origin covers.
 func (j *JoinOp) suspendTypeII(m *feedback.MNS, at stream.Time) {
-	L, R := j.in[operator.Left], j.in[operator.Right]
-	e := j.marks.ActivateOrigin(m, L.sources)
+	e := j.marks.ActivateOrigin(m, j.in[operator.Left].sources)
 	if e == nil {
 		return // duplicate; expiry extended
 	}
 	e.Detected = at
-	j.markScan(e, L)
-	j.markScan(e, R)
-}
-
-// markScan marks the existing state tuples (and any in-flight input) of one
-// side that match the entry's side signature. The state hands over the
-// tuples filed under the signature's values: one lookup, then one
-// verification per candidate.
-func (j *JoinOp) markScan(e *feedback.OriginEntry, s *side) {
-	sig := j.marks.SideSig(e, s.port == operator.Left)
-	if len(sig) == 0 {
-		return
-	}
-	j.ctr.Comparisons += uint64(len(sig))
-	s.st.WalkCarrying(sig, func(se state.Entry) bool {
-		j.ctr.Comparisons += uint64(len(sig))
-		if sig.MatchedBy(se.C) {
-			j.marks.Mark(se.C, e.ID)
-		}
-		return true
-	})
-	for _, f := range j.frames {
-		if f.port != s.port {
-			continue
-		}
-		// An in-flight input becomes marked mid-probe: the rest of its scan
-		// applies suppression and records the suppressed pairs.
-		j.ctr.Comparisons += uint64(len(sig))
-		if sig.MatchedBy(f.input) {
-			j.marks.Mark(f.input, e.ID)
-		}
-	}
 }
 
 // handleResume dispatches one MNS of a resumption feedback and appends the
@@ -299,24 +263,24 @@ func (j *JoinOp) resume(s *side, susp *feedback.Suspended, tag *feedback.MNS, ou
 		ephemeral: j.expired(susp.E.C)})
 }
 
-// resumeTypeII dissolves an origin mark entry and generates the suppressed
-// marked×marked pairs exactly once, deferred under m.
+// resumeTypeII dissolves an origin entry and generates its suppressed pairs
+// exactly once, deferred under m.
 func (j *JoinOp) resumeTypeII(m *feedback.MNS, out *[]feedback.Deferred) {
 	if e, ok := j.marks.TakeOrigin(m); ok {
 		j.unmarkCatchup(e, m, out)
 	}
 }
 
-// unmarkCatchup generates the pairs that were suppressed while the mark was
-// active — exactly the entry's recorded pending pairs. A pair still covered
-// by another active mark is deferred to that entry; a pair whose endpoint is
-// an in-flight probe that will still reach the partner live is left to that
-// scan. Generation is deduplicated per pair. The entry has already left the
-// active map, so its id, which the marked tuples keep, suppresses nothing.
-// Both endpoints of a pair carry the mark, so each result carries the
-// entry's signature and is deferred under tag, an MNS with it.
+// unmarkCatchup generates the pairs that were suppressed while the origin was
+// active — exactly the entry's recorded pending pairs, each of which joins,
+// so none is evaluated again. A pair still covered by another active origin
+// is deferred to that entry; a pair whose endpoint is an in-flight probe that
+// will still reach the partner live is left to that scan. Generation is
+// deduplicated per pair. The entry has already left the table, so it covers
+// nothing now. Both endpoints of a pair carry the entry's side signatures, so
+// each result carries its signature and is deferred under tag, an MNS with
+// it.
 func (j *JoinOp) unmarkCatchup(e *feedback.OriginEntry, tag *feedback.MNS, out *[]feedback.Deferred) {
-	L := j.in[operator.Left]
 	gen := make(map[[2]uint64]bool, len(e.Pending))
 	for _, p := range e.Pending {
 		key := [2]uint64{p.L.Seq, p.R.Seq}
@@ -324,29 +288,25 @@ func (j *JoinOp) unmarkCatchup(e *feedback.OriginEntry, tag *feedback.MNS, out *
 			continue
 		}
 		gen[key] = true
-		if j.stale(p.L.C) || j.stale(p.R.C) || !j.pairValid(p.L.C, p.R.C) {
-			// An expired endpoint nobody demanded, or a pair outside the
-			// window span: REF never formed it.
+		if j.stale(p.L.C) || j.stale(p.R.C) {
+			// An expired endpoint nobody demanded.
 			continue
 		}
 		// If either endpoint is an in-flight probing input whose paused
 		// scan has not yet reached the partner's slot, the live scan will
-		// generate the pair itself once the mark is gone.
+		// generate the pair itself once the origin is gone.
 		if g := j.frameOf(p.L.C); g != nil && g.lastPartner < p.R.Seq {
 			continue
 		}
 		if g := j.frameOf(p.R.C); g != nil && g.lastPartner < p.L.Seq {
 			continue
 		}
-		if other := j.marks.SuppressedBy(p.L.C, p.R.C); other != 0 {
-			// Still covered by another active mark: defer the pair there.
+		if other := j.suppressor(p.L.C, p.R.C); other != nil {
+			// Still covered by another active origin: defer the pair there.
 			j.suppress(other, p.L, p.R)
 			continue
 		}
 		j.ctr.CatchUpJoins++
-		if !j.evalAtoms(p.L.C, L, p.R.C) {
-			continue
-		}
 		*out = append(*out, feedback.Deferred{C: j.result(p.L.C, p.R.C), MNS: tag})
 	}
 	j.marks.ReleasePending(e)

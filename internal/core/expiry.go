@@ -295,8 +295,9 @@ func (j *JoinOp) owingOn(s *side) (oldest stream.Time, n int) {
 }
 
 // Owed implements operator.Producer: what both input ports owe, and the pairs
-// suppressed under this operator's marks, for a consumer honouring the claims
-// c. Every result still owed downstream contains one of those items.
+// suppressed under this operator's Type II origins, for a consumer honouring
+// the claims c. Every result still owed downstream contains one of those
+// items.
 func (j *JoinOp) Owed(c feedback.Claims, below stream.Time, visit feedback.OwedFunc) {
 	j.owedOn(j.in[0], c, below, visit)
 	j.owedOn(j.in[1], c, below, visit)

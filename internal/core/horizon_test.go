@@ -297,10 +297,10 @@ func TestJITStateWindowBounded(t *testing.T) {
 // rule (DESIGN.md §4) on a hand-built two-operator plan: what a producer owes
 // is bounded below by the timestamp of the result it will produce, not by
 // that result's oldest part. P (sources 0 and 1) holds one pair suppressed
-// under a mark, a at w and b at 2w−1: the result ab it owes has TS 2w−1 and
+// under a Type II origin, a at w and b at 2w−1: the result ab it owes has TS 2w−1 and
 // MinTS w. Its consumer X retires e1 (TS w−1) and e2 (TS w). ab can pair only
 // with e2 — pairValid needs ab.TS < e.MinTS + w — so X forgets e1 while the
-// pair is pending (a floor at ab's MinTS kept both), and when P's mark
+// pair is pending (a floor at ab's MinTS kept both), and when P's origin
 // expires ab, a reader exactly at e2's boundary, still finds e2.
 func TestGraveyardFloorIsATimestamp(t *testing.T) {
 	const w = 100
@@ -327,8 +327,8 @@ func TestGraveyardFloorIsATimestamp(t *testing.T) {
 		return stream.NewComposite(3, &stream.Tuple{ID: id, Source: s, TS: ts, Vals: []stream.Value{v}})
 	}
 
-	// A Type II MNS over both of P's inputs: P marks value 7 on each side and
-	// records the pair it suppresses.
+	// A Type II MNS over both of P's inputs: P suppresses the pairs with value
+	// 7 on each side and records the one it meets.
 	m := &feedback.MNS{
 		ID: 9, Sources: src(0) | src(1), Expiry: 3 * w,
 		Sig: feedback.Signature{{Attr: predicate.Attr{Source: 0}, Val: 7}, {Attr: predicate.Attr{Source: 1}, Val: 7}},
@@ -355,7 +355,7 @@ func TestGraveyardFloorIsATimestamp(t *testing.T) {
 		t.Fatalf("X right: %d live, %d retired; want 1 and 1 (e2 kept, e1 dropped)", st.Len(), x.GraveLen(operator.Right))
 	}
 
-	// P's mark expires: ab (TS 2w−1 = e2.MinTS + w − 1) reaches X late and
+	// P's origin expires: ab (TS 2w−1 = e2.MinTS + w − 1) reaches X late and
 	// pairs with e2 in the graveyard.
 	p.Sweep(3 * w)
 	if len(out.got) != 1 || out.got[0].Key() != "0:3|1:4|2:2" {

@@ -26,7 +26,7 @@ type Config struct {
 	// Account is what the operator charges: in a plan, its own account under
 	// the plan's (metrics.Account.Op).
 	Account *metrics.Account
-	// NextMNS supplies plan-unique MNS / mark identifiers.
+	// NextMNS supplies plan-unique MNS identifiers.
 	NextMNS func() uint64
 	// LeftSources / RightSources are the source sets of the two inputs.
 	LeftSources  stream.SourceSet
@@ -168,11 +168,6 @@ type probe struct {
 	// fullMatch records that some partner satisfied every crossing predicate:
 	// no lattice node can be alive, so Identify_MNS is skipped.
 	fullMatch bool
-	// evalSuppressed is set on the probe of an input lattice detection will
-	// follow: its mark-suppressed pairs are evaluated instead of parked
-	// unseen. One that matches in full settles Ω = {} before a single lookup
-	// is paid, and only pairs that do match wait for the unmark.
-	evalSuppressed bool
 }
 
 // cursor is the opposite sequence up to which a resumption was already
@@ -412,17 +407,10 @@ func (j *JoinOp) activate(f *probe) {
 	j.processUpstream(o, spi, f.collect)
 }
 
-// probeInsert is the probe-and-insert body of activate: pre-probe marking,
-// state/blacklist/pending probes, detection, and the input's coming to rest
-// (blacklist, graveyard or state).
+// probeInsert is the probe-and-insert body of activate: state/blacklist/
+// pending probes, detection, and the input's coming to rest (blacklist,
+// graveyard or state).
 func (j *JoinOp) probeInsert(f *probe, s, o *side) {
-	// Pre-probe marking: an input carrying an origin mark entry's side
-	// signature acquires the mark id now, so suppression applies during its
-	// own probe (otherwise a live pair would be generated and later
-	// regenerated by the unmark catch-up) and, once it is stored, during the
-	// probes of later opposite arrivals.
-	j.ctr.Comparisons += uint64(j.marks.MarkInput(f.input, f.port == operator.Left))
-
 	// detecting says Identify_MNS runs for this input, after the probe and only
 	// if the probe found no full match.
 	detecting := f.detect && s.detectable
@@ -432,7 +420,6 @@ func (j *JoinOp) probeInsert(f *probe, s, o *side) {
 	// starts after the cursor, or after what the MNS the input was deferred
 	// under ruled out.
 	f.lastPartner = max(f.cursor(), j.ruledOut(f, s, o))
-	f.evalSuppressed = detecting && j.mode == DetectLattice
 	j.frames = append(j.frames, f)
 	j.probeState(f, s, o)
 	if f.susp != nil {
@@ -585,7 +572,7 @@ func (j *JoinOp) probeState(f *probe, s, o *side) {
 // catchUp joins a recovering input — a resumption, or an input arriving late
 // — with partner e on one of the recovery paths below, and charges it as a
 // catch-up join. A pair outside one window span is neither: REF never formed
-// it, so it is not recovery work (pairValid). Marks suppress only live
+// it, so it is not recovery work (pairValid). Origins suppress only live
 // probes, so a catch-up pair is evaluated and built. It reports whether a
 // result was built.
 func (j *JoinOp) catchUp(f *probe, s *side, e state.Entry) bool {
@@ -654,23 +641,20 @@ func (j *JoinOp) entrySkip(f *probe, s, o *side, entry *feedback.Entry) bool {
 	return false
 }
 
-// suppress counts one mark-suppressed pair and parks it in the covering origin
-// entry's pending list for generation at unmark.
-func (j *JoinOp) suppress(id uint64, l, r state.Entry) {
-	j.ctr.SuppressedPairs++
-	if oe := j.marks.EntryByID(id); oe != nil {
-		j.marks.RecordSuppressed(oe, l, r)
-	}
+// suppressor returns the active origin that suppresses the joining pair of
+// left input l and right input r, or nil, charging its lookups
+// (feedback.MarkTable.Suppressing).
+func (j *JoinOp) suppressor(l, r *stream.Composite) *feedback.OriginEntry {
+	e, n := j.marks.Suppressing(l, r)
+	j.ctr.Comparisons += uint64(n)
+	return e
 }
 
-// suppressProbed is suppress for probing input f against state entry e, put
-// in left/right order.
-func (j *JoinOp) suppressProbed(f *probe, e state.Entry, id uint64) {
-	if f.port == operator.Left {
-		j.suppress(id, stateEntryOf(f), e)
-	} else {
-		j.suppress(id, e, stateEntryOf(f))
-	}
+// suppress counts one suppressed pair and parks it in the covering origin
+// entry's pending list for generation at unmark.
+func (j *JoinOp) suppress(e *feedback.OriginEntry, l, r state.Entry) {
+	j.ctr.SuppressedPairs++
+	j.marks.RecordSuppressed(e, l, r)
 }
 
 // probePending generates the pairs recorded as uncovered at park time. Each
@@ -718,34 +702,31 @@ func (j *JoinOp) probeInFlight(f *probe, o *side) {
 }
 
 // joinPair evaluates one (input, partner) pair of the live state probe:
-// window admission, mark suppression, predicate evaluation, and result
-// construction. Marks suppress the pairs of a fresh input only; a resumption
-// is generating pairs that were deferred already.
+// window admission, predicate evaluation, then Type II suppression or result
+// construction. Origins suppress the pairs of a fresh input only; a
+// resumption is generating pairs that were deferred already.
 func (j *JoinOp) joinPair(f *probe, s *side, e state.Entry) {
 	if !j.pairValid(f.input, e.C) {
 		// A resumption against a partner outside the pair's window span
 		// (exact mode only; every pair a legacy probe reaches is valid): REF
 		// never formed this pair, so neither bookkeeping nor generation may
-		// happen (recording it as suppressed would resurrect it at unmark).
-		return
-	}
-	suppressedID := uint64(0)
-	if f.susp == nil && !j.marks.Empty() {
-		suppressedID = j.marks.SuppressedBy(f.input, e.C)
-	}
-	if suppressedID != 0 && !f.evalSuppressed {
-		// Skip the evaluation entirely (the point of mark-result suppression
-		// is saving this work) and park the pair for generation at unmark.
-		j.suppressProbed(f, e, suppressedID)
+		// happen.
 		return
 	}
 	if !j.evalAtoms(f.input, s, e.C) {
 		return
 	}
-	if suppressedID != 0 {
-		f.fullMatch = true
-		j.suppressProbed(f, e, suppressedID)
-		return
+	if f.susp == nil && !j.marks.Empty() {
+		l, r := stateEntryOf(f), e
+		if f.port == operator.Right {
+			l, r = r, l
+		}
+		if oe := j.suppressor(l.C, r.C); oe != nil {
+			// The pair joins, but its result waits for the origin's unmark.
+			f.fullMatch = true
+			j.suppress(oe, l, r)
+			return
+		}
 	}
 	j.deliver(f, e)
 }

@@ -57,14 +57,17 @@ func TestExactFlagStaysInExpiry(t *testing.T) {
 // Counters.Comparisons. Everything else finds its matches through
 // an index that reports its own charge (feedback's fpIndex.match) or through
 // a state lookup, and core's lookups — State.WalkCarrying and State.RemoveIf,
-// wherever they are called: suspension, marking, Identify_MNS — are held to
-// the same rule: an earlier statement charges the length of the bound looked
-// up. A new call site is a new row here or, better, a lookup.
+// wherever they are called: suspension, Identify_MNS — are held to the same
+// rule: an earlier statement charges the length of the bound looked up. The
+// Type II test, MarkTable.Suppressing, is two index lookups that report their
+// charge: core asks it in suppressor only, whose next statement adds the
+// charge to Comparisons. A new call site is a new row here or, better, a
+// lookup.
 func TestSignatureMatchesAreCharged(t *testing.T) {
 	sites := map[string]string{
-		"markScan":   "control.go", // a new origin's candidates and in-flight inputs
 		"mnsMatches": "control.go", // Type I suspension: candidates and in-flight inputs
 	}
+	suppressing := 0
 	found := map[string]int{}
 	lookups := 0
 	fset := token.NewFileSet()
@@ -103,6 +106,13 @@ func TestSignatureMatchesAreCharged(t *testing.T) {
 						return true
 					}
 					pos := fset.Position(call.Pos())
+					if dir == "." && sel.Sel.Name == "Suppressing" {
+						suppressing++
+						if fn.Name.Name != "suppressor" || !comparisonsChargedNext(stack) {
+							t.Errorf("%s: %s asks Suppressing; only suppressor does, adding its charge to Comparisons next", pos, fn.Name.Name)
+						}
+						return true
+					}
 					if dir == "." && (sel.Sel.Name == "WalkCarrying" || sel.Sel.Name == "RemoveIf") {
 						lookups++
 						if !chargedBefore(stack) {
@@ -131,9 +141,34 @@ func TestSignatureMatchesAreCharged(t *testing.T) {
 			t.Errorf("%s no longer tests a signature: drop its row", name)
 		}
 	}
-	if lookups < 3 {
-		t.Errorf("found %d state lookups in core, want suspendTypeI's, markScan's and identifyMNS's: the audit is looking for the wrong names", lookups)
+	if lookups < 2 || suppressing != 1 {
+		t.Errorf("found %d state lookups and %d Suppressing calls in core, want suspendTypeI's and identifyMNS's and suppressor's: the audit is looking for the wrong names", lookups, suppressing)
 	}
+}
+
+// comparisonsChargedNext reports whether the statement after the one the
+// stack descends through, in its innermost block, adds to a Comparisons
+// counter.
+func comparisonsChargedNext(stack []ast.Node) bool {
+	for i := len(stack) - 2; i >= 0; i-- {
+		block, ok := stack[i].(*ast.BlockStmt)
+		if !ok {
+			continue
+		}
+		for k, stmt := range block.List {
+			if stmt != stack[i+1] || k+1 == len(block.List) {
+				continue
+			}
+			add, ok := block.List[k+1].(*ast.AssignStmt)
+			if !ok || add.Tok != token.ADD_ASSIGN {
+				return false
+			}
+			sel, ok := add.Lhs[0].(*ast.SelectorExpr)
+			return ok && sel.Sel.Name == "Comparisons"
+		}
+		return false
+	}
+	return false
 }
 
 // chargedBefore reports whether, in some block on the stack, a statement

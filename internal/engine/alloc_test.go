@@ -44,15 +44,17 @@ func cliqueJIT(seed int64, n int, indexed bool) (*plan.Built, func() (*stream.Tu
 // map, multi-atom MNSs share their predicate lists and side signatures share
 // their MNS's storage; 7 049 B and 94.9 while live states kept per-key map
 // buckets beside their arrival-order slice; 6 600 B and 85.6 since every
-// window store, graveyards included, is one slice sorted by (key hash, Seq)
-// — and the test prints what it measures: the next allocation change
+// window store, graveyards included, is one slice sorted by (key hash, Seq);
+// 4 369 B and 57.0 (4 511 B and 57.1 under -race) since a composite carries
+// no mark ids and a suppressed pair is parked only once it joins — and the
+// test prints what it measures: the next allocation change
 // tightens the budget from the log. A per-pair allocation anywhere on the
 // probe path costs thousands of bytes per arrival here and trips it.
 func TestJITAllocBudget(t *testing.T) {
 	const (
 		arrivals   = 1200
-		maxBytes   = 7260
-		maxMallocs = 94
+		maxBytes   = 5190
+		maxMallocs = 66
 	)
 	b, next := cliqueJIT(1, arrivals, false)
 	eng := NewWithOptions(b, Options{Drain: true})
@@ -88,18 +90,22 @@ func TestJITAllocBudget(t *testing.T) {
 // graveyard (which cut catch-up joins from 3 606 456 to 58 358; 11 657.5
 // and 58 026 since a resumption asks the graveyard only for pending
 // partners of its own key, and an MNS claims unless a candidate outside
-// the input's window span matches it), against
+// the input's window span matches it; 11 608.6 since Type II suppression
+// parks only pairs that join, which cut suppressed pairs from 49 035 to
+// 3 083 and with them the unmark's catch-up joins to 12 074), against
 // 13 526.1 with Identify_MNS by value, 16 015.8 with signature matches by
 // lookup, 23 190.9 with demand-driven Identify_MNS and 65 238.2 before
 // that — and printed, so the next detection PR tightens the bound from the
 // log. The two leaf operators detect nothing: what they compare is the
 // producer side of the protocol — diversion, Type I suspension, and the
-// Type II mark machinery, every signature attribute of which is charged
+// Type II suppression test, every signature attribute of which is charged
 // (core's TestSignatureMatchesAreCharged) — plus their own probes. It was
 // 41.9 M comparisons while each signature was tested against every origin
 // and every stored tuple, 1 303 907 with both found by value, 1 302 479
-// with the graveyard keyed, and is 1 302 147 with pending partners of
-// another key left unasked.
+// with the graveyard keyed, 1 302 147 with pending partners of another key
+// left unasked, and is 1 025 411 with suppression decided by value at each
+// joining pair, where marking scanned the states at every activation and
+// tagged every arrival.
 //
 // The last cell is the same stream's first five minutes over hash-indexed
 // states, where the probe is a bucket walk and detection is all the root
@@ -123,7 +129,7 @@ func TestJITDetectionBudget(t *testing.T) {
 	}{
 		{"mns", c.MNSDetected, 47492}, {"fb", c.Feedbacks, 48962},
 		{"susp", c.Suspended, 1253}, {"res", c.Resumed, 1253},
-		{"catchup", c.CatchUpJoins, 58026}, {"suppressed", c.SuppressedPairs, 49035},
+		{"catchup", c.CatchUpJoins, 12074}, {"suppressed", c.SuppressedPairs, 3083},
 		{"results", c.Results, 51458}, {"ins", c.Inserted, 56738}, {"purge", c.Purged, 55930},
 	} {
 		if pin.got != pin.want {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/feedback"
 	"repro/internal/plan"
 	"repro/internal/predicate"
 	"repro/internal/source"
@@ -24,13 +25,15 @@ func jitClique(n int, shape *plan.Node, keep bool) (*plan.Built, *Engine, func()
 	return b, NewWithOptions(b, Options{Drain: true}), next
 }
 
-// TestMarksStayAtTheirOrigin holds the Type II mark machinery to its id
-// locality (DESIGN.md §2): a mark id is set and read only on the inputs of
-// the operator it originated at, so no result that reaches the sink carries
-// one. Until stream.Join stopped unioning its
-// inputs' marks, 1 123 of the 1 124 finals of the bushy N=4 cell carried
-// 49 350 mark ids between them, which nothing ever read. -short runs N=4 only.
-func TestMarksStayAtTheirOrigin(t *testing.T) {
+// TestParkedPairsJoin holds Type II suppression to the paper's rule: an
+// origin suppresses the results of marked × marked pairs, so every pair it
+// parks for its unmark joins. Every 50 arrivals, each pair a plan still owes
+// through an origin must satisfy every predicate of the query crossing its
+// two halves. While a suppressed pair was parked before its predicates were
+// evaluated, the pending rows held pairs that would never join — 1.1 M
+// suppressed against 47 694 composites built on the drained left-deep N=4
+// cell. -short runs N=4 only.
+func TestParkedPairsJoin(t *testing.T) {
 	sizes := []int{4, 5}
 	if testing.Short() {
 		sizes = sizes[:1]
@@ -38,20 +41,27 @@ func TestMarksStayAtTheirOrigin(t *testing.T) {
 	for _, n := range sizes {
 		for _, shape := range []*plan.Node{plan.Bushy(n), plan.LeftDeep(n)} {
 			t.Run(fmt.Sprintf("N%d/%s", n, shape.Canonical()), func(t *testing.T) {
-				b, eng, next := jitClique(n, shape, true)
-				res := eng.RunStream(next)
-				if res.Counters.Suspended == 0 || res.Results == 0 {
-					t.Fatalf("degenerate run: %d finals, %d suspensions", res.Results, res.Counters.Suspended)
-				}
-				marked, ids := 0, 0
-				for _, c := range b.Sink.Results() {
-					if len(c.Marks()) > 0 {
-						marked++
-						ids += len(c.Marks())
+				_, conj := predicate.Clique(n)
+				b, eng, next := jitClique(n, shape, false)
+				root := b.Joins[len(b.Joins)-1]
+				arrivals, pairs := 0, 0
+				check := func() (*stream.Tuple, bool) {
+					if arrivals++; arrivals%50 == 0 {
+						root.Owed(nil, feedback.NoExpiry, func(l, r *stream.Composite, _ stream.Time) {
+							if r == nil {
+								return // a parked tuple
+							}
+							pairs++
+							if ok, _ := conj.EvalPair(l, r); !ok {
+								t.Fatalf("arrival %d: the parked pair %v, %v does not join", arrivals, l, r)
+							}
+						})
 					}
+					return next()
 				}
-				if marked > 0 {
-					t.Errorf("%d of %d finals carry %d mark ids", marked, res.Results, ids)
+				res := eng.RunStream(check)
+				if res.Counters.SuppressedPairs == 0 || pairs == 0 {
+					t.Fatalf("degenerate run: %d pairs suppressed, %d seen parked", res.Counters.SuppressedPairs, pairs)
 				}
 			})
 		}
@@ -61,18 +71,19 @@ func TestMarksStayAtTheirOrigin(t *testing.T) {
 // TestJITHeapTracksAccount bounds what drained JIT really holds by what its
 // memory account says it holds: at 3, 6 and 9 windows of the clique_jit
 // stream, the live heap grown since before the plan was built (after a full
-// GC) must stay within 1.48× Account.Live(), about 15 % over the worst
+// GC) must stay within 1.34× Account.Live(), about 15 % over the worst
 // ratio measured. The account charges state, graveyards, blacklists, MNS
 // tables, pending pairs and Bloom filters (metrics.Mem); a heap that outgrows
 // it holds something nobody accounts — as the mark ids a join result used to
 // inherit from its inputs did, at 3.0–3.4× on both shapes, and the per-tuple
 // mark maps and per-detection predicate lists did at 2.00–2.16× left-deep. It
-// reads 0.77–0.83× bushy and 1.26–1.29× left-deep now (0.86–0.94× and
+// reads 0.67–0.75× bushy and 1.15–1.16× left-deep since composites carry no
+// mark ids (0.77–0.83× and 1.26–1.29× while they did; 0.86–0.94× and
 // 1.28–1.31× while origin entries copied their side signatures and a map
 // repeated their ids; 0.96–1.04× and 1.51–1.61× while origins kept
 // unaccounted lists of the tuples they had marked).
 func TestJITHeapTracksAccount(t *testing.T) {
-	const maxRatio = 1.48
+	const maxRatio = 1.34
 	for _, shape := range []*plan.Node{plan.Bushy(4), plan.LeftDeep(4)} {
 		t.Run(shape.Canonical(), func(t *testing.T) {
 			var m runtime.MemStats

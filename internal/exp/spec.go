@@ -73,17 +73,21 @@ func Specs() []Spec {
 			//
 			// Drained — exact delivery, every result REF builds —
 			// TestLeftDeepInversionStudy (internal/scenario) decomposes the
-			// extremes: suspension pays at both (JIT's base join work 0.13×
-			// REF's at N=3, 0.75× at N=6) and repays the machinery, mostly
-			// resumption catch-up joins, at both: JIT runs at 0.21× REF at
-			// N=3 and 0.90× at N=6, where ~25k suspensions answer ~23k
-			// detected MNSs. While every deferred result scanned the root's
-			// whole opposite state, N=6 repaid only 58% of its machinery and
-			// ran at 1.07× REF (N=3 at 0.79×); while every late input was
-			// charged a catch-up join per retired entry of the exact-mode
-			// graveyard, both extremes ran above REF (1.48×, 1.56×). Zipf
-			// skew erodes the N=3 payback by collapsing detections (31,854 →
-			// 2,980 MNSs at s=2.0): JIT/REF rises to 0.99.
+			// extremes: suspension pays at both (JIT's base join work 0.10×
+			// REF's at N=3, 0.63× at N=6) and repays the machinery at both:
+			// JIT runs at 0.19× REF at N=3, where the machinery is mostly
+			// resumption catch-up joins, and 0.72× at N=6, where it is spread
+			// over lattice (0.35), feedback (0.26) and catch-up (0.24) and
+			// ~23k suspensions answer ~26k detected MNSs. While suppressed
+			// pairs were parked unevaluated, the unmark's catch-up was 0.55 of
+			// N=6's machinery and JIT ran at 0.84× REF there; while every
+			// deferred result scanned the root's whole opposite state, N=6
+			// repaid only 58% of its machinery and ran at 1.07× REF (N=3 at
+			// 0.79×); while every late input was charged a catch-up join per
+			// retired entry of the exact-mode graveyard, both extremes ran
+			// above REF (1.48×, 1.56×). Zipf skew erodes the N=3 payback by
+			// collapsing detections (31,854 → 2,980 MNSs at s=2.0): JIT/REF
+			// rises to 0.99.
 			ShortXs: []float64{4, 5}, ShortSizeScale: 0.48, ShortDomainScale: 0.40},
 		{ID: 17, Name: "fig17", Title: "Overhead vs max data value dmax (left-deep)",
 			XLabel: "dmax", Xs: []float64{30, 40, 50, 60, 70}, LeftDeep: true, Apply: setDMax},

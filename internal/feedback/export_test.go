@@ -39,3 +39,15 @@ func (t *MarkTable) NumPending() int {
 	}
 	return n
 }
+
+// SideSig returns e's side signature, left or right, in the side index's
+// scratch: valid until the table is next asked to file, find or match an
+// origin.
+func (t *MarkTable) SideSig(e *OriginEntry, left bool) Signature {
+	x := &t.bySide[0]
+	if !left {
+		x = &t.bySide[1]
+	}
+	x.place = e.appendSide(left, x.place[:0])
+	return x.place
+}

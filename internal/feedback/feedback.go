@@ -9,8 +9,8 @@
 // resumption triggers); blacklist.go the producer-side Type I structures
 // (parked tuples under anchor entries, signature generalization,
 // cursor/Pending/Done exactly-once bookkeeping); marks.go the Type II mark
-// table (origins found by the values an input carries, suppressed pairs
-// recorded under origin marks for the catch-up at their unmark). The
+// table (origins found by the values a joining pair carries, suppressed pairs
+// recorded under their origin for the catch-up at its unmark). The
 // exactly-once and expiry discipline these structures jointly enforce is
 // specified in DESIGN.md §2; their min-deadline caches feed the engine's
 // deadline scheduler (DESIGN.md §4).
@@ -30,8 +30,8 @@ import (
 type Command int
 
 // Feedback commands. Suspend/Resume drive dynamic production control for
-// every MNS type; a Type II MNS is marked and unmarked at the operator it
-// reaches, which tells no one upstream (DESIGN.md §2).
+// every MNS type; a Type II MNS is an origin at the operator it reaches,
+// made and dissolved there, which tells no one upstream (DESIGN.md §2).
 const (
 	Suspend Command = iota
 	Resume
@@ -93,33 +93,6 @@ func (s Signature) Sources() stream.SourceSet {
 	return set
 }
 
-// Restrict returns the sub-signature whose sources lie in set. Entries are
-// sorted by source first, so when those entries form one run of s — always
-// for a set of one source, and for any set that no other constrained source
-// interleaves — the result shares s's storage, capacity-capped so an append
-// cannot write into s; otherwise it is a copy.
-func (s Signature) Restrict(set stream.SourceSet) Signature {
-	lo, hi, n := len(s), 0, 0
-	for i, e := range s {
-		if set.Has(e.Attr.Source) {
-			lo, hi, n = min(lo, i), i+1, n+1
-		}
-	}
-	switch {
-	case n == 0:
-		return nil
-	case hi-lo == n:
-		return s[lo:hi:hi]
-	}
-	out := make(Signature, 0, n)
-	for _, e := range s {
-		if set.Has(e.Attr.Source) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // SizeBytes estimates the signature's memory footprint.
 func (s Signature) SizeBytes() int64 { return 24 + int64(len(s))*24 }
 
@@ -143,7 +116,7 @@ const NoExpiry = stream.Time(1) << 62
 
 // MNS is a minimal non-demanded sub-tuple as communicated in feedback.
 type MNS struct {
-	// ID is unique per detection; mark entries reuse it as the mark id.
+	// ID is unique per detection.
 	ID uint64
 	// Sources is the set of sources the MNS spans; empty for Ø.
 	Sources stream.SourceSet
@@ -207,7 +180,7 @@ type Claims func(m *MNS) bool
 
 // OwedFunc receives one item a producer still defers (DESIGN.md §4): a tuple
 // parked in a blacklist, with b nil, or the two halves of a pair suppressed
-// under a mark. Every result still owed through the item contains it, so it
+// under a Type II origin. Every result still owed through the item contains it, so it
 // carries the item's values, and none is older than lb.
 type OwedFunc func(a, b *stream.Composite, lb stream.Time)
 

@@ -49,9 +49,10 @@ func TestSignatureMatching(t *testing.T) {
 	if sig.Sources().Count() != 1 {
 		t.Fatal("sources wrong")
 	}
-	r := sig.Restrict(stream.SourceSet(0).Add(1))
-	if len(r) != 0 {
-		t.Fatal("restrict to foreign set must be empty")
+	mt := NewMarkTable(&metrics.Account{})
+	e := mt.ActivateOrigin(&MNS{ID: 1, Sources: sig.Sources(), Sig: sig, Expiry: NoExpiry}, stream.SourceSet(0).Add(1))
+	if len(mt.SideSig(e, true)) != 0 || !slices.Equal(mt.SideSig(e, false), sig) {
+		t.Fatal("a side of foreign sources must have an empty side signature")
 	}
 }
 
@@ -277,21 +278,21 @@ func TestMarkTable(t *testing.T) {
 	if e == nil || !slices.Equal(mt.SideSig(e, true), m.Sig[:1]) || !slices.Equal(mt.SideSig(e, false), m.Sig[1:]) {
 		t.Fatal("activation/decomposition wrong")
 	}
-	if mt.ActivateOrigin(m, left) != nil || mt.EntryByID(7) != e {
+	if mt.ActivateOrigin(m, left) != nil || mt.NumOrigins() != 1 {
 		t.Fatal("duplicate origin accepted")
 	}
 	l := comp(3, tpl(0, 10, 5))
 	r := comp(3, tpl(2, 20, 9))
-	if mt.MarkInput(l, true) != 1 || mt.MarkInput(r, false) != 1 || !l.HasMark(7) || !r.HasMark(7) {
-		t.Fatal("inputs carrying the side signatures not marked")
+	if got, n := mt.Suppressing(l, r); got != e || n != 2 {
+		t.Fatalf("the pair carrying both side signatures: suppressed by %v at %d comparisons, want the origin at 2", got, n)
 	}
-	// Marking again leaves the list as it is.
-	mt.MarkInput(l, true)
-	if len(l.Marks()) != 1 {
-		t.Fatalf("re-marking: marks %v", l.Marks())
+	// Neither the swapped pair nor one missing a side's values is covered;
+	// a miss on the left charges the left lookup only.
+	if got, n := mt.Suppressing(r, l); got != nil || n != 1 {
+		t.Fatalf("the swapped pair: suppressed by %v at %d comparisons, want none at 1", got, n)
 	}
-	if mt.SuppressedBy(l, r) != 7 {
-		t.Fatal("suppression check wrong")
+	if got, _ := mt.Suppressing(l, comp(3, tpl(2, 20, 8))); got != nil {
+		t.Fatalf("a right input without the right side's value suppressed by %v", got)
 	}
 	mt.RecordSuppressed(e, state.Entry{C: l, Seq: 1}, state.Entry{C: r, Seq: 2})
 	if mt.NumPending() != 1 {
@@ -301,8 +302,7 @@ func TestMarkTable(t *testing.T) {
 	if !ok || got != e || mt.NumOrigins() != 0 {
 		t.Fatal("take origin failed")
 	}
-	// The tuples keep the id, which no longer suppresses anything.
-	if !l.HasMark(7) || !r.HasMark(7) || mt.SuppressedBy(l, r) != 0 {
+	if got, n := mt.Suppressing(l, r); got != nil || n != 0 {
 		t.Fatal("suppression survives dissolution")
 	}
 	mt.ReleasePending(got)
@@ -424,10 +424,11 @@ func TestBlacklistWalkAndBySeq(t *testing.T) {
 
 // TestMarkIndexMatchesScan holds the mark table's two side indexes to the
 // loop they replaced, under random activation, resumption and expiry of
-// origins over several attribute sets: MarkInput must tag an input with
-// exactly the origins whose non-empty signature on its side it matches, and
-// charge one comparison per attribute of every attribute set its side index
-// has seen.
+// origins over several attribute sets: Suppressing must find, of the origins
+// whose non-empty signatures on both sides a pair matches, the earliest made,
+// and charge one comparison per attribute of every attribute set the left
+// index has seen, and of every one the right has seen when the left found an
+// origin.
 func TestMarkIndexMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	mt := NewMarkTable(&metrics.Account{})
@@ -475,6 +476,9 @@ func TestMarkIndexMatchesScan(t *testing.T) {
 		case 0, 1, 2: // a Type II suspension; one side's restriction may be empty
 			id++
 			m := &MNS{ID: id, Sources: leftSrc | rightSrc, Sig: randSig(0, 1, 2, 3), Expiry: now + stream.Time(rng.Intn(60))}
+			if len(m.Sig) == 0 {
+				break // the Ø MNS is never a Type II origin
+			}
 			if e := mt.ActivateOrigin(m, leftSrc); e != nil {
 				origins = append(origins, e)
 			}
@@ -494,29 +498,27 @@ func TestMarkIndexMatchesScan(t *testing.T) {
 			t.Fatalf("step %d: table holds %d origins, model %d", step, mt.NumOrigins(), len(origins))
 		}
 
-		for _, left := range []bool{true, false} {
-			c := randComp(2, 3)
-			if left {
-				c = randComp(0, 1)
+		l, r := randComp(0, 1), randComp(2, 3)
+		var want *OriginEntry
+		leftHit := false
+		for _, e := range origins {
+			ls, rs := slices.Clone(mt.SideSig(e, true)), mt.SideSig(e, false)
+			lm := len(ls) > 0 && ls.MatchedBy(l)
+			leftHit = leftHit || lm
+			if want == nil && lm && len(rs) > 0 && rs.MatchedBy(r) {
+				want = e
 			}
-			var want []uint64
-			for _, e := range origins {
-				sig := e.MNS.Sig.Restrict(rightSrc)
-				if left {
-					sig = e.MNS.Sig.Restrict(leftSrc)
-				}
-				if len(sig) > 0 && sig.MatchedBy(c) {
-					want = append(want, e.MNS.ID)
-				}
-			}
-			slices.Sort(want)
-			n := mt.MarkInput(c, left)
-			if got := c.Marks(); !slices.Equal(got, want) {
-				t.Fatalf("step %d left=%v: input %v marked %v, the scan marks %v", step, left, c, got, want)
-			}
-			if wantN := charge(&mt.bySide[sideOf(left)]); len(origins) > 0 && n != wantN {
-				t.Fatalf("step %d left=%v: charged %d comparisons, one per attribute of every set seen is %d", step, left, n, wantN)
-			}
+		}
+		got, n := mt.Suppressing(l, r)
+		if got != want {
+			t.Fatalf("step %d: pair %v, %v suppressed by %v, the scan finds %v", step, l, r, got, want)
+		}
+		wantN := charge(&mt.bySide[0])
+		if leftHit {
+			wantN += charge(&mt.bySide[1])
+		}
+		if len(origins) > 0 && n != wantN {
+			t.Fatalf("step %d: charged %d comparisons, one per attribute of every set seen is %d", step, n, wantN)
 		}
 	}
 	if len(origins) == 0 {
@@ -533,8 +535,8 @@ func TestMarkIndexMatchesScan(t *testing.T) {
 
 // TestEmptySideSignatureMarksNothing pins what an origin does on a side its
 // MNS does not constrain: nothing. Filed under the empty attribute set it
-// would tag every input of that side — and with the other side's matches
-// tagged too, suppress pairs the MNS says nothing about.
+// would match every input of that side — and so suppress pairs the MNS says
+// nothing about.
 func TestEmptySideSignatureMarksNothing(t *testing.T) {
 	mt := NewMarkTable(&metrics.Account{})
 	// A Type II MNS spans both inputs (sources 0 and 2) but its signature
@@ -550,14 +552,10 @@ func TestEmptySideSignatureMarksNothing(t *testing.T) {
 		t.Fatalf("restriction wrong: %+v", e)
 	}
 	l, r := comp(3, tpl(0, 10, 5)), comp(3, tpl(2, 20, 5))
-	if n := mt.MarkInput(l, true); !l.HasMark(9) || n != 1 {
-		t.Fatalf("the constrained side: marked %v, %d comparisons", l.HasMark(9), n)
-	}
-	if n := mt.MarkInput(r, false); len(r.Marks()) != 0 || n != 0 {
-		t.Fatalf("the unconstrained side: marks %v, %d comparisons", r.Marks(), n)
-	}
-	if mt.SuppressedBy(l, r) != 0 {
-		t.Fatal("a pair suppressed under an MNS that constrains one side only")
+	// The left lookup finds the origin at one comparison; the right index
+	// has filed nothing, so asking it costs nothing and finds nothing.
+	if got, n := mt.Suppressing(l, r); got != nil || n != 1 {
+		t.Fatalf("a pair suppressed by %v at %d comparisons under an MNS that constrains one side only", got, n)
 	}
 	if got := mt.Buckets(); got != 1 {
 		t.Fatalf("%d fingerprints filed, want the left side's one", got)

@@ -92,21 +92,29 @@ func TestTablesKeepHashTwinsApart(t *testing.T) {
 
 	t.Run("origins", func(t *testing.T) {
 		mt := NewMarkTable(&metrics.Account{})
-		ms := twins()
-		for i, m := range ms {
-			if mt.ActivateOrigin(m, m.Sig.Sources()) == nil {
+		// Each twin's origin spans both inputs: the twin at the signature's
+		// column on the left, at the predicate's on the right.
+		var es [2]*OriginEntry
+		for i, m := range twins() {
+			m.Sources = m.Sources.Add(2)
+			m.Sig = append(m.Sig, SigEntry{Attr: predicate.Attr{Source: 2}, Val: fnvTwins[i]})
+			if es[i] = mt.ActivateOrigin(m, stream.SourceSet(0).Add(0)); es[i] == nil {
 				t.Fatalf("twin %d folded into the other's origin", i)
 			}
 		}
-		for i, m := range ms {
-			in := input(i)
-			mt.MarkInput(in, true)
-			if got := in.Marks(); !slices.Equal(got, []uint64{m.ID}) {
-				t.Fatalf("twin %d's input marked %v", i, got)
+		for i := range es {
+			if got, _ := mt.Suppressing(input(i), opposite(i)); got != es[i] {
+				t.Fatalf("twin %d's pair suppressed by %v", i, got)
+			}
+			if got, _ := mt.Suppressing(input(i), opposite(1-i)); got != nil {
+				t.Fatalf("a pair of twins %d and %d suppressed by %v", i, 1-i, got)
 			}
 		}
-		if e, ok := mt.TakeOrigin(ms[0]); !ok || e.MNS != ms[0] || mt.NumOrigins() != 1 || mt.EntryByID(ms[1].ID) == nil {
+		if e, ok := mt.TakeOrigin(es[0].MNS); !ok || e != es[0] || mt.NumOrigins() != 1 {
 			t.Fatal("taking twin 0's origin did not leave twin 1's alone")
+		}
+		if got, _ := mt.Suppressing(input(1), opposite(1)); got != es[1] {
+			t.Fatalf("twin 1's pair suppressed by %v after twin 0's take", got)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package feedback
 
 import (
-	"cmp"
 	"slices"
 
 	"repro/internal/metrics"
@@ -9,34 +8,28 @@ import (
 	"repro/internal/stream"
 )
 
-// PendingPair is one join pair whose production was suppressed by an active
-// mark: the left-side and right-side tuples as stored in their states. The
-// pair is generated exactly once, when the covering mark entry dissolves
-// (resumption or anchor expiry), unless another active mark still covers it
-// — in which case it is deferred to that entry.
+// PendingPair is one joining pair whose result an active origin suppressed:
+// the left-side and right-side tuples as stored in their states. The pair is
+// generated exactly once, when the covering origin dissolves (resumption or
+// anchor expiry), unless another active origin still covers it — in which
+// case it is deferred to that entry.
 //
 // Recording pairs explicitly — rather than reconstructing them from cursor
 // arithmetic at unmark time — makes Type II handling exact under arbitrary
-// interleavings of marking, suspension, resumption and re-entrant feedback.
+// interleavings of suppression, suspension, resumption and re-entrant
+// feedback.
 type PendingPair struct {
 	L, R state.Entry
 }
 
 // OriginEntry lives at the operator where a Type II MNS was suspended: the
 // operator whose two input sides together cover the MNS. While active it
-// suppresses joins between left-marked and right-marked tuples, recording
-// each suppressed pair. The tuples it marked keep its id after it dissolves,
-// until Mark drops it: the id is read only through the table's live set,
-// and ids only grow within a mark table, so a dissolved origin's id is inert
-// for good.
+// suppresses the results of the joining pairs whose left input carries its
+// left side signature and whose right input carries its right one
+// (Suppressing), recording each suppressed pair. The rule reads values
+// only, so nothing of the entry stays on a tuple once it dissolves.
 type OriginEntry struct {
 	MNS *MNS
-	// ID is the entry's mark id: its MNS's id, unless the table already
-	// used that id or a later one — a consumer hands on the descriptor its
-	// buffer keeps, so a duplicate can make an origin again under the
-	// descriptor a dissolved one was made under — and then one past the
-	// last id the table used.
-	ID uint64
 	// Expiry is the entry's anchor, kept beside the shared descriptor as a
 	// blacklist entry's is (Entry.Expiry).
 	Expiry stream.Time
@@ -49,6 +42,9 @@ type OriginEntry struct {
 	Left stream.SourceSet
 	// Pending holds the pairs suppressed under this entry.
 	Pending []PendingPair
+	// made is the entry's place in creation order: of several origins
+	// covering one pair, the earliest made records it.
+	made uint64
 }
 
 // appendSide appends the entry's side signature, left or right, to buf:
@@ -62,27 +58,21 @@ func (e *OriginEntry) appendSide(left bool, buf []SigEntry) []SigEntry {
 	return buf
 }
 
-// MarkTable holds the Type II machinery of one operator: the origin entries
-// of the MNSs suspended here. A mark id is set only on this operator's
-// inputs (MarkInput, and the operator's scan of its states at activation)
-// and read only here (SuppressedBy).
-//
-// Ids only grow, so origins.list, in creation order, is in id order too:
-// EntryByID searches it. live answers the hot question — is an id's origin
-// still in the table — in one bit test: it holds a bit per id from liveLo
-// on, set while that id's origin is held, and sheds its leading words as
-// they empty, so it spans the ids from the oldest held origin to the newest.
+// MarkTable holds the Type II machinery of one operator (the paper's
+// mark-result protocol, Sec. IV-B): the origin entries of the MNSs suspended
+// here and the pairs each suppressed. Which pair an origin suppresses is
+// decided by value, at the pair (Suppressing): nothing is set on a tuple.
 type MarkTable struct {
 	acct    *metrics.Account
 	origins table[*OriginEntry]
-	live    []uint64
-	liveLo  uint64 // the id of live's first bit, a multiple of 64
-	lastID  uint64 // the last mark id an origin took
+	made    uint64 // the origins made so far
 	// bySide is the origins' one index: it finds the origins whose side
 	// signature an input carries (left inputs in slot 0, right in slot 1),
 	// one lookup per attribute set, not one comparison per entry, and the
 	// origin of a descriptor's signature (sideIndex.holding).
 	bySide sideIndex
+	// hits is Suppressing's scratch: the origins the left input matched.
+	hits []*OriginEntry
 	// Deadline caches (DESIGN.md §4): earliest endpoint MinTS among pending
 	// suppressed pairs, and earliest result TS among them (OldestPendingTS).
 	// The origins keep their own expiry cache.
@@ -138,14 +128,6 @@ func (x *sideIndex) holding(m *MNS) (*OriginEntry, bool) {
 	return x[1].within(m.Sig)
 }
 
-// sideOf is an input side's slot in bySide.
-func sideOf(left bool) int {
-	if left {
-		return 0
-	}
-	return 1
-}
-
 // Empty reports whether the table has no active origin, letting operators
 // skip all Type II work on the hot path.
 func (t *MarkTable) Empty() bool { return len(t.origins.list) == 0 }
@@ -158,63 +140,38 @@ func (t *MarkTable) ActivateOrigin(m *MNS, left stream.SourceSet) *OriginEntry {
 	if _, ok := t.origins.extend(m); ok {
 		return nil
 	}
-	t.lastID = max(m.ID, t.lastID+1)
-	e := &OriginEntry{MNS: m, ID: t.lastID, Expiry: m.Expiry, Left: left}
+	t.made++
+	e := &OriginEntry{MNS: m, Expiry: m.Expiry, Left: left, made: t.made}
 	t.origins.insert(e)
-	if len(t.live) == 0 {
-		t.liveLo = e.ID &^ 63
-	}
-	w := int((e.ID - t.liveLo) / 64)
-	for len(t.live) <= w {
-		t.live = append(t.live, 0)
-	}
-	t.live[w] |= 1 << (e.ID % 64)
 	return e
 }
 
-// SideSig returns e's side signature, left or right, in the side index's
-// scratch: valid until the table is next asked to file, find or match an
-// origin.
-func (t *MarkTable) SideSig(e *OriginEntry, left bool) Signature {
-	x := &t.bySide[sideOf(left)]
-	x.place = e.appendSide(left, x.place[:0])
-	return x.place
-}
-
-// holds reports whether the origin that took mark id is still in the table.
-func (t *MarkTable) holds(id uint64) bool {
-	if id < t.liveLo {
-		return false
-	}
-	w := (id - t.liveLo) / 64
-	return w < uint64(len(t.live)) && t.live[w]&(1<<(id%64)) != 0
-}
-
-// MarkInput tags a composite entering the given side with the id of every
-// origin whose signature on that side it carries, so suppression applies
-// from the first pair of its probe. It returns the attribute comparisons to
-// charge.
-func (t *MarkTable) MarkInput(c *stream.Composite, left bool) (comparisons int) {
+// Suppressing returns the active origin that suppresses the joining pair of
+// left input l and right input r, or nil: of the origins whose left side
+// signature l carries and whose right side signature r carries, the earliest
+// made. An origin with an empty side signature suppresses nothing: it is
+// filed on its constrained side only. Both sides are found by lookup, and the
+// right one is asked only when the left found an origin; it returns the
+// attribute comparisons the lookups charge.
+func (t *MarkTable) Suppressing(l, r *stream.Composite) (e *OriginEntry, comparisons int) {
 	if len(t.origins.list) == 0 {
-		return 0
+		return nil, 0
 	}
-	return t.bySide[sideOf(left)].match(c, func(e *OriginEntry) bool {
-		t.Mark(c, e.ID)
+	t.hits = t.hits[:0]
+	comparisons = t.bySide[0].match(l, func(o *OriginEntry) bool {
+		t.hits = append(t.hits, o)
 		return true
 	})
-}
-
-// Mark tags c with the mark id of an active origin of this table. When c's
-// list has a power-of-two length — whenever it has doubled since the last
-// time — the ids of the origins that have dissolved go first: they suppress
-// nothing (SuppressedBy), and no origin takes one again. Each id is then
-// looked up a constant number of times on average, and a list never holds
-// more than twice its live ids plus one.
-func (t *MarkTable) Mark(c *stream.Composite, id uint64) {
-	if n := len(c.Marks()); n&(n-1) == 0 {
-		c.KeepMarks(t.holds)
+	if len(t.hits) == 0 {
+		return nil, comparisons
 	}
-	c.AddMark(id)
+	comparisons += t.bySide[1].match(r, func(o *OriginEntry) bool {
+		if (e == nil || o.made < e.made) && slices.Contains(t.hits, o) {
+			e = o
+		}
+		return true
+	})
+	return e, comparisons
 }
 
 // RecordSuppressed parks a suppressed pair under entry e, charging its
@@ -234,7 +191,7 @@ func (p PendingPair) minTS() stream.Time { return min(p.L.C.MinTS, p.R.C.MinTS) 
 func (p PendingPair) ts() stream.Time { return max(p.L.C.TS, p.R.C.TS) }
 
 // NextExpiry returns the earliest origin anchor, or NoExpiry when the table
-// holds none — the mark machinery's contribution to the operator's sweep
+// holds none — the Type II machinery's contribution to the operator's sweep
 // deadline (DESIGN.md §4).
 func (t *MarkTable) NextExpiry() stream.Time { return t.origins.nextExpiry() }
 
@@ -294,40 +251,6 @@ func (t *MarkTable) Owed(c Claims, below stream.Time, visit OwedFunc) {
 
 const pendingPairBytes = 48
 
-// EntryByID returns the active origin entry with the given mark id, or nil.
-func (t *MarkTable) EntryByID(id uint64) *OriginEntry {
-	if !t.holds(id) {
-		return nil
-	}
-	i, _ := slices.BinarySearchFunc(t.origins.list, id, func(e *OriginEntry, id uint64) int { return cmp.Compare(e.ID, id) })
-	return t.origins.list[i]
-}
-
-// SuppressedBy returns the id of an active origin mark shared by a and b,
-// or 0 when the pair is not suppressed and may be joined now. A dissolved
-// origin's id is no longer active, so the marks it left behind suppress
-// nothing. When several active marks cover the pair it returns the smallest
-// id: the choice decides which origin entry records a suppressed pair, so it
-// must not depend on anything but the ids. Both mark lists are ascending, so
-// one merge finds it.
-func (t *MarkTable) SuppressedBy(a, b *stream.Composite) uint64 {
-	x, y := a.Marks(), b.Marks()
-	for len(x) > 0 && len(y) > 0 {
-		switch {
-		case x[0] < y[0]:
-			x = x[1:]
-		case x[0] > y[0]:
-			y = y[1:]
-		default:
-			if id := x[0]; t.holds(id) {
-				return id
-			}
-			x, y = x[1:], y[1:]
-		}
-	}
-	return 0
-}
-
 // TakeOrigin removes and returns the origin entry for m's signature. The
 // caller generates the entry's pending pairs.
 func (t *MarkTable) TakeOrigin(m *MNS) (*OriginEntry, bool) {
@@ -349,16 +272,9 @@ func (t *MarkTable) TakeExpiredOrigins(now stream.Time) []*OriginEntry {
 	return out
 }
 
-// dropped finishes the removal of an origin entry from the table: its mark
-// stops suppressing and its pending pairs leave with it.
+// dropped finishes the removal of an origin entry from the table: its pending
+// pairs leave with it.
 func (t *MarkTable) dropped(e *OriginEntry) {
-	t.live[(e.ID-t.liveLo)/64] &^= 1 << (e.ID % 64)
-	if k := slices.IndexFunc(t.live, func(w uint64) bool { return w != 0 }); k < 0 {
-		t.live = t.live[:0]
-	} else if k > 0 {
-		t.live = t.live[:copy(t.live, t.live[k:])]
-		t.liveLo += 64 * uint64(k)
-	}
 	t.pendMin.Remove(len(e.Pending))
 	t.pendTS.Remove(len(e.Pending))
 }

@@ -1,7 +1,6 @@
 package feedback
 
 import (
-	"maps"
 	"slices"
 	"testing"
 	"unsafe"
@@ -11,197 +10,198 @@ import (
 	"repro/internal/stream"
 )
 
-// FuzzMarkIDs drives two composites' mark lists and a mark table's active
-// origins with random operations and holds them to a map model: after every
-// step each list is the model's ids in ascending order, HasMark agrees with
-// the model, SuppressedBy returns what the rule it replaced returned — the
-// smallest id both composites carry whose origin is active, or 0 — and for
-// every id up to past the last one taken, the table's live set holds exactly
-// the active origins' ids and EntryByID finds exactly their entries. A
-// dissolved origin's id stays on the composites, suppressing nothing — also
-// once an origin is made again under the same descriptor, which takes one
-// past the last id the table used — until the composite takes a mark with a
-// power-of-two number of ids on it (MarkTable.Mark), which first drops every
-// id whose origin is not active. Each input byte is one operation: the high
-// three bits pick it, the low four the descriptor (its id is 1 to 16 times
-// idStride, so the live set spans several words and sheds the low ones).
-func FuzzMarkIDs(f *testing.F) {
-	// Descriptor 3's id suppresses while active and stays on both composites
-	// when dissolved, where the origin made again under the same descriptor
-	// does not find it; of 4 and 5, the smaller active one wins.
-	f.Add([]byte{0x02, 0x22, 0x42, 0x80, 0x62, 0x80, 0x42, 0x80, 0x04, 0x03, 0x23, 0x24, 0x44, 0x80, 0x43, 0x80, 0x63, 0x80})
-	f.Add([]byte{0x01, 0x21, 0x61, 0x80, 0x85, 0x81, 0x81})
-	f.Add([]byte{0x03, 0x02, 0x01, 0x23, 0x21, 0x62, 0x63, 0x80, 0x80, 0x42})
-	// Dissolving descriptor 1 while 16 is active sheds the live set's low
-	// words; descriptor 2, made after 16, takes one past 16's id, and 16
-	// made again one past that.
-	f.Add([]byte{0x40, 0x4f, 0x00, 0x20, 0x60, 0x80, 0x41, 0x01, 0x21, 0x80, 0x6f, 0x4f, 0x61, 0x80, 0x00})
-	const idStride = 23
+// FuzzSuppressionByValue holds MarkTable.Suppressing, two side-index lookups,
+// to a scan of the active origins in creation order: the first whose left
+// side signature the left input carries and whose right side signature the
+// right input carries, an origin with an empty side covering nothing. It
+// also holds the charge to its rule — one comparison per attribute list the
+// left index has filed, and as many for the right index when the left found
+// an origin — and the table's holdings to the model after every step.
+//
+// The operator's left input holds sources 0 and 1, its right 2 and 3, and
+// every signature constrains column 0 of some of them. Each operation reads
+// two bytes: the high two bits of the first pick it and its low six are a
+// parameter p; the second, b, is a signature (low nibble the sources it
+// constrains, high nibble their values, bit i for source i) or a pair.
+//
+//   - 0: an origin under signature b becomes active, its anchor p+1 after
+//     the clock. The descriptor is the one made before under b — a consumer
+//     hands on the one its buffer keeps, so a dissolved origin is made again
+//     under it — or, when p has bit 5 set, a fresh one with the same
+//     signature. Either way an active origin of that signature only has its
+//     anchor extended.
+//   - 1: the origin of signature b dissolves (resumption).
+//   - 2: the clock moves p on and the origins whose anchor it reached expire.
+//   - 3: a pair is asked: the left input carries sources 0 and 1, the right
+//     2 and 3, each with value bit i of b, except the sources p's low nibble
+//     leaves out (an input keeps at least one).
+func FuzzSuppressionByValue(f *testing.F) {
+	// One origin over sources 0 and 2 at values 1 and 1: it covers the pair
+	// carrying them, stops when it dissolves and covers it again, made anew.
+	f.Add([]byte{0x08, 0x55, 0xc0, 0x05, 0x40, 0x55, 0xc0, 0x05, 0x08, 0x55, 0xc0, 0x05, 0xc0, 0x04})
+	// Origins constraining one side only (sources 0 and 1; source 2) cover
+	// nothing, beside one that covers both.
+	f.Add([]byte{0x08, 0x33, 0x08, 0x44, 0xc0, 0x07, 0x08, 0x35, 0xc0, 0x07, 0xc0, 0x03})
+	// Two origins cover one pair and the earlier wins, though both lookups
+	// meet the later first (a third origin filed its groups first);
+	// dissolving it hands the pair to the later, and re-making it, under a
+	// fresh descriptor, does not take the pair back.
+	f.Add([]byte{0x08, 0x09, 0x08, 0x66, 0x08, 0x99, 0xc0, 0x0f, 0x40, 0x66, 0xc0, 0x0f, 0x28, 0x66, 0xc0, 0x0f})
+	// A duplicate extends an anchor, origins expire as the clock reaches
+	// theirs, and a pair missing a source matches nothing constrained there.
+	f.Add([]byte{0x02, 0x55, 0x10, 0xa5, 0x05, 0x55, 0xc0, 0x05, 0x84, 0x00, 0xc0, 0x05, 0x82, 0x00,
+		0xc0, 0x05, 0xc0, 0x00, 0xc1, 0x00, 0x8b, 0x00, 0xc0, 0x00})
+	left := stream.SourceSet(0).Add(0).Add(1)
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		c := [2]*stream.Composite{comp(2, tpl(0, 1, 0)), comp(2, tpl(1, 2, 0))}
-		model := [2]map[uint64]bool{{}, {}}
 		mt := NewMarkTable(&metrics.Account{})
-		origins := map[uint64]*MNS{}        // active origins, by descriptor id
-		markOf := map[uint64]uint64{}       // the mark id each one took
-		descs := map[uint64]*MNS{}          // every descriptor made, by id
-		active := map[uint64]*OriginEntry{} // the active origins, by mark id
-		last := uint64(0)
-		for step, op := range ops {
-			id := (uint64(op&0x0f) + 1) * idStride
-			switch k := op >> 5; k {
-			case 0, 1: // add to composite k
-				mt.Mark(c[k], id)
-				if n := len(model[k]); n&(n-1) == 0 {
-					maps.DeleteFunc(model[k], func(x uint64, _ bool) bool { return active[x] == nil })
-				}
-				model[k][id] = true
-			case 2: // an origin under id becomes active
-				if origins[id] == nil {
-					m := descs[id]
-					if m == nil {
-						m = &MNS{ID: id, Expiry: NoExpiry, Sig: Signature{{Attr: predicate.Attr{}, Val: stream.Value(id)}}}
-						descs[id] = m
-					}
-					e := mt.ActivateOrigin(m, m.Sig.Sources())
-					if e == nil {
-						t.Fatalf("step %d: origin %d not activated", step, id)
-					}
-					if last = max(id, last+1); e.ID != last {
-						t.Fatalf("step %d: origin %d took mark id %d, want %d", step, id, e.ID, last)
-					}
-					origins[id], markOf[id], active[last] = m, last, e
-				}
-			case 3: // and is dissolved
-				if m := origins[id]; m != nil {
-					if _, ok := mt.TakeOrigin(m); !ok {
-						t.Fatalf("step %d: origin %d not taken", step, id)
-					}
-					delete(origins, id)
-					delete(active, markOf[id])
-				}
-			default: // SuppressedBy
-				want := uint64(0)
-				for _, x := range slices.Sorted(maps.Keys(model[0])) {
-					if model[1][x] && active[x] != nil {
-						want = x
-						break
-					}
-				}
-				for _, pair := range [][2]*stream.Composite{{c[0], c[1]}, {c[1], c[0]}} {
-					if got := mt.SuppressedBy(pair[0], pair[1]); got != want {
-						t.Fatalf("step %d: SuppressedBy = %d, want %d (marks %v and %v)",
-							step, got, want, c[0].Marks(), c[1].Marks())
-					}
+		descs := map[byte]*MNS{}
+		var model []*OriginEntry // the active origins, in creation order
+		filed := [2]map[stream.SourceSet]bool{{}, {}}
+		now := stream.Time(0)
+		sigOf := func(b byte) Signature {
+			var sig Signature
+			for src := stream.SourceID(0); src < 4; src++ {
+				if b&(1<<src) != 0 {
+					sig = append(sig, SigEntry{Attr: predicate.Attr{Source: src}, Val: stream.Value(b >> (4 + src) & 1)})
 				}
 			}
-			for i := range c {
-				want := slices.Sorted(maps.Keys(model[i]))
-				if got := c[i].Marks(); !slices.Equal(got, want) || (len(want) == 0) != (got == nil) {
-					t.Fatalf("step %d: composite %d carries %v, want %v", step, i, got, want)
-				}
-				for x := uint64(1); x <= 16; x++ {
-					if c[i].HasMark(x*idStride) != model[i][x*idStride] {
-						t.Fatalf("step %d: composite %d HasMark(%d) = %t", step, i, x*idStride, !model[i][x*idStride])
-					}
+			return sig
+		}
+		indexOf := func(sig Signature) int {
+			for i, e := range model {
+				if slices.Equal(e.MNS.Sig, sig) {
+					return i
 				}
 			}
-			for x := uint64(0); x <= last+64; x++ {
-				if got, want := mt.holds(x), active[x] != nil; got != want {
-					t.Fatalf("step %d: live set holds id %d: %t, want %t", step, x, got, want)
+			return -1
+		}
+		for step := 0; step+1 < len(ops); step += 2 {
+			p, b := ops[step]&0x3f, ops[step+1]
+			switch ops[step] >> 6 {
+			case 0:
+				sig := sigOf(b)
+				if len(sig) == 0 {
+					continue // the Ø MNS is never a Type II origin
 				}
-				if got := mt.EntryByID(x); got != active[x] {
-					t.Fatalf("step %d: EntryByID(%d) = %v, want %v", step, x, got, active[x])
+				mask := b & 0x0f
+				key := mask | b&(mask<<4) // the values of unconstrained sources do not count
+				m := descs[key]
+				if m == nil || p&0x20 != 0 {
+					m = &MNS{ID: uint64(step + 1), Sources: sig.Sources(), Sig: sig}
+					descs[key] = m
 				}
+				m.Expiry = now + stream.Time(p&0x1f) + 1
+				i := indexOf(sig)
+				var held stream.Time
+				if i >= 0 {
+					held = model[i].Expiry
+				}
+				e := mt.ActivateOrigin(m, left)
+				if i >= 0 {
+					if e != nil || model[i].Expiry != max(held, m.Expiry) {
+						t.Fatalf("step %d: duplicate of %v made %v, anchor %v from %v and %v", step, sig, e, model[i].Expiry, held, m.Expiry)
+					}
+					continue
+				}
+				if e == nil || e.MNS != m {
+					t.Fatalf("step %d: origin of %v not made", step, sig)
+				}
+				model = append(model, e)
+				for side, srcs := range [2]stream.SourceSet{left, ^left} {
+					if s := sig.Sources() & srcs; s != 0 {
+						filed[side][s] = true
+					}
+				}
+			case 1:
+				sig := sigOf(b)
+				if len(sig) == 0 {
+					continue
+				}
+				i := indexOf(sig)
+				e, ok := mt.TakeOrigin(&MNS{Sources: sig.Sources(), Sig: sig})
+				if ok != (i >= 0) || ok && e != model[i] {
+					t.Fatalf("step %d: TakeOrigin(%v) = %v, %t; model index %d", step, sig, e, ok, i)
+				}
+				if ok {
+					model = append(model[:i], model[i+1:]...)
+				}
+			case 2:
+				now += stream.Time(p)
+				taken := mt.TakeExpiredOrigins(now)
+				var kept, want []*OriginEntry
+				for _, e := range model {
+					if e.Expiry <= now {
+						want = append(want, e)
+					} else {
+						kept = append(kept, e)
+					}
+				}
+				if !slices.Equal(taken, want) {
+					t.Fatalf("step %d: expired %d origins, model %d", step, len(taken), len(want))
+				}
+				model = kept
+			case 3:
+				l, r := pairOf(b, p)
+				var want *OriginEntry
+				leftHit := false
+				for _, e := range model {
+					ls, rs := sideSig(e, true), sideSig(e, false)
+					lm := len(ls) > 0 && ls.MatchedBy(l)
+					leftHit = leftHit || lm
+					if want == nil && lm && len(rs) > 0 && rs.MatchedBy(r) {
+						want = e
+					}
+				}
+				wantN := 0
+				if len(model) > 0 {
+					wantN = charge(filed[0])
+					if leftHit {
+						wantN += charge(filed[1])
+					}
+				}
+				got, n := mt.Suppressing(l, r)
+				if got != want || n != wantN {
+					t.Fatalf("step %d: Suppressing(%v, %v) = %v, %d comparisons; the scan finds %v, %d", step, l, r, got, n, want, wantN)
+				}
+			}
+			if mt.NumOrigins() != len(model) || mt.Buckets() > 2*len(model) {
+				t.Fatalf("step %d: table holds %d origins in %d buckets, model %d", step, mt.NumOrigins(), mt.Buckets(), len(model))
 			}
 		}
 	})
 }
 
-// TestMarkDropsInertIDs: a composite whose list has doubled loses, as it
-// takes its next mark, the ids of the origins that dissolved, keeps those
-// still active, and gets a list of its own when none is left; what
-// SuppressedBy decides does not move.
-func TestMarkDropsInertIDs(t *testing.T) {
-	mt := NewMarkTable(&metrics.Account{})
-	origin := func(id uint64) *MNS {
-		m := &MNS{ID: id, Expiry: NoExpiry, Sig: Signature{{Attr: predicate.Attr{}, Val: stream.Value(id)}}}
-		if mt.ActivateOrigin(m, m.Sig.Sources()) == nil {
-			t.Fatalf("origin %d not activated", id)
-		}
-		return m
+// sideSig is e's side signature, left or right, as a copy.
+func sideSig(e *OriginEntry, left bool) Signature { return e.appendSide(left, nil) }
+
+// charge is what a lookup in a side index costs: one comparison per
+// attribute of every attribute list filed there.
+func charge(filed map[stream.SourceSet]bool) (n int) {
+	for s := range filed {
+		n += s.Count()
 	}
-	c, d := comp(2, tpl(0, 1, 0)), comp(2, tpl(1, 2, 0))
-	m1, m2 := origin(1), origin(2)
-	for _, x := range []*stream.Composite{c, d} {
-		mt.Mark(x, 1)
-		mt.Mark(x, 2)
-	}
-	mt.TakeOrigin(m1)
-	if got := mt.SuppressedBy(c, d); got != 2 {
-		t.Fatalf("SuppressedBy = %d with origin 1 dissolved, want 2", got)
-	}
-	origin(3)
-	mt.Mark(c, 3)
-	if got := c.Marks(); !slices.Equal(got, []uint64{2, 3}) {
-		t.Fatalf("after dissolving 1 and marking 3: %v, want [2 3]", got)
-	}
-	if got := mt.SuppressedBy(c, d); got != 2 {
-		t.Fatalf("SuppressedBy = %d after the drop, want 2", got)
-	}
-	mt.TakeOrigin(m2)
-	origin(4)
-	mt.Mark(d, 4)
-	if got := d.Marks(); !slices.Equal(got, []uint64{4}) || cap(got) != 1 {
-		t.Fatalf("after every id went inert: %v (capacity %d), want a fresh [4]", got, cap(got))
-	}
-	if got := mt.SuppressedBy(c, d); got != 0 {
-		t.Fatalf("SuppressedBy = %d with no active id shared, want 0", got)
-	}
+	return n
 }
 
-// TestRestrictSharesARun: a side signature whose attributes form one run of
-// the sorted signature shares its storage, capped so an append cannot reach
-// the entries after it; an interleaved one is a copy. Both hold the same
-// entries the filter would.
-func TestRestrictSharesARun(t *testing.T) {
-	at := func(src stream.SourceID, col int, v stream.Value) SigEntry {
-		return SigEntry{Attr: predicate.Attr{Source: src, Col: col}, Val: v}
+// pairOf builds FuzzSuppressionByValue's pair: value bit i of b for source
+// i, leaving out the sources in p's low nibble but one per input.
+func pairOf(b, p byte) (l, r *stream.Composite) {
+	build := func(srcs ...stream.SourceID) *stream.Composite {
+		var c *stream.Composite
+		for k, src := range srcs {
+			if p&(1<<src) != 0 && (k < len(srcs)-1 || c != nil) {
+				continue
+			}
+			x := comp(4, tpl(src, 1, stream.Value(b>>src&1)))
+			if c == nil {
+				c = x
+			} else {
+				c = stream.Join(c, x)
+			}
+		}
+		return c
 	}
-	sig := Signature{at(0, 0, 1), at(0, 1, 2), at(1, 0, 3), at(2, 0, 4), at(3, 1, 5)}
-	set := func(ids ...stream.SourceID) (s stream.SourceSet) {
-		for _, id := range ids {
-			s = s.Add(id)
-		}
-		return s
-	}
-	for _, tc := range []struct {
-		set    stream.SourceSet
-		want   Signature
-		shares bool
-	}{
-		{set(0), sig[0:2], true},
-		{set(1, 2), sig[2:4], true},
-		{set(3), sig[4:], true},
-		{set(0, 2), Signature{sig[0], sig[1], sig[3]}, false},
-		{set(5), nil, true},
-	} {
-		got := tc.set.String()
-		r := sig.Restrict(tc.set)
-		if !slices.Equal(r, tc.want) {
-			t.Fatalf("%s: %v, want %v", got, r, tc.want)
-		}
-		if len(r) == 0 {
-			continue
-		}
-		if shares := &r[0] == &sig[slices.Index(sig, r[0])]; shares != tc.shares {
-			t.Fatalf("%s: shares storage %t, want %t", got, shares, tc.shares)
-		}
-		before := slices.Clone(sig)
-		_ = append(r, at(7, 7, 7))
-		if !slices.Equal(sig, before) {
-			t.Fatalf("%s: appending to the restriction changed the signature to %v", got, sig)
-		}
-	}
+	return build(0, 1), build(2, 3)
 }
 
 // TestOriginEntrySize pins an origin entry to the 64 B size class: it keeps

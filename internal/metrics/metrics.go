@@ -56,7 +56,8 @@ type Counters struct {
 	// probe — that lie within one window span: a pair REF never formed is
 	// not charged.
 	CatchUpJoins uint64
-	// SuppressedPairs counts probe pairs skipped due to suspension marks.
+	// SuppressedPairs counts joining pairs whose result a Type II origin
+	// suppressed until its unmark.
 	SuppressedPairs uint64
 	// QueueOps is charged by nothing: the pipelined engine has no
 	// inter-operator queues, and no code has incremented it since the seed

@@ -62,7 +62,7 @@ type Producer interface {
 	// Owed reports to visit every item this producer's subtree still
 	// defers, with the oldest result TS it can still build: the tuples
 	// parked in the subtree (lb their TS) and the pairs suppressed there
-	// under marks (lb their result's TS). Every result still owed downstream
+	// under Type II origins (lb their result's TS). Every result still owed downstream
 	// contains one of those items, so it carries the item's values and is no
 	// older than its lb. An exact-mode consumer keeps a retired state entry
 	// e only while such a result could still pair with it: one agreeing with

@@ -374,7 +374,7 @@ func (b *Built) SetTrace(tr *obs.Tracer) {
 	tr.Bind(b, b.Account)
 }
 
-// NextMNS hands out plan-unique MNS / mark identifiers.
+// NextMNS hands out plan-unique MNS identifiers.
 func (b *Built) NextMNS() uint64 {
 	b.nextMNS++
 	return b.nextMNS

@@ -31,22 +31,26 @@ func machineryUnits(c metrics.Counters) int64 {
 // stream.
 //
 // Measured verdict (pinned below; recorded in the fig16 spec comment): (a)
-// At the uniform extremes the machinery share is mostly resumption catch-up
-// joins (0.53 at N=3, 0.56 at N=6) and little lattice (0.05, 0.21); only
-// under skew, where hot values make partial matches common, does the lattice
-// lead (0.57 at s=1.5, 0.71 at s=2.0). (b) Suspension pays at both uniform
-// extremes, and repays the machinery at both: JIT's base share is 0.13× REF's
-// at N=3 and 0.75× at N=6, the payback (6.50 M units at N=3, 3.62 M at N=6)
-// exceeds the machinery (0.65 M, 2.22 M), and JIT runs at 0.21× and 0.90×
-// REF. Until deferred results skipped the partners their MNS ruled out, every
-// S_Π composite and window-close recovery at the root scanned its whole
-// opposite state: the payback was 2.19 M and 1.47 M, N=6 repaid only 58 % of
-// its 2.51 M of machinery, and JIT ran at 0.79× and 1.07× REF. Until late
-// inputs probed only their own key in the graveyard, the payback was
-// negative at N=3 (−0.36 M) and JIT ran at 1.48× and 1.56× REF. (c) Skew
-// erodes the N=3 payback. Hot values collapse detections (31 854 → 7 250 →
-// 2 980 MNSs at s=0, 1.5, 2.0), so less is suspended and the payback shrinks
-// (6.50 M → 1.08 M → 0.36 M): JIT/REF rises from 0.21 to 0.93 and 0.99.
+// At N=3 uniform the machinery share is mostly resumption catch-up joins
+// (0.52) and little lattice (0.05); at N=6 no share dominates — lattice 0.35,
+// feedback 0.26, catch-up 0.24. Catch-up was 0.55 there while every
+// suppressed pair was parked unevaluated and the unmark evaluated it again,
+// joining or not. Under skew, where hot values make partial matches common,
+// the lattice leads (0.60 at s=1.5, 0.72 at s=2.0). (b) Suspension pays at
+// both uniform extremes, and repays the machinery at both: JIT's base share
+// is 0.10× REF's at N=3 and 0.63× at N=6, the payback (6.69 M units at N=3,
+// 5.34 M at N=6) exceeds the machinery (0.63 M, 1.34 M), and JIT runs at
+// 0.19× and 0.72× REF (0.84× at N=6, with 2.22 M of machinery, while
+// suppressed pairs were parked unevaluated). Until deferred results skipped
+// the partners their MNS ruled out, every S_Π composite and window-close
+// recovery at the root scanned its whole opposite state: the payback was
+// 2.19 M and 1.47 M, N=6 repaid only 58 % of its 2.51 M of machinery, and
+// JIT ran at 0.79× and 1.07× REF. Until late inputs probed only their own
+// key in the graveyard, the payback was negative at N=3 (−0.36 M) and JIT
+// ran at 1.48× and 1.56× REF. (c) Skew erodes the N=3 payback. Hot values
+// collapse detections (31 854 → 7 250 → 2 980 MNSs at s=0, 1.5, 2.0), so
+// less is suspended and the payback shrinks (6.69 M → 1.37 M → 0.40 M):
+// JIT/REF rises from 0.19 to 0.90 and 0.99.
 func TestLeftDeepInversionStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("inversion study runs the full fig16 extremes; skipped in -short")
@@ -120,11 +124,16 @@ func TestLeftDeepInversionStudy(t *testing.T) {
 		if v.zipf != 0 {
 			continue
 		}
-		// (a) At the uniform extremes the machinery is resumption catch-up,
-		// not Identify_MNS lattice walks.
-		if v.latticeShare >= 0.25 || v.catchUpShare < 0.5 {
-			t.Errorf("N=%.0f uniform: lattice share %.2f, catch-up share %.2f — the machinery is no longer catch-up-dominated; update the fig16 spec comment",
-				v.n, v.latticeShare, v.catchUpShare)
+		// (a) At N=3 uniform the machinery is resumption catch-up, not
+		// Identify_MNS lattice walks; at N=6 the lattice leads a machinery
+		// that no share dominates.
+		if v.n == 3 && (v.latticeShare >= 0.25 || v.catchUpShare < 0.5) {
+			t.Errorf("N=3 uniform: lattice share %.2f, catch-up share %.2f — the machinery is no longer catch-up-dominated; update the fig16 spec comment",
+				v.latticeShare, v.catchUpShare)
+		}
+		if v.n == 6 && (v.catchUpShare >= v.latticeShare || v.latticeShare >= 0.5) {
+			t.Errorf("N=6 uniform: lattice share %.2f, catch-up share %.2f — the lattice no longer leads a machinery no share dominates; update the fig16 spec comment",
+				v.latticeShare, v.catchUpShare)
 		}
 		// (b) At the uniform extremes suspension saves base work, and the
 		// saving repays the machinery at both.

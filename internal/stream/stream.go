@@ -18,7 +18,6 @@ package stream
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 )
@@ -240,16 +239,6 @@ type Composite struct {
 	Comps []*Tuple
 	// Sources is the set of sources present, kept in sync with Comps.
 	Sources SourceSet
-	// marks holds the mark-result identifiers this composite carries (Type
-	// II MNS handling, Sec. IV-B), ascending. A mark is set and read only
-	// where it originates — on an origin operator's inputs — and dropped
-	// only there, once its origin has dissolved (KeepMarks), and Join never
-	// copies it, so a result starts unmarked. Nil when unmarked, which is
-	// the overwhelmingly common case. The list sits
-	// behind a pointer so that a Composite stays in the 64-byte size class:
-	// a bare slice header would move every composite, unmarked or not, into
-	// the 80-byte one.
-	marks *[]uint64
 }
 
 // NewComposite wraps a base tuple in a composite, given the catalog size.
@@ -266,9 +255,8 @@ func NewComposite(numSources int, t *Tuple) *Composite {
 
 // Join combines two composites with disjoint source sets into a new one.
 // The timestamp is the max of the two (per CQL semantics), the expiry
-// anchor the min. The result carries no marks: a mark id is read only at
-// the operator it was set for (DESIGN.md §2). Join panics if the source sets
-// overlap, which would indicate a malformed plan.
+// anchor the min. Join panics if the source sets overlap, which would
+// indicate a malformed plan.
 func Join(a, b *Composite) *Composite {
 	if a.Sources.Intersects(b.Sources) {
 		panic(fmt.Sprintf("stream: joining overlapping composites %v and %v", a.Sources, b.Sources))
@@ -291,47 +279,6 @@ func Join(a, b *Composite) *Composite {
 // Comp returns the component from the given source, or nil.
 func (c *Composite) Comp(id SourceID) *Tuple { return c.Comps[id] }
 
-// Marks returns the mark ids the composite carries, ascending; nil when it
-// carries none. The slice is the composite's own: callers must not change
-// it, and it is valid until the next AddMark.
-func (c *Composite) Marks() []uint64 {
-	if c.marks == nil {
-		return nil
-	}
-	return *c.marks
-}
-
-// HasMark reports whether the composite carries the given mark id.
-func (c *Composite) HasMark(m uint64) bool {
-	_, ok := slices.BinarySearch(c.Marks(), m)
-	return ok
-}
-
-// AddMark tags the composite with a mark id.
-func (c *Composite) AddMark(m uint64) {
-	if c.marks == nil {
-		ids := []uint64{m}
-		c.marks = &ids
-		return
-	}
-	if i, ok := slices.BinarySearch(*c.marks, m); !ok {
-		*c.marks = slices.Insert(*c.marks, i, m)
-	}
-}
-
-// KeepMarks drops the mark ids keep rejects, and the list itself once none
-// is left.
-func (c *Composite) KeepMarks(keep func(uint64) bool) {
-	if c.marks == nil {
-		return
-	}
-	if ids := slices.DeleteFunc(*c.marks, func(m uint64) bool { return !keep(m) }); len(ids) > 0 {
-		*c.marks = ids
-	} else {
-		c.marks = nil
-	}
-}
-
 // Key returns a canonical identity for the composite based on component
 // tuple IDs, usable as a map key for result-set comparison in tests.
 func (c *Composite) Key() string {
@@ -349,9 +296,7 @@ func (c *Composite) Key() string {
 
 // SizeBytes estimates the memory footprint of the composite itself
 // (components are accounted once where they are stored, not per reference):
-// struct header plus the component pointer slice. The estimate is
-// deliberately independent of the mutable mark set so that a stored
-// composite's accounting charge is stable between insertion and removal.
+// struct header plus the component pointer slice.
 func (c *Composite) SizeBytes() int64 {
 	return int64(64) + int64(len(c.Comps))*8
 }

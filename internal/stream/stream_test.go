@@ -96,29 +96,6 @@ func TestCompositeJoinOverlapPanics(t *testing.T) {
 	Join(a, b)
 }
 
-func TestMarks(t *testing.T) {
-	c := NewComposite(2, mk(t, 0, 1, 1))
-	if c.HasMark(7) {
-		t.Fatal("phantom mark")
-	}
-	c.AddMark(7)
-	c.AddMark(9)
-	if !c.HasMark(7) || !c.HasMark(9) {
-		t.Fatal("marks missing")
-	}
-	c.AddMark(7)
-	if got := c.Marks(); len(got) != 2 || got[0] != 7 || got[1] != 9 {
-		t.Fatalf("re-adding a mark: %v", got)
-	}
-	// A Join result is unmarked: marks stay on the composites they were set on.
-	d := NewComposite(2, mk(t, 1, 2, 2))
-	d.AddMark(11)
-	cd := Join(c, d)
-	if len(cd.Marks()) != 0 || !c.HasMark(9) || !d.HasMark(11) {
-		t.Fatalf("join result marked %v, inputs %v and %v", cd.Marks(), c.Marks(), d.Marks())
-	}
-}
-
 func TestCompositeKeys(t *testing.T) {
 	a := NewComposite(2, mk(t, 0, 3, 1))
 	b := NewComposite(2, mk(t, 1, 1, 1))
@@ -127,13 +104,18 @@ func TestCompositeKeys(t *testing.T) {
 	}
 }
 
+// TestSizeAccountingStable: a stored composite's charge is its own header
+// plus its components' payload, and joining it into a result leaves that
+// charge as it was, so a state frees exactly what it charged.
 func TestSizeAccountingStable(t *testing.T) {
 	c := NewComposite(4, mk(t, 0, 1, 1, 2, 3))
 	before := c.DeepSizeBytes()
-	c.AddMark(3)
-	c.AddMark(4)
+	if before != c.SizeBytes()+c.Comp(0).SizeBytes() {
+		t.Fatalf("deep size %d is not the header %d plus the component %d", before, c.SizeBytes(), c.Comp(0).SizeBytes())
+	}
+	Join(c, NewComposite(4, mk(t, 1, 2, 2)))
 	if c.DeepSizeBytes() != before {
-		t.Fatal("size changed with marks; accounting would corrupt")
+		t.Fatal("size changed by a join; accounting would corrupt")
 	}
 }
 
