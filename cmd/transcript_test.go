@@ -321,10 +321,12 @@ func splitSections(golden string) map[string]string {
 	return out
 }
 
-func TestTranscripts(t *testing.T) {
-	// The binaries are built at run time, which the test cache cannot see.
-	// It does see the files a test stats, so stat the module's Go sources:
-	// `go test ./cmd` then reruns after any change to what it builds.
+// statSources stats the module's Go sources. A test that builds or lists
+// packages at run time does what the test cache cannot see; it does see the
+// files a test stats, so `go test ./cmd` then reruns after any change to
+// what the commands are built from.
+func statSources(t *testing.T) {
+	t.Helper()
 	for _, root := range []string{"../go.mod", "../internal", "."} {
 		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 			if err == nil && !d.IsDir() {
@@ -336,6 +338,10 @@ func TestTranscripts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+func TestTranscripts(t *testing.T) {
+	statSources(t)
 	bins, tmp := t.TempDir(), t.TempDir()
 	build := exec.Command("go", "build", "-o", bins+string(filepath.Separator),
 		"./jitrun", "./jitbench", "./jitgen", "./jitreport", "./jitserver")

@@ -279,11 +279,13 @@ func (b *Blacklist) TakeExpired(now stream.Time) []*Entry {
 // dropped finishes the removal of an entry from the table: its tuples leave
 // with it.
 func (b *Blacklist) dropped(e *Entry) {
-	b.parkMin.Remove(len(e.Tuples))
-	b.parkTS.Remove(len(e.Tuples))
+	lo, ts := NoExpiry, NoExpiry
 	for i := range e.Tuples {
 		delete(b.bySeq, e.Tuples[i].E.Seq)
+		lo, ts = min(lo, e.Tuples[i].E.C.MinTS), min(ts, e.Tuples[i].E.C.TS)
 	}
+	b.parkMin.Remove(len(e.Tuples), lo)
+	b.parkTS.Remove(len(e.Tuples), ts)
 }
 
 // Taken is a parked tuple taken out of the blacklist, with the MNS of the

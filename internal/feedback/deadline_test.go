@@ -100,20 +100,32 @@ func TestExpiryMovesOnlyThroughExtend(t *testing.T) {
 // holds as well: every descriptor's Seen claim is the model's after every
 // step — Guarding from an add that guards until the descriptor leaves, the
 // taker's sequence less one or the opposite watermark after it, untouched by
-// a duplicate. Each input byte is one operation: the high four bits pick it,
-// the low two the key (four signatures), bits 2-3 an expiry or clock step,
-// and bit 3 whether an add guards.
+// a duplicate. The mark table's pending pairs are held to a scan of a slice
+// model as pairs are recorded under an origin, leave with it (taken or
+// expired) and are purged by their own window: NextPendingMinTS,
+// OldestPendingTS and Owing read the model's minima and count after every
+// step. Each input byte is one operation: the high four bits pick it, the
+// low two the key (four signatures), bits 2-3 an expiry, clock step or
+// pair age, and bit 3 whether an add guards.
 func FuzzDeadlineCaches(f *testing.F) {
 	f.Add([]byte{0x10, 0x20, 0x30, 0x0c, 0x10, 0x20, 0x30, 0xac, 0x70, 0x80, 0x90})
 	f.Add([]byte{0x11, 0x21, 0x0d, 0x11, 0x21, 0x31, 0xbc, 0x41, 0x51, 0x61, 0xcc, 0x70, 0x80})
 	f.Add([]byte{0x02, 0x12, 0x22, 0x32, 0x0e, 0x12, 0x22, 0x32, 0xac, 0xac, 0x80, 0x90, 0x70})
 	f.Add([]byte{0x19, 0x0d, 0x19, 0x41, 0x1d, 0x09, 0x19, 0xfc, 0x71, 0x1a, 0x42})
+	f.Add([]byte{0x3c, 0x31, 0xd0, 0xd4, 0xd1, 0xd9, 0xac, 0xd0, 0xdd, 0x61, 0xe0, 0xfc, 0xd0, 0xe0, 0x90, 0xd0})
+	f.Add([]byte{0x38, 0x3d, 0x32, 0xd8, 0xd5, 0xdc, 0xd2, 0xac, 0xd9, 0x9c, 0xe0, 0xcc, 0xd2, 0x62, 0xe0, 0xfc, 0x90})
+	f.Add([]byte{0x31, 0x32, 0xd9, 0x30, 0x30, 0x30, 0x30, 0xd2, 0x62, 0xd1, 0x61})
 	f.Fuzz(func(t *testing.T, ops []byte) {
+		const window = 30
 		acct := &metrics.Account{}
 		buf, bl, mt := NewBuffer(acct), NewBlacklist(acct), NewMarkTable(acct)
 		// One model per table: key -> the anchor the table must hold. Key k's
 		// signature is the single value k, which is what the model files by.
 		mBuf, mBl, mOrig := map[stream.Value]stream.Time{}, map[stream.Value]stream.Time{}, map[stream.Value]stream.Time{}
+		// The pending pairs each held origin has recorded: endpoint MinTS
+		// and result TS.
+		type pair struct{ minTS, ts stream.Time }
+		mPend := map[stream.Value][]pair{}
 		key := func(m *MNS) stream.Value { return m.Sig[0].Val }
 		var cur [4]*MNS // the latest descriptor of each key, shared by whoever takes it
 		now, ids := stream.Time(0), uint64(0)
@@ -211,6 +223,7 @@ func FuzzDeadlineCaches(f *testing.F) {
 			case 6:
 				_, held := mOrig[key(m)]
 				delete(mOrig, key(m))
+				delete(mPend, key(m))
 				if _, ok := mt.TakeOrigin(m); ok != held {
 					t.Fatalf("step %d: origin take %t, model %t", step, ok, held)
 				}
@@ -239,6 +252,28 @@ func FuzzDeadlineCaches(f *testing.F) {
 				if got, want := keysOf(got), expired(mOrig); !slices.Equal(got, want) {
 					t.Fatalf("step %d: mark table took origins %v at %d, model %v", step, got, now, want)
 				}
+				for _, k := range keysOf(got) {
+					delete(mPend, k)
+				}
+			case 13: // a suppressed pair joins under key k's origin, if held
+				if _, held := mOrig[key(m)]; !held {
+					break
+				}
+				i := slices.IndexFunc(mt.origins.list, func(e *OriginEntry) bool { return key(e.MNS) == key(m) })
+				lts, rts := now-delta, now+stream.Time(step%7)
+				l, r := comp(3, tpl(0, lts, 1)), comp(3, tpl(1, rts, 1))
+				mt.RecordSuppressed(mt.origins.list[i], state.Entry{C: l}, state.Entry{C: r})
+				mPend[key(m)] = append(mPend[key(m)], pair{min(lts, rts), max(lts, rts)})
+			case 14: // pending pairs past their window are purged
+				want := 0
+				for k, ps := range mPend {
+					kept := slices.DeleteFunc(ps, func(p pair) bool { return p.minTS+window <= now })
+					want += len(ps) - len(kept)
+					mPend[k] = kept
+				}
+				if got := mt.PurgePending(now, window); got != want {
+					t.Fatalf("step %d: purged %d pending pairs at %d, model %d", step, got, now, want)
+				}
 			default: // the clock moves
 				now += delta + 1
 			}
@@ -256,6 +291,19 @@ func FuzzDeadlineCaches(f *testing.F) {
 			if got, want := mt.NextExpiry(), next(mOrig); got != want || mt.NumOrigins() != len(mOrig) {
 				t.Fatalf("step %d: mark table next %d with %d origins, model %d with %d",
 					step, got, mt.NumOrigins(), want, len(mOrig))
+			}
+			n, lo, oldest := 0, NoExpiry, NoExpiry
+			for _, ps := range mPend {
+				for _, p := range ps {
+					n, lo, oldest = n+1, min(lo, p.minTS), min(oldest, p.ts)
+				}
+			}
+			gotLo, okLo := mt.NextPendingMinTS()
+			gotOld, okOld := mt.OldestPendingTS()
+			owed, owing := mt.Owing()
+			if okLo != (n > 0) || okOld != (n > 0) || n > 0 && (gotLo != lo || gotOld != oldest) || owed != oldest || owing != n {
+				t.Fatalf("step %d: pending min %d/%t, oldest %d/%t, owing %d×%d; model min %d, oldest %d, %d pairs",
+					step, gotLo, okLo, gotOld, okOld, owing, owed, lo, oldest, n)
 			}
 		}
 	})

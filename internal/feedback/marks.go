@@ -273,10 +273,15 @@ func (t *MarkTable) TakeExpiredOrigins(now stream.Time) []*OriginEntry {
 }
 
 // dropped finishes the removal of an origin entry from the table: its pending
-// pairs leave with it.
+// pairs leave with it. Only their own minima are scanned; the caches go stale
+// only when one of them is at or below what the table's minimum was.
 func (t *MarkTable) dropped(e *OriginEntry) {
-	t.pendMin.Remove(len(e.Pending))
-	t.pendTS.Remove(len(e.Pending))
+	lo, ts := NoExpiry, NoExpiry
+	for _, p := range e.Pending {
+		lo, ts = min(lo, p.minTS()), min(ts, p.ts())
+	}
+	t.pendMin.Remove(len(e.Pending), lo)
+	t.pendTS.Remove(len(e.Pending), ts)
 }
 
 // PurgePending drops pending pairs with an expired endpoint — their results

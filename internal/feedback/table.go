@@ -83,11 +83,13 @@ func (t *table[E]) insert(e E) {
 
 // remove deletes the given held elements in one pass that keeps list order.
 func (t *table[E]) remove(es ...E) {
+	least := NoExpiry
 	for _, e := range es {
 		t.idx.remove(e)
 		t.acct.Free(t.mem, e.mns().SizeBytes())
+		least = min(least, *e.anchor())
 	}
-	t.min.Remove(len(es))
+	t.min.Remove(len(es), least)
 	left := len(es)
 	t.list = slices.DeleteFunc(t.list, func(e E) bool {
 		if left == 0 || !slices.Contains(es, e) {

@@ -128,7 +128,8 @@ func (s *Side) Watermark() uint64 { return s.seq }
 // MinTS, blacklist anchors and parked tuples, MNS buffer, mark table;
 // DESIGN.md §4). The owner reports each insertion (Add), removal (Remove)
 // and raised value (Invalidate); the minimum is exact while values are only
-// added and is recomputed on the next Get after anything that can raise it.
+// added or removed above it, and is recomputed on the next Get after
+// anything that can raise it.
 // Every value a cache covers belongs to its owner and changes only through
 // it, so what Get returns is always exact.
 type MinCache struct {
@@ -147,11 +148,16 @@ func (c *MinCache) Add(t stream.Time) {
 	c.n++
 }
 
-// Remove notes that k cached values left the multiset.
-func (c *MinCache) Remove(k int) {
+// Remove notes that k cached values left the multiset, the least of them
+// least. The minimum goes stale only when least is at or below it: a value
+// above the minimum can leave without the rescan every Get would otherwise
+// pay for over what stays.
+func (c *MinCache) Remove(k int, least stream.Time) {
 	if k > 0 {
 		c.n -= k
-		c.dirty = true
+		if least <= c.min {
+			c.dirty = true
+		}
 	}
 }
 
@@ -414,7 +420,7 @@ func (s *State) RemoveIf(sig []Bound, pred func(*stream.Composite) bool) []Entry
 	})
 	for _, e := range removed {
 		s.version++
-		s.min.Remove(1)
+		s.min.Remove(1, e.C.MinTS)
 		s.acct.Free(s.mem, e.C.DeepSizeBytes())
 		for _, r := range s.runs {
 			r.remove(e)
