@@ -130,10 +130,11 @@ func battery() []invocation {
 		"-addr=",
 		"-max-pending -1",
 		"-retain -1",
-		// Listening on an impossible port fails after validation, so this
-		// line shows whether a negative -keep got that far.
+		// Validation refuses an impossible port after every other rule, so
+		// this line shows whether a negative -keep got that far.
 		"-keep -3 -addr 127.0.0.1:99999",
 		"-addr 127.0.0.1:99999",
+		"-addr example.com:4640",
 		"-obs-addr 127.0.0.1:99999",
 	} {
 		inv = append(inv, invocation{bin: "jitserver", args: args})

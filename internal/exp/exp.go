@@ -51,6 +51,7 @@ import (
 	"repro/internal/shard"
 	"repro/internal/source"
 	"repro/internal/stream"
+	"repro/internal/tcp"
 )
 
 // Params is one experiment configuration (a single run).
@@ -127,8 +128,9 @@ type Params struct {
 	// return the delivery keys — the multiset-equivalence hook of the
 	// scenario harness (internal/scenario). Costs O(results) memory.
 	KeepResults bool
-	// ObsAddr is the live ops endpoint address ("-obs-addr"); the CLI owns
-	// binding the listener (internal/obs.Serve).
+	// ObsAddr is the live ops endpoint address ("-obs-addr"); Validate
+	// checks that the listener can take it, and the CLI owns binding it
+	// (internal/obs.Serve).
 	ObsAddr string
 	// TraceFor supplies each replica's observability tracer (DESIGN.md §9):
 	// one tracer per replica, a single engine being shard 0. Nil (the
@@ -155,6 +157,11 @@ func (p Params) Validate() error {
 		return fmt.Errorf("adapt epoch cannot be negative (%v)", p.AdaptEpoch)
 	case p.AdaptEpoch > 0 && !p.Adapt:
 		return fmt.Errorf("-adapt-epoch has no effect without -adapt")
+	}
+	if p.ObsAddr != "" {
+		if _, err := tcp.ParseAddr(p.ObsAddr); err != nil {
+			return fmt.Errorf("-obs-addr: %w", err)
+		}
 	}
 	return p.ValidateWorkload()
 }

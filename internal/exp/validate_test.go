@@ -30,6 +30,8 @@ func TestParamsValidate(t *testing.T) {
 		{"negative shards", func(p *Params) { p.Shards = -1 }, "shard"},
 		{"drain horizon without drain", func(p *Params) { p.DrainHorizon = stream.Minute }, "drain"},
 		{"adapt epoch without adapt", func(p *Params) { p.AdaptEpoch = stream.Minute }, "adapt"},
+		{"ops endpoint on a host name", func(p *Params) { p.ObsAddr = "example.com:9090" }, "-obs-addr"},
+		{"ops endpoint port out of range", func(p *Params) { p.ObsAddr = "127.0.0.1:99999" }, "port"},
 	}
 	for _, tc := range cases {
 		p := ok

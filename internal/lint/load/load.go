@@ -9,6 +9,7 @@ package load
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -129,6 +130,13 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	for _, e := range entries {
 		n := e.Name()
 		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
+			continue
+		}
+		// Only the files the go tool builds on this platform: a package may
+		// split its code by build constraint (internal/tcp).
+		if ok, err := build.Default.MatchFile(dir, n); err != nil {
+			return nil, fmt.Errorf("lint loader: %w", err)
+		} else if !ok {
 			continue
 		}
 		names = append(names, n)

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/url"
 	"os"
 	"runtime"
@@ -18,6 +17,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/tcp"
 )
 
 // RingSink retains the last N events behind a mutex — the only sink safe to
@@ -138,7 +139,7 @@ var headTimeout = 5 * time.Second
 
 // Server is a live ops endpoint bound to a listener.
 type Server struct {
-	lis  net.Listener
+	lis  *tcp.Listener
 	reg  *Registry
 	head time.Duration  // headTimeout when the server started
 	wg   sync.WaitGroup // the accept loop and every open connection
@@ -147,7 +148,7 @@ type Server struct {
 	// conns holds every open connection: true while its request is being
 	// answered, false while its head is still arriving or its response has
 	// gone out — the connections Shutdown cuts off.
-	conns    map[net.Conn]bool
+	conns    map[*tcp.Conn]bool
 	shut     bool          // no new connection is served
 	quit     chan struct{} // closed by Close: in-flight profiles stop waiting
 	quitOnce sync.Once
@@ -156,18 +157,18 @@ type Server struct {
 // Serve binds addr (":9090", "127.0.0.1:0", …) and serves the registry's
 // routes until Close or Shutdown.
 func Serve(addr string, r *Registry) (*Server, error) {
-	lis, err := net.Listen("tcp", addr)
+	lis, err := tcp.Listen(addr)
 	if err != nil {
-		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
+		return nil, fmt.Errorf("obs: %w", err)
 	}
-	s := &Server{lis: lis, reg: r, head: headTimeout, conns: map[net.Conn]bool{}, quit: make(chan struct{})}
+	s := &Server{lis: lis, reg: r, head: headTimeout, conns: map[*tcp.Conn]bool{}, quit: make(chan struct{})}
 	s.wg.Add(1)
 	go s.accept()
 	return s, nil
 }
 
 // Addr returns the bound address (useful with ":0").
-func (s *Server) Addr() string { return s.lis.Addr().String() }
+func (s *Server) Addr() string { return s.lis.Addr() }
 
 // Close shuts the server down immediately, dropping in-flight requests. It
 // returns the listener's close error the first time and nil after.
@@ -228,7 +229,7 @@ func (s *Server) accept() {
 	backoff := 5 * time.Millisecond
 	for {
 		c, err := s.lis.Accept()
-		if errors.Is(err, net.ErrClosed) {
+		if errors.Is(err, tcp.ErrClosed) {
 			return
 		}
 		if err != nil {
@@ -248,7 +249,7 @@ func (s *Server) accept() {
 
 // track files c as busy or not, and reports whether the server still serves
 // it: not once it is shutting down, nor a new connection past maxConns.
-func (s *Server) track(c net.Conn, busy bool) bool {
+func (s *Server) track(c *tcp.Conn, busy bool) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, open := s.conns[c]; s.shut || !open && len(s.conns) >= maxConns {
@@ -259,7 +260,7 @@ func (s *Server) track(c net.Conn, busy bool) bool {
 }
 
 // serve answers the one request of connection c and closes it.
-func (s *Server) serve(c net.Conn) {
+func (s *Server) serve(c *tcp.Conn) {
 	defer s.wg.Done()
 	defer func() {
 		s.mu.Lock()
@@ -286,11 +287,9 @@ func (s *Server) serve(c net.Conn) {
 	rep.send()
 	bw.Flush()
 	s.track(c, false)
-	if tc, ok := c.(*net.TCPConn); ok {
-		tc.CloseWrite()
-		c.SetReadDeadline(after(lingerTimeout))
-		io.CopyN(io.Discard, c, maxLinger)
-	}
+	c.CloseWrite()
+	c.SetReadDeadline(after(lingerTimeout))
+	io.CopyN(io.Discard, c, maxLinger)
 }
 
 // readHead reads a request head up to its blank line and returns the
@@ -330,7 +329,7 @@ func after(d time.Duration) time.Time {
 
 // deadlineWriter gives every write to the connection writeTimeout to make
 // progress.
-type deadlineWriter struct{ c net.Conn }
+type deadlineWriter struct{ c *tcp.Conn }
 
 func (w deadlineWriter) Write(p []byte) (int, error) {
 	w.c.SetWriteDeadline(after(writeTimeout))

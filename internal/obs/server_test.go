@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/stream"
+	"repro/internal/tcp"
 )
 
 func TestRingSinkWraps(t *testing.T) {
@@ -297,7 +298,7 @@ func stall(t *testing.T, srv *Server) net.Conn {
 
 // waitConns polls, for up to five seconds, until ok holds of the server's
 // open connections.
-func waitConns(t *testing.T, srv *Server, ok func(conns map[net.Conn]bool) bool) {
+func waitConns(t *testing.T, srv *Server, ok func(conns map[*tcp.Conn]bool) bool) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		srv.mu.Lock()
@@ -331,7 +332,7 @@ func TestStalledRequestIsCutOff(t *testing.T) {
 	srv := serveEmpty(t)
 	c2 := stall(t, srv)
 	// Let the server accept it before Shutdown closes the listener.
-	waitConns(t, srv, func(conns map[net.Conn]bool) bool { return len(conns) == 1 })
+	waitConns(t, srv, func(conns map[*tcp.Conn]bool) bool { return len(conns) == 1 })
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	start = time.Now()
@@ -410,7 +411,7 @@ func TestCloseStopsAProfile(t *testing.T) {
 		}
 		done <- err
 	}()
-	waitConns(t, srv, func(conns map[net.Conn]bool) bool { return conns[anyConn(conns)] })
+	waitConns(t, srv, func(conns map[*tcp.Conn]bool) bool { return conns[anyConn(conns)] })
 	srv.Close()
 	select {
 	case <-done:
@@ -425,7 +426,7 @@ func TestCloseStopsAProfile(t *testing.T) {
 }
 
 // anyConn returns one of conns, nil when there is none.
-func anyConn(conns map[net.Conn]bool) net.Conn {
+func anyConn(conns map[*tcp.Conn]bool) *tcp.Conn {
 	for c := range conns {
 		return c
 	}
@@ -441,7 +442,7 @@ func TestConnectionCap(t *testing.T) {
 	for range maxConns {
 		stalled = append(stalled, stall(t, srv))
 	}
-	waitConns(t, srv, func(conns map[net.Conn]bool) bool { return len(conns) == maxConns })
+	waitConns(t, srv, func(conns map[*tcp.Conn]bool) bool { return len(conns) == maxConns })
 	extra := stall(t, srv)
 	if n, err := extra.Read(make([]byte, 1)); n != 0 || err == nil {
 		t.Fatalf("connection past the cap read %d bytes, %v; want it closed unanswered", n, err)
@@ -449,7 +450,7 @@ func TestConnectionCap(t *testing.T) {
 	for _, c := range stalled {
 		c.Close()
 	}
-	waitConns(t, srv, func(conns map[net.Conn]bool) bool { return len(conns) == 0 })
+	waitConns(t, srv, func(conns map[*tcp.Conn]bool) bool { return len(conns) == 0 })
 	if got := rawRequest(t, srv, "GET /healthz HTTP/1.1\r\n\r\n"); !strings.HasPrefix(got, "HTTP/1.1 200 ") {
 		t.Fatalf("after the stalled connections left, /healthz answered %q", got)
 	}

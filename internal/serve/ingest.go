@@ -5,7 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
+
+	"repro/internal/tcp"
 )
 
 // Wire response lines (see the protocol comment in protocol.go).
@@ -51,7 +52,7 @@ func writeErr(w *bufio.Writer, err error) {
 }
 
 // handleConn reads the role-declaring first line and dispatches.
-func (s *Server) handleConn(conn net.Conn) {
+func (s *Server) handleConn(conn *tcp.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
 	s.track(conn)
@@ -79,19 +80,19 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
-func (s *Server) track(c net.Conn) {
+func (s *Server) track(c *tcp.Conn) {
 	s.mu.Lock()
 	s.conns[c] = rolePending
 	s.mu.Unlock()
 }
 
-func (s *Server) setRole(c net.Conn, r connRole) {
+func (s *Server) setRole(c *tcp.Conn, r connRole) {
 	s.mu.Lock()
 	s.conns[c] = r
 	s.mu.Unlock()
 }
 
-func (s *Server) untrack(c net.Conn) {
+func (s *Server) untrack(c *tcp.Conn) {
 	s.mu.Lock()
 	delete(s.conns, c)
 	s.mu.Unlock()

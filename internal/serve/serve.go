@@ -30,7 +30,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,6 +41,7 @@ import (
 	"repro/internal/operator"
 	"repro/internal/plan"
 	"repro/internal/stream"
+	"repro/internal/tcp"
 )
 
 // ErrCrashed is returned by Wait when the engine died at an armed kill point
@@ -134,6 +134,9 @@ func (c Config) Validate() error {
 	case c.Policy != SubBlock && c.Policy != SubKick:
 		return fmt.Errorf("serve: unknown subscriber policy %d", int(c.Policy))
 	}
+	if _, err := tcp.ParseAddr(c.Addr); err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
 	return nil
 }
 
@@ -177,7 +180,7 @@ type Stats struct {
 type Server struct {
 	cfg Config
 	b   *plan.Built
-	lis net.Listener
+	lis *tcp.Listener
 	hub *hub
 	out *deliverer
 	// gate is the recovery dedup gate in front of out; nil without a
@@ -194,7 +197,7 @@ type Server struct {
 
 	mu           sync.Mutex
 	cond         *sync.Cond // signals ingest-session release (Shutdown waits)
-	conns        map[net.Conn]connRole
+	conns        map[*tcp.Conn]connRole
 	stopping     bool
 	ingestActive bool
 	skipped      uint64 // recovery replays skipped, summed at each session's release
@@ -237,7 +240,7 @@ func Open(cfg Config) (*Server, error) {
 		cfg:   cfg,
 		b:     b,
 		done:  make(chan struct{}),
-		conns: make(map[net.Conn]connRole),
+		conns: make(map[*tcp.Conn]connRole),
 		sess: session{
 			numSources: cat.NumSources(),
 			arity:      func(id stream.SourceID) int { return cat.Source(id).NumCols() },
@@ -339,9 +342,9 @@ func Open(cfg Config) (*Server, error) {
 		opts.Reopt = s.ckp
 	}
 	eng := engine.NewWithOptions(b, opts)
-	lis, err := net.Listen("tcp", cfg.Addr)
+	lis, err := tcp.Listen(cfg.Addr)
 	if err != nil {
-		return nil, fmt.Errorf("serve: listen %s: %w", cfg.Addr, err)
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	s.lis = lis
 	go s.runLoop(eng)
@@ -360,7 +363,7 @@ func resumeID2TS(ck *checkpoint.Checkpoint) stream.Time {
 }
 
 // Addr returns the bound listen address.
-func (s *Server) Addr() string { return s.lis.Addr().String() }
+func (s *Server) Addr() string { return s.lis.Addr() }
 
 // Recovery reports the recovery Open performed, or nil for a fresh start.
 func (s *Server) Recovery() *RecoveryInfo { return s.recovery }

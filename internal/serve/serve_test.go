@@ -593,6 +593,9 @@ func TestConfigValidate(t *testing.T) {
 		{"more sources than a source set holds", func(c *Config) { c.N = stream.MaxSources + 1 }, "at most 64 sources"},
 		{"zero window", func(c *Config) { c.Window = 0 }, "window"},
 		{"no address", func(c *Config) { c.Addr = "" }, "address"},
+		{"host name address", func(c *Config) { c.Addr = "example.com:4640" }, "not an IP address or localhost"},
+		{"port out of range", func(c *Config) { c.Addr = "127.0.0.1:99999" }, "port"},
+		{"address without a port", func(c *Config) { c.Addr = "127.0.0.1" }, "missing port"},
 		{"negative band", func(c *Config) { c.Band = -1 }, "band"},
 		{"negative disorder", func(c *Config) { c.Disorder = -1 }, "disorder"},
 		{"window reaching no-deadline", func(c *Config) { c.Window = core.NoDeadline - stream.MaxTime }, "time range"},
