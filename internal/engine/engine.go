@@ -108,6 +108,18 @@ type Options struct {
 	Disorder stream.Time
 }
 
+// CheckTimeRange refuses a window and disorder bound too large for the
+// engine's time arithmetic: it adds both to timestamps up to stream.MaxTime,
+// and every sum must stay below core.NoDeadline, the sentinel of an operator
+// with nothing left to expire, or a real deadline reads as none. It is the
+// one statement of the rule, for every configuration that reaches an engine.
+func CheckTimeRange(window, disorder stream.Time) error {
+	if window >= core.NoDeadline-stream.MaxTime-disorder {
+		return fmt.Errorf("window %v plus disorder %v overflows the engine's time range (latest timestamp %d)", window, disorder, stream.MaxTime)
+	}
+	return nil
+}
+
 // Reoptimizer is the engine's hook for mid-run plan migration (DESIGN.md
 // §7). The engine consults it between the deadline firings and the
 // processing of each arrival, so a migration always happens at a quiescent

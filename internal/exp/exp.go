@@ -163,7 +163,10 @@ func (p Params) Validate() error {
 			return fmt.Errorf("-obs-addr: %w", err)
 		}
 	}
-	return p.ValidateWorkload()
+	if err := p.ValidateWorkload(); err != nil {
+		return err
+	}
+	return engine.CheckTimeRange(p.Window, p.Disorder)
 }
 
 // ValidateWorkload is the part of Validate that concerns the generated

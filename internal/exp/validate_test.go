@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/stream"
 )
 
@@ -32,6 +33,8 @@ func TestParamsValidate(t *testing.T) {
 		{"adapt epoch without adapt", func(p *Params) { p.AdaptEpoch = stream.Minute }, "adapt"},
 		{"ops endpoint on a host name", func(p *Params) { p.ObsAddr = "example.com:9090" }, "-obs-addr"},
 		{"ops endpoint port out of range", func(p *Params) { p.ObsAddr = "127.0.0.1:99999" }, "port"},
+		{"window past the engine's time range", func(p *Params) { p.Window = core.NoDeadline - stream.MaxTime }, "time range"},
+		{"window plus disorder past the engine's time range", func(p *Params) { p.Window, p.Disorder = core.NoDeadline/2, core.NoDeadline/2 }, "time range"},
 	}
 	for _, tc := range cases {
 		p := ok

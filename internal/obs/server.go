@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/url"
@@ -137,19 +136,10 @@ const (
 // once, when it starts.
 var headTimeout = 5 * time.Second
 
-// Server is a live ops endpoint bound to a listener.
+// Server is a live ops endpoint: the request handler of a tcp.Server.
 type Server struct {
-	lis  *tcp.Listener
-	reg  *Registry
-	head time.Duration  // headTimeout when the server started
-	wg   sync.WaitGroup // the accept loop and every open connection
-
-	mu sync.Mutex
-	// conns holds every open connection: true while its request is being
-	// answered, false while its head is still arriving or its response has
-	// gone out — the connections Shutdown cuts off.
-	conns    map[*tcp.Conn]bool
-	shut     bool          // no new connection is served
+	srv      *tcp.Server
+	reg      *Registry
 	quit     chan struct{} // closed by Close: in-flight profiles stop waiting
 	quitOnce sync.Once
 }
@@ -161,25 +151,19 @@ func Serve(addr string, r *Registry) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: %w", err)
 	}
-	s := &Server{lis: lis, reg: r, head: headTimeout, conns: map[*tcp.Conn]bool{}, quit: make(chan struct{})}
-	s.wg.Add(1)
-	go s.accept()
+	s := &Server{reg: r, quit: make(chan struct{})}
+	s.srv = tcp.Serve(lis, maxConns, headTimeout, s.serve)
 	return s, nil
 }
 
 // Addr returns the bound address (useful with ":0").
-func (s *Server) Addr() string { return s.lis.Addr() }
+func (s *Server) Addr() string { return s.srv.Addr() }
 
 // Close shuts the server down immediately, dropping in-flight requests. It
 // returns the listener's close error the first time and nil after.
 func (s *Server) Close() error {
-	err := s.stop()
+	err := s.srv.Close()
 	s.quitOnce.Do(func() { close(s.quit) })
-	s.mu.Lock()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
 	return err
 }
 
@@ -189,17 +173,10 @@ func (s *Server) Close() error {
 // degrades to Close and returns the context's error. A repeated Shutdown
 // returns nil.
 func (s *Server) Shutdown(ctx context.Context) error {
-	err := s.stop()
-	s.mu.Lock()
-	for c, busy := range s.conns {
-		if !busy {
-			c.Close()
-		}
-	}
-	s.mu.Unlock()
+	err := s.srv.Stop()
 	done := make(chan struct{})
 	go func() {
-		s.wg.Wait()
+		s.srv.Wait()
 		close(done)
 	}()
 	select {
@@ -211,66 +188,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// stop closes the listener, once, and returns its error.
-func (s *Server) stop() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.shut {
-		return nil
-	}
-	s.shut = true
-	return s.lis.Close()
-}
-
-// accept serves each connection on its own goroutine until the listener is
-// closed, backing off on a transient failure (out of descriptors).
-func (s *Server) accept() {
-	defer s.wg.Done()
-	backoff := 5 * time.Millisecond
-	for {
-		c, err := s.lis.Accept()
-		if errors.Is(err, tcp.ErrClosed) {
-			return
-		}
-		if err != nil {
-			time.Sleep(backoff)
-			backoff = min(2*backoff, time.Second)
-			continue
-		}
-		backoff = 5 * time.Millisecond
-		if !s.track(c, false) {
-			c.Close()
-			continue
-		}
-		s.wg.Add(1)
-		go s.serve(c)
-	}
-}
-
-// track files c as busy or not, and reports whether the server still serves
-// it: not once it is shutting down, nor a new connection past maxConns.
-func (s *Server) track(c *tcp.Conn, busy bool) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, open := s.conns[c]; s.shut || !open && len(s.conns) >= maxConns {
-		return false
-	}
-	s.conns[c] = busy
-	return true
-}
-
-// serve answers the one request of connection c and closes it.
+// serve answers the one request of connection c. It is marked to be let
+// finish from its head to its response, the span Shutdown waits for.
 func (s *Server) serve(c *tcp.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, c)
-		s.mu.Unlock()
-		c.Close()
-	}()
-	c.SetReadDeadline(after(s.head))
 	method, target, status := readHead(bufio.NewReaderSize(c, maxHead))
-	if status == 0 || !s.track(c, true) {
+	if status == 0 || !s.srv.Keep(c, true) {
 		return // cut off, gone, or the server is shutting down
 	}
 	bw := bufio.NewWriter(deadlineWriter{c})
@@ -286,7 +208,7 @@ func (s *Server) serve(c *tcp.Conn) {
 	}
 	rep.send()
 	bw.Flush()
-	s.track(c, false)
+	s.srv.Keep(c, false)
 	c.CloseWrite()
 	c.SetReadDeadline(after(lingerTimeout))
 	io.CopyN(io.Discard, c, maxLinger)

@@ -301,10 +301,7 @@ func stall(t *testing.T, srv *Server) net.Conn {
 func waitConns(t *testing.T, srv *Server, ok func(conns map[*tcp.Conn]bool) bool) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		srv.mu.Lock()
-		done := ok(srv.conns)
-		srv.mu.Unlock()
-		if done {
+		if ok(srv.srv.Conns()) {
 			return
 		}
 		if time.Now().After(deadline) {

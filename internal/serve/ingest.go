@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/tcp"
 )
@@ -51,18 +52,16 @@ func writeErr(w *bufio.Writer, err error) {
 	writeLine(w, errLine{Error: err.Error()}) //nolint:errcheck // conn is closing
 }
 
-// handleConn reads the role-declaring first line and dispatches.
+// handleConn reads the role-declaring first line and dispatches. Shutdown
+// lets a subscriber, marked to finish, read to its eos line and cuts the rest.
 func (s *Server) handleConn(conn *tcp.Conn) {
-	defer s.wg.Done()
-	defer conn.Close()
-	s.track(conn)
-	defer s.untrack(conn)
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 4096), MaxFrameBytes+1)
 	w := bufio.NewWriter(conn)
 	if !sc.Scan() {
 		return
 	}
+	conn.SetReadDeadline(time.Time{}) // an ingest session may idle between frames
 	f, err := DecodeFrame(sc.Bytes())
 	if err != nil {
 		writeErr(w, err)
@@ -70,32 +69,14 @@ func (s *Server) handleConn(conn *tcp.Conn) {
 	}
 	switch f.Cmd {
 	case "ingest":
-		s.setRole(conn, roleIngest)
 		s.serveIngest(sc, w)
 	case "subscribe":
-		s.setRole(conn, roleSubscribe)
-		s.serveSubscribe(w, f.From)
+		if s.srv.Keep(conn, true) {
+			s.serveSubscribe(w, f.From)
+		}
 	default:
 		writeErr(w, fmt.Errorf("%w: first line must declare {\"cmd\":\"ingest\"} or {\"cmd\":\"subscribe\"}", ErrMalformed))
 	}
-}
-
-func (s *Server) track(c *tcp.Conn) {
-	s.mu.Lock()
-	s.conns[c] = rolePending
-	s.mu.Unlock()
-}
-
-func (s *Server) setRole(c *tcp.Conn, r connRole) {
-	s.mu.Lock()
-	s.conns[c] = r
-	s.mu.Unlock()
-}
-
-func (s *Server) untrack(c *tcp.Conn) {
-	s.mu.Lock()
-	delete(s.conns, c)
-	s.mu.Unlock()
 }
 
 // serveIngest owns the single active ingest session: admission (one writer,

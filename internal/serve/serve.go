@@ -117,8 +117,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("serve: band tolerance cannot be negative (%d)", c.Band)
 	case c.Disorder < 0:
 		return fmt.Errorf("serve: disorder bound cannot be negative (%v)", c.Disorder)
-	case c.Window >= core.NoDeadline-stream.MaxTime-c.Disorder:
-		return fmt.Errorf("serve: window %v plus disorder %v overflows the engine's time range (latest timestamp %d)", c.Window, c.Disorder, stream.MaxTime)
 	case c.Dir != "" && c.Disorder > 0:
 		return fmt.Errorf("serve: checkpointing requires in-order ingest (disorder=%v): the reorder buffer would sit outside the durable cut", c.Disorder)
 	case c.Every < 0:
@@ -133,6 +131,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("serve: delivery ring size cannot be negative (%d)", c.Retain)
 	case c.Policy != SubBlock && c.Policy != SubKick:
 		return fmt.Errorf("serve: unknown subscriber policy %d", int(c.Policy))
+	}
+	if err := engine.CheckTimeRange(c.Window, c.Disorder); err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
 	if _, err := tcp.ParseAddr(c.Addr); err != nil {
 		return fmt.Errorf("serve: %w", err)
@@ -181,6 +182,7 @@ type Server struct {
 	cfg Config
 	b   *plan.Built
 	lis *tcp.Listener
+	srv *tcp.Server
 	hub *hub
 	out *deliverer
 	// gate is the recovery dedup gate in front of out; nil without a
@@ -193,11 +195,9 @@ type Server struct {
 
 	recovery *RecoveryInfo
 	done     chan struct{}
-	wg       sync.WaitGroup
 
 	mu           sync.Mutex
 	cond         *sync.Cond // signals ingest-session release (Shutdown waits)
-	conns        map[*tcp.Conn]connRole
 	stopping     bool
 	ingestActive bool
 	skipped      uint64 // recovery replays skipped, summed at each session's release
@@ -214,15 +214,12 @@ type Server struct {
 	hwm atomic.Uint64
 }
 
-// connRole tracks what a connection declared itself to be; Shutdown kicks
-// pending and ingest connections but lets subscribers finish their stream.
-type connRole int
+// Bounds on the connections (DESIGN.md §10, "Connections"): at most maxConns
+// open at once, and each one's role line within headTimeout of its accept.
+const maxConns = 1024
 
-const (
-	rolePending connRole = iota
-	roleIngest
-	roleSubscribe
-)
+// headTimeout is a variable so a test can shorten it; Open reads it once.
+var headTimeout = 10 * time.Second
 
 // Open builds the plan, recovers the newest checkpoint (when Dir is set),
 // binds the listener and starts the engine. The server is serving when Open
@@ -237,10 +234,9 @@ func Open(cfg Config) (*Server, error) {
 	})
 	cat := b.Catalog
 	s := &Server{
-		cfg:   cfg,
-		b:     b,
-		done:  make(chan struct{}),
-		conns: make(map[*tcp.Conn]connRole),
+		cfg:  cfg,
+		b:    b,
+		done: make(chan struct{}),
 		sess: session{
 			numSources: cat.NumSources(),
 			arity:      func(id stream.SourceID) int { return cat.Source(id).NumCols() },
@@ -336,7 +332,9 @@ func Open(cfg Config) (*Server, error) {
 			st: s.st, out: s.out, gate: s.gate, window: cfg.Window,
 			clock:  stream.EpochClock{Period: every},
 			config: cfg.identity(), hwm: resumeID, pending: resumeID,
-			lastTS: resumeID2TS(ck),
+			// The recovered cut, so a restart that sees no further arrivals
+			// still writes its final checkpoint at a sane horizon.
+			lastTS: s.sess.maxTS,
 			kill:   cfg.killPoint,
 		}
 		opts.Reopt = s.ckp
@@ -348,18 +346,8 @@ func Open(cfg Config) (*Server, error) {
 	}
 	s.lis = lis
 	go s.runLoop(eng)
-	go s.acceptLoop()
+	s.srv = tcp.Serve(lis, maxConns, headTimeout, s.handleConn)
 	return s, nil
-}
-
-// resumeID2TS seeds the checkpointer's clock from the recovered cut so a
-// restart that sees no further arrivals still writes its final checkpoint at
-// a sane horizon.
-func resumeID2TS(ck *checkpoint.Checkpoint) stream.Time {
-	if ck == nil {
-		return 0
-	}
-	return ck.Cut
 }
 
 // Addr returns the bound listen address.
@@ -397,19 +385,6 @@ func (s *Server) runLoop(eng *engine.Engine) {
 	s.hub.close(true, s.out.seq)
 }
 
-// acceptLoop hands each connection to its own goroutine until the listener
-// closes (end of run or Shutdown).
-func (s *Server) acceptLoop() {
-	for {
-		conn, err := s.lis.Accept()
-		if err != nil {
-			return
-		}
-		s.wg.Add(1)
-		go s.handleConn(conn)
-	}
-}
-
 // Wait blocks until the engine finishes and returns its result; ErrCrashed
 // when an armed kill point fired instead of a clean end-of-stream.
 func (s *Server) Wait() (engine.Result, error) {
@@ -445,17 +420,11 @@ func (s *Server) IngestHWM() uint64 { return s.hwm.Load() }
 // streams run to their eos line before the handlers are reaped. Safe to call
 // more than once and after the run already ended.
 func (s *Server) Shutdown() {
-	s.lis.Close()
 	s.mu.Lock()
 	s.stopping = true
-	//jitlint:allow maporder closes every non-subscriber conn; close order is unobservable (each peer only sees its own socket)
-	for c, role := range s.conns {
-		if role != roleSubscribe {
-			c.Close()
-		}
-	}
+	s.srv.Stop()
 	// The ingest handler is the channel's only sender; wait for it to leave
-	// before closing the channel. Kicked above, it exits as soon as its next
+	// before closing the channel. Cut by Stop, it exits as soon as its next
 	// socket read or channel send returns.
 	for s.ingestActive {
 		s.cond.Wait()
@@ -463,7 +432,7 @@ func (s *Server) Shutdown() {
 	s.mu.Unlock()
 	s.closeIngest()
 	<-s.done
-	s.wg.Wait()
+	s.srv.Wait()
 }
 
 // closeIngest closes the engine's input channel exactly once. Callers must
