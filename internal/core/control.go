@@ -241,7 +241,7 @@ func (j *JoinOp) processUpstream(s *side, ups []feedback.Deferred, out *[]feedba
 // dropped when stale (its results were never demanded) and resumed as an
 // ephemeral otherwise.
 func (j *JoinOp) reactivate(s *side, e *feedback.Entry, tag *feedback.MNS, out *[]feedback.Deferred) {
-	s.black.ReleaseTuples(e)
+	s.black.Release(e)
 	for i := range e.Tuples {
 		if susp := &e.Tuples[i]; !j.stale(susp.E.C) {
 			j.resume(s, susp, tag, out)
@@ -266,7 +266,7 @@ func (j *JoinOp) resume(s *side, susp *feedback.Suspended, tag *feedback.MNS, ou
 // resumeTypeII dissolves an origin entry and generates its suppressed pairs
 // exactly once, deferred under m.
 func (j *JoinOp) resumeTypeII(m *feedback.MNS, out *[]feedback.Deferred) {
-	if e, ok := j.marks.TakeOrigin(m); ok {
+	if e, ok := j.marks.Take(m); ok {
 		j.unmarkCatchup(e, m, out)
 	}
 }
@@ -309,7 +309,7 @@ func (j *JoinOp) unmarkCatchup(e *feedback.OriginEntry, tag *feedback.MNS, out *
 		j.ctr.CatchUpJoins++
 		*out = append(*out, feedback.Deferred{C: j.result(p.L.C, p.R.C), MNS: tag})
 	}
-	j.marks.ReleasePending(e)
+	j.marks.Release(e)
 }
 
 // fireExpired is the recovery half of Sweep: expired mark entries run their
@@ -318,7 +318,7 @@ func (j *JoinOp) unmarkCatchup(e *feedback.OriginEntry, tag *feedback.MNS, out *
 // re-suspended under fresh anchors by the downstream consumer). See
 // DESIGN.md §2 (expiry sweep). Each batch is deferred under its entry's MNS.
 func (j *JoinOp) fireExpired() {
-	for _, e := range j.marks.TakeExpiredOrigins(j.now) {
+	for _, e := range j.marks.TakeExpired(j.now) {
 		var out []feedback.Deferred
 		j.unmarkCatchup(e, e.MNS, &out)
 		j.emitAll(out)
@@ -373,10 +373,10 @@ func (j *JoinOp) NextDeadline() stream.Time {
 		if ts, ok := s.st.MinTS(); ok && ts+j.window < d {
 			d = ts + j.window
 		}
-		if e := s.black.NextAnchorExpiry(); e < d {
+		if e := s.black.NextExpiry(); e < d {
 			d = e
 		}
-		if ts, ok := s.black.NextTupleMinTS(); ok && ts+j.window < d {
+		if ts, ok := s.black.ParkedMinTS(); ok && ts+j.window < d {
 			d = ts + j.window
 		}
 		if e := s.buf.NextExpiry(); e < d {

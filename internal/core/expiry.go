@@ -112,14 +112,14 @@ func (j *JoinOp) purge() {
 			j.bloomNoteDeletes(s, n)
 		}
 		if drop {
-			j.ctr.Purged += uint64(len(s.black.TakeExpiredTuples(j.now, j.window)))
+			j.ctr.Purged += uint64(len(s.black.TakeClosed(j.now, j.window)))
 		}
 		if fb {
 			s.buf.Purge(j.now, j.in[1-p].seq.Watermark())
 		}
 	}
 	if drop && !j.marks.Empty() {
-		j.ctr.Purged += uint64(j.marks.PurgePending(j.now, j.window))
+		j.ctr.Purged += uint64(len(j.marks.TakeClosed(j.now, j.window)))
 	}
 }
 
@@ -129,7 +129,7 @@ func (j *JoinOp) purge() {
 // covers), so they set no timer of their own.
 func (j *JoinOp) pendingDeadline() stream.Time {
 	if !j.exact {
-		if ts, ok := j.marks.NextPendingMinTS(); ok {
+		if ts, ok := j.marks.ParkedMinTS(); ok {
 			return ts + j.window
 		}
 	}
@@ -145,11 +145,11 @@ func (j *JoinOp) pendingDeadline() stream.Time {
 func (j *JoinOp) lastGasp() {
 	for p := operator.Port(0); p < 2; p++ {
 		s := j.in[p]
-		taken := s.black.TakeExpiredTuples(j.now, j.window)
+		taken := s.black.TakeClosed(j.now, j.window)
 		for i := range taken {
 			j.ctr.Purged++
 			var out []feedback.Deferred
-			j.resume(s, &taken[i].Suspended, taken[i].MNS, &out)
+			j.resume(s, &taken[i].Item, taken[i].MNS, &out)
 			j.emitAll(out)
 		}
 	}
@@ -301,7 +301,7 @@ func (j *JoinOp) owingOn(s *side) (oldest stream.Time, n int) {
 func (j *JoinOp) Owed(c feedback.Claims, below stream.Time, visit feedback.OwedFunc) {
 	j.owedOn(j.in[0], c, below, visit)
 	j.owedOn(j.in[1], c, below, visit)
-	j.marks.Owed(c, below, visit)
+	j.marks.Owed(c, false, below, visit)
 }
 
 // Owing implements operator.Producer, summing what Owed would walk.

@@ -72,8 +72,9 @@ func TestGraveyardHorizon(t *testing.T) {
 				}
 				x.Feedback(feedback.Message{Cmd: feedback.Suspend, MNS: []*feedback.MNS{undemanded}})
 				x.Consume(tuple(3, parked, w-1, 7), parked)
-				if _, black, _ := x.Side(parked); black.NumSuspended() != 1 || len(out.got) != 0 {
-					t.Fatalf("p not parked: %d suspended, %d results", black.NumSuspended(), len(out.got))
+				_, black, _ := x.Side(parked)
+				if _, n := black.Owing(); n != 1 || len(out.got) != 0 {
+					t.Fatalf("p not parked: %d suspended, %d results", n, len(out.got))
 				}
 
 				// Both entries retire at MinTS+w. p (TS w−1) could pair with

@@ -31,13 +31,13 @@ func TestSharedDescriptorKeepsDeadlinesExact(t *testing.T) {
 		bl.Ensure(d)
 		mt.ActivateOrigin(d, d.Sig.Sources())
 	}
-	if b, e, o := buf.NextExpiry(), bl.NextAnchorExpiry(), mt.NextExpiry(); b != 500 || e != 500 || o != 500 {
+	if b, e, o := buf.NextExpiry(), bl.NextExpiry(), mt.NextExpiry(); b != 500 || e != 500 || o != 500 {
 		t.Fatalf("deadlines after the duplicate: buffer %d, blacklist %d, mark table %d; want 500 each", b, e, o)
 	}
-	if n, exp, orig := buf.Purge(100, 0), bl.TakeExpired(100), mt.TakeExpiredOrigins(100); n != 0 || len(exp) != 0 || len(orig) != 0 {
+	if n, exp, orig := buf.Purge(100, 0), bl.TakeExpired(100), mt.TakeExpired(100); n != 0 || len(exp) != 0 || len(orig) != 0 {
 		t.Fatalf("taken at the superseded expiry: %d buffered, %d entries, %d origins", n, len(exp), len(orig))
 	}
-	if n, exp, orig := buf.Purge(500, 0), bl.TakeExpired(500), mt.TakeExpiredOrigins(500); n != 1 || len(exp) != 1 || len(orig) != 1 {
+	if n, exp, orig := buf.Purge(500, 0), bl.TakeExpired(500), mt.TakeExpired(500); n != 1 || len(exp) != 1 || len(orig) != 1 {
 		t.Fatalf("taken at the extended expiry: %d buffered, %d entries, %d origins", n, len(exp), len(orig))
 	}
 }
@@ -102,8 +102,8 @@ func TestExpiryMovesOnlyThroughExtend(t *testing.T) {
 // taker's sequence less one or the opposite watermark after it, untouched by
 // a duplicate. The mark table's pending pairs are held to a scan of a slice
 // model as pairs are recorded under an origin, leave with it (taken or
-// expired) and are purged by their own window: NextPendingMinTS,
-// OldestPendingTS and Owing read the model's minima and count after every
+// expired) and are purged by their own window: ParkedMinTS and Owing read
+// the model's minima and count after every
 // step. Each input byte is one operation: the high four bits pick it, the
 // low two the key (four signatures), bits 2-3 an expiry, clock step or
 // pair age, and bit 3 whether an add guards.
@@ -224,7 +224,7 @@ func FuzzDeadlineCaches(f *testing.F) {
 				_, held := mOrig[key(m)]
 				delete(mOrig, key(m))
 				delete(mPend, key(m))
-				if _, ok := mt.TakeOrigin(m); ok != held {
+				if _, ok := mt.Take(m); ok != held {
 					t.Fatalf("step %d: origin take %t, model %t", step, ok, held)
 				}
 			case 7:
@@ -246,7 +246,7 @@ func FuzzDeadlineCaches(f *testing.F) {
 				}
 			case 9:
 				var got []*MNS
-				for _, e := range mt.TakeExpiredOrigins(now) {
+				for _, e := range mt.TakeExpired(now) {
 					got = append(got, e.MNS)
 				}
 				if got, want := keysOf(got), expired(mOrig); !slices.Equal(got, want) {
@@ -259,10 +259,10 @@ func FuzzDeadlineCaches(f *testing.F) {
 				if _, held := mOrig[key(m)]; !held {
 					break
 				}
-				i := slices.IndexFunc(mt.origins.list, func(e *OriginEntry) bool { return key(e.MNS) == key(m) })
+				i := slices.IndexFunc(mt.entries.list, func(e *OriginEntry) bool { return key(e.MNS) == key(m) })
 				lts, rts := now-delta, now+stream.Time(step%7)
 				l, r := comp(3, tpl(0, lts, 1)), comp(3, tpl(1, rts, 1))
-				mt.RecordSuppressed(mt.origins.list[i], state.Entry{C: l}, state.Entry{C: r})
+				mt.RecordSuppressed(mt.entries.list[i], state.Entry{C: l}, state.Entry{C: r})
 				mPend[key(m)] = append(mPend[key(m)], pair{min(lts, rts), max(lts, rts)})
 			case 14: // pending pairs past their window are purged
 				want := 0
@@ -271,7 +271,7 @@ func FuzzDeadlineCaches(f *testing.F) {
 					want += len(ps) - len(kept)
 					mPend[k] = kept
 				}
-				if got := mt.PurgePending(now, window); got != want {
+				if got := len(mt.TakeClosed(now, window)); got != want {
 					t.Fatalf("step %d: purged %d pending pairs at %d, model %d", step, got, now, want)
 				}
 			default: // the clock moves
@@ -285,12 +285,12 @@ func FuzzDeadlineCaches(f *testing.F) {
 					t.Fatalf("step %d: descriptor %d claims Seen %d, model %d", step, m.ID, m.Seen, seen[m])
 				}
 			}
-			if got, want := bl.NextAnchorExpiry(), next(mBl); got != want || bl.Len() != len(mBl) {
+			if got, want := bl.NextExpiry(), next(mBl); got != want || bl.Len() != len(mBl) {
 				t.Fatalf("step %d: blacklist next %d len %d, model %d len %d", step, got, bl.Len(), want, len(mBl))
 			}
-			if got, want := mt.NextExpiry(), next(mOrig); got != want || mt.NumOrigins() != len(mOrig) {
+			if got, want := mt.NextExpiry(), next(mOrig); got != want || mt.Len() != len(mOrig) {
 				t.Fatalf("step %d: mark table next %d with %d origins, model %d with %d",
-					step, got, mt.NumOrigins(), want, len(mOrig))
+					step, got, mt.Len(), want, len(mOrig))
 			}
 			n, lo, oldest := 0, NoExpiry, NoExpiry
 			for _, ps := range mPend {
@@ -298,12 +298,11 @@ func FuzzDeadlineCaches(f *testing.F) {
 					n, lo, oldest = n+1, min(lo, p.minTS), min(oldest, p.ts)
 				}
 			}
-			gotLo, okLo := mt.NextPendingMinTS()
-			gotOld, okOld := mt.OldestPendingTS()
+			gotLo, okLo := mt.ParkedMinTS()
 			owed, owing := mt.Owing()
-			if okLo != (n > 0) || okOld != (n > 0) || n > 0 && (gotLo != lo || gotOld != oldest) || owed != oldest || owing != n {
-				t.Fatalf("step %d: pending min %d/%t, oldest %d/%t, owing %d×%d; model min %d, oldest %d, %d pairs",
-					step, gotLo, okLo, gotOld, okOld, owing, owed, lo, oldest, n)
+			if okLo != (n > 0) || n > 0 && gotLo != lo || owed != oldest || owing != n {
+				t.Fatalf("step %d: pending min %d/%t, owing %d×%d; model min %d, oldest %d, %d pairs",
+					step, gotLo, okLo, owing, owed, lo, oldest, n)
 			}
 		}
 	})
@@ -313,8 +312,8 @@ func FuzzDeadlineCaches(f *testing.F) {
 // entries made and extended, tuples parked with random TS and MinTS, entries
 // taken by resumption and by anchor expiry, and tuples taken by their own
 // window, and holds the two parked-tuple caches to a scan of a slice model
-// after every step: NextTupleMinTS (the parked tuples' window deadline) and
-// OldestParkedTS (the blacklist's term in the graveyard floor, DESIGN.md §4).
+// after every step: ParkedMinTS (the parked tuples' window deadline) and
+// Owing (the blacklist's term in the graveyard floor, DESIGN.md §4).
 // Each input byte is one operation: the high four bits pick it, the low two
 // the entry (four signatures), bits 2-3 an age, expiry or clock step.
 func FuzzParkedCaches(f *testing.F) {
@@ -393,7 +392,7 @@ func FuzzParkedCaches(f *testing.F) {
 					}
 					m.tuples = kept
 				}
-				if got := len(bl.TakeExpiredTuples(now, window)); got != want {
+				if got := len(bl.TakeClosed(now, window)); got != want {
 					t.Fatalf("step %d: window expiry took %d tuples at %d, model %d", step, got, now, want)
 				}
 			default: // the clock moves
@@ -409,14 +408,14 @@ func FuzzParkedCaches(f *testing.F) {
 					}
 				}
 			}
-			if got := bl.NumSuspended(); got != n {
+			if got := numParked(bl); got != n {
 				t.Fatalf("step %d: %d parked, model %d", step, got, n)
 			}
-			if got, ok := bl.NextTupleMinTS(); ok != (n > 0) || ok && got != minTS {
-				t.Fatalf("step %d: NextTupleMinTS = %d, %t; model %d over %d tuples", step, got, ok, minTS, n)
+			if got, ok := bl.ParkedMinTS(); ok != (n > 0) || ok && got != minTS {
+				t.Fatalf("step %d: ParkedMinTS = %d, %t; model %d over %d tuples", step, got, ok, minTS, n)
 			}
-			if got, ok := bl.OldestParkedTS(); ok != (n > 0) || ok && got != ts {
-				t.Fatalf("step %d: OldestParkedTS = %d, %t; model %d over %d tuples", step, got, ok, ts, n)
+			if got, _ := bl.Owing(); got != ts {
+				t.Fatalf("step %d: Owing = %d; model %d over %d tuples", step, got, ts, n)
 			}
 		}
 	})

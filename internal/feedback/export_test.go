@@ -1,5 +1,7 @@
 package feedback
 
+import "repro/internal/stream"
+
 // Test-only diagnostics: what the structures hold beyond what production
 // code ever asks them.
 
@@ -28,15 +30,10 @@ func (b *Buffer) Buckets() int { return b.byProbe.buckets() }
 // it is bounded by two per origin.
 func (t *MarkTable) Buckets() int { return t.bySide[0].buckets() + t.bySide[1].buckets() }
 
-// NumOrigins returns the number of active origin entries.
-func (t *MarkTable) NumOrigins() int { return len(t.origins.list) }
-
-// NumPending returns the total number of suppressed pairs currently parked.
-func (t *MarkTable) NumPending() int {
-	n := 0
-	for _, e := range t.origins.list {
-		n += len(e.Pending)
-	}
+// numParked returns how many items a blacklist or a mark table parks, as
+// Owing counts them.
+func numParked(s interface{ Owing() (stream.Time, int) }) int {
+	_, n := s.Owing()
 	return n
 }
 

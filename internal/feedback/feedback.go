@@ -5,9 +5,11 @@
 //
 // Layout: feedback.go holds the descriptors and messages; table.go the one
 // expiring MNS table and the one value index the other three are built on;
-// buffer.go the consumer-side MNS buffer (probed on every arrival to detect
-// resumption triggers); blacklist.go the producer-side Type I structures
-// (parked tuples under anchor entries, signature generalization,
+// store.go the one deferral store the blacklist and the mark table share
+// (entries that park items, their window closes, charge and what they still
+// owe); buffer.go the consumer-side MNS buffer (probed on every arrival to
+// detect resumption triggers); blacklist.go the producer-side Type I
+// structures (parked tuples under anchor entries, signature generalization,
 // cursor/Pending/Done exactly-once bookkeeping); marks.go the Type II mark
 // table (origins found by the values a joining pair carries, suppressed pairs
 // recorded under their origin for the catch-up at its unmark). The

@@ -123,10 +123,12 @@ func testTable[E holder](t *testing.T, name string, tab *table[E], wrap func(*MN
 // blacklist's entries, the MNS buffer, and the mark table's origins.
 func TestMNSTable(t *testing.T) {
 	acct := &metrics.Account{}
-	testTable(t, "blacklist", &NewBlacklist(acct).entries, func(m *MNS) *Entry { return &Entry{MNS: m, Expiry: m.Expiry} })
+	testTable(t, "blacklist", &NewBlacklist(acct).entries, func(m *MNS) *Entry { return &Entry{header: header{MNS: m, Expiry: m.Expiry}} })
 	testTable(t, "buffer", &NewBuffer(acct).mnss, func(m *MNS) *MNS { return m })
 	mt := NewMarkTable(acct)
-	testTable(t, "origins", &mt.origins, func(m *MNS) *OriginEntry { return &OriginEntry{MNS: m, Expiry: m.Expiry, Left: m.Sig.Sources()} })
+	testTable(t, "origins", &mt.entries, func(m *MNS) *OriginEntry {
+		return &OriginEntry{header: header{MNS: m, Expiry: m.Expiry}, Left: m.Sig.Sources()}
+	})
 }
 
 func TestBufferAddDedupPurgeProbe(t *testing.T) {
@@ -193,7 +195,7 @@ func TestBlacklistLifecycle(t *testing.T) {
 	a2 := comp(3, tpl(0, 20, 2, 100))
 	bl.Park(e, Suspended{E: state.Entry{C: a1, Seq: 1}, Cursor: 0})
 	bl.Park(e, Suspended{E: state.Entry{C: a2, Seq: 2}, Cursor: 0})
-	if bl.NumSuspended() != 2 || acct.Live() == 0 {
+	if numParked(bl) != 2 || acct.Live() == 0 {
 		t.Fatal("park failed")
 	}
 	// Arrival with the same signature diverts.
@@ -209,7 +211,7 @@ func TestBlacklistLifecycle(t *testing.T) {
 	if len(exp) != 1 || bl.Len() != 0 {
 		t.Fatal("TakeExpired failed")
 	}
-	bl.ReleaseTuples(exp[0])
+	bl.Release(exp[0])
 	if acct.Live() != 0 {
 		t.Fatalf("blacklist leaked %d bytes", acct.Live())
 	}
@@ -225,13 +227,13 @@ func TestBlacklistTakeAndPurge(t *testing.T) {
 	bl.Park(e, Suspended{E: state.Entry{C: old, Seq: 1}})
 	bl.Park(e, Suspended{E: state.Entry{C: young, Seq: 2}})
 	// window 100 at now 200: old (ts10) expires.
-	if ts, ok := bl.NextTupleMinTS(); !ok || ts != 10 {
+	if ts, ok := bl.ParkedMinTS(); !ok || ts != 10 {
 		t.Fatalf("parked min: %d %v", ts, ok)
 	}
-	if out := bl.TakeExpiredTuples(200, 100); len(out) != 1 || out[0].E.C != old || bl.NumSuspended() != 1 {
+	if out := bl.TakeClosed(200, 100); len(out) != 1 || out[0].Item.E.C != old || numParked(bl) != 1 {
 		t.Fatalf("take expired tuples: %v", out)
 	}
-	if ts, ok := bl.NextTupleMinTS(); !ok || ts != 500 {
+	if ts, ok := bl.ParkedMinTS(); !ok || ts != 500 {
 		t.Fatalf("parked min after purge: %d %v", ts, ok)
 	}
 	// The entry leaves with its tuples and stops diverting arrivals.
@@ -239,7 +241,7 @@ func TestBlacklistTakeAndPurge(t *testing.T) {
 	if !ok || len(got.Tuples) != 1 {
 		t.Fatal("take failed")
 	}
-	if _, ok := bl.NextTupleMinTS(); ok {
+	if _, ok := bl.ParkedMinTS(); ok {
 		t.Fatal("taken entry's tuples still counted")
 	}
 	if hit, _ := bl.MatchArrival(young, 0); hit != nil {
@@ -278,7 +280,7 @@ func TestMarkTable(t *testing.T) {
 	if e == nil || !slices.Equal(mt.SideSig(e, true), m.Sig[:1]) || !slices.Equal(mt.SideSig(e, false), m.Sig[1:]) {
 		t.Fatal("activation/decomposition wrong")
 	}
-	if mt.ActivateOrigin(m, left) != nil || mt.NumOrigins() != 1 {
+	if mt.ActivateOrigin(m, left) != nil || mt.Len() != 1 {
 		t.Fatal("duplicate origin accepted")
 	}
 	l := comp(3, tpl(0, 10, 5))
@@ -295,17 +297,17 @@ func TestMarkTable(t *testing.T) {
 		t.Fatalf("a right input without the right side's value suppressed by %v", got)
 	}
 	mt.RecordSuppressed(e, state.Entry{C: l, Seq: 1}, state.Entry{C: r, Seq: 2})
-	if mt.NumPending() != 1 {
+	if numParked(mt) != 1 {
 		t.Fatal("pending not recorded")
 	}
-	got, ok := mt.TakeOrigin(m)
-	if !ok || got != e || mt.NumOrigins() != 0 {
+	got, ok := mt.Take(m)
+	if !ok || got != e || mt.Len() != 0 {
 		t.Fatal("take origin failed")
 	}
 	if got, n := mt.Suppressing(l, r); got != nil || n != 0 {
 		t.Fatal("suppression survives dissolution")
 	}
-	mt.ReleasePending(got)
+	mt.Release(got)
 	if acct.Live() != 0 {
 		t.Fatalf("mark table leaked %d bytes", acct.Live())
 	}
@@ -322,7 +324,7 @@ func TestPurgePending(t *testing.T) {
 	old := comp(3, tpl(0, 10, 5))
 	young := comp(3, tpl(2, 900, 9))
 	mt.RecordSuppressed(e, state.Entry{C: old, Seq: 1}, state.Entry{C: young, Seq: 2})
-	if n := mt.PurgePending(1000, 100); n != 1 || mt.NumPending() != 0 {
+	if n := len(mt.TakeClosed(1000, 100)); n != 1 || numParked(mt) != 0 {
 		t.Fatalf("pending purge: %d", n)
 	}
 }
@@ -414,11 +416,11 @@ func TestBlacklistWalkAndBySeq(t *testing.T) {
 		t.Fatal("BySeq found a tuple that left with its entry, or never was")
 	}
 	// Tuple 4 (MinTS 4) leaves by its own window; tuple 5 stays.
-	if taken := bl.TakeExpiredTuples(14, 10); len(taken) != 2 || bl.BySeq(40) != nil || bl.BySeq(50) == nil {
+	if taken := bl.TakeClosed(14, 10); len(taken) != 2 || bl.BySeq(40) != nil || bl.BySeq(50) == nil {
 		t.Fatalf("after expiry: took %d, 40→%v, 50→%v", len(taken), bl.BySeq(40), bl.BySeq(50))
 	}
-	if ts, ok := bl.OldestParkedTS(); !ok || ts != 5 {
-		t.Fatalf("OldestParkedTS = %d, %t", ts, ok)
+	if ts, n := bl.Owing(); n != 1 || ts != 5 {
+		t.Fatalf("Owing = %d, %d", ts, n)
 	}
 }
 
@@ -485,17 +487,17 @@ func TestMarkIndexMatchesScan(t *testing.T) {
 		case 3: // resumption
 			if len(origins) > 0 {
 				k := rng.Intn(len(origins))
-				if e, ok := mt.TakeOrigin(origins[k].MNS); !ok || e != origins[k] {
+				if e, ok := mt.Take(origins[k].MNS); !ok || e != origins[k] {
 					t.Fatalf("step %d: origin %v not taken", step, origins[k].MNS)
 				}
 				origins = slices.Delete(origins, k, k+1)
 			}
 		case 4: // expiry
-			mt.TakeExpiredOrigins(now)
+			mt.TakeExpired(now)
 			origins = slices.DeleteFunc(origins, func(e *OriginEntry) bool { return e.Expiry <= now })
 		}
-		if mt.NumOrigins() != len(origins) {
-			t.Fatalf("step %d: table holds %d origins, model %d", step, mt.NumOrigins(), len(origins))
+		if mt.Len() != len(origins) {
+			t.Fatalf("step %d: table holds %d origins, model %d", step, mt.Len(), len(origins))
 		}
 
 		l, r := randComp(0, 1), randComp(2, 3)
@@ -525,7 +527,7 @@ func TestMarkIndexMatchesScan(t *testing.T) {
 		t.Fatal("degenerate run: nothing left to match against")
 	}
 	for len(origins) > 0 {
-		mt.TakeOrigin(origins[0].MNS)
+		mt.Take(origins[0].MNS)
 		origins = origins[1:]
 	}
 	if n := mt.Buckets(); n != 0 {
@@ -560,7 +562,7 @@ func TestEmptySideSignatureMarksNothing(t *testing.T) {
 	if got := mt.Buckets(); got != 1 {
 		t.Fatalf("%d fingerprints filed, want the left side's one", got)
 	}
-	if _, ok := mt.TakeOrigin(m); !ok || mt.Buckets() != 0 {
+	if _, ok := mt.Take(m); !ok || mt.Buckets() != 0 {
 		t.Fatalf("taking the origin left %d fingerprints filed", mt.Buckets())
 	}
 }

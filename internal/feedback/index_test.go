@@ -110,7 +110,7 @@ func TestTablesKeepHashTwinsApart(t *testing.T) {
 				t.Fatalf("a pair of twins %d and %d suppressed by %v", i, 1-i, got)
 			}
 		}
-		if e, ok := mt.TakeOrigin(es[0].MNS); !ok || e != es[0] || mt.NumOrigins() != 1 {
+		if e, ok := mt.Take(es[0].MNS); !ok || e != es[0] || mt.Len() != 1 {
 			t.Fatal("taking twin 0's origin did not leave twin 1's alone")
 		}
 		if got, _ := mt.Suppressing(input(1), opposite(1)); got != es[1] {

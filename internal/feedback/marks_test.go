@@ -118,16 +118,16 @@ func FuzzSuppressionByValue(f *testing.F) {
 					continue
 				}
 				i := indexOf(sig)
-				e, ok := mt.TakeOrigin(&MNS{Sources: sig.Sources(), Sig: sig})
+				e, ok := mt.Take(&MNS{Sources: sig.Sources(), Sig: sig})
 				if ok != (i >= 0) || ok && e != model[i] {
-					t.Fatalf("step %d: TakeOrigin(%v) = %v, %t; model index %d", step, sig, e, ok, i)
+					t.Fatalf("step %d: Take(%v) = %v, %t; model index %d", step, sig, e, ok, i)
 				}
 				if ok {
 					model = append(model[:i], model[i+1:]...)
 				}
 			case 2:
 				now += stream.Time(p)
-				taken := mt.TakeExpiredOrigins(now)
+				taken := mt.TakeExpired(now)
 				var kept, want []*OriginEntry
 				for _, e := range model {
 					if e.Expiry <= now {
@@ -164,8 +164,8 @@ func FuzzSuppressionByValue(f *testing.F) {
 					t.Fatalf("step %d: Suppressing(%v, %v) = %v, %d comparisons; the scan finds %v, %d", step, l, r, got, n, want, wantN)
 				}
 			}
-			if mt.NumOrigins() != len(model) || mt.Buckets() > 2*len(model) {
-				t.Fatalf("step %d: table holds %d origins in %d buckets, model %d", step, mt.NumOrigins(), mt.Buckets(), len(model))
+			if mt.Len() != len(model) || mt.Buckets() > 2*len(model) {
+				t.Fatalf("step %d: table holds %d origins in %d buckets, model %d", step, mt.Len(), mt.Buckets(), len(model))
 			}
 		}
 	})

@@ -17,15 +17,10 @@ type holder interface {
 	anchor() *stream.Time
 }
 
-func (m *MNS) mns() *MNS         { return m }
-func (e *Entry) mns() *MNS       { return e.MNS }
-func (e *OriginEntry) mns() *MNS { return e.MNS }
-
 // A buffered descriptor is its own anchor; blacklist and origin entries keep
-// theirs beside the descriptor they share with other tables.
-func (m *MNS) anchor() *stream.Time         { return &m.Expiry }
-func (e *Entry) anchor() *stream.Time       { return &e.Expiry }
-func (e *OriginEntry) anchor() *stream.Time { return &e.Expiry }
+// theirs beside the descriptor they share with other tables (header).
+func (m *MNS) mns() *MNS            { return m }
+func (m *MNS) anchor() *stream.Time { return &m.Expiry }
 
 // table is the expiring collection behind the blacklist's entries, the MNS
 // buffer and the mark table's origins — the one hash organisation

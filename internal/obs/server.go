@@ -159,11 +159,14 @@ func Serve(addr string, r *Registry) (*Server, error) {
 // Addr returns the bound address (useful with ":0").
 func (s *Server) Addr() string { return s.srv.Addr() }
 
-// Close shuts the server down immediately, dropping in-flight requests. It
+// Close shuts the server down immediately, dropping in-flight requests, and
+// returns once their handlers have: a profile in progress is stopped before
+// its connection is cut, so the profiler is free when Close returns. It
 // returns the listener's close error the first time and nil after.
 func (s *Server) Close() error {
-	err := s.srv.Close()
 	s.quitOnce.Do(func() { close(s.quit) })
+	err := s.srv.Close()
+	s.srv.Wait()
 	return err
 }
 

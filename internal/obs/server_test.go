@@ -2,13 +2,17 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
 	"runtime/pprof"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -136,47 +140,32 @@ func TestOpsEndpoint(t *testing.T) {
 	get("/debug/pprof/cmdline")
 }
 
-// TestServerShutdownGraceful proves Shutdown(ctx) lets an in-flight request
-// finish before the server goes away, and that the listener is closed for new
-// connections afterwards.
+// TestServerShutdownGraceful proves Shutdown(ctx) lets a request that is
+// still in flight when it starts finish before the server goes away, and
+// that the listener is closed for new connections afterwards. The request is
+// a one-second CPU profile: Shutdown begins once the server has read it and
+// marked it to finish, before a byte of the response is written, so a
+// Shutdown that cut every connection would tear it.
 func TestServerShutdownGraceful(t *testing.T) {
-	ring := NewRingSink(8)
-	tr := New(Options{Sink: ring, SampleEvery: 10})
-	tr.Bind(&fakeLedger{}, nil)
-	tr.Advance(1)
-	tr.Advance(25)
-	tr.Finish()
-
-	reg := NewRegistry()
-	reg.Register(tr)
-	srv, err := Serve("127.0.0.1:0", reg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := serveEmpty(t)
 	base := "http://" + srv.Addr()
-
-	// Open a request, read its full body concurrently with Shutdown: graceful
-	// shutdown must let it complete with 200 and an intact payload.
-	started := make(chan struct{})
 	type result struct {
 		status int
-		body   string
+		body   []byte
 		err    error
 	}
 	done := make(chan result, 1)
 	go func() {
-		resp, err := http.Get(base + "/metrics")
+		resp, err := http.Get(base + "/debug/pprof/profile?seconds=1")
 		if err != nil {
-			close(started)
 			done <- result{err: err}
 			return
 		}
-		close(started) // connection established; Shutdown must wait for us
 		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		done <- result{status: resp.StatusCode, body: string(body), err: err}
+		done <- result{status: resp.StatusCode, body: body, err: err}
 	}()
-	<-started
+	waitConns(t, srv, func(conns map[*tcp.Conn]bool) bool { return conns[anyConn(conns)] })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -191,8 +180,12 @@ func TestServerShutdownGraceful(t *testing.T) {
 	if r.status != http.StatusOK {
 		t.Fatalf("in-flight request got status %d", r.status)
 	}
-	if _, err := ParseProm(r.body); err != nil {
-		t.Fatalf("in-flight scrape body is torn: %v", err)
+	zr, err := gzip.NewReader(bytes.NewReader(r.body))
+	if err == nil {
+		_, err = io.ReadAll(zr)
+	}
+	if err != nil {
+		t.Fatalf("in-flight profile is torn: %v", err)
 	}
 
 	// After Shutdown returns, the port must refuse new connections.
@@ -434,14 +427,19 @@ func anyConn(conns map[*tcp.Conn]bool) *tcp.Conn {
 // more is closed unanswered, and once they are gone the server answers
 // again.
 func TestConnectionCap(t *testing.T) {
+	defer func(d time.Duration) { headTimeout = d }(headTimeout)
+	headTimeout = time.Minute
 	srv := serveEmpty(t)
 	var stalled []net.Conn
 	for range maxConns {
 		stalled = append(stalled, stall(t, srv))
 	}
 	waitConns(t, srv, func(conns map[*tcp.Conn]bool) bool { return len(conns) == maxConns })
+	// The server, not a deadline, must end the extra connection: the head
+	// deadline is a minute away, and the client's own read deadline five
+	// seconds.
 	extra := stall(t, srv)
-	if n, err := extra.Read(make([]byte, 1)); n != 0 || err == nil {
+	if n, err := extra.Read(make([]byte, 1)); n != 0 || err != io.EOF && !errors.Is(err, syscall.ECONNRESET) {
 		t.Fatalf("connection past the cap read %d bytes, %v; want it closed unanswered", n, err)
 	}
 	for _, c := range stalled {
