@@ -39,7 +39,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:4640", "TCP listen address for ingest and subscribe connections")
 	dir := flag.String("dir", "", "checkpoint directory: enables durability and recovery (empty = in-memory only)")
 	every := flag.Float64("every", 0, "checkpoint interval in minutes of application time (0 = one window; requires -dir)")
-	keep := flag.Int("keep", 0, "checkpoints retained on disk (0 = 2)")
+	keep := flag.Int("keep", 0, "checkpoints retained on disk (0 = 2; requires -dir)")
 	maxPending := flag.Int("max-pending", 0, "ingest channel buffer: arrivals admitted but not yet processed (0 = 1024)")
 	retain := flag.Int("retain", 0, "delivery ring bound: results re-readable by resuming subscribers (0 = 16384)")
 	policy := flag.String("policy", "block", "slow-subscriber policy: block (backpressure to ingest) or kick (disconnect laggards)")
@@ -59,14 +59,8 @@ func main() {
 		fail("unknown policy %q (want block or kick)", *policy)
 	}
 
-	// Range and cross-field rules are serve.Config.Validate's (serve.Open).
 	cfg := serve.Config{
-		N:          q.N,
-		Bushy:      q.Bushy,
-		Window:     q.Window,
-		Mode:       q.Mode,
-		Indexed:    q.Indexed,
-		Band:       q.Band,
+		Query:      q.Query,
 		Disorder:   q.Disorder,
 		Addr:       *addr,
 		Dir:        *dir,
@@ -75,6 +69,16 @@ func main() {
 		MaxPending: *maxPending,
 		Retain:     *retain,
 		Policy:     pol,
+	}
+	// Only the command line knows whether -obs-sample was given; every other
+	// rule is serve.Config.Validate's, checked before anything binds.
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "obs-sample" && q.ObsAddr == "" {
+			fail("-obs-sample has no effect without -obs-addr")
+		}
+	})
+	if err := cfg.Validate(); err != nil {
+		fail("%v", err)
 	}
 
 	// The ops endpoint observes the serving plan through a ring-sink tracer,

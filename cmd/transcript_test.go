@@ -136,6 +136,11 @@ func battery() []invocation {
 		"-addr 127.0.0.1:99999",
 		"-addr example.com:4640",
 		"-obs-addr 127.0.0.1:99999",
+		"-keep 3",
+		"-obs-sample 5",
+		// A refused configuration binds nothing: no ops endpoint is
+		// announced before the error.
+		"-obs-addr 127.0.0.1:0 -n 1",
 	} {
 		inv = append(inv, invocation{bin: "jitserver", args: args})
 	}

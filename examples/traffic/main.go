@@ -14,14 +14,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exp"
+	"repro/internal/plan"
 	"repro/internal/stream"
 )
 
 func main() {
 	base := exp.Params{
-		N:                4,
-		Bushy:            false, // stations chained: (((S1 ⋈ S2) ⋈ S3) ⋈ S4)
-		Window:           5 * stream.Minute,
+		// Stations chained, left-deep: (((S1 ⋈ S2) ⋈ S3) ⋈ S4).
+		Query:            plan.Query{N: 4, Bushy: false, Window: 5 * stream.Minute},
 		Rate:             1.5,
 		DMax:             40,
 		LastStreamFactor: 100,

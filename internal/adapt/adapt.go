@@ -181,6 +181,9 @@ type Controller struct {
 	b     *plan.Built
 	cands []*plan.Node
 
+	gate   *operator.Dedup // spliced in front of the sink by Attach
+	lastTS stream.Time     // the last arrival Decide finished with: prune's cut
+
 	// clock times a solo controller's epochs; a fleet replica's stays unset
 	// (Period 0) — the shard runner's barrier markers are its clock.
 	clock    stream.EpochClock
@@ -214,16 +217,16 @@ func NewCoordinated(cfg Config, coord *Coordinator) *Controller {
 // Attach implements engine.Reoptimizer: it binds the controller to the
 // run's plan and splices the dedup gate between the plan root and
 // the sink, so every delivery of the run is recorded from the first arrival
-// on. The gate's seen-set grows with the run's final-result count — the
-// price of exactly-once delivery across handoffs.
+// on. Each epoch close and each migration prunes the gate to the deliveries
+// still in window, the only ones a later handoff can regenerate.
 func (c *Controller) Attach(b *plan.Built) {
 	c.b = b
 	c.cands = candidates(b.Catalog.NumSources())
 	if c.coord == nil {
 		c.coord = NewCoordinator(1, b.Shape(), b.Catalog.NumSources(), c.cfg)
 	}
-	gate := operator.NewDedup(b.Sink, &b.RunLedger.MigrationDups)
-	b.RootJoin().SetConsumer(gate, operator.Left)
+	c.gate = operator.NewDedup(b.Sink, &b.RunLedger.MigrationDups)
+	b.RootJoin().SetConsumer(c.gate, operator.Left)
 	c.last = b.Totals()
 	c.noBaseline = true
 }
@@ -245,6 +248,9 @@ func (c *Controller) Decide(t *stream.Tuple, b *plan.Built) bool {
 		c.closeEpoch(t.TS)
 		c.clock.Advance(t.TS)
 	}
+	// Only now is this arrival the prune cut: its sweeps fire after Decide
+	// returns, so an epoch close prunes at the previous arrival, as at a barrier.
+	c.lastTS = t.TS
 	// The epoch buffer feeds shadow scoring and is trimmed at each epoch
 	// close (resetEpoch); with the epoch policy disabled (Epoch 0,
 	// ForceTo-only mode) nothing would ever trim it, so don't retain at all.
@@ -275,6 +281,7 @@ func (c *Controller) Migrate(cut stream.Time, b *plan.Built) *plan.Built {
 	if target == nil {
 		return nil
 	}
+	c.prune()
 	from := b.Shape().Canonical()
 	note := from + " -> " + target.Canonical()
 	b.Trace.MigrationStart(cut, note)
@@ -307,6 +314,7 @@ func (c *Controller) Migrate(cut stream.Time, b *plan.Built) *plan.Built {
 // when all of them scored: a chronically idle shard (extreme key skew)
 // conservatively holds migrations, its signal would be meaningless anyway.
 func (c *Controller) closeEpoch(now stream.Time) {
+	c.prune()
 	d := c.b.Totals().Sub(c.last)
 	observed, prev := d.CostUnits(), c.prevObserved
 	c.b.Trace.Epoch(now, observed)
@@ -333,6 +341,12 @@ func (c *Controller) closeEpoch(now stream.Time) {
 	}
 	c.resetEpoch()
 }
+
+// prune drops the gate's deliveries whose oldest constituent left the window
+// by the last arrival: every later migration cuts at a later arrival, and
+// replays only what is in window there. A fleet barrier's timestamp is no
+// such bound: a replica's reorder buffer may still release older arrivals.
+func (c *Controller) prune() { c.gate.Prune(c.lastTS, c.b.Window, nil) }
 
 // scoreShapes shadow-replays the epoch's arrivals through a throwaway plan
 // of every distinct shape (current first, then candidates) and returns the

@@ -6,9 +6,10 @@ import (
 	"repro/internal/exp"
 )
 
-// ExampleSpecByID resolves a figure spec and executes a miniature sweep: the
-// Horizon override trades fidelity for speed, which is exactly how the
-// quick presets and this example keep runs in the sub-second range.
+// ExampleSpecByID resolves a figure spec and executes a miniature sweep:
+// scaling the horizon and the sizes trades fidelity for speed, which is
+// exactly how the quick presets and this example keep runs in the
+// sub-second range.
 func ExampleSpecByID() {
 	spec, ok := exp.SpecByID(10)
 	if !ok {
@@ -17,7 +18,6 @@ func ExampleSpecByID() {
 	cfg := exp.Config{
 		Scale:     0.001,
 		SizeScale: 0.1,
-		Horizon:   30_000, // 30s of application time
 		Modes:     []exp.NamedMode{{Name: "REF", Mode: exp.DefaultModes()[1].Mode}},
 		Workload:  exp.Params{Seed: 1},
 	}

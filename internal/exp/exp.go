@@ -5,16 +5,17 @@
 // workloads.
 //
 // Params is the only description of a run: the commands, the figure sweeps
-// and the report harness each hold one instead of mirroring its fields. It
+// and the report harness each hold one instead of mirroring its fields. Its
+// query is a plan.Query, which jitserver's serve.Config embeds too. It
 // executes one way (Params.exec): as a fleet of key-partitioned replicas
 // (internal/shard), of which a single engine is the one-replica case; Run,
 // RunKeys and RunSharded are views of that one result.
 // Config adds the sweep-only knobs and carries what holds at every point of
 // a sweep as one Params overlay (Config.Workload); spec.go is the figure
 // grid; flags.go declares once every flag two commands share and converts
-// the parsed values into a Params; and Params.Validate is the one statement
-// of every range and cross-field rule, which the commands surface and do
-// not repeat.
+// the parsed values into a Params; and Params.Validate, with the query's
+// plan.Query.Validate, is the one statement of every range and cross-field
+// rule, which the commands surface and do not repeat.
 //
 // Scaling: the paper runs each configuration for 5 hours of application
 // time on a 2008-era C++ prototype. Two dimensionless quantities shape the
@@ -56,9 +57,8 @@ import (
 
 // Params is one experiment configuration (a single run).
 type Params struct {
-	N      int
-	Bushy  bool
-	Window stream.Time
+	// Query is the query the run evaluates, as serve.Config the served one.
+	plan.Query
 	// Rate is λ, tuples per second per source.
 	Rate float64
 	// DMax is the value-domain upper bound.
@@ -70,14 +70,6 @@ type Params struct {
 	// Horizon is the application-time length of the run.
 	Horizon stream.Time
 	Seed    int64
-	Mode    core.Mode
-	// Indexed runs the plan with hash-indexed join states (DESIGN.md §3).
-	// The default (false) reproduces the paper's 2008 prototype, whose
-	// states are scanned linearly — the execution model all of Figures
-	// 10-17 assume. With indexing on, REF's probe cost collapses to the
-	// matching pairs and the paper's JIT-vs-REF cost shape no longer
-	// holds; RESULTS.md's extension section records that comparison.
-	Indexed bool
 	// Drain keeps firing timer deadlines after the last arrival so results
 	// suspended past the end of the stream are still delivered (DESIGN.md
 	// §4). Off by default: the figure reproductions compare steady-state
@@ -119,11 +111,6 @@ type Params struct {
 	// its in-order sort, with late arrivals beyond the bound counted in
 	// Counters.LateDropped (DESIGN.md §8).
 	Disorder stream.Time
-	// Band, when > 0, replaces every equi-join predicate with its band
-	// counterpart |l - r| <= Band. Band joins defeat hash keying and
-	// key-partitioned sharding: plans fall back to linear probes and
-	// broadcast routing (DESIGN.md §8).
-	Band stream.Value
 	// KeepResults retains every delivered result in the sink so RunKeys can
 	// return the delivery keys — the multiset-equivalence hook of the
 	// scenario harness (internal/scenario). Costs O(results) memory.
@@ -140,13 +127,14 @@ type Params struct {
 }
 
 // Validate rejects configurations the engine would otherwise accept
-// silently or fail on obscurely. It is the one statement of every range and
-// cross-field rule of a run: the CLI front-ends surface the returned error
-// before running anything and re-check none of it by hand.
+// silently or fail on obscurely. With plan.Query.Validate it is the one
+// statement of every range and cross-field rule of a run: the CLI front-ends
+// surface the returned error before running anything and re-check nothing.
 func (p Params) Validate() error {
+	if err := p.Query.Validate(); err != nil {
+		return err
+	}
 	switch {
-	case p.Window <= 0:
-		return fmt.Errorf("window must be positive (window=%v)", p.Window)
 	case p.Shards < 0:
 		return fmt.Errorf("shard count cannot be negative (shards=%d)", p.Shards)
 	case p.DrainHorizon < 0:
@@ -173,11 +161,10 @@ func (p Params) Validate() error {
 // stream alone — all of it that cmd/jitgen, which emits a trace and has no
 // query, can get wrong.
 func (p Params) ValidateWorkload() error {
+	if err := plan.CheckSources(p.N); err != nil {
+		return err
+	}
 	switch {
-	case p.N < 2:
-		return fmt.Errorf("need at least 2 sources (N=%d)", p.N)
-	case p.N > stream.MaxSources:
-		return fmt.Errorf("at most %d sources fit a source set (N=%d)", stream.MaxSources, p.N)
 	case p.Rate <= 0:
 		return fmt.Errorf("arrival rate must be positive (rate=%g)", p.Rate)
 	case p.DMax < 1:
@@ -194,8 +181,6 @@ func (p Params) ValidateWorkload() error {
 		return fmt.Errorf("burst period set but the burst factor is off (set -burst > 1)")
 	case p.Disorder < 0:
 		return fmt.Errorf("disorder bound cannot be negative (%v)", p.Disorder)
-	case p.Band < 0:
-		return fmt.Errorf("band tolerance cannot be negative (%d)", p.Band)
 	}
 	return nil
 }
@@ -312,17 +297,11 @@ func (p Params) SourceConfig() source.Config {
 	return cfg
 }
 
-// Plan wires the configuration's query — the N-source clique under its
-// Table II shape, band predicates when Band is set — without running it.
-// Every run goes through it; harnesses that drive a plan themselves (the
-// checkpoint round-trip test feeds prefixes and snapshots the cut) pair it
-// with SourceConfig.
-func (p Params) Plan() *plan.Built {
-	return plan.Clique(p.N, p.Bushy, p.Band, plan.Options{
-		Window: p.Window, Mode: p.Mode, NoStateIndex: !p.Indexed,
-		KeepResults: p.KeepResults,
-	})
-}
+// Plan wires the configuration's query without running it. Every run goes
+// through it; harnesses that drive a plan themselves (the checkpoint
+// round-trip test feeds prefixes and snapshots the cut) pair it with
+// SourceConfig.
+func (p Params) Plan() *plan.Built { return p.Query.Build(p.KeepResults) }
 
 // NamedMode pairs a label with an operator mode.
 type NamedMode struct {
@@ -365,9 +344,6 @@ type Config struct {
 	// JIT-vs-REF shape at quick sizes.
 	DomainScale float64
 	Modes       []NamedMode
-	// Horizon overrides the default 5-hour (scaled) application time when
-	// non-zero.
-	Horizon stream.Time
 	// Workload is the sweep-wide overlay: Spec.ParamsAt starts every point
 	// from it and writes the figure's Table III base, the swept value, the
 	// mode, the scaled sizes and the horizon on top, so whatever else it
@@ -408,9 +384,6 @@ func (c Config) sizeD(d int64) int64 {
 // window: the scaled 5-hour horizon, floored at 2.5 windows so every run
 // reaches steady state.
 func (c Config) horizonFor(w stream.Time) stream.Time {
-	if c.Horizon > 0 {
-		return c.Horizon
-	}
 	h := stream.Time(math.Round(float64(5*stream.Hour) * c.Scale))
 	if min := w*5/2 + 1; h < min {
 		h = min

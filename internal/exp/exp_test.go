@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/plan"
 	"repro/internal/stream"
 )
 
@@ -28,9 +29,11 @@ func TestTableIIIDefaults(t *testing.T) {
 // and horizon win over it.
 func TestParamsAtCarriesOverlay(t *testing.T) {
 	over := Params{
-		Seed: 7, Indexed: true, Shards: 2, Zipf: 1.5, Burst: 2, BurstPeriod: stream.Minute,
-		Disorder: 5 * stream.Second, Band: 1, Drain: true,
-		N: 99, Bushy: true, LastStreamFactor: 3, Horizon: 1, // the base and the config overwrite these
+		Seed: 7, Shards: 2, Zipf: 1.5, Burst: 2, BurstPeriod: stream.Minute,
+		Disorder: 5 * stream.Second, Drain: true,
+		// The base and the config overwrite N, Bushy, LastStreamFactor and
+		// Horizon.
+		Query: plan.Query{N: 99, Bushy: true, Indexed: true, Band: 1}, LastStreamFactor: 3, Horizon: 1,
 	}
 	spec, _ := SpecByID(14)
 	got := spec.ParamsAt(Config{Scale: 1, Workload: over}, NamedMode{"REF", core.REF()}, 7.5)
@@ -50,10 +53,6 @@ func TestHorizonScaling(t *testing.T) {
 	cfg.Scale = 0.001
 	if h := cfg.horizonFor(20 * stream.Minute); h < 50*stream.Minute {
 		t.Fatalf("floor not applied: %v", h)
-	}
-	cfg.Horizon = 7 * stream.Minute
-	if h := cfg.horizonFor(20 * stream.Minute); h != 7*stream.Minute {
-		t.Fatalf("override ignored: %v", h)
 	}
 }
 
@@ -107,8 +106,8 @@ func TestAblationCorrectness(t *testing.T) {
 		t.Skip("runs four engines")
 	}
 	base := Params{
-		N: 4, Bushy: true,
-		Window: 90 * stream.Second, Rate: 1.0, DMax: 20,
+		Query: plan.Query{N: 4, Bushy: true, Window: 90 * stream.Second},
+		Rate:  1.0, DMax: 20,
 		Horizon: 5 * stream.Minute, Seed: 5,
 	}
 	var counts []uint64
@@ -133,8 +132,8 @@ func TestREFMatchesDOEWithNoEmptyStates(t *testing.T) {
 		t.Skip("runs two engines")
 	}
 	base := Params{
-		N: 3, Bushy: false,
-		Window: 60 * stream.Second, Rate: 2.0, DMax: 5,
+		Query: plan.Query{N: 3, Bushy: false, Window: 60 * stream.Second},
+		Rate:  2.0, DMax: 5,
 		Horizon: 4 * stream.Minute, Seed: 3,
 	}
 	ref, doe := base, base
@@ -152,8 +151,8 @@ func TestREFMatchesDOEWithNoEmptyStates(t *testing.T) {
 // whichever way Shards spells it.
 func TestRunViewsAgree(t *testing.T) {
 	base := Params{
-		N: 4, Bushy: true, Mode: core.JIT(),
-		Window: 90 * stream.Second, Rate: 1.0, DMax: 20,
+		Query: plan.Query{N: 4, Bushy: true, Mode: core.JIT(), Window: 90 * stream.Second},
+		Rate:  1.0, DMax: 20,
 		Horizon: 5 * stream.Minute, Seed: 5,
 	}
 	for _, drain := range []bool{false, true} {

@@ -65,29 +65,14 @@ func Specs() []Spec {
 			XLabel: "N", Xs: []float64{3, 4, 5, 6}, LeftDeep: true, Apply: setN,
 			// The short preset keeps the two mid-grid points at a scaling
 			// tuned for them: ×0.48 windows with ×0.40 domains keeps N=4/5
-			// faithful (JIT below REF, REF rising) and cheap. The figure
-			// harness runs the paper's drop-at-expiry semantics, where the
-			// sweep's extremes do not invert JIT-vs-REF either: at this
-			// scaling JIT costs 0.47× REF at N=3 and 0.64× at N=6 (0.49× and
-			// 0.72× on the full preset).
-			//
-			// Drained — exact delivery, every result REF builds —
-			// TestLeftDeepInversionStudy (internal/scenario) decomposes the
-			// extremes: suspension pays at both (JIT's base join work 0.10×
-			// REF's at N=3, 0.63× at N=6) and repays the machinery at both:
-			// JIT runs at 0.19× REF at N=3, where the machinery is mostly
-			// resumption catch-up joins, and 0.72× at N=6, where it is spread
-			// over lattice (0.35), feedback (0.26) and catch-up (0.24) and
-			// ~23k suspensions answer ~26k detected MNSs. While suppressed
-			// pairs were parked unevaluated, the unmark's catch-up was 0.55 of
-			// N=6's machinery and JIT ran at 0.84× REF there; while every
-			// deferred result scanned the root's whole opposite state, N=6
-			// repaid only 58% of its machinery and ran at 1.07× REF (N=3 at
-			// 0.79×); while every late input was charged a catch-up join per
-			// retired entry of the exact-mode graveyard, both extremes ran
-			// above REF (1.48×, 1.56×). Zipf skew erodes the N=3 payback by
-			// collapsing detections (31,854 → 2,980 MNSs at s=2.0): JIT/REF
-			// rises to 0.99.
+			// faithful (JIT below REF, REF rising) and cheap. The extremes
+			// are left out for their cost, not because they invert
+			// JIT-vs-REF: under the harness's drop-at-expiry semantics JIT
+			// stays below REF at N=3 and N=6, and drained — exact delivery,
+			// every result REF builds — TestLeftDeepInversionStudy
+			// (internal/scenario) decomposes them: suspension pays at both
+			// and repays JIT's machinery (lattice, feedback, catch-up) at
+			// both. CHANGES.md has the measured ratios and their history.
 			ShortXs: []float64{4, 5}, ShortSizeScale: 0.48, ShortDomainScale: 0.40},
 		{ID: 17, Name: "fig17", Title: "Overhead vs max data value dmax (left-deep)",
 			XLabel: "dmax", Xs: []float64{30, 40, 50, 60, 70}, LeftDeep: true, Apply: setDMax},

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/stream"
 )
 
@@ -12,7 +13,7 @@ import (
 // configuration names the offending parameter, and the valid baseline
 // passes.
 func TestParamsValidate(t *testing.T) {
-	ok := Params{N: 4, Rate: 1, Window: stream.Minute, DMax: 10, Horizon: stream.Minute}
+	ok := Params{Query: plan.Query{N: 4, Window: stream.Minute}, Rate: 1, DMax: 10, Horizon: stream.Minute}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid params rejected: %v", err)
 	}

@@ -137,36 +137,18 @@ func (s *CountingSink) Total() uint64 {
 	return n
 }
 
-// MemorySink retains every event (optionally kind-filtered) in emission
-// order. Unlocked: read it only after the emitting run has finished — the
-// Chrome-trace exporters and golden tests do; the live /trace endpoint uses
-// RingSink instead.
+// MemorySink retains every event in emission order. Unlocked: read it only
+// after the emitting run has finished — the Chrome-trace exporters and
+// golden tests do; the live /trace endpoint uses RingSink instead.
 type MemorySink struct {
-	// Mask, when non-zero, keeps only kinds whose bit (1 << Kind) is set —
-	// MaskOf builds one. Zero keeps everything.
-	Mask   uint64
 	events []Event
 }
 
 // Emit implements Sink.
-func (m *MemorySink) Emit(e Event) {
-	if m.Mask != 0 && m.Mask&(1<<e.Kind) == 0 {
-		return
-	}
-	m.events = append(m.events, e)
-}
+func (m *MemorySink) Emit(e Event) { m.events = append(m.events, e) }
 
 // Events returns the retained events in emission order.
 func (m *MemorySink) Events() []Event { return m.events }
-
-// MaskOf builds a MemorySink kind mask keeping exactly the given kinds.
-func MaskOf(kinds ...Kind) uint64 {
-	var m uint64
-	for _, k := range kinds {
-		m |= 1 << k
-	}
-	return m
-}
 
 // TeeSink fans one event stream out to several sinks.
 type TeeSink []Sink

@@ -49,16 +49,6 @@ func TestTeeSink(t *testing.T) {
 	}
 }
 
-func TestMemorySinkMask(t *testing.T) {
-	m := &MemorySink{Mask: MaskOf(KindEpoch, KindMigrationStart)}
-	m.Emit(Event{Kind: KindArrival})
-	m.Emit(Event{Kind: KindEpoch})
-	m.Emit(Event{Kind: KindMigrationStart})
-	if len(m.Events()) != 2 {
-		t.Fatalf("mask kept %d events, want 2", len(m.Events()))
-	}
-}
-
 // TestOpsEndpoint boots the live server on an ephemeral port and checks the
 // whole surface: /metrics parses under the promtext grammar with the right
 // content type, /trace streams NDJSON, /healthz answers, pprof is mounted.

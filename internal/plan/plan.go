@@ -114,7 +114,7 @@ func Bushy(n int) *Node {
 }
 
 // TableII resolves the bushy/left-deep choice every front end exposes (the
-// -bushy flag, exp.Params.Bushy, serve.Config.Bushy) to its Table II shape.
+// -bushy flag, Query.Bushy) to its Table II shape.
 func TableII(n int, bushy bool) *Node {
 	if bushy {
 		return Bushy(n)
@@ -189,15 +189,61 @@ type Options struct {
 	NoStateIndex bool
 }
 
-// Clique wires the one query every front end runs (jitrun, the figure
-// sweeps, jitserver): the n-source clique join under its Table II shape,
-// with every equi predicate widened to |l - r| <= band when band > 0.
-func Clique(n int, bushy bool, band stream.Value, opt Options) *Built {
-	cat, preds := predicate.Clique(n)
-	if band > 0 {
-		preds = preds.WithTol(band)
+// Query is the one continuous query every front end runs: the N-source
+// clique join (predicate.Clique) under its Table II shape, in one mode, over
+// a sliding window. exp.Params and serve.Config both embed it.
+type Query struct {
+	N int
+	// Bushy picks Table II's bushy shape; false picks left-deep.
+	Bushy  bool
+	Window stream.Time
+	Mode   core.Mode
+	// Indexed runs the plan with hash-indexed join states (DESIGN.md §3).
+	// The default (false) reproduces the paper's 2008 prototype, whose
+	// states are scanned linearly — the execution model all of Figures
+	// 10-17 assume. With indexing on, REF's probe cost collapses to the
+	// matching pairs and the paper's JIT-vs-REF cost shape no longer
+	// holds; RESULTS.md's extension section records that comparison.
+	Indexed bool
+	// Band, when > 0, replaces every equi-join predicate with its band
+	// counterpart |l - r| <= Band. Band joins defeat hash keying and
+	// key-partitioned sharding: plans fall back to linear probes and
+	// broadcast routing (DESIGN.md §8).
+	Band stream.Value
+}
+
+// CheckSources is the source-count rule, which a generated trace, with no
+// query, obeys too.
+func CheckSources(n int) error {
+	switch {
+	case n < 2:
+		return fmt.Errorf("need at least 2 sources (N=%d)", n)
+	case n > stream.MaxSources:
+		return fmt.Errorf("at most %d sources fit a source set (N=%d)", stream.MaxSources, n)
 	}
-	return BuildTree(cat, preds, TableII(n, bushy), opt)
+	return nil
+}
+
+// Validate states the query's range rules, once for every front end.
+func (q Query) Validate() error {
+	switch {
+	case q.Window <= 0:
+		return fmt.Errorf("window must be positive (window=%v)", q.Window)
+	case q.Band < 0:
+		return fmt.Errorf("band tolerance cannot be negative (%d)", q.Band)
+	}
+	return CheckSources(q.N)
+}
+
+// Build wires the query; keep makes the sink retain every result.
+func (q Query) Build(keep bool) *Built {
+	cat, preds := predicate.Clique(q.N)
+	if q.Band > 0 {
+		preds = preds.WithTol(q.Band)
+	}
+	return BuildTree(cat, preds, TableII(q.N, q.Bushy), Options{
+		Window: q.Window, Mode: q.Mode, NoStateIndex: !q.Indexed, KeepResults: keep,
+	})
 }
 
 // BuildTree wires a Node shape into JoinOps plus a sink.

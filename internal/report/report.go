@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/scenario"
 	"repro/internal/stream"
 )
@@ -247,9 +248,7 @@ type HostileRow struct {
 // and this section shows the §4 drain recovering every one of them.
 func extBase(seed int64) exp.Params {
 	return exp.Params{
-		N:       4,
-		Bushy:   true,
-		Window:  90 * stream.Second,
+		Query:   plan.Query{N: 4, Bushy: true, Window: 90 * stream.Second},
 		Rate:    3,
 		DMax:    30,
 		Horizon: 225*stream.Second + 1,

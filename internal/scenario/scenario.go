@@ -180,9 +180,7 @@ func Matrix(short bool) []Cell {
 // drained-run property (DESIGN.md §4).
 func Base(short bool) exp.Params {
 	p := exp.Params{
-		N:       4,
-		Bushy:   true,
-		Window:  2 * stream.Minute,
+		Query:   plan.Query{N: 4, Bushy: true, Window: 2 * stream.Minute},
 		Rate:    2.5,
 		DMax:    24,
 		Horizon: 3 * stream.Minute,

@@ -11,6 +11,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/shard"
 	"repro/internal/stream"
 )
@@ -240,9 +241,7 @@ func TestSeedSweepProperty(t *testing.T) {
 	}
 	for i := 0; i < seeds; i++ {
 		p := exp.Params{
-			N:       3 + rng.Intn(2),
-			Bushy:   rng.Intn(2) == 0,
-			Window:  stream.Minute,
+			Query:   plan.Query{N: 3 + rng.Intn(2), Bushy: rng.Intn(2) == 0, Window: stream.Minute},
 			Rate:    3,
 			DMax:    60,
 			Horizon: 2 * stream.Minute,

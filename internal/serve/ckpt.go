@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/checkpoint"
-	"repro/internal/operator"
 	"repro/internal/plan"
 	"repro/internal/stream"
 )
@@ -32,8 +31,6 @@ var errCrash = fmt.Errorf("serve: armed crash point reached")
 type checkpointer struct {
 	st     *checkpoint.Store
 	out    *deliverer
-	gate   *operator.Dedup
-	window stream.Time
 	config string
 
 	clock   stream.EpochClock // checkpoint cadence
@@ -83,7 +80,7 @@ func (c *checkpointer) Migrate(cut stream.Time, b *plan.Built) *plan.Built {
 // has nothing left to deliver.
 func (c *checkpointer) finish(b *plan.Built) {
 	c.hwm = c.pending
-	c.save(c.lastTS+c.window, b)
+	c.save(c.lastTS+b.Window, b)
 }
 
 // save writes one checkpoint at the cut. A save failure is recorded (first
@@ -96,7 +93,7 @@ func (c *checkpointer) finish(b *plan.Built) {
 // writer).
 func (c *checkpointer) save(cut stream.Time, b *plan.Built) {
 	c.keys = c.keys[:0]
-	c.gate.Prune(cut, c.window, func(key string, minTS stream.Time) {
+	c.out.gate.Prune(cut, b.Window, func(key string, minTS stream.Time) {
 		c.keys = append(c.keys, checkpoint.DeliveredKey{MinTS: minTS, Key: key})
 	})
 	checkpoint.SortKeys(c.keys)

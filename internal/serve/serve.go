@@ -50,15 +50,8 @@ var ErrCrashed = fmt.Errorf("serve: engine crashed before end of stream")
 
 // Config describes one server instance: the query it runs and how it serves.
 type Config struct {
-	// N, Bushy, Window, Mode, Indexed and Band define the query exactly as
-	// the jitrun flags of the same names do: an N-source clique (predicate.
-	// Clique) under the Table II bushy or left-deep shape.
-	N       int
-	Bushy   bool
-	Window  stream.Time
-	Mode    core.Mode
-	Indexed bool
-	Band    stream.Value
+	// Query is the query served, as exp.Params describes a batch run's.
+	plan.Query
 	// Disorder admits bounded out-of-timestamp-order ingest (DESIGN.md §8).
 	// Incompatible with a checkpoint directory: the reorder buffer sits
 	// between the ingest HWM and the plan, so a durable cut cannot name the
@@ -88,8 +81,6 @@ type Config struct {
 	// SubBlock (default) stalls the engine — and transitively ingest — until
 	// they drain; SubKick disconnects them.
 	Policy SubPolicy
-	// KeepResults retains every delivered composite in the sink (tests).
-	KeepResults bool
 	// Trace attaches an observability tracer to the plan (DESIGN.md §9) —
 	// the jitserver ops endpoint and the backpressure memory-bound tests
 	// hang off it. Nil leaves observation disabled.
@@ -104,17 +95,12 @@ type Config struct {
 
 // Validate rejects configurations the server cannot serve correctly.
 func (c Config) Validate() error {
+	if err := c.Query.Validate(); err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
 	switch {
-	case c.N < 2:
-		return fmt.Errorf("serve: need at least 2 sources (N=%d)", c.N)
-	case c.N > stream.MaxSources:
-		return fmt.Errorf("serve: at most %d sources fit a source set (N=%d)", stream.MaxSources, c.N)
-	case c.Window <= 0:
-		return fmt.Errorf("serve: window must be positive (window=%v)", c.Window)
 	case c.Addr == "":
 		return fmt.Errorf("serve: listen address required")
-	case c.Band < 0:
-		return fmt.Errorf("serve: band tolerance cannot be negative (%d)", c.Band)
 	case c.Disorder < 0:
 		return fmt.Errorf("serve: disorder bound cannot be negative (%v)", c.Disorder)
 	case c.Dir != "" && c.Disorder > 0:
@@ -125,6 +111,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("serve: checkpoint interval set but no checkpoint dir")
 	case c.Keep < 0:
 		return fmt.Errorf("serve: checkpoint retention cannot be negative (%d)", c.Keep)
+	case c.Keep > 0 && c.Dir == "":
+		return fmt.Errorf("serve: checkpoint retention set but no checkpoint dir")
 	case c.MaxPending < 0:
 		return fmt.Errorf("serve: ingest buffer cannot be negative (%d)", c.MaxPending)
 	case c.Retain < 0:
@@ -144,11 +132,12 @@ func (c Config) Validate() error {
 // identity is the config string stored in checkpoints: restore refuses a
 // checkpoint taken under a different query — replaying its rows into this
 // plan would silently build wrong state. It is an explicit, versioned field
-// list, so deleting or reordering a struct field cannot move it; a query field
-// added to Config must be added here under a new version
-// (TestConfigIdentityPinned fails until someone decides). The typeII,
-// generalize, propagate and ignoreFeedback terms follow from the detection
-// strategy; they stay so that checkpoints already on disk still restore.
+// list, so deleting or reordering a struct field cannot move it; a field
+// added to plan.Query or Config must be added here under a new version or
+// left out on purpose (TestConfigIdentityPinned fails until someone
+// decides). The typeII, generalize, propagate and ignoreFeedback terms
+// follow from the detection strategy; they stay so that checkpoints already
+// on disk still restore.
 func (c Config) identity() string {
 	m := c.Mode
 	return fmt.Sprintf("jitserve-config/2 n=%d shape=%s window=%d detect=%s typeII=%t generalize=%t propagate=%t ignoreFeedback=false indexed=%t band=%d",
@@ -179,16 +168,13 @@ type Stats struct {
 
 // Server is one running instance.
 type Server struct {
-	cfg Config
-	b   *plan.Built
-	lis *tcp.Listener
-	srv *tcp.Server
-	hub *hub
-	out *deliverer
-	// gate is the recovery dedup gate in front of out; nil without a
-	// checkpoint directory, where nothing can be replayed.
-	gate *operator.Dedup
-	dups uint64 // recovery regenerations the gate absorbed
+	cfg  Config
+	b    *plan.Built
+	lis  *tcp.Listener
+	srv  *tcp.Server
+	hub  *hub
+	out  *deliverer
+	dups uint64 // recovery regenerations the deliverer's gate absorbed
 	st   *checkpoint.Store
 	ckp  *checkpointer
 	ch   chan *stream.Tuple
@@ -228,10 +214,7 @@ func Open(cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	b := plan.Clique(cfg.N, cfg.Bushy, cfg.Band, plan.Options{
-		Window: cfg.Window, Mode: cfg.Mode, NoStateIndex: !cfg.Indexed,
-		KeepResults: cfg.KeepResults,
-	})
+	b := cfg.Query.Build(false)
 	cat := b.Catalog
 	s := &Server{
 		cfg:  cfg,
@@ -280,17 +263,16 @@ func Open(cfg Config) (*Server, error) {
 	}
 	s.hub = newHub(cfg.Retain, cfg.Policy, resumeSeq, tail)
 	s.out = &deliverer{sink: b.Sink, hub: s.hub, seq: resumeSeq}
-	var root operator.Consumer = s.out
 	if s.st != nil {
 		// Only a checkpoint recovery replays rows under the deliverer; with
-		// no store there is nothing a delivered key could ever absorb.
-		s.gate = operator.NewDedup(s.out, &s.dups)
+		// no store there is nothing a delivered key could ever absorb. The
+		// deliverer asks the gate itself (Admit), so the gate forwards nothing.
+		s.out.gate = operator.NewDedup(nil, &s.dups)
 		for _, k := range seed {
-			s.gate.Seed(k.Key, k.MinTS)
+			s.out.gate.Seed(k.Key, k.MinTS)
 		}
-		root = s.gate
 	}
-	b.RootJoin().SetConsumer(root, operator.Left)
+	b.RootJoin().SetConsumer(s.out, operator.Left)
 	if cfg.Trace != nil {
 		// Attached before the replay, so recovery work is visible in the
 		// trace like migration replays are (DESIGN.md §9).
@@ -329,7 +311,7 @@ func Open(cfg Config) (*Server, error) {
 			every = cfg.Window
 		}
 		s.ckp = &checkpointer{
-			st: s.st, out: s.out, gate: s.gate, window: cfg.Window,
+			st: s.st, out: s.out,
 			clock:  stream.EpochClock{Period: every},
 			config: cfg.identity(), hwm: resumeID, pending: resumeID,
 			// The recovered cut, so a restart that sees no further arrivals

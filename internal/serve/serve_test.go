@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exp"
+	"repro/internal/plan"
 	"repro/internal/predicate"
 	"repro/internal/source"
 	"repro/internal/stream"
@@ -24,16 +25,12 @@ import (
 // small enough for the per-mode sweep to stay fast.
 func testParams(mode core.Mode) (Config, exp.Params) {
 	cfg := Config{
-		N:           3,
-		Bushy:       true,
-		Window:      90 * stream.Second,
-		Mode:        mode,
-		Addr:        "127.0.0.1:0",
-		KeepResults: true,
+		Query: plan.Query{N: 3, Bushy: true, Window: 90 * stream.Second, Mode: mode},
+		Addr:  "127.0.0.1:0",
 	}
 	base := exp.Params{
-		N: cfg.N, Bushy: cfg.Bushy, Window: cfg.Window, Mode: mode,
-		Rate: 2, DMax: 18, Horizon: 3 * stream.Minute, Seed: 7,
+		Query: cfg.Query,
+		Rate:  2, DMax: 18, Horizon: 3 * stream.Minute, Seed: 7,
 		Drain: true, KeepResults: true,
 	}
 	return cfg, base
@@ -409,8 +406,8 @@ func TestRejectedFramesDoNotPerturbRun(t *testing.T) {
 	}
 	// No checkpoint directory, so nothing can ever be replayed: the run
 	// reached eos without a dedup gate or a delivered-key map.
-	if s.gate != nil || st.ReplayDups != 0 {
-		t.Fatalf("server without Dir spliced a dedup gate (%v) or absorbed %d dups", s.gate != nil, st.ReplayDups)
+	if s.out.gate != nil || st.ReplayDups != 0 {
+		t.Fatalf("server without Dir spliced a dedup gate (%v) or absorbed %d dups", s.out.gate != nil, st.ReplayDups)
 	}
 	if got := s.IngestHWM(); got != tuples[len(tuples)-1].ID {
 		t.Fatalf("IngestHWM %d at eos, last admitted ID is %d", got, tuples[len(tuples)-1].ID)
@@ -426,7 +423,7 @@ func TestRejectedFramesDoNotPerturbRun(t *testing.T) {
 func TestTimeRange(t *testing.T) {
 	for _, nm := range exp.AblationModes() {
 		t.Run(nm.Name, func(t *testing.T) {
-			cfg := Config{N: 3, Bushy: true, Window: stream.Minute, Mode: nm.Mode, Addr: "127.0.0.1:0", KeepResults: true}
+			cfg := Config{Query: plan.Query{N: 3, Bushy: true, Window: stream.Minute, Mode: nm.Mode}, Addr: "127.0.0.1:0"}
 			s, err := Open(cfg)
 			if err != nil {
 				t.Fatalf("open: %v", err)
@@ -604,6 +601,7 @@ func TestConfigValidate(t *testing.T) {
 		{"negative interval", func(c *Config) { c.Dir, c.Every = "d", -1 }, "interval"},
 		{"interval without dir", func(c *Config) { c.Every = 1 }, "no checkpoint dir"},
 		{"negative keep", func(c *Config) { c.Dir, c.Keep = "d", -3 }, "retention cannot be negative"},
+		{"keep without dir", func(c *Config) { c.Keep = 3 }, "retention set but no checkpoint dir"},
 		{"negative max pending", func(c *Config) { c.MaxPending = -1 }, "ingest buffer cannot be negative"},
 		{"negative retain", func(c *Config) { c.Retain = -1 }, "ring size cannot be negative"},
 		{"unknown subscriber policy", func(c *Config) { c.Policy = SubKick + 1 }, "unknown subscriber policy"},
@@ -627,14 +625,20 @@ func TestConfigIdentityPinned(t *testing.T) {
 	if k := reflect.TypeOf(core.JIT()).Kind(); k != reflect.Int {
 		t.Errorf("core.Mode is a %v, identity() spells it as the detection value alone: %s", k, decide)
 	}
-	var fields []string
-	for i, tp := 0, reflect.TypeOf(Config{}); i < tp.NumField(); i++ {
-		fields = append(fields, tp.Field(i).Name)
+	names := func(v any) []string {
+		var fields []string
+		for i, tp := 0, reflect.TypeOf(v); i < tp.NumField(); i++ {
+			fields = append(fields, tp.Field(i).Name)
+		}
+		return fields
 	}
 	query := []string{"N", "Bushy", "Window", "Mode", "Indexed", "Band"}
-	other := []string{"Disorder", "Addr", "Dir", "Every", "Keep", "MaxPending", "Retain", "Policy", "KeepResults", "Trace", "killPoint"}
-	if !slices.Equal(fields, append(query, other...)) {
-		t.Errorf("serve.Config fields are %v, identity() covers %v and leaves out %v: %s", fields, query, other, decide)
+	if fields := names(plan.Query{}); !slices.Equal(fields, query) {
+		t.Errorf("plan.Query fields are %v, identity() covers %v: %s", fields, query, decide)
+	}
+	other := []string{"Disorder", "Addr", "Dir", "Every", "Keep", "MaxPending", "Retain", "Policy", "Trace", "killPoint"}
+	if fields := names(Config{}); !slices.Equal(fields, append([]string{"Query"}, other...)) {
+		t.Errorf("serve.Config fields are %v, identity() covers its Query and leaves out %v: %s", fields, other, decide)
 	}
 	modes := map[string]string{
 		"jit":   "detect=lattice typeII=true generalize=true propagate=true ignoreFeedback=false",
@@ -651,9 +655,9 @@ func TestConfigIdentityPinned(t *testing.T) {
 			cfg  Config
 			want string
 		}{
-			{Config{N: 4, Bushy: true, Window: stream.Minute, Mode: mode},
+			{Config{Query: plan.Query{N: 4, Bushy: true, Window: stream.Minute, Mode: mode}},
 				"jitserve-config/2 n=4 shape=((0 1) (2 3)) window=60000 " + m + " indexed=false band=0"},
-			{Config{N: 4, Window: stream.Minute, Mode: mode, Indexed: true, Band: 2},
+			{Config{Query: plan.Query{N: 4, Window: stream.Minute, Mode: mode, Indexed: true, Band: 2}},
 				"jitserve-config/2 n=4 shape=(((0 1) 2) 3) window=60000 " + m + " indexed=true band=2"},
 		} {
 			if got := tc.cfg.identity(); got != tc.want {
