@@ -84,25 +84,16 @@ func main() {
 
 	// Observability wiring (DESIGN.md §9): one tracer per replica, a single
 	// engine being shard 0; the ops endpoint aggregates them under per-shard
-	// labels. The trace file uses an unlocked MemorySink (read only after the
-	// run); the live /trace endpoint the locked ring sink of Flags.ObsOptions.
-	var (
-		tracers []*obs.Tracer
-		mems    []*obs.MemorySink
-	)
+	// labels. For the trace file each tracer's recorder keeps every event;
+	// /trace serves the last obs.TraceTail of whatever it keeps.
+	var tracers []*obs.Tracer
 	if tracing {
 		reg := obs.NewRegistry()
 		p.TraceFor = func(shard int) *obs.Tracer {
 			o := flags.ObsOptions(p.Window)
 			o.WallLatency, o.Shard = p.ObsAddr != "", shard
 			if *traceOut != "" {
-				m := &obs.MemorySink{}
-				mems = append(mems, m)
-				if o.Sink != nil {
-					o.Sink = obs.TeeSink{m, o.Sink}
-				} else {
-					o.Sink = m
-				}
+				o.Sink = obs.NewRecorder(0)
 			}
 			tr := obs.New(o)
 			tracers = append(tracers, tr)
@@ -154,7 +145,7 @@ func main() {
 			fmt.Printf("mem@peak %s: %s\n", op.Name, op.Mem)
 		}
 	}
-	obsEpilogue(tracers, mems, *traceOut)
+	obsEpilogue(tracers, *traceOut)
 }
 
 // printHostile prints the hostile-stream line, if any mutator is active.
@@ -181,7 +172,7 @@ func printOps(ops []metrics.OpCounters) {
 
 // obsEpilogue prints the merged event-time latency histogram and writes the
 // Chrome trace file, if tracing was on.
-func obsEpilogue(tracers []*obs.Tracer, mems []*obs.MemorySink, traceOut string) {
+func obsEpilogue(tracers []*obs.Tracer, traceOut string) {
 	if len(tracers) == 0 {
 		return
 	}
@@ -193,11 +184,11 @@ func obsEpilogue(tracers []*obs.Tracer, mems []*obs.MemorySink, traceOut string)
 	if traceOut == "" {
 		return
 	}
-	// Per-shard sinks concatenate in shard order: each shard's own event
+	// Per-shard recorders concatenate in shard order: each shard's own event
 	// order is deterministic, and ChromeTrace keeps shards apart by pid.
 	var evs []obs.Event
-	for _, m := range mems {
-		evs = append(evs, m.Events()...)
+	for _, tr := range tracers {
+		evs = append(evs, tr.Recorder().Events()...)
 	}
 	if err := os.WriteFile(traceOut, obs.ChromeTrace(evs), 0o644); err != nil {
 		fmt.Fprintf(os.Stderr, "jitrun: %v\n", err)

@@ -81,8 +81,9 @@ func main() {
 		fail("%v", err)
 	}
 
-	// The ops endpoint observes the serving plan through a ring-sink tracer,
-	// exactly as jitrun -obs-addr does for a batch run (DESIGN.md §9).
+	// The ops endpoint observes the serving plan through a tracer that keeps
+	// the last obs.TraceTail events, as jitrun -obs-addr does for a batch run
+	// (DESIGN.md §9).
 	stopObs := func() {}
 	if q.ObsAddr != "" {
 		o := flags.ObsOptions(cfg.Window)

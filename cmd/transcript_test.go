@@ -263,7 +263,11 @@ func serve(t *testing.T, bins, tmp, argline string, trace []byte) string {
 	defer sub.Close()
 	fmt.Fprintln(sub, `{"cmd":"subscribe"}`)
 	// Read deliveries while ingesting, so a full ring never stalls the run.
+	// Ingest starts only once the greeting is in, so the server has attached
+	// the subscriber before an eos can end the run (the recovery session
+	// skips every frame, and its eos ends the run at once).
 	subscribed := make(chan string, 1)
+	greeted := make(chan struct{})
 	go func() {
 		var n int
 		var greeting, first, last string
@@ -271,13 +275,18 @@ func serve(t *testing.T, bins, tmp, argline string, trace []byte) string {
 			switch n {
 			case 0:
 				greeting = lines.Text()
+				close(greeted)
 			case 1:
 				first = lines.Text()
 			}
 			last = lines.Text()
 		}
+		if n == 0 {
+			close(greeted)
+		}
 		subscribed <- fmt.Sprintf("subscribe< %s\nsubscribe< %s\nsubscribe< ... %d lines\nsubscribe< %s\n", greeting, first, n, last)
 	}()
+	<-greeted
 
 	in := dial(t, addr)
 	defer in.Close()

@@ -27,7 +27,7 @@
 // sequence discipline gives the cut its snapshot: every in-window base tuple
 // sits in exactly one place — its source's feed side, active in the state or
 // parked in a blacklist — so plan.Built.SnapshotInWindow (backed by the
-// core.JoinOp.SnapshotBase / state.State.SnapshotLive hooks) reconstructs
+// core.JoinOp.SnapshotBase hook) reconstructs
 // the in-window arrival history in global arrival order. plan.Built.Reshape
 // then swaps the operator tree — and only the tree: the plan object, its
 // sink, run ledger, account, tracer and the dedup gate at its root stay —

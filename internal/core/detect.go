@@ -363,7 +363,7 @@ func (j *JoinOp) bloomAtomAbsent(c *stream.Composite, s, o *side, k int) bool {
 // side's filters (creating them lazily).
 func (j *JoinOp) bloomInsert(s *side, c *stream.Composite) {
 	o := j.in[s.port.Opposite()]
-	for _, src := range s.sources.IDs() {
+	for src := range s.sources.All() {
 		comp := c.Comp(src)
 		if comp == nil {
 			continue

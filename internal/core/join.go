@@ -334,15 +334,17 @@ func (j *JoinOp) SnapshotBase(p operator.Port, cut stream.Time) []*stream.Tuple 
 		if c.MinTS+j.window <= cut {
 			return // expired at the cut; a purge would drop it
 		}
-		ids := c.Sources.IDs()
-		if len(ids) != 1 {
+		if c.Sources.Count() != 1 {
 			panic(fmt.Sprintf("core: composite %v on leaf port of %s", c.Sources, j.name))
 		}
-		out = append(out, c.Comp(ids[0]))
+		for src := range c.Sources.All() {
+			out = append(out, c.Comp(src))
+		}
 	}
-	for _, e := range s.st.SnapshotLive(cut, j.window) {
+	s.st.Scan(func(e state.Entry) bool {
 		add(e.C)
-	}
+		return true
+	})
 	for _, entry := range s.black.List() {
 		for i := range entry.Tuples {
 			add(entry.Tuples[i].E.C)

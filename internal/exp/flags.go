@@ -117,15 +117,15 @@ func (f *Flags) Apply(p *Params) error {
 
 // ObsOptions resolves the observation flags into the options of one tracer:
 // sampling every -obs-sample seconds of stream time (one window when 0) and,
-// when the endpoint is on, a ring sink for /trace to read while the engine
-// is still emitting.
+// when the endpoint is on, a recorder of the last obs.TraceTail events for
+// /trace to read while the engine is still emitting.
 func (f *Flags) ObsOptions(window stream.Time) obs.Options {
 	o := obs.Options{SampleEvery: window}
 	if f.obsSample > 0 {
 		o.SampleEvery = stream.Time(f.obsSample * float64(stream.Second))
 	}
 	if f.obsAddr != "" {
-		o.Sink = obs.NewRingSink(4096)
+		o.Sink = obs.NewRecorder(obs.TraceTail)
 	}
 	return o
 }

@@ -17,6 +17,12 @@ func bypass(s obs.Sink) { // want "direct obs\\.Sink access"
 	s.Emit(obs.Event{}) // want "direct obs\\.Emit access" "direct obs\\.Event access"
 }
 
+// Flagged: a recorder is the harness side's wiring; the engine path
+// neither builds one nor reads it.
+func record() *obs.Recorder { // want "direct obs\\.Recorder access"
+	return obs.NewRecorder(0) // want "direct obs\\.NewRecorder access"
+}
+
 // Not flagged: the Tracer methods are the discipline, nil-safe when
 // tracing is off.
 func sanctioned(tr *obs.Tracer) {

@@ -4,7 +4,7 @@ package exp
 
 import "repro/internal/obs"
 
-func wire() (*obs.MemorySink, *obs.Tracer) {
-	sink := &obs.MemorySink{}
-	return sink, obs.New(obs.Options{Sink: sink})
+func wire() (*obs.Recorder, *obs.Tracer) {
+	rec := obs.NewRecorder(0)
+	return rec, obs.New(obs.Options{Sink: rec})
 }

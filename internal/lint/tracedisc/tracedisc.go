@@ -25,11 +25,10 @@ var InstrumentedPackages = []string{
 
 // forbidden are the obs identifiers whose very mention in an instrumented
 // package means emission is bypassing the Tracer: the Sink interface and
-// its implementations, the EventSource capability, the raw Event type and
-// the Emit method.
+// its implementations, the raw Event type and the Emit method.
 var forbidden = map[string]bool{
-	"Sink": true, "CountingSink": true, "MemorySink": true, "TeeSink": true,
-	"RingSink": true, "EventSource": true, "Event": true, "Emit": true,
+	"Sink": true, "CountingSink": true, "Recorder": true, "NewRecorder": true,
+	"Event": true, "Emit": true,
 }
 
 // obsPathSuffix identifies the obs package by import path without tying

@@ -138,8 +138,8 @@ func TestChromeMigrationGolden(t *testing.T) {
 	b := plan.BuildTree(cat, conj, plan.Bushy(4), plan.Options{
 		Window: 90 * stream.Second, Mode: core.JIT(),
 	})
-	mem := &obs.MemorySink{}
-	b.SetTrace(obs.New(obs.Options{Sink: mem}))
+	rec := obs.NewRecorder(0)
+	b.SetTrace(obs.New(obs.Options{Sink: rec}))
 	ctrl := adapt.New(adapt.Config{
 		Epoch:   30 * stream.Second,
 		Margin:  1e9, // policy can never win — only the forced migration fires
@@ -153,7 +153,7 @@ func TestChromeMigrationGolden(t *testing.T) {
 
 	// The golden holds the epoch boundaries and the migration triple only.
 	var events []obs.Event
-	for _, e := range mem.Events() {
+	for _, e := range rec.Events() {
 		switch e.Kind {
 		case obs.KindEpoch, obs.KindMigrationStart, obs.KindMigrationCut, obs.KindMigrationDone:
 			events = append(events, e)

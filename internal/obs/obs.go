@@ -21,7 +21,9 @@
 package obs
 
 import (
+	"math"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -108,9 +110,8 @@ type Event struct {
 	Note  string
 }
 
-// Sink receives trace events. Implementations used from a single engine
-// goroutine (CountingSink, MemorySink) need no locking; RingSink is locked
-// because the live /trace endpoint reads it concurrently.
+// Sink receives trace events. A tracer's production sink is a Recorder;
+// CountingSink is the tests' cheap fake.
 type Sink interface {
 	Emit(Event)
 }
@@ -137,48 +138,72 @@ func (s *CountingSink) Total() uint64 {
 	return n
 }
 
-// MemorySink retains every event in emission order. Unlocked: read it only
-// after the emitting run has finished — the Chrome-trace exporters and
-// golden tests do; the live /trace endpoint uses RingSink instead.
-type MemorySink struct {
-	events []Event
+// TraceTail is how many events /trace serves per tracer: the last ones its
+// Recorder holds. A recorder kept for /trace alone keeps no more than that.
+const TraceTail = 4096
+
+// Recorder keeps the trace events a tracer emits: every one when its limit
+// is 0 (a trace file written after the run), else the last limit. It locks
+// on every event, so the live /trace endpoint can read it while the engine
+// is still emitting. It grows as events arrive.
+type Recorder struct {
+	mu  sync.Mutex
+	evs ring[Event]
+}
+
+// NewRecorder creates a recorder keeping the last limit events, or every
+// event when limit is 0.
+func NewRecorder(limit int) *Recorder {
+	if limit < 0 {
+		panic("obs: recorder limit cannot be negative")
+	}
+	return &Recorder{evs: ring[Event]{limit: limit}}
 }
 
 // Emit implements Sink.
-func (m *MemorySink) Emit(e Event) { m.events = append(m.events, e) }
-
-// Events returns the retained events in emission order.
-func (m *MemorySink) Events() []Event { return m.events }
-
-// TeeSink fans one event stream out to several sinks.
-type TeeSink []Sink
-
-// Emit implements Sink.
-func (t TeeSink) Emit(e Event) {
-	for _, s := range t {
-		s.Emit(e)
-	}
+func (r *Recorder) Emit(e Event) {
+	r.mu.Lock()
+	r.evs.push(e)
+	r.mu.Unlock()
 }
 
-// TraceEvents implements the /trace source lookup across the tee: the first
-// branch that can serve a concurrent-safe event snapshot wins.
-func (t TeeSink) TraceEvents() ([]Event, bool) {
-	for _, s := range t {
-		if es, ok := s.(EventSource); ok {
-			if evs, ok := es.TraceEvents(); ok {
-				return evs, true
-			}
-		}
-	}
-	return nil, false
+// Last returns a copy of the newest n kept events (all of them when fewer
+// are kept), oldest first.
+func (r *Recorder) Last(n int) []Event {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.evs.last(n)
 }
 
-// EventSource is the optional sink capability the live /trace endpoint
-// needs: a snapshot of retained events that is safe to take while the engine
-// is still emitting. RingSink implements it; MemorySink deliberately does
-// not (it is unlocked).
-type EventSource interface {
-	TraceEvents() ([]Event, bool)
+// Events returns a copy of every kept event, oldest first.
+func (r *Recorder) Events() []Event { return r.Last(math.MaxInt) }
+
+// ring keeps the last limit values pushed, or every value when limit is 0,
+// growing as values arrive.
+type ring[T any] struct {
+	limit int
+	buf   []T
+	next  int // once len(buf) == limit: the oldest value's slot
+}
+
+func (r *ring[T]) push(v T) {
+	if r.limit == 0 || len(r.buf) < r.limit {
+		r.buf = append(r.buf, v)
+		return
+	}
+	r.buf[r.next] = v
+	r.next = (r.next + 1) % r.limit
+}
+
+// last returns a copy of the newest n values (all of them when fewer are
+// kept), oldest first.
+func (r *ring[T]) last(n int) []T {
+	n = min(n, len(r.buf))
+	out := make([]T, 0, n)
+	for i := len(r.buf) - n; i < len(r.buf); i++ {
+		out = append(out, r.buf[(r.next+i)%len(r.buf)])
+	}
+	return out
 }
 
 // Ledger is what a tracer reads of a plan's counters, without obs importing
@@ -192,8 +217,8 @@ type Ledger interface {
 
 // Options configures a Tracer.
 type Options struct {
-	// Sink receives the typed trace events; nil disables event emission
-	// (sampling and latency accounting still run).
+	// Sink receives the typed trace events — a Recorder, outside tests; nil
+	// disables event emission (sampling and latency accounting still run).
 	Sink Sink
 	// SampleEvery, when positive, attaches an event-time sampler with this
 	// stream-time interval (DESIGN.md §9 determinism rules). Zero disables
@@ -217,7 +242,7 @@ type Options struct {
 //
 // A tracer is single-goroutine like the engine that drives it; the only
 // cross-goroutine surface is the atomically published *Snapshot (and a
-// RingSink, which locks itself). Sharded runs use one tracer per replica.
+// Recorder, which locks itself). Sharded runs use one tracer per replica.
 type Tracer struct {
 	sink    Sink
 	shard   int
@@ -247,18 +272,17 @@ func New(o Options) *Tracer {
 
 // Bind points the tracer at a plan's measurement substrate — its Ledger and
 // its Account. plan.Built.SetTrace calls it at attach time and again at each
-// migration handoff: the substrate is the same plan, but its operators are
-// fresh, so the sampler restarts its per-operator baselines (and keeps the
-// totals one). This is the one binding: the sampler reads the same pair.
+// migration handoff. The sampler's baseline is the totals at the first
+// Bind: they carry on across a migration, so a rebind keeps it. This is the
+// one binding: the sampler reads the same pair.
 func (t *Tracer) Bind(src Ledger, acct *metrics.Account) {
 	if t == nil {
 		return
 	}
-	first := t.src == nil
-	t.src, t.acct = src, acct
-	if t.sampler != nil {
-		t.sampler.rebase(first)
+	if t.sampler != nil && t.src == nil {
+		t.sampler.prev = src.Totals()
 	}
+	t.src, t.acct = src, acct
 }
 
 // Advance moves the event-time clock forward (never backward) and fires any
@@ -433,26 +457,24 @@ func (t *Tracer) WallLatency() Histogram {
 	return t.latWall
 }
 
-// Samples returns the sampled series so far (nil without a sampler). Read it
-// only from the engine goroutine or after the run; concurrent readers use
-// Snapshot.
+// Samples returns a copy of the last maxSamples samples of the series, oldest
+// first (nil without a sampler). Read it only from the engine goroutine or
+// after the run; concurrent readers use Snapshot.
 func (t *Tracer) Samples() []Sample {
 	if t == nil || t.sampler == nil {
 		return nil
 	}
-	return t.sampler.samples
+	return t.sampler.samples.last(maxSamples)
 }
 
-// TraceEvents returns a concurrency-safe snapshot of retained events when
-// the sink supports it (RingSink, or a TeeSink containing one).
-func (t *Tracer) TraceEvents() ([]Event, bool) {
+// Recorder returns the recorder the tracer emits into, or nil when its sink
+// is none or another kind.
+func (t *Tracer) Recorder() *Recorder {
 	if t == nil {
-		return nil, false
+		return nil
 	}
-	if es, ok := t.sink.(EventSource); ok {
-		return es.TraceEvents()
-	}
-	return nil, false
+	r, _ := t.sink.(*Recorder)
+	return r
 }
 
 // Snapshot is the atomically published cross-goroutine view of one tracer —
@@ -460,7 +482,6 @@ func (t *Tracer) TraceEvents() ([]Event, bool) {
 // engine-mutated state.
 type Snapshot struct {
 	Label     string
-	Shard     int
 	Clock     stream.Time
 	Counters  metrics.Counters
 	LiveBytes int64
@@ -469,9 +490,11 @@ type Snapshot struct {
 	// LiveByOp by operator (metrics.Account.LiveByOp).
 	LiveBy   metrics.MemLedger
 	LiveByOp []metrics.OpMem
-	Samples  int
-	Latency  Histogram
-	WallLat  Histogram
+	// Samples counts the samples taken, including those the series no
+	// longer keeps.
+	Samples int
+	Latency Histogram
+	WallLat Histogram
 	// Ops are the live operators' running totals; Counters minus their sum
 	// is the plan's run ledger. WriteProm serves them under the `op` label.
 	Ops []metrics.OpCounters
@@ -491,7 +514,6 @@ func (t *Tracer) Snapshot() *Snapshot {
 func (t *Tracer) publish() {
 	s := &Snapshot{
 		Label:   t.label,
-		Shard:   t.shard,
 		Clock:   t.now,
 		Latency: t.lat,
 		WallLat: t.latWall,
@@ -508,7 +530,7 @@ func (t *Tracer) publish() {
 		s.LiveBy, s.LiveByOp = t.acct.LiveBy(), t.acct.LiveByOp()
 	}
 	if t.sampler != nil {
-		s.Samples = len(t.sampler.samples)
+		s.Samples = t.sampler.taken
 	}
 	t.snap.Store(s)
 }

@@ -8,15 +8,20 @@ import (
 )
 
 // Sample is one interval of the deterministic time series: the plan-wide
-// Counters delta over (T−Δt, T], each live operator's delta over the same
-// interval, and the Account's live bytes at the boundary. T is an absolute
-// stream-time grid point, never a wall-clock stamp.
+// Counters delta over (T−Δt, T] and the Account's live bytes at the
+// boundary. T is an absolute stream-time grid point, never a wall-clock
+// stamp.
 type Sample struct {
 	T         stream.Time
 	Counters  metrics.Counters
 	LiveBytes int64
-	Ops       []metrics.OpCounters
 }
+
+// maxSamples bounds the series a sampler keeps: the latest samples, well
+// above the 25 the report's behaviour appendix reads. A served process
+// samples once per window without end, so an unbounded series would grow
+// for as long as it runs.
+const maxSamples = 1024
 
 // sampler snapshots its tracer's measurement substrate every Δt of stream
 // time. The determinism rules (DESIGN.md §9):
@@ -32,16 +37,16 @@ type Sample struct {
 //     (ceiling), again so shards agree on the last bucket.
 //
 // It reads the (Ledger, Account) pair Tracer.Bind set; it has no binding of
-// its own.
+// its own. It keeps the last maxSamples samples and counts every one taken.
 type sampler struct {
 	tr      *Tracer
 	dt      stream.Time
 	next    stream.Time
 	started bool
 
-	prev    metrics.Counters
-	prevOps []metrics.OpCounters
-	samples []Sample
+	prev    metrics.Counters // the totals at the last sample, or the first Bind
+	samples ring[Sample]
+	taken   int
 }
 
 // newSampler creates a sampler of tr's substrate with stream-time interval
@@ -50,21 +55,7 @@ func newSampler(tr *Tracer, dt stream.Time) *sampler {
 	if dt <= 0 {
 		panic("obs: sampler interval must be positive stream time")
 	}
-	return &sampler{tr: tr, dt: dt}
-}
-
-// rebase takes new baselines after the tracer was bound. On the first bind
-// the totals baseline is their current value; on a rebind — a migration
-// reshaped the plan (plan.Built.Reshape) — it is kept, because the run's
-// totals carry on across the handoff and resetting would double-count the
-// pre-migration work. Per-operator baselines always reset: the new tree's
-// operators are fresh, and their deltas would underflow against the retired
-// ones' ledgers.
-func (s *sampler) rebase(first bool) {
-	if first {
-		s.prev = s.tr.src.Totals()
-	}
-	s.prevOps = s.tr.src.Ops()
+	return &sampler{tr: tr, dt: dt, samples: ring[Sample]{limit: maxSamples}}
 }
 
 // tick advances the sampler clock; it takes one sample per grid boundary in
@@ -101,16 +92,14 @@ func (s *sampler) flush() {
 }
 
 func (s *sampler) take(at stream.Time) {
-	cur, ops := s.tr.src.Totals(), s.tr.src.Ops()
+	cur := s.tr.src.Totals()
 	sm := Sample{T: at, Counters: cur.Sub(s.prev)}
 	if s.tr.acct != nil {
 		sm.LiveBytes = s.tr.acct.Live()
 	}
-	for i, o := range ops {
-		sm.Ops = append(sm.Ops, metrics.OpCounters{Name: o.Name, Counters: o.Counters.Sub(s.prevOps[i].Counters)})
-	}
-	s.prev, s.prevOps = cur, ops
-	s.samples = append(s.samples, sm)
+	s.prev = cur
+	s.samples.push(sm)
+	s.taken++
 }
 
 var sparkRunes = []rune("▁▂▃▄▅▆▇█")

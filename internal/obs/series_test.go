@@ -1,9 +1,12 @@
 package obs
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/stream"
 )
 
 // fakeLedger is a hand-set Ledger: plan totals and the operators' ledgers.
@@ -19,7 +22,7 @@ func (l *fakeLedger) Ops() []metrics.OpCounters {
 }
 
 func TestSamplerGrid(t *testing.T) {
-	led := &fakeLedger{ops: []metrics.OpCounters{{Name: "Op1"}}}
+	led := &fakeLedger{}
 	var acct metrics.Account
 	tr := New(Options{SampleEvery: 10})
 	tr.Bind(led, &acct)
@@ -29,7 +32,6 @@ func TestSamplerGrid(t *testing.T) {
 		t.Fatal("anchor tick must not sample")
 	}
 	led.totals.Probes = 5
-	led.ops[0].Counters.Probes = 2
 	acct.Alloc(metrics.MemState, 100)
 	if tr.Advance(10); len(tr.Samples()) != 1 {
 		t.Fatal("boundary 10 not taken")
@@ -60,15 +62,41 @@ func TestSamplerGrid(t *testing.T) {
 			t.Errorf("sample %d live=%d, want 100", i, sm.LiveBytes)
 		}
 	}
-	if got[0].Ops[0].Counters.Probes != 2 || got[1].Ops[0].Counters.Probes != 0 {
-		t.Error("per-op delta wrong")
+}
+
+// TestSamplerKeepsLatest pins the series' bound: a tracer sampled past
+// maxSamples boundaries keeps the latest maxSamples, newest last, while
+// jit_samples still counts every sample taken.
+func TestSamplerKeepsLatest(t *testing.T) {
+	led := &fakeLedger{}
+	tr := New(Options{SampleEvery: 10})
+	tr.Bind(led, nil)
+	tr.Advance(1) // anchor
+	const taken = maxSamples + 300
+	for k := 1; k <= taken; k++ {
+		led.totals.Probes += uint64(k)
+		tr.Advance(stream.Time(10 * k))
+	}
+	got := tr.Samples()
+	if len(got) != maxSamples {
+		t.Fatalf("kept %d samples, want the latest %d", len(got), maxSamples)
+	}
+	for i, sm := range got {
+		k := taken - maxSamples + 1 + i
+		if sm.T != stream.Time(10*k) || sm.Counters.Probes != uint64(k) {
+			t.Fatalf("sample %d: T=%d probes=%d, want T=%d probes=%d", i, sm.T, sm.Counters.Probes, 10*k, k)
+		}
+	}
+	var b strings.Builder
+	WriteProm(&b, []*Snapshot{tr.Snapshot()})
+	if !strings.Contains(b.String(), fmt.Sprintf("\njit_samples{shard=\"shard0\"} %d\n", taken)) {
+		t.Errorf("jit_samples does not count all %d samples taken:\n%s", taken, b.String())
 	}
 }
 
 // TestSamplerRebind checks the migration-handoff semantics: the plan is
-// rebound to the tracer after its tree was reshaped — the sampler keeps its
-// totals baseline (the run's totals carry on), while per-operator baselines
-// reset (the new operators are fresh and old baselines would underflow).
+// rebound to the tracer after its tree was reshaped, and the sampler keeps
+// its totals baseline, because the run's totals carry on.
 func TestSamplerRebind(t *testing.T) {
 	led := &fakeLedger{}
 	tr := New(Options{SampleEvery: 10})
@@ -76,10 +104,8 @@ func TestSamplerRebind(t *testing.T) {
 	tr.Advance(1) // anchor
 	led.totals.Probes = 4
 
-	// Migration: the totals hold the 4, plus 3 from the reshaped tree, whose
-	// fresh operator did 5 probes before the rebind.
+	// Migration: the totals hold the 4, plus 3 from the reshaped tree.
 	led.totals.Probes = 7
-	led.ops = []metrics.OpCounters{{Name: "Op1'", Counters: metrics.Counters{Probes: 5}}}
 	tr.Bind(led, nil)
 
 	if tr.Advance(10); len(tr.Samples()) != 1 {
@@ -88,10 +114,6 @@ func TestSamplerRebind(t *testing.T) {
 	sm := tr.Samples()[0]
 	if sm.Counters.Probes != 7 {
 		t.Errorf("rebind delta=%d, want 7 (baseline kept across migration)", sm.Counters.Probes)
-	}
-	// Op baseline reset at Bind time: delta counts only post-rebind work.
-	if sm.Ops[0].Counters.Probes != 0 {
-		t.Errorf("op delta=%d, want 0 (baseline reset at rebind)", sm.Ops[0].Counters.Probes)
 	}
 }
 

@@ -20,50 +20,6 @@ import (
 	"repro/internal/tcp"
 )
 
-// RingSink retains the last N events behind a mutex — the only sink safe to
-// read while the engine is still emitting, which is exactly what the live
-// /trace endpoint needs. For post-run export (Chrome traces, goldens) use
-// the unlocked MemorySink instead.
-type RingSink struct {
-	mu   sync.Mutex
-	buf  []Event
-	next int
-	full bool
-}
-
-// NewRingSink creates a ring retaining the last n events (n must be > 0).
-func NewRingSink(n int) *RingSink {
-	if n <= 0 {
-		panic("obs: ring sink capacity must be positive")
-	}
-	return &RingSink{buf: make([]Event, n)}
-}
-
-// Emit implements Sink.
-func (r *RingSink) Emit(e Event) {
-	r.mu.Lock()
-	r.buf[r.next] = e
-	r.next++
-	if r.next == len(r.buf) {
-		r.next, r.full = 0, true
-	}
-	r.mu.Unlock()
-}
-
-// TraceEvents implements EventSource: a copy of the retained events, oldest
-// first.
-func (r *RingSink) TraceEvents() ([]Event, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.full {
-		return append([]Event(nil), r.buf[:r.next]...), true
-	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out, true
-}
-
 // Registry aggregates the tracers of one process — one for a single-engine
 // run, one per replica for a sharded run — behind the ops endpoint.
 type Registry struct {
@@ -111,7 +67,7 @@ func (r *Registry) Snapshots() []*Snapshot {
 // connection — so a request is read once and never kept alive.
 //
 //	/metrics        Prometheus text exposition (per-shard labels)
-//	/trace          NDJSON stream of retained trace events (ring sinks)
+//	/trace          NDJSON stream of each tracer's last TraceTail events
 //	/healthz        liveness
 //	/debug/pprof/   a plain-text index of the profiles below
 //	/debug/pprof/cmdline, profile?seconds=N, trace?seconds=N, and every
@@ -330,11 +286,11 @@ func (s *Server) route(rep *reply, path, query string) {
 		rep.ctype = "application/x-ndjson"
 		enc := json.NewEncoder(rep)
 		for _, t := range s.reg.Tracers() {
-			evs, ok := t.TraceEvents()
-			if !ok {
+			rec := t.Recorder()
+			if rec == nil {
 				continue
 			}
-			for _, e := range evs {
+			for _, e := range rec.Last(TraceTail) {
 				enc.Encode(struct {
 					Kind  string `json:"kind"`
 					TS    int64  `json:"ts"`

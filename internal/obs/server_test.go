@@ -20,32 +20,124 @@ import (
 	"repro/internal/tcp"
 )
 
-func TestRingSinkWraps(t *testing.T) {
-	r := NewRingSink(4)
+func TestRecorderWraps(t *testing.T) {
+	bounded, all := NewRecorder(4), NewRecorder(0)
 	for i := 0; i < 6; i++ {
-		r.Emit(Event{Kind: KindArrival, Value: uint64(i)})
+		bounded.Emit(Event{Kind: KindArrival, Value: uint64(i)})
+		all.Emit(Event{Kind: KindArrival, Value: uint64(i)})
 	}
-	evs, ok := r.TraceEvents()
-	if !ok || len(evs) != 4 {
-		t.Fatalf("got %d events, ok=%v", len(evs), ok)
+	if n := len(all.Events()); n != 6 {
+		t.Fatalf("a recorder without a limit kept %d of 6 events", n)
 	}
-	for i, e := range evs {
-		if e.Value != uint64(i+2) {
-			t.Fatalf("event %d value=%d, want %d (oldest first)", i, e.Value, i+2)
+	for _, evs := range [][]Event{bounded.Events(), all.Last(4), bounded.Last(10)} {
+		if len(evs) != 4 {
+			t.Fatalf("got %d events, want the last 4", len(evs))
+		}
+		for i, e := range evs {
+			if e.Value != uint64(i+2) {
+				t.Fatalf("event %d value=%d, want %d (oldest first)", i, e.Value, i+2)
+			}
 		}
 	}
 }
 
-func TestTeeSink(t *testing.T) {
-	var c CountingSink
-	r := NewRingSink(8)
-	tee := TeeSink{&c, r}
-	tee.Emit(Event{Kind: KindSuspend})
-	if c.Count(KindSuspend) != 1 || c.Total() != 1 {
-		t.Error("tee missed the counting branch")
+// traceLines serves the tracers on a fresh endpoint and returns the lines
+// of one GET /trace.
+func traceLines(t *testing.T, trs ...*Tracer) []string {
+	t.Helper()
+	reg := NewRegistry()
+	reg.Register(trs...)
+	srv, err := Serve("127.0.0.1:0", reg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if evs, ok := tee.TraceEvents(); !ok || len(evs) != 1 {
-		t.Error("tee did not find the ring's event source")
+	defer srv.Close()
+	resp, err := http.Get("http://" + srv.Addr() + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /trace: status %d, %v", resp.StatusCode, err)
+	}
+	return strings.Split(strings.TrimSuffix(string(body), "\n"), "\n")
+}
+
+// TestTraceServesTheTail pins what /trace serves of a recorder: the last
+// TraceTail events, the same from one that keeps every event (jitrun
+// -trace-out) as from one that keeps only those.
+func TestTraceServesTheTail(t *testing.T) {
+	all := New(Options{Sink: NewRecorder(0)})
+	tail := New(Options{Sink: NewRecorder(TraceTail)})
+	const n = TraceTail + 100
+	for i := 1; i <= n; i++ {
+		tp := &stream.Tuple{TS: stream.Time(i), ID: uint64(i)}
+		all.Arrival(tp)
+		tail.Arrival(tp)
+	}
+	if got := len(all.Recorder().Events()); got != n {
+		t.Fatalf("the unbounded recorder kept %d of %d events", got, n)
+	}
+	got, want := traceLines(t, all), traceLines(t, tail)
+	if len(got) != TraceTail || strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("/trace served %d lines from the full recorder and %d from the bounded one, or they differ",
+			len(got), len(want))
+	}
+	var first struct{ Value uint64 }
+	if err := json.Unmarshal([]byte(got[0]), &first); err != nil || first.Value != n-TraceTail+1 {
+		t.Errorf("first served event %q, want value %d", got[0], n-TraceTail+1)
+	}
+}
+
+// TestTraceWhileEmitting reads /trace while the engine side still emits:
+// the recorder's lock is what makes that safe (run it under -race). Every
+// response is a run of consecutive events no longer than TraceTail.
+func TestTraceWhileEmitting(t *testing.T) {
+	tr := New(Options{Sink: NewRecorder(TraceTail)})
+	reg := NewRegistry()
+	reg.Register(tr)
+	srv, err := Serve("127.0.0.1:0", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i <= 4*TraceTail; i++ {
+			tr.Arrival(&stream.Tuple{TS: stream.Time(i), ID: uint64(i)})
+		}
+	}()
+	for reads := 0; ; reads++ {
+		resp, err := http.Get("http://" + srv.Addr() + "/trace")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var prev, n uint64
+		for sc := bufio.NewScanner(bytes.NewReader(body)); sc.Scan(); n++ {
+			var e struct{ Value uint64 }
+			if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+				t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+			}
+			if n > 0 && e.Value != prev+1 {
+				t.Fatalf("read %d: event %d follows %d", reads, e.Value, prev)
+			}
+			prev = e.Value
+		}
+		if n > TraceTail {
+			t.Fatalf("read %d: %d events, want at most %d", reads, n, TraceTail)
+		}
+		select {
+		case <-done:
+			return
+		default:
+		}
 	}
 }
 
@@ -53,8 +145,7 @@ func TestTeeSink(t *testing.T) {
 // whole surface: /metrics parses under the promtext grammar with the right
 // content type, /trace streams NDJSON, /healthz answers, pprof is mounted.
 func TestOpsEndpoint(t *testing.T) {
-	ring := NewRingSink(64)
-	tr := New(Options{Sink: ring, SampleEvery: 10, Label: "shard0"})
+	tr := New(Options{Sink: NewRecorder(64), SampleEvery: 10, Label: "shard0"})
 	led := &fakeLedger{}
 	tr.Bind(led, nil)
 	tr.Advance(1)

@@ -20,8 +20,9 @@
 // rows (IndexedRow, DrainRow, ShardRow, HostileRow) are themselves the
 // records RESULTS.json marshals.
 //
-// Everything the harness emits is deterministic: fixed seeds, sorted sweep
-// order (Grid), machine-independent cost units instead of wall-clock time.
+// Everything the harness emits is deterministic: fixed seeds, the specs'
+// figure order and each figure's x order, machine-independent cost units
+// instead of wall-clock time.
 // Regenerating with the same options reproduces the artifacts byte for
 // byte, which is what makes RESULTS.md diffable — the golden test and the
 // CI drift gate both regenerate the short preset and fail on any byte of

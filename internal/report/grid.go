@@ -2,64 +2,9 @@ package report
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/exp"
 )
-
-// Cell is one cell of the sweep grid: one figure × x-value × mode. The
-// grid is the report's unit of accounting — every cell is executed exactly
-// once per run, and RESULTS.json records one entry per cell.
-type Cell struct {
-	// Fig is the paper's figure number (10..17).
-	Fig int
-	// X is the swept parameter value at this cell.
-	X float64
-	// Mode is the execution-mode label ("JIT", "REF", "DOE", "Bloom").
-	Mode string
-}
-
-// less orders cells by (Fig, X, Mode) — the canonical sweep order.
-func (c Cell) less(o Cell) bool {
-	if c.Fig != o.Fig {
-		return c.Fig < o.Fig
-	}
-	if c.X != o.X {
-		return c.X < o.X
-	}
-	return c.Mode < o.Mode
-}
-
-// Grid enumerates the sweep grid for the given figure specs and modes,
-// sorted by (figure, x, mode) and duplicate-free. With short set, each
-// figure's x-grid is subset to ShortXs. The enumeration is pure — it
-// performs no runs — so callers can cost a sweep before starting it.
-func Grid(specs []exp.Spec, modes []exp.NamedMode, short bool) []Cell {
-	var cells []Cell
-	for _, s := range specs {
-		xs := s.Xs
-		if short {
-			xs = ShortXs(s)
-		}
-		for _, x := range xs {
-			for _, nm := range modes {
-				cells = append(cells, Cell{Fig: s.ID, X: x, Mode: nm.Name})
-			}
-		}
-	}
-	sort.Slice(cells, func(i, j int) bool { return cells[i].less(cells[j]) })
-	return dedupe(cells)
-}
-
-func dedupe(cells []Cell) []Cell {
-	out := cells[:0]
-	for i, c := range cells {
-		if i == 0 || c != cells[i-1] {
-			out = append(out, c)
-		}
-	}
-	return out
-}
 
 // ShortXs subsets a figure's x-grid for the short preset: the spec's own
 // override when set, else the first, middle and last points — enough to

@@ -6,47 +6,6 @@ import (
 	"repro/internal/exp"
 )
 
-// TestGridSortedDupFree pins the sweep-grid enumerator's contract: sorted
-// by (figure, x, mode), duplicate-free, and exactly covering specs × xs ×
-// modes in both presets.
-func TestGridSortedDupFree(t *testing.T) {
-	specs := exp.Specs()
-	for _, short := range []bool{false, true} {
-		for _, modes := range [][]exp.NamedMode{exp.DefaultModes(), exp.AblationModes()} {
-			cells := Grid(specs, modes, short)
-			want := 0
-			for _, s := range specs {
-				xs := s.Xs
-				if short {
-					xs = ShortXs(s)
-				}
-				want += len(xs) * len(modes)
-			}
-			if len(cells) != want {
-				t.Fatalf("short=%v modes=%d: %d cells, want %d", short, len(modes), len(cells), want)
-			}
-			for i := 1; i < len(cells); i++ {
-				if !cells[i-1].less(cells[i]) {
-					t.Fatalf("short=%v: cells[%d]=%+v not strictly before cells[%d]=%+v",
-						short, i-1, cells[i-1], i, cells[i])
-				}
-			}
-		}
-	}
-}
-
-// TestGridDedupe feeds the enumerator duplicate specs and checks the grid
-// stays duplicate-free.
-func TestGridDedupe(t *testing.T) {
-	specs := exp.Specs()
-	doubled := append(append([]exp.Spec{}, specs...), specs...)
-	a := Grid(specs, exp.DefaultModes(), true)
-	b := Grid(doubled, exp.DefaultModes(), true)
-	if len(a) != len(b) {
-		t.Fatalf("doubled specs changed the grid: %d vs %d cells", len(a), len(b))
-	}
-}
-
 // TestShortXs pins the short subset: endpoints plus the middle, small
 // grids unchanged.
 func TestShortXs(t *testing.T) {

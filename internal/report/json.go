@@ -62,7 +62,7 @@ func (r *Report) JSON() ([]byte, error) {
 		Preset:     r.Preset,
 		Seed:       r.Seed,
 		Modes:      r.Modes,
-		GridCells:  len(r.Grid),
+		GridCells:  r.cells(),
 		Extensions: r.Ext,
 	}
 	for i, fig := range r.Figures {

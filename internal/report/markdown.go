@@ -43,8 +43,8 @@ func (r *Report) Markdown() []byte {
 
 func (r *Report) preamble(b *strings.Builder) {
 	fmt.Fprintf(b, "Preset **`%s`** · seed %d · modes %s · %d grid cells "+
-		"(%d figures; sweep order and cell set defined by `report.Grid`).\n\n",
-		r.Preset, r.Seed, strings.Join(r.Modes, "/"), len(r.Grid), len(r.Figures))
+		"(%d figures; one cell per figure, x-point and mode).\n\n",
+		r.Preset, r.Seed, strings.Join(r.Modes, "/"), r.cells(), len(r.Figures))
 
 	b.WriteString("**Method.** Each figure sweeps one parameter of the paper's Table III over\n" +
 		"the Table II clique plans (Figures 10–13 bushy, 14–17 left-deep) and runs every\n" +

@@ -75,7 +75,6 @@ type Report struct {
 	Preset string
 	Seed   int64
 	Modes  []string
-	Grid   []Cell
 	// Figures holds the reproduced figures in ascending figure order,
 	// aligned with Specs.
 	Figures []*exp.Figure
@@ -87,6 +86,15 @@ type Report struct {
 	// deliberately absent from RESULTS.json (the per-x endpoint numbers
 	// there are the machine-readable record; the series is a shape aid).
 	Behaviour []BehaviourRow
+}
+
+// cells counts the sweep's cells: one per figure, x-point and mode.
+func (r *Report) cells() int {
+	n := 0
+	for _, fig := range r.Figures {
+		n += len(fig.Points)
+	}
+	return n * len(r.Modes)
 }
 
 // BehaviourRow is one figure's sampled time series.
@@ -141,7 +149,6 @@ func Build(o Options) *Report {
 	r := &Report{
 		Preset: o.Preset(),
 		Seed:   o.seed(),
-		Grid:   Grid(specs, o.Modes(), o.Short),
 		Specs:  specs,
 	}
 	for _, nm := range o.Modes() {

@@ -438,18 +438,3 @@ func (s *State) Scan(visit func(Entry) bool) {
 		}
 	}
 }
-
-// SnapshotLive exports the entries still inside the window at the given cut
-// time — the state half of the §2 snapshot cut (DESIGN.md §7): a checkpoint
-// or plan migration taken between arrivals needs exactly the composites a
-// purge at the cut would keep, and nothing a purge would drop. The returned
-// slice is a copy, in (key hash, Seq) order; the composites are shared.
-func (s *State) SnapshotLive(cut, window stream.Time) []Entry {
-	var out []Entry
-	for _, e := range s.runs[0].ents {
-		if e.C.MinTS+window > cut {
-			out = append(out, e.Entry)
-		}
-	}
-	return out
-}

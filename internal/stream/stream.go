@@ -18,6 +18,8 @@ package stream
 
 import (
 	"fmt"
+	"iter"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -122,21 +124,29 @@ func (s SourceSet) Count() int {
 	return n
 }
 
+// All yields the members in ascending order, without allocating.
+func (s SourceSet) All() iter.Seq[SourceID] {
+	return func(yield func(SourceID) bool) {
+		for v := uint64(s); v != 0; v &= v - 1 {
+			if !yield(SourceID(bits.TrailingZeros64(v))) {
+				return
+			}
+		}
+	}
+}
+
 // IDs returns the members in ascending order.
 func (s SourceSet) IDs() []SourceID {
 	ids := make([]SourceID, 0, s.Count())
-	for i := SourceID(0); s != 0; i++ {
-		if s.Has(i) {
-			ids = append(ids, i)
-			s &^= 1 << uint(i)
-		}
+	for id := range s.All() {
+		ids = append(ids, id)
 	}
 	return ids
 }
 
 func (s SourceSet) String() string {
 	parts := make([]string, 0, s.Count())
-	for _, id := range s.IDs() {
+	for id := range s.All() {
 		parts = append(parts, fmt.Sprintf("%d", id))
 	}
 	return "{" + strings.Join(parts, ",") + "}"
@@ -283,8 +293,8 @@ func (c *Composite) Comp(id SourceID) *Tuple { return c.Comps[id] }
 // tuple IDs, usable as a map key for result-set comparison in tests.
 func (c *Composite) Key() string {
 	b := make([]byte, 0, 64)
-	for i, sid := range c.Sources.IDs() {
-		if i > 0 {
+	for sid := range c.Sources.All() {
+		if len(b) > 0 {
 			b = append(b, '|')
 		}
 		b = strconv.AppendInt(b, int64(sid), 10)
@@ -315,7 +325,7 @@ func (c *Composite) DeepSizeBytes() int64 {
 
 func (c *Composite) String() string {
 	parts := make([]string, 0, c.Sources.Count())
-	for _, sid := range c.Sources.IDs() {
+	for sid := range c.Sources.All() {
 		parts = append(parts, c.Comps[sid].String())
 	}
 	return strings.Join(parts, "")

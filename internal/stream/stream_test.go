@@ -104,6 +104,18 @@ func TestCompositeKeys(t *testing.T) {
 	}
 }
 
+// TestCompositeKeyAllocatesOnce pins Key's cost: a key is built once per
+// delivered result, and the string it returns is its one allocation.
+func TestCompositeKeyAllocatesOnce(t *testing.T) {
+	ab := Join(NewComposite(3, mk(t, 0, 3, 1)), NewComposite(3, mk(t, 2, 1, 1)))
+	if k := ab.Key(); k != "0:3|2:2001" {
+		t.Fatalf("key %q, want 0:3|2:2001", k)
+	}
+	if n := testing.AllocsPerRun(100, func() { ab.Key() }); n != 1 {
+		t.Errorf("Key allocates %v times, want 1", n)
+	}
+}
+
 // TestSizeAccountingStable: a stored composite's charge is its own header
 // plus its components' payload, and joining it into a result leaves that
 // charge as it was, so a state frees exactly what it charged.
