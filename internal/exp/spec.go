@@ -27,17 +27,6 @@ type Spec struct {
 	LeftDeep bool
 	// Apply writes the swept x-value into the base parameters.
 	Apply func(p *Params, x float64)
-	// ShortSizeScale / ShortDomainScale, when non-zero, override the short
-	// report preset's per-shape scaling for THIS figure (internal/report):
-	// a figure whose suspension economics are distorted by the shape-wide
-	// default can pin its own faithful-but-cheap point. Zero keeps the
-	// preset default.
-	ShortSizeScale   float64
-	ShortDomainScale float64
-	// ShortXs, when non-nil, overrides the short preset's first/middle/last
-	// x-grid subset for this figure — e.g. trading an expensive extreme
-	// point for a cheaper one the scaled workload reproduces faithfully.
-	ShortXs []float64
 }
 
 func setWindowMin(p *Params, x float64) { p.Window = stream.Time(x * float64(stream.Minute)) }
@@ -62,18 +51,7 @@ func Specs() []Spec {
 		{ID: 15, Name: "fig15", Title: "Overhead vs stream rate λ (left-deep)",
 			XLabel: "λ (tuples/sec)", Xs: []float64{0.4, 0.7, 1.0, 1.3, 1.6}, LeftDeep: true, Apply: setRate},
 		{ID: 16, Name: "fig16", Title: "Overhead vs number of sources N (left-deep)",
-			XLabel: "N", Xs: []float64{3, 4, 5, 6}, LeftDeep: true, Apply: setN,
-			// The short preset keeps the two mid-grid points at a scaling
-			// tuned for them: ×0.48 windows with ×0.40 domains keeps N=4/5
-			// faithful (JIT below REF, REF rising) and cheap. The extremes
-			// are left out for their cost, not because they invert
-			// JIT-vs-REF: under the harness's drop-at-expiry semantics JIT
-			// stays below REF at N=3 and N=6, and drained — exact delivery,
-			// every result REF builds — TestLeftDeepInversionStudy
-			// (internal/scenario) decomposes them: suspension pays at both
-			// and repays JIT's machinery (lattice, feedback, catch-up) at
-			// both. CHANGES.md has the measured ratios and their history.
-			ShortXs: []float64{4, 5}, ShortSizeScale: 0.48, ShortDomainScale: 0.40},
+			XLabel: "N", Xs: []float64{3, 4, 5, 6}, LeftDeep: true, Apply: setN},
 		{ID: 17, Name: "fig17", Title: "Overhead vs max data value dmax (left-deep)",
 			XLabel: "dmax", Xs: []float64{30, 40, 50, 60, 70}, LeftDeep: true, Apply: setDMax},
 	}

@@ -179,7 +179,8 @@ type Built struct {
 type Options struct {
 	Window stream.Time
 	Mode   core.Mode
-	// KeepResults makes the sink retain all results (tests only).
+	// KeepResults makes the sink retain all results: exp.Params.RunKeys
+	// (tests and RESULTS.md's hostile rows) and examples/quickstart set it.
 	KeepResults bool
 	// NoStateIndex disables the hash-indexed join states (DESIGN.md §3),
 	// forcing every probe down the linear scan path — the paper's execution

@@ -30,7 +30,7 @@ func machineryUnits(c metrics.Counters) int64 {
 // arrivals on hot signatures, so each detected MNS covers more of the future
 // stream.
 //
-// Measured verdict (pinned below; recorded in the fig16 spec comment): (a)
+// Measured verdict (pinned below; in report's fig16 shortPoints entry): (a)
 // At N=3 uniform the machinery share is mostly resumption catch-up joins
 // (0.52) and little lattice (0.05); at N=6 no share dominates — lattice 0.35,
 // feedback 0.26, catch-up 0.24. Catch-up was 0.55 there while every
@@ -128,26 +128,26 @@ func TestLeftDeepInversionStudy(t *testing.T) {
 		// Identify_MNS lattice walks; at N=6 the lattice leads a machinery
 		// that no share dominates.
 		if v.n == 3 && (v.latticeShare >= 0.25 || v.catchUpShare < 0.5) {
-			t.Errorf("N=3 uniform: lattice share %.2f, catch-up share %.2f — the machinery is no longer catch-up-dominated; update the fig16 spec comment",
+			t.Errorf("N=3 uniform: lattice share %.2f, catch-up share %.2f — the machinery is no longer catch-up-dominated; update the fig16 shortPoints comment",
 				v.latticeShare, v.catchUpShare)
 		}
 		if v.n == 6 && (v.catchUpShare >= v.latticeShare || v.latticeShare >= 0.5) {
-			t.Errorf("N=6 uniform: lattice share %.2f, catch-up share %.2f — the lattice no longer leads a machinery no share dominates; update the fig16 spec comment",
+			t.Errorf("N=6 uniform: lattice share %.2f, catch-up share %.2f — the lattice no longer leads a machinery no share dominates; update the fig16 shortPoints comment",
 				v.latticeShare, v.catchUpShare)
 		}
 		// (b) At the uniform extremes suspension saves base work, and the
 		// saving repays the machinery at both.
 		if v.saved <= 0 {
-			t.Errorf("N=%.0f uniform: payback %d — suspension no longer saves base work; update the fig16 spec comment", v.n, v.saved)
+			t.Errorf("N=%.0f uniform: payback %d — suspension no longer saves base work; update the fig16 shortPoints comment", v.n, v.saved)
 		}
 		if v.saved <= v.mach || v.jitOverRef >= 1 {
-			t.Errorf("N=%.0f uniform: payback %d against machinery %d, JIT/REF %.3f — the verdict (payback above machinery, JIT below REF at both extremes) moved; update the fig16 spec comment",
+			t.Errorf("N=%.0f uniform: payback %d against machinery %d, JIT/REF %.3f — the verdict (payback above machinery, JIT below REF at both extremes) moved; update the fig16 shortPoints comment",
 				v.n, v.saved, v.mach, v.jitOverRef)
 		}
 	}
 	// (c) Skew erodes the N=3 payback and with it JIT's lead.
 	if !(n3[0].saved > n3[1.5].saved && n3[1.5].saved > n3[2.0].saved) || n3[2.0].jitOverRef <= n3[0].jitOverRef {
-		t.Errorf("N=3: payback %d, %d, %d and JIT/REF %.3f, %.3f, %.3f at zipf=0, 1.5, 2 — skew no longer erodes the payback; update the fig16 spec comment",
+		t.Errorf("N=3: payback %d, %d, %d and JIT/REF %.3f, %.3f, %.3f at zipf=0, 1.5, 2 — skew no longer erodes the payback; update the fig16 shortPoints comment",
 			n3[0].saved, n3[1.5].saved, n3[2.0].saved, n3[0].jitOverRef, n3[1.5].jitOverRef, n3[2.0].jitOverRef)
 	}
 }

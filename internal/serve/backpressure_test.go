@@ -1,11 +1,8 @@
 package serve
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -230,118 +227,6 @@ func TestHubSubscribeBounds(t *testing.T) {
 	}
 }
 
-// quietClient is a protocol connection for background goroutines: failures
-// come back as errors, never as t.Fatal (which must not run off the test
-// goroutine).
-type quietClient struct {
-	conn net.Conn
-	sc   *bufio.Scanner
-	err  error
-}
-
-func netDial(addr string) (*quietClient, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 4096), MaxFrameBytes+1)
-	return &quietClient{conn: conn, sc: sc}, nil
-}
-
-func (c *quietClient) close() { c.conn.Close() }
-
-// mustSend records the first write failure instead of failing the test; the
-// caller checks c.err once the exchange is over.
-func (c *quietClient) mustSend(v interface{}) {
-	if c.err != nil {
-		return
-	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		c.err = err
-		return
-	}
-	if _, err := c.conn.Write(append(b, '\n')); err != nil {
-		c.err = err
-	}
-}
-
-func (c *quietClient) tryRecv() (map[string]interface{}, bool) {
-	if !c.sc.Scan() {
-		return nil, false
-	}
-	var m map[string]interface{}
-	if err := json.Unmarshal(c.sc.Bytes(), &m); err != nil {
-		c.err = err
-		return nil, false
-	}
-	return m, true
-}
-
-func toString(v interface{}) string { return fmt.Sprint(v) }
-
-// feedQuiet is feed for background goroutines: failures come back as errors,
-// never as t.Fatal (which must not run off the test goroutine).
-func feedQuiet(addr string, tuples []*stream.Tuple) error {
-	conn, err := netDial(addr)
-	if err != nil {
-		return err
-	}
-	defer conn.close()
-	conn.mustSend(Frame{Cmd: "ingest"})
-	g, ok := conn.tryRecv()
-	if !ok || g["ok"] != true {
-		return errors.New("ingest greeting rejected")
-	}
-	for _, tp := range tuples {
-		conn.mustSend(tupleFrame(tp))
-	}
-	conn.mustSend(Frame{Cmd: "eos"})
-	ack, ok := conn.tryRecv()
-	if !ok || ack["ok"] != true {
-		return errors.New("eos not acknowledged")
-	}
-	return conn.err
-}
-
-// collectQuiet is collect for background goroutines.
-func collectQuiet(addr string, from uint64) (subscription, error) {
-	conn, err := netDial(addr)
-	if err != nil {
-		return subscription{}, err
-	}
-	defer conn.close()
-	conn.mustSend(Frame{Cmd: "subscribe", From: from})
-	g, ok := conn.tryRecv()
-	if !ok {
-		return subscription{}, errors.New("no subscribe greeting")
-	}
-	if g["ok"] != true {
-		return subscription{errLine: toString(g["error"])}, nil
-	}
-	var sub subscription
-	if v, ok := g["resume_seq"].(float64); ok {
-		sub.resumeSeq = uint64(v)
-	}
-	for {
-		m, ok := conn.tryRecv()
-		if !ok {
-			return sub, errors.New("subscriber stream ended without eos or error")
-		}
-		if e, ok := m["error"]; ok {
-			sub.errLine = toString(e)
-			return sub, nil
-		}
-		if m["eos"] == true {
-			sub.delivered = uint64(m["delivered"].(float64))
-			return sub, nil
-		}
-		sub.seqs = append(sub.seqs, uint64(m["seq"].(float64)))
-		sub.keys = append(sub.keys, m["key"].(string))
-	}
-}
-
 // TestBackpressureSubBlockBoundsServer is satellite 2's SubBlock half: a
 // subscriber that stops reading stalls delivery, the stall propagates
 // deterministically back to ingest (the admitted high-water mark pins), the
@@ -362,29 +247,10 @@ func TestBackpressureSubBlockBoundsServer(t *testing.T) {
 	cleanTr := obs.New(obs.Options{SampleEvery: 10 * stream.Second})
 	clean := cfg
 	clean.Trace = cleanTr
-	cs, err := Open(clean)
-	if err != nil {
-		t.Fatalf("open clean: %v", err)
-	}
-	defer cs.Shutdown()
-	cleanDone := make(chan subscription, 1)
-	go func() {
-		sub, err := collectQuiet(cs.Addr(), 0)
-		if err != nil {
-			sub.errLine = err.Error()
-		}
-		cleanDone <- sub
-	}()
-	feed(t, cs.Addr(), tuples)
-	if sub := <-cleanDone; sub.errLine != "" {
-		t.Fatalf("clean subscriber: %s", sub.errLine)
-	}
-	if _, err := cs.Wait(); err != nil {
-		t.Fatalf("clean wait: %v", err)
-	}
+	serveRun(t, clean, feedAll(tuples))
 
 	// Stalled run: tiny ring, tiny ingest buffer, a subscriber that attaches
-	// and then refuses to read.
+	// and then refuses to read, beside one that reads over TCP.
 	stallTr := obs.New(obs.Options{SampleEvery: 10 * stream.Second})
 	scfg := cfg
 	scfg.Retain = retain
@@ -405,16 +271,12 @@ func TestBackpressureSubBlockBoundsServer(t *testing.T) {
 	// only way Shutdown's drain can complete. Idempotent with the normal
 	// drain below.
 	defer s.hub.unsubscribe(stalled)
-	tcpDone := make(chan subscription, 1)
-	go func() {
-		sub, err := collectQuiet(s.Addr(), 0)
-		if err != nil {
-			sub.errLine = err.Error()
-		}
-		tcpDone <- sub
-	}()
+	tcpDone, err := attach(s.Addr())
+	if err != nil {
+		t.Fatalf("subscribe: %v", err)
+	}
 	feedDone := make(chan error, 1)
-	go func() { feedDone <- feedQuiet(s.Addr(), tuples) }()
+	go func() { feedDone <- feed(s.Addr(), tuples) }()
 
 	// The stall point is deterministic: the engine delivers exactly `retain`
 	// results into the ring, then blocks publishing the next one.
@@ -469,20 +331,13 @@ func TestBackpressureSubBlockBoundsServer(t *testing.T) {
 		t.Fatalf("feeder: %v", err)
 	}
 	sub := <-tcpDone
-	if sub.errLine != "" {
-		t.Fatalf("tcp subscriber: %s", sub.errLine)
+	if sub.err != nil {
+		t.Fatalf("tcp subscriber: %v", sub.err)
 	}
 	if _, err := s.Wait(); err != nil {
 		t.Fatalf("wait: %v", err)
 	}
-	if len(sub.keys) != len(want) {
-		t.Fatalf("stalled run delivered %d, want %d", len(sub.keys), len(want))
-	}
-	for i := range want {
-		if sub.keys[i] != want[i] {
-			t.Fatalf("delivery %d: got %s want %s", i, sub.keys[i], want[i])
-		}
-	}
+	assertSameSequence(t, "stalled run", sub.keys, want)
 
 	// The memory-bound claim: the live-state series of the stalled run is
 	// identical to the clean run's — backpressure holds memory to the clean
@@ -523,7 +378,9 @@ func TestBackpressureSubKickDropsLaggard(t *testing.T) {
 	}
 	// The stalled subscriber must not slow the run down: feed synchronously;
 	// the eos ack arriving proves ingest never blocked for long.
-	feed(t, s.Addr(), workload(base))
+	if err := feed(s.Addr(), workload(base)); err != nil {
+		t.Fatalf("feed: %v", err)
+	}
 	if _, err := s.Wait(); err != nil {
 		t.Fatalf("wait: %v", err)
 	}
@@ -534,22 +391,14 @@ func TestBackpressureSubKickDropsLaggard(t *testing.T) {
 		t.Fatalf("kick run delivered %d, want %d", got, len(want))
 	}
 	// Resuming from evicted history is an explicit lag error over the wire.
-	old := collect(t, s.Addr(), 0)
-	if !strings.Contains(old.errLine, "lagged") {
-		t.Fatalf("resume from evicted history: %q, want a lag error", old.errLine)
+	if old := collect(s.Addr(), 0); old.err == nil || !strings.Contains(old.err.Error(), "lagged") {
+		t.Fatalf("resume from evicted history: %v, want a lag error", old.err)
 	}
 	// Resuming inside the retained tail replays exactly the tail.
-	from := uint64(len(want) - 3)
-	tail := collect(t, s.Addr(), from)
-	if tail.errLine != "" {
-		t.Fatalf("tail resume: %s", tail.errLine)
+	from := len(want) - 3
+	tail := collect(s.Addr(), uint64(from))
+	if tail.err != nil {
+		t.Fatalf("tail resume: %v", tail.err)
 	}
-	if len(tail.keys) != 3 {
-		t.Fatalf("tail resume saw %d deliveries, want 3", len(tail.keys))
-	}
-	for i, k := range tail.keys {
-		if k != want[int(from)+i] {
-			t.Fatalf("tail delivery %d: got %s want %s", i, k, want[int(from)+i])
-		}
-	}
+	assertSameSequence(t, "tail resume", tail.keys, want[from:])
 }

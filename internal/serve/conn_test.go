@@ -23,9 +23,15 @@ func TestStalledRoleLineIsCutOff(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	defer s.Shutdown()
-	ing, _ := ingestGreet(t, s.Addr())
+	ing, _, err := ingest(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer ing.close()
-	stalled := dial(t, s.Addr())
+	stalled, err := dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer stalled.close()
 	stalled.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	start := time.Now()
@@ -36,12 +42,11 @@ func TestStalledRoleLineIsCutOff(t *testing.T) {
 		t.Fatalf("a connection without a role line held for %v past a %v head deadline", d, headTimeout)
 	}
 	tuples := workload(base)[:5]
-	for _, tp := range tuples {
-		ing.send(tupleFrame(tp))
+	if err := ing.sendTuples(tuples); err != nil {
+		t.Fatal(err)
 	}
-	ing.send(Frame{Cmd: "eos"})
-	if ack := ing.recv(); ack["ok"] != true || ack["ingested"] != float64(len(tuples)) {
-		t.Fatalf("an ingest session idle past the head deadline: eos ack %v, want ok with ingested=%d", ack, len(tuples))
+	if n, err := ing.eos(); err != nil || n != uint64(len(tuples)) {
+		t.Fatalf("an ingest session idle past the head deadline: eos ack ingested=%d (%v), want ok with ingested=%d", n, err, len(tuples))
 	}
 }
 
@@ -51,58 +56,53 @@ func TestStalledRoleLineIsCutOff(t *testing.T) {
 func TestConnectionCapSparesSessions(t *testing.T) {
 	cfg, base := testParams(core.JIT())
 	_, want := base.RunKeys()
-	s, err := Open(cfg)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	defer s.Shutdown()
-	done := make(chan subscription, 1)
-	go func() { done <- collect(t, s.Addr(), 0) }()
-	ing, _ := ingestGreet(t, s.Addr())
-	defer ing.close()
-	// Both sessions are in: the ingest session and the subscriber, marked.
-	waitConns(t, s, func(conns map[*tcp.Conn]bool) bool {
-		kept := 0
-		for _, keep := range conns {
-			if keep {
-				kept++
-			}
-		}
-		return len(conns) == 2 && kept == 1
-	})
-	var stalled []net.Conn
-	defer func() {
-		for _, c := range stalled {
-			c.Close()
-		}
-	}()
-	for len(stalled) < maxConns-2 {
-		c, err := net.Dial("tcp", s.Addr())
+	r := serveRun(t, cfg, func(s *Server) error {
+		ing, _, err := ingest(s.Addr())
 		if err != nil {
-			t.Skipf("%d connections: %v", len(stalled), err)
+			return err
 		}
-		stalled = append(stalled, c)
-	}
-	waitConns(t, s, func(conns map[*tcp.Conn]bool) bool { return len(conns) == maxConns })
-	extra := dial(t, s.Addr())
-	defer extra.close()
-	extra.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if n, err := extra.conn.Read(make([]byte, 1)); n != 0 || err != io.EOF {
-		t.Fatalf("the connection past the cap read %d bytes, %v; want it closed unanswered", n, err)
-	}
-	for _, tp := range workload(base) {
-		ing.send(tupleFrame(tp))
-	}
-	ing.send(Frame{Cmd: "eos"})
-	if ack := ing.recv(); ack["ok"] != true {
-		t.Fatalf("eos not acknowledged: %v", ack)
-	}
-	sub := <-done
-	if sub.errLine != "" {
-		t.Fatalf("subscriber error: %s", sub.errLine)
-	}
-	if !slices.Equal(sub.keys, want) {
-		t.Fatalf("the subscriber saw %d deliveries, want the run's %d in order", len(sub.keys), len(want))
+		defer ing.close()
+		// Both sessions are in: the ingest session and the subscriber, marked.
+		waitConns(t, s, func(conns map[*tcp.Conn]bool) bool {
+			kept := 0
+			for _, keep := range conns {
+				if keep {
+					kept++
+				}
+			}
+			return len(conns) == 2 && kept == 1
+		})
+		var stalled []net.Conn
+		defer func() {
+			for _, c := range stalled {
+				c.Close()
+			}
+		}()
+		for len(stalled) < maxConns-2 {
+			c, err := net.Dial("tcp", s.Addr())
+			if err != nil {
+				t.Skipf("%d connections: %v", len(stalled), err)
+			}
+			stalled = append(stalled, c)
+		}
+		waitConns(t, s, func(conns map[*tcp.Conn]bool) bool { return len(conns) == maxConns })
+		extra, err := dial(s.Addr())
+		if err != nil {
+			return err
+		}
+		defer extra.close()
+		extra.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := extra.conn.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+			t.Fatalf("the connection past the cap read %d bytes, %v; want it closed unanswered", n, err)
+		}
+		if err := ing.sendTuples(workload(base)); err != nil {
+			return err
+		}
+		_, err = ing.eos()
+		return err
+	})
+	if !slices.Equal(r.sub.keys, want) {
+		t.Fatalf("the subscriber saw %d deliveries, want the run's %d in order", len(r.sub.keys), len(want))
 	}
 }
 

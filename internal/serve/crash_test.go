@@ -6,7 +6,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -27,92 +26,28 @@ import (
 // uninterrupted run with the same checkpoint cadence, in all four modes.
 // ---------------------------------------------------------------------------
 
-// incarnation is everything one server lifetime produced, as seen by a
-// subscriber that dedups by delivery sequence number (the client half of the
-// exactly-once contract).
-type incarnation struct {
-	deliveries map[uint64]string // seq -> key
-	resumeSeq  uint64            // committed mark from the subscribe greeting
-	recovery   *RecoveryInfo
-	crashed    bool
-	stats      Stats
-}
-
-// runIncarnation opens a server, attaches a subscriber, feeds the whole
-// workload (the server skips IDs its recovery already covers), and waits the
-// run out — crash or clean. Always returns with the server shut down.
-func runIncarnation(t *testing.T, cfg Config, tuples []*stream.Tuple) incarnation {
-	t.Helper()
-	s, err := Open(cfg)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	defer s.Shutdown()
-	inc := incarnation{deliveries: map[uint64]string{}, recovery: s.Recovery()}
-	type subRes struct {
-		sub subscription
-		err error
-	}
-	subCh := make(chan subRes, 1)
-	go func() {
-		sub, err := collectQuiet(s.Addr(), 0)
-		subCh <- subRes{sub, err}
-	}()
-	// Feed errors are expected on a crash incarnation (the connection dies
-	// mid-stream); the crash/clean verdict comes from Wait.
-	feedErr := feedQuiet(s.Addr(), tuples)
-	_, werr := s.Wait()
-	inc.crashed = errors.Is(werr, ErrCrashed)
-	if werr != nil && !inc.crashed {
-		t.Fatalf("wait: %v", werr)
-	}
-	if !inc.crashed && feedErr != nil {
-		t.Fatalf("feed failed on a clean run: %v", feedErr)
-	}
-	r := <-subCh
-	if !inc.crashed && (r.err != nil || r.sub.errLine != "") {
-		t.Fatalf("subscriber failed on a clean run: %v %q", r.err, r.sub.errLine)
-	}
-	inc.resumeSeq = r.sub.resumeSeq
-	for i, seq := range r.sub.seqs {
-		inc.deliveries[seq] = r.sub.keys[i]
-	}
-	inc.stats = s.Stats()
-	return inc
-}
-
-// mergeIncarnations folds lifetimes into one client-side delivery map,
-// failing on the one thing exactly-once forbids: the same sequence number
-// naming two different results.
-func mergeIncarnations(t *testing.T, incs ...incarnation) map[uint64]string {
+// sequenceOf merges what the subscribers of successive server lifetimes
+// read into the delivered key sequence, deduping by sequence number (the
+// client half of the exactly-once contract). It fails on what exactly-once
+// forbids — one sequence number naming two results — and on any hole: the
+// numbers must be exactly 1..len.
+func sequenceOf(t *testing.T, subs ...subscription) []string {
 	t.Helper()
 	merged := map[uint64]string{}
-	for n, inc := range incs {
-		for seq, key := range inc.deliveries {
-			if prev, ok := merged[seq]; ok && prev != key {
-				t.Fatalf("incarnation %d re-delivered seq %d as %q, previously %q", n, seq, key, prev)
+	for n, sub := range subs {
+		for i, seq := range sub.seqs {
+			if prev, ok := merged[seq]; ok && prev != sub.keys[i] {
+				t.Fatalf("incarnation %d re-delivered seq %d as %q, previously %q", n, seq, sub.keys[i], prev)
 			}
-			merged[seq] = key
+			merged[seq] = sub.keys[i]
 		}
 	}
-	return merged
-}
-
-// sequenceOf flattens a delivery map into the key sequence, requiring the
-// sequence numbers to be exactly 1..len with no gaps or strays.
-func sequenceOf(t *testing.T, m map[uint64]string) []string {
-	t.Helper()
-	seqs := make([]uint64, 0, len(m))
-	for s := range m {
-		seqs = append(seqs, s)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	out := make([]string, 0, len(m))
-	for i, s := range seqs {
-		if s != uint64(i+1) {
-			t.Fatalf("delivery sequence has a hole: position %d holds seq %d", i, s)
+	out := make([]string, len(merged))
+	for seq, key := range merged {
+		if seq == 0 || seq > uint64(len(out)) {
+			t.Fatalf("delivery sequence has a hole: %d results, one numbered %d", len(out), seq)
 		}
-		out = append(out, m[s])
+		out[seq-1] = key
 	}
 	return out
 }
@@ -153,15 +88,12 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 			// the reference the crash-equivalence property is stated against.
 			bcfg := cfg
 			bcfg.Dir = t.TempDir()
-			bl := runIncarnation(t, bcfg, tuples)
-			if bl.crashed {
-				t.Fatalf("baseline crashed")
-			}
-			want := sequenceOf(t, bl.deliveries)
+			bl := serveRun(t, bcfg, feedAll(tuples))
+			want := sequenceOf(t, bl.sub)
 			if len(want) == 0 {
 				t.Fatalf("degenerate baseline: no deliveries")
 			}
-			midCk := bl.stats.Checkpoints - 1 // minus the end-of-run checkpoint
+			midCk := bl.s.Stats().Checkpoints - 1 // minus the end-of-run checkpoint
 			if midCk < 2 {
 				t.Fatalf("cadence too coarse: %d mid-run checkpoints", midCk)
 			}
@@ -204,34 +136,30 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 					armed := cfg
 					armed.Dir = dir
 					kp.arm(&armed)
-					i1 := runIncarnation(t, armed, tuples)
+					i1 := serveRun(t, armed, feedAll(tuples))
 					if !i1.crashed {
 						t.Fatalf("armed kill point never fired")
 					}
 					clean := cfg
 					clean.Dir = dir
-					i2 := runIncarnation(t, clean, tuples)
+					i2 := serveRun(t, clean, feedAll(tuples))
 					if i2.crashed {
 						t.Fatalf("recovery incarnation crashed")
 					}
+					rec := i2.s.Recovery()
 					if kp.needCk {
-						if i2.recovery == nil {
+						if rec == nil {
 							t.Fatalf("recovery found no checkpoint after a boundary kill")
 						}
 						t.Logf("recovered %s: %d rows, %d keys, hwm=%d, delivered=%d in %v",
-							filepath.Base(i2.recovery.Path), i2.recovery.Rows, i2.recovery.Keys,
-							i2.recovery.IngestHWM, i2.recovery.Delivered, i2.recovery.Elapsed)
+							filepath.Base(rec.Path), rec.Rows, rec.Keys, rec.IngestHWM, rec.Delivered, rec.Elapsed)
 					}
-					if i2.recovery != nil {
-						// The subscribe greeting carries the delivery floor:
-						// the committed mark minus the restored ring tail.
-						if i2.resumeSeq+uint64(i2.recovery.Tail) != i2.recovery.Delivered {
-							t.Fatalf("subscriber floor %d + tail %d != committed %d",
-								i2.resumeSeq, i2.recovery.Tail, i2.recovery.Delivered)
-						}
+					// The subscribe greeting carries the delivery floor: the
+					// committed mark minus the restored ring tail.
+					if rec != nil && i2.sub.resumeSeq+uint64(rec.Tail) != rec.Delivered {
+						t.Fatalf("subscriber floor %d + tail %d != committed %d", i2.sub.resumeSeq, rec.Tail, rec.Delivered)
 					}
-					got := sequenceOf(t, mergeIncarnations(t, i1, i2))
-					assertSameSequence(t, kp.name, got, want)
+					assertSameSequence(t, kp.name, sequenceOf(t, i1.sub, i2.sub), want)
 				})
 			}
 		})
@@ -248,11 +176,10 @@ func TestCrashChainedAtEveryBoundary(t *testing.T) {
 
 	bcfg := cfg
 	bcfg.Dir = t.TempDir()
-	bl := runIncarnation(t, bcfg, tuples)
-	want := sequenceOf(t, bl.deliveries)
+	want := sequenceOf(t, serveRun(t, bcfg, feedAll(tuples)).sub)
 
 	dir := t.TempDir()
-	var incs []incarnation
+	var subs []subscription
 	for i := 0; ; i++ {
 		if i >= 25 {
 			t.Fatalf("lineage did not converge in 25 incarnations")
@@ -260,18 +187,17 @@ func TestCrashChainedAtEveryBoundary(t *testing.T) {
 		armed := cfg
 		armed.Dir = dir
 		armed.killPoint = func(_ uint64, saved int) bool { return saved >= 1 } // the next boundary this incarnation reaches
-		inc := runIncarnation(t, armed, tuples)
-		incs = append(incs, inc)
-		if !inc.crashed {
+		r := serveRun(t, armed, feedAll(tuples))
+		subs = append(subs, r.sub)
+		if !r.crashed {
 			t.Logf("lineage converged after %d crashes", i)
 			break
 		}
 	}
-	if len(incs) < 3 {
-		t.Fatalf("cadence produced only %d incarnations; chain too short to mean anything", len(incs))
+	if len(subs) < 3 {
+		t.Fatalf("cadence produced only %d incarnations; chain too short to mean anything", len(subs))
 	}
-	got := sequenceOf(t, mergeIncarnations(t, incs...))
-	assertSameSequence(t, "chained", got, want)
+	assertSameSequence(t, "chained", sequenceOf(t, subs...), want)
 }
 
 // ---------------------------------------------------------------------------
@@ -346,34 +272,25 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	// In-process baseline with the identical cadence.
 	bcfg := cfg
 	bcfg.Dir = t.TempDir()
-	bl := runIncarnation(t, bcfg, tuples)
-	want := sequenceOf(t, bl.deliveries)
+	want := sequenceOf(t, serveRun(t, bcfg, feedAll(tuples)).sub)
 
 	dir := t.TempDir()
 	addrFile := filepath.Join(t.TempDir(), "addr")
 
 	// Incarnation 1: feed most of the stream, wait for a durable checkpoint
-	// to exist, then SIGKILL mid-flight.
+	// to exist, then SIGKILL mid-flight. Its subscriber's stream is cut.
 	cmd := spawnHelper(t, dir, addrFile)
 	addr, _ := os.ReadFile(addrFile)
-	sub1Ch := make(chan subscription, 1)
-	go func() {
-		sub, err := collectQuiet(string(addr), 0)
-		if err != nil && sub.errLine == "" {
-			sub.errLine = err.Error() // a severed socket is expected here
-		}
-		sub1Ch <- sub
-	}()
-	c1, err := netDial(string(addr))
+	sub1, err := attach(string(addr))
 	if err != nil {
-		t.Fatalf("dial helper: %v", err)
+		t.Fatalf("subscribe to helper: %v", err)
 	}
-	c1.mustSend(Frame{Cmd: "ingest"})
-	if g, ok := c1.tryRecv(); !ok || g["ok"] != true {
-		t.Fatalf("helper ingest greeting: %v", g)
+	c1, _, err := ingest(string(addr))
+	if err != nil {
+		t.Fatalf("ingest to helper: %v", err)
 	}
-	for _, tp := range tuples[:3*len(tuples)/4] {
-		c1.mustSend(tupleFrame(tp))
+	if err := c1.sendTuples(tuples[:3*len(tuples)/4]); err != nil {
+		t.Fatalf("feed helper: %v", err)
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for {
@@ -389,38 +306,25 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	cmd.Process.Kill() // SIGKILL: no shutdown path runs
 	cmd.Wait()
 	c1.close()
-	s1 := <-sub1Ch
+	s1 := <-sub1
 
-	// Incarnation 2: restart on the same directory, re-send everything
-	// (the server skips what its checkpoint covers), read to eos.
+	// Incarnation 2: restart on the same directory, attach, re-send
+	// everything (the server skips what its checkpoint covers), read to eos.
 	cmd = spawnHelper(t, dir, addrFile)
 	defer func() { cmd.Process.Kill(); cmd.Wait() }()
-	addr2, _ := os.ReadFile(addrFile)
-	sub2Ch := make(chan subscription, 1)
-	go func() {
-		sub, err := collectQuiet(string(addr2), 0)
-		if err != nil {
-			sub.errLine = err.Error()
-		}
-		sub2Ch <- sub
-	}()
-	if err := feedQuiet(string(addr2), tuples); err != nil {
+	addr, _ = os.ReadFile(addrFile)
+	sub2, err := attach(string(addr))
+	if err != nil {
+		t.Fatalf("subscribe to restarted helper: %v", err)
+	}
+	if err := feed(string(addr), tuples); err != nil {
 		t.Fatalf("resume feed: %v", err)
 	}
-	s2 := <-sub2Ch
-	if s2.errLine != "" {
-		t.Fatalf("resume subscriber: %s", s2.errLine)
+	s2 := <-sub2
+	if s2.err != nil {
+		t.Fatalf("resume subscriber: %v", s2.err)
 	}
-
-	toInc := func(s subscription) incarnation {
-		inc := incarnation{deliveries: map[uint64]string{}, resumeSeq: s.resumeSeq}
-		for i, seq := range s.seqs {
-			inc.deliveries[seq] = s.keys[i]
-		}
-		return inc
-	}
-	got := sequenceOf(t, mergeIncarnations(t, toInc(s1), toInc(s2)))
-	assertSameSequence(t, "sigkill", got, want)
+	assertSameSequence(t, "sigkill", sequenceOf(t, s1, s2), want)
 	// The hole-free merged sequence above is the restored-tail property at
 	// work: deliveries committed by the checkpoint but never read before the
 	// SIGKILL came back from the restarted server's re-seeded ring.

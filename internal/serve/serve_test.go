@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/exp"
 	"repro/internal/plan"
 	"repro/internal/predicate"
@@ -22,11 +24,15 @@ import (
 
 // testParams is the shared server/baseline workload: an N=3 clique dense
 // enough to exercise suspension and resumption with a few hundred finals,
-// small enough for the per-mode sweep to stay fast.
+// small enough for the per-mode sweep to stay fast. The delivery ring is
+// bounded to four deliveries, so every served test runs with fewer ring
+// slots than finals under the default SubBlock policy: a subscriber that
+// wants seq 1 must attach before ingest starts (serveRun), or it lags.
 func testParams(mode core.Mode) (Config, exp.Params) {
 	cfg := Config{
-		Query: plan.Query{N: 3, Bushy: true, Window: 90 * stream.Second, Mode: mode},
-		Addr:  "127.0.0.1:0",
+		Query:  plan.Query{N: 3, Bushy: true, Window: 90 * stream.Second, Mode: mode},
+		Addr:   "127.0.0.1:0",
+		Retain: 4,
 	}
 	base := exp.Params{
 		Query: cfg.Query,
@@ -43,76 +49,79 @@ func workload(p exp.Params) []*stream.Tuple {
 	return source.Generate(cat, source.UniformConfig(p.N, p.Rate, p.DMax, p.Horizon, p.Seed))
 }
 
-// client is a test-side protocol connection.
+// client is a test-side protocol connection. Its methods return errors
+// rather than fail the test, so it serves background goroutines, where
+// t.Fatal must not run, as well as the test's own.
 type client struct {
-	t    *testing.T
 	conn net.Conn
 	sc   *bufio.Scanner
 }
 
-func dial(t *testing.T, addr string) *client {
-	t.Helper()
+func dial(addr string) (*client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
-		t.Fatalf("dial %s: %v", addr, err)
+		return nil, err
 	}
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 4096), MaxFrameBytes+1)
-	return &client{t: t, conn: conn, sc: sc}
+	return &client{conn: conn, sc: sc}, nil
 }
 
 func (c *client) close() { c.conn.Close() }
 
-func (c *client) send(v interface{}) {
-	c.t.Helper()
-	b, err := json.Marshal(v)
-	if err != nil {
-		c.t.Fatalf("marshal: %v", err)
-	}
-	if _, err := c.conn.Write(append(b, '\n')); err != nil {
-		c.t.Fatalf("write: %v", err)
-	}
+func (c *client) sendRaw(line string) error {
+	_, err := c.conn.Write([]byte(line + "\n"))
+	return err
 }
 
-func (c *client) sendRaw(line string) {
-	c.t.Helper()
-	if _, err := c.conn.Write([]byte(line + "\n")); err != nil {
-		c.t.Fatalf("write: %v", err)
+func (c *client) send(v any) error {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return err
 	}
+	return c.sendRaw(string(b))
 }
 
 // recv reads one response line into a generic map.
-func (c *client) recv() map[string]interface{} {
-	c.t.Helper()
+func (c *client) recv() (map[string]any, error) {
 	if !c.sc.Scan() {
-		c.t.Fatalf("connection closed early (err=%v)", c.sc.Err())
+		return nil, fmt.Errorf("connection closed (err=%v)", c.sc.Err())
 	}
-	var m map[string]interface{}
+	var m map[string]any
 	if err := json.Unmarshal(c.sc.Bytes(), &m); err != nil {
-		c.t.Fatalf("bad response line %q: %v", c.sc.Text(), err)
+		return nil, fmt.Errorf("bad response line %q: %v", c.sc.Text(), err)
 	}
-	return m
+	return m, nil
 }
 
-// ingest opens an ingest session and returns the greeting's resume mark. The
-// server releases the single-writer slot asynchronously after a disconnect,
-// so a reconnect can briefly see "already active" — retry those.
-func ingestGreet(t *testing.T, addr string) (*client, uint64) {
-	t.Helper()
+// ask sends v and reads the line that answers it.
+func (c *client) ask(v any) (map[string]any, error) {
+	if err := c.send(v); err != nil {
+		return nil, err
+	}
+	return c.recv()
+}
+
+// ingest opens an ingest session and returns it with the greeting's resume
+// mark. The server releases the single-writer slot asynchronously after a
+// disconnect, so a reconnect can briefly see "already active" — retry those.
+func ingest(addr string) (*client, uint64, error) {
 	for i := 0; ; i++ {
-		c := dial(t, addr)
-		c.send(Frame{Cmd: "ingest"})
-		g := c.recv()
-		if g["ok"] == true {
-			var resume uint64
-			if v, ok := g["resume_id"].(float64); ok {
-				resume = uint64(v)
-			}
-			return c, resume
+		c, err := dial(addr)
+		if err != nil {
+			return nil, 0, err
+		}
+		g, err := c.ask(Frame{Cmd: "ingest"})
+		if err == nil && g["ok"] == true {
+			resume, _ := g["resume_id"].(float64)
+			return c, uint64(resume), nil
 		}
 		c.close()
+		if err != nil {
+			return nil, 0, err
+		}
 		if e, _ := g["error"].(string); !strings.Contains(e, "already active") || i >= 500 {
-			t.Fatalf("ingest greeting rejected: %v", g)
+			return nil, 0, fmt.Errorf("ingest greeting rejected: %v", g)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -126,21 +135,41 @@ func tupleFrame(tp *stream.Tuple) Frame {
 	return Frame{ID: tp.ID, Source: int(tp.Source), TS: int64(tp.TS), Vals: vals}
 }
 
-// feed streams the whole workload through one ingest session and closes with
-// eos.
-func feed(t *testing.T, addr string, tuples []*stream.Tuple) {
-	t.Helper()
-	c, resume := ingestGreet(t, addr)
-	defer c.close()
+func (c *client) sendTuples(tuples []*stream.Tuple) error {
 	for _, tp := range tuples {
-		_ = resume // the server skips covered IDs itself; send everything
-		c.send(tupleFrame(tp))
+		if err := c.send(tupleFrame(tp)); err != nil {
+			return err
+		}
 	}
-	c.send(Frame{Cmd: "eos"})
-	ack := c.recv()
+	return nil
+}
+
+// eos ends the stream and returns the count its ack says was ingested.
+func (c *client) eos() (uint64, error) {
+	ack, err := c.ask(Frame{Cmd: "eos"})
+	if err != nil {
+		return 0, err
+	}
 	if ack["ok"] != true {
-		t.Fatalf("eos not acknowledged: %v", ack)
+		return 0, fmt.Errorf("eos not acknowledged: %v", ack)
 	}
+	n, _ := ack["ingested"].(float64)
+	return uint64(n), nil
+}
+
+// feed streams tuples through one ingest session and ends it with eos. It
+// sends everything: the server skips the IDs its recovery already covers.
+func feed(addr string, tuples []*stream.Tuple) error {
+	c, _, err := ingest(addr)
+	if err != nil {
+		return err
+	}
+	defer c.close()
+	if err := c.sendTuples(tuples); err != nil {
+		return err
+	}
+	_, err = c.eos()
+	return err
 }
 
 // subscription holds one subscriber's full view of the stream.
@@ -149,69 +178,124 @@ type subscription struct {
 	seqs      []uint64
 	keys      []string
 	delivered uint64 // from the eos line
-	errLine   string // non-empty when the stream ended with an error
+	err       error  // how the stream ended when not with eos: an error line or a cut connection
 }
 
-// collect subscribes from the given sequence and reads to end-of-stream.
-//
-// Callers run collect on its own goroutine, so it must never call t.Fatalf:
-// a Fatalf there would runtime.Goexit without delivering the result and the
-// test would hang on its channel receive until the package timeout. Every
-// failure — including the transport-level ones — comes back in errLine for
-// the test goroutine to assert on.
-func collect(_ *testing.T, addr string, from uint64) subscription {
-	conn, err := net.Dial("tcp", addr)
+// subscribe opens a subscriber from delivery seq from and reads its
+// greeting, which the server writes once the subscriber holds its place in
+// the delivery ring; a rejection is the error.
+func subscribe(addr string, from uint64) (*client, uint64, error) {
+	c, err := dial(addr)
 	if err != nil {
-		return subscription{errLine: fmt.Sprintf("dial %s: %v", addr, err)}
+		return nil, 0, err
 	}
-	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 4096), MaxFrameBytes+1)
-	req, err := json.Marshal(Frame{Cmd: "subscribe", From: from})
+	g, err := c.ask(Frame{Cmd: "subscribe", From: from})
+	if err == nil && g["ok"] != true {
+		err = fmt.Errorf("%v", g["error"])
+	}
 	if err != nil {
-		return subscription{errLine: fmt.Sprintf("marshal: %v", err)}
+		c.close()
+		return nil, 0, err
 	}
-	if _, err := conn.Write(append(req, '\n')); err != nil {
-		return subscription{errLine: fmt.Sprintf("write: %v", err)}
-	}
-	read := func() (map[string]interface{}, error) {
-		if !sc.Scan() {
-			return nil, fmt.Errorf("connection closed (err=%v)", sc.Err())
-		}
-		var m map[string]interface{}
-		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
-			return nil, fmt.Errorf("bad response line %q: %v", sc.Text(), err)
-		}
-		return m, nil
-	}
-	g, err := read()
-	if err != nil {
-		return subscription{errLine: err.Error()}
-	}
-	if g["ok"] != true {
-		return subscription{errLine: fmt.Sprint(g["error"])}
-	}
-	var sub subscription
-	if v, ok := g["resume_seq"].(float64); ok {
-		sub.resumeSeq = uint64(v)
-	}
+	seq, _ := g["resume_seq"].(float64)
+	return c, uint64(seq), nil
+}
+
+// read reads a greeted subscriber's deliveries to the end of its stream and
+// closes the connection.
+func (c *client) read(resumeSeq uint64) subscription {
+	defer c.close()
+	sub := subscription{resumeSeq: resumeSeq}
 	for {
-		m, err := read()
-		if err != nil {
-			sub.errLine = fmt.Sprintf("stream ended without eos or error: %v", err)
+		m, err := c.recv()
+		switch {
+		case err != nil:
+			sub.err = fmt.Errorf("stream ended without eos or error: %v", err)
+			return sub
+		case m["error"] != nil:
+			sub.err = fmt.Errorf("%v", m["error"])
+			return sub
+		case m["eos"] == true:
+			n, _ := m["delivered"].(float64)
+			sub.delivered = uint64(n)
 			return sub
 		}
-		if e, ok := m["error"]; ok {
-			sub.errLine = fmt.Sprint(e)
-			return sub
-		}
-		if m["eos"] == true {
-			sub.delivered = uint64(m["delivered"].(float64))
-			return sub
-		}
-		sub.seqs = append(sub.seqs, uint64(m["seq"].(float64)))
-		sub.keys = append(sub.keys, m["key"].(string))
+		seq, _ := m["seq"].(float64)
+		key, _ := m["key"].(string)
+		sub.seqs = append(sub.seqs, uint64(seq))
+		sub.keys = append(sub.keys, key)
 	}
+}
+
+// collect subscribes from seq from and reads to the end of the stream.
+func collect(addr string, from uint64) subscription {
+	c, resume, err := subscribe(addr, from)
+	if err != nil {
+		return subscription{err: err}
+	}
+	return c.read(resume)
+}
+
+// attach subscribes from seq 0 and reads the greeting before it returns; the
+// stream is read on its own goroutine and comes out of the channel at its
+// end.
+func attach(addr string) (<-chan subscription, error) {
+	c, resume, err := subscribe(addr, 0)
+	if err != nil {
+		return nil, err
+	}
+	done := make(chan subscription, 1)
+	go func() { done <- c.read(resume) }()
+	return done, nil
+}
+
+// servedRun is one server lifetime as a subscriber attached from seq 0 saw it.
+type servedRun struct {
+	s       *Server // shut down; its Stats, Recovery and IngestHWM stay readable
+	sub     subscription
+	res     engine.Result
+	crashed bool // an armed kill point fired
+}
+
+// serveRun opens a server on cfg, attaches a subscriber from seq 0 and reads
+// its greeting, and only then lets drive ingest (feedAll: the whole workload
+// to an acknowledged eos); then it waits the run out and collects what the
+// subscriber read. A subscriber that attached once ingest was under way would
+// find seq 1 evicted whenever the run delivers more than cfg.Retain results.
+// drive runs on the test goroutine, so it may fail the test. A crash may cut
+// ingest and the subscriber short; a clean run must complete both. It
+// returns with the server shut down.
+func serveRun(t *testing.T, cfg Config, drive func(s *Server) error) servedRun {
+	t.Helper()
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer s.Shutdown()
+	subc, err := attach(s.Addr())
+	if err != nil {
+		t.Fatalf("subscribe: %v", err)
+	}
+	driveErr := drive(s)
+	r := servedRun{s: s}
+	r.res, err = s.Wait()
+	r.crashed = errors.Is(err, ErrCrashed)
+	if err != nil && !r.crashed {
+		t.Fatalf("wait: %v", err)
+	}
+	r.sub = <-subc
+	if !r.crashed && driveErr != nil {
+		t.Fatalf("ingest failed on a clean run: %v", driveErr)
+	}
+	if !r.crashed && r.sub.err != nil {
+		t.Fatalf("subscriber failed on a clean run: %v", r.sub.err)
+	}
+	return r
+}
+
+// feedAll is serveRun's plain ingest: every tuple, then eos.
+func feedAll(tuples []*stream.Tuple) func(*Server) error {
+	return func(s *Server) error { return feed(s.Addr(), tuples) }
 }
 
 // TestServeMatchesEngine pins the tentpole's baseline property: a network
@@ -227,43 +311,21 @@ func TestServeMatchesEngine(t *testing.T) {
 			if res.Results == 0 {
 				t.Fatalf("degenerate baseline: no finals")
 			}
-			s, err := Open(cfg)
-			if err != nil {
-				t.Fatalf("open: %v", err)
+			r := serveRun(t, cfg, feedAll(workload(base)))
+			if r.res.Results != res.Results {
+				t.Fatalf("server delivered %d finals, engine %d", r.res.Results, res.Results)
 			}
-			defer s.Shutdown()
-			done := make(chan subscription, 1)
-			go func() { done <- collect(t, s.Addr(), 0) }()
-			feed(t, s.Addr(), workload(base))
-			sub := <-done
-			if sub.errLine != "" {
-				t.Fatalf("subscriber error: %s", sub.errLine)
-			}
-			sres, err := s.Wait()
-			if err != nil {
-				t.Fatalf("wait: %v", err)
-			}
-			if sres.Results != res.Results {
-				t.Fatalf("server delivered %d finals, engine %d", sres.Results, res.Results)
-			}
-			if len(sub.keys) != len(want) {
-				t.Fatalf("subscriber saw %d deliveries, want %d", len(sub.keys), len(want))
-			}
-			for i := range want {
-				if sub.keys[i] != want[i] {
-					t.Fatalf("delivery %d: got %s want %s", i, sub.keys[i], want[i])
-				}
-			}
-			for i, q := range sub.seqs {
+			assertSameSequence(t, "served", r.sub.keys, want)
+			for i, q := range r.sub.seqs {
 				if q != uint64(i+1) {
 					t.Fatalf("delivery %d has seq %d, want %d", i, q, i+1)
 				}
 			}
-			if sub.delivered != uint64(len(want)) {
-				t.Fatalf("eos line reports %d delivered, want %d", sub.delivered, len(want))
+			if r.sub.delivered != uint64(len(want)) {
+				t.Fatalf("eos line reports %d delivered, want %d", r.sub.delivered, len(want))
 			}
-			if sres.OrderViolations != 0 {
-				t.Fatalf("order violations: %d", sres.OrderViolations)
+			if r.res.OrderViolations != 0 {
+				t.Fatalf("order violations: %d", r.res.OrderViolations)
 			}
 		})
 	}
@@ -287,13 +349,15 @@ func TestEOSAckSurvivesShutdown(t *testing.T) {
 			s.Shutdown()
 			close(stopped)
 		}()
-		c, _ := ingestGreet(t, s.Addr())
-		for _, tp := range tuples {
-			c.send(tupleFrame(tp))
+		c, _, err := ingest(s.Addr())
+		if err != nil {
+			t.Fatalf("session %d: %v", i, err)
 		}
-		c.send(Frame{Cmd: "eos"})
-		if ack := c.recv(); ack["ok"] != true || ack["ingested"] != float64(len(tuples)) {
-			t.Fatalf("session %d: eos ack %v, want ok with ingested=%d", i, ack, len(tuples))
+		if err := c.sendTuples(tuples); err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+		if n, err := c.eos(); err != nil || n != uint64(len(tuples)) {
+			t.Fatalf("session %d: eos ack ingested=%d (%v), want ok with ingested=%d", i, n, err, len(tuples))
 		}
 		c.close()
 		<-stopped
@@ -308,108 +372,83 @@ func TestRejectedFramesDoNotPerturbRun(t *testing.T) {
 	cfg, base := testParams(core.JIT())
 	_, want := base.RunKeys()
 	tuples := workload(base)
-	s, err := Open(cfg)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	defer s.Shutdown()
-	done := make(chan subscription, 1)
-	go func() { done <- collect(t, s.Addr(), 0) }()
-
 	half := len(tuples) / 2
+	last := tuples[half-1]
+	next := func(src int, vals ...int64) Frame {
+		return Frame{ID: last.ID + 1, Source: src, TS: int64(last.TS), Vals: vals}
+	}
 	poisons := []struct {
 		name    string
-		send    func(c *client, last *stream.Tuple)
+		send    func(c *client) error
 		wantErr string
 	}{
 		// dup-id must run on the first session: there the prefix was genuinely
 		// admitted, so re-sending the last ID is a duplicate. On a reconnected
 		// session the same frame is ≤ the resume mark and is silently skipped —
 		// correct resume behavior, but no error line.
-		{"dup-id", func(c *client, last *stream.Tuple) {
-			f := tupleFrame(last)
-			f.ID = last.ID // equal to the session's lastID: a duplicate
-			c.send(f)
-		}, "duplicate"},
-		{"malformed", func(c *client, _ *stream.Tuple) { c.sendRaw("{not json") }, "malformed"},
-		{"unknown-field", func(c *client, _ *stream.Tuple) { c.sendRaw(`{"id":999999,"sorce":0,"ts":1,"vals":[1]}`) }, "malformed"},
-		{"trailing", func(c *client, _ *stream.Tuple) { c.sendRaw(`{"cmd":"eos"} {"cmd":"eos"}`) }, "malformed"},
-		{"unknown-source", func(c *client, last *stream.Tuple) {
-			c.send(Frame{ID: last.ID + 1, Source: 99, TS: int64(last.TS), Vals: []int64{1}})
-		}, "unknown source"},
-		{"bad-arity", func(c *client, last *stream.Tuple) {
-			c.send(Frame{ID: last.ID + 1, Source: 0, TS: int64(last.TS), Vals: []int64{1, 2, 3, 4, 5}})
-		}, "value count"},
-		{"time-regress", func(c *client, last *stream.Tuple) {
+		{"dup-id", func(c *client) error { return c.send(tupleFrame(last)) }, "duplicate"},
+		{"malformed", func(c *client) error { return c.sendRaw("{not json") }, "malformed"},
+		{"unknown-field", func(c *client) error { return c.sendRaw(`{"id":999999,"sorce":0,"ts":1,"vals":[1]}`) }, "malformed"},
+		{"trailing", func(c *client) error { return c.sendRaw(`{"cmd":"eos"} {"cmd":"eos"}`) }, "malformed"},
+		{"unknown-source", func(c *client) error { return c.send(next(99, 1)) }, "unknown source"},
+		{"bad-arity", func(c *client) error { return c.send(next(0, 1, 2, 3, 4, 5)) }, "value count"},
+		{"time-regress", func(c *client) error {
 			f := tupleFrame(last)
 			f.ID, f.TS = last.ID+1, int64(last.TS)-1000
-			c.send(f)
+			return c.send(f)
 		}, "regression"},
 	}
 
 	// First half, then one poison per reconnect round, re-sending the prefix
 	// each time (covered IDs are skipped server-side).
-	c, _ := ingestGreet(t, s.Addr())
-	for _, tp := range tuples[:half] {
-		c.send(tupleFrame(tp))
-	}
-	last := tuples[half-1]
-	for _, p := range poisons {
-		p.send(c, last)
-		m := c.recv()
-		e, ok := m["error"].(string)
-		if !ok {
-			t.Fatalf("%s: expected error line, got %v", p.name, m)
+	r := serveRun(t, cfg, func(s *Server) error {
+		c, _, err := ingest(s.Addr())
+		if err != nil {
+			return err
 		}
-		if !strings.Contains(e, p.wantErr) {
-			t.Fatalf("%s: error %q does not mention %q", p.name, e, p.wantErr)
+		if err := c.sendTuples(tuples[:half]); err != nil {
+			return err
 		}
-		c.close()
-		// The server's one session outlives the dropped connection: the next
-		// writer is greeted with — and IngestHWM reports — the last admitted ID.
-		var resume uint64
-		c, resume = ingestGreet(t, s.Addr())
-		if resume != last.ID || s.IngestHWM() != last.ID {
-			t.Fatalf("%s: reconnect resumes at %d (IngestHWM %d), last admitted ID is %d", p.name, resume, s.IngestHWM(), last.ID)
+		for _, p := range poisons {
+			if err := p.send(c); err != nil {
+				return err
+			}
+			m, err := c.recv()
+			if e, _ := m["error"].(string); err != nil || !strings.Contains(e, p.wantErr) {
+				t.Fatalf("%s: got %v (%v), want an error line mentioning %q", p.name, m, err, p.wantErr)
+			}
+			c.close()
+			// The server's one session outlives the dropped connection: the next
+			// writer is greeted with — and IngestHWM reports — the last admitted ID.
+			var resume uint64
+			if c, resume, err = ingest(s.Addr()); err != nil {
+				return err
+			}
+			if resume != last.ID || s.IngestHWM() != last.ID {
+				t.Fatalf("%s: reconnect resumes at %d (IngestHWM %d), last admitted ID is %d", p.name, resume, s.IngestHWM(), last.ID)
+			}
+			if err := c.sendTuples(tuples[:half]); err != nil {
+				return err
+			}
 		}
-		for _, tp := range tuples[:half] {
-			c.send(tupleFrame(tp))
+		defer c.close()
+		if err := c.sendTuples(tuples[half:]); err != nil {
+			return err
 		}
-	}
-	for _, tp := range tuples[half:] {
-		c.send(tupleFrame(tp))
-	}
-	c.send(Frame{Cmd: "eos"})
-	if ack := c.recv(); ack["ok"] != true {
-		t.Fatalf("eos not acknowledged: %v", ack)
-	}
-	c.close()
-
-	sub := <-done
-	if sub.errLine != "" {
-		t.Fatalf("subscriber error: %s", sub.errLine)
-	}
-	if len(sub.keys) != len(want) {
-		t.Fatalf("poisoned run delivered %d, clean run %d", len(sub.keys), len(want))
-	}
-	for i := range want {
-		if sub.keys[i] != want[i] {
-			t.Fatalf("delivery %d: got %s want %s", i, sub.keys[i], want[i])
-		}
-	}
-	if _, err := s.Wait(); err != nil {
-		t.Fatalf("wait: %v", err)
-	}
-	st := s.Stats()
+		_, err = c.eos()
+		return err
+	})
+	assertSameSequence(t, "poisoned run", r.sub.keys, want)
+	st := r.s.Stats()
 	if st.Skipped == 0 {
 		t.Fatalf("expected skipped resume replays, got none")
 	}
 	// No checkpoint directory, so nothing can ever be replayed: the run
 	// reached eos without a dedup gate or a delivered-key map.
-	if s.out.gate != nil || st.ReplayDups != 0 {
-		t.Fatalf("server without Dir spliced a dedup gate (%v) or absorbed %d dups", s.out.gate != nil, st.ReplayDups)
+	if r.s.out.gate != nil || st.ReplayDups != 0 {
+		t.Fatalf("server without Dir spliced a dedup gate (%v) or absorbed %d dups", r.s.out.gate != nil, st.ReplayDups)
 	}
-	if got := s.IngestHWM(); got != tuples[len(tuples)-1].ID {
+	if got := r.s.IngestHWM(); got != tuples[len(tuples)-1].ID {
 		t.Fatalf("IngestHWM %d at eos, last admitted ID is %d", got, tuples[len(tuples)-1].ID)
 	}
 }
@@ -430,23 +469,29 @@ func TestTimeRange(t *testing.T) {
 			}
 			defer s.Shutdown()
 			for _, ts := range []int64{math.MaxInt64 - 10, int64(stream.MaxTime) + 1, -1, math.MinInt64} {
-				c, _ := ingestGreet(t, s.Addr())
-				c.send(Frame{ID: 1, Source: 0, TS: ts, Vals: []int64{1, 1}})
+				c, _, err := ingest(s.Addr())
+				if err != nil {
+					t.Fatal(err)
+				}
 				c.conn.SetReadDeadline(time.Now().Add(10 * time.Second)) // an admitted frame gets no reply
-				e, _ := c.recv()["error"].(string)
+				m, err := c.ask(Frame{ID: 1, Source: 0, TS: ts, Vals: []int64{1, 1}})
 				c.close()
-				if !strings.Contains(e, "time range") {
-					t.Fatalf("ts %d: got %q, want a time-range rejection", ts, e)
+				if e, _ := m["error"].(string); err != nil || !strings.Contains(e, "time range") {
+					t.Fatalf("ts %d: got %v (%v), want a time-range rejection", ts, m, err)
 				}
 			}
-			c, _ := ingestGreet(t, s.Addr())
+			c, _, err := ingest(s.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
 			defer c.close()
 			for i := int64(0); i < 3; i++ {
-				c.send(Frame{ID: uint64(i + 1), Source: int(i), TS: int64(stream.MaxTime) - 2 + i, Vals: []int64{1, 1}})
+				if err := c.send(Frame{ID: uint64(i + 1), Source: int(i), TS: int64(stream.MaxTime) - 2 + i, Vals: []int64{1, 1}}); err != nil {
+					t.Fatal(err)
+				}
 			}
-			c.send(Frame{Cmd: "eos"})
-			if ack := c.recv(); ack["ok"] != true || ack["ingested"] != float64(3) {
-				t.Fatalf("eos ack %v, want ok with ingested=3", ack)
+			if n, err := c.eos(); err != nil || n != 3 {
+				t.Fatalf("eos ack ingested=%d (%v), want ok with ingested=3", n, err)
 			}
 			res, err := s.Wait()
 			if err != nil {
@@ -461,47 +506,37 @@ func TestTimeRange(t *testing.T) {
 
 // TestSecondIngestRejected pins single-writer admission.
 func TestSecondIngestRejected(t *testing.T) {
-	cfg, base := testParams(core.REF())
+	cfg, _ := testParams(core.REF())
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	defer s.Shutdown()
-	c1, _ := ingestGreet(t, s.Addr())
-	defer c1.close()
-	// A subscriber does not occupy the ingest slot.
-	c2 := dial(t, s.Addr())
-	defer c2.close()
-	c2.send(Frame{Cmd: "subscribe"})
-	g := c2.recv()
-	if g["ok"] != true {
-		t.Fatalf("subscribe rejected: %v", g)
+	c1, _, err := ingest(s.Addr())
+	if err != nil {
+		t.Fatal(err)
 	}
-	c3 := dial(t, s.Addr())
+	// A subscriber does not occupy the ingest slot.
+	c2, _, err := subscribe(s.Addr(), 0)
+	if err != nil {
+		t.Fatalf("subscribe rejected: %v", err)
+	}
+	defer c2.close()
+	c3, err := dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer c3.close()
-	c3.send(Frame{Cmd: "ingest"})
-	m := c3.recv()
-	if e, _ := m["error"].(string); !strings.Contains(e, "already active") {
-		t.Fatalf("second ingest not rejected: %v", m)
+	if m, err := c3.ask(Frame{Cmd: "ingest"}); !strings.Contains(fmt.Sprint(m["error"]), "already active") {
+		t.Fatalf("second ingest not rejected: %v (%v)", m, err)
 	}
 	// Releasing the first session admits a new writer.
 	c1.close()
-	var admitted bool
-	for i := 0; i < 100; i++ {
-		c4 := dial(t, s.Addr())
-		c4.send(Frame{Cmd: "ingest"})
-		m := c4.recv()
-		ok := m["ok"] == true
-		c4.close()
-		if ok {
-			admitted = true
-			break
-		}
+	c4, _, err := ingest(s.Addr())
+	if err != nil {
+		t.Fatalf("ingest slot never released after disconnect: %v", err)
 	}
-	if !admitted {
-		t.Fatalf("ingest slot never released after disconnect")
-	}
-	_ = base
+	c4.close()
 }
 
 // TestShutdownDrainsWithoutEOS: closing the server mid-stream drains what was
@@ -509,43 +544,37 @@ func TestSecondIngestRejected(t *testing.T) {
 func TestShutdownDrainsWithoutEOS(t *testing.T) {
 	cfg, base := testParams(core.JIT())
 	tuples := workload(base)
-	s, err := Open(cfg)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	done := make(chan subscription, 1)
-	go func() { done <- collect(t, s.Addr(), 0) }()
-	c, _ := ingestGreet(t, s.Addr())
-	for _, tp := range tuples {
-		c.send(tupleFrame(tp))
-	}
-	// No eos. Wait until the server has admitted the full stream (Shutdown
-	// kicks the ingest socket, so anything still in flight there would be
-	// dropped — legal, but this test wants the full drain).
-	last := tuples[len(tuples)-1].ID
-	for s.IngestHWM() != last {
-		time.Sleep(time.Millisecond)
-	}
-	s.Shutdown()
-	c.close()
-	sub := <-done
-	if sub.errLine != "" {
-		t.Fatalf("subscriber error after shutdown: %s", sub.errLine)
-	}
-	res, err := s.Wait()
-	if err != nil {
-		t.Fatalf("wait: %v", err)
-	}
+	r := serveRun(t, cfg, func(s *Server) error {
+		c, _, err := ingest(s.Addr())
+		if err != nil {
+			return err
+		}
+		defer c.close()
+		if err := c.sendTuples(tuples); err != nil {
+			return err
+		}
+		// No eos. Wait until the server has admitted the full stream (Shutdown
+		// kicks the ingest socket, so anything still in flight there would be
+		// dropped — legal, but this test wants the full drain).
+		for last := tuples[len(tuples)-1].ID; s.IngestHWM() != last; {
+			time.Sleep(time.Millisecond)
+		}
+		s.Shutdown()
+		return nil
+	})
 	_, want := base.RunKeys()
-	if res.Results != uint64(len(want)) {
-		t.Fatalf("shutdown drain delivered %d, want %d", res.Results, len(want))
+	if r.res.Results != uint64(len(want)) {
+		t.Fatalf("shutdown drain delivered %d, want %d", r.res.Results, len(want))
 	}
 }
 
 // TestSubscribeResume: a subscriber joining with from=N sees exactly the
-// suffix after N, and one joining beyond the end is clamped.
+// suffix after N.
 func TestSubscribeResume(t *testing.T) {
 	cfg, base := testParams(core.JIT())
+	// The subscriber joins the finished run halfway, so the ring must still
+	// hold that point: the default bound (zero means 16384), not testParams'.
+	cfg.Retain = 0
 	_, want := base.RunKeys()
 	if len(want) < 10 {
 		t.Fatalf("workload too sparse for a resume test (%d finals)", len(want))
@@ -555,23 +584,18 @@ func TestSubscribeResume(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	defer s.Shutdown()
-	feed(t, s.Addr(), workload(base))
+	if err := feed(s.Addr(), workload(base)); err != nil {
+		t.Fatalf("feed: %v", err)
+	}
 	if _, err := s.Wait(); err != nil {
 		t.Fatalf("wait: %v", err)
 	}
-	from := uint64(len(want) / 2)
-	sub := collect(t, s.Addr(), from)
-	if sub.errLine != "" {
-		t.Fatalf("resume subscriber error: %s", sub.errLine)
+	from := len(want) / 2
+	sub := collect(s.Addr(), uint64(from))
+	if sub.err != nil {
+		t.Fatalf("resume subscriber error: %v", sub.err)
 	}
-	if len(sub.keys) != len(want)-int(from) {
-		t.Fatalf("resume from %d saw %d deliveries, want %d", from, len(sub.keys), len(want)-int(from))
-	}
-	for i, k := range sub.keys {
-		if k != want[int(from)+i] {
-			t.Fatalf("resumed delivery %d: got %s want %s", i, k, want[int(from)+i])
-		}
-	}
+	assertSameSequence(t, fmt.Sprintf("resume from %d", from), sub.keys, want[from:])
 }
 
 // TestConfigValidate pins Config.Validate: the baseline passes and every
